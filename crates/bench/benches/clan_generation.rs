@@ -95,25 +95,29 @@ fn bench_eval_thread_scaling(c: &mut Criterion) {
 
 fn bench_threaded_runtime(c: &mut Criterion) {
     use clan_core::runtime::EdgeCluster;
-    use clan_core::InferenceMode;
+    use clan_core::{DcsOrchestrator, Evaluator, InferenceMode, Orchestrator};
+    use clan_distsim::Cluster;
+    use clan_hw::Platform;
     use clan_neat::{NeatConfig, Population};
+    use clan_netsim::WifiModel;
 
     let w = Workload::CartPole;
     let cfg = NeatConfig::builder(w.obs_dim(), w.n_actions())
         .population_size(48)
         .build()
         .unwrap();
-    let mut cluster =
+    let cluster =
         EdgeCluster::spawn(4, w, InferenceMode::MultiStep, cfg.clone()).expect("cluster spawns");
+    let mut orchestrator = DcsOrchestrator::new(
+        Population::new(cfg, 11),
+        Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster),
+        Cluster::homogeneous(Platform::raspberry_pi(), 4, WifiModel::default()),
+    );
     c.bench_function("threaded_dcs_generation_pop48", |b| {
-        b.iter_batched(
-            || Population::new(cfg.clone(), 11),
-            |mut pop| {
-                cluster.step_dcs_generation(&mut pop).expect("step");
-                black_box(pop.generation())
-            },
-            criterion::BatchSize::SmallInput,
-        )
+        b.iter(|| {
+            let report = orchestrator.step_generation().expect("step");
+            black_box(report.best_fitness)
+        })
     });
 }
 

@@ -24,8 +24,10 @@
 //!   seeded [`LatencySchedule`] and a single-threaded event loop orders
 //!   completions by `(virtual time, agent, dispatch)`. Two runs with the
 //!   same `(master seed, schedule)` produce identical populations and
-//!   identical [event logs](AsyncOrchestrator::event_log_text) — the
-//!   diffable artifact CI enforces.
+//!   byte-identical logical traces
+//!   ([`RunTrace::logical_text`](crate::telemetry::RunTrace::logical_text))
+//!   — the diffable artifact CI enforces — fingerprinted by
+//!   [`AsyncStats::event_log_hash`] whether or not tracing is on.
 //! - **Real transports trade determinism for throughput.**
 //!   [`AsyncOrchestrator::run_streamed`] drives
 //!   [`EdgeCluster::evaluate_stream`](crate::runtime::EdgeCluster::evaluate_stream)
@@ -48,7 +50,6 @@ use clan_neat::{Genome, GenomeId, Population};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::fmt::Write as _;
 
 /// Seeded per-agent service times for the virtual-time simulation: agent
 /// `a`'s `k`-th evaluation takes `base_us[a]` microseconds, scaled by a
@@ -138,68 +139,37 @@ impl LatencySchedule {
     }
 }
 
-/// One completion event of an async run: who finished what, when (in
-/// virtual microseconds; wall-clock order index for streamed runs), the
-/// bit-exact fitness, and the steady-state insertion it triggered.
-///
-/// The serialized sequence of these *is* the async determinism
-/// contract: two virtual-time runs with the same `(seed, schedule)`
-/// produce byte-identical logs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AsyncEvent {
-    /// Completion sequence number (0-based, in completion order).
-    pub seq: u64,
-    /// Virtual completion time in microseconds (0 for streamed runs,
-    /// whose ordering is wall-clock and intentionally unlogged).
-    pub vtime_us: u64,
-    /// Agent slot that produced the result.
-    pub agent: usize,
-    /// The evaluated genome.
-    pub genome: u64,
-    /// `f64::to_bits` of the fitness — exact, diffable.
-    pub fitness_bits: u64,
-    /// The reproduction event this completion triggered, if the eval
-    /// budget still had room.
-    pub insert: Option<InsertReport>,
-}
+/// Seed of the completion fold behind [`AsyncStats::event_log_hash`].
+const EVENT_LOG_HASH_SEED: u64 = 0x00A5_15C0_0000_0001;
 
-impl AsyncEvent {
-    /// One stable, diffable log line.
-    fn write_line(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "e={} t={}us a={} g={} f={:#018X}",
-            self.seq, self.vtime_us, self.agent, self.genome, self.fitness_bits
-        );
-        match &self.insert {
-            Some(r) => {
-                let _ = writeln!(
-                    out,
-                    " child={} evicted={} p={},{}",
-                    r.child.0, r.evicted.0, r.parent1.0, r.parent2.0
-                );
-            }
-            None => {
-                let _ = writeln!(out, " child=- evicted=- p=-");
-            }
+/// Folds one completion into the running event-log hash: its sequence
+/// number, virtual completion time (0 for streamed runs, whose ordering
+/// is wall-clock), agent slot, genome, bit-exact fitness, and the
+/// steady-state insertion it triggered. The trace's logical
+/// `Completion` events carry exactly these fields, so the fold is
+/// reproducible from a `--trace` file.
+fn fold_completion(
+    h: u64,
+    seq: u64,
+    vtime_us: u64,
+    agent: usize,
+    genome: GenomeId,
+    fitness_bits: u64,
+    insert: Option<&InsertReport>,
+) -> u64 {
+    let mut h = splitmix64(h ^ seq);
+    h = splitmix64(h ^ vtime_us);
+    h = splitmix64(h ^ agent as u64);
+    h = splitmix64(h ^ genome.0);
+    h = splitmix64(h ^ fitness_bits);
+    match insert {
+        Some(r) => {
+            h = splitmix64(h ^ r.child.0);
+            h = splitmix64(h ^ r.evicted.0);
+            h = splitmix64(h ^ r.parent1.0);
+            splitmix64(h ^ r.parent2.0)
         }
-    }
-
-    fn fold_hash(&self, h: u64) -> u64 {
-        let mut h = splitmix64(h ^ self.seq);
-        h = splitmix64(h ^ self.vtime_us);
-        h = splitmix64(h ^ self.agent as u64);
-        h = splitmix64(h ^ self.genome);
-        h = splitmix64(h ^ self.fitness_bits);
-        match &self.insert {
-            Some(r) => {
-                h = splitmix64(h ^ r.child.0);
-                h = splitmix64(h ^ r.evicted.0);
-                h = splitmix64(h ^ r.parent1.0);
-                splitmix64(h ^ r.parent2.0)
-            }
-            None => splitmix64(h),
-        }
+        None => splitmix64(h),
     }
 }
 
@@ -233,8 +203,8 @@ pub struct AsyncStats {
     /// Evaluations re-dispatched after an agent died mid-flight
     /// (streamed runs only).
     pub redispatches: u64,
-    /// splitmix64 fold of the event log — two identical virtual-time
-    /// runs must agree on this.
+    /// splitmix64 fold over every completion, in completion order —
+    /// two identical virtual-time runs must agree on this.
     pub event_log_hash: u64,
     /// Best-ever fitness at the end of the run.
     pub best_fitness: f64,
@@ -300,7 +270,6 @@ pub struct AsyncOrchestrator {
     evaluator: Evaluator,
     total_evals: u64,
     tournament_size: usize,
-    events: Vec<AsyncEvent>,
     stats: Option<AsyncStats>,
     stream: Option<StreamStats>,
 }
@@ -339,7 +308,6 @@ impl AsyncOrchestrator {
             evaluator,
             total_evals,
             tournament_size,
-            events: Vec::new(),
             stats: None,
             stream: None,
         })
@@ -356,16 +324,6 @@ impl AsyncOrchestrator {
         &self.evaluator
     }
 
-    /// Mutable evaluator access (cluster surgery between runs).
-    pub fn evaluator_mut(&mut self) -> &mut Evaluator {
-        &mut self.evaluator
-    }
-
-    /// The completion events of the last run, in completion order.
-    pub fn events(&self) -> &[AsyncEvent] {
-        &self.events
-    }
-
     /// The last run's measured stats, once a run has finished.
     pub fn stats(&self) -> Option<&AsyncStats> {
         self.stats.as_ref()
@@ -377,24 +335,6 @@ impl AsyncOrchestrator {
         self.stream.as_ref()
     }
 
-    /// The diffable event log: one stable line per completion. Two
-    /// virtual-time runs with identical `(seed, schedule)` produce
-    /// byte-identical logs — `diff` clean, as CI asserts.
-    pub fn event_log_text(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 64);
-        for e in &self.events {
-            e.write_line(&mut out);
-        }
-        out
-    }
-
-    /// splitmix64 fold of the event log (the log's cheap fingerprint).
-    pub fn event_log_hash(&self) -> u64 {
-        self.events
-            .iter()
-            .fold(0x00A5_15C0_0000_0001, |h, e| e.fold_hash(h))
-    }
-
     /// Consumes the coordinator, yielding the evolved population and
     /// the evaluator.
     pub fn into_parts(self) -> (Population, Evaluator) {
@@ -403,9 +343,7 @@ impl AsyncOrchestrator {
 
     /// Installs a telemetry tracer. Virtual-time runs record logical
     /// dispatch/completion events (deterministic per `(seed,
-    /// schedule)`, a strict superset of
-    /// [`event_log_text`](Self::event_log_text)); streamed runs record
-    /// wall-clock annotations only.
+    /// schedule)`); streamed runs record wall-clock annotations only.
     pub fn install_tracer(&mut self, tracer: crate::telemetry::Tracer) {
         self.evaluator.set_tracer(tracer);
     }
@@ -435,8 +373,9 @@ impl AsyncOrchestrator {
         }
         let cfg = self.pop.config().clone();
         let master_seed = self.pop.master_seed();
-        self.events.clear();
         self.stream = None;
+        let mut completions = 0u64;
+        let mut event_log_hash = EVENT_LOG_HASH_SEED;
         let tracer = self.evaluator.tracer().clone();
         let mut queue: VecDeque<GenomeId> = self.pop.genomes().keys().copied().collect();
         // Min-heap of in-flight work: (completion time, agent, dispatch
@@ -516,12 +455,10 @@ impl AsyncOrchestrator {
                         budget_left,
                     )
                 };
-            let aseq = self.events.len() as u64;
-            // Logical completion: mirrors the AsyncEvent log line
-            // one-for-one (the --trace stream is a strict superset of
-            // --event-log), plus the deterministic service-time span.
+            // Logical completion: every field the event-log hash folds,
+            // plus the deterministic service-time span.
             tracer.logical(EventKind::Completion, |ev| {
-                ev.aseq = Some(aseq);
+                ev.aseq = Some(completions);
                 ev.vtime_us = Some(now_us);
                 ev.agent = Some(agent as u64);
                 ev.genome = Some(genome.0);
@@ -534,14 +471,16 @@ impl AsyncOrchestrator {
                     ev.p2 = Some(r.parent2.0);
                 }
             });
-            self.events.push(AsyncEvent {
-                seq: aseq,
-                vtime_us: now_us,
+            event_log_hash = fold_completion(
+                event_log_hash,
+                completions,
+                now_us,
                 agent,
-                genome: genome.0,
-                fitness_bits: eval.fitness.to_bits(),
-                insert,
-            });
+                genome,
+                eval.fitness.to_bits(),
+                insert.as_ref(),
+            );
+            completions += 1;
             if let Some(next) = next {
                 dispatch(
                     agent,
@@ -566,14 +505,14 @@ impl AsyncOrchestrator {
             busy_s,
             wasted_idle_s: (agents as f64 * makespan_s - busy_s).max(0.0),
             evals_per_s: if makespan_s > 0.0 {
-                self.events.len() as f64 / makespan_s
+                completions as f64 / makespan_s
             } else {
                 0.0
             },
             insertions: loop_state.insertions,
             best_improvements: loop_state.best_improvements,
             redispatches: 0,
-            event_log_hash: self.event_log_hash(),
+            event_log_hash,
             best_fitness: self
                 .pop
                 .best_ever()
@@ -616,13 +555,9 @@ impl AsyncOrchestrator {
                 ),
             });
         }
-        self.events.clear();
-        let AsyncOrchestrator {
-            pop,
-            evaluator,
-            events,
-            ..
-        } = self;
+        let AsyncOrchestrator { pop, evaluator, .. } = self;
+        let mut completions = 0u64;
+        let mut event_log_hash = EVENT_LOG_HASH_SEED;
         let initial: Vec<Genome> = pop.genomes().values().cloned().collect();
         let mut dispatched = initial.len() as u64;
         let mut loop_state = SteadyStateLoop::new(tournament_size);
@@ -630,7 +565,7 @@ impl AsyncOrchestrator {
         // insertions are recorded as Timing annotations (the cluster's
         // evaluate_stream already records the per-completion spans).
         let tracer = evaluator.tracer().clone();
-        let cluster = evaluator.remote_mut().expect("remote_agents > 0");
+        let cluster = evaluator.remote_cluster_mut().expect("remote_agents > 0");
         let stream =
             cluster.evaluate_stream(master_seed, initial, &mut |c: &StreamCompletion| {
                 let reproduce = dispatched < total_evals;
@@ -654,14 +589,16 @@ impl AsyncOrchestrator {
                         ev.p2 = Some(r.parent2.0);
                     });
                 }
-                events.push(AsyncEvent {
-                    seq: events.len() as u64,
-                    vtime_us: 0,
-                    agent: c.agent,
-                    genome: c.genome.0,
-                    fitness_bits: c.evaluation.fitness.to_bits(),
-                    insert,
-                });
+                event_log_hash = fold_completion(
+                    event_log_hash,
+                    completions,
+                    0,
+                    c.agent,
+                    c.genome,
+                    c.evaluation.fitness.to_bits(),
+                    insert.as_ref(),
+                );
+                completions += 1;
                 next.map(|id| pop.genome(id).expect("just inserted").clone())
             })?;
         self.stats = Some(AsyncStats {
@@ -680,7 +617,7 @@ impl AsyncOrchestrator {
             insertions: loop_state.insertions,
             best_improvements: loop_state.best_improvements,
             redispatches: stream.redispatches,
-            event_log_hash: self.event_log_hash(),
+            event_log_hash,
             best_fitness: self
                 .pop
                 .best_ever()
@@ -722,7 +659,6 @@ mod tests {
         orch.run_virtual(&schedule).unwrap();
         let stats = orch.stats().unwrap().clone();
         assert_eq!(stats.total_evals, 40);
-        assert_eq!(orch.events().len(), 40);
         assert_eq!(orch.population().len(), 12);
         assert!(stats.makespan_s > 0.0);
         assert!(stats.busy_s > 0.0);
@@ -735,13 +671,16 @@ mod tests {
             let mut orch = orchestrator(10, 21, 35);
             let schedule = LatencySchedule::new(5, vec![1000, 4000], 25).unwrap();
             orch.run_virtual(&schedule).unwrap();
-            (orch.event_log_text(), orch.event_log_hash())
+            (
+                orch.population().genomes().clone(),
+                orch.stats().unwrap().clone(),
+            )
         };
-        let (log_a, hash_a) = run();
-        let (log_b, hash_b) = run();
-        assert_eq!(log_a, log_b);
-        assert_eq!(hash_a, hash_b);
-        assert!(!log_a.is_empty());
+        let (genomes_a, stats_a) = run();
+        let (genomes_b, stats_b) = run();
+        assert_eq!(genomes_a, genomes_b);
+        assert_eq!(stats_a, stats_b);
+        assert_ne!(stats_a.event_log_hash, EVENT_LOG_HASH_SEED);
     }
 
     #[test]
@@ -750,7 +689,7 @@ mod tests {
             let mut orch = orchestrator(10, 21, 35);
             let schedule = LatencySchedule::new(sched_seed, vec![1000, 4000], 25).unwrap();
             orch.run_virtual(&schedule).unwrap();
-            orch.event_log_hash()
+            orch.stats().unwrap().event_log_hash
         };
         // Same master seed, different latency schedule: the trajectory
         // may differ (that is the point of logging the schedule).
@@ -781,7 +720,7 @@ mod tests {
         orch.run_streamed().unwrap();
         let stats = orch.stats().unwrap();
         assert_eq!(stats.total_evals, 30);
-        assert_eq!(orch.events().len(), 30);
+        assert_eq!(orch.stream_stats().unwrap().completions, 30);
         assert_eq!(orch.population().len(), 10);
         assert!(!stats.virtual_time);
         assert!(stats.best_fitness > f64::NEG_INFINITY);

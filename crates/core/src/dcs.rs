@@ -10,10 +10,9 @@
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use crate::orchestra::{
-    central_evolution, emit_generation_end, evaluate_partitioned, genome_payload, track_best, Comm,
+    central_evolution, evaluate_partitioned, finish_generation, genome_payload, track_best, Comm,
     GenerationReport, Orchestrator, FITNESS_ENTRY_FLOATS,
 };
-use crate::topology::ClanTopology;
 use clan_distsim::{Cluster, TimelineRecorder};
 use clan_neat::{Genome, Population};
 use clan_netsim::{CommLedger, MessageKind};
@@ -49,14 +48,6 @@ impl DcsOrchestrator {
 }
 
 impl Orchestrator for DcsOrchestrator {
-    fn topology(&self) -> ClanTopology {
-        ClanTopology::dcs()
-    }
-
-    fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     fn step_generation(&mut self) -> Result<GenerationReport, ClanError> {
         let generation = self.pop.generation();
         let n_agents = self.cluster.n_agents();
@@ -98,19 +89,15 @@ impl Orchestrator for DcsOrchestrator {
         self.recorder
             .add_evolution(center.evolution_time_s(evo.speciation_genes + evo.reproduction_genes));
 
-        let (cache_hits, cache_lookups) = self.evaluator.take_cache_window();
-        let report = GenerationReport {
+        Ok(finish_generation(
+            &mut self.evaluator,
+            &mut self.recorder,
             generation,
             best_fitness,
-            num_species: evo.num_species,
-            timeline: self.recorder.finish_generation(),
-            costs: self.pop.counters_mut().finish_generation(),
-            extinction: evo.extinction,
-            cache_hits,
-            cache_lookups,
-        };
-        emit_generation_end(self.evaluator.tracer(), &report);
-        Ok(report)
+            evo.num_species,
+            self.pop.counters_mut().finish_generation(),
+            evo.extinction,
+        ))
     }
 
     fn best_ever(&self) -> Option<&Genome> {
@@ -121,32 +108,12 @@ impl Orchestrator for DcsOrchestrator {
         self.comm.ledger()
     }
 
-    fn transport_ledger(&self) -> Option<&CommLedger> {
-        self.evaluator.remote_ledger()
+    fn evaluator(&self) -> &Evaluator {
+        &self.evaluator
     }
 
-    fn gather_stats(&self) -> Option<crate::runtime::GatherStats> {
-        self.evaluator.remote_gather_stats()
-    }
-
-    fn recovery_stats(&self) -> Option<crate::membership::RecoveryStats> {
-        self.evaluator.remote_recovery_stats()
-    }
-
-    fn membership(&self) -> Option<Vec<crate::membership::AgentHealth>> {
-        self.evaluator.remote_membership()
-    }
-
-    fn recorder(&self) -> &TimelineRecorder {
-        &self.recorder
-    }
-
-    fn population_size(&self) -> usize {
-        self.pop.config().population_size
-    }
-
-    fn install_tracer(&mut self, tracer: crate::telemetry::Tracer) {
-        self.evaluator.set_tracer(tracer);
+    fn evaluator_mut(&mut self) -> &mut Evaluator {
+        &mut self.evaluator
     }
 }
 

@@ -19,10 +19,9 @@
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use crate::orchestra::{
-    central_evolution, emit_generation_end, evaluate_partitioned, genome_payload, track_best, Comm,
+    central_evolution, evaluate_partitioned, finish_generation, genome_payload, track_best, Comm,
     GenerationReport, Orchestrator,
 };
-use crate::topology::ClanTopology;
 use clan_distsim::{Cluster, TimelineRecorder};
 use clan_neat::counters::GenerationCosts;
 use clan_neat::rng::derive_seed;
@@ -43,7 +42,6 @@ pub struct DdaOrchestrator {
     comm: Comm,
     best_ever: Option<Genome>,
     generation: u64,
-    total_population: usize,
     resync_every: Option<u64>,
     next_resync_id: u64,
 }
@@ -95,7 +93,6 @@ impl DdaOrchestrator {
             comm: Comm::new(),
             best_ever: None,
             generation: 0,
-            total_population: total,
             resync_every: None,
             next_resync_id: RESYNC_ID_BASE,
         })
@@ -105,13 +102,17 @@ impl DdaOrchestrator {
     /// generations, pool all clans' genomes and redistribute them
     /// round-robin (periodic global speciation).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `generations` is zero.
-    pub fn with_resync_every(mut self, generations: u64) -> DdaOrchestrator {
-        assert!(generations > 0, "resync interval must be positive");
+    /// [`ClanError::InvalidSetup`] if `generations` is zero.
+    pub fn with_resync_every(mut self, generations: u64) -> Result<DdaOrchestrator, ClanError> {
+        if generations == 0 {
+            return Err(ClanError::InvalidSetup {
+                reason: "DDA resync interval must be at least 1 generation".into(),
+            });
+        }
         self.resync_every = Some(generations);
-        self
+        Ok(self)
     }
 
     /// The independent clan populations.
@@ -123,7 +124,8 @@ impl DdaOrchestrator {
     /// charging the genome broadcast to the ledger.
     fn global_resync(&mut self) {
         let n = self.clans.len();
-        let mut pooled: Vec<Genome> = Vec::with_capacity(self.total_population);
+        let mut pooled: Vec<Genome> =
+            Vec::with_capacity(self.clans.iter().map(Population::len).sum());
         for clan in &self.clans {
             pooled.extend(clan.genomes().values().cloned());
         }
@@ -153,14 +155,6 @@ impl DdaOrchestrator {
 }
 
 impl Orchestrator for DdaOrchestrator {
-    fn topology(&self) -> ClanTopology {
-        ClanTopology::dda(self.clans.len())
-    }
-
-    fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     fn step_generation(&mut self) -> Result<GenerationReport, ClanError> {
         let generation = self.generation;
         let n_agents = self.cluster.n_agents();
@@ -224,19 +218,15 @@ impl Orchestrator for DdaOrchestrator {
             }
         }
 
-        let (cache_hits, cache_lookups) = self.evaluator.take_cache_window();
-        let report = GenerationReport {
+        Ok(finish_generation(
+            &mut self.evaluator,
+            &mut self.recorder,
             generation,
             best_fitness,
             num_species,
-            timeline: self.recorder.finish_generation(),
             costs,
             extinction,
-            cache_hits,
-            cache_lookups,
-        };
-        emit_generation_end(self.evaluator.tracer(), &report);
-        Ok(report)
+        ))
     }
 
     fn best_ever(&self) -> Option<&Genome> {
@@ -247,32 +237,12 @@ impl Orchestrator for DdaOrchestrator {
         self.comm.ledger()
     }
 
-    fn transport_ledger(&self) -> Option<&CommLedger> {
-        self.evaluator.remote_ledger()
+    fn evaluator(&self) -> &Evaluator {
+        &self.evaluator
     }
 
-    fn gather_stats(&self) -> Option<crate::runtime::GatherStats> {
-        self.evaluator.remote_gather_stats()
-    }
-
-    fn recovery_stats(&self) -> Option<crate::membership::RecoveryStats> {
-        self.evaluator.remote_recovery_stats()
-    }
-
-    fn membership(&self) -> Option<Vec<crate::membership::AgentHealth>> {
-        self.evaluator.remote_membership()
-    }
-
-    fn recorder(&self) -> &TimelineRecorder {
-        &self.recorder
-    }
-
-    fn population_size(&self) -> usize {
-        self.total_population
-    }
-
-    fn install_tracer(&mut self, tracer: crate::telemetry::Tracer) {
-        self.evaluator.set_tracer(tracer);
+    fn evaluator_mut(&mut self) -> &mut Evaluator {
+        &mut self.evaluator
     }
 }
 
@@ -304,7 +274,7 @@ mod tests {
         let o = make(30, 4, 1);
         let sizes: Vec<usize> = o.clans().iter().map(Population::len).collect();
         assert_eq!(sizes, vec![8, 8, 7, 7]);
-        assert_eq!(o.population_size(), 30);
+        assert_eq!(sizes.iter().sum::<usize>(), 30);
     }
 
     #[test]
@@ -412,7 +382,7 @@ mod tests {
 
     #[test]
     fn resync_shuffles_genomes_across_clans() {
-        let mut o = make(24, 3, 4).with_resync_every(2);
+        let mut o = make(24, 3, 4).with_resync_every(2).unwrap();
         let genome_msgs_before = o.ledger().entry(MessageKind::SendGenomes).messages;
         o.step_generation().unwrap();
         o.step_generation().unwrap(); // resync fires after this one

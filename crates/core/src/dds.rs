@@ -11,14 +11,19 @@
 //! The genomes an agent evaluates are the children it just built, so —
 //! unlike DCS — no genome transfer precedes inference (only the
 //! generation-0 initial distribution).
+//!
+//! With a live [`EdgeCluster`](crate::runtime::EdgeCluster) attached to
+//! the evaluator, reproduction really crosses the wire: child specs and
+//! the parents they name go out as `BuildChildren` frames and the built
+//! genomes come back as `Children`, so the measured transport ledger
+//! shows the same back-and-forth the analytic one models.
 
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use crate::orchestra::{
-    emit_generation_end, evaluate_partitioned, genome_payload, track_best, Comm, GenerationReport,
+    evaluate_partitioned, finish_generation, genome_payload, track_best, Comm, GenerationReport,
     Orchestrator, FITNESS_ENTRY_FLOATS, PARENT_LIST_ENTRY_FLOATS, SPAWN_ENTRY_FLOATS,
 };
-use crate::topology::ClanTopology;
 use clan_distsim::{Cluster, TimelineRecorder};
 use clan_neat::{Genome, GenomeId, NeatError, Population};
 use clan_netsim::{CommLedger, MessageKind};
@@ -54,14 +59,6 @@ impl DdsOrchestrator {
 }
 
 impl Orchestrator for DdsOrchestrator {
-    fn topology(&self) -> ClanTopology {
-        ClanTopology::dds()
-    }
-
-    fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     fn step_generation(&mut self) -> Result<GenerationReport, ClanError> {
         let generation = self.pop.generation();
         let n_agents = self.cluster.n_agents();
@@ -114,19 +111,15 @@ impl Orchestrator for DdsOrchestrator {
                     return Err(NeatError::Extinction.into());
                 }
                 self.pop.reset_population();
-                let (cache_hits, cache_lookups) = self.evaluator.take_cache_window();
-                let report = GenerationReport {
+                return Ok(finish_generation(
+                    &mut self.evaluator,
+                    &mut self.recorder,
                     generation,
                     best_fitness,
-                    num_species: 0,
-                    timeline: self.recorder.finish_generation(),
-                    costs: self.pop.counters_mut().finish_generation(),
-                    extinction: true,
-                    cache_hits,
-                    cache_lookups,
-                };
-                emit_generation_end(self.evaluator.tracer(), &report);
-                return Ok(report);
+                    0,
+                    self.pop.counters_mut().finish_generation(),
+                    true,
+                ));
             }
             Err(e) => return Err(e.into()),
         };
@@ -174,19 +167,28 @@ impl Orchestrator for DdsOrchestrator {
         self.recorder.add_communication(t);
 
         // R — distributed reproduction: each agent builds a contiguous
-        // chunk of the plan's children.
-        let mut children: Vec<Genome> = Vec::with_capacity(plan.children.len());
+        // chunk of the plan's children. Over a live cluster the specs
+        // and parents are shipped out and the children gathered back
+        // (in plan order, whichever agent built them); the reproduction
+        // cost `build_child` charges locally is charged here instead.
+        let children: Vec<Genome> = match self.evaluator.remote_cluster_mut() {
+            Some(edge) => {
+                let built = edge.build_children(&self.pop, &plan)?;
+                for child in &built {
+                    self.pop
+                        .counters_mut()
+                        .record_reproduction(child.num_genes());
+                }
+                built
+            }
+            None => self.pop.reproduce_centrally(&plan),
+        };
         let mut repro_genes_per_agent: Vec<u64> = Vec::with_capacity(n_agents);
         let mut next = 0usize;
         for &count in &child_counts {
-            let mut agent_genes = 0u64;
-            for spec in &plan.children[next..next + count] {
-                let child = self.pop.build_child(spec);
-                agent_genes += child.num_genes();
-                children.push(child);
-            }
+            let built = &children[next..next + count];
+            repro_genes_per_agent.push(built.iter().map(Genome::num_genes).sum());
             next += count;
-            repro_genes_per_agent.push(agent_genes);
         }
         self.recorder.add_evolution(
             self.cluster
@@ -204,19 +206,15 @@ impl Orchestrator for DdsOrchestrator {
 
         self.pop.install_next_generation(children);
 
-        let (cache_hits, cache_lookups) = self.evaluator.take_cache_window();
-        let report = GenerationReport {
+        Ok(finish_generation(
+            &mut self.evaluator,
+            &mut self.recorder,
             generation,
             best_fitness,
-            num_species: speciation.species_count,
-            timeline: self.recorder.finish_generation(),
-            costs: self.pop.counters_mut().finish_generation(),
-            extinction: false,
-            cache_hits,
-            cache_lookups,
-        };
-        emit_generation_end(self.evaluator.tracer(), &report);
-        Ok(report)
+            speciation.species_count,
+            self.pop.counters_mut().finish_generation(),
+            false,
+        ))
     }
 
     fn best_ever(&self) -> Option<&Genome> {
@@ -227,32 +225,12 @@ impl Orchestrator for DdsOrchestrator {
         self.comm.ledger()
     }
 
-    fn transport_ledger(&self) -> Option<&CommLedger> {
-        self.evaluator.remote_ledger()
+    fn evaluator(&self) -> &Evaluator {
+        &self.evaluator
     }
 
-    fn gather_stats(&self) -> Option<crate::runtime::GatherStats> {
-        self.evaluator.remote_gather_stats()
-    }
-
-    fn recovery_stats(&self) -> Option<crate::membership::RecoveryStats> {
-        self.evaluator.remote_recovery_stats()
-    }
-
-    fn membership(&self) -> Option<Vec<crate::membership::AgentHealth>> {
-        self.evaluator.remote_membership()
-    }
-
-    fn recorder(&self) -> &TimelineRecorder {
-        &self.recorder
-    }
-
-    fn population_size(&self) -> usize {
-        self.pop.config().population_size
-    }
-
-    fn install_tracer(&mut self, tracer: crate::telemetry::Tracer) {
-        self.evaluator.set_tracer(tracer);
+    fn evaluator_mut(&mut self) -> &mut Evaluator {
+        &mut self.evaluator
     }
 }
 

@@ -20,17 +20,16 @@
 //! ```
 
 use crate::asynchronous::{AsyncOrchestrator, LatencySchedule};
-use crate::dcs::DcsOrchestrator;
-use crate::dda::DdaOrchestrator;
-use crate::dds::DdsOrchestrator;
 use crate::error::ClanError;
 use crate::evaluator::{EngineOptions, Evaluator, InferenceMode};
-use crate::orchestra::{GenerationReport, Orchestrator};
+use crate::membership::RecoveryPolicy;
+use crate::orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 use crate::report::RunReport;
-use crate::serial::SerialOrchestrator;
+use crate::runtime::{EdgeCluster, StreamStats};
 use crate::status::{StatusHandle, StatusServer, StatusSnapshot};
 use crate::telemetry::{EventKind, RunTrace, TelemetryReport, Tracer};
 use crate::topology::{ClanTopology, SpeciationMode};
+use crate::transport::{ChurnSchedule, ClusterSpec, UdpConfig};
 use clan_distsim::Cluster;
 use clan_envs::Workload;
 use clan_hw::{Platform, PlatformKind};
@@ -71,13 +70,13 @@ pub struct DriverConfig {
     pub calibrate: bool,
     /// Datagram-transport tuning (and optional seeded fault injection)
     /// when the backend speaks UDP; `None` on TCP/local backends.
-    pub udp: Option<crate::transport::UdpConfig>,
+    pub udp: Option<UdpConfig>,
     /// Churn-recovery policy applied to remote backends (retry budget +
     /// live-agent floor).
-    pub recovery: crate::membership::RecoveryPolicy,
+    pub recovery: RecoveryPolicy,
     /// Deterministic kill/revive plan applied to a remote backend;
     /// `None` runs churn-free.
-    pub churn: Option<crate::transport::ChurnSchedule>,
+    pub churn: Option<ChurnSchedule>,
     /// Standby agent addresses a remote backend may connect when a
     /// revival needs a replacement.
     pub spare_agents: Vec<String>,
@@ -108,12 +107,84 @@ struct StatusState {
     server: StatusServer,
 }
 
+/// What every run carries around its loop, generational or async: the
+/// tracer, the optional status endpoint, and the identity the final
+/// [`RunReport`] is labelled with.
+struct RunShell {
+    workload: Workload,
+    topology_name: String,
+    n_agents: usize,
+    platform: PlatformKind,
+    tracer: Tracer,
+    status: Option<StatusState>,
+}
+
+impl RunShell {
+    /// Publishes a fresh snapshot to the introspection endpoint; no-op
+    /// when none is attached. Called at generation boundaries and run
+    /// transitions only — it copies already-gathered state and never
+    /// touches the exchange hot path, so polling cannot perturb the
+    /// run. `progress` fills in what the mode counts (generations or
+    /// evaluations, best fitness, solved).
+    fn publish(
+        &self,
+        evaluator: &Evaluator,
+        phase: &str,
+        progress: impl FnOnce(&mut StatusSnapshot),
+    ) {
+        let Some(status) = &self.status else { return };
+        let mut snapshot = StatusSnapshot {
+            phase: phase.into(),
+            agents: evaluator.remote_membership().unwrap_or_default(),
+            metrics: self.tracer.metrics_snapshot().unwrap_or_default(),
+            ..StatusSnapshot::default()
+        };
+        progress(&mut snapshot);
+        status.handle.publish(snapshot);
+    }
+
+    fn status_local_addr(&self) -> Option<std::net::SocketAddr> {
+        self.status.as_ref().map(|s| s.server.local_addr())
+    }
+
+    /// Ends the run: drains the trace and assembles the report from the
+    /// generations, the analytic ledger, and whatever the evaluator's
+    /// real transport measured (`stream` adds an async run's per-agent
+    /// completions to the telemetry table).
+    fn into_report(
+        self,
+        evaluator: &Evaluator,
+        generations: Vec<GenerationReport>,
+        ledger: CommLedger,
+        stream: Option<&StreamStats>,
+    ) -> (RunReport, Option<RunTrace>) {
+        let trace = self.tracer.finish();
+        let mut report = RunReport::from_parts(
+            self.workload,
+            self.topology_name,
+            self.n_agents,
+            generations,
+            ledger,
+        )
+        .with_energy(clan_hw::EnergyModel::for_kind(self.platform));
+        report.transport = evaluator.remote_ledger().cloned();
+        report.gather = evaluator.remote_gather_stats();
+        report.recovery = evaluator.remote_recovery_stats();
+        report.telemetry = TelemetryReport::from_sources(
+            trace.as_ref(),
+            report.transport.as_ref(),
+            report.recovery.as_ref(),
+            stream,
+        );
+        (report, trace)
+    }
+}
+
 /// A configured, ready-to-run CLAN deployment.
 pub struct ClanDriver {
     config: DriverConfig,
     orchestrator: Box<dyn Orchestrator>,
-    tracer: Tracer,
-    status: Option<StatusState>,
+    shell: RunShell,
 }
 
 impl std::fmt::Debug for ClanDriver {
@@ -141,30 +212,13 @@ impl ClanDriver {
     /// when a run returns an error. The disabled no-op handle when
     /// tracing is off.
     pub fn tracer_handle(&self) -> Tracer {
-        self.tracer.clone()
+        self.shell.tracer.clone()
     }
 
     /// The live introspection endpoint's bound address (resolving port
     /// 0 to the actual port), when one was configured.
     pub fn status_local_addr(&self) -> Option<std::net::SocketAddr> {
-        self.status.as_ref().map(|s| s.server.local_addr())
-    }
-
-    /// Publishes a fresh snapshot to the introspection endpoint; no-op
-    /// when none is attached. Called between generations only — it
-    /// copies already-gathered state and never touches the exchange hot
-    /// path, so polling cannot perturb the run.
-    fn publish_status(&self, phase: &str, generations: u64, solved: bool) {
-        let Some(status) = &self.status else { return };
-        status.handle.publish(StatusSnapshot {
-            phase: phase.into(),
-            generation: Some(generations),
-            evals: None,
-            best_fitness: self.orchestrator.best_ever().and_then(|g| g.fitness()),
-            solved,
-            agents: self.orchestrator.membership().unwrap_or_default(),
-            metrics: self.tracer.metrics_snapshot().unwrap_or_default(),
-        });
+        self.shell.status_local_addr()
     }
 
     /// Runs `generations` generations and reports.
@@ -173,7 +227,7 @@ impl ClanDriver {
     ///
     /// Propagates orchestrator failures ([`ClanError`]).
     pub fn run(self, generations: u64) -> Result<RunReport, ClanError> {
-        Ok(self.run_with_trace(generations)?.0)
+        Ok(self.drive(generations, false)?.0)
     }
 
     /// Like [`run`](Self::run), but also returns the recorded
@@ -184,23 +238,10 @@ impl ClanDriver {
     ///
     /// Propagates orchestrator failures ([`ClanError`]).
     pub fn run_with_trace(
-        mut self,
+        self,
         generations: u64,
     ) -> Result<(RunReport, Option<RunTrace>), ClanError> {
-        let mut reports: Vec<GenerationReport> = Vec::with_capacity(generations as usize);
-        for _ in 0..generations {
-            match self.orchestrator.step_generation() {
-                Ok(r) => {
-                    reports.push(r);
-                    self.publish_status("running", reports.len() as u64, false);
-                }
-                Err(e) => {
-                    self.publish_status("failed", reports.len() as u64, false);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(self.into_report(reports))
+        self.drive(generations, false)
     }
 
     /// Runs until the workload's convergence score is reached or
@@ -210,7 +251,7 @@ impl ClanDriver {
     ///
     /// Propagates orchestrator failures ([`ClanError`]).
     pub fn run_until_solved(self, max_generations: u64) -> Result<RunReport, ClanError> {
-        Ok(self.run_until_solved_with_trace(max_generations)?.0)
+        Ok(self.drive(max_generations, true)?.0)
     }
 
     /// Like [`run_until_solved`](Self::run_until_solved), but also
@@ -221,87 +262,71 @@ impl ClanDriver {
     ///
     /// Propagates orchestrator failures ([`ClanError`]).
     pub fn run_until_solved_with_trace(
-        mut self,
+        self,
         max_generations: u64,
     ) -> Result<(RunReport, Option<RunTrace>), ClanError> {
-        let threshold = self.config.workload.solved_at();
-        let mut reports = Vec::new();
-        for _ in 0..max_generations {
-            let r = match self.orchestrator.step_generation() {
-                Ok(r) => r,
-                Err(e) => {
-                    self.publish_status("failed", reports.len() as u64, false);
-                    return Err(e);
-                }
-            };
-            let solved = r.best_fitness >= threshold;
-            reports.push(r);
-            self.publish_status("running", reports.len() as u64, solved);
-            if solved {
-                break;
-            }
-        }
-        Ok(self.into_report(reports))
+        self.drive(max_generations, true)
     }
 
-    fn into_report(self, generations: Vec<GenerationReport>) -> (RunReport, Option<RunTrace>) {
-        let solved = generations
-            .last()
-            .is_some_and(|r| r.best_fitness >= self.config.workload.solved_at());
-        self.publish_status("finished", generations.len() as u64, solved);
-        self.tracer.logical(EventKind::RunEnd, |ev| {
-            ev.generation = Some(generations.len() as u64);
+    /// Publishes the generational progress snapshot (see
+    /// [`RunShell::publish`]).
+    fn publish_progress(&self, phase: &str, generations: u64, solved: bool) {
+        let best_fitness = self.orchestrator.best_ever().and_then(|g| g.fitness());
+        self.shell
+            .publish(self.orchestrator.evaluator(), phase, |snapshot| {
+                snapshot.generation = Some(generations);
+                snapshot.best_fitness = best_fitness;
+                snapshot.solved = solved;
+            });
+    }
+
+    /// The one generation loop behind every `run*` entry point: steps
+    /// until `max_generations` have run, or — with `stop_when_solved` —
+    /// until a generation reaches the workload's convergence score.
+    /// Nothing is sized from `max_generations`, so an absurd request
+    /// costs nothing until the generations are actually run.
+    fn drive(
+        mut self,
+        max_generations: u64,
+        stop_when_solved: bool,
+    ) -> Result<(RunReport, Option<RunTrace>), ClanError> {
+        let threshold = self.config.workload.solved_at();
+        let mut reports: Vec<GenerationReport> = Vec::new();
+        let mut solved = false;
+        while (reports.len() as u64) < max_generations && !(stop_when_solved && solved) {
+            match self.orchestrator.step_generation() {
+                Ok(r) => {
+                    solved = r.best_fitness >= threshold;
+                    reports.push(r);
+                    self.publish_progress("running", reports.len() as u64, solved);
+                }
+                Err(e) => {
+                    self.publish_progress("failed", reports.len() as u64, false);
+                    return Err(e);
+                }
+            }
+        }
+        let generations = reports.len() as u64;
+        self.publish_progress("finished", generations, solved);
+        self.shell.tracer.logical(EventKind::RunEnd, |ev| {
+            ev.generation = Some(generations);
         });
-        let trace = self.tracer.finish();
-        let recovery = self.orchestrator.recovery_stats();
-        let telemetry = TelemetryReport::from_sources(
-            trace.as_ref(),
-            self.orchestrator.transport_ledger(),
-            recovery.as_ref(),
-            None,
-        );
-        let report = RunReport::from_parts(
-            self.config.workload,
-            self.config.topology.name(),
-            self.config.n_agents,
-            generations,
+        Ok(self.shell.into_report(
+            self.orchestrator.evaluator(),
+            reports,
             self.orchestrator.ledger().clone(),
-        )
-        .with_transport(self.orchestrator.transport_ledger().cloned())
-        .with_gather(self.orchestrator.gather_stats())
-        .with_recovery(recovery)
-        .with_energy(clan_hw::EnergyModel::for_kind(self.config.platform))
-        .with_telemetry(telemetry);
-        (report, trace)
+            None,
+        ))
     }
 }
 
 /// Builder for [`ClanDriver`]; see [`ClanDriver::builder`].
 #[derive(Debug, Clone)]
 pub struct ClanDriverBuilder {
-    workload: Workload,
-    topology: ClanTopology,
-    n_agents: usize,
-    population_size: usize,
-    seed: u64,
-    mode: InferenceMode,
-    episodes_per_eval: u32,
-    eval_threads: usize,
-    platform: PlatformKind,
-    net: WifiModel,
-    resync_every: Option<u64>,
+    /// Everything that ends up in the driver's resolved configuration.
+    config: DriverConfig,
     neat_config: Option<NeatConfig>,
     remote: RemoteBackend,
-    agent_weights: Option<Vec<f64>>,
-    calibrate: bool,
-    udp: Option<crate::transport::UdpConfig>,
-    recovery: crate::membership::RecoveryPolicy,
-    churn: Option<crate::transport::ChurnSchedule>,
-    spare_agents: Vec<String>,
-    engine: EngineOptions,
-    tracing: bool,
-    trace_ring: Option<usize>,
-    status_addr: Option<String>,
     total_evals: Option<u64>,
     tournament_size: usize,
     latency_ms: Option<Vec<f64>>,
@@ -325,43 +350,36 @@ enum RemoteBackend {
     AgentsUdp(Vec<String>),
 }
 
-impl RemoteBackend {
-    fn is_udp(&self) -> bool {
-        matches!(
-            self,
-            RemoteBackend::LoopbackUdp(_) | RemoteBackend::AgentsUdp(_)
-        )
-    }
-}
-
 impl ClanDriverBuilder {
     /// Defaults: serial topology, 1 agent, the paper's population of 150,
     /// multi-step inference on Raspberry Pis over the measured WiFi.
     pub fn new(workload: Workload) -> ClanDriverBuilder {
         ClanDriverBuilder {
-            workload,
-            topology: ClanTopology::serial(),
-            n_agents: 1,
-            population_size: 150,
-            seed: 0,
-            mode: InferenceMode::MultiStep,
-            episodes_per_eval: 1,
-            eval_threads: 1,
-            platform: PlatformKind::RaspberryPi,
-            net: WifiModel::default(),
-            resync_every: None,
+            config: DriverConfig {
+                workload,
+                topology: ClanTopology::serial(),
+                n_agents: 1,
+                population_size: 150,
+                seed: 0,
+                mode: InferenceMode::MultiStep,
+                episodes_per_eval: 1,
+                eval_threads: 1,
+                platform: PlatformKind::RaspberryPi,
+                net: WifiModel::default(),
+                resync_every: None,
+                agent_weights: None,
+                calibrate: false,
+                udp: None,
+                recovery: RecoveryPolicy::default(),
+                churn: None,
+                spare_agents: Vec::new(),
+                engine: EngineOptions::default(),
+                tracing: false,
+                trace_ring: None,
+                status_addr: None,
+            },
             neat_config: None,
             remote: RemoteBackend::Local,
-            agent_weights: None,
-            calibrate: false,
-            udp: None,
-            recovery: crate::membership::RecoveryPolicy::default(),
-            churn: None,
-            spare_agents: Vec::new(),
-            engine: EngineOptions::default(),
-            tracing: false,
-            trace_ring: None,
-            status_addr: None,
             total_evals: None,
             tournament_size: 3,
             latency_ms: None,
@@ -371,37 +389,37 @@ impl ClanDriverBuilder {
 
     /// Sets the CLAN configuration.
     pub fn topology(mut self, topology: ClanTopology) -> Self {
-        self.topology = topology;
+        self.config.topology = topology;
         self
     }
 
     /// Sets the number of agents.
     pub fn agents(mut self, n: usize) -> Self {
-        self.n_agents = n;
+        self.config.n_agents = n;
         self
     }
 
     /// Sets the total population size.
     pub fn population_size(mut self, n: usize) -> Self {
-        self.population_size = n;
+        self.config.population_size = n;
         self
     }
 
     /// Sets the master seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
     /// Switches to single-step inference (Figures 8–10).
     pub fn single_step(mut self) -> Self {
-        self.mode = InferenceMode::SingleStep;
+        self.config.mode = InferenceMode::SingleStep;
         self
     }
 
     /// Averages each genome's fitness over `n` episodes (default 1).
     pub fn episodes_per_eval(mut self, n: u32) -> Self {
-        self.episodes_per_eval = n;
+        self.config.episodes_per_eval = n;
         self
     }
 
@@ -412,32 +430,32 @@ impl ClanDriverBuilder {
     /// genome, not to execution order — so this only changes wall-clock
     /// time. `0` is treated as 1.
     pub fn eval_threads(mut self, n: usize) -> Self {
-        self.eval_threads = n.max(1);
+        self.config.eval_threads = n.max(1);
         self
     }
 
     /// Sets the node platform (default Raspberry Pi).
     pub fn platform(mut self, platform: PlatformKind) -> Self {
-        self.platform = platform;
+        self.config.platform = platform;
         self
     }
 
     /// Sets the network model (default: the paper's measured WiFi).
     pub fn net(mut self, net: WifiModel) -> Self {
-        self.net = net;
+        self.config.net = net;
         self
     }
 
     /// DDA-only: enables periodic global speciation every `g` generations.
     pub fn resync_every(mut self, g: u64) -> Self {
-        self.resync_every = Some(g);
+        self.config.resync_every = Some(g);
         self
     }
 
     /// Overrides the full NEAT configuration (I/O dims must match the
     /// workload; population size is taken from this config).
     pub fn neat_config(mut self, cfg: NeatConfig) -> Self {
-        self.population_size = cfg.population_size;
+        self.config.population_size = cfg.population_size;
         self.neat_config = Some(cfg);
         self
     }
@@ -480,8 +498,8 @@ impl ClanDriverBuilder {
     /// liveness window, seeded fault injection) of a UDP backend.
     /// Rejected at [`build`](ClanDriverBuilder::build) on non-UDP
     /// backends.
-    pub fn udp_config(mut self, udp: crate::transport::UdpConfig) -> Self {
-        self.udp = Some(udp);
+    pub fn udp_config(mut self, udp: UdpConfig) -> Self {
+        self.config.udp = Some(udp);
         self
     }
 
@@ -491,7 +509,7 @@ impl ClanDriverBuilder {
     /// Results are bit-identical under any weights — only chunk sizes
     /// and therefore wall-clock balance change.
     pub fn agent_weights(mut self, weights: Vec<f64>) -> Self {
-        self.agent_weights = Some(weights);
+        self.config.agent_weights = Some(weights);
         self
     }
 
@@ -500,7 +518,7 @@ impl ClanDriverBuilder {
     /// throughput over prior generations, adapting to devices whose
     /// static weights were wrong (or unset).
     pub fn calibrate(mut self, enabled: bool) -> Self {
-        self.calibrate = enabled;
+        self.config.calibrate = enabled;
         self
     }
 
@@ -508,7 +526,7 @@ impl ClanDriverBuilder {
     /// many times a scatter round may reassign failed chunks across
     /// survivors before giving up (`clan-cli coordinate --max-retries`).
     pub fn max_retries(mut self, n: usize) -> Self {
-        self.recovery.max_retries = n;
+        self.config.recovery.max_retries = n;
         self
     }
 
@@ -516,7 +534,7 @@ impl ClanDriverBuilder {
     /// would have to continue on fewer usable agents fails with a typed
     /// [`ClanError::Degraded`] instead (`--min-agents`).
     pub fn min_agents(mut self, n: usize) -> Self {
-        self.recovery.min_agents = n;
+        self.config.recovery.min_agents = n;
         self
     }
 
@@ -524,8 +542,8 @@ impl ClanDriverBuilder {
     /// (`--churn k1@2,r1@4`): agent churn is injected at scatter-round
     /// boundaries and the recovery machinery keeps the run bit-identical
     /// to a churn-free one.
-    pub fn churn(mut self, schedule: crate::transport::ChurnSchedule) -> Self {
-        self.churn = Some(schedule);
+    pub fn churn(mut self, schedule: ChurnSchedule) -> Self {
+        self.config.churn = Some(schedule);
         self
     }
 
@@ -533,7 +551,7 @@ impl ClanDriverBuilder {
     /// remote backend connects when a churn revival needs a replacement
     /// device.
     pub fn spare_agents(mut self, addrs: Vec<String>) -> Self {
-        self.spare_agents = addrs;
+        self.config.spare_agents = addrs;
         self
     }
 
@@ -541,7 +559,7 @@ impl ClanDriverBuilder {
     /// networks (default 32; `<= 1` falls back to scalar activation
     /// everywhere). Results are bit-identical at any width.
     pub fn batch_lanes(mut self, lanes: usize) -> Self {
-        self.engine.batch_lanes = lanes;
+        self.config.engine.batch_lanes = lanes;
         self
     }
 
@@ -550,7 +568,7 @@ impl ClanDriverBuilder {
     /// hash)`, so elites and unmutated survivors skip re-evaluation.
     /// Hits return the bit-identical cached fitness.
     pub fn fitness_cache(mut self, enabled: bool) -> Self {
-        self.engine.cache = enabled;
+        self.config.engine.cache = enabled;
         self
     }
 
@@ -561,7 +579,7 @@ impl ClanDriverBuilder {
     /// [`AsyncRunOutcome::trace`]). Evolutionary results are
     /// bit-identical with tracing on or off.
     pub fn tracing(mut self, enabled: bool) -> Self {
-        self.tracing = enabled;
+        self.config.tracing = enabled;
         self
     }
 
@@ -572,7 +590,7 @@ impl ClanDriverBuilder {
     /// unbounded trace; metrics still cover the whole run. Pair with
     /// [`ClanDriver::tracer_handle`] to dump the tail when a run fails.
     pub fn trace_ring(mut self, capacity: usize) -> Self {
-        self.trace_ring = Some(capacity);
+        self.config.trace_ring = Some(capacity);
         self
     }
 
@@ -584,7 +602,7 @@ impl ClanDriverBuilder {
     /// never perturbs the run — the deterministic stream stays
     /// bit-identical with the endpoint enabled.
     pub fn status_addr(mut self, addr: impl Into<String>) -> Self {
-        self.status_addr = Some(addr.into());
+        self.config.status_addr = Some(addr.into());
         self
     }
 
@@ -627,119 +645,155 @@ impl ClanDriverBuilder {
     /// configuring any remote backend (loopback or connected agents,
     /// TCP or UDP).
     fn prepare(&self) -> Result<(NeatConfig, Evaluator), ClanError> {
+        let c = &self.config;
+        if c.n_agents == 0 {
+            return Err(ClanError::InvalidSetup {
+                reason: "at least one agent is required".into(),
+            });
+        }
         let cfg = match &self.neat_config {
             Some(cfg) => {
-                if cfg.num_inputs != self.workload.obs_dim()
-                    || cfg.num_outputs != self.workload.n_actions()
+                if cfg.num_inputs != c.workload.obs_dim()
+                    || cfg.num_outputs != c.workload.n_actions()
                 {
                     return Err(ClanError::InvalidSetup {
                         reason: format!(
                             "NEAT dims {}x{} do not match workload {} ({}x{})",
                             cfg.num_inputs,
                             cfg.num_outputs,
-                            self.workload,
-                            self.workload.obs_dim(),
-                            self.workload.n_actions()
+                            c.workload,
+                            c.workload.obs_dim(),
+                            c.workload.n_actions()
                         ),
                     });
                 }
                 cfg.validate().map_err(ClanError::from)?;
                 cfg.clone()
             }
-            None => NeatConfig::builder(self.workload.obs_dim(), self.workload.n_actions())
-                .population_size(self.population_size)
+            None => NeatConfig::builder(c.workload.obs_dim(), c.workload.n_actions())
+                .population_size(c.population_size)
                 .build()?,
         };
-        if self.episodes_per_eval == 0 {
+        if c.episodes_per_eval == 0 {
             return Err(ClanError::InvalidSetup {
                 reason: "episodes_per_eval must be at least 1".into(),
             });
         }
-        // A remote cluster takes precedence over a local thread pool, so
-        // only spawn pool workers when evaluation actually stays local.
-        let mut evaluator = match &self.remote {
-            RemoteBackend::Local => Evaluator::with_options(
-                self.workload,
-                self.mode,
-                self.episodes_per_eval,
-                self.eval_threads,
-                self.engine,
-            ),
-            // Remote backends evaluate on the agents; the coordinator-side
-            // evaluator keeps the cache (it filters hits before scattering)
-            // but never activates networks itself.
-            _ => Evaluator::with_options(
-                self.workload,
-                self.mode,
-                self.episodes_per_eval,
-                1,
-                self.engine,
-            ),
-        };
-        if self.udp.is_some() && !self.remote.is_udp() {
+        let is_udp = matches!(
+            self.remote,
+            RemoteBackend::LoopbackUdp(_) | RemoteBackend::AgentsUdp(_)
+        );
+        if c.udp.is_some() && !is_udp {
             return Err(ClanError::InvalidSetup {
                 reason: "udp_config applies to UDP backends only \
                          (loopback_udp_agents or remote_udp_agents)"
                     .into(),
             });
         }
-        let spec = crate::transport::ClusterSpec::new(self.workload, self.mode, cfg.clone())
-            .with_episodes(self.episodes_per_eval)
-            .with_engine(self.engine);
-        let udp_cfg = || self.udp.clone().unwrap_or_default();
-        let edge =
-            match &self.remote {
-                RemoteBackend::Local => {
-                    if self.agent_weights.is_some() || self.calibrate {
-                        return Err(ClanError::InvalidSetup {
-                            reason: "agent weights/calibration apply to remote backends only \
+        let spec = ClusterSpec::new(c.workload, c.mode, cfg.clone())
+            .with_episodes(c.episodes_per_eval)
+            .with_engine(c.engine);
+        let udp = || c.udp.clone().unwrap_or_default();
+        let edge = match &self.remote {
+            RemoteBackend::Local => {
+                if c.agent_weights.is_some() || c.calibrate {
+                    return Err(ClanError::InvalidSetup {
+                        reason: "agent weights/calibration apply to remote backends only \
                                  (loopback_agents or remote_agents)"
-                                .into(),
-                        });
-                    }
-                    if self.churn.is_some() || !self.spare_agents.is_empty() {
-                        return Err(ClanError::InvalidSetup {
-                            reason: "churn schedules and spare agents apply to remote \
+                            .into(),
+                    });
+                }
+                if c.churn.is_some() || !c.spare_agents.is_empty() {
+                    return Err(ClanError::InvalidSetup {
+                        reason: "churn schedules and spare agents apply to remote \
                                  backends only (loopback_agents or remote_agents)"
-                                .into(),
-                        });
-                    }
-                    None
+                            .into(),
+                    });
                 }
-                RemoteBackend::Loopback(n) | RemoteBackend::LoopbackUdp(n) => {
-                    if *n == 0 {
-                        return Err(ClanError::InvalidSetup {
-                            reason: "loopback cluster needs at least one agent".into(),
-                        });
-                    }
-                    Some(if self.remote.is_udp() {
-                        crate::runtime::EdgeCluster::spawn_local_udp_cfg(*n, spec, udp_cfg())?
-                    } else {
-                        crate::runtime::EdgeCluster::spawn_local_spec(*n, spec)?
-                    })
-                }
-                RemoteBackend::Agents(addrs) => {
-                    Some(crate::runtime::EdgeCluster::connect(addrs, spec)?)
-                }
-                RemoteBackend::AgentsUdp(addrs) => Some(
-                    crate::runtime::EdgeCluster::connect_udp_cfg(addrs, spec, udp_cfg())?,
-                ),
-            };
-        if let Some(mut edge) = edge {
-            if let Some(w) = &self.agent_weights {
-                edge.set_weights(w)?;
+                None
             }
-            edge.set_calibration(self.calibrate);
-            edge.set_recovery_policy(self.recovery);
-            if !self.spare_agents.is_empty() {
-                edge.set_spares(self.spare_agents.clone())?;
+            RemoteBackend::Loopback(n) => Some(EdgeCluster::spawn_local_spec(*n, spec)?),
+            RemoteBackend::LoopbackUdp(n) => {
+                Some(EdgeCluster::spawn_local_udp_cfg(*n, spec, udp())?)
             }
-            if let Some(churn) = self.churn.clone() {
-                edge.set_churn(churn)?;
+            RemoteBackend::Agents(addrs) => Some(EdgeCluster::connect(addrs, spec)?),
+            RemoteBackend::AgentsUdp(addrs) => {
+                Some(EdgeCluster::connect_udp_cfg(addrs, spec, udp())?)
             }
-            evaluator = evaluator.with_remote(edge);
+        };
+        // Remote backends evaluate on the agents: the coordinator-side
+        // evaluator never activates networks itself, so pool workers
+        // are only spawned when evaluation actually stays local.
+        let threads = if edge.is_some() { 1 } else { c.eval_threads };
+        let evaluator =
+            Evaluator::with_options(c.workload, c.mode, c.episodes_per_eval, threads, c.engine);
+        let Some(mut edge) = edge else {
+            return Ok((cfg, evaluator));
+        };
+        if let Some(w) = &c.agent_weights {
+            edge.set_weights(w)?;
         }
-        Ok((cfg, evaluator))
+        edge.set_calibration(c.calibrate);
+        edge.set_recovery_policy(c.recovery);
+        if !c.spare_agents.is_empty() {
+            edge.set_spares(c.spare_agents.clone())?;
+        }
+        if let Some(churn) = c.churn.clone() {
+            edge.set_churn(churn)?;
+        }
+        Ok((cfg, evaluator.with_remote(edge)))
+    }
+
+    /// The run shell both drivers share: a live tracer preloaded with
+    /// the run preamble when tracing is enabled (unbounded normally, a
+    /// bounded ring in flight-recorder mode; the no-op handle
+    /// otherwise), installed into `evaluator`, plus the status endpoint
+    /// when one was requested, already serving a `starting` snapshot.
+    fn shell(
+        &self,
+        population: usize,
+        topology_name: String,
+        n_agents: usize,
+        evaluator: &mut Evaluator,
+    ) -> Result<RunShell, ClanError> {
+        let c = &self.config;
+        let tracer = match c.trace_ring {
+            Some(capacity) => Tracer::with_ring(capacity),
+            None if c.tracing => Tracer::new(),
+            None => Tracer::disabled(),
+        };
+        if tracer.is_enabled() {
+            tracer.logical(EventKind::RunStart, |ev| {
+                ev.seed = Some(c.seed);
+                ev.label = Some(c.workload.to_string());
+                ev.population = Some(population as u64);
+            });
+            // Cluster shape is a Timing annotation: the logical stream
+            // must not vary with agent counts or transport flavor.
+            tracer.timing(EventKind::ClusterInfo, |ev| {
+                ev.items = Some(c.n_agents as u64);
+                ev.label = Some(topology_name.clone());
+            });
+            evaluator.set_tracer(tracer.clone());
+        }
+        let status = match &c.status_addr {
+            Some(addr) => {
+                let handle = StatusHandle::new();
+                let server = StatusServer::bind(addr, handle.clone())?;
+                Some(StatusState { handle, server })
+            }
+            None => None,
+        };
+        let shell = RunShell {
+            workload: c.workload,
+            topology_name,
+            n_agents,
+            platform: c.platform,
+            tracer,
+            status,
+        };
+        shell.publish(evaluator, "starting", |_| {});
+        Ok(shell)
     }
 
     /// Validates and constructs the driver.
@@ -749,131 +803,40 @@ impl ClanDriverBuilder {
     /// [`ClanError::InvalidSetup`] on inconsistent topology/agents, and
     /// [`ClanError::Neat`] on invalid NEAT configuration.
     pub fn build(self) -> Result<ClanDriver, ClanError> {
-        if self.n_agents == 0 {
-            return Err(ClanError::InvalidSetup {
-                reason: "at least one agent is required".into(),
-            });
-        }
-        if let SpeciationMode::Asynchronous { clans } = self.topology.speciation {
-            if clans != self.n_agents {
+        if let SpeciationMode::Asynchronous { clans } = self.config.topology.speciation {
+            if clans != self.config.n_agents {
                 return Err(ClanError::InvalidSetup {
                     reason: format!(
                         "DDA runs one clan per agent: {clans} clans vs {} agents",
-                        self.n_agents
+                        self.config.n_agents
                     ),
                 });
             }
         }
-        let (cfg, evaluator) = self.prepare()?;
-        let platform = Platform::new(self.platform);
-        let cluster = Cluster::homogeneous(platform, self.n_agents, self.net);
-
-        let mut orchestrator: Box<dyn Orchestrator> = match (
-            self.topology == ClanTopology::serial(),
-            self.topology.speciation,
-        ) {
-            (true, _) => Box::new(SerialOrchestrator::new(
-                Population::new(cfg.clone(), self.seed),
-                evaluator,
-                cluster,
-            )),
-            (false, SpeciationMode::Synchronous) => {
-                if self.topology == ClanTopology::dcs() {
-                    Box::new(DcsOrchestrator::new(
-                        Population::new(cfg.clone(), self.seed),
-                        evaluator,
-                        cluster,
-                    ))
-                } else if self.topology == ClanTopology::dds() {
-                    Box::new(DdsOrchestrator::new(
-                        Population::new(cfg.clone(), self.seed),
-                        evaluator,
-                        cluster,
-                    ))
-                } else {
-                    return Err(ClanError::InvalidSetup {
-                        reason: format!("unsupported topology {}", self.topology),
-                    });
-                }
-            }
-            (false, SpeciationMode::Asynchronous { .. }) => {
-                let mut dda = DdaOrchestrator::new(cfg.clone(), evaluator, cluster, self.seed)?;
-                if let Some(r) = self.resync_every {
-                    dda = dda.with_resync_every(r);
-                }
-                Box::new(dda)
-            }
-        };
-
-        let tracer = self.make_tracer(cfg.population_size, self.topology.name());
-        if tracer.is_enabled() {
-            orchestrator.install_tracer(tracer.clone());
-        }
-        let status = match &self.status_addr {
-            Some(addr) => {
-                let handle = StatusHandle::new();
-                handle.publish(StatusSnapshot {
-                    phase: "starting".into(),
-                    agents: orchestrator.membership().unwrap_or_default(),
-                    ..StatusSnapshot::default()
-                });
-                let server = StatusServer::bind(addr, handle.clone())?;
-                Some(StatusState { handle, server })
-            }
-            None => None,
-        };
-
+        let (cfg, mut evaluator) = self.prepare()?;
+        let mut config = self.config.clone();
+        config.population_size = cfg.population_size;
+        let shell = self.shell(
+            cfg.population_size,
+            config.topology.name(),
+            config.n_agents,
+            &mut evaluator,
+        )?;
+        let cluster =
+            Cluster::homogeneous(Platform::new(config.platform), config.n_agents, config.net);
+        let orchestrator = orchestrator_for(
+            config.topology,
+            cfg,
+            config.seed,
+            evaluator,
+            cluster,
+            config.resync_every,
+        )?;
         Ok(ClanDriver {
-            config: DriverConfig {
-                workload: self.workload,
-                topology: self.topology,
-                n_agents: self.n_agents,
-                population_size: cfg.population_size,
-                seed: self.seed,
-                mode: self.mode,
-                episodes_per_eval: self.episodes_per_eval,
-                eval_threads: self.eval_threads,
-                platform: self.platform,
-                net: self.net,
-                resync_every: self.resync_every,
-                agent_weights: self.agent_weights,
-                calibrate: self.calibrate,
-                udp: self.udp,
-                recovery: self.recovery,
-                churn: self.churn,
-                spare_agents: self.spare_agents,
-                engine: self.engine,
-                tracing: self.tracing,
-                trace_ring: self.trace_ring,
-                status_addr: self.status_addr,
-            },
+            config,
             orchestrator,
-            tracer,
-            status,
+            shell,
         })
-    }
-
-    /// A live tracer preloaded with the run preamble when tracing is
-    /// enabled — unbounded normally, a bounded ring in flight-recorder
-    /// mode; the no-op handle otherwise.
-    fn make_tracer(&self, population: usize, topology_name: String) -> Tracer {
-        let tracer = match self.trace_ring {
-            Some(capacity) => Tracer::with_ring(capacity),
-            None if self.tracing => Tracer::new(),
-            None => return Tracer::disabled(),
-        };
-        tracer.logical(EventKind::RunStart, |ev| {
-            ev.seed = Some(self.seed);
-            ev.label = Some(self.workload.to_string());
-            ev.population = Some(population as u64);
-        });
-        // Cluster shape is a Timing annotation: the logical stream must
-        // not vary with agent counts or transport flavor.
-        tracer.timing(EventKind::ClusterInfo, |ev| {
-            ev.items = Some(self.n_agents as u64);
-            ev.label = Some(topology_name);
-        });
-        tracer
     }
 
     /// Validates and constructs an **async steady-state** driver
@@ -891,13 +854,9 @@ impl ClanDriverBuilder {
     /// disagrees with the agent count, an agent count not strictly below
     /// the population size, or an eval budget below the population size.
     pub fn build_async(self) -> Result<AsyncClanDriver, ClanError> {
-        if self.n_agents == 0 {
-            return Err(ClanError::InvalidSetup {
-                reason: "at least one agent is required".into(),
-            });
-        }
-        let (cfg, evaluator) = self.prepare()?;
-        let is_remote = !matches!(self.remote, RemoteBackend::Local);
+        let (cfg, mut evaluator) = self.prepare()?;
+        let c = &self.config;
+        let is_remote = evaluator.remote_agents() > 0;
         if is_remote && self.latency_ms.is_some() {
             return Err(ClanError::InvalidSetup {
                 reason: "virtual latency schedules apply to the local backend only; \
@@ -908,7 +867,7 @@ impl ClanDriverBuilder {
         let agents = if is_remote {
             evaluator.remote_agents()
         } else {
-            self.n_agents
+            c.n_agents
         };
         if agents >= cfg.population_size {
             return Err(ClanError::InvalidSetup {
@@ -923,12 +882,12 @@ impl ClanDriverBuilder {
         } else {
             let base_us: Vec<u64> = match &self.latency_ms {
                 Some(ms) => {
-                    if ms.len() != self.n_agents {
+                    if ms.len() != c.n_agents {
                         return Err(ClanError::InvalidSetup {
                             reason: format!(
                                 "{} latency entries for {} agents",
                                 ms.len(),
-                                self.n_agents
+                                c.n_agents
                             ),
                         });
                     }
@@ -941,10 +900,10 @@ impl ClanDriverBuilder {
                         .map(|m| (m * 1000.0).round().max(1.0) as u64)
                         .collect()
                 }
-                None => vec![5_000; self.n_agents],
+                None => vec![5_000; c.n_agents],
             };
             Some(LatencySchedule::new(
-                self.seed,
+                c.seed,
                 base_us,
                 self.latency_jitter_pct,
             )?)
@@ -955,36 +914,18 @@ impl ClanDriverBuilder {
         } else {
             "ASYNC_STREAM"
         };
-        let tracer = self.make_tracer(cfg.population_size, name.to_string());
-        let pop = Population::new(cfg, self.seed);
-        let mut orchestrator = AsyncOrchestrator::new(pop, evaluator, total, self.tournament_size)?;
-        if tracer.is_enabled() {
-            orchestrator.install_tracer(tracer.clone());
-        }
-        let status = match &self.status_addr {
-            Some(addr) => {
-                let handle = StatusHandle::new();
-                handle.publish(StatusSnapshot {
-                    phase: "starting".into(),
-                    agents: orchestrator
-                        .evaluator()
-                        .remote_membership()
-                        .unwrap_or_default(),
-                    ..StatusSnapshot::default()
-                });
-                let server = StatusServer::bind(addr, handle.clone())?;
-                Some(StatusState { handle, server })
-            }
-            None => None,
-        };
+        let shell = self.shell(
+            cfg.population_size,
+            name.to_string(),
+            agents,
+            &mut evaluator,
+        )?;
+        let pop = Population::new(cfg, c.seed);
+        let orchestrator = AsyncOrchestrator::new(pop, evaluator, total, self.tournament_size)?;
         Ok(AsyncClanDriver {
-            workload: self.workload,
-            n_agents: agents,
-            platform: self.platform,
             orchestrator,
             schedule,
-            tracer,
-            status,
+            shell,
         })
     }
 }
@@ -992,20 +933,16 @@ impl ClanDriverBuilder {
 /// A configured async steady-state deployment; see
 /// [`ClanDriverBuilder::build_async`].
 pub struct AsyncClanDriver {
-    workload: Workload,
-    n_agents: usize,
-    platform: PlatformKind,
     orchestrator: AsyncOrchestrator,
     schedule: Option<LatencySchedule>,
-    tracer: Tracer,
-    status: Option<StatusState>,
+    shell: RunShell,
 }
 
 impl std::fmt::Debug for AsyncClanDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AsyncClanDriver")
-            .field("workload", &self.workload)
-            .field("n_agents", &self.n_agents)
+            .field("workload", &self.shell.workload)
+            .field("n_agents", &self.shell.n_agents)
             .field("schedule", &self.schedule)
             .finish_non_exhaustive()
     }
@@ -1013,20 +950,16 @@ impl std::fmt::Debug for AsyncClanDriver {
 
 /// What an async run yields: the usual [`RunReport`] (with
 /// [`asynchronous`](RunReport::asynchronous) stats attached) plus the
-/// diffable event log that carries the virtual-time determinism
-/// contract.
+/// structured trace that carries the virtual-time determinism contract.
 #[derive(Debug, Clone)]
 pub struct AsyncRunOutcome {
     /// The run report; `generations` is empty (the mode has none).
     pub report: RunReport,
-    /// One stable line per completion (`clan-cli run --event-log FILE`
-    /// writes exactly this text).
-    pub event_log: String,
     /// The structured trace, when the builder enabled
     /// [`tracing`](ClanDriverBuilder::tracing). For virtual-time runs
-    /// its `Completion` events reconstruct `event_log` exactly
-    /// ([`TraceEvent::async_log_line`](crate::TraceEvent::async_log_line)),
-    /// making the trace a strict superset of the event log.
+    /// its logical text is byte-identical per `(seed, schedule)`, and
+    /// folding its `Completion` events reproduces the report's
+    /// [`event_log_hash`](crate::AsyncStats::event_log_hash).
     pub trace: Option<RunTrace>,
 }
 
@@ -1040,36 +973,18 @@ impl AsyncClanDriver {
     /// A clone of the run's tracer handle (clones share one sink); see
     /// [`ClanDriver::tracer_handle`].
     pub fn tracer_handle(&self) -> Tracer {
-        self.tracer.clone()
+        self.shell.tracer.clone()
     }
 
     /// The live introspection endpoint's bound address (resolving port
     /// 0 to the actual port), when one was configured.
     pub fn status_local_addr(&self) -> Option<std::net::SocketAddr> {
-        self.status.as_ref().map(|s| s.server.local_addr())
+        self.shell.status_local_addr()
     }
 
-    /// Publishes a snapshot at a run transition (async modes have no
-    /// generation boundaries; the endpoint reports eval totals at the
-    /// start and end of the steady-state loop).
-    fn publish_status(&self, phase: &str, evals: Option<u64>, best_fitness: Option<f64>) {
-        let Some(status) = &self.status else { return };
-        status.handle.publish(StatusSnapshot {
-            phase: phase.into(),
-            generation: None,
-            evals,
-            best_fitness,
-            solved: false,
-            agents: self
-                .orchestrator
-                .evaluator()
-                .remote_membership()
-                .unwrap_or_default(),
-            metrics: self.tracer.metrics_snapshot().unwrap_or_default(),
-        });
-    }
-
-    /// Runs the steady-state loop to its evaluation budget.
+    /// Runs the steady-state loop to its evaluation budget. Async modes
+    /// have no generation boundaries; the status endpoint reports eval
+    /// totals at the start and end of the loop.
     ///
     /// # Errors
     ///
@@ -1077,13 +992,17 @@ impl AsyncClanDriver {
     /// failures, protocol violations, or a cluster drained below the
     /// recovery floor.
     pub fn run(mut self) -> Result<AsyncRunOutcome, ClanError> {
-        self.publish_status("running", Some(0), None);
+        self.shell
+            .publish(self.orchestrator.evaluator(), "running", |snapshot| {
+                snapshot.evals = Some(0);
+            });
         let outcome = match &self.schedule {
             Some(s) => self.orchestrator.run_virtual(s),
             None => self.orchestrator.run_streamed(),
         };
         if let Err(e) = outcome {
-            self.publish_status("failed", None, None);
+            self.shell
+                .publish(self.orchestrator.evaluator(), "failed", |_| {});
             return Err(e);
         }
         let stats = self
@@ -1091,43 +1010,22 @@ impl AsyncClanDriver {
             .stats()
             .cloned()
             .expect("run just completed");
-        let event_log = self.orchestrator.event_log_text();
-        let name = if stats.virtual_time {
-            "ASYNC_VIRTUAL"
-        } else {
-            "ASYNC_STREAM"
-        };
-        self.tracer.logical(EventKind::RunEnd, |ev| {
+        self.shell.tracer.logical(EventKind::RunEnd, |ev| {
             ev.items = Some(stats.total_evals);
         });
-        self.publish_status(
-            "finished",
-            Some(stats.total_evals),
-            Some(stats.best_fitness),
-        );
-        let trace = self.tracer.finish();
-        let recovery = self.orchestrator.evaluator().remote_recovery_stats();
-        let telemetry = TelemetryReport::from_sources(
-            trace.as_ref(),
-            self.orchestrator.evaluator().remote_ledger(),
-            recovery.as_ref(),
-            self.orchestrator.stream_stats(),
-        );
-        let report = RunReport::from_parts(
-            self.workload,
-            name.to_string(),
-            self.n_agents,
+        self.shell
+            .publish(self.orchestrator.evaluator(), "finished", |snapshot| {
+                snapshot.evals = Some(stats.total_evals);
+                snapshot.best_fitness = Some(stats.best_fitness);
+            });
+        let (report, trace) = self.shell.into_report(
+            self.orchestrator.evaluator(),
             Vec::new(),
             CommLedger::default(),
-        )
-        .with_transport(self.orchestrator.evaluator().remote_ledger().cloned())
-        .with_recovery(recovery)
-        .with_energy(clan_hw::EnergyModel::for_kind(self.platform))
-        .with_async(stats)
-        .with_telemetry(telemetry);
+            self.orchestrator.stream_stats(),
+        );
         Ok(AsyncRunOutcome {
-            report,
-            event_log,
+            report: report.with_async(stats),
             trace,
         })
     }
@@ -1156,6 +1054,40 @@ mod tests {
             .population_size(16)
             .build();
         assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
+    }
+
+    #[test]
+    fn zero_resync_interval_is_a_typed_error() {
+        let err = ClanDriver::builder(Workload::CartPole)
+            .topology(ClanTopology::dda(2))
+            .agents(2)
+            .population_size(16)
+            .resync_every(0)
+            .build();
+        assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
+    }
+
+    #[test]
+    fn absurd_generation_request_fails_typed_not_by_allocation() {
+        // The lone agent dies before scatter round 1 and nothing may
+        // continue below one live agent, so generation 1 fails — long
+        // before the u64::MAX generations asked for, none of which may
+        // be paid for up front.
+        let err = ClanDriver::builder(Workload::CartPole)
+            .population_size(8)
+            .loopback_agents(1)
+            .churn(crate::transport::ChurnSchedule::new().kill(0, 1))
+            .min_agents(1)
+            .build()
+            .unwrap()
+            .run(u64::MAX);
+        assert!(
+            matches!(
+                err,
+                Err(ClanError::Transport { .. } | ClanError::Degraded { .. })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1452,8 +1384,7 @@ mod tests {
         };
         let a = run();
         let b = run();
-        assert_eq!(a.event_log, b.event_log);
-        assert!(!a.event_log.is_empty());
+        assert_eq!(a.report.asynchronous, b.report.asynchronous);
         let stats = a.report.asynchronous.as_ref().unwrap();
         assert_eq!(stats.total_evals, 40);
         assert!(stats.virtual_time);

@@ -9,6 +9,7 @@
 
 use crate::parallel::ParallelEvaluator;
 use crate::runtime::EdgeCluster;
+use crate::transport::WireEvaluation;
 use clan_envs::{run_episode, Environment, Workload};
 use clan_neat::batch::{BatchedNetwork, ShapeKey};
 use clan_neat::cache::CachedEvaluation;
@@ -68,6 +69,86 @@ impl Default for EngineOptions {
             batch_lanes: 32,
             cache: true,
         }
+    }
+}
+
+/// The one hit/miss/insert sequence of the content-addressed fitness
+/// cache, shared by every surface that fields lookups (the local
+/// evaluator, its thread pool, and the coordinator side of an
+/// [`EdgeCluster`]): [`split`](CacheFilter::split) serves the hits and
+/// hands back the misses, the caller evaluates those however it likes,
+/// and [`merge`](CacheFilter::merge) memoizes the fresh results and
+/// restores input order. With no cache every genome is a miss and
+/// nothing is memoized.
+pub(crate) struct CacheFilter {
+    /// One slot per submitted genome, filled for hits.
+    out: Vec<Option<WireEvaluation>>,
+    /// `(input index, content hash)` of each miss, in input order.
+    misses: Vec<(usize, u64)>,
+}
+
+impl CacheFilter {
+    /// Looks every genome up under `(master_seed, content hash)`;
+    /// returns the filter holding the hits plus the missed genomes in
+    /// input order.
+    pub(crate) fn split<'g>(
+        mut cache: Option<&mut FitnessCache>,
+        master_seed: u64,
+        genomes: impl IntoIterator<Item = &'g Genome>,
+    ) -> (CacheFilter, Vec<&'g Genome>) {
+        let mut filter = CacheFilter {
+            out: Vec::new(),
+            misses: Vec::new(),
+        };
+        let mut missed = Vec::new();
+        for (i, g) in genomes.into_iter().enumerate() {
+            let hash = g.content_hash();
+            let hit = cache
+                .as_mut()
+                .and_then(|c| c.lookup(master_seed, hash))
+                .map(|c| (g.id(), c.evaluation, c.genes_per_activation));
+            if hit.is_none() {
+                filter.misses.push((i, hash));
+                missed.push(g);
+            }
+            filter.out.push(hit);
+        }
+        (filter, missed)
+    }
+
+    /// The misses' content hashes, in miss order (already computed by
+    /// the lookup; episode seeds derive from them).
+    fn miss_hashes(&self) -> impl Iterator<Item = u64> + '_ {
+        self.misses.iter().map(|&(_, hash)| hash)
+    }
+
+    /// Memoizes `fresh` — the misses' evaluations, in the order
+    /// [`split`](CacheFilter::split) returned them — and returns every
+    /// submitted genome's evaluation in input order.
+    pub(crate) fn merge(
+        mut self,
+        mut cache: Option<&mut FitnessCache>,
+        master_seed: u64,
+        fresh: Vec<WireEvaluation>,
+    ) -> Vec<WireEvaluation> {
+        debug_assert_eq!(fresh.len(), self.misses.len());
+        for (&(i, hash), result) in self.misses.iter().zip(fresh) {
+            if let Some(c) = cache.as_mut() {
+                c.insert(
+                    master_seed,
+                    hash,
+                    CachedEvaluation {
+                        evaluation: result.1,
+                        genes_per_activation: result.2,
+                    },
+                );
+            }
+            self.out[i] = Some(result);
+        }
+        self.out
+            .into_iter()
+            .map(|o| o.expect("every genome is a hit or an evaluated miss"))
+            .collect()
     }
 }
 
@@ -232,14 +313,10 @@ impl Evaluator {
         self.pool.as_ref().map_or(1, ParallelEvaluator::n_threads)
     }
 
-    /// The attached agent cluster, when one was requested.
-    pub(crate) fn remote_mut(&mut self) -> Option<&mut EdgeCluster> {
-        self.remote.as_mut()
-    }
-
-    /// Mutable access to the attached agent cluster — the hook for
-    /// elastic operations between generations (admitting a new agent,
-    /// reviving a dead slot, inspecting membership).
+    /// Mutable access to the attached agent cluster: how the
+    /// orchestrators scatter work over it, and the hook for elastic
+    /// operations between generations (admitting a new agent, reviving
+    /// a dead slot, inspecting membership).
     pub fn remote_cluster_mut(&mut self) -> Option<&mut EdgeCluster> {
         self.remote.as_mut()
     }
@@ -342,56 +419,33 @@ impl Evaluator {
         generation: u64,
     ) -> Vec<(GenomeId, Evaluation, u64)> {
         let _ = generation;
-        let refs: Vec<&Genome> = genomes.iter().collect();
-        self.evaluate_genome_refs(&refs, cfg, master_seed)
+        let (filter, misses) = CacheFilter::split(self.cache.as_mut(), master_seed, genomes);
+        let fresh = self.evaluate_uncached(&misses, filter.miss_hashes(), cfg, master_seed);
+        filter.merge(self.cache.as_mut(), master_seed, fresh)
     }
 
-    fn evaluate_genome_refs(
+    /// Compiles and runs `genomes` (content hashes alongside) with no
+    /// cache involved; results in input order.
+    fn evaluate_uncached(
         &mut self,
         genomes: &[&Genome],
+        hashes: impl Iterator<Item = u64>,
         cfg: &NeatConfig,
         master_seed: u64,
-    ) -> Vec<(GenomeId, Evaluation, u64)> {
-        let mut out: Vec<Option<(GenomeId, Evaluation, u64)>> = vec![None; genomes.len()];
-        let mut miss_idx: Vec<usize> = Vec::with_capacity(genomes.len());
-        let mut miss_hash: Vec<u64> = Vec::with_capacity(genomes.len());
-        for (i, g) in genomes.iter().enumerate() {
-            let hash = g.content_hash();
-            if let Some(cache) = self.cache.as_mut() {
-                if let Some(hit) = cache.lookup(master_seed, hash) {
-                    out[i] = Some((g.id(), hit.evaluation, hit.genes_per_activation));
-                    continue;
-                }
-            }
-            miss_idx.push(i);
-            miss_hash.push(hash);
-        }
-        let nets: Vec<FeedForwardNetwork> = miss_idx
+    ) -> Vec<WireEvaluation> {
+        let nets: Vec<FeedForwardNetwork> = genomes
             .iter()
-            .map(|&i| FeedForwardNetwork::compile(genomes[i], cfg))
+            .map(|g| FeedForwardNetwork::compile(g, cfg))
             .collect();
-        let seeds: Vec<u64> = miss_hash
-            .iter()
-            .map(|&h| Evaluator::episode_seed(master_seed, h, self.episodes, self.mode))
+        let seeds: Vec<u64> = hashes
+            .map(|h| Evaluator::episode_seed(master_seed, h, self.episodes, self.mode))
             .collect();
         let evals = self.run_misses(&nets, &seeds);
-        for (k, eval) in evals.into_iter().enumerate() {
-            let gpa = nets[k].genes_per_activation();
-            if let Some(cache) = self.cache.as_mut() {
-                cache.insert(
-                    master_seed,
-                    miss_hash[k],
-                    CachedEvaluation {
-                        evaluation: eval,
-                        genes_per_activation: gpa,
-                    },
-                );
-            }
-            let i = miss_idx[k];
-            out[i] = Some((genomes[i].id(), eval, gpa));
-        }
-        out.into_iter()
-            .map(|o| o.expect("every genome evaluated"))
+        genomes
+            .iter()
+            .zip(evals)
+            .zip(&nets)
+            .map(|((g, eval), net)| (g.id(), eval, net.genes_per_activation()))
             .collect()
     }
 
@@ -552,55 +606,20 @@ impl Evaluator {
         pop: &Population,
     ) -> Vec<(GenomeId, Evaluation, u64)> {
         let master_seed = pop.master_seed();
-        let generation = pop.generation();
-        if self.pool.is_none() {
-            let refs: Vec<&Genome> = pop.genomes().values().collect();
-            return self.evaluate_genome_refs(&refs, pop.config(), master_seed);
-        }
-        let mut out: Vec<Option<(GenomeId, Evaluation, u64)>> = vec![None; pop.genomes().len()];
-        let mut misses: Vec<Genome> = Vec::new();
-        let mut miss_idx: Vec<usize> = Vec::new();
-        let mut miss_hash: Vec<u64> = Vec::new();
-        for (i, g) in pop.genomes().values().enumerate() {
-            let hash = g.content_hash();
-            if let Some(cache) = self.cache.as_mut() {
-                if let Some(hit) = cache.lookup(master_seed, hash) {
-                    out[i] = Some((g.id(), hit.evaluation, hit.genes_per_activation));
-                    continue;
-                }
+        let (filter, misses) =
+            CacheFilter::split(self.cache.as_mut(), master_seed, pop.genomes().values());
+        let fresh = match &self.pool {
+            Some(pool) => pool.evaluate_genomes(
+                misses.into_iter().cloned().collect(),
+                pop.config(),
+                master_seed,
+                pop.generation(),
+            ),
+            None => {
+                self.evaluate_uncached(&misses, filter.miss_hashes(), pop.config(), master_seed)
             }
-            misses.push(g.clone());
-            miss_idx.push(i);
-            miss_hash.push(hash);
-        }
-        if !misses.is_empty() {
-            let results = self
-                .pool
-                .as_ref()
-                .expect("pool checked above")
-                .evaluate_genomes(misses, pop.config(), master_seed, generation);
-            for (k, (id, eval, gpa)) in results.into_iter().enumerate() {
-                if let Some(cache) = self.cache.as_mut() {
-                    cache.insert(
-                        master_seed,
-                        miss_hash[k],
-                        CachedEvaluation {
-                            evaluation: eval,
-                            genes_per_activation: gpa,
-                        },
-                    );
-                }
-                out[miss_idx[k]] = Some((id, eval, gpa));
-            }
-        }
-        out.into_iter()
-            .map(|o| o.expect("every genome evaluated"))
-            .collect()
-    }
-
-    /// The engine options in force.
-    pub fn engine_options(&self) -> EngineOptions {
-        self.options
+        };
+        filter.merge(self.cache.as_mut(), master_seed, fresh)
     }
 
     /// Drains and returns this generation's fitness-cache `(hits,

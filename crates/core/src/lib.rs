@@ -46,12 +46,15 @@
 //!   (`"CLAN"` magic, version, tag, payload; see [`transport::codec`]),
 //!   moved by a [`transport::Transport`]: in-process byte channels
 //!   ([`runtime::EdgeCluster::spawn`]), loopback TCP sockets on
-//!   ephemeral ports ([`runtime::EdgeCluster::spawn_local`]), or remote
+//!   ephemeral ports ([`runtime::EdgeCluster::spawn_local_spec`]), or remote
 //!   agent processes started with `clan-cli agent --listen ADDR`
 //!   ([`runtime::EdgeCluster::connect`]). A coordinator configures
 //!   agents over the wire (`Configure` carries workload + NEAT config),
-//!   then drives `Evaluate`/`Fitness` and `BuildChildren`/`Children`
-//!   rounds.
+//!   then drives `Evaluate`/`Fitness` rounds and — under
+//!   [`DdsOrchestrator`], whose reproduction is distributed —
+//!   `BuildChildren`/`Children` rounds, so a live DDS run's measured
+//!   ledger shows the parent/child genome traffic the paper blames for
+//!   DDS's cost while a live DCS run's shows none.
 //! - **Determinism contract** — every episode RNG stream derives from
 //!   `(master_seed, genome content hash)` and every reproduction stream
 //!   from `(master_seed, generation, child_id)`, never from placement
@@ -89,8 +92,7 @@
 //!   --agent-weights 1,4,...`) makes every scatter partition work
 //!   proportionally to per-agent throughput, via
 //!   [`clan_distsim::partition_weighted`] (largest-remainder rounding,
-//!   no positive-weight agent ever starved). Seed them from the static
-//!   platform model with [`EdgeCluster::set_weights_from_platforms`].
+//!   no positive-weight agent ever starved).
 //! - **Round-trip calibration** — [`EdgeCluster::set_calibration`] (or
 //!   `ClanDriverBuilder::calibrate` / `--calibrate`) recalibrates the
 //!   weights each generation from an EWMA of measured per-chunk
@@ -121,8 +123,8 @@
 //!   acknowledges each fragment, retransmits unacked ones on a timer,
 //!   and reassembles in order with deduplication, over any
 //!   [`DatagramLink`](transport::DatagramLink) — real UDP sockets
-//!   ([`EdgeCluster::spawn_local_udp`](runtime::EdgeCluster::spawn_local_udp),
-//!   [`EdgeCluster::connect_udp`](runtime::EdgeCluster::connect_udp),
+//!   ([`EdgeCluster::spawn_local_udp_cfg`](runtime::EdgeCluster::spawn_local_udp_cfg),
+//!   [`EdgeCluster::connect_udp_cfg`](runtime::EdgeCluster::connect_udp_cfg),
 //!   `clan-cli agent --udp` / `coordinate --udp`) or in-process
 //!   channels.
 //! - **Deterministic fault injection** —
@@ -175,7 +177,7 @@
 //!   topologies (`tests/churn_equivalence.rs`, 1/2/4 agents, with
 //!   arbitrary-schedule conservation proptests).
 //! - **Mid-run join** — new agents attach between generations over any
-//!   transport ([`EdgeCluster::admit_transport`](runtime::EdgeCluster::admit_transport),
+//!   transport ([`EdgeCluster::admit_transport_weighted`](runtime::EdgeCluster::admit_transport_weighted),
 //!   [`admit_local`](runtime::EdgeCluster::admit_local)): they are
 //!   `Configure`d with the stored session spec and enter the weight and
 //!   calibration tables like founding members.
@@ -220,10 +222,10 @@
 //!   run --async`): service times come from a seeded
 //!   [`LatencySchedule`] and a single-threaded event loop orders
 //!   completions by `(virtual time, agent, dispatch)`. Two runs with
-//!   the same `(seed, schedule)` produce byte-identical event logs —
-//!   CI's `async-smoke` diffs them — and the workspace's
-//!   `tests/async_steady_state.rs` proptests the contract over
-//!   arbitrary schedules.
+//!   the same `(seed, schedule)` produce byte-identical logical traces
+//!   — CI's `async-smoke` runs `clan-trace diff` over them — and the
+//!   workspace's `tests/async_steady_state.rs` proptests the contract
+//!   over arbitrary schedules.
 //! - **Streamed runs** ([`AsyncOrchestrator::run_streamed`], `clan-cli
 //!   coordinate --async`) drive
 //!   [`EdgeCluster::evaluate_stream`](runtime::EdgeCluster::evaluate_stream)
@@ -234,8 +236,9 @@
 //!   re-dispatches its genome to a survivor
 //!   ([`AsyncStats::redispatches`]).
 //! - **Measured, not assumed.** [`AsyncStats`] on [`RunReport`] carries
-//!   makespan, evals/sec, wasted idle, insertion counts, and the event
-//!   log hash; `bench_eval`'s `async` section compares sync-barrier vs
+//!   makespan, evals/sec, wasted idle, insertion counts, and the
+//!   completion-order hash (a running fold — nothing per-evaluation is
+//!   retained); `bench_eval`'s `async` section compares sync-barrier vs
 //!   async makespan at 4× skew and re-runs it under injected mid-stream
 //!   death (numbers in ROADMAP.md).
 //!
@@ -243,8 +246,9 @@
 //!
 //! [`telemetry`] unifies the fragmented observability surfaces
 //! ([`CommLedger`](clan_netsim::CommLedger), [`GatherStats`],
-//! [`RecoveryStats`], [`AsyncStats`], the
-//! async-only event log) behind one structured event stream with a
+//! [`RecoveryStats`], [`AsyncStats`]) behind one structured event
+//! stream — the only event format; the async-only `--event-log` it
+//! subsumed is gone — with a
 //! **two-clock design**:
 //!
 //! - **Logical events** carry logical time only (their own sequence
@@ -270,8 +274,7 @@
 //! by the driver via `ClanDriverBuilder::tracing` (`clan-cli run/
 //! coordinate --trace FILE [--trace-chrome FILE]`); the recorded
 //! [`RunTrace`] exports as JSONL
-//! ([`telemetry::to_jsonl`], a strict superset of the async
-//! `--event-log` format) and Chrome trace-event JSON
+//! ([`telemetry::to_jsonl`]) and Chrome trace-event JSON
 //! ([`telemetry::to_chrome_json`], per-agent tracks viewable in
 //! Perfetto), while the accompanying
 //! [`MetricsRegistry`] and unified
@@ -380,7 +383,7 @@ pub mod telemetry;
 pub mod topology;
 pub mod transport;
 
-pub use asynchronous::{AsyncEvent, AsyncOrchestrator, AsyncStats, LatencySchedule};
+pub use asynchronous::{AsyncOrchestrator, AsyncStats, LatencySchedule};
 pub use continuous::{ContinuousLearner, LearningEvent, MonitorConfig, TaskOutcome};
 pub use dcs::DcsOrchestrator;
 pub use dda::DdaOrchestrator;
@@ -389,7 +392,7 @@ pub use driver::{AsyncClanDriver, AsyncRunOutcome, ClanDriver, ClanDriverBuilder
 pub use error::{ClanError, FrameError};
 pub use evaluator::{EngineOptions, Evaluator, InferenceMode};
 pub use membership::{AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
-pub use orchestra::{GenerationReport, Orchestrator};
+pub use orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 pub use parallel::ParallelEvaluator;
 pub use report::RunReport;
 pub use runtime::{EdgeCluster, GatherStats, StreamCompletion, StreamStats};

@@ -2,13 +2,19 @@
 //! configurations: partitioned evaluation with per-agent gene accounting,
 //! communication-phase bookkeeping, and central evolution.
 
+use crate::dcs::DcsOrchestrator;
+use crate::dda::DdaOrchestrator;
+use crate::dds::DdsOrchestrator;
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
-use crate::telemetry::EventKind;
-use crate::topology::ClanTopology;
+use crate::membership::{AgentHealth, RecoveryStats};
+use crate::runtime::GatherStats;
+use crate::serial::SerialOrchestrator;
+use crate::telemetry::{EventKind, Tracer};
+use crate::topology::{ClanTopology, SpeciationMode};
 use clan_distsim::{Cluster, GenerationTimeline, TimelineRecorder};
 use clan_neat::counters::GenerationCosts;
-use clan_neat::{Genome, GenomeId, NeatError, Population};
+use clan_neat::{Genome, GenomeId, NeatConfig, NeatError, Population};
 use clan_netsim::{CommLedger, MessageKind};
 use serde::{Deserialize, Serialize};
 
@@ -60,13 +66,11 @@ impl GenerationReport {
 
 /// A CLAN configuration driving real NEAT evolution while accounting the
 /// simulated cluster's time and traffic.
+///
+/// Implementations differ only in *where* inference and reproduction run
+/// (`step_generation`); everything measured on an attached real
+/// transport is read through the shared [`Evaluator`].
 pub trait Orchestrator {
-    /// The configuration this orchestrator implements.
-    fn topology(&self) -> ClanTopology;
-
-    /// The simulated cluster.
-    fn cluster(&self) -> &Cluster;
-
     /// Runs one full generation (inference + evolution + communication).
     ///
     /// # Errors
@@ -81,50 +85,88 @@ pub trait Orchestrator {
     /// Communication ledger for the run so far.
     fn ledger(&self) -> &CommLedger;
 
+    /// The evaluator running this configuration's inference — and, when
+    /// it carries an [`EdgeCluster`](crate::runtime::EdgeCluster), the
+    /// handle on the real transport.
+    fn evaluator(&self) -> &Evaluator;
+
+    /// Mutable evaluator access (tracer installation, cluster surgery
+    /// between generations).
+    fn evaluator_mut(&mut self) -> &mut Evaluator;
+
     /// Measured wire traffic of the attached real transport, when the
     /// orchestrator's evaluator runs inference over an
     /// [`EdgeCluster`](crate::runtime::EdgeCluster) (threads, loopback
     /// TCP, or remote devices). `None` for purely simulated runs.
     fn transport_ledger(&self) -> Option<&CommLedger> {
-        None
+        self.evaluator().remote_ledger()
     }
 
     /// Measured scatter/gather timing of the attached real transport
     /// (makespan vs. summed per-link busy time — the load-imbalance
     /// signal). `None` for purely simulated runs.
-    fn gather_stats(&self) -> Option<crate::runtime::GatherStats> {
-        None
+    fn gather_stats(&self) -> Option<GatherStats> {
+        self.evaluator().remote_gather_stats()
     }
 
     /// Churn-recovery accounting of the attached real transport (link
-    /// failures, reassigned chunks, recovery makespan — see
-    /// [`RecoveryStats`](crate::membership::RecoveryStats)). `None` for
+    /// failures, reassigned chunks, recovery makespan). `None` for
     /// purely simulated runs.
-    fn recovery_stats(&self) -> Option<crate::membership::RecoveryStats> {
-        None
+    fn recovery_stats(&self) -> Option<RecoveryStats> {
+        self.evaluator().remote_recovery_stats()
     }
 
     /// Per-agent link membership of the attached real transport
-    /// (alive/suspected/dead, failure counts — see
-    /// [`AgentHealth`](crate::membership::AgentHealth)), as served by
-    /// the live `/health` introspection endpoint. `None` for purely
-    /// simulated runs.
-    fn membership(&self) -> Option<Vec<crate::membership::AgentHealth>> {
-        None
+    /// (alive/suspected/dead, failure counts), as served by the live
+    /// `/health` introspection endpoint. `None` for purely simulated
+    /// runs.
+    fn membership(&self) -> Option<Vec<AgentHealth>> {
+        self.evaluator().remote_membership()
     }
-
-    /// Timeline recorder for the run so far.
-    fn recorder(&self) -> &TimelineRecorder;
-
-    /// Total genomes under evolution.
-    fn population_size(&self) -> usize;
 
     /// Installs a telemetry tracer: generation and evaluation events are
     /// recorded into it from the same deterministic replay loops that
-    /// pin fitness equivalence. Default: no-op (tracing unsupported or
-    /// disabled).
-    fn install_tracer(&mut self, tracer: crate::telemetry::Tracer) {
-        let _ = tracer;
+    /// pin fitness equivalence.
+    fn install_tracer(&mut self, tracer: Tracer) {
+        self.evaluator_mut().set_tracer(tracer);
+    }
+}
+
+/// Builds the orchestrator implementing `topology`: a fresh population
+/// from `(cfg, seed)` evolved over the simulated `cluster`, inference
+/// running through `evaluator`. `resync_every` applies to DDA only.
+///
+/// # Errors
+///
+/// [`ClanError::InvalidSetup`] on a placement combination no
+/// orchestrator implements, DDA clans below two genomes, or a zero
+/// resync interval.
+pub fn orchestrator_for(
+    topology: ClanTopology,
+    cfg: NeatConfig,
+    seed: u64,
+    evaluator: Evaluator,
+    cluster: Cluster,
+    resync_every: Option<u64>,
+) -> Result<Box<dyn Orchestrator>, ClanError> {
+    if let SpeciationMode::Asynchronous { .. } = topology.speciation {
+        let dda = DdaOrchestrator::new(cfg, evaluator, cluster, seed)?;
+        return Ok(match resync_every {
+            Some(r) => Box::new(dda.with_resync_every(r)?),
+            None => Box::new(dda),
+        });
+    }
+    let pop = Population::new(cfg, seed);
+    if topology == ClanTopology::serial() {
+        Ok(Box::new(SerialOrchestrator::new(pop, evaluator, cluster)))
+    } else if topology == ClanTopology::dcs() {
+        Ok(Box::new(DcsOrchestrator::new(pop, evaluator, cluster)))
+    } else if topology == ClanTopology::dds() {
+        Ok(Box::new(DdsOrchestrator::new(pop, evaluator, cluster)))
+    } else {
+        Err(ClanError::InvalidSetup {
+            reason: format!("unsupported topology {topology}"),
+        })
     }
 }
 
@@ -216,7 +258,7 @@ pub(crate) fn evaluate_partitioned(
     // bookkeeping to the deterministic loop below. Cache hits replay the
     // same accounting as fresh evaluations, so costs and timelines are
     // identical whichever engine features are enabled.
-    let mut precomputed = match evaluator.remote_mut() {
+    let mut precomputed = match evaluator.remote_cluster_mut() {
         Some(cluster) => cluster.evaluate_collect(pop)?.into_iter(),
         None => evaluator.evaluate_population_local(pop).into_iter(),
     };
@@ -246,17 +288,39 @@ pub(crate) fn evaluate_partitioned(
     Ok(genes_per_agent)
 }
 
-/// Emits the logical generation-end event shared by all orchestrators:
-/// best fitness (bit-exact), surviving species, and the cache window —
-/// every field equivalence-pinned across execution modes.
-pub(crate) fn emit_generation_end(tracer: &crate::telemetry::Tracer, report: &GenerationReport) {
-    tracer.logical(EventKind::GenerationEnd, |ev| {
+/// The tail every orchestrator ends a generation with: closes the
+/// recorder's timeline, drains the cache window, and emits the logical
+/// generation-end event (best fitness bit-exact, surviving species, the
+/// cache window — every field equivalence-pinned across execution
+/// modes).
+pub(crate) fn finish_generation(
+    evaluator: &mut Evaluator,
+    recorder: &mut TimelineRecorder,
+    generation: u64,
+    best_fitness: f64,
+    num_species: usize,
+    costs: GenerationCosts,
+    extinction: bool,
+) -> GenerationReport {
+    let (cache_hits, cache_lookups) = evaluator.take_cache_window();
+    let report = GenerationReport {
+        generation,
+        best_fitness,
+        num_species,
+        timeline: recorder.finish_generation(),
+        costs,
+        extinction,
+        cache_hits,
+        cache_lookups,
+    };
+    evaluator.tracer().logical(EventKind::GenerationEnd, |ev| {
         ev.generation = Some(report.generation);
         ev.fitness_bits = Some(report.best_fitness.to_bits());
         ev.species = Some(report.num_species as u64);
         ev.cache_hits = Some(report.cache_hits);
         ev.cache_lookups = Some(report.cache_lookups);
     });
+    report
 }
 
 /// Outcome of running speciation + planning + reproduction centrally.

@@ -58,7 +58,7 @@ pub struct RunReport {
     pub cache_lookups: u64,
     /// Async steady-state accounting when the run was barrier-free
     /// (`--async`): eval throughput, wasted idle, insertion stats, and
-    /// the event-log fingerprint. `None` for generational runs.
+    /// the completion-order fingerprint. `None` for generational runs.
     #[serde(default)]
     pub asynchronous: Option<crate::asynchronous::AsyncStats>,
     /// Unified telemetry when the run was traced (`--trace`): event
@@ -128,28 +128,6 @@ impl RunReport {
         }
     }
 
-    /// Attaches the measured wire traffic of a real transport run.
-    pub fn with_transport(mut self, transport: Option<CommLedger>) -> RunReport {
-        self.transport = transport;
-        self
-    }
-
-    /// Attaches the measured scatter/gather timing of a real transport
-    /// run.
-    pub fn with_gather(mut self, gather: Option<crate::runtime::GatherStats>) -> RunReport {
-        self.gather = gather;
-        self
-    }
-
-    /// Attaches the churn-recovery accounting of a real transport run.
-    pub fn with_recovery(
-        mut self,
-        recovery: Option<crate::membership::RecoveryStats>,
-    ) -> RunReport {
-        self.recovery = recovery;
-        self
-    }
-
     /// Attaches an async steady-state run's accounting. A barrier-free
     /// run has no generations, so the run-level best fitness and the
     /// solved flag are taken from the async stats instead.
@@ -159,12 +137,6 @@ impl RunReport {
             self.solved_at_generation.get_or_insert(0);
         }
         self.asynchronous = Some(stats);
-        self
-    }
-
-    /// Attaches the unified telemetry section of a traced run.
-    pub fn with_telemetry(mut self, telemetry: crate::telemetry::TelemetryReport) -> RunReport {
-        self.telemetry = telemetry;
         self
     }
 

@@ -13,7 +13,7 @@
 //! Three deployments of the same protocol:
 //!
 //! - [`EdgeCluster::spawn`] — agent threads over in-process channels;
-//! - [`EdgeCluster::spawn_local`] — agent threads serving **real TCP
+//! - [`EdgeCluster::spawn_local_spec`] — agent threads serving **real TCP
 //!   sockets** on `127.0.0.1` ephemeral ports (the whole networked stack
 //!   in one process, which is what CI smokes);
 //! - [`EdgeCluster::connect`] — remote agent processes started with
@@ -32,13 +32,11 @@
 //!
 //! - **Throughput-weighted partitioning** — every scatter
 //!   ([`evaluate_collect`](EdgeCluster::evaluate_collect) and the
-//!   [`build_children`](EdgeCluster::build_children) phase of
-//!   [`step_dds_generation`](EdgeCluster::step_dds_generation)) routes
+//!   [`build_children`](EdgeCluster::build_children) phase of a
+//!   [`DdsOrchestrator`](crate::DdsOrchestrator) generation) routes
 //!   through [`clan_distsim::partition_weighted`] over per-link
-//!   capability weights ([`set_weights`](EdgeCluster::set_weights),
-//!   seeded from the static platform throughput model via
-//!   [`set_weights_from_platforms`](EdgeCluster::set_weights_from_platforms),
-//!   or `clan-cli coordinate --agent-weights`). With
+//!   capability weights ([`set_weights`](EdgeCluster::set_weights), or
+//!   `clan-cli coordinate --agent-weights`). With
 //!   [`set_calibration`](EdgeCluster::set_calibration) enabled the
 //!   weights recalibrate themselves from measured per-chunk round-trip
 //!   times (an EWMA of genomes/second over prior generations).
@@ -67,7 +65,7 @@
 //! replay in id order, so a run that lost and reassigned chunks is
 //! bit-identical to a serial run — churn costs only time, measured in
 //! [`RecoveryStats`]. New agents can also **join mid-run**
-//! ([`admit_transport`](EdgeCluster::admit_transport) /
+//! ([`admit_transport_weighted`](EdgeCluster::admit_transport_weighted) /
 //! [`admit_local`](EdgeCluster::admit_local)): they are `Configure`d
 //! with the stored session spec and enter the weight/calibration tables
 //! like any founding member. Deterministic churn testing goes through
@@ -79,7 +77,7 @@
 //! production recovery path with a simulated device crash.
 
 use crate::error::ClanError;
-use crate::evaluator::InferenceMode;
+use crate::evaluator::{CacheFilter, InferenceMode};
 use crate::membership::{is_churn_error, AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
 use crate::telemetry::{EventKind, Tracer};
 use crate::transport::agent::{serve_session, AgentServer, UdpAgentServer};
@@ -90,7 +88,6 @@ use crate::transport::{
 };
 use clan_distsim::partition_weighted;
 use clan_envs::Workload;
-use clan_neat::cache::CachedEvaluation;
 use clan_neat::{FitnessCache, Genome, GenomeId, NeatConfig, Population};
 use clan_netsim::{CommLedger, MessageKind};
 use serde::{Deserialize, Serialize};
@@ -141,7 +138,11 @@ struct AgentLink {
 }
 
 impl AgentLink {
-    fn new(transport: Box<dyn Transport>, handle: Option<JoinHandle<()>>) -> AgentLink {
+    fn new(
+        transport: Box<dyn Transport>,
+        handle: Option<JoinHandle<()>>,
+        origin: Option<LinkOrigin>,
+    ) -> AgentLink {
         AgentLink {
             transport,
             handle,
@@ -150,19 +151,15 @@ impl AgentLink {
             health: LinkHealth::Alive,
             last_error: None,
             poisoned: false,
-            origin: None,
+            origin,
         }
-    }
-
-    fn with_origin(mut self, origin: LinkOrigin) -> AgentLink {
-        self.origin = Some(origin);
-        self
     }
 }
 
-/// How this cluster can produce a replacement agent for a mid-run
-/// revival or admission. Set by the constructor that built the cluster;
-/// remote clusters start with no source until
+/// Where this cluster's agents come from: the founding members at
+/// construction and any replacement for a mid-run revival or admission
+/// are minted from the same source. Remote clusters consume one address
+/// per agent, so they are left with no source until
 /// [`set_spares`](EdgeCluster::set_spares) supplies standby addresses.
 enum Respawn {
     /// No way to mint new agents (caller-supplied transports).
@@ -307,27 +304,22 @@ struct ExchangeOutcome {
 type ResponseHandler<'a, T, R> =
     &'a mut dyn FnMut(String, WireMessage, &[T]) -> Result<Vec<R>, ClanError>;
 
-/// A freshly minted (unconfigured) replacement agent: its transport,
-/// the serving thread's handle for in-process agents, and the address
-/// it can be re-established from (remote agents only).
-type MintedAgent = (
-    Box<dyn Transport>,
-    Option<JoinHandle<()>>,
-    Option<LinkOrigin>,
-);
-
-/// Spawns a named agent-serving thread, surfacing OS thread exhaustion
-/// as a typed [`ClanError::WorkerFailure`] instead of a panic.
+/// Serves one in-process agent `session` for link slot `slot` on a named
+/// thread, surfacing OS thread exhaustion as a typed
+/// [`ClanError::WorkerFailure`] instead of a panic.
 fn spawn_agent_thread(
-    agent: usize,
-    name: String,
-    f: impl FnOnce() + Send + 'static,
-) -> Result<std::thread::JoinHandle<()>, ClanError> {
+    slot: usize,
+    session: impl FnOnce() -> Result<(), ClanError> + Send + 'static,
+) -> Result<JoinHandle<()>, ClanError> {
     std::thread::Builder::new()
-        .name(name)
-        .spawn(f)
+        .name(format!("clan-agent-{slot}"))
+        .spawn(move || {
+            if let Err(e) = session() {
+                eprintln!("clan-agent-{slot}: {e}");
+            }
+        })
         .map_err(|e| ClanError::WorkerFailure {
-            agent,
+            agent: slot,
             reason: format!("cannot spawn agent thread: {e}"),
         })
 }
@@ -431,23 +423,7 @@ impl EdgeCluster {
     /// [`ClanError::WorkerFailure`] if the OS cannot spawn an agent
     /// thread.
     pub fn spawn_spec(n_agents: usize, spec: ClusterSpec) -> Result<EdgeCluster, ClanError> {
-        if n_agents == 0 {
-            return Err(ClanError::InvalidSetup {
-                reason: "cluster needs at least one agent".into(),
-            });
-        }
-        let links = (0..n_agents)
-            .map(|i| {
-                let (coord, mut agent_side) = channel_pair();
-                let handle = spawn_agent_thread(i, format!("clan-agent-{i}"), move || {
-                    if let Err(e) = serve_session(&mut agent_side) {
-                        eprintln!("clan-agent-{i}: {e}");
-                    }
-                })?;
-                Ok(AgentLink::new(Box::new(coord), Some(handle)))
-            })
-            .collect::<Result<Vec<_>, ClanError>>()?;
-        Self::configured(links, spec, Respawn::Channel)
+        Self::founded(n_agents, spec, Respawn::Channel)
     }
 
     /// Spawns `n_agents` agent threads each serving a **real TCP
@@ -461,87 +437,16 @@ impl EdgeCluster {
     ///
     /// [`ClanError::WorkerFailure`] if the OS cannot spawn an agent
     /// thread.
-    pub fn spawn_local(
-        n_agents: usize,
-        workload: Workload,
-        mode: InferenceMode,
-        cfg: NeatConfig,
-    ) -> Result<EdgeCluster, ClanError> {
-        Self::spawn_local_spec(n_agents, ClusterSpec::new(workload, mode, cfg))
-    }
-
-    /// [`spawn_local`](EdgeCluster::spawn_local) with a full
-    /// [`ClusterSpec`].
-    ///
-    /// # Errors
-    ///
-    /// [`ClanError::Transport`] if binding or connecting fails, and
-    /// [`ClanError::InvalidSetup`] if `n_agents` is zero.
-    ///
-    /// [`ClanError::WorkerFailure`] if the OS cannot spawn an agent
-    /// thread.
     pub fn spawn_local_spec(n_agents: usize, spec: ClusterSpec) -> Result<EdgeCluster, ClanError> {
-        if n_agents == 0 {
-            return Err(ClanError::InvalidSetup {
-                reason: "cluster needs at least one agent".into(),
-            });
-        }
-        let mut links = Vec::with_capacity(n_agents);
-        for i in 0..n_agents {
-            let server = AgentServer::bind("127.0.0.1:0")?;
-            // Connect before spawning the serving thread: the pending
-            // connection waits in the listener's backlog, and a connect
-            // failure leaves no thread parked forever in accept().
-            let transport = TcpTransport::connect(server.local_addr())?;
-            let handle = spawn_agent_thread(i, format!("clan-agent-{i}"), move || {
-                if let Err(e) = server.serve_once() {
-                    eprintln!("clan-agent-{i}: {e}");
-                }
-            })?;
-            links.push(AgentLink::new(Box::new(transport), Some(handle)));
-        }
-        Self::configured(links, spec, Respawn::LoopbackTcp)
+        Self::founded(n_agents, spec, Respawn::LoopbackTcp)
     }
 
     /// Spawns `n_agents` agent threads each serving a **real UDP
     /// socket** on `127.0.0.1` — the loss-tolerant datagram stack
     /// ([`UdpTransport`](crate::transport::UdpTransport)), loopback, in
-    /// one process.
-    ///
-    /// # Errors
-    ///
-    /// [`ClanError::Transport`] if binding or connecting fails, and
-    /// [`ClanError::InvalidSetup`] if `n_agents` is zero.
-    ///
-    /// [`ClanError::WorkerFailure`] if the OS cannot spawn an agent
-    /// thread.
-    pub fn spawn_local_udp(
-        n_agents: usize,
-        workload: Workload,
-        mode: InferenceMode,
-        cfg: NeatConfig,
-    ) -> Result<EdgeCluster, ClanError> {
-        Self::spawn_local_udp_spec(n_agents, ClusterSpec::new(workload, mode, cfg))
-    }
-
-    /// [`spawn_local_udp`](EdgeCluster::spawn_local_udp) with a full
-    /// [`ClusterSpec`].
-    ///
-    /// # Errors
-    ///
-    /// See [`spawn_local_udp`](EdgeCluster::spawn_local_udp).
-    ///
-    /// [`ClanError::WorkerFailure`] if the OS cannot spawn an agent
-    /// thread.
-    pub fn spawn_local_udp_spec(
-        n_agents: usize,
-        spec: ClusterSpec,
-    ) -> Result<EdgeCluster, ClanError> {
-        Self::spawn_local_udp_cfg(n_agents, spec, UdpConfig::default())
-    }
-
-    /// [`spawn_local_udp`](EdgeCluster::spawn_local_udp) with explicit
-    /// datagram tuning and (optionally) seeded fault injection: the
+    /// one process — with explicit datagram tuning
+    /// (`UdpConfig::default()` for the stock one) and, optionally,
+    /// seeded fault injection: the
     /// config's [`faults`](UdpConfig::faults) are applied on the
     /// coordinator side of every link with a per-link RNG
     /// ([`FaultConfig::for_link`](crate::transport::FaultConfig::for_link)),
@@ -551,8 +456,8 @@ impl EdgeCluster {
     ///
     /// # Errors
     ///
-    /// See [`spawn_local_udp`](EdgeCluster::spawn_local_udp).
-    ///
+    /// [`ClanError::Transport`] if binding or connecting fails,
+    /// [`ClanError::InvalidSetup`] if `n_agents` is zero, and
     /// [`ClanError::WorkerFailure`] if the OS cannot spawn an agent
     /// thread.
     pub fn spawn_local_udp_cfg(
@@ -560,42 +465,23 @@ impl EdgeCluster {
         spec: ClusterSpec,
         udp: UdpConfig,
     ) -> Result<EdgeCluster, ClanError> {
-        if n_agents == 0 {
-            return Err(ClanError::InvalidSetup {
-                reason: "cluster needs at least one agent".into(),
-            });
-        }
         // Agents run the same tuning but never inject faults themselves:
         // the coordinator-side wrapper already perturbs both directions.
         let agent_udp = UdpConfig {
             faults: None,
             ..udp.clone()
         };
-        let mut links = Vec::with_capacity(n_agents);
-        for i in 0..n_agents {
-            let mut server = UdpAgentServer::bind("127.0.0.1:0")?.with_config(agent_udp.clone());
-            let addr = server.local_addr();
-            let handle = spawn_agent_thread(i, format!("clan-agent-{i}"), move || {
-                if let Err(e) = server.serve_once() {
-                    eprintln!("clan-agent-{i}: {e}");
-                }
-            })?;
-            let transport = udp.transport_to(addr, i)?;
-            links.push(AgentLink::new(transport, Some(handle)));
-        }
-        Self::configured(
-            links,
-            spec,
-            Respawn::LoopbackUdp {
-                coordinator: udp,
-                agent: agent_udp,
-            },
-        )
+        let respawn = Respawn::LoopbackUdp {
+            coordinator: udp,
+            agent: agent_udp,
+        };
+        Self::founded(n_agents, spec, respawn)
     }
 
     /// Connects to already-running **UDP** agent processes (started with
-    /// `clan-cli agent --udp --listen ADDR`) and pushes the session
-    /// configuration to each.
+    /// `clan-cli agent --udp --listen ADDR`) with explicit datagram
+    /// tuning and optional coordinator-side fault injection, and pushes
+    /// the session configuration to each.
     ///
     /// # Errors
     ///
@@ -603,41 +489,16 @@ impl EdgeCluster {
     /// [`ClanError::InvalidSetup`] on an empty address list. (UDP has no
     /// connection handshake — an unreachable agent surfaces as a
     /// [`ClanError::Timeout`] on the first exchange instead.)
-    pub fn connect_udp(addrs: &[String], spec: ClusterSpec) -> Result<EdgeCluster, ClanError> {
-        Self::connect_udp_cfg(addrs, spec, UdpConfig::default())
-    }
-
-    /// [`connect_udp`](EdgeCluster::connect_udp) with explicit datagram
-    /// tuning and optional coordinator-side fault injection.
-    ///
-    /// # Errors
-    ///
-    /// See [`connect_udp`](EdgeCluster::connect_udp).
     pub fn connect_udp_cfg(
         addrs: &[String],
         spec: ClusterSpec,
         udp: UdpConfig,
     ) -> Result<EdgeCluster, ClanError> {
-        if addrs.is_empty() {
-            return Err(ClanError::InvalidSetup {
-                reason: "cluster needs at least one agent address".into(),
-            });
-        }
-        let mut links = Vec::with_capacity(addrs.len());
-        for (i, addr) in addrs.iter().enumerate() {
-            links.push(
-                AgentLink::new(udp.transport_to(addr.as_str(), i)?, None)
-                    .with_origin(LinkOrigin::Udp(addr.clone(), udp.clone())),
-            );
-        }
-        Self::configured(
-            links,
-            spec,
-            Respawn::RemoteUdp {
-                coordinator: udp,
-                spares: VecDeque::new(),
-            },
-        )
+        let respawn = Respawn::RemoteUdp {
+            coordinator: udp,
+            spares: addrs.iter().cloned().collect(),
+        };
+        Self::founded(addrs.len(), spec, respawn)
     }
 
     /// Connects to already-running agent processes (started with
@@ -649,25 +510,10 @@ impl EdgeCluster {
     /// [`ClanError::Transport`] if any agent is unreachable, and
     /// [`ClanError::InvalidSetup`] on an empty address list.
     pub fn connect(addrs: &[String], spec: ClusterSpec) -> Result<EdgeCluster, ClanError> {
-        if addrs.is_empty() {
-            return Err(ClanError::InvalidSetup {
-                reason: "cluster needs at least one agent address".into(),
-            });
-        }
-        let mut links = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            links.push(
-                AgentLink::new(Box::new(TcpTransport::connect(addr.as_str())?), None)
-                    .with_origin(LinkOrigin::Tcp(addr.clone())),
-            );
-        }
-        Self::configured(
-            links,
-            spec,
-            Respawn::RemoteTcp {
-                spares: VecDeque::new(),
-            },
-        )
+        let respawn = Respawn::RemoteTcp {
+            spares: addrs.iter().cloned().collect(),
+        };
+        Self::founded(addrs.len(), spec, respawn)
     }
 
     /// Builds a cluster over caller-supplied transports whose agent
@@ -684,25 +530,41 @@ impl EdgeCluster {
         transports: Vec<Box<dyn Transport>>,
         spec: ClusterSpec,
     ) -> Result<EdgeCluster, ClanError> {
-        if transports.is_empty() {
-            return Err(ClanError::InvalidSetup {
-                reason: "cluster needs at least one transport".into(),
-            });
-        }
         let links = transports
             .into_iter()
-            .map(|t| AgentLink::new(t, None))
+            .map(|t| AgentLink::new(t, None, None))
             .collect();
         Self::configured(links, spec, Respawn::External)
     }
 
-    /// Pushes `Configure` to every link (control traffic: counted in
-    /// bytes, invisible to the analytic model).
+    /// Mints `n_agents` founding agents from `respawn` and configures
+    /// them.
+    fn founded(
+        n_agents: usize,
+        spec: ClusterSpec,
+        mut respawn: Respawn,
+    ) -> Result<EdgeCluster, ClanError> {
+        let links = (0..n_agents)
+            .map(|slot| Self::mint_agent(&mut respawn, slot))
+            .collect::<Result<Vec<_>, ClanError>>()?;
+        Self::configured(links, spec, respawn)
+    }
+
+    /// The one construction funnel: rejects an agent-less cluster (so
+    /// every scatter can rely on at least one link slot — slots are only
+    /// ever added afterwards) and pushes `Configure` to every link
+    /// (control traffic: counted in bytes, invisible to the analytic
+    /// model).
     fn configured(
         mut links: Vec<AgentLink>,
         spec: ClusterSpec,
         respawn: Respawn,
     ) -> Result<EdgeCluster, ClanError> {
+        if links.is_empty() {
+            return Err(ClanError::InvalidSetup {
+                reason: "cluster needs at least one agent".into(),
+            });
+        }
         let msg = WireMessage::Configure(Box::new(spec.clone()));
         let mut control_bytes = 0;
         for link in &mut links {
@@ -770,34 +632,6 @@ impl EdgeCluster {
         Ok(())
     }
 
-    /// Builder-style [`set_weights`](EdgeCluster::set_weights).
-    ///
-    /// # Errors
-    ///
-    /// See [`set_weights`](EdgeCluster::set_weights).
-    pub fn with_weights(mut self, weights: &[f64]) -> Result<EdgeCluster, ClanError> {
-        self.set_weights(weights)?;
-        Ok(self)
-    }
-
-    /// Seeds capability weights from the static platform throughput
-    /// model: each agent's weight is its platform's modeled inference
-    /// genes/second (paper Table IV calibration).
-    ///
-    /// # Errors
-    ///
-    /// See [`set_weights`](EdgeCluster::set_weights).
-    pub fn set_weights_from_platforms(
-        &mut self,
-        platforms: &[clan_hw::Platform],
-    ) -> Result<(), ClanError> {
-        let weights: Vec<f64> = platforms
-            .iter()
-            .map(|p| p.inference_genes_per_sec)
-            .collect();
-        self.set_weights(&weights)
-    }
-
     /// Enables (or disables) round-trip-time calibration: after each
     /// evaluation round, every link's weight is recalibrated toward its
     /// measured throughput (an EWMA of genomes/second), so partitions
@@ -806,12 +640,6 @@ impl EdgeCluster {
     /// sizes change, and replay is always in genome-id order.
     pub fn set_calibration(&mut self, enabled: bool) {
         self.calibrate = enabled;
-    }
-
-    /// Builder-style [`set_calibration`](EdgeCluster::set_calibration).
-    pub fn with_calibration(mut self, enabled: bool) -> EdgeCluster {
-        self.set_calibration(enabled);
-        self
     }
 
     /// The static capability weights currently configured.
@@ -865,17 +693,6 @@ impl EdgeCluster {
         self.policy = policy;
     }
 
-    /// Builder-style [`set_recovery_policy`](EdgeCluster::set_recovery_policy).
-    pub fn with_recovery_policy(mut self, policy: RecoveryPolicy) -> EdgeCluster {
-        self.set_recovery_policy(policy);
-        self
-    }
-
-    /// The recovery policy in force.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.policy
-    }
-
     /// Everything surviving churn has cost so far.
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery.clone()
@@ -927,16 +744,6 @@ impl EdgeCluster {
         Ok(())
     }
 
-    /// Builder-style [`set_churn`](EdgeCluster::set_churn).
-    ///
-    /// # Errors
-    ///
-    /// See [`set_churn`](EdgeCluster::set_churn).
-    pub fn with_churn(mut self, schedule: ChurnSchedule) -> Result<EdgeCluster, ClanError> {
-        self.set_churn(schedule)?;
-        Ok(self)
-    }
-
     /// Registers standby agent addresses a remote cluster may connect
     /// when a revival or [`admit_local`](EdgeCluster::admit_local) needs
     /// a replacement (`clan-cli coordinate --spare-at`). Consumed in
@@ -954,7 +761,7 @@ impl EdgeCluster {
             }
             _ => Err(ClanError::InvalidSetup {
                 reason: "spare agent addresses apply to remote clusters only \
-                         (connect / connect_udp)"
+                         (connect / connect_udp_cfg)"
                     .into(),
             }),
         }
@@ -969,13 +776,15 @@ impl EdgeCluster {
         }
     }
 
-    /// Mints a replacement agent for link slot `slot` from this
-    /// cluster's respawn source (unconfigured — the caller pushes
-    /// `Configure`).
-    fn mint_agent(&mut self, slot: usize) -> Result<MintedAgent, ClanError> {
-        let spawn_thread =
-            |name: String, f: Box<dyn FnOnce() + Send>| spawn_agent_thread(slot, name, f);
-        match &mut self.respawn {
+    /// Mints the agent for link slot `slot` from `respawn`, as an
+    /// unconfigured link (the caller pushes `Configure`).
+    fn mint_agent(respawn: &mut Respawn, slot: usize) -> Result<AgentLink, ClanError> {
+        let next_spare = |spares: &mut VecDeque<String>| {
+            spares.pop_front().ok_or_else(|| ClanError::InvalidSetup {
+                reason: "no spare agent addresses left (see set_spares / --spare-at)".into(),
+            })
+        };
+        match respawn {
             Respawn::External => Err(ClanError::InvalidSetup {
                 reason: "this cluster cannot mint replacement agents \
                          (caller-supplied transports)"
@@ -983,49 +792,29 @@ impl EdgeCluster {
             }),
             Respawn::Channel => {
                 let (coord, mut agent_side) = channel_pair();
-                let handle = spawn_thread(
-                    format!("clan-agent-join-{slot}"),
-                    Box::new(move || {
-                        if let Err(e) = serve_session(&mut agent_side) {
-                            eprintln!("clan-agent-join-{slot}: {e}");
-                        }
-                    }),
-                )?;
-                Ok((Box::new(coord), Some(handle), None))
+                let handle = spawn_agent_thread(slot, move || serve_session(&mut agent_side))?;
+                Ok(AgentLink::new(Box::new(coord), Some(handle), None))
             }
             Respawn::LoopbackTcp => {
                 let server = AgentServer::bind("127.0.0.1:0")?;
+                // Connect before spawning the serving thread: the pending
+                // connection waits in the listener's backlog, and a connect
+                // failure leaves no thread parked forever in accept().
                 let transport = TcpTransport::connect(server.local_addr())?;
-                let handle = spawn_thread(
-                    format!("clan-agent-join-{slot}"),
-                    Box::new(move || {
-                        if let Err(e) = server.serve_once() {
-                            eprintln!("clan-agent-join-{slot}: {e}");
-                        }
-                    }),
-                )?;
-                Ok((Box::new(transport), Some(handle), None))
+                let handle = spawn_agent_thread(slot, move || server.serve_once())?;
+                Ok(AgentLink::new(Box::new(transport), Some(handle), None))
             }
             Respawn::LoopbackUdp { coordinator, agent } => {
                 let mut server = UdpAgentServer::bind("127.0.0.1:0")?.with_config(agent.clone());
-                let addr = server.local_addr();
-                let transport = coordinator.transport_to(addr, slot)?;
-                let handle = spawn_thread(
-                    format!("clan-agent-join-{slot}"),
-                    Box::new(move || {
-                        if let Err(e) = server.serve_once() {
-                            eprintln!("clan-agent-join-{slot}: {e}");
-                        }
-                    }),
-                )?;
-                Ok((transport, Some(handle), None))
+                let transport = coordinator.transport_to(server.local_addr(), slot)?;
+                let handle = spawn_agent_thread(slot, move || server.serve_once())?;
+                Ok(AgentLink::new(transport, Some(handle), None))
             }
             Respawn::RemoteTcp { spares } => {
-                let addr = spares.pop_front().ok_or_else(|| ClanError::InvalidSetup {
-                    reason: "no spare agent addresses left (see set_spares / --spare-at)".into(),
-                })?;
-                Ok((
-                    Box::new(TcpTransport::connect(addr.as_str())?),
+                let addr = next_spare(spares)?;
+                let transport = TcpTransport::connect(addr.as_str())?;
+                Ok(AgentLink::new(
+                    Box::new(transport),
                     None,
                     Some(LinkOrigin::Tcp(addr)),
                 ))
@@ -1034,11 +823,10 @@ impl EdgeCluster {
                 coordinator,
                 spares,
             } => {
-                let addr = spares.pop_front().ok_or_else(|| ClanError::InvalidSetup {
-                    reason: "no spare agent addresses left (see set_spares / --spare-at)".into(),
-                })?;
-                Ok((
-                    coordinator.transport_to(addr.as_str(), slot)?,
+                let addr = next_spare(spares)?;
+                let transport = coordinator.transport_to(addr.as_str(), slot)?;
+                Ok(AgentLink::new(
+                    transport,
                     None,
                     Some(LinkOrigin::Udp(addr, coordinator.clone())),
                 ))
@@ -1094,20 +882,15 @@ impl EdgeCluster {
                 reason: format!("revive: no agent slot {slot}"),
             });
         }
-        let (mut transport, handle, origin) = self.mint_agent(slot)?;
+        let mut fresh = Self::mint_agent(&mut self.respawn, slot)?;
         let msg = WireMessage::Configure(Box::new(self.spec.clone()));
-        self.control_bytes += send_message(transport.as_mut(), &msg)?;
-        let link = &mut self.links[slot];
-        // Replacing the transport drops the old one; a still-running old
-        // agent observes the disconnect and ends its session quietly.
-        drop(link.handle.take());
-        link.transport = transport;
-        link.handle = handle;
-        link.health = LinkHealth::Alive;
-        link.last_error = None;
-        link.measured = None;
-        link.poisoned = false;
-        link.origin = origin;
+        self.control_bytes += send_message(fresh.transport.as_mut(), &msg)?;
+        // Same slot, same static weight; everything else starts over.
+        // Dropping the old link drops its transport: a still-running
+        // old agent observes the disconnect and ends its session
+        // quietly (its thread is detached, never joined).
+        fresh.weight = self.links[slot].weight;
+        self.links[slot] = fresh;
         self.tracer.timing(EventKind::AgentRevived, |ev| {
             ev.agent = Some(slot as u64);
         });
@@ -1139,7 +922,7 @@ impl EdgeCluster {
         }
         let msg = WireMessage::Configure(Box::new(self.spec.clone()));
         self.control_bytes += send_message(transport.as_mut(), &msg)?;
-        let mut link = AgentLink::new(transport, None);
+        let mut link = AgentLink::new(transport, None, None);
         link.weight = weight;
         self.links.push(link);
         self.recovery.joins += 1;
@@ -1148,16 +931,6 @@ impl EdgeCluster {
             ev.agent = Some(slot as u64);
         });
         Ok(slot)
-    }
-
-    /// [`admit_transport_weighted`](EdgeCluster::admit_transport_weighted)
-    /// with the default weight 1.0.
-    ///
-    /// # Errors
-    ///
-    /// See [`admit_transport_weighted`](EdgeCluster::admit_transport_weighted).
-    pub fn admit_transport(&mut self, transport: Box<dyn Transport>) -> Result<usize, ClanError> {
-        self.admit_transport_weighted(transport, 1.0)
     }
 
     /// Admits a new agent minted from this cluster's own respawn source
@@ -1171,11 +944,9 @@ impl EdgeCluster {
     /// plus any connect/configure failure.
     pub fn admit_local(&mut self) -> Result<usize, ClanError> {
         let slot = self.links.len();
-        let (mut transport, handle, origin) = self.mint_agent(slot)?;
+        let mut link = Self::mint_agent(&mut self.respawn, slot)?;
         let msg = WireMessage::Configure(Box::new(self.spec.clone()));
-        self.control_bytes += send_message(transport.as_mut(), &msg)?;
-        let mut link = AgentLink::new(transport, handle);
-        link.origin = origin;
+        self.control_bytes += send_message(link.transport.as_mut(), &msg)?;
         self.links.push(link);
         self.recovery.joins += 1;
         self.tracer.timing(EventKind::AgentJoined, |ev| {
@@ -1599,48 +1370,23 @@ impl EdgeCluster {
     /// ([`ClanError::Transport`]/[`ClanError::Timeout`]) or
     /// [`ClanError::Degraded`].
     pub fn evaluate_collect(&mut self, pop: &Population) -> Result<Vec<WireEvaluation>, ClanError> {
-        if self.links.is_empty() {
-            return Err(ClanError::InvalidSetup {
-                reason: "cluster has no live agents to evaluate on".into(),
-            });
-        }
         let master_seed = pop.master_seed();
         let generation = pop.generation();
         // Coordinator-side cache filter: hits are replayed locally and
         // only misses cross the wire. The scatter still runs (possibly
         // with zero items) so churn rounds advance on the same cadence
         // with the cache on or off.
-        let mut hits: Vec<WireEvaluation> = Vec::new();
-        let mut ids: Vec<GenomeId> = Vec::with_capacity(pop.genomes().len());
-        let mut hash_of: BTreeMap<GenomeId, u64> = BTreeMap::new();
-        match self.cache.as_mut() {
-            Some(cache) => {
-                for (id, g) in pop.genomes() {
-                    let hash = g.content_hash();
-                    match cache.lookup(master_seed, hash) {
-                        Some(c) => hits.push((*id, c.evaluation, c.genes_per_activation)),
-                        None => {
-                            ids.push(*id);
-                            hash_of.insert(*id, hash);
-                        }
-                    }
-                }
-            }
-            None => ids.extend(pop.genomes().keys().copied()),
-        }
-        let mut results = self.scatter_with_recovery(
-            &ids,
+        let (filter, misses) =
+            CacheFilter::split(self.cache.as_mut(), master_seed, pop.genomes().values());
+        let mut fresh = self.scatter_with_recovery(
+            &misses,
             MessageKind::SendGenomes,
             MessageKind::SendFitness,
             true,
             &|chunk| WireMessage::Evaluate {
                 generation,
                 master_seed,
-                genomes: chunk
-                    .iter()
-                    // clan-lint: allow(L1, reason="chunk ids come from partitioning this same population; a miss is a planner bug the process cannot recover from")
-                    .map(|id| pop.genome(*id).expect("id from population").clone())
-                    .collect(),
+                genomes: chunk.iter().map(|g| (*g).clone()).collect(),
             },
             &mut |peer, msg, chunk| {
                 let batch = match msg {
@@ -1653,7 +1399,7 @@ impl EdgeCluster {
                     }
                 };
                 if batch.len() != chunk.len()
-                    || batch.iter().zip(chunk.iter()).any(|(r, id)| r.0 != *id)
+                    || batch.iter().zip(chunk.iter()).any(|(r, g)| r.0 != g.id())
                 {
                     return Err(ClanError::Protocol {
                         peer,
@@ -1663,24 +1409,11 @@ impl EdgeCluster {
                 Ok(batch)
             },
         )?;
-        if let Some(cache) = self.cache.as_mut() {
-            for &(id, eval, gpa) in &results {
-                cache.insert(
-                    master_seed,
-                    hash_of[&id],
-                    CachedEvaluation {
-                        evaluation: eval,
-                        genes_per_activation: gpa,
-                    },
-                );
-            }
-        }
-        results.extend(hits);
-        // Results carry genome ids; replaying in id order makes the
-        // batch independent of which agent computed what (or of which
-        // came from the cache).
-        results.sort_by_key(|r| r.0);
-        Ok(results)
+        // Results carry genome ids; restoring id order (= the order the
+        // misses were submitted in) makes the batch independent of
+        // which agent computed what.
+        fresh.sort_by_key(|r| r.0);
+        Ok(filter.merge(self.cache.as_mut(), master_seed, fresh))
     }
 
     /// Drains this cluster's fitness-cache `(hits, lookups)` window.
@@ -1746,11 +1479,6 @@ impl EdgeCluster {
     ) -> Result<StreamStats, ClanError> {
         self.apply_churn()?;
         self.resync_poisoned_links();
-        if self.links.is_empty() {
-            return Err(ClanError::InvalidSetup {
-                reason: "cluster has no live agents to stream to".into(),
-            });
-        }
         let floor = self.policy.min_agents.max(1);
         let EdgeCluster {
             links,
@@ -2003,11 +1731,6 @@ impl EdgeCluster {
         pop: &Population,
         plan: &clan_neat::GenerationPlan,
     ) -> Result<Vec<Genome>, ClanError> {
-        if self.links.is_empty() {
-            return Err(ClanError::InvalidSetup {
-                reason: "cluster has no live agents to reproduce on".into(),
-            });
-        }
         let children = self.scatter_with_recovery(
             &plan.children,
             MessageKind::SendParentGenomes,
@@ -2074,53 +1797,6 @@ impl EdgeCluster {
             .collect()
     }
 
-    /// Runs one full DCS-style generation over the real cluster:
-    /// distributed inference, then central evolution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport and NEAT failures.
-    pub fn step_dcs_generation(&mut self, pop: &mut Population) -> Result<f64, ClanError> {
-        self.evaluate(pop)?;
-        let best = pop
-            .best()
-            .and_then(Genome::fitness)
-            .ok_or_else(|| ClanError::InvalidSetup {
-                reason: "no evaluated fitness in population after evaluate()".into(),
-            })?;
-        crate::orchestra::central_evolution(pop)?;
-        Ok(best)
-    }
-
-    /// Runs one full DDS-style generation: distributed inference,
-    /// central speciation/planning, distributed reproduction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport and NEAT failures.
-    pub fn step_dds_generation(&mut self, pop: &mut Population) -> Result<f64, ClanError> {
-        self.evaluate(pop)?;
-        let best = pop
-            .best()
-            .and_then(Genome::fitness)
-            .ok_or_else(|| ClanError::InvalidSetup {
-                reason: "no evaluated fitness in population after evaluate()".into(),
-            })?;
-        pop.speciate();
-        match pop.plan_generation() {
-            Ok(plan) => {
-                let children = self.build_children(pop, &plan)?;
-                for child in &children {
-                    pop.counters_mut().record_reproduction(child.num_genes());
-                }
-                pop.install_next_generation(children);
-            }
-            Err(clan_neat::NeatError::Extinction) => pop.reset_population(),
-            Err(e) => return Err(e.into()),
-        }
-        Ok(best)
-    }
-
     /// Stops all agents (best-effort `Shutdown`) and joins in-process
     /// agent threads.
     pub fn shutdown(mut self) {
@@ -2158,6 +1834,9 @@ impl Drop for EdgeCluster {
 mod tests {
     use super::*;
     use crate::evaluator::Evaluator;
+    use crate::orchestra::Orchestrator;
+    use crate::{DcsOrchestrator, DdsOrchestrator, SerialOrchestrator};
+    use clan_distsim::Cluster;
 
     fn cfg(pop: usize) -> NeatConfig {
         let w = Workload::CartPole;
@@ -2182,13 +1861,56 @@ mod tests {
         EdgeCluster::spawn_spec(n, uncached_spec(cfg)).unwrap()
     }
 
+    fn tcp_spec(cfg: &NeatConfig) -> ClusterSpec {
+        ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
+    }
+
     fn spawn_both(n: usize, cfg: &NeatConfig) -> Vec<EdgeCluster> {
         vec![
             EdgeCluster::spawn(n, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
                 .expect("channel cluster spawns"),
-            EdgeCluster::spawn_local(n, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .expect("loopback cluster binds"),
+            EdgeCluster::spawn_local_spec(n, tcp_spec(cfg)).expect("loopback cluster binds"),
         ]
+    }
+
+    fn sim(agents: usize) -> Cluster {
+        Cluster::homogeneous(
+            clan_hw::Platform::raspberry_pi(),
+            agents,
+            clan_netsim::WifiModel::default(),
+        )
+    }
+
+    fn evaluator_over(cluster: EdgeCluster) -> Evaluator {
+        Evaluator::new(Workload::CartPole, InferenceMode::MultiStep).with_remote(cluster)
+    }
+
+    /// A DCS run of `(cfg, seed)` whose inference crosses `cluster`.
+    fn dcs_over(cluster: EdgeCluster, cfg: &NeatConfig, seed: u64) -> DcsOrchestrator {
+        DcsOrchestrator::new(
+            Population::new(cfg.clone(), seed),
+            evaluator_over(cluster),
+            sim(3),
+        )
+    }
+
+    /// A DDS run of `(cfg, seed)` whose inference and reproduction
+    /// cross `cluster`.
+    fn dds_over(cluster: EdgeCluster, cfg: &NeatConfig, seed: u64) -> DdsOrchestrator {
+        DdsOrchestrator::new(
+            Population::new(cfg.clone(), seed),
+            evaluator_over(cluster),
+            sim(3),
+        )
+    }
+
+    /// The purely local reference run.
+    fn serial(cfg: &NeatConfig, seed: u64) -> SerialOrchestrator {
+        SerialOrchestrator::new(
+            Population::new(cfg.clone(), seed),
+            Evaluator::new(Workload::CartPole, InferenceMode::MultiStep),
+            sim(1),
+        )
     }
 
     #[test]
@@ -2216,59 +1938,48 @@ mod tests {
     #[test]
     fn real_dcs_generations_match_serial_evolution() {
         let cfg = cfg(12);
-        let mut cluster =
+        let cluster =
             EdgeCluster::spawn(3, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
                 .unwrap();
-        let mut real = Population::new(cfg.clone(), 5);
-        let mut serial = Population::new(cfg.clone(), 5);
-        let mut ev = Evaluator::new(Workload::CartPole, InferenceMode::MultiStep);
+        let mut real = dcs_over(cluster, &cfg, 5);
+        let mut reference = serial(&cfg, 5);
         for _ in 0..3 {
-            let real_best = cluster.step_dcs_generation(&mut real).unwrap();
-            crate::orchestra::evaluate_partitioned(&mut serial, &mut ev, &[12]).unwrap();
-            let serial_best = serial.best().and_then(Genome::fitness).unwrap();
-            crate::orchestra::central_evolution(&mut serial).unwrap();
-            assert_eq!(real_best, serial_best);
+            let a = real.step_generation().unwrap();
+            let b = reference.step_generation().unwrap();
+            assert_eq!(a.best_fitness, b.best_fitness);
         }
-        assert_eq!(real.genomes(), serial.genomes());
-        cluster.shutdown();
+        assert_eq!(
+            real.population().genomes(),
+            reference.population().genomes()
+        );
     }
 
     #[test]
     fn real_dds_generations_match_serial_evolution_over_tcp() {
         let cfg = cfg(12);
-        let mut cluster =
-            EdgeCluster::spawn_local(3, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap();
-        let mut real = Population::new(cfg.clone(), 6);
-        let mut serial = Population::new(cfg.clone(), 6);
-        let mut ev = Evaluator::new(Workload::CartPole, InferenceMode::MultiStep);
+        let cluster = EdgeCluster::spawn_local_spec(3, tcp_spec(&cfg)).unwrap();
+        let mut real = dds_over(cluster, &cfg, 6);
+        let mut reference = serial(&cfg, 6);
         for _ in 0..3 {
-            cluster.step_dds_generation(&mut real).unwrap();
-            crate::orchestra::evaluate_partitioned(&mut serial, &mut ev, &[12]).unwrap();
-            crate::orchestra::central_evolution(&mut serial).unwrap();
+            real.step_generation().unwrap();
+            reference.step_generation().unwrap();
         }
-        assert_eq!(real.genomes(), serial.genomes());
+        assert_eq!(
+            real.population().genomes(),
+            reference.population().genomes()
+        );
+        let wire = real.transport_ledger().unwrap();
         assert!(
-            cluster
-                .ledger()
-                .entry(MessageKind::SendParentGenomes)
-                .messages
-                > 0,
+            wire.entry(MessageKind::SendParentGenomes).messages > 0,
             "DDS must ship parents over the wire"
         );
-        cluster.shutdown();
     }
 
     #[test]
     fn ledger_measures_real_bytes_above_model() {
         let cfg = cfg(10);
-        let mut cluster = EdgeCluster::spawn_local(
-            2,
-            Workload::CartPole,
-            InferenceMode::SingleStep,
-            cfg.clone(),
-        )
-        .unwrap();
+        let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::SingleStep, cfg.clone());
+        let mut cluster = EdgeCluster::spawn_local_spec(2, spec).unwrap();
         let mut pop = Population::new(cfg, 3);
         cluster.evaluate(&mut pop).unwrap();
         let ledger = cluster.ledger();
@@ -2315,6 +2026,18 @@ mod tests {
             Err(ClanError::InvalidSetup { .. })
         ));
         assert!(matches!(
+            EdgeCluster::spawn_local_udp_cfg(0, spec.clone(), UdpConfig::default()),
+            Err(ClanError::InvalidSetup { .. })
+        ));
+        assert!(matches!(
+            EdgeCluster::connect(&[], spec.clone()),
+            Err(ClanError::InvalidSetup { .. })
+        ));
+        assert!(matches!(
+            EdgeCluster::connect_udp_cfg(&[], spec.clone(), UdpConfig::default()),
+            Err(ClanError::InvalidSetup { .. })
+        ));
+        assert!(matches!(
             EdgeCluster::connect_transports(vec![], spec),
             Err(ClanError::InvalidSetup { .. })
         ));
@@ -2354,9 +2077,8 @@ mod tests {
                 .unwrap();
         let mut skewed =
             EdgeCluster::spawn(4, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap()
-                .with_weights(&[1.0, 5.0, 2.0, 8.0])
                 .unwrap();
+        skewed.set_weights(&[1.0, 5.0, 2.0, 8.0]).unwrap();
         assert_eq!(fitness_of(&mut even), fitness_of(&mut skewed));
         // The heavy agent carried more genome traffic than the light one.
         let rows = skewed.ledger().agent_entries();
@@ -2371,26 +2093,24 @@ mod tests {
     #[test]
     fn calibration_measures_throughput_and_keeps_results_identical() {
         let cfg = cfg(12);
-        let mut plain =
-            EdgeCluster::spawn(3, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap();
-        let mut calibrated =
+        let spawn = || {
             EdgeCluster::spawn(3, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
                 .unwrap()
-                .with_calibration(true);
-        let mut a = Population::new(cfg.clone(), 9);
-        let mut b = Population::new(cfg.clone(), 9);
+        };
+        let mut calibrated = spawn();
+        calibrated.set_calibration(true);
+        let mut a = dcs_over(spawn(), &cfg, 9);
+        let mut b = dcs_over(calibrated, &cfg, 9);
         for _ in 0..3 {
-            plain.step_dcs_generation(&mut a).unwrap();
-            calibrated.step_dcs_generation(&mut b).unwrap();
+            a.step_generation().unwrap();
+            b.step_generation().unwrap();
         }
-        assert_eq!(a.genomes(), b.genomes());
+        assert_eq!(a.population().genomes(), b.population().genomes());
         // After a round, every link has a measured throughput and the
         // effective weights switched to it.
+        let calibrated = b.evaluator_mut().remote_cluster_mut().unwrap();
         assert!(calibrated.effective_weights().iter().all(|w| *w > 0.0));
         assert_ne!(calibrated.effective_weights(), calibrated.weights());
-        plain.shutdown();
-        calibrated.shutdown();
     }
 
     #[test]
@@ -2467,14 +2187,12 @@ mod tests {
             if let Some(plan) = churn {
                 cluster.set_churn(plan).unwrap();
             }
-            let mut pop = Population::new(cfg.clone(), 23);
+            let mut o = dcs_over(cluster, &cfg, 23);
             for _ in 0..4 {
-                cluster.step_dcs_generation(&mut pop).unwrap();
+                o.step_generation().unwrap();
             }
-            let genomes = pop.genomes().clone();
-            let stats = cluster.recovery_stats();
-            cluster.shutdown();
-            (genomes, stats)
+            let stats = o.recovery_stats().unwrap();
+            (o.population().genomes().clone(), stats)
         };
         let (clean, clean_stats) = run(None);
         let (churned, stats) = run(Some(ChurnSchedule::new().kill(2, 1).revive(2, 3)));
@@ -2499,14 +2217,12 @@ mod tests {
             if let Some(plan) = churn {
                 cluster.set_churn(plan).unwrap();
             }
-            let mut pop = Population::new(cfg.clone(), 37);
+            let mut o = dds_over(cluster, &cfg, 37);
             for _ in 0..3 {
-                cluster.step_dds_generation(&mut pop).unwrap();
+                o.step_generation().unwrap();
             }
-            let genomes = pop.genomes().clone();
-            let stats = cluster.recovery_stats();
-            cluster.shutdown();
-            (genomes, stats)
+            let stats = o.recovery_stats().unwrap();
+            (o.population().genomes().clone(), stats)
         };
         let (clean, _) = run(None);
         // Round 1 is generation 0's build_children scatter.
@@ -2642,8 +2358,8 @@ mod tests {
         // min_agents 2 refuses to continue on the lone survivor.
         let mut strict =
             EdgeCluster::spawn(2, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap()
-                .with_recovery_policy(RecoveryPolicy::default().with_min_agents(2));
+                .unwrap();
+        strict.set_recovery_policy(RecoveryPolicy::default().with_min_agents(2));
         strict.kill_agent(1).unwrap();
         let err = strict.evaluate(&mut pop).unwrap_err();
         assert!(

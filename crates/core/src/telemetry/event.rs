@@ -44,8 +44,9 @@ pub enum EventKind {
     GenerationEnd,
     /// Async steady-state: a genome was put in flight on an agent.
     Dispatch,
-    /// Async steady-state: an evaluation finished (mirrors one
-    /// `--event-log` line; `aseq` is that log's `e=` index).
+    /// Async steady-state: an evaluation finished (`aseq` is its
+    /// position in completion order; the fields are what
+    /// `AsyncStats::event_log_hash` folds).
     Completion,
     /// Async steady-state: a child was inserted into the population.
     Insertion,
@@ -138,7 +139,7 @@ pub struct TraceEvent {
     pub cache_hits: Option<u64>,
     /// Fitness-cache lookups in the window (`GenerationEnd`).
     pub cache_lookups: Option<u64>,
-    /// Async event-log sequence (`e=` index) for `Completion` events.
+    /// Completion-order sequence number of `Completion` events.
     pub aseq: Option<u64>,
     /// Inserted child's genome id (`Completion`/`Insertion`).
     pub child: Option<u64>,
@@ -247,35 +248,6 @@ impl TraceEvent {
             line.push_str(&format!(" n={n}"));
         }
         Some(line)
-    }
-
-    /// For async `Completion` events: the exact `--event-log` line the
-    /// same completion produced (PR 7 format), letting a trace be
-    /// checked as a strict superset of the event log.
-    pub fn async_log_line(&self) -> Option<String> {
-        if self.kind != EventKind::Completion {
-            return None;
-        }
-        let (aseq, vtime, agent, genome, fitness) = (
-            self.aseq?,
-            self.vtime_us?,
-            self.agent?,
-            self.genome?,
-            self.fitness_bits?,
-        );
-        let tail = match (self.child, self.p1, self.p2) {
-            (Some(c), Some(p1), Some(p2)) => {
-                let evicted = match self.evicted {
-                    Some(e) => e.to_string(),
-                    None => "-".into(),
-                };
-                format!("child={c} evicted={evicted} p={p1},{p2}")
-            }
-            _ => "child=- evicted=- p=-".into(),
-        };
-        Some(format!(
-            "e={aseq} t={vtime}us a={agent} g={genome} f={fitness:#018X} {tail}"
-        ))
     }
 }
 
@@ -553,28 +525,6 @@ mod tests {
         let text = trace.logical_text();
         assert_eq!(text, "l=0 k=gen_start gen=0\n");
         assert_ne!(trace.logical_hash(), LOGICAL_HASH_SEED);
-    }
-
-    #[test]
-    fn async_log_line_round_trips_format() {
-        let mut ev = TraceEvent::base(Determinism::Logical, EventKind::Completion);
-        ev.aseq = Some(3);
-        ev.vtime_us = Some(4200);
-        ev.agent = Some(1);
-        ev.genome = Some(17);
-        ev.fitness_bits = Some(0x40590000_00000000);
-        ev.child = Some(21);
-        ev.p1 = Some(17);
-        ev.p2 = Some(4);
-        assert_eq!(
-            ev.async_log_line().unwrap(),
-            "e=3 t=4200us a=1 g=17 f=0x4059000000000000 child=21 evicted=- p=17,4"
-        );
-        ev.child = None;
-        assert_eq!(
-            ev.async_log_line().unwrap(),
-            "e=3 t=4200us a=1 g=17 f=0x4059000000000000 child=- evicted=- p=-"
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Trace exporters: JSONL (one event per line, a machine-readable
-//! superset of the async `--event-log`) and Chrome trace-event JSON
-//! (per-agent tracks, loadable in `chrome://tracing` or Perfetto).
+//! Trace exporters: JSONL (one machine-readable event per line) and
+//! Chrome trace-event JSON (per-agent tracks, loadable in
+//! `chrome://tracing` or Perfetto).
 
 use super::event::{RunTrace, TraceEvent};
 use serde::{Deserialize, Serialize};

@@ -27,9 +27,8 @@
 //! enabled, so instrumented hot paths cost one branch when tracing is
 //! off. The driver installs one tracer per run; the evaluator, the
 //! edge runtime, and the orchestrators all record into it, and the
-//! result is exported as JSONL ([`to_jsonl`], a superset of the async
-//! `--event-log`) or Chrome trace-event JSON ([`to_chrome_json`],
-//! per-agent tracks viewable in Perfetto).
+//! result is exported as JSONL ([`to_jsonl`]) or Chrome trace-event
+//! JSON ([`to_chrome_json`], per-agent tracks viewable in Perfetto).
 
 pub mod clock;
 mod event;

@@ -588,6 +588,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    #[test]
+    fn spec_from_a_peer_predating_the_engine_fields_gets_the_engine_defaults() {
+        use serde::{Deserialize, Serialize, Value};
+        let cfg = NeatConfig::builder(4, 2).build().unwrap();
+        let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, cfg).with_engine(
+            EngineOptions {
+                batch_lanes: 7,
+                cache: false,
+            },
+        );
+        let Value::Map(mut entries) = spec.to_value() else {
+            panic!("named structs serialize as maps");
+        };
+        entries.retain(|(key, _)| key != "batch_lanes" && key != "cache");
+        let decoded = ClusterSpec::from_value(&Value::Map(entries)).unwrap();
+        // `#[serde(default = "path")]`, not `Default::default()`: an old
+        // peer's spec means "engine defaults", never 0 lanes / no cache.
+        assert_eq!(decoded.batch_lanes, EngineOptions::default().batch_lanes);
+        assert_eq!(decoded.cache, EngineOptions::default().cache);
+        assert_eq!((decoded.batch_lanes, decoded.cache), (32, true));
+    }
+
     fn sample_genomes(n: usize) -> (NeatConfig, Vec<Genome>) {
         let cfg = NeatConfig::builder(4, 2)
             .population_size(8)

@@ -10,7 +10,7 @@
 //! - [`TcpTransport`] — length-prefixed frames over `std::net`
 //!   sockets, connecting real processes on real machines (or loopback
 //!   agents spawned by
-//!   [`EdgeCluster::spawn_local`](crate::runtime::EdgeCluster::spawn_local)).
+//!   [`EdgeCluster::spawn_local_spec`](crate::runtime::EdgeCluster::spawn_local_spec)).
 //!
 //! Both move the *same encoded bytes*, so byte accounting, determinism,
 //! and malformed-frame behavior are identical regardless of transport:

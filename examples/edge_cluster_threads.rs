@@ -13,9 +13,12 @@
 //! ```
 
 use clan::core::runtime::EdgeCluster;
-use clan::core::InferenceMode;
+use clan::core::{DdsOrchestrator, Evaluator, InferenceMode, Orchestrator};
+use clan::distsim::Cluster;
 use clan::envs::Workload;
+use clan::hw::Platform;
 use clan::neat::{NeatConfig, Population};
+use clan::netsim::WifiModel;
 use std::time::Instant;
 
 const GENERATIONS: u64 = 6;
@@ -42,19 +45,22 @@ fn main() {
         w.name()
     );
 
-    // Distributed run over real threads.
-    let mut cluster = EdgeCluster::spawn(agents, w, InferenceMode::MultiStep, cfg.clone())
+    // Distributed run over real threads: the DDS orchestrator ships
+    // both `Evaluate` and `BuildChildren` frames through the cluster
+    // attached to its evaluator.
+    let cluster = EdgeCluster::spawn(agents, w, InferenceMode::MultiStep, cfg.clone())
         .expect("cluster spawns");
-    let mut distributed = Population::new(cfg.clone(), 99);
+    let mut distributed = DdsOrchestrator::new(
+        Population::new(cfg.clone(), 99),
+        Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster),
+        Cluster::homogeneous(Platform::raspberry_pi(), agents, WifiModel::default()),
+    );
     let t0 = Instant::now();
     for gen in 0..GENERATIONS {
-        let best = cluster
-            .step_dds_generation(&mut distributed)
-            .expect("cluster step");
-        println!("gen {gen}: best fitness {best:.1}");
+        let report = distributed.step_generation().expect("cluster step");
+        println!("gen {gen}: best fitness {:.1}", report.best_fitness);
     }
     let t_dist = t0.elapsed();
-    cluster.shutdown();
 
     // The same evolution, serially.
     let mut serial = Population::new(cfg.clone(), 99);
@@ -80,7 +86,7 @@ fn main() {
     }
     let t_serial = t0.elapsed();
 
-    let identical = serial.genomes() == distributed.genomes();
+    let identical = serial.genomes() == distributed.population().genomes();
     println!("\nserial wall-clock:      {t_serial:?}");
     println!("distributed wall-clock: {t_dist:?} ({agents} threads)");
     println!(

@@ -10,13 +10,21 @@
 //! - named-field structs (with optional per-field
 //!   `#[serde(serialize_with = "...", deserialize_with = "...")]`,
 //!   `#[serde(skip)]`, `#[serde(rename = "...")]` for wire keys that
-//!   are Rust keywords, and `#[serde(default)]` for fields added after
-//!   older reports were written)
+//!   are Rust keywords, and `#[serde(default)]` /
+//!   `#[serde(default = "path")]` for fields added after older reports
+//!   were written)
 //! - tuple structs (newtype ids like `GenomeId(pub u64)`)
 //! - unit structs
 //! - enums with unit, newtype/tuple, and struct variants
 //! - generic parameters get a `serde::Serialize`/`serde::Deserialize`
 //!   bound appended
+//!
+//! Anything else inside `#[serde(...)]` — an unknown key on a named
+//! field, or any key at all on a container, a variant, a tuple field or
+//! a struct-variant field, where this shim implements none — is a
+//! compile error rather than a silent skip: real serde would change the
+//! wire format there, and a derive that ignores the request decodes
+//! the wrong values without a word.
 //!
 //! Encoding: named structs become string-keyed maps; newtype structs are
 //! transparent; tuple structs become sequences; unit enum variants
@@ -31,6 +39,12 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 struct Field {
     name: String,
+    attrs: FieldAttrs,
+}
+
+/// What a named field's `#[serde(...)]` attributes asked for.
+#[derive(Debug, Default, PartialEq)]
+struct FieldAttrs {
     serialize_with: Option<String>,
     deserialize_with: Option<String>,
     /// `#[serde(skip)]`: omitted when serializing, `Default::default()`
@@ -39,16 +53,59 @@ struct Field {
     /// `#[serde(rename = "...")]`: the wire key to use instead of the
     /// field name (e.g. Rust keywords like `async`).
     rename: Option<String>,
-    /// `#[serde(default)]`: `Default::default()` when the key is absent
-    /// (older serialized reports stay readable after a field is added).
-    default: bool,
+    /// What an absent key decodes to (older serialized reports stay
+    /// readable after a field is added).
+    default: FieldDefault,
+}
+
+/// How a named field decodes when its key is absent.
+#[derive(Debug, Default, PartialEq)]
+enum FieldDefault {
+    /// No `default`: an absent key is an error.
+    #[default]
+    Required,
+    /// `#[serde(default)]`: `Default::default()`.
+    Trait,
+    /// `#[serde(default = "path")]`: the value `path()` returns.
+    Path(String),
 }
 
 impl Field {
     /// The key this field uses on the wire.
     fn key(&self) -> &str {
-        self.rename.as_deref().unwrap_or(&self.name)
+        self.attrs.rename.as_deref().unwrap_or(&self.name)
     }
+}
+
+/// One token of a `#[serde(...)]` body, reduced to what the key parser
+/// reads — `proc_macro` tokens only exist inside a macro expansion, so
+/// this is also what lets the parser be unit-tested.
+#[derive(Debug, Clone, PartialEq)]
+enum AttrTok {
+    Ident(String),
+    Punct(char),
+    /// A string literal, quotes stripped.
+    Str(String),
+    /// Anything else (groups, other literals): never valid here.
+    Other(String),
+}
+
+fn attr_tokens(stream: TokenStream) -> Vec<AttrTok> {
+    stream
+        .into_iter()
+        .map(|t| match t {
+            TokenTree::Ident(id) => AttrTok::Ident(id.to_string()),
+            TokenTree::Punct(p) => AttrTok::Punct(p.as_char()),
+            TokenTree::Literal(l) => {
+                let text = l.to_string();
+                match text.strip_prefix('"').and_then(|t| t.strip_suffix('"')) {
+                    Some(inner) => AttrTok::Str(inner.to_string()),
+                    None => AttrTok::Other(text),
+                }
+            }
+            other => AttrTok::Other(other.to_string()),
+        })
+        .collect()
 }
 
 enum VariantKind {
@@ -171,14 +228,22 @@ impl Cursor {
     }
 
     /// Consumes attributes, collecting serde attribute contents.
-    fn eat_attributes(&mut self) -> Vec<TokenStream> {
+    fn eat_attributes(&mut self) -> Vec<Vec<AttrTok>> {
         let mut serde_attrs = Vec::new();
         while let Some(attr) = self.eat_attribute() {
             if let Some(content) = attr {
-                serde_attrs.push(content);
+                serde_attrs.push(attr_tokens(content));
             }
         }
         serde_attrs
+    }
+
+    /// Consumes attributes at a position where this shim implements no
+    /// serde key at all (`site` names it for the error).
+    fn eat_attributes_rejecting_serde(&mut self, site: &str) {
+        if let Err(e) = reject_serde_attrs(&self.eat_attributes(), site) {
+            panic!("{e}");
+        }
     }
 
     /// Consumes a visibility qualifier (`pub`, `pub(crate)`, ...).
@@ -253,55 +318,64 @@ fn push_param(params: &mut Vec<String>, args: &mut Vec<String>, current: &mut St
     current.clear();
 }
 
-/// Extracts `serialize_with` / `deserialize_with` / `rename` paths and
-/// the `skip` / `default` markers from serde attribute contents.
-fn parse_field_attrs(
-    attrs: &[TokenStream],
-) -> (Option<String>, Option<String>, bool, Option<String>, bool) {
-    let mut ser = None;
-    let mut de = None;
-    let mut skip = false;
-    let mut rename = None;
-    let mut default = false;
+/// Parses the `#[serde(...)]` bodies of one named field: a
+/// comma-separated list of `key` and `key = "string"` entries.
+///
+/// # Errors
+///
+/// A message naming the offending key when it is one this shim does not
+/// implement, or when an entry is malformed.
+fn parse_field_attrs(attrs: &[Vec<AttrTok>]) -> Result<FieldAttrs, String> {
+    let mut out = FieldAttrs::default();
     for attr in attrs {
-        let tokens: Vec<TokenTree> = attr.clone().into_iter().collect();
-        let mut i = 0;
-        while i < tokens.len() {
-            if let TokenTree::Ident(id) = &tokens[i] {
-                let key = id.to_string();
-                if key == "skip" {
-                    skip = true;
-                    i += 1;
-                    continue;
+        for entry in attr.split(|t| *t == AttrTok::Punct(',')) {
+            let (key, value) = match entry {
+                [] => continue, // trailing comma
+                [AttrTok::Ident(key)] => (key.as_str(), None),
+                [AttrTok::Ident(key), AttrTok::Punct('='), AttrTok::Str(value)] => {
+                    (key.as_str(), Some(value.clone()))
                 }
-                if key == "default" {
-                    default = true;
-                    i += 1;
-                    continue;
-                }
-                if key == "serialize_with" || key == "deserialize_with" || key == "rename" {
-                    // ident '=' "string"
-                    let lit = match tokens.get(i + 2) {
-                        Some(TokenTree::Literal(l)) => l.to_string(),
-                        other => panic!("expected string after {key} =, got {other:?}"),
-                    };
-                    let path = lit.trim_matches('"').to_string();
-                    match key.as_str() {
-                        "serialize_with" => ser = Some(path),
-                        "deserialize_with" => de = Some(path),
-                        _ => rename = Some(path),
-                    }
-                    i += 3;
-                    continue;
+                other => return Err(format!("malformed serde attribute entry: {other:?}")),
+            };
+            match (key, value) {
+                ("skip", None) => out.skip = true,
+                ("default", None) => out.default = FieldDefault::Trait,
+                ("default", Some(path)) => out.default = FieldDefault::Path(path),
+                ("serialize_with", Some(path)) => out.serialize_with = Some(path),
+                ("deserialize_with", Some(path)) => out.deserialize_with = Some(path),
+                ("rename", Some(name)) => out.rename = Some(name),
+                (key, _) => {
+                    return Err(format!(
+                        "serde attribute `{key}` is not implemented by the vendored \
+                         serde_derive shim (fields support skip, default, default = \
+                         \"path\", rename = \"..\", serialize_with = \"..\", \
+                         deserialize_with = \"..\")"
+                    ))
                 }
             }
-            i += 1;
         }
     }
-    (ser, de, skip, rename, default)
+    Ok(out)
 }
 
-/// Parses named fields from the `{ ... }` group of a struct or variant.
+/// Rejects every serde attribute at a position where the shim
+/// implements none (containers, variants, tuple fields, struct-variant
+/// fields).
+///
+/// # Errors
+///
+/// A message naming `site` when any `#[serde(...)]` is present.
+fn reject_serde_attrs(attrs: &[Vec<AttrTok>], site: &str) -> Result<(), String> {
+    match attrs.first() {
+        None => Ok(()),
+        Some(tokens) => Err(format!(
+            "#[serde(...)] on {site} is not implemented by the vendored serde_derive \
+             shim (got {tokens:?}); it would be silently ignored"
+        )),
+    }
+}
+
+/// Parses named fields from the `{ ... }` group of a struct.
 fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut cur = Cursor::new(stream);
     let mut fields = Vec::new();
@@ -317,16 +391,9 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             other => panic!("expected `:` after field `{name}`, got {other:?}"),
         }
         skip_type(&mut cur);
-        let (serialize_with, deserialize_with, skip, rename, default) =
-            parse_field_attrs(&serde_attrs);
-        fields.push(Field {
-            name,
-            serialize_with,
-            deserialize_with,
-            skip,
-            rename,
-            default,
-        });
+        let attrs =
+            parse_field_attrs(&serde_attrs).unwrap_or_else(|e| panic!("field `{name}`: {e}"));
+        fields.push(Field { name, attrs });
     }
     fields
 }
@@ -355,7 +422,7 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
     let mut cur = Cursor::new(stream);
     let mut count = 0;
     while !cur.at_end() {
-        cur.eat_attributes();
+        cur.eat_attributes_rejecting_serde("a tuple field");
         cur.eat_visibility();
         if cur.at_end() {
             break;
@@ -370,7 +437,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
     let mut cur = Cursor::new(stream);
     let mut variants = Vec::new();
     while !cur.at_end() {
-        cur.eat_attributes();
+        cur.eat_attributes_rejecting_serde("an enum variant");
         let name = match cur.next() {
             Some(TokenTree::Ident(id)) => id.to_string(),
             other => panic!("expected variant name, got {other:?}"),
@@ -384,6 +451,9 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let fields = parse_named_fields(g.stream());
                 cur.next();
+                if fields.iter().any(|f| f.attrs != FieldAttrs::default()) {
+                    panic!("#[serde(...)] on a field of struct variant `{name}` is not implemented by the vendored serde_derive shim; it would be silently ignored");
+                }
                 VariantKind::Struct(fields.into_iter().map(|f| f.name).collect())
             }
             _ => VariantKind::Unit,
@@ -405,7 +475,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 fn parse_item(input: TokenStream) -> Item {
     let mut cur = Cursor::new(input);
-    cur.eat_attributes();
+    cur.eat_attributes_rejecting_serde("a struct or enum");
     cur.eat_visibility();
     let keyword = match cur.next() {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -455,10 +525,10 @@ fn gen_serialize(item: &Item) -> String {
         Shape::NamedStruct(fields) => {
             let mut pushes = String::new();
             for f in fields {
-                if f.skip {
+                if f.attrs.skip {
                     continue;
                 }
-                let expr = match &f.serialize_with {
+                let expr = match &f.attrs.serialize_with {
                     Some(path) => format!("{path}(&self.{})", f.name),
                     None => format!("serde::Serialize::to_value(&self.{})", f.name),
                 };
@@ -539,24 +609,28 @@ fn gen_deserialize(item: &Item) -> String {
         Shape::NamedStruct(fields) => {
             let mut inits = String::new();
             for f in fields {
-                let expr = if f.skip {
+                let expr = if f.attrs.skip {
                     "Default::default()".to_string()
                 } else {
-                    let from = |value: &str| match &f.deserialize_with {
+                    let from = |value: &str| match &f.attrs.deserialize_with {
                         Some(path) => format!("{path}({value})?"),
                         None => format!("serde::Deserialize::from_value({value})?"),
                     };
-                    if f.default {
-                        format!(
+                    let absent = match &f.attrs.default {
+                        FieldDefault::Required => None,
+                        FieldDefault::Trait => Some("Default::default()".to_string()),
+                        FieldDefault::Path(path) => Some(format!("{path}()")),
+                    };
+                    match absent {
+                        Some(absent) => format!(
                             "match serde::field(__m, \"{n}\") {{\n\
                                  Ok(__f) => {e},\n\
-                                 Err(_) => Default::default(),\n\
+                                 Err(_) => {absent},\n\
                              }}",
                             n = f.key(),
                             e = from("__f")
-                        )
-                    } else {
-                        from(&format!("serde::field(__m, \"{n}\")?", n = f.key()))
+                        ),
+                        None => from(&format!("serde::field(__m, \"{n}\")?", n = f.key())),
                     }
                 };
                 inits.push_str(&format!("{n}: {expr},\n", n = f.name));
@@ -681,4 +755,79 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     gen_deserialize(&item)
         .parse()
         .expect("generated Deserialize impl must parse")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ident(s: &str) -> AttrTok {
+        AttrTok::Ident(s.to_string())
+    }
+
+    fn assign(key: &str, value: &str) -> Vec<AttrTok> {
+        vec![ident(key), AttrTok::Punct('='), AttrTok::Str(value.into())]
+    }
+
+    #[test]
+    fn default_with_a_path_is_kept_apart_from_bare_default() {
+        let bare = parse_field_attrs(&[vec![ident("default")]]).unwrap();
+        assert_eq!(bare.default, FieldDefault::Trait);
+        let path = parse_field_attrs(&[assign("default", "default_batch_lanes")]).unwrap();
+        assert_eq!(
+            path.default,
+            FieldDefault::Path("default_batch_lanes".into())
+        );
+        assert_eq!(
+            parse_field_attrs(&[]).unwrap().default,
+            FieldDefault::Required
+        );
+    }
+
+    #[test]
+    fn every_implemented_field_key_parses_in_one_list() {
+        let mut list = assign("rename", "async");
+        list.push(AttrTok::Punct(','));
+        list.push(ident("default"));
+        list.push(AttrTok::Punct(','));
+        list.extend(assign("serialize_with", "a::b"));
+        list.push(AttrTok::Punct(','));
+        list.extend(assign("deserialize_with", "c::d"));
+        list.push(AttrTok::Punct(','));
+        let attrs = parse_field_attrs(&[list, vec![ident("skip")]]).unwrap();
+        assert_eq!(
+            attrs,
+            FieldAttrs {
+                serialize_with: Some("a::b".into()),
+                deserialize_with: Some("c::d".into()),
+                skip: true,
+                rename: Some("async".into()),
+                default: FieldDefault::Trait,
+            }
+        );
+    }
+
+    #[test]
+    fn unknown_field_key_is_rejected_by_name() {
+        let err = parse_field_attrs(&[vec![ident("flatten")]]).unwrap_err();
+        assert!(err.contains("`flatten`"), "{err}");
+        let err = parse_field_attrs(&[assign("alias", "old_name")]).unwrap_err();
+        assert!(err.contains("`alias`"), "{err}");
+        // A known key in the wrong form is just as unimplemented.
+        assert!(parse_field_attrs(&[assign("skip", "yes")]).is_err());
+        assert!(parse_field_attrs(&[vec![ident("rename")]]).is_err());
+        // So is anything that is not `key` or `key = "string"`.
+        let garbled = vec![ident("default"), AttrTok::Punct('='), ident("path")];
+        assert!(parse_field_attrs(&[garbled]).is_err());
+    }
+
+    #[test]
+    fn any_key_is_rejected_where_no_key_is_implemented() {
+        assert!(reject_serde_attrs(&[], "a struct or enum").is_ok());
+        let err = reject_serde_attrs(&[assign("rename_all", "snake_case")], "a struct or enum")
+            .unwrap_err();
+        assert!(err.contains("a struct or enum"), "{err}");
+        assert!(err.contains("rename_all"), "{err}");
+        assert!(reject_serde_attrs(&[vec![ident("default")]], "an enum variant").is_err());
+    }
 }

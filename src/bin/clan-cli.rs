@@ -16,7 +16,7 @@
 use clan::core::telemetry::{to_chrome_json, to_jsonl, Tracer};
 use clan::core::transport::agent::{AgentServer, UdpAgentServer};
 use clan::core::transport::{ChurnSchedule, FaultConfig, UdpConfig};
-use clan::core::{ClanDriver, ClanDriverBuilder, ClanTopology, RunReport, RunTrace};
+use clan::core::{ClanDriver, ClanDriverBuilder, ClanError, ClanTopology, RunReport, RunTrace};
 use clan::envs::Workload;
 use clan::hw::PlatformKind;
 use clan::neat::{genome_to_dot, FeedForwardNetwork, NeatConfig, Population};
@@ -69,7 +69,7 @@ USAGE:
                  [--trace FILE] [--trace-chrome FILE]
                  [--trace-ring N [--postmortem FILE]] [--status-addr ADDR]
                  [--async [--total-evals N] [--tournament-size K]
-                  [--latency MS,MS,...] [--jitter-pct P] [--event-log FILE]]
+                  [--latency MS,MS,...] [--jitter-pct P]]
   clan-cli solve [same flags; runs until the workload's solved score or
                  --max-generations N]
   clan-cli agent --listen ADDR [--delay-ms N] [--udp]
@@ -79,8 +79,7 @@ USAGE:
                  emulate a slower device; --udp serves the loss-tolerant
                  datagram transport instead of TCP)
   clan-cli coordinate [run flags] (--agents-at ADDR,ADDR,... | --loopback N)
-                 [--async [--total-evals N] [--tournament-size K]
-                  [--event-log FILE]]
+                 [--async [--total-evals N] [--tournament-size K]]
                  [--agent-weights W,W,...] [--calibrate]
                  [--udp [--loss P] [--fault-seed S]]
                  [--max-retries N] [--min-agents N]
@@ -125,11 +124,11 @@ recovery policy (defaults 3 and 1).
 
 --trace FILE records a structured run trace as JSONL: a deterministic
 logical event stream (byte-identical per seed across serial, TCP, lossy
-UDP, and churned runs; a strict superset of --event-log in async mode)
-plus wall-clock annotations in a separate channel. --trace-chrome FILE
-writes the same trace as Chrome trace-event JSON with one track per
-agent (open in Perfetto or chrome://tracing). Tracing never changes the
-evolved result. Analyze recorded traces offline with `clan-trace`
+UDP, and churned runs, and per seed + latency schedule in virtual-time
+async mode) plus wall-clock annotations in a separate channel.
+--trace-chrome FILE writes the same trace as Chrome trace-event JSON
+with one track per agent (open in Perfetto or chrome://tracing). Tracing
+never changes the evolved result. Analyze recorded traces offline with `clan-trace`
 (critical path, stragglers, divergence diff).
 
 --trace-ring N arms the flight recorder: tracing runs in a bounded ring
@@ -150,9 +149,10 @@ evaluation immediately triggers a tournament reproduction (size
 --total-evals evaluations (default 10x population) are spent. Local runs
 simulate agents under deterministic virtual time (--latency 5,20 sets
 per-agent service ms, --jitter-pct the seeded jitter): two runs with the
-same --seed and latency schedule produce byte-identical --event-log
-files. Over real agents (coordinate --async) the arrival order is
-wall-clock, so results are statistical rather than bit-identical.";
+same --seed and latency schedule produce --trace files that
+`clan-trace diff` reports identical. Over real agents (coordinate
+--async) the arrival order is wall-clock, so results are statistical
+rather than bit-identical.";
 
 /// Where the flight recorder dumps the ring when no `--postmortem FILE`
 /// overrides it.
@@ -178,6 +178,13 @@ fn validate_flags(command: &str, flags: &Flags) -> Result<(), UsageError> {
                 )));
             }
         }
+    }
+    if flags.has("--event-log") {
+        return Err(UsageError(
+            "--event-log was removed: record the run with --trace FILE and compare two \
+             runs with `clan-trace diff`"
+                .into(),
+        ));
     }
     if flags.get("--postmortem").is_some() && flags.get("--trace-ring").is_none() {
         return Err(UsageError(
@@ -285,7 +292,7 @@ fn parse_platform(s: &str) -> Result<PlatformKind, String> {
     }
 }
 
-fn build_driver(flags: &Flags) -> Result<(ClanDriverBuilder, Workload), String> {
+fn build_driver(flags: &Flags) -> Result<ClanDriverBuilder, String> {
     let workload = parse_workload(flags.get("--workload").unwrap_or("cartpole"))?;
     let agents: usize = flags.parse("--agents", 1)?;
     let topology = match flags.get("--topology").unwrap_or("serial") {
@@ -329,7 +336,7 @@ fn build_driver(flags: &Flags) -> Result<(ClanDriverBuilder, Workload), String> 
     if let Some(addr) = flags.get("--status-addr") {
         builder = builder.status_addr(addr);
     }
-    Ok((builder, workload))
+    Ok(builder)
 }
 
 /// The flight recorder armed for this invocation, as the postmortem
@@ -376,14 +383,6 @@ fn arm_panic_recorder(tracer: Tracer, path: String) {
         dump_postmortem(&tracer, &path);
         prev(info);
     }));
-}
-
-/// Prints the live introspection endpoint's bound address when
-/// `--status-addr` attached one to the driver.
-fn announce_status(addr: Option<std::net::SocketAddr>) {
-    if let Some(addr) = addr {
-        println!("  status endpoint: http://{addr} (/metrics /health /progress)");
-    }
 }
 
 /// Writes the recorded trace to the files `--trace` (JSONL event
@@ -437,7 +436,6 @@ fn check_async_flags(flags: &Flags) -> Result<bool, String> {
             "--tournament-size",
             "--latency",
             "--jitter-pct",
-            "--event-log",
         ] {
             if flags.get(f).is_some() {
                 return Err(format!("{f} requires --async"));
@@ -447,10 +445,12 @@ fn check_async_flags(flags: &Flags) -> Result<bool, String> {
     Ok(is_async)
 }
 
-/// Builds and runs an async steady-state deployment from an already
-/// backend-configured builder, prints the report, and writes the
-/// diffable event log when `--event-log FILE` asks for it.
-fn run_async(mut builder: ClanDriverBuilder, flags: &Flags) -> Result<(), String> {
+/// Applies the `--async` tuning flags to an already backend-configured
+/// builder.
+fn async_options(
+    mut builder: ClanDriverBuilder,
+    flags: &Flags,
+) -> Result<ClanDriverBuilder, String> {
     if let Some(n) = flags.get("--total-evals") {
         let n: u64 = n
             .parse()
@@ -472,39 +472,76 @@ fn run_async(mut builder: ClanDriverBuilder, flags: &Flags) -> Result<(), String
             .map_err(|_| format!("invalid value `{p}` for --jitter-pct"))?;
         builder = builder.latency_jitter_pct(p);
     }
-    let driver = builder.build_async().map_err(|e| e.to_string())?;
-    match driver.schedule() {
-        Some(s) => println!(
-            "async steady-state run: deterministic virtual time, schedule {}",
-            s.describe()
-        ),
-        None => println!("async steady-state run: streaming over the live cluster"),
+    Ok(builder)
+}
+
+/// The one build → run → postmortem → print path behind `run`, `solve`
+/// and `coordinate`, generational or `--async`: builds the driver the
+/// flags ask for and hands its run to [`execute`].
+fn launch(
+    builder: ClanDriverBuilder,
+    flags: &Flags,
+    until_solved: bool,
+) -> Result<RunReport, String> {
+    if check_async_flags(flags)? {
+        if until_solved {
+            return Err(
+                "--async runs to a fixed --total-evals budget; use `run`, not `solve`".into(),
+            );
+        }
+        let driver = async_options(builder, flags)?
+            .build_async()
+            .map_err(|e| e.to_string())?;
+        match driver.schedule() {
+            Some(s) => println!(
+                "async steady-state run: deterministic virtual time, schedule {}",
+                s.describe()
+            ),
+            None => println!("async steady-state run: streaming over the live cluster"),
+        }
+        let (recorder, status) = (driver.tracer_handle(), driver.status_local_addr());
+        return execute(flags, recorder, status, || {
+            driver.run().map(|outcome| (outcome.report, outcome.trace))
+        });
     }
-    announce_status(driver.status_local_addr());
+    let driver = builder.build().map_err(|e| e.to_string())?;
+    let (recorder, status) = (driver.tracer_handle(), driver.status_local_addr());
+    if until_solved {
+        let max = flags.parse("--max-generations", 50u64)?;
+        execute(flags, recorder, status, || {
+            driver.run_until_solved_with_trace(max)
+        })
+    } else {
+        let gens = flags.parse("--generations", 5u64)?;
+        execute(flags, recorder, status, || driver.run_with_trace(gens))
+    }
+}
+
+/// Runs a built driver: announces the status endpoint, arms the flight
+/// recorder, dumps the postmortem ring if the run fails, and prints the
+/// report and trace outputs when it succeeds.
+fn execute(
+    flags: &Flags,
+    recorder: Tracer,
+    status: Option<std::net::SocketAddr>,
+    run: impl FnOnce() -> Result<(RunReport, Option<RunTrace>), ClanError>,
+) -> Result<RunReport, String> {
+    if let Some(addr) = status {
+        println!("  status endpoint: http://{addr} (/metrics /health /progress)");
+    }
     let postmortem = postmortem_path(flags);
-    let recorder = driver.tracer_handle();
     if let Some(path) = &postmortem {
         arm_panic_recorder(recorder.clone(), path.clone());
     }
-    let outcome = match driver.run() {
-        Ok(o) => o,
-        Err(e) => {
-            if let Some(path) = &postmortem {
-                dump_postmortem(&recorder, path);
-            }
-            return Err(e.to_string());
+    let (report, trace) = run().map_err(|e| {
+        if let Some(path) = &postmortem {
+            dump_postmortem(&recorder, path);
         }
-    };
-    print_report(&outcome.report);
-    if let Some(path) = flags.get("--event-log") {
-        std::fs::write(path, &outcome.event_log).map_err(|e| e.to_string())?;
-        println!(
-            "  event log: {} line(s) written to {path}",
-            outcome.event_log.lines().count()
-        );
-    }
-    write_trace_outputs(outcome.trace.as_ref(), flags, outcome.report.n_agents)?;
-    Ok(())
+        e.to_string()
+    })?;
+    print_report(&report);
+    write_trace_outputs(trace.as_ref(), flags, report.n_agents)?;
+    Ok(report)
 }
 
 fn print_report(report: &RunReport) {
@@ -548,41 +585,7 @@ fn print_report(report: &RunReport) {
 
 fn cmd_run(args: &[String], until_solved: bool) -> Result<(), String> {
     let flags = Flags(args.to_vec());
-    let (builder, _) = build_driver(&flags)?;
-    if check_async_flags(&flags)? {
-        if until_solved {
-            return Err(
-                "--async runs to a fixed --total-evals budget; use `run`, not `solve`".into(),
-            );
-        }
-        return run_async(builder, &flags);
-    }
-    let driver = builder.build().map_err(|e| e.to_string())?;
-    announce_status(driver.status_local_addr());
-    let postmortem = postmortem_path(&flags);
-    let recorder = driver.tracer_handle();
-    if let Some(path) = &postmortem {
-        arm_panic_recorder(recorder.clone(), path.clone());
-    }
-    let result = if until_solved {
-        let max = flags.parse("--max-generations", 50u64)?;
-        driver.run_until_solved_with_trace(max)
-    } else {
-        let gens = flags.parse("--generations", 5u64)?;
-        driver.run_with_trace(gens)
-    };
-    let (report, trace) = match result {
-        Ok(v) => v,
-        Err(e) => {
-            if let Some(path) = &postmortem {
-                dump_postmortem(&recorder, path);
-            }
-            return Err(e.to_string());
-        }
-    };
-    print_report(&report);
-    write_trace_outputs(trace.as_ref(), &flags, report.n_agents)?;
-    Ok(())
+    launch(build_driver(&flags)?, &flags, until_solved).map(|_| ())
 }
 
 fn cmd_agent(args: &[String]) -> Result<(), String> {
@@ -647,7 +650,7 @@ fn parse_udp_flags(flags: &Flags) -> Result<Option<UdpConfig>, String> {
 
 fn cmd_coordinate(args: &[String]) -> Result<(), String> {
     let flags = Flags(args.to_vec());
-    let (mut builder, _) = build_driver(&flags)?;
+    let mut builder = build_driver(&flags)?;
     let loopback: usize = flags.parse("--loopback", 0)?;
     let udp = parse_udp_flags(&flags)?;
     let transport_name = if udp.is_some() { "UDP" } else { "TCP" };
@@ -722,28 +725,7 @@ fn cmd_coordinate(args: &[String]) -> Result<(), String> {
             .map_err(|_| format!("invalid value `{n}` for --min-agents"))?;
         builder = builder.min_agents(n);
     }
-    if check_async_flags(&flags)? {
-        return run_async(builder, &flags);
-    }
-    let driver = builder.build().map_err(|e| e.to_string())?;
-    announce_status(driver.status_local_addr());
-    let postmortem = postmortem_path(&flags);
-    let recorder = driver.tracer_handle();
-    if let Some(path) = &postmortem {
-        arm_panic_recorder(recorder.clone(), path.clone());
-    }
-    let gens = flags.parse("--generations", 5u64)?;
-    let (report, trace) = match driver.run_with_trace(gens) {
-        Ok(v) => v,
-        Err(e) => {
-            if let Some(path) = &postmortem {
-                dump_postmortem(&recorder, path);
-            }
-            return Err(e.to_string());
-        }
-    };
-    print_report(&report);
-    write_trace_outputs(trace.as_ref(), &flags, report.n_agents)?;
+    let report = launch(builder, &flags, false)?;
     if let Some(t) = &report.transport {
         println!(
             "\n  measured wire traffic: {} bytes in {} messages",
@@ -896,6 +878,12 @@ mod tests {
         assert!(err.0.contains("--status-addr"), "{err:?}");
         assert!(validate_flags("coordinate", &flags(&["--status-addr", "127.0.0.1:0"])).is_ok());
         assert!(validate_flags("run", &flags(&["--status-addr", "127.0.0.1:0"])).is_ok());
+    }
+
+    #[test]
+    fn removed_event_log_flag_points_at_trace() {
+        let err = validate_flags("run", &flags(&["--async", "--event-log", "e.log"])).unwrap_err();
+        assert!(err.0.contains("--trace"), "{err:?}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! seeded latency schedules — not just the hand-picked ones the unit
 //! tests use.
 
-use clan::core::{AsyncOrchestrator, Evaluator, InferenceMode, LatencySchedule};
+use clan::core::{AsyncOrchestrator, Evaluator, InferenceMode, LatencySchedule, Tracer};
 use clan::envs::Workload;
 use clan::neat::rng::{derive_seed, OpTag};
 use clan::neat::steady_state::steady_state_insert;
@@ -117,20 +117,23 @@ proptest! {
             let mut orch =
                 AsyncOrchestrator::new(Population::new(cfg, master), evaluator, total, 3)
                     .expect("budget covers the population");
+            let tracer = Tracer::new();
+            orch.install_tracer(tracer.clone());
             orch.run_virtual(&schedule).expect("virtual run");
             let stats = orch.stats().expect("run finished").clone();
-            (orch.event_log_text(), stats)
+            let trace = tracer.finish().expect("live tracer records");
+            (trace.logical_text(), stats)
         };
         let (log_a, stats_a) = run();
         let (log_b, stats_b) = run();
         // The whole contract: same (seed, schedule) => byte-identical
-        // event logs, same hash, same final best fitness.
+        // logical traces, same hash, same final best fitness.
         prop_assert_eq!(&log_a, &log_b);
-        prop_assert!(!log_a.is_empty());
         prop_assert_eq!(stats_a.event_log_hash, stats_b.event_log_hash);
         prop_assert_eq!(stats_a.best_fitness.to_bits(), stats_b.best_fitness.to_bits());
         prop_assert_eq!(stats_a.total_evals, total);
-        prop_assert_eq!(log_a.lines().count() as u64, total);
+        let completions = log_a.lines().filter(|l| l.contains(" k=async ")).count();
+        prop_assert_eq!(completions as u64, total);
     }
 
     #[test]

@@ -22,8 +22,8 @@ use clan::core::membership::RecoveryPolicy;
 use clan::core::runtime::EdgeCluster;
 use clan::core::transport::{ChurnAction, ChurnSchedule, ClusterSpec};
 use clan::core::{
-    ClanError, DcsOrchestrator, DdaOrchestrator, DdsOrchestrator, Evaluator, GenerationReport,
-    InferenceMode, Orchestrator, SerialOrchestrator,
+    orchestrator_for, ClanError, ClanTopology, Evaluator, GenerationReport, InferenceMode,
+    Orchestrator,
 };
 use clan::distsim::Cluster;
 use clan::envs::Workload;
@@ -60,32 +60,25 @@ fn plan_for(n_agents: usize) -> ChurnSchedule {
     }
 }
 
-/// Builds the named orchestrator around the given evaluator.
-fn orchestrator(topology: &str, evaluator: Evaluator) -> Box<dyn Orchestrator> {
-    let cfg = neat_cfg();
-    let sim = |n| Cluster::homogeneous(Platform::raspberry_pi(), n, WifiModel::default());
-    match topology {
-        "serial" => Box::new(SerialOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(1),
-        )),
-        "dcs" => Box::new(DcsOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(SIM_AGENTS),
-        )),
-        "dds" => Box::new(DdsOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(SIM_AGENTS),
-        )),
-        "dda" => Box::new(
-            DdaOrchestrator::new(cfg, evaluator, sim(SIM_AGENTS), SEED)
-                .expect("clans large enough"),
-        ),
-        other => panic!("unknown topology {other}"),
-    }
+/// The four paper configurations over the simulated `SIM_AGENTS` cluster.
+fn topologies() -> [ClanTopology; 4] {
+    [
+        ClanTopology::serial(),
+        ClanTopology::dcs(),
+        ClanTopology::dds(),
+        ClanTopology::dda(SIM_AGENTS),
+    ]
+}
+
+/// Builds `topology`'s orchestrator around the given evaluator.
+fn orchestrator(topology: ClanTopology, evaluator: Evaluator) -> Box<dyn Orchestrator> {
+    let agents = if topology == ClanTopology::serial() {
+        1
+    } else {
+        SIM_AGENTS
+    };
+    let sim = Cluster::homogeneous(Platform::raspberry_pi(), agents, WifiModel::default());
+    orchestrator_for(topology, neat_cfg(), SEED, evaluator, sim, None).expect("clans large enough")
 }
 
 fn run(mut o: Box<dyn Orchestrator>) -> (Vec<GenerationReport>, Genome) {
@@ -114,22 +107,27 @@ fn uncached_spec() -> ClusterSpec {
     )
 }
 
-fn churned_evaluator(n_agents: usize) -> Evaluator {
-    let cluster = EdgeCluster::spawn(
+/// A channel cluster of `n_agents` with `plan` installed, behind an
+/// evaluator.
+fn evaluator_with_churn(n_agents: usize, plan: ChurnSchedule) -> Evaluator {
+    let mut cluster = EdgeCluster::spawn(
         n_agents,
         Workload::CartPole,
         InferenceMode::MultiStep,
         neat_cfg(),
     )
-    .expect("channel cluster spawns")
-    .with_churn(plan_for(n_agents))
-    .expect("plan fits the cluster");
+    .expect("channel cluster spawns");
+    cluster.set_churn(plan).expect("plan fits the cluster");
     local_evaluator().with_remote(cluster)
+}
+
+fn churned_evaluator(n_agents: usize) -> Evaluator {
+    evaluator_with_churn(n_agents, plan_for(n_agents))
 }
 
 #[test]
 fn churned_runs_bit_identical_to_serial_on_all_topologies() {
-    for topology in ["serial", "dcs", "dds", "dda"] {
+    for topology in topologies() {
         let (local_reports, local_best) = run(orchestrator(topology, local_evaluator()));
         for n_agents in [1usize, 2, 4] {
             let (net_reports, net_best) = run(orchestrator(topology, churned_evaluator(n_agents)));
@@ -146,8 +144,34 @@ fn churned_runs_bit_identical_to_serial_on_all_topologies() {
 }
 
 #[test]
+fn dds_agent_killed_during_the_reproduction_scatter_is_bit_identical() {
+    // A live DDS generation scatters twice — `Evaluate`, then
+    // `BuildChildren` — so the odd cluster rounds are reproduction
+    // scatters. Killing agent 0 before round 1 loses its chunk of
+    // generation 0's child specs mid-reproduction; the specs are
+    // reassigned to the survivors and the run must not notice.
+    let (local_reports, local_best) = run(orchestrator(ClanTopology::dds(), local_evaluator()));
+    let plan = ChurnSchedule::new().kill(0, 1).revive(0, 3);
+    let mut o = orchestrator(ClanTopology::dds(), evaluator_with_churn(3, plan));
+    let first = o.step_generation().expect("generation 0 survives the kill");
+    assert_eq!(first, local_reports[0]);
+    let stats = o.recovery_stats().expect("remote run records recovery");
+    assert_eq!(stats.rounds, 2, "one Evaluate + one BuildChildren round");
+    assert_eq!(stats.kills, 1);
+    assert!(
+        stats.reassigned_chunks >= 1 && stats.reassigned_items >= 1,
+        "the lost child specs were reassigned: {stats:?}"
+    );
+    let rest: Vec<GenerationReport> = (1..GENERATIONS)
+        .map(|_| o.step_generation().expect("generation steps"))
+        .collect();
+    assert_eq!(rest[..], local_reports[1..]);
+    assert_eq!(o.best_ever(), Some(&local_best));
+}
+
+#[test]
 fn recovery_is_visible_in_the_stats() {
-    let mut o = orchestrator("dcs", churned_evaluator(4));
+    let mut o = orchestrator(ClanTopology::dcs(), churned_evaluator(4));
     for _ in 0..GENERATIONS {
         o.step_generation().unwrap();
     }
@@ -184,7 +208,8 @@ fn mid_run_join_over_tcp_and_udp_is_bit_identical() {
         (first, second)
     };
     let mut tcp = EdgeCluster::spawn_local_spec(2, spec()).expect("tcp loopback binds");
-    let mut udp = EdgeCluster::spawn_local_udp_spec(2, spec()).expect("udp loopback binds");
+    let mut udp = EdgeCluster::spawn_local_udp_cfg(2, spec(), Default::default())
+        .expect("udp loopback binds");
     let (tcp_a, tcp_b) = fitness_of(&mut tcp);
     let (udp_a, udp_b) = fitness_of(&mut udp);
     assert_eq!(tcp_a, udp_a, "TCP and UDP clusters agree before the join");
@@ -205,9 +230,9 @@ fn mid_run_join_over_tcp_and_udp_is_bit_identical() {
 #[test]
 fn churn_drained_below_the_floor_is_a_typed_error() {
     // Kill everyone, never revive: the run must fail typed, not hang.
-    let cluster = EdgeCluster::spawn_spec(2, uncached_spec())
-        .unwrap()
-        .with_churn(ChurnSchedule::new().kill(0, 1).kill(1, 1))
+    let mut cluster = EdgeCluster::spawn_spec(2, uncached_spec()).unwrap();
+    cluster
+        .set_churn(ChurnSchedule::new().kill(0, 1).kill(1, 1))
         .unwrap();
     let mut evaluator = local_evaluator().with_remote(cluster);
     let mut pop = Population::new(neat_cfg(), SEED);
@@ -231,11 +256,9 @@ fn churn_drained_below_the_floor_is_a_typed_error() {
     );
     // And the policy floor: with min_agents 2, losing one of two agents
     // refuses to limp along on the survivor.
-    let cluster = EdgeCluster::spawn_spec(2, uncached_spec())
-        .unwrap()
-        .with_recovery_policy(RecoveryPolicy::default().with_min_agents(2))
-        .with_churn(ChurnSchedule::new().kill(0, 1))
-        .unwrap();
+    let mut cluster = EdgeCluster::spawn_spec(2, uncached_spec()).unwrap();
+    cluster.set_recovery_policy(RecoveryPolicy::default().with_min_agents(2));
+    cluster.set_churn(ChurnSchedule::new().kill(0, 1)).unwrap();
     let mut evaluator = local_evaluator().with_remote(cluster);
     step(&mut evaluator, &mut pop).expect("round 0 is churn-free");
     let err = step(&mut evaluator, &mut pop).unwrap_err();
@@ -307,10 +330,8 @@ proptest! {
         };
         // Cache off: this property re-evaluates one fixed population per
         // round, and reassignment only happens when items actually fly.
-        let mut cluster = EdgeCluster::spawn_spec(3, uncached_spec())
-            .unwrap()
-            .with_churn(plan)
-            .unwrap();
+        let mut cluster = EdgeCluster::spawn_spec(3, uncached_spec()).unwrap();
+        cluster.set_churn(plan).unwrap();
         let mut pop = Population::new(cfg, seed);
         for _ in 0..4 {
             cluster.evaluate(&mut pop).unwrap();

@@ -159,20 +159,26 @@ fn serial_dcs_dds_produce_identical_populations() {
 fn threaded_runtime_matches_analytic_orchestrators() {
     let w = Workload::MountainCar;
     let cfg = neat_cfg(w);
-    let mut edge =
+    let edge =
         EdgeCluster::spawn(3, w, InferenceMode::MultiStep, cfg.clone()).expect("cluster spawns");
-    let mut threaded = Population::new(cfg.clone(), SEED);
+    let mut threaded = DdsOrchestrator::new(
+        Population::new(cfg.clone(), SEED),
+        Evaluator::new(w, InferenceMode::MultiStep).with_remote(edge),
+        cluster(3),
+    );
     let mut reference = SerialOrchestrator::new(
         Population::new(cfg.clone(), SEED),
         Evaluator::new(w, InferenceMode::MultiStep),
         cluster(1),
     );
     for _ in 0..GENS {
-        edge.step_dds_generation(&mut threaded).expect("threaded");
+        threaded.step_generation().expect("threaded");
         reference.step_generation().expect("serial");
     }
-    edge.shutdown();
-    assert_eq!(threaded.genomes(), reference.population().genomes());
+    assert_eq!(
+        threaded.population().genomes(),
+        reference.population().genomes()
+    );
 }
 
 #[test]

@@ -17,8 +17,8 @@ use clan::core::runtime::EdgeCluster;
 use clan::core::transport::agent::serve_session;
 use clan::core::transport::{channel_pair, ClusterSpec, DelayTransport, Transport};
 use clan::core::{
-    DcsOrchestrator, DdaOrchestrator, DdsOrchestrator, Evaluator, GenerationReport, InferenceMode,
-    Orchestrator, SerialOrchestrator,
+    orchestrator_for, ClanTopology, DcsOrchestrator, Evaluator, GenerationReport, InferenceMode,
+    Orchestrator,
 };
 use clan::distsim::Cluster;
 use clan::envs::Workload;
@@ -50,31 +50,25 @@ fn skewed_weights(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn orchestrator(topology: &str, evaluator: Evaluator) -> Box<dyn Orchestrator> {
-    let cfg = neat_cfg();
-    let sim = |n| Cluster::homogeneous(Platform::raspberry_pi(), n, WifiModel::default());
-    match topology {
-        "serial" => Box::new(SerialOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(1),
-        )),
-        "dcs" => Box::new(DcsOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(SIM_AGENTS),
-        )),
-        "dds" => Box::new(DdsOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(SIM_AGENTS),
-        )),
-        "dda" => Box::new(
-            DdaOrchestrator::new(cfg, evaluator, sim(SIM_AGENTS), SEED)
-                .expect("clans large enough"),
-        ),
-        other => panic!("unknown topology {other}"),
-    }
+/// The four paper configurations over the simulated `SIM_AGENTS` cluster.
+fn topologies() -> [ClanTopology; 4] {
+    [
+        ClanTopology::serial(),
+        ClanTopology::dcs(),
+        ClanTopology::dds(),
+        ClanTopology::dda(SIM_AGENTS),
+    ]
+}
+
+/// Builds `topology`'s orchestrator around the given evaluator.
+fn orchestrator(topology: ClanTopology, evaluator: Evaluator) -> Box<dyn Orchestrator> {
+    let agents = if topology == ClanTopology::serial() {
+        1
+    } else {
+        SIM_AGENTS
+    };
+    let sim = Cluster::homogeneous(Platform::raspberry_pi(), agents, WifiModel::default());
+    orchestrator_for(topology, neat_cfg(), SEED, evaluator, sim, None).expect("clans large enough")
 }
 
 fn run(mut o: Box<dyn Orchestrator>) -> (Vec<GenerationReport>, Genome) {
@@ -94,9 +88,10 @@ fn local_evaluator() -> Evaluator {
 /// Loopback TCP agents with lopsided capability weights.
 fn weighted_tcp_evaluator(n_agents: usize) -> Evaluator {
     let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, neat_cfg());
-    let cluster = EdgeCluster::spawn_local_spec(n_agents, spec)
-        .expect("loopback cluster binds")
-        .with_weights(&skewed_weights(n_agents))
+    let mut cluster =
+        EdgeCluster::spawn_local_spec(n_agents, spec).expect("loopback cluster binds");
+    cluster
+        .set_weights(&skewed_weights(n_agents))
         .expect("valid weights");
     local_evaluator().with_remote(cluster)
 }
@@ -123,15 +118,15 @@ fn delayed_calibrated_evaluator(n_agents: usize) -> Evaluator {
         transports.push(Box::new(coord));
     }
     let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, neat_cfg());
-    let cluster = EdgeCluster::connect_transports(transports, spec)
-        .expect("channel cluster configures")
-        .with_calibration(true);
+    let mut cluster =
+        EdgeCluster::connect_transports(transports, spec).expect("channel cluster configures");
+    cluster.set_calibration(true);
     local_evaluator().with_remote(cluster)
 }
 
 #[test]
 fn skewed_weights_over_tcp_bit_identical_to_serial_on_all_topologies() {
-    for topology in ["serial", "dcs", "dds", "dda"] {
+    for topology in topologies() {
         let (local_reports, local_best) = run(orchestrator(topology, local_evaluator()));
         for n_agents in [1usize, 2, 4] {
             let (net_reports, net_best) =
@@ -153,7 +148,7 @@ fn delayed_agent_with_calibration_bit_identical_to_serial() {
     // The slow agent forces genuinely out-of-order arrivals (its peers
     // always finish first) and calibration reshapes the partition after
     // generation 0 — evolution must not notice either.
-    for topology in ["dcs", "dds"] {
+    for topology in [ClanTopology::dcs(), ClanTopology::dds()] {
         let (local_reports, local_best) = run(orchestrator(topology, local_evaluator()));
         let (slow_reports, slow_best) =
             run(orchestrator(topology, delayed_calibrated_evaluator(3)));

@@ -16,8 +16,7 @@
 use clan::core::runtime::EdgeCluster;
 use clan::core::transport::{ClusterSpec, FaultConfig, UdpConfig};
 use clan::core::{
-    DcsOrchestrator, DdaOrchestrator, DdsOrchestrator, Evaluator, GenerationReport, InferenceMode,
-    Orchestrator, SerialOrchestrator,
+    orchestrator_for, ClanTopology, Evaluator, GenerationReport, InferenceMode, Orchestrator,
 };
 use clan::distsim::Cluster;
 use clan::envs::Workload;
@@ -49,32 +48,25 @@ fn lossy_udp(fault_seed: u64) -> UdpConfig {
         .with_faults(FaultConfig::loss(LOSS).with_seed(fault_seed))
 }
 
-/// Builds the named orchestrator around the given evaluator.
-fn orchestrator(topology: &str, evaluator: Evaluator) -> Box<dyn Orchestrator> {
-    let cfg = neat_cfg();
-    let sim = |n| Cluster::homogeneous(Platform::raspberry_pi(), n, WifiModel::default());
-    match topology {
-        "serial" => Box::new(SerialOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(1),
-        )),
-        "dcs" => Box::new(DcsOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(SIM_AGENTS),
-        )),
-        "dds" => Box::new(DdsOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(SIM_AGENTS),
-        )),
-        "dda" => Box::new(
-            DdaOrchestrator::new(cfg, evaluator, sim(SIM_AGENTS), SEED)
-                .expect("clans large enough"),
-        ),
-        other => panic!("unknown topology {other}"),
-    }
+/// The four paper configurations over the simulated `SIM_AGENTS` cluster.
+fn topologies() -> [ClanTopology; 4] {
+    [
+        ClanTopology::serial(),
+        ClanTopology::dcs(),
+        ClanTopology::dds(),
+        ClanTopology::dda(SIM_AGENTS),
+    ]
+}
+
+/// Builds `topology`'s orchestrator around the given evaluator.
+fn orchestrator(topology: ClanTopology, evaluator: Evaluator) -> Box<dyn Orchestrator> {
+    let agents = if topology == ClanTopology::serial() {
+        1
+    } else {
+        SIM_AGENTS
+    };
+    let sim = Cluster::homogeneous(Platform::raspberry_pi(), agents, WifiModel::default());
+    orchestrator_for(topology, neat_cfg(), SEED, evaluator, sim, None).expect("clans large enough")
 }
 
 fn run(mut o: Box<dyn Orchestrator>) -> (Vec<GenerationReport>, Genome) {
@@ -100,7 +92,7 @@ fn lossy_udp_evaluator(n_agents: usize, fault_seed: u64) -> Evaluator {
 
 #[test]
 fn udp_runs_with_20pct_loss_bit_identical_to_serial_on_all_topologies() {
-    for topology in ["serial", "dcs", "dds", "dda"] {
+    for topology in topologies() {
         let (local_reports, local_best) = run(orchestrator(topology, local_evaluator()));
         for n_agents in [1usize, 2, 4] {
             let (net_reports, net_best) = run(orchestrator(
@@ -121,7 +113,7 @@ fn udp_runs_with_20pct_loss_bit_identical_to_serial_on_all_topologies() {
 
 #[test]
 fn injected_loss_is_visible_as_retransmitted_bytes() {
-    let mut o = orchestrator("dcs", lossy_udp_evaluator(2, 99));
+    let mut o = orchestrator(ClanTopology::dcs(), lossy_udp_evaluator(2, 99));
     for _ in 0..GENERATIONS {
         o.step_generation().unwrap();
     }
@@ -148,7 +140,8 @@ fn clean_udp_runs_have_zero_retransmission_overhead() {
     // Loopback UDP without injected faults: the ledger's loss column
     // must stay zero, proving retransmissions are measured, not noise.
     let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, neat_cfg());
-    let mut cluster = EdgeCluster::spawn_local_udp_spec(2, spec).expect("binds");
+    let mut cluster =
+        EdgeCluster::spawn_local_udp_cfg(2, spec, UdpConfig::default()).expect("binds");
     let mut pop = Population::new(neat_cfg(), SEED);
     cluster.evaluate(&mut pop).unwrap();
     assert_eq!(cluster.ledger().total_retrans_bytes(), 0);

@@ -15,8 +15,7 @@
 use clan::core::runtime::EdgeCluster;
 use clan::core::transport::ClusterSpec;
 use clan::core::{
-    DcsOrchestrator, DdaOrchestrator, DdsOrchestrator, Evaluator, GenerationReport, InferenceMode,
-    Orchestrator, SerialOrchestrator,
+    orchestrator_for, ClanTopology, Evaluator, GenerationReport, InferenceMode, Orchestrator,
 };
 use clan::distsim::Cluster;
 use clan::envs::Workload;
@@ -37,32 +36,25 @@ fn neat_cfg() -> NeatConfig {
         .unwrap()
 }
 
-/// Builds the named orchestrator around the given evaluator.
-fn orchestrator(topology: &str, evaluator: Evaluator) -> Box<dyn Orchestrator> {
-    let cfg = neat_cfg();
-    let sim = |n| Cluster::homogeneous(Platform::raspberry_pi(), n, WifiModel::default());
-    match topology {
-        "serial" => Box::new(SerialOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(1),
-        )),
-        "dcs" => Box::new(DcsOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(SIM_AGENTS),
-        )),
-        "dds" => Box::new(DdsOrchestrator::new(
-            Population::new(cfg, SEED),
-            evaluator,
-            sim(SIM_AGENTS),
-        )),
-        "dda" => Box::new(
-            DdaOrchestrator::new(cfg, evaluator, sim(SIM_AGENTS), SEED)
-                .expect("clans large enough"),
-        ),
-        other => panic!("unknown topology {other}"),
-    }
+/// The four paper configurations over the simulated `SIM_AGENTS` cluster.
+fn topologies() -> [ClanTopology; 4] {
+    [
+        ClanTopology::serial(),
+        ClanTopology::dcs(),
+        ClanTopology::dds(),
+        ClanTopology::dda(SIM_AGENTS),
+    ]
+}
+
+/// Builds `topology`'s orchestrator around the given evaluator.
+fn orchestrator(topology: ClanTopology, evaluator: Evaluator) -> Box<dyn Orchestrator> {
+    let agents = if topology == ClanTopology::serial() {
+        1
+    } else {
+        SIM_AGENTS
+    };
+    let sim = Cluster::homogeneous(Platform::raspberry_pi(), agents, WifiModel::default());
+    orchestrator_for(topology, neat_cfg(), SEED, evaluator, sim, None).expect("clans large enough")
 }
 
 /// Runs `GENERATIONS` generations, returning the reports and the final
@@ -89,7 +81,7 @@ fn tcp_evaluator(n_agents: usize) -> Evaluator {
 
 #[test]
 fn tcp_runs_bit_identical_to_serial_on_all_topologies() {
-    for topology in ["serial", "dcs", "dds", "dda"] {
+    for topology in topologies() {
         let (local_reports, local_best) = run(orchestrator(topology, local_evaluator()));
         for n_agents in [1usize, 2, 4] {
             let (net_reports, net_best) = run(orchestrator(topology, tcp_evaluator(n_agents)));
@@ -107,7 +99,7 @@ fn tcp_runs_bit_identical_to_serial_on_all_topologies() {
 
 #[test]
 fn tcp_run_measures_wire_traffic_against_the_model() {
-    let mut o = orchestrator("dcs", tcp_evaluator(2));
+    let mut o = orchestrator(ClanTopology::dcs(), tcp_evaluator(2));
     for _ in 0..GENERATIONS {
         o.step_generation().unwrap();
     }
@@ -133,18 +125,44 @@ fn tcp_run_measures_wire_traffic_against_the_model() {
 }
 
 #[test]
+fn live_dds_ships_reproduction_over_the_wire_and_live_dcs_does_not() {
+    // The paper's DDS cost: parents stream out and children stream back
+    // every generation. A live DDS run must put those frames on the
+    // measured wire; a live DCS run (central reproduction) none.
+    let wire_of = |topology: ClanTopology| {
+        let mut o = orchestrator(topology, tcp_evaluator(2));
+        for _ in 0..GENERATIONS {
+            o.step_generation().unwrap();
+        }
+        o.transport_ledger()
+            .expect("TCP run records wire traffic")
+            .clone()
+    };
+    let dds = wire_of(ClanTopology::dds());
+    for kind in [MessageKind::SendParentGenomes, MessageKind::SendChildren] {
+        let entry = dds.entry(kind);
+        assert_eq!(
+            entry.messages,
+            (2 * GENERATIONS) as u64,
+            "{kind:?}: one BuildChildren round trip per agent per generation"
+        );
+        assert!(entry.wire_bytes > 0, "{kind:?} bytes were measured");
+    }
+    let dcs = wire_of(ClanTopology::dcs());
+    for kind in [MessageKind::SendParentGenomes, MessageKind::SendChildren] {
+        assert_eq!(dcs.entry(kind).messages, 0, "DCS sends no {kind:?}");
+        assert_eq!(dcs.entry(kind).wire_bytes, 0);
+    }
+}
+
+#[test]
 fn loopback_cluster_sizes_do_not_change_generation_count_semantics() {
     // Guard against partition-dependent behavior: 1, 2, and 4 agents
     // must produce identical fitness for the *initial* population too
     // (generation 0 is the easiest place to lose determinism).
     let fitness_of = |n_agents: usize| {
-        let mut cluster = EdgeCluster::spawn_local(
-            n_agents,
-            Workload::CartPole,
-            InferenceMode::MultiStep,
-            neat_cfg(),
-        )
-        .unwrap();
+        let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, neat_cfg());
+        let mut cluster = EdgeCluster::spawn_local_spec(n_agents, spec).unwrap();
         let mut pop = Population::new(neat_cfg(), SEED);
         cluster.evaluate(&mut pop).unwrap();
         pop.genomes()

@@ -10,10 +10,10 @@
 //! (retransmissions, failures, reassignments) is recorded in the
 //! Timing channel and must never leak into the logical stream.
 //!
-//! Async virtual-time runs extend the contract: their trace is a
-//! *strict superset* of the existing `--event-log` — every Completion
-//! event reconstructs its event-log line exactly — and the logical
-//! stream is fixed by `(seed, latency schedule)`.
+//! Async virtual-time runs extend the contract: the logical stream is
+//! fixed by `(seed, latency schedule)`, and folding its Completion
+//! events reproduces the run's `AsyncStats::event_log_hash` — the trace
+//! carries everything the fingerprint covers.
 
 use clan::core::telemetry::{from_jsonl, parse_chrome_json, to_chrome_json, to_jsonl};
 use clan::core::transport::{ChurnSchedule, FaultConfig, UdpConfig};
@@ -186,7 +186,8 @@ fn tracing_never_changes_the_evolved_result() {
 }
 
 #[test]
-fn async_trace_is_a_strict_superset_of_the_event_log() {
+fn folding_trace_completions_reproduces_the_event_log_hash() {
+    use clan::neat::rng::splitmix64;
     let run = || {
         ClanDriver::builder(Workload::CartPole)
             .agents(3)
@@ -202,17 +203,35 @@ fn async_trace_is_a_strict_superset_of_the_event_log() {
     };
     let a = run();
     let trace = a.trace.as_ref().expect("tracing was enabled");
-    // Every Completion event reconstructs its --event-log line exactly,
-    // in order: the trace strictly contains the event log.
-    let reconstructed: String = trace
+    let stats = a.report.asynchronous.as_ref().expect("async run");
+    // An independent fold over the trace's Completion events, in
+    // stream order: sequence, virtual time, agent, genome, fitness
+    // bits, then the insertion (child, evicted, parents) or nothing.
+    let completions: Vec<_> = trace
         .events
         .iter()
-        .filter_map(|e| e.async_log_line().map(|l| l + "\n"))
+        .filter(|e| e.kind == EventKind::Completion)
         .collect();
-    assert_eq!(reconstructed, a.event_log);
-    assert!(!a.event_log.is_empty());
+    let folded = completions.iter().fold(0x00A5_15C0_0000_0001, |h, e| {
+        let mut h = splitmix64(h ^ e.aseq.expect("completion sequence"));
+        h = splitmix64(h ^ e.vtime_us.expect("virtual time"));
+        h = splitmix64(h ^ e.agent.expect("agent"));
+        h = splitmix64(h ^ e.genome.expect("genome"));
+        h = splitmix64(h ^ e.fitness_bits.expect("fitness"));
+        match (e.child, e.evicted, e.p1, e.p2) {
+            (Some(child), Some(evicted), Some(p1), Some(p2)) => {
+                h = splitmix64(h ^ child);
+                h = splitmix64(h ^ evicted);
+                h = splitmix64(h ^ p1);
+                splitmix64(h ^ p2)
+            }
+            _ => splitmix64(h),
+        }
+    });
+    assert_eq!(folded, stats.event_log_hash);
+    assert_eq!(completions.len() as u64, stats.total_evals);
     assert!(
-        trace.events.len() > a.event_log.lines().count(),
+        trace.events.len() > completions.len(),
         "the trace carries dispatches and the run frame on top of completions"
     );
     // Virtual-time determinism extends to the logical stream.
@@ -221,7 +240,7 @@ fn async_trace_is_a_strict_superset_of_the_event_log() {
         trace.logical_text(),
         b.trace.as_ref().unwrap().logical_text()
     );
-    assert_eq!(a.event_log, b.event_log);
+    assert_eq!(a.report.asynchronous, b.report.asynchronous);
 }
 
 #[test]
