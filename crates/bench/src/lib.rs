@@ -12,14 +12,12 @@
 //!
 //! Absolute times come from the calibrated platform models (`clan-hw`);
 //! the claims under test are the *shapes*: who wins, by what factor, and
-//! where the crossovers fall. `EXPERIMENTS.md` records paper-vs-measured
-//! values per experiment.
+//! where the crossovers fall.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod eval_perf;
 pub mod fig10;
 pub mod fig11;
 pub mod fig3;

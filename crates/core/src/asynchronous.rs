@@ -38,7 +38,7 @@
 //! The scheduling win is measured, not assumed: [`AsyncStats`] records
 //! makespan, summed busy time, and the wasted idle (`agents x makespan -
 //! busy`) that the sync barrier would have burned waiting on stragglers
-//! — `bench_eval`'s `async` section compares both modes at 4x skew.
+//! — `clan-trace analyze` reports the same totals from a `--trace` file.
 
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;

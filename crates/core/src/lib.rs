@@ -144,14 +144,14 @@
 //!   typed [`ClanError::Timeout`] after the transport's idle deadline,
 //!   never a hang; the TCP path mirrors this via
 //!   [`TcpTransport::with_read_timeout`](transport::TcpTransport::with_read_timeout).
-//! - **Model validation** — `bench_eval`'s `lossy` section measures
-//!   per-round makespan and retransmitted bytes at 0/5/20 % loss and
-//!   compares transfer times on an emulated 62.24 Mbps / 8.83 ms link
-//!   against [`WifiModel::transfer_time_s`](clan_netsim::WifiModel::transfer_time_s)
-//!   (numbers in ROADMAP.md). That validation showed fragmented
-//!   transfers pay the per-message latency once per *datagram*;
+//! - **Model validation** — the `airraid-gen-udp` workload of
+//!   `benchmark/` reports `transport.frame_rtt_ms`,
+//!   `transport.datagrams_per_frame` and `transport.retrans_bytes_ratio`
+//!   at 5 % seeded loss. The in-process emulator
+//!   ([`FaultyTransport`](transport::FaultyTransport)) charges its link
+//!   latency once per *datagram*;
 //!   [`WifiModel::transfer_time_fragmented_s`](clan_netsim::WifiModel::transfer_time_fragmented_s)
-//!   models it, and the analytic timelines charge it for messages
+//!   models that, and the analytic timelines charge it for messages
 //!   larger than the link MTU.
 //!
 //! # Elastic runtime
@@ -195,8 +195,8 @@
 //! - **Measured recovery cost** — link failures, reassigned chunks,
 //!   kills/joins, and the retry makespan land in
 //!   [`membership::RecoveryStats`] on [`RunReport`] and the CLI
-//!   summary; `bench_eval`'s `churn` section quantifies the overhead of
-//!   a kill + rejoin against a clean run (numbers in ROADMAP.md).
+//!   summary; `clan-trace analyze` on the `--trace` of a `coordinate
+//!   --churn …` run lists failures per agent and the chunks reassigned.
 //!
 //! # Async steady-state mode
 //!
@@ -238,9 +238,9 @@
 //! - **Measured, not assumed.** [`AsyncStats`] on [`RunReport`] carries
 //!   makespan, evals/sec, wasted idle, insertion counts, and the
 //!   completion-order hash (a running fold — nothing per-evaluation is
-//!   retained); `bench_eval`'s `async` section compares sync-barrier vs
-//!   async makespan at 4× skew and re-runs it under injected mid-stream
-//!   death (numbers in ROADMAP.md).
+//!   retained); `benchmark/`'s `lander-stream-tcp` workload reports the
+//!   live figure as `runtime.stream_wasted_idle_share`, and `clan-trace
+//!   analyze` gives the same totals for any `--async --trace` run.
 //!
 //! # Telemetry
 //!
@@ -269,8 +269,8 @@
 //!   wall timestamp is captured in [`telemetry::clock`], the single
 //!   `Instant::now` site the `clan-lint` D2 rule audits.
 //!
-//! A [`Tracer`] handle (no-op unless enabled —
-//! `bench_eval`'s `telemetry` section tracks its overhead) is installed
+//! A [`Tracer`] handle (no-op unless enabled — `benchmark/` reports
+//! its cost as `telemetry.overhead_pct`) is installed
 //! by the driver via `ClanDriverBuilder::tracing` (`clan-cli run/
 //! coordinate --trace FILE [--trace-chrome FILE]`); the recorded
 //! [`RunTrace`] exports as JSONL
@@ -286,8 +286,8 @@
 //! The trace above is raw material; three consumers turn it into
 //! answers:
 //!
-//! - **`clan-trace`** (`crates/trace-tools`, dependency-free like
-//!   `clan-lint`) analyzes recorded traces *offline*:
+//! - **`clan-trace`** (`crates/trace-tools`) analyzes recorded traces
+//!   *offline*:
 //!   `analyze --trace FILE` reconstructs the per-round critical path
 //!   from the Timing spans — per-agent busy time, per-round critical
 //!   agent, straggler ranking with slowdown factors, retransmission

@@ -13,7 +13,7 @@
 //!   service spans, wasted idle = `agents × makespan − busy` — so the
 //!   report cross-checks against the run's own summary.
 
-use crate::event::{Class, Event};
+use clan_core::telemetry::{Determinism, EventKind, TraceEvent};
 
 /// How the trace's time accounting was reconstructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,8 +125,11 @@ fn agent_slot(stats: &mut Vec<AgentStat>, agent: u64) -> &mut AgentStat {
 
 /// Analyzes a parsed trace. Events must be in record order (as written
 /// by the JSONL exporter).
-pub fn analyze(events: &[Event]) -> Analysis {
-    let logical = events.iter().filter(|e| e.class == Class::Logical).count() as u64;
+pub fn analyze(events: &[TraceEvent]) -> Analysis {
+    let logical = events
+        .iter()
+        .filter(|e| e.class == Determinism::Logical)
+        .count() as u64;
     let counts = (logical, events.len() as u64 - logical);
     let mut agents: Vec<AgentStat> = Vec::new();
     let mut rounds: Vec<RoundStat> = Vec::new();
@@ -140,9 +143,9 @@ pub fn analyze(events: &[Event]) -> Analysis {
     let mut has_completion_spans = false;
 
     for ev in events {
-        match ev.kind.as_str() {
-            "ClusterInfo" => cluster_agents = ev.items.or(cluster_agents),
-            "AgentExchange" => {
+        match ev.kind {
+            EventKind::ClusterInfo => cluster_agents = ev.items.or(cluster_agents),
+            EventKind::AgentExchange => {
                 if let (Some(agent), Some(dur)) = (ev.agent, ev.dur_us) {
                     open_round.push((agent, dur));
                     let slot = agent_slot(&mut agents, agent);
@@ -150,7 +153,7 @@ pub fn analyze(events: &[Event]) -> Analysis {
                     slot.busy_us += dur;
                 }
             }
-            "GatherRound" => {
+            EventKind::GatherRound => {
                 let makespan_us = ev.dur_us.unwrap_or(0);
                 let busy_us = open_round.iter().map(|(_, d)| d).sum();
                 let critical = open_round.iter().max_by_key(|(a, d)| (*d, *a)).copied();
@@ -166,7 +169,7 @@ pub fn analyze(events: &[Event]) -> Analysis {
                 });
                 open_round.clear();
             }
-            "Completion" => {
+            EventKind::Completion => {
                 if let (Some(agent), Some(dur)) = (ev.agent, ev.dur_us) {
                     has_completion_spans = true;
                     let slot = agent_slot(&mut agents, agent);
@@ -177,26 +180,26 @@ pub fn analyze(events: &[Event]) -> Analysis {
                     steady_makespan_us = steady_makespan_us.max(t);
                 }
             }
-            "Retransmission" => {
+            EventKind::Retransmission => {
                 let bytes = ev.bytes.unwrap_or(0);
                 retrans_bytes += bytes;
                 if let Some(agent) = ev.agent {
                     agent_slot(&mut agents, agent).retrans_bytes += bytes;
                 }
             }
-            "AgentFailure" => {
+            EventKind::AgentFailure => {
                 recovery.failures += 1;
                 if let Some(agent) = ev.agent {
                     agent_slot(&mut agents, agent).failures += 1;
                 }
             }
-            "ChunkReassigned" => {
+            EventKind::ChunkReassigned => {
                 recovery.reassigns += 1;
                 recovery.reassigned_items += ev.items.unwrap_or(0);
             }
-            "AgentKilled" => recovery.kills += 1,
-            "AgentRevived" => recovery.revives += 1,
-            "AgentJoined" => recovery.joins += 1,
+            EventKind::AgentKilled => recovery.kills += 1,
+            EventKind::AgentRevived => recovery.revives += 1,
+            EventKind::AgentJoined => recovery.joins += 1,
             _ => {}
         }
     }
@@ -387,28 +390,38 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::parse_jsonl;
 
-    fn ev(seq: u64, class: &str, kind: &str, extra: &str) -> String {
-        format!("{{\"seq\":{seq},\"class\":\"{class}\",\"kind\":\"{kind}\"{extra}}}")
+    fn span(kind: EventKind, agent: Option<u64>, dur_us: u64) -> TraceEvent {
+        let mut ev = TraceEvent::base(Determinism::Timing, kind);
+        ev.agent = agent;
+        ev.dur_us = Some(dur_us);
+        ev
+    }
+
+    fn cluster_info(agents: u64) -> TraceEvent {
+        let mut ev = TraceEvent::base(Determinism::Timing, EventKind::ClusterInfo);
+        ev.items = Some(agents);
+        ev
     }
 
     #[test]
     fn rounds_mode_finds_the_critical_agent() {
-        let lines = [
-            ev(0, "Timing", "ClusterInfo", ",\"items\":3"),
-            ev(1, "Timing", "AgentExchange", ",\"agent\":0,\"dur_us\":1000"),
-            ev(2, "Timing", "AgentExchange", ",\"agent\":1,\"dur_us\":4000"),
-            ev(3, "Timing", "AgentExchange", ",\"agent\":2,\"dur_us\":900"),
-            ev(4, "Timing", "GatherRound", ",\"dur_us\":4200"),
-            ev(5, "Timing", "AgentExchange", ",\"agent\":0,\"dur_us\":1100"),
-            ev(6, "Timing", "AgentExchange", ",\"agent\":1,\"dur_us\":3900"),
-            ev(7, "Timing", "AgentExchange", ",\"agent\":2,\"dur_us\":1000"),
-            ev(8, "Timing", "GatherRound", ",\"dur_us\":4100"),
-            ev(9, "Timing", "Retransmission", ",\"agent\":1,\"bytes\":768"),
-        ]
-        .join("\n");
-        let a = analyze(&parse_jsonl(&lines).unwrap());
+        let mut retrans = TraceEvent::base(Determinism::Timing, EventKind::Retransmission);
+        retrans.agent = Some(1);
+        retrans.bytes = Some(768);
+        let events = [
+            cluster_info(3),
+            span(EventKind::AgentExchange, Some(0), 1000),
+            span(EventKind::AgentExchange, Some(1), 4000),
+            span(EventKind::AgentExchange, Some(2), 900),
+            span(EventKind::GatherRound, None, 4200),
+            span(EventKind::AgentExchange, Some(0), 1100),
+            span(EventKind::AgentExchange, Some(1), 3900),
+            span(EventKind::AgentExchange, Some(2), 1000),
+            span(EventKind::GatherRound, None, 4100),
+            retrans,
+        ];
+        let a = analyze(&events);
         assert_eq!(a.mode, AnalysisMode::Rounds);
         assert_eq!(a.n_agents, 3);
         assert_eq!(a.rounds.len(), 2);
@@ -430,29 +443,19 @@ mod tests {
 
     #[test]
     fn steady_state_mode_matches_async_stats_definitions() {
-        let lines = [
-            ev(0, "Timing", "ClusterInfo", ",\"items\":2"),
-            ev(
-                1,
-                "Logical",
-                "Completion",
-                ",\"lseq\":0,\"agent\":0,\"vtime_us\":5000,\"dur_us\":5000,\"genome\":1,\"fitness_bits\":0,\"aseq\":0",
-            ),
-            ev(
-                2,
-                "Logical",
-                "Completion",
-                ",\"lseq\":1,\"agent\":1,\"vtime_us\":20000,\"dur_us\":20000,\"genome\":2,\"fitness_bits\":0,\"aseq\":1",
-            ),
-            ev(
-                3,
-                "Logical",
-                "Completion",
-                ",\"lseq\":2,\"agent\":0,\"vtime_us\":10500,\"dur_us\":5500,\"genome\":3,\"fitness_bits\":0,\"aseq\":2",
-            ),
-        ]
-        .join("\n");
-        let a = analyze(&parse_jsonl(&lines).unwrap());
+        let completion = |agent: u64, vtime_us: u64, dur_us: u64| {
+            let mut ev = span(EventKind::Completion, Some(agent), dur_us);
+            ev.class = Determinism::Logical;
+            ev.vtime_us = Some(vtime_us);
+            ev
+        };
+        let events = [
+            cluster_info(2),
+            completion(0, 5000, 5000),
+            completion(1, 20_000, 20_000),
+            completion(0, 10_500, 5500),
+        ];
+        let a = analyze(&events);
         assert_eq!(a.mode, AnalysisMode::SteadyState);
         assert_eq!(a.makespan_us, 20_000);
         assert_eq!(a.busy_us, 30_500);

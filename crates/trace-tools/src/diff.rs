@@ -8,7 +8,8 @@
 //! and reports the first divergent logical event with enough framing to
 //! act on ("gen 7, eval of genome 1234, fitness 0x…").
 
-use crate::event::{Class, Event};
+use crate::event::describe;
+use clan_core::telemetry::{Determinism, EventKind, TraceEvent};
 
 /// One side's view of a logical position: the rendered stream line plus
 /// the human framing of the event behind it.
@@ -16,7 +17,7 @@ use crate::event::{Class, Event};
 pub struct DiffSide {
     /// The event's `logical_line()` rendering.
     pub line: String,
-    /// `Event::describe` with tracked generation context.
+    /// [`describe`] with tracked generation context.
     pub context: String,
 }
 
@@ -50,23 +51,23 @@ pub enum DiffOutcome {
     },
 }
 
-fn logical_only(events: &[Event]) -> Vec<&Event> {
+fn logical_only(events: &[TraceEvent]) -> Vec<&TraceEvent> {
     events
         .iter()
-        .filter(|e| e.class == Class::Logical)
+        .filter(|e| e.class == Determinism::Logical)
         .collect()
 }
 
-fn side(ev: &Event, generation: Option<u64>) -> DiffSide {
+fn side(ev: &TraceEvent, generation: Option<u64>) -> DiffSide {
     DiffSide {
         line: ev.logical_line().unwrap_or_default(),
-        context: ev.describe(generation),
+        context: describe(ev, generation),
     }
 }
 
 /// Diffs the logical streams of two parsed traces (Timing events are
 /// ignored — they are expected to vary run to run).
-pub fn diff(left: &[Event], right: &[Event]) -> DiffOutcome {
+pub fn diff(left: &[TraceEvent], right: &[TraceEvent]) -> DiffOutcome {
     let l = logical_only(left);
     let r = logical_only(right);
     let mut preceding: Vec<String> = Vec::new();
@@ -76,10 +77,10 @@ pub fn diff(left: &[Event], right: &[Event]) -> DiffOutcome {
     let mut gen_r: Option<u64> = None;
 
     for (i, (le, re)) in l.iter().zip(r.iter()).enumerate() {
-        if le.kind == "GenerationStart" {
+        if le.kind == EventKind::GenerationStart {
             gen_l = le.generation;
         }
-        if re.kind == "GenerationStart" {
+        if re.kind == EventKind::GenerationStart {
             gen_r = re.generation;
         }
         let ll = le.logical_line().unwrap_or_default();
@@ -161,21 +162,29 @@ impl DiffOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::parse_jsonl;
 
-    fn trace(fitness_mid: u64, truncate: bool) -> Vec<Event> {
-        let mut lines = vec![
-            "{\"seq\":0,\"class\":\"Logical\",\"kind\":\"RunStart\",\"lseq\":0,\"seed\":42,\"label\":\"xor\",\"population\":8}".to_string(),
-            "{\"seq\":1,\"class\":\"Timing\",\"kind\":\"ClusterInfo\",\"items\":2}".to_string(),
-            "{\"seq\":2,\"class\":\"Logical\",\"kind\":\"GenerationStart\",\"lseq\":1,\"generation\":0}".to_string(),
-            format!("{{\"seq\":3,\"class\":\"Logical\",\"kind\":\"EvalResult\",\"lseq\":2,\"genome\":7,\"fitness_bits\":{fitness_mid}}}"),
-        ];
+    fn trace(fitness_mid: u64, truncate: bool) -> Vec<TraceEvent> {
+        let logical = |lseq: u64, kind: EventKind| {
+            let mut ev = TraceEvent::base(Determinism::Logical, kind);
+            ev.lseq = Some(lseq);
+            ev
+        };
+        let mut start = logical(0, EventKind::RunStart);
+        start.seed = Some(42);
+        start.label = Some("xor".into());
+        start.population = Some(8);
+        let mut cluster = TraceEvent::base(Determinism::Timing, EventKind::ClusterInfo);
+        cluster.items = Some(2);
+        let mut generation = logical(1, EventKind::GenerationStart);
+        generation.generation = Some(0);
+        let mut eval = logical(2, EventKind::EvalResult);
+        eval.genome = Some(7);
+        eval.fitness_bits = Some(fitness_mid);
+        let mut events = vec![start, cluster, generation, eval];
         if !truncate {
-            lines.push(
-                "{\"seq\":4,\"class\":\"Logical\",\"kind\":\"RunEnd\",\"lseq\":3}".to_string(),
-            );
+            events.push(logical(3, EventKind::RunEnd));
         }
-        parse_jsonl(&lines.join("\n")).unwrap()
+        events
     }
 
     #[test]
@@ -235,7 +244,7 @@ mod tests {
         let mut right = trace(100, false);
         // Perturb a Timing event's payload: diff must not care.
         for ev in &mut right {
-            if ev.kind == "ClusterInfo" {
+            if ev.kind == EventKind::ClusterInfo {
                 ev.items = Some(99);
             }
         }

@@ -1,262 +1,57 @@
-//! The analyzer's view of one trace record, parsed back from the JSONL
-//! the telemetry exporter writes.
-//!
-//! The field set mirrors `clan_core::TraceEvent` (flat and sparse), but
-//! `kind` stays a string so the analyzer degrades gracefully on traces
-//! from newer writers: unknown kinds still parse, render, and diff.
+//! Loading trace files back into the writer's own
+//! [`TraceEvent`] records, and the human framing `diff` puts around one.
 
-use crate::json::{parse, Json};
+use clan_core::telemetry::{EventKind, TraceEvent};
 
-/// Determinism class of an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Class {
-    /// Part of the deterministic per-seed stream.
-    Logical,
-    /// Wall-clock / transport annotation.
-    Timing,
-}
-
-/// One parsed trace record; unknown payload slots stay `None`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Position in the full stream.
-    pub seq: u64,
-    /// Determinism class.
-    pub class: Class,
-    /// Kind variant name (`RunStart`, `EvalResult`, `Completion`, …).
-    pub kind: String,
-    /// Position in the logical stream (Logical events only).
-    pub lseq: Option<u64>,
-    /// Agent slot.
-    pub agent: Option<u64>,
-    /// Virtual time, microseconds.
-    pub vtime_us: Option<u64>,
-    /// Wall timestamp, microseconds since the trace epoch.
-    pub wall_us: Option<u64>,
-    /// Span duration, microseconds.
-    pub dur_us: Option<u64>,
-    /// Generation index.
-    pub generation: Option<u64>,
-    /// Genome id.
-    pub genome: Option<u64>,
-    /// Fitness as IEEE-754 bits.
-    pub fitness_bits: Option<u64>,
-    /// Master seed.
-    pub seed: Option<u64>,
-    /// Population size.
-    pub population: Option<u64>,
-    /// Species alive.
-    pub species: Option<u64>,
-    /// Cache hits in the window.
-    pub cache_hits: Option<u64>,
-    /// Cache lookups in the window.
-    pub cache_lookups: Option<u64>,
-    /// Async event-log sequence.
-    pub aseq: Option<u64>,
-    /// Inserted child id.
-    pub child: Option<u64>,
-    /// Evicted genome id.
-    pub evicted: Option<u64>,
-    /// First parent id.
-    pub p1: Option<u64>,
-    /// Second parent id.
-    pub p2: Option<u64>,
-    /// Generic count payload.
-    pub items: Option<u64>,
-    /// Byte count payload.
-    pub bytes: Option<u64>,
-    /// Free-form annotation.
-    pub label: Option<String>,
-}
-
-/// The stable snake_case label for a kind variant name — the same
-/// mapping `clan_core::EventKind::label` uses. Unknown variants pass
-/// through unchanged so future kinds stay diffable.
-pub fn kind_label(kind: &str) -> &str {
-    match kind {
-        "RunStart" => "run_start",
-        "GenerationStart" => "gen_start",
-        "EvalResult" => "eval",
-        "GenerationEnd" => "gen_end",
-        "Dispatch" => "dispatch",
-        "Completion" => "async",
-        "Insertion" => "insert",
-        "ClusterInfo" => "cluster",
-        "GatherRound" => "gather",
-        "AgentExchange" => "exchange",
-        "Retransmission" => "retrans",
-        "AgentFailure" => "agent_fail",
-        "ChunkReassigned" => "reassign",
-        "AgentKilled" => "kill",
-        "AgentRevived" => "revive",
-        "AgentJoined" => "join",
-        "RunEnd" => "run_end",
-        other => other,
-    }
-}
-
-impl Event {
-    /// The event's line in the deterministic stream text, or `None` for
-    /// Timing events — a faithful reimplementation of
-    /// `clan_core::TraceEvent::logical_line`, verified against the
-    /// writer by the workspace integration tests.
-    pub fn logical_line(&self) -> Option<String> {
-        if self.class != Class::Logical {
-            return None;
-        }
-        let mut line = format!("l={} k={}", self.lseq.unwrap_or(0), kind_label(&self.kind));
-        if let Some(seed) = self.seed {
-            line.push_str(&format!(" seed={seed}"));
-        }
-        if let Some(w) = &self.label {
-            line.push_str(&format!(" w={w}"));
-        }
-        if let Some(p) = self.population {
-            line.push_str(&format!(" pop={p}"));
-        }
-        if let Some(g) = self.generation {
-            line.push_str(&format!(" gen={g}"));
-        }
-        if let Some(t) = self.vtime_us {
-            line.push_str(&format!(" t={t}us"));
-        }
-        if let Some(a) = self.agent {
-            line.push_str(&format!(" a={a}"));
-        }
-        if let Some(g) = self.genome {
-            line.push_str(&format!(" g={g}"));
-        }
-        if let Some(f) = self.fitness_bits {
-            line.push_str(&format!(" f={f:#018X}"));
-        }
-        if let Some(s) = self.species {
-            line.push_str(&format!(" sp={s}"));
-        }
-        if self.cache_lookups.is_some() || self.cache_hits.is_some() {
-            line.push_str(&format!(
-                " ch={} cl={}",
-                self.cache_hits.unwrap_or(0),
-                self.cache_lookups.unwrap_or(0)
-            ));
-        }
-        if self.kind == "Completion" || self.kind == "Insertion" {
-            match (self.child, self.p1, self.p2) {
-                (Some(c), Some(p1), Some(p2)) => {
-                    let evicted = match self.evicted {
-                        Some(e) => e.to_string(),
-                        None => "-".into(),
-                    };
-                    line.push_str(&format!(" child={c} evicted={evicted} p={p1},{p2}"));
-                }
-                _ => line.push_str(" child=- evicted=- p=-"),
-            }
-        }
-        if let Some(n) = self.items {
-            line.push_str(&format!(" n={n}"));
-        }
-        Some(line)
-    }
-
-    /// A one-phrase human description of the event, used by `diff` to
-    /// frame a divergence ("gen 7, eval of genome 1234, …"). The caller
-    /// supplies the generation context tracked while scanning, since
-    /// per-genome events do not carry their generation.
-    pub fn describe(&self, current_generation: Option<u64>) -> String {
-        let gen_prefix = match self.generation.or(current_generation) {
-            Some(g) => format!("gen {g}, "),
-            None => String::new(),
-        };
-        match self.kind.as_str() {
-            "RunStart" => format!(
-                "run preamble (seed {}, workload {}, population {})",
-                self.seed.unwrap_or(0),
-                self.label.as_deref().unwrap_or("?"),
-                self.population.unwrap_or(0)
-            ),
-            "GenerationStart" => format!("start of gen {}", self.generation.unwrap_or(0)),
-            "EvalResult" => format!(
-                "{gen_prefix}eval of genome {}, fitness {:#018X}",
-                self.genome.unwrap_or(0),
-                self.fitness_bits.unwrap_or(0)
-            ),
-            "GenerationEnd" => format!(
-                "end of gen {} (best fitness {:#018X}, {} species)",
-                self.generation.unwrap_or(0),
-                self.fitness_bits.unwrap_or(0),
-                self.species.unwrap_or(0)
-            ),
-            "Dispatch" => format!(
-                "dispatch of genome {} to agent {} at t={}us",
-                self.genome.unwrap_or(0),
-                self.agent.unwrap_or(0),
-                self.vtime_us.unwrap_or(0)
-            ),
-            "Completion" => format!(
-                "completion e={} of genome {} on agent {}, fitness {:#018X}",
-                self.aseq.unwrap_or(0),
-                self.genome.unwrap_or(0),
-                self.agent.unwrap_or(0),
-                self.fitness_bits.unwrap_or(0)
-            ),
-            "Insertion" => format!(
-                "insertion of child {} (evicting {})",
-                self.child.unwrap_or(0),
-                self.evicted.map_or("-".into(), |e| e.to_string())
-            ),
-            "RunEnd" => "run postamble".to_string(),
-            other => format!("{gen_prefix}{} event", kind_label(other)),
-        }
-    }
-}
-
-fn opt_u64(obj: &Json, key: &str) -> Option<u64> {
-    obj.get(key).and_then(Json::as_u64)
-}
-
-/// Parses one JSONL line into an [`Event`].
-///
-/// # Errors
-///
-/// A message naming the missing/invalid field or the JSON syntax error.
-pub fn parse_event(line: &str) -> Result<Event, String> {
-    let obj = parse(line).map_err(|e| e.to_string())?;
-    let seq = opt_u64(&obj, "seq").ok_or("missing `seq`")?;
-    let class = match obj.get("class").and_then(Json::as_str) {
-        Some("Logical") => Class::Logical,
-        Some("Timing") => Class::Timing,
-        other => return Err(format!("bad `class` {other:?}")),
+/// A one-phrase human description of the event, used by `diff` to
+/// frame a divergence ("gen 7, eval of genome 1234, …"). The caller
+/// supplies the generation context tracked while scanning, since
+/// per-genome events do not carry their generation.
+pub fn describe(ev: &TraceEvent, current_generation: Option<u64>) -> String {
+    let gen_prefix = match ev.generation.or(current_generation) {
+        Some(g) => format!("gen {g}, "),
+        None => String::new(),
     };
-    let kind = obj
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("missing `kind`")?
-        .to_string();
-    Ok(Event {
-        seq,
-        class,
-        kind,
-        lseq: opt_u64(&obj, "lseq"),
-        agent: opt_u64(&obj, "agent"),
-        vtime_us: opt_u64(&obj, "vtime_us"),
-        wall_us: opt_u64(&obj, "wall_us"),
-        dur_us: opt_u64(&obj, "dur_us"),
-        generation: opt_u64(&obj, "generation"),
-        genome: opt_u64(&obj, "genome"),
-        fitness_bits: opt_u64(&obj, "fitness_bits"),
-        seed: opt_u64(&obj, "seed"),
-        population: opt_u64(&obj, "population"),
-        species: opt_u64(&obj, "species"),
-        cache_hits: opt_u64(&obj, "cache_hits"),
-        cache_lookups: opt_u64(&obj, "cache_lookups"),
-        aseq: opt_u64(&obj, "aseq"),
-        child: opt_u64(&obj, "child"),
-        evicted: opt_u64(&obj, "evicted"),
-        p1: opt_u64(&obj, "p1"),
-        p2: opt_u64(&obj, "p2"),
-        items: opt_u64(&obj, "items"),
-        bytes: opt_u64(&obj, "bytes"),
-        label: obj.get("label").and_then(Json::as_str).map(str::to_string),
-    })
+    match ev.kind {
+        EventKind::RunStart => format!(
+            "run preamble (seed {}, workload {}, population {})",
+            ev.seed.unwrap_or(0),
+            ev.label.as_deref().unwrap_or("?"),
+            ev.population.unwrap_or(0)
+        ),
+        EventKind::GenerationStart => format!("start of gen {}", ev.generation.unwrap_or(0)),
+        EventKind::EvalResult => format!(
+            "{gen_prefix}eval of genome {}, fitness {:#018X}",
+            ev.genome.unwrap_or(0),
+            ev.fitness_bits.unwrap_or(0)
+        ),
+        EventKind::GenerationEnd => format!(
+            "end of gen {} (best fitness {:#018X}, {} species)",
+            ev.generation.unwrap_or(0),
+            ev.fitness_bits.unwrap_or(0),
+            ev.species.unwrap_or(0)
+        ),
+        EventKind::Dispatch => format!(
+            "dispatch of genome {} to agent {} at t={}us",
+            ev.genome.unwrap_or(0),
+            ev.agent.unwrap_or(0),
+            ev.vtime_us.unwrap_or(0)
+        ),
+        EventKind::Completion => format!(
+            "completion e={} of genome {} on agent {}, fitness {:#018X}",
+            ev.aseq.unwrap_or(0),
+            ev.genome.unwrap_or(0),
+            ev.agent.unwrap_or(0),
+            ev.fitness_bits.unwrap_or(0)
+        ),
+        EventKind::Insertion => format!(
+            "insertion of child {} (evicting {})",
+            ev.child.unwrap_or(0),
+            ev.evicted.map_or("-".into(), |e| e.to_string())
+        ),
+        EventKind::RunEnd => "run postamble".to_string(),
+        other => format!("{gen_prefix}{} event", other.label()),
+    }
 }
 
 /// Parses a whole JSONL trace (blank lines skipped).
@@ -264,53 +59,52 @@ pub fn parse_event(line: &str) -> Result<Event, String> {
 /// # Errors
 ///
 /// The first bad line's number (1-based) and its parse error.
-pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
+pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     text.lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| parse_event(l).map_err(|e| format!("line {}: {e}", i + 1)))
+        .map(|(i, l)| serde_json::from_str(l).map_err(|e| format!("line {}: {e}", i + 1)))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clan_core::telemetry::Determinism;
 
-    const LINE: &str = "{\"seq\":2,\"class\":\"Logical\",\"kind\":\"EvalResult\",\"lseq\":2,\
-                        \"agent\":null,\"vtime_us\":null,\"wall_us\":null,\"dur_us\":null,\
-                        \"generation\":null,\"genome\":7,\"fitness_bits\":4607182418800017408,\
-                        \"seed\":null,\"population\":null,\"species\":null,\"cache_hits\":null,\
-                        \"cache_lookups\":null,\"aseq\":null,\"child\":null,\"evicted\":null,\
-                        \"p1\":null,\"p2\":null,\"items\":null,\"bytes\":null,\"label\":null}";
+    fn eval_line() -> String {
+        let mut ev = TraceEvent::base(Determinism::Logical, EventKind::EvalResult);
+        ev.seq = 2;
+        ev.lseq = Some(2);
+        ev.genome = Some(7);
+        ev.fitness_bits = Some(0x3FF0_0000_0000_0000);
+        serde_json::to_string(&ev).unwrap()
+    }
 
     #[test]
-    fn parses_a_writer_shaped_line() {
-        let ev = parse_event(LINE).unwrap();
-        assert_eq!(ev.seq, 2);
-        assert_eq!(ev.class, Class::Logical);
-        assert_eq!(ev.kind, "EvalResult");
-        assert_eq!(ev.genome, Some(7));
+    fn describe_frames_an_eval_with_the_tracked_generation() {
+        let ev = &parse_jsonl(&eval_line()).unwrap()[0];
         assert_eq!(ev.fitness_bits, Some(0x3FF0_0000_0000_0000));
         assert_eq!(
             ev.logical_line().unwrap(),
             "l=2 k=eval g=7 f=0x3FF0000000000000"
         );
         assert_eq!(
-            ev.describe(Some(4)),
+            describe(ev, Some(4)),
             "gen 4, eval of genome 7, fitness 0x3FF0000000000000"
         );
     }
 
     #[test]
-    fn timing_events_have_no_logical_line() {
-        let line = LINE.replace("\"Logical\"", "\"Timing\"");
-        assert_eq!(parse_event(&line).unwrap().logical_line(), None);
-    }
-
-    #[test]
     fn jsonl_reports_the_bad_line() {
-        let text = format!("{LINE}\n\n{{oops}}\n");
-        let e = parse_jsonl(&text).unwrap_err();
-        assert!(e.starts_with("line 3:"), "{e}");
+        let line = eval_line();
+        for bad in [
+            "{oops}".to_string(),
+            line.replace("\"EvalResult\"", "\"NotAKind\""),
+            "[".repeat(1_000_000),
+        ] {
+            let e = parse_jsonl(&format!("{line}\n\n{bad}\n")).unwrap_err();
+            assert!(e.starts_with("line 3:"), "{e}");
+        }
     }
 }

@@ -16,11 +16,9 @@
 //!   ("gen 7, eval of genome 1234, fitness 0x…"), ignoring Timing noise.
 //! - `summarize` (CLI) — the per-agent utilization table alone.
 //!
-//! Like `clan-lint`, the crate is **dependency-free by design**: it
-//! carries its own exact-integer JSON reader ([`json`]) rather than
-//! linking the workspace serde shim, so the auditor cannot inherit the
-//! writer's parsing bugs, and `u64` fitness bits never round-trip
-//! through an `f64`.
+//! Events are `clan_core::telemetry::TraceEvent` itself, read back by
+//! the same `serde_json` that wrote them, so reader and writer share one
+//! schema; `u64` fitness bits stay exact (never through an `f64`).
 //!
 //! The `clan-trace` binary fronts all three verbs; exit codes follow the
 //! lint convention (0 clean/identical, 1 findings/divergence, 2 usage).
@@ -28,11 +26,12 @@
 pub mod analyze;
 pub mod diff;
 pub mod event;
-pub mod json;
 
 pub use analyze::{Analysis, AnalysisMode};
 pub use diff::{diff as diff_events, DiffOutcome};
-pub use event::{parse_event, parse_jsonl, Class, Event};
+pub use event::parse_jsonl;
+
+use clan_core::telemetry::TraceEvent;
 
 /// Parses a trace file from disk.
 ///
@@ -40,7 +39,7 @@ pub use event::{parse_event, parse_jsonl, Class, Event};
 ///
 /// IO failure or the first malformed line (1-based) with its parse
 /// error.
-pub fn load_trace(path: &str) -> Result<Vec<Event>, String> {
+pub fn load_trace(path: &str) -> Result<Vec<TraceEvent>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }

@@ -156,15 +156,22 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts. It recurses once
+/// per level and reads frames and trace lines from outside the process,
+/// so without a bound a line of `[` overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'s> {
     bytes: &'s [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -214,8 +221,8 @@ impl<'s> Parser<'s> {
     fn value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
@@ -225,6 +232,22 @@ impl<'s> Parser<'s> {
             Some(_) => self.number(),
             None => Err(Error::new("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Parser<'s>) -> Result<Value, Error>,
+    ) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, Error> {
@@ -376,10 +399,9 @@ impl<'s> Parser<'s> {
             text.parse::<f64>()
                 .map(Value::Float)
                 .map_err(|e| Error::new(format!("invalid float `{text}`: {e}")))
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            stripped
-                .parse::<u64>()
-                .map(|u| Value::Int(-(u as i64)))
+        } else if text.starts_with('-') {
+            text.parse::<i64>()
+                .map(Value::Int)
                 .map_err(|e| Error::new(format!("invalid integer `{text}`: {e}")))
         } else {
             text.parse::<u64>()
@@ -445,6 +467,36 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at_limit = format!("{}0{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(parse(&at_limit).is_ok(), "{open}");
+            let past = format!(
+                "{}0{}",
+                open.repeat(MAX_DEPTH + 1),
+                close.repeat(MAX_DEPTH + 1)
+            );
+            let e = parse(&past).unwrap_err();
+            assert!(e.to_string().contains("nesting deeper than 128"), "{e}");
+            assert!(parse(&open.repeat(1_000_000)).is_err(), "{open}");
+        }
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}]", vec!["[[]]"; 500].join(","))).is_ok());
+    }
+
+    #[test]
+    fn negative_integers_parse_exactly_or_fail() {
+        assert_eq!(parse("-9223372036854775808").unwrap(), Value::Int(i64::MIN));
+        assert!(parse("-9223372036854775809").is_err());
+        assert!(parse("-18446744073709551615").is_err());
+        assert_eq!(parse("-0").unwrap(), Value::Int(0));
+        assert_eq!(
+            parse("18446744073709551615").unwrap(),
+            Value::UInt(u64::MAX)
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! a property-based round-trip of the frame codec.
 
 use clan::core::runtime::EdgeCluster;
+use clan::core::transport::agent::AgentServer;
 use clan::core::transport::{
-    datagram_channel_pair, decode, encode, ClusterSpec, FaultConfig, FaultyTransport, Transport,
-    UdpConfig, UdpTransport, WireMessage, LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES,
+    datagram_channel_pair, decode, encode, ClusterSpec, FaultConfig, FaultyTransport, TcpTransport,
+    Transport, UdpConfig, UdpTransport, WireMessage, LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES,
 };
 use clan::core::{ClanError, FrameError, InferenceMode};
 use clan::envs::Workload;
@@ -289,6 +290,36 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
         other => panic!("expected Oversized frame error, got {other:?}"),
     }
     rogue.join().unwrap();
+}
+
+#[test]
+fn deeply_nested_configure_payload_is_a_typed_error_not_a_dead_agent() {
+    // A 1 MB Configure frame whose spec JSON is `[[[[...`: the JSON parser
+    // recurses once per level, so unbounded it overflows the stack and
+    // takes the whole agent process down from one frame.
+    let payload = vec![b'['; 1_000_000];
+    let mut frame = b"CLAN\x01\x01".to_vec();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+
+    let server = AgentServer::bind("127.0.0.1:0").unwrap();
+    let mut link = TcpTransport::connect(server.local_addr()).unwrap();
+    let agent = std::thread::spawn(move || server.serve_once());
+    link.send_frame(&frame).unwrap();
+    let session = agent.join().expect("the agent thread must survive");
+    assert!(
+        matches!(
+            session,
+            Err(ClanError::Frame(FrameError::BadValue("spec json")))
+        ),
+        "{session:?}"
+    );
+    // The coordinator's end of the link fails typed as well, not hung.
+    assert!(matches!(
+        link.recv_frame(),
+        Err(ClanError::Transport { .. })
+    ));
+    assert_eq!(decode(&frame), Err(FrameError::BadValue("spec json")));
 }
 
 #[test]

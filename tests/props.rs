@@ -355,6 +355,102 @@ proptest! {
     }
 }
 
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// One to three seeded byte edits: bit flip, overwrite or insert of a
+/// byte the JSON grammar cares about, delete, truncate.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut u64) {
+    const GRAMMAR: &[u8] = b"[]{}\",:-+.eE019\\u nN\x00\xFF";
+    for _ in 0..1 + xorshift(rng) % 3 {
+        if bytes.is_empty() {
+            return;
+        }
+        let at = (xorshift(rng) % bytes.len() as u64) as usize;
+        let pick = GRAMMAR[(xorshift(rng) % GRAMMAR.len() as u64) as usize];
+        match xorshift(rng) % 5 {
+            0 => bytes[at] ^= 1 << (xorshift(rng) % 8),
+            1 => bytes[at] = pick,
+            2 => bytes.insert(at, pick),
+            3 => drop(bytes.remove(at)),
+            _ => bytes.truncate(at),
+        }
+    }
+}
+
+/// Seeded mutation fuzz of the two JSON readers on a trust boundary: the
+/// JSONL loader behind `clan-trace` and the `ClusterSpec` JSON inside a
+/// `Configure` frame. Hostile bytes must come back as `Ok` or a typed
+/// `Err`; a panic (or stack overflow) fails the test by killing it.
+#[test]
+fn mutated_trace_lines_and_spec_frames_never_panic() {
+    use clan::core::telemetry::{to_jsonl, EventKind, Tracer};
+    use clan::core::transport::{decode, encode, ClusterSpec, WireMessage};
+    use clan::core::InferenceMode;
+
+    let tracer = Tracer::new();
+    tracer.logical(EventKind::RunStart, |e| {
+        e.seed = Some(13);
+        e.label = Some("Cartpole-v0 \"q\"\n".into());
+        e.population = Some(150);
+    });
+    tracer.logical(EventKind::EvalResult, |e| {
+        e.genome = Some(7);
+        e.fitness_bits = Some(u64::MAX);
+    });
+    tracer.timing(EventKind::AgentExchange, |e| {
+        e.agent = Some(1);
+        e.dur_us = Some(4200);
+    });
+    tracer.logical(EventKind::Completion, |e| {
+        (e.child, e.p1, e.p2, e.evicted) = (Some(9), Some(1), Some(2), None);
+    });
+    let jsonl = to_jsonl(&tracer.finish().expect("enabled")).expect("serializes");
+    let lines: Vec<&[u8]> = jsonl.lines().map(str::as_bytes).collect();
+
+    let cfg = NeatConfig::builder(4, 2).build().expect("valid config");
+    let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::SingleStep, cfg);
+    let frame = encode(&WireMessage::Configure(Box::new(spec)));
+    // magic + version + tag, then the u32 length of the spec JSON.
+    let (header, spec_json) = (&frame[..6], &frame[10..]);
+
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let (mut trace_ok, mut trace_err, mut spec_ok, mut spec_err) = (0u32, 0u32, 0u32, 0u32);
+    for case in 0..100_000usize {
+        if case % 8 != 0 {
+            let mut line = lines[case % lines.len()].to_vec();
+            mutate(&mut line, &mut rng);
+            match clan_trace_tools::parse_jsonl(&String::from_utf8_lossy(&line)) {
+                Ok(_) => trace_ok += 1,
+                Err(e) => {
+                    assert!(e.starts_with("line "), "{e}");
+                    trace_err += 1;
+                }
+            }
+        } else {
+            let mut json = spec_json.to_vec();
+            mutate(&mut json, &mut rng);
+            let mut hostile = header.to_vec();
+            hostile.extend_from_slice(&(json.len() as u32).to_le_bytes());
+            hostile.extend_from_slice(&json);
+            match decode(&hostile) {
+                Ok(_) => spec_ok += 1,
+                Err(_) => spec_err += 1,
+            }
+        }
+    }
+    // Both outcomes occur on both readers, so the mutations reach past
+    // the first byte and the parsers are not rejecting everything.
+    assert!(
+        trace_ok > 0 && trace_err > 0 && spec_ok > 0 && spec_err > 0,
+        "trace {trace_ok}/{trace_err}, spec {spec_ok}/{spec_err}"
+    );
+}
+
 /// Strategy for one arbitrary [`clan::core::TraceEvent`]: any
 /// determinism class, any kind, any sparse payload combination
 /// (including nonsense ones no real emitter produces).

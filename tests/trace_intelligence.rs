@@ -4,12 +4,12 @@
 //! live status endpoint and the flight-recorder ring must leave the
 //! logical event stream byte-identical.
 
-use clan::core::telemetry::to_jsonl;
+use clan::core::telemetry::{to_jsonl, Determinism, EventKind, TraceEvent};
 use clan::core::{ClanDriver, ClanDriverBuilder, ClanTopology, RunTrace};
 use clan::envs::Workload;
 use clan_trace_tools::analyze::{analyze, AnalysisMode};
 use clan_trace_tools::diff::{diff, DiffOutcome};
-use clan_trace_tools::{parse_jsonl, Class, Event};
+use clan_trace_tools::parse_jsonl;
 use std::io::{Read, Write};
 
 const POP: usize = 20;
@@ -33,9 +33,9 @@ fn run_trace(seed: u64) -> RunTrace {
 }
 
 /// Round-trips a recorded trace through the exporter's JSONL and the
-/// analyzer's own independent parser — every test below therefore also
-/// exercises writer/reader agreement.
-fn events_of(trace: &RunTrace) -> Vec<Event> {
+/// analyzer's line-numbered loader, the path `clan-trace` takes from a
+/// `--trace` file.
+fn events_of(trace: &RunTrace) -> Vec<TraceEvent> {
     parse_jsonl(&to_jsonl(trace).expect("serialize")).expect("trace-tools parses writer output")
 }
 
@@ -77,10 +77,10 @@ fn flipped_fitness_bit_is_pinpointed_as_the_first_divergence() {
     let mut target: Option<(u64, u64)> = None; // (logical index, genome)
     let mut evals_seen = 0;
     for ev in &mut b {
-        if ev.class != Class::Logical {
+        if ev.class != Determinism::Logical {
             continue;
         }
-        if ev.kind == "EvalResult" {
+        if ev.kind == EventKind::EvalResult {
             evals_seen += 1;
             if evals_seen == 7 {
                 let bits = ev.fitness_bits.expect("eval carries fitness");
@@ -123,7 +123,7 @@ fn truncated_trace_reports_the_short_side() {
             short_side, common, ..
         } => {
             assert_eq!(short_side, "right");
-            let b_logical = b.iter().filter(|e| e.class == Class::Logical).count() as u64;
+            let b_logical = b.iter().filter(|e| e.class == Determinism::Logical).count() as u64;
             assert_eq!(common, b_logical);
         }
         other => panic!("expected truncation, got {other:?}"),
