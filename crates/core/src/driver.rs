@@ -494,7 +494,7 @@ impl ClanDriverBuilder {
         self
     }
 
-    /// Overrides the datagram-transport tuning (MTU, retransmit pacing,
+    /// Overrides the datagram-transport tuning (MTU, retransmission timeout,
     /// liveness window, seeded fault injection) of a UDP backend.
     /// Rejected at [`build`](ClanDriverBuilder::build) on non-UDP
     /// backends.

@@ -119,9 +119,10 @@
 //!
 //! - **Reliable datagrams** —
 //!   [`UdpTransport`](transport::UdpTransport) fragments each frame
-//!   into MTU-sized datagrams (`(seq, fragment, count)` headers),
-//!   acknowledges each fragment, retransmits unacked ones on a timer,
-//!   and reassembles in order with deduplication, over any
+//!   into MTU-sized datagrams (`(seq, fragment, count)` headers), sends
+//!   them through an ack-clocked sliding window, retransmits what the
+//!   cumulative + selective acks or an RTT-derived per-fragment timer
+//!   show to be lost, and reassembles in order with deduplication, over any
 //!   [`DatagramLink`](transport::DatagramLink) — real UDP sockets
 //!   ([`EdgeCluster::spawn_local_udp_cfg`](runtime::EdgeCluster::spawn_local_udp_cfg),
 //!   [`EdgeCluster::connect_udp_cfg`](runtime::EdgeCluster::connect_udp_cfg),

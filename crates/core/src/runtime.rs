@@ -291,6 +291,15 @@ enum StreamEvent {
 /// was expected and arrived.
 type GatherSlot = Option<(Result<(WireMessage, u64), ClanError>, f64)>;
 
+/// What one link's exchange thread brings back: the send's measured
+/// wire bytes, the reply if the send went out, and the seconds from
+/// the start of the exchange to the end of both.
+type LinkExchange = (
+    Result<u64, ClanError>,
+    Option<Result<(WireMessage, u64), ClanError>>,
+    f64,
+);
+
 /// One exchange attempt's result: per-link slots (`None` = no request
 /// sent; `Some(Err)` = churn-class link failure, already recorded in
 /// the membership table) plus the attempt's measured makespan.
@@ -1087,9 +1096,10 @@ impl EdgeCluster {
     }
 
     /// Scatters one request per link (skipping `None` entries) and
-    /// gathers the responses **out of order**: a reader thread per
-    /// pending link banks each response the moment it arrives, so a
-    /// fast agent never waits behind a slow one in the collection loop.
+    /// gathers the responses **out of order**: a thread per requested
+    /// link sends its request and banks the response the moment it
+    /// arrives, so a fast agent never waits behind a slow one — neither
+    /// in the collection loop nor behind its flow-controlled send.
     /// All bookkeeping — ledger rows, calibration, membership marking —
     /// then replays in link order, keeping every observable effect
     /// deterministic regardless of arrival order.
@@ -1122,60 +1132,61 @@ impl EdgeCluster {
             ..
         } = self;
         debug_assert_eq!(requests.len(), links.len());
-        // Scatter in link order; a churn-class send failure claims the
-        // slot instead of aborting the round.
-        let mut responses: Vec<Option<Result<WireMessage, ClanError>>> =
-            (0..links.len()).map(|_| None).collect();
-        let mut sent = vec![false; links.len()];
-        for (i, req) in requests.iter().enumerate() {
-            if let Some((msg, _)) = req {
-                match send_message(links[i].transport.as_mut(), msg) {
-                    Ok(bytes) => {
-                        ledger.record_agent_wire(i, send_kind, msg.modeled_floats(), bytes);
-                        sent[i] = true;
-                    }
-                    Err(e) if is_churn_error(&e) => {
-                        Self::note_link_failure(links, recovery, i, &e);
-                        tracer.timing(EventKind::AgentFailure, |ev| {
-                            ev.agent = Some(i as u64);
-                            ev.label = Some(e.to_string());
-                        });
-                        responses[i] = Some(Err(e));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        // Gather out of order: one reader thread per successfully sent
-        // link.
+        // One thread per requested link sends its request and then
+        // waits for the reply, so a flow-controlled send (a datagram
+        // window waiting on acks, a slow or dead peer) delays only its
+        // own link's work and replies are banked as they arrive.
         // clan-lint: allow(D2, reason="GatherStats wall-clock measurement; reported, never fed back into evolution")
         let start = Instant::now();
-        let mut slots: Vec<GatherSlot> = (0..links.len()).map(|_| None).collect();
+        let mut slots: Vec<Option<LinkExchange>> = (0..links.len()).map(|_| None).collect();
         std::thread::scope(|s| {
             let (tx, rx) = std::sync::mpsc::channel();
-            let mut pending = 0usize;
-            for (i, (link, was_sent)) in links.iter_mut().zip(&sent).enumerate() {
-                if !*was_sent {
-                    continue;
-                }
-                pending += 1;
+            for (i, (link, req)) in links.iter_mut().zip(requests).enumerate() {
+                let Some((msg, _)) = req else { continue };
                 let tx = tx.clone();
                 let transport: &mut dyn Transport = link.transport.as_mut();
                 s.spawn(move || {
-                    let result = recv_message(transport);
-                    let _ = tx.send((i, result, start.elapsed().as_secs_f64()));
+                    let sent = send_message(transport, msg);
+                    let reply = sent.is_ok().then(|| recv_message(transport));
+                    let _ = tx.send((i, (sent, reply, start.elapsed().as_secs_f64())));
                 });
             }
             drop(tx);
-            for (i, result, elapsed) in rx.iter().take(pending) {
-                slots[i] = Some((result, elapsed));
+            for (i, done) in rx {
+                slots[i] = Some(done);
             }
         });
-        // Replay in link order (deterministic bookkeeping).
+        // Replay in link order (deterministic bookkeeping): every send
+        // first, then every reply, as a serial scatter-then-gather
+        // would have recorded them. A churn-class failure claims the
+        // slot instead of aborting the round.
+        let mut responses: Vec<Option<Result<WireMessage, ClanError>>> =
+            (0..links.len()).map(|_| None).collect();
+        let mut failed = |links: &mut [AgentLink], i: usize, e: ClanError| {
+            Self::note_link_failure(links, recovery, i, &e);
+            tracer.timing(EventKind::AgentFailure, |ev| {
+                ev.agent = Some(i as u64);
+                ev.label = Some(e.to_string());
+            });
+            Some(Err(e))
+        };
+        let mut replies: Vec<GatherSlot> = Vec::with_capacity(slots.len());
+        for (i, (slot, req)) in slots.into_iter().zip(requests).enumerate() {
+            let (Some((sent, reply, elapsed)), Some((msg, _))) = (slot, req) else {
+                replies.push(None);
+                continue;
+            };
+            match sent {
+                Ok(bytes) => ledger.record_agent_wire(i, send_kind, msg.modeled_floats(), bytes),
+                Err(e) if is_churn_error(&e) => responses[i] = failed(links, i, e),
+                Err(e) => return Err(e),
+            }
+            replies.push(reply.map(|r| (r, elapsed)));
+        }
         let mut makespan = 0.0f64;
         let mut busy = 0.0f64;
         let mut hard_err: Option<ClanError> = None;
-        for (i, slot) in slots.into_iter().enumerate() {
+        for (i, slot) in replies.into_iter().enumerate() {
             match slot {
                 None => {}
                 Some((Ok((msg, bytes)), elapsed)) => {
@@ -1206,14 +1217,7 @@ impl EdgeCluster {
                     link.last_error = None;
                     responses[i] = Some(Ok(msg));
                 }
-                Some((Err(e), _)) if is_churn_error(&e) => {
-                    Self::note_link_failure(links, recovery, i, &e);
-                    tracer.timing(EventKind::AgentFailure, |ev| {
-                        ev.agent = Some(i as u64);
-                        ev.label = Some(e.to_string());
-                    });
-                    responses[i] = Some(Err(e));
-                }
+                Some((Err(e), _)) if is_churn_error(&e) => responses[i] = failed(links, i, e),
                 Some((Err(e), _)) if hard_err.is_none() => hard_err = Some(e),
                 Some((Err(_), _)) => {}
             }
@@ -1810,10 +1814,19 @@ impl EdgeCluster {
                 self.control_bytes += crate::transport::wire_bytes(&frame);
             }
         }
-        for link in &mut self.links {
-            // Datagram transports retransmit the Shutdown until acked
-            // (bounded); reliable transports return immediately.
-            let _ = link.transport.drain(std::time::Duration::from_millis(750));
+        // Datagram transports retransmit the Shutdown until acked
+        // (bounded); reliable transports return immediately. The links
+        // take turns in short slices: a dead link's whole deadline must
+        // not outlast the time the live agents linger for their acks.
+        // clan-lint: allow(D2, reason="bounds the shutdown drain in wall-clock; nothing evolved depends on it")
+        let deadline = Instant::now() + std::time::Duration::from_millis(750);
+        let mut draining: Vec<&mut AgentLink> = self.links.iter_mut().collect();
+        // clan-lint: allow(D2, reason="bounds the shutdown drain in wall-clock; nothing evolved depends on it")
+        while !draining.is_empty() && Instant::now() < deadline {
+            draining.retain_mut(|link| {
+                let slice = std::time::Duration::from_millis(5);
+                matches!(link.transport.drain(slice), Err(ClanError::Timeout { .. }))
+            });
         }
         for link in &mut self.links {
             if let Some(h) = link.handle.take() {

@@ -92,7 +92,12 @@ pub fn serve_session(transport: &mut dyn Transport) -> Result<(), ClanError> {
                 }
                 send_message(transport, &WireMessage::Children(children))?;
             }
-            WireMessage::Shutdown => return Ok(()),
+            WireMessage::Shutdown => {
+                // The coordinator is still draining this frame: stay
+                // until it has heard the ack (a no-op on stream links).
+                transport.linger();
+                return Ok(());
+            }
             other => {
                 return Err(ClanError::Protocol {
                     peer: transport.peer(),
@@ -202,7 +207,10 @@ impl AgentServer {
 /// There is no accept(): the server learns each coordinator's address
 /// from the first datagram it sends (the `Configure` frame's first
 /// fragment), connects the socket to that peer for the session, and
-/// rebinds the same port for the next one.
+/// rebinds the same port for the next one. Only a well-formed `DATA`
+/// fragment of frame 0 opens a session; anything else that reaches the
+/// unconnected port — a stale retransmit from a finished session,
+/// noise — is consumed and discarded.
 #[derive(Debug)]
 pub struct UdpAgentServer {
     /// Bound socket for the next session (`None` between sessions until
@@ -246,7 +254,7 @@ impl UdpAgentServer {
         self
     }
 
-    /// Overrides the datagram-transport tuning (MTU, retransmit pacing,
+    /// Overrides the datagram-transport tuning (MTU, retransmission timeout,
     /// liveness window). Fault injection in the config applies to this
     /// agent's side of the link.
     pub fn with_config(mut self, udp: super::UdpConfig) -> UdpAgentServer {
@@ -281,14 +289,24 @@ impl UdpAgentServer {
             reason: format!("{what}: {e}"),
         };
         // Learn the coordinator's address without consuming its first
-        // datagram, then filter the socket to that peer.
+        // datagram, then filter the socket to that peer. Adopting
+        // whoever sent *anything* would leave the daemon deaf to every
+        // real coordinator until the idle timeout.
         socket
             .set_read_timeout(None)
             .map_err(|e| err("udp set timeout", e))?;
-        let mut probe = [0u8; 1];
-        let (_, peer) = socket
-            .peek_from(&mut probe)
-            .map_err(|e| err("udp peek", e))?;
+        let mut header = [0u8; super::udp::DATA_HEADER_BYTES];
+        let peer = loop {
+            let (n, from) = socket
+                .peek_from(&mut header)
+                .map_err(|e| err("udp peek", e))?;
+            if header.get(..n).is_some_and(super::udp::opens_session) {
+                break from;
+            }
+            socket
+                .recv_from(&mut header)
+                .map_err(|e| err("udp discard", e))?;
+        };
         socket.connect(peer).map_err(|e| err("udp connect", e))?;
         let link = super::UdpLink::from_socket(socket, peer.to_string());
         let result = match &self.udp.faults {

@@ -62,6 +62,10 @@ impl<T: Transport> Transport for DelayTransport<T> {
     fn peer(&self) -> String {
         format!("{} (delayed)", self.inner.peer())
     }
+
+    fn linger(&mut self) {
+        self.inner.linger();
+    }
 }
 
 #[cfg(test)]

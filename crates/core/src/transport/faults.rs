@@ -280,10 +280,10 @@ impl<L: DatagramLink> DatagramLink for FaultyTransport<L> {
                 return Ok(None);
             };
             if self.cfg.drop_p > 0.0 && self.rx_rng.gen_bool(self.cfg.drop_p) {
+                // Past the deadline the next receive is a poll, so
+                // `None` still means what the ARQ layer takes it to
+                // mean: the inner link's backlog is empty.
                 self.injected.dropped_rx += 1;
-                if Instant::now() >= deadline {
-                    return Ok(None);
-                }
                 continue;
             }
             return Ok(Some(datagram));
@@ -292,6 +292,10 @@ impl<L: DatagramLink> DatagramLink for FaultyTransport<L> {
 
     fn peer(&self) -> String {
         format!("{} (faulty)", self.inner.peer())
+    }
+
+    fn window(&self) -> usize {
+        self.inner.window()
     }
 }
 

@@ -80,10 +80,11 @@ pub trait Transport: Send {
     }
 
     /// Best-effort flush: blocks until every frame already sent is known
-    /// to have reached the peer, or `deadline` elapses. A no-op on
+    /// to have reached the peer — and, on success, tells a
+    /// [`linger`](Transport::linger)ing peer so — or `deadline` elapses. A no-op on
     /// transports whose `send_frame` is already synchronous (channel,
-    /// TCP); [`UdpTransport`] retransmits until everything is
-    /// acknowledged — `EdgeCluster::shutdown` uses this so a lossy link
+    /// TCP); [`UdpTransport`] keeps its window and retransmission
+    /// timers running until everything is acknowledged — `EdgeCluster::shutdown` uses this so a lossy link
     /// still delivers the final `Shutdown`.
     ///
     /// # Errors
@@ -94,6 +95,16 @@ pub trait Transport: Send {
         let _ = deadline;
         Ok(())
     }
+
+    /// Called by the side that leaves a session first, after its last
+    /// frame has arrived: stays just long enough for the peer to learn
+    /// that it did. A no-op on transports that deliver synchronously;
+    /// [`UdpTransport`] keeps re-acknowledging the peer's
+    /// retransmissions until the peer's [`drain`](Transport::drain)
+    /// reports completion or the link has gone quiet (bounded), so a
+    /// lost final ack costs the peer milliseconds, not its whole
+    /// deadline.
+    fn linger(&mut self) {}
 }
 
 /// Bytes a frame occupies on the wire: its encoded length plus the
