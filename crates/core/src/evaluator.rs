@@ -16,7 +16,7 @@ use clan_neat::cache::CachedEvaluation;
 use clan_neat::population::Evaluation;
 use clan_neat::rng::{derive_seed, OpTag};
 use clan_neat::{
-    FeedForwardNetwork, FitnessCache, Genome, GenomeId, NeatConfig, Population, Scratch,
+    FeedForwardNetwork, FitnessCache, Genome, GenomeId, NeatConfig, NeatError, Population, Scratch,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -418,35 +418,56 @@ impl Evaluator {
         master_seed: u64,
         generation: u64,
     ) -> Vec<(GenomeId, Evaluation, u64)> {
-        let _ = generation;
-        let (filter, misses) = CacheFilter::split(self.cache.as_mut(), master_seed, genomes);
-        let fresh = self.evaluate_uncached(&misses, filter.miss_hashes(), cfg, master_seed);
-        filter.merge(self.cache.as_mut(), master_seed, fresh)
+        self.try_evaluate_genomes(genomes, cfg, master_seed, generation)
+            .unwrap_or_else(|e| panic!("genome invariant broken: {e}"))
     }
 
-    /// Compiles and runs `genomes` (content hashes alongside) with no
-    /// cache involved; results in input order.
+    /// [`evaluate_genomes`](Self::evaluate_genomes) for genomes that
+    /// arrived from a peer: one the network compiler cannot use fails
+    /// the batch instead of panicking, before any episode runs and with
+    /// nothing memoized.
+    ///
+    /// # Errors
+    ///
+    /// [`NeatError::InvalidGenome`], from
+    /// [`FeedForwardNetwork::try_compile`].
+    pub fn try_evaluate_genomes(
+        &mut self,
+        genomes: &[Genome],
+        cfg: &NeatConfig,
+        master_seed: u64,
+        generation: u64,
+    ) -> Result<Vec<(GenomeId, Evaluation, u64)>, NeatError> {
+        let _ = generation;
+        let (filter, misses) = CacheFilter::split(self.cache.as_mut(), master_seed, genomes);
+        let fresh = self.evaluate_uncached(&misses, filter.miss_hashes(), cfg, master_seed)?;
+        Ok(filter.merge(self.cache.as_mut(), master_seed, fresh))
+    }
+
+    /// Compiles (once — the only compilation a genome gets) and runs
+    /// `genomes` (content hashes alongside) with no cache involved;
+    /// results in input order.
     fn evaluate_uncached(
         &mut self,
         genomes: &[&Genome],
         hashes: impl Iterator<Item = u64>,
         cfg: &NeatConfig,
         master_seed: u64,
-    ) -> Vec<WireEvaluation> {
-        let nets: Vec<FeedForwardNetwork> = genomes
-            .iter()
-            .map(|g| FeedForwardNetwork::compile(g, cfg))
-            .collect();
+    ) -> Result<Vec<WireEvaluation>, NeatError> {
+        let mut nets = Vec::with_capacity(genomes.len());
+        for g in genomes {
+            nets.push(FeedForwardNetwork::try_compile(g, cfg)?);
+        }
         let seeds: Vec<u64> = hashes
             .map(|h| Evaluator::episode_seed(master_seed, h, self.episodes, self.mode))
             .collect();
         let evals = self.run_misses(&nets, &seeds);
-        genomes
+        Ok(genomes
             .iter()
             .zip(evals)
             .zip(&nets)
             .map(|((g, eval), net)| (g.id(), eval, net.genes_per_activation()))
-            .collect()
+            .collect())
     }
 
     /// Evaluates every network once, batching same-shape networks into
@@ -615,9 +636,9 @@ impl Evaluator {
                 master_seed,
                 pop.generation(),
             ),
-            None => {
-                self.evaluate_uncached(&misses, filter.miss_hashes(), pop.config(), master_seed)
-            }
+            None => self
+                .evaluate_uncached(&misses, filter.miss_hashes(), pop.config(), master_seed)
+                .unwrap_or_else(|e| panic!("genome invariant broken: {e}")),
         };
         filter.merge(self.cache.as_mut(), master_seed, fresh)
     }

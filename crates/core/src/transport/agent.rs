@@ -27,8 +27,10 @@ use std::net::{TcpListener, ToSocketAddrs};
 /// # Errors
 ///
 /// [`ClanError::Protocol`] if the coordinator violates the session
-/// protocol, plus any transport or frame error. A clean disconnect
-/// after `Shutdown` is success.
+/// protocol — a message out of turn, a child spec naming a parent it
+/// did not send, an `Evaluate` genome no network can be built from —
+/// plus any transport or frame error. A clean disconnect after
+/// `Shutdown` is success.
 pub fn serve_session(transport: &mut dyn Transport) -> Result<(), ClanError> {
     let spec = match recv_message(transport)?.0 {
         WireMessage::Configure(spec) => *spec,
@@ -63,7 +65,14 @@ pub fn serve_session(transport: &mut dyn Transport) -> Result<(), ClanError> {
                 master_seed,
                 genomes,
             } => {
-                let results = evaluator.evaluate_genomes(&genomes, &cfg, master_seed, generation);
+                // The frame decoded, but its genomes are still a peer's
+                // word: one no network can be built from ends the session.
+                let results = evaluator
+                    .try_evaluate_genomes(&genomes, &cfg, master_seed, generation)
+                    .map_err(|e| ClanError::Protocol {
+                        peer: transport.peer(),
+                        reason: format!("Evaluate carries an unusable genome: {e}"),
+                    })?;
                 send_message(transport, &WireMessage::Fitness(results))?;
             }
             WireMessage::BuildChildren {

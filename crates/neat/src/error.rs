@@ -27,6 +27,14 @@ pub enum NeatError {
     /// The population went extinct (all species stagnated) and
     /// `reset_on_extinction` was disabled.
     Extinction,
+    /// A genome from outside this process (wire frame, file) is
+    /// structurally unusable: it cannot be compiled into a network.
+    InvalidGenome {
+        /// The offending genome.
+        genome: u64,
+        /// The invariant it breaks.
+        reason: String,
+    },
 }
 
 impl fmt::Display for NeatError {
@@ -42,6 +50,9 @@ impl fmt::Display for NeatError {
                 write!(f, "genome {genome} not found in population")
             }
             NeatError::Extinction => write!(f, "population went extinct"),
+            NeatError::InvalidGenome { genome, reason } => {
+                write!(f, "genome {genome} is invalid: {reason}")
+            }
         }
     }
 }

@@ -101,7 +101,9 @@ impl Genome {
     /// carried one re-apply it with [`set_fitness`](Genome::set_fitness).
     ///
     /// Structural validity is the caller's responsibility —
-    /// [`check_invariants`](Genome::check_invariants) verifies it.
+    /// [`check_invariants`](Genome::check_invariants) verifies all of it,
+    /// and [`FeedForwardNetwork::try_compile`](crate::FeedForwardNetwork::try_compile)
+    /// the part inference depends on, at no extra cost.
     pub fn from_parts(
         id: GenomeId,
         nodes: BTreeMap<NodeId, NodeGene>,
@@ -295,7 +297,71 @@ impl Genome {
     /// each attribute from either parent with probability 0.5. Callers must
     /// pass the higher-fitness parent first (ties broken deterministically
     /// by the caller).
+    ///
+    /// Both parents' gene tables are key-ordered, so matching genes are
+    /// found by one merge-join pass and the child's tables are bulk-built
+    /// from the resulting sorted run — no per-gene lookup or insert. The
+    /// RNG is drawn once per attribute of each matching gene, in the
+    /// fitter parent's key order (nodes, then connections).
     pub fn crossover<R: Rng + ?Sized>(
+        fitter: &Genome,
+        other: &Genome,
+        child_id: GenomeId,
+        rng: &mut R,
+    ) -> Genome {
+        /// The child's table: every gene of `fitter`, `mix`ed with the
+        /// same-keyed gene of `other` where there is one.
+        fn inherit<K: Ord + Copy, G: Copy, R: Rng + ?Sized>(
+            fitter: &BTreeMap<K, G>,
+            other: &BTreeMap<K, G>,
+            rng: &mut R,
+            mix: impl Fn(&G, &G, &mut R) -> G,
+        ) -> BTreeMap<K, G> {
+            let mut others = other.iter().peekable();
+            // Collecting an ascending run: `BTreeMap`'s `FromIterator`
+            // builds the tree bottom-up from it.
+            fitter
+                .iter()
+                .map(|(k, g1)| {
+                    // Genes only the less fit parent has are not inherited.
+                    while others.next_if(|(k2, _)| *k2 < k).is_some() {}
+                    let gene = match others.next_if(|(k2, _)| *k2 == k) {
+                        Some((_, g2)) => mix(g1, g2, rng),
+                        None => *g1,
+                    };
+                    (*k, gene)
+                })
+                .collect()
+        }
+        fn pick<T: Copy, R: Rng + ?Sized>(rng: &mut R, a: T, b: T) -> T {
+            if rng.gen::<bool>() {
+                a
+            } else {
+                b
+            }
+        }
+        let nodes = inherit(&fitter.nodes, &other.nodes, rng, |g1, g2, rng| NodeGene {
+            bias: pick(rng, g1.bias, g2.bias),
+            response: pick(rng, g1.response, g2.response),
+            activation: pick(rng, g1.activation, g2.activation),
+            aggregation: pick(rng, g1.aggregation, g2.aggregation),
+        });
+        let conns = inherit(&fitter.conns, &other.conns, rng, |g1, g2, rng| ConnGene {
+            weight: pick(rng, g1.weight, g2.weight),
+            enabled: pick(rng, g1.enabled, g2.enabled),
+        });
+        Genome {
+            id: child_id,
+            nodes,
+            conns,
+            fitness: None,
+        }
+    }
+
+    /// The lookup-per-gene crossover the merge-join replaced, kept as the
+    /// reference the equivalence proptest below checks it against.
+    #[cfg(test)]
+    fn crossover_by_lookup<R: Rng + ?Sized>(
         fitter: &Genome,
         other: &Genome,
         child_id: GenomeId,
@@ -757,6 +823,75 @@ mod tests {
         let child = Genome::crossover(&a, &b, GenomeId(2), &mut rng(19));
         for c in child.conns().values() {
             assert!(c.weight == 1.0 || c.weight == -1.0);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+        /// The merge-join must be indistinguishable from the lookup-based
+        /// crossover it replaced: the same child, and the RNG left in the
+        /// same state (so every later draw of the reproduction stream is
+        /// unchanged too).
+        fn merge_join_crossover_matches_the_lookup_reference(
+            seed in proptest::any::<u64>(),
+            shape in 0u8..5,
+            n1 in 0u32..12,
+            n2 in 0u32..12,
+        ) {
+            // Transfer functions mutate too, so all four node attributes
+            // can differ between matching genes.
+            let cfg = NeatConfig::builder(3, 2)
+                .activation_mutate_rate(0.3)
+                .aggregation_mutate_rate(0.3)
+                .build()
+                .unwrap();
+            let mut r = rng(seed);
+            let mutated = |g: &mut Genome, n: u32, r: &mut StdRng| {
+                for _ in 0..n {
+                    g.mutate(&cfg, r);
+                }
+            };
+            let mut p1 = Genome::new_initial(&cfg, GenomeId(0), &mut r);
+            let mut p2;
+            match shape {
+                // Unrelated lineages: disjoint and excess genes on both sides.
+                0 => {
+                    p2 = Genome::new_initial(&cfg, GenomeId(1), &mut r);
+                    mutated(&mut p1, n1, &mut r);
+                    mutated(&mut p2, n2, &mut r);
+                }
+                // A shared ancestor (common hidden ids), then divergence.
+                1 => {
+                    mutated(&mut p1, n1, &mut r);
+                    p2 = p1.clone();
+                    mutated(&mut p1, n2, &mut r);
+                    mutated(&mut p2, n2, &mut r);
+                }
+                // A genome crossed with itself.
+                2 => {
+                    mutated(&mut p1, n1, &mut r);
+                    p2 = p1.clone();
+                }
+                // Hidden nodes on the fitter side only, then on the other.
+                _ => {
+                    p2 = p1.clone();
+                    for _ in 0..=n1 {
+                        p1.mutate_add_node(&cfg, &mut r);
+                    }
+                    p2.mutate_attributes(&cfg, &mut r);
+                    proptest::prop_assert!(p1.nodes.len() > p2.nodes.len());
+                    if shape == 4 {
+                        std::mem::swap(&mut p1, &mut p2);
+                    }
+                }
+            }
+            let (mut ra, mut rb) = (rng(seed ^ 0xC0), rng(seed ^ 0xC0));
+            let child = Genome::crossover(&p1, &p2, GenomeId(9), &mut ra);
+            let reference = Genome::crossover_by_lookup(&p1, &p2, GenomeId(9), &mut rb);
+            proptest::prop_assert_eq!(&child, &reference);
+            proptest::prop_assert_eq!(child.content_hash(), reference.content_hash());
+            proptest::prop_assert_eq!(ra.gen::<u64>(), rb.gen::<u64>(), "RNG streams diverged");
         }
     }
 

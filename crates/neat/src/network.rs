@@ -28,6 +28,7 @@
 
 use crate::activation::{Activation, Aggregation};
 use crate::config::NeatConfig;
+use crate::error::NeatError;
 use crate::gene::{GenomeId, NodeId};
 use crate::genome::Genome;
 use serde::{Deserialize, Serialize};
@@ -123,10 +124,42 @@ impl FeedForwardNetwork {
     /// Nodes not on any path to an output are pruned; an output with no
     /// incoming connections still produces `activation(bias)`.
     ///
+    /// For genomes this process evolved itself. One that arrived from
+    /// outside (a wire frame, a file) goes through
+    /// [`try_compile`](Self::try_compile).
+    ///
+    /// # Panics
+    ///
+    /// Panics where `try_compile` returns an error: the genome breaks an
+    /// invariant every genetic operator preserves.
+    pub fn compile(genome: &Genome, cfg: &NeatConfig) -> FeedForwardNetwork {
+        FeedForwardNetwork::try_compile(genome, cfg)
+            .unwrap_or_else(|e| panic!("genome invariant broken: {e}"))
+    }
+
+    /// [`compile`](Self::compile) for a genome of unknown provenance:
+    /// the structural faults that would make the plan unbuildable or
+    /// its activation read out of bounds are errors, not panics.
+    ///
+    /// The checks are the ones the compilation passes make anyway — the
+    /// output lookup, the endpoint resolution and Kahn's count — so a
+    /// valid genome pays nothing for them (unlike
+    /// [`Genome::check_invariants`], which builds its own maps).
+    ///
     /// The whole pass is index-based: node ids are resolved once into
     /// positions within the genome's sorted node list, and the
     /// reachability/topological/grouping passes run over flat `Vec`s.
-    pub fn compile(genome: &Genome, cfg: &NeatConfig) -> FeedForwardNetwork {
+    ///
+    /// # Errors
+    ///
+    /// [`NeatError::InvalidGenome`] if an output has no node gene, an
+    /// enabled connection reads an input past `cfg.num_inputs`, or the
+    /// enabled connections the outputs depend on form a cycle.
+    pub fn try_compile(genome: &Genome, cfg: &NeatConfig) -> Result<FeedForwardNetwork, NeatError> {
+        let invalid = |reason: String| NeatError::InvalidGenome {
+            genome: genome.id().0,
+            reason,
+        };
         let num_inputs = cfg.num_inputs;
         let node_ids: Vec<NodeId> = genome.nodes().keys().copied().collect();
         let n_nodes = node_ids.len();
@@ -152,7 +185,15 @@ impl FeedForwardNetwork {
                 continue;
             };
             let src = if key.input.is_input() {
-                INPUT_BASE - (-key.input.0 - 1) as usize
+                // `-1` is observation 0; unsigned so `i64::MIN` is a
+                // large index, not an overflow.
+                let obs = key.input.0.unsigned_abs() - 1;
+                if obs >= num_inputs as u64 {
+                    return Err(invalid(format!(
+                        "connection {key} reads input {obs} of {num_inputs}"
+                    )));
+                }
+                INPUT_BASE - obs as usize
             } else {
                 match idx_of(key.input) {
                     Some(i) => i,
@@ -189,11 +230,15 @@ impl FeedForwardNetwork {
             }
         }
         let mut required = vec![false; n_nodes];
+        // The queue opens with the outputs, in output order, and only
+        // ever grows: its head doubles as the output index list below.
         let mut queue: Vec<u32> = (0..cfg.num_outputs)
             .map(|o| {
-                idx_of(NodeId::output(o)).expect("genome invariant: output node genes exist") as u32
+                idx_of(NodeId::output(o))
+                    .map(|i| i as u32)
+                    .ok_or_else(|| invalid(format!("output {o} has no node gene")))
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let mut head = 0;
         while head < queue.len() {
             let n = queue[head] as usize;
@@ -256,7 +301,9 @@ impl FeedForwardNetwork {
                 }
             }
         }
-        debug_assert_eq!(order.len(), n_required, "genome graph must be acyclic");
+        if order.len() != n_required {
+            return Err(invalid("enabled connections form a cycle".into()));
+        }
 
         // Slot assignment: inputs first, then nodes in topological order.
         let mut slot_of_node = vec![usize::MAX; n_nodes];
@@ -290,17 +337,18 @@ impl FeedForwardNetwork {
                 incoming: std::mem::take(&mut incoming[n as usize]),
             });
         }
-        let output_slots = (0..cfg.num_outputs)
-            .map(|o| slot_of_node[idx_of(NodeId::output(o)).expect("output exists")])
+        let output_slots = queue[..cfg.num_outputs]
+            .iter()
+            .map(|&i| slot_of_node[i as usize])
             .collect();
-        FeedForwardNetwork {
+        Ok(FeedForwardNetwork {
             genome_id: genome.id(),
             num_inputs,
             num_outputs: cfg.num_outputs,
             genes_per_activation: conn_count + order.len() as u64,
             nodes,
             output_slots,
-        }
+        })
     }
 
     /// Id of the genome this network was compiled from.
@@ -550,6 +598,58 @@ mod tests {
         assert!(out.iter().all(|v| v.is_finite()));
         // Only the two output nodes are touched.
         assert_eq!(net.genes_per_activation(), 2);
+    }
+
+    /// A hand-built genome for two inputs and one output: output node 0,
+    /// hidden node 5, and the given `(input, output)` connections.
+    fn hand_built(conns: &[(i64, i64)]) -> Genome {
+        use crate::gene::{ConnGene, ConnKey, NodeGene};
+        Genome::from_parts(
+            GenomeId(77),
+            [0, 5]
+                .map(|id| (NodeId(id), NodeGene::default()))
+                .into_iter()
+                .collect(),
+            conns
+                .iter()
+                .map(|&(i, o)| (ConnKey::new(NodeId(i), NodeId(o)), ConnGene::default()))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn try_compile_rejects_what_would_panic_later() {
+        let cfg = cfg(2, 1);
+        let reason = |g: &Genome, cfg: &NeatConfig| match FeedForwardNetwork::try_compile(g, cfg) {
+            Err(NeatError::InvalidGenome { genome: 77, reason }) => reason,
+            other => panic!("expected InvalidGenome, got {other:?}"),
+        };
+        let ok = hand_built(&[(-1, 5), (-2, 0), (5, 0)]);
+        assert_eq!(
+            FeedForwardNetwork::try_compile(&ok, &cfg).unwrap(),
+            FeedForwardNetwork::compile(&ok, &cfg)
+        );
+        // A second output the genome has no node gene for.
+        assert!(reason(&ok, &super::tests::cfg(2, 2)).contains("output 1"));
+        // Inputs past the observation vector, up to the id space's edge.
+        for input in [-3, i64::MIN] {
+            let g = hand_built(&[(input, 0)]);
+            assert!(reason(&g, &cfg).contains("reads input"), "{input}");
+        }
+        // A 2-cycle the output depends on, and a self-loop.
+        assert!(reason(&hand_built(&[(5, 0), (0, 5)]), &cfg).contains("cycle"));
+        assert!(reason(&hand_built(&[(0, 0)]), &cfg).contains("cycle"));
+        // A cycle no output depends on is pruned with its nodes, and
+        // connections to node genes that do not exist are skipped.
+        let unused = hand_built(&[(-1, 0), (5, 5), (7, 0), (-1, 7)]);
+        let net = FeedForwardNetwork::try_compile(&unused, &cfg).unwrap();
+        assert_eq!(net.genes_per_activation(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "genome invariant broken")]
+    fn compile_panics_on_a_genome_no_operator_could_have_built() {
+        FeedForwardNetwork::compile(&hand_built(&[(5, 0), (0, 5)]), &cfg(2, 1));
     }
 
     #[test]

@@ -110,9 +110,10 @@ fn tcp_run_measures_wire_traffic_against_the_model() {
     assert_eq!(genomes.messages, (2 * GENERATIONS) as u64);
     assert_eq!(fitness.messages, (2 * GENERATIONS) as u64);
     assert!(genomes.wire_bytes > 0 && fitness.wire_bytes > 0);
-    // The real wire format (f64 attributes, i64 gene keys, framing) must
-    // cost more than the paper's 4-bytes-per-gene accounting — this is
-    // the measured framing overhead ROADMAP.md records.
+    // The real wire format (f64 attributes, delta-coded gene keys,
+    // framing) must cost more than the paper's 4-bytes-per-gene
+    // accounting — this is the measured framing overhead ROADMAP.md
+    // records.
     let overhead = wire.framing_overhead().expect("both measures present");
     assert!(
         overhead > 1.0 && overhead < 20.0,

@@ -9,14 +9,17 @@
 use clan::core::runtime::EdgeCluster;
 use clan::core::transport::agent::AgentServer;
 use clan::core::transport::{
-    datagram_channel_pair, decode, encode, ClusterSpec, FaultConfig, FaultyTransport, TcpTransport,
-    Transport, UdpConfig, UdpTransport, WireMessage, LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES,
+    datagram_channel_pair, decode, encode, recv_message, send_message, ClusterSpec, FaultConfig,
+    FaultyTransport, TcpTransport, Transport, UdpConfig, UdpTransport, WireMessage,
+    LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES,
 };
 use clan::core::{ClanError, FrameError, InferenceMode};
 use clan::envs::Workload;
 use clan::neat::population::Evaluation;
 use clan::neat::reproduction::{ChildKind, ChildSpec};
-use clan::neat::{Genome, GenomeId, NeatConfig, Population, SpeciesId};
+use clan::neat::{
+    ConnGene, ConnKey, Genome, GenomeId, NeatConfig, NodeGene, NodeId, Population, SpeciesId,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,8 +49,136 @@ fn genome(seed: u64, mutations: u64, with_fitness: bool) -> Genome {
     g
 }
 
+/// `g` with genes at the edges of the id space spliced in, and every
+/// float attribute replaced by a bit pattern from `bits` (cycled):
+/// nothing an operator would evolve, everything the format must carry.
+fn with_extreme_genes(g: &Genome, bits: &[u64]) -> Genome {
+    let mut patterns = bits.iter().cycle().map(|&b| f64::from_bits(b));
+    let mut next = || patterns.next().expect("bits is not empty");
+    let mut nodes = g.nodes().clone();
+    let mut conns = g.conns().clone();
+    let derived = NodeId::derived_from_split(ConnKey::new(NodeId(-1), NodeId(0)), 3);
+    for id in [NodeId(i64::MIN), NodeId(i64::MAX), derived] {
+        nodes.insert(id, NodeGene::default());
+    }
+    for (i, o) in [
+        (i64::MIN, i64::MIN),
+        (i64::MIN, i64::MAX),
+        (i64::MAX, i64::MIN),
+        (i64::MAX, i64::MAX),
+        (-1, derived.0),
+        (derived.0, i64::MAX),
+    ] {
+        conns.insert(ConnKey::new(NodeId(i), NodeId(o)), ConnGene::default());
+    }
+    for node in nodes.values_mut() {
+        (node.bias, node.response) = (next(), next());
+    }
+    for conn in conns.values_mut() {
+        conn.weight = next();
+    }
+    let mut out = Genome::from_parts(g.id(), nodes, conns);
+    if g.fitness().is_some() {
+        out.set_fitness(next());
+    }
+    out
+}
+
+/// Every field of a genome flattened to integers, floats as their bits,
+/// so that NaNs (never `==` to themselves) and `-0.0` (`==` to `0.0`)
+/// compare exactly.
+fn exact(g: &Genome) -> Vec<u64> {
+    let mut fields = vec![g.id().0, g.fitness().map_or(u64::MAX, f64::to_bits)];
+    fields.push(g.nodes().len() as u64);
+    for (id, n) in g.nodes() {
+        let (bias, response) = (n.bias.to_bits(), n.response.to_bits());
+        let functions = [n.activation as u64, n.aggregation as u64];
+        fields.extend([id.0 as u64, bias, response, functions[0], functions[1]]);
+    }
+    for (k, c) in g.conns() {
+        let weight = c.weight.to_bits();
+        fields.extend([
+            k.input.0 as u64,
+            k.output.0 as u64,
+            weight,
+            c.enabled as u64,
+        ]);
+    }
+    fields
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Evolved genomes (hash-derived hidden ids included) carrying ids
+    /// at both ends of `i64` and arbitrary float bit patterns come back
+    /// exactly, through every genome-bearing message.
+    fn genomes_round_trip_bit_for_bit_at_the_edges_of_the_format(
+        seed in 0u64..1000,
+        mutations in 0u64..30,
+        random_bits in proptest::collection::vec(any::<u64>(), 1..40),
+    ) {
+        // Signed zero, the smallest subnormal, a quiet and a signalling
+        // NaN with payloads, both infinities — then the random patterns.
+        let mut bits = vec![
+            (-0.0f64).to_bits(),
+            1,
+            0x7FF8_0000_DEAD_BEEF,
+            0xFFF0_0000_0000_0001,
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            f64::MIN_POSITIVE.to_bits() - 1,
+        ];
+        bits.extend(random_bits);
+        let cfg = neat_cfg(4);
+        let genomes: Vec<Genome> = (0..3)
+            .map(|i| {
+                let mut g = genome(seed + i, mutations, i % 2 == 0);
+                // One more split on top of whatever `mutations` evolved.
+                g.mutate_add_node(&cfg, &mut StdRng::seed_from_u64(seed));
+                bits.rotate_left(1);
+                with_extreme_genes(&g, &bits)
+            })
+            .collect();
+        let sent: Vec<_> = genomes.iter().map(exact).collect();
+        let messages = [
+            WireMessage::Evaluate { generation: seed, master_seed: !seed, genomes: genomes.clone() },
+            WireMessage::BuildChildren {
+                generation: 1,
+                master_seed: 2,
+                specs: vec![],
+                parents: genomes.clone(),
+            },
+            WireMessage::Children(genomes),
+        ];
+        for msg in &messages {
+            let frame = encode(msg);
+            let received = match decode(&frame) {
+                Ok(WireMessage::Evaluate { genomes, .. })
+                | Ok(WireMessage::BuildChildren { parents: genomes, .. })
+                | Ok(WireMessage::Children(genomes)) => genomes,
+                other => return Err(format!("decoded to {other:?}")),
+            };
+            prop_assert_eq!(received.iter().map(exact).collect::<Vec<_>>(), sent.clone());
+            // And a byte-exact fixed point: what was decoded encodes to
+            // the frame it came from.
+            let again = match msg {
+                WireMessage::Evaluate { generation, master_seed, .. } => WireMessage::Evaluate {
+                    generation: *generation,
+                    master_seed: *master_seed,
+                    genomes: received,
+                },
+                WireMessage::BuildChildren { .. } => WireMessage::BuildChildren {
+                    generation: 1,
+                    master_seed: 2,
+                    specs: vec![],
+                    parents: received,
+                },
+                _ => WireMessage::Children(received),
+            };
+            prop_assert_eq!(encode(&again), frame);
+        }
+    }
 
     fn evaluate_frames_round_trip(
         seed in 0u64..1000,
@@ -298,7 +429,7 @@ fn deeply_nested_configure_payload_is_a_typed_error_not_a_dead_agent() {
     // recurses once per level, so unbounded it overflows the stack and
     // takes the whole agent process down from one frame.
     let payload = vec![b'['; 1_000_000];
-    let mut frame = b"CLAN\x01\x01".to_vec();
+    let mut frame = b"CLAN\x02\x01".to_vec();
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&payload);
 
@@ -320,6 +451,93 @@ fn deeply_nested_configure_payload_is_a_typed_error_not_a_dead_agent() {
         Err(ClanError::Transport { .. })
     ));
     assert_eq!(decode(&frame), Err(FrameError::BadValue("spec json")));
+}
+
+#[test]
+fn well_formed_frames_with_unusable_genomes_end_the_session_not_the_agent() {
+    // The frames below decode — every key ascends, every count holds —
+    // but no network can be built from the genomes they carry. Each used
+    // to panic the agent thread inside `FeedForwardNetwork::compile` or
+    // the first activation; under `clan-cli agent` that is the daemon.
+    let cfg = neat_cfg(4); // CartPole: inputs -1..=-4, outputs 0 and 1
+    let hand_built = |id, nodes: &[i64], conns: &[(i64, i64)]| {
+        Genome::from_parts(
+            GenomeId(id),
+            nodes
+                .iter()
+                .map(|&n| (NodeId(n), NodeGene::default()))
+                .collect(),
+            conns
+                .iter()
+                .map(|&(i, o)| (ConnKey::new(NodeId(i), NodeId(o)), ConnGene::default()))
+                .collect(),
+        )
+    };
+    let hostile = [
+        ("output 1 has no node gene", hand_built(1, &[0], &[(-1, 0)])),
+        ("reads input 8 of 4", hand_built(2, &[0, 1], &[(-9, 0)])),
+        (
+            "cycle",
+            hand_built(3, &[0, 1, 5], &[(-1, 5), (0, 5), (5, 0)]),
+        ),
+    ];
+
+    let server = AgentServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    // What `serve_forever` does, with the outcomes kept: one session
+    // per hostile coordinator, then a well-behaved one.
+    let sessions = hostile.len() + 1;
+    let agent = std::thread::spawn(move || -> Vec<Result<(), ClanError>> {
+        (0..sessions).map(|_| server.serve_once()).collect()
+    });
+    let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::SingleStep, cfg);
+    let session = |last: Genome| {
+        let mut link = TcpTransport::connect(addr).unwrap();
+        send_message(&mut link, &WireMessage::Configure(Box::new(spec.clone()))).unwrap();
+        // A sound genome first: the bad one must not be the session's
+        // only work, and must not poison what came before it.
+        for genomes in [vec![genome(1, 5, false)], vec![genome(2, 5, false), last]] {
+            let n = genomes.len();
+            send_message(
+                &mut link,
+                &WireMessage::Evaluate {
+                    generation: 0,
+                    master_seed: 1,
+                    genomes,
+                },
+            )
+            .unwrap();
+            match recv_message(&mut link) {
+                Ok((WireMessage::Fitness(results), _)) => assert_eq!(results.len(), n),
+                other => return (link, Some(other)),
+            }
+        }
+        (link, None)
+    };
+    for (_, genome) in &hostile {
+        let (_, outcome) = session(genome.clone());
+        // The coordinator's end: a typed transport error (the agent hung
+        // up), not a hang and not a Fitness for the bad batch.
+        assert!(
+            matches!(outcome, Some(Err(ClanError::Transport { .. }))),
+            "{outcome:?}"
+        );
+    }
+    let (mut link, outcome) = session(genome(3, 5, false));
+    assert!(
+        outcome.is_none(),
+        "a sound session after three bad ones: {outcome:?}"
+    );
+    send_message(&mut link, &WireMessage::Shutdown).unwrap();
+
+    let outcomes = agent.join().expect("the agent thread must survive");
+    for ((why, _), outcome) in hostile.iter().zip(&outcomes) {
+        match outcome {
+            Err(ClanError::Protocol { reason, .. }) => assert!(reason.contains(why), "{reason}"),
+            other => panic!("expected a protocol error naming `{why}`, got {other:?}"),
+        }
+    }
+    assert_eq!(outcomes[hostile.len()], Ok(()));
 }
 
 #[test]

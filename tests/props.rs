@@ -382,15 +382,19 @@ fn mutate(bytes: &mut Vec<u8>, rng: &mut u64) {
     }
 }
 
-/// Seeded mutation fuzz of the two JSON readers on a trust boundary: the
-/// JSONL loader behind `clan-trace` and the `ClusterSpec` JSON inside a
-/// `Configure` frame. Hostile bytes must come back as `Ok` or a typed
-/// `Err`; a panic (or stack overflow) fails the test by killing it.
+/// Seeded mutation fuzz of the readers on a trust boundary: the JSONL
+/// loader behind `clan-trace`, the `ClusterSpec` JSON inside a
+/// `Configure` frame, and the binary genome tables inside `Evaluate`,
+/// `BuildChildren` and `Children` frames. Hostile bytes must come back
+/// as `Ok` or a typed `Err`; a panic (or stack overflow) fails the test
+/// by killing it.
 #[test]
 fn mutated_trace_lines_and_spec_frames_never_panic() {
     use clan::core::telemetry::{to_jsonl, EventKind, Tracer};
     use clan::core::transport::{decode, encode, ClusterSpec, WireMessage};
     use clan::core::InferenceMode;
+    use clan::neat::reproduction::{ChildKind, ChildSpec};
+    use clan::neat::SpeciesId;
 
     let tracer = Tracer::new();
     tracer.logical(EventKind::RunStart, |e| {
@@ -413,15 +417,62 @@ fn mutated_trace_lines_and_spec_frames_never_panic() {
     let lines: Vec<&[u8]> = jsonl.lines().map(str::as_bytes).collect();
 
     let cfg = NeatConfig::builder(4, 2).build().expect("valid config");
-    let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::SingleStep, cfg);
+    let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::SingleStep, cfg.clone());
     let frame = encode(&WireMessage::Configure(Box::new(spec)));
     // magic + version + tag, then the u32 length of the spec JSON.
     let (header, spec_json) = (&frame[..6], &frame[10..]);
 
+    // Genome frames of every kind, from genomes with a few splits in
+    // them (multi-byte key deltas, disabled genes, a fitness or none).
+    let genomes: Vec<Genome> = (0..3u64)
+        .map(|i| {
+            let mut r = StdRng::seed_from_u64(i);
+            let mut g = Genome::new_initial(&cfg, GenomeId(i), &mut r);
+            for _ in 0..4 * i {
+                g.mutate(&cfg, &mut r);
+                g.mutate_add_node(&cfg, &mut r);
+            }
+            if i != 1 {
+                g.set_fitness(i as f64 - 0.5);
+            }
+            g
+        })
+        .collect();
+    let genome_frames = [
+        encode(&WireMessage::Evaluate {
+            generation: 3,
+            master_seed: 13,
+            genomes: genomes.clone(),
+        }),
+        encode(&WireMessage::BuildChildren {
+            generation: 3,
+            master_seed: 13,
+            specs: vec![ChildSpec {
+                child_id: GenomeId(9),
+                species: SpeciesId(1),
+                kind: ChildKind::Crossover {
+                    parent1: GenomeId(0),
+                    parent2: GenomeId(2),
+                },
+            }],
+            parents: genomes.clone(),
+        }),
+        encode(&WireMessage::Children(genomes)),
+    ];
+
     let mut rng = 0x9E37_79B9_7F4A_7C15u64;
     let (mut trace_ok, mut trace_err, mut spec_ok, mut spec_err) = (0u32, 0u32, 0u32, 0u32);
+    let (mut genome_ok, mut genome_err) = ([0u32; 3], [0u32; 3]);
     for case in 0..100_000usize {
-        if case % 8 != 0 {
+        if case % 8 == 1 || case % 8 == 2 {
+            let kind = case / 8 % genome_frames.len();
+            let mut hostile = genome_frames[kind].clone();
+            mutate(&mut hostile, &mut rng);
+            match decode(&hostile) {
+                Ok(_) => genome_ok[kind] += 1,
+                Err(_) => genome_err[kind] += 1,
+            }
+        } else if case % 8 != 0 {
             let mut line = lines[case % lines.len()].to_vec();
             mutate(&mut line, &mut rng);
             match clan_trace_tools::parse_jsonl(&String::from_utf8_lossy(&line)) {
@@ -448,6 +499,10 @@ fn mutated_trace_lines_and_spec_frames_never_panic() {
     assert!(
         trace_ok > 0 && trace_err > 0 && spec_ok > 0 && spec_err > 0,
         "trace {trace_ok}/{trace_err}, spec {spec_ok}/{spec_err}"
+    );
+    assert!(
+        genome_ok.iter().chain(&genome_err).all(|&n| n > 0),
+        "genome frames ok {genome_ok:?}, err {genome_err:?}"
     );
 }
 
