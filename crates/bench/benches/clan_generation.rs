@@ -31,33 +31,6 @@ fn bench_generation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_activation_tiers(c: &mut Criterion) {
-    use clan_neat::network::Scratch;
-    use clan_neat::{FeedForwardNetwork, Genome, GenomeId, NeatConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let mut group = c.benchmark_group("activation_tiers");
-    for (name, inputs, outputs) in [("cartpole", 4usize, 2usize), ("atari", 128, 18)] {
-        let cfg = NeatConfig::builder(inputs, outputs).build().unwrap();
-        let mut genome = Genome::new_initial(&cfg, GenomeId(0), &mut StdRng::seed_from_u64(7));
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..30 {
-            genome.mutate(&cfg, &mut rng);
-        }
-        let net = FeedForwardNetwork::compile(&genome, &cfg);
-        let obs = vec![0.5; inputs];
-        group.bench_function(BenchmarkId::new("activate", name), |b| {
-            b.iter(|| black_box(net.activate(black_box(&obs))))
-        });
-        group.bench_function(BenchmarkId::new("activate_into", name), |b| {
-            let mut scratch = Scratch::new();
-            b.iter(|| black_box(net.activate_into(black_box(&obs), &mut scratch)[0]))
-        });
-    }
-    group.finish();
-}
-
 fn bench_eval_thread_scaling(c: &mut Criterion) {
     use clan_core::{Evaluator, InferenceMode, Orchestrator, SerialOrchestrator};
     use clan_distsim::Cluster;
@@ -124,7 +97,6 @@ fn bench_threaded_runtime(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_generation, bench_activation_tiers, bench_eval_thread_scaling,
-        bench_threaded_runtime
+    targets = bench_generation, bench_eval_thread_scaling, bench_threaded_runtime
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the NEAT primitives: the per-gene costs
 //! that the CLAN cost model abstracts as genes/second.
 
-use clan_neat::{FeedForwardNetwork, Genome, GenomeId, NeatConfig, Population};
+use clan_neat::{FeedForwardNetwork, Genome, GenomeId, NeatConfig, Population, Scratch};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,8 +26,9 @@ fn bench_network_activation(c: &mut Criterion) {
         let genome = evolved_genome(&cfg, 7, 30);
         let net = FeedForwardNetwork::compile(&genome, &cfg);
         let obs = vec![0.5; inputs];
-        group.bench_function(BenchmarkId::new("activate", name), |b| {
-            b.iter(|| black_box(net.activate(black_box(&obs))))
+        group.bench_function(BenchmarkId::new("activate_into", name), |b| {
+            let mut scratch = Scratch::new();
+            b.iter(|| black_box(net.activate_into(black_box(&obs), &mut scratch)[0]))
         });
     }
     group.finish();

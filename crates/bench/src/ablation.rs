@@ -17,7 +17,7 @@ use crate::output::{fmt, OutputSink};
 use crate::{BENCH_SEED, POPULATION};
 use clan_core::{ClanDriver, ClanTopology};
 use clan_envs::Workload;
-use clan_neat::{NeatConfig, Population};
+use clan_neat::{NeatConfig, Population, Scratch};
 use clan_netsim::WifiModel;
 use std::io;
 
@@ -97,11 +97,12 @@ fn dynamic_threshold_ablation(sink: &OutputSink) -> io::Result<()> {
             ([1.0, 0.0], 1.0),
             ([1.0, 1.0], 0.0),
         ];
+        let mut scratch = Scratch::new();
         for gen in 0..MAX_GENS {
             pop.evaluate(|net, _| {
                 let mut f = 4.0;
                 for (i, want) in &cases {
-                    let got = net.activate(i)[0];
+                    let got = net.activate_into(i, &mut scratch)[0];
                     f -= (got - want) * (got - want);
                 }
                 f

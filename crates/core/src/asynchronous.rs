@@ -10,6 +10,30 @@
 //! reproduction event ([`clan_neat::steady_state`]) — tournament
 //! selection plus insert-replace-worst, no generations.
 //!
+//! # One loop, two schedulers
+//!
+//! There is one steady-state loop (the private `SteadyStateLoop`): its
+//! completion handler records the evaluation
+//! ([`Population::record_evaluation`]), decides what the freed agent
+//! runs next, traces and hashes the event. What differs between
+//! [`run_virtual`](AsyncOrchestrator::run_virtual) and
+//! [`run_streamed`](AsyncOrchestrator::run_streamed) is only the
+//! scheduler the handler is plugged into — a seeded virtual clock, or
+//! [`EdgeCluster::evaluate_stream`](crate::runtime::EdgeCluster::evaluate_stream)
+//! over real links; both take `(initial genomes, on_complete)` and hand
+//! back [`StreamStats`].
+//!
+//! **The bootstrap rule.** Founders first: while a founding genome is
+//! still waiting for an agent, a freed agent takes it and nothing is
+//! bred. Reproduction starts with the first completion that finds the
+//! founder queue empty, so every tournament draws from at least
+//! `population − agents` evaluated genomes. Breeding from the second
+//! arrival instead (as the live run once did) queues each child behind
+//! the founders while every insertion evicts the only evaluated
+//! non-champion: the evaluated set stays at size one for the whole run
+//! and "steady-state NEAT" degenerates into a (1+1) hill-climber behind
+//! a population-deep delay line.
+//!
 //! # The reproducibility contract
 //!
 //! Removing the barrier breaks bit-identity to the serial run *by
@@ -29,11 +53,12 @@
 //!   — the diffable artifact CI enforces — fingerprinted by
 //!   [`AsyncStats::event_log_hash`] whether or not tracing is on.
 //! - **Real transports trade determinism for throughput.**
-//!   [`AsyncOrchestrator::run_streamed`] drives
-//!   [`EdgeCluster::evaluate_stream`](crate::runtime::EdgeCluster::evaluate_stream)
-//!   over channel/TCP/UDP links; arrival order is whatever the wire
-//!   delivers, and the run is characterized statistically (convergence
-//!   tests) rather than bit-for-bit.
+//!   [`AsyncOrchestrator::run_streamed`] runs the same loop over
+//!   channel/TCP/UDP links; arrival order is whatever the wire delivers,
+//!   and the run is characterized statistically (convergence tests)
+//!   rather than bit-for-bit. With a single agent arrival order *is*
+//!   dispatch order, and the live run reproduces its virtual-time twin
+//!   exactly (`tests/async_steady_state.rs`).
 //!
 //! The scheduling win is measured, not assumed: [`AsyncStats`] records
 //! makespan, summed busy time, and the wasted idle (`agents x makespan -
@@ -43,10 +68,10 @@
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use crate::runtime::{StreamCompletion, StreamStats};
-use crate::telemetry::EventKind;
+use crate::telemetry::{EventKind, TraceEvent, Tracer};
 use clan_neat::rng::{derive_seed, splitmix64, OpTag};
 use clan_neat::steady_state::{steady_state_insert, InsertReport};
-use clan_neat::{Genome, GenomeId, Population};
+use clan_neat::{Genome, GenomeId, NeatConfig, Population};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -97,20 +122,6 @@ impl LatencySchedule {
             base_us,
             jitter_pct,
         })
-    }
-
-    /// A homogeneous schedule: `agents` identical base times.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn uniform(
-        seed: u64,
-        agents: usize,
-        base_us: u64,
-        jitter_pct: u32,
-    ) -> Result<LatencySchedule, ClanError> {
-        LatencySchedule::new(seed, vec![base_us; agents], jitter_pct)
     }
 
     /// Number of simulated agents.
@@ -210,53 +221,175 @@ pub struct AsyncStats {
     pub best_fitness: f64,
 }
 
-/// Mutable state of one steady-state reproduction loop, shared by the
-/// virtual-time and streamed drivers: the tournament size plus the
-/// running insertion / best-improvement counters.
-struct SteadyStateLoop {
+/// A completion's reading of the virtual clock, `(now_us, service_us)`;
+/// `None` on a live cluster, whose timing is wall-clock and recorded by
+/// the cluster itself.
+type VirtualSpan = Option<(u64, u64)>;
+
+/// The steady-state loop: everything that happens when an evaluation
+/// completes, identical under both schedulers.
+struct SteadyStateLoop<'p> {
+    pop: &'p mut Population,
+    tracer: Tracer,
+    /// Founding genomes not yet handed to an agent.
+    founders: VecDeque<GenomeId>,
+    total_evals: u64,
     tournament_size: usize,
+    dispatched: u64,
+    completions: u64,
     insertions: u64,
     best_improvements: u64,
+    event_log_hash: u64,
 }
 
-impl SteadyStateLoop {
-    fn new(tournament_size: usize) -> SteadyStateLoop {
-        SteadyStateLoop {
-            tournament_size,
-            insertions: 0,
-            best_improvements: 0,
-        }
+impl SteadyStateLoop<'_> {
+    /// The opening wave: one founder per agent.
+    fn first_wave(&mut self, agents: usize) -> Vec<Genome> {
+        let wave: Vec<GenomeId> = self.founders.drain(..agents).collect();
+        self.dispatched = wave.len() as u64;
+        wave.iter().map(|id| self.resident(*id)).collect()
     }
 
-    /// Applies one completed evaluation to the population (fitness,
-    /// cost accounting, best-ever tracking) and — while the eval budget
-    /// allows — performs the steady-state insertion it triggers.
-    /// Returns the insertion record and the next genome to dispatch.
-    fn absorb(
-        &mut self,
-        pop: &mut Population,
-        genome: GenomeId,
-        fitness: f64,
-        inference_genes: u64,
-        reproduce: bool,
-    ) -> (Option<InsertReport>, Option<GenomeId>) {
-        pop.counters_mut().record_inference(inference_genes);
-        pop.counters_mut().record_episode();
-        pop.set_fitness(genome, fitness)
+    fn resident(&self, id: GenomeId) -> Genome {
+        self.pop
+            .genome(id)
+            .expect("dispatched genomes are unevaluated, so never evicted")
+            .clone()
+    }
+
+    /// Absorbs one completed evaluation and returns what the freed agent
+    /// evaluates next (`None` once the eval budget is dispatched).
+    fn on_complete(&mut self, c: &StreamCompletion, vtime: VirtualSpan) -> Option<Genome> {
+        let improved = self
+            .pop
+            .record_evaluation(c.genome, c.evaluation, c.genes_per_activation)
             .expect("in-flight genomes are never evicted");
-        if pop.note_best_ever() {
-            self.best_improvements += 1;
-        }
-        if !reproduce {
-            return (None, None);
-        }
-        let report = steady_state_insert(pop, self.tournament_size, self.insertions);
-        if let Some(r) = &report {
-            self.insertions += 1;
-            (report, Some(r.child))
+        self.best_improvements += u64::from(improved);
+        let mut insert = None;
+        let next = if self.dispatched >= self.total_evals {
+            None
+        } else if let Some(founder) = self.founders.pop_front() {
+            // The bootstrap rule (module docs): founders first, no
+            // reproduction while one is still queued.
+            Some(founder)
         } else {
-            (None, None)
+            insert = steady_state_insert(self.pop, self.tournament_size, self.insertions);
+            insert.map(|r| r.child)
+        };
+        self.insertions += u64::from(insert.is_some());
+        self.dispatched += u64::from(next.is_some());
+        let fitness_bits = c.evaluation.fitness.to_bits();
+        let trace_insert = |ev: &mut TraceEvent| {
+            ev.agent = Some(c.agent as u64);
+            ev.genome = Some(c.genome.0);
+            if let Some(r) = &insert {
+                ev.child = Some(r.child.0);
+                ev.evicted = Some(r.evicted.0);
+                ev.p1 = Some(r.parent1.0);
+                ev.p2 = Some(r.parent2.0);
+            }
+        };
+        match vtime {
+            // Logical: every field the event-log hash folds, plus the
+            // deterministic service-time span.
+            Some((now_us, service_us)) => self.tracer.logical(EventKind::Completion, |ev| {
+                ev.aseq = Some(self.completions);
+                ev.vtime_us = Some(now_us);
+                ev.fitness_bits = Some(fitness_bits);
+                ev.dur_us = Some(service_us);
+                trace_insert(ev);
+            }),
+            // Live arrival order is wall-clock nondeterministic, so an
+            // insertion is a Timing annotation (the cluster already
+            // recorded the completion's span).
+            None if insert.is_some() => self.tracer.timing(EventKind::Insertion, trace_insert),
+            None => {}
         }
+        self.event_log_hash = fold_completion(
+            self.event_log_hash,
+            self.completions,
+            vtime.map_or(0, |(now_us, _)| now_us),
+            c.agent,
+            c.genome,
+            fitness_bits,
+            insert.as_ref(),
+        );
+        self.completions += 1;
+        next.map(|id| self.resident(id))
+    }
+}
+
+/// The virtual-time scheduler, with
+/// [`EdgeCluster::evaluate_stream`](crate::runtime::EdgeCluster::evaluate_stream)'s
+/// contract: feeds `initial` and whatever `on_complete` returns to idle
+/// agents, one evaluation in flight per agent, until nothing is in
+/// flight. Agents exist only as `schedule` service times; evaluation is
+/// local, and completions are ordered by `(virtual time, agent,
+/// dispatch)`. The returned stats are in virtual seconds.
+fn virtual_stream(
+    schedule: &LatencySchedule,
+    evaluator: &mut Evaluator,
+    cfg: &NeatConfig,
+    master_seed: u64,
+    initial: Vec<Genome>,
+    on_complete: &mut dyn FnMut(&StreamCompletion, VirtualSpan) -> Option<Genome>,
+) -> StreamStats {
+    let agents = schedule.n_agents();
+    let tracer = evaluator.tracer().clone();
+    let mut pending: VecDeque<Genome> = initial.into();
+    let mut idle: VecDeque<usize> = (0..agents).collect();
+    // Min-heap of in-flight work: (completion time, agent, dispatch
+    // sequence). The tuple order is the tie-break rule.
+    let mut in_flight: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
+    // What each busy agent is evaluating, and its service time.
+    let mut running: Vec<Option<(Genome, u64)>> = vec![None; agents];
+    let mut busy_us = vec![0u64; agents];
+    let mut completed = vec![0u64; agents];
+    let mut dispatched = 0u64;
+    let mut now_us = 0u64;
+    loop {
+        while let Some(&agent) = idle.front() {
+            let Some(genome) = pending.pop_front() else {
+                break;
+            };
+            idle.pop_front();
+            let service_us = schedule.service_us(agent, completed[agent]);
+            // Logical: dispatch order and virtual times are pure in
+            // (seed, schedule), the async determinism contract.
+            tracer.logical(EventKind::Dispatch, |ev| {
+                ev.vtime_us = Some(now_us);
+                ev.agent = Some(agent as u64);
+                ev.genome = Some(genome.id().0);
+            });
+            in_flight.push(Reverse((now_us + service_us, agent, dispatched)));
+            running[agent] = Some((genome, service_us));
+            dispatched += 1;
+        }
+        let Some(Reverse((done_us, agent, _))) = in_flight.pop() else {
+            break;
+        };
+        now_us = done_us;
+        let (genome, service_us) = running[agent].take().expect("agent was busy");
+        let (id, evaluation, genes_per_activation) =
+            evaluator.evaluate_genomes(&[genome], cfg, master_seed, 0)[0];
+        busy_us[agent] += service_us;
+        completed[agent] += 1;
+        idle.push_back(agent);
+        let completion = StreamCompletion {
+            agent,
+            genome: id,
+            evaluation,
+            genes_per_activation,
+        };
+        pending.extend(on_complete(&completion, Some((now_us, service_us))));
+    }
+    StreamStats {
+        completions: completed.iter().sum(),
+        redispatches: 0,
+        makespan_s: now_us as f64 / 1e6,
+        busy_s: busy_us.iter().sum::<u64>() as f64 / 1e6,
+        per_agent_busy_s: busy_us.iter().map(|&us| us as f64 / 1e6).collect(),
+        per_agent_completions: completed,
     }
 }
 
@@ -329,8 +462,8 @@ impl AsyncOrchestrator {
         self.stats.as_ref()
     }
 
-    /// The last streamed run's per-agent transport stats (`None` for
-    /// virtual-time runs, which have no real cluster).
+    /// The last run's per-agent scheduling stats (virtual seconds after
+    /// a virtual-time run).
     pub fn stream_stats(&self) -> Option<&StreamStats> {
         self.stream.as_ref()
     }
@@ -344,182 +477,22 @@ impl AsyncOrchestrator {
     /// Installs a telemetry tracer. Virtual-time runs record logical
     /// dispatch/completion events (deterministic per `(seed,
     /// schedule)`); streamed runs record wall-clock annotations only.
-    pub fn install_tracer(&mut self, tracer: crate::telemetry::Tracer) {
+    pub fn install_tracer(&mut self, tracer: Tracer) {
         self.evaluator.set_tracer(tracer);
     }
 
     /// Runs the steady-state loop under deterministic virtual time:
     /// evaluation is local, agents exist only as [`LatencySchedule`]
-    /// service times, and completions are ordered by a priority queue
-    /// over `(virtual time, agent, dispatch)`. Exactly reproducible for
-    /// a fixed `(master seed, schedule)`.
+    /// service times. Exactly reproducible for a fixed `(master seed,
+    /// schedule)`.
     ///
     /// # Errors
     ///
-    /// [`ClanError::InvalidSetup`] if the schedule has no agents or at
-    /// least as many agents as the population has genomes (the
-    /// steady-state loop needs evaluated members to select from while a
-    /// wave is in flight).
+    /// [`ClanError::InvalidSetup`] if the schedule has at least as many
+    /// agents as the population has genomes (the steady-state loop needs
+    /// evaluated members to select from while a wave is in flight).
     pub fn run_virtual(&mut self, schedule: &LatencySchedule) -> Result<(), ClanError> {
-        let agents = schedule.n_agents();
-        if agents >= self.pop.len() {
-            return Err(ClanError::InvalidSetup {
-                reason: format!(
-                    "{} simulated agents need a population larger than {}",
-                    agents,
-                    self.pop.len()
-                ),
-            });
-        }
-        let cfg = self.pop.config().clone();
-        let master_seed = self.pop.master_seed();
-        self.stream = None;
-        let mut completions = 0u64;
-        let mut event_log_hash = EVENT_LOG_HASH_SEED;
-        let tracer = self.evaluator.tracer().clone();
-        let mut queue: VecDeque<GenomeId> = self.pop.genomes().keys().copied().collect();
-        // Min-heap of in-flight work: (completion time, agent, dispatch
-        // sequence, genome). The tuple order is the tie-break rule.
-        let mut in_flight: BinaryHeap<Reverse<(u64, usize, u64, GenomeId)>> = BinaryHeap::new();
-        let mut per_agent_k = vec![0u64; agents];
-        let mut busy_us = vec![0u64; agents];
-        // One eval in flight per agent, so a scalar dispatch time per
-        // agent suffices to compute completion spans.
-        let mut dispatched_at = vec![0u64; agents];
-        let mut dispatched = 0u64;
-        let mut loop_state = SteadyStateLoop::new(self.tournament_size);
-        let mut makespan_us = 0u64;
-        let dispatch = |agent: usize,
-                        now_us: u64,
-                        genome: GenomeId,
-                        per_agent_k: &mut [u64],
-                        busy_us: &mut [u64],
-                        dispatched_at: &mut [u64],
-                        in_flight: &mut BinaryHeap<Reverse<(u64, usize, u64, GenomeId)>>,
-                        dispatched: &mut u64| {
-            let service = schedule.service_us(agent, per_agent_k[agent]);
-            per_agent_k[agent] += 1;
-            busy_us[agent] += service;
-            dispatched_at[agent] = now_us;
-            // Logical: dispatch order and virtual times are pure in
-            // (seed, schedule), the async determinism contract.
-            tracer.logical(EventKind::Dispatch, |ev| {
-                ev.vtime_us = Some(now_us);
-                ev.agent = Some(agent as u64);
-                ev.genome = Some(genome.0);
-            });
-            in_flight.push(Reverse((now_us + service, agent, *dispatched, genome)));
-            *dispatched += 1;
-        };
-        for agent in 0..agents {
-            if dispatched >= self.total_evals {
-                break;
-            }
-            let Some(genome) = queue.pop_front() else {
-                break;
-            };
-            dispatch(
-                agent,
-                0,
-                genome,
-                &mut per_agent_k,
-                &mut busy_us,
-                &mut dispatched_at,
-                &mut in_flight,
-                &mut dispatched,
-            );
-        }
-        while let Some(Reverse((now_us, agent, _dseq, genome))) = in_flight.pop() {
-            makespan_us = makespan_us.max(now_us);
-            let g = self.pop.genome(genome).expect("in flight").clone();
-            let (_, eval, gpa) = self.evaluator.evaluate_genomes(&[g], &cfg, master_seed, 0)[0];
-            let budget_left = dispatched < self.total_evals;
-            let (insert, next) =
-                if let Some(queued) = budget_left.then(|| queue.pop_front()).flatten() {
-                    // Bootstrap phase: the initial population is still being
-                    // dispatched; reproduction starts once it drains.
-                    loop_state.absorb(
-                        &mut self.pop,
-                        genome,
-                        eval.fitness,
-                        eval.activations * gpa,
-                        false,
-                    );
-                    (None, Some(queued))
-                } else {
-                    loop_state.absorb(
-                        &mut self.pop,
-                        genome,
-                        eval.fitness,
-                        eval.activations * gpa,
-                        budget_left,
-                    )
-                };
-            // Logical completion: every field the event-log hash folds,
-            // plus the deterministic service-time span.
-            tracer.logical(EventKind::Completion, |ev| {
-                ev.aseq = Some(completions);
-                ev.vtime_us = Some(now_us);
-                ev.agent = Some(agent as u64);
-                ev.genome = Some(genome.0);
-                ev.fitness_bits = Some(eval.fitness.to_bits());
-                ev.dur_us = Some(now_us - dispatched_at[agent]);
-                if let Some(r) = &insert {
-                    ev.child = Some(r.child.0);
-                    ev.evicted = Some(r.evicted.0);
-                    ev.p1 = Some(r.parent1.0);
-                    ev.p2 = Some(r.parent2.0);
-                }
-            });
-            event_log_hash = fold_completion(
-                event_log_hash,
-                completions,
-                now_us,
-                agent,
-                genome,
-                eval.fitness.to_bits(),
-                insert.as_ref(),
-            );
-            completions += 1;
-            if let Some(next) = next {
-                dispatch(
-                    agent,
-                    now_us,
-                    next,
-                    &mut per_agent_k,
-                    &mut busy_us,
-                    &mut dispatched_at,
-                    &mut in_flight,
-                    &mut dispatched,
-                );
-            }
-        }
-        let makespan_s = makespan_us as f64 / 1e6;
-        let busy_s = busy_us.iter().sum::<u64>() as f64 / 1e6;
-        self.stats = Some(AsyncStats {
-            total_evals: dispatched,
-            tournament_size: self.tournament_size,
-            agents,
-            virtual_time: true,
-            makespan_s,
-            busy_s,
-            wasted_idle_s: (agents as f64 * makespan_s - busy_s).max(0.0),
-            evals_per_s: if makespan_s > 0.0 {
-                completions as f64 / makespan_s
-            } else {
-                0.0
-            },
-            insertions: loop_state.insertions,
-            best_improvements: loop_state.best_improvements,
-            redispatches: 0,
-            event_log_hash,
-            best_fitness: self
-                .pop
-                .best_ever()
-                .and_then(Genome::fitness)
-                .unwrap_or(f64::NEG_INFINITY),
-        });
-        Ok(())
+        self.run(Some(schedule))
     }
 
     /// Runs the steady-state loop over the evaluator's attached agent
@@ -537,10 +510,13 @@ impl AsyncOrchestrator {
     /// `evaluate_stream` reports (protocol violations, cluster drained
     /// below the recovery floor).
     pub fn run_streamed(&mut self) -> Result<(), ClanError> {
-        let master_seed = self.pop.master_seed();
-        let total_evals = self.total_evals;
-        let tournament_size = self.tournament_size;
-        let agents = self.evaluator.remote_agents();
+        self.run(None)
+    }
+
+    /// The one run: the steady-state loop plugged into the virtual-time
+    /// scheduler (`Some(schedule)`) or the attached cluster's stream.
+    fn run(&mut self, schedule: Option<&LatencySchedule>) -> Result<(), ClanError> {
+        let agents = schedule.map_or(self.evaluator.remote_agents(), LatencySchedule::n_agents);
         if agents == 0 {
             return Err(ClanError::InvalidSetup {
                 reason: "streamed async mode needs an attached agent cluster".into(),
@@ -555,57 +531,41 @@ impl AsyncOrchestrator {
                 ),
             });
         }
-        let AsyncOrchestrator { pop, evaluator, .. } = self;
-        let mut completions = 0u64;
-        let mut event_log_hash = EVENT_LOG_HASH_SEED;
-        let initial: Vec<Genome> = pop.genomes().values().cloned().collect();
-        let mut dispatched = initial.len() as u64;
-        let mut loop_state = SteadyStateLoop::new(tournament_size);
-        // Streamed arrival order is wall-clock nondeterministic, so
-        // insertions are recorded as Timing annotations (the cluster's
-        // evaluate_stream already records the per-completion spans).
-        let tracer = evaluator.tracer().clone();
-        let cluster = evaluator.remote_cluster_mut().expect("remote_agents > 0");
-        let stream =
-            cluster.evaluate_stream(master_seed, initial, &mut |c: &StreamCompletion| {
-                let reproduce = dispatched < total_evals;
-                let (insert, next) = loop_state.absorb(
-                    pop,
-                    c.genome,
-                    c.evaluation.fitness,
-                    c.evaluation.activations * c.genes_per_activation,
-                    reproduce,
-                );
-                if next.is_some() {
-                    dispatched += 1;
-                }
-                if let Some(r) = &insert {
-                    tracer.timing(EventKind::Insertion, |ev| {
-                        ev.agent = Some(c.agent as u64);
-                        ev.genome = Some(c.genome.0);
-                        ev.child = Some(r.child.0);
-                        ev.evicted = Some(r.evicted.0);
-                        ev.p1 = Some(r.parent1.0);
-                        ev.p2 = Some(r.parent2.0);
-                    });
-                }
-                event_log_hash = fold_completion(
-                    event_log_hash,
-                    completions,
-                    0,
-                    c.agent,
-                    c.genome,
-                    c.evaluation.fitness.to_bits(),
-                    insert.as_ref(),
-                );
-                completions += 1;
-                next.map(|id| pop.genome(id).expect("just inserted").clone())
-            })?;
+        let cfg = self.pop.config().clone();
+        let master_seed = self.pop.master_seed();
+        let mut state = SteadyStateLoop {
+            tracer: self.evaluator.tracer().clone(),
+            founders: self.pop.genomes().keys().copied().collect(),
+            pop: &mut self.pop,
+            total_evals: self.total_evals,
+            tournament_size: self.tournament_size,
+            dispatched: 0,
+            completions: 0,
+            insertions: 0,
+            best_improvements: 0,
+            event_log_hash: EVENT_LOG_HASH_SEED,
+        };
+        let initial = state.first_wave(agents);
+        let stream = match schedule {
+            Some(schedule) => virtual_stream(
+                schedule,
+                &mut self.evaluator,
+                &cfg,
+                master_seed,
+                initial,
+                &mut |c, vtime| state.on_complete(c, vtime),
+            ),
+            None => self
+                .evaluator
+                .remote_cluster_mut()
+                .expect("remote_agents > 0")
+                .evaluate_stream(master_seed, initial, &mut |c| state.on_complete(c, None))?,
+        };
         self.stats = Some(AsyncStats {
-            total_evals: dispatched,
-            tournament_size,
+            total_evals: state.dispatched,
+            tournament_size: self.tournament_size,
             agents,
-            virtual_time: false,
+            virtual_time: schedule.is_some(),
             makespan_s: stream.makespan_s,
             busy_s: stream.busy_s,
             wasted_idle_s: stream.wasted_idle_s(agents),
@@ -614,10 +574,10 @@ impl AsyncOrchestrator {
             } else {
                 0.0
             },
-            insertions: loop_state.insertions,
-            best_improvements: loop_state.best_improvements,
+            insertions: state.insertions,
+            best_improvements: state.best_improvements,
             redispatches: stream.redispatches,
-            event_log_hash,
+            event_log_hash: state.event_log_hash,
             best_fitness: self
                 .pop
                 .best_ever()
@@ -633,8 +593,6 @@ impl AsyncOrchestrator {
 mod tests {
     use super::*;
     use crate::evaluator::InferenceMode;
-    use crate::runtime::EdgeCluster;
-    use crate::transport::ClusterSpec;
     use clan_envs::Workload;
     use clan_neat::NeatConfig;
 
@@ -666,24 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn virtual_runs_replay_byte_identical() {
-        let run = || {
-            let mut orch = orchestrator(10, 21, 35);
-            let schedule = LatencySchedule::new(5, vec![1000, 4000], 25).unwrap();
-            orch.run_virtual(&schedule).unwrap();
-            (
-                orch.population().genomes().clone(),
-                orch.stats().unwrap().clone(),
-            )
-        };
-        let (genomes_a, stats_a) = run();
-        let (genomes_b, stats_b) = run();
-        assert_eq!(genomes_a, genomes_b);
-        assert_eq!(stats_a, stats_b);
-        assert_ne!(stats_a.event_log_hash, EVENT_LOG_HASH_SEED);
-    }
-
-    #[test]
     fn different_schedules_diverge() {
         let run = |sched_seed: u64| {
             let mut orch = orchestrator(10, 21, 35);
@@ -703,26 +643,5 @@ mod tests {
     fn budget_below_population_is_rejected() {
         let evaluator = Evaluator::new(Workload::CartPole, InferenceMode::MultiStep);
         assert!(AsyncOrchestrator::new(pop(10, 1), evaluator, 5, 3).is_err());
-    }
-
-    #[test]
-    fn streamed_run_matches_budget_over_channel_cluster() {
-        let population = pop(10, 9);
-        let spec = ClusterSpec::new(
-            Workload::CartPole,
-            InferenceMode::MultiStep,
-            population.config().clone(),
-        );
-        let cluster = EdgeCluster::spawn_spec(3, spec).unwrap();
-        let evaluator =
-            Evaluator::new(Workload::CartPole, InferenceMode::MultiStep).with_remote(cluster);
-        let mut orch = AsyncOrchestrator::new(population, evaluator, 30, 3).unwrap();
-        orch.run_streamed().unwrap();
-        let stats = orch.stats().unwrap();
-        assert_eq!(stats.total_evals, 30);
-        assert_eq!(orch.stream_stats().unwrap().completions, 30);
-        assert_eq!(orch.population().len(), 10);
-        assert!(!stats.virtual_time);
-        assert!(stats.best_fitness > f64::NEG_INFINITY);
     }
 }

@@ -16,8 +16,9 @@
 
 use crate::error::ClanError;
 use clan_envs::{run_episode, Environment};
+use clan_neat::population::Evaluation;
 use clan_neat::rng::{derive_seed, op_rng, OpTag};
-use clan_neat::{FeedForwardNetwork, Genome, GenomeId, NeatConfig, Population};
+use clan_neat::{FeedForwardNetwork, Genome, GenomeId, NeatConfig, Population, Scratch};
 use serde::{Deserialize, Serialize};
 
 /// Monitoring parameters for the closed loop.
@@ -110,10 +111,13 @@ impl ContinuousLearner {
     pub fn probe(&self, env: &mut dyn Environment) -> Option<f64> {
         let expert = self.expert.as_ref()?;
         let net = FeedForwardNetwork::compile(expert, &self.cfg);
+        let mut scratch = Scratch::new();
         let mut total = 0.0;
         for ep in 0..self.monitor.probe_episodes {
             let seed = derive_seed(self.seed, &[0xBEEF, self.encounters, ep as u64]);
-            let outcome = run_episode(env, seed, self.monitor.max_steps, |obs| net.act_argmax(obs));
+            let outcome = run_episode(env, seed, self.monitor.max_steps, |obs| {
+                net.act_argmax_with(obs, &mut scratch)
+            });
             total += outcome.total_reward;
         }
         Some(total / self.monitor.probe_episodes as f64)
@@ -171,24 +175,25 @@ impl ContinuousLearner {
 
         let mut trace = Vec::new();
         let mut generations = 0;
+        let mut scratch = Scratch::new();
+        let max_steps = self.monitor.max_steps;
         for _ in 0..self.monitor.max_learning_generations {
             let master = pop.master_seed();
             let generation = pop.generation();
-            let cfg = self.cfg.clone();
-            let max_steps = self.monitor.max_steps;
-            let ids: Vec<GenomeId> = pop.genomes().keys().copied().collect();
-            for id in ids {
-                let net =
-                    FeedForwardNetwork::compile(pop.genome(id).expect("id from population"), &cfg);
-                let seed = derive_seed(master, &[generation, id.0, OpTag::Environment as u64]);
-                let outcome = run_episode(env, seed, max_steps, |obs| net.act_argmax(obs));
-                pop.counters_mut()
-                    .record_inference(outcome.steps * net.genes_per_activation());
-                pop.counters_mut().record_episode();
-                pop.set_fitness(id, outcome.total_reward)
-                    .expect("id from population");
-            }
-            let summary = pop.advance_generation();
+            pop.evaluate(|net, genome| {
+                let seed = derive_seed(
+                    master,
+                    &[generation, genome.id().0, OpTag::Environment as u64],
+                );
+                let outcome = run_episode(env, seed, max_steps, |obs| {
+                    net.act_argmax_with(obs, &mut scratch)
+                });
+                Evaluation {
+                    fitness: outcome.total_reward,
+                    activations: outcome.steps,
+                }
+            });
+            let summary = pop.try_advance_generation()?;
             generations += 1;
             trace.push(summary.best_fitness);
             if summary.best_fitness >= threshold {

@@ -10,10 +10,10 @@
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use crate::orchestra::{
-    central_evolution, evaluate_partitioned, finish_generation, genome_payload, track_best, Comm,
-    GenerationReport, Orchestrator, FITNESS_ENTRY_FLOATS,
+    evaluate_partitioned, finish_generation, genome_payload, GenerationReport, Orchestrator,
+    Testbed, FITNESS_ENTRY_FLOATS,
 };
-use clan_distsim::{Cluster, TimelineRecorder};
+use clan_distsim::Cluster;
 use clan_neat::{Genome, Population};
 use clan_netsim::{CommLedger, MessageKind};
 
@@ -22,10 +22,7 @@ use clan_netsim::{CommLedger, MessageKind};
 pub struct DcsOrchestrator {
     pop: Population,
     evaluator: Evaluator,
-    cluster: Cluster,
-    recorder: TimelineRecorder,
-    comm: Comm,
-    best_ever: Option<Genome>,
+    sim: Testbed,
 }
 
 impl DcsOrchestrator {
@@ -34,10 +31,7 @@ impl DcsOrchestrator {
         DcsOrchestrator {
             pop,
             evaluator,
-            cluster,
-            recorder: TimelineRecorder::new(),
-            comm: Comm::new(),
-            best_ever: None,
+            sim: Testbed::new(cluster),
         }
     }
 
@@ -49,63 +43,45 @@ impl DcsOrchestrator {
 
 impl Orchestrator for DcsOrchestrator {
     fn step_generation(&mut self) -> Result<GenerationReport, ClanError> {
-        let generation = self.pop.generation();
-        let n_agents = self.cluster.n_agents();
-        let center = *self.cluster.center();
-        let counts = self.cluster.partition(self.pop.len());
+        let n_agents = self.sim.cluster.n_agents();
+        let center = *self.sim.cluster.center();
+        let counts = self.sim.cluster.partition(self.pop.len());
 
         // COMM — center sends every genome to its assigned agent
         // (one message per genome; one channel per agent).
         let payloads: Vec<u64> = self.pop.genomes().values().map(genome_payload).collect();
-        let t = self
-            .comm
-            .phase(&self.cluster, MessageKind::SendGenomes, n_agents, payloads);
-        self.recorder.add_communication(t);
+        self.sim.comm(MessageKind::SendGenomes, n_agents, payloads);
 
         // I — distributed inference, barrier-synchronized.
         let genes = evaluate_partitioned(&mut self.pop, &mut self.evaluator, &counts)?;
-        self.recorder
-            .add_inference(self.cluster.parallel_inference_time_s(&genes));
+        self.sim
+            .recorder
+            .add_inference(self.sim.cluster.parallel_inference_time_s(&genes));
 
         // COMM — agents return fitness (one batched message per agent).
         let fitness_payloads = counts.iter().map(|&c| c as u64 * FITNESS_ENTRY_FLOATS);
-        let t = self.comm.phase(
-            &self.cluster,
-            MessageKind::SendFitness,
-            n_agents,
-            fitness_payloads,
-        );
-        self.recorder.add_communication(t);
-
-        let best_fitness = self
-            .pop
-            .best()
-            .and_then(Genome::fitness)
-            .expect("population was just evaluated");
-        track_best(&mut self.best_ever, &self.pop);
+        self.sim
+            .comm(MessageKind::SendFitness, n_agents, fitness_payloads);
 
         // S, GP, R — central.
-        let evo = central_evolution(&mut self.pop)?;
-        self.recorder
-            .add_evolution(center.evolution_time_s(evo.speciation_genes + evo.reproduction_genes));
+        let evo = self.pop.try_advance_generation()?;
+        self.sim
+            .recorder
+            .add_evolution(center.evolution_time_s(evo.costs.evolution_genes()));
 
         Ok(finish_generation(
             &mut self.evaluator,
-            &mut self.recorder,
-            generation,
-            best_fitness,
-            evo.num_species,
-            self.pop.counters_mut().finish_generation(),
-            evo.extinction,
+            &mut self.sim.recorder,
+            &evo,
         ))
     }
 
     fn best_ever(&self) -> Option<&Genome> {
-        self.best_ever.as_ref()
+        self.pop.best_ever()
     }
 
     fn ledger(&self) -> &CommLedger {
-        self.comm.ledger()
+        self.sim.ledger()
     }
 
     fn evaluator(&self) -> &Evaluator {

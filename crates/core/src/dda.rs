@@ -19,11 +19,11 @@
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use crate::orchestra::{
-    central_evolution, evaluate_partitioned, finish_generation, genome_payload, track_best, Comm,
-    GenerationReport, Orchestrator,
+    evaluate_partitioned, finish_generation, genome_payload, GenerationReport, Orchestrator,
+    Testbed,
 };
-use clan_distsim::{Cluster, TimelineRecorder};
-use clan_neat::counters::GenerationCosts;
+use clan_distsim::Cluster;
+use clan_neat::population::GenerationSummary;
 use clan_neat::rng::derive_seed;
 use clan_neat::{Genome, NeatConfig, Population};
 use clan_netsim::{CommLedger, MessageKind};
@@ -37,10 +37,7 @@ const RESYNC_ID_BASE: u64 = 1 << 40;
 pub struct DdaOrchestrator {
     clans: Vec<Population>,
     evaluator: Evaluator,
-    cluster: Cluster,
-    recorder: TimelineRecorder,
-    comm: Comm,
-    best_ever: Option<Genome>,
+    sim: Testbed,
     generation: u64,
     resync_every: Option<u64>,
     next_resync_id: u64,
@@ -88,10 +85,7 @@ impl DdaOrchestrator {
         Ok(DdaOrchestrator {
             clans,
             evaluator,
-            cluster,
-            recorder: TimelineRecorder::new(),
-            comm: Comm::new(),
-            best_ever: None,
+            sim: Testbed::new(cluster),
             generation: 0,
             resync_every: None,
             next_resync_id: RESYNC_ID_BASE,
@@ -139,10 +133,7 @@ impl DdaOrchestrator {
             .iter()
             .flat_map(|g| [genome_payload(g), genome_payload(g)])
             .collect();
-        let t = self
-            .comm
-            .phase(&self.cluster, MessageKind::SendGenomes, 2 * n, payloads);
-        self.recorder.add_communication(t);
+        self.sim.comm(MessageKind::SendGenomes, 2 * n, payloads);
 
         let mut buckets: Vec<Vec<Genome>> = (0..n).map(|_| Vec::new()).collect();
         for (i, g) in pooled.into_iter().enumerate() {
@@ -157,7 +148,7 @@ impl DdaOrchestrator {
 impl Orchestrator for DdaOrchestrator {
     fn step_generation(&mut self) -> Result<GenerationReport, ClanError> {
         let generation = self.generation;
-        let n_agents = self.cluster.n_agents();
+        let n_agents = self.sim.cluster.n_agents();
 
         // COMM (generation 0 only) — initial clan distribution. After
         // this, genomes never travel again (absent resync).
@@ -167,47 +158,44 @@ impl Orchestrator for DdaOrchestrator {
                 .iter()
                 .flat_map(|c| c.genomes().values().map(genome_payload))
                 .collect();
-            let t = self
-                .comm
-                .phase(&self.cluster, MessageKind::SendGenomes, n_agents, payloads);
-            self.recorder.add_communication(t);
+            self.sim.comm(MessageKind::SendGenomes, n_agents, payloads);
         }
 
         // Each clan runs a full local generation.
         let mut inference_genes = Vec::with_capacity(n_agents);
         let mut evolution_genes = Vec::with_capacity(n_agents);
-        let mut best_fitness = f64::NEG_INFINITY;
-        let mut num_species = 0;
-        let mut extinction = false;
-        let mut costs = GenerationCosts::default();
+        let mut evolved = GenerationSummary {
+            generation,
+            num_species: 0,
+            best_fitness: f64::NEG_INFINITY,
+            costs: Default::default(),
+            extinction: false,
+        };
         for clan in &mut self.clans {
             let size = clan.len();
             let genes = evaluate_partitioned(clan, &mut self.evaluator, &[size])?;
             inference_genes.push(genes[0]);
-            if let Some(f) = clan.best().and_then(Genome::fitness) {
-                best_fitness = best_fitness.max(f);
-            }
-            track_best(&mut self.best_ever, clan);
-            let evo = central_evolution(clan)?;
-            evolution_genes.push(evo.speciation_genes + evo.reproduction_genes);
-            num_species += evo.num_species;
-            extinction |= evo.extinction;
-            costs += clan.counters_mut().finish_generation();
+            let evo = clan.try_advance_generation()?;
+            evolution_genes.push(evo.costs.evolution_genes());
+            evolved.best_fitness = evolved.best_fitness.max(evo.best_fitness);
+            evolved.num_species += evo.num_species;
+            evolved.extinction |= evo.extinction;
+            evolved.costs += evo.costs;
         }
-        self.recorder
-            .add_inference(self.cluster.parallel_inference_time_s(&inference_genes));
-        self.recorder
-            .add_evolution(self.cluster.parallel_evolution_time_s(&evolution_genes));
+        self.sim
+            .recorder
+            .add_inference(self.sim.cluster.parallel_inference_time_s(&inference_genes));
+        self.sim
+            .recorder
+            .add_evolution(self.sim.cluster.parallel_evolution_time_s(&evolution_genes));
 
         // COMM — one best-fitness scalar per clan for convergence
         // monitoring (clan id + fitness).
-        let t = self.comm.phase(
-            &self.cluster,
+        self.sim.comm(
             MessageKind::SendFitness,
             n_agents,
             (0..n_agents).map(|_| 2u64),
         );
-        self.recorder.add_communication(t);
 
         self.generation += 1;
 
@@ -220,21 +208,28 @@ impl Orchestrator for DdaOrchestrator {
 
         Ok(finish_generation(
             &mut self.evaluator,
-            &mut self.recorder,
-            generation,
-            best_fitness,
-            num_species,
-            costs,
-            extinction,
+            &mut self.sim.recorder,
+            &evolved,
         ))
     }
 
+    /// The best over the clans' own trackers (the lowest clan among
+    /// equals).
     fn best_ever(&self) -> Option<&Genome> {
-        self.best_ever.as_ref()
+        self.clans
+            .iter()
+            .filter_map(Population::best_ever)
+            .reduce(|best, g| {
+                if g.fitness() > best.fitness() {
+                    g
+                } else {
+                    best
+                }
+            })
     }
 
     fn ledger(&self) -> &CommLedger {
-        self.comm.ledger()
+        self.sim.ledger()
     }
 
     fn evaluator(&self) -> &Evaluator {

@@ -21,11 +21,12 @@
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use crate::orchestra::{
-    evaluate_partitioned, finish_generation, genome_payload, track_best, Comm, GenerationReport,
-    Orchestrator, FITNESS_ENTRY_FLOATS, PARENT_LIST_ENTRY_FLOATS, SPAWN_ENTRY_FLOATS,
+    evaluate_partitioned, finish_generation, genome_payload, GenerationReport, Orchestrator,
+    Testbed, FITNESS_ENTRY_FLOATS, PARENT_LIST_ENTRY_FLOATS, SPAWN_ENTRY_FLOATS,
 };
-use clan_distsim::{Cluster, TimelineRecorder};
-use clan_neat::{Genome, GenomeId, NeatError, Population};
+use clan_distsim::Cluster;
+use clan_neat::population::GenerationSummary;
+use clan_neat::{GenerationPlan, Genome, NeatError, Population};
 use clan_netsim::{CommLedger, MessageKind};
 
 /// The distributed-reproduction configuration.
@@ -33,10 +34,7 @@ use clan_netsim::{CommLedger, MessageKind};
 pub struct DdsOrchestrator {
     pop: Population,
     evaluator: Evaluator,
-    cluster: Cluster,
-    recorder: TimelineRecorder,
-    comm: Comm,
-    best_ever: Option<Genome>,
+    sim: Testbed,
 }
 
 impl DdsOrchestrator {
@@ -45,10 +43,7 @@ impl DdsOrchestrator {
         DdsOrchestrator {
             pop,
             evaluator,
-            cluster,
-            recorder: TimelineRecorder::new(),
-            comm: Comm::new(),
-            best_ever: None,
+            sim: Testbed::new(cluster),
         }
     }
 
@@ -56,74 +51,12 @@ impl DdsOrchestrator {
     pub fn population(&self) -> &Population {
         &self.pop
     }
-}
 
-impl Orchestrator for DdsOrchestrator {
-    fn step_generation(&mut self) -> Result<GenerationReport, ClanError> {
-        let generation = self.pop.generation();
-        let n_agents = self.cluster.n_agents();
-        let center = *self.cluster.center();
-        let counts = self.cluster.partition(self.pop.len());
-
-        // COMM (generation 0 only) — initial population distribution.
-        if generation == 0 {
-            let payloads: Vec<u64> = self.pop.genomes().values().map(genome_payload).collect();
-            let t = self
-                .comm
-                .phase(&self.cluster, MessageKind::SendGenomes, n_agents, payloads);
-            self.recorder.add_communication(t);
-        }
-
-        // I — distributed inference on resident genomes.
-        let genes = evaluate_partitioned(&mut self.pop, &mut self.evaluator, &counts)?;
-        self.recorder
-            .add_inference(self.cluster.parallel_inference_time_s(&genes));
-
-        // COMM — fitness back to the center (speciation and planning
-        // need it).
-        let t = self.comm.phase(
-            &self.cluster,
-            MessageKind::SendFitness,
-            n_agents,
-            counts.iter().map(|&c| c as u64 * FITNESS_ENTRY_FLOATS),
-        );
-        self.recorder.add_communication(t);
-
-        let best_fitness = self
-            .pop
-            .best()
-            .and_then(Genome::fitness)
-            .expect("population was just evaluated");
-        track_best(&mut self.best_ever, &self.pop);
-
-        // S — synchronous speciation at the center (it has every genome:
-        // generation 0 created them there, later ones arrived as
-        // children).
-        let speciation = self.pop.speciate();
-        self.recorder
-            .add_evolution(center.evolution_time_s(speciation.genes_processed));
-
-        // GP — central planning.
-        let plan = match self.pop.plan_generation() {
-            Ok(plan) => plan,
-            Err(NeatError::Extinction) => {
-                if !self.pop.config().reset_on_extinction {
-                    return Err(NeatError::Extinction.into());
-                }
-                self.pop.reset_population();
-                return Ok(finish_generation(
-                    &mut self.evaluator,
-                    &mut self.recorder,
-                    generation,
-                    best_fitness,
-                    0,
-                    self.pop.counters_mut().finish_generation(),
-                    true,
-                ));
-            }
-            Err(e) => return Err(e.into()),
-        };
-
+    /// Phase `R`, distributed: ships `plan` to the agents, has each build
+    /// its share of the children, gathers them back and installs them as
+    /// the next generation.
+    fn reproduce_distributed(&mut self, plan: &GenerationPlan) -> Result<(), ClanError> {
+        let n_agents = self.sim.cluster.n_agents();
         // COMM — ship the plan to the agents: spawn counts, parent lists,
         // and the parent genomes themselves. The chosen parents are not
         // necessarily resident on the agent that will build a given child,
@@ -131,40 +64,31 @@ impl Orchestrator for DdsOrchestrator {
         // "repeated back and forth of genomes" the paper blames for DDS's
         // costs.
         let n_species = plan.species_plans.len() as u64;
-        let t = self.comm.phase(
-            &self.cluster,
+        self.sim.comm(
             MessageKind::SendSpawnCount,
             n_agents,
             (0..n_agents).map(|_| n_species * SPAWN_ENTRY_FLOATS),
         );
-        self.recorder.add_communication(t);
 
-        let child_counts = self.cluster.partition(plan.children.len());
-        let t = self.comm.phase(
-            &self.cluster,
+        let child_counts = self.sim.cluster.partition(plan.children.len());
+        self.sim.comm(
             MessageKind::SendParentList,
             n_agents,
             child_counts
                 .iter()
                 .map(|&c| c as u64 * PARENT_LIST_ENTRY_FLOATS),
         );
-        self.recorder.add_communication(t);
 
-        let parent_ids: Vec<GenomeId> = plan.parent_ids().into_iter().collect();
-        let parent_payloads: Vec<u64> = parent_ids
-            .iter()
-            .map(|id| genome_payload(self.pop.genome(*id).expect("parents are resident")))
+        let parent_payloads: Vec<u64> = plan
+            .parent_ids()
+            .into_iter()
+            .map(|id| genome_payload(self.pop.genome(id).expect("parents are resident")))
             .collect();
-        let all_parent_msgs: Vec<u64> = (0..n_agents)
-            .flat_map(|_| parent_payloads.iter().copied())
-            .collect();
-        let t = self.comm.phase(
-            &self.cluster,
+        self.sim.comm(
             MessageKind::SendParentGenomes,
             n_agents,
-            all_parent_msgs,
+            parent_payloads.repeat(n_agents),
         );
-        self.recorder.add_communication(t);
 
         // R — distributed reproduction: each agent builds a contiguous
         // chunk of the plan's children. Over a live cluster the specs
@@ -173,7 +97,7 @@ impl Orchestrator for DdsOrchestrator {
         // cost `build_child` charges locally is charged here instead.
         let children: Vec<Genome> = match self.evaluator.remote_cluster_mut() {
             Some(edge) => {
-                let built = edge.build_children(&self.pop, &plan)?;
+                let built = edge.build_children(&self.pop, plan)?;
                 for child in &built {
                     self.pop
                         .counters_mut()
@@ -181,48 +105,105 @@ impl Orchestrator for DdsOrchestrator {
                 }
                 built
             }
-            None => self.pop.reproduce_centrally(&plan),
+            None => self.pop.reproduce_centrally(plan),
         };
-        let mut repro_genes_per_agent: Vec<u64> = Vec::with_capacity(n_agents);
-        let mut next = 0usize;
-        for &count in &child_counts {
-            let built = &children[next..next + count];
-            repro_genes_per_agent.push(built.iter().map(Genome::num_genes).sum());
-            next += count;
-        }
-        self.recorder.add_evolution(
-            self.cluster
+        let mut built_genes = children.iter().map(Genome::num_genes);
+        let repro_genes_per_agent: Vec<u64> = child_counts
+            .iter()
+            .map(|&count| built_genes.by_ref().take(count).sum())
+            .collect();
+        self.sim.recorder.add_evolution(
+            self.sim
+                .cluster
                 .parallel_evolution_time_s(&repro_genes_per_agent),
         );
 
         // COMM — children stream back for the next synchronous speciation.
-        let t = self.comm.phase(
-            &self.cluster,
+        self.sim.comm(
             MessageKind::SendChildren,
             n_agents,
             children.iter().map(genome_payload),
         );
-        self.recorder.add_communication(t);
 
         self.pop.install_next_generation(children);
+        Ok(())
+    }
+}
 
+impl Orchestrator for DdsOrchestrator {
+    fn step_generation(&mut self) -> Result<GenerationReport, ClanError> {
+        let generation = self.pop.generation();
+        let n_agents = self.sim.cluster.n_agents();
+        let center = *self.sim.cluster.center();
+        let counts = self.sim.cluster.partition(self.pop.len());
+
+        // COMM (generation 0 only) — initial population distribution.
+        if generation == 0 {
+            let payloads: Vec<u64> = self.pop.genomes().values().map(genome_payload).collect();
+            self.sim.comm(MessageKind::SendGenomes, n_agents, payloads);
+        }
+
+        // I — distributed inference on resident genomes.
+        let genes = evaluate_partitioned(&mut self.pop, &mut self.evaluator, &counts)?;
+        self.sim
+            .recorder
+            .add_inference(self.sim.cluster.parallel_inference_time_s(&genes));
+
+        // COMM — fitness back to the center (speciation and planning
+        // need it).
+        self.sim.comm(
+            MessageKind::SendFitness,
+            n_agents,
+            counts.iter().map(|&c| c as u64 * FITNESS_ENTRY_FLOATS),
+        );
+
+        let best_fitness = self
+            .pop
+            .best()
+            .and_then(Genome::fitness)
+            .expect("population was just evaluated");
+
+        // S — synchronous speciation at the center (it has every genome:
+        // generation 0 created them there, later ones arrived as
+        // children).
+        let speciation = self.pop.speciate();
+        self.sim
+            .recorder
+            .add_evolution(center.evolution_time_s(speciation.genes_processed));
+
+        // GP — central planning; R — distributed. Total extinction
+        // re-seeds at the center instead, as the central step does.
+        let (num_species, extinction) = match self.pop.plan_generation() {
+            Ok(plan) => {
+                self.reproduce_distributed(&plan)?;
+                (speciation.species_count, false)
+            }
+            Err(NeatError::Extinction) if self.pop.config().reset_on_extinction => {
+                self.pop.reset_population();
+                (0, true)
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let evolved = GenerationSummary {
+            generation,
+            num_species,
+            best_fitness,
+            costs: self.pop.counters_mut().finish_generation(),
+            extinction,
+        };
         Ok(finish_generation(
             &mut self.evaluator,
-            &mut self.recorder,
-            generation,
-            best_fitness,
-            speciation.species_count,
-            self.pop.counters_mut().finish_generation(),
-            false,
+            &mut self.sim.recorder,
+            &evolved,
         ))
     }
 
     fn best_ever(&self) -> Option<&Genome> {
-        self.best_ever.as_ref()
+        self.pop.best_ever()
     }
 
     fn ledger(&self) -> &CommLedger {
-        self.comm.ledger()
+        self.sim.ledger()
     }
 
     fn evaluator(&self) -> &Evaluator {

@@ -1,20 +1,24 @@
 //! The orchestrator interface and machinery shared by all CLAN
-//! configurations: partitioned evaluation with per-agent gene accounting,
-//! communication-phase bookkeeping, and central evolution.
+//! configurations: partitioned evaluation with per-agent gene accounting
+//! and communication-phase bookkeeping. The state transitions themselves
+//! (recording an evaluation, the central `S → GP → R` step, best-ever
+//! tracking) belong to [`Population`]; this crate decides only *where*
+//! each block runs and what that costs.
 
 use crate::dcs::DcsOrchestrator;
 use crate::dda::DdaOrchestrator;
 use crate::dds::DdsOrchestrator;
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
-use crate::membership::{AgentHealth, RecoveryStats};
+use crate::membership::RecoveryStats;
 use crate::runtime::GatherStats;
 use crate::serial::SerialOrchestrator;
 use crate::telemetry::{EventKind, Tracer};
 use crate::topology::{ClanTopology, SpeciationMode};
 use clan_distsim::{Cluster, GenerationTimeline, TimelineRecorder};
 use clan_neat::counters::GenerationCosts;
-use clan_neat::{Genome, GenomeId, NeatConfig, NeatError, Population};
+use clan_neat::population::GenerationSummary;
+use clan_neat::{Genome, NeatConfig, Population};
 use clan_netsim::{CommLedger, MessageKind};
 use serde::{Deserialize, Serialize};
 
@@ -51,17 +55,6 @@ pub struct GenerationReport {
     /// caching was enabled; 0 when disabled).
     #[serde(default)]
     pub cache_lookups: u64,
-}
-
-impl GenerationReport {
-    /// Cache hit rate of the generation (0.0 when caching is disabled).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        }
-    }
 }
 
 /// A CLAN configuration driving real NEAT evolution while accounting the
@@ -116,14 +109,6 @@ pub trait Orchestrator {
         self.evaluator().remote_recovery_stats()
     }
 
-    /// Per-agent link membership of the attached real transport
-    /// (alive/suspected/dead, failure counts), as served by the live
-    /// `/health` introspection endpoint. `None` for purely simulated
-    /// runs.
-    fn membership(&self) -> Option<Vec<AgentHealth>> {
-        self.evaluator().remote_membership()
-    }
-
     /// Installs a telemetry tracer: generation and evaluation events are
     /// recorded into it from the same deterministic replay loops that
     /// pin fitness equivalence.
@@ -170,29 +155,23 @@ pub fn orchestrator_for(
     }
 }
 
-/// Splits the ordered id list into contiguous per-agent chunks of the
-/// given sizes.
-pub(crate) fn chunk_ids(ids: &[GenomeId], counts: &[usize]) -> Vec<Vec<GenomeId>> {
-    debug_assert_eq!(counts.iter().sum::<usize>(), ids.len());
-    let mut chunks = Vec::with_capacity(counts.len());
-    let mut start = 0;
-    for &c in counts {
-        chunks.push(ids[start..start + c].to_vec());
-        start += c;
-    }
-    chunks
-}
-
-/// Communication bookkeeping: records every message in the ledger and
-/// returns the simulated time the shared medium was busy.
-#[derive(Debug, Default)]
-pub(crate) struct Comm {
+/// The simulated testbed an orchestrator charges its work to: the
+/// cluster model, the timeline of the generation in progress, and the
+/// ledger of modeled messages.
+#[derive(Debug)]
+pub(crate) struct Testbed {
+    pub(crate) cluster: Cluster,
+    pub(crate) recorder: TimelineRecorder,
     ledger: CommLedger,
 }
 
-impl Comm {
-    pub(crate) fn new() -> Comm {
-        Comm::default()
+impl Testbed {
+    pub(crate) fn new(cluster: Cluster) -> Testbed {
+        Testbed {
+            cluster,
+            recorder: TimelineRecorder::new(),
+            ledger: CommLedger::new(),
+        }
     }
 
     pub(crate) fn ledger(&self) -> &CommLedger {
@@ -200,48 +179,43 @@ impl Comm {
     }
 
     /// One communication phase: opens `channels` center↔agent channels
-    /// and sends one message per payload (in floats/genes). Returns the
-    /// phase's simulated duration.
-    pub(crate) fn phase<I>(
-        &mut self,
-        cluster: &Cluster,
-        kind: MessageKind,
-        channels: usize,
-        payload_floats: I,
-    ) -> f64
+    /// and sends one message per payload (in floats/genes), recording
+    /// each in the ledger and charging the time the shared medium was
+    /// busy to the generation's timeline.
+    pub(crate) fn comm<I>(&mut self, kind: MessageKind, channels: usize, payload_floats: I)
     where
         I: IntoIterator<Item = u64>,
     {
-        let mut time = cluster.net().channel_setup_s * channels as f64;
+        let net = self.cluster.net();
+        let mut time = net.channel_setup_s * channels as f64;
         for floats in payload_floats {
             self.ledger.record(kind, floats);
-            time += cluster.net().gene_transfer_time_s(floats);
+            time += net.gene_transfer_time_s(floats);
         }
-        time
+        self.recorder.add_communication(time);
     }
 }
 
 /// Evaluates the population with genomes partitioned into per-agent
 /// chunks; returns the inference genes processed by each agent.
 ///
-/// Fitness is written back into the population and the population's cost
-/// counters are charged, so Figure-3 style accounting stays correct no
-/// matter which configuration ran the inference.
+/// Every result goes through [`Population::record_evaluation`], so
+/// Figure-3 style accounting stays correct no matter which configuration
+/// ran the inference.
 ///
 /// When the evaluator carries a [`crate::parallel::ParallelEvaluator`]
 /// pool — or a real agent cluster attached with
 /// [`Evaluator::with_remote`](crate::Evaluator::with_remote) — the
-/// per-genome evaluations are computed across those workers first; the
-/// accounting below then replays them in genome-id order, so fitness,
-/// `CostCounters`, and the per-agent gene totals are bit-identical to
-/// the serial path at any thread count and over any transport.
+/// per-genome evaluations are computed across those workers first and
+/// then recorded in genome-id order, so fitness, `CostCounters`, and the
+/// per-agent gene totals are bit-identical to the serial path at any
+/// thread count and over any transport.
 pub(crate) fn evaluate_partitioned(
     pop: &mut Population,
     evaluator: &mut Evaluator,
     counts: &[usize],
 ) -> Result<Vec<u64>, ClanError> {
-    let ids: Vec<GenomeId> = pop.genomes().keys().copied().collect();
-    let chunks = chunk_ids(&ids, counts);
+    debug_assert_eq!(counts.iter().sum::<usize>(), pop.len());
     // Generation-start is logical: emitted before any transport work so
     // the pinned stream is independent of how inference is dispatched.
     // It deliberately excludes the partition layout (serial and cluster
@@ -250,7 +224,7 @@ pub(crate) fn evaluate_partitioned(
         .tracer()
         .logical(EventKind::GenerationStart, |ev| {
             ev.generation = Some(pop.generation());
-            ev.population = Some(ids.len() as u64);
+            ev.population = Some(pop.len() as u64);
         });
     // Compute every evaluation first, in genome-id order — remotely over
     // the attached cluster, across the local thread pool, or serially
@@ -258,21 +232,21 @@ pub(crate) fn evaluate_partitioned(
     // bookkeeping to the deterministic loop below. Cache hits replay the
     // same accounting as fresh evaluations, so costs and timelines are
     // identical whichever engine features are enabled.
-    let mut precomputed = match evaluator.remote_cluster_mut() {
-        Some(cluster) => cluster.evaluate_collect(pop)?.into_iter(),
-        None => evaluator.evaluate_population_local(pop).into_iter(),
+    let precomputed = match evaluator.remote_cluster_mut() {
+        Some(cluster) => cluster.evaluate_collect(pop)?,
+        None => evaluator.evaluate_population_local(pop),
     };
-    let mut genes_per_agent = Vec::with_capacity(chunks.len());
-    for chunk in &chunks {
+    debug_assert!(
+        precomputed.iter().map(|r| &r.0).eq(pop.genomes().keys()),
+        "one result per genome, id-ordered"
+    );
+    let mut results = precomputed.into_iter();
+    let mut genes_per_agent = Vec::with_capacity(counts.len());
+    // Contiguous per-agent chunks of the id-ordered results.
+    for &count in counts {
         let mut agent_genes = 0u64;
-        for &id in chunk {
-            let (rid, eval, genes_per_activation) =
-                precomputed.next().expect("one result per genome");
-            debug_assert_eq!(rid, id, "results must be id-ordered");
-            let genes = eval.activations * genes_per_activation;
-            agent_genes += genes;
-            pop.counters_mut().record_inference(genes);
-            pop.counters_mut().record_episode();
+        for (id, eval, genes_per_activation) in results.by_ref().take(count) {
+            agent_genes += eval.activations * genes_per_activation;
             // Logical: flattened chunk iteration is genome-id order for
             // any partition, so this stream is partition-independent.
             // No agent index here — that would differ across variants.
@@ -280,7 +254,7 @@ pub(crate) fn evaluate_partitioned(
                 ev.genome = Some(id.0);
                 ev.fitness_bits = Some(eval.fitness.to_bits());
             });
-            pop.set_fitness(id, eval.fitness)
+            pop.record_evaluation(id, eval, genes_per_activation)
                 .expect("id comes from population");
         }
         genes_per_agent.push(agent_genes);
@@ -292,24 +266,21 @@ pub(crate) fn evaluate_partitioned(
 /// recorder's timeline, drains the cache window, and emits the logical
 /// generation-end event (best fitness bit-exact, surviving species, the
 /// cache window — every field equivalence-pinned across execution
-/// modes).
+/// modes). `evolved` is what the evolution step reported (summed over
+/// clans for DDA).
 pub(crate) fn finish_generation(
     evaluator: &mut Evaluator,
     recorder: &mut TimelineRecorder,
-    generation: u64,
-    best_fitness: f64,
-    num_species: usize,
-    costs: GenerationCosts,
-    extinction: bool,
+    evolved: &GenerationSummary,
 ) -> GenerationReport {
     let (cache_hits, cache_lookups) = evaluator.take_cache_window();
     let report = GenerationReport {
-        generation,
-        best_fitness,
-        num_species,
+        generation: evolved.generation,
+        best_fitness: evolved.best_fitness,
+        num_species: evolved.num_species,
         timeline: recorder.finish_generation(),
-        costs,
-        extinction,
+        costs: evolved.costs,
+        extinction: evolved.extinction,
         cache_hits,
         cache_lookups,
     };
@@ -321,56 +292,6 @@ pub(crate) fn finish_generation(
         ev.cache_lookups = Some(report.cache_lookups);
     });
     report
-}
-
-/// Outcome of running speciation + planning + reproduction centrally.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct CentralEvolution {
-    pub speciation_genes: u64,
-    pub reproduction_genes: u64,
-    pub num_species: usize,
-    pub extinction: bool,
-}
-
-/// Runs the full central evolution path (serial and DCS): speciate, plan,
-/// reproduce, install. Handles extinction per the config.
-pub(crate) fn central_evolution(pop: &mut Population) -> Result<CentralEvolution, ClanError> {
-    let speciation = pop.speciate();
-    let repro_before = pop.counters().current().reproduction_genes;
-    let (num_species, extinction) = match pop.plan_generation() {
-        Ok(plan) => {
-            let children = pop.reproduce_centrally(&plan);
-            pop.install_next_generation(children);
-            (speciation.species_count, false)
-        }
-        Err(NeatError::Extinction) => {
-            if !pop.config().reset_on_extinction {
-                return Err(NeatError::Extinction.into());
-            }
-            pop.reset_population();
-            (0, true)
-        }
-        Err(e) => return Err(e.into()),
-    };
-    let reproduction_genes = pop.counters().current().reproduction_genes - repro_before;
-    Ok(CentralEvolution {
-        speciation_genes: speciation.genes_processed,
-        reproduction_genes,
-        num_species,
-        extinction,
-    })
-}
-
-/// Helper shared by orchestrators: update the best-ever genome tracker
-/// from an evaluated population.
-pub(crate) fn track_best(best_ever: &mut Option<Genome>, pop: &Population) {
-    if let Some(best) = pop.best() {
-        let new_f = best.fitness().expect("best() implies fitness");
-        let cur_f = best_ever.as_ref().and_then(Genome::fitness);
-        if cur_f.is_none_or(|c| new_f > c) {
-            *best_ever = Some(best.clone());
-        }
-    }
 }
 
 /// Genome transfer payload in floats: its genes plus framing.
@@ -396,22 +317,14 @@ mod tests {
     }
 
     #[test]
-    fn chunk_ids_contiguous() {
-        let ids: Vec<GenomeId> = (0..10).map(GenomeId).collect();
-        let chunks = chunk_ids(&ids, &[4, 3, 3]);
-        assert_eq!(chunks[0].len(), 4);
-        assert_eq!(chunks[1][0], GenomeId(4));
-        assert_eq!(chunks[2][2], GenomeId(9));
-    }
-
-    #[test]
     fn comm_phase_records_and_times() {
         let cluster = Cluster::homogeneous(Platform::raspberry_pi(), 3, WifiModel::default());
-        let mut comm = Comm::new();
-        let t = comm.phase(&cluster, MessageKind::SendFitness, 3, vec![10, 10, 10]);
-        assert!(t > 3.0 * cluster.net().channel_setup_s);
-        assert_eq!(comm.ledger().entry(MessageKind::SendFitness).floats, 30);
-        assert_eq!(comm.ledger().entry(MessageKind::SendFitness).messages, 3);
+        let mut sim = Testbed::new(cluster);
+        sim.comm(MessageKind::SendFitness, 3, vec![10, 10, 10]);
+        let setup = 3.0 * sim.cluster.net().channel_setup_s;
+        assert!(sim.recorder.current().communication_s > setup);
+        assert_eq!(sim.ledger().entry(MessageKind::SendFitness).floats, 30);
+        assert_eq!(sim.ledger().entry(MessageKind::SendFitness).messages, 3);
     }
 
     #[test]
@@ -438,34 +351,5 @@ mod tests {
         };
         assert_eq!(run(&[12]), run(&[4, 4, 4]));
         assert_eq!(run(&[12]), run(&[6, 3, 2, 1]));
-    }
-
-    #[test]
-    fn central_evolution_advances_population() {
-        let mut pop = small_pop(12, 3);
-        let mut ev = Evaluator::new(Workload::CartPole, InferenceMode::MultiStep);
-        evaluate_partitioned(&mut pop, &mut ev, &[12]).unwrap();
-        let out = central_evolution(&mut pop).unwrap();
-        assert!(out.num_species >= 1);
-        assert!(out.speciation_genes > 0);
-        assert!(out.reproduction_genes > 0);
-        assert!(!out.extinction);
-        assert_eq!(pop.generation(), 1);
-    }
-
-    #[test]
-    fn track_best_keeps_maximum() {
-        let mut pop = small_pop(5, 4);
-        let mut best = None;
-        let mut ev = Evaluator::new(Workload::CartPole, InferenceMode::MultiStep);
-        evaluate_partitioned(&mut pop, &mut ev, &[5]).unwrap();
-        track_best(&mut best, &pop);
-        let first = best.as_ref().unwrap().fitness().unwrap();
-        // A worse population later must not displace the best.
-        for id in pop.genomes().keys().copied().collect::<Vec<_>>() {
-            pop.set_fitness(id, -100.0).unwrap();
-        }
-        track_best(&mut best, &pop);
-        assert_eq!(best.unwrap().fitness().unwrap(), first);
     }
 }

@@ -24,12 +24,6 @@
 //! the clone mirrors the genome transfer a real CLAN deployment performs
 //! anyway; episode rollouts dominate the clone cost on every workload
 //! bigger than a dying CartPole genome.
-//!
-//! `clan_neat::Population::evaluate_parallel` implements the same
-//! contract with borrowed data and scoped threads for library callers
-//! that own no pool; the shard-in-id-order / merge-in-id-order invariant
-//! is shared between the two and pinned by the same equivalence suite —
-//! change one, check the other.
 
 use crate::evaluator::{EngineOptions, Evaluator, InferenceMode};
 use clan_envs::Workload;

@@ -154,6 +154,26 @@ impl AgentLink {
             origin,
         }
     }
+
+    /// Settles this link after an exchange round or a stream: one that
+    /// `completed` a round trip (and was not poisoned since) is healthy
+    /// again, and the loss-recovery overhead its transport accumulated
+    /// (retransmitted + duplicate datagrams, zero on reliable
+    /// transports) is booked against its slot and traced.
+    fn settle(&mut self, slot: usize, completed: bool, ledger: &mut CommLedger, tracer: &Tracer) {
+        if completed && !self.poisoned {
+            self.health = self.health.on_success();
+            self.last_error = None;
+        }
+        let overhead = self.transport.take_link_stats().overhead_bytes();
+        if overhead > 0 {
+            ledger.record_agent_retrans(slot, overhead);
+            tracer.timing(EventKind::Retransmission, |ev| {
+                ev.agent = Some(slot as u64);
+                ev.bytes = Some(overhead);
+            });
+        }
+    }
 }
 
 /// Where this cluster's agents come from: the founding members at
@@ -271,10 +291,9 @@ enum StreamEvent {
     Done {
         completion: StreamCompletion,
         elapsed_s: f64,
-        sent_floats: u64,
-        sent_bytes: u64,
-        recv_floats: u64,
-        recv_bytes: u64,
+        /// `(modeled floats, wire bytes)` of the request and the reply.
+        sent: (u64, u64),
+        recv: (u64, u64),
     },
     /// Churn-class link failure; the in-flight genome needs a new home.
     Failed {
@@ -285,11 +304,6 @@ enum StreamEvent {
     /// Protocol/frame violation — a bug, not churn; aborts the stream.
     Hard { error: ClanError },
 }
-
-/// One gathered response slot: the decoded message (or error) plus the
-/// link's measured wait in seconds; `None` until (or unless) a response
-/// was expected and arrived.
-type GatherSlot = Option<(Result<(WireMessage, u64), ClanError>, f64)>;
 
 /// What one link's exchange thread brings back: the send's measured
 /// wire bytes, the reply if the send went out, and the seconds from
@@ -331,6 +345,52 @@ fn spawn_agent_thread(
             agent: slot,
             reason: format!("cannot spawn agent thread: {e}"),
         })
+}
+
+/// One streamed evaluation over link `agent`: ships `genome` alone in an
+/// `Evaluate` frame (`seq` rides in the generation field) and waits for
+/// the matching one-entry `Fitness`. Transport and timeout errors are
+/// churn, anything else a protocol violation.
+fn stream_one(
+    transport: &mut dyn Transport,
+    agent: usize,
+    seq: u64,
+    master_seed: u64,
+    genome: &Genome,
+) -> Result<StreamEvent, ClanError> {
+    let request = WireMessage::Evaluate {
+        generation: seq,
+        master_seed,
+        genomes: vec![genome.clone()],
+    };
+    // clan-lint: allow(D2, reason="per-agent busy-time measurement for StreamStats; observability only")
+    let t0 = Instant::now();
+    let sent_bytes = send_message(transport, &request)?;
+    let (reply, recv_bytes) = recv_message(transport)?;
+    let recv_floats = reply.modeled_floats();
+    match reply {
+        WireMessage::Fitness(batch) if batch.len() == 1 && batch[0].0 == genome.id() => {
+            let (id, evaluation, genes_per_activation) = batch[0];
+            Ok(StreamEvent::Done {
+                completion: StreamCompletion {
+                    agent,
+                    genome: id,
+                    evaluation,
+                    genes_per_activation,
+                },
+                elapsed_s: t0.elapsed().as_secs_f64(),
+                sent: (request.modeled_floats(), sent_bytes),
+                recv: (recv_floats, recv_bytes),
+            })
+        }
+        other => Err(ClanError::Protocol {
+            peer: transport.peer(),
+            reason: format!(
+                "expected the Fitness of genome {}, got {other:?}",
+                genome.id()
+            ),
+        }),
+    }
 }
 
 /// Splits `items` into consecutive slices of the given sizes.
@@ -1156,10 +1216,10 @@ impl EdgeCluster {
                 slots[i] = Some(done);
             }
         });
-        // Replay in link order (deterministic bookkeeping): every send
-        // first, then every reply, as a serial scatter-then-gather
-        // would have recorded them. A churn-class failure claims the
-        // slot instead of aborting the round.
+        // Replay in link order (deterministic bookkeeping, whatever the
+        // arrival order was): each link's request row, then its reply.
+        // A churn-class failure claims the slot instead of aborting the
+        // round.
         let mut responses: Vec<Option<Result<WireMessage, ClanError>>> =
             (0..links.len()).map(|_| None).collect();
         let mut failed = |links: &mut [AgentLink], i: usize, e: ClanError| {
@@ -1170,73 +1230,50 @@ impl EdgeCluster {
             });
             Some(Err(e))
         };
-        let mut replies: Vec<GatherSlot> = Vec::with_capacity(slots.len());
-        for (i, (slot, req)) in slots.into_iter().zip(requests).enumerate() {
-            let (Some((sent, reply, elapsed)), Some((msg, _))) = (slot, req) else {
-                replies.push(None);
-                continue;
-            };
-            match sent {
-                Ok(bytes) => ledger.record_agent_wire(i, send_kind, msg.modeled_floats(), bytes),
-                Err(e) if is_churn_error(&e) => responses[i] = failed(links, i, e),
-                Err(e) => return Err(e),
-            }
-            replies.push(reply.map(|r| (r, elapsed)));
-        }
         let mut makespan = 0.0f64;
         let mut busy = 0.0f64;
         let mut hard_err: Option<ClanError> = None;
-        for (i, slot) in replies.into_iter().enumerate() {
-            match slot {
+        for (i, (slot, req)) in slots.into_iter().zip(requests).enumerate() {
+            let (Some((sent, reply, elapsed)), Some((request, work))) = (slot, req) else {
+                continue;
+            };
+            match sent {
+                Ok(bytes) => {
+                    ledger.record_agent_wire(i, send_kind, request.modeled_floats(), bytes);
+                }
+                Err(e) if is_churn_error(&e) => responses[i] = failed(links, i, e),
+                Err(e) => return Err(e),
+            }
+            match reply {
                 None => {}
-                Some((Ok((msg, bytes)), elapsed)) => {
+                Some(Ok((msg, bytes))) => {
                     ledger.record_agent_wire(i, recv_kind, msg.modeled_floats(), bytes);
                     makespan = makespan.max(elapsed);
                     busy += elapsed;
                     tracer.timing(EventKind::AgentExchange, |ev| {
                         ev.agent = Some(i as u64);
                         ev.dur_us = Some((elapsed * 1e6) as u64);
-                        ev.items = requests[i].as_ref().map(|(_, work)| *work);
+                        ev.items = Some(*work);
                     });
-                    if calibrate_throughput && *calibrate {
-                        if let Some((_, work)) = &requests[i] {
-                            if *work > 0 {
-                                let throughput = *work as f64 / elapsed.max(1e-6);
-                                let link = &mut links[i];
-                                link.measured = Some(match link.measured {
-                                    Some(prev) => {
-                                        EWMA_ALPHA * throughput + (1.0 - EWMA_ALPHA) * prev
-                                    }
-                                    None => throughput,
-                                });
-                            }
-                        }
+                    if calibrate_throughput && *calibrate && *work > 0 {
+                        let throughput = *work as f64 / elapsed.max(1e-6);
+                        let link = &mut links[i];
+                        link.measured = Some(match link.measured {
+                            Some(prev) => EWMA_ALPHA * throughput + (1.0 - EWMA_ALPHA) * prev,
+                            None => throughput,
+                        });
                     }
-                    let link = &mut links[i];
-                    link.health = link.health.on_success();
-                    link.last_error = None;
                     responses[i] = Some(Ok(msg));
                 }
-                Some((Err(e), _)) if is_churn_error(&e) => responses[i] = failed(links, i, e),
-                Some((Err(e), _)) if hard_err.is_none() => hard_err = Some(e),
-                Some((Err(_), _)) => {}
+                Some(Err(e)) if is_churn_error(&e) => responses[i] = failed(links, i, e),
+                Some(Err(e)) => hard_err = hard_err.or(Some(e)),
             }
+        }
+        for (i, link) in links.iter_mut().enumerate() {
+            link.settle(i, matches!(responses[i], Some(Ok(_))), ledger, tracer);
         }
         if let Some(e) = hard_err {
             return Err(e);
-        }
-        // Fold each link's loss-recovery overhead (retransmitted +
-        // duplicate datagrams, zero on reliable transports) into the
-        // ledger's retransmission column, attributed per agent.
-        for (i, link) in links.iter_mut().enumerate() {
-            let stats = link.transport.take_link_stats();
-            if stats.overhead_bytes() > 0 {
-                ledger.record_agent_retrans(i, stats.overhead_bytes());
-                tracer.timing(EventKind::Retransmission, |ev| {
-                    ev.agent = Some(i as u64);
-                    ev.bytes = Some(stats.overhead_bytes());
-                });
-            }
         }
         gather.gathers += 1;
         gather.makespan_s += makespan;
@@ -1433,15 +1470,16 @@ impl EdgeCluster {
     }
 
     /// Distributed inference with write-back: scatters the population's
-    /// genomes across agents, gathers fitness, and stores it — the
-    /// runtime equivalent of CLAN_DCS's inference phase.
+    /// genomes across agents, gathers the evaluations, and records them
+    /// ([`Population::record_evaluation`]) — the runtime equivalent of
+    /// CLAN_DCS's inference phase.
     ///
     /// # Errors
     ///
     /// Propagates [`evaluate_collect`](EdgeCluster::evaluate_collect).
     pub fn evaluate(&mut self, pop: &mut Population) -> Result<(), ClanError> {
-        for (id, eval, _) in self.evaluate_collect(pop)? {
-            pop.set_fitness(id, eval.fitness)?;
+        for (id, eval, genes_per_activation) in self.evaluate_collect(pop)? {
+            pop.record_evaluation(id, eval, genes_per_activation)?;
         }
         Ok(())
     }
@@ -1498,7 +1536,6 @@ impl EdgeCluster {
             ..StreamStats::default()
         };
         let mut failures: Vec<(usize, ClanError)> = Vec::new();
-        let mut succeeded = vec![false; n_links];
         // clan-lint: allow(D2, reason="StreamStats makespan measurement; reported, never fed back into evolution")
         let started = Instant::now();
         let mut outcome: Result<(), ClanError> = Ok(());
@@ -1516,63 +1553,8 @@ impl EdgeCluster {
                 let transport: &mut dyn Transport = link.transport.as_mut();
                 s.spawn(move || {
                     for (seq, genome) in wrx.iter() {
-                        let gid = genome.id();
-                        let msg = WireMessage::Evaluate {
-                            generation: seq,
-                            master_seed,
-                            genomes: vec![genome.clone()],
-                        };
-                        let sent_floats = msg.modeled_floats();
-                        // clan-lint: allow(D2, reason="per-agent busy-time measurement for StreamStats; observability only")
-                        let t0 = Instant::now();
-                        let sent_bytes = match send_message(transport, &msg) {
-                            Ok(bytes) => bytes,
-                            Err(error) => {
-                                let _ = etx.send(StreamEvent::Failed {
-                                    agent: i,
-                                    genome: Box::new(genome),
-                                    error,
-                                });
-                                return;
-                            }
-                        };
-                        let event = match recv_message(transport) {
-                            Ok((reply, recv_bytes)) => {
-                                let recv_floats = reply.modeled_floats();
-                                match reply {
-                                    WireMessage::Fitness(batch) => match batch.as_slice() {
-                                        [(id, evaluation, gpa)] if *id == gid => {
-                                            StreamEvent::Done {
-                                                completion: StreamCompletion {
-                                                    agent: i,
-                                                    genome: gid,
-                                                    evaluation: *evaluation,
-                                                    genes_per_activation: *gpa,
-                                                },
-                                                elapsed_s: t0.elapsed().as_secs_f64(),
-                                                sent_floats,
-                                                sent_bytes,
-                                                recv_floats,
-                                                recv_bytes,
-                                            }
-                                        }
-                                        _ => StreamEvent::Hard {
-                                            error: ClanError::Protocol {
-                                                peer: transport.peer(),
-                                                reason: format!(
-                                                    "streamed fitness does not match genome {gid}"
-                                                ),
-                                            },
-                                        },
-                                    },
-                                    other => StreamEvent::Hard {
-                                        error: ClanError::Protocol {
-                                            peer: transport.peer(),
-                                            reason: format!("expected Fitness, got {other:?}"),
-                                        },
-                                    },
-                                }
-                            }
+                        let event = match stream_one(transport, i, seq, master_seed, &genome) {
+                            Ok(done) => done,
                             Err(error) if is_churn_error(&error) => StreamEvent::Failed {
                                 agent: i,
                                 genome: Box::new(genome),
@@ -1580,9 +1562,10 @@ impl EdgeCluster {
                             },
                             Err(error) => StreamEvent::Hard { error },
                         };
-                        let hard = matches!(event, StreamEvent::Hard { .. });
-                        let _ = etx.send(event);
-                        if hard {
+                        // A failed link gets no more work; a finished one
+                        // waits for its next genome.
+                        let done = matches!(event, StreamEvent::Done { .. });
+                        if etx.send(event).is_err() || !done {
                             return;
                         }
                     }
@@ -1597,11 +1580,11 @@ impl EdgeCluster {
             let mut seq = 0u64;
             loop {
                 // Feed every idle agent while work remains.
-                while !pending.is_empty() && !idle.is_empty() {
-                    let (Some(agent), Some(genome)) = (idle.pop_front(), pending.pop_front())
-                    else {
-                        break; // unreachable: both checked non-empty by the loop guard
+                while let Some(&agent) = idle.front() {
+                    let Some(genome) = pending.pop_front() else {
+                        break;
                     };
+                    idle.pop_front();
                     match &work_tx[agent] {
                         Some(tx) => match tx.send((seq, genome)) {
                             Ok(()) => {
@@ -1632,30 +1615,17 @@ impl EdgeCluster {
                     StreamEvent::Done {
                         completion,
                         elapsed_s,
-                        sent_floats,
-                        sent_bytes,
-                        recv_floats,
-                        recv_bytes,
+                        sent,
+                        recv,
                     } => {
                         let agent = completion.agent;
-                        ledger.record_agent_wire(
-                            agent,
-                            MessageKind::SendGenomes,
-                            sent_floats,
-                            sent_bytes,
-                        );
-                        ledger.record_agent_wire(
-                            agent,
-                            MessageKind::SendFitness,
-                            recv_floats,
-                            recv_bytes,
-                        );
+                        ledger.record_agent_wire(agent, MessageKind::SendGenomes, sent.0, sent.1);
+                        ledger.record_agent_wire(agent, MessageKind::SendFitness, recv.0, recv.1);
                         in_flight -= 1;
                         stats.completions += 1;
                         stats.busy_s += elapsed_s;
                         stats.per_agent_busy_s[agent] += elapsed_s;
                         stats.per_agent_completions[agent] += 1;
-                        succeeded[agent] = true;
                         tracer.timing(EventKind::Completion, |ev| {
                             ev.agent = Some(agent as u64);
                             ev.genome = Some(completion.genome.0);
@@ -1706,18 +1676,7 @@ impl EdgeCluster {
             Self::note_link_failure(links, recovery, *i, error);
         }
         for (i, link) in links.iter_mut().enumerate() {
-            if succeeded[i] && !link.poisoned {
-                link.health = link.health.on_success();
-                link.last_error = None;
-            }
-            let link_stats = link.transport.take_link_stats();
-            if link_stats.overhead_bytes() > 0 {
-                ledger.record_agent_retrans(i, link_stats.overhead_bytes());
-                tracer.timing(EventKind::Retransmission, |ev| {
-                    ev.agent = Some(i as u64);
-                    ev.bytes = Some(link_stats.overhead_bytes());
-                });
-            }
+            link.settle(i, stats.per_agent_completions[i] > 0, ledger, tracer);
         }
         outcome.map(|()| stats)
     }

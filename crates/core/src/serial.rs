@@ -7,10 +7,9 @@
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use crate::orchestra::{
-    central_evolution, evaluate_partitioned, finish_generation, track_best, GenerationReport,
-    Orchestrator,
+    evaluate_partitioned, finish_generation, GenerationReport, Orchestrator, Testbed,
 };
-use clan_distsim::{Cluster, TimelineRecorder};
+use clan_distsim::Cluster;
 use clan_neat::{Genome, Population};
 use clan_netsim::CommLedger;
 
@@ -19,10 +18,7 @@ use clan_netsim::CommLedger;
 pub struct SerialOrchestrator {
     pop: Population,
     evaluator: Evaluator,
-    cluster: Cluster,
-    recorder: TimelineRecorder,
-    ledger: CommLedger,
-    best_ever: Option<Genome>,
+    sim: Testbed,
 }
 
 impl SerialOrchestrator {
@@ -31,10 +27,7 @@ impl SerialOrchestrator {
         SerialOrchestrator {
             pop,
             evaluator,
-            cluster,
-            recorder: TimelineRecorder::new(),
-            ledger: CommLedger::new(),
-            best_ever: None,
+            sim: Testbed::new(cluster),
         }
     }
 
@@ -46,44 +39,34 @@ impl SerialOrchestrator {
 
 impl Orchestrator for SerialOrchestrator {
     fn step_generation(&mut self) -> Result<GenerationReport, ClanError> {
-        let generation = self.pop.generation();
-        let center = *self.cluster.center();
+        let center = *self.sim.cluster.center();
 
         // Phase I — all inference on the center.
         let pop_len = self.pop.len();
         let genes = evaluate_partitioned(&mut self.pop, &mut self.evaluator, &[pop_len])?;
-        self.recorder
+        self.sim
+            .recorder
             .add_inference(center.inference_time_s(genes[0]));
 
-        let best_fitness = self
-            .pop
-            .best()
-            .and_then(Genome::fitness)
-            .expect("population was just evaluated");
-        track_best(&mut self.best_ever, &self.pop);
-
         // Phases S, GP, R — all on the center.
-        let evo = central_evolution(&mut self.pop)?;
-        self.recorder
-            .add_evolution(center.evolution_time_s(evo.speciation_genes + evo.reproduction_genes));
+        let evo = self.pop.try_advance_generation()?;
+        self.sim
+            .recorder
+            .add_evolution(center.evolution_time_s(evo.costs.evolution_genes()));
 
         Ok(finish_generation(
             &mut self.evaluator,
-            &mut self.recorder,
-            generation,
-            best_fitness,
-            evo.num_species,
-            self.pop.counters_mut().finish_generation(),
-            evo.extinction,
+            &mut self.sim.recorder,
+            &evo,
         ))
     }
 
     fn best_ever(&self) -> Option<&Genome> {
-        self.best_ever.as_ref()
+        self.pop.best_ever()
     }
 
     fn ledger(&self) -> &CommLedger {
-        &self.ledger
+        self.sim.ledger()
     }
 
     fn evaluator(&self) -> &Evaluator {

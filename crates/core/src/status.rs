@@ -30,7 +30,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long one poll may hold the accept thread, request to response.
+const REQUEST_BUDGET: Duration = Duration::from_millis(500);
 
 /// What a poll observes: the latest state the run chose to publish.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -152,14 +155,21 @@ fn progress_json(snap: &StatusSnapshot) -> String {
 /// closes. Any I/O failure just drops the connection — a flaky poller
 /// must never affect the run.
 fn answer(stream: &mut TcpStream, handle: &StatusHandle) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
+    // One deadline for the whole request, not a timeout per read: a
+    // client dripping a byte at a time must not hold the accept thread.
+    // clan-lint: allow(D2, reason="bounds a status poll's hold on the accept thread; never reaches evolution")
+    let started = Instant::now();
+    let _ = stream.set_write_timeout(Some(REQUEST_BUDGET));
     // Read until the request's blank line: clients may deliver the
     // request line in several small writes, and answering a partial
     // read would close the socket mid-request.
     let mut buf = [0u8; 1024];
     let mut n = 0;
     loop {
+        let remaining = REQUEST_BUDGET.saturating_sub(started.elapsed());
+        if remaining.is_zero() || stream.set_read_timeout(Some(remaining)).is_err() {
+            break; // out of time: answer from whatever arrived
+        }
         match stream.read(&mut buf[n..]) {
             Ok(0) => break,
             Ok(m) => {
@@ -168,7 +178,7 @@ fn answer(stream: &mut TcpStream, handle: &StatusHandle) {
                     break;
                 }
             }
-            Err(_) => break, // timeout: answer from whatever arrived
+            Err(_) => break,
         }
     }
     if n == 0 {
@@ -352,6 +362,34 @@ mod tests {
             s.generation = Some(3);
         });
         assert!(get(addr, "/progress").contains("\"generation\":3"));
+    }
+
+    #[test]
+    fn slow_drip_client_cannot_starve_a_second_poller() {
+        let server = StatusServer::bind("127.0.0.1:0", sample_handle()).unwrap();
+        let addr = server.local_addr();
+        // A client that never finishes its request line, one byte every
+        // 400 ms — each read lands inside the old per-read timeout.
+        let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
+        let mut drip = TcpStream::connect(addr).unwrap();
+        drip.write_all(b"G").unwrap();
+        let dripper = std::thread::spawn(move || {
+            while stop_rx.recv_timeout(Duration::from_millis(400)).is_err() {
+                if drip.write_all(b"E").is_err() {
+                    break; // the server hung up on us, as it should
+                }
+            }
+        });
+        let asked = Instant::now();
+        let progress = get(addr, "/progress");
+        let waited = asked.elapsed();
+        let _ = stop_tx.send(());
+        dripper.join().unwrap();
+        assert!(progress.contains("\"generation\":7"), "{progress}");
+        assert!(
+            waited < Duration::from_secs(1),
+            "second poller waited {waited:?} behind a slow-drip client"
+        );
     }
 
     #[test]

@@ -366,18 +366,15 @@ impl BatchedNetwork {
 
     /// Argmax over one lane's outputs — the discrete-action policy step.
     ///
-    /// Tie-breaking matches [`FeedForwardNetwork::act_argmax_with`]
-    /// exactly: among exact ties the *last* maximal output wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if outputs are incomparable (NaN).
+    /// Matches [`FeedForwardNetwork::act_argmax_with`] exactly: among
+    /// exact ties the *last* maximal output wins, and a NaN never beats a
+    /// number.
     pub fn argmax(&self, lane: usize) -> usize {
         let mut best = 0;
         let mut best_v = self.outputs[lane];
         for j in 1..self.num_outputs {
             let v = self.outputs[j * self.lanes + lane];
-            if v.partial_cmp(&best_v).expect("finite outputs").is_ge() {
+            if v >= best_v || best_v.is_nan() {
                 best = j;
                 best_v = v;
             }

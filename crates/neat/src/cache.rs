@@ -126,16 +126,6 @@ impl FitnessCache {
         w
     }
 
-    /// Lifetime hits across all windows.
-    pub fn hits_total(&self) -> u64 {
-        self.hits_total
-    }
-
-    /// Lifetime lookups across all windows.
-    pub fn lookups_total(&self) -> u64 {
-        self.lookups_total
-    }
-
     /// Lifetime hit rate (`hits_total / lookups_total`), 0 before any
     /// lookup. Telemetry publishes this as the `cache.hit_rate` gauge.
     pub fn hit_rate_total(&self) -> f64 {
@@ -170,8 +160,6 @@ mod tests {
         assert_eq!(c.window(), (1, 2));
         assert_eq!(c.take_window(), (1, 2));
         assert_eq!(c.window(), (0, 0));
-        assert_eq!(c.hits_total(), 1);
-        assert_eq!(c.lookups_total(), 2);
         assert!((c.hit_rate_total() - 0.5).abs() < 1e-12);
         assert_eq!(FitnessCache::new().hit_rate_total(), 0.0);
     }

@@ -208,18 +208,18 @@ mod tests {
             .build()
             .unwrap();
         let mut pop = Population::new(cfg, 5);
-        pop.evaluate(|net, _| net.activate(&[0.5, -0.5])[0]);
-        pop.advance_generation();
+        let mut scratch = crate::network::Scratch::new();
+        let mut advance = |p: &mut Population| {
+            p.evaluate(|net, _| net.activate_into(&[0.5, -0.5], &mut scratch)[0]);
+            p.advance_generation();
+            p.genomes().clone()
+        };
+        advance(&mut pop);
 
         let json = population_to_json(&pop).unwrap();
         let mut restored = population_from_json(&json).unwrap();
 
         // Both copies must evolve identically from here.
-        let advance = |p: &mut Population| {
-            p.evaluate(|net, _| net.activate(&[0.5, -0.5])[0]);
-            p.advance_generation();
-            p.genomes().clone()
-        };
         assert_eq!(advance(&mut pop), advance(&mut restored));
     }
 

@@ -24,8 +24,8 @@
 //! ## The inference hot path: scratch buffers
 //!
 //! Inference dominates a generation's compute (paper Fig. 3), and one
-//! episode activates a network hundreds of times. The hot tier of the
-//! activation API is allocation-free: callers own a
+//! episode activates a network hundreds of times. The activation API
+//! has one entry point and it is allocation-free: callers own a
 //! [`Scratch`] whose buffers are reused across steps,
 //! episodes, and networks —
 //!
@@ -46,29 +46,33 @@
 //! # Ok::<(), clan_neat::NeatError>(())
 //! ```
 //!
-//! [`FeedForwardNetwork::activate`] and
-//! [`FeedForwardNetwork::act_argmax`] remain as compatibility wrappers
-//! over a thread-local scratch; results are bit-identical across tiers.
-//!
-//! ## Parallel evaluation: the determinism contract
+//! ## Evaluation: one state transition, any engine
 //!
 //! Because every episode seed derives from
 //! `(master_seed, genome content hash)` — never from execution order or
-//! the genome's transient id — evaluation parallelizes without changing
-//! a single bit of the trajectory. [`Population::evaluate_parallel`]
-//! shards the population across worker threads (each worker gets its own
-//! evaluator state via a factory) and merges results back in genome-id
-//! order; [`Population::evaluate_batch`] applies externally computed
-//! evaluations under the same ordering rule. Fitness,
-//! [`CostCounters`], and `best_ever` are identical at any thread count —
-//! the property the CLAN configurations rely on, asserted end-to-end in
-//! `tests/equivalence.rs`.
+//! the genome's transient id — *where* a genome is evaluated cannot
+//! change a single bit of its result. What the population does with a
+//! result is therefore one method,
+//! [`Population::record_evaluation`]: charge the inference genes and the
+//! episode, write the fitness, keep `best_ever`. The closure driver
+//! [`Population::evaluate`] calls it per genome in id order; the
+//! `clan-core` orchestrators compute evaluations on a thread pool or a
+//! remote agent cluster and replay them through it in the same order;
+//! the async steady-state loop calls it per arrival. Fitness,
+//! [`CostCounters`], and `best_ever` are identical for any engine that
+//! records in the same order — the property the CLAN configurations rely
+//! on, asserted end-to-end in `tests/equivalence.rs`. After evaluation,
+//! [`Population::try_advance_generation`] is the one central
+//! `S → GP → R` step (extinction is a typed error or a re-seed, per the
+//! config); the phase primitives it is built from stay public so a
+//! deployment can run each block somewhere else.
 //!
 //! ## Batched inference & fitness cache
 //!
 //! Two engine-level optimizations sit on top of the scratch tier, both
 //! contractually bit-identical to it (pinned by
-//! `tests/cache_equivalence.rs`):
+//! `tests/cache_equivalence.rs`); the `clan-core` evaluators own and
+//! drive both:
 //!
 //! - **Structure-of-arrays batching** ([`batch`]). NEAT populations are
 //!   full of same-shape networks (clones, elites, weight-mutated
@@ -87,21 +91,20 @@
 //!   episode seeds also derive from the content hash, a hit replays
 //!   *exactly* the episodes a fresh run would, so serving it from the
 //!   cache is bit-identical and skips both compilation and every
-//!   environment step. Enable per population with
-//!   [`Population::set_fitness_caching`] (the `clan-core` evaluators
-//!   own their caches and enable this by default).
+//!   environment step.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use clan_neat::{NeatConfig, Population};
+//! use clan_neat::{NeatConfig, Population, Scratch};
 //!
 //! // Evolve a genome that outputs a constant 0.5 from one input.
 //! let cfg = NeatConfig::builder(1, 1).population_size(40).build().unwrap();
 //! let mut pop = Population::new(cfg, 42);
+//! let mut scratch = Scratch::new();
 //! for _ in 0..5 {
 //!     pop.evaluate(|net, _genome| {
-//!         let out = net.activate(&[1.0])[0];
+//!         let out = net.activate_into(&[1.0], &mut scratch)[0];
 //!         1.0 - (out - 0.5).abs()
 //!     });
 //!     pop.advance_generation();

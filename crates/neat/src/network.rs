@@ -9,17 +9,12 @@
 //!
 //! Evaluation is the dominant compute block of a CLAN generation (the
 //! paper's Figure 3), and a 200-step episode calls the network 200 times.
-//! Two API tiers serve that loop:
-//!
-//! - [`activate`](FeedForwardNetwork::activate) /
-//!   [`act_argmax`](FeedForwardNetwork::act_argmax) — convenient,
-//!   allocation-per-call-free *internally* (they reuse a thread-local
-//!   [`Scratch`]), `activate` still returns an owned `Vec`.
-//! - [`activate_into`](FeedForwardNetwork::activate_into) /
-//!   [`act_argmax_with`](FeedForwardNetwork::act_argmax_with) — the
-//!   zero-allocation tier: the caller owns a [`Scratch`] whose buffers are
-//!   reused across steps, episodes, and networks. After the buffers have
-//!   grown to a network's size once, no heap allocation happens per step.
+//! One entry point serves that loop:
+//! [`activate_into`](FeedForwardNetwork::activate_into) (and
+//! [`act_argmax_with`](FeedForwardNetwork::act_argmax_with) on top of it).
+//! The caller owns a [`Scratch`] whose buffers are reused across steps,
+//! episodes, and networks; after the buffers have grown to a network's
+//! size once, no heap allocation happens per step.
 //!
 //! Compilation itself is also on the per-generation hot path (every
 //! genome recompiles every generation), so it runs entirely on indexed
@@ -32,7 +27,6 @@ use crate::error::NeatError;
 use crate::gene::{GenomeId, NodeId};
 use crate::genome::Genome;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 
 /// One node's compiled evaluation plan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,13 +69,6 @@ impl Scratch {
     }
 }
 
-thread_local! {
-    /// Scratch backing the legacy convenience API, so `activate` /
-    /// `act_argmax` stop allocating per step too (beyond `activate`'s
-    /// returned `Vec`, which its signature requires).
-    static LOCAL_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
-}
-
 /// A compiled feed-forward network.
 ///
 /// ```
@@ -93,14 +80,10 @@ thread_local! {
 /// let genome = Genome::new_initial(&cfg, GenomeId(0), &mut StdRng::seed_from_u64(7));
 /// let net = FeedForwardNetwork::compile(&genome, &cfg);
 ///
-/// // Convenience tier: returns an owned Vec.
-/// let out = net.activate(&[0.5, -0.5]);
-/// assert_eq!(out.len(), 1);
-///
-/// // Zero-allocation tier: caller-owned buffers, reused across steps.
+/// // Caller-owned buffers, reused across steps.
 /// let mut scratch = Scratch::new();
-/// let out2 = net.activate_into(&[0.5, -0.5], &mut scratch);
-/// assert_eq!(out2, out.as_slice());
+/// let out = net.activate_into(&[0.5, -0.5], &mut scratch);
+/// assert_eq!(out.len(), 1);
 /// # Ok::<(), clan_neat::NeatError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -361,7 +344,7 @@ impl FeedForwardNetwork {
         self.num_inputs
     }
 
-    /// Number of outputs produced by [`activate`](Self::activate).
+    /// Number of outputs produced by [`activate_into`](Self::activate_into).
     pub fn num_outputs(&self) -> usize {
         self.num_outputs
     }
@@ -385,9 +368,8 @@ impl FeedForwardNetwork {
     /// Runs one forward pass into caller-owned buffers and returns the
     /// output slice (also available as [`Scratch::outputs`]).
     ///
-    /// This is the zero-allocation hot path: once `scratch` has grown to
-    /// this network's size, no heap allocation occurs. Results are
-    /// bit-identical to [`activate`](Self::activate).
+    /// Once `scratch` has grown to this network's size, no heap
+    /// allocation occurs.
     ///
     /// # Panics
     ///
@@ -432,46 +414,23 @@ impl FeedForwardNetwork {
         outputs
     }
 
-    /// Runs one forward pass, returning a freshly allocated output vector.
+    /// Index of the maximum output — the usual discrete-action policy —
+    /// over caller-owned buffers.
     ///
-    /// Compatibility wrapper over [`activate_into`](Self::activate_into)
-    /// using a thread-local [`Scratch`]; per-step cost is one output-sized
-    /// `Vec` allocation. Hot loops should hold their own `Scratch` and
-    /// call `activate_into` directly.
+    /// Among exact ties the *last* maximal output wins (exact ties are
+    /// realistic — e.g. `Relu` outputs are exactly `0.0` for all negative
+    /// pre-activations). A NaN output (an `inf - inf` behind `Identity`)
+    /// never wins against a number; only if every output is NaN does the
+    /// last index come back.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from [`num_inputs`](Self::num_inputs).
-    pub fn activate(&self, inputs: &[f64]) -> Vec<f64> {
-        LOCAL_SCRATCH.with(|s| self.activate_into(inputs, &mut s.borrow_mut()).to_vec())
-    }
-
-    /// Index of the maximum output — the usual discrete-action policy.
-    ///
-    /// Allocation-free: computes the argmax directly from the
-    /// thread-local scratch's output slice.
-    pub fn act_argmax(&self, inputs: &[f64]) -> usize {
-        LOCAL_SCRATCH.with(|s| self.act_argmax_with(inputs, &mut s.borrow_mut()))
-    }
-
-    /// [`act_argmax`](Self::act_argmax) over caller-owned buffers — the
-    /// zero-allocation policy step used by the evaluation engines.
-    ///
-    /// Tie-breaking matches the historical `max_by` semantics exactly:
-    /// the *last* maximal output wins (exact ties are realistic — e.g.
-    /// `Relu` outputs are exactly `0.0` for all negative
-    /// pre-activations), so policies are bit-compatible with the
-    /// allocating implementation this replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from [`num_inputs`](Self::num_inputs),
-    /// or if outputs are incomparable (NaN).
     pub fn act_argmax_with(&self, inputs: &[f64], scratch: &mut Scratch) -> usize {
         let out = self.activate_into(inputs, scratch);
         let mut best = 0;
         for (i, &v) in out.iter().enumerate().skip(1) {
-            if v.partial_cmp(&out[best]).expect("finite outputs").is_ge() {
+            if v >= out[best] || out[best].is_nan() {
                 best = i;
             }
         }
@@ -493,26 +452,26 @@ mod tests {
         Genome::new_initial(cfg, GenomeId(0), &mut StdRng::seed_from_u64(seed))
     }
 
+    fn outputs(net: &FeedForwardNetwork, inputs: &[f64]) -> Vec<f64> {
+        net.activate_into(inputs, &mut Scratch::new()).to_vec()
+    }
+
+    fn argmax(net: &FeedForwardNetwork, inputs: &[f64]) -> usize {
+        net.act_argmax_with(inputs, &mut Scratch::new())
+    }
+
     #[test]
     fn outputs_have_expected_arity() {
         let cfg = cfg(3, 2);
         let net = FeedForwardNetwork::compile(&genome(&cfg, 1), &cfg);
-        let out = net.activate(&[0.1, 0.2, 0.3]);
+        let out = outputs(&net, &[0.1, 0.2, 0.3]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|v| v.is_finite()));
     }
 
     #[test]
-    #[should_panic(expected = "expected 3 inputs")]
-    fn wrong_input_arity_panics() {
-        let cfg = cfg(3, 1);
-        let net = FeedForwardNetwork::compile(&genome(&cfg, 1), &cfg);
-        net.activate(&[0.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "expected 2 inputs")]
-    fn wrong_input_arity_panics_in_scratch_path() {
+    fn wrong_input_arity_panics() {
         let cfg = cfg(2, 1);
         let net = FeedForwardNetwork::compile(&genome(&cfg, 1), &cfg);
         let mut scratch = Scratch::new();
@@ -528,7 +487,7 @@ mod tests {
         let g = genome(&cfg, 2);
         let bias = g.nodes()[&NodeId::output(0)].bias;
         let net = FeedForwardNetwork::compile(&g, &cfg);
-        let out = net.activate(&[123.0]);
+        let out = outputs(&net, &[123.0]);
         let expected = Activation::Sigmoid.apply(bias);
         assert!((out[0] - expected).abs() < 1e-12);
     }
@@ -543,7 +502,7 @@ mod tests {
         let net = FeedForwardNetwork::compile(&g, &cfg);
         // Path is input -> hidden -> output: 2 enabled conns + 2 nodes.
         assert_eq!(net.genes_per_activation(), 4);
-        assert!(net.activate(&[1.0])[0].is_finite());
+        assert!(outputs(&net, &[1.0])[0].is_finite());
     }
 
     #[test]
@@ -561,7 +520,7 @@ mod tests {
         let net = FeedForwardNetwork::compile(&genome(&cfg, 6), &cfg);
         for i in 0..20 {
             let x = i as f64 / 10.0;
-            let a = net.act_argmax(&[x, -x, x * 0.5, 1.0]);
+            let a = argmax(&net, &[x, -x, x * 0.5, 1.0]);
             assert!(a < 3);
         }
     }
@@ -576,7 +535,7 @@ mod tests {
         }
         g.check_invariants(&cfg).unwrap();
         let net = FeedForwardNetwork::compile(&g, &cfg);
-        let out = net.activate(&[0.9, -0.9, 0.1, 0.0]);
+        let out = outputs(&net, &[0.9, -0.9, 0.1, 0.0]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|v| v.is_finite()));
     }
@@ -593,7 +552,7 @@ mod tests {
         }
         assert_eq!(g.conns().len(), 0);
         let net = FeedForwardNetwork::compile(&g, &cfg);
-        let out = net.activate(&[1.0, 2.0, 3.0]);
+        let out = outputs(&net, &[1.0, 2.0, 3.0]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|v| v.is_finite()));
         // Only the two output nodes are touched.
@@ -659,48 +618,14 @@ mod tests {
         let a = FeedForwardNetwork::compile(&g, &cfg);
         let b = FeedForwardNetwork::compile(&g, &cfg);
         assert_eq!(a, b);
-        assert_eq!(a.activate(&[0.1, 0.2, 0.3]), b.activate(&[0.1, 0.2, 0.3]));
-    }
-
-    #[test]
-    fn activate_into_matches_activate_bit_for_bit() {
-        // Across shallow and heavily mutated topologies (which exercise
-        // non-Sum aggregations once mutation enables them), the scratch
-        // path must agree exactly with the legacy path.
-        let cfg = crate::NeatConfig::builder(5, 3)
-            .activation_mutate_rate(0.3)
-            .aggregation_mutate_rate(0.3)
-            .build()
-            .unwrap();
-        let mut scratch = Scratch::new();
-        for seed in 0..10 {
-            let mut g = genome(&cfg, 100 + seed);
-            let mut r = StdRng::seed_from_u64(200 + seed);
-            for _ in 0..60 {
-                g.mutate(&cfg, &mut r);
-            }
-            let net = FeedForwardNetwork::compile(&g, &cfg);
-            for step in 0..20 {
-                let x = step as f64 / 7.0;
-                let inputs = [x, -x, 0.5 * x, 1.0 - x, x * x];
-                let legacy = net.activate(&inputs);
-                let fast = net.activate_into(&inputs, &mut scratch);
-                assert_eq!(legacy.as_slice(), fast, "seed {seed} step {step}");
-                assert_eq!(
-                    net.act_argmax(&inputs),
-                    net.act_argmax_with(&inputs, &mut scratch),
-                    "argmax mismatch at seed {seed} step {step}"
-                );
-            }
-        }
+        assert_eq!(outputs(&a, &[0.1, 0.2, 0.3]), outputs(&b, &[0.1, 0.2, 0.3]));
     }
 
     #[test]
     fn argmax_ties_keep_last_max() {
         // Two unconnected outputs with identical biases produce exactly
-        // tied outputs; the historical `max_by` semantics (last maximal
-        // index wins) must be preserved so trajectories stay
-        // bit-compatible with the allocating implementation.
+        // tied outputs; the last maximal index wins — a pinned choice,
+        // every recorded trajectory depends on it.
         let json = r#"{
             "version": 1,
             "genome": {
@@ -720,12 +645,12 @@ mod tests {
         let g = crate::checkpoint::genome_from_json(json).unwrap();
         let three_out = cfg(1, 3);
         let net = FeedForwardNetwork::compile(&g, &three_out);
-        let out = net.activate(&[0.0]);
+        let out = outputs(&net, &[0.0]);
         assert_eq!(out[0], out[1], "outputs 0 and 1 must tie exactly");
         assert!(out[2] > out[0]);
         // Unique max still wins...
-        assert_eq!(net.act_argmax(&[0.0]), 2);
-        // ...and among exact ties the last index wins, as max_by did.
+        assert_eq!(argmax(&net, &[0.0]), 2);
+        // ...and among exact ties the last index wins.
         let tied = r#"{
             "version": 1,
             "genome": {
@@ -743,7 +668,47 @@ mod tests {
         let g = crate::checkpoint::genome_from_json(tied).unwrap();
         let two_out = cfg(1, 2);
         let net = FeedForwardNetwork::compile(&g, &two_out);
-        assert_eq!(net.act_argmax(&[0.0]), 1);
+        assert_eq!(argmax(&net, &[0.0]), 1);
+    }
+
+    #[test]
+    fn nan_outputs_never_win_the_argmax() {
+        use crate::gene::{ConnGene, ConnKey, NodeGene};
+        // `inf - inf` behind `Identity`: compilable, and NaN on the wire.
+        let nan_outputs = |outputs: &[i64]| {
+            let identity = NodeGene {
+                activation: Activation::Identity,
+                ..NodeGene::default()
+            };
+            let conns = outputs.iter().flat_map(|&o| {
+                [(-1, f64::INFINITY), (-2, f64::NEG_INFINITY)].map(|(i, weight)| {
+                    let gene = ConnGene {
+                        weight,
+                        enabled: true,
+                    };
+                    (ConnKey::new(NodeId(i), NodeId(o)), gene)
+                })
+            });
+            Genome::from_parts(
+                GenomeId(1),
+                (0..3).map(|o| (NodeId(o), identity)).collect(),
+                conns.collect(),
+            )
+        };
+        let cfg = cfg(2, 3);
+        let pick = |nan: &[i64]| {
+            let net = FeedForwardNetwork::try_compile(&nan_outputs(nan), &cfg).unwrap();
+            let out = outputs(&net, &[1.0, 1.0]);
+            assert!(nan.iter().all(|&o| out[o as usize].is_nan()), "{out:?}");
+            argmax(&net, &[1.0, 1.0])
+        };
+        // The numbers tie at 0.0, so the last of *them* wins, wherever
+        // the NaN sits.
+        assert_eq!(pick(&[0]), 2);
+        assert_eq!(pick(&[1]), 2);
+        assert_eq!(pick(&[2]), 1);
+        assert_eq!(pick(&[0, 2]), 1);
+        assert_eq!(pick(&[0, 1, 2]), 2, "all NaN: the last index");
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! phases (speciate / plan / reproduce / install) so the CLAN
 //! orchestrators can distribute each compute block independently.
 
-use crate::cache::{CachedEvaluation, FitnessCache};
 use crate::config::NeatConfig;
 use crate::counters::{CostCounters, GenerationCosts};
 use crate::error::NeatError;
@@ -63,25 +62,6 @@ pub struct GenerationSummary {
     pub costs: GenerationCosts,
     /// Whether the population went extinct and was re-seeded.
     pub extinction: bool,
-    /// Fitness-cache hits during this generation's evaluation (0 unless
-    /// [`Population::set_fitness_caching`] enabled the cache).
-    #[serde(default)]
-    pub cache_hits: u64,
-    /// Fitness-cache lookups during this generation's evaluation.
-    #[serde(default)]
-    pub cache_lookups: u64,
-}
-
-impl GenerationSummary {
-    /// Fraction of fitness lookups served from the cache this generation
-    /// (0.0 when the cache never fielded a lookup).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        }
-    }
 }
 
 /// A NEAT population with deterministic, distribution-friendly phases.
@@ -100,12 +80,6 @@ pub struct Population {
     counters: CostCounters,
     best_ever: Option<Genome>,
     extinctions: u32,
-    /// Content-addressed fitness cache, opt-in because it is only sound
-    /// when the evaluation closure is content-deterministic (depends on
-    /// nothing but the genome's content and the master seed). Not
-    /// serialized: a restored population simply re-warms it.
-    #[serde(skip)]
-    fitness_cache: Option<FitnessCache>,
 }
 
 impl Population {
@@ -131,33 +105,7 @@ impl Population {
             counters: CostCounters::new(),
             best_ever: None,
             extinctions: 0,
-            fitness_cache: None,
         }
-    }
-
-    /// Enables or disables the content-addressed fitness cache consulted
-    /// by [`evaluate`](Self::evaluate) and
-    /// [`evaluate_parallel`](Self::evaluate_parallel) (default off).
-    ///
-    /// Only enable it when the evaluation closure is
-    /// *content-deterministic*: its result must depend on nothing but the
-    /// genome's content and the population's master seed (e.g. episode
-    /// seeds derived via `clan_core::Evaluator::episode_seed`). A hit
-    /// then returns the bit-identical fitness of the earlier evaluation
-    /// without compiling or running the network.
-    pub fn set_fitness_caching(&mut self, enabled: bool) {
-        if enabled {
-            if self.fitness_cache.is_none() {
-                self.fitness_cache = Some(FitnessCache::new());
-            }
-        } else {
-            self.fitness_cache = None;
-        }
-    }
-
-    /// The fitness cache, when enabled.
-    pub fn fitness_cache(&self) -> Option<&FitnessCache> {
-        self.fitness_cache.as_ref()
     }
 
     /// The configuration in force.
@@ -218,27 +166,72 @@ impl Population {
         &mut self.counters
     }
 
-    /// Assigns fitness to one genome (used by distributed evaluation).
+    /// Assigns fitness to one genome without charging inference cost
+    /// (callers that account the work themselves, or tests). Like every
+    /// fitness write it feeds the [`best_ever`](Self::best_ever) tracker.
     ///
     /// # Errors
     ///
     /// Returns [`NeatError::UnknownGenome`] if `id` is not present.
     pub fn set_fitness(&mut self, id: GenomeId, fitness: f64) -> Result<(), NeatError> {
-        match self.genomes.get_mut(&id) {
-            Some(g) => {
-                g.set_fitness(fitness);
-                Ok(())
-            }
-            None => Err(NeatError::UnknownGenome { genome: id.0 }),
-        }
+        self.write_fitness(id, fitness).map(|_| ())
     }
 
-    /// Evaluates every genome with `evaluator` (phase `I`).
+    /// The one fitness write: stores `fitness` on the genome and promotes
+    /// it to `best_ever` when it is strictly better than everything seen
+    /// so far (so among equals the first writer — the lowest id of an
+    /// id-ordered sweep, as [`best`](Self::best) breaks ties — is kept).
+    /// Returns whether it was promoted.
+    fn write_fitness(&mut self, id: GenomeId, fitness: f64) -> Result<bool, NeatError> {
+        let genome = self
+            .genomes
+            .get_mut(&id)
+            .ok_or(NeatError::UnknownGenome { genome: id.0 })?;
+        genome.set_fitness(fitness);
+        let improved = self
+            .best_ever
+            .as_ref()
+            .and_then(Genome::fitness)
+            .is_none_or(|best| fitness > best);
+        if improved {
+            self.best_ever = Some(genome.clone());
+        }
+        Ok(improved)
+    }
+
+    /// Records one finished evaluation (phase `I`, wherever it ran):
+    /// charges `activations x genes_per_activation` inference genes and
+    /// one episode, writes the fitness, and returns whether the genome
+    /// became the new [`best_ever`](Self::best_ever). Every evaluation
+    /// surface — [`evaluate`](Self::evaluate), the CLAN orchestrators'
+    /// partitioned replay, the async steady-state loop — ends here, so
+    /// cost counters and fitness state are bit-identical whichever engine
+    /// computed `eval`, provided results are recorded in the same order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NeatError::UnknownGenome`] if `id` is not present
+    /// (nothing is charged).
+    pub fn record_evaluation(
+        &mut self,
+        id: GenomeId,
+        eval: Evaluation,
+        genes_per_activation: u64,
+    ) -> Result<bool, NeatError> {
+        let improved = self.write_fitness(id, eval.fitness)?;
+        self.counters
+            .record_inference(eval.activations * genes_per_activation);
+        self.counters.record_episode();
+        Ok(improved)
+    }
+
+    /// Evaluates every genome with `evaluator` (phase `I`), in genome-id
+    /// order.
     ///
     /// The evaluator receives the compiled network and the genome and
     /// returns anything convertible to [`Evaluation`] (a bare `f64` counts
-    /// as one activation). Inference cost is charged as
-    /// `activations x genes_per_activation`.
+    /// as one activation); each result goes through
+    /// [`record_evaluation`](Self::record_evaluation).
     pub fn evaluate<F, E>(&mut self, mut evaluator: F)
     where
         F: FnMut(&FeedForwardNetwork, &Genome) -> E,
@@ -247,171 +240,11 @@ impl Population {
         let ids: Vec<GenomeId> = self.genomes.keys().copied().collect();
         for id in ids {
             let genome = &self.genomes[&id];
-            let hash = genome.content_hash();
-            let cached = self
-                .fitness_cache
-                .as_mut()
-                .and_then(|c| c.lookup(self.master_seed, hash));
-            let (eval, genes_per_activation) = match cached {
-                Some(c) => (c.evaluation, c.genes_per_activation),
-                None => {
-                    let net = FeedForwardNetwork::compile(genome, &self.cfg);
-                    let eval: Evaluation = evaluator(&net, genome).into();
-                    let genes_per_activation = net.genes_per_activation();
-                    if let Some(c) = self.fitness_cache.as_mut() {
-                        c.insert(
-                            self.master_seed,
-                            hash,
-                            CachedEvaluation {
-                                evaluation: eval,
-                                genes_per_activation,
-                            },
-                        );
-                    }
-                    (eval, genes_per_activation)
-                }
-            };
-            // Hits charge the identical inference cost a fresh run would
-            // have, keeping cost counters bit-identical either way.
-            self.counters
-                .record_inference(eval.activations * genes_per_activation);
-            self.counters.record_episode();
-            self.genomes
-                .get_mut(&id)
-                .expect("id enumerated above")
-                .set_fitness(eval.fitness);
+            let net = FeedForwardNetwork::compile(genome, &self.cfg);
+            let eval: Evaluation = evaluator(&net, genome).into();
+            self.record_evaluation(id, eval, net.genes_per_activation())
+                .expect("id enumerated above");
         }
-    }
-
-    /// Applies a batch of pre-computed evaluations (phase `I` performed
-    /// externally), charging inference cost exactly as
-    /// [`evaluate`](Self::evaluate) does.
-    ///
-    /// Each item is `(genome, evaluation, genes_per_activation)`; the
-    /// batch is applied in genome-id order regardless of input order, so
-    /// any evaluation engine — serial, threaded, or remote — produces
-    /// bit-identical [`CostCounters`] and fitness state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a result references a genome not in the population.
-    pub fn evaluate_batch<I>(&mut self, results: I)
-    where
-        I: IntoIterator<Item = (GenomeId, Evaluation, u64)>,
-    {
-        let mut results: Vec<(GenomeId, Evaluation, u64)> = results.into_iter().collect();
-        results.sort_by_key(|&(id, _, _)| id);
-        for (id, eval, genes_per_activation) in results {
-            // Externally computed results still warm the cache, so a
-            // later local evaluation of the same content can hit.
-            if let Some(cache) = self.fitness_cache.as_mut() {
-                if let Some(g) = self.genomes.get(&id) {
-                    cache.insert(
-                        self.master_seed,
-                        g.content_hash(),
-                        CachedEvaluation {
-                            evaluation: eval,
-                            genes_per_activation,
-                        },
-                    );
-                }
-            }
-            self.counters
-                .record_inference(eval.activations * genes_per_activation);
-            self.counters.record_episode();
-            self.genomes
-                .get_mut(&id)
-                .expect("evaluation batch references unknown genome")
-                .set_fitness(eval.fitness);
-        }
-    }
-
-    /// Evaluates every genome across `threads` worker threads (phase `I`
-    /// parallelized), bit-identical to [`evaluate`](Self::evaluate).
-    ///
-    /// `factory` is invoked once per worker to build that worker's
-    /// evaluator closure, so per-worker state (an environment instance, a
-    /// [`Scratch`](crate::network::Scratch) buffer) never crosses
-    /// threads. Determinism comes from the population's order-independent
-    /// seeding discipline: a genome's evaluation depends only on the
-    /// genome itself, never on which worker ran it or in what order, and
-    /// results are merged back in genome-id order.
-    ///
-    /// `threads <= 1` degrades to the serial path.
-    ///
-    /// This is the borrowed/scoped-thread counterpart of
-    /// `clan_core::ParallelEvaluator` (a persistent pool for the CLAN
-    /// orchestrators); both share the contiguous-shard,
-    /// merge-in-id-order contract, pinned by the cross-crate
-    /// equivalence tests.
-    pub fn evaluate_parallel<Fac, F, E>(&mut self, threads: usize, factory: Fac)
-    where
-        Fac: Fn() -> F + Sync,
-        F: FnMut(&FeedForwardNetwork, &Genome) -> E,
-        E: Into<Evaluation>,
-    {
-        if threads <= 1 {
-            let mut evaluator = factory();
-            self.evaluate(move |net, genome| evaluator(net, genome));
-            return;
-        }
-        // Serve cache hits on the coordinator before sharding, so workers
-        // only ever see misses. The shard boundaries shift relative to a
-        // cache-off run, but the merge-in-id-order contract keeps the
-        // outcome bit-identical anyway.
-        let mut hits: Vec<(GenomeId, Evaluation, u64)> = Vec::new();
-        let ids: Vec<GenomeId> = match self.fitness_cache.as_mut() {
-            None => self.genomes.keys().copied().collect(),
-            Some(cache) => {
-                let mut misses = Vec::new();
-                for (id, g) in &self.genomes {
-                    match cache.lookup(self.master_seed, g.content_hash()) {
-                        Some(c) => hits.push((*id, c.evaluation, c.genes_per_activation)),
-                        None => misses.push(*id),
-                    }
-                }
-                misses
-            }
-        };
-        if ids.is_empty() {
-            self.evaluate_batch(hits);
-            return;
-        }
-        let shard_len = ids.len().div_ceil(threads).max(1);
-        let cfg = &self.cfg;
-        let genomes = &self.genomes;
-        let mut results: Vec<(GenomeId, Evaluation, u64)> = Vec::with_capacity(ids.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks(shard_len)
-                .enumerate()
-                .map(|(i, shard)| {
-                    let factory = &factory;
-                    // Named so panics and profiler samples are
-                    // attributable to a specific evaluation shard.
-                    std::thread::Builder::new()
-                        .name(format!("clan-eval-{i}"))
-                        .spawn_scoped(scope, move || {
-                            let mut evaluator = factory();
-                            shard
-                                .iter()
-                                .map(|id| {
-                                    let genome = &genomes[id];
-                                    let net = FeedForwardNetwork::compile(genome, cfg);
-                                    let eval: Evaluation = evaluator(&net, genome).into();
-                                    (*id, eval, net.genes_per_activation())
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                        .expect("spawning evaluation worker")
-                })
-                .collect();
-            for handle in handles {
-                results.extend(handle.join().expect("evaluation worker panicked"));
-            }
-        });
-        results.extend(hits);
-        self.evaluate_batch(results);
     }
 
     /// Best genome of the current (evaluated) population.
@@ -475,17 +308,6 @@ impl Population {
         for (id, g) in &self.genomes {
             if g.fitness().is_none() {
                 return Err(NeatError::MissingFitness { genome: id.0 });
-            }
-        }
-        // Track the best genome before the population is replaced.
-        if let Some(best) = self.best() {
-            if self
-                .best_ever
-                .as_ref()
-                .and_then(Genome::fitness)
-                .is_none_or(|b| best.fitness().expect("checked above") > b)
-            {
-                self.best_ever = Some(best.clone());
             }
         }
         cull_stagnant_species(&mut self.species, &self.genomes, &self.cfg, self.generation);
@@ -574,27 +396,6 @@ impl Population {
         assert!(prev.is_none(), "duplicate genome id inserted");
     }
 
-    /// Promotes the current best evaluated genome to `best_ever` if it
-    /// improves on it, returning `true` on improvement.
-    ///
-    /// Generational runs get this bookkeeping from
-    /// [`plan_generation`](Self::plan_generation); the steady-state loop
-    /// has no planning phase and calls this after every fitness arrival.
-    pub fn note_best_ever(&mut self) -> bool {
-        let Some(best) = self.best() else {
-            return false;
-        };
-        let improved = self
-            .best_ever
-            .as_ref()
-            .and_then(Genome::fitness)
-            .is_none_or(|b| best.fitness().expect("best is evaluated") > b);
-        if improved {
-            self.best_ever = Some(best.clone());
-        }
-        improved
-    }
-
     /// Replaces the current genomes without advancing the generation
     /// counter.
     ///
@@ -637,58 +438,63 @@ impl Population {
         self.generation += 1;
     }
 
-    /// Runs one full evolution step (phases `S`, `GP`, `R`) after the
-    /// population has been evaluated, exactly as a serial (non-CLAN)
-    /// deployment would.
+    /// Runs one full central evolution step (phases `S`, `GP`, `R`) after
+    /// the population has been evaluated, exactly as a serial (non-CLAN)
+    /// deployment would, and closes the generation's cost counters. The
+    /// returned summary's `costs` carry the speciation / reproduction
+    /// gene split the CLAN orchestrators time the step with.
+    ///
+    /// Total extinction re-seeds the population
+    /// ([`reset_population`](Self::reset_population)) when
+    /// `reset_on_extinction` is set.
+    ///
+    /// # Errors
+    ///
+    /// - [`NeatError::MissingFitness`] if any genome is unevaluated
+    ///   (nothing has been changed).
+    /// - [`NeatError::Extinction`] if every species stagnated and
+    ///   `reset_on_extinction` is disabled.
+    pub fn try_advance_generation(&mut self) -> Result<GenerationSummary, NeatError> {
+        if let Some((id, _)) = self.genomes.iter().find(|(_, g)| g.fitness().is_none()) {
+            return Err(NeatError::MissingFitness { genome: id.0 });
+        }
+        let generation = self.generation;
+        let best_fitness = self
+            .best()
+            .and_then(Genome::fitness)
+            .expect("a population is never empty and was just checked evaluated");
+        let speciation = self.speciate();
+        let (num_species, extinction) = match self.plan_generation() {
+            Ok(plan) => {
+                let children = self.reproduce_centrally(&plan);
+                self.install_next_generation(children);
+                (speciation.species_count, false)
+            }
+            Err(NeatError::Extinction) if self.cfg.reset_on_extinction => {
+                self.reset_population();
+                (0, true)
+            }
+            Err(e) => return Err(e),
+        };
+        Ok(GenerationSummary {
+            generation,
+            num_species,
+            best_fitness,
+            costs: self.counters.finish_generation(),
+            extinction,
+        })
+    }
+
+    /// [`try_advance_generation`](Self::try_advance_generation) for
+    /// callers with nowhere to report a failure.
     ///
     /// # Panics
     ///
     /// Panics if any genome lacks fitness, or on extinction when
     /// `reset_on_extinction` is disabled.
     pub fn advance_generation(&mut self) -> GenerationSummary {
-        let speciation = self.speciate();
-        let best_fitness = self
-            .best()
-            .and_then(Genome::fitness)
-            .expect("advance_generation requires an evaluated population");
-        let gen = self.generation;
-        let (cache_hits, cache_lookups) = self
-            .fitness_cache
-            .as_mut()
-            .map(FitnessCache::take_window)
-            .unwrap_or((0, 0));
-        match self.plan_generation() {
-            Ok(plan) => {
-                let children = self.reproduce_centrally(&plan);
-                self.install_next_generation(children);
-                GenerationSummary {
-                    generation: gen,
-                    num_species: speciation.species_count,
-                    best_fitness,
-                    costs: self.counters.finish_generation(),
-                    extinction: false,
-                    cache_hits,
-                    cache_lookups,
-                }
-            }
-            Err(NeatError::Extinction) => {
-                assert!(
-                    self.cfg.reset_on_extinction,
-                    "population went extinct with reset_on_extinction disabled"
-                );
-                self.reset_population();
-                GenerationSummary {
-                    generation: gen,
-                    num_species: 0,
-                    best_fitness,
-                    costs: self.counters.finish_generation(),
-                    extinction: true,
-                    cache_hits,
-                    cache_lookups,
-                }
-            }
-            Err(e) => panic!("generation planning failed: {e}"),
-        }
+        self.try_advance_generation()
+            .unwrap_or_else(|e| panic!("cannot advance the generation: {e}"))
     }
 
     /// Convenience driver: evaluate + advance for `generations` rounds,
@@ -722,6 +528,7 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::Scratch;
 
     fn cfg(pop: usize) -> NeatConfig {
         NeatConfig::builder(2, 1)
@@ -815,8 +622,9 @@ mod tests {
         let mut pop = Population::new(cfg, 7);
         let mut first_best = None;
         let mut last_best = 0.0;
+        let mut scratch = Scratch::new();
         for _ in 0..15 {
-            pop.evaluate(|net, _| net.activate(&[1.0])[0]);
+            pop.evaluate(|net, _| net.activate_into(&[1.0], &mut scratch)[0]);
             let s = pop.advance_generation();
             first_best.get_or_insert(s.best_fitness);
             last_best = s.best_fitness;
@@ -835,7 +643,12 @@ mod tests {
             .build()
             .unwrap();
         let mut pop = Population::new(cfg, 8);
-        let summaries = pop.run(|net, _| net.activate(&[1.0])[0], 50, Some(0.9));
+        let mut scratch = Scratch::new();
+        let summaries = pop.run(
+            |net, _| net.activate_into(&[1.0], &mut scratch)[0],
+            50,
+            Some(0.9),
+        );
         assert!(summaries.len() < 50, "should converge early");
         assert!(summaries.last().unwrap().best_fitness >= 0.9);
     }
@@ -926,7 +739,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "reset_on_extinction disabled")]
+    #[should_panic(expected = "population went extinct")]
     fn extinction_panics_when_reset_disabled() {
         let cfg = NeatConfig::builder(2, 1)
             .population_size(8)
@@ -943,129 +756,36 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_parallel_matches_serial_exactly() {
-        let make = || Population::new(cfg(23), 77);
-        let evaluator = |net: &FeedForwardNetwork, g: &Genome| Evaluation {
-            fitness: net.activate(&[0.4, -0.2])[0] + (g.id().0 % 3) as f64,
-            activations: 1 + g.id().0 % 5,
-        };
-        let mut serial = make();
-        serial.evaluate(evaluator);
-        for threads in [1, 2, 4, 8] {
-            let mut parallel = make();
-            parallel.evaluate_parallel(threads, || evaluator);
-            assert_eq!(
-                serial.genomes(),
-                parallel.genomes(),
-                "{threads}-thread fitness must be bit-identical"
-            );
-            assert_eq!(
-                serial.counters().current(),
-                parallel.counters().current(),
-                "{threads}-thread counters must be bit-identical"
-            );
-        }
-    }
-
-    #[test]
-    fn evaluate_batch_applies_out_of_order_results() {
+    fn record_evaluation_charges_writes_and_reports_improvement() {
         let mut pop = Population::new(cfg(4), 14);
-        let mut results: Vec<(GenomeId, Evaluation, u64)> = pop
-            .genomes()
-            .keys()
-            .map(|&id| {
-                (
-                    id,
-                    Evaluation {
-                        fitness: id.0 as f64,
-                        activations: 2,
-                    },
-                    3,
-                )
-            })
-            .collect();
-        results.reverse();
-        pop.evaluate_batch(results);
-        assert!(pop.genomes().values().all(|g| g.fitness().is_some()));
+        let eval = |fitness| Evaluation {
+            fitness,
+            activations: 2,
+        };
+        assert_eq!(pop.record_evaluation(GenomeId(2), eval(5.0), 3), Ok(true));
+        assert_eq!(pop.record_evaluation(GenomeId(0), eval(5.0), 3), Ok(false));
+        assert_eq!(pop.best_ever().map(Genome::id), Some(GenomeId(2)));
+        assert_eq!(
+            pop.record_evaluation(GenomeId(9999), eval(9.0), 3),
+            Err(NeatError::UnknownGenome { genome: 9999 })
+        );
         let costs = pop.counters().current();
-        assert_eq!(costs.episodes, 4);
-        assert_eq!(costs.inference_genes, 4 * 2 * 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown genome")]
-    fn evaluate_batch_rejects_unknown_ids() {
-        let mut pop = Population::new(cfg(4), 15);
-        pop.evaluate_batch([(GenomeId(9999), Evaluation::from(1.0), 1)]);
+        assert_eq!(costs.episodes, 2, "an unknown id charges nothing");
+        assert_eq!(costs.inference_genes, 2 * 2 * 3);
     }
 
     #[test]
     fn serial_two_runs_bit_identical() {
         let run = |seed: u64| {
             let mut pop = Population::new(cfg(20), seed);
+            let mut scratch = Scratch::new();
             for _ in 0..5 {
-                pop.evaluate(|net, _| net.activate(&[0.3, -0.7])[0]);
+                pop.evaluate(|net, _| net.activate_into(&[0.3, -0.7], &mut scratch)[0]);
                 pop.advance_generation();
             }
             pop.genomes().clone()
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
-    }
-
-    // A content-deterministic evaluation: depends only on the genome's
-    // content (via the compiled network), so caching it is sound.
-    fn content_eval(net: &FeedForwardNetwork, _g: &Genome) -> f64 {
-        net.activate(&[0.3, -0.7])[0]
-    }
-
-    #[test]
-    fn fitness_cache_is_bit_identical_and_reports_hits() {
-        let mut cached = Population::new(cfg(20), 9);
-        cached.set_fitness_caching(true);
-        let mut plain = Population::new(cfg(20), 9);
-        let mut total_hits = 0;
-        for generation in 0..5 {
-            cached.evaluate(content_eval);
-            plain.evaluate(content_eval);
-            let cs = cached.advance_generation();
-            let ps = plain.advance_generation();
-            total_hits += cs.cache_hits;
-            assert_eq!(cs.cache_lookups, 20, "every genome is looked up");
-            assert_eq!(ps.cache_lookups, 0, "disabled cache fields no lookups");
-            assert_eq!(cs.best_fitness, ps.best_fitness, "generation {generation}");
-            assert_eq!(cs.costs, ps.costs, "hits must charge identical costs");
-        }
-        assert!(total_hits > 0, "elites must hit the cache");
-        assert_eq!(cached.genomes(), plain.genomes());
-        assert!(cached.fitness_cache().unwrap().hits_total() > 0);
-        assert!(plain.fitness_cache().is_none());
-    }
-
-    #[test]
-    fn parallel_evaluation_with_cache_matches_serial_without() {
-        let mut cached = Population::new(cfg(24), 11);
-        cached.set_fitness_caching(true);
-        let mut plain = Population::new(cfg(24), 11);
-        for _ in 0..4 {
-            cached.evaluate_parallel(3, || content_eval);
-            plain.evaluate(content_eval);
-            let cs = cached.advance_generation();
-            let ps = plain.advance_generation();
-            assert_eq!(cs.best_fitness, ps.best_fitness);
-            assert_eq!(cs.costs, ps.costs);
-        }
-        assert_eq!(cached.genomes(), plain.genomes());
-        assert!(cached.fitness_cache().unwrap().hits_total() > 0);
-    }
-
-    #[test]
-    fn disabling_the_cache_drops_it() {
-        let mut pop = Population::new(cfg(8), 3);
-        pop.set_fitness_caching(true);
-        pop.evaluate(content_eval);
-        assert!(pop.fitness_cache().unwrap().lookups_total() > 0);
-        pop.set_fitness_caching(false);
-        assert!(pop.fitness_cache().is_none());
     }
 }

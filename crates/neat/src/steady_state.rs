@@ -2,12 +2,21 @@
 //!
 //! Generational NEAT ends every round with a gather barrier: the whole
 //! population must be evaluated before planning (`GP`) runs. The CLAN
-//! paper's asynchronous design removes that barrier — each fitness
-//! arrival immediately triggers one reproduction event: two tournaments
-//! pick parents from the evaluated members, a child is built on a fresh
-//! id, and it *insert-replaces* the worst evaluated genome. There are no
+//! paper's asynchronous design removes that barrier — a fitness arrival
+//! triggers one reproduction event: two tournaments pick parents from
+//! the evaluated members, a child is built on a fresh id, and it
+//! *insert-replaces* the worst evaluated genome. There are no
 //! generations and no species bookkeeping; selection pressure comes
 //! entirely from the tournaments and the replace-worst rule.
+//!
+//! That pressure only exists once there is an evaluated population to
+//! select from, so this module is the *step*, not the loop: the one loop
+//! that drives it (`clan_core::asynchronous`) evaluates the founding
+//! population first and calls [`steady_state_insert`] only from the
+//! first arrival that finds no founder left to dispatch — its bootstrap
+//! rule. Inserting from the second arrival instead leaves one evaluated
+//! non-champion for every later event to evict and re-breed from: a
+//! (1+1) hill-climber, with the tournaments inert.
 //!
 //! Two invariants hold for every [`steady_state_insert`] (pinned by
 //! proptests in the workspace's `tests/async_steady_state.rs`):

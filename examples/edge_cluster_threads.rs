@@ -17,7 +17,7 @@ use clan::core::{DdsOrchestrator, Evaluator, InferenceMode, Orchestrator};
 use clan::distsim::Cluster;
 use clan::envs::Workload;
 use clan::hw::Platform;
-use clan::neat::{NeatConfig, Population};
+use clan::neat::{NeatConfig, Population, Scratch};
 use clan::netsim::WifiModel;
 use std::time::Instant;
 
@@ -65,6 +65,7 @@ fn main() {
     // The same evolution, serially.
     let mut serial = Population::new(cfg.clone(), 99);
     let mut env = w.make();
+    let mut scratch = Scratch::new();
     let t0 = Instant::now();
     for _ in 0..GENERATIONS {
         let master = serial.master_seed();
@@ -75,8 +76,9 @@ fn main() {
                 1,
                 InferenceMode::MultiStep,
             );
-            let outcome =
-                clan::envs::run_episode(env.as_mut(), seed, 200, |obs| net.act_argmax(obs));
+            let outcome = clan::envs::run_episode(env.as_mut(), seed, 200, |obs| {
+                net.act_argmax_with(obs, &mut scratch)
+            });
             clan::neat::population::Evaluation {
                 fitness: outcome.total_reward,
                 activations: outcome.steps,

@@ -7,7 +7,7 @@
 
 use clan::core::{ClanDriver, ClanTopology};
 use clan::envs::{run_episode, Workload};
-use clan::neat::{FeedForwardNetwork, NeatConfig, Population};
+use clan::neat::{FeedForwardNetwork, NeatConfig, Population, Scratch};
 
 fn main() {
     // --- Level 1: the one-liner driver API. -----------------------------
@@ -50,9 +50,12 @@ fn main() {
         .expect("valid NEAT config");
     let mut pop = Population::new(cfg.clone(), 42);
     let mut env = w.make();
+    let mut scratch = Scratch::new();
     for _ in 0..10 {
         pop.evaluate(|net, genome| {
-            let outcome = run_episode(env.as_mut(), genome.id().0, 200, |obs| net.act_argmax(obs));
+            let outcome = run_episode(env.as_mut(), genome.id().0, 200, |obs| {
+                net.act_argmax_with(obs, &mut scratch)
+            });
             clan::neat::population::Evaluation {
                 fitness: outcome.total_reward,
                 activations: outcome.steps,

@@ -19,7 +19,7 @@ use clan::core::transport::{ChurnSchedule, FaultConfig, UdpConfig};
 use clan::core::{ClanDriver, ClanDriverBuilder, ClanError, ClanTopology, RunReport, RunTrace};
 use clan::envs::Workload;
 use clan::hw::PlatformKind;
-use clan::neat::{genome_to_dot, FeedForwardNetwork, NeatConfig, Population};
+use clan::neat::{genome_to_dot, FeedForwardNetwork, NeatConfig, Population, Scratch};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -796,10 +796,11 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let mut pop = Population::new(cfg.clone(), seed);
     let mut env = workload.make();
+    let mut scratch = Scratch::new();
     for _ in 0..generations {
         pop.evaluate(|net: &FeedForwardNetwork, genome| {
             let outcome = clan::envs::run_episode(env.as_mut(), genome.id().0, 200, |obs| {
-                net.act_argmax(obs)
+                net.act_argmax_with(obs, &mut scratch)
             });
             clan::neat::population::Evaluation {
                 fitness: outcome.total_reward,

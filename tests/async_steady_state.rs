@@ -2,9 +2,13 @@
 //! insert-replace invariants (size conservation, champion protection)
 //! and the virtual-time reproducibility contract over *arbitrary*
 //! seeded latency schedules — not just the hand-picked ones the unit
-//! tests use.
+//! tests use. Plus the live-vs-virtual pins: the streamed run is the
+//! same loop as its virtual-time twin, bootstrap rule included.
 
-use clan::core::{AsyncOrchestrator, Evaluator, InferenceMode, LatencySchedule, Tracer};
+use clan::core::{
+    AsyncOrchestrator, ClusterSpec, EdgeCluster, Evaluator, EventKind, InferenceMode,
+    LatencySchedule, TraceEvent, Tracer,
+};
 use clan::envs::Workload;
 use clan::neat::rng::{derive_seed, OpTag};
 use clan::neat::steady_state::steady_state_insert;
@@ -24,7 +28,6 @@ fn evaluated_pop(n: usize, seed: u64) -> Population {
         let f = (derive_seed(seed, &[i as u64, OpTag::Tournament as u64]) % 1000) as f64;
         pop.set_fitness(*id, f).expect("resident");
     }
-    pop.note_best_ever();
     pop
 }
 
@@ -71,7 +74,6 @@ proptest! {
             // to model the completion that would trigger the next event.
             let f = (derive_seed(seed ^ 0xA5, &[e, report.child.0]) % 1500) as f64;
             pop.set_fitness(report.child, f).expect("child resident");
-            pop.note_best_ever();
         }
     }
 
@@ -144,7 +146,7 @@ proptest! {
         agent in 0usize..4,
         k in any::<u64>(),
     ) {
-        let s = LatencySchedule::uniform(sched_seed, 4, base, jitter).expect("valid");
+        let s = LatencySchedule::new(sched_seed, vec![base; 4], jitter).expect("valid");
         let t = s.service_us(agent, k);
         prop_assert_eq!(t, s.service_us(agent, k), "pure in (agent, k)");
         prop_assert!(t >= 1);
@@ -153,4 +155,111 @@ proptest! {
         prop_assert!((t as i128) >= lo.max(1) && (t as i128) <= hi,
             "service {t} outside ±{jitter}% of {base}");
     }
+}
+
+// ---------------- the live run is the virtual run's twin ----------------
+
+/// One traced CartPole steady-state run: `live` streams over that many
+/// in-process channel agents, otherwise `agents` are simulated by a
+/// virtual-time schedule. Returns the coordinator and the run's events.
+fn traced_run(
+    population: usize,
+    agents: usize,
+    total_evals: u64,
+    seed: u64,
+    live: bool,
+) -> (AsyncOrchestrator, Vec<TraceEvent>) {
+    let w = Workload::CartPole;
+    let cfg = NeatConfig::builder(w.obs_dim(), w.n_actions())
+        .population_size(population)
+        .build()
+        .expect("config");
+    let mut evaluator = Evaluator::new(w, InferenceMode::MultiStep);
+    if live {
+        let spec = ClusterSpec::new(w, InferenceMode::MultiStep, cfg.clone());
+        evaluator = evaluator.with_remote(EdgeCluster::spawn_spec(agents, spec).expect("cluster"));
+    }
+    let mut orch = AsyncOrchestrator::new(Population::new(cfg, seed), evaluator, total_evals, 3)
+        .expect("budget covers the population");
+    let tracer = Tracer::new();
+    orch.install_tracer(tracer.clone());
+    if live {
+        orch.run_streamed().expect("streamed run");
+    } else {
+        let schedule = LatencySchedule::new(seed, vec![1_000; agents], 20).expect("schedule");
+        orch.run_virtual(&schedule).expect("virtual run");
+    }
+    (orch, tracer.finish().expect("live tracer records").events)
+}
+
+/// The `(child, evicted, p1, p2)` of every insertion, in order — carried
+/// by logical `Completion` events under virtual time and by `Insertion`
+/// annotations on a live cluster.
+fn insertions(events: &[TraceEvent]) -> Vec<[u64; 4]> {
+    events
+        .iter()
+        .filter_map(|ev| Some([ev.child?, ev.evicted?, ev.p1?, ev.p2?]))
+        .collect()
+}
+
+#[test]
+fn one_agent_live_run_replays_its_virtual_twin_exactly() {
+    // With exactly one agent, arrival order *is* dispatch order, so the
+    // nondeterministic half of the live contract vanishes and the two
+    // schedulers must drive the one loop through the same trajectory.
+    let (population, evals, seed) = (12, 60, 11);
+    let (live, live_events) = traced_run(population, 1, evals, seed, true);
+    let (virt, virt_events) = traced_run(population, 1, evals, seed, false);
+    let inserted = insertions(&live_events);
+    assert_eq!(inserted.len() as u64, evals - population as u64);
+    assert_eq!(inserted, insertions(&virt_events));
+    assert_eq!(live.population().genomes(), virt.population().genomes());
+    assert_eq!(live.population().best_ever(), virt.population().best_ever());
+    let (live, virt) = (live.stats().expect("ran"), virt.stats().expect("ran"));
+    assert_eq!(live.insertions, virt.insertions);
+    assert_eq!(live.best_improvements, virt.best_improvements);
+    assert_eq!(live.best_fitness.to_bits(), virt.best_fitness.to_bits());
+}
+
+#[test]
+fn live_run_bootstraps_before_it_reproduces() {
+    // Replays a 2-agent live run from its own trace. The founders go out
+    // first, so nothing is inserted until `population - agents` of them
+    // have reported, and from then on tournaments always draw from a
+    // nearly full evaluated set (a child bred on the 2nd arrival used to
+    // keep that set at size one for the whole run).
+    let (population, agents, evals) = (30usize, 2usize, 200u64);
+    let (orch, events) = traced_run(population, agents, evals, 5, true);
+    let mut evaluated = std::collections::BTreeSet::new();
+    let mut inserted = 0u64;
+    for ev in &events {
+        match ev.kind {
+            EventKind::Completion => {
+                evaluated.insert(ev.genome.expect("completions name their genome"));
+            }
+            EventKind::Insertion => {
+                if inserted == 0 {
+                    assert!(
+                        evaluated.len() >= population - agents,
+                        "first insertion after only {} completions",
+                        evaluated.len()
+                    );
+                }
+                assert!(evaluated.remove(&ev.evicted.expect("insertions name their victim")));
+                inserted += 1;
+                assert!(
+                    evaluated.len() >= population - agents - 1,
+                    "insertion {inserted} left {} evaluated genomes",
+                    evaluated.len()
+                );
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(inserted, evals - population as u64);
+    let stats = orch.stats().expect("ran");
+    assert_eq!((stats.insertions, stats.total_evals), (inserted, evals));
+    assert!(!stats.virtual_time && stats.best_fitness > f64::NEG_INFINITY);
+    assert_eq!(orch.stream_stats().expect("streamed").completions, evals);
+    assert_eq!(orch.population().len(), population);
 }

@@ -3,12 +3,29 @@
 //! verify identical behaviour → resume learning from a population
 //! checkpoint.
 
-use clan::envs::{run_episode, Workload};
+use clan::envs::{run_episode, Environment, EpisodeOutcome, Workload};
 use clan::neat::checkpoint::{
     genome_from_json, genome_to_json, population_from_json, population_to_json,
 };
 use clan::neat::population::Evaluation;
-use clan::neat::{genome_to_dot, FeedForwardNetwork, NeatConfig, Population};
+use clan::neat::{genome_to_dot, FeedForwardNetwork, NeatConfig, Population, Scratch};
+
+/// One 200-step argmax-policy episode of `net` on `env`.
+fn play(net: &FeedForwardNetwork, env: &mut dyn Environment, seed: u64) -> EpisodeOutcome {
+    let mut scratch = Scratch::new();
+    run_episode(env, seed, 200, |obs| net.act_argmax_with(obs, &mut scratch))
+}
+
+/// Evaluates every genome by one episode seeded with its id.
+fn evaluate(pop: &mut Population, env: &mut dyn Environment) {
+    pop.evaluate(|net, genome| {
+        let out = play(net, env, genome.id().0);
+        Evaluation {
+            fitness: out.total_reward,
+            activations: out.steps,
+        }
+    });
+}
 
 fn evolve(generations: u64) -> (NeatConfig, Population) {
     let w = Workload::CartPole;
@@ -19,13 +36,7 @@ fn evolve(generations: u64) -> (NeatConfig, Population) {
     let mut pop = Population::new(cfg.clone(), 77);
     let mut env = w.make();
     for _ in 0..generations {
-        pop.evaluate(|net, genome| {
-            let out = run_episode(env.as_mut(), genome.id().0, 200, |obs| net.act_argmax(obs));
-            Evaluation {
-                fitness: out.total_reward,
-                activations: out.steps,
-            }
-        });
+        evaluate(&mut pop, env.as_mut());
         pop.advance_generation();
     }
     (cfg, pop)
@@ -45,8 +56,8 @@ fn deployed_expert_behaves_identically_after_restore() {
     let restored_net = FeedForwardNetwork::compile(&restored, &cfg);
     let mut env_a = Workload::CartPole.make();
     let mut env_b = Workload::CartPole.make();
-    let out_a = run_episode(env_a.as_mut(), 5, 200, |obs| original_net.act_argmax(obs));
-    let out_b = run_episode(env_b.as_mut(), 5, 200, |obs| restored_net.act_argmax(obs));
+    let out_a = play(&original_net, env_a.as_mut(), 5);
+    let out_b = play(&restored_net, env_b.as_mut(), 5);
     assert_eq!(out_a, out_b);
 }
 
@@ -59,21 +70,9 @@ fn learning_resumes_identically_from_population_checkpoint() {
     let mut env_a = Workload::CartPole.make();
     let mut env_b = Workload::CartPole.make();
     for _ in 0..3 {
-        original.evaluate(|net, g| {
-            let out = run_episode(env_a.as_mut(), g.id().0, 200, |obs| net.act_argmax(obs));
-            Evaluation {
-                fitness: out.total_reward,
-                activations: out.steps,
-            }
-        });
+        evaluate(&mut original, env_a.as_mut());
         original.advance_generation();
-        resumed.evaluate(|net, g| {
-            let out = run_episode(env_b.as_mut(), g.id().0, 200, |obs| net.act_argmax(obs));
-            Evaluation {
-                fitness: out.total_reward,
-                activations: out.steps,
-            }
-        });
+        evaluate(&mut resumed, env_b.as_mut());
         resumed.advance_generation();
     }
     assert_eq!(

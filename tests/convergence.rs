@@ -5,7 +5,7 @@
 use clan::core::{ClanDriver, ClanTopology, ContinuousLearner, MonitorConfig};
 use clan::envs::cartpole::{CartPole, CartPoleParams};
 use clan::envs::Workload;
-use clan::neat::{NeatConfig, Population};
+use clan::neat::{NeatConfig, Population, Scratch};
 
 #[test]
 fn neat_solves_xor() {
@@ -27,11 +27,12 @@ fn neat_solves_xor() {
         ([1.0, 1.0], 0.0),
     ];
     let mut best = f64::NEG_INFINITY;
+    let mut scratch = Scratch::new();
     for _ in 0..120 {
         pop.evaluate(|net, _| {
             let mut fitness = 4.0;
             for (inputs, want) in &cases {
-                let got = net.activate(inputs)[0];
+                let got = net.activate_into(inputs, &mut scratch)[0];
                 fitness -= (got - want) * (got - want);
             }
             fitness

@@ -18,7 +18,8 @@ use clan::envs::Workload;
 use clan::neat::population::Evaluation;
 use clan::neat::reproduction::{ChildKind, ChildSpec};
 use clan::neat::{
-    ConnGene, ConnKey, Genome, GenomeId, NeatConfig, NodeGene, NodeId, Population, SpeciesId,
+    Activation, ConnGene, ConnKey, Genome, GenomeId, NeatConfig, NodeGene, NodeId, Population,
+    SpeciesId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -538,6 +539,59 @@ fn well_formed_frames_with_unusable_genomes_end_the_session_not_the_agent() {
         }
     }
     assert_eq!(outcomes[hostile.len()], Ok(()));
+}
+
+#[test]
+fn nan_outputs_get_a_fitness_reply_not_a_dead_link() {
+    // `inf·x − inf·x` behind `Identity`: the genome compiles (unlike the
+    // ones above), and output 0 is NaN on every step. The argmax used to
+    // `expect("finite outputs")`, so one such genome — reachable by
+    // weight mutation alone — killed the agent thread and the link.
+    let nan_genome = |id: u64, gain: f64| {
+        let identity = NodeGene {
+            activation: Activation::Identity,
+            ..NodeGene::default()
+        };
+        let conn = |i, o, weight| {
+            let gene = ConnGene {
+                weight,
+                enabled: true,
+            };
+            (ConnKey::new(NodeId(i), NodeId(o)), gene)
+        };
+        Genome::from_parts(
+            GenomeId(id),
+            [0, 1, 5].map(|n| (NodeId(n), identity)).into(),
+            [
+                conn(-1, 0, f64::INFINITY),
+                conn(-1, 5, gain),
+                conn(5, 0, f64::NEG_INFINITY),
+            ]
+            .into(),
+        )
+    };
+    let cfg = neat_cfg(4);
+    let mut cluster = EdgeCluster::spawn_local_spec(
+        1,
+        ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, cfg.clone()),
+    )
+    .unwrap();
+    // One alone takes the scalar path; two of one shape (different
+    // weights, so neither is a cache hit) share an SoA bank.
+    for genomes in [
+        vec![nan_genome(1, 1.0)],
+        vec![nan_genome(2, 2.0), nan_genome(3, 3.0)],
+    ] {
+        let mut pop = Population::new(cfg.clone(), 1);
+        pop.replace_genomes(genomes.clone());
+        let results = cluster.evaluate_collect(&pop).expect("a Fitness reply");
+        assert_eq!(results.len(), genomes.len());
+        for (_, eval, _) in results {
+            // NaN never wins: the policy is "always action 1", a short
+            // but perfectly ordinary CartPole episode.
+            assert!(eval.fitness.is_finite() && eval.activations > 0, "{eval:?}");
+        }
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@ use clan::envs::Workload;
 use clan::hw::Platform;
 use clan::neat::genome::Genome;
 use clan::neat::rng::{derive_seed, op_rng, OpTag};
-use clan::neat::{ConnKey, GenomeId, NeatConfig, NodeId, Population};
+use clan::neat::{ConnKey, GenomeId, NeatConfig, NodeId, Population, Scratch};
 use clan::netsim::WifiModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -123,8 +123,9 @@ proptest! {
     fn population_size_is_conserved(seed in any::<u64>(), gens in 1u32..5) {
         let cfg = NeatConfig::builder(3, 2).population_size(14).build().expect("config");
         let mut pop = Population::new(cfg, seed);
+        let mut scratch = Scratch::new();
         for _ in 0..gens {
-            pop.evaluate(|net, _| net.activate(&[0.1, 0.2, 0.3])[0]);
+            pop.evaluate(|net, _| net.activate_into(&[0.1, 0.2, 0.3], &mut scratch)[0]);
             pop.advance_generation();
             prop_assert_eq!(pop.len(), 14);
         }
