@@ -23,16 +23,29 @@
 //! over real links; both take `(initial genomes, on_complete)` and hand
 //! back [`StreamStats`].
 //!
-//! **The bootstrap rule.** Founders first: while a founding genome is
-//! still waiting for an agent, a freed agent takes it and nothing is
-//! bred. Reproduction starts with the first completion that finds the
-//! founder queue empty, so every tournament draws from at least
-//! `population − agents` evaluated genomes. Breeding from the second
-//! arrival instead (as the live run once did) queues each child behind
-//! the founders while every insertion evicts the only evaluated
-//! non-champion: the evaluated set stays at size one for the whole run
-//! and "steady-state NEAT" degenerates into a (1+1) hill-climber behind
-//! a population-deep delay line.
+//! **The in-flight window.** Neither scheduler lets an agent wait on
+//! the coordinator: every agent keeps [`STREAM_WINDOW`] genomes in
+//! flight, so its next request is already there while it evaluates and
+//! the turnaround (reply, tournament, insertion, encode, request) is
+//! hidden whenever a round trip is no longer than an evaluation. Two is
+//! the smallest depth that does this, and a constant: sizing it from
+//! round trip against service time needs agents that report their
+//! service time. Under virtual time an agent queues up to
+//! [`STREAM_WINDOW`] genomes and serves them first-in first-out, its
+//! `k`-th evaluation starting at `max(dispatch time, finish of its
+//! k−1-th)` and taking [`LatencySchedule::service_us`]`(agent, k)`.
+//!
+//! **The bootstrap rule.** Founders first: the opening wave is
+//! `STREAM_WINDOW × agents` founders dealt round-robin, and while a
+//! founding genome is still waiting, a freed window slot takes it and
+//! nothing is bred. Reproduction starts with the first completion that
+//! finds the founder queue empty, so every tournament draws from at
+//! least `population − agents × STREAM_WINDOW` evaluated genomes.
+//! Breeding from the second arrival instead (as the live run once did)
+//! queues each child behind the founders while every insertion evicts
+//! the only evaluated non-champion: the evaluated set stays at size one
+//! for the whole run and "steady-state NEAT" degenerates into a (1+1)
+//! hill-climber behind a population-deep delay line.
 //!
 //! # The reproducibility contract
 //!
@@ -46,7 +59,7 @@
 //! - **Virtual time makes whole runs reproducible.** Under
 //!   [`AsyncOrchestrator::run_virtual`], agent service times come from a
 //!   seeded [`LatencySchedule`] and a single-threaded event loop orders
-//!   completions by `(virtual time, agent, dispatch)`. Two runs with the
+//!   completions by `(finish time, agent, dispatch)`. Two runs with the
 //!   same `(master seed, schedule)` produce identical populations and
 //!   byte-identical logical traces
 //!   ([`RunTrace::logical_text`](crate::telemetry::RunTrace::logical_text))
@@ -67,7 +80,7 @@
 
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
-use crate::runtime::{StreamCompletion, StreamStats};
+use crate::runtime::{StreamCompletion, StreamStats, STREAM_WINDOW};
 use crate::telemetry::{EventKind, TraceEvent, Tracer};
 use clan_neat::rng::{derive_seed, splitmix64, OpTag};
 use clan_neat::steady_state::{steady_state_insert, InsertReport};
@@ -243,9 +256,9 @@ struct SteadyStateLoop<'p> {
 }
 
 impl SteadyStateLoop<'_> {
-    /// The opening wave: one founder per agent.
+    /// The opening wave: a full window of founders per agent.
     fn first_wave(&mut self, agents: usize) -> Vec<Genome> {
-        let wave: Vec<GenomeId> = self.founders.drain(..agents).collect();
+        let wave: Vec<GenomeId> = self.founders.drain(..agents * STREAM_WINDOW).collect();
         self.dispatched = wave.len() as u64;
         wave.iter().map(|id| self.resident(*id)).collect()
     }
@@ -321,11 +334,12 @@ impl SteadyStateLoop<'_> {
 
 /// The virtual-time scheduler, with
 /// [`EdgeCluster::evaluate_stream`](crate::runtime::EdgeCluster::evaluate_stream)'s
-/// contract: feeds `initial` and whatever `on_complete` returns to idle
-/// agents, one evaluation in flight per agent, until nothing is in
-/// flight. Agents exist only as `schedule` service times; evaluation is
-/// local, and completions are ordered by `(virtual time, agent,
-/// dispatch)`. The returned stats are in virtual seconds.
+/// contract and window: feeds `initial` and whatever `on_complete`
+/// returns to the agent with the shortest queue (up to [`STREAM_WINDOW`]
+/// each, served first-in first-out) until nothing is in flight. Agents
+/// exist only as `schedule` service times; evaluation is local, and
+/// completions are ordered by `(finish time, agent, dispatch)`. The
+/// returned stats are in virtual seconds.
 fn virtual_stream(
     schedule: &LatencySchedule,
     evaluator: &mut Evaluator,
@@ -337,23 +351,29 @@ fn virtual_stream(
     let agents = schedule.n_agents();
     let tracer = evaluator.tracer().clone();
     let mut pending: VecDeque<Genome> = initial.into();
-    let mut idle: VecDeque<usize> = (0..agents).collect();
-    // Min-heap of in-flight work: (completion time, agent, dispatch
+    // Min-heap of in-flight work: (finish time, agent, dispatch
     // sequence). The tuple order is the tie-break rule.
     let mut in_flight: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-    // What each busy agent is evaluating, and its service time.
-    let mut running: Vec<Option<(Genome, u64)>> = vec![None; agents];
+    // What each agent has queued, oldest first, with its service time.
+    let mut queued: Vec<VecDeque<(Genome, u64)>> = vec![VecDeque::new(); agents];
+    // When each agent finishes the last evaluation queued on it.
+    let mut free_at_us = vec![0u64; agents];
     let mut busy_us = vec![0u64; agents];
     let mut completed = vec![0u64; agents];
     let mut dispatched = 0u64;
     let mut now_us = 0u64;
     loop {
-        while let Some(&agent) = idle.front() {
+        // Each pending genome goes to the agent with the shortest queue
+        // (lowest slot on a tie: the opening wave goes out round-robin).
+        while let Some(agent) = (0..agents)
+            .filter(|&a| queued[a].len() < STREAM_WINDOW)
+            .min_by_key(|&a| queued[a].len())
+        {
             let Some(genome) = pending.pop_front() else {
                 break;
             };
-            idle.pop_front();
-            let service_us = schedule.service_us(agent, completed[agent]);
+            let k = completed[agent] + queued[agent].len() as u64;
+            let service_us = schedule.service_us(agent, k);
             // Logical: dispatch order and virtual times are pure in
             // (seed, schedule), the async determinism contract.
             tracer.logical(EventKind::Dispatch, |ev| {
@@ -361,20 +381,20 @@ fn virtual_stream(
                 ev.agent = Some(agent as u64);
                 ev.genome = Some(genome.id().0);
             });
-            in_flight.push(Reverse((now_us + service_us, agent, dispatched)));
-            running[agent] = Some((genome, service_us));
+            free_at_us[agent] = free_at_us[agent].max(now_us) + service_us;
+            in_flight.push(Reverse((free_at_us[agent], agent, dispatched)));
+            queued[agent].push_back((genome, service_us));
             dispatched += 1;
         }
         let Some(Reverse((done_us, agent, _))) = in_flight.pop() else {
             break;
         };
         now_us = done_us;
-        let (genome, service_us) = running[agent].take().expect("agent was busy");
+        let (genome, service_us) = queued[agent].pop_front().expect("agent was busy");
         let (id, evaluation, genes_per_activation) =
             evaluator.evaluate_genomes(&[genome], cfg, master_seed, 0)[0];
         busy_us[agent] += service_us;
         completed[agent] += 1;
-        idle.push_back(agent);
         let completion = StreamCompletion {
             agent,
             genome: id,
@@ -488,16 +508,16 @@ impl AsyncOrchestrator {
     ///
     /// # Errors
     ///
-    /// [`ClanError::InvalidSetup`] if the schedule has at least as many
-    /// agents as the population has genomes (the steady-state loop needs
-    /// evaluated members to select from while a wave is in flight).
+    /// [`ClanError::InvalidSetup`] if `agents × STREAM_WINDOW >=
+    /// population` (the steady-state loop needs evaluated members to
+    /// select from while a wave is in flight).
     pub fn run_virtual(&mut self, schedule: &LatencySchedule) -> Result<(), ClanError> {
         self.run(Some(schedule))
     }
 
     /// Runs the steady-state loop over the evaluator's attached agent
     /// cluster, streaming one-genome `Evaluate` frames with
-    /// dispatch-on-completion
+    /// dispatch-on-completion, [`STREAM_WINDOW`] in flight per link
     /// ([`EdgeCluster::evaluate_stream`](crate::runtime::EdgeCluster::evaluate_stream)).
     /// Arrival order — and therefore the population trajectory — is
     /// wall-clock nondeterministic; per-genome fitness values are still
@@ -506,7 +526,7 @@ impl AsyncOrchestrator {
     /// # Errors
     ///
     /// [`ClanError::InvalidSetup`] without an attached cluster or with
-    /// at least as many agents as genomes, plus anything
+    /// `agents × STREAM_WINDOW >= population`, plus anything
     /// `evaluate_stream` reports (protocol violations, cluster drained
     /// below the recovery floor).
     pub fn run_streamed(&mut self) -> Result<(), ClanError> {
@@ -522,11 +542,10 @@ impl AsyncOrchestrator {
                 reason: "streamed async mode needs an attached agent cluster".into(),
             });
         }
-        if agents >= self.pop.len() {
+        if agents * STREAM_WINDOW >= self.pop.len() {
             return Err(ClanError::InvalidSetup {
                 reason: format!(
-                    "{} agents need a population larger than {}",
-                    agents,
+                    "{agents} agent(s) x {STREAM_WINDOW} in flight need a population larger than {}",
                     self.pop.len()
                 ),
             });
@@ -568,7 +587,7 @@ impl AsyncOrchestrator {
             virtual_time: schedule.is_some(),
             makespan_s: stream.makespan_s,
             busy_s: stream.busy_s,
-            wasted_idle_s: stream.wasted_idle_s(agents),
+            wasted_idle_s: (agents as f64 * stream.makespan_s - stream.busy_s).max(0.0),
             evals_per_s: if stream.makespan_s > 0.0 {
                 stream.completions as f64 / stream.makespan_s
             } else {
@@ -637,6 +656,127 @@ mod tests {
         // mean the arrival order never changed, which the skewed bases
         // make practically impossible.
         assert_ne!(run(3), run(4));
+    }
+
+    #[test]
+    fn a_window_queues_behind_the_agents_previous_evaluation() {
+        // Jitter-free, so every virtual time below is computed by hand:
+        // agent 0 serves in 1 000 us, agent 1 in 4 000 us, the first
+        // wave is two founders each, and a completion's next genome
+        // queues on the agent that completed (the only one with room).
+        let mut orch = orchestrator(8, 5, 14);
+        let tracer = Tracer::new();
+        orch.install_tracer(tracer.clone());
+        let schedule = LatencySchedule::new(0, vec![1_000, 4_000], 0).unwrap();
+        orch.run_virtual(&schedule).unwrap();
+        let events = tracer.finish().unwrap().events;
+        let of_kind = |kind: EventKind| -> Vec<(u64, u64, u64)> {
+            events
+                .iter()
+                .filter(|ev| ev.kind == kind)
+                .map(|ev| (ev.vtime_us.unwrap(), ev.agent.unwrap(), ev.genome.unwrap()))
+                .collect()
+        };
+        let dispatches = of_kind(EventKind::Dispatch);
+        let completions = of_kind(EventKind::Completion);
+        let founders: Vec<u64> = dispatches.iter().take(8).map(|d| d.2).collect();
+        let times = |evs: &[(u64, u64, u64)], n: usize| -> Vec<(u64, u64)> {
+            evs.iter().take(n).map(|e| (e.0, e.1)).collect()
+        };
+        assert_eq!(
+            times(&dispatches, 9),
+            [
+                // The opening wave, round-robin.
+                (0, 0),
+                (0, 1),
+                (0, 0),
+                (0, 1),
+                // Each goes to the shortest queue: the completer's.
+                (1_000, 0),
+                (2_000, 0),
+                (3_000, 0),
+                (4_000, 0),
+                (4_000, 1),
+            ]
+        );
+        assert_eq!(
+            times(&completions, 10),
+            [
+                (1_000, 0),
+                (2_000, 0),
+                (3_000, 0),
+                // A tie goes to the lower slot.
+                (4_000, 0),
+                (4_000, 1),
+                (5_000, 0),
+                (6_000, 0),
+                (7_000, 0),
+                (8_000, 0),
+                // Agent 1's second founder waited out its first: 8 000,
+                // not 4 000 plus a turnaround.
+                (8_000, 1),
+            ]
+        );
+        assert_eq!(completions[9].2, founders[3]);
+        // Spans on one agent never overlap ...
+        let mut free_at = [0u64; 2];
+        for ev in events.iter().filter(|ev| ev.kind == EventKind::Completion) {
+            let (agent, finish) = (ev.agent.unwrap() as usize, ev.vtime_us.unwrap());
+            let start = finish - ev.dur_us.unwrap();
+            assert!(start >= free_at[agent], "agent {agent} overlaps at {start}");
+            free_at[agent] = finish;
+        }
+        // ... so busy time fits the capacity with nothing clamped.
+        let stream = orch.stream_stats().unwrap();
+        assert_eq!(stream.completions, 14);
+        assert!(stream.busy_s <= 2.0 * stream.makespan_s);
+        assert!(stream
+            .per_agent_busy_s
+            .iter()
+            .all(|&busy| busy <= stream.makespan_s));
+    }
+
+    #[test]
+    fn live_spans_fit_the_capacity_unclamped() {
+        let w = Workload::CartPole;
+        let population = pop(12, 3);
+        let cluster = crate::runtime::EdgeCluster::spawn(
+            2,
+            w,
+            InferenceMode::MultiStep,
+            population.config().clone(),
+        )
+        .unwrap();
+        let evaluator = Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster);
+        let mut orch = AsyncOrchestrator::new(population, evaluator, 80, 3).unwrap();
+        orch.run_streamed().unwrap();
+        let stream = orch.stream_stats().unwrap();
+        assert_eq!(stream.completions, 80);
+        // Request-to-reply spans would sum to about twice the makespan
+        // with two requests outstanding per link.
+        assert!(stream.busy_s <= 2.0 * stream.makespan_s);
+        assert!(stream
+            .per_agent_busy_s
+            .iter()
+            .all(|&busy| busy <= stream.makespan_s));
+    }
+
+    #[test]
+    fn agents_whose_windows_hold_the_population_are_rejected_by_both_guards() {
+        // 4 agents x STREAM_WINDOW == 8: the first wave would leave no
+        // founder behind and no evaluated genome to select from.
+        assert_eq!(4 * STREAM_WINDOW, 8);
+        let schedule = LatencySchedule::new(1, vec![1_000; 4], 0).unwrap();
+        assert!(matches!(
+            orchestrator(8, 1, 20).run_virtual(&schedule),
+            Err(ClanError::InvalidSetup { .. })
+        ));
+        let built = crate::driver::ClanDriver::builder(Workload::CartPole)
+            .agents(4)
+            .population_size(8)
+            .build_async();
+        assert!(matches!(built, Err(ClanError::InvalidSetup { .. })));
+        assert!(orchestrator(9, 1, 20).run_virtual(&schedule).is_ok());
     }
 
     #[test]

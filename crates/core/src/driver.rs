@@ -25,7 +25,7 @@ use crate::evaluator::{EngineOptions, Evaluator, InferenceMode};
 use crate::membership::RecoveryPolicy;
 use crate::orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 use crate::report::RunReport;
-use crate::runtime::{EdgeCluster, StreamStats};
+use crate::runtime::{EdgeCluster, StreamStats, STREAM_WINDOW};
 use crate::status::{StatusHandle, StatusServer, StatusSnapshot};
 use crate::telemetry::{EventKind, RunTrace, TelemetryReport, Tracer};
 use crate::topology::{ClanTopology, SpeciationMode};
@@ -851,8 +851,8 @@ impl ClanDriverBuilder {
     ///
     /// [`ClanError::InvalidSetup`] as [`build`](Self::build), plus: a
     /// latency schedule on a remote backend, a latency list whose length
-    /// disagrees with the agent count, an agent count not strictly below
-    /// the population size, or an eval budget below the population size.
+    /// disagrees with the agent count, `agents × STREAM_WINDOW` not
+    /// strictly below the population size, or an eval budget below it.
     pub fn build_async(self) -> Result<AsyncClanDriver, ClanError> {
         let (cfg, mut evaluator) = self.prepare()?;
         let c = &self.config;
@@ -869,10 +869,10 @@ impl ClanDriverBuilder {
         } else {
             c.n_agents
         };
-        if agents >= cfg.population_size {
+        if agents * STREAM_WINDOW >= cfg.population_size {
             return Err(ClanError::InvalidSetup {
                 reason: format!(
-                    "async mode needs a population larger than its {agents} agent(s), got {}",
+                    "async needs population > {agents} agents x {STREAM_WINDOW} in flight, got {}",
                     cfg.population_size
                 ),
             });

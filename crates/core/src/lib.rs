@@ -177,11 +177,10 @@
 //!   churned run is **bit-identical** to a serial one on all four
 //!   topologies (`tests/churn_equivalence.rs`, 1/2/4 agents, with
 //!   arbitrary-schedule conservation proptests).
-//! - **Mid-run join** — new agents attach between generations over any
-//!   transport ([`EdgeCluster::admit_transport_weighted`](runtime::EdgeCluster::admit_transport_weighted),
-//!   [`admit_local`](runtime::EdgeCluster::admit_local)): they are
-//!   `Configure`d with the stored session spec and enter the weight and
-//!   calibration tables like founding members.
+//! - **Mid-run join** — new agents attach between generations
+//!   ([`EdgeCluster::admit_local`](runtime::EdgeCluster::admit_local)):
+//!   they are `Configure`d with the stored session spec and enter the
+//!   weight and calibration tables like founding members.
 //! - **Seeded churn injection** —
 //!   [`ChurnSchedule`](transport::ChurnSchedule) (`clan-cli coordinate
 //!   --churn k1@2,r1@4 [--spare-at HOST:PORT] [--max-retries N]
@@ -202,46 +201,28 @@
 //! # Async steady-state mode
 //!
 //! Every orchestrator above is generation-synchronous: a gather barrier
-//! ends each round, so the slowest agent prices the whole population
-//! (`agents × makespan − busy` seconds of idle per round, reported as
-//! wasted idle). [`AsyncOrchestrator`] is the paper's barrier-free
-//! alternative — agents stream `(genome, fitness)` results continuously
-//! over the same transports, and each arrival immediately triggers one
-//! steady-state reproduction event
-//! ([`clan_neat::steady_state`]): two tournaments pick parents among
-//! the evaluated members and the child insert-replaces the worst, no
-//! generations, no species.
-//!
-//! The mode's reproducibility contract is *virtual-time determinism,
-//! not bit-identity to the serial run* — removing the barrier makes the
-//! trajectory depend on arrival order by design:
-//!
-//! - **Per-genome determinism everywhere.** Episode seeds derive from
-//!   genome content, so any agent at any time scores a given genome
-//!   identically.
-//! - **Virtual time** ([`AsyncOrchestrator::run_virtual`], `clan-cli
-//!   run --async`): service times come from a seeded
-//!   [`LatencySchedule`] and a single-threaded event loop orders
-//!   completions by `(virtual time, agent, dispatch)`. Two runs with
-//!   the same `(seed, schedule)` produce byte-identical logical traces
-//!   — CI's `async-smoke` runs `clan-trace diff` over them — and the
-//!   workspace's `tests/async_steady_state.rs` proptests the contract
-//!   over arbitrary schedules.
-//! - **Streamed runs** ([`AsyncOrchestrator::run_streamed`], `clan-cli
-//!   coordinate --async`) drive
-//!   [`EdgeCluster::evaluate_stream`](runtime::EdgeCluster::evaluate_stream)
-//!   with dispatch-on-completion over live channel/TCP/UDP links;
-//!   arrival order is wall-clock, so these runs are characterized
-//!   statistically (`tests/convergence.rs` gates a seeded async run on
-//!   the sync baseline's solved threshold). An agent dying mid-flight
-//!   re-dispatches its genome to a survivor
-//!   ([`AsyncStats::redispatches`]).
-//! - **Measured, not assumed.** [`AsyncStats`] on [`RunReport`] carries
-//!   makespan, evals/sec, wasted idle, insertion counts, and the
-//!   completion-order hash (a running fold — nothing per-evaluation is
-//!   retained); `benchmark/`'s `lander-stream-tcp` workload reports the
-//!   live figure as `runtime.stream_wasted_idle_share`, and `clan-trace
-//!   analyze` gives the same totals for any `--async --trace` run.
+//! ends each round, so the slowest agent prices the whole population.
+//! [`AsyncOrchestrator`] is the paper's barrier-free alternative: agents
+//! stream `(genome, fitness)` results over the same transports, each
+//! arrival triggers one steady-state reproduction event
+//! ([`clan_neat::steady_state`]), and every link keeps
+//! [`STREAM_WINDOW`] requests in flight, so no agent waits on the
+//! coordinator between evaluations either. [`asynchronous`] documents
+//! the window, the bootstrap rule and the mode's contract —
+//! *virtual-time determinism, not bit-identity to the serial run*:
+//! [`run_virtual`](AsyncOrchestrator::run_virtual) (`clan-cli run
+//! --async`) is byte-identical per `(seed, schedule)` (CI's
+//! `async-smoke` diffs two traces), while
+//! [`run_streamed`](AsyncOrchestrator::run_streamed) (`clan-cli
+//! coordinate --async`) drives
+//! [`EdgeCluster::evaluate_stream`](runtime::EdgeCluster::evaluate_stream)
+//! over live links in wall-clock arrival order and is characterized
+//! statistically (`tests/convergence.rs`). [`AsyncStats`] on
+//! [`RunReport`] carries makespan, evals/sec, wasted idle, insertions,
+//! re-dispatches and the completion-order hash; `benchmark/`'s
+//! `lander-stream-tcp` reports the live idle share as
+//! `runtime.stream_wasted_idle_share`, and `clan-trace analyze` gives
+//! the same totals for any `--async --trace` run.
 //!
 //! # Telemetry
 //!
@@ -396,7 +377,7 @@ pub use membership::{AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
 pub use orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 pub use parallel::ParallelEvaluator;
 pub use report::RunReport;
-pub use runtime::{EdgeCluster, GatherStats, StreamCompletion, StreamStats};
+pub use runtime::{EdgeCluster, GatherStats, StreamCompletion, StreamStats, STREAM_WINDOW};
 pub use serial::SerialOrchestrator;
 pub use status::{StatusHandle, StatusServer, StatusSnapshot};
 pub use telemetry::{

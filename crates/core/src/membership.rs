@@ -39,7 +39,7 @@
 //! the link **dead**: it receives no further work until a replacement
 //! agent is revived into its slot (see
 //! [`ChurnSchedule`](crate::transport::ChurnSchedule) and
-//! [`EdgeCluster::admit_transport_weighted`](crate::runtime::EdgeCluster::admit_transport_weighted)).
+//! [`EdgeCluster::revive_agent`](crate::runtime::EdgeCluster::revive_agent)).
 //! A success at any point restores **alive**.
 //!
 //! Protocol and frame errors are deliberately *not* churn-class: a peer

@@ -65,8 +65,7 @@
 //! replay in id order, so a run that lost and reassigned chunks is
 //! bit-identical to a serial run — churn costs only time, measured in
 //! [`RecoveryStats`]. New agents can also **join mid-run**
-//! ([`admit_transport_weighted`](EdgeCluster::admit_transport_weighted) /
-//! [`admit_local`](EdgeCluster::admit_local)): they are `Configure`d
+//! ([`admit_local`](EdgeCluster::admit_local)): they are `Configure`d
 //! with the stored session spec and enter the weight/calibration tables
 //! like any founding member. Deterministic churn testing goes through
 //! [`ChurnSchedule`]
@@ -92,8 +91,9 @@ use clan_neat::{FitnessCache, Genome, GenomeId, NeatConfig, Population};
 use clan_netsim::{CommLedger, MessageKind};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Smoothing factor of the round-trip-time calibration EWMA: how fast
 /// measured throughput overrides the static capability weight.
@@ -240,10 +240,15 @@ impl GatherStats {
     }
 }
 
+/// Requests every streaming link keeps in flight, live or simulated:
+/// the smallest depth that hides the coordinator's turnaround from an
+/// agent, and a constant for the reasons in [`crate::asynchronous`].
+pub const STREAM_WINDOW: usize = 2;
+
 /// One finished streaming evaluation, as handed to the
 /// [`evaluate_stream`](EdgeCluster::evaluate_stream) completion callback
-/// the moment it arrives — in *arrival* order, which is the point of the
-/// async mode and the reason it is not bit-identical to a gather.
+/// the moment it arrives — in *arrival* order (dispatch order per link),
+/// the point of the async mode and why it is not bit-identical to a gather.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamCompletion {
     /// Link slot that produced the result.
@@ -258,17 +263,20 @@ pub struct StreamCompletion {
 }
 
 /// Timing and recovery accounting of one
-/// [`evaluate_stream`](EdgeCluster::evaluate_stream) run.
+/// [`evaluate_stream`](EdgeCluster::evaluate_stream) run. A completion's
+/// *span* runs from `max(its request sent, previous reply on its link)`
+/// to its reply, so spans on one link never overlap and busy time is the
+/// time a link had at least one request outstanding.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StreamStats {
     /// Evaluations completed (including re-dispatched ones).
     pub completions: u64,
-    /// Genomes whose agent died mid-evaluation and that were dispatched
-    /// again to a surviving agent.
+    /// Genomes outstanding on a link when it died, dispatched again to
+    /// a surviving agent.
     pub redispatches: u64,
     /// Wall-clock of the whole stream, seconds.
     pub makespan_s: f64,
-    /// Summed per-agent busy time (request in flight), seconds.
+    /// Summed per-agent busy time (completion spans), seconds.
     pub busy_s: f64,
     /// Per-link busy seconds (index = link slot).
     pub per_agent_busy_s: Vec<f64>,
@@ -276,14 +284,9 @@ pub struct StreamStats {
     pub per_agent_completions: Vec<u64>,
 }
 
-impl StreamStats {
-    /// Idle capacity left on the table: `agents x makespan - busy`,
-    /// seconds. Near zero when dispatch-on-completion keeps every agent
-    /// fed; approaches the sync gather's imbalance when it does not.
-    pub fn wasted_idle_s(&self, agents: usize) -> f64 {
-        (agents as f64 * self.makespan_s - self.busy_s).max(0.0)
-    }
-}
+/// What the dispatch loop sends a link's worker: the next genome with
+/// its stream sequence number, or `None` for "nothing yet".
+type StreamFeed = Option<(u64, Genome)>;
 
 /// What a per-link streaming worker reports back to the dispatch loop.
 enum StreamEvent {
@@ -295,14 +298,16 @@ enum StreamEvent {
         sent: (u64, u64),
         recv: (u64, u64),
     },
-    /// Churn-class link failure; the in-flight genome needs a new home.
-    Failed {
+    /// The link is done for: churn (a transport or timeout `error`), or
+    /// a protocol/frame violation — a bug, which aborts the stream. Its
+    /// outstanding `genomes` (oldest first) and any feed still unread in
+    /// `work` need a new home.
+    Down {
         agent: usize,
-        genome: Box<Genome>,
+        genomes: Vec<Genome>,
+        work: Receiver<StreamFeed>,
         error: ClanError,
     },
-    /// Protocol/frame violation — a bug, not churn; aborts the stream.
-    Hard { error: ClanError },
 }
 
 /// What one link's exchange thread brings back: the send's measured
@@ -347,50 +352,99 @@ fn spawn_agent_thread(
         })
 }
 
-/// One streamed evaluation over link `agent`: ships `genome` alone in an
-/// `Evaluate` frame (`seq` rides in the generation field) and waits for
-/// the matching one-entry `Fitness`. Transport and timeout errors are
-/// churn, anything else a protocol violation.
-fn stream_one(
+/// One link's side of a stream: keeps up to [`STREAM_WINDOW`] one-genome
+/// `Evaluate` frames outstanding (the sequence number rides in the
+/// generation field) and matches each one-entry `Fitness` to the
+/// *oldest* — every [`Transport`] is an ordered pipe. With room in the
+/// window it waits on `work`, not the link: each completion is answered
+/// by a genome or `None` ("nothing yet, go listen"), and merely polling
+/// would pick the genome up one evaluation late, collapsing the depth
+/// to one. Told to stop (`work` closed), it first reads the replies it
+/// is owed, so no stale `Fitness` answers the next round's request.
+fn stream_link(
     transport: &mut dyn Transport,
     agent: usize,
-    seq: u64,
     master_seed: u64,
-    genome: &Genome,
-) -> Result<StreamEvent, ClanError> {
-    let request = WireMessage::Evaluate {
-        generation: seq,
-        master_seed,
-        genomes: vec![genome.clone()],
-    };
-    // clan-lint: allow(D2, reason="per-agent busy-time measurement for StreamStats; observability only")
-    let t0 = Instant::now();
-    let sent_bytes = send_message(transport, &request)?;
-    let (reply, recv_bytes) = recv_message(transport)?;
-    let recv_floats = reply.modeled_floats();
-    match reply {
-        WireMessage::Fitness(batch) if batch.len() == 1 && batch[0].0 == genome.id() => {
-            let (id, evaluation, genes_per_activation) = batch[0];
-            Ok(StreamEvent::Done {
-                completion: StreamCompletion {
-                    agent,
-                    genome: id,
-                    evaluation,
-                    genes_per_activation,
-                },
-                elapsed_s: t0.elapsed().as_secs_f64(),
-                sent: (request.modeled_floats(), sent_bytes),
-                recv: (recv_floats, recv_bytes),
-            })
+    clock: Instant,
+    work: Receiver<StreamFeed>,
+    events: &Sender<StreamEvent>,
+) {
+    // Sent and unanswered: genome id, request (it owns the genome, which
+    // a failed link hands back), wire bytes, and when it went out.
+    let mut outstanding: VecDeque<(GenomeId, WireMessage, u64, Duration)> = VecDeque::new();
+    let mut last_reply = Duration::ZERO;
+    let error = loop {
+        if outstanding.len() < STREAM_WINDOW {
+            match work.recv() {
+                Ok(Some((generation, genome))) => {
+                    let id = genome.id();
+                    let request = WireMessage::Evaluate {
+                        generation,
+                        master_seed,
+                        genomes: vec![genome],
+                    };
+                    let sent_at = clock.elapsed();
+                    let sent = send_message(transport, &request);
+                    outstanding.push_back((id, request, *sent.as_ref().unwrap_or(&0), sent_at));
+                    match sent {
+                        Ok(_) => continue,
+                        Err(error) => break error,
+                    }
+                }
+                Ok(None) if outstanding.is_empty() => continue,
+                Ok(None) => {}
+                Err(_) => {
+                    let _ = outstanding
+                        .iter()
+                        .try_for_each(|_| transport.recv_frame().map(drop));
+                    return;
+                }
+            }
         }
-        other => Err(ClanError::Protocol {
-            peer: transport.peer(),
-            reason: format!(
-                "expected the Fitness of genome {}, got {other:?}",
-                genome.id()
-            ),
-        }),
-    }
+        let (reply, recv_bytes) = match recv_message(transport) {
+            Ok(reply) => reply,
+            Err(error) => break error,
+        };
+        let replied_at = clock.elapsed();
+        let Some((id, request, sent_bytes, sent_at)) = outstanding.pop_front() else {
+            continue;
+        };
+        let recv_floats = reply.modeled_floats();
+        let (genome, evaluation, genes_per_activation) = match reply {
+            WireMessage::Fitness(batch) if batch.len() == 1 && batch[0].0 == id => batch[0],
+            other => {
+                break ClanError::Protocol {
+                    peer: transport.peer(),
+                    reason: format!("expected the Fitness of genome {id}, got {other:?}"),
+                }
+            }
+        };
+        // Fails only once the dispatch loop, and so `work`, is gone.
+        let _ = events.send(StreamEvent::Done {
+            completion: StreamCompletion {
+                agent,
+                genome,
+                evaluation,
+                genes_per_activation,
+            },
+            elapsed_s: (replied_at.saturating_sub(sent_at.max(last_reply))).as_secs_f64(),
+            sent: (request.modeled_floats(), sent_bytes),
+            recv: (recv_floats, recv_bytes),
+        });
+        last_reply = replied_at;
+    };
+    let genomes = outstanding
+        .into_iter()
+        .filter_map(|(_, request, ..)| match request {
+            WireMessage::Evaluate { mut genomes, .. } => genomes.pop(),
+            _ => None,
+        });
+    let _ = events.send(StreamEvent::Down {
+        agent,
+        genomes: genomes.collect(),
+        work,
+        error,
+    });
 }
 
 /// Splits `items` into consecutive slices of the given sizes.
@@ -966,42 +1020,6 @@ impl EdgeCluster {
         Ok(())
     }
 
-    /// Admits a new agent mid-run over a caller-supplied transport: the
-    /// agent is `Configure`d with the current session spec and appended
-    /// as a new link slot with weight `weight`. Returns the slot index.
-    ///
-    /// The next scatter includes the newcomer; under calibration it is
-    /// measured like any founding member (effective weights fall back
-    /// to static until every live link has a measurement, exactly as at
-    /// startup).
-    ///
-    /// # Errors
-    ///
-    /// [`ClanError::InvalidSetup`] on a non-finite or negative weight,
-    /// plus any failure pushing `Configure`.
-    pub fn admit_transport_weighted(
-        &mut self,
-        mut transport: Box<dyn Transport>,
-        weight: f64,
-    ) -> Result<usize, ClanError> {
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(ClanError::InvalidSetup {
-                reason: format!("admitted agent weight must be finite and >= 0, got {weight}"),
-            });
-        }
-        let msg = WireMessage::Configure(Box::new(self.spec.clone()));
-        self.control_bytes += send_message(transport.as_mut(), &msg)?;
-        let mut link = AgentLink::new(transport, None, None);
-        link.weight = weight;
-        self.links.push(link);
-        self.recovery.joins += 1;
-        let slot = self.links.len() - 1;
-        self.tracer.timing(EventKind::AgentJoined, |ev| {
-            ev.agent = Some(slot as u64);
-        });
-        Ok(slot)
-    }
-
     /// Admits a new agent minted from this cluster's own respawn source
     /// (an in-process thread for spawned clusters, the next spare
     /// address for remote ones) — mid-run scale-out. Returns the new
@@ -1486,25 +1504,29 @@ impl EdgeCluster {
 
     /// Streaming dispatch-on-completion evaluation — the async
     /// steady-state gather surface. Each live link gets a dedicated
-    /// worker thread that sends one-genome `Evaluate` frames and waits
-    /// for the matching `Fitness`; the moment any agent answers,
-    /// `on_complete` runs on the caller's thread with the result and
-    /// returns the next genome to put in flight (`None` ends the
-    /// stream once everything in flight has drained). A fast agent
-    /// therefore turns over many evaluations while a slow one finishes
-    /// its first — no barrier, no tail-agent stall.
+    /// worker thread that keeps up to [`STREAM_WINDOW`] one-genome
+    /// `Evaluate` frames outstanding and matches each `Fitness` to the
+    /// oldest; the moment any agent answers, `on_complete` runs on the
+    /// caller's thread with the result and returns the next genome to
+    /// put in flight (`None` ends the stream once everything in flight
+    /// has drained), which goes straight back to that link. An agent's
+    /// next request is thus already waiting while it evaluates, and a
+    /// fast agent turns over many evaluations while a slow one finishes
+    /// its first — no barrier, no tail-agent stall, no idling through
+    /// the coordinator's turnaround.
     ///
-    /// `initial` seeds the pipeline (any size; surplus queues and feeds
-    /// agents as they free up). `master_seed` rides in every `Evaluate`
-    /// frame so agents derive the same content-based episode seeds as a
-    /// local run — per-genome *results* stay deterministic even though
-    /// arrival *order* does not.
+    /// `initial` seeds the pipeline, round-robin (any size; surplus
+    /// queues and feeds agents as they free up). `master_seed` rides in
+    /// every `Evaluate` frame so agents derive the same content-based
+    /// episode seeds as a local run — per-genome *results* stay
+    /// deterministic even though arrival *order* does not.
     ///
     /// Churn tolerance: a churn-class link failure poisons that link
-    /// and its in-flight genome is re-dispatched to the next free
-    /// surviving agent (counted in [`StreamStats::redispatches`]); the
-    /// stream aborts only when live agents fall below the recovery
-    /// policy's floor.
+    /// and every genome outstanding on it is re-dispatched, in order,
+    /// to surviving agents (each counted in
+    /// [`StreamStats::redispatches`]); the stream aborts only when live
+    /// agents fall below the recovery policy's floor. However it ends,
+    /// healthy links first read the replies they are still owed.
     ///
     /// # Errors
     ///
@@ -1536,78 +1558,51 @@ impl EdgeCluster {
             ..StreamStats::default()
         };
         let mut failures: Vec<(usize, ClanError)> = Vec::new();
-        // clan-lint: allow(D2, reason="StreamStats makespan measurement; reported, never fed back into evolution")
+        // clan-lint: allow(D2, reason="StreamStats makespan and span measurement; reported, never fed back into evolution")
         let started = Instant::now();
         let mut outcome: Result<(), ClanError> = Ok(());
         std::thread::scope(|s| {
-            let (etx, erx) = std::sync::mpsc::channel::<StreamEvent>();
-            let mut work_tx: Vec<Option<std::sync::mpsc::Sender<(u64, Genome)>>> =
-                (0..n_links).map(|_| None).collect();
+            let (etx, erx) = channel::<StreamEvent>();
+            let mut work_tx: Vec<Option<Sender<StreamFeed>>> = (0..n_links).map(|_| None).collect();
             for (i, link) in links.iter_mut().enumerate() {
                 if link.poisoned {
                     continue;
                 }
-                let (wtx, wrx) = std::sync::mpsc::channel::<(u64, Genome)>();
+                let (wtx, wrx) = channel::<StreamFeed>();
                 work_tx[i] = Some(wtx);
                 let etx = etx.clone();
                 let transport: &mut dyn Transport = link.transport.as_mut();
-                s.spawn(move || {
-                    for (seq, genome) in wrx.iter() {
-                        let event = match stream_one(transport, i, seq, master_seed, &genome) {
-                            Ok(done) => done,
-                            Err(error) if is_churn_error(&error) => StreamEvent::Failed {
-                                agent: i,
-                                genome: Box::new(genome),
-                                error,
-                            },
-                            Err(error) => StreamEvent::Hard { error },
-                        };
-                        // A failed link gets no more work; a finished one
-                        // waits for its next genome.
-                        let done = matches!(event, StreamEvent::Done { .. });
-                        if etx.send(event).is_err() || !done {
-                            return;
-                        }
-                    }
-                });
+                s.spawn(move || stream_link(transport, i, master_seed, started, wrx, &etx));
             }
             drop(etx);
             let mut pending: VecDeque<Genome> = initial.into();
-            let mut idle: VecDeque<usize> =
-                (0..n_links).filter(|&i| work_tx[i].is_some()).collect();
-            let mut in_flight = 0usize;
-            let mut live = idle.len();
+            // Requests each link holds, as far as this loop has been told.
+            let mut held = vec![0usize; n_links];
+            // Links whose worker is waiting to hear from this loop.
+            let mut waiting = vec![false; n_links];
             let mut seq = 0u64;
             loop {
-                // Feed every idle agent while work remains.
-                while let Some(&agent) = idle.front() {
-                    let Some(genome) = pending.pop_front() else {
+                // Each queued genome goes to the live link holding the
+                // fewest (lowest slot on a tie: the opening wave goes out
+                // round-robin); a waiting link left with room gets `None`.
+                while let Some(agent) = (0..n_links)
+                    .filter(|&a| work_tx[a].is_some() && held[a] < STREAM_WINDOW)
+                    .min_by_key(|&a| held[a])
+                {
+                    let (Some(genome), Some(tx)) = (pending.pop_front(), &work_tx[agent]) else {
                         break;
                     };
-                    idle.pop_front();
-                    match &work_tx[agent] {
-                        Some(tx) => match tx.send((seq, genome)) {
-                            Ok(()) => {
-                                seq += 1;
-                                in_flight += 1;
-                            }
-                            Err(std::sync::mpsc::SendError((_, genome))) => {
-                                // Worker already exited; its failure event
-                                // is (or will be) in the queue.
-                                work_tx[agent] = None;
-                                pending.push_front(genome);
-                            }
-                        },
-                        None => pending.push_front(genome),
+                    let _ = tx.send(Some((seq, genome)));
+                    seq += 1;
+                    held[agent] += 1;
+                    waiting[agent] = true;
+                }
+                for (agent, tx) in work_tx.iter().enumerate() {
+                    if std::mem::take(&mut waiting[agent]) && held[agent] < STREAM_WINDOW {
+                        let _ = tx.as_ref().map(|tx| tx.send(None));
                     }
                 }
-                if in_flight == 0 {
-                    if !pending.is_empty() && outcome.is_ok() {
-                        outcome = Err(ClanError::Degraded {
-                            live,
-                            required: floor,
-                        });
-                    }
+                if held.iter().all(|&h| h == 0) {
                     break;
                 }
                 let Ok(event) = erx.recv() else { break };
@@ -1621,7 +1616,7 @@ impl EdgeCluster {
                         let agent = completion.agent;
                         ledger.record_agent_wire(agent, MessageKind::SendGenomes, sent.0, sent.1);
                         ledger.record_agent_wire(agent, MessageKind::SendFitness, recv.0, recv.1);
-                        in_flight -= 1;
+                        held[agent] -= 1;
                         stats.completions += 1;
                         stats.busy_s += elapsed_s;
                         stats.per_agent_busy_s[agent] += elapsed_s;
@@ -1632,41 +1627,47 @@ impl EdgeCluster {
                             ev.fitness_bits = Some(completion.evaluation.fitness.to_bits());
                             ev.dur_us = Some((elapsed_s * 1e6) as u64);
                         });
-                        idle.push_back(agent);
-                        if let Some(next) = on_complete(&completion) {
-                            pending.push_back(next);
-                        }
+                        waiting[agent] = true;
+                        pending.extend(on_complete(&completion));
                     }
-                    StreamEvent::Failed {
+                    StreamEvent::Down { error, .. } if !is_churn_error(&error) => {
+                        outcome = Err(error);
+                        break;
+                    }
+                    StreamEvent::Down {
                         agent,
-                        genome,
+                        genomes,
+                        work,
                         error,
                     } => {
-                        in_flight -= 1;
+                        // Nothing more is sent to this link, so whatever
+                        // its worker never read is all in `work`.
                         work_tx[agent] = None;
-                        live = live.saturating_sub(1);
+                        held[agent] = 0;
+                        let unread = work.try_iter().flatten().map(|(_, genome)| genome);
+                        let queued = pending.len();
+                        pending.extend(genomes.into_iter().chain(unread));
+                        let lost = pending.len() - queued;
+                        pending.rotate_right(lost); // ahead of the queue, in order
+                        stats.redispatches += lost as u64;
                         tracer.timing(EventKind::AgentFailure, |ev| {
                             ev.agent = Some(agent as u64);
                             ev.label = Some(error.to_string());
                         });
                         failures.push((agent, error));
-                        stats.redispatches += 1;
-                        pending.push_front(*genome);
-                        if live < floor {
-                            // Root cause stays visible in the membership
-                            // table via `note_link_failure` below.
-                            outcome = Err(ClanError::Degraded {
-                                live,
-                                required: floor,
-                            });
+                        if work_tx.iter().flatten().count() < floor {
                             break;
                         }
                     }
-                    StreamEvent::Hard { error } => {
-                        outcome = Err(error);
-                        break;
-                    }
                 }
+            }
+            // Work left over: the cluster fell below its floor (root
+            // causes: the membership table, via `note_link_failure`).
+            if outcome.is_ok() && (held.iter().any(|&h| h > 0) || !pending.is_empty()) {
+                outcome = Err(ClanError::Degraded {
+                    live: work_tx.iter().flatten().count(),
+                    required: floor,
+                });
             }
             // Closing the work channels lets every worker drain and exit.
             drop(work_tx);

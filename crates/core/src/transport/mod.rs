@@ -119,6 +119,16 @@ pub fn wire_bytes(frame: &[u8]) -> u64 {
     frame.len() as u64 + LENGTH_PREFIX_BYTES
 }
 
+/// Refuses a frame length above [`MAX_FRAME_BYTES`], wherever one enters
+/// (announced by a peer or about to be sent), before acting on it.
+pub(crate) fn check_frame_len(announced: u64) -> Result<(), ClanError> {
+    let max = MAX_FRAME_BYTES;
+    if announced > max {
+        return Err(crate::error::FrameError::Oversized { announced, max }.into());
+    }
+    Ok(())
+}
+
 /// Sends a message and returns its measured wire size.
 ///
 /// # Errors

@@ -4,12 +4,15 @@
 //! frame bytes (which themselves start with the `CLAN` magic — see
 //! [`codec`](super::codec)). The length is validated against
 //! [`MAX_FRAME_BYTES`](super::MAX_FRAME_BYTES) *before* any allocation,
-//! so a corrupt or hostile peer cannot force an OOM; a peer that
-//! disconnects mid-frame surfaces as a typed [`ClanError::Transport`].
+//! so a corrupt or hostile peer cannot force an OOM — and before a send,
+//! so the peer is never pushed a frame it must refuse. Prefix and frame
+//! leave in one vectored write: under `TCP_NODELAY` two writes are two
+//! segments, and the peer wakes for four bytes only to block again. A
+//! peer that disconnects mid-frame is a typed [`ClanError::Transport`].
 
-use super::{Transport, MAX_FRAME_BYTES};
-use crate::error::{ClanError, FrameError};
-use std::io::{Read, Write};
+use super::{check_frame_len, Transport};
+use crate::error::ClanError;
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// A frame pipe over one TCP connection.
@@ -105,11 +108,20 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), ClanError> {
-        let len = frame.len() as u32;
-        self.stream
-            .write_all(&len.to_le_bytes())
-            .and_then(|()| self.stream.write_all(frame))
-            .map_err(|e| self.io_err("send", e))
+        check_frame_len(frame.len() as u64)?;
+        let prefix = (frame.len() as u32).to_le_bytes(); // the cap fits 32 bits
+        let mut parts = [IoSlice::new(&prefix), IoSlice::new(frame)];
+        let mut parts = &mut parts[..];
+        // One call per frame; a short write resumes where it stopped.
+        while !parts.is_empty() {
+            match self.stream.write_vectored(parts) {
+                Ok(0) => return Err(self.io_err("send", std::io::ErrorKind::WriteZero.into())),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(self.io_err("send", e)),
+            }
+        }
+        Ok(())
     }
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, ClanError> {
@@ -129,14 +141,8 @@ impl Transport for TcpTransport {
         self.stream
             .read_exact(&mut len_buf)
             .map_err(|e| fail(self, "recv length", e))?;
-        let len = u32::from_le_bytes(len_buf) as u64;
-        if len > MAX_FRAME_BYTES {
-            return Err(FrameError::Oversized {
-                announced: len,
-                max: MAX_FRAME_BYTES,
-            }
-            .into());
-        }
+        let len = u32::from_le_bytes(len_buf);
+        check_frame_len(u64::from(len))?;
         let mut frame = vec![0u8; len as usize];
         self.stream
             .read_exact(&mut frame)
@@ -152,7 +158,8 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{recv_message, send_message, WireMessage};
+    use crate::error::FrameError;
+    use crate::transport::{recv_message, send_message, WireMessage, MAX_FRAME_BYTES};
     use std::net::TcpListener;
 
     fn loopback_pair() -> (TcpTransport, TcpTransport) {
@@ -185,6 +192,24 @@ mod tests {
             }
             other => panic!("expected Oversized, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn oversized_frame_is_refused_before_the_first_byte() {
+        let (mut a, mut b) = loopback_pair();
+        // Zeroed pages are never touched: the bound is checked first.
+        let too_big = vec![0u8; MAX_FRAME_BYTES as usize + 1];
+        match a.send_frame(&too_big) {
+            Err(ClanError::Frame(FrameError::Oversized { announced, max })) => {
+                assert_eq!((announced, max), (MAX_FRAME_BYTES + 1, MAX_FRAME_BYTES));
+            }
+            other => panic!("expected Oversized, got {other:?}"),
+        }
+        // Nothing left the socket, so the stream still frames: the
+        // next frame is the first thing the peer reads.
+        send_message(&mut a, &WireMessage::Shutdown).unwrap();
+        let (msg, _) = recv_message(&mut b).unwrap();
+        assert_eq!(msg, WireMessage::Shutdown);
     }
 
     #[test]

@@ -82,8 +82,8 @@
 //! drain then completes in milliseconds instead of retransmitting to
 //! nobody until its deadline.
 
-use super::{Transport, MAX_FRAME_BYTES};
-use crate::error::{ClanError, FrameError};
+use super::{check_frame_len, Transport};
+use crate::error::ClanError;
 use crate::transport::faults::{FaultConfig, FaultyTransport};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -1028,15 +1028,9 @@ impl<L: DatagramLink> UdpTransport<L> {
             self.stats.dup_bytes += payload.len() as u64;
             return Ok(());
         }
-        if u64::from(count) > MAX_FRAME_BYTES {
-            // Even 1-byte fragments could not finish under the frame
-            // cap — typed rejection, not slow memory growth.
-            return Err(FrameError::Oversized {
-                announced: u64::from(count),
-                max: MAX_FRAME_BYTES,
-            }
-            .into());
-        }
+        // Even 1-byte fragments could not finish under the frame cap —
+        // typed rejection, not slow memory growth.
+        check_frame_len(u64::from(count))?;
         if payload.is_empty() && count > 1 {
             return Ok(()); // only a lone empty frame may be empty
         }
@@ -1064,13 +1058,7 @@ impl<L: DatagramLink> UdpTransport<L> {
             return Ok(());
         }
         inc.bytes += payload.len() as u64;
-        if inc.bytes > MAX_FRAME_BYTES {
-            return Err(FrameError::Oversized {
-                announced: inc.bytes,
-                max: MAX_FRAME_BYTES,
-            }
-            .into());
-        }
+        check_frame_len(inc.bytes)?;
         inc.frags.insert(index, payload.to_vec());
         while inc.frags.contains_key(&inc.cum) {
             inc.cum += 1;
@@ -1139,13 +1127,7 @@ impl<L: DatagramLink> UdpTransport<L> {
 
 impl<L: DatagramLink> Transport for UdpTransport<L> {
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), ClanError> {
-        if frame.len() as u64 > MAX_FRAME_BYTES {
-            return Err(FrameError::Oversized {
-                announced: frame.len() as u64,
-                max: MAX_FRAME_BYTES,
-            }
-            .into());
-        }
+        check_frame_len(frame.len() as u64)?;
         let seq = self.next_tx;
         self.next_tx += 1;
         let count = frame.len().div_ceil(self.mtu).max(1);
@@ -1220,7 +1202,8 @@ impl<L: DatagramLink> Transport for UdpTransport<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{recv_message, send_message, WireMessage};
+    use crate::error::FrameError;
+    use crate::transport::{recv_message, send_message, WireMessage, MAX_FRAME_BYTES};
 
     fn pair_with(
         cfg: &UdpConfig,

@@ -3,11 +3,15 @@
 //! and the virtual-time reproducibility contract over *arbitrary*
 //! seeded latency schedules — not just the hand-picked ones the unit
 //! tests use. Plus the live-vs-virtual pins: the streamed run is the
-//! same loop as its virtual-time twin, bootstrap rule included.
+//! same loop as its virtual-time twin, bootstrap rule included, and it
+//! keeps its books when a link dies with a full window outstanding or
+//! runs two frames deep over a lossy datagram link.
 
+use clan::core::transport::agent::serve_session;
+use clan::core::transport::{channel_pair, ChannelTransport, FaultConfig, UdpConfig};
 use clan::core::{
-    AsyncOrchestrator, ClusterSpec, EdgeCluster, Evaluator, EventKind, InferenceMode,
-    LatencySchedule, TraceEvent, Tracer,
+    AsyncOrchestrator, ClanError, ClusterSpec, EdgeCluster, Evaluator, EventKind, InferenceMode,
+    LatencySchedule, LinkHealth, RecoveryPolicy, TraceEvent, Tracer, Transport, STREAM_WINDOW,
 };
 use clan::envs::Workload;
 use clan::neat::rng::{derive_seed, OpTag};
@@ -106,7 +110,7 @@ proptest! {
         extra_evals in 0u64..20,
     ) {
         let w = Workload::CartPole;
-        let n = bases.len() + 2;
+        let n = bases.len() * STREAM_WINDOW + 2;
         let total = n as u64 + extra_evals;
         let schedule = LatencySchedule::new(sched_seed, bases.clone(), jitter)
             .expect("positive bases, jitter <= 90");
@@ -159,6 +163,42 @@ proptest! {
 
 // ---------------- the live run is the virtual run's twin ----------------
 
+fn cartpole_cfg(population: usize) -> NeatConfig {
+    let w = Workload::CartPole;
+    NeatConfig::builder(w.obs_dim(), w.n_actions())
+        .population_size(population)
+        .build()
+        .expect("config")
+}
+
+fn cartpole_spec(population: usize) -> ClusterSpec {
+    ClusterSpec::new(
+        Workload::CartPole,
+        InferenceMode::MultiStep,
+        cartpole_cfg(population),
+    )
+}
+
+/// A traced CartPole steady-state coordinator, streaming over `cluster`
+/// when there is one.
+fn traced_orchestrator(
+    population: usize,
+    total_evals: u64,
+    seed: u64,
+    cluster: Option<EdgeCluster>,
+) -> (AsyncOrchestrator, Tracer) {
+    let mut evaluator = Evaluator::new(Workload::CartPole, InferenceMode::MultiStep);
+    if let Some(cluster) = cluster {
+        evaluator = evaluator.with_remote(cluster);
+    }
+    let pop = Population::new(cartpole_cfg(population), seed);
+    let mut orch = AsyncOrchestrator::new(pop, evaluator, total_evals, 3)
+        .expect("budget covers the population");
+    let tracer = Tracer::new();
+    orch.install_tracer(tracer.clone());
+    (orch, tracer)
+}
+
 /// One traced CartPole steady-state run: `live` streams over that many
 /// in-process channel agents, otherwise `agents` are simulated by a
 /// virtual-time schedule. Returns the coordinator and the run's events.
@@ -169,20 +209,9 @@ fn traced_run(
     seed: u64,
     live: bool,
 ) -> (AsyncOrchestrator, Vec<TraceEvent>) {
-    let w = Workload::CartPole;
-    let cfg = NeatConfig::builder(w.obs_dim(), w.n_actions())
-        .population_size(population)
-        .build()
-        .expect("config");
-    let mut evaluator = Evaluator::new(w, InferenceMode::MultiStep);
-    if live {
-        let spec = ClusterSpec::new(w, InferenceMode::MultiStep, cfg.clone());
-        evaluator = evaluator.with_remote(EdgeCluster::spawn_spec(agents, spec).expect("cluster"));
-    }
-    let mut orch = AsyncOrchestrator::new(Population::new(cfg, seed), evaluator, total_evals, 3)
-        .expect("budget covers the population");
-    let tracer = Tracer::new();
-    orch.install_tracer(tracer.clone());
+    let cluster =
+        live.then(|| EdgeCluster::spawn_spec(agents, cartpole_spec(population)).expect("cluster"));
+    let (mut orch, tracer) = traced_orchestrator(population, total_evals, seed, cluster);
     if live {
         orch.run_streamed().expect("streamed run");
     } else {
@@ -224,10 +253,11 @@ fn one_agent_live_run_replays_its_virtual_twin_exactly() {
 #[test]
 fn live_run_bootstraps_before_it_reproduces() {
     // Replays a 2-agent live run from its own trace. The founders go out
-    // first, so nothing is inserted until `population - agents` of them
-    // have reported, and from then on tournaments always draw from a
-    // nearly full evaluated set (a child bred on the 2nd arrival used to
-    // keep that set at size one for the whole run).
+    // first, so nothing is inserted until all but the last full windows
+    // of them (`population - agents x STREAM_WINDOW`) have reported, and
+    // from then on tournaments always draw from a nearly full evaluated
+    // set (a child bred on the 2nd arrival used to keep that set at size
+    // one for the whole run).
     let (population, agents, evals) = (30usize, 2usize, 200u64);
     let (orch, events) = traced_run(population, agents, evals, 5, true);
     let mut evaluated = std::collections::BTreeSet::new();
@@ -240,7 +270,7 @@ fn live_run_bootstraps_before_it_reproduces() {
             EventKind::Insertion => {
                 if inserted == 0 {
                     assert!(
-                        evaluated.len() >= population - agents,
+                        evaluated.len() >= population - agents * STREAM_WINDOW,
                         "first insertion after only {} completions",
                         evaluated.len()
                     );
@@ -248,7 +278,7 @@ fn live_run_bootstraps_before_it_reproduces() {
                 assert!(evaluated.remove(&ev.evicted.expect("insertions name their victim")));
                 inserted += 1;
                 assert!(
-                    evaluated.len() >= population - agents - 1,
+                    evaluated.len() >= population - agents * STREAM_WINDOW - 1,
                     "insertion {inserted} left {} evaluated genomes",
                     evaluated.len()
                 );
@@ -262,4 +292,155 @@ fn live_run_bootstraps_before_it_reproduces() {
     assert!(!stats.virtual_time && stats.best_fitness > f64::NEG_INFINITY);
     assert_eq!(orch.stream_stats().expect("streamed").completions, evals);
     assert_eq!(orch.population().len(), population);
+}
+
+/// The slot [`cluster_with_a_dying_link`] puts behind a [`DyingLink`].
+const DYING_SLOT: usize = 1;
+
+/// A coordinator-side link that dies the way an unplugged device does:
+/// after `replies_left` replies every `recv_frame` is a transport error.
+struct DyingLink {
+    inner: ChannelTransport,
+    replies_left: usize,
+}
+
+impl Transport for DyingLink {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), ClanError> {
+        self.inner.send_frame(frame)
+    }
+
+    fn recv_frame(&mut self) -> Result<Vec<u8>, ClanError> {
+        if self.replies_left == 0 {
+            return Err(ClanError::Transport {
+                peer: self.peer(),
+                reason: "injected link death".into(),
+            });
+        }
+        self.replies_left -= 1;
+        self.inner.recv_frame()
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+}
+
+/// Three channel agents, slot `DYING_SLOT` behind a [`DyingLink`] that
+/// delivers `replies` evaluations first.
+fn cluster_with_a_dying_link(population: usize, replies: usize) -> EdgeCluster {
+    let transports = (0..3)
+        .map(|slot| {
+            let (coordinator, mut agent) = channel_pair();
+            std::thread::spawn(move || {
+                let _ = serve_session(&mut agent);
+            });
+            if slot == DYING_SLOT {
+                Box::new(DyingLink {
+                    inner: coordinator,
+                    replies_left: replies,
+                }) as Box<dyn Transport>
+            } else {
+                Box::new(coordinator)
+            }
+        })
+        .collect();
+    EdgeCluster::connect_transports(transports, cartpole_spec(population)).expect("cluster")
+}
+
+#[test]
+fn live_run_redispatches_every_outstanding_genome_of_a_dead_link() {
+    // The link dies in steady state (the bootstrap is over after
+    // `population - 3 x STREAM_WINDOW` completions, about six a link)
+    // with a full window outstanding; the survivors must finish the
+    // budget with every lost genome evaluated exactly once.
+    let (population, evals, replies) = (24usize, 150u64, 15usize);
+    let cluster = cluster_with_a_dying_link(population, replies);
+    let (mut orch, tracer) = traced_orchestrator(population, evals, 17, Some(cluster));
+    orch.run_streamed().expect("two survivors finish the run");
+    let events = tracer.finish().expect("live tracer records").events;
+
+    let stats = orch.stats().expect("ran");
+    assert_eq!(stats.total_evals, evals);
+    assert_eq!(stats.insertions, evals - population as u64);
+    assert!(
+        (1..=STREAM_WINDOW as u64).contains(&stats.redispatches),
+        "{} redispatches for one dead link",
+        stats.redispatches
+    );
+    let stream = orch.stream_stats().expect("streamed");
+    assert_eq!(stream.completions, evals);
+    assert_eq!(stream.per_agent_completions[DYING_SLOT], replies as u64);
+
+    // Every genome completes once, and never on the dead slot after its
+    // failure was seen.
+    let mut completed = std::collections::BTreeSet::new();
+    let mut dead = false;
+    for ev in &events {
+        match ev.kind {
+            EventKind::AgentFailure => {
+                assert_eq!(ev.agent, Some(DYING_SLOT as u64));
+                dead = true;
+            }
+            EventKind::Completion => {
+                let genome = ev.genome.expect("completions name their genome");
+                assert!(completed.insert(genome), "genome {genome} completed twice");
+                assert!(!(dead && ev.agent == Some(DYING_SLOT as u64)));
+            }
+            _ => {}
+        }
+    }
+    assert!(dead, "the failure is traced");
+    assert_eq!(completed.len() as u64, evals);
+
+    let membership = orch.evaluator().remote_membership().expect("cluster");
+    let lost = &membership[DYING_SLOT];
+    assert_eq!((lost.health, lost.failures), (LinkHealth::Suspected, 1));
+    assert!(lost
+        .last_error
+        .as_ref()
+        .is_some_and(|e| e.contains("injected link death")));
+    assert!(membership
+        .iter()
+        .enumerate()
+        .all(|(slot, m)| slot == DYING_SLOT || m.failures == 0));
+
+    // The same death under a floor of three live agents: the survivors
+    // read the replies they are still owed and the run ends typed
+    // instead of hanging.
+    let mut cluster = cluster_with_a_dying_link(population, replies);
+    cluster.set_recovery_policy(RecoveryPolicy::default().with_min_agents(3));
+    let (mut orch, _tracer) = traced_orchestrator(population, evals, 17, Some(cluster));
+    match orch.run_streamed() {
+        Err(ClanError::Degraded { live, required }) => assert_eq!((live, required), (2, 3)),
+        other => panic!("expected Degraded, got {other:?}"),
+    }
+}
+
+#[test]
+fn live_run_over_lossy_udp_keeps_two_frames_in_flight() {
+    // Two request frames outstanding on one agent session over the
+    // reliable-datagram transport, with seeded loss under the ARQ: the
+    // window must cost retransmissions only, never a genome.
+    let (population, evals) = (24usize, 120u64);
+    let udp = UdpConfig::default()
+        .with_retransmit_interval_s(0.01)
+        .with_idle_timeout_s(10.0)
+        .with_faults(FaultConfig::loss(0.05).with_seed(23));
+    let cluster = EdgeCluster::spawn_local_udp_cfg(2, cartpole_spec(population), udp)
+        .expect("loopback UDP cluster binds");
+    let (mut orch, tracer) = traced_orchestrator(population, evals, 29, Some(cluster));
+    orch.run_streamed().expect("streamed run over lossy UDP");
+    let stats = orch.stats().expect("ran");
+    assert_eq!((stats.total_evals, stats.redispatches), (evals, 0));
+    assert_eq!(stats.insertions, evals - population as u64);
+    let stream = orch.stream_stats().expect("streamed");
+    assert_eq!(stream.completions, evals);
+    assert!(stream.per_agent_completions.iter().all(|&n| n > 0));
+    let events = tracer.finish().expect("live tracer records").events;
+    let completed: std::collections::BTreeSet<u64> = events
+        .iter()
+        .filter(|ev| ev.kind == EventKind::Completion)
+        .map(|ev| ev.genome.expect("completions name their genome"))
+        .collect();
+    assert_eq!(completed.len() as u64, evals);
 }
