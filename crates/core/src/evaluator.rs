@@ -13,12 +13,14 @@ use crate::transport::WireEvaluation;
 use clan_envs::{run_episode, Environment, Workload};
 use clan_neat::batch::{BatchedNetwork, ShapeKey};
 use clan_neat::cache::CachedEvaluation;
+use clan_neat::fanout::fan_out;
 use clan_neat::population::Evaluation;
 use clan_neat::rng::{derive_seed, OpTag};
 use clan_neat::{
     FeedForwardNetwork, FitnessCache, Genome, GenomeId, NeatConfig, NeatError, Population, Scratch,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// How many environment steps each genome gets per generation.
@@ -88,38 +90,44 @@ pub(crate) struct CacheFilter {
 }
 
 impl CacheFilter {
-    /// Looks every genome up under `(master_seed, content hash)`;
-    /// returns the filter holding the hits plus the missed genomes in
-    /// input order.
+    /// Looks every genome up under `(master_seed, content hash)`, in
+    /// input order; returns the filter holding the hits plus the missed
+    /// genomes, hash first (episode seeds derive from it), in input order.
     pub(crate) fn split<'g>(
         mut cache: Option<&mut FitnessCache>,
         master_seed: u64,
-        genomes: impl IntoIterator<Item = &'g Genome>,
-    ) -> (CacheFilter, Vec<&'g Genome>) {
+        hashed: impl IntoIterator<Item = (u64, &'g Genome)>,
+    ) -> (CacheFilter, Vec<(u64, &'g Genome)>) {
         let mut filter = CacheFilter {
             out: Vec::new(),
             misses: Vec::new(),
         };
         let mut missed = Vec::new();
-        for (i, g) in genomes.into_iter().enumerate() {
-            let hash = g.content_hash();
+        for (i, (hash, g)) in hashed.into_iter().enumerate() {
             let hit = cache
                 .as_mut()
                 .and_then(|c| c.lookup(master_seed, hash))
                 .map(|c| (g.id(), c.evaluation, c.genes_per_activation));
             if hit.is_none() {
                 filter.misses.push((i, hash));
-                missed.push(g);
+                missed.push((hash, g));
             }
             filter.out.push(hit);
         }
         (filter, missed)
     }
 
-    /// The misses' content hashes, in miss order (already computed by
-    /// the lookup; episode seeds derive from them).
-    fn miss_hashes(&self) -> impl Iterator<Item = u64> + '_ {
-        self.misses.iter().map(|&(_, hash)| hash)
+    /// [`split`](CacheFilter::split) for a whole population: the content
+    /// hashes come from all the caller's cores ([`fan_out`]), the lookups run
+    /// serially in id order — hits, misses, cache window as in a serial pass.
+    pub(crate) fn split_population<'g>(
+        cache: Option<&mut FitnessCache>,
+        pop: &'g Population,
+    ) -> (CacheFilter, Vec<(u64, &'g Genome)>) {
+        let genomes: Vec<&Genome> = pop.genomes().values().collect();
+        let genes = genomes.iter().map(|g| g.num_genes()).sum();
+        let hashes = fan_out(&genomes, genes, |g| g.content_hash());
+        CacheFilter::split(cache, pop.master_seed(), hashes.into_iter().zip(genomes))
     }
 
     /// Memoizes `fresh` — the misses' evaluations, in the order
@@ -403,14 +411,13 @@ impl Evaluator {
     /// consult the fitness cache, compile the misses, derive each episode
     /// seed from `(master_seed, content_hash, episode plan)`, run the
     /// episodes (batched by topology shape where possible), and report
-    /// the compiled network's per-activation gene cost. Every distributed
-    /// surface — agent sessions and thread-pool workers alike — routes
-    /// through this, so the determinism contract lives in one piece of
-    /// code. Results come back in input order.
+    /// the compiled network's per-activation gene cost. Thread-pool
+    /// workers route through this and agent sessions through its uncached
+    /// core, so the determinism contract lives in one piece of code.
+    /// Results come back in input order.
     ///
-    /// `generation` is unused for seeding (seeds are content-based) but
-    /// kept in the signature because the wire protocol and pool jobs
-    /// carry it.
+    /// `generation` is unused (seeds are content-based); it stays in the
+    /// signature because the wire protocol and pool jobs carry it.
     pub fn evaluate_genomes(
         &mut self,
         genomes: &[Genome],
@@ -418,55 +425,44 @@ impl Evaluator {
         master_seed: u64,
         generation: u64,
     ) -> Vec<(GenomeId, Evaluation, u64)> {
-        self.try_evaluate_genomes(genomes, cfg, master_seed, generation)
-            .unwrap_or_else(|e| panic!("genome invariant broken: {e}"))
-    }
-
-    /// [`evaluate_genomes`](Self::evaluate_genomes) for genomes that
-    /// arrived from a peer: one the network compiler cannot use fails
-    /// the batch instead of panicking, before any episode runs and with
-    /// nothing memoized.
-    ///
-    /// # Errors
-    ///
-    /// [`NeatError::InvalidGenome`], from
-    /// [`FeedForwardNetwork::try_compile`].
-    pub fn try_evaluate_genomes(
-        &mut self,
-        genomes: &[Genome],
-        cfg: &NeatConfig,
-        master_seed: u64,
-        generation: u64,
-    ) -> Result<Vec<(GenomeId, Evaluation, u64)>, NeatError> {
         let _ = generation;
-        let (filter, misses) = CacheFilter::split(self.cache.as_mut(), master_seed, genomes);
-        let fresh = self.evaluate_uncached(&misses, filter.miss_hashes(), cfg, master_seed)?;
-        Ok(filter.merge(self.cache.as_mut(), master_seed, fresh))
+        let hashed = genomes.iter().map(|g| (g.content_hash(), g));
+        let (filter, misses) = CacheFilter::split(self.cache.as_mut(), master_seed, hashed);
+        let fresh = self
+            .evaluate_uncached(misses.into_iter(), cfg, master_seed)
+            .unwrap_or_else(|e| panic!("genome invariant broken: {e}"));
+        filter.merge(self.cache.as_mut(), master_seed, fresh)
     }
 
     /// Compiles (once — the only compilation a genome gets) and runs
-    /// `genomes` (content hashes alongside) with no cache involved;
-    /// results in input order.
-    fn evaluate_uncached(
+    /// `genomes` (content hashes alongside) with no cache involved; results
+    /// in input order. An owned genome — an agent session's, whose
+    /// evaluator has no cache — is dropped as soon as it is compiled, so a
+    /// request never sits in memory beside its networks.
+    ///
+    /// # Errors
+    ///
+    /// [`NeatError::InvalidGenome`] from
+    /// [`FeedForwardNetwork::try_compile`], before any episode runs.
+    pub(crate) fn evaluate_uncached<G: Borrow<Genome>>(
         &mut self,
-        genomes: &[&Genome],
-        hashes: impl Iterator<Item = u64>,
+        genomes: impl Iterator<Item = (u64, G)>,
         cfg: &NeatConfig,
         master_seed: u64,
     ) -> Result<Vec<WireEvaluation>, NeatError> {
-        let mut nets = Vec::with_capacity(genomes.len());
-        for g in genomes {
-            nets.push(FeedForwardNetwork::try_compile(g, cfg)?);
+        let (mut ids, mut nets, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
+        let (episodes, mode) = (self.episodes, self.mode);
+        for (hash, g) in genomes {
+            nets.push(FeedForwardNetwork::try_compile(g.borrow(), cfg)?);
+            seeds.push(Evaluator::episode_seed(master_seed, hash, episodes, mode));
+            ids.push(g.borrow().id());
         }
-        let seeds: Vec<u64> = hashes
-            .map(|h| Evaluator::episode_seed(master_seed, h, self.episodes, self.mode))
-            .collect();
         let evals = self.run_misses(&nets, &seeds);
-        Ok(genomes
-            .iter()
+        Ok(ids
+            .into_iter()
             .zip(evals)
             .zip(&nets)
-            .map(|((g, eval), net)| (g.id(), eval, net.genes_per_activation()))
+            .map(|((id, eval), net)| (id, eval, net.genes_per_activation()))
             .collect())
     }
 
@@ -627,17 +623,16 @@ impl Evaluator {
         pop: &Population,
     ) -> Vec<(GenomeId, Evaluation, u64)> {
         let master_seed = pop.master_seed();
-        let (filter, misses) =
-            CacheFilter::split(self.cache.as_mut(), master_seed, pop.genomes().values());
+        let (filter, misses) = CacheFilter::split_population(self.cache.as_mut(), pop);
         let fresh = match &self.pool {
             Some(pool) => pool.evaluate_genomes(
-                misses.into_iter().cloned().collect(),
+                misses.into_iter().map(|(_, g)| g.clone()).collect(),
                 pop.config(),
                 master_seed,
                 pop.generation(),
             ),
             None => self
-                .evaluate_uncached(&misses, filter.miss_hashes(), pop.config(), master_seed)
+                .evaluate_uncached(misses.into_iter(), pop.config(), master_seed)
                 .unwrap_or_else(|e| panic!("genome invariant broken: {e}")),
         };
         filter.merge(self.cache.as_mut(), master_seed, fresh)

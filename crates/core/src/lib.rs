@@ -33,9 +33,10 @@
 //! out across host threads via [`parallel::ParallelEvaluator`]
 //! (enabled with [`ClanDriverBuilder::eval_threads`] or
 //! `clan-cli --eval-threads N`); the order-independent RNG discipline
-//! makes the parallel evaluation bit-identical to the serial path, so
-//! the simulated study results are unchanged while wall-clock time drops
-//! near-linearly with cores.
+//! makes the parallel evaluation bit-identical to the serial path. The
+//! centre's own serial sections — central reproduction, content-hashing a
+//! population for the cache — use its cores unasked, sized by the work
+//! ([`clan_neat::fanout`]), with the same bit-identity.
 //!
 //! # Distributed runtime
 //!
@@ -99,8 +100,9 @@
 //!   round-trip throughput, so partitions track how fast agents
 //!   actually are.
 //!
-//! Gathers are **out of order**: per-link reader threads bank each
-//! response as it arrives and results replay in genome-id order, so a
+//! Scatters borrow and gathers are **out of order** ([`runtime`]): each
+//! link's thread encodes its chunk straight from the population and banks
+//! the reply as it arrives, and results replay in genome-id order, so a
 //! fast agent never idles behind a slow one and the evolved genomes
 //! remain bit-identical to a serial run under any weights
 //! (`tests/hetero_equivalence.rs`). Balance is observable: per-agent

@@ -40,13 +40,12 @@
 //!   [`set_calibration`](EdgeCluster::set_calibration) enabled the
 //!   weights recalibrate themselves from measured per-chunk round-trip
 //!   times (an EWMA of genomes/second over prior generations).
-//! - **Out-of-order gather** — responses are collected by per-link
-//!   reader threads as each agent finishes, then replayed in link order
-//!   (which is genome-id order, since chunks are contiguous id-ordered
-//!   slices). A fast agent's results are banked while a slow one still
-//!   computes; the determinism contract — bit-identical to serial on
-//!   serial/dcs/dds/dda — is untouched because nothing downstream ever
-//!   observes arrival order.
+//! - **Borrowed scatter, out-of-order gather** — a thread per link encodes
+//!   its chunk straight from the borrowed population, sends it and banks
+//!   the reply as its agent finishes; everything then replays in link
+//!   order (genome-id order: chunks are contiguous id-ordered slices), so
+//!   nothing downstream observes arrival order and the determinism
+//!   contract — bit-identical to serial on serial/dcs/dds/dda — holds.
 //!
 //! Measured gather timing (makespan vs. summed per-link busy time)
 //! accumulates in [`GatherStats`]; per-agent wire bytes land in the
@@ -81,9 +80,10 @@ use crate::membership::{is_churn_error, AgentHealth, LinkHealth, RecoveryPolicy,
 use crate::telemetry::{EventKind, Tracer};
 use crate::transport::agent::{serve_session, AgentServer, UdpAgentServer};
 use crate::transport::churn::{ChurnAction, ChurnSchedule, DeadTransport};
+use crate::transport::codec::{encode_build_children, encode_evaluate, request_floats};
 use crate::transport::{
-    channel_pair, recv_message, send_message, ClusterSpec, TcpTransport, Transport, UdpConfig,
-    WireEvaluation, WireMessage,
+    channel_pair, recv_message, send_message, wire_bytes, ClusterSpec, TcpTransport, Transport,
+    UdpConfig, WireEvaluation, WireMessage,
 };
 use clan_distsim::partition_weighted;
 use clan_envs::Workload;
@@ -310,14 +310,18 @@ enum StreamEvent {
     },
 }
 
-/// What one link's exchange thread brings back: the send's measured
-/// wire bytes, the reply if the send went out, and the seconds from
-/// the start of the exchange to the end of both.
+/// What one link's exchange thread brings back: the request's modeled
+/// floats and measured wire bytes, the reply if the send went out, and
+/// the seconds from the start of the exchange to the end of both.
 type LinkExchange = (
-    Result<u64, ClanError>,
+    Result<(u64, u64), ClanError>,
     Option<Result<(WireMessage, u64), ClanError>>,
     f64,
 );
+
+/// Encodes one scatter chunk's request from the borrowed items, on the
+/// chunk's link thread: the frame and its modeled floats.
+type RequestEncoder<'a, T> = &'a (dyn Fn(&[T]) -> (Vec<u8>, u64) + Sync);
 
 /// One exchange attempt's result: per-link slots (`None` = no request
 /// sent; `Some(Err)` = churn-class link failure, already recorded in
@@ -327,10 +331,9 @@ struct ExchangeOutcome {
     makespan_s: f64,
 }
 
-/// Validates one link's reply to a scatter chunk (given the link's peer
-/// label for error messages) and extracts the chunk's result items.
-type ResponseHandler<'a, T, R> =
-    &'a mut dyn FnMut(String, WireMessage, &[T]) -> Result<Vec<R>, ClanError>;
+/// Extracts a scatter chunk's result items from its link's reply; `None`
+/// (a protocol violation) unless the reply answers the chunk item for item.
+type ResponseHandler<'a, T, R> = &'a mut dyn FnMut(WireMessage, &[T]) -> Option<Vec<R>>;
 
 /// Serves one in-process agent `session` for link slot `slot` on a named
 /// thread, surfacing OS thread exhaustion as a typed
@@ -1173,14 +1176,16 @@ impl EdgeCluster {
         }
     }
 
-    /// Scatters one request per link (skipping `None` entries) and
-    /// gathers the responses **out of order**: a thread per requested
-    /// link sends its request and banks the response the moment it
-    /// arrives, so a fast agent never waits behind a slow one — neither
-    /// in the collection loop nor behind its flow-controlled send.
-    /// All bookkeeping — ledger rows, calibration, membership marking —
-    /// then replays in link order, keeping every observable effect
-    /// deterministic regardless of arrival order.
+    /// Scatters one request per non-empty chunk and gathers the responses
+    /// **out of order**: a thread per requested link encodes its request
+    /// from the borrowed chunk, sends it and banks the reply the moment it
+    /// arrives, so a link never waits behind another's encode,
+    /// flow-controlled send (a datagram window waiting on acks, a slow or
+    /// dead peer) or reply. Its measured time — and so the makespan — runs
+    /// from the start of the round to its reply: encode, send, the agent's
+    /// work, receive, decode. All bookkeeping — ledger rows, calibration,
+    /// membership marking — then replays in link order, keeping every
+    /// observable effect deterministic regardless of arrival order.
     ///
     /// Churn-class failures (`Transport`/`Timeout`, on send or receive)
     /// do **not** abort the exchange: the failed link is marked in the
@@ -1188,15 +1193,15 @@ impl EdgeCluster {
     /// can reassign the lost chunk. Non-churn errors (protocol, frame)
     /// are bugs and propagate immediately.
     ///
-    /// Each request carries its work-item count; when
-    /// `calibrate_throughput` is set the per-link round-trip time feeds
-    /// the EWMA throughput estimate behind
-    /// [`effective_weights`](EdgeCluster::effective_weights).
-    fn exchange(
+    /// A chunk's length is its work-item count; with `calibrate_throughput`
+    /// the per-link round-trip time feeds the EWMA throughput estimate
+    /// behind [`effective_weights`](EdgeCluster::effective_weights).
+    fn exchange<T: Sync>(
         &mut self,
         send_kind: MessageKind,
         recv_kind: MessageKind,
-        requests: &[Option<(WireMessage, u64)>],
+        chunks: &[&[T]],
+        encode_request: RequestEncoder<'_, T>,
         calibrate_throughput: bool,
     ) -> Result<ExchangeOutcome, ClanError> {
         let round = self.round;
@@ -1209,22 +1214,25 @@ impl EdgeCluster {
             tracer,
             ..
         } = self;
-        debug_assert_eq!(requests.len(), links.len());
-        // One thread per requested link sends its request and then
-        // waits for the reply, so a flow-controlled send (a datagram
-        // window waiting on acks, a slow or dead peer) delays only its
-        // own link's work and replies are banked as they arrive.
+        debug_assert_eq!(chunks.len(), links.len());
         // clan-lint: allow(D2, reason="GatherStats wall-clock measurement; reported, never fed back into evolution")
         let start = Instant::now();
         let mut slots: Vec<Option<LinkExchange>> = (0..links.len()).map(|_| None).collect();
         std::thread::scope(|s| {
             let (tx, rx) = std::sync::mpsc::channel();
-            for (i, (link, req)) in links.iter_mut().zip(requests).enumerate() {
-                let Some((msg, _)) = req else { continue };
+            for (i, (link, &chunk)) in links.iter_mut().zip(chunks).enumerate() {
+                if chunk.is_empty() {
+                    continue;
+                }
                 let tx = tx.clone();
                 let transport: &mut dyn Transport = link.transport.as_mut();
                 s.spawn(move || {
-                    let sent = send_message(transport, msg);
+                    let sent = {
+                        // The frame is freed before the wait for the reply.
+                        let (frame, floats) = encode_request(chunk);
+                        let sent = transport.send_frame(&frame);
+                        sent.map(|()| (floats, wire_bytes(&frame)))
+                    };
                     let reply = sent.is_ok().then(|| recv_message(transport));
                     let _ = tx.send((i, (sent, reply, start.elapsed().as_secs_f64())));
                 });
@@ -1251,14 +1259,13 @@ impl EdgeCluster {
         let mut makespan = 0.0f64;
         let mut busy = 0.0f64;
         let mut hard_err: Option<ClanError> = None;
-        for (i, (slot, req)) in slots.into_iter().zip(requests).enumerate() {
-            let (Some((sent, reply, elapsed)), Some((request, work))) = (slot, req) else {
+        for (i, (slot, chunk)) in slots.into_iter().zip(chunks).enumerate() {
+            let Some((sent, reply, elapsed)) = slot else {
                 continue;
             };
+            let work = chunk.len() as u64;
             match sent {
-                Ok(bytes) => {
-                    ledger.record_agent_wire(i, send_kind, request.modeled_floats(), bytes);
-                }
+                Ok((floats, bytes)) => ledger.record_agent_wire(i, send_kind, floats, bytes),
                 Err(e) if is_churn_error(&e) => responses[i] = failed(links, i, e),
                 Err(e) => return Err(e),
             }
@@ -1271,10 +1278,10 @@ impl EdgeCluster {
                     tracer.timing(EventKind::AgentExchange, |ev| {
                         ev.agent = Some(i as u64);
                         ev.dur_us = Some((elapsed * 1e6) as u64);
-                        ev.items = Some(*work);
+                        ev.items = Some(work);
                     });
-                    if calibrate_throughput && *calibrate && *work > 0 {
-                        let throughput = *work as f64 / elapsed.max(1e-6);
+                    if calibrate_throughput && *calibrate && work > 0 {
+                        let throughput = work as f64 / elapsed.max(1e-6);
                         let link = &mut links[i];
                         link.measured = Some(match link.measured {
                             Some(prev) => EWMA_ALPHA * throughput + (1.0 - EWMA_ALPHA) * prev,
@@ -1331,20 +1338,21 @@ impl EdgeCluster {
     /// reassign its chunk across the links that have not failed this
     /// round and retry, within the recovery policy's budget and floor.
     ///
-    /// `make_request` builds one wire message per non-empty chunk;
-    /// `handle_response` validates a link's reply (given its peer label
-    /// for error messages) and returns the chunk's result items.
+    /// `encode_request` runs once per non-empty chunk, so no item is cloned
+    /// into an owned message and a retry re-encodes the reassigned items
+    /// from the same borrowed data; `handle_response` returns the result
+    /// items of a reply that answers its chunk.
     /// Results are returned in completion order — the caller reorders
     /// by id, which is what makes a churned run independent of which
     /// agent computed what.
     #[allow(clippy::too_many_arguments)]
-    fn scatter_with_recovery<T: Clone, R>(
+    fn scatter_with_recovery<T: Clone + Sync, R>(
         &mut self,
         items: &[T],
         send_kind: MessageKind,
         recv_kind: MessageKind,
         calibrate_throughput: bool,
-        make_request: &dyn Fn(&[T]) -> WireMessage,
+        encode_request: RequestEncoder<'_, T>,
         handle_response: ResponseHandler<'_, T, R>,
     ) -> Result<Vec<R>, ClanError> {
         self.apply_churn()?;
@@ -1366,11 +1374,13 @@ impl EdgeCluster {
             self.check_floor(usable, &mut last_err)?;
             let counts = partition_weighted(pending.len(), &weights);
             let chunks = chunk_by_counts(&pending, &counts);
-            let requests: Vec<Option<(WireMessage, u64)>> = chunks
-                .iter()
-                .map(|chunk| (!chunk.is_empty()).then(|| (make_request(chunk), chunk.len() as u64)))
-                .collect();
-            let outcome = self.exchange(send_kind, recv_kind, &requests, calibrate_throughput)?;
+            let outcome = self.exchange(
+                send_kind,
+                recv_kind,
+                &chunks,
+                encode_request,
+                calibrate_throughput,
+            )?;
             if attempt > 0 {
                 self.recovery.retry_attempts += 1;
                 self.recovery.recovery_s += outcome.makespan_s;
@@ -1380,8 +1390,11 @@ impl EdgeCluster {
                 match slot {
                     None => {}
                     Some(Ok(msg)) => {
-                        let peer = self.links[i].transport.peer();
-                        results.extend(handle_response(peer, msg, chunk)?);
+                        let answer = handle_response(msg, chunk);
+                        results.extend(answer.ok_or_else(|| ClanError::Protocol {
+                            peer: self.links[i].transport.peer(),
+                            reason: format!("{recv_kind:?} reply does not match the chunk sent"),
+                        })?);
                     }
                     Some(Err(e)) => {
                         failed_this_round[i] = true;
@@ -1411,13 +1424,12 @@ impl EdgeCluster {
     /// cost accounting bit-identically to a serial run. Does **not**
     /// touch the population's fitness or counters.
     ///
-    /// Work is split by the capability weights (even by default) and
-    /// responses are gathered out of order. A chunk lost to a failed
-    /// agent is reassigned across the links that have not failed this
-    /// round and retried (up to [`RecoveryPolicy::max_retries`] times);
-    /// because every result carries its genome id and the final batch
-    /// is replayed in id order, a churned run returns exactly what a
-    /// clean one would.
+    /// `pop` is only borrowed: its content hashes fan out over this
+    /// machine's cores, cache hits are served here, and each link thread
+    /// encodes its weighted share of the misses straight from it. A chunk
+    /// lost to a failed agent is reassigned and retried (up to
+    /// [`RecoveryPolicy::max_retries`] times); results carry genome ids and
+    /// replay in id order, so a churned run returns what a clean one would.
     ///
     /// # Errors
     ///
@@ -1435,42 +1447,27 @@ impl EdgeCluster {
         // only misses cross the wire. The scatter still runs (possibly
         // with zero items) so churn rounds advance on the same cadence
         // with the cache on or off.
-        let (filter, misses) =
-            CacheFilter::split(self.cache.as_mut(), master_seed, pop.genomes().values());
+        let (filter, misses) = CacheFilter::split_population(self.cache.as_mut(), pop);
+        let misses: Vec<&Genome> = misses.into_iter().map(|(_, g)| g).collect();
         let mut fresh = self.scatter_with_recovery(
             &misses,
             MessageKind::SendGenomes,
             MessageKind::SendFitness,
             true,
-            &|chunk| WireMessage::Evaluate {
-                generation,
-                master_seed,
-                genomes: chunk.iter().map(|g| (*g).clone()).collect(),
+            &|chunk| {
+                let frame = encode_evaluate(generation, master_seed, chunk);
+                (frame, request_floats(&[], chunk))
             },
-            &mut |peer, msg, chunk| {
-                let batch = match msg {
-                    WireMessage::Fitness(batch) => batch,
-                    other => {
-                        return Err(ClanError::Protocol {
-                            peer,
-                            reason: format!("expected Fitness, got {other:?}"),
-                        })
-                    }
-                };
-                if batch.len() != chunk.len()
-                    || batch.iter().zip(chunk.iter()).any(|(r, g)| r.0 != g.id())
+            &mut |msg, chunk| match msg {
+                WireMessage::Fitness(batch)
+                    if batch.iter().map(|r| r.0).eq(chunk.iter().map(|g| g.id())) =>
                 {
-                    return Err(ClanError::Protocol {
-                        peer,
-                        reason: "fitness batch does not match the genomes sent".into(),
-                    });
+                    Some(batch)
                 }
-                Ok(batch)
+                _ => None,
             },
         )?;
-        // Results carry genome ids; restoring id order (= the order the
-        // misses were submitted in) makes the batch independent of
-        // which agent computed what.
+        // Back in id order — the order the misses were submitted in.
         fresh.sort_by_key(|r| r.0);
         Ok(filter.merge(self.cache.as_mut(), master_seed, fresh))
     }
@@ -1706,42 +1703,26 @@ impl EdgeCluster {
                     chunk.iter().flat_map(|s| s.parent_ids()).collect();
                 parent_ids.sort_unstable();
                 parent_ids.dedup();
-                WireMessage::BuildChildren {
-                    generation: plan.generation,
-                    master_seed: pop.master_seed(),
-                    specs: chunk.to_vec(),
-                    parents: parent_ids
-                        .iter()
-                        // clan-lint: allow(L1, reason="parent ids come from the reproduction plan built over this same population; a miss is a planner bug the process cannot recover from")
-                        .map(|id| pop.genome(*id).expect("parent resident").clone())
-                        .collect(),
-                }
+                let parents: Vec<&Genome> = parent_ids
+                    .iter()
+                    // clan-lint: allow(L1, reason="parent ids come from the reproduction plan built over this same population; a miss is a planner bug the process cannot recover from")
+                    .map(|id| pop.genome(*id).expect("parent resident"))
+                    .collect();
+                (
+                    encode_build_children(plan.generation, pop.master_seed(), chunk, &parents),
+                    request_floats(chunk, &parents),
+                )
             },
-            &mut |peer, msg, chunk| {
-                let batch = match msg {
-                    WireMessage::Children(batch) => batch,
-                    other => {
-                        return Err(ClanError::Protocol {
-                            peer,
-                            reason: format!("expected Children, got {other:?}"),
-                        })
-                    }
-                };
-                if batch.len() != chunk.len()
-                    || batch
+            &mut |msg, chunk| match msg {
+                WireMessage::Children(batch)
+                    if batch
                         .iter()
-                        .zip(chunk.iter())
-                        .any(|(child, spec)| child.id() != spec.child_id)
+                        .map(Genome::id)
+                        .eq(chunk.iter().map(|s| s.child_id)) =>
                 {
-                    return Err(ClanError::Protocol {
-                        peer,
-                        reason: format!(
-                            "children batch does not match the {} specs sent",
-                            chunk.len()
-                        ),
-                    });
+                    Some(batch)
                 }
-                Ok(batch)
+                _ => None,
             },
         )?;
         // Children are keyed by id; replaying in the plan's spec order
@@ -2147,6 +2128,66 @@ mod tests {
         let failures = cluster.recovery_stats().failures;
         cluster.evaluate(&mut pop).unwrap();
         assert_eq!(cluster.recovery_stats().failures, failures);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn reassigned_chunk_is_re_encoded_from_the_borrowed_population() {
+        let cfg = cfg(12);
+        let pop = Population::new(cfg.clone(), 17);
+        let serial = Evaluator::new(Workload::CartPole, InferenceMode::MultiStep)
+            .evaluate_population_local(&pop);
+        let mut cluster = spawn_uncached(3, cfg);
+        cluster.kill_agent(1).unwrap();
+        // The scatter `evaluate_collect` runs, with an encoder that also
+        // records where each genome it is handed lives.
+        let genomes: Vec<&Genome> = pop.genomes().values().collect();
+        let encoded = std::sync::Mutex::new(Vec::new());
+        let mut fresh = cluster
+            .scatter_with_recovery(
+                &genomes,
+                MessageKind::SendGenomes,
+                MessageKind::SendFitness,
+                true,
+                &|chunk| {
+                    let seen = chunk
+                        .iter()
+                        .map(|g| (g.id(), std::ptr::from_ref(*g) as usize));
+                    encoded.lock().unwrap().extend(seen);
+                    (encode_evaluate(0, 17, chunk), request_floats(&[], chunk))
+                },
+                &mut |msg, _| match msg {
+                    WireMessage::Fitness(batch) => Some(batch),
+                    _ => None,
+                },
+            )
+            .unwrap();
+        fresh.sort_by_key(|r| r.0);
+        assert_eq!(fresh, serial, "reassignment must not change results");
+        // Link 1 died mid-round with genomes 4..8: they were encoded for
+        // it, then again on the retry, split over the two survivors — every
+        // time from the population's own genomes, never from a copy.
+        let mut encoded = encoded.into_inner().unwrap();
+        encoded.sort_unstable();
+        let twice = |id: u64| if (4..8).contains(&id) { 2 } else { 1 };
+        let expected: Vec<(GenomeId, usize)> = pop
+            .genomes()
+            .iter()
+            .flat_map(|(id, g)| vec![(*id, std::ptr::from_ref(g) as usize); twice(id.0)])
+            .collect();
+        assert_eq!(encoded, expected);
+        // Recovery and ledger rows are the values the owned-message
+        // scatter produced for this scenario.
+        let stats = cluster.recovery_stats();
+        assert_eq!((stats.reassigned_chunks, stats.reassigned_items), (1, 4));
+        assert_eq!((stats.retry_attempts, stats.agent_failures[1]), (1, 1));
+        let sent = cluster.ledger().entry(MessageKind::SendGenomes);
+        assert_eq!(
+            (sent.messages, sent.floats, sent.wire_bytes),
+            (4, 144, 1596)
+        );
+        let back = cluster.ledger().entry(MessageKind::SendFitness);
+        assert_eq!((back.messages, back.floats, back.wire_bytes), (4, 24, 440));
         cluster.shutdown();
     }
 

@@ -61,14 +61,17 @@ pub fn serve_session(transport: &mut dyn Transport) -> Result<(), ClanError> {
         };
         match msg {
             WireMessage::Evaluate {
-                generation,
                 master_seed,
                 genomes,
+                ..
             } => {
                 // The frame decoded, but its genomes are still a peer's
                 // word: one no network can be built from ends the session.
+                // They are consumed — hashed (the hash alone seeds the
+                // episodes), compiled and dropped one at a time.
+                let owned = genomes.into_iter().map(|g| (g.content_hash(), g));
                 let results = evaluator
-                    .try_evaluate_genomes(&genomes, &cfg, master_seed, generation)
+                    .evaluate_uncached(owned, &cfg, master_seed)
                     .map_err(|e| ClanError::Protocol {
                         peer: transport.peer(),
                         reason: format!("Evaluate carries an unusable genome: {e}"),
@@ -83,21 +86,17 @@ pub fn serve_session(transport: &mut dyn Transport) -> Result<(), ClanError> {
             } => {
                 let lookup: BTreeMap<GenomeId, Genome> =
                     parents.into_iter().map(|g| (g.id(), g)).collect();
+                let parent = |id: &GenomeId| {
+                    lookup.get(id).ok_or_else(|| ClanError::Protocol {
+                        peer: transport.peer(),
+                        reason: format!("spec references absent parent {id}"),
+                    })
+                };
                 let mut children = Vec::with_capacity(specs.len());
                 for spec in &specs {
                     let pids = spec.parent_ids();
-                    let p1 = lookup.get(&pids[0]).ok_or_else(|| ClanError::Protocol {
-                        peer: transport.peer(),
-                        reason: format!("spec references absent parent {}", pids[0]),
-                    })?;
-                    let p2 = match pids.get(1) {
-                        Some(id) => Some(lookup.get(id).ok_or_else(|| ClanError::Protocol {
-                            peer: transport.peer(),
-                            reason: format!("spec references absent parent {id}"),
-                        })?),
-                        None => None,
-                    };
-                    children.push(make_child(&cfg, spec, (p1, p2), master_seed, generation));
+                    let parents = (parent(&pids[0])?, pids.get(1).map(parent).transpose()?);
+                    children.push(make_child(&cfg, spec, parents, master_seed, generation));
                 }
                 send_message(transport, &WireMessage::Children(children))?;
             }

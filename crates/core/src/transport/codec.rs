@@ -83,6 +83,7 @@ use clan_neat::{
     SpeciesId,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Frame magic: every CLAN frame starts with these bytes.
 pub const MAGIC: [u8; 4] = *b"CLAN";
@@ -225,24 +226,24 @@ impl WireMessage {
     /// against the encoded frame's byte length measures real framing
     /// overhead.
     pub fn modeled_floats(&self) -> u64 {
-        use crate::orchestra::{
-            FITNESS_ENTRY_FLOATS, GENOME_HEADER_FLOATS, PARENT_LIST_ENTRY_FLOATS,
-        };
-        let genome_floats = |gs: &[Genome]| -> u64 {
-            gs.iter()
-                .map(|g| g.num_genes() + GENOME_HEADER_FLOATS)
-                .sum()
-        };
         match self {
             WireMessage::Configure(_) | WireMessage::Shutdown => 0,
-            WireMessage::Evaluate { genomes, .. } => genome_floats(genomes),
-            WireMessage::Fitness(results) => results.len() as u64 * FITNESS_ENTRY_FLOATS,
-            WireMessage::BuildChildren { specs, parents, .. } => {
-                specs.len() as u64 * PARENT_LIST_ENTRY_FLOATS + genome_floats(parents)
+            WireMessage::Evaluate { genomes, .. } => request_floats(&[], genomes),
+            WireMessage::Fitness(results) => {
+                results.len() as u64 * crate::orchestra::FITNESS_ENTRY_FLOATS
             }
-            WireMessage::Children(children) => genome_floats(children),
+            WireMessage::BuildChildren { specs, parents, .. } => request_floats(specs, parents),
+            WireMessage::Children(children) => request_floats(&[], children),
         }
     }
+}
+
+/// A request's size in the analytic model's floats: a parent-list entry
+/// per spec, and genes plus a header per genome.
+pub(crate) fn request_floats<G: Borrow<Genome>>(specs: &[ChildSpec], genomes: &[G]) -> u64 {
+    use crate::orchestra::{GENOME_HEADER_FLOATS, PARENT_LIST_ENTRY_FLOATS};
+    let floats = |g: &G| g.borrow().num_genes() + GENOME_HEADER_FLOATS;
+    specs.len() as u64 * PARENT_LIST_ENTRY_FLOATS + genomes.iter().map(floats).sum::<u64>()
 }
 
 // ----------------------------------------------------------------------
@@ -377,40 +378,75 @@ fn aggregation_index(a: Aggregation) -> u8 {
         .expect("aggregation is in ALL") as u8
 }
 
+/// Opens a frame (magic + version + tag) with room for `genomes`.
+fn frame<G: Borrow<Genome>>(tag: u8, genomes: &[G]) -> Vec<u8> {
+    let hint: usize = genomes.iter().map(|g| genome_size_hint(g.borrow())).sum();
+    let mut out = Vec::with_capacity(64 + hint);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&[VERSION, tag]);
+    out
+}
+
+fn put_genomes<G: Borrow<Genome>>(out: &mut Vec<u8>, genomes: &[G]) {
+    put_u32(out, genomes.len() as u32);
+    for g in genomes {
+        put_genome(out, g.borrow());
+    }
+}
+
+/// Encodes an [`Evaluate`](WireMessage::Evaluate) frame from genomes the
+/// caller only borrows (`&[Genome]` or `&[&Genome]`): [`encode`]'s bytes
+/// without the owned message, so a scatter never clones a genome to send.
+pub fn encode_evaluate<G: Borrow<Genome>>(
+    generation: u64,
+    master_seed: u64,
+    genomes: &[G],
+) -> Vec<u8> {
+    let mut out = frame(tag::EVALUATE, genomes);
+    put_u64(&mut out, generation);
+    put_u64(&mut out, master_seed);
+    put_genomes(&mut out, genomes);
+    out
+}
+
+/// [`encode_evaluate`]'s counterpart for
+/// [`BuildChildren`](WireMessage::BuildChildren).
+pub fn encode_build_children<G: Borrow<Genome>>(
+    generation: u64,
+    master_seed: u64,
+    specs: &[ChildSpec],
+    parents: &[G],
+) -> Vec<u8> {
+    let mut out = frame(tag::BUILD_CHILDREN, parents);
+    put_u64(&mut out, generation);
+    put_u64(&mut out, master_seed);
+    put_u32(&mut out, specs.len() as u32);
+    for spec in specs {
+        put_spec(&mut out, spec);
+    }
+    put_genomes(&mut out, parents);
+    out
+}
+
 /// Encodes one message into a frame (magic + version + tag + payload).
 pub fn encode(msg: &WireMessage) -> Vec<u8> {
-    let genomes: &[Genome] = match msg {
-        WireMessage::Evaluate { genomes, .. } | WireMessage::Children(genomes) => genomes,
-        WireMessage::BuildChildren { parents, .. } => parents,
-        _ => &[],
-    };
-    let mut out = Vec::with_capacity(64 + genomes.iter().map(genome_size_hint).sum::<usize>());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
     match msg {
         WireMessage::Configure(spec) => {
-            out.push(tag::CONFIGURE);
+            let mut out = frame::<Genome>(tag::CONFIGURE, &[]);
             let json =
                 // clan-lint: allow(L1, reason="encode side: serializing a host-built spec struct cannot fail; not wire-derived")
                 serde_json::to_string(spec.as_ref()).expect("spec serialization cannot fail");
             put_u32(&mut out, json.len() as u32);
             out.extend_from_slice(json.as_bytes());
+            out
         }
         WireMessage::Evaluate {
             generation,
             master_seed,
             genomes,
-        } => {
-            out.push(tag::EVALUATE);
-            put_u64(&mut out, *generation);
-            put_u64(&mut out, *master_seed);
-            put_u32(&mut out, genomes.len() as u32);
-            for g in genomes {
-                put_genome(&mut out, g);
-            }
-        }
+        } => encode_evaluate(*generation, *master_seed, genomes),
         WireMessage::Fitness(results) => {
-            out.push(tag::FITNESS);
+            let mut out = frame::<Genome>(tag::FITNESS, &[]);
             put_u32(&mut out, results.len() as u32);
             for (id, eval, genes_per_activation) in results {
                 put_u64(&mut out, id.0);
@@ -418,35 +454,21 @@ pub fn encode(msg: &WireMessage) -> Vec<u8> {
                 put_u64(&mut out, eval.activations);
                 put_u64(&mut out, *genes_per_activation);
             }
+            out
         }
         WireMessage::BuildChildren {
             generation,
             master_seed,
             specs,
             parents,
-        } => {
-            out.push(tag::BUILD_CHILDREN);
-            put_u64(&mut out, *generation);
-            put_u64(&mut out, *master_seed);
-            put_u32(&mut out, specs.len() as u32);
-            for spec in specs {
-                put_spec(&mut out, spec);
-            }
-            put_u32(&mut out, parents.len() as u32);
-            for g in parents {
-                put_genome(&mut out, g);
-            }
-        }
+        } => encode_build_children(*generation, *master_seed, specs, parents),
         WireMessage::Children(children) => {
-            out.push(tag::CHILDREN);
-            put_u32(&mut out, children.len() as u32);
-            for g in children {
-                put_genome(&mut out, g);
-            }
+            let mut out = frame(tag::CHILDREN, children);
+            put_genomes(&mut out, children);
+            out
         }
-        WireMessage::Shutdown => out.push(tag::SHUTDOWN),
+        WireMessage::Shutdown => frame::<Genome>(tag::SHUTDOWN, &[]),
     }
-    out
 }
 
 // ----------------------------------------------------------------------

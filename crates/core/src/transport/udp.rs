@@ -606,7 +606,7 @@ pub struct LinkStats {
 impl LinkStats {
     /// Total overhead bytes attributable to loss recovery on this
     /// endpoint (retransmitted + duplicate-received).
-    pub fn overhead_bytes(&self) -> u64 {
+    pub(crate) fn overhead_bytes(&self) -> u64 {
         self.retrans_bytes + self.dup_bytes
     }
 

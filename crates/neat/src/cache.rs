@@ -19,9 +19,8 @@
 //! which is how the evaluators own their caches.
 //!
 //! Hits and lookups are counted in a per-generation *window* so
-//! orchestrators can report a hit rate per generation (alongside the
-//! speciation `distance_memo_hits`) without the counters becoming part
-//! of the determinism contract.
+//! orchestrators can report a hit rate per generation without the
+//! counters becoming part of the determinism contract.
 
 use crate::population::Evaluation;
 use serde::{Deserialize, Serialize};

@@ -122,6 +122,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod counters;
 pub mod error;
+pub mod fanout;
 pub mod gene;
 pub mod genome;
 pub mod network;

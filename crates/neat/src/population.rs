@@ -6,6 +6,7 @@
 use crate::config::NeatConfig;
 use crate::counters::{CostCounters, GenerationCosts};
 use crate::error::NeatError;
+use crate::fanout;
 use crate::gene::GenomeId;
 use crate::genome::Genome;
 use crate::network::FeedForwardNetwork;
@@ -324,27 +325,40 @@ impl Population {
         ))
     }
 
-    /// Builds one child of `plan` from genomes resident in this
-    /// population, charging reproduction cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's parents are not in the population.
-    pub fn build_child(&mut self, spec: &ChildSpec) -> Genome {
+    /// One child from genomes resident here (panics if a parent is not).
+    /// Pure — [`make_child`] is location-independent, nothing is charged —
+    /// so any thread may build any child.
+    fn child_of(&self, spec: &ChildSpec) -> Genome {
         let parents = spec.parent_ids();
         let p1 = &self.genomes[&parents[0]];
         let p2 = parents.get(1).map(|id| &self.genomes[id]);
-        let child = make_child(&self.cfg, spec, (p1, p2), self.master_seed, self.generation);
+        make_child(&self.cfg, spec, (p1, p2), self.master_seed, self.generation)
+    }
+
+    /// [`child_of`](Self::child_of), charging reproduction cost.
+    pub(crate) fn build_child(&mut self, spec: &ChildSpec) -> Genome {
+        let child = self.child_of(spec);
         self.counters.record_reproduction(child.num_genes());
         child
     }
 
-    /// Phase `R` performed centrally: builds every child in `plan`.
+    /// Phase `R` performed centrally: every child of `plan`, in plan order.
+    /// A child is a pure function of `(config, spec, parents, master seed,
+    /// generation)` — why DDS can ship specs to agents — so the centre breeds
+    /// on all its cores ([`fanout`], sized by the population's genes), then
+    /// charges the cost in plan order: bit-identical at any core count.
     pub fn reproduce_centrally(&mut self, plan: &GenerationPlan) -> Vec<Genome> {
-        plan.children
-            .iter()
-            .map(|spec| self.build_child(spec))
-            .collect()
+        let genes = self.genomes.values().map(Genome::num_genes).sum();
+        self.reproduce_over(fanout::workers(genes, fanout::cores), plan)
+    }
+
+    /// [`reproduce_centrally`](Self::reproduce_centrally) on `workers` threads.
+    fn reproduce_over(&mut self, workers: usize, plan: &GenerationPlan) -> Vec<Genome> {
+        let children = fanout::fan_out_over(workers, &plan.children, |spec| self.child_of(spec));
+        for child in &children {
+            self.counters.record_reproduction(child.num_genes());
+        }
+        children
     }
 
     /// Installs the next generation's genomes and advances the generation
@@ -772,6 +786,41 @@ mod tests {
         let costs = pop.counters().current();
         assert_eq!(costs.episodes, 2, "an unknown id charges nothing");
         assert_eq!(costs.inference_genes, 2 * 2 * 3);
+    }
+
+    #[test]
+    fn reproduction_is_identical_at_any_worker_count() {
+        use crate::reproduction::ChildKind;
+        // 31 children: no worker count below divides them evenly.
+        let mut pop = Population::new(cfg(31), 15);
+        pop.evaluate(|_, g| (g.id().0 % 7) as f64);
+        pop.speciate();
+        let plan = pop.plan_generation().unwrap();
+        let kinds: Vec<ChildKind> = plan.children.iter().map(|c| c.kind).collect();
+        assert!(kinds.iter().any(|k| matches!(k, ChildKind::Elite { .. })));
+        assert!(kinds
+            .iter()
+            .any(|k| matches!(k, ChildKind::Crossover { parent1, parent2 } if parent1 == parent2)));
+        // The reference: one child at a time, charged as it is built.
+        let mut serial = pop.clone();
+        let expected: Vec<Genome> = plan
+            .children
+            .iter()
+            .map(|spec| serial.build_child(spec))
+            .collect();
+        for workers in [1, 2, 3, 8] {
+            let mut fanned = pop.clone();
+            let children = fanned.reproduce_over(workers, &plan);
+            assert_eq!(children, expected, "{workers} worker(s)");
+            let ids: Vec<GenomeId> = children.iter().map(Genome::id).collect();
+            let planned: Vec<GenomeId> = plan.children.iter().map(|c| c.child_id).collect();
+            assert_eq!(ids, planned, "plan order at {workers} worker(s)");
+            assert_eq!(
+                fanned.counters().current(),
+                serial.counters().current(),
+                "{workers} worker(s)"
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! *Reproduction* ([`make_child`]) turns one [`ChildSpec`] plus its parent
 //! genomes into a child, deterministically: the RNG stream is derived from
-//! `(master_seed, generation, child_id)`, so any agent reproduces any
-//! child identically.
+//! `(master_seed, generation, child_id)`, so any agent — or any core of
+//! the centre ([`crate::fanout`]) — reproduces any child identically.
 
 use crate::config::NeatConfig;
 use crate::gene::{GenomeId, SpeciesId};

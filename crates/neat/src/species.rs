@@ -124,35 +124,6 @@ pub struct SpeciesSet {
     /// Consecutive generations with fewer species than the target band
     /// (hysteresis state for the dynamic threshold controller).
     below_band_streak: u32,
-    /// Generation the distance memo below belongs to; the memo is wiped
-    /// whenever speciation runs for a different generation.
-    ///
-    /// Transient cache state: never serialized (checkpoints stay
-    /// cache-free and loadable across builds with or without the memo).
-    #[serde(skip)]
-    memo_generation: Option<u64>,
-    /// Per-generation compatibility-distance memo keyed
-    /// `(genome_id, representative_id)`. Distances are pure functions of
-    /// the two genomes, and genome ids are never reused with different
-    /// contents within a run, so repeated speciation passes over the
-    /// same generation reuse cached distances instead of recomputing
-    /// them.
-    ///
-    /// Trade-off, measured honestly by `distance_memo_hits`: **no
-    /// current orchestrator flow re-speciates within a generation**
-    /// (each calls `speciate` once and DDA resync advances the
-    /// generation first, wiping the memo), so in shipped runs every
-    /// distance evaluation pays one map insert with zero hits in return
-    /// — a few percent of the speciation phase, which is itself a small
-    /// fraction of a generation. The memo pays off only in multi-pass
-    /// same-generation flows (analysis tooling re-running the phase,
-    /// future mid-generation global speciation). Gene-cost accounting
-    /// (the paper's metric) is unaffected either way; if the hit
-    /// counter stays at zero once such flows exist, delete this.
-    ///
-    /// Transient cache state: never serialized.
-    #[serde(skip)]
-    distance_memo: BTreeMap<(u64, u64), f64>,
 }
 
 /// Result summary of one speciation pass.
@@ -160,14 +131,10 @@ pub struct SpeciesSet {
 pub struct SpeciationOutcome {
     /// Number of species after the pass.
     pub species_count: usize,
-    /// Number of genome-pair distance evaluations performed (memo
-    /// *misses* — only these are charged as speciation cost).
+    /// Number of genome-pair distance evaluations performed.
     pub distance_evals: u64,
     /// Genes processed by those evaluations (the paper's cost unit).
     pub genes_processed: u64,
-    /// Distance requests served from the per-generation memo instead of
-    /// being recomputed (memo *hits*; zero cost).
-    pub distance_memo_hits: u64,
 }
 
 impl SpeciesSet {
@@ -229,67 +196,41 @@ impl SpeciesSet {
         generation: u64,
         counters: &mut CostCounters,
     ) -> SpeciationOutcome {
-        // Per-generation distance memo: distances are pure in the two
-        // genomes and ids are never rebound within a run, so any repeated
-        // (genome, representative) comparison this generation is served
-        // from cache, free of gene cost.
-        if self.memo_generation != Some(generation) {
-            self.distance_memo.clear();
-            self.memo_generation = Some(generation);
-        }
-        let memo = &mut self.distance_memo;
         let mut distance_evals = 0u64;
         let mut genes_processed = 0u64;
-        let mut memo_hits = 0u64;
         let mut dist = |rep: &Genome, genome: &Genome, counters: &mut CostCounters| -> f64 {
-            let key = (genome.id().0, rep.id().0);
-            if let Some(&cached) = memo.get(&key) {
-                memo_hits += 1;
-                return cached;
-            }
-            let d = rep.distance(genome, cfg);
             let genes = rep.num_genes() + genome.num_genes();
             counters.record_distance(genes);
             distance_evals += 1;
             genes_processed += genes;
-            memo.insert(key, d);
-            d
+            rep.distance(genome, cfg)
         };
 
         let mut unassigned: BTreeMap<GenomeId, &Genome> =
             genomes.iter().map(|(&id, g)| (id, g)).collect();
 
         // Phase 1: re-anchor each surviving species on the closest genome.
-        let sids: Vec<SpeciesId> = self.species.keys().copied().collect();
         let mut adopted: Vec<(SpeciesId, GenomeId)> = Vec::new();
-        for sid in sids {
-            let rep = self.species[&sid].representative().clone();
+        for (&sid, species) in &self.species {
+            let rep = species.representative();
             let mut best: Option<(f64, GenomeId)> = None;
             for (&gid, g) in &unassigned {
-                let d = dist(&rep, g, counters);
+                let d = dist(rep, g, counters);
                 if best.is_none_or(|(bd, _)| d < bd) {
                     best = Some((d, gid));
                 }
             }
-            match best {
-                Some((_, gid)) => {
-                    unassigned.remove(&gid);
-                    adopted.push((sid, gid));
-                }
-                None => {
-                    // More species than genomes: species keeps its old
-                    // representative and simply gets no members this round.
-                    adopted.push((sid, GenomeId(u64::MAX)));
-                }
+            // More species than genomes: a species left without one keeps
+            // its old representative and simply gets no members this round.
+            if let Some((_, gid)) = best {
+                unassigned.remove(&gid);
+                adopted.push((sid, gid));
             }
         }
         for s in self.species.values_mut() {
             s.clear_members();
         }
         for (sid, gid) in adopted {
-            if gid == GenomeId(u64::MAX) {
-                continue;
-            }
             let genome = genomes[&gid].clone();
             let s = self.species.get_mut(&sid).expect("species exists");
             s.set_representative(genome);
@@ -298,9 +239,7 @@ impl SpeciesSet {
 
         // Phase 2: assign the rest to the nearest compatible species.
         let threshold = *self.threshold.get_or_insert(cfg.compatibility_threshold);
-        let remaining: Vec<GenomeId> = unassigned.keys().copied().collect();
-        for gid in remaining {
-            let genome = &genomes[&gid];
+        for (gid, genome) in unassigned {
             let mut best: Option<(f64, SpeciesId)> = None;
             for (sid, s) in &self.species {
                 let d = dist(s.representative(), genome, counters);
@@ -359,16 +298,7 @@ impl SpeciesSet {
             species_count: self.species.len(),
             distance_evals,
             genes_processed,
-            distance_memo_hits: memo_hits,
         }
-    }
-
-    /// Test support: drops all memoized distances so a pass can be
-    /// exercised cold regardless of generation bookkeeping.
-    #[cfg(test)]
-    fn wipe_distance_memo(&mut self) {
-        self.distance_memo.clear();
-        self.memo_generation = None;
     }
 
     /// Species id containing `genome`, if any.
@@ -493,90 +423,6 @@ mod tests {
             assert!(set.species_of(gid).is_some());
         }
         assert!(set.species_of(GenomeId(999)).is_none());
-    }
-
-    #[test]
-    fn distance_memo_serves_repeat_comparisons() {
-        let cfg = cfg();
-        let genomes = make_genomes(&cfg, 15, 8);
-        let mut counters = CostCounters::new();
-
-        let mut memoized = SpeciesSet::new();
-        let first = memoized.speciate(&genomes, &cfg, 0, &mut counters);
-        assert_eq!(
-            first.distance_memo_hits, 0,
-            "a fresh set's first pass repeats nothing"
-        );
-
-        // Re-speciating the same generation (the DDA resync pattern)
-        // repeats (genome, representative) comparisons both across passes
-        // and within a pass (phase 1 re-anchoring recomputes pairs that
-        // phase 2 then needs again); the memo must serve all of them
-        // without recomputation.
-        let evals_before = counters.current().distance_evals;
-        let second = memoized.speciate(&genomes, &cfg, 0, &mut counters);
-        assert!(second.distance_memo_hits > 0, "warm memo must hit");
-        assert!(
-            second.distance_evals < first.distance_evals,
-            "hits replace recomputation: {} vs {}",
-            second.distance_evals,
-            first.distance_evals
-        );
-        assert_eq!(
-            counters.current().distance_evals - evals_before,
-            second.distance_evals,
-            "only misses are charged to the cost counters"
-        );
-        assert_eq!(first.species_count, second.species_count);
-
-        // A new generation index wipes the memo: cross-pass pairs must be
-        // recomputed (intra-pass repeats may still hit).
-        let third = memoized.speciate(&genomes, &cfg, 1, &mut counters);
-        assert!(
-            third.distance_evals > second.distance_evals,
-            "wiped memo must recompute cross-pass distances: {} vs {}",
-            third.distance_evals,
-            second.distance_evals
-        );
-    }
-
-    #[test]
-    fn distance_memo_does_not_change_assignments() {
-        let cfg = NeatConfig::builder(3, 1)
-            .compatibility_threshold(0.6)
-            .build()
-            .unwrap();
-        let mut genomes = make_genomes(&cfg, 12, 9);
-        let ids: Vec<GenomeId> = genomes.keys().copied().collect();
-        for (i, id) in ids.iter().enumerate() {
-            if i % 2 == 0 {
-                let g = genomes.get_mut(id).unwrap();
-                let mut rng = StdRng::seed_from_u64(500 + i as u64);
-                for _ in 0..25 {
-                    g.mutate(&cfg, &mut rng);
-                }
-            }
-        }
-        // Two identical sets run two passes over the same generation; one
-        // has its memo wiped before the second pass. The resulting
-        // partitions must be identical — cached distances change cost,
-        // never outcomes.
-        let mut counters = CostCounters::new();
-        let mut warm = SpeciesSet::new();
-        warm.speciate(&genomes, &cfg, 0, &mut counters);
-        let mut cold = warm.clone();
-        cold.wipe_distance_memo();
-        let warm_out = warm.speciate(&genomes, &cfg, 0, &mut counters);
-        let cold_out = cold.speciate(&genomes, &cfg, 0, &mut counters);
-        assert!(warm_out.distance_memo_hits > cold_out.distance_memo_hits);
-        let members = |set: &SpeciesSet| -> Vec<(SpeciesId, Vec<GenomeId>)> {
-            set.species()
-                .iter()
-                .map(|(&sid, s)| (sid, s.members().to_vec()))
-                .collect()
-        };
-        assert_eq!(members(&warm), members(&cold));
-        assert_eq!(warm_out.species_count, cold_out.species_count);
     }
 
     #[test]

@@ -83,23 +83,6 @@ fn learning_resumes_identically_from_population_checkpoint() {
 }
 
 #[test]
-fn checkpoints_carry_no_speciation_cache_state() {
-    // The speciation distance memo is transient cache: it must never be
-    // serialized (checkpoints stay loadable across builds that add or
-    // drop cache fields, and carry no redundant bytes).
-    let (_, pop) = evolve(3);
-    let snapshot = population_to_json(&pop).expect("serialize");
-    assert!(
-        !snapshot.contains("distance_memo") && !snapshot.contains("memo_generation"),
-        "cache fields leaked into the checkpoint"
-    );
-    // A checkpoint round trip starts with a cold memo but identical
-    // evolutionary state (covered above); loading must also succeed when
-    // the fields are absent entirely — which this snapshot proves.
-    population_from_json(&snapshot).expect("deserialize");
-}
-
-#[test]
 fn champion_exports_to_dot() {
     let (cfg, pop) = evolve(4);
     let expert = pop.best_ever().expect("champion");

@@ -234,6 +234,68 @@ proptest! {
         prop_assert!((s.transfer_time_s(bytes) - expected).abs() < 1e-9);
     }
 
+    // ---------------- borrowed encoders, fanned-out hashing ----------------
+
+    #[test]
+    fn borrowed_encoders_and_fanned_hashes_match_the_owned_paths(
+        cfg in arb_cfg(),
+        seed in any::<u64>(),
+        generation in any::<u64>(),
+        n in 0u64..7,
+        muts in 0u32..12,
+    ) {
+        use clan::core::transport::codec::{encode_build_children, encode_evaluate};
+        use clan::core::transport::{encode, WireMessage};
+        use clan::neat::fanout::fan_out;
+        use clan::neat::reproduction::{ChildKind, ChildSpec};
+        use clan::neat::SpeciesId;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let genomes: Vec<Genome> = (0..n)
+            .map(|i| {
+                let mut g = Genome::new_initial(&cfg, GenomeId(i), &mut rng);
+                for _ in 0..muts {
+                    g.mutate(&cfg, &mut rng);
+                }
+                if i % 2 == 0 {
+                    g.set_fitness(i as f64 - 0.5);
+                }
+                g
+            })
+            .collect();
+        let borrowed: Vec<&Genome> = genomes.iter().collect();
+        let owned = WireMessage::Evaluate {
+            generation,
+            master_seed: seed,
+            genomes: genomes.clone(),
+        };
+        prop_assert_eq!(encode(&owned), encode_evaluate(generation, seed, &borrowed));
+        let specs: Vec<ChildSpec> = (0..n)
+            .map(|i| ChildSpec {
+                child_id: GenomeId(100 + i),
+                species: SpeciesId(i as u32 % 3),
+                kind: match i % 3 {
+                    0 => ChildKind::Elite { source: GenomeId(i) },
+                    _ => ChildKind::Crossover { parent1: GenomeId(i), parent2: GenomeId(i / 2) },
+                },
+            })
+            .collect();
+        let owned = WireMessage::BuildChildren {
+            generation,
+            master_seed: seed,
+            specs: specs.clone(),
+            parents: genomes.clone(),
+        };
+        prop_assert_eq!(
+            encode(&owned),
+            encode_build_children(generation, seed, &specs, &borrowed)
+        );
+        // Claimed work above and below the gene floor: with and without
+        // worker threads the hashes are `content_hash`'s, in input order.
+        let serial: Vec<u64> = genomes.iter().map(Genome::content_hash).collect();
+        prop_assert_eq!(&fan_out(&borrowed, u64::MAX, |g| g.content_hash()), &serial);
+        prop_assert_eq!(&fan_out(&borrowed, 0, |g| g.content_hash()), &serial);
+    }
+
     // ---------------- lossy-transport invariants ----------------
 
     #[test]
