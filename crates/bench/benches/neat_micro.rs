@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the NEAT primitives: the per-gene costs
 //! that the CLAN cost model abstracts as genes/second.
 
+use clan_core::transport::{decode, encode, WireMessage};
 use clan_neat::{FeedForwardNetwork, Genome, GenomeId, NeatConfig, Population, Scratch};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -48,6 +49,21 @@ fn bench_genome_ops(c: &mut Criterion) {
     });
     group.bench_function("compile_atari", |b| {
         b.iter(|| black_box(FeedForwardNetwork::compile(&a, &cfg)))
+    });
+    // What a generation pays per genome outside the operators: one copy
+    // (and one drop) per elite and per scattered genome, one hash per
+    // cache lookup, one encode and one decode per trip over the wire.
+    group.bench_function("clone_atari", |b| b.iter(|| black_box(a.clone())));
+    group.bench_function("content_hash_atari", |b| {
+        b.iter(|| black_box(a.content_hash()))
+    });
+    let message = WireMessage::Children(vec![a.clone()]);
+    let frame = encode(&message);
+    group.bench_function("codec_encode_atari", |b| {
+        b.iter(|| black_box(encode(black_box(&message))))
+    });
+    group.bench_function("codec_decode_atari", |b| {
+        b.iter(|| black_box(decode(black_box(&frame)).expect("a frame this build encoded")))
     });
     group.bench_function("mutate_atari", |b| {
         let mut rng = StdRng::seed_from_u64(4);

@@ -15,8 +15,8 @@
 //!
 //! # Genomes are sorted runs
 //!
-//! A genome's node and connection tables are `BTreeMap`s, so they reach
-//! the encoder already in ascending key order. The format spends that
+//! A genome's node and connection tables ([`clan_neat::GeneTable`]) are
+//! key-ascending runs when they reach the encoder. The format spends that
 //! order instead of repeating it: keys travel as the *difference* to
 //! the previous key in a LEB128 varint (7 bits per byte, low group
 //! first, at most 10 bytes), which for the dense ids of a NEAT genome
@@ -45,8 +45,8 @@
 //! collapsed into one gene), a delta that carries past `i64::MAX`, a
 //! varint longer than 10 bytes or overflowing `u64`, and set padding
 //! bits are each a [`FrameError::BadValue`]; out-of-order keys are
-//! unrepresentable. Because the keys are proven sorted, both tables are
-//! bulk-built from the decoded run rather than inserted gene by gene.
+//! unrepresentable. Because the keys are proven sorted, each decoded
+//! `Vec` becomes its gene table as it stands; nothing is rebuilt.
 //! Every declared count is bounded by the bytes that remain (at the
 //! per-element minimum: 19 per node, 10 per connection, 4 per genome)
 //! before anything is reserved for it.
@@ -305,7 +305,7 @@ fn put_genome(out: &mut Vec<u8>, g: &Genome) {
     }
     put_varint(out, g.nodes().len() as u64);
     let mut prev = None;
-    for (id, node) in g.nodes() {
+    for (id, node) in g.nodes().as_slice() {
         match prev {
             None => put_zigzag(out, id.0),
             Some(p) => put_varint(out, key_delta(p, id.0)),
@@ -320,7 +320,7 @@ fn put_genome(out: &mut Vec<u8>, g: &Genome) {
     // Gathered in the same walk, written after it.
     let mut enabled = vec![0u8; g.conns().len().div_ceil(8)];
     let mut prev = None;
-    for (i, (key, conn)) in g.conns().iter().enumerate() {
+    for (i, (key, conn)) in g.conns().as_slice().iter().enumerate() {
         let (input, output) = (key.input.0, key.output.0);
         match prev {
             None => {
@@ -654,9 +654,9 @@ fn get_genome(r: &mut Reader<'_>) -> Result<Genome, FrameError> {
             gene.enabled = byte >> bit & 1 == 1;
         }
     }
-    // Both runs are strictly ascending by construction, so collecting
-    // builds each tree bottom-up in one pass instead of gene by gene.
-    let mut g = Genome::from_parts(id, nodes.into_iter().collect(), conns.into_iter().collect());
+    // Strictly ascending by construction: each run becomes its table as it stands.
+    let mut g = Genome::from_sorted_runs(id, nodes, conns)
+        .map_err(|_| FrameError::BadValue("gene keys not ascending"))?;
     if let Some(fitness) = fitness {
         g.set_fitness(fitness);
     }

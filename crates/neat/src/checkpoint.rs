@@ -245,6 +245,108 @@ mod tests {
         ));
     }
 
+    /// `genome_to_json` of `Genome::new_initial(cfg(2, 1), GenomeId(7),
+    /// seed 3)` with fitness 1.5, as written by the last build whose gene
+    /// tables were `BTreeMap`s (commit a4134e5).
+    const GOLDEN_GENOME: &str = r#"{
+  "version": 1,
+  "genome": {
+    "id": 7,
+    "nodes": [
+      [
+        0,
+        {
+          "bias": -0.6441364961562857,
+          "response": 1.0,
+          "activation": "Sigmoid",
+          "aggregation": "Sum"
+        }
+      ]
+    ],
+    "conns": [
+      [
+        {
+          "input": -2,
+          "output": 0
+        },
+        {
+          "weight": -1.0357985036179391,
+          "enabled": true
+        }
+      ],
+      [
+        {
+          "input": -1,
+          "output": 0
+        },
+        {
+          "weight": -0.11267609550448998,
+          "enabled": true
+        }
+      ]
+    ],
+    "fitness": 1.5
+  }
+}"#;
+
+    #[test]
+    fn checkpoint_written_before_the_table_swap_loads_and_rewrites_byte_for_byte() {
+        let cfg = NeatConfig::builder(2, 1).build().unwrap();
+        let mut expected = Genome::new_initial(&cfg, GenomeId(7), &mut StdRng::seed_from_u64(3));
+        expected.set_fitness(1.5);
+        let loaded = genome_from_json(GOLDEN_GENOME).unwrap();
+        assert_eq!(loaded, expected);
+        assert_eq!(genome_to_json(&loaded).unwrap(), GOLDEN_GENOME);
+    }
+
+    #[test]
+    fn shuffled_or_duplicated_gene_pairs_are_a_format_error() {
+        // The two connection pairs of the golden genome, as they stand in
+        // its JSON (six spaces of indent, no trailing comma on the last).
+        let pair = |input: i64| {
+            let from = GOLDEN_GENOME
+                .find(&format!(
+                    "      [\n        {{\n          \"input\": {input},"
+                ))
+                .unwrap();
+            let len = GOLDEN_GENOME[from..].find("\n      ]").unwrap() + "\n      ]".len();
+            &GOLDEN_GENOME[from..from + len]
+        };
+        let (first, second) = (pair(-2), pair(-1));
+        let in_order = format!("{first},\n{second}");
+        assert!(GOLDEN_GENOME.contains(&in_order));
+        for hostile in [
+            format!("{second},\n{first}"),
+            format!("{first},\n{first},\n{second}"),
+            format!("{first},\n{second},\n{second}"),
+        ] {
+            let json = GOLDEN_GENOME.replace(&in_order, &hostile);
+            match genome_from_json(&json) {
+                Err(CheckpointError::Format(why)) => {
+                    assert!(why.contains("does not ascend"), "{why}")
+                }
+                other => panic!("expected a format error, got {other:?}"),
+            }
+        }
+        // The same holds for a genome inside a population checkpoint.
+        let cfg = NeatConfig::builder(2, 1)
+            .population_size(4)
+            .build()
+            .unwrap();
+        let json = population_to_json(&Population::new(cfg, 5)).unwrap();
+        assert!(population_from_json(&json).is_ok());
+        let (a, b) = (
+            "[{\"input\":-2,\"output\":0},",
+            "[{\"input\":-1,\"output\":0},",
+        );
+        assert!(json.contains(a) && json.contains(b));
+        let swapped = json.replace(a, "\u{0}").replace(b, a).replace('\u{0}', b);
+        assert!(matches!(
+            population_from_json(&swapped),
+            Err(CheckpointError::Format(_))
+        ));
+    }
+
     #[test]
     fn file_round_trip() {
         let (_, g) = sample_genome();

@@ -80,20 +80,20 @@ impl CostCounters {
 
     /// Records `genes` processed by inference across one activation.
     #[inline]
-    pub fn record_inference(&mut self, genes: u64) {
+    pub(crate) fn record_inference(&mut self, genes: u64) {
         self.current.inference_genes += genes;
         self.current.activations += 1;
     }
 
     /// Records the completion of one evaluation episode.
     #[inline]
-    pub fn record_episode(&mut self) {
+    pub(crate) fn record_episode(&mut self) {
         self.current.episodes += 1;
     }
 
     /// Records `genes` processed by one compatibility-distance computation.
     #[inline]
-    pub fn record_distance(&mut self, genes: u64) {
+    pub(crate) fn record_distance(&mut self, genes: u64) {
         self.current.speciation_genes += genes;
         self.current.distance_evals += 1;
     }

@@ -5,13 +5,20 @@
 //! paper modified): attribute-wise crossover from the fitter parent,
 //! independent structural mutation probabilities, and a compatibility
 //! distance normalized by the larger genome's gene count.
+//!
+//! Both gene tables are [`GeneTable`]s — flat key-ascending runs — and
+//! the operators work on the runs: crossover and distance are two-pointer
+//! merges, a node's successors one contiguous range of the connection run.
 
 use crate::config::NeatConfig;
+use crate::error::NeatError;
 use crate::gene::{ConnGene, ConnKey, GenomeId, NodeGene, NodeId};
+use crate::table::GeneTable;
 use rand::seq::IteratorRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 /// One member of a NEAT population.
 ///
@@ -22,69 +29,51 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Genome {
     id: GenomeId,
-    #[serde(
-        serialize_with = "crate::serde_util::map_as_pairs",
-        deserialize_with = "crate::serde_util::pairs_as_map"
-    )]
-    nodes: BTreeMap<NodeId, NodeGene>,
-    #[serde(
-        serialize_with = "crate::serde_util::map_as_pairs",
-        deserialize_with = "crate::serde_util::pairs_as_map"
-    )]
-    conns: BTreeMap<ConnKey, ConnGene>,
+    nodes: GeneTable<NodeId, NodeGene>,
+    conns: GeneTable<ConnKey, ConnGene>,
     fitness: Option<f64>,
+}
+
+/// The connections leaving `node`: one contiguous range of the
+/// `(input, output)`-ordered run.
+fn successors(conns: &[(ConnKey, ConnGene)], node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    let from = conns.partition_point(|(k, _)| k.input < node);
+    conns[from..]
+        .iter()
+        .take_while(move |(k, _)| k.input == node)
+        .map(|(k, _)| k.output)
 }
 
 impl Genome {
     /// Creates an initial genome: one node gene per output, wired to the
     /// inputs according to `cfg.initial_connection`.
     pub fn new_initial<R: Rng + ?Sized>(cfg: &NeatConfig, id: GenomeId, rng: &mut R) -> Genome {
-        let mut nodes = BTreeMap::new();
-        for o in 0..cfg.num_outputs {
-            nodes.insert(NodeId::output(o), Self::new_node(cfg, rng));
-        }
-        let mut conns = BTreeMap::new();
         use crate::config::InitialConnection as Ic;
-        let include = |rng: &mut R, p: f64| -> bool { rng.gen::<f64>() < p };
-        match cfg.initial_connection {
-            Ic::Unconnected => {}
-            Ic::Full => {
-                for i in 0..cfg.num_inputs {
-                    for o in 0..cfg.num_outputs {
-                        let key = ConnKey::new(NodeId::input(i), NodeId::output(o));
-                        conns.insert(
-                            key,
-                            ConnGene {
-                                weight: cfg.weight.init(rng),
-                                enabled: true,
-                            },
-                        );
-                    }
-                }
-            }
-            Ic::Partial(p) => {
-                for i in 0..cfg.num_inputs {
-                    for o in 0..cfg.num_outputs {
-                        if include(rng, p) {
-                            let key = ConnKey::new(NodeId::input(i), NodeId::output(o));
-                            conns.insert(
-                                key,
-                                ConnGene {
-                                    weight: cfg.weight.init(rng),
-                                    enabled: true,
-                                },
-                            );
-                        }
+        let nodes = (0..cfg.num_outputs)
+            .map(|o| (NodeId::output(o), Self::new_node(cfg, rng)))
+            .collect();
+        // Weights are drawn input by input and input ids *descend*: gather in
+        // draw order, sort once in the collect (insert-per-pair is quadratic).
+        let mut drawn = Vec::new();
+        if !matches!(cfg.initial_connection, Ic::Unconnected) {
+            drawn.reserve_exact(cfg.num_inputs * cfg.num_outputs);
+            for i in 0..cfg.num_inputs {
+                for o in 0..cfg.num_outputs {
+                    let wired = match cfg.initial_connection {
+                        Ic::Partial(p) => rng.gen::<f64>() < p,
+                        _ => true,
+                    };
+                    if wired {
+                        let gene = ConnGene {
+                            weight: cfg.weight.init(rng),
+                            enabled: true,
+                        };
+                        drawn.push((ConnKey::new(NodeId::input(i), NodeId::output(o)), gene));
                     }
                 }
             }
         }
-        Genome {
-            id,
-            nodes,
-            conns,
-            fitness: None,
-        }
+        Genome::from_parts(id, nodes, drawn.into_iter().collect())
     }
 
     fn new_node<R: Rng + ?Sized>(cfg: &NeatConfig, rng: &mut R) -> NodeGene {
@@ -96,9 +85,9 @@ impl Genome {
         }
     }
 
-    /// Reassembles a genome from its constituent gene tables (wire
-    /// decoding, checkpoint restore). Fitness starts unset; callers that
-    /// carried one re-apply it with [`set_fitness`](Genome::set_fitness).
+    /// Reassembles a genome from its constituent gene tables. Fitness
+    /// starts unset; callers that carried one re-apply it with
+    /// [`set_fitness`](Genome::set_fitness).
     ///
     /// Structural validity is the caller's responsibility —
     /// [`check_invariants`](Genome::check_invariants) verifies all of it,
@@ -106,8 +95,8 @@ impl Genome {
     /// the part inference depends on, at no extra cost.
     pub fn from_parts(
         id: GenomeId,
-        nodes: BTreeMap<NodeId, NodeGene>,
-        conns: BTreeMap<ConnKey, ConnGene>,
+        nodes: GeneTable<NodeId, NodeGene>,
+        conns: GeneTable<ConnKey, ConnGene>,
     ) -> Genome {
         Genome {
             id,
@@ -115,6 +104,29 @@ impl Genome {
             conns,
             fitness: None,
         }
+    }
+
+    /// [`from_parts`](Genome::from_parts) for gene runs that arrive in key
+    /// order (wire decoding): each `Vec` becomes its table as it stands.
+    ///
+    /// # Errors
+    ///
+    /// [`NeatError::InvalidGenome`] unless both runs strictly ascend by
+    /// key (no key out of order, none twice).
+    pub fn from_sorted_runs(
+        id: GenomeId,
+        nodes: Vec<(NodeId, NodeGene)>,
+        conns: Vec<(ConnKey, ConnGene)>,
+    ) -> Result<Genome, NeatError> {
+        let unsorted = |what: &str, at: usize| NeatError::InvalidGenome {
+            genome: id.0,
+            reason: format!("{what} gene {at} does not ascend past the key before it"),
+        };
+        Ok(Genome::from_parts(
+            id,
+            GeneTable::from_sorted(nodes).map_err(|at| unsorted("node", at))?,
+            GeneTable::from_sorted(conns).map_err(|at| unsorted("connection", at))?,
+        ))
     }
 
     /// This genome's identifier.
@@ -144,12 +156,12 @@ impl Genome {
     }
 
     /// Node genes (outputs + hidden), keyed by id.
-    pub fn nodes(&self) -> &BTreeMap<NodeId, NodeGene> {
+    pub fn nodes(&self) -> &GeneTable<NodeId, NodeGene> {
         &self.nodes
     }
 
     /// Connection genes keyed by endpoint pair.
-    pub fn conns(&self) -> &BTreeMap<ConnKey, ConnGene> {
+    pub fn conns(&self) -> &GeneTable<ConnKey, ConnGene> {
         &self.conns
     }
 
@@ -169,8 +181,8 @@ impl Genome {
 
     /// Canonical content hash: a stable 64-bit digest of every gene's
     /// identity and attributes, independent of the genome's [`id`] and
-    /// [`fitness`] and of the order genes were inserted (the sorted gene
-    /// maps define the canonical iteration order).
+    /// [`fitness`] and of the order genes were inserted (the key-ordered
+    /// gene tables define the canonical iteration order).
     ///
     /// Two genomes hash equal iff they are structurally equal gene for
     /// gene (up to the negligible 64-bit collision probability), so the
@@ -191,7 +203,7 @@ impl Genome {
         use crate::rng::splitmix64;
         let mut h = splitmix64(0x0C04_7E47 ^ self.nodes.len() as u64);
         let mut mix = |v: u64| h = splitmix64(h ^ splitmix64(v));
-        for (id, node) in &self.nodes {
+        for (id, node) in self.nodes.as_slice() {
             mix(id.0 as u64);
             mix(node.bias.to_bits());
             mix(node.response.to_bits());
@@ -199,7 +211,7 @@ impl Genome {
             mix(node.aggregation as u64);
         }
         mix(self.conns.len() as u64);
-        for (key, conn) in &self.conns {
+        for (key, conn) in self.conns.as_slice() {
             mix(key.input.0 as u64);
             mix(key.output.0 as u64);
             mix(conn.weight.to_bits());
@@ -226,65 +238,36 @@ impl Genome {
     /// distance plus connection-gene distance, each being
     /// `(disjoint_coefficient * disjoint + weight_coefficient * Σ attr_dist) / max_gene_count`.
     pub fn distance(&self, other: &Genome, cfg: &NeatConfig) -> f64 {
-        // Linear merge over the sorted gene maps (distance computations
-        // dominate speciation, the second-costliest compute block).
-        fn merged<K: Ord + Copy, G>(
-            a: &BTreeMap<K, G>,
-            b: &BTreeMap<K, G>,
+        // Two-pointer merge over the key-ordered runs (distances dominate
+        // speciation); matching genes contribute in ascending key order.
+        fn merged<K: Ord, G>(
+            a: &[(K, G)],
+            b: &[(K, G)],
             attr_dist: impl Fn(&G, &G) -> f64,
-            disjoint_coef: f64,
-            weight_coef: f64,
+            cfg: &NeatConfig,
         ) -> f64 {
-            let mut disjoint = 0usize;
+            let (mut i, mut j, mut matched) = (0, 0, 0usize);
             let mut matching = 0.0f64;
-            let mut ia = a.iter().peekable();
-            let mut ib = b.iter().peekable();
-            loop {
-                match (ia.peek(), ib.peek()) {
-                    (Some((ka, ga)), Some((kb, gb))) => match ka.cmp(kb) {
-                        std::cmp::Ordering::Equal => {
-                            matching += attr_dist(ga, gb) * weight_coef;
-                            ia.next();
-                            ib.next();
-                        }
-                        std::cmp::Ordering::Less => {
-                            disjoint += 1;
-                            ia.next();
-                        }
-                        std::cmp::Ordering::Greater => {
-                            disjoint += 1;
-                            ib.next();
-                        }
-                    },
-                    (Some(_), None) => {
-                        disjoint += 1;
-                        ia.next();
+            while i < a.len() && j < b.len() {
+                match a[i].0.cmp(&b[j].0) {
+                    Ordering::Equal => {
+                        matching +=
+                            attr_dist(&a[i].1, &b[j].1) * cfg.compatibility_weight_coefficient;
+                        matched += 1;
+                        i += 1;
+                        j += 1;
                     }
-                    (None, Some(_)) => {
-                        disjoint += 1;
-                        ib.next();
-                    }
-                    (None, None) => break,
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
                 }
             }
+            let disjoint = (a.len() + b.len() - 2 * matched) as f64;
             let max_len = a.len().max(b.len()).max(1) as f64;
-            (disjoint_coef * disjoint as f64 + matching) / max_len
+            (cfg.compatibility_disjoint_coefficient * disjoint + matching) / max_len
         }
-        let node_d = merged(
-            &self.nodes,
-            &other.nodes,
-            NodeGene::distance,
-            cfg.compatibility_disjoint_coefficient,
-            cfg.compatibility_weight_coefficient,
-        );
-        let conn_d = merged(
-            &self.conns,
-            &other.conns,
-            ConnGene::distance,
-            cfg.compatibility_disjoint_coefficient,
-            cfg.compatibility_weight_coefficient,
-        );
-        node_d + conn_d
+        let (nodes, conns) = (self.nodes.as_slice(), self.conns.as_slice());
+        merged(nodes, other.nodes.as_slice(), NodeGene::distance, cfg)
+            + merged(conns, other.conns.as_slice(), ConnGene::distance, cfg)
     }
 
     // ------------------------------------------------------------------
@@ -298,41 +281,17 @@ impl Genome {
     /// pass the higher-fitness parent first (ties broken deterministically
     /// by the caller).
     ///
-    /// Both parents' gene tables are key-ordered, so matching genes are
-    /// found by one merge-join pass and the child's tables are bulk-built
-    /// from the resulting sorted run — no per-gene lookup or insert. The
-    /// RNG is drawn once per attribute of each matching gene, in the
-    /// fitter parent's key order (nodes, then connections).
+    /// Both parents' gene tables are key-ordered runs, so matching genes
+    /// are found by one two-pointer merge and each child table is written
+    /// once, at exact capacity — no per-gene lookup or insert. The RNG is
+    /// drawn once per attribute of each matching gene, in the fitter
+    /// parent's key order (nodes, then connections).
     pub fn crossover<R: Rng + ?Sized>(
         fitter: &Genome,
         other: &Genome,
         child_id: GenomeId,
         rng: &mut R,
     ) -> Genome {
-        /// The child's table: every gene of `fitter`, `mix`ed with the
-        /// same-keyed gene of `other` where there is one.
-        fn inherit<K: Ord + Copy, G: Copy, R: Rng + ?Sized>(
-            fitter: &BTreeMap<K, G>,
-            other: &BTreeMap<K, G>,
-            rng: &mut R,
-            mix: impl Fn(&G, &G, &mut R) -> G,
-        ) -> BTreeMap<K, G> {
-            let mut others = other.iter().peekable();
-            // Collecting an ascending run: `BTreeMap`'s `FromIterator`
-            // builds the tree bottom-up from it.
-            fitter
-                .iter()
-                .map(|(k, g1)| {
-                    // Genes only the less fit parent has are not inherited.
-                    while others.next_if(|(k2, _)| *k2 < k).is_some() {}
-                    let gene = match others.next_if(|(k2, _)| *k2 == k) {
-                        Some((_, g2)) => mix(g1, g2, rng),
-                        None => *g1,
-                    };
-                    (*k, gene)
-                })
-                .collect()
-        }
         fn pick<T: Copy, R: Rng + ?Sized>(rng: &mut R, a: T, b: T) -> T {
             if rng.gen::<bool>() {
                 a
@@ -340,83 +299,22 @@ impl Genome {
                 b
             }
         }
-        let nodes = inherit(&fitter.nodes, &other.nodes, rng, |g1, g2, rng| NodeGene {
-            bias: pick(rng, g1.bias, g2.bias),
-            response: pick(rng, g1.response, g2.response),
-            activation: pick(rng, g1.activation, g2.activation),
-            aggregation: pick(rng, g1.aggregation, g2.aggregation),
-        });
-        let conns = inherit(&fitter.conns, &other.conns, rng, |g1, g2, rng| ConnGene {
-            weight: pick(rng, g1.weight, g2.weight),
-            enabled: pick(rng, g1.enabled, g2.enabled),
-        });
-        Genome {
-            id: child_id,
-            nodes,
-            conns,
-            fitness: None,
-        }
-    }
-
-    /// The lookup-per-gene crossover the merge-join replaced, kept as the
-    /// reference the equivalence proptest below checks it against.
-    #[cfg(test)]
-    fn crossover_by_lookup<R: Rng + ?Sized>(
-        fitter: &Genome,
-        other: &Genome,
-        child_id: GenomeId,
-        rng: &mut R,
-    ) -> Genome {
-        let mut nodes = BTreeMap::new();
-        for (k, g1) in &fitter.nodes {
-            let gene = match other.nodes.get(k) {
-                Some(g2) => NodeGene {
-                    bias: if rng.gen::<bool>() { g1.bias } else { g2.bias },
-                    response: if rng.gen::<bool>() {
-                        g1.response
-                    } else {
-                        g2.response
-                    },
-                    activation: if rng.gen::<bool>() {
-                        g1.activation
-                    } else {
-                        g2.activation
-                    },
-                    aggregation: if rng.gen::<bool>() {
-                        g1.aggregation
-                    } else {
-                        g2.aggregation
-                    },
-                },
-                None => *g1,
-            };
-            nodes.insert(*k, gene);
-        }
-        let mut conns = BTreeMap::new();
-        for (k, g1) in &fitter.conns {
-            let gene = match other.conns.get(k) {
-                Some(g2) => ConnGene {
-                    weight: if rng.gen::<bool>() {
-                        g1.weight
-                    } else {
-                        g2.weight
-                    },
-                    enabled: if rng.gen::<bool>() {
-                        g1.enabled
-                    } else {
-                        g2.enabled
-                    },
-                },
-                None => *g1,
-            };
-            conns.insert(*k, gene);
-        }
-        Genome {
-            id: child_id,
-            nodes,
-            conns,
-            fitness: None,
-        }
+        // Genes only the less fit parent has are not inherited.
+        let nodes = fitter
+            .nodes
+            .merge_matching(&other.nodes, |g1, g2| NodeGene {
+                bias: pick(rng, g1.bias, g2.bias),
+                response: pick(rng, g1.response, g2.response),
+                activation: pick(rng, g1.activation, g2.activation),
+                aggregation: pick(rng, g1.aggregation, g2.aggregation),
+            });
+        let conns = fitter
+            .conns
+            .merge_matching(&other.conns, |g1, g2| ConnGene {
+                weight: pick(rng, g1.weight, g2.weight),
+                enabled: pick(rng, g1.enabled, g2.enabled),
+            });
+        Genome::from_parts(child_id, nodes, conns)
     }
 
     // ------------------------------------------------------------------
@@ -500,22 +398,22 @@ impl Genome {
     /// random non-input destination. If the pair already exists the gene is
     /// re-enabled; pairs that would create a cycle are rejected.
     pub fn mutate_add_connection<R: Rng + ?Sized>(&mut self, cfg: &NeatConfig, rng: &mut R) {
-        let sources: Vec<NodeId> = (0..cfg.num_inputs)
-            .map(NodeId::input)
-            .chain(self.nodes.keys().copied())
-            .collect();
-        let dests: Vec<NodeId> = self.nodes.keys().copied().collect();
-        if sources.is_empty() || dests.is_empty() {
+        // Sources: the inputs, then the node run. Destinations: the node run.
+        let nodes = self.nodes.as_slice();
+        if nodes.is_empty() {
             return;
         }
-        let input = sources[rng.gen_range(0..sources.len())];
-        let output = dests[rng.gen_range(0..dests.len())];
+        let input = match rng.gen_range(0..cfg.num_inputs + nodes.len()) {
+            i if i < cfg.num_inputs => NodeId::input(i),
+            i => nodes[i - cfg.num_inputs].0,
+        };
+        let output = nodes[rng.gen_range(0..nodes.len())].0;
         let key = ConnKey::new(input, output);
         if let Some(existing) = self.conns.get_mut(&key) {
             existing.enabled = true;
             return;
         }
-        if input == output || Self::creates_cycle(self.conns.keys(), input, output) {
+        if self.creates_cycle(input, output) {
             return;
         }
         self.conns.insert(
@@ -558,30 +456,17 @@ impl Genome {
     }
 
     /// Returns true if adding `input -> output` would create a directed
-    /// cycle given the existing connection keys (enabled or not —
-    /// disabled genes may be re-enabled later, so they count).
-    pub fn creates_cycle<'a, I>(existing: I, input: NodeId, output: NodeId) -> bool
-    where
-        I: IntoIterator<Item = &'a ConnKey>,
-    {
-        if input == output {
-            return true;
-        }
-        // Cycle iff a path output -> ... -> input already exists.
-        let mut adjacency: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for k in existing {
-            adjacency.entry(k.input).or_default().push(k.output);
-        }
+    /// cycle — a path `output -> … -> input` exists — over all connection
+    /// genes (disabled ones may be re-enabled later, so they count).
+    fn creates_cycle(&self, input: NodeId, output: NodeId) -> bool {
         let mut visited = BTreeSet::new();
-        let mut queue = VecDeque::from([output]);
-        while let Some(n) = queue.pop_front() {
+        let mut pending = vec![output];
+        while let Some(n) = pending.pop() {
             if n == input {
                 return true;
             }
             if visited.insert(n) {
-                if let Some(nexts) = adjacency.get(&n) {
-                    queue.extend(nexts.iter().copied());
-                }
+                pending.extend(successors(self.conns.as_slice(), n));
             }
         }
         false
@@ -612,35 +497,27 @@ impl Genome {
                 return Err(format!("connection {key} references input out of range"));
             }
         }
-        // Acyclicity via Kahn's algorithm over all connection keys.
-        let mut indeg: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut adj: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        let mut all: BTreeSet<NodeId> = self.nodes.keys().copied().collect();
-        for key in self.conns.keys() {
-            all.insert(key.input);
-            all.insert(key.output);
-            *indeg.entry(key.output).or_insert(0) += 1;
-            adj.entry(key.input).or_default().push(key.output);
+        // Acyclicity via Kahn's algorithm, nodes named by their position in
+        // the node run (nothing ends at an input, so inputs are left out).
+        let conns = self.conns.as_slice();
+        let position = |n: &NodeId| self.nodes.search(n).expect("endpoints checked above");
+        let mut indeg = vec![0usize; self.nodes.len()];
+        for key in self.conns.keys().filter(|k| !k.input.is_input()) {
+            indeg[position(&key.output)] += 1;
         }
-        let mut queue: VecDeque<NodeId> = all
-            .iter()
-            .copied()
-            .filter(|n| indeg.get(n).copied().unwrap_or(0) == 0)
-            .collect();
+        let mut ready: Vec<usize> = (0..indeg.len()).filter(|&i| indeg[i] == 0).collect();
         let mut seen = 0usize;
-        while let Some(n) = queue.pop_front() {
+        while let Some(i) = ready.pop() {
             seen += 1;
-            if let Some(nexts) = adj.get(&n) {
-                for &m in nexts {
-                    let d = indeg.get_mut(&m).expect("edge target has indegree");
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push_back(m);
-                    }
+            for next in successors(conns, self.nodes.as_slice()[i].0) {
+                let j = position(&next);
+                indeg[j] -= 1;
+                if indeg[j] == 0 {
+                    ready.push(j);
                 }
             }
         }
-        if seen != all.len() {
+        if seen != self.nodes.len() {
             return Err("connection graph contains a cycle".into());
         }
         Ok(())
@@ -784,10 +661,76 @@ mod tests {
     fn creates_cycle_detects_two_edge_loop() {
         let a = NodeId::output(0);
         let b = NodeId(5);
-        let existing = [ConnKey::new(a, b)];
-        assert!(Genome::creates_cycle(existing.iter(), b, a));
-        assert!(!Genome::creates_cycle(existing.iter(), a, b));
-        assert!(Genome::creates_cycle(existing.iter(), a, a));
+        let g = Genome::from_parts(
+            GenomeId(0),
+            [(a, NodeGene::default()), (b, NodeGene::default())].into(),
+            [(ConnKey::new(a, b), ConnGene::default())].into(),
+        );
+        assert!(g.creates_cycle(b, a));
+        assert!(!g.creates_cycle(a, b));
+        assert!(g.creates_cycle(a, a));
+    }
+
+    #[test]
+    fn creates_cycle_follows_paths_through_every_successor_range() {
+        // -1 -> 7 -> 3 -> 0 and 7 -> 9 -> 0: closing 0 -> 7 or 3 -> 7
+        // would loop, 9 -> 3 would not.
+        let ids = [0, 3, 7, 9].map(|n| (NodeId(n), NodeGene::default()));
+        let edges = [(-1, 7), (7, 3), (3, 0), (7, 9), (9, 0)]
+            .map(|(i, o)| (ConnKey::new(NodeId(i), NodeId(o)), ConnGene::default()));
+        let g = Genome::from_parts(GenomeId(0), ids.into(), edges.into());
+        g.check_invariants(&cfg(1, 1)).unwrap();
+        assert!(g.creates_cycle(NodeId(0), NodeId(7)));
+        assert!(g.creates_cycle(NodeId(3), NodeId(7)));
+        assert!(g.creates_cycle(NodeId(0), NodeId(9)));
+        assert!(!g.creates_cycle(NodeId(9), NodeId(3)));
+        assert!(!g.creates_cycle(NodeId(-1), NodeId(0)));
+        let looped = Genome::from_parts(
+            GenomeId(1),
+            ids.into(),
+            edges
+                .into_iter()
+                .chain([(ConnKey::new(NodeId(0), NodeId(7)), ConnGene::default())])
+                .collect(),
+        );
+        assert_eq!(
+            looped.check_invariants(&cfg(1, 1)).unwrap_err(),
+            "connection graph contains a cycle"
+        );
+    }
+
+    #[test]
+    fn from_sorted_runs_rejects_out_of_order_and_duplicate_keys() {
+        let node = |n| (NodeId(n), NodeGene::default());
+        let conn = |i, o| (ConnKey::new(NodeId(i), NodeId(o)), ConnGene::default());
+        let ok = Genome::from_sorted_runs(
+            GenomeId(4),
+            vec![node(0), node(1)],
+            vec![conn(-2, 0), conn(-2, 1), conn(-1, 0)],
+        )
+        .unwrap();
+        assert_eq!(ok.num_genes(), 5);
+        for (nodes, conns, what) in [
+            (vec![node(1), node(0)], vec![], "node gene 1"),
+            (vec![node(0), node(0)], vec![], "node gene 1"),
+            (
+                vec![node(0)],
+                vec![conn(-1, 0), conn(-2, 0)],
+                "connection gene 1",
+            ),
+            (
+                vec![node(0)],
+                vec![conn(-2, 0), conn(-1, 0), conn(-1, 0)],
+                "connection gene 2",
+            ),
+        ] {
+            match Genome::from_sorted_runs(GenomeId(4), nodes, conns) {
+                Err(NeatError::InvalidGenome { genome: 4, reason }) => {
+                    assert!(reason.starts_with(what), "{reason}")
+                }
+                other => panic!("expected InvalidGenome, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -824,6 +767,49 @@ mod tests {
         for c in child.conns().values() {
             assert!(c.weight == 1.0 || c.weight == -1.0);
         }
+    }
+
+    /// The lookup-per-gene, insert-per-gene crossover the merge replaced,
+    /// kept as the reference the equivalence proptest below checks it
+    /// against.
+    fn crossover_by_lookup<R: Rng + ?Sized>(
+        fitter: &Genome,
+        other: &Genome,
+        child_id: GenomeId,
+        rng: &mut R,
+    ) -> Genome {
+        fn flip<T, R: Rng + ?Sized>(rng: &mut R, a: T, b: T) -> T {
+            if rng.gen::<bool>() {
+                a
+            } else {
+                b
+            }
+        }
+        let mut nodes = GeneTable::default();
+        for (k, g1) in fitter.nodes.iter() {
+            let gene = match other.nodes.get(k) {
+                Some(g2) => NodeGene {
+                    bias: flip(rng, g1.bias, g2.bias),
+                    response: flip(rng, g1.response, g2.response),
+                    activation: flip(rng, g1.activation, g2.activation),
+                    aggregation: flip(rng, g1.aggregation, g2.aggregation),
+                },
+                None => *g1,
+            };
+            nodes.insert(*k, gene);
+        }
+        let mut conns = GeneTable::default();
+        for (k, g1) in fitter.conns.iter() {
+            let gene = match other.conns.get(k) {
+                Some(g2) => ConnGene {
+                    weight: flip(rng, g1.weight, g2.weight),
+                    enabled: flip(rng, g1.enabled, g2.enabled),
+                },
+                None => *g1,
+            };
+            conns.insert(*k, gene);
+        }
+        Genome::from_parts(child_id, nodes, conns)
     }
 
     proptest::proptest! {
@@ -888,7 +874,7 @@ mod tests {
             }
             let (mut ra, mut rb) = (rng(seed ^ 0xC0), rng(seed ^ 0xC0));
             let child = Genome::crossover(&p1, &p2, GenomeId(9), &mut ra);
-            let reference = Genome::crossover_by_lookup(&p1, &p2, GenomeId(9), &mut rb);
+            let reference = crossover_by_lookup(&p1, &p2, GenomeId(9), &mut rb);
             proptest::prop_assert_eq!(&child, &reference);
             proptest::prop_assert_eq!(child.content_hash(), reference.content_hash());
             proptest::prop_assert_eq!(ra.gen::<u64>(), rb.gen::<u64>(), "RNG streams diverged");
@@ -967,18 +953,12 @@ mod tests {
 
     #[test]
     fn content_hash_is_insertion_order_independent() {
-        // from_parts with maps built in different insertion orders must
-        // hash identically: the sorted maps are the canonical form.
+        // from_parts with tables collected in a different arrival order
+        // must hash identically: the sorted run is the canonical form.
         let cfg = cfg(3, 2);
         let g = Genome::new_initial(&cfg, GenomeId(7), &mut rng(33));
-        let mut nodes_rev = BTreeMap::new();
-        for (k, v) in g.nodes().iter().rev() {
-            nodes_rev.insert(*k, *v);
-        }
-        let mut conns_rev = BTreeMap::new();
-        for (k, v) in g.conns().iter().rev() {
-            conns_rev.insert(*k, *v);
-        }
+        let nodes_rev = g.nodes().iter().rev().map(|(k, v)| (*k, *v)).collect();
+        let conns_rev = g.conns().iter().rev().map(|(k, v)| (*k, *v)).collect();
         let rebuilt = Genome::from_parts(GenomeId(8), nodes_rev, conns_rev);
         assert_eq!(g.content_hash(), rebuilt.content_hash());
     }

@@ -129,10 +129,10 @@ pub mod network;
 pub mod population;
 pub mod reproduction;
 pub mod rng;
-pub mod serde_util;
 pub mod species;
 pub mod stagnation;
 pub mod steady_state;
+pub mod table;
 pub mod visualize;
 
 pub use activation::{Activation, Aggregation};
@@ -148,4 +148,5 @@ pub use population::{FitnessStats, Population};
 pub use reproduction::{ChildSpec, GenerationPlan};
 pub use species::{Species, SpeciesSet};
 pub use steady_state::{steady_state_insert, InsertReport};
+pub use table::GeneTable;
 pub use visualize::genome_to_dot;

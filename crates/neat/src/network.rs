@@ -18,8 +18,9 @@
 //!
 //! Compilation itself is also on the per-generation hot path (every
 //! genome recompiles every generation), so it runs entirely on indexed
-//! `Vec` passes over the genome's sorted gene maps — no intermediate
-//! `BTreeMap`/`BTreeSet` traffic.
+//! `Vec` passes over the genome's key-ordered gene runs: a node is named
+//! by its position in the node run, found by binary search, and nothing
+//! is copied out of the genome but the plan itself.
 
 use crate::activation::{Activation, Aggregation};
 use crate::config::NeatConfig;
@@ -126,11 +127,10 @@ impl FeedForwardNetwork {
     ///
     /// The checks are the ones the compilation passes make anyway — the
     /// output lookup, the endpoint resolution and Kahn's count — so a
-    /// valid genome pays nothing for them (unlike
-    /// [`Genome::check_invariants`], which builds its own maps).
+    /// valid genome pays nothing for them.
     ///
     /// The whole pass is index-based: node ids are resolved once into
-    /// positions within the genome's sorted node list, and the
+    /// positions within the genome's node run, and the
     /// reachability/topological/grouping passes run over flat `Vec`s.
     ///
     /// # Errors
@@ -144,10 +144,8 @@ impl FeedForwardNetwork {
             reason,
         };
         let num_inputs = cfg.num_inputs;
-        let node_ids: Vec<NodeId> = genome.nodes().keys().copied().collect();
-        let n_nodes = node_ids.len();
-        // Sorted id list → binary search replaces BTreeMap lookups.
-        let idx_of = |id: NodeId| -> Option<usize> { node_ids.binary_search(&id).ok() };
+        let n_nodes = genome.nodes().len();
+        let idx_of = |id: NodeId| genome.nodes().search(&id).ok();
 
         // Single pass over the sorted connection genes: resolve endpoints
         // to indices. `src` is `usize::MAX - slot` for network inputs.
@@ -160,7 +158,7 @@ impl FeedForwardNetwork {
             weight: f64,
         }
         let mut edges: Vec<Edge> = Vec::with_capacity(genome.conns().len());
-        for (key, gene) in genome.conns() {
+        for (key, gene) in genome.conns().as_slice() {
             if !gene.enabled {
                 continue;
             }
@@ -311,7 +309,7 @@ impl FeedForwardNetwork {
         }
         let mut nodes = Vec::with_capacity(order.len());
         for &n in &order {
-            let gene = genome.nodes()[&node_ids[n as usize]];
+            let gene = genome.nodes().as_slice()[n as usize].1;
             nodes.push(EvalNode {
                 bias: gene.bias,
                 response: gene.response,

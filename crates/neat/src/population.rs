@@ -69,10 +69,6 @@ pub struct GenerationSummary {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Population {
     cfg: NeatConfig,
-    #[serde(
-        serialize_with = "crate::serde_util::map_as_pairs",
-        deserialize_with = "crate::serde_util::pairs_as_map"
-    )]
     genomes: BTreeMap<GenomeId, Genome>,
     species: SpeciesSet,
     generation: u64,
@@ -380,7 +376,7 @@ impl Population {
 
     /// Allocates a fresh genome id (steady-state reproduction creates
     /// children one at a time instead of through a [`GenerationPlan`]).
-    pub fn allocate_genome_id(&mut self) -> GenomeId {
+    pub(crate) fn allocate_genome_id(&mut self) -> GenomeId {
         let id = GenomeId(self.next_genome_id);
         self.next_genome_id += 1;
         id
@@ -391,7 +387,7 @@ impl Population {
     /// # Errors
     ///
     /// [`NeatError::UnknownGenome`] if `id` is not present.
-    pub fn remove_genome(&mut self, id: GenomeId) -> Result<Genome, NeatError> {
+    pub(crate) fn remove_genome(&mut self, id: GenomeId) -> Result<Genome, NeatError> {
         self.genomes
             .remove(&id)
             .ok_or(NeatError::UnknownGenome { genome: id.0 })
@@ -404,7 +400,7 @@ impl Population {
     /// # Panics
     ///
     /// Panics if a genome with the same id is already present.
-    pub fn insert_genome(&mut self, genome: Genome) {
+    pub(crate) fn insert_genome(&mut self, genome: Genome) {
         self.next_genome_id = self.next_genome_id.max(genome.id().0 + 1);
         let prev = self.genomes.insert(genome.id(), genome);
         assert!(prev.is_none(), "duplicate genome id inserted");

@@ -112,10 +112,6 @@ impl Species {
 /// The set of all living species plus the speciation procedure.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SpeciesSet {
-    #[serde(
-        serialize_with = "crate::serde_util::map_as_pairs",
-        deserialize_with = "crate::serde_util::pairs_as_map"
-    )]
     species: BTreeMap<SpeciesId, Species>,
     next_id: u32,
     /// Live compatibility threshold (dynamic thresholding state);
@@ -166,11 +162,6 @@ impl SpeciesSet {
     /// Removes a species (stagnation culling).
     pub(crate) fn remove(&mut self, id: SpeciesId) -> Option<Species> {
         self.species.remove(&id)
-    }
-
-    /// The compatibility threshold currently in force.
-    pub fn current_threshold(&self, cfg: &NeatConfig) -> f64 {
-        self.threshold.unwrap_or(cfg.compatibility_threshold)
     }
 
     /// Assigns every genome to a species, following `neat-python`:

@@ -31,7 +31,7 @@ pub struct StagnationOutcome {
 ///
 /// Panics if any member genome lacks a fitness value; callers must
 /// evaluate the whole population first (enforced by `Population`).
-pub fn cull_stagnant_species(
+pub(crate) fn cull_stagnant_species(
     species: &mut SpeciesSet,
     genomes: &BTreeMap<GenomeId, Genome>,
     cfg: &NeatConfig,

@@ -32,7 +32,7 @@ pub fn genome_to_dot(genome: &Genome, cfg: &NeatConfig) -> String {
     let _ = writeln!(out, "  }}");
 
     // Outputs and hidden nodes.
-    for (id, gene) in genome.nodes() {
+    for (id, gene) in genome.nodes().iter() {
         let shape = if id.is_output(cfg.num_outputs) {
             "doublecircle"
         } else {
@@ -47,7 +47,7 @@ pub fn genome_to_dot(genome: &Genome, cfg: &NeatConfig) -> String {
     }
 
     // Connections.
-    for (key, gene) in genome.conns() {
+    for (key, gene) in genome.conns().iter() {
         let style = if gene.enabled { "solid" } else { "dashed" };
         let color = if gene.weight >= 0.0 {
             "forestgreen"

@@ -14,7 +14,6 @@ use clan::neat::{GenomeId, NeatConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 
 const SEED: u64 = 1234;
 const POP: usize = 24;
@@ -159,17 +158,11 @@ proptest! {
         ops in proptest::collection::vec(0u8..4, 0..30),
     ) {
         let g = mutated(&cfg, seed, &ops);
-        // Rebuild with genes inserted in reverse order and a fresh id:
-        // the sorted gene maps are the canonical form, so the digest
-        // must not notice.
-        let mut nodes_rev = BTreeMap::new();
-        for (k, v) in g.nodes().iter().rev() {
-            nodes_rev.insert(*k, *v);
-        }
-        let mut conns_rev = BTreeMap::new();
-        for (k, v) in g.conns().iter().rev() {
-            conns_rev.insert(*k, *v);
-        }
+        // Rebuild from genes arriving in reverse order and under a fresh
+        // id: the key-ordered gene tables are the canonical form, so the
+        // digest must not notice.
+        let nodes_rev = g.nodes().iter().rev().map(|(k, v)| (*k, *v)).collect();
+        let conns_rev = g.conns().iter().rev().map(|(k, v)| (*k, *v)).collect();
         let mut rebuilt = Genome::from_parts(GenomeId(9999), nodes_rev, conns_rev);
         rebuilt.set_fitness(123.0);
         prop_assert_eq!(g.content_hash(), rebuilt.content_hash());

@@ -91,12 +91,12 @@ fn with_extreme_genes(g: &Genome, bits: &[u64]) -> Genome {
 fn exact(g: &Genome) -> Vec<u64> {
     let mut fields = vec![g.id().0, g.fitness().map_or(u64::MAX, f64::to_bits)];
     fields.push(g.nodes().len() as u64);
-    for (id, n) in g.nodes() {
+    for (id, n) in g.nodes().iter() {
         let (bias, response) = (n.bias.to_bits(), n.response.to_bits());
         let functions = [n.activation as u64, n.aggregation as u64];
         fields.extend([id.0 as u64, bias, response, functions[0], functions[1]]);
     }
-    for (k, c) in g.conns() {
+    for (k, c) in g.conns().iter() {
         let weight = c.weight.to_bits();
         fields.extend([
             k.input.0 as u64,

@@ -569,6 +569,78 @@ fn mutated_trace_lines_and_spec_frames_never_panic() {
     );
 }
 
+/// Checkpoint JSON under the same seeded mutations: a file is a trust
+/// boundary too (`load_genome` deploys an expert, `load_population`
+/// resumes a run). Every mutant is `Ok` or a typed `CheckpointError` —
+/// never a panic. The format declares no lengths, so what a reader
+/// allocates is bounded by the bytes it was handed. An accepted genome
+/// still holds the table invariant the operators' binary searches and
+/// merge-joins rest on, and compiles or is refused with a typed error.
+#[test]
+fn mutated_checkpoint_json_never_panics_and_never_yields_an_unsorted_table() {
+    use clan::neat::checkpoint::{
+        genome_from_json, genome_to_json, population_from_json, population_to_json, CheckpointError,
+    };
+    use clan::neat::FeedForwardNetwork;
+
+    let cfg = NeatConfig::builder(3, 2)
+        .population_size(6)
+        .build()
+        .expect("valid config");
+    let mut r = StdRng::seed_from_u64(11);
+    let mut expert = Genome::new_initial(&cfg, GenomeId(5), &mut r);
+    for _ in 0..6 {
+        expert.mutate(&cfg, &mut r);
+        expert.mutate_add_node(&cfg, &mut r);
+    }
+    expert.set_fitness(-0.25);
+    let genome_json = genome_to_json(&expert).expect("serializes");
+    let mut pop = Population::new(cfg.clone(), 13);
+    pop.evaluate(|_, g| g.num_genes() as f64);
+    pop.advance_generation();
+    let population_json = population_to_json(&pop).expect("serializes");
+    assert_eq!(genome_from_json(&genome_json).expect("round trip"), expert);
+    population_from_json(&population_json).expect("round trip");
+
+    let ascending = |g: &Genome| {
+        g.nodes().as_slice().windows(2).all(|w| w[0].0 < w[1].0)
+            && g.conns().as_slice().windows(2).all(|w| w[0].0 < w[1].0)
+    };
+    let mut rng = 0xC0FF_EE00_D15E_A5E5u64;
+    let (mut genome_ok, mut genome_err, mut pop_ok, mut pop_err) = (0u32, 0u32, 0u32, 0u32);
+    for case in 0..24_000usize {
+        if case % 8 == 0 {
+            let mut json = population_json.clone().into_bytes();
+            mutate(&mut json, &mut rng);
+            match population_from_json(&String::from_utf8_lossy(&json)) {
+                Ok(restored) => {
+                    assert!(restored.genomes().values().all(ascending));
+                    pop_ok += 1;
+                }
+                Err(CheckpointError::Format(_) | CheckpointError::Neat(_)) => pop_err += 1,
+                Err(other) => panic!("unexpected error class: {other:?}"),
+            }
+        } else {
+            let mut json = genome_json.clone().into_bytes();
+            mutate(&mut json, &mut rng);
+            match genome_from_json(&String::from_utf8_lossy(&json)) {
+                Ok(g) => {
+                    assert!(ascending(&g), "unsorted table accepted: {g:?}");
+                    let _ = g.content_hash();
+                    let _ = FeedForwardNetwork::try_compile(&g, &cfg);
+                    genome_ok += 1;
+                }
+                Err(CheckpointError::Format(_)) => genome_err += 1,
+                Err(other) => panic!("unexpected error class: {other:?}"),
+            }
+        }
+    }
+    assert!(
+        genome_ok > 0 && genome_err > 0 && pop_ok > 0 && pop_err > 0,
+        "genome {genome_ok}/{genome_err}, population {pop_ok}/{pop_err}"
+    );
+}
+
 /// Strategy for one arbitrary [`clan::core::TraceEvent`]: any
 /// determinism class, any kind, any sparse payload combination
 /// (including nonsense ones no real emitter produces).
