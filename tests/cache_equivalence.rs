@@ -1,120 +1,72 @@
 //! The batched evaluation engine and the content-addressed fitness
-//! cache must not change the evolutionary computation: cache-on,
-//! cache-off, batch-on, batch-off, and every mix produce bit-identical
-//! runs across all four topologies at 1/2/4 agents.
+//! cache must not change the evolutionary computation: the `no-batch`,
+//! `no-cache` and `no-batch-no-cache` matrix rows (every topology over
+//! 1/2/4 simulated agents against the default batch-on, cache-on engine;
+//! see `tests/common/mod.rs`).
 //!
 //! Also pins the canonical genome hash the cache keys on: stable under
 //! gene reordering and id/fitness relabeling, and colliding only on
 //! structural equality.
 
-use clan::core::{ClanDriver, ClanTopology, RunReport};
+mod common;
+
+use clan::core::{ClanTopology, InferenceMode};
 use clan::envs::Workload;
 use clan::neat::genome::Genome;
 use clan::neat::{GenomeId, NeatConfig};
+use common::{check, orchestrator, run, Condition, Run, GENERATIONS, SIM_AGENTS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const SEED: u64 = 1234;
-const POP: usize = 24;
-const GENS: u64 = 4;
-
-/// Runs `GENS` generations of CartPole under one engine setting.
-fn run(topology: ClanTopology, agents: usize, batch: bool, cache: bool) -> RunReport {
-    ClanDriver::builder(Workload::CartPole)
-        .topology(topology)
-        .agents(agents)
-        .population_size(POP)
-        .seed(SEED)
-        .batch_lanes(if batch { 32 } else { 1 })
-        .fitness_cache(cache)
-        .build()
-        .expect("driver builds")
-        .run(GENS)
-        .expect("run completes")
-}
-
-/// Asserts two runs evolved identically, generation by generation.
-fn assert_identical(a: &RunReport, b: &RunReport, label: &str) {
-    assert_eq!(a.generations.len(), b.generations.len(), "{label}");
-    for (ga, gb) in a.generations.iter().zip(&b.generations) {
-        assert_eq!(
-            ga.best_fitness, gb.best_fitness,
-            "{label}: fitness diverged at gen {}",
-            ga.generation
-        );
-        assert_eq!(
-            ga.costs, gb.costs,
-            "{label}: cost counters diverged at gen {}",
-            ga.generation
-        );
-        assert_eq!(ga.num_species, gb.num_species, "{label}");
-    }
-    assert_eq!(a.best_fitness, b.best_fitness, "{label}");
+/// CartPole on `topology` over `agents` simulated devices, one engine setting.
+fn engine_run(topology: ClanTopology, agents: usize, batch: bool, cache: bool) -> Run {
+    let evaluator = Condition::Engine { batch, cache }.evaluator(
+        Workload::CartPole,
+        InferenceMode::MultiStep,
+        agents,
+    );
+    run(&mut *orchestrator(topology, agents, evaluator), GENERATIONS)
 }
 
 #[test]
 fn cache_and_batching_are_bit_identical_across_topologies() {
-    let cases: Vec<(ClanTopology, usize)> = [1usize, 2, 4]
-        .iter()
-        .flat_map(|&n| {
-            let mut v = vec![
-                (ClanTopology::dcs(), n),
-                (ClanTopology::dds(), n),
-                (ClanTopology::dda(n), n),
-            ];
-            if n == 1 {
-                v.push((ClanTopology::serial(), 1));
-            }
-            v
-        })
-        .collect();
-    for (topology, agents) in cases {
-        let label = format!("{topology}@{agents}");
-        // Baseline: scalar tier, no cache.
-        let plain = run(topology, agents, false, false);
-        assert_eq!(plain.cache_lookups, 0, "{label}: disabled cache is silent");
-        // Batching alone, caching alone, and both together.
-        let batched = run(topology, agents, true, false);
-        let cached = run(topology, agents, false, true);
-        let both = run(topology, agents, true, true);
-        assert_identical(&plain, &batched, &format!("{label} batched"));
-        assert_identical(&plain, &cached, &format!("{label} cached"));
-        assert_identical(&plain, &both, &format!("{label} batched+cached"));
-        for (r, name) in [(&cached, "cached"), (&both, "batched+cached")] {
-            assert!(r.cache_lookups > 0, "{label} {name}: cache fields lookups");
-            assert!(
-                r.cache_hits > 0,
-                "{label} {name}: elites must hit ({}/{} lookups)",
-                r.cache_hits,
-                r.cache_lookups
-            );
-            assert!(r.cache_hit_rate() > 0.0, "{label} {name}");
-        }
+    for row in ["no-batch", "no-cache", "no-batch-no-cache"] {
+        check(row);
+    }
+    // The rows ignore the cache's own counters; they must still move.
+    for batch in [false, true] {
+        let lookups = |r: &Run| r.reports.iter().map(|g| g.cache_lookups).sum::<u64>();
+        let hits = |r: &Run| r.reports.iter().map(|g| g.cache_hits).sum::<u64>();
+        let plain = engine_run(ClanTopology::dcs(), SIM_AGENTS, batch, false);
+        assert_eq!(lookups(&plain), 0, "disabled cache is silent");
+        let cached = engine_run(ClanTopology::dcs(), SIM_AGENTS, batch, true);
+        assert!(
+            hits(&cached) > 0 && hits(&cached) < lookups(&cached),
+            "elites must hit ({}/{} lookups)",
+            hits(&cached),
+            lookups(&cached)
+        );
     }
 }
 
 #[test]
 fn serial_baseline_matches_every_distributed_mode_with_cache_on() {
-    // The canonical cross-topology check, now with the cache enabled on
-    // both sides: serial ≡ dcs ≡ dds at matching seeds.
-    let serial = run(ClanTopology::serial(), 1, true, true);
-    for (topology, agents) in [
-        (ClanTopology::dcs(), 2),
-        (ClanTopology::dcs(), 4),
-        (ClanTopology::dds(), 2),
-        (ClanTopology::dds(), 4),
-    ] {
-        let distributed = run(topology, agents, true, true);
-        assert_eq!(
-            serial.best_fitness, distributed.best_fitness,
-            "{topology}@{agents} diverged from serial"
-        );
-        for (gs, gd) in serial.generations.iter().zip(&distributed.generations) {
+    // The canonical cross-topology check with the default engine on both
+    // sides: serial ≡ dcs ≡ dds at matching seeds.
+    let fitness = |r: Run| -> Vec<u64> {
+        let per_generation = r.reports.iter().map(|g| g.best_fitness.to_bits());
+        per_generation
+            .chain([r.best.fitness().unwrap().to_bits()])
+            .collect()
+    };
+    let serial = fitness(engine_run(ClanTopology::serial(), 1, true, true));
+    for topology in [ClanTopology::dcs(), ClanTopology::dds()] {
+        for agents in [2, 4] {
+            let distributed = fitness(engine_run(topology, agents, true, true));
             assert_eq!(
-                gs.best_fitness, gd.best_fitness,
-                "{topology}@{agents} gen {}",
-                gs.generation
+                serial, distributed,
+                "{topology}@{agents} diverged from serial"
             );
         }
     }

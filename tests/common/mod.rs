@@ -1,0 +1,416 @@
+//! The determinism harness and matrix: *condition × topology × agent
+//! count is bit-identical to serial per seed*, stated once.
+//!
+//! One NEAT config, the four topologies, one orchestrator builder, one
+//! [`run`], one comparison. A [`MATRIX`] row is a **condition** — where
+//! and how inference runs (host threads, TCP/UDP agents, loss, skew,
+//! delay + calibration, churn, engine tiers) — and [`check`] runs it on
+//! every workload × topology × agent count it lists against the same
+//! topology evaluated locally on one thread: same generation reports
+//! (fitness, species, cost counters, modeled timelines), same best-ever
+//! genome, same Logical-channel trace hash. A failure names its cell.
+//!
+//! Adding a determinism condition is one [`Condition`] arm, one row and a
+//! one-line `#[test]` in `tests/determinism_matrix.rs`. Rows that predate
+//! the matrix keep their `#[test]` in the `tests/*_equivalence.rs` file
+//! that always held it (the test ids are pinned), beside that condition's
+//! own assertions (wire traffic, retransmissions, recovery stats, ...).
+#![allow(dead_code)] // every test binary uses its own subset
+
+use clan::core::runtime::EdgeCluster;
+use clan::core::transport::agent::serve_session;
+use clan::core::transport::{
+    channel_pair, ChurnSchedule, ClusterSpec, DelayTransport, FaultConfig, Transport, UdpConfig,
+};
+use clan::core::{
+    orchestrator_for, ClanTopology, EngineOptions, Evaluator, GenerationReport, InferenceMode,
+    Orchestrator, Tracer,
+};
+use clan::distsim::Cluster;
+use clan::envs::Workload;
+use clan::hw::Platform;
+use clan::neat::{Genome, NeatConfig, Population};
+use clan::netsim::WifiModel;
+use std::collections::HashMap;
+use std::time::Duration;
+
+pub const POP: usize = 20;
+pub const SIM_AGENTS: usize = 4;
+pub const GENERATIONS: usize = 4;
+pub const SEED: u64 = 13;
+pub const LOSS: f64 = 0.2;
+
+pub fn neat_cfg(w: Workload) -> NeatConfig {
+    NeatConfig::builder(w.obs_dim(), w.n_actions())
+        .population_size(POP)
+        .build()
+        .expect("valid config")
+}
+
+/// The four paper configurations over a simulated `agents`-device cluster.
+pub fn topologies(agents: usize) -> [ClanTopology; 4] {
+    [
+        ClanTopology::serial(),
+        ClanTopology::dcs(),
+        ClanTopology::dds(),
+        ClanTopology::dda(agents),
+    ]
+}
+
+pub fn spec(w: Workload, mode: InferenceMode) -> ClusterSpec {
+    ClusterSpec::new(w, mode, neat_cfg(w))
+}
+
+/// The reference engine: this thread, default options.
+pub fn local_evaluator(w: Workload, mode: InferenceMode) -> Evaluator {
+    Evaluator::new(w, mode)
+}
+
+/// `topology`'s orchestrator around `evaluator`, traced, over a
+/// simulated cluster of `sim_agents` devices (Serial always has one).
+pub fn orchestrator_seeded(
+    topology: ClanTopology,
+    sim_agents: usize,
+    mut evaluator: Evaluator,
+    seed: u64,
+) -> Box<dyn Orchestrator> {
+    let agents = if topology == ClanTopology::serial() {
+        1
+    } else {
+        sim_agents
+    };
+    let sim = Cluster::homogeneous(Platform::raspberry_pi(), agents, WifiModel::default());
+    evaluator.set_tracer(Tracer::new());
+    let cfg = neat_cfg(evaluator.workload());
+    orchestrator_for(topology, cfg, seed, evaluator, sim, None).expect("clans large enough")
+}
+
+pub fn orchestrator(
+    topology: ClanTopology,
+    sim_agents: usize,
+    evaluator: Evaluator,
+) -> Box<dyn Orchestrator> {
+    orchestrator_seeded(topology, sim_agents, evaluator, SEED)
+}
+
+/// What a run evolved: everything the determinism contract covers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    pub reports: Vec<GenerationReport>,
+    pub best: Genome,
+    /// Hash of the Logical trace channel (`None` for an untraced run).
+    pub logical: Option<u64>,
+}
+
+/// Steps `o` through `generations` generations and drains its trace.
+pub fn run(o: &mut dyn Orchestrator, generations: usize) -> Run {
+    let reports = (0..generations)
+        .map(|_| o.step_generation().expect("generation steps"))
+        .collect();
+    Run {
+        reports,
+        best: o.best_ever().expect("evaluated runs have a best").clone(),
+        logical: o.evaluator().tracer().finish().map(|t| t.logical_hash()),
+    }
+}
+
+/// The matrix's one comparison: the first thing `subject` evolved
+/// differently from `reference`, named with the `cell` it happened in.
+pub fn compare(cell: &str, reference: &Run, subject: &Run) -> Result<(), String> {
+    let (r, s) = (&reference.reports, &subject.reports);
+    let what = if r.len() != s.len() {
+        format!("{} generations vs the reference's {}", s.len(), r.len())
+    } else if let Some((a, b)) = r.iter().zip(s).find(|(a, b)| a != b) {
+        let generation = a.generation;
+        format!("generation {generation} diverged: {b:?} vs the reference's {a:?}")
+    } else if reference.best != subject.best {
+        "best-ever genome diverged".to_string()
+    } else {
+        match (reference.logical, subject.logical) {
+            (Some(a), Some(b)) if a != b => {
+                format!("Logical trace hash {b:#018X} vs the reference's {a:#018X}")
+            }
+            _ => return Ok(()),
+        }
+    };
+    Err(format!("determinism matrix: {cell}: {what}"))
+}
+
+/// Where and how a row's inference runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Condition {
+    /// Locally on `n` host threads (`--eval-threads n`).
+    Threads(usize),
+    /// Locally with the SoA batching tier and/or the fitness cache off.
+    Engine { batch: bool, cache: bool },
+    /// Locally with no tracer installed.
+    Untraced,
+    /// Loopback TCP agents.
+    Tcp,
+    /// Loopback reliable-UDP agents, no injected faults.
+    UdpClean,
+    /// Loopback reliable-UDP agents, [`LOSS`] seeded drop on every link.
+    UdpLossy { fault_seed: u64 },
+    /// Loopback TCP agents with lopsided capability weights.
+    SkewedWeights,
+    /// Channel agents, agent 0 stalling in proportion to its chunk, with
+    /// round-trip calibration reshaping the partition every generation.
+    DelayedCalibrated,
+    /// Channel agents under [`churn_plan`].
+    Churn,
+}
+
+/// A small MTU (forcing real fragmentation of every genome frame) and a
+/// fast retransmit timer so 20 % loss costs milliseconds, not seconds.
+pub fn lossy_udp(fault_seed: u64) -> UdpConfig {
+    UdpConfig::default()
+        .with_mtu(256)
+        .with_retransmit_interval_s(0.01)
+        .with_idle_timeout_s(10.0)
+        .with_faults(FaultConfig::loss(LOSS).with_seed(fault_seed))
+}
+
+/// With two or more agents the last one dies before round 1 (its chunk
+/// is reassigned to survivors) and a replacement joins before round 3;
+/// a lone agent crashes and reboots at the same boundary, since there is
+/// nobody left to reassign to.
+pub fn churn_plan(n_agents: usize) -> ChurnSchedule {
+    let (victim, back) = if n_agents == 1 {
+        (0, 1)
+    } else {
+        (n_agents - 1, 3)
+    };
+    ChurnSchedule::new().kill(victim, 1).revive(victim, back)
+}
+
+/// Channel agents where agent 0 stalls on every request (fixed latency
+/// plus a per-KiB cost, so bigger chunks stall longer).
+fn delayed_transports(n_agents: usize) -> Vec<Box<dyn Transport>> {
+    (0..n_agents)
+        .map(|i| {
+            let (coord, mut agent_side) = channel_pair();
+            std::thread::spawn(move || {
+                if i == 0 {
+                    let mut slow = DelayTransport::new(agent_side, Duration::from_millis(4))
+                        .with_per_kib(Duration::from_millis(4));
+                    let _ = serve_session(&mut slow);
+                } else {
+                    let _ = serve_session(&mut agent_side);
+                }
+            });
+            Box::new(coord) as Box<dyn Transport>
+        })
+        .collect()
+}
+
+impl Condition {
+    /// Whether inference runs on a cluster of agents (else it stays on
+    /// the coordinator).
+    pub fn is_live(self) -> bool {
+        !matches!(
+            self,
+            Condition::Threads(_) | Condition::Engine { .. } | Condition::Untraced
+        )
+    }
+
+    /// This condition's cluster of `agents` agents, if it is a live one.
+    pub fn cluster(self, spec: ClusterSpec, agents: usize) -> Option<EdgeCluster> {
+        let cluster = match self {
+            Condition::Threads(_) | Condition::Engine { .. } | Condition::Untraced => return None,
+            Condition::Tcp | Condition::SkewedWeights => {
+                EdgeCluster::spawn_local_spec(agents, spec)
+            }
+            Condition::UdpClean => {
+                EdgeCluster::spawn_local_udp_cfg(agents, spec, UdpConfig::default())
+            }
+            Condition::UdpLossy { fault_seed } => EdgeCluster::spawn_local_udp_cfg(
+                agents,
+                spec,
+                lossy_udp(fault_seed + agents as u64),
+            ),
+            Condition::DelayedCalibrated => {
+                EdgeCluster::connect_transports(delayed_transports(agents), spec)
+            }
+            Condition::Churn => EdgeCluster::spawn_spec(agents, spec),
+        };
+        let mut cluster = cluster.expect("in-process cluster comes up");
+        match self {
+            Condition::SkewedWeights => {
+                let weights: Vec<f64> = [3.0, 0.5, 8.0, 1.0]
+                    .into_iter()
+                    .cycle()
+                    .take(agents)
+                    .collect();
+                cluster.set_weights(&weights).expect("valid weights");
+            }
+            Condition::DelayedCalibrated => cluster.set_calibration(true),
+            Condition::Churn => cluster.set_churn(churn_plan(agents)).expect("plan fits"),
+            _ => {}
+        }
+        Some(cluster)
+    }
+
+    /// The evaluator that runs inference under this condition.
+    pub fn evaluator(self, w: Workload, mode: InferenceMode, agents: usize) -> Evaluator {
+        let (threads, engine) = match self {
+            Condition::Threads(n) => (n, EngineOptions::default()),
+            Condition::Engine { batch, cache } => {
+                let batch_lanes = if batch { 32 } else { 1 };
+                (1, EngineOptions { batch_lanes, cache })
+            }
+            _ => (1, EngineOptions::default()),
+        };
+        let local = Evaluator::with_options(w, mode, 1, threads, engine);
+        match self.cluster(spec(w, mode), agents) {
+            Some(cluster) => local.with_remote(cluster),
+            None => local,
+        }
+    }
+
+    /// CartPole under this condition on `agents` agents, `topology` over
+    /// the simulated [`SIM_AGENTS`] cluster — the named tests' subject.
+    pub fn orchestrator(self, topology: ClanTopology, agents: usize) -> Box<dyn Orchestrator> {
+        let evaluator = self.evaluator(Workload::CartPole, InferenceMode::MultiStep, agents);
+        orchestrator(topology, SIM_AGENTS, evaluator)
+    }
+
+    /// This (live) condition's CartPole cluster, for tests that drive an
+    /// [`EdgeCluster`] directly.
+    pub fn cartpole_cluster(self, agents: usize) -> EdgeCluster {
+        self.cluster(spec(Workload::CartPole, InferenceMode::MultiStep), agents)
+            .expect("a live condition")
+    }
+}
+
+/// One matrix row: a condition and the cells it is asserted on (all four
+/// topologies, always).
+#[derive(Debug, Clone, Copy)]
+pub struct Row {
+    pub name: &'static str,
+    pub condition: Condition,
+    pub workloads: &'static [Workload],
+    pub mode: InferenceMode,
+    /// Live agents for a condition with a cluster (the topology then runs
+    /// over the simulated [`SIM_AGENTS`] devices); the simulated cluster
+    /// size (and DDA clan count) for a coordinator-local one.
+    pub agents: &'static [usize],
+    pub generations: usize,
+}
+
+const fn row(name: &'static str, condition: Condition, agents: &'static [usize]) -> Row {
+    Row {
+        name,
+        condition,
+        workloads: &[Workload::CartPole],
+        mode: InferenceMode::MultiStep,
+        agents,
+        generations: GENERATIONS,
+    }
+}
+
+const fn threads(name: &'static str, n: usize) -> Row {
+    Row {
+        workloads: &[Workload::CartPole, Workload::LunarLander],
+        generations: 10,
+        ..row(name, Condition::Threads(n), &[3])
+    }
+}
+
+const fn engine(name: &'static str, batch: bool, cache: bool) -> Row {
+    row(name, Condition::Engine { batch, cache }, &[1, 2, 4])
+}
+
+/// Loss costs wall-clock (every drop waits out a retransmit timer), so
+/// the lossy rows run one generation fewer.
+const fn lossy(name: &'static str, fault_seed: u64, agents: &'static [usize]) -> Row {
+    Row {
+        generations: GENERATIONS - 1,
+        ..row(name, Condition::UdpLossy { fault_seed }, agents)
+    }
+}
+
+pub const MATRIX: &[Row] = &[
+    threads("threads-2", 2),
+    threads("threads-4", 4),
+    threads("threads-8", 8),
+    engine("no-batch", false, true),
+    engine("no-cache", true, false),
+    engine("no-batch-no-cache", false, false),
+    row("untraced", Condition::Untraced, &[SIM_AGENTS]),
+    row("tcp", Condition::Tcp, &[1, 2, 4]),
+    Row {
+        workloads: &[Workload::AirRaid],
+        mode: InferenceMode::SingleStep,
+        generations: 2,
+        ..row("single-step-tcp", Condition::Tcp, &[2])
+    },
+    row("udp-clean", Condition::UdpClean, &[1, 2, 4]),
+    lossy("udp-lossy", 7, &[1, 2, 4]),
+    lossy("udp-lossy-reseeded", 1, &[2]),
+    row("skewed-weights", Condition::SkewedWeights, &[1, 2, 4]),
+    row("delayed-calibrated", Condition::DelayedCalibrated, &[3]),
+    row("churn", Condition::Churn, &[1, 2, 4]),
+];
+
+/// Asserts row `name` on every cell it lists; panics naming the first
+/// (condition, topology, agents) that evolved differently.
+pub fn check(name: &str) {
+    let row = MATRIX
+        .iter()
+        .find(|r| r.name == name)
+        .unwrap_or_else(|| panic!("no matrix row named {name:?}"));
+    // A hit replays the full gene accounting, so between engine tiers
+    // only the cache's own counters may differ — in the reports and in
+    // the Logical stream's generation-end lines, which carry them.
+    let normalized = |mut run: Run| {
+        if let Condition::Engine { cache, .. } = row.condition {
+            for r in &mut run.reports {
+                (r.cache_hits, r.cache_lookups) = (0, 0);
+            }
+            run.logical = run.logical.filter(|_| cache);
+        }
+        run
+    };
+    for &workload in row.workloads {
+        let mut references: HashMap<(usize, ClanTopology), Run> = HashMap::new();
+        for &agents in row.agents {
+            let sim = if row.condition.is_live() {
+                SIM_AGENTS
+            } else {
+                agents
+            };
+            for topology in topologies(sim) {
+                let reference = references.entry((sim, topology)).or_insert_with(|| {
+                    let local = local_evaluator(workload, row.mode);
+                    normalized(run(
+                        &mut *orchestrator(topology, sim, local),
+                        row.generations,
+                    ))
+                });
+                let evaluator = row.condition.evaluator(workload, row.mode, agents);
+                let mut o = orchestrator(topology, sim, evaluator);
+                if row.condition == Condition::Untraced {
+                    o.install_tracer(Tracer::disabled());
+                }
+                let subject = normalized(run(&mut *o, row.generations));
+                let cell = format!("{name} x {topology} x {agents} agent(s) on {workload}");
+                if let Err(mismatch) = compare(&cell, reference, &subject) {
+                    panic!("{mismatch}");
+                }
+            }
+        }
+    }
+}
+
+/// Generation 0 of the CartPole run every cluster-level test evaluates.
+pub fn fresh_population() -> Population {
+    Population::new(neat_cfg(Workload::CartPole), SEED)
+}
+
+/// Every genome's fitness, in id order.
+pub fn fitnesses(pop: &Population) -> Vec<f64> {
+    pop.genomes()
+        .values()
+        .map(|g| g.fitness().expect("every genome evaluated"))
+        .collect()
+}

@@ -1,13 +1,14 @@
 //! The telemetry headline: the **logical event stream is part of the
 //! determinism contract**.
 //!
-//! For every CLAN topology (Serial / DCS / DDS / DDA), the trace's
-//! logical text — run preamble, generation starts, the id-ordered
-//! per-genome evaluation replay, generation ends, run end — must be
-//! **byte-identical** for a given seed whether inference ran locally,
-//! over loopback TCP, over UDP with 20 % injected datagram loss, or
-//! through a deterministic churn schedule. Wall-clock reality
-//! (retransmissions, failures, reassignments) is recorded in the
+//! Every matrix row (`tests/common/mod.rs`) already compares the Logical
+//! channel's hash between its condition and the local reference. This
+//! suite pins the same through the driver, whole text: run preamble,
+//! generation starts, the id-ordered per-genome evaluation replay,
+//! generation ends, run end — **byte-identical** for a given seed whether
+//! inference ran locally, over loopback TCP, over UDP with 20 % injected
+//! datagram loss, or through a deterministic churn schedule. Wall-clock
+//! reality (retransmissions, failures, reassignments) is recorded in the
 //! Timing channel and must never leak into the logical stream.
 //!
 //! Async virtual-time runs extend the contract: the logical stream is
@@ -15,25 +16,15 @@
 //! events reproduces the run's `AsyncStats::event_log_hash` — the trace
 //! carries everything the fingerprint covers.
 
+mod common;
+
 use clan::core::telemetry::{from_jsonl, parse_chrome_json, to_chrome_json, to_jsonl};
-use clan::core::transport::{ChurnSchedule, FaultConfig, UdpConfig};
+use clan::core::transport::ChurnSchedule;
 use clan::core::{ClanDriver, ClanDriverBuilder, ClanTopology, Determinism, EventKind, RunTrace};
 use clan::envs::Workload;
+use common::{check, lossy_udp, topologies, POP, SEED, SIM_AGENTS};
 
-const POP: usize = 20;
-const SIM_AGENTS: usize = 4;
-const GENERATIONS: u64 = 4;
-const SEED: u64 = 13;
-const LOSS: f64 = 0.2;
-
-fn topologies() -> [ClanTopology; 4] {
-    [
-        ClanTopology::serial(),
-        ClanTopology::dcs(),
-        ClanTopology::dds(),
-        ClanTopology::dda(SIM_AGENTS),
-    ]
-}
+const GENERATIONS: u64 = common::GENERATIONS as u64;
 
 fn base_builder(topology: ClanTopology) -> ClanDriverBuilder {
     let agents = if topology == ClanTopology::serial() {
@@ -49,14 +40,10 @@ fn base_builder(topology: ClanTopology) -> ClanDriverBuilder {
         .tracing(true)
 }
 
-/// A small MTU (forcing real fragmentation of every genome frame) and a
-/// fast retransmit timer so 20 % loss costs milliseconds, not seconds.
-fn lossy_udp() -> UdpConfig {
-    UdpConfig::default()
-        .with_mtu(256)
-        .with_retransmit_interval_s(0.01)
-        .with_idle_timeout_s(10.0)
-        .with_faults(FaultConfig::loss(LOSS).with_seed(5))
+fn lossy_udp_builder(topology: ClanTopology) -> ClanDriverBuilder {
+    base_builder(topology)
+        .loopback_udp_agents(2)
+        .udp_config(lossy_udp(5))
 }
 
 fn traced_run(builder: ClanDriverBuilder) -> RunTrace {
@@ -70,13 +57,9 @@ fn traced_run(builder: ClanDriverBuilder) -> RunTrace {
 
 #[test]
 fn logical_stream_is_byte_identical_across_transports_on_all_topologies() {
-    for topology in topologies() {
+    for topology in topologies(SIM_AGENTS) {
         let local = traced_run(base_builder(topology));
         let baseline = local.logical_text();
-        assert!(
-            !baseline.is_empty(),
-            "{topology}: logical stream must not be empty"
-        );
         // Preamble, per-generation markers, replayed evals, postamble.
         assert!(baseline.starts_with("l=0 k=run_start seed=13"));
         assert!(baseline.contains("k=gen_start"));
@@ -84,55 +67,41 @@ fn logical_stream_is_byte_identical_across_transports_on_all_topologies() {
         assert!(baseline.contains("k=gen_end"));
         assert!(baseline.ends_with("k=run_end gen=4\n"));
 
-        let tcp = traced_run(base_builder(topology).loopback_agents(2));
-        assert_eq!(
-            baseline,
-            tcp.logical_text(),
-            "{topology} over loopback TCP: logical stream diverged"
-        );
-
-        let udp = traced_run(
-            base_builder(topology)
-                .loopback_udp_agents(2)
-                .udp_config(lossy_udp()),
-        );
-        assert_eq!(
-            baseline,
-            udp.logical_text(),
-            "{topology} over 20%-lossy UDP: logical stream diverged"
-        );
-
-        let churned = traced_run(
-            base_builder(topology)
-                .loopback_agents(3)
-                .churn(ChurnSchedule::new().kill(1, 1).revive(1, 3)),
-        );
-        assert_eq!(
-            baseline,
-            churned.logical_text(),
-            "{topology} through churn: logical stream diverged"
-        );
-        // The churn was real: the Timing channel saw it, the logical
-        // channel did not.
-        assert!(
-            churned
+        let churn = ChurnSchedule::new().kill(1, 1).revive(1, 3);
+        for (surface, builder) in [
+            ("loopback TCP", base_builder(topology).loopback_agents(2)),
+            ("20%-lossy UDP", lossy_udp_builder(topology)),
+            (
+                "churned TCP",
+                base_builder(topology).loopback_agents(3).churn(churn),
+            ),
+        ] {
+            let trace = traced_run(builder);
+            assert_eq!(
+                baseline,
+                trace.logical_text(),
+                "{topology} over {surface}: logical stream diverged"
+            );
+            assert_eq!(local.logical_hash(), trace.logical_hash());
+            // The churn was real: the Timing channel saw it, the logical
+            // channel did not.
+            let killed = trace
                 .events
                 .iter()
-                .any(|e| e.kind == EventKind::AgentKilled),
-            "{topology}: churn schedule must surface as Timing events"
-        );
-        assert_eq!(local.logical_hash(), churned.logical_hash());
+                .any(|e| e.kind == EventKind::AgentKilled);
+            assert_eq!(
+                killed,
+                surface == "churned TCP",
+                "{topology} over {surface}"
+            );
+        }
     }
 }
 
 #[test]
 fn timing_events_differ_while_logical_hash_does_not() {
     let local = traced_run(base_builder(ClanTopology::dcs()));
-    let udp = traced_run(
-        base_builder(ClanTopology::dcs())
-            .loopback_udp_agents(2)
-            .udp_config(lossy_udp()),
-    );
+    let udp = traced_run(lossy_udp_builder(ClanTopology::dcs()));
     let (local_logical, local_timing) = local.counts();
     let (udp_logical, udp_timing) = udp.counts();
     assert_eq!(local_logical, udp_logical);
@@ -162,27 +131,15 @@ fn timing_events_differ_while_logical_hash_does_not() {
 
 #[test]
 fn tracing_never_changes_the_evolved_result() {
-    let run = |tracing: bool| {
-        ClanDriver::builder(Workload::CartPole)
-            .topology(ClanTopology::dcs())
-            .agents(SIM_AGENTS)
-            .population_size(POP)
-            .seed(SEED)
-            .tracing(tracing)
-            .build()
-            .unwrap()
-            .run(GENERATIONS)
-            .unwrap()
+    check("untraced");
+    // ...and an untraced run really records nothing.
+    let logical_events = |tracing: bool| {
+        let driver = base_builder(ClanTopology::dcs()).tracing(tracing).build();
+        let report = driver.unwrap().run(GENERATIONS).unwrap();
+        report.telemetry.logical_events
     };
-    let untraced = run(false);
-    let traced = run(true);
-    assert_eq!(untraced.best_fitness, traced.best_fitness);
-    assert_eq!(
-        untraced.generations.last().unwrap().costs,
-        traced.generations.last().unwrap().costs
-    );
-    assert!(untraced.telemetry.logical_events == 0);
-    assert!(traced.telemetry.logical_events > 0);
+    assert_eq!(logical_events(false), 0);
+    assert!(logical_events(true) > 0);
 }
 
 #[test]
@@ -245,11 +202,7 @@ fn folding_trace_completions_reproduces_the_event_log_hash() {
 
 #[test]
 fn exporters_round_trip_a_real_trace() {
-    let trace = traced_run(
-        base_builder(ClanTopology::dcs())
-            .loopback_udp_agents(2)
-            .udp_config(lossy_udp()),
-    );
+    let trace = traced_run(lossy_udp_builder(ClanTopology::dcs()));
     // JSONL: parse back every event bit-exactly.
     let jsonl = to_jsonl(&trace).expect("serializes");
     let events = from_jsonl(&jsonl).expect("parses back");
