@@ -39,11 +39,12 @@ fn bench_eval_thread_scaling(c: &mut Criterion) {
     use clan_netsim::WifiModel;
 
     // Full-generation throughput at 1/2/4/8 evaluation threads: the
-    // trajectories are bit-identical (asserted in tests/equivalence.rs),
-    // so this measures pure wall-clock scaling of the Inference block.
-    // The orchestrator (and therefore the persistent worker pool) is
-    // built *outside* the timed loop: spawn/join cost must not be
-    // charged to the per-generation numbers.
+    // trajectories are bit-identical (the `threads-N` rows of
+    // tests/determinism_matrix.rs), so this measures pure wall-clock
+    // scaling of the Inference block. The orchestrator (and with it every
+    // thread's environment and scratch buffers) is built *outside* the
+    // timed loop; the scoped threads themselves are spawned and joined
+    // once per generation, which is part of what a generation costs.
     let w = Workload::CartPole;
     let cfg = NeatConfig::builder(w.obs_dim(), w.n_actions())
         .population_size(96)

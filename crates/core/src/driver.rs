@@ -336,7 +336,7 @@ pub struct ClanDriverBuilder {
 /// Where genome evaluation physically runs.
 #[derive(Debug, Clone, Default)]
 enum RemoteBackend {
-    /// On the calling thread (or a local thread pool).
+    /// On the coordinator's own evaluation threads.
     #[default]
     Local,
     /// Over loopback TCP agents spawned in this process.
@@ -722,8 +722,8 @@ impl ClanDriverBuilder {
             }
         };
         // Remote backends evaluate on the agents: the coordinator-side
-        // evaluator never activates networks itself, so pool workers
-        // are only spawned when evaluation actually stays local.
+        // evaluator never activates networks itself, so extra engines
+        // are only built when evaluation actually stays local.
         let threads = if edge.is_some() { 1 } else { c.eval_threads };
         let evaluator =
             Evaluator::with_options(c.workload, c.mode, c.episodes_per_eval, threads, c.engine);

@@ -7,7 +7,6 @@
 //! generation, modeling deployments (e.g. robotics) where repeated
 //! multi-step rollouts per generation are unavailable (§IV-D).
 
-use crate::parallel::ParallelEvaluator;
 use crate::runtime::EdgeCluster;
 use crate::transport::WireEvaluation;
 use clan_envs::{run_episode, Environment, Workload};
@@ -76,8 +75,8 @@ impl Default for EngineOptions {
 
 /// The one hit/miss/insert sequence of the content-addressed fitness
 /// cache, shared by every surface that fields lookups (the local
-/// evaluator, its thread pool, and the coordinator side of an
-/// [`EdgeCluster`]): [`split`](CacheFilter::split) serves the hits and
+/// evaluator and the coordinator side of an [`EdgeCluster`]):
+/// [`split`](CacheFilter::split) serves the hits and
 /// hands back the misses, the caller evaluates those however it likes,
 /// and [`merge`](CacheFilter::merge) memoizes the fresh results and
 /// restores input order. With no cache every genome is a miss and
@@ -160,15 +159,30 @@ impl CacheFilter {
     }
 }
 
-/// Evaluates genomes on one workload, reusing a single environment
-/// instance and a single set of [`Scratch`] buffers (the per-step hot
-/// loop performs no heap allocation).
+/// What one thread needs to run episodes: the episode plan, an
+/// environment, the scalar tier's [`Scratch`] buffers and the batch
+/// lanes' environments (no heap allocation per step). No cache — the
+/// [`Evaluator`] serves the hits before an engine sees a genome.
+struct Engine {
+    workload: Workload,
+    mode: InferenceMode,
+    episodes: u32,
+    /// [`EngineOptions::batch_lanes`].
+    batch_lanes: usize,
+    env: Box<dyn Environment>,
+    scratch: Scratch,
+    /// One environment per batch lane, grown on demand; each lane's
+    /// episodes replay exactly what the scalar path would run.
+    lane_envs: Vec<Box<dyn Environment>>,
+}
+
+/// Evaluates genomes on one workload: the content-addressed fitness
+/// cache in front of one engine per evaluation thread.
 ///
 /// Constructed with [`with_threads`](Evaluator::with_threads), the
-/// evaluator additionally carries a persistent
-/// [`ParallelEvaluator`] pool; the orchestrators' partitioned
-/// evaluation then fans inference out across those workers while staying
-/// bit-identical to the serial path (see [`crate::parallel`]).
+/// orchestrators' partitioned evaluation runs each generation's cache
+/// misses on that many scoped threads (the caller's included), still
+/// bit-identical to the one-thread path.
 ///
 /// Attached to an [`EdgeCluster`] with
 /// [`with_remote`](Evaluator::with_remote), the evaluator instead ships
@@ -177,17 +191,11 @@ impl CacheFilter {
 /// because episode seeds derive from `(master_seed, genome content
 /// hash)` no matter where inference runs.
 pub struct Evaluator {
-    workload: Workload,
-    mode: InferenceMode,
-    episodes: u32,
-    options: EngineOptions,
-    env: Box<dyn Environment>,
-    scratch: Scratch,
-    /// One environment per batch lane, grown on demand; each lane's
-    /// episodes replay exactly what the scalar path would run.
-    lane_envs: Vec<Box<dyn Environment>>,
+    /// The calling thread's engine.
+    engine: Engine,
+    /// One more engine per extra `--eval-threads` thread.
+    extra: Vec<Engine>,
     cache: Option<FitnessCache>,
-    pool: Option<ParallelEvaluator>,
     remote: Option<EdgeCluster>,
     /// Telemetry handle (no-op unless the driver installs a live one);
     /// shared with the attached cluster so runtime timing events land
@@ -198,8 +206,8 @@ pub struct Evaluator {
 impl std::fmt::Debug for Evaluator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Evaluator")
-            .field("workload", &self.workload)
-            .field("mode", &self.mode)
+            .field("workload", &self.engine.workload)
+            .field("mode", &self.engine.mode)
             .field("eval_threads", &self.eval_threads())
             .finish_non_exhaustive()
     }
@@ -224,10 +232,9 @@ impl Evaluator {
         Evaluator::with_options(workload, mode, episodes, 1, EngineOptions::default())
     }
 
-    /// Creates an evaluator backed by `threads` persistent worker
-    /// threads. Results are bit-identical to the serial evaluator at any
-    /// thread count; `threads <= 1` keeps everything on the caller's
-    /// thread.
+    /// Creates an evaluator that evaluates on `threads` threads, the
+    /// caller's included (`<= 1`: the caller's alone). Results are
+    /// bit-identical to the serial evaluator at any thread count.
     ///
     /// # Panics
     ///
@@ -241,9 +248,9 @@ impl Evaluator {
         Evaluator::with_options(workload, mode, episodes, threads, EngineOptions::default())
     }
 
-    /// The general constructor: episodes, worker threads, and explicit
-    /// [`EngineOptions`]. Batching and caching change wall-clock only —
-    /// results are bit-identical with either feature on, off, or mixed.
+    /// The general constructor: episodes, evaluation threads, and
+    /// explicit [`EngineOptions`]. Batching and caching change wall-clock
+    /// only — results are bit-identical with either on, off, or mixed.
     ///
     /// # Panics
     ///
@@ -256,31 +263,19 @@ impl Evaluator {
         options: EngineOptions,
     ) -> Evaluator {
         assert!(episodes > 0, "an evaluation needs at least one episode");
-        let pool = (threads > 1).then(|| {
-            // Workers only ever see cache misses (the coordinator filters
-            // hits first), so they run with caching off and inherit the
-            // batching setting.
-            ParallelEvaluator::spawn_with(
-                workload,
-                mode,
-                episodes,
-                threads,
-                EngineOptions {
-                    cache: false,
-                    ..options
-                },
-            )
-        });
-        Evaluator {
+        let engine = || Engine {
             workload,
             mode,
             episodes,
-            options,
+            batch_lanes: options.batch_lanes,
             env: workload.make(),
             scratch: Scratch::new(),
             lane_envs: Vec::new(),
+        };
+        Evaluator {
+            engine: engine(),
+            extra: (1..threads).map(|_| engine()).collect(),
             cache: options.cache.then(FitnessCache::new),
-            pool,
             remote: None,
             tracer: crate::telemetry::Tracer::default(),
         }
@@ -290,7 +285,7 @@ impl Evaluator {
     /// over its transport instead of locally. Results stay bit-identical
     /// to the serial path — only where the episodes execute changes.
     ///
-    /// A remote cluster takes precedence over a local thread pool.
+    /// A remote cluster takes precedence over local evaluation threads.
     pub fn with_remote(mut self, cluster: EdgeCluster) -> Evaluator {
         self.remote = Some(cluster);
         if self.tracer.is_enabled() {
@@ -316,9 +311,9 @@ impl Evaluator {
         &self.tracer
     }
 
-    /// Worker threads evaluating in parallel (1 = serial).
+    /// Threads a local evaluation runs on (1 = the caller's alone).
     pub fn eval_threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, ParallelEvaluator::n_threads)
+        1 + self.extra.len()
     }
 
     /// Mutable access to the attached agent cluster: how the
@@ -360,17 +355,17 @@ impl Evaluator {
 
     /// Episodes averaged per evaluation.
     pub fn episodes(&self) -> u32 {
-        self.episodes
+        self.engine.episodes
     }
 
     /// The workload being evaluated.
     pub fn workload(&self) -> Workload {
-        self.workload
+        self.engine.workload
     }
 
     /// The inference mode in force.
     pub fn mode(&self) -> InferenceMode {
-        self.mode
+        self.engine.mode
     }
 
     /// Deterministic episode seed for a genome: derived from the run's
@@ -404,20 +399,21 @@ impl Evaluator {
     /// This evaluator's episode seed for one genome under its configured
     /// episode plan.
     pub fn seed_for(&self, master_seed: u64, genome: &Genome) -> u64 {
-        Evaluator::episode_seed(master_seed, genome.content_hash(), self.episodes, self.mode)
+        let Engine { episodes, mode, .. } = self.engine;
+        Evaluator::episode_seed(master_seed, genome.content_hash(), episodes, mode)
     }
 
     /// Evaluates a batch of genomes exactly as the serial path would:
     /// consult the fitness cache, compile the misses, derive each episode
     /// seed from `(master_seed, content_hash, episode plan)`, run the
     /// episodes (batched by topology shape where possible), and report
-    /// the compiled network's per-activation gene cost. Thread-pool
-    /// workers route through this and agent sessions through its uncached
-    /// core, so the determinism contract lives in one piece of code.
-    /// Results come back in input order.
+    /// the compiled network's per-activation gene cost. Every evaluation
+    /// thread and every agent session runs the same uncached core, so the
+    /// determinism contract lives in one piece of code. Results come back
+    /// in input order.
     ///
     /// `generation` is unused (seeds are content-based); it stays in the
-    /// signature because the wire protocol and pool jobs carry it.
+    /// signature because the wire protocol carries it.
     pub fn evaluate_genomes(
         &mut self,
         genomes: &[Genome],
@@ -434,17 +430,87 @@ impl Evaluator {
         filter.merge(self.cache.as_mut(), master_seed, fresh)
     }
 
+    /// [`Engine::evaluate_uncached`] on the calling thread — an agent
+    /// session's whole evaluation.
+    pub(crate) fn evaluate_uncached<G: Borrow<Genome>>(
+        &mut self,
+        genomes: impl Iterator<Item = (u64, G)>,
+        cfg: &NeatConfig,
+        master_seed: u64,
+    ) -> Result<Vec<WireEvaluation>, NeatError> {
+        self.engine.evaluate_uncached(genomes, cfg, master_seed)
+    }
+
+    /// Evaluates the whole population locally, cache hits served first:
+    /// the misses — borrowed, never cloned — run as contiguous id-ordered
+    /// chunks, one per engine on scoped threads (the caller takes the
+    /// first), and concatenate back in genome-id order.
+    pub(crate) fn evaluate_population_local(&mut self, pop: &Population) -> Vec<WireEvaluation> {
+        let master_seed = pop.master_seed();
+        let (filter, misses) = CacheFilter::split_population(self.cache.as_mut(), pop);
+        let mut chunks = misses.chunks(misses.len().div_ceil(self.eval_threads()).max(1));
+        let own = chunks.next().unwrap_or_default();
+        let fresh = std::thread::scope(|s| {
+            let run = |engine: &mut Engine, chunk: &[(u64, &Genome)]| {
+                engine
+                    .evaluate_uncached(chunk.iter().copied(), pop.config(), master_seed)
+                    .unwrap_or_else(|e| panic!("genome invariant broken: {e}"))
+            };
+            let spawned: Vec<_> = chunks
+                .zip(&mut self.extra)
+                .map(|(chunk, engine)| s.spawn(move || run(engine, chunk)))
+                .collect();
+            let mut out = run(&mut self.engine, own);
+            for worker in spawned {
+                match worker.join() {
+                    Ok(part) => out.extend(part),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            out
+        });
+        filter.merge(self.cache.as_mut(), master_seed, fresh)
+    }
+
+    /// Drains and returns this generation's fitness-cache `(hits,
+    /// lookups)` window, summed over the local cache and the attached
+    /// agent cluster's coordinator-side cache (if any).
+    pub fn take_cache_window(&mut self) -> (u64, u64) {
+        let (mut hits, mut lookups) = self
+            .cache
+            .as_mut()
+            .map_or((0, 0), FitnessCache::take_window);
+        if let Some(cluster) = self.remote.as_mut() {
+            let (h, l) = cluster.take_cache_window();
+            hits += h;
+            lookups += l;
+        }
+        if let Some(cache) = &self.cache {
+            self.tracer
+                .set_gauge("cache.hit_rate", cache.hit_rate_total());
+            self.tracer.set_gauge("cache.entries", cache.len() as f64);
+        }
+        (hits, lookups)
+    }
+
+    /// Runs the configured number of episodes and returns the mean
+    /// fitness with the summed activation count.
+    pub fn evaluate(&mut self, net: &FeedForwardNetwork, episode_seed: u64) -> Evaluation {
+        self.engine.evaluate(net, episode_seed)
+    }
+}
+
+impl Engine {
     /// Compiles (once — the only compilation a genome gets) and runs
-    /// `genomes` (content hashes alongside) with no cache involved; results
-    /// in input order. An owned genome — an agent session's, whose
-    /// evaluator has no cache — is dropped as soon as it is compiled, so a
-    /// request never sits in memory beside its networks.
+    /// `genomes` (content hashes alongside); results in input order. An
+    /// owned genome — an agent session's — is dropped as soon as it is
+    /// compiled, so a request never sits in memory beside its networks.
     ///
     /// # Errors
     ///
     /// [`NeatError::InvalidGenome`] from
     /// [`FeedForwardNetwork::try_compile`], before any episode runs.
-    pub(crate) fn evaluate_uncached<G: Borrow<Genome>>(
+    fn evaluate_uncached<G: Borrow<Genome>>(
         &mut self,
         genomes: impl Iterator<Item = (u64, G)>,
         cfg: &NeatConfig,
@@ -476,7 +542,7 @@ impl Evaluator {
             };
             nets.len()
         ];
-        if self.options.batch_lanes > 1 && nets.len() > 1 {
+        if self.batch_lanes > 1 && nets.len() > 1 {
             let mut groups: BTreeMap<ShapeKey, Vec<usize>> = BTreeMap::new();
             for (k, net) in nets.iter().enumerate() {
                 groups.entry(ShapeKey::of(net)).or_default().push(k);
@@ -507,7 +573,7 @@ impl Evaluator {
     /// episodes in lockstep; a lane that finishes an episode immediately
     /// reloads with the next pending one. Per-lane arithmetic and the
     /// per-episode environment trajectory are bit-identical to
-    /// [`evaluate`](Self::evaluate) — only wall-clock changes.
+    /// [`evaluate`](Engine::evaluate) — only wall-clock changes.
     fn evaluate_group_batched(
         &mut self,
         group: &[usize],
@@ -530,7 +596,7 @@ impl Evaluator {
                 }
             }
         }
-        let lanes = self.options.batch_lanes.min(tasks.len()).max(1);
+        let lanes = self.batch_lanes.min(tasks.len()).max(1);
         while self.lane_envs.len() < lanes {
             self.lane_envs.push(self.workload.make());
         }
@@ -615,61 +681,17 @@ impl Evaluator {
         }
     }
 
-    /// Evaluates the whole population locally (serial or thread pool),
-    /// with cache hits filtered out before any work is sharded; returns
-    /// results in genome-id order.
-    pub(crate) fn evaluate_population_local(
-        &mut self,
-        pop: &Population,
-    ) -> Vec<(GenomeId, Evaluation, u64)> {
-        let master_seed = pop.master_seed();
-        let (filter, misses) = CacheFilter::split_population(self.cache.as_mut(), pop);
-        let fresh = match &self.pool {
-            Some(pool) => pool.evaluate_genomes(
-                misses.into_iter().map(|(_, g)| g.clone()).collect(),
-                pop.config(),
-                master_seed,
-                pop.generation(),
-            ),
-            None => self
-                .evaluate_uncached(misses.into_iter(), pop.config(), master_seed)
-                .unwrap_or_else(|e| panic!("genome invariant broken: {e}")),
-        };
-        filter.merge(self.cache.as_mut(), master_seed, fresh)
-    }
-
-    /// Drains and returns this generation's fitness-cache `(hits,
-    /// lookups)` window, summed over the local cache and the attached
-    /// agent cluster's coordinator-side cache (if any).
-    pub fn take_cache_window(&mut self) -> (u64, u64) {
-        let (mut hits, mut lookups) = self
-            .cache
-            .as_mut()
-            .map_or((0, 0), FitnessCache::take_window);
-        if let Some(cluster) = self.remote.as_mut() {
-            let (h, l) = cluster.take_cache_window();
-            hits += h;
-            lookups += l;
-        }
-        if let Some(cache) = &self.cache {
-            self.tracer
-                .set_gauge("cache.hit_rate", cache.hit_rate_total());
-            self.tracer.set_gauge("cache.entries", cache.len() as f64);
-        }
-        (hits, lookups)
-    }
-
     /// Runs the configured number of episodes and returns the mean
     /// fitness with the summed activation count.
-    pub fn evaluate(&mut self, net: &FeedForwardNetwork, episode_seed: u64) -> Evaluation {
+    fn evaluate(&mut self, net: &FeedForwardNetwork, episode_seed: u64) -> Evaluation {
         let max_steps = self.mode.max_steps(self.workload);
         let mut total_reward = 0.0;
         let mut activations = 0;
         let episodes = self.episodes;
-        // Split borrows: the policy closure reuses this evaluator's
+        // Split borrows: the policy closure reuses this engine's
         // scratch buffers while the environment steps — zero allocations
         // per timestep.
-        let Evaluator { env, scratch, .. } = self;
+        let Engine { env, scratch, .. } = self;
         for ep in 0..episodes {
             let seed = if episodes == 1 {
                 episode_seed
@@ -864,6 +886,42 @@ mod tests {
         });
         assert_eq!(all_off, all_on);
         assert_eq!(all_off, mixed);
+    }
+
+    #[test]
+    fn extra_threads_change_nothing_at_any_episode_plan_or_chunking() {
+        // The matrix's `threads-N` rows run one episode per genome; here
+        // several episodes, and more threads than genomes (one-genome
+        // chunks, idle engines), cache off so every pass evaluates.
+        let workload = Workload::MountainCar;
+        let cfg = NeatConfig::builder(workload.obs_dim(), workload.n_actions())
+            .population_size(5)
+            .build()
+            .unwrap();
+        let pop = Population::new(cfg, 6);
+        let uncached = EngineOptions {
+            cache: false,
+            ..EngineOptions::default()
+        };
+        let on = |threads| {
+            let mut ev =
+                Evaluator::with_options(workload, InferenceMode::MultiStep, 3, threads, uncached);
+            assert_eq!(ev.eval_threads(), threads.max(1));
+            (
+                ev.evaluate_population_local(&pop),
+                ev.evaluate_population_local(&pop),
+            )
+        };
+        let serial = on(1);
+        assert_eq!(serial.0, serial.1);
+        assert!(serial
+            .0
+            .iter()
+            .map(|r| r.0)
+            .eq(pop.genomes().keys().copied()));
+        for threads in [0, 2, 3, 8] {
+            assert_eq!(on(threads), serial, "{threads} threads");
+        }
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //! implements the paper's Figure-1 closed loop: deploy an expert, watch
 //! its fitness, re-learn when the environment shifts.
 //!
-//! Inference — the dominant compute block — can additionally be fanned
-//! out across host threads via [`parallel::ParallelEvaluator`]
-//! (enabled with [`ClanDriverBuilder::eval_threads`] or
-//! `clan-cli --eval-threads N`); the order-independent RNG discipline
-//! makes the parallel evaluation bit-identical to the serial path. The
+//! Inference — the dominant compute block — can additionally run on
+//! several host threads ([`ClanDriverBuilder::eval_threads`] or
+//! `clan-cli --eval-threads N`: a contiguous chunk of the generation's
+//! cache misses each); the order-independent RNG discipline makes that
+//! bit-identical to the serial path. The
 //! centre's own serial sections — central reproduction, content-hashing a
 //! population for the cache — use its cores unasked, sized by the work
 //! ([`clan_neat::fanout`]), with the same bit-identity.
@@ -61,9 +61,9 @@
 //!   from `(master_seed, generation, child_id)`, never from placement
 //!   or arrival order, and genome attributes travel as
 //!   exact `f64` bits; a TCP cluster run is therefore *bit-identical*
-//!   to a serial run on all four topologies (`tests/net_equivalence.rs`
-//!   asserts fitness, cost counters, and best-ever genomes at 1/2/4
-//!   agents).
+//!   to a serial run on all four topologies — row `tcp` of the
+//!   determinism matrix (`tests/common/mod.rs`; every *condition ×
+//!   topology × agent count* claim below is another row of it).
 //! - **Measured vs modeled traffic** — the runtime records each
 //!   message's real bytes-on-the-wire next to the analytic float
 //!   accounting in a [`CommLedger`](clan_netsim::CommLedger);
@@ -358,7 +358,6 @@ pub mod error;
 pub mod evaluator;
 pub mod membership;
 pub mod orchestra;
-pub mod parallel;
 pub mod report;
 pub mod runtime;
 pub mod serial;
@@ -377,7 +376,6 @@ pub use error::{ClanError, FrameError};
 pub use evaluator::{EngineOptions, Evaluator, InferenceMode};
 pub use membership::{AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
 pub use orchestra::{orchestrator_for, GenerationReport, Orchestrator};
-pub use parallel::ParallelEvaluator;
 pub use report::RunReport;
 pub use runtime::{EdgeCluster, GatherStats, StreamCompletion, StreamStats, STREAM_WINDOW};
 pub use serial::SerialOrchestrator;

@@ -203,8 +203,9 @@ impl Testbed {
 /// Figure-3 style accounting stays correct no matter which configuration
 /// ran the inference.
 ///
-/// When the evaluator carries a [`crate::parallel::ParallelEvaluator`]
-/// pool — or a real agent cluster attached with
+/// When the evaluator runs several threads
+/// ([`Evaluator::with_threads`](crate::Evaluator::with_threads)) — or a
+/// real agent cluster attached with
 /// [`Evaluator::with_remote`](crate::Evaluator::with_remote) — the
 /// per-genome evaluations are computed across those workers first and
 /// then recorded in genome-id order, so fitness, `CostCounters`, and the
@@ -227,8 +228,8 @@ pub(crate) fn evaluate_partitioned(
             ev.population = Some(pop.len() as u64);
         });
     // Compute every evaluation first, in genome-id order — remotely over
-    // the attached cluster, across the local thread pool, or serially
-    // (batched by shape, cache-filtered) on this thread — leaving all
+    // the attached cluster or on the evaluator's own threads (batched by
+    // shape, cache-filtered) — leaving all
     // bookkeeping to the deterministic loop below. Cache hits replay the
     // same accounting as fresh evaluations, so costs and timelines are
     // identical whichever engine features are enabled.

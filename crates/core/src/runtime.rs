@@ -7,8 +7,8 @@
 //! children are built remotely from serialized
 //! [`ChildSpec`](clan_neat::reproduction::ChildSpec)s, and the
 //! deterministic RNG discipline makes the distributed result
-//! bit-identical to a serial run (asserted in tests and, over real TCP
-//! sockets, by `tests/net_equivalence.rs`).
+//! bit-identical to a serial run (one row of the determinism matrix in
+//! `tests/common/mod.rs` per transport and fault condition).
 //!
 //! Three deployments of the same protocol:
 //!
@@ -578,7 +578,7 @@ impl EdgeCluster {
     /// ([`FaultConfig::for_link`](crate::transport::FaultConfig::for_link)),
     /// making both directions of each link lossy. The ARQ layer recovers
     /// every injected fault, so results stay bit-identical to a clean
-    /// run — `tests/lossy_equivalence.rs` pins that at 20 % loss.
+    /// run — the `udp-lossy` matrix rows pin that at 20 % loss.
     ///
     /// # Errors
     ///

@@ -56,12 +56,12 @@
 //! [`Population::record_evaluation`]: charge the inference genes and the
 //! episode, write the fitness, keep `best_ever`. The closure driver
 //! [`Population::evaluate`] calls it per genome in id order; the
-//! `clan-core` orchestrators compute evaluations on a thread pool or a
+//! `clan-core` orchestrators compute evaluations on host threads or a
 //! remote agent cluster and replay them through it in the same order;
 //! the async steady-state loop calls it per arrival. Fitness,
 //! [`CostCounters`], and `best_ever` are identical for any engine that
 //! records in the same order — the property the CLAN configurations rely
-//! on, asserted end-to-end in `tests/equivalence.rs`. After evaluation,
+//! on, asserted end-to-end by the determinism matrix. After evaluation,
 //! [`Population::try_advance_generation`] is the one central
 //! `S → GP → R` step (extinction is a typed error or a re-seed, per the
 //! config); the phase primitives it is built from stay public so a

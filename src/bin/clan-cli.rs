@@ -99,10 +99,12 @@ USAGE:
 DEFAULTS: workload=cartpole topology=serial agents=1 generations=5
           population=150 seed=0 platform=pi eval-threads=1
 
---eval-threads N runs genome evaluation across N host threads;
+--eval-threads N (run/solve) evaluates each generation's cache misses
+on N host threads, the calling one included, a contiguous chunk each;
 results are bit-identical to serial, only wall-clock time changes.
-(On a single-CPU host, extra threads cannot speed anything up — bench
-reports mark such rows flat_expected.)
+`coordinate` rejects it: there the agents evaluate. (On a single-CPU
+host, extra threads cannot speed anything up — bench reports mark such
+rows flat_expected.)
 
 --batch-lanes N sets the SoA batch width for lockstep evaluation of
 same-shape networks (default 32); --no-batch is --batch-lanes 1.
@@ -178,6 +180,11 @@ fn validate_flags(command: &str, flags: &Flags) -> Result<(), UsageError> {
                 )));
             }
         }
+    }
+    if command == "coordinate" && flags.has("--eval-threads") {
+        return Err(UsageError(
+            "evaluation runs on the agents; --eval-threads applies to run/solve".into(),
+        ));
     }
     if flags.has("--event-log") {
         return Err(UsageError(
@@ -879,6 +886,16 @@ mod tests {
         assert!(err.0.contains("--status-addr"), "{err:?}");
         assert!(validate_flags("coordinate", &flags(&["--status-addr", "127.0.0.1:0"])).is_ok());
         assert!(validate_flags("run", &flags(&["--status-addr", "127.0.0.1:0"])).is_ok());
+    }
+
+    #[test]
+    fn eval_threads_on_coordinate_is_a_usage_error() {
+        let threads = flags(&["--loopback", "2", "--eval-threads", "4"]);
+        let err = validate_flags("coordinate", &threads).unwrap_err();
+        assert!(err.0.contains("runs on the agents"), "{err:?}");
+        assert!(validate_flags("run", &threads).is_ok());
+        assert!(validate_flags("solve", &threads).is_ok());
+        assert!(validate_flags("coordinate", &flags(&["--loopback", "2"])).is_ok());
     }
 
     #[test]

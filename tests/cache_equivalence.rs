@@ -1,12 +1,8 @@
-//! The batched evaluation engine and the content-addressed fitness
-//! cache must not change the evolutionary computation: the `no-batch`,
-//! `no-cache` and `no-batch-no-cache` matrix rows (every topology over
-//! 1/2/4 simulated agents against the default batch-on, cache-on engine;
-//! see `tests/common/mod.rs`).
-//!
-//! Also pins the canonical genome hash the cache keys on: stable under
-//! gene reordering and id/fitness relabeling, and colliding only on
-//! structural equality.
+//! The batched evaluation engine and the content-addressed fitness cache
+//! must not change the evolutionary computation: the `no-batch`, `no-cache`
+//! and `no-batch-no-cache` matrix rows (`tests/common/mod.rs`). Also pins
+//! the canonical genome hash the cache keys on: stable under gene
+//! reordering and relabeling, colliding only on structural equality.
 
 mod common;
 
@@ -14,58 +10,39 @@ use clan::core::{ClanTopology, InferenceMode};
 use clan::envs::Workload;
 use clan::neat::genome::Genome;
 use clan::neat::{GenomeId, NeatConfig};
-use common::{check, orchestrator, run, Condition, Run, GENERATIONS, SIM_AGENTS};
+use common::{check, local_evaluator, orchestrator, run, GENERATIONS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// CartPole on `topology` over `agents` simulated devices, one engine setting.
-fn engine_run(topology: ClanTopology, agents: usize, batch: bool, cache: bool) -> Run {
-    let evaluator = Condition::Engine { batch, cache }.evaluator(
-        Workload::CartPole,
-        InferenceMode::MultiStep,
-        agents,
-    );
-    run(&mut *orchestrator(topology, agents, evaluator), GENERATIONS)
-}
-
 #[test]
 fn cache_and_batching_are_bit_identical_across_topologies() {
+    // Every topology over 1/2/4 simulated agents against the default
+    // batch-on, cache-on engine; each cell also asserts that a cache that
+    // is on is consulted and hit, and one that is off stays silent.
     for row in ["no-batch", "no-cache", "no-batch-no-cache"] {
         check(row);
-    }
-    // The rows ignore the cache's own counters; they must still move.
-    for batch in [false, true] {
-        let lookups = |r: &Run| r.reports.iter().map(|g| g.cache_lookups).sum::<u64>();
-        let hits = |r: &Run| r.reports.iter().map(|g| g.cache_hits).sum::<u64>();
-        let plain = engine_run(ClanTopology::dcs(), SIM_AGENTS, batch, false);
-        assert_eq!(lookups(&plain), 0, "disabled cache is silent");
-        let cached = engine_run(ClanTopology::dcs(), SIM_AGENTS, batch, true);
-        assert!(
-            hits(&cached) > 0 && hits(&cached) < lookups(&cached),
-            "elites must hit ({}/{} lookups)",
-            hits(&cached),
-            lookups(&cached)
-        );
     }
 }
 
 #[test]
 fn serial_baseline_matches_every_distributed_mode_with_cache_on() {
-    // The canonical cross-topology check with the default engine on both
-    // sides: serial ≡ dcs ≡ dds at matching seeds.
-    let fitness = |r: Run| -> Vec<u64> {
+    // The canonical cross-topology check on the default engine:
+    // serial ≡ dcs ≡ dds at matching seeds.
+    let fitness = |topology, agents| -> Vec<u64> {
+        let local = local_evaluator(Workload::CartPole, InferenceMode::MultiStep);
+        let r = run(&mut *orchestrator(topology, agents, local), GENERATIONS);
         let per_generation = r.reports.iter().map(|g| g.best_fitness.to_bits());
         per_generation
             .chain([r.best.fitness().unwrap().to_bits()])
             .collect()
     };
-    let serial = fitness(engine_run(ClanTopology::serial(), 1, true, true));
+    let serial = fitness(ClanTopology::serial(), 1);
     for topology in [ClanTopology::dcs(), ClanTopology::dds()] {
         for agents in [2, 4] {
-            let distributed = fitness(engine_run(topology, agents, true, true));
             assert_eq!(
-                serial, distributed,
+                serial,
+                fitness(topology, agents),
                 "{topology}@{agents} diverged from serial"
             );
         }

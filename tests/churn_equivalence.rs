@@ -1,16 +1,10 @@
 //! An agent **crashing mid-run** (and a replacement joining later)
-//! changes nothing about the evolution: the `churn` matrix row (every
-//! topology x 1/2/4 agents under a seeded kill/revive plan, see
-//! `tests/common/mod.rs`). Churn costs only time, measured in
-//! `RecoveryStats`; it never leaks into the result.
-//!
-//! Also pinned here: a kill landing in DDS's reproduction scatter, chunk
-//! reassignment conserving genomes (no loss, no duplication) under
-//! *arbitrary* churn schedules (proptest), mid-run join over TCP and
-//! UDP, and the typed errors a cluster degrades into when churn drains
-//! it below the policy floor.
-//!
-//! CI's `net-smoke` job runs this suite on every push.
+//! changes nothing about the evolution: the `churn` matrix row
+//! (`tests/common/mod.rs`). Churn costs only time, measured in
+//! `RecoveryStats`. Also pinned here: a kill landing in DDS's reproduction
+//! scatter, reassignment conserving genomes under *arbitrary* schedules
+//! (proptest), mid-run join over TCP and UDP, and the typed errors a
+//! cluster degrades into when churn drains it below the policy floor.
 
 mod common;
 

@@ -11,10 +11,9 @@
 //! genome, same Logical-channel trace hash. A failure names its cell.
 //!
 //! Adding a determinism condition is one [`Condition`] arm, one row and a
-//! one-line `#[test]` in `tests/determinism_matrix.rs`. Rows that predate
+//! one-line `#[test]` in `tests/determinism_matrix.rs`; rows that predate
 //! the matrix keep their `#[test]` in the `tests/*_equivalence.rs` file
-//! that always held it (the test ids are pinned), beside that condition's
-//! own assertions (wire traffic, retransmissions, recovery stats, ...).
+//! that always held it, beside that condition's own assertions.
 #![allow(dead_code)] // every test binary uses its own subset
 
 use clan::core::runtime::EdgeCluster;
@@ -31,7 +30,6 @@ use clan::envs::Workload;
 use clan::hw::Platform;
 use clan::neat::{Genome, NeatConfig, Population};
 use clan::netsim::WifiModel;
-use std::collections::HashMap;
 use std::time::Duration;
 
 pub const POP: usize = 20;
@@ -66,6 +64,10 @@ pub fn local_evaluator(w: Workload, mode: InferenceMode) -> Evaluator {
     Evaluator::new(w, mode)
 }
 
+pub fn sim_cluster(agents: usize) -> Cluster {
+    Cluster::homogeneous(Platform::raspberry_pi(), agents, WifiModel::default())
+}
+
 /// `topology`'s orchestrator around `evaluator`, traced, over a
 /// simulated cluster of `sim_agents` devices (Serial always has one).
 pub fn orchestrator_seeded(
@@ -79,10 +81,10 @@ pub fn orchestrator_seeded(
     } else {
         sim_agents
     };
-    let sim = Cluster::homogeneous(Platform::raspberry_pi(), agents, WifiModel::default());
     evaluator.set_tracer(Tracer::new());
     let cfg = neat_cfg(evaluator.workload());
-    orchestrator_for(topology, cfg, seed, evaluator, sim, None).expect("clans large enough")
+    orchestrator_for(topology, cfg, seed, evaluator, sim_cluster(agents), None)
+        .expect("clans large enough")
 }
 
 pub fn orchestrator(
@@ -125,13 +127,12 @@ pub fn compare(cell: &str, reference: &Run, subject: &Run) -> Result<(), String>
         format!("generation {generation} diverged: {b:?} vs the reference's {a:?}")
     } else if reference.best != subject.best {
         "best-ever genome diverged".to_string()
+    } else if reference.logical != subject.logical {
+        // A lost tracer (`None` against `Some`) is a mismatch too.
+        let (a, b) = (reference.logical, subject.logical);
+        format!("Logical trace hash {b:X?} vs the reference's {a:X?}")
     } else {
-        match (reference.logical, subject.logical) {
-            (Some(a), Some(b)) if a != b => {
-                format!("Logical trace hash {b:#018X} vs the reference's {a:#018X}")
-            }
-            _ => return Ok(()),
-        }
+        return Ok(());
     };
     Err(format!("determinism matrix: {cell}: {what}"))
 }
@@ -204,15 +205,6 @@ fn delayed_transports(n_agents: usize) -> Vec<Box<dyn Transport>> {
 }
 
 impl Condition {
-    /// Whether inference runs on a cluster of agents (else it stays on
-    /// the coordinator).
-    pub fn is_live(self) -> bool {
-        !matches!(
-            self,
-            Condition::Threads(_) | Condition::Engine { .. } | Condition::Untraced
-        )
-    }
-
     /// This condition's cluster of `agents` agents, if it is a live one.
     pub fn cluster(self, spec: ClusterSpec, agents: usize) -> Option<EdgeCluster> {
         let cluster = match self {
@@ -290,21 +282,32 @@ pub struct Row {
     pub condition: Condition,
     pub workloads: &'static [Workload],
     pub mode: InferenceMode,
-    /// Live agents for a condition with a cluster (the topology then runs
-    /// over the simulated [`SIM_AGENTS`] devices); the simulated cluster
-    /// size (and DDA clan count) for a coordinator-local one.
-    pub agents: &'static [usize],
+    /// Agents inference runs on; `&[0]` for a coordinator-local condition.
+    pub live_agents: &'static [usize],
+    /// Devices in the simulated cluster the topology runs over (and DDA's
+    /// clan count). Serial has one device whatever this says.
+    pub sim_agents: &'static [usize],
     pub generations: usize,
 }
 
-const fn row(name: &'static str, condition: Condition, agents: &'static [usize]) -> Row {
+/// A live condition on `live_agents`, over [`SIM_AGENTS`] simulated devices.
+const fn row(name: &'static str, condition: Condition, live_agents: &'static [usize]) -> Row {
     Row {
         name,
         condition,
         workloads: &[Workload::CartPole],
         mode: InferenceMode::MultiStep,
-        agents,
+        live_agents,
+        sim_agents: &[SIM_AGENTS],
         generations: GENERATIONS,
+    }
+}
+
+/// A coordinator-local condition over each of `sim_agents` simulated sizes.
+const fn local(name: &'static str, condition: Condition, sim_agents: &'static [usize]) -> Row {
+    Row {
+        sim_agents,
+        ..row(name, condition, &[0])
     }
 }
 
@@ -312,20 +315,20 @@ const fn threads(name: &'static str, n: usize) -> Row {
     Row {
         workloads: &[Workload::CartPole, Workload::LunarLander],
         generations: 10,
-        ..row(name, Condition::Threads(n), &[3])
+        ..local(name, Condition::Threads(n), &[3])
     }
 }
 
 const fn engine(name: &'static str, batch: bool, cache: bool) -> Row {
-    row(name, Condition::Engine { batch, cache }, &[1, 2, 4])
+    local(name, Condition::Engine { batch, cache }, &[1, 2, 4])
 }
 
 /// Loss costs wall-clock (every drop waits out a retransmit timer), so
 /// the lossy rows run one generation fewer.
-const fn lossy(name: &'static str, fault_seed: u64, agents: &'static [usize]) -> Row {
+const fn lossy(name: &'static str, fault_seed: u64, live_agents: &'static [usize]) -> Row {
     Row {
         generations: GENERATIONS - 1,
-        ..row(name, Condition::UdpLossy { fault_seed }, agents)
+        ..row(name, Condition::UdpLossy { fault_seed }, live_agents)
     }
 }
 
@@ -336,7 +339,7 @@ pub const MATRIX: &[Row] = &[
     engine("no-batch", false, true),
     engine("no-cache", true, false),
     engine("no-batch-no-cache", false, false),
-    row("untraced", Condition::Untraced, &[SIM_AGENTS]),
+    local("untraced", Condition::Untraced, &[SIM_AGENTS]),
     row("tcp", Condition::Tcp, &[1, 2, 4]),
     Row {
         workloads: &[Workload::AirRaid],
@@ -352,6 +355,39 @@ pub const MATRIX: &[Row] = &[
     row("churn", Condition::Churn, &[1, 2, 4]),
 ];
 
+impl Row {
+    /// What the comparison must not see. Between engine tiers a hit
+    /// replays the full gene accounting, so only the cache's own counters
+    /// differ — in the reports and in the Logical stream's generation-end
+    /// lines, which carry them: they are asserted here (a cache that is on
+    /// is consulted and its elites hit, one that is off stays silent), then
+    /// cleared. An untraced subject has no Logical stream to compare.
+    fn normalized(&self, cell: &str, cache_on: bool, mut run: Run) -> Run {
+        match self.condition {
+            Condition::Engine { cache, .. } => {
+                let hits: u64 = run.reports.iter().map(|r| r.cache_hits).sum();
+                let lookups: u64 = run.reports.iter().map(|r| r.cache_lookups).sum();
+                let expected = if cache_on {
+                    0 < hits && hits < lookups // elites hit, newcomers miss
+                } else {
+                    lookups == 0
+                };
+                assert!(
+                    expected,
+                    "determinism matrix: {cell}: cache on = {cache_on}, yet {hits} hit(s) in {lookups} lookup(s)"
+                );
+                for r in &mut run.reports {
+                    (r.cache_hits, r.cache_lookups) = (0, 0);
+                }
+                run.logical = run.logical.filter(|_| cache);
+            }
+            Condition::Untraced => run.logical = None,
+            _ => {}
+        }
+        run
+    }
+}
+
 /// Asserts row `name` on every cell it lists; panics naming the first
 /// (condition, topology, agents) that evolved differently.
 pub fn check(name: &str) {
@@ -359,43 +395,32 @@ pub fn check(name: &str) {
         .iter()
         .find(|r| r.name == name)
         .unwrap_or_else(|| panic!("no matrix row named {name:?}"));
-    // A hit replays the full gene accounting, so between engine tiers
-    // only the cache's own counters may differ — in the reports and in
-    // the Logical stream's generation-end lines, which carry them.
-    let normalized = |mut run: Run| {
-        if let Condition::Engine { cache, .. } = row.condition {
-            for r in &mut run.reports {
-                (r.cache_hits, r.cache_lookups) = (0, 0);
-            }
-            run.logical = run.logical.filter(|_| cache);
-        }
-        run
-    };
+    let subject_caches = !matches!(row.condition, Condition::Engine { cache: false, .. });
     for &workload in row.workloads {
-        let mut references: HashMap<(usize, ClanTopology), Run> = HashMap::new();
-        for &agents in row.agents {
-            let sim = if row.condition.is_live() {
-                SIM_AGENTS
-            } else {
-                agents
-            };
+        for &sim in row.sim_agents {
             for topology in topologies(sim) {
-                let reference = references.entry((sim, topology)).or_insert_with(|| {
-                    let local = local_evaluator(workload, row.mode);
-                    normalized(run(
-                        &mut *orchestrator(topology, sim, local),
-                        row.generations,
-                    ))
-                });
-                let evaluator = row.condition.evaluator(workload, row.mode, agents);
-                let mut o = orchestrator(topology, sim, evaluator);
-                if row.condition == Condition::Untraced {
-                    o.install_tracer(Tracer::disabled());
+                if topology == ClanTopology::serial() && sim != row.sim_agents[0] {
+                    continue; // one device at any `sim`: the same cell again
                 }
-                let subject = normalized(run(&mut *o, row.generations));
-                let cell = format!("{name} x {topology} x {agents} agent(s) on {workload}");
-                if let Err(mismatch) = compare(&cell, reference, &subject) {
-                    panic!("{mismatch}");
+                let cell = |live: usize| {
+                    format!(
+                        "{name} x {topology} x {live} live / {sim} simulated agent(s), {workload}"
+                    )
+                };
+                let local = local_evaluator(workload, row.mode);
+                let reference = run(&mut *orchestrator(topology, sim, local), row.generations);
+                let reference = row.normalized(&cell(0), true, reference);
+                for &live in row.live_agents {
+                    let evaluator = row.condition.evaluator(workload, row.mode, live);
+                    let mut o = orchestrator(topology, sim, evaluator);
+                    if row.condition == Condition::Untraced {
+                        o.install_tracer(Tracer::disabled());
+                    }
+                    let subject = run(&mut *o, row.generations);
+                    let subject = row.normalized(&cell(live), subject_caches, subject);
+                    if let Err(mismatch) = compare(&cell(live), &reference, &subject) {
+                        panic!("{mismatch}");
+                    }
                 }
             }
         }

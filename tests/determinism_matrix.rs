@@ -70,19 +70,25 @@ fn a_different_run_is_reported_as_a_mismatch_naming_its_cell() {
             );
         }
     }
-    // Each thing the contract covers is compared, not only the first.
+    // Each thing the contract covers is compared, not only the first —
+    // and a subject that lost its tracer does not pass the trace half.
     let mut other_best = reference.clone();
     other_best.best = evolve(SEED + 1, GENERATIONS).best;
     let mut other_trace = reference.clone();
     other_trace.logical = reference.logical.map(|h| h ^ 1);
+    let mut no_trace = reference.clone();
+    no_trace.logical = None;
     for (subject, what) in [
         (other_best, "best-ever genome"),
         (other_trace, "Logical trace hash"),
+        (no_trace, "Logical trace hash None"),
     ] {
         let mismatch = compare(cell, &reference, &subject).unwrap_err();
         assert!(
             mismatch.contains(what),
             "{mismatch:?} does not say {what:?}"
         );
+        // Symmetric: the reference missing what the subject has fails too.
+        assert!(compare(cell, &subject, &reference).is_err());
     }
 }

@@ -1,12 +1,8 @@
-//! Heterogeneity-aware scheduling must not change the evolution.
-//!
-//! Throughput-weighted partitioning hands different agents different
-//! chunk sizes, out-of-order gather banks responses in whatever order
-//! agents finish, and round-trip calibration reshapes the partition
-//! every generation — none of it may perturb a bit of the result: the
-//! `skewed-weights` (1/2/4 TCP agents) and `delayed-calibrated` matrix
-//! rows (see `tests/common/mod.rs`), plus the scheduling effects
-//! themselves. CI's `net-smoke` job runs this suite on every push.
+//! Heterogeneity-aware scheduling must not change the evolution:
+//! weighted partitioning, out-of-order gather and per-generation
+//! round-trip calibration under the `skewed-weights` and
+//! `delayed-calibrated` matrix rows (`tests/common/mod.rs`), plus the
+//! scheduling effects themselves.
 
 mod common;
 

@@ -1,12 +1,8 @@
 //! Running CLAN over **UDP with 20 % injected datagram loss** changes
-//! nothing about the evolution: the `udp-lossy` matrix rows (every
-//! topology x 1/2/4 loopback agents, two fault-seed families; see
-//! `tests/common/mod.rs`). The ARQ layer retransmits, deduplicates and
-//! reorders back everything the fault injector perturbs, so loss costs
-//! only time and retransmitted bytes — both measured here, neither
-//! allowed to leak into the result.
-//!
-//! CI's `net-smoke` job runs this suite on every push.
+//! nothing about the evolution: the `udp-lossy` matrix rows
+//! (`tests/common/mod.rs`). The ARQ layer undoes everything the fault
+//! injector perturbs, so loss costs only time and retransmitted bytes —
+//! both measured here, neither allowed to leak into the result.
 
 mod common;
 

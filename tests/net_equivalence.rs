@@ -1,10 +1,7 @@
 //! Running CLAN over **real TCP sockets** changes nothing about the
-//! evolution: the `tcp` matrix row (every topology x 1/2/4 loopback
-//! agents, see `tests/common/mod.rs`), plus what only a TCP run can show
-//! — measured wire traffic against the paper's model, and which
-//! topologies put reproduction on the wire.
-//!
-//! CI's `net-smoke` job runs this suite on every push.
+//! evolution: the `tcp` matrix row (`tests/common/mod.rs`), plus what only
+//! a TCP run can show — measured wire traffic against the paper's model,
+//! and which topologies put reproduction on the wire.
 
 mod common;
 

@@ -641,6 +641,85 @@ fn mutated_checkpoint_json_never_panics_and_never_yields_an_unsorted_table() {
     );
 }
 
+/// Seeded hostile requests against a live status endpoint: request lines
+/// with no CRLF, over the 1 KiB read buffer, invalid UTF-8, embedded
+/// NULs, truncated anywhere. The client half-closes after writing, so no
+/// case waits out the server's request budget. Each gets a well-formed
+/// HTTP response or a clean close — never a panic or a wedged accept
+/// thread — and the endpoint still answers afterwards.
+#[test]
+fn hostile_status_requests_get_a_response_or_a_clean_close() {
+    use clan::core::{StatusHandle, StatusServer};
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::{Shutdown, TcpStream};
+    use std::time::Duration;
+
+    let server = StatusServer::bind("127.0.0.1:0", StatusHandle::new()).expect("binds");
+    let exchange = |request: &[u8]| -> Vec<u8> {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("endpoint accepts");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout set");
+        // The server may answer and close before it has read all of an
+        // oversized request; a failed write is its clean close.
+        let _ = stream.write_all(request);
+        let _ = stream.shutdown(Shutdown::Write);
+        let mut response = Vec::new();
+        match stream.read_to_end(&mut response) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                panic!(
+                    "accept thread wedged on {:?}",
+                    String::from_utf8_lossy(request)
+                )
+            }
+            // A reset (unread request bytes on the server side) is a close.
+            Ok(_) | Err(_) => response,
+        }
+    };
+    let bases: [Vec<u8>; 7] = [
+        b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
+        b"GET /metrics HTTP/1.1".to_vec(),
+        b"GET /progress HTTP/1.1\nHost: x\n\n".to_vec(),
+        [b"GET /".as_slice(), &[b'a'; 3000], b" HTTP/1.1\r\n\r\n"].concat(),
+        b"GET /he\xFF\xFEalth\xC3\x28 HTTP/1.1\r\n\r\n".to_vec(),
+        b"GET /pro\0gress\0 HTTP/1.1\r\n\0\r\n".to_vec(),
+        b"POST /metrics HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\nbody".to_vec(),
+    ];
+    let mut rng = 0x57A7_05F0_22ED_0001u64;
+    let (mut answered, mut closed) = (0u32, 0u32);
+    for case in 0..350usize {
+        let mut request = bases[case % bases.len()].clone();
+        match case % 3 {
+            0 => mutate(&mut request, &mut rng),
+            1 => request.truncate((xorshift(&mut rng) % (request.len() as u64 + 1)) as usize),
+            _ => {}
+        }
+        let response = exchange(&request);
+        if response.is_empty() {
+            closed += 1;
+            continue;
+        }
+        answered += 1;
+        let text = String::from_utf8(response).expect("responses are UTF-8");
+        let (head, body) = text.split_once("\r\n\r\n").expect("header block ends");
+        assert!(
+            head.starts_with("HTTP/1.1 200 OK\r\n")
+                || head.starts_with("HTTP/1.1 404 Not Found\r\n"),
+            "{head:?}"
+        );
+        assert!(
+            head.contains(&format!("Content-Length: {}", body.len())),
+            "{text:?}"
+        );
+    }
+    assert!(
+        answered > 0 && closed > 0,
+        "{answered} answered, {closed} closed"
+    );
+    let health = String::from_utf8(exchange(b"GET /health HTTP/1.1\r\n\r\n")).expect("UTF-8");
+    assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health:?}");
+}
+
 /// Strategy for one arbitrary [`clan::core::TraceEvent`]: any
 /// determinism class, any kind, any sparse payload combination
 /// (including nonsense ones no real emitter produces).

@@ -1,20 +1,14 @@
 //! The telemetry headline: the **logical event stream is part of the
 //! determinism contract**.
 //!
-//! Every matrix row (`tests/common/mod.rs`) already compares the Logical
-//! channel's hash between its condition and the local reference. This
-//! suite pins the same through the driver, whole text: run preamble,
-//! generation starts, the id-ordered per-genome evaluation replay,
-//! generation ends, run end — **byte-identical** for a given seed whether
-//! inference ran locally, over loopback TCP, over UDP with 20 % injected
-//! datagram loss, or through a deterministic churn schedule. Wall-clock
-//! reality (retransmissions, failures, reassignments) is recorded in the
-//! Timing channel and must never leak into the logical stream.
-//!
-//! Async virtual-time runs extend the contract: the logical stream is
-//! fixed by `(seed, latency schedule)`, and folding its Completion
-//! events reproduces the run's `AsyncStats::event_log_hash` — the trace
-//! carries everything the fingerprint covers.
+//! Every matrix row (`tests/common/mod.rs`) compares the Logical channel's
+//! hash between its condition and the local reference. This suite pins the
+//! same through the driver, whole text, **byte-identical** per seed whether
+//! inference ran locally, over TCP, over 20 %-lossy UDP or through a churn
+//! schedule: wall-clock reality lives in the Timing channel and never leaks
+//! into the logical stream. Async virtual-time runs extend the contract:
+//! folding the stream's Completion events reproduces
+//! `AsyncStats::event_log_hash`.
 
 mod common;
 
