@@ -21,7 +21,7 @@
 //! scheduler the handler is plugged into — a seeded virtual clock, or
 //! [`EdgeCluster::evaluate_stream`](crate::runtime::EdgeCluster::evaluate_stream)
 //! over real links; both take `(initial genomes, on_complete)` and hand
-//! back [`StreamStats`].
+//! back the stream's [`GatherStats`].
 //!
 //! **The in-flight window.** Neither scheduler lets an agent wait on
 //! the coordinator: every agent keeps [`STREAM_WINDOW`] genomes in
@@ -80,7 +80,7 @@
 
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
-use crate::runtime::{StreamCompletion, StreamStats, STREAM_WINDOW};
+use crate::runtime::{GatherStats, StreamCompletion, STREAM_WINDOW};
 use crate::telemetry::{EventKind, TraceEvent, Tracer};
 use clan_neat::rng::{derive_seed, splitmix64, OpTag};
 use clan_neat::steady_state::{steady_state_insert, InsertReport};
@@ -339,7 +339,7 @@ impl SteadyStateLoop<'_> {
 /// each, served first-in first-out) until nothing is in flight. Agents
 /// exist only as `schedule` service times; evaluation is local, and
 /// completions are ordered by `(finish time, agent, dispatch)`. The
-/// returned stats are in virtual seconds.
+/// returned stats are in virtual seconds, one round.
 fn virtual_stream(
     schedule: &LatencySchedule,
     evaluator: &mut Evaluator,
@@ -347,7 +347,7 @@ fn virtual_stream(
     master_seed: u64,
     initial: Vec<Genome>,
     on_complete: &mut dyn FnMut(&StreamCompletion, VirtualSpan) -> Option<Genome>,
-) -> StreamStats {
+) -> GatherStats {
     let agents = schedule.n_agents();
     let tracer = evaluator.tracer().clone();
     let mut pending: VecDeque<Genome> = initial.into();
@@ -403,13 +403,12 @@ fn virtual_stream(
         };
         pending.extend(on_complete(&completion, Some((now_us, service_us))));
     }
-    StreamStats {
-        completions: completed.iter().sum(),
-        redispatches: 0,
+    GatherStats {
+        gathers: 1,
         makespan_s: now_us as f64 / 1e6,
         busy_s: busy_us.iter().sum::<u64>() as f64 / 1e6,
         per_agent_busy_s: busy_us.iter().map(|&us| us as f64 / 1e6).collect(),
-        per_agent_completions: completed,
+        per_agent_items: completed,
     }
 }
 
@@ -424,7 +423,7 @@ pub struct AsyncOrchestrator {
     total_evals: u64,
     tournament_size: usize,
     stats: Option<AsyncStats>,
-    stream: Option<StreamStats>,
+    stream: Option<GatherStats>,
 }
 
 impl AsyncOrchestrator {
@@ -484,7 +483,7 @@ impl AsyncOrchestrator {
 
     /// The last run's per-agent scheduling stats (virtual seconds after
     /// a virtual-time run).
-    pub fn stream_stats(&self) -> Option<&StreamStats> {
+    pub fn stream_stats(&self) -> Option<&GatherStats> {
         self.stream.as_ref()
     }
 
@@ -565,20 +564,28 @@ impl AsyncOrchestrator {
             event_log_hash: EVENT_LOG_HASH_SEED,
         };
         let initial = state.first_wave(agents);
-        let stream = match schedule {
-            Some(schedule) => virtual_stream(
-                schedule,
-                &mut self.evaluator,
-                &cfg,
-                master_seed,
-                initial,
-                &mut |c, vtime| state.on_complete(c, vtime),
-            ),
-            None => self
-                .evaluator
-                .remote_cluster_mut()
-                .expect("remote_agents > 0")
-                .evaluate_stream(master_seed, initial, &mut |c| state.on_complete(c, None))?,
+        let (stream, redispatches) = match schedule {
+            Some(schedule) => {
+                let stream = virtual_stream(
+                    schedule,
+                    &mut self.evaluator,
+                    &cfg,
+                    master_seed,
+                    initial,
+                    &mut |c, vtime| state.on_complete(c, vtime),
+                );
+                (stream, 0)
+            }
+            None => {
+                let cluster = self
+                    .evaluator
+                    .remote_cluster_mut()
+                    .expect("remote_agents > 0");
+                let requeued = cluster.recovery_stats().reassigned_items;
+                let stream = cluster
+                    .evaluate_stream(master_seed, initial, &mut |c| state.on_complete(c, None))?;
+                (stream, cluster.recovery_stats().reassigned_items - requeued)
+            }
         };
         self.stats = Some(AsyncStats {
             total_evals: state.dispatched,
@@ -589,13 +596,13 @@ impl AsyncOrchestrator {
             busy_s: stream.busy_s,
             wasted_idle_s: (agents as f64 * stream.makespan_s - stream.busy_s).max(0.0),
             evals_per_s: if stream.makespan_s > 0.0 {
-                stream.completions as f64 / stream.makespan_s
+                state.completions as f64 / stream.makespan_s
             } else {
                 0.0
             },
             insertions: state.insertions,
             best_improvements: state.best_improvements,
-            redispatches: stream.redispatches,
+            redispatches,
             event_log_hash: state.event_log_hash,
             best_fitness: self
                 .pop
@@ -728,7 +735,7 @@ mod tests {
         }
         // ... so busy time fits the capacity with nothing clamped.
         let stream = orch.stream_stats().unwrap();
-        assert_eq!(stream.completions, 14);
+        assert_eq!(stream.per_agent_items.iter().sum::<u64>(), 14);
         assert!(stream.busy_s <= 2.0 * stream.makespan_s);
         assert!(stream
             .per_agent_busy_s
@@ -751,7 +758,7 @@ mod tests {
         let mut orch = AsyncOrchestrator::new(population, evaluator, 80, 3).unwrap();
         orch.run_streamed().unwrap();
         let stream = orch.stream_stats().unwrap();
-        assert_eq!(stream.completions, 80);
+        assert_eq!(stream.per_agent_items.iter().sum::<u64>(), 80);
         // Request-to-reply spans would sum to about twice the makespan
         // with two requests outstanding per link.
         assert!(stream.busy_s <= 2.0 * stream.makespan_s);

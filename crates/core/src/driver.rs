@@ -25,7 +25,7 @@ use crate::evaluator::{EngineOptions, Evaluator, InferenceMode};
 use crate::membership::RecoveryPolicy;
 use crate::orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 use crate::report::RunReport;
-use crate::runtime::{EdgeCluster, StreamStats, STREAM_WINDOW};
+use crate::runtime::{EdgeCluster, GatherStats, STREAM_WINDOW};
 use crate::status::{StatusHandle, StatusServer, StatusSnapshot};
 use crate::telemetry::{EventKind, RunTrace, TelemetryReport, Tracer};
 use crate::topology::{ClanTopology, SpeciationMode};
@@ -63,16 +63,11 @@ pub struct DriverConfig {
     pub net: WifiModel,
     /// DDA-only: pool-and-redistribute period (global speciation).
     pub resync_every: Option<u64>,
-    /// Per-agent capability weights for remote backends (None = even).
-    pub agent_weights: Option<Vec<f64>>,
-    /// Whether remote partition weights recalibrate from measured
-    /// round-trip times.
-    pub calibrate: bool,
     /// Datagram-transport tuning (and optional seeded fault injection)
     /// when the backend speaks UDP; `None` on TCP/local backends.
     pub udp: Option<UdpConfig>,
-    /// Churn-recovery policy applied to remote backends (retry budget +
-    /// live-agent floor).
+    /// Churn-recovery policy applied to remote backends (the live-agent
+    /// floor).
     pub recovery: RecoveryPolicy,
     /// Deterministic kill/revive plan applied to a remote backend;
     /// `None` runs churn-free.
@@ -156,7 +151,7 @@ impl RunShell {
         evaluator: &Evaluator,
         generations: Vec<GenerationReport>,
         ledger: CommLedger,
-        stream: Option<&StreamStats>,
+        stream: Option<&GatherStats>,
     ) -> (RunReport, Option<RunTrace>) {
         let trace = self.tracer.finish();
         let mut report = RunReport::from_parts(
@@ -367,8 +362,6 @@ impl ClanDriverBuilder {
                 platform: PlatformKind::RaspberryPi,
                 net: WifiModel::default(),
                 resync_every: None,
-                agent_weights: None,
-                calibrate: false,
                 udp: None,
                 recovery: RecoveryPolicy::default(),
                 churn: None,
@@ -503,33 +496,6 @@ impl ClanDriverBuilder {
         self
     }
 
-    /// Sets per-agent capability weights for a remote backend (one per
-    /// loopback/remote agent, in connection order): a weight-4 agent
-    /// receives 4x the genomes of a weight-1 agent each scatter.
-    /// Results are bit-identical under any weights — only chunk sizes
-    /// and therefore wall-clock balance change.
-    pub fn agent_weights(mut self, weights: Vec<f64>) -> Self {
-        self.config.agent_weights = Some(weights);
-        self
-    }
-
-    /// Enables round-trip-time calibration on a remote backend: the
-    /// partition weights follow an EWMA of each agent's measured
-    /// throughput over prior generations, adapting to devices whose
-    /// static weights were wrong (or unset).
-    pub fn calibrate(mut self, enabled: bool) -> Self {
-        self.config.calibrate = enabled;
-        self
-    }
-
-    /// Sets the retry budget of a remote backend's churn recovery: how
-    /// many times a scatter round may reassign failed chunks across
-    /// survivors before giving up (`clan-cli coordinate --max-retries`).
-    pub fn max_retries(mut self, n: usize) -> Self {
-        self.config.recovery.max_retries = n;
-        self
-    }
-
     /// Sets the live-agent floor of a remote backend: a round that
     /// would have to continue on fewer usable agents fails with a typed
     /// [`ClanError::Degraded`] instead (`--min-agents`).
@@ -539,7 +505,7 @@ impl ClanDriverBuilder {
     }
 
     /// Installs a deterministic kill/revive plan on a remote backend
-    /// (`--churn k1@2,r1@4`): agent churn is injected at scatter-round
+    /// (`--churn k1@2,r1@4`): agent churn is injected at round
     /// boundaries and the recovery machinery keeps the run bit-identical
     /// to a churn-free one.
     pub fn churn(mut self, schedule: ChurnSchedule) -> Self {
@@ -696,13 +662,6 @@ impl ClanDriverBuilder {
         let udp = || c.udp.clone().unwrap_or_default();
         let edge = match &self.remote {
             RemoteBackend::Local => {
-                if c.agent_weights.is_some() || c.calibrate {
-                    return Err(ClanError::InvalidSetup {
-                        reason: "agent weights/calibration apply to remote backends only \
-                                 (loopback_agents or remote_agents)"
-                            .into(),
-                    });
-                }
                 if c.churn.is_some() || !c.spare_agents.is_empty() {
                     return Err(ClanError::InvalidSetup {
                         reason: "churn schedules and spare agents apply to remote \
@@ -730,10 +689,6 @@ impl ClanDriverBuilder {
         let Some(mut edge) = edge else {
             return Ok((cfg, evaluator));
         };
-        if let Some(w) = &c.agent_weights {
-            edge.set_weights(w)?;
-        }
-        edge.set_calibration(c.calibrate);
         edge.set_recovery_policy(c.recovery);
         if !c.spare_agents.is_empty() {
             edge.set_spares(c.spare_agents.clone())?;
@@ -1203,34 +1158,12 @@ mod tests {
             .expect("loopback run measures traffic");
         assert!(wire.total_wire_bytes() > 0);
         assert!(networked.summary().contains("wire (measured)"));
-    }
-
-    #[test]
-    fn weighted_loopback_driver_matches_local_driver() {
-        let run = |builder: ClanDriverBuilder| {
-            builder
-                .topology(ClanTopology::dds())
-                .agents(3)
-                .population_size(12)
-                .seed(15)
-                .build()
-                .unwrap()
-                .run(2)
-                .unwrap()
-        };
-        let local = run(ClanDriver::builder(Workload::CartPole));
-        let weighted = run(ClanDriver::builder(Workload::CartPole)
-            .loopback_agents(3)
-            .agent_weights(vec![1.0, 4.0, 2.0])
-            .calibrate(true));
-        assert_eq!(local.best_fitness, weighted.best_fitness);
-        assert_eq!(
-            local.generations.last().unwrap().costs,
-            weighted.generations.last().unwrap().costs
-        );
-        let gather = weighted.gather.expect("remote run measures gathers");
+        let gather = networked
+            .gather
+            .as_ref()
+            .expect("remote run measures gathers");
         assert!(gather.gathers > 0);
-        assert!(weighted.summary().contains("gather (measured)"));
+        assert!(networked.summary().contains("gather (measured)"));
         assert!(local.gather.is_none());
     }
 
@@ -1336,25 +1269,6 @@ mod tests {
             .population_size(8)
             .loopback_agents(2)
             .udp_config(crate::transport::UdpConfig::default())
-            .build();
-        assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
-    }
-
-    #[test]
-    fn agent_weights_on_local_backend_rejected() {
-        let err = ClanDriver::builder(Workload::CartPole)
-            .population_size(8)
-            .agent_weights(vec![1.0])
-            .build();
-        assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
-    }
-
-    #[test]
-    fn mismatched_agent_weights_rejected() {
-        let err = ClanDriver::builder(Workload::CartPole)
-            .population_size(8)
-            .loopback_agents(2)
-            .agent_weights(vec![1.0, 2.0, 3.0])
             .build();
         assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
     }

@@ -84,31 +84,19 @@
 //!
 //! # Heterogeneous clusters
 //!
-//! Real edge swarms mix device generations; splitting work evenly makes
-//! every generation wait on the slowest node. Two knobs remove that
-//! barrier cost without touching the determinism contract:
-//!
-//! - **Capability weights** — [`EdgeCluster::set_weights`] (or
-//!   `ClanDriverBuilder::agent_weights` / `clan-cli coordinate
-//!   --agent-weights 1,4,...`) makes every scatter partition work
-//!   proportionally to per-agent throughput, via
-//!   [`clan_distsim::partition_weighted`] (largest-remainder rounding,
-//!   no positive-weight agent ever starved).
-//! - **Round-trip calibration** — [`EdgeCluster::set_calibration`] (or
-//!   `ClanDriverBuilder::calibrate` / `--calibrate`) recalibrates the
-//!   weights each generation from an EWMA of measured per-chunk
-//!   round-trip throughput, so partitions track how fast agents
-//!   actually are.
-//!
-//! Scatters borrow and gathers are **out of order** ([`runtime`]): each
-//! link's thread encodes its chunk straight from the population and banks
-//! the reply as it arrives, and results replay in genome-id order, so a
-//! fast agent never idles behind a slow one and the evolved genomes
-//! remain bit-identical to a serial run under any weights
-//! (`tests/hetero_equivalence.rs`). Balance is observable: per-agent
-//! wire bytes land in
+//! Real edge swarms mix device generations; splitting work evenly up
+//! front makes every generation wait on the slowest node. The runtime
+//! needs no hint about who is fast: every round is one pull exchange
+//! ([`runtime`]). A generation is cut into id-ordered *runs*, each link
+//! keeps [`STREAM_WINDOW`] of them in flight and a fast agent simply comes
+//! back for more, while results replay in genome-id order — so the
+//! evolved genomes stay bit-identical to a serial run however the work
+//! fell (`tests/hetero_equivalence.rs`: one agent behind a
+//! [`DelayTransport`](transport::DelayTransport) completes fewer runs,
+//! and a round's wire bytes do not depend on which agent is slow).
+//! Balance is observable: per-agent wire bytes land in
 //! [`CommLedger::agent_entries`](clan_netsim::CommLedger::agent_entries)
-//! and measured makespan vs. summed busy time in [`GatherStats`]
+//! and measured makespan vs. per-link busy time in [`GatherStats`]
 //! (surfaced on [`RunReport`] and in the CLI summary).
 //!
 //! # Lossy transport
@@ -166,39 +154,38 @@
 //!
 //! - **Per-link health** — every [`EdgeCluster`] link is alive /
 //!   suspected / dead ([`membership::LinkHealth`]): one churn-class
-//!   failure suspects a link (its chunk is reassigned, and it sits out
-//!   the rest of that round), a second consecutive failure kills it, a
-//!   success revives it. Protocol violations are *not* churn — a peer
-//!   answering garbage propagates immediately as a bug.
-//! - **Deterministic reassignment** — a scatter chunk lost to a failed
-//!   agent is redistributed over the surviving links and retried (up to
-//!   [`membership::RecoveryPolicy::max_retries`] attempts, never below
-//!   [`membership::RecoveryPolicy::min_agents`] usable agents — beyond
-//!   that the round fails typed, [`ClanError::Degraded`] or the root
-//!   link error). Results carry genome ids and replay in id order, so a
-//!   churned run is **bit-identical** to a serial one on all four
-//!   topologies (`tests/churn_equivalence.rs`, 1/2/4 agents, with
-//!   arbitrary-schedule conservation proptests).
+//!   failure suspects a link (it sits out the rest of that round), a
+//!   second consecutive failure kills it, a success revives it. Protocol
+//!   violations are *not* churn — a peer answering garbage ends the round
+//!   as a typed [`ClanError::Protocol`] naming the link.
+//! - **One recovery rule** — a failed link's in-flight and unread runs
+//!   go back to the head of the queue and the surviving links pull them;
+//!   the round fails only below
+//!   [`membership::RecoveryPolicy::min_agents`] live agents (typed:
+//!   [`ClanError::Degraded`], or the root link error once none is left).
+//!   Results carry genome ids and replay in id order, so a churned run is
+//!   **bit-identical** to a serial one on all four topologies
+//!   (`tests/churn_equivalence.rs`, 1/2/4 agents, with arbitrary-schedule
+//!   conservation proptests).
 //! - **Mid-run join** — new agents attach between generations
 //!   ([`EdgeCluster::admit_local`](runtime::EdgeCluster::admit_local)):
-//!   they are `Configure`d with the stored session spec and enter the
-//!   weight and calibration tables like founding members.
+//!   they are `Configure`d with the stored session spec and pull work
+//!   like founding members.
 //! - **Seeded churn injection** —
 //!   [`ChurnSchedule`](transport::ChurnSchedule) (`clan-cli coordinate
-//!   --churn k1@2,r1@4 [--spare-at HOST:PORT] [--max-retries N]
-//!   [--min-agents N]`) kills agent 1 before scatter round 2 by
-//!   swapping its transport for a
+//!   --churn k1@2,r1@4 [--spare-at HOST:PORT] [--min-agents N]`) kills
+//!   agent 1 before round 2 by swapping its transport for a
 //!   [`DeadTransport`](transport::DeadTransport) and revives a
 //!   replacement before round 4 (respawned in-process, or connected
 //!   from a standby address). The crash is simulated; the recovery path
 //!   exercised is the production one. CI's `net-smoke` kills a real
 //!   agent process mid-run and joins a spare, diffing the output
 //!   against a local run.
-//! - **Measured recovery cost** — link failures, reassigned chunks,
-//!   kills/joins, and the retry makespan land in
-//!   [`membership::RecoveryStats`] on [`RunReport`] and the CLI
-//!   summary; `clan-trace analyze` on the `--trace` of a `coordinate
-//!   --churn …` run lists failures per agent and the chunks reassigned.
+//! - **Measured recovery cost** — link failures, re-queued runs and
+//!   kills/joins land in [`membership::RecoveryStats`] on [`RunReport`]
+//!   and the CLI summary; `clan-trace analyze` on the `--trace` of a
+//!   `coordinate --churn …` run lists failures per agent and the runs
+//!   re-queued.
 //!
 //! # Async steady-state mode
 //!
@@ -377,7 +364,7 @@ pub use evaluator::{EngineOptions, Evaluator, InferenceMode};
 pub use membership::{AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
 pub use orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 pub use report::RunReport;
-pub use runtime::{EdgeCluster, GatherStats, StreamCompletion, StreamStats, STREAM_WINDOW};
+pub use runtime::{EdgeCluster, GatherStats, StreamCompletion, STREAM_WINDOW};
 pub use serial::SerialOrchestrator;
 pub use status::{StatusHandle, StatusServer, StatusSnapshot};
 pub use telemetry::{

@@ -8,10 +8,10 @@
 //! [`ClanError::Transport`] instead of a
 //! hang); this module makes it *survivable*. The
 //! [`EdgeCluster`](crate::runtime::EdgeCluster) tracks one
-//! [`LinkHealth`] per agent link and, when a scatter chunk is lost to a
-//! failed agent, deterministically reassigns it across the survivors
-//! (see the runtime docs for the retry protocol). The policy knobs live
-//! in [`RecoveryPolicy`]; everything a recovery cost is measured in
+//! [`LinkHealth`] per agent link and, when a failed agent takes runs
+//! down with it, puts them back at the head of the queue for the
+//! survivors (see the runtime docs). The floor lives in
+//! [`RecoveryPolicy`]; everything a recovery cost is measured in
 //! [`RecoveryStats`] and surfaced on
 //! [`RunReport`](crate::report::RunReport).
 //!
@@ -27,9 +27,9 @@
 //!
 //! A link fails when an exchange with it surfaces a churn-class error
 //! (`Transport` or `Timeout` — the errors an unplugged device produces).
-//! One failure makes the link **suspected**: its in-flight chunk is
-//! reassigned, it is excluded from further retries *within that scatter
-//! round*, and its session is poisoned (a timed-out agent's late reply
+//! One failure makes the link **suspected**: its in-flight runs are
+//! re-queued, it gets no more work *within that round*, and its session
+//! is poisoned (a timed-out agent's late reply
 //! must never answer the next round's request). On the next round the
 //! link is probed again with real work **over a freshly established
 //! session** — remote links reconnect to their original address, so
@@ -44,7 +44,7 @@
 //!
 //! Protocol and frame errors are deliberately *not* churn-class: a peer
 //! that answers with garbage is a bug to surface, not a device to route
-//! around, so those propagate immediately.
+//! around, so those end the round at once.
 
 use crate::error::ClanError;
 use serde::{Deserialize, Serialize};
@@ -52,9 +52,9 @@ use serde::{Deserialize, Serialize};
 /// Liveness of one agent link, as judged from its exchange outcomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LinkHealth {
-    /// Responding normally; receives work every scatter.
+    /// Responding normally; pulls work every round.
     Alive,
-    /// Failed its last exchange; excluded from retries this round but
+    /// Failed its last exchange; gets no more work this round but is
     /// probed with real work next round.
     Suspected,
     /// Failed while already suspected; receives no work until revived.
@@ -104,37 +104,24 @@ pub struct AgentHealth {
     pub last_error: Option<String>,
 }
 
-/// Policy governing how hard the cluster fights to finish a scatter
-/// round when agents fail.
+/// Policy governing when a round stops fighting agent failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
-    /// Retry (reassignment) attempts allowed per scatter round after the
-    /// initial attempt. Each retry redistributes the failed chunks over
-    /// the links that have not failed this round.
-    pub max_retries: usize,
-    /// Minimum usable agents a retry needs; below this the round fails
-    /// with [`ClanError::Degraded`] (or the last link error) instead of
-    /// soldiering on. At least 1 regardless of the configured value.
+    /// Minimum live agents a round needs; below this it fails with
+    /// [`ClanError::Degraded`] (or the last link error, once none is
+    /// left) instead of soldiering on. At least 1 regardless of the
+    /// configured value.
     pub min_agents: usize,
 }
 
 impl Default for RecoveryPolicy {
-    /// Three reassignment retries, no floor beyond "someone is alive".
+    /// No floor beyond "someone is alive".
     fn default() -> RecoveryPolicy {
-        RecoveryPolicy {
-            max_retries: 3,
-            min_agents: 1,
-        }
+        RecoveryPolicy { min_agents: 1 }
     }
 }
 
 impl RecoveryPolicy {
-    /// Sets the retry budget.
-    pub fn with_max_retries(mut self, n: usize) -> RecoveryPolicy {
-        self.max_retries = n;
-        self
-    }
-
     /// Sets the live-agent floor.
     pub fn with_min_agents(mut self, n: usize) -> RecoveryPolicy {
         self.min_agents = n;
@@ -146,20 +133,14 @@ impl RecoveryPolicy {
 /// and surfaced on [`RunReport`](crate::report::RunReport) and the CLI.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryStats {
-    /// Scatter rounds performed (evaluate and build-children calls).
+    /// Rounds performed (evaluate, build-children and stream calls).
     pub rounds: u64,
     /// Churn-class link failures observed.
     pub failures: u64,
-    /// Chunks lost to a failed agent and reassigned to survivors.
+    /// Runs a failed agent held, re-queued for the survivors.
     pub reassigned_chunks: u64,
-    /// Work items (genomes / child specs) inside those chunks.
+    /// Work items (genomes / child specs) inside those runs.
     pub reassigned_items: u64,
-    /// Extra exchange attempts spent recovering (beyond each round's
-    /// first attempt).
-    pub retry_attempts: u64,
-    /// Measured wall-clock spent in those retry attempts, seconds — the
-    /// recovery makespan cost a clean run does not pay.
-    pub recovery_s: f64,
     /// Agent kills injected by a [`ChurnSchedule`](crate::transport::ChurnSchedule).
     pub kills: u64,
     /// Agents that joined mid-run (churn revivals plus explicit
@@ -249,9 +230,7 @@ mod tests {
     #[test]
     fn policy_defaults_and_builders() {
         let p = RecoveryPolicy::default();
-        assert_eq!(p.max_retries, 3);
         assert_eq!(p.min_agents, 1);
-        let p = p.with_max_retries(1).with_min_agents(2);
-        assert_eq!((p.max_retries, p.min_agents), (1, 2));
+        assert_eq!(p.with_min_agents(2).min_agents, 2);
     }
 }

@@ -274,15 +274,9 @@ impl RunReport {
             if r.any_recovery() {
                 let _ = writeln!(
                     s,
-                    "  recovery: {} link failure(s), {} chunk(s)/{} item(s) reassigned, \
-                     {} kill(s) + {} join(s), {} retry attempt(s) costing {:.3} s",
-                    r.failures,
-                    r.reassigned_chunks,
-                    r.reassigned_items,
-                    r.kills,
-                    r.joins,
-                    r.retry_attempts,
-                    r.recovery_s
+                    "  recovery: {} link failure(s), {} run(s)/{} item(s) re-queued, \
+                     {} kill(s) + {} join(s)",
+                    r.failures, r.reassigned_chunks, r.reassigned_items, r.kills, r.joins
                 );
             }
         }

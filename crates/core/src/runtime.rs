@@ -5,7 +5,7 @@
 //! demonstrates that the CLAN protocols actually *execute* — genomes are
 //! shipped to workers as encoded frames, evaluated in true parallelism,
 //! children are built remotely from serialized
-//! [`ChildSpec`](clan_neat::reproduction::ChildSpec)s, and the
+//! [`ChildSpec`]s, and the
 //! deterministic RNG discipline makes the distributed result
 //! bit-identical to a serial run (one row of the determinism matrix in
 //! `tests/common/mod.rs` per transport and fault condition).
@@ -24,80 +24,69 @@
 //! modeled traffic of `clan-netsim` can be validated against what a
 //! real wire format costs (see [`CommLedger::framing_overhead`]).
 //!
-//! # Heterogeneity-aware scheduling
+//! # Heterogeneity: work is pulled, not pushed
 //!
-//! Real swarms mix Pi 3s, Pi 4s, and Jetsons; splitting work evenly
-//! makes every generation wait for the slowest device. Two mechanisms
-//! keep mixed clusters busy:
+//! Real swarms mix Pi 3s, Pi 4s and Jetsons; a generation split evenly up
+//! front waits for the slowest device. Nothing here is told how fast an
+//! agent is. Every round — an [`evaluate_collect`](EdgeCluster::evaluate_collect)
+//! or [`build_children`](EdgeCluster::build_children) gather, or an
+//! [`evaluate_stream`](EdgeCluster::evaluate_stream) — is one exchange:
+//! the work is cut into *runs* (contiguous id-ordered slices of the
+//! borrowed work list, or one owned genome in a stream), one worker thread
+//! per link encodes each run straight from the borrow and keeps up to
+//! [`STREAM_WINDOW`] of them in flight, and every run goes to the live link
+//! holding the fewest. A fast agent simply comes back for more. Results
+//! are banked by run index and replayed in id order, and run boundaries
+//! depend only on the work list and the live-link count, so nothing
+//! downstream observes which agent answered what: the determinism
+//! contract — bit-identical to serial on serial/dcs/dds/dda — holds, and a
+//! clean round's wire bytes are the same whichever agent is slow.
 //!
-//! - **Throughput-weighted partitioning** — every scatter
-//!   ([`evaluate_collect`](EdgeCluster::evaluate_collect) and the
-//!   [`build_children`](EdgeCluster::build_children) phase of a
-//!   [`DdsOrchestrator`](crate::DdsOrchestrator) generation) routes
-//!   through [`clan_distsim::partition_weighted`] over per-link
-//!   capability weights ([`set_weights`](EdgeCluster::set_weights), or
-//!   `clan-cli coordinate --agent-weights`). With
-//!   [`set_calibration`](EdgeCluster::set_calibration) enabled the
-//!   weights recalibrate themselves from measured per-chunk round-trip
-//!   times (an EWMA of genomes/second over prior generations).
-//! - **Borrowed scatter, out-of-order gather** — a thread per link encodes
-//!   its chunk straight from the borrowed population, sends it and banks
-//!   the reply as its agent finishes; everything then replays in link
-//!   order (genome-id order: chunks are contiguous id-ordered slices), so
-//!   nothing downstream observes arrival order and the determinism
-//!   contract — bit-identical to serial on serial/dcs/dds/dda — holds.
-//!
-//! Measured gather timing (makespan vs. summed per-link busy time)
-//! accumulates in [`GatherStats`]; per-agent wire bytes land in the
-//! ledger's [`agent_entries`](CommLedger::agent_entries), making load
-//! imbalance directly observable.
+//! Measured timing (makespan vs. per-link busy time) accumulates in
+//! [`GatherStats`]; per-agent wire bytes land in the ledger's
+//! [`agent_entries`](CommLedger::agent_entries).
 //!
 //! # Elastic membership and recovery
 //!
 //! Commodity agents crash mid-run; the cluster survives them. Every
 //! link carries a [`LinkHealth`] (alive / suspected / dead, see
-//! [`crate::membership`]); when an exchange surfaces a churn-class
-//! error (`Transport`/`Timeout`), the failed link's chunk is
-//! **deterministically reassigned** across the links that have not
-//! failed this round and the exchange retried (up to
-//! [`RecoveryPolicy::max_retries`] times). Results carry genome ids and
-//! replay in id order, so a run that lost and reassigned chunks is
-//! bit-identical to a serial run — churn costs only time, measured in
-//! [`RecoveryStats`]. New agents can also **join mid-run**
-//! ([`admit_local`](EdgeCluster::admit_local)): they are `Configure`d
-//! with the stored session spec and enter the weight/calibration tables
-//! like any founding member. Deterministic churn testing goes through
-//! [`ChurnSchedule`]
-//! ([`set_churn`](EdgeCluster::set_churn), `clan-cli coordinate
-//! --churn k1@2,r1@4`), which swaps a victim's transport for a
-//! [`DeadTransport`] at a scatter
-//! round boundary and revives a replacement later — exercising the
-//! production recovery path with a simulated device crash.
+//! [`crate::membership`]). There is one recovery rule: when a link
+//! surfaces a churn-class error (`Transport`/`Timeout`), its in-flight and
+//! unread runs go back to the head of the queue for the links still
+//! standing, and the round fails only below
+//! [`RecoveryPolicy::min_agents`]. Results carry genome ids and replay in
+//! id order, so a churned run is bit-identical to a serial run — churn
+//! costs only time, measured in [`RecoveryStats`]. New agents can also
+//! **join mid-run** ([`admit_local`](EdgeCluster::admit_local)): they are
+//! `Configure`d with the stored session spec and pull work like any
+//! founding member. Deterministic churn testing goes through
+//! [`ChurnSchedule`] ([`set_churn`](EdgeCluster::set_churn), `clan-cli
+//! coordinate --churn k1@2,r1@4`), which swaps a victim's transport for a
+//! [`DeadTransport`] at a round boundary and revives a replacement later —
+//! exercising the production recovery path with a simulated device crash.
 
 use crate::error::ClanError;
 use crate::evaluator::{CacheFilter, InferenceMode};
 use crate::membership::{is_churn_error, AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
 use crate::telemetry::{EventKind, Tracer};
-use crate::transport::agent::{serve_session, AgentServer, UdpAgentServer};
+use crate::transport::agent::{message_name, serve_session, AgentServer, UdpAgentServer};
 use crate::transport::churn::{ChurnAction, ChurnSchedule, DeadTransport};
 use crate::transport::codec::{encode_build_children, encode_evaluate, request_floats};
 use crate::transport::{
     channel_pair, recv_message, send_message, wire_bytes, ClusterSpec, TcpTransport, Transport,
     UdpConfig, WireEvaluation, WireMessage,
 };
-use clan_distsim::partition_weighted;
 use clan_envs::Workload;
+use clan_neat::reproduction::ChildSpec;
 use clan_neat::{FitnessCache, Genome, GenomeId, NeatConfig, Population};
 use clan_netsim::{CommLedger, MessageKind};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::borrow::{Borrow, Cow};
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Smoothing factor of the round-trip-time calibration EWMA: how fast
-/// measured throughput overrides the static capability weight.
-const EWMA_ALPHA: f64 = 0.4;
 
 /// How a remote link's session can be re-established after a failure
 /// (the original agent address). In-process links have no origin: their
@@ -117,11 +106,6 @@ struct AgentLink {
     transport: Box<dyn Transport>,
     /// Join handle for in-process agents; `None` for remote ones.
     handle: Option<JoinHandle<()>>,
-    /// Static capability weight (relative throughput; default 1.0).
-    weight: f64,
-    /// EWMA of measured evaluation throughput (genomes/second), fed by
-    /// per-chunk round-trip times when calibration is enabled.
-    measured: Option<f64>,
     /// Liveness as judged from exchange outcomes (see
     /// [`crate::membership`]).
     health: LinkHealth,
@@ -146,8 +130,6 @@ impl AgentLink {
         AgentLink {
             transport,
             handle,
-            weight: 1.0,
-            measured: None,
             health: LinkHealth::Alive,
             last_error: None,
             poisoned: false,
@@ -155,7 +137,7 @@ impl AgentLink {
         }
     }
 
-    /// Settles this link after an exchange round or a stream: one that
+    /// Settles this link after a round: one that
     /// `completed` a round trip (and was not poisoned since) is healthy
     /// again, and the loss-recovery overhead its transport accumulated
     /// (retransmitted + duplicate datagrams, zero on reliable
@@ -204,26 +186,31 @@ enum Respawn {
     },
 }
 
-/// Measured scatter/gather timing accumulated over a cluster's life.
+/// Measured timing of a cluster's rounds, gathers and streams alike.
 ///
-/// `makespan_s` sums each gather's slowest-link wait (what a generation
-/// actually costs); `busy_s` sums every link's individual wait (the
-/// total work the cluster performed). Their ratio approaches the agent
-/// count when partitions are balanced and collapses toward 1.0 when one
-/// slow agent serializes the generation — the imbalance signal
-/// throughput-weighted partitioning exists to fix.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// `makespan_s` sums each round's wall-clock to its last reply (what a
+/// generation actually waits); `busy_s` sums every link's busy time — the
+/// time it had at least one run outstanding, i.e. the work the cluster
+/// performed. Their ratio approaches the agent count while every link
+/// stays busy and collapses toward 1.0 when one agent serializes a round.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GatherStats {
-    /// Scatter/gather rounds performed.
+    /// Rounds performed.
     pub gathers: u64,
-    /// Summed per-round slowest-link wait, seconds.
+    /// Summed per-round wall-clock, seconds.
     pub makespan_s: f64,
-    /// Summed per-link wait across all rounds, seconds.
+    /// Summed per-link busy time across all rounds, seconds.
     pub busy_s: f64,
+    /// Busy seconds per link (index = link slot).
+    #[serde(default)]
+    pub per_agent_busy_s: Vec<f64>,
+    /// Work items (genomes or child specs) each link answered.
+    #[serde(default)]
+    pub per_agent_items: Vec<u64>,
 }
 
 impl GatherStats {
-    /// Mean wall-clock cost of one gather round.
+    /// Mean wall-clock cost of one round.
     pub fn mean_makespan_s(&self) -> f64 {
         if self.gathers == 0 {
             0.0
@@ -234,15 +221,35 @@ impl GatherStats {
 
     /// Parallel-overlap ratio `busy_s / makespan_s`: ≈ agent count when
     /// balanced, → 1.0 when one agent sets the pace. `None` until a
-    /// gather has been timed.
+    /// round has been timed.
     pub fn overlap(&self) -> Option<f64> {
         (self.makespan_s > 0.0).then(|| self.busy_s / self.makespan_s)
     }
+
+    /// Adds one round to this running total (link slots only ever grow).
+    fn absorb(&mut self, round: &GatherStats) {
+        self.gathers += round.gathers;
+        self.makespan_s += round.makespan_s;
+        self.busy_s += round.busy_s;
+        let n = round.per_agent_items.len().max(self.per_agent_items.len());
+        self.per_agent_busy_s.resize(n, 0.0);
+        self.per_agent_items.resize(n, 0);
+        for (total, s) in self
+            .per_agent_busy_s
+            .iter_mut()
+            .zip(&round.per_agent_busy_s)
+        {
+            *total += s;
+        }
+        for (total, n) in self.per_agent_items.iter_mut().zip(&round.per_agent_items) {
+            *total += n;
+        }
+    }
 }
 
-/// Requests every streaming link keeps in flight, live or simulated:
-/// the smallest depth that hides the coordinator's turnaround from an
-/// agent, and a constant for the reasons in [`crate::asynchronous`].
+/// Runs every link holds in flight, live or simulated: the smallest
+/// depth that hides the coordinator's turnaround from an agent, and a
+/// constant for the reasons in [`crate::asynchronous`].
 pub const STREAM_WINDOW: usize = 2;
 
 /// One finished streaming evaluation, as handed to the
@@ -262,78 +269,57 @@ pub struct StreamCompletion {
     pub genes_per_activation: u64,
 }
 
-/// Timing and recovery accounting of one
-/// [`evaluate_stream`](EdgeCluster::evaluate_stream) run. A completion's
-/// *span* runs from `max(its request sent, previous reply on its link)`
-/// to its reply, so spans on one link never overlap and busy time is the
-/// time a link had at least one request outstanding.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StreamStats {
-    /// Evaluations completed (including re-dispatched ones).
-    pub completions: u64,
-    /// Genomes outstanding on a link when it died, dispatched again to
-    /// a surviving agent.
-    pub redispatches: u64,
-    /// Wall-clock of the whole stream, seconds.
-    pub makespan_s: f64,
-    /// Summed per-agent busy time (completion spans), seconds.
-    pub busy_s: f64,
-    /// Per-link busy seconds (index = link slot).
-    pub per_agent_busy_s: Vec<f64>,
-    /// Per-link completed evaluations (index = link slot).
-    pub per_agent_completions: Vec<u64>,
+/// The unit of work a link carries: a contiguous id-ordered slice of a
+/// round's borrowed work list — or, in a stream, one owned genome —
+/// tagged with its index in the round.
+struct Run<'w, T: Clone> {
+    index: u64,
+    items: Cow<'w, [T]>,
 }
 
-/// What the dispatch loop sends a link's worker: the next genome with
-/// its stream sequence number, or `None` for "nothing yet".
-type StreamFeed = Option<(u64, Genome)>;
+/// Encodes a run — from its index and items — as its request frame, with
+/// the frame's modeled floats.
+type RunEncoder<'e, T> = dyn Fn(u64, &[T]) -> (Vec<u8>, u64) + Sync + 'e;
 
-/// What a per-link streaming worker reports back to the dispatch loop.
-enum StreamEvent {
-    /// One evaluation finished cleanly.
+/// How one kind of round moves its runs.
+struct Exchange<'e, T, R> {
+    /// Ledger kinds of the request and of its reply.
+    request: MessageKind,
+    reply: MessageKind,
+    /// Runs one link may hold at once.
+    window: usize,
+    encode: &'e RunEncoder<'e, T>,
+    /// The results of a reply that answers the run entry for entry, or
+    /// why it does not.
+    answer: fn(WireMessage, &[T]) -> Result<Vec<R>, String>,
+}
+
+/// What a link's worker reports to the dispatch loop.
+enum LinkEvent<'w, T: Clone, R> {
+    /// A run came back answered.
     Done {
-        completion: StreamCompletion,
-        elapsed_s: f64,
+        agent: usize,
+        index: u64,
+        results: Vec<R>,
+        /// Seconds from the later of its send and the link's previous
+        /// reply to its own reply: spans on one link never overlap, and
+        /// they sum to the time the link had a run outstanding.
+        span_s: f64,
         /// `(modeled floats, wire bytes)` of the request and the reply.
         sent: (u64, u64),
         recv: (u64, u64),
     },
-    /// The link is done for: churn (a transport or timeout `error`), or
-    /// a protocol/frame violation — a bug, which aborts the stream. Its
-    /// outstanding `genomes` (oldest first) and any feed still unread in
+    /// The link is done for: churn (a transport or timeout `error`), or a
+    /// protocol/frame violation — a bug, which aborts the round. Its
+    /// outstanding `runs` (oldest first) and whatever is still unread in
     /// `work` need a new home.
     Down {
         agent: usize,
-        genomes: Vec<Genome>,
-        work: Receiver<StreamFeed>,
+        runs: Vec<Run<'w, T>>,
+        work: Receiver<Option<Run<'w, T>>>,
         error: ClanError,
     },
 }
-
-/// What one link's exchange thread brings back: the request's modeled
-/// floats and measured wire bytes, the reply if the send went out, and
-/// the seconds from the start of the exchange to the end of both.
-type LinkExchange = (
-    Result<(u64, u64), ClanError>,
-    Option<Result<(WireMessage, u64), ClanError>>,
-    f64,
-);
-
-/// Encodes one scatter chunk's request from the borrowed items, on the
-/// chunk's link thread: the frame and its modeled floats.
-type RequestEncoder<'a, T> = &'a (dyn Fn(&[T]) -> (Vec<u8>, u64) + Sync);
-
-/// One exchange attempt's result: per-link slots (`None` = no request
-/// sent; `Some(Err)` = churn-class link failure, already recorded in
-/// the membership table) plus the attempt's measured makespan.
-struct ExchangeOutcome {
-    responses: Vec<Option<Result<WireMessage, ClanError>>>,
-    makespan_s: f64,
-}
-
-/// Extracts a scatter chunk's result items from its link's reply; `None`
-/// (a protocol violation) unless the reply answers the chunk item for item.
-type ResponseHandler<'a, T, R> = &'a mut dyn FnMut(WireMessage, &[T]) -> Option<Vec<R>>;
 
 /// Serves one in-process agent `session` for link slot `slot` on a named
 /// thread, surfacing OS thread exhaustion as a typed
@@ -355,42 +341,46 @@ fn spawn_agent_thread(
         })
 }
 
-/// One link's side of a stream: keeps up to [`STREAM_WINDOW`] one-genome
-/// `Evaluate` frames outstanding (the sequence number rides in the
-/// generation field) and matches each one-entry `Fitness` to the
-/// *oldest* — every [`Transport`] is an ordered pipe. With room in the
-/// window it waits on `work`, not the link: each completion is answered
-/// by a genome or `None` ("nothing yet, go listen"), and merely polling
-/// would pick the genome up one evaluation late, collapsing the depth
-/// to one. Told to stop (`work` closed), it first reads the replies it
-/// is owed, so no stale `Fitness` answers the next round's request.
-fn stream_link(
+/// The one per-link worker. It keeps up to `exchange.window` runs
+/// outstanding, encoding each on this thread straight from the borrow
+/// (the frame is freed before the wait for its reply), and matches every
+/// reply to the *oldest* — every [`Transport`] is an ordered pipe. With
+/// room in the window it waits on `work`, not the link: the dispatch loop
+/// answers each of its replies with a run or `None` ("nothing yet, go
+/// listen"), and merely polling would pick a run up one reply late,
+/// collapsing the depth to one. Told to stop (`work` closed), it first
+/// reads the replies it is owed, so none answers the next round.
+///
+/// It can never block in a send while its agent blocks writing a reply.
+/// TCP's `send_frame` blocks while the peer's buffers are full, so a
+/// second request may wait until the agent reads it. Only `Evaluate` runs
+/// are ever two deep, and their `Fitness` replies are a few dozen bytes
+/// per genome: the agent's write lands in the socket buffer without
+/// waiting, and it goes back to reading. A `Children` reply can be as
+/// large as its request, so a `BuildChildren` run is alone on its link
+/// (window 1): whenever that agent writes, this worker is reading.
+fn link_worker<'w, T: Clone + Sync, R>(
     transport: &mut dyn Transport,
     agent: usize,
-    master_seed: u64,
     clock: Instant,
-    work: Receiver<StreamFeed>,
-    events: &Sender<StreamEvent>,
+    exchange: &Exchange<'_, T, R>,
+    work: Receiver<Option<Run<'w, T>>>,
+    events: &Sender<LinkEvent<'w, T, R>>,
 ) {
-    // Sent and unanswered: genome id, request (it owns the genome, which
-    // a failed link hands back), wire bytes, and when it went out.
-    let mut outstanding: VecDeque<(GenomeId, WireMessage, u64, Duration)> = VecDeque::new();
+    // Sent and unanswered: the run, its request's (floats, wire bytes),
+    // and when it went out.
+    let mut outstanding: VecDeque<(Run<'w, T>, (u64, u64), Duration)> = VecDeque::new();
     let mut last_reply = Duration::ZERO;
     let error = loop {
-        if outstanding.len() < STREAM_WINDOW {
+        if outstanding.len() < exchange.window {
             match work.recv() {
-                Ok(Some((generation, genome))) => {
-                    let id = genome.id();
-                    let request = WireMessage::Evaluate {
-                        generation,
-                        master_seed,
-                        genomes: vec![genome],
-                    };
+                Ok(Some(run)) => {
                     let sent_at = clock.elapsed();
-                    let sent = send_message(transport, &request);
-                    outstanding.push_back((id, request, *sent.as_ref().unwrap_or(&0), sent_at));
+                    let (frame, floats) = (exchange.encode)(run.index, &run.items);
+                    let sent = transport.send_frame(&frame);
+                    outstanding.push_back((run, (floats, wire_bytes(&frame)), sent_at));
                     match sent {
-                        Ok(_) => continue,
+                        Ok(()) => continue,
                         Err(error) => break error,
                     }
                 }
@@ -409,57 +399,93 @@ fn stream_link(
             Err(error) => break error,
         };
         let replied_at = clock.elapsed();
-        let Some((id, request, sent_bytes, sent_at)) = outstanding.pop_front() else {
+        let Some((run, sent, sent_at)) = outstanding.pop_front() else {
             continue;
         };
-        let recv_floats = reply.modeled_floats();
-        let (genome, evaluation, genes_per_activation) = match reply {
-            WireMessage::Fitness(batch) if batch.len() == 1 && batch[0].0 == id => batch[0],
-            other => {
-                break ClanError::Protocol {
-                    peer: transport.peer(),
-                    reason: format!("expected the Fitness of genome {id}, got {other:?}"),
-                }
+        let recv = (reply.modeled_floats(), recv_bytes);
+        let results = match (exchange.answer)(reply, &run.items) {
+            Ok(results) => results,
+            Err(reason) => {
+                let peer = transport.peer();
+                break ClanError::Protocol { peer, reason };
             }
         };
         // Fails only once the dispatch loop, and so `work`, is gone.
-        let _ = events.send(StreamEvent::Done {
-            completion: StreamCompletion {
-                agent,
-                genome,
-                evaluation,
-                genes_per_activation,
-            },
-            elapsed_s: (replied_at.saturating_sub(sent_at.max(last_reply))).as_secs_f64(),
-            sent: (request.modeled_floats(), sent_bytes),
-            recv: (recv_floats, recv_bytes),
+        let _ = events.send(LinkEvent::Done {
+            agent,
+            index: run.index,
+            results,
+            span_s: replied_at
+                .saturating_sub(sent_at.max(last_reply))
+                .as_secs_f64(),
+            sent,
+            recv,
         });
         last_reply = replied_at;
     };
-    let genomes = outstanding
-        .into_iter()
-        .filter_map(|(_, request, ..)| match request {
-            WireMessage::Evaluate { mut genomes, .. } => genomes.pop(),
-            _ => None,
-        });
-    let _ = events.send(StreamEvent::Down {
+    let runs = outstanding.into_iter().map(|(run, ..)| run).collect();
+    let _ = events.send(LinkEvent::Down {
         agent,
-        genomes: genomes.collect(),
+        runs,
         work,
         error,
     });
 }
 
-/// Splits `items` into consecutive slices of the given sizes.
-fn chunk_by_counts<'a, T>(items: &'a [T], counts: &[usize]) -> Vec<&'a [T]> {
-    debug_assert_eq!(counts.iter().sum::<usize>(), items.len());
-    let mut chunks = Vec::with_capacity(counts.len());
-    let mut start = 0;
-    for &c in counts {
-        chunks.push(&items[start..start + c]);
-        start += c;
+/// Cuts `0..n` into `k` contiguous runs (at most `n`) whose lengths differ
+/// by at most one, the longer ones first.
+fn split_even(n: usize, k: usize) -> impl Iterator<Item = Range<usize>> {
+    let k = k.min(n).max(1);
+    let (base, extra) = (n / k, n % k);
+    (0..k)
+        .map(move |i| i * base + i.min(extra)..(i + 1) * base + (i + 1).min(extra))
+        .filter(|run| !run.is_empty())
+}
+
+/// A `Fitness` reply's entries, if they answer `run` genome for genome.
+fn fitness_of<G: Borrow<Genome>>(
+    reply: WireMessage,
+    run: &[G],
+) -> Result<Vec<WireEvaluation>, String> {
+    match reply {
+        WireMessage::Fitness(batch) => {
+            let got: Vec<GenomeId> = batch.iter().map(|r| r.0).collect();
+            let want: Vec<GenomeId> = run.iter().map(|g| g.borrow().id()).collect();
+            mismatch("Fitness", &got, &want).map_or(Ok(batch), Err)
+        }
+        other => Err(format!("expected Fitness, got {}", message_name(&other))),
     }
-    chunks
+}
+
+/// A `Children` reply's genomes, if they answer `run` spec for spec.
+fn children_of(reply: WireMessage, run: &[ChildSpec]) -> Result<Vec<Genome>, String> {
+    match reply {
+        WireMessage::Children(children) => {
+            let got: Vec<GenomeId> = children.iter().map(Genome::id).collect();
+            let want: Vec<GenomeId> = run.iter().map(|s| s.child_id).collect();
+            mismatch("Children", &got, &want).map_or(Ok(children), Err)
+        }
+        other => Err(format!("expected Children, got {}", message_name(&other))),
+    }
+}
+
+/// Why a reply listing `got` does not answer a run of `want` entry for
+/// entry, or `None` when it does.
+fn mismatch(kind: &str, got: &[GenomeId], want: &[GenomeId]) -> Option<String> {
+    if got.len() != want.len() {
+        let (n, m) = (got.len(), want.len());
+        return Some(format!("{kind} reply has {n} entries for a run of {m}"));
+    }
+    let i = got.iter().zip(want).position(|(g, w)| g != w)?;
+    let id = got.get(i)?;
+    let why = if got.get(..i)?.contains(id) {
+        "a duplicate"
+    } else if want.contains(id) {
+        "out of order"
+    } else {
+        "not in the run"
+    };
+    Some(format!("{kind} entry {i} is genome {id}, {why}"))
 }
 
 /// A live cluster of agents evaluating and reproducing genomes over a
@@ -481,17 +507,15 @@ pub struct EdgeCluster {
     spec: ClusterSpec,
     ledger: CommLedger,
     control_bytes: u64,
-    /// When set, partition weights follow measured round-trip times.
-    calibrate: bool,
     gather: GatherStats,
-    /// How hard scatters fight to survive link failures.
+    /// The live-agent floor a round may not fall below.
     policy: RecoveryPolicy,
     /// What surviving churn cost so far.
     recovery: RecoveryStats,
     /// Deterministic kill/revive plan, applied at round boundaries.
     churn: Option<ChurnSchedule>,
-    /// Scatter rounds performed (each `evaluate_collect` /
-    /// `build_children` call advances this by one).
+    /// Rounds performed (each `evaluate_collect` / `build_children` /
+    /// `evaluate_stream` call advances this by one).
     round: u64,
     /// How replacement agents are produced for revivals/admissions.
     respawn: Respawn,
@@ -702,7 +726,6 @@ impl EdgeCluster {
             spec,
             ledger: CommLedger::new(),
             control_bytes,
-            calibrate: false,
             gather: GatherStats::default(),
             policy: RecoveryPolicy::default(),
             recovery: RecoveryStats::default(),
@@ -726,84 +749,9 @@ impl EdgeCluster {
         self.links.iter().filter(|l| l.health.is_live()).count()
     }
 
-    /// Sets per-agent capability weights: relative throughputs that
-    /// every scatter partitions work by (see
-    /// [`clan_distsim::partition_weighted`]). Equal weights (the
-    /// default 1.0) reproduce the even split exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`ClanError::InvalidSetup`] if the length does not match the
-    /// agent count, or any weight is negative/non-finite, or all are
-    /// zero.
-    pub fn set_weights(&mut self, weights: &[f64]) -> Result<(), ClanError> {
-        if weights.len() != self.links.len() {
-            return Err(ClanError::InvalidSetup {
-                reason: format!(
-                    "{} weight(s) for {} agent(s)",
-                    weights.len(),
-                    self.links.len()
-                ),
-            });
-        }
-        if !weights.iter().all(|w| w.is_finite() && *w >= 0.0) || weights.iter().sum::<f64>() <= 0.0
-        {
-            return Err(ClanError::InvalidSetup {
-                reason: "agent weights must be finite, non-negative, and not all zero".into(),
-            });
-        }
-        for (link, &w) in self.links.iter_mut().zip(weights) {
-            link.weight = w;
-        }
-        Ok(())
-    }
-
-    /// Enables (or disables) round-trip-time calibration: after each
-    /// evaluation round, every link's weight is recalibrated toward its
-    /// measured throughput (an EWMA of genomes/second), so partitions
-    /// track how fast agents *actually* are rather than how fast the
-    /// static weights claim. Results stay bit-identical — only chunk
-    /// sizes change, and replay is always in genome-id order.
-    pub fn set_calibration(&mut self, enabled: bool) {
-        self.calibrate = enabled;
-    }
-
-    /// The static capability weights currently configured.
-    pub fn weights(&self) -> Vec<f64> {
-        self.links.iter().map(|l| l.weight).collect()
-    }
-
-    /// The weights the next scatter will actually partition by.
-    ///
-    /// Measured throughputs are used only once every positive-weight
-    /// link has one — mixing measured genomes/second with static
-    /// weights on an arbitrary scale would skew the split; until then
-    /// (and whenever calibration is off) the static weights apply.
-    pub fn effective_weights(&self) -> Vec<f64> {
-        let calibrated = self.calibrate
-            && self
-                .links
-                .iter()
-                .all(|l| l.weight <= 0.0 || l.measured.is_some());
-        if calibrated {
-            self.links
-                .iter()
-                .map(|l| {
-                    if l.weight <= 0.0 {
-                        0.0
-                    } else {
-                        l.measured.unwrap_or(0.0)
-                    }
-                })
-                .collect()
-        } else {
-            self.weights()
-        }
-    }
-
-    /// Measured scatter/gather timing accumulated so far.
+    /// Measured round timing accumulated so far.
     pub fn gather_stats(&self) -> GatherStats {
-        self.gather
+        self.gather.clone()
     }
 
     /// Installs a telemetry handle. The runtime emits Timing-class
@@ -814,7 +762,7 @@ impl EdgeCluster {
         self.tracer = tracer;
     }
 
-    /// Sets the recovery policy (retry budget, live-agent floor).
+    /// Sets the recovery policy (the live-agent floor).
     pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
         self.policy = policy;
     }
@@ -837,9 +785,9 @@ impl EdgeCluster {
             .collect()
     }
 
-    /// Installs a deterministic kill/revive plan, applied at scatter
-    /// round boundaries (each `evaluate`/`build_children` call is one
-    /// round).
+    /// Installs a deterministic kill/revive plan, applied at round
+    /// boundaries (each `evaluate`/`build_children`/`evaluate_stream`
+    /// call is one round).
     ///
     /// # Errors
     ///
@@ -993,9 +941,8 @@ impl EdgeCluster {
     }
 
     /// Revives link `slot` with a freshly minted replacement agent:
-    /// same slot (per-agent accounting stays aligned), same static
-    /// weight, fresh health and calibration, `Configure`d with the
-    /// session spec.
+    /// same slot (per-agent accounting stays aligned), fresh health,
+    /// `Configure`d with the session spec.
     ///
     /// # Errors
     ///
@@ -1011,11 +958,9 @@ impl EdgeCluster {
         let mut fresh = Self::mint_agent(&mut self.respawn, slot)?;
         let msg = WireMessage::Configure(Box::new(self.spec.clone()));
         self.control_bytes += send_message(fresh.transport.as_mut(), &msg)?;
-        // Same slot, same static weight; everything else starts over.
-        // Dropping the old link drops its transport: a still-running
-        // old agent observes the disconnect and ends its session
-        // quietly (its thread is detached, never joined).
-        fresh.weight = self.links[slot].weight;
+        // Dropping the old link drops its transport: a still-running old
+        // agent observes the disconnect and ends its session quietly (its
+        // thread is detached, never joined).
         self.links[slot] = fresh;
         self.tracer.timing(EventKind::AgentRevived, |ev| {
             ev.agent = Some(slot as u64);
@@ -1045,16 +990,16 @@ impl EdgeCluster {
         Ok(slot)
     }
 
-    /// Advances the scatter round and applies any churn events due.
-    fn apply_churn(&mut self) -> Result<(), ClanError> {
+    /// Opens the next round: applies any churn events due, then
+    /// re-establishes poisoned sessions.
+    fn open_round(&mut self) -> Result<(), ClanError> {
         let round = self.round;
         self.round += 1;
         self.recovery.rounds += 1;
-        let Some(churn) = &self.churn else {
-            return Ok(());
-        };
-        let due: Vec<(usize, ChurnAction)> = churn
-            .events_at(round)
+        let due: Vec<(usize, ChurnAction)> = self
+            .churn
+            .iter()
+            .flat_map(|churn| churn.events_at(round))
             .map(|e| (e.agent, e.action))
             .collect();
         for (agent, action) in due {
@@ -1069,6 +1014,7 @@ impl EdgeCluster {
                 }
             }
         }
+        self.resync_poisoned_links();
         Ok(())
     }
 
@@ -1094,23 +1040,6 @@ impl EdgeCluster {
         &self.spec.cfg
     }
 
-    /// The weights the next scatter attempt partitions by: effective
-    /// weights with dead links — and links already failed this round —
-    /// zeroed out.
-    fn scatter_weights(&self, failed_this_round: &[bool]) -> Vec<f64> {
-        self.effective_weights()
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| {
-                if !self.links[i].health.is_live() || failed_this_round[i] {
-                    0.0
-                } else {
-                    w
-                }
-            })
-            .collect()
-    }
-
     /// Marks link `i` failed with churn-class error `e`: health
     /// transition, recovery accounting, and **session poisoning** — the
     /// transport is replaced with a [`DeadTransport`] because its
@@ -1134,7 +1063,7 @@ impl EdgeCluster {
             link.transport = Box::new(DeadTransport::new(peer));
             link.poisoned = true;
             // The agent thread (if in-process) observes the dropped
-            // session and exits on its own; never block a gather on it.
+            // session and exits on its own; never block a round on it.
             drop(link.handle.take());
         }
         recovery.note_failure(i);
@@ -1142,11 +1071,11 @@ impl EdgeCluster {
 
     /// Re-establishes a fresh session on every poisoned-but-live link
     /// that has an origin to reconnect to: new transport, `Configure`
-    /// pushed, calibration reset. Links without an origin (in-process
-    /// agents, injected kills) and failed reconnects stay poisoned —
-    /// their next probe fails fast and counts a strike, so a genuinely
-    /// dead device converges to `Dead` without timeout waits, while a
-    /// transiently slow one comes back with a clean session.
+    /// pushed. Links without an origin (in-process agents, injected
+    /// kills) and failed reconnects stay poisoned — their next probe
+    /// fails fast and counts a strike, so a genuinely dead device
+    /// converges to `Dead` without timeout waits, while a transiently
+    /// slow one comes back with a clean session.
     fn resync_poisoned_links(&mut self) {
         for i in 0..self.links.len() {
             let link = &self.links[i];
@@ -1171,251 +1100,205 @@ impl EdgeCluster {
                 let link = &mut self.links[i];
                 link.transport = transport;
                 link.poisoned = false;
-                link.measured = None;
             }
         }
     }
 
-    /// Scatters one request per non-empty chunk and gathers the responses
-    /// **out of order**: a thread per requested link encodes its request
-    /// from the borrowed chunk, sends it and banks the reply the moment it
-    /// arrives, so a link never waits behind another's encode,
-    /// flow-controlled send (a datagram window waiting on acks, a slow or
-    /// dead peer) or reply. Its measured time — and so the makespan — runs
-    /// from the start of the round to its reply: encode, send, the agent's
-    /// work, receive, decode. All bookkeeping — ledger rows, calibration,
-    /// membership marking — then replays in link order, keeping every
-    /// observable effect deterministic regardless of arrival order.
-    ///
-    /// Churn-class failures (`Transport`/`Timeout`, on send or receive)
-    /// do **not** abort the exchange: the failed link is marked in the
-    /// membership table and its slot reports the error, so the caller
-    /// can reassign the lost chunk. Non-churn errors (protocol, frame)
-    /// are bugs and propagate immediately.
-    ///
-    /// A chunk's length is its work-item count; with `calibrate_throughput`
-    /// the per-link round-trip time feeds the EWMA throughput estimate
-    /// behind [`effective_weights`](EdgeCluster::effective_weights).
-    fn exchange<T: Sync>(
+    /// The one dispatch loop behind every round. A [`link_worker`] per
+    /// live link pulls from `queue`: each run goes to the live link
+    /// holding the fewest (lowest slot on a tie, so an opening wave goes
+    /// out round-robin), and `on_done(agent, run index, results, span)`
+    /// takes every answered run — returning the next run to queue, in a
+    /// stream. A link that fails churn-class gives its in-flight and
+    /// unread runs back to the head of the queue, in order; the round
+    /// fails only once fewer than the policy's floor of links remain
+    /// (with the root-cause link error when none is left), or at once on
+    /// a protocol/frame violation. However it ends, healthy links first
+    /// read the replies they are still owed. Books the ledger, the
+    /// membership table and [`GatherStats`], and returns this round's
+    /// timing.
+    fn dispatch<'w, T: Clone + Send + Sync, R: Send>(
         &mut self,
-        send_kind: MessageKind,
-        recv_kind: MessageKind,
-        chunks: &[&[T]],
-        encode_request: RequestEncoder<'_, T>,
-        calibrate_throughput: bool,
-    ) -> Result<ExchangeOutcome, ClanError> {
-        let round = self.round;
+        exchange: &Exchange<'_, T, R>,
+        mut queue: VecDeque<Run<'w, T>>,
+        on_done: &mut dyn FnMut(usize, u64, Vec<R>, f64) -> Option<Run<'w, T>>,
+    ) -> Result<GatherStats, ClanError> {
+        let floor = self.policy.min_agents.max(1);
         let EdgeCluster {
             links,
             ledger,
             gather,
-            calibrate,
             recovery,
             tracer,
             ..
         } = self;
-        debug_assert_eq!(chunks.len(), links.len());
-        // clan-lint: allow(D2, reason="GatherStats wall-clock measurement; reported, never fed back into evolution")
-        let start = Instant::now();
-        let mut slots: Vec<Option<LinkExchange>> = (0..links.len()).map(|_| None).collect();
+        let n = links.len();
+        let mut round = GatherStats {
+            gathers: 1,
+            per_agent_busy_s: vec![0.0; n],
+            per_agent_items: vec![0; n],
+            ..GatherStats::default()
+        };
+        let mut failures: Vec<(usize, ClanError)> = Vec::new();
+        // clan-lint: allow(D2, reason="round makespan and per-run spans; reported, never fed back into evolution")
+        let clock = Instant::now();
+        let mut outcome: Result<(), ClanError> = Ok(());
         std::thread::scope(|s| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            for (i, (link, &chunk)) in links.iter_mut().zip(chunks).enumerate() {
-                if chunk.is_empty() {
-                    continue;
+            let (etx, erx) = channel();
+            let mut work: Vec<Option<Sender<Option<Run<'w, T>>>>> = (0..n).map(|_| None).collect();
+            for (i, link) in links.iter_mut().enumerate() {
+                if link.health.is_live() {
+                    let (wtx, wrx) = channel();
+                    work[i] = Some(wtx);
+                    let etx = etx.clone();
+                    let transport: &mut dyn Transport = link.transport.as_mut();
+                    s.spawn(move || link_worker(transport, i, clock, exchange, wrx, &etx));
                 }
-                let tx = tx.clone();
-                let transport: &mut dyn Transport = link.transport.as_mut();
-                s.spawn(move || {
-                    let sent = {
-                        // The frame is freed before the wait for the reply.
-                        let (frame, floats) = encode_request(chunk);
-                        let sent = transport.send_frame(&frame);
-                        sent.map(|()| (floats, wire_bytes(&frame)))
+            }
+            drop(etx);
+            // Runs each link holds, as far as this loop has been told, and
+            // the links whose worker is waiting to hear from it.
+            let mut held = vec![0usize; n];
+            let mut waiting = vec![false; n];
+            while work.iter().flatten().count() >= floor {
+                while let Some(agent) = (0..n)
+                    .filter(|&a| work[a].is_some() && held[a] < exchange.window)
+                    .min_by_key(|&a| held[a])
+                {
+                    let (Some(run), Some(tx)) = (queue.pop_front(), &work[agent]) else {
+                        break;
                     };
-                    let reply = sent.is_ok().then(|| recv_message(transport));
-                    let _ = tx.send((i, (sent, reply, start.elapsed().as_secs_f64())));
+                    let _ = tx.send(Some(run));
+                    held[agent] += 1;
+                    waiting[agent] = true;
+                }
+                for (agent, tx) in work.iter().enumerate() {
+                    if std::mem::take(&mut waiting[agent]) && held[agent] < exchange.window {
+                        let _ = tx.as_ref().map(|tx| tx.send(None));
+                    }
+                }
+                if held.iter().all(|&h| h == 0) {
+                    break;
+                }
+                let Ok(event) = erx.recv() else { break };
+                match event {
+                    LinkEvent::Done {
+                        agent,
+                        index,
+                        results,
+                        span_s,
+                        sent,
+                        recv,
+                    } => {
+                        ledger.record_agent_wire(agent, exchange.request, sent.0, sent.1);
+                        ledger.record_agent_wire(agent, exchange.reply, recv.0, recv.1);
+                        held[agent] -= 1;
+                        waiting[agent] = true;
+                        round.makespan_s = clock.elapsed().as_secs_f64();
+                        round.busy_s += span_s;
+                        round.per_agent_busy_s[agent] += span_s;
+                        round.per_agent_items[agent] += results.len() as u64;
+                        queue.extend(on_done(agent, index, results, span_s));
+                    }
+                    LinkEvent::Down { error, .. } if !is_churn_error(&error) => {
+                        outcome = Err(error);
+                        break;
+                    }
+                    LinkEvent::Down {
+                        agent,
+                        runs,
+                        work: unread,
+                        error,
+                    } => {
+                        // Nothing more is sent to this link, so whatever
+                        // its worker never read is all in `unread`.
+                        work[agent] = None;
+                        held[agent] = 0;
+                        let queued = queue.len();
+                        queue.extend(runs.into_iter().chain(unread.try_iter().flatten()));
+                        let lost = queue.len() - queued;
+                        queue.rotate_right(lost); // to the head of the queue, in order
+                        for run in queue.iter().take(lost) {
+                            let items = run.items.len() as u64;
+                            recovery.reassigned_chunks += 1;
+                            recovery.reassigned_items += items;
+                            tracer.timing(EventKind::ChunkReassigned, |ev| {
+                                ev.agent = Some(agent as u64);
+                                ev.items = Some(items);
+                            });
+                        }
+                        tracer.timing(EventKind::AgentFailure, |ev| {
+                            ev.agent = Some(agent as u64);
+                            ev.label = Some(error.to_string());
+                        });
+                        failures.push((agent, error));
+                    }
+                }
+            }
+            let live = work.iter().flatten().count();
+            if outcome.is_ok() && (held.iter().any(|&h| h > 0) || !queue.is_empty()) {
+                outcome = Err(match failures.last() {
+                    Some((_, error)) if live == 0 => error.clone(),
+                    _ => ClanError::Degraded {
+                        live,
+                        required: floor,
+                    },
                 });
             }
-            drop(tx);
-            for (i, done) in rx {
-                slots[i] = Some(done);
-            }
+            // Closing the work channels lets every worker drain and exit.
+            drop(work);
         });
-        // Replay in link order (deterministic bookkeeping, whatever the
-        // arrival order was): each link's request row, then its reply.
-        // A churn-class failure claims the slot instead of aborting the
-        // round.
-        let mut responses: Vec<Option<Result<WireMessage, ClanError>>> =
-            (0..links.len()).map(|_| None).collect();
-        let mut failed = |links: &mut [AgentLink], i: usize, e: ClanError| {
-            Self::note_link_failure(links, recovery, i, &e);
-            tracer.timing(EventKind::AgentFailure, |ev| {
-                ev.agent = Some(i as u64);
-                ev.label = Some(e.to_string());
-            });
-            Some(Err(e))
-        };
-        let mut makespan = 0.0f64;
-        let mut busy = 0.0f64;
-        let mut hard_err: Option<ClanError> = None;
-        for (i, (slot, chunk)) in slots.into_iter().zip(chunks).enumerate() {
-            let Some((sent, reply, elapsed)) = slot else {
-                continue;
-            };
-            let work = chunk.len() as u64;
-            match sent {
-                Ok((floats, bytes)) => ledger.record_agent_wire(i, send_kind, floats, bytes),
-                Err(e) if is_churn_error(&e) => responses[i] = failed(links, i, e),
-                Err(e) => return Err(e),
-            }
-            match reply {
-                None => {}
-                Some(Ok((msg, bytes))) => {
-                    ledger.record_agent_wire(i, recv_kind, msg.modeled_floats(), bytes);
-                    makespan = makespan.max(elapsed);
-                    busy += elapsed;
-                    tracer.timing(EventKind::AgentExchange, |ev| {
-                        ev.agent = Some(i as u64);
-                        ev.dur_us = Some((elapsed * 1e6) as u64);
-                        ev.items = Some(work);
-                    });
-                    if calibrate_throughput && *calibrate && work > 0 {
-                        let throughput = work as f64 / elapsed.max(1e-6);
-                        let link = &mut links[i];
-                        link.measured = Some(match link.measured {
-                            Some(prev) => EWMA_ALPHA * throughput + (1.0 - EWMA_ALPHA) * prev,
-                            None => throughput,
-                        });
-                    }
-                    responses[i] = Some(Ok(msg));
-                }
-                Some(Err(e)) if is_churn_error(&e) => responses[i] = failed(links, i, e),
-                Some(Err(e)) => hard_err = hard_err.or(Some(e)),
-            }
+        for (i, error) in &failures {
+            Self::note_link_failure(links, recovery, *i, error);
         }
         for (i, link) in links.iter_mut().enumerate() {
-            link.settle(i, matches!(responses[i], Some(Ok(_))), ledger, tracer);
+            link.settle(i, round.per_agent_items[i] > 0, ledger, tracer);
         }
-        if let Some(e) = hard_err {
-            return Err(e);
-        }
-        gather.gathers += 1;
-        gather.makespan_s += makespan;
-        gather.busy_s += busy;
-        tracer.timing(EventKind::GatherRound, |ev| {
-            ev.items = Some(round);
-            ev.dur_us = Some((makespan * 1e6) as u64);
-        });
-        Ok(ExchangeOutcome {
-            responses,
-            makespan_s: makespan,
-        })
+        outcome?;
+        gather.absorb(&round);
+        Ok(round)
     }
 
-    /// Checks the recovery policy before a scatter attempt: at least
-    /// one usable link, and no fewer than the policy's floor. When the
-    /// round degrades *because of failures*, the last link error (the
-    /// root cause) is returned instead of a generic degradation.
-    fn check_floor(
-        &self,
-        usable: usize,
-        last_err: &mut Option<ClanError>,
-    ) -> Result<(), ClanError> {
-        let required = self.policy.min_agents.max(1);
-        if usable >= required {
-            return Ok(());
-        }
-        Err(last_err.take().unwrap_or(ClanError::Degraded {
-            live: usable,
-            required,
-        }))
-    }
-
-    /// The elastic scatter shared by inference and reproduction: apply
-    /// due churn, re-establish poisoned sessions, partition `items`
-    /// over the usable links, exchange, and — when a link fails —
-    /// reassign its chunk across the links that have not failed this
-    /// round and retry, within the recovery policy's budget and floor.
-    ///
-    /// `encode_request` runs once per non-empty chunk, so no item is cloned
-    /// into an owned message and a retry re-encodes the reassigned items
-    /// from the same borrowed data; `handle_response` returns the result
-    /// items of a reply that answers its chunk.
-    /// Results are returned in completion order — the caller reorders
-    /// by id, which is what makes a churned run independent of which
-    /// agent computed what.
-    #[allow(clippy::too_many_arguments)]
-    fn scatter_with_recovery<T: Clone + Sync, R>(
+    /// One gather round over the borrowed `items`: opens the round, cuts
+    /// the items into `runs_per_link` runs per live link (lengths
+    /// differing by at most one, so the cut depends only on the list and
+    /// the live-link count), pulls them through
+    /// [`dispatch`](EdgeCluster::dispatch), and returns the results in
+    /// run order — the order of `items`, whichever agent answered what.
+    fn gather<T: Clone + Send + Sync, R: Send>(
         &mut self,
+        exchange: &Exchange<'_, T, R>,
         items: &[T],
-        send_kind: MessageKind,
-        recv_kind: MessageKind,
-        calibrate_throughput: bool,
-        encode_request: RequestEncoder<'_, T>,
-        handle_response: ResponseHandler<'_, T, R>,
+        runs_per_link: usize,
     ) -> Result<Vec<R>, ClanError> {
-        self.apply_churn()?;
-        self.resync_poisoned_links();
-        let mut results: Vec<R> = Vec::with_capacity(items.len());
-        let mut pending: Vec<T> = items.to_vec();
-        let mut failed_this_round = vec![false; self.links.len()];
-        let mut last_err: Option<ClanError> = None;
-        let mut attempt = 0usize;
-        while !pending.is_empty() {
-            if attempt > self.policy.max_retries {
-                return Err(last_err.take().unwrap_or(ClanError::Degraded {
-                    live: self.live_agents(),
-                    required: self.policy.min_agents.max(1),
-                }));
+        self.open_round()?;
+        let round = self.round;
+        let queue: VecDeque<Run<'_, T>> =
+            split_even(items.len(), runs_per_link * self.live_agents())
+                .zip(0..)
+                .map(|(range, index)| Run {
+                    index,
+                    items: Cow::Borrowed(&items[range]),
+                })
+                .collect();
+        let mut banked: Vec<Vec<R>> = (0..queue.len()).map(|_| Vec::new()).collect();
+        let tracer = self.tracer.clone();
+        let stats = self.dispatch(exchange, queue, &mut |agent, index, results, span_s| {
+            tracer.timing(EventKind::AgentExchange, |ev| {
+                ev.agent = Some(agent as u64);
+                ev.dur_us = Some((span_s * 1e6) as u64);
+                ev.items = Some(results.len() as u64);
+            });
+            if let Some(slot) = banked.get_mut(index as usize) {
+                *slot = results;
             }
-            let weights = self.scatter_weights(&failed_this_round);
-            let usable = weights.iter().filter(|w| **w > 0.0).count();
-            self.check_floor(usable, &mut last_err)?;
-            let counts = partition_weighted(pending.len(), &weights);
-            let chunks = chunk_by_counts(&pending, &counts);
-            let outcome = self.exchange(
-                send_kind,
-                recv_kind,
-                &chunks,
-                encode_request,
-                calibrate_throughput,
-            )?;
-            if attempt > 0 {
-                self.recovery.retry_attempts += 1;
-                self.recovery.recovery_s += outcome.makespan_s;
-            }
-            let mut next_pending: Vec<T> = Vec::new();
-            for (i, (chunk, slot)) in chunks.iter().zip(outcome.responses).enumerate() {
-                match slot {
-                    None => {}
-                    Some(Ok(msg)) => {
-                        let answer = handle_response(msg, chunk);
-                        results.extend(answer.ok_or_else(|| ClanError::Protocol {
-                            peer: self.links[i].transport.peer(),
-                            reason: format!("{recv_kind:?} reply does not match the chunk sent"),
-                        })?);
-                    }
-                    Some(Err(e)) => {
-                        failed_this_round[i] = true;
-                        self.recovery.reassigned_chunks += 1;
-                        self.recovery.reassigned_items += chunk.len() as u64;
-                        self.tracer.timing(EventKind::ChunkReassigned, |ev| {
-                            ev.agent = Some(i as u64);
-                            ev.items = Some(chunk.len() as u64);
-                        });
-                        last_err = Some(e);
-                        next_pending.extend_from_slice(chunk);
-                    }
-                }
-            }
-            // Failed chunks are contiguous slices of the (id-ordered)
-            // pending list taken in link order, so the reassignment
-            // list stays id-ordered too.
-            pending = next_pending;
-            attempt += 1;
-        }
-        Ok(results)
+            None
+        })?;
+        self.tracer.timing(EventKind::GatherRound, |ev| {
+            ev.items = Some(round);
+            ev.dur_us = Some((stats.makespan_s * 1e6) as u64);
+        });
+        Ok(banked.into_iter().flatten().collect())
     }
 
     /// Distributed inference, returning per-genome results in genome-id
@@ -1425,50 +1308,41 @@ impl EdgeCluster {
     /// touch the population's fitness or counters.
     ///
     /// `pop` is only borrowed: its content hashes fan out over this
-    /// machine's cores, cache hits are served here, and each link thread
-    /// encodes its weighted share of the misses straight from it. A chunk
-    /// lost to a failed agent is reassigned and retried (up to
-    /// [`RecoveryPolicy::max_retries`] times); results carry genome ids and
-    /// replay in id order, so a churned run returns what a clean one would.
+    /// machine's cores, cache hits are served here, and the link workers
+    /// encode runs of the misses straight from it. A run lost with a
+    /// failed agent goes to another; results carry genome ids and replay
+    /// in id order, so a churned round returns what a clean one would.
     ///
     /// # Errors
     ///
     /// [`ClanError::Protocol`]/[`ClanError::Frame`] if an agent
-    /// misbehaves (never retried — bugs are not churn),
-    /// [`ClanError::InvalidSetup`] on an agent-less cluster, and — when
-    /// failures drain the cluster below the policy floor or exhaust the
-    /// retry budget — the last link error
-    /// ([`ClanError::Transport`]/[`ClanError::Timeout`]) or
-    /// [`ClanError::Degraded`].
+    /// misbehaves (bugs are not churn: the round ends there), and — when
+    /// failures drain the cluster below the policy floor — the last link
+    /// error ([`ClanError::Transport`]/[`ClanError::Timeout`]) once no
+    /// agent is left, else [`ClanError::Degraded`].
     pub fn evaluate_collect(&mut self, pop: &Population) -> Result<Vec<WireEvaluation>, ClanError> {
         let master_seed = pop.master_seed();
         let generation = pop.generation();
         // Coordinator-side cache filter: hits are replayed locally and
-        // only misses cross the wire. The scatter still runs (possibly
+        // only misses cross the wire. The round still runs (possibly
         // with zero items) so churn rounds advance on the same cadence
         // with the cache on or off.
         let (filter, misses) = CacheFilter::split_population(self.cache.as_mut(), pop);
         let misses: Vec<&Genome> = misses.into_iter().map(|(_, g)| g).collect();
-        let mut fresh = self.scatter_with_recovery(
-            &misses,
-            MessageKind::SendGenomes,
-            MessageKind::SendFitness,
-            true,
-            &|chunk| {
-                let frame = encode_evaluate(generation, master_seed, chunk);
-                (frame, request_floats(&[], chunk))
-            },
-            &mut |msg, chunk| match msg {
-                WireMessage::Fitness(batch)
-                    if batch.iter().map(|r| r.0).eq(chunk.iter().map(|g| g.id())) =>
-                {
-                    Some(batch)
-                }
-                _ => None,
-            },
-        )?;
-        // Back in id order — the order the misses were submitted in.
-        fresh.sort_by_key(|r| r.0);
+        let encode = |_: u64, run: &[&Genome]| {
+            let frame = encode_evaluate(generation, master_seed, run);
+            (frame, request_floats(&[], run))
+        };
+        let exchange = Exchange {
+            request: MessageKind::SendGenomes,
+            reply: MessageKind::SendFitness,
+            window: STREAM_WINDOW,
+            encode: &encode,
+            answer: fitness_of,
+        };
+        // Four windows of runs per live link: a straggler then hoards at
+        // most a quarter of its even share.
+        let fresh = self.gather(&exchange, &misses, 4 * STREAM_WINDOW)?;
         Ok(filter.merge(self.cache.as_mut(), master_seed, fresh))
     }
 
@@ -1484,14 +1358,15 @@ impl EdgeCluster {
             .map_or((0, 0), FitnessCache::take_window)
     }
 
-    /// Distributed inference with write-back: scatters the population's
-    /// genomes across agents, gathers the evaluations, and records them
+    /// Distributed inference with write-back: sends the population's
+    /// genomes to the agents, gathers the evaluations, and records them
     /// ([`Population::record_evaluation`]) — the runtime equivalent of
     /// CLAN_DCS's inference phase.
     ///
     /// # Errors
     ///
-    /// Propagates [`evaluate_collect`](EdgeCluster::evaluate_collect).
+    /// Propagates [`evaluate_collect`](EdgeCluster::evaluate_collect);
+    /// nothing is recorded then.
     pub fn evaluate(&mut self, pop: &mut Population) -> Result<(), ClanError> {
         for (id, eval, genes_per_activation) in self.evaluate_collect(pop)? {
             pop.record_evaluation(id, eval, genes_per_activation)?;
@@ -1500,17 +1375,15 @@ impl EdgeCluster {
     }
 
     /// Streaming dispatch-on-completion evaluation — the async
-    /// steady-state gather surface. Each live link gets a dedicated
-    /// worker thread that keeps up to [`STREAM_WINDOW`] one-genome
-    /// `Evaluate` frames outstanding and matches each `Fitness` to the
-    /// oldest; the moment any agent answers, `on_complete` runs on the
-    /// caller's thread with the result and returns the next genome to
-    /// put in flight (`None` ends the stream once everything in flight
-    /// has drained), which goes straight back to that link. An agent's
-    /// next request is thus already waiting while it evaluates, and a
-    /// fast agent turns over many evaluations while a slow one finishes
-    /// its first — no barrier, no tail-agent stall, no idling through
-    /// the coordinator's turnaround.
+    /// steady-state surface. The same exchange as a gather, with runs of
+    /// one owned genome: every link keeps [`STREAM_WINDOW`] of them in
+    /// flight, and the moment any agent answers, `on_complete` runs on the
+    /// caller's thread with the result and returns the next genome to put
+    /// in flight (`None` ends the stream once everything in flight has
+    /// drained), which goes to the link holding the fewest — the one that
+    /// just answered, unless another is idle. A fast agent turns over many
+    /// evaluations while a slow one finishes its first: no barrier, no
+    /// tail-agent stall, no idling through the coordinator's turnaround.
     ///
     /// `initial` seeds the pipeline, round-robin (any size; surplus
     /// queues and feeds agents as they free up). `master_seed` rides in
@@ -1518,228 +1391,112 @@ impl EdgeCluster {
     /// episode seeds as a local run — per-genome *results* stay
     /// deterministic even though arrival *order* does not.
     ///
-    /// Churn tolerance: a churn-class link failure poisons that link
-    /// and every genome outstanding on it is re-dispatched, in order,
-    /// to surviving agents (each counted in
-    /// [`StreamStats::redispatches`]); the stream aborts only when live
-    /// agents fall below the recovery policy's floor. However it ends,
-    /// healthy links first read the replies they are still owed.
+    /// A churn-class link failure re-queues every genome outstanding on it
+    /// ahead of the rest (each counted in
+    /// [`RecoveryStats::reassigned_items`]); the stream aborts only when
+    /// live agents fall below the recovery policy's floor. Returns the
+    /// stream's timing (also added to [`gather_stats`](EdgeCluster::gather_stats)).
     ///
     /// # Errors
     ///
-    /// [`ClanError::InvalidSetup`] on an agent-less cluster,
     /// [`ClanError::Protocol`]/[`ClanError::Frame`] if an agent
-    /// misbehaves, and [`ClanError::Degraded`] when failures drain the
-    /// cluster below [`RecoveryPolicy::min_agents`] (the root-cause
-    /// link errors stay visible in the membership table).
+    /// misbehaves, and [`ClanError::Degraded`] (or, with no agent left,
+    /// the last link error) when failures drain the cluster below
+    /// [`RecoveryPolicy::min_agents`].
     pub fn evaluate_stream(
         &mut self,
         master_seed: u64,
         initial: Vec<Genome>,
         on_complete: &mut dyn FnMut(&StreamCompletion) -> Option<Genome>,
-    ) -> Result<StreamStats, ClanError> {
-        self.apply_churn()?;
-        self.resync_poisoned_links();
-        let floor = self.policy.min_agents.max(1);
-        let EdgeCluster {
-            links,
-            ledger,
-            recovery,
-            tracer,
-            ..
-        } = self;
-        let n_links = links.len();
-        let mut stats = StreamStats {
-            per_agent_busy_s: vec![0.0; n_links],
-            per_agent_completions: vec![0; n_links],
-            ..StreamStats::default()
+    ) -> Result<GatherStats, ClanError> {
+        self.open_round()?;
+        // A run's index, the stream's sequence number, rides in the
+        // generation field.
+        let encode = |seq: u64, run: &[Genome]| {
+            (
+                encode_evaluate(seq, master_seed, run),
+                request_floats(&[], run),
+            )
         };
-        let mut failures: Vec<(usize, ClanError)> = Vec::new();
-        // clan-lint: allow(D2, reason="StreamStats makespan and span measurement; reported, never fed back into evolution")
-        let started = Instant::now();
-        let mut outcome: Result<(), ClanError> = Ok(());
-        std::thread::scope(|s| {
-            let (etx, erx) = channel::<StreamEvent>();
-            let mut work_tx: Vec<Option<Sender<StreamFeed>>> = (0..n_links).map(|_| None).collect();
-            for (i, link) in links.iter_mut().enumerate() {
-                if link.poisoned {
-                    continue;
-                }
-                let (wtx, wrx) = channel::<StreamFeed>();
-                work_tx[i] = Some(wtx);
-                let etx = etx.clone();
-                let transport: &mut dyn Transport = link.transport.as_mut();
-                s.spawn(move || stream_link(transport, i, master_seed, started, wrx, &etx));
+        let exchange = Exchange {
+            request: MessageKind::SendGenomes,
+            reply: MessageKind::SendFitness,
+            window: STREAM_WINDOW,
+            encode: &encode,
+            answer: fitness_of,
+        };
+        let mut seq = 0u64;
+        let mut run_of = |genome: Genome| {
+            seq += 1;
+            Run {
+                index: seq - 1,
+                items: Cow::Owned(vec![genome]),
             }
-            drop(etx);
-            let mut pending: VecDeque<Genome> = initial.into();
-            // Requests each link holds, as far as this loop has been told.
-            let mut held = vec![0usize; n_links];
-            // Links whose worker is waiting to hear from this loop.
-            let mut waiting = vec![false; n_links];
-            let mut seq = 0u64;
-            loop {
-                // Each queued genome goes to the live link holding the
-                // fewest (lowest slot on a tie: the opening wave goes out
-                // round-robin); a waiting link left with room gets `None`.
-                while let Some(agent) = (0..n_links)
-                    .filter(|&a| work_tx[a].is_some() && held[a] < STREAM_WINDOW)
-                    .min_by_key(|&a| held[a])
-                {
-                    let (Some(genome), Some(tx)) = (pending.pop_front(), &work_tx[agent]) else {
-                        break;
-                    };
-                    let _ = tx.send(Some((seq, genome)));
-                    seq += 1;
-                    held[agent] += 1;
-                    waiting[agent] = true;
-                }
-                for (agent, tx) in work_tx.iter().enumerate() {
-                    if std::mem::take(&mut waiting[agent]) && held[agent] < STREAM_WINDOW {
-                        let _ = tx.as_ref().map(|tx| tx.send(None));
-                    }
-                }
-                if held.iter().all(|&h| h == 0) {
-                    break;
-                }
-                let Ok(event) = erx.recv() else { break };
-                match event {
-                    StreamEvent::Done {
-                        completion,
-                        elapsed_s,
-                        sent,
-                        recv,
-                    } => {
-                        let agent = completion.agent;
-                        ledger.record_agent_wire(agent, MessageKind::SendGenomes, sent.0, sent.1);
-                        ledger.record_agent_wire(agent, MessageKind::SendFitness, recv.0, recv.1);
-                        held[agent] -= 1;
-                        stats.completions += 1;
-                        stats.busy_s += elapsed_s;
-                        stats.per_agent_busy_s[agent] += elapsed_s;
-                        stats.per_agent_completions[agent] += 1;
-                        tracer.timing(EventKind::Completion, |ev| {
-                            ev.agent = Some(agent as u64);
-                            ev.genome = Some(completion.genome.0);
-                            ev.fitness_bits = Some(completion.evaluation.fitness.to_bits());
-                            ev.dur_us = Some((elapsed_s * 1e6) as u64);
-                        });
-                        waiting[agent] = true;
-                        pending.extend(on_complete(&completion));
-                    }
-                    StreamEvent::Down { error, .. } if !is_churn_error(&error) => {
-                        outcome = Err(error);
-                        break;
-                    }
-                    StreamEvent::Down {
-                        agent,
-                        genomes,
-                        work,
-                        error,
-                    } => {
-                        // Nothing more is sent to this link, so whatever
-                        // its worker never read is all in `work`.
-                        work_tx[agent] = None;
-                        held[agent] = 0;
-                        let unread = work.try_iter().flatten().map(|(_, genome)| genome);
-                        let queued = pending.len();
-                        pending.extend(genomes.into_iter().chain(unread));
-                        let lost = pending.len() - queued;
-                        pending.rotate_right(lost); // ahead of the queue, in order
-                        stats.redispatches += lost as u64;
-                        tracer.timing(EventKind::AgentFailure, |ev| {
-                            ev.agent = Some(agent as u64);
-                            ev.label = Some(error.to_string());
-                        });
-                        failures.push((agent, error));
-                        if work_tx.iter().flatten().count() < floor {
-                            break;
-                        }
-                    }
-                }
-            }
-            // Work left over: the cluster fell below its floor (root
-            // causes: the membership table, via `note_link_failure`).
-            if outcome.is_ok() && (held.iter().any(|&h| h > 0) || !pending.is_empty()) {
-                outcome = Err(ClanError::Degraded {
-                    live: work_tx.iter().flatten().count(),
-                    required: floor,
+        };
+        let queue = initial.into_iter().map(&mut run_of).collect();
+        let tracer = self.tracer.clone();
+        self.dispatch(&exchange, queue, &mut |agent, _, results, span_s| {
+            let mut next = None;
+            for (genome, evaluation, genes_per_activation) in results {
+                tracer.timing(EventKind::Completion, |ev| {
+                    ev.agent = Some(agent as u64);
+                    ev.genome = Some(genome.0);
+                    ev.fitness_bits = Some(evaluation.fitness.to_bits());
+                    ev.dur_us = Some((span_s * 1e6) as u64);
                 });
+                let completion = StreamCompletion {
+                    agent,
+                    genome,
+                    evaluation,
+                    genes_per_activation,
+                };
+                next = on_complete(&completion).map(&mut run_of);
             }
-            // Closing the work channels lets every worker drain and exit.
-            drop(work_tx);
-        });
-        stats.makespan_s = started.elapsed().as_secs_f64();
-        for (i, error) in &failures {
-            Self::note_link_failure(links, recovery, *i, error);
-        }
-        for (i, link) in links.iter_mut().enumerate() {
-            link.settle(i, stats.per_agent_completions[i] > 0, ledger, tracer);
-        }
-        outcome.map(|()| stats)
+            next
+        })
     }
 
     /// Distributed reproduction: ships child specs plus the needed
-    /// parent genomes to agents and gathers the children — CLAN_DDS's
-    /// reproduction phase over a real transport.
+    /// parent genomes to agents and gathers the children, in the plan's
+    /// spec order — CLAN_DDS's reproduction phase over a real transport.
     ///
     /// # Errors
     ///
-    /// Transport/frame errors, and [`ClanError::Protocol`] on a
-    /// mismatched response.
+    /// As [`evaluate_collect`](EdgeCluster::evaluate_collect):
+    /// [`ClanError::Protocol`] on a reply that does not answer its specs
+    /// child for child, and the churn errors of a drained cluster.
     pub fn build_children(
         &mut self,
         pop: &Population,
         plan: &clan_neat::GenerationPlan,
     ) -> Result<Vec<Genome>, ClanError> {
-        let children = self.scatter_with_recovery(
-            &plan.children,
-            MessageKind::SendParentGenomes,
-            MessageKind::SendChildren,
-            false,
-            &|chunk| {
-                // Only the parents this chunk needs travel to the agent.
-                let mut parent_ids: Vec<GenomeId> =
-                    chunk.iter().flat_map(|s| s.parent_ids()).collect();
-                parent_ids.sort_unstable();
-                parent_ids.dedup();
-                let parents: Vec<&Genome> = parent_ids
-                    .iter()
-                    // clan-lint: allow(L1, reason="parent ids come from the reproduction plan built over this same population; a miss is a planner bug the process cannot recover from")
-                    .map(|id| pop.genome(*id).expect("parent resident"))
-                    .collect();
-                (
-                    encode_build_children(plan.generation, pop.master_seed(), chunk, &parents),
-                    request_floats(chunk, &parents),
-                )
-            },
-            &mut |msg, chunk| match msg {
-                WireMessage::Children(batch)
-                    if batch
-                        .iter()
-                        .map(Genome::id)
-                        .eq(chunk.iter().map(|s| s.child_id)) =>
-                {
-                    Some(batch)
-                }
-                _ => None,
-            },
-        )?;
-        // Children are keyed by id; replaying in the plan's spec order
-        // makes the batch independent of which agent built what.
-        let mut built: BTreeMap<GenomeId, Genome> =
-            children.into_iter().map(|c| (c.id(), c)).collect();
-        plan.children
-            .iter()
-            .map(|spec| {
-                built
-                    .remove(&spec.child_id)
-                    .ok_or_else(|| ClanError::Protocol {
-                        peer: "cluster".into(),
-                        reason: format!("no agent returned child {}", spec.child_id),
-                    })
-            })
-            .collect()
+        let master_seed = pop.master_seed();
+        let encode = |_: u64, run: &[ChildSpec]| {
+            // Only the parents this run needs travel to the agent.
+            let mut parent_ids: Vec<GenomeId> = run.iter().flat_map(|s| s.parent_ids()).collect();
+            parent_ids.sort_unstable();
+            parent_ids.dedup();
+            let parents: Vec<&Genome> = parent_ids
+                .iter()
+                // clan-lint: allow(L1, reason="parent ids come from the reproduction plan built over this same population; a miss is a planner bug the process cannot recover from")
+                .map(|id| pop.genome(*id).expect("parent resident"))
+                .collect();
+            (
+                encode_build_children(plan.generation, master_seed, run, &parents),
+                request_floats(run, &parents),
+            )
+        };
+        let exchange = Exchange {
+            request: MessageKind::SendParentGenomes,
+            reply: MessageKind::SendChildren,
+            window: 1,
+            encode: &encode,
+            answer: children_of,
+        };
+        // One run per live link, alone on it (see `link_worker`): parents
+        // are deduplicated within a run, so splitting a species' children
+        // over more runs would send its parents again.
+        self.gather(&exchange, &plan.children, 1)
     }
 
     /// Stops all agents (best-effort `Shutdown`) and joins in-process
@@ -1937,8 +1694,10 @@ mod tests {
         let mut pop = Population::new(cfg, 3);
         cluster.evaluate(&mut pop).unwrap();
         let ledger = cluster.ledger();
-        assert_eq!(ledger.entry(MessageKind::SendGenomes).messages, 2);
-        assert_eq!(ledger.entry(MessageKind::SendFitness).messages, 2);
+        // Up to 4 x STREAM_WINDOW runs per agent: ten runs of one genome,
+        // each answered by one Fitness.
+        assert_eq!(ledger.entry(MessageKind::SendGenomes).messages, 10);
+        assert_eq!(ledger.entry(MessageKind::SendFitness).messages, 10);
         let overhead = ledger.framing_overhead().expect("both measures recorded");
         assert!(
             overhead > 1.0,
@@ -1998,73 +1757,12 @@ mod tests {
     }
 
     #[test]
-    fn weighted_partition_busies_every_agent() {
-        // The even-split chunks(div_ceil) bug: 5 genomes on 4 agents
-        // became 2/2/1 with one agent fully idle. The partitioner must
-        // give every agent a share, visible in the per-agent ledger.
-        let cfg = cfg(5);
-        for mut cluster in spawn_both(4, &cfg) {
-            let mut pop = Population::new(cfg.clone(), 3);
-            cluster.evaluate(&mut pop).unwrap();
-            let rows = cluster.ledger().agent_entries();
-            assert_eq!(rows.len(), 4);
-            for (i, row) in rows.iter().enumerate() {
-                assert!(row.messages > 0, "agent {i} was starved: {rows:?}");
-            }
-            cluster.shutdown();
-        }
-    }
-
-    #[test]
-    fn skewed_weights_change_partition_but_not_results() {
-        let cfg = cfg(16);
-        let fitness_of = |cluster: &mut EdgeCluster| {
-            let mut pop = Population::new(cfg.clone(), 21);
-            cluster.evaluate(&mut pop).unwrap();
-            pop.genomes()
-                .values()
-                .map(|g| g.fitness().unwrap())
-                .collect::<Vec<f64>>()
-        };
-        let mut even =
-            EdgeCluster::spawn(4, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap();
-        let mut skewed =
-            EdgeCluster::spawn(4, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap();
-        skewed.set_weights(&[1.0, 5.0, 2.0, 8.0]).unwrap();
-        assert_eq!(fitness_of(&mut even), fitness_of(&mut skewed));
-        // The heavy agent carried more genome traffic than the light one.
-        let rows = skewed.ledger().agent_entries();
-        assert!(
-            rows[3].floats > rows[0].floats,
-            "weight 8 vs 1 must skew traffic: {rows:?}"
-        );
-        even.shutdown();
-        skewed.shutdown();
-    }
-
-    #[test]
-    fn calibration_measures_throughput_and_keeps_results_identical() {
-        let cfg = cfg(12);
-        let spawn = || {
-            EdgeCluster::spawn(3, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap()
-        };
-        let mut calibrated = spawn();
-        calibrated.set_calibration(true);
-        let mut a = dcs_over(spawn(), &cfg, 9);
-        let mut b = dcs_over(calibrated, &cfg, 9);
-        for _ in 0..3 {
-            a.step_generation().unwrap();
-            b.step_generation().unwrap();
-        }
-        assert_eq!(a.population().genomes(), b.population().genomes());
-        // After a round, every link has a measured throughput and the
-        // effective weights switched to it.
-        let calibrated = b.evaluator_mut().remote_cluster_mut().unwrap();
-        assert!(calibrated.effective_weights().iter().all(|w| *w > 0.0));
-        assert_ne!(calibrated.effective_weights(), calibrated.weights());
+    fn split_even_cuts_contiguous_runs_longest_first() {
+        let runs = |n, k| split_even(n, k).collect::<Vec<_>>();
+        assert_eq!(runs(5, 4), vec![0..2, 2..3, 3..4, 4..5]);
+        assert_eq!(runs(3, 8), vec![0..1, 1..2, 2..3]);
+        assert_eq!(runs(7, 1), vec![0..7]);
+        assert!(runs(0, 4).is_empty());
     }
 
     #[test]
@@ -2078,18 +1776,22 @@ mod tests {
         cluster.evaluate(&mut pop).unwrap();
         let stats = cluster.gather_stats();
         assert_eq!(stats.gathers, 1);
-        assert!(stats.makespan_s > 0.0);
-        assert!(
-            stats.busy_s >= stats.makespan_s,
-            "busy time sums over links"
-        );
-        assert!(stats.mean_makespan_s() > 0.0);
-        assert!(stats.overlap().unwrap() >= 1.0);
+        assert!(stats.makespan_s > 0.0 && stats.mean_makespan_s() > 0.0);
+        assert_eq!(stats.per_agent_items.iter().sum::<u64>(), 8);
+        // Spans on one link never overlap and end by the last reply, so
+        // no link is busy longer than the round, and busy time sums over
+        // the links.
+        assert!(stats
+            .per_agent_busy_s
+            .iter()
+            .all(|&b| b <= stats.makespan_s));
+        assert!((stats.busy_s - stats.per_agent_busy_s.iter().sum::<f64>()).abs() < 1e-9);
+        assert!(stats.overlap().unwrap() > 0.0 && stats.overlap().unwrap() <= 2.0);
         cluster.shutdown();
     }
 
     #[test]
-    fn killed_agent_chunk_is_reassigned_and_results_match_serial() {
+    fn killed_agent_runs_are_requeued_and_results_match_serial() {
         let cfg = cfg(12);
         let serial_fitness = {
             let mut pop = Population::new(cfg.clone(), 17);
@@ -2111,11 +1813,14 @@ mod tests {
             .collect();
         assert_eq!(
             churned, serial_fitness,
-            "reassignment must not change results"
+            "re-queueing must not change results"
         );
         let stats = cluster.recovery_stats();
-        assert_eq!(stats.reassigned_chunks, 1);
-        assert!(stats.reassigned_items > 0);
+        assert!(stats.reassigned_chunks >= 1);
+        assert_eq!(
+            stats.reassigned_items, stats.reassigned_chunks,
+            "runs of one"
+        );
         assert_eq!(stats.agent_failures[1], 1);
         let health = cluster.membership();
         assert_eq!(health[1].health, LinkHealth::Suspected, "one strike");
@@ -2132,62 +1837,62 @@ mod tests {
     }
 
     #[test]
-    fn reassigned_chunk_is_re_encoded_from_the_borrowed_population() {
+    fn requeued_runs_are_re_encoded_from_the_borrowed_population() {
         let cfg = cfg(12);
         let pop = Population::new(cfg.clone(), 17);
         let serial = Evaluator::new(Workload::CartPole, InferenceMode::MultiStep)
             .evaluate_population_local(&pop);
         let mut cluster = spawn_uncached(3, cfg);
         cluster.kill_agent(1).unwrap();
-        // The scatter `evaluate_collect` runs, with an encoder that also
-        // records where each genome it is handed lives.
+        // `evaluate_collect`'s exchange, with an encoder that also records
+        // where each genome it is handed lives.
         let genomes: Vec<&Genome> = pop.genomes().values().collect();
         let encoded = std::sync::Mutex::new(Vec::new());
-        let mut fresh = cluster
-            .scatter_with_recovery(
-                &genomes,
-                MessageKind::SendGenomes,
-                MessageKind::SendFitness,
-                true,
-                &|chunk| {
-                    let seen = chunk
-                        .iter()
-                        .map(|g| (g.id(), std::ptr::from_ref(*g) as usize));
-                    encoded.lock().unwrap().extend(seen);
-                    (encode_evaluate(0, 17, chunk), request_floats(&[], chunk))
-                },
-                &mut |msg, _| match msg {
-                    WireMessage::Fitness(batch) => Some(batch),
-                    _ => None,
-                },
-            )
+        let encode = |_: u64, run: &[&Genome]| {
+            let seen = run
+                .iter()
+                .map(|g| (g.id(), std::ptr::from_ref(*g) as usize));
+            encoded.lock().unwrap().extend(seen);
+            (encode_evaluate(0, 17, run), request_floats(&[], run))
+        };
+        let exchange = Exchange {
+            request: MessageKind::SendGenomes,
+            reply: MessageKind::SendFitness,
+            window: STREAM_WINDOW,
+            encode: &encode,
+            answer: fitness_of,
+        };
+        let fresh = cluster
+            .gather(&exchange, &genomes, 4 * STREAM_WINDOW)
             .unwrap();
-        fresh.sort_by_key(|r| r.0);
-        assert_eq!(fresh, serial, "reassignment must not change results");
-        // Link 1 died mid-round with genomes 4..8: they were encoded for
-        // it, then again on the retry, split over the two survivors — every
+        assert_eq!(fresh, serial, "re-queueing must not change results");
+        // Twelve runs of one genome, dealt round-robin: link 1 died on its
+        // first (genome 1) with its second (genome 4) unread. Genome 1 was
+        // encoded for it and again for a survivor, genome 4 once — every
         // time from the population's own genomes, never from a copy.
+        let stats = cluster.recovery_stats();
+        assert_eq!((stats.reassigned_chunks, stats.reassigned_items), (2, 2));
+        assert_eq!(stats.agent_failures[1], 1);
         let mut encoded = encoded.into_inner().unwrap();
         encoded.sort_unstable();
-        let twice = |id: u64| if (4..8).contains(&id) { 2 } else { 1 };
         let expected: Vec<(GenomeId, usize)> = pop
             .genomes()
             .iter()
-            .flat_map(|(id, g)| vec![(*id, std::ptr::from_ref(g) as usize); twice(id.0)])
+            .flat_map(|(id, g)| {
+                vec![(*id, std::ptr::from_ref(g) as usize); 1 + usize::from(id.0 == 1)]
+            })
             .collect();
         assert_eq!(encoded, expected);
-        // Recovery and ledger rows are the values the owned-message
-        // scatter produced for this scenario.
-        let stats = cluster.recovery_stats();
-        assert_eq!((stats.reassigned_chunks, stats.reassigned_items), (1, 4));
-        assert_eq!((stats.retry_attempts, stats.agent_failures[1]), (1, 1));
+        // The ledger books each run once, when it is answered.
         let sent = cluster.ledger().entry(MessageKind::SendGenomes);
         assert_eq!(
-            (sent.messages, sent.floats, sent.wire_bytes),
-            (4, 144, 1596)
+            (sent.messages, sent.floats),
+            (12, request_floats(&[], &genomes))
         );
-        let back = cluster.ledger().entry(MessageKind::SendFitness);
-        assert_eq!((back.messages, back.floats, back.wire_bytes), (4, 24, 440));
+        assert_eq!(
+            cluster.ledger().entry(MessageKind::SendFitness).messages,
+            12
+        );
         cluster.shutdown();
     }
 
@@ -2414,19 +2119,5 @@ mod tests {
         external.set_churn(ChurnSchedule::new().kill(0, 9)).unwrap();
         external.shutdown();
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn weight_validation_rejects_bad_inputs() {
-        let cfg = cfg(4);
-        let mut cluster =
-            EdgeCluster::spawn(2, Workload::CartPole, InferenceMode::MultiStep, cfg).unwrap();
-        assert!(cluster.set_weights(&[1.0]).is_err(), "length mismatch");
-        assert!(cluster.set_weights(&[1.0, -1.0]).is_err(), "negative");
-        assert!(cluster.set_weights(&[0.0, 0.0]).is_err(), "all zero");
-        assert!(cluster.set_weights(&[f64::NAN, 1.0]).is_err(), "NaN");
-        cluster.set_weights(&[2.0, 0.5]).unwrap();
-        assert_eq!(cluster.weights(), vec![2.0, 0.5]);
-        cluster.shutdown();
     }
 }

@@ -52,16 +52,16 @@ pub enum EventKind {
     Insertion,
     /// Cluster shape annotation (agent count, transport flavor).
     ClusterInfo,
-    /// One scatter/gather round's measured makespan and busy time.
+    /// One gather round's measured makespan.
     GatherRound,
-    /// One link's round-trip within a gather (per-agent span).
+    /// One run's span on its link within a gather (a link pulls several).
     AgentExchange,
     /// Loss-recovery overhead drained from one link (retransmitted and
     /// duplicate datagram bytes).
     Retransmission,
     /// A churn-class link failure was recorded against an agent.
     AgentFailure,
-    /// A failed link's chunk was reassigned to the survivors.
+    /// A run a failed link held was re-queued for the survivors.
     ChunkReassigned,
     /// Deterministic churn schedule (or caller) killed an agent.
     AgentKilled,

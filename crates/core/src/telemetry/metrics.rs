@@ -7,7 +7,7 @@
 //! over ad-hoc listings into one aligned table.
 
 use crate::membership::RecoveryStats;
-use crate::runtime::StreamStats;
+use crate::runtime::GatherStats;
 use clan_netsim::CommLedger;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -211,7 +211,7 @@ impl TelemetryReport {
         trace: Option<&RunTrace>,
         ledger: Option<&CommLedger>,
         recovery: Option<&RecoveryStats>,
-        stream: Option<&StreamStats>,
+        stream: Option<&GatherStats>,
     ) -> TelemetryReport {
         let mut out = TelemetryReport::default();
         if let Some(trace) = trace {
@@ -224,7 +224,7 @@ impl TelemetryReport {
         let n = [
             ledger.map_or(0, |l| l.agent_entries().len()),
             recovery.map_or(0, |r| r.agent_failures.len()),
-            stream.map_or(0, |s| s.per_agent_completions.len()),
+            stream.map_or(0, |s| s.per_agent_items.len()),
         ]
         .into_iter()
         .max()
@@ -243,7 +243,7 @@ impl TelemetryReport {
                 row.failures = r.agent_failures.get(i).copied().unwrap_or(0);
             }
             if let Some(s) = stream {
-                row.completions = s.per_agent_completions.get(i).copied().unwrap_or(0);
+                row.completions = s.per_agent_items.get(i).copied().unwrap_or(0);
                 row.busy_s = s.per_agent_busy_s.get(i).copied().unwrap_or(0.0);
             }
             out.per_agent.push(row);
@@ -353,11 +353,10 @@ mod tests {
 
     #[test]
     fn stream_columns_appear_only_for_streaming_runs() {
-        let stream = StreamStats {
-            completions: 5,
-            per_agent_completions: vec![3, 2],
+        let stream = GatherStats {
+            per_agent_items: vec![3, 2],
             per_agent_busy_s: vec![0.5, 0.25],
-            ..StreamStats::default()
+            ..GatherStats::default()
         };
         let t = TelemetryReport::from_sources(None, None, None, Some(&stream));
         assert_eq!(t.per_agent.len(), 2);

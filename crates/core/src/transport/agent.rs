@@ -116,7 +116,8 @@ pub fn serve_session(transport: &mut dyn Transport) -> Result<(), ClanError> {
     }
 }
 
-fn message_name(msg: &WireMessage) -> &'static str {
+/// The message's kind, for protocol-violation reports.
+pub(crate) fn message_name(msg: &WireMessage) -> &'static str {
     match msg {
         WireMessage::Configure(_) => "Configure",
         WireMessage::Evaluate { .. } => "Evaluate",

@@ -4,13 +4,12 @@
 //! slower than its peers without changing any computed result.
 //! [`DelayTransport`] wraps any [`Transport`] and sleeps after each
 //! received frame: a fixed per-message latency plus a per-KiB cost
-//! proportional to the frame size, so a big `Evaluate` chunk stalls the
-//! wrapped agent the way a large partition stalls a Pi 3 in a swarm of
-//! Pi 4s. Frames themselves are moved verbatim — determinism is
+//! proportional to the frame size, so a big `Evaluate` run stalls the
+//! wrapped agent the way a large batch stalls a Pi 3 in a swarm of Pi 4s. Frames themselves are moved verbatim — determinism is
 //! untouched, only timing changes.
 //!
 //! `clan-cli agent --delay-ms N` wraps its session transport in one of
-//! these, which is how CI's skewed-agent smoke run slows a real agent
+//! these, which is how CI's delayed-agent smoke run slows a real agent
 //! process down.
 
 use super::Transport;
@@ -36,8 +35,8 @@ impl<T: Transport> DelayTransport<T> {
     }
 
     /// Adds a work-proportional delay: `per_kib` per 1024 bytes of
-    /// received frame. This is the knob that makes weighted
-    /// partitioning measurable — the delay shrinks with the chunk.
+    /// received frame, so the delay grows with the work a request
+    /// carries.
     pub fn with_per_kib(mut self, per_kib: Duration) -> DelayTransport<T> {
         self.per_kib = per_kib;
         self

@@ -43,7 +43,21 @@
 //! before the first sample. A timer fires **only after the link's
 //! backlog has been read**: an endpoint returning from a compute phase
 //! finds its timers expired *and* the acks already queued, and must not
-//! declare those fragments lost. An expired fragment is re-sent alone.
+//! declare those fragments lost.
+//!
+//! **Probes.** Nor does an expired timer declare anything lost: the peer
+//! may simply not have read yet — an agent evaluating one run while the
+//! next arrives, a coordinator's link worker waiting for work, any thread
+//! kept off an oversubscribed host's CPU for longer than the timeout. The
+//! endpoint sends a `PROBE` naming its latest transmission instead, again
+//! at each timeout, doubled per unanswered probe. The peer `ANSWER`s
+//! when it reads the probe, after acknowledging everything that arrived
+//! before it, so a fragment sent before the probe and still
+//! unacknowledged when the answer arrives was lost, and is re-sent
+//! alone. A peer slow to read costs probes, never a retransmission. Only
+//! a peer never heard from is sent the expired fragments again instead:
+//! it may not have opened the session a probe would ask about (an agent
+//! daemon adopts a coordinator on a fragment of its first frame alone).
 //!
 //! **Acks.** One `ACK` datagram carries `(frame seq, index, cum,
 //! bitmap)`: the fragment that triggered it, the cumulative index
@@ -110,8 +124,8 @@ const UDP_WINDOW: usize = 64;
 /// A fragment is declared lost once a transmission this many places
 /// after its own has been acknowledged (tolerates adjacent reordering).
 const LOSS_THRESHOLD: u64 = 3;
-/// Floor of the retransmission timeout: below this a descheduled peer
-/// thread reads as loss. Never above the configured ceiling.
+/// Floor of the retransmission timeout: below it most probes find a peer
+/// not yet scheduled. Never above the configured ceiling.
 const MIN_RTO: Duration = Duration::from_millis(2);
 /// [`linger`](Transport::linger) ends once the link has been silent
 /// for this many RTO ceilings — longer than any gap between two of the
@@ -123,6 +137,8 @@ const LINGER_MAX_RTOS: u32 = 8;
 const TYPE_DATA: u8 = 1;
 const TYPE_ACK: u8 = 2;
 const TYPE_DONE: u8 = 3;
+const TYPE_PROBE: u8 = 4;
+const TYPE_ANSWER: u8 = 5;
 
 /// An unreliable datagram pipe: sends may be lost, duplicated, or
 /// reordered in transit; each receive yields one whole datagram.
@@ -382,6 +398,17 @@ enum Datagram<'a> {
     /// [`drain`](Transport::drain) completed, so a peer that
     /// [`linger`](Transport::linger)s on its account may leave.
     Done,
+    /// A retransmission timer expired: "answer once you have acknowledged
+    /// what reached you before this, my latest transmission `tx`" — or,
+    /// with `answer` set, that answer.
+    Probe { tx: u64, answer: bool },
+}
+
+/// Encodes a datagram of any type but `DATA` (which reuses one buffer).
+fn encode_control(kind: u8, fields: &[&[u8]]) -> Vec<u8> {
+    [&[&DATAGRAM_MAGIC[..], &[kind]][..], fields]
+        .concat()
+        .concat()
 }
 
 /// Encodes one `DATA` datagram into `out` (cleared first), so a sender
@@ -397,14 +424,11 @@ fn encode_data(out: &mut Vec<u8>, seq: u64, index: u32, count: u32, payload: &[u
 }
 
 fn encode_ack(seq: u64, index: u32, cum: u32, bitmap: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ACK_BYTES);
-    out.extend_from_slice(&DATAGRAM_MAGIC);
-    out.push(TYPE_ACK);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&index.to_le_bytes());
-    out.extend_from_slice(&cum.to_le_bytes());
-    out.extend_from_slice(&bitmap.to_le_bytes());
-    out
+    let (index, cum) = (index.to_le_bytes(), cum.to_le_bytes());
+    encode_control(
+        TYPE_ACK,
+        &[&seq.to_le_bytes(), &index, &cum, &bitmap.to_le_bytes()],
+    )
 }
 
 /// Splits `n` leading bytes off a slice, or `None` — the panic-free
@@ -471,6 +495,11 @@ fn decode_datagram(buf: &[u8]) -> Option<Datagram<'_>> {
             })
         }
         TYPE_DONE => rest.is_empty().then_some(Datagram::Done),
+        TYPE_PROBE | TYPE_ANSWER => {
+            let (tx, rest) = take_u64(rest)?;
+            let answer = ty[0] == TYPE_ANSWER;
+            rest.is_empty().then_some(Datagram::Probe { tx, answer })
+        }
         _ => None,
     }
 }
@@ -743,14 +772,14 @@ impl RttEstimator {
 
 /// A reliable, ordered [`Transport`] over any [`DatagramLink`]:
 /// fragmentation, an ack-clocked sliding window, cumulative + selective
-/// acknowledgment, per-fragment RTT-derived retransmission,
+/// acknowledgment, per-fragment RTT-derived probes and retransmission,
 /// receive-side deduplication and in-order reassembly (the module docs
 /// describe the protocol).
 ///
 /// Sends are asynchronous: `send_frame` transmits as many fragments as
 /// the link's [`window`](DatagramLink::window) admits and returns
-/// without reading a single ack; the remaining fragments, and the
-/// retransmission of anything the peer has not acknowledged, leave while
+/// without reading a single ack; the remaining fragments, the probes, and
+/// the retransmission of anything the peer has not acknowledged, leave while
 /// this endpoint waits in `recv_frame` (and in
 /// [`drain`](Transport::drain), which `EdgeCluster::shutdown` uses to
 /// push the final `Shutdown` through a lossy link, and
@@ -772,6 +801,12 @@ pub struct UdpTransport<L: DatagramLink = UdpLink> {
     tx_count: u64,
     /// The highest-numbered transmission known to have arrived.
     acked_tx: u64,
+    /// Whether any well-formed datagram has come from the peer yet.
+    heard: bool,
+    /// Probes sent since the last answer.
+    probes: u32,
+    /// Until when the last of them holds the timers off.
+    probe_until: Option<Instant>,
     partial: BTreeMap<u64, Incoming>,
     ready: VecDeque<Vec<u8>>,
     /// The peer has said `DONE` and sent nothing since: nothing of its
@@ -809,6 +844,9 @@ impl<L: DatagramLink> UdpTransport<L> {
             in_flight: 0,
             tx_count: 0,
             acked_tx: 0,
+            heard: false,
+            probes: 0,
+            probe_until: None,
             partial: BTreeMap::new(),
             ready: VecDeque::new(),
             peer_done: false,
@@ -902,19 +940,24 @@ impl<L: DatagramLink> UdpTransport<L> {
         Ok(())
     }
 
-    /// When the earliest retransmission timer of an in-flight fragment
-    /// expires.
+    /// When the next probe is due: when the earliest retransmission timer
+    /// of an in-flight fragment expires, but not before the last
+    /// unanswered probe's own timeout.
     fn next_timer(&self) -> Option<Instant> {
-        self.outstanding
+        let due = self
+            .outstanding
             .values()
             .flat_map(Outgoing::in_flight)
             .map(|(_, slot)| slot.sent_at + self.rtt.timeout_after(slot.sends))
-            .min()
+            .min()?;
+        Some(self.probe_until.map_or(due, |until| due.max(until)))
     }
 
     /// Handles one received datagram.
     fn process(&mut self, buf: &[u8], now: Instant) -> Result<(), ClanError> {
-        match decode_datagram(buf) {
+        let datagram = decode_datagram(buf);
+        self.heard |= datagram.is_some();
+        match datagram {
             None => Ok(()), // corrupt datagram: drop, like a failed checksum
             Some(Datagram::Done) => {
                 self.peer_done = true;
@@ -932,6 +975,19 @@ impl<L: DatagramLink> UdpTransport<L> {
                 count,
                 payload,
             }) => self.on_data(seq, index, count, payload),
+            Some(Datagram::Probe { tx, answer: false }) => {
+                // A probing peer has something unacknowledged after all.
+                self.peer_done = false;
+                self.link
+                    .send(&encode_control(TYPE_ANSWER, &[&tx.to_le_bytes()]))
+            }
+            Some(Datagram::Probe { tx, answer: true }) => {
+                (self.probes, self.probe_until) = (0, None);
+                // Every ack the peer sent before its answer has been read:
+                // what was sent before the probe and is still unacknowledged
+                // was lost.
+                self.retransmit_where(|_, slot| slot.tx_no <= tx)
+            }
         }
     }
 
@@ -1117,9 +1173,18 @@ impl<L: DatagramLink> UdpTransport<L> {
                     last_heard = now;
                     self.process(&d, now)?;
                 }
-                None => self.retransmit_where(|t, slot| {
+                // A peer never heard from may not have opened the session
+                // a probe would ask it about: send the fragments again.
+                None if !self.heard => self.retransmit_where(|t, slot| {
                     slot.sent_at + t.rtt.timeout_after(slot.sends) <= now
                 })?,
+                None if self.next_timer().is_some_and(|due| due <= now) => {
+                    self.link
+                        .send(&encode_control(TYPE_PROBE, &[&self.tx_count.to_le_bytes()]))?;
+                    self.probes += 1;
+                    self.probe_until = Some(now + self.rtt.timeout_after(self.probes));
+                }
+                None => {}
             }
         }
     }
@@ -1184,9 +1249,7 @@ impl<L: DatagramLink> Transport for UdpTransport<L> {
         }
         // Releases a peer lingering on this endpoint's account; if it is
         // lost the peer's quiet window ends the linger instead.
-        let mut done = DATAGRAM_MAGIC.to_vec();
-        done.push(TYPE_DONE);
-        self.link.send(&done)
+        self.link.send(&encode_control(TYPE_DONE, &[]))
     }
 
     fn linger(&mut self) {

@@ -4,9 +4,10 @@
 //!
 //! - **Round-based** (the synchronous orchestrators): Timing
 //!   `AgentExchange` spans grouped into scatter/gather rounds by the
-//!   `GatherRound` markers. Each round's critical path is the link the
-//!   gather waited on; per-agent idle is the gap between a link's own
-//!   busy time and the round makespan it had to sit through.
+//!   `GatherRound` markers. A link's busy time in a round is the sum of
+//!   its spans (it pulls several runs), and the round's critical path is
+//!   the link with the largest sum; per-agent idle is the gap between a
+//!   link's own busy time and the round makespan it had to sit through.
 //! - **Steady-state** (async modes): `Completion` spans per agent under
 //!   virtual (or wall) time. The totals use the same definitions as
 //!   `AsyncStats` — makespan = latest completion time, busy = summed
@@ -56,9 +57,9 @@ pub struct RoundStat {
     pub makespan_us: u64,
     /// Summed per-link busy time in the round, microseconds.
     pub busy_us: u64,
-    /// The agent the round waited on, with its span.
+    /// The agent the round waited on: the largest summed busy time.
     pub critical_agent: Option<u64>,
-    /// The critical agent's span, microseconds.
+    /// The critical agent's summed busy time in the round, microseconds.
     pub critical_span_us: u64,
 }
 
@@ -67,9 +68,9 @@ pub struct RoundStat {
 pub struct RecoveryCounts {
     /// `AgentFailure` events.
     pub failures: u64,
-    /// `ChunkReassigned` events.
+    /// `ChunkReassigned` events: runs a failed link held, re-queued.
     pub reassigns: u64,
-    /// Work items inside reassigned chunks.
+    /// Work items inside those runs.
     pub reassigned_items: u64,
     /// `AgentKilled` events.
     pub kills: u64,
@@ -156,7 +157,14 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
             EventKind::GatherRound => {
                 let makespan_us = ev.dur_us.unwrap_or(0);
                 let busy_us = open_round.iter().map(|(_, d)| d).sum();
-                let critical = open_round.iter().max_by_key(|(a, d)| (*d, *a)).copied();
+                let mut per_link: Vec<(u64, u64)> = Vec::new();
+                for &(agent, dur) in &open_round {
+                    match per_link.iter_mut().find(|(a, _)| *a == agent) {
+                        Some((_, sum)) => *sum += dur,
+                        None => per_link.push((agent, dur)),
+                    }
+                }
+                let critical = per_link.into_iter().max_by_key(|&(a, d)| (d, a));
                 if let Some((agent, _)) = critical {
                     agent_slot(&mut agents, agent).critical_rounds += 1;
                 }
@@ -378,7 +386,7 @@ impl Analysis {
         let r = &self.recovery;
         if r.failures + r.reassigns + r.kills + r.revives + r.joins > 0 {
             out.push_str(&format!(
-                "recovery: {} failure(s), {} reassigned chunk(s) ({} item(s)), \
+                "recovery: {} failure(s), {} re-queued run(s) ({} item(s)), \
                  {} kill(s), {} revive(s), {} join(s)\n",
                 r.failures, r.reassigns, r.reassigned_items, r.kills, r.revives, r.joins
             ));
@@ -439,6 +447,26 @@ mod tests {
         assert!((a.agents[1].slowdown - 3950.0 / 950.0).abs() < 1e-9);
         let text = a.render();
         assert!(text.contains("critical-path straggler: agent 1"), "{text}");
+    }
+
+    #[test]
+    fn a_rounds_critical_agent_has_the_largest_summed_busy_time() {
+        // Agent 0 holds the longest single span, but agent 1 pulled three
+        // runs and was busy longer: the round waited on agent 1.
+        let events = [
+            cluster_info(2),
+            span(EventKind::AgentExchange, Some(0), 3000),
+            span(EventKind::AgentExchange, Some(1), 1500),
+            span(EventKind::AgentExchange, Some(1), 1500),
+            span(EventKind::AgentExchange, Some(1), 1500),
+            span(EventKind::GatherRound, None, 4600),
+        ];
+        let a = analyze(&events);
+        assert_eq!(a.rounds[0].critical_agent, Some(1));
+        assert_eq!(a.rounds[0].critical_span_us, 4500);
+        assert_eq!(a.rounds[0].busy_us, 7500);
+        assert_eq!(a.straggler, Some(1));
+        assert_eq!(a.agents[1].critical_rounds, 1);
     }
 
     #[test]

@@ -80,14 +80,13 @@ USAGE:
                  datagram transport instead of TCP)
   clan-cli coordinate [run flags] (--agents-at ADDR,ADDR,... | --loopback N)
                  [--async [--total-evals N] [--tournament-size K]]
-                 [--agent-weights W,W,...] [--calibrate]
-                 [--udp [--loss P] [--fault-seed S]]
-                 [--max-retries N] [--min-agents N]
+                 [--udp [--loss P] [--fault-seed S]] [--min-agents N]
                  [--churn EVENTS] [--spare-at ADDR,ADDR,...]
                  [--trace FILE] [--trace-chrome FILE]
                  [--trace-ring N [--postmortem FILE]] [--status-addr ADDR]
                  (drive a run over real TCP agents; bit-identical to the
-                 same run executed locally under any weights. --udp speaks
+                 same run executed locally, however fast each agent is;
+                 work is pulled by whichever agent is free. --udp speaks
                  reliable datagrams instead; --loss injects seeded drop
                  faults on every link — the ARQ layer recovers them, so
                  the evolved result is still bit-identical, only the
@@ -112,17 +111,12 @@ same-shape networks (default 32); --no-batch is --batch-lanes 1.
 elites and unmutated survivors skip re-evaluation. Both change only
 wall-clock time, never the evolved result.
 
---agent-weights 1,4 gives the second agent 4x the work per scatter
-(heterogeneous swarms: weight ~ relative device throughput); --calibrate
-recalibrates the weights every generation from measured round-trip
-times. Both change only chunk sizes, never the evolved result.
-
---churn k1@2,r1@4 kills agent 1 before scatter round 2 and revives it
-before round 4 (deterministic churn injection): the lost chunks are
-reassigned to survivors and the evolved result is still bit-identical,
-only the recovery overhead in the report grows. --spare-at names standby
-agents a revival may connect; --max-retries/--min-agents set the
-recovery policy (defaults 3 and 1).
+--churn k1@2,r1@4 kills agent 1 before round 2 and revives it before
+round 4 (deterministic churn injection): the work it held goes back to
+the queue for the survivors and the evolved result is still
+bit-identical, only the recovery overhead in the report grows.
+--spare-at names standby agents a revival may connect; --min-agents N
+fails a round that would continue on fewer live agents (default 1).
 
 --trace FILE records a structured run trace as JSONL: a deterministic
 logical event stream (byte-identical per seed across serial, TCP, lossy
@@ -185,6 +179,14 @@ fn validate_flags(command: &str, flags: &Flags) -> Result<(), UsageError> {
         return Err(UsageError(
             "evaluation runs on the agents; --eval-threads applies to run/solve".into(),
         ));
+    }
+    for f in ["--agent-weights", "--calibrate", "--max-retries"] {
+        if flags.has(f) {
+            return Err(UsageError(format!(
+                "{f} was removed: work is pulled by whichever agent is free; there is \
+                 nothing to weight or retry"
+            )));
+        }
     }
     if flags.has("--event-log") {
         return Err(UsageError(
@@ -266,25 +268,6 @@ fn parse_agent_list(list: &str) -> Result<Vec<String>, String> {
         return Err("--agents-at needs at least one HOST:PORT address".into());
     }
     Ok(addrs)
-}
-
-/// Parses `--agent-weights`'s comma-separated relative throughputs.
-fn parse_weight_list(list: &str) -> Result<Vec<f64>, String> {
-    list.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse::<f64>()
-                .map_err(|_| format!("invalid weight `{s}` in --agent-weights"))
-        })
-        .collect::<Result<Vec<f64>, String>>()
-        .and_then(|w| {
-            if w.is_empty() {
-                Err("--agent-weights needs at least one weight".into())
-            } else {
-                Ok(w)
-            }
-        })
 }
 
 fn parse_platform(s: &str) -> Result<PlatformKind, String> {
@@ -698,15 +681,6 @@ fn cmd_coordinate(args: &[String]) -> Result<(), String> {
         }
         builder = builder.udp_config(udp);
     }
-    if let Some(list) = flags.get("--agent-weights") {
-        let weights = parse_weight_list(list)?;
-        println!("  agent capability weights: {weights:?}");
-        builder = builder.agent_weights(weights);
-    }
-    if flags.has("--calibrate") {
-        println!("  round-trip-time calibration enabled");
-        builder = builder.calibrate(true);
-    }
     if let Some(spec) = flags.get("--churn") {
         let schedule: ChurnSchedule = spec.parse()?;
         println!(
@@ -719,12 +693,6 @@ fn cmd_coordinate(args: &[String]) -> Result<(), String> {
         let spares = parse_agent_list(list)?;
         println!("  spare agent(s) on standby: {}", spares.join(", "));
         builder = builder.spare_agents(spares);
-    }
-    if let Some(n) = flags.get("--max-retries") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| format!("invalid value `{n}` for --max-retries"))?;
-        builder = builder.max_retries(n);
     }
     if let Some(n) = flags.get("--min-agents") {
         let n: usize = n
@@ -776,9 +744,9 @@ fn cmd_coordinate(args: &[String]) -> Result<(), String> {
     if let Some(r) = &report.recovery {
         if r.any_recovery() {
             println!(
-                "  churn survived: {} link failure(s), {} chunk(s) reassigned, \
-                 {} kill(s) + {} join(s), recovery makespan {:.3} s",
-                r.failures, r.reassigned_chunks, r.kills, r.joins, r.recovery_s
+                "  churn survived: {} link failure(s), {} run(s) re-queued, \
+                 {} kill(s) + {} join(s)",
+                r.failures, r.reassigned_chunks, r.kills, r.joins
             );
             for (i, n) in r.agent_failures.iter().enumerate() {
                 if *n > 0 {
@@ -905,6 +873,23 @@ mod tests {
     }
 
     #[test]
+    fn removed_weight_calibrate_and_retry_flags_are_usage_errors() {
+        for removed in [
+            &["--agent-weights", "1,4"][..],
+            &["--calibrate"],
+            &["--max-retries", "3"],
+        ] {
+            let err = validate_flags("coordinate", &flags(removed)).unwrap_err();
+            assert!(err.0.contains(removed[0]), "{err:?}");
+            assert!(
+                err.0.contains("pulled by whichever agent is free"),
+                "{err:?}"
+            );
+        }
+        assert!(validate_flags("coordinate", &flags(&["--min-agents", "2"])).is_ok());
+    }
+
+    #[test]
     fn postmortem_requires_the_ring() {
         let err = validate_flags("run", &flags(&["--postmortem", "pm.jsonl"])).unwrap_err();
         assert!(err.0.contains("--trace-ring"), "{err:?}");
@@ -961,12 +946,5 @@ mod tests {
             postmortem_path(&flags(&["--trace-ring", "64", "--postmortem", "pm.jsonl"])),
             Some("pm.jsonl".to_string())
         );
-    }
-
-    #[test]
-    fn weight_list_parses_and_validates() {
-        assert_eq!(parse_weight_list("1, 4,2.5,").unwrap(), vec![1.0, 4.0, 2.5]);
-        assert!(parse_weight_list("1,x").unwrap_err().contains("invalid"));
-        assert!(parse_weight_list(" , ").unwrap_err().contains("at least"));
     }
 }

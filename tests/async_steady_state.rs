@@ -290,7 +290,8 @@ fn live_run_bootstraps_before_it_reproduces() {
     let stats = orch.stats().expect("ran");
     assert_eq!((stats.insertions, stats.total_evals), (inserted, evals));
     assert!(!stats.virtual_time && stats.best_fitness > f64::NEG_INFINITY);
-    assert_eq!(orch.stream_stats().expect("streamed").completions, evals);
+    let stream = orch.stream_stats().expect("streamed");
+    assert_eq!(stream.per_agent_items.iter().sum::<u64>(), evals);
     assert_eq!(orch.population().len(), population);
 }
 
@@ -368,8 +369,8 @@ fn live_run_redispatches_every_outstanding_genome_of_a_dead_link() {
         stats.redispatches
     );
     let stream = orch.stream_stats().expect("streamed");
-    assert_eq!(stream.completions, evals);
-    assert_eq!(stream.per_agent_completions[DYING_SLOT], replies as u64);
+    assert_eq!(stream.per_agent_items.iter().sum::<u64>(), evals);
+    assert_eq!(stream.per_agent_items[DYING_SLOT], replies as u64);
 
     // Every genome completes once, and never on the dead slot after its
     // failure was seen.
@@ -434,8 +435,8 @@ fn live_run_over_lossy_udp_keeps_two_frames_in_flight() {
     assert_eq!((stats.total_evals, stats.redispatches), (evals, 0));
     assert_eq!(stats.insertions, evals - population as u64);
     let stream = orch.stream_stats().expect("streamed");
-    assert_eq!(stream.completions, evals);
-    assert!(stream.per_agent_completions.iter().all(|&n| n > 0));
+    assert_eq!(stream.per_agent_items.iter().sum::<u64>(), evals);
+    assert!(stream.per_agent_items.iter().all(|&n| n > 0));
     let events = tracer.finish().expect("live tracer records").events;
     let completed: std::collections::BTreeSet<u64> = events
         .iter()

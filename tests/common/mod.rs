@@ -3,8 +3,8 @@
 //!
 //! One NEAT config, the four topologies, one orchestrator builder, one
 //! [`run`], one comparison. A [`MATRIX`] row is a **condition** — where
-//! and how inference runs (host threads, TCP/UDP agents, loss, skew,
-//! delay + calibration, churn, engine tiers) — and [`check`] runs it on
+//! and how inference runs (host threads, TCP/UDP agents, loss, a slow
+//! agent, churn, engine tiers) — and [`check`] runs it on
 //! every workload × topology × agent count it lists against the same
 //! topology evaluated locally on one thread: same generation reports
 //! (fitness, species, cost counters, modeled timelines), same best-ever
@@ -152,11 +152,9 @@ pub enum Condition {
     UdpClean,
     /// Loopback reliable-UDP agents, [`LOSS`] seeded drop on every link.
     UdpLossy { fault_seed: u64 },
-    /// Loopback TCP agents with lopsided capability weights.
-    SkewedWeights,
-    /// Channel agents, agent 0 stalling in proportion to its chunk, with
-    /// round-trip calibration reshaping the partition every generation.
-    DelayedCalibrated,
+    /// Channel agents, agent 0 stalling on every request in proportion to
+    /// its size, and nobody told: the other agents pull more runs.
+    Heterogeneous,
     /// Channel agents under [`churn_plan`].
     Churn,
 }
@@ -171,10 +169,10 @@ pub fn lossy_udp(fault_seed: u64) -> UdpConfig {
         .with_faults(FaultConfig::loss(LOSS).with_seed(fault_seed))
 }
 
-/// With two or more agents the last one dies before round 1 (its chunk
-/// is reassigned to survivors) and a replacement joins before round 3;
+/// With two or more agents the last one dies before round 1 (its runs
+/// are re-queued for the survivors) and a replacement joins before round 3;
 /// a lone agent crashes and reboots at the same boundary, since there is
-/// nobody left to reassign to.
+/// nobody left to take its runs.
 pub fn churn_plan(n_agents: usize) -> ChurnSchedule {
     let (victim, back) = if n_agents == 1 {
         (0, 1)
@@ -184,14 +182,14 @@ pub fn churn_plan(n_agents: usize) -> ChurnSchedule {
     ChurnSchedule::new().kill(victim, 1).revive(victim, back)
 }
 
-/// Channel agents where agent 0 stalls on every request (fixed latency
-/// plus a per-KiB cost, so bigger chunks stall longer).
-fn delayed_transports(n_agents: usize) -> Vec<Box<dyn Transport>> {
+/// Channel agents where agent `slow` (if any) stalls on every request
+/// (fixed latency plus a per-KiB cost, so bigger runs stall longer).
+pub fn delayed_transports(n_agents: usize, slow: Option<usize>) -> Vec<Box<dyn Transport>> {
     (0..n_agents)
         .map(|i| {
             let (coord, mut agent_side) = channel_pair();
             std::thread::spawn(move || {
-                if i == 0 {
+                if Some(i) == slow {
                     let mut slow = DelayTransport::new(agent_side, Duration::from_millis(4))
                         .with_per_kib(Duration::from_millis(4));
                     let _ = serve_session(&mut slow);
@@ -209,9 +207,7 @@ impl Condition {
     pub fn cluster(self, spec: ClusterSpec, agents: usize) -> Option<EdgeCluster> {
         let cluster = match self {
             Condition::Threads(_) | Condition::Engine { .. } | Condition::Untraced => return None,
-            Condition::Tcp | Condition::SkewedWeights => {
-                EdgeCluster::spawn_local_spec(agents, spec)
-            }
+            Condition::Tcp => EdgeCluster::spawn_local_spec(agents, spec),
             Condition::UdpClean => {
                 EdgeCluster::spawn_local_udp_cfg(agents, spec, UdpConfig::default())
             }
@@ -220,24 +216,14 @@ impl Condition {
                 spec,
                 lossy_udp(fault_seed + agents as u64),
             ),
-            Condition::DelayedCalibrated => {
-                EdgeCluster::connect_transports(delayed_transports(agents), spec)
+            Condition::Heterogeneous => {
+                EdgeCluster::connect_transports(delayed_transports(agents, Some(0)), spec)
             }
             Condition::Churn => EdgeCluster::spawn_spec(agents, spec),
         };
         let mut cluster = cluster.expect("in-process cluster comes up");
-        match self {
-            Condition::SkewedWeights => {
-                let weights: Vec<f64> = [3.0, 0.5, 8.0, 1.0]
-                    .into_iter()
-                    .cycle()
-                    .take(agents)
-                    .collect();
-                cluster.set_weights(&weights).expect("valid weights");
-            }
-            Condition::DelayedCalibrated => cluster.set_calibration(true),
-            Condition::Churn => cluster.set_churn(churn_plan(agents)).expect("plan fits"),
-            _ => {}
+        if self == Condition::Churn {
+            cluster.set_churn(churn_plan(agents)).expect("plan fits");
         }
         Some(cluster)
     }
@@ -350,8 +336,7 @@ pub const MATRIX: &[Row] = &[
     row("udp-clean", Condition::UdpClean, &[1, 2, 4]),
     lossy("udp-lossy", 7, &[1, 2, 4]),
     lossy("udp-lossy-reseeded", 1, &[2]),
-    row("skewed-weights", Condition::SkewedWeights, &[1, 2, 4]),
-    row("delayed-calibrated", Condition::DelayedCalibrated, &[3]),
+    row("heterogeneous", Condition::Heterogeneous, &[2, 4]),
     row("churn", Condition::Churn, &[1, 2, 4]),
 ];
 

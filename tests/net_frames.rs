@@ -2,15 +2,15 @@
 //! peers must surface *typed* [`ClanError`]s — never a panic, never a
 //! hang, never an unbounded allocation.
 //!
-//! Covers the ISSUE-2 checklist explicitly: truncated genome frames,
-//! oversized length prefixes, and agent disconnect mid-generation, plus
-//! a property-based round-trip of the frame codec.
+//! Covers truncated genome frames, oversized length prefixes, agent
+//! disconnect mid-generation and replies that do not answer their run,
+//! plus a property-based round-trip of the frame codec.
 
 use clan::core::runtime::EdgeCluster;
-use clan::core::transport::agent::AgentServer;
+use clan::core::transport::agent::{serve_session, AgentServer};
 use clan::core::transport::{
-    datagram_channel_pair, decode, encode, recv_message, send_message, ClusterSpec, FaultConfig,
-    FaultyTransport, TcpTransport, Transport, UdpConfig, UdpTransport, WireMessage,
+    channel_pair, datagram_channel_pair, decode, encode, recv_message, send_message, ClusterSpec,
+    FaultConfig, FaultyTransport, TcpTransport, Transport, UdpConfig, UdpTransport, WireMessage,
     LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES,
 };
 use clan::core::{ClanError, FrameError, InferenceMode};
@@ -622,6 +622,184 @@ fn agent_disconnect_mid_generation_is_typed_error_not_hang() {
         Err(ClanError::Transport { .. })
     ));
     rogue.join().unwrap();
+}
+
+/// Rewrites an honest agent's reply.
+type Tamper = fn(WireMessage) -> WireMessage;
+
+/// A real agent behind a proxy that rewrites each of its replies with
+/// `tamper` — a scripted hostile agent — plus the peer name the
+/// coordinator's link reports.
+fn tampered_cluster(pop: usize, tamper: Tamper) -> (EdgeCluster, String) {
+    let (coordinator, mut proxy) = channel_pair();
+    let (mut upstream, mut agent) = channel_pair();
+    std::thread::spawn(move || {
+        let _ = serve_session(&mut agent);
+    });
+    std::thread::spawn(move || {
+        while let Ok((request, _)) = recv_message(&mut proxy) {
+            let answered = matches!(
+                request,
+                WireMessage::Evaluate { .. } | WireMessage::BuildChildren { .. }
+            );
+            if send_message(&mut upstream, &request).is_err() {
+                return;
+            }
+            if answered {
+                let Ok((reply, _)) = recv_message(&mut upstream) else {
+                    return;
+                };
+                if send_message(&mut proxy, &tamper(reply)).is_err() {
+                    return;
+                }
+            }
+        }
+    });
+    let peer = coordinator.peer();
+    let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, neat_cfg(pop));
+    let cluster = EdgeCluster::connect_transports(vec![Box::new(coordinator)], spec).unwrap();
+    (cluster, peer)
+}
+
+/// `err` is a protocol violation blamed on `peer` whose reason says `what`.
+fn assert_protocol(err: ClanError, peer: &str, what: &str) {
+    match err {
+        ClanError::Protocol {
+            peer: blamed,
+            reason,
+        } => {
+            assert_eq!(blamed, peer, "{reason}");
+            assert!(reason.contains(what), "{reason:?} does not say {what:?}");
+        }
+        other => panic!("expected a protocol violation ({what}), got {other:?}"),
+    }
+}
+
+#[test]
+fn fitness_replies_that_do_not_answer_their_run_are_typed_and_change_nothing() {
+    // 24 genomes on one agent go out in runs of three.
+    let cases: [(Tamper, &str); 5] = [
+        (
+            |m| match m {
+                WireMessage::Fitness(mut batch) => {
+                    batch.pop();
+                    WireMessage::Fitness(batch)
+                }
+                m => m,
+            },
+            "2 entries for a run of 3",
+        ),
+        (
+            |m| match m {
+                WireMessage::Fitness(mut batch) => {
+                    batch[2].0 = batch[0].0;
+                    WireMessage::Fitness(batch)
+                }
+                m => m,
+            },
+            "a duplicate",
+        ),
+        (
+            |m| match m {
+                WireMessage::Fitness(mut batch) => {
+                    batch[1].0 = GenomeId(999_999);
+                    WireMessage::Fitness(batch)
+                }
+                m => m,
+            },
+            "not in the run",
+        ),
+        (
+            |m| match m {
+                WireMessage::Fitness(mut batch) => {
+                    batch.swap(0, 1);
+                    WireMessage::Fitness(batch)
+                }
+                m => m,
+            },
+            "out of order",
+        ),
+        (
+            |m| match m {
+                WireMessage::Fitness(_) => WireMessage::Children(Vec::new()),
+                m => m,
+            },
+            "expected Fitness, got Children",
+        ),
+    ];
+    for (tamper, what) in cases {
+        let (mut cluster, peer) = tampered_cluster(24, tamper);
+        let mut pop = Population::new(neat_cfg(24), 5);
+        assert_protocol(cluster.evaluate(&mut pop).unwrap_err(), &peer, what);
+        assert!(
+            pop.genomes().values().all(|g| g.fitness().is_none()),
+            "{what}: nothing is recorded from a round that failed"
+        );
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn children_replies_that_do_not_answer_their_run_are_typed() {
+    let cases: [(Tamper, &str); 3] = [
+        (
+            |m| match m {
+                WireMessage::Children(mut children) => {
+                    children.pop();
+                    WireMessage::Children(children)
+                }
+                m => m,
+            },
+            "entries for a run of",
+        ),
+        (
+            |m| match m {
+                WireMessage::Children(mut children) => {
+                    children.push(children[0].clone());
+                    WireMessage::Children(children)
+                }
+                m => m,
+            },
+            "entries for a run of",
+        ),
+        (
+            |m| match m {
+                WireMessage::Children(children) => WireMessage::Fitness(
+                    children
+                        .iter()
+                        .map(|c| {
+                            (
+                                c.id(),
+                                Evaluation {
+                                    fitness: 0.0,
+                                    activations: 0,
+                                },
+                                0,
+                            )
+                        })
+                        .collect(),
+                ),
+                m => m,
+            },
+            "expected Children, got Fitness",
+        ),
+    ];
+    for (tamper, what) in cases {
+        let (mut cluster, peer) = tampered_cluster(12, tamper);
+        let mut pop = Population::new(neat_cfg(12), 5);
+        cluster
+            .evaluate(&mut pop)
+            .expect("Fitness passes untouched");
+        pop.speciate();
+        let plan = pop.plan_generation().unwrap();
+        assert_protocol(
+            cluster.build_children(&pop, &plan).unwrap_err(),
+            &peer,
+            what,
+        );
+        assert_eq!(pop.generation(), 0, "{what}: no child was installed");
+        cluster.shutdown();
+    }
 }
 
 #[test]

@@ -377,8 +377,8 @@ proptest! {
         items in 0usize..600,
         weights in proptest::collection::vec(0.0f64..16.0, 1..12),
     ) {
-        // Same inputs, same split — scatter and accounting paths may
-        // both call the partitioner and must agree.
+        // Same inputs, same split: every caller of the partitioner (the
+        // analytic clan sizing among them) must agree.
         prop_assert_eq!(
             partition_weighted(items, &weights),
             partition_weighted(items, &weights)

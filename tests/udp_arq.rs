@@ -1,8 +1,10 @@
 //! The reliable-UDP sender's contract: an ack-clocked window that never
-//! overflows the medium, per-fragment timers that re-send a lost
-//! fragment alone, acks that survive their own loss, and an endpoint
-//! that neither blocks in `send_frame`, hangs on a silent peer, stalls
-//! a shutdown on a lost final ack, nor is captured by a stray datagram.
+//! overflows the medium, per-fragment timers that probe the peer and
+//! re-send alone a fragment its answer shows lost — never one a slow
+//! reader still has queued — acks that survive their own loss, and an
+//! endpoint that neither blocks in `send_frame`, hangs on a silent peer,
+//! stalls a shutdown on a lost final ack, nor is captured by a stray
+//! datagram.
 //!
 //! The two-endpoint tests run **both ends on one thread**, stepping
 //! them in turn (`exchange`): every datagram one end produced is queued
@@ -308,15 +310,42 @@ fn in_flight_never_exceeds_the_links_window() {
 
 #[test]
 fn a_lost_fragment_is_resent_alone() {
-    let lost = (0, 5);
-    let (wire, sent, received) = counted_exchange(Some(lost), None);
-    assert!(wire.peak_in_flight <= WINDOW);
-    for (key, &n) in &wire.sends {
-        let expected = if *key == lost { 2 } else { 1 };
-        assert_eq!(n, expected, "fragment {key:?} crossed {n} times");
+    // Fragment 5 is caught by the acks of those sent after it; the last
+    // fragment has none, so only the answer to a probe shows it lost.
+    for lost in [(0, 5), (0, FRAGMENTS - 1)] {
+        let (wire, sent, received) = counted_exchange(Some(lost), None);
+        assert!(wire.peak_in_flight <= WINDOW);
+        for (key, &n) in &wire.sends {
+            let expected = if *key == lost { 2 } else { 1 };
+            assert_eq!(n, expected, "fragment {key:?} crossed {n} times");
+        }
+        assert_eq!(sent.retrans_datagrams, 1);
+        assert_eq!(received.dup_datagrams, 0, "the one re-send filled the gap");
     }
-    assert_eq!(sent.retrans_datagrams, 1);
-    assert_eq!(received.dup_datagrams, 0, "the one re-send filled the gap");
+}
+
+#[test]
+fn a_peer_slow_to_read_is_probed_not_sent_to_again() {
+    // The sender's timers expire while the receiver is busy elsewhere —
+    // an agent evaluating one run while the next arrives. Nothing was
+    // lost, so nothing may be sent twice.
+    let (near, far) = datagram_channel_pair();
+    let cfg = step_cfg(32).with_retransmit_interval_s(0.002);
+    let mut a = UdpTransport::with_config(near, &cfg);
+    let mut b = UdpTransport::with_config(far, &cfg);
+    // A session under way: each end has heard the other.
+    assert_eq!(exchange(&mut a, &mut b, b"configure"), b"configure");
+    let frame = payload(32 * 10);
+    a.send_frame(&frame).unwrap();
+    // The 2 ms timeout expires ten times over with `b` not reading.
+    assert!(a.drain(Duration::from_millis(20)).is_err());
+    // `b` reads: it acknowledges the frame, then answers every probe.
+    assert_eq!(b.recv_frame().unwrap(), frame);
+    b.linger();
+    a.drain(Duration::from_millis(100)).unwrap();
+    for (end, t) in [("sender", a.stats()), ("receiver", b.stats())] {
+        assert_eq!((t.retrans_datagrams, t.dup_datagrams), (0, 0), "{end}");
+    }
 }
 
 #[test]
