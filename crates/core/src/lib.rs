@@ -135,15 +135,11 @@
 //!   typed [`ClanError::Timeout`] after the transport's idle deadline,
 //!   never a hang; the TCP path mirrors this via
 //!   [`TcpTransport::with_read_timeout`](transport::TcpTransport::with_read_timeout).
-//! - **Model validation** — the `airraid-gen-udp` workload of
-//!   `benchmark/` reports `transport.frame_rtt_ms`,
-//!   `transport.datagrams_per_frame` and `transport.retrans_bytes_ratio`
-//!   at 5 % seeded loss. The in-process emulator
-//!   ([`FaultyTransport`](transport::FaultyTransport)) charges its link
-//!   latency once per *datagram*;
+//! - **Model validation** — `benchmark/`'s `airraid-gen-udp` reports RTT,
+//!   datagrams per frame and retransmitted bytes at 5 % seeded loss;
 //!   [`WifiModel::transfer_time_fragmented_s`](clan_netsim::WifiModel::transfer_time_fragmented_s)
-//!   models that, and the analytic timelines charge it for messages
-//!   larger than the link MTU.
+//!   charges link latency per datagram, as the emulator does, for
+//!   messages larger than the link MTU.
 //!
 //! # Elastic runtime
 //!
@@ -152,21 +148,11 @@
 //! [`membership`] layer makes it *survivable* — the cluster tolerates
 //! device crash, rejoin, and mid-run scale-out:
 //!
-//! - **Per-link health** — every [`EdgeCluster`] link is alive /
-//!   suspected / dead ([`membership::LinkHealth`]): one churn-class
-//!   failure suspects a link (it sits out the rest of that round), a
-//!   second consecutive failure kills it, a success revives it. Protocol
-//!   violations are *not* churn — a peer answering garbage ends the round
-//!   as a typed [`ClanError::Protocol`] naming the link.
-//! - **One recovery rule** — a failed link's in-flight and unread runs
-//!   go back to the head of the queue and the surviving links pull them;
-//!   the round fails only below
-//!   [`membership::RecoveryPolicy::min_agents`] live agents (typed:
-//!   [`ClanError::Degraded`], or the root link error once none is left).
-//!   Results carry genome ids and replay in id order, so a churned run is
-//!   **bit-identical** to a serial one on all four topologies
-//!   (`tests/churn_equivalence.rs`, 1/2/4 agents, with arbitrary-schedule
-//!   conservation proptests).
+//! - **Per-link health, one recovery rule** ([`membership`]) — a failed
+//!   [`EdgeCluster`] link's in-flight and unread runs go back to the head
+//!   of the queue for the survivors, and results replay in id order, so a
+//!   churned run is **bit-identical** to a serial one on all four
+//!   topologies (`tests/churn_equivalence.rs`, 1/2/4 agents).
 //! - **Mid-run join** — new agents attach between generations
 //!   ([`EdgeCluster::admit_local`](runtime::EdgeCluster::admit_local)):
 //!   they are `Configure`d with the stored session spec and pull work
@@ -238,7 +224,8 @@
 //!   transitions, streamed completions) live in a separate wall-clock
 //!   annotation channel that never enters the logical stream; every
 //!   wall timestamp is captured in [`telemetry::clock`], the single
-//!   `Instant::now` site the `clan-lint` D2 rule audits.
+//!   `Instant::now` site a trace reads (see *Static contract
+//!   enforcement* below).
 //!
 //! A [`Tracer`] handle (no-op unless enabled — `benchmark/` reports
 //! its cost as `telemetry.overhead_pct`) is installed
@@ -295,45 +282,21 @@
 //!
 //! # Static contract enforcement
 //!
-//! The two contracts above — bit-identity determinism and hang-free
-//! liveness — are pinned by tests, but tests only catch a regression
-//! *after* someone writes one. `clan-lint` (`crates/lint`, run as
-//! `cargo run -p clan-lint --release`) rejects the hazardous *idioms*
-//! at review time with a dependency-free, comment/string/raw-string
-//! aware token scanner:
-//!
-//! - **D1** — no `HashMap`/`HashSet` in determinism-bearing code
-//!   (`clan-neat` plus the orchestrator/driver/async paths here):
-//!   iteration order must never depend on the hasher. Lookup-only maps
-//!   are waived, iteration-bearing ones migrate to `BTreeMap`.
-//! - **D2** — no ambient nondeterminism (`Instant::now`, `SystemTime`,
-//!   `thread_rng`, `from_entropy`) outside designated timing code; all
-//!   randomness flows from `(master_seed, …)` derivations.
-//! - **D3** — no float `.sum()`/`.fold` reassociation in the kernel
-//!   files (`network.rs`, `batch.rs`); the per-edge accumulation order
-//!   *is* the contract, so every kernel loop is written explicitly and
-//!   the one canonical fold carries a waiver naming itself as such.
-//! - **L1** — no `unwrap`/`expect`/`panic!`/wire-buffer indexing in
-//!   [`transport`], [`runtime`], and [`membership`]: a malformed frame
-//!   or lost peer must surface as [`error::FrameError`] /
-//!   [`ClanError`], never a panic (see the typed-error guarantees
-//!   above).
-//! - **L2** — every blocking `recv` in transport code must sit in a
-//!   function with a timeout/deadline path, so no silent peer can hang
-//!   a coordinator forever.
-//!
-//! Violations print `rule:file:line` and are waivable in place with
-//! `// clan-lint: allow(RULE, reason="…")` — the reason is mandatory
-//! (a reasonless waiver is its own finding, **W0**, and can never be
-//! baselined). Accepted debt lives in the committed
-//! `lint-baseline.txt` as `(rule, file, count)` entries; CI's
-//! `lint-contract` job fails on any NEW violation *and* on any STALE
-//! entry, so the count ratchets monotonically toward zero. Rule
-//! catalogue, waiver grammar, and the ratchet workflow are documented
-//! in ROADMAP.md.
+//! Both contracts above are also held at review time, by `cargo clippy
+//! -- -D warnings`. `clippy.toml` here and in `clan-neat` disallows
+//! `HashMap`/`HashSet` (hash iteration order) and `Instant::now`/
+//! `SystemTime::now` (ambient time; allowed module-wide only in
+//! [`telemetry::clock`] and [`transport`]). [`transport`], [`runtime`]
+//! and [`membership`] deny `unwrap_used`, `expect_used`, `panic`,
+//! `unreachable` and `todo` outside tests, [`transport`] also
+//! `indexing_slicing`. A waiver is `#[expect(<lint>, reason = "…")]` on
+//! the statement or fn: a reasonless one warns and an unfulfilled one
+//! fails. The kernel's per-edge sum order and the transport receive
+//! deadlines have no lint; tests pin them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod asynchronous;
 pub mod continuous;

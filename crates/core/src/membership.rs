@@ -46,6 +46,9 @@
 //! that answers with garbage is a bug to surface, not a device to route
 //! around, so those end the round at once.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo)]
+
 use crate::error::ClanError;
 use serde::{Deserialize, Serialize};
 

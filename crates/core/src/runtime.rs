@@ -65,6 +65,9 @@
 //! [`DeadTransport`] at a round boundary and revives a replacement later —
 //! exercising the production recovery path with a simulated device crash.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo)]
+
 use crate::error::ClanError;
 use crate::evaluator::{CacheFilter, InferenceMode};
 use crate::membership::{is_churn_error, AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
@@ -1140,7 +1143,10 @@ impl EdgeCluster {
             ..GatherStats::default()
         };
         let mut failures: Vec<(usize, ClanError)> = Vec::new();
-        // clan-lint: allow(D2, reason="round makespan and per-run spans; reported, never fed back into evolution")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "round makespan and per-run spans; reported, never fed back into evolution"
+        )]
         let clock = Instant::now();
         let mut outcome: Result<(), ClanError> = Ok(());
         std::thread::scope(|s| {
@@ -1476,9 +1482,12 @@ impl EdgeCluster {
             let mut parent_ids: Vec<GenomeId> = run.iter().flat_map(|s| s.parent_ids()).collect();
             parent_ids.sort_unstable();
             parent_ids.dedup();
+            #[expect(
+                clippy::expect_used,
+                reason = "parent ids come from the reproduction plan built over this same population; a miss is a planner bug the process cannot recover from"
+            )]
             let parents: Vec<&Genome> = parent_ids
                 .iter()
-                // clan-lint: allow(L1, reason="parent ids come from the reproduction plan built over this same population; a miss is a planner bug the process cannot recover from")
                 .map(|id| pop.genome(*id).expect("parent resident"))
                 .collect();
             (
@@ -1505,6 +1514,10 @@ impl EdgeCluster {
         self.shutdown_inner();
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounds the shutdown drain in wall-clock; nothing evolved depends on it"
+    )]
     fn shutdown_inner(&mut self) {
         let frame = crate::transport::encode(&WireMessage::Shutdown);
         for link in &mut self.links {
@@ -1516,10 +1529,8 @@ impl EdgeCluster {
         // (bounded); reliable transports return immediately. The links
         // take turns in short slices: a dead link's whole deadline must
         // not outlast the time the live agents linger for their acks.
-        // clan-lint: allow(D2, reason="bounds the shutdown drain in wall-clock; nothing evolved depends on it")
         let deadline = Instant::now() + std::time::Duration::from_millis(750);
         let mut draining: Vec<&mut AgentLink> = self.links.iter_mut().collect();
-        // clan-lint: allow(D2, reason="bounds the shutdown drain in wall-clock; nothing evolved depends on it")
         while !draining.is_empty() && Instant::now() < deadline {
             draining.retain_mut(|link| {
                 let slice = std::time::Duration::from_millis(5);

@@ -157,7 +157,10 @@ fn progress_json(snap: &StatusSnapshot) -> String {
 fn answer(stream: &mut TcpStream, handle: &StatusHandle) {
     // One deadline for the whole request, not a timeout per read: a
     // client dripping a byte at a time must not hold the accept thread.
-    // clan-lint: allow(D2, reason="bounds a status poll's hold on the accept thread; never reaches evolution")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounds a status poll's hold on the accept thread; never reaches evolution"
+    )]
     let started = Instant::now();
     let _ = stream.set_write_timeout(Some(REQUEST_BUDGET));
     // Read until the request's blank line: clients may deliver the
@@ -380,6 +383,10 @@ mod tests {
                 }
             }
         });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test measures how long a second poller waits"
+        )]
         let asked = Instant::now();
         let progress = get(addr, "/progress");
         let waited = asked.elapsed();

@@ -1,11 +1,13 @@
 //! The sole wall-clock capture point of the telemetry layer.
 //!
 //! Every wall-clock timestamp that ends up in a trace is taken here and
-//! nowhere else, so the `clan-lint` D2 rule can pin "ambient time" to
+//! nowhere else, so this crate's `clippy.toml` can pin "ambient time" to
 //! exactly one audited file: timing annotations flow *out* of this
 //! module into the [`Timing`](super::Determinism::Timing) channel, and
 //! nothing read here may feed back into evolution, partitioning, or any
 //! other determinism-bearing decision.
+
+#![allow(clippy::disallowed_methods, reason = "the wall-clock capture point")]
 
 use std::time::Instant;
 

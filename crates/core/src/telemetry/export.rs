@@ -21,15 +21,17 @@ pub fn to_jsonl(trace: &RunTrace) -> Result<String, serde_json::Error> {
     Ok(out)
 }
 
-/// Parses JSONL produced by [`to_jsonl`] back into events.
+/// Parses JSONL produced by [`to_jsonl`] back into events (blank lines
+/// skipped).
 ///
 /// # Errors
 ///
-/// Returns the shim parser's error on malformed lines.
-pub fn from_jsonl(text: &str) -> Result<Vec<TraceEvent>, serde_json::Error> {
+/// The first bad line's number (1-based) and its parse error.
+pub fn from_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(serde_json::from_str)
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+        .map(|(i, l)| serde_json::from_str(l).map_err(|e| format!("line {}: {e}", i + 1)))
         .collect()
 }
 

@@ -20,8 +20,8 @@
 //!   retransmissions, churn transitions. These are recorded as
 //!   [`Determinism::Timing`] events in a separate annotation channel
 //!   that never contaminates the logical stream, and every wall
-//!   timestamp is captured in [`clock`] (the single `Instant::now`
-//!   site the `clan-lint` D2 rule audits).
+//!   timestamp is captured in [`clock`] (the one module this crate's
+//!   `clippy.toml` lets call `Instant::now` for a trace).
 //!
 //! The [`Tracer`] is a cheap-clonable handle that is a no-op until
 //! enabled, so instrumented hot paths cost one branch when tracing is

@@ -12,7 +12,7 @@
 use super::{recv_message, send_message, Transport, WireMessage};
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
-use clan_neat::reproduction::make_child;
+use clan_neat::reproduction::{make_child, ChildKind};
 use clan_neat::{Genome, GenomeId};
 use std::collections::BTreeMap;
 use std::net::{TcpListener, ToSocketAddrs};
@@ -94,8 +94,12 @@ pub fn serve_session(transport: &mut dyn Transport) -> Result<(), ClanError> {
                 };
                 let mut children = Vec::with_capacity(specs.len());
                 for spec in &specs {
-                    let pids = spec.parent_ids();
-                    let parents = (parent(&pids[0])?, pids.get(1).map(parent).transpose()?);
+                    let parents = match spec.kind {
+                        ChildKind::Elite { source } => (parent(&source)?, None),
+                        ChildKind::Crossover { parent1, parent2 } => {
+                            (parent(&parent1)?, Some(parent(&parent2)?))
+                        }
+                    };
                     children.push(make_child(&cfg, spec, parents, master_seed, generation));
                 }
                 send_message(transport, &WireMessage::Children(children))?;
@@ -169,10 +173,13 @@ impl AgentServer {
     ///
     /// Panics if the socket vanished out from under the process — not
     /// observable through safe use.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic on a vanished socket; host-side resource, not wire-derived"
+    )]
     pub fn local_addr(&self) -> std::net::SocketAddr {
         self.listener
             .local_addr()
-            // clan-lint: allow(L1, reason="documented panic on a vanished socket; host-side resource, not wire-derived")
             .expect("bound listener has an address")
     }
 

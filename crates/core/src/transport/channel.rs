@@ -45,7 +45,9 @@ impl Transport for ChannelTransport {
     }
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, ClanError> {
-        // clan-lint: allow(L2, reason="in-process channel: a dead peer thread drops its Sender and recv unblocks with Err; silent-but-alive peers are a cross-process hazard this transport cannot have")
+        // No deadline needed: a dead peer thread drops its Sender and recv
+        // unblocks with Err; a silent-but-alive peer is a cross-process
+        // hazard this transport cannot have.
         self.rx.recv().map_err(|_| ClanError::Transport {
             peer: self.label.clone(),
             reason: "peer disconnected".into(),

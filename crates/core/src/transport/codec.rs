@@ -313,8 +313,8 @@ fn put_genome(out: &mut Vec<u8>, g: &Genome) {
         prev = Some(id.0);
         put_f64(out, node.bias);
         put_f64(out, node.response);
-        out.push(activation_index(node.activation));
-        out.push(aggregation_index(node.aggregation));
+        out.push(index_in(&Activation::ALL, node.activation));
+        out.push(index_in(&Aggregation::ALL, node.aggregation));
     }
     put_varint(out, g.conns().len() as u64);
     // Gathered in the same walk, written after it.
@@ -362,20 +362,13 @@ fn put_spec(out: &mut Vec<u8>, spec: &ChildSpec) {
     }
 }
 
-fn activation_index(a: Activation) -> u8 {
-    Activation::ALL
-        .iter()
-        .position(|&x| x == a)
-        // clan-lint: allow(L1, reason="encode side: the enum value is host-built, ALL is exhaustive by its own test; not wire-derived")
-        .expect("activation is in ALL") as u8
-}
-
-fn aggregation_index(a: Aggregation) -> u8 {
-    Aggregation::ALL
-        .iter()
-        .position(|&x| x == a)
-        // clan-lint: allow(L1, reason="encode side: the enum value is host-built, ALL is exhaustive by its own test; not wire-derived")
-        .expect("aggregation is in ALL") as u8
+/// `x`'s wire byte: its position in the enum's `ALL` table.
+#[expect(
+    clippy::expect_used,
+    reason = "encode side: the enum value is host-built, ALL is exhaustive by its own test; not wire-derived"
+)]
+fn index_in<T: PartialEq>(all: &[T], x: T) -> u8 {
+    all.iter().position(|a| *a == x).expect("value is in ALL") as u8
 }
 
 /// Opens a frame (magic + version + tag) with room for `genomes`.
@@ -433,8 +426,11 @@ pub fn encode(msg: &WireMessage) -> Vec<u8> {
     match msg {
         WireMessage::Configure(spec) => {
             let mut out = frame::<Genome>(tag::CONFIGURE, &[]);
+            #[expect(
+                clippy::expect_used,
+                reason = "encode side: serializing a host-built spec struct cannot fail; not wire-derived"
+            )]
             let json =
-                // clan-lint: allow(L1, reason="encode side: serializing a host-built spec struct cannot fail; not wire-derived")
                 serde_json::to_string(spec.as_ref()).expect("spec serialization cannot fail");
             put_u32(&mut out, json.len() as u32);
             out.extend_from_slice(json.as_bytes());
@@ -496,7 +492,10 @@ impl<'a> Reader<'a> {
                 remaining: self.remaining(),
             });
         }
-        // clan-lint: allow(L1, reason="bounds checked immediately above; every other reader routes through here")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bounds checked immediately above; every other reader routes through here"
+        )]
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)

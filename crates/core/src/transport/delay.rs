@@ -49,7 +49,7 @@ impl<T: Transport> Transport for DelayTransport<T> {
     }
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, ClanError> {
-        // clan-lint: allow(L2, reason="pure delegation: the wrapped transport owns the idle deadline")
+        // The wrapped transport owns the idle deadline.
         let frame = self.inner.recv_frame()?;
         let delay = self.fixed + self.per_kib.mul_f64(frame.len() as f64 / 1024.0);
         if !delay.is_zero() {

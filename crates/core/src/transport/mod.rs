@@ -21,6 +21,10 @@
 //! The agent side of the protocol lives in [`agent`]: a session loop
 //! shared by in-process worker threads and `clan-cli agent` processes.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::indexing_slicing)]
+#![allow(clippy::disallowed_methods, reason = "ARQ timers are wall-clock")]
+
 pub mod agent;
 mod channel;
 pub mod churn;
@@ -147,7 +151,8 @@ pub fn send_message(t: &mut dyn Transport, msg: &WireMessage) -> Result<u64, Cla
 ///
 /// Propagates transport failures and typed frame errors.
 pub fn recv_message(t: &mut dyn Transport) -> Result<(WireMessage, u64), ClanError> {
-    // clan-lint: allow(L2, reason="free-fn wrapper: the concrete transport's recv_frame owns the deadline (TCP read_timeout, UDP idle_timeout)")
+    // The concrete transport's recv_frame owns the deadline (TCP
+    // read_timeout, UDP idle_timeout).
     let frame = t.recv_frame()?;
     let msg = decode(&frame)?;
     Ok((msg, wire_bytes(&frame)))

@@ -224,14 +224,12 @@ impl UdpLink {
                 peer: peer.clone(),
                 reason: "udp resolve: no addresses".into(),
             })?;
-        let local: std::net::SocketAddr = if resolved.is_ipv6() {
-            // clan-lint: allow(L1, reason="constant wildcard literal parses by construction; not wire-derived")
-            "[::]:0".parse().expect("valid v6 wildcard")
+        let wildcard: std::net::IpAddr = if resolved.is_ipv6() {
+            std::net::Ipv6Addr::UNSPECIFIED.into()
         } else {
-            // clan-lint: allow(L1, reason="constant wildcard literal parses by construction; not wire-derived")
-            "0.0.0.0:0".parse().expect("valid v4 wildcard")
+            std::net::Ipv4Addr::UNSPECIFIED.into()
         };
-        let socket = UdpSocket::bind(local).map_err(|e| err("udp bind", e))?;
+        let socket = UdpSocket::bind((wildcard, 0)).map_err(|e| err("udp bind", e))?;
         socket
             .connect(resolved)
             .map_err(|e| err("udp connect", e))?;
@@ -286,7 +284,10 @@ impl DatagramLink for UdpLink {
             reason: format!("udp set timeout: {e}"),
         })?;
         match self.socket.recv(&mut self.buf) {
-            // clan-lint: allow(L1, reason="n <= buf.len() by the recv(2) contract; a datagram never exceeds the link's 64 KiB buffer")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "n <= buf.len() by the recv(2) contract; a datagram never exceeds the link's 64 KiB buffer"
+            )]
             Ok(n) => Ok(Some(self.buf[..n].to_vec())),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -465,8 +466,8 @@ fn decode_datagram(buf: &[u8]) -> Option<Datagram<'_>> {
     if magic != DATAGRAM_MAGIC {
         return None;
     }
-    let (ty, rest) = take_bytes(rest, 1)?;
-    match ty[0] {
+    let (&ty, rest) = rest.split_first()?;
+    match ty {
         TYPE_DATA => {
             let (seq, rest) = take_u64(rest)?;
             let (index, rest) = take_u32(rest)?;
@@ -497,7 +498,7 @@ fn decode_datagram(buf: &[u8]) -> Option<Datagram<'_>> {
         TYPE_DONE => rest.is_empty().then_some(Datagram::Done),
         TYPE_PROBE | TYPE_ANSWER => {
             let (tx, rest) = take_u64(rest)?;
-            let answer = ty[0] == TYPE_ANSWER;
+            let answer = ty == TYPE_ANSWER;
             rest.is_empty().then_some(Datagram::Probe { tx, answer })
         }
         _ => None,

@@ -48,7 +48,6 @@ impl ShapeKey {
     pub fn of(net: &FeedForwardNetwork) -> ShapeKey {
         let nodes = net.eval_nodes();
         let mut tokens = Vec::with_capacity(
-            // clan-lint: allow(D3, reason="integer capacity arithmetic, not FP accumulation")
             4 + nodes.iter().map(|n| 3 + n.incoming.len()).sum::<usize>()
                 + net.output_slot_list().len(),
         );

@@ -24,7 +24,10 @@
 
 use crate::population::Evaluation;
 use serde::{Deserialize, Serialize};
-// clan-lint: allow(D1, reason="lookup-only store keyed by (seed, content_hash): never iterated, so hash order cannot leak into results")
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only store keyed by (seed, content_hash): never iterated, so hash order cannot leak into results"
+)]
 use std::collections::HashMap;
 
 /// A cached evaluation: the outcome plus the compiled network's
@@ -47,7 +50,10 @@ pub struct CachedEvaluation {
 /// miss re-derives the identical result).
 #[derive(Debug, Clone, Default)]
 pub struct FitnessCache {
-    // clan-lint: allow(D1, reason="lookup-only: get/insert/clear, no iteration; eviction clears wholesale")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only: get/insert/clear, no iteration; eviction clears wholesale"
+    )]
     entries: HashMap<(u64, u64), CachedEvaluation>,
     capacity: usize,
     hits_window: u64,
@@ -70,13 +76,8 @@ impl FitnessCache {
     /// `capacity` entries.
     pub fn with_capacity(capacity: usize) -> FitnessCache {
         FitnessCache {
-            // clan-lint: allow(D1, reason="lookup-only: see the field declaration above")
-            entries: HashMap::new(),
             capacity: capacity.max(1),
-            hits_window: 0,
-            lookups_window: 0,
-            hits_total: 0,
-            lookups_total: 0,
+            ..FitnessCache::default()
         }
     }
 

@@ -114,6 +114,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod activation;
 pub mod batch;

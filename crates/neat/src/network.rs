@@ -390,14 +390,13 @@ impl FeedForwardNetwork {
         values[..self.num_inputs].copy_from_slice(inputs);
         for (i, node) in self.nodes.iter().enumerate() {
             let agg = match node.aggregation {
-                // Sum (the overwhelmingly common case) needs no staging
-                // buffer; the fold matches `Aggregation::apply`'s
-                // `iter().sum()` term order bit-for-bit.
+                // Sum (the common case) needs no staging buffer. THE
+                // canonical per-edge order: `Aggregation::apply` and the SoA
+                // kernel match this fold (`sum_runs_left_to_right_…` pins it).
                 Aggregation::Sum => node
                     .incoming
                     .iter()
                     .map(|&(slot, w)| values[slot] * w)
-                    // clan-lint: allow(D3, reason="THE canonical per-edge order: Aggregation::apply and the SoA batch kernel both match this exact fold")
                     .sum(),
                 _ => {
                     weighted.clear();
@@ -707,6 +706,33 @@ mod tests {
         assert_eq!(pick(&[2]), 1);
         assert_eq!(pick(&[0, 2]), 1);
         assert_eq!(pick(&[0, 1, 2]), 2, "all NaN: the last index");
+    }
+
+    #[test]
+    fn sum_runs_left_to_right_over_the_edges() {
+        use crate::gene::{ConnGene, ConnKey, NodeGene};
+        // Terms that cancel catastrophically: each choice of which two
+        // meet first rounds differently (to 6, 5 or 4), so only the
+        // documented order — edges by source id, input 2 (id -3) first,
+        // folded left to right — gives 6.
+        let identity = NodeGene {
+            activation: Activation::Identity,
+            ..NodeGene::default()
+        };
+        let conns = [(-3, 1e16), (-2, 3.0), (-1, -1e16 + 2.0)].map(|(i, weight)| {
+            let gene = ConnGene {
+                weight,
+                enabled: true,
+            };
+            (ConnKey::new(NodeId(i), NodeId(0)), gene)
+        });
+        let g = Genome::from_parts(
+            GenomeId(1),
+            [(NodeId(0), identity)].into_iter().collect(),
+            conns.into_iter().collect(),
+        );
+        let net = FeedForwardNetwork::try_compile(&g, &cfg(3, 1)).unwrap();
+        assert_eq!(outputs(&net, &[1.0; 3])[0].to_bits(), 6.0f64.to_bits());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Loading trace files back into the writer's own
-//! [`TraceEvent`] records, and the human framing `diff` puts around one.
+//! The human framing `diff` puts around one [`TraceEvent`]; trace files
+//! load through the writer's own `clan_core::telemetry::from_jsonl`.
 
 use clan_core::telemetry::{EventKind, TraceEvent};
 
@@ -54,23 +54,10 @@ pub fn describe(ev: &TraceEvent, current_generation: Option<u64>) -> String {
     }
 }
 
-/// Parses a whole JSONL trace (blank lines skipped).
-///
-/// # Errors
-///
-/// The first bad line's number (1-based) and its parse error.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| serde_json::from_str(l).map_err(|e| format!("line {}: {e}", i + 1)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clan_core::telemetry::Determinism;
+    use clan_core::telemetry::{from_jsonl, Determinism};
 
     fn eval_line() -> String {
         let mut ev = TraceEvent::base(Determinism::Logical, EventKind::EvalResult);
@@ -83,7 +70,7 @@ mod tests {
 
     #[test]
     fn describe_frames_an_eval_with_the_tracked_generation() {
-        let ev = &parse_jsonl(&eval_line()).unwrap()[0];
+        let ev = &from_jsonl(&eval_line()).unwrap()[0];
         assert_eq!(ev.fitness_bits, Some(0x3FF0_0000_0000_0000));
         assert_eq!(
             ev.logical_line().unwrap(),
@@ -103,7 +90,7 @@ mod tests {
             line.replace("\"EvalResult\"", "\"NotAKind\""),
             "[".repeat(1_000_000),
         ] {
-            let e = parse_jsonl(&format!("{line}\n\n{bad}\n")).unwrap_err();
+            let e = from_jsonl(&format!("{line}\n\n{bad}\n")).unwrap_err();
             assert!(e.starts_with("line 3:"), "{e}");
         }
     }

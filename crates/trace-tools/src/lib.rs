@@ -20,8 +20,8 @@
 //! the same `serde_json` that wrote them, so reader and writer share one
 //! schema; `u64` fitness bits stay exact (never through an `f64`).
 //!
-//! The `clan-trace` binary fronts all three verbs; exit codes follow the
-//! lint convention (0 clean/identical, 1 findings/divergence, 2 usage).
+//! The `clan-trace` binary fronts all three verbs; exit codes are 0
+//! clean/identical, 1 findings/divergence, 2 usage.
 
 pub mod analyze;
 pub mod diff;
@@ -29,9 +29,8 @@ pub mod event;
 
 pub use analyze::{Analysis, AnalysisMode};
 pub use diff::{diff as diff_events, DiffOutcome};
-pub use event::parse_jsonl;
 
-use clan_core::telemetry::TraceEvent;
+use clan_core::telemetry::{from_jsonl, TraceEvent};
 
 /// Parses a trace file from disk.
 ///
@@ -41,7 +40,7 @@ use clan_core::telemetry::TraceEvent;
 /// error.
 pub fn load_trace(path: &str) -> Result<Vec<TraceEvent>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
+    from_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Runs the analyzer over a trace file.

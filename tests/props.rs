@@ -538,7 +538,7 @@ fn mutated_trace_lines_and_spec_frames_never_panic() {
         } else if case % 8 != 0 {
             let mut line = lines[case % lines.len()].to_vec();
             mutate(&mut line, &mut rng);
-            match clan_trace_tools::parse_jsonl(&String::from_utf8_lossy(&line)) {
+            match clan::core::telemetry::from_jsonl(&String::from_utf8_lossy(&line)) {
                 Ok(_) => trace_ok += 1,
                 Err(e) => {
                     assert!(e.starts_with("line "), "{e}");

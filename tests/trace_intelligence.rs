@@ -4,12 +4,11 @@
 //! live status endpoint and the flight-recorder ring must leave the
 //! logical event stream byte-identical.
 
-use clan::core::telemetry::{to_jsonl, Determinism, EventKind, TraceEvent};
+use clan::core::telemetry::{from_jsonl, to_jsonl, Determinism, EventKind, TraceEvent};
 use clan::core::{ClanDriver, ClanDriverBuilder, ClanTopology, RunTrace};
 use clan::envs::Workload;
 use clan_trace_tools::analyze::{analyze, AnalysisMode};
 use clan_trace_tools::diff::{diff, DiffOutcome};
-use clan_trace_tools::parse_jsonl;
 use std::io::{Read, Write};
 
 const POP: usize = 20;
@@ -32,11 +31,11 @@ fn run_trace(seed: u64) -> RunTrace {
     trace.expect("tracing was enabled")
 }
 
-/// Round-trips a recorded trace through the exporter's JSONL and the
-/// analyzer's line-numbered loader, the path `clan-trace` takes from a
-/// `--trace` file.
+/// Round-trips a recorded trace through the exporter's JSONL and its
+/// line-numbered reader, the path `clan-trace` takes from a `--trace`
+/// file.
 fn events_of(trace: &RunTrace) -> Vec<TraceEvent> {
-    parse_jsonl(&to_jsonl(trace).expect("serialize")).expect("trace-tools parses writer output")
+    from_jsonl(&to_jsonl(trace).expect("serialize")).expect("the reader parses writer output")
 }
 
 #[test]
