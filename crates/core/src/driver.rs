@@ -75,9 +75,9 @@ pub struct DriverConfig {
     /// Standby agent addresses a remote backend may connect when a
     /// revival needs a replacement.
     pub spare_agents: Vec<String>,
-    /// Evaluation-engine tuning: SoA batch width and the
-    /// content-addressed fitness cache. Results are bit-identical under
-    /// any setting; only wall-clock time changes.
+    /// Evaluation-engine tuning: the content-addressed fitness cache.
+    /// Results are bit-identical under any setting; only wall-clock time
+    /// changes.
     #[serde(default)]
     pub engine: EngineOptions,
     /// Whether the run records a structured telemetry trace (the
@@ -518,14 +518,6 @@ impl ClanDriverBuilder {
     /// device.
     pub fn spare_agents(mut self, addrs: Vec<String>) -> Self {
         self.config.spare_agents = addrs;
-        self
-    }
-
-    /// Sets the SoA batch width for lockstep evaluation of same-shape
-    /// networks (default 32; `<= 1` falls back to scalar activation
-    /// everywhere). Results are bit-identical at any width.
-    pub fn batch_lanes(mut self, lanes: usize) -> Self {
-        self.config.engine.batch_lanes = lanes;
         self
     }
 
@@ -1111,9 +1103,7 @@ mod tests {
                 .unwrap()
         };
         let default = run(ClanDriver::builder(Workload::CartPole));
-        let tuned = run(ClanDriver::builder(Workload::CartPole)
-            .batch_lanes(1)
-            .fitness_cache(false));
+        let tuned = run(ClanDriver::builder(Workload::CartPole).fitness_cache(false));
         assert_eq!(default.best_fitness, tuned.best_fitness);
         assert_eq!(
             default.generations.last().unwrap().costs,

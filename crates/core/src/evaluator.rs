@@ -10,9 +10,8 @@
 use crate::runtime::EdgeCluster;
 use crate::transport::WireEvaluation;
 use clan_envs::{run_episode, Environment, Workload};
-use clan_neat::batch::{BatchedNetwork, ShapeKey};
 use clan_neat::cache::CachedEvaluation;
-use clan_neat::fanout::fan_out;
+use clan_neat::fanout::{cores, fan_out};
 use clan_neat::population::Evaluation;
 use clan_neat::rng::{derive_seed, OpTag};
 use clan_neat::{
@@ -20,7 +19,6 @@ use clan_neat::{
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
 
 /// How many environment steps each genome gets per generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -50,14 +48,14 @@ impl InferenceMode {
     }
 }
 
-/// Tuning knobs for the evaluation engine's two fast paths: batched
-/// structure-of-arrays activation and the content-addressed fitness
-/// cache. Both default to on; neither changes any evaluated bit — they
-/// only change how fast the identical result is produced.
+/// Tuning knobs for the evaluation engine: the content-addressed
+/// fitness cache, on by default, which changes no evaluated bit — only
+/// how fast the identical result is produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct EngineOptions {
-    /// Maximum lanes per batched SoA bank. `<= 1` disables batching and
-    /// every genome takes the scalar [`Scratch`] tier.
+    /// Lanes of the SoA bank the benchmark's `batch.activate_ns_per_lane`
+    /// probe builds. The engine does not read it: every genome runs
+    /// through [`FeedForwardNetwork::activate_into`].
     pub batch_lanes: usize,
     /// Whether to memoize evaluations by `(master_seed, content hash)`,
     /// so elites and unmutated survivors skip re-evaluation entirely.
@@ -160,20 +158,15 @@ impl CacheFilter {
 }
 
 /// What one thread needs to run episodes: the episode plan, an
-/// environment, the scalar tier's [`Scratch`] buffers and the batch
-/// lanes' environments (no heap allocation per step). No cache — the
-/// [`Evaluator`] serves the hits before an engine sees a genome.
+/// environment and the [`Scratch`] buffers (no heap allocation per
+/// step). No cache — the [`Evaluator`] serves the hits before an engine
+/// sees a genome.
 struct Engine {
     workload: Workload,
     mode: InferenceMode,
     episodes: u32,
-    /// [`EngineOptions::batch_lanes`].
-    batch_lanes: usize,
     env: Box<dyn Environment>,
     scratch: Scratch,
-    /// One environment per batch lane, grown on demand; each lane's
-    /// episodes replay exactly what the scalar path would run.
-    lane_envs: Vec<Box<dyn Environment>>,
 }
 
 /// Evaluates genomes on one workload: the content-addressed fitness
@@ -249,8 +242,8 @@ impl Evaluator {
     }
 
     /// The general constructor: episodes, evaluation threads, and
-    /// explicit [`EngineOptions`]. Batching and caching change wall-clock
-    /// only — results are bit-identical with either on, off, or mixed.
+    /// explicit [`EngineOptions`]. Caching changes wall-clock only —
+    /// results are bit-identical with it on or off.
     ///
     /// # Panics
     ///
@@ -267,10 +260,8 @@ impl Evaluator {
             workload,
             mode,
             episodes,
-            batch_lanes: options.batch_lanes,
             env: workload.make(),
             scratch: Scratch::new(),
-            lane_envs: Vec::new(),
         };
         Evaluator {
             engine: engine(),
@@ -311,7 +302,8 @@ impl Evaluator {
         &self.tracer
     }
 
-    /// Threads a local evaluation runs on (1 = the caller's alone).
+    /// Threads a local evaluation may run on (1 = the caller's alone);
+    /// a generation spawns no more than it has misses and cores.
     pub fn eval_threads(&self) -> usize {
         1 + self.extra.len()
     }
@@ -406,11 +398,10 @@ impl Evaluator {
     /// Evaluates a batch of genomes exactly as the serial path would:
     /// consult the fitness cache, compile the misses, derive each episode
     /// seed from `(master_seed, content_hash, episode plan)`, run the
-    /// episodes (batched by topology shape where possible), and report
-    /// the compiled network's per-activation gene cost. Every evaluation
-    /// thread and every agent session runs the same uncached core, so the
-    /// determinism contract lives in one piece of code. Results come back
-    /// in input order.
+    /// episodes, and report the compiled network's per-activation gene
+    /// cost. Every evaluation thread and every agent session runs the
+    /// same uncached core, so the determinism contract lives in one piece
+    /// of code. Results come back in input order.
     ///
     /// `generation` is unused (seeds are content-based); it stays in the
     /// signature because the wire protocol carries it.
@@ -444,11 +435,18 @@ impl Evaluator {
     /// Evaluates the whole population locally, cache hits served first:
     /// the misses — borrowed, never cloned — run as contiguous id-ordered
     /// chunks, one per engine on scoped threads (the caller takes the
-    /// first), and concatenate back in genome-id order.
+    /// first), and concatenate back in genome-id order. A spare engine
+    /// stays idle rather than spawn a thread with no miss or no core of
+    /// its own.
     pub(crate) fn evaluate_population_local(&mut self, pop: &Population) -> Vec<WireEvaluation> {
         let master_seed = pop.master_seed();
         let (filter, misses) = CacheFilter::split_population(self.cache.as_mut(), pop);
-        let mut chunks = misses.chunks(misses.len().div_ceil(self.eval_threads()).max(1));
+        let spawn = self
+            .extra
+            .len()
+            .min(misses.len().saturating_sub(1))
+            .min(cores().saturating_sub(1));
+        let mut chunks = misses.chunks(misses.len().div_ceil(1 + spawn).max(1));
         let own = chunks.next().unwrap_or_default();
         let fresh = std::thread::scope(|s| {
             let run = |engine: &mut Engine, chunk: &[(u64, &Genome)]| {
@@ -532,153 +530,14 @@ impl Engine {
             .collect())
     }
 
-    /// Evaluates every network once, batching same-shape networks into
-    /// SoA banks when enabled; returns evaluations in `nets` order.
+    /// Runs every network's episodes, one network after another, each
+    /// step through [`FeedForwardNetwork::activate_into`]; returns
+    /// evaluations in `nets` order.
     fn run_misses(&mut self, nets: &[FeedForwardNetwork], seeds: &[u64]) -> Vec<Evaluation> {
-        let mut evals = vec![
-            Evaluation {
-                fitness: 0.0,
-                activations: 0,
-            };
-            nets.len()
-        ];
-        if self.batch_lanes > 1 && nets.len() > 1 {
-            let mut groups: BTreeMap<ShapeKey, Vec<usize>> = BTreeMap::new();
-            for (k, net) in nets.iter().enumerate() {
-                groups.entry(ShapeKey::of(net)).or_default().push(k);
-            }
-            let mut grouped: Vec<Vec<usize>> = groups.into_values().collect();
-            // Execution order is irrelevant to results (episodes are
-            // independent and fully seed-determined); sort for a stable
-            // wall-clock profile anyway.
-            grouped.sort_by_key(|g| g[0]);
-            for group in grouped {
-                if group.len() == 1 {
-                    // Shape singletons take the scalar Scratch tier.
-                    let k = group[0];
-                    evals[k] = self.evaluate(&nets[k], seeds[k]);
-                } else {
-                    self.evaluate_group_batched(&group, nets, seeds, &mut evals);
-                }
-            }
-        } else {
-            for (k, net) in nets.iter().enumerate() {
-                evals[k] = self.evaluate(net, seeds[k]);
-            }
-        }
-        evals
-    }
-
-    /// Lane-streaming batched runner: same-shape networks advance their
-    /// episodes in lockstep; a lane that finishes an episode immediately
-    /// reloads with the next pending one. Per-lane arithmetic and the
-    /// per-episode environment trajectory are bit-identical to
-    /// [`evaluate`](Engine::evaluate) — only wall-clock changes.
-    fn evaluate_group_batched(
-        &mut self,
-        group: &[usize],
-        nets: &[FeedForwardNetwork],
-        seeds: &[u64],
-        evals: &mut [Evaluation],
-    ) {
-        let max_steps = self.mode.max_steps(self.workload);
-        let episodes = self.episodes;
-        // One task per (network, episode), in network order so the final
-        // per-network reward sums run in episode order (same FP order as
-        // the scalar loop).
-        let mut tasks: Vec<(usize, u64)> = Vec::with_capacity(group.len() * episodes as usize);
-        for &k in group {
-            if episodes == 1 {
-                tasks.push((k, seeds[k]));
-            } else {
-                for ep in 0..episodes as u64 {
-                    tasks.push((k, derive_seed(seeds[k], &[ep])));
-                }
-            }
-        }
-        let lanes = self.batch_lanes.min(tasks.len()).max(1);
-        while self.lane_envs.len() < lanes {
-            self.lane_envs.push(self.workload.make());
-        }
-        let mut bank = BatchedNetwork::from_template(&nets[group[0]], lanes);
-        let mut task_reward = vec![0.0f64; tasks.len()];
-        let mut task_steps = vec![0u64; tasks.len()];
-        let mut lane_task: Vec<Option<usize>> = vec![None; lanes];
-        let mut lane_reward = vec![0.0f64; lanes];
-        let mut lane_steps = vec![0u64; lanes];
-        let lane_envs = &mut self.lane_envs;
-        let mut next = 0usize;
-        let mut live = 0usize;
-        for l in 0..lanes {
-            // lanes <= tasks.len(), so every lane primes successfully.
-            let (k, seed) = tasks[next];
-            bank.load_lane(l, &nets[k]);
-            let obs = lane_envs[l].reset(seed);
-            bank.set_input(l, &obs);
-            lane_task[l] = Some(next);
-            next += 1;
-            live += 1;
-        }
-        while live > 0 {
-            bank.activate();
-            for l in 0..live {
-                let Some(t) = lane_task[l] else { continue };
-                let action = bank.argmax(l);
-                let step = lane_envs[l].step(action);
-                lane_reward[l] += step.reward;
-                lane_steps[l] += 1;
-                if step.done || lane_steps[l] >= max_steps {
-                    task_reward[t] = lane_reward[l];
-                    task_steps[t] = lane_steps[l];
-                    lane_reward[l] = 0.0;
-                    lane_steps[l] = 0;
-                    if next < tasks.len() {
-                        let (k, seed) = tasks[next];
-                        bank.load_lane(l, &nets[k]);
-                        let obs = lane_envs[l].reset(seed);
-                        bank.set_input(l, &obs);
-                        lane_task[l] = Some(next);
-                        next += 1;
-                    } else {
-                        lane_task[l] = None;
-                    }
-                } else {
-                    bank.set_input(l, &step.obs);
-                }
-            }
-            // Drain-phase compaction: once tasks run out, retired lanes
-            // are swapped out of the live window so the bank stops
-            // spending activation work on them. A swap relocates a lane
-            // bit-identically (the unit of work is the lane, and lanes
-            // never read each other), so results are unchanged.
-            if next >= tasks.len() {
-                let mut l = 0;
-                while l < live {
-                    if lane_task[l].is_some() {
-                        l += 1;
-                        continue;
-                    }
-                    live -= 1;
-                    if l != live {
-                        bank.swap_lanes(l, live);
-                        lane_task.swap(l, live);
-                        lane_reward.swap(l, live);
-                        lane_steps.swap(l, live);
-                        lane_envs.swap(l, live);
-                    }
-                }
-                bank.set_live_lanes(live);
-            }
-        }
-        // Fold per-task outcomes back in task (= episode) order so the
-        // reward sum matches the scalar loop's addition order exactly.
-        for (t, &(k, _)) in tasks.iter().enumerate() {
-            evals[k].fitness += task_reward[t];
-            evals[k].activations += task_steps[t];
-        }
-        for &k in group {
-            evals[k].fitness /= episodes as f64;
-        }
+        nets.iter()
+            .zip(seeds)
+            .map(|(net, &seed)| self.evaluate(net, seed))
+            .collect()
     }
 
     /// Runs the configured number of episodes and returns the mean
@@ -782,46 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_matches_scalar_engine_bit_for_bit() {
-        // A mixed bag of shapes: same-shape initial genomes plus mutants
-        // that fall back to the scalar tier. The batched engine must
-        // produce byte-identical results to the scalar engine.
-        for workload in [Workload::CartPole, Workload::MountainCar] {
-            let cfg = NeatConfig::builder(workload.obs_dim(), workload.n_actions())
-                .build()
-                .unwrap();
-            let mut genomes: Vec<Genome> = (0..10)
-                .map(|s| Genome::new_initial(&cfg, GenomeId(s), &mut StdRng::seed_from_u64(s)))
-                .collect();
-            for (i, g) in genomes.iter_mut().enumerate().take(3) {
-                g.mutate_add_node(&cfg, &mut StdRng::seed_from_u64(50 + i as u64));
-            }
-            for episodes in [1, 3] {
-                let no_batch = EngineOptions {
-                    batch_lanes: 1,
-                    cache: false,
-                };
-                let batch = EngineOptions {
-                    batch_lanes: 4,
-                    cache: false,
-                };
-                let mut scalar = Evaluator::with_options(
-                    workload,
-                    InferenceMode::MultiStep,
-                    episodes,
-                    1,
-                    no_batch,
-                );
-                let mut batched =
-                    Evaluator::with_options(workload, InferenceMode::MultiStep, episodes, 1, batch);
-                let a = scalar.evaluate_genomes(&genomes, &cfg, 99, 0);
-                let b = batched.evaluate_genomes(&genomes, &cfg, 99, 0);
-                assert_eq!(a, b, "{workload} x{episodes}: batched diverged from scalar");
-            }
-        }
-    }
-
-    #[test]
     fn cache_hits_are_bit_identical_and_counted() {
         let workload = Workload::CartPole;
         let cfg = NeatConfig::builder(workload.obs_dim(), workload.n_actions())
@@ -861,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_on_off_and_mixed_agree() {
+    fn cache_on_and_off_agree() {
         let workload = Workload::MountainCar;
         let cfg = NeatConfig::builder(workload.obs_dim(), workload.n_actions())
             .build()
@@ -875,17 +694,11 @@ mod tests {
             let twice = ev.evaluate_genomes(&genomes, &cfg, 5, 1);
             (once, twice)
         };
-        let all_off = run(EngineOptions {
-            batch_lanes: 1,
+        let off = run(EngineOptions {
             cache: false,
+            ..EngineOptions::default()
         });
-        let all_on = run(EngineOptions::default());
-        let mixed = run(EngineOptions {
-            batch_lanes: 8,
-            cache: false,
-        });
-        assert_eq!(all_off, all_on);
-        assert_eq!(all_off, mixed);
+        assert_eq!(off, run(EngineOptions::default()));
     }
 
     #[test]

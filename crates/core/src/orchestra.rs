@@ -228,8 +228,8 @@ pub(crate) fn evaluate_partitioned(
             ev.population = Some(pop.len() as u64);
         });
     // Compute every evaluation first, in genome-id order — remotely over
-    // the attached cluster or on the evaluator's own threads (batched by
-    // shape, cache-filtered) — leaving all
+    // the attached cluster or on the evaluator's own threads
+    // (cache-filtered) — leaving all
     // bookkeeping to the deterministic loop below. Cache hits replay the
     // same accounting as fresh evaluations, so costs and timelines are
     // identical whichever engine features are enabled.

@@ -119,19 +119,10 @@ pub struct ClusterSpec {
     pub episodes: u32,
     /// Full NEAT configuration (genome compilation + reproduction).
     pub cfg: NeatConfig,
-    /// Maximum batched-SoA lanes in each agent's evaluation engine
-    /// (`<= 1` = scalar tier only). Defaulted for wire compatibility
-    /// with peers that predate the field.
-    #[serde(default = "default_batch_lanes")]
-    pub batch_lanes: usize,
     /// Whether the coordinator memoizes evaluations by genome content
     /// (hits are served center-side and never reach the agents).
     #[serde(default = "default_cache")]
     pub cache: bool,
-}
-
-fn default_batch_lanes() -> usize {
-    EngineOptions::default().batch_lanes
 }
 
 fn default_cache() -> bool {
@@ -140,14 +131,13 @@ fn default_cache() -> bool {
 
 impl ClusterSpec {
     /// Spec with the default single episode per evaluation and default
-    /// engine options (batching + caching on).
+    /// engine options (caching on).
     pub fn new(workload: Workload, mode: InferenceMode, cfg: NeatConfig) -> ClusterSpec {
         ClusterSpec {
             workload,
             mode,
             episodes: 1,
             cfg,
-            batch_lanes: default_batch_lanes(),
             cache: default_cache(),
         }
     }
@@ -158,20 +148,19 @@ impl ClusterSpec {
         self
     }
 
-    /// Sets the evaluation-engine options (batch lanes + fitness cache).
+    /// Sets the evaluation-engine options (the fitness cache).
     pub fn with_engine(mut self, options: EngineOptions) -> ClusterSpec {
-        self.batch_lanes = options.batch_lanes;
         self.cache = options.cache;
         self
     }
 
-    /// The engine options an *agent* session runs with: the spec's
-    /// batching tier, caching off — the coordinator's cache filters hits
-    /// before anything crosses the wire, so agents only ever see misses.
+    /// The engine options an *agent* session runs with: caching off —
+    /// the coordinator's cache filters hits before anything crosses the
+    /// wire, so agents only ever see misses.
     pub fn agent_engine_options(&self) -> EngineOptions {
         EngineOptions {
-            batch_lanes: self.batch_lanes,
             cache: false,
+            ..EngineOptions::default()
         }
     }
 }
@@ -783,25 +772,49 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn spec_from_a_peer_predating_the_engine_fields_gets_the_engine_defaults() {
+    fn spec_from_a_peer_predating_the_cache_field_gets_the_engine_default() {
         use serde::{Deserialize, Serialize, Value};
         let cfg = NeatConfig::builder(4, 2).build().unwrap();
         let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, cfg).with_engine(
             EngineOptions {
-                batch_lanes: 7,
                 cache: false,
+                ..EngineOptions::default()
             },
         );
         let Value::Map(mut entries) = spec.to_value() else {
             panic!("named structs serialize as maps");
         };
-        entries.retain(|(key, _)| key != "batch_lanes" && key != "cache");
+        entries.retain(|(key, _)| key != "cache");
         let decoded = ClusterSpec::from_value(&Value::Map(entries)).unwrap();
         // `#[serde(default = "path")]`, not `Default::default()`: an old
-        // peer's spec means "engine defaults", never 0 lanes / no cache.
-        assert_eq!(decoded.batch_lanes, EngineOptions::default().batch_lanes);
+        // peer's spec means "engine defaults", never "no cache".
         assert_eq!(decoded.cache, EngineOptions::default().cache);
-        assert_eq!((decoded.batch_lanes, decoded.cache), (32, true));
+        assert!(decoded.cache);
+    }
+
+    #[test]
+    fn configure_from_a_peer_still_sending_batch_lanes_decodes() {
+        // Older coordinators sent the SoA lane count in the spec; the key
+        // is ignored now, and the rest of the spec still arrives intact.
+        let cfg = NeatConfig::builder(4, 2).build().unwrap();
+        let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, cfg)
+            .with_episodes(3)
+            .with_engine(EngineOptions {
+                cache: false,
+                ..EngineOptions::default()
+            });
+        let json = serde_json::to_string(&spec).unwrap();
+        let old = json.replacen('{', "{\"batch_lanes\":7,", 1);
+        assert!(old.contains("\"batch_lanes\":7"), "{old}");
+        let mut frame = encode(&WireMessage::Configure(Box::new(spec.clone())));
+        let header = frame.len() - 4 - json.len();
+        frame.truncate(header);
+        frame.extend_from_slice(&(old.len() as u32).to_le_bytes());
+        frame.extend_from_slice(old.as_bytes());
+        assert_eq!(
+            decode(&frame).unwrap(),
+            WireMessage::Configure(Box::new(spec))
+        );
     }
 
     fn sample_genomes(n: usize) -> (NeatConfig, Vec<Genome>) {

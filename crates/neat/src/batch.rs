@@ -1,30 +1,30 @@
 //! Batched structure-of-arrays activation: evaluate same-shape networks
 //! in lockstep.
 //!
-//! A NEAT population is structurally clumpy — elites, their offspring,
-//! and most weight-mutated children share the *exact* compiled topology
-//! (same node order, same incoming slot lists) and differ only in
-//! weights, biases, and responses. [`ShapeKey`] captures that compiled
-//! layout; networks with equal keys can be packed into a
-//! [`BatchedNetwork`], which stores each per-genome parameter as a
-//! lane-contiguous array (`[edge][lane]`, `[node][lane]`) and evaluates
-//! all lanes per node in one pass. The inner loop becomes dense strided
-//! array arithmetic over shared slot indices instead of per-genome
-//! pointer-chasing node walks — the GeneSys batching argument applied to
-//! the CLAN evaluator.
+//! Same-shape networks — equal compiled plans that differ only in
+//! weights, biases and responses — share a [`ShapeKey`] and can be
+//! packed into a [`BatchedNetwork`], which stores each per-genome
+//! parameter lane-contiguously (`[edge][lane]`, `[node][lane]`) and
+//! evaluates all lanes per node in one pass.
 //!
-//! # Bit-identity contract
+//! No evaluation path runs this tier: it loses per lane to
+//! [`FeedForwardNetwork::activate_into`] on every benchmark shape, so the
+//! engine runs every genome through that kernel. It stays as the subject
+//! of the benchmark's `batch.activate_ns_per_lane` probe and the
+//! `batched_inference` criterion bench.
 //!
-//! Every lane must produce *bit-identical* results to
-//! [`FeedForwardNetwork::activate_into`] on the same genome:
+//! # Lanes against the scalar kernel
 //!
-//! - `Sum` aggregation accumulates weighted inputs in compiled edge
-//!   order starting from `0.0`, exactly matching the scalar tier's
-//!   `iter().map(..).sum()` fold.
+//! Each lane repeats [`FeedForwardNetwork::activate_into`]'s arithmetic
+//! on the same genome:
+//!
+//! - `Sum` aggregation accumulates weighted inputs in compiled edge order,
+//!   but from `0.0` where the scalar kernel starts from `−0.0`
+//!   (`Iterator::<f64>::sum`). So the two differ on a `Sum` node with no
+//!   enabled in-edge and a bias of `−0.0`: the lane yields `+0.0`, the
+//!   scalar kernel `−0.0`. An argmax treats the two as equal.
 //! - Non-`Sum` aggregations stage the weighted inputs per lane in edge
 //!   order and call the same [`Aggregation::apply`].
-//! - Per-lane argmax replicates the scalar tier's last-max-wins `is_ge`
-//!   tie-break.
 //!
 //! Shapes are grouped by exact structural equality (no hashing
 //! shortcut), so a lane can never be loaded into a mismatched plan.
@@ -84,11 +84,7 @@ struct BatchNode {
 pub struct BatchedNetwork {
     shape: ShapeKey,
     num_inputs: usize,
-    num_outputs: usize,
     lanes: usize,
-    /// Lanes `0..live` are computed by [`activate`](Self::activate);
-    /// lanes `live..lanes` are parked (drain-phase compaction).
-    live: usize,
     nodes: Vec<BatchNode>,
     /// CSR slot indices of incoming edges, concatenated over nodes.
     slots: Vec<usize>,
@@ -101,7 +97,6 @@ pub struct BatchedNetwork {
     /// Node responses, `[node][lane]`.
     response: Vec<f64>,
     output_slots: Vec<usize>,
-    genes_per_activation: u64,
     /// Value slots, `[slot][lane]`: inputs first, then nodes in
     /// topological order. Input rows are written by
     /// [`set_input`](Self::set_input) and persist across activations.
@@ -140,9 +135,7 @@ impl BatchedNetwork {
         BatchedNetwork {
             shape: ShapeKey::of(template),
             num_inputs: template.num_inputs(),
-            num_outputs: template.num_outputs(),
             lanes,
-            live: lanes,
             nodes,
             weights: vec![0.0; slots.len() * lanes],
             slots,
@@ -150,85 +143,11 @@ impl BatchedNetwork {
             bias: vec![0.0; tnodes.len() * lanes],
             response: vec![0.0; tnodes.len() * lanes],
             output_slots: template.output_slot_list().to_vec(),
-            genes_per_activation: template.genes_per_activation(),
             values: vec![0.0; num_slots * lanes],
             staged: Vec::with_capacity(max_deg),
             acc: vec![0.0; lanes],
             outputs: vec![0.0; template.num_outputs() * lanes],
         }
-    }
-
-    /// Number of lanes in the bank.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of lanes [`activate`](Self::activate) currently computes.
-    pub fn live_lanes(&self) -> usize {
-        self.live
-    }
-
-    /// Restricts [`activate`](Self::activate) to lanes `0..n`.
-    ///
-    /// Parked lanes keep their parameters and values but cost nothing
-    /// per activation. Callers compact active work into the low lanes
-    /// with [`swap_lanes`](Self::swap_lanes) before shrinking, and may
-    /// grow `n` back up to [`lanes`](Self::lanes) at any time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the bank's lane count.
-    pub fn set_live_lanes(&mut self, n: usize) {
-        assert!(n <= self.lanes, "live lanes {n} out of {}", self.lanes);
-        self.live = n;
-    }
-
-    /// Swaps every per-lane value (parameters, input/node values, and
-    /// last outputs) between two lanes.
-    ///
-    /// Lane arithmetic only ever reads a lane's own entries, so a swap
-    /// relocates a lane bit-identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either lane is out of range.
-    pub fn swap_lanes(&mut self, a: usize, b: usize) {
-        assert!(a < self.lanes && b < self.lanes, "lane out of range");
-        if a == b {
-            return;
-        }
-        let lanes = self.lanes;
-        let rows = |buf: &mut [f64], width: usize| {
-            for row in 0..width {
-                buf.swap(row * lanes + a, row * lanes + b);
-            }
-        };
-        rows(&mut self.weights, self.slots.len());
-        rows(&mut self.bias, self.nodes.len());
-        rows(&mut self.response, self.nodes.len());
-        rows(&mut self.values, self.num_inputs + self.nodes.len());
-        rows(&mut self.outputs, self.num_outputs);
-    }
-
-    /// Number of expected inputs per lane.
-    pub fn num_inputs(&self) -> usize {
-        self.num_inputs
-    }
-
-    /// Number of outputs per lane.
-    pub fn num_outputs(&self) -> usize {
-        self.num_outputs
-    }
-
-    /// Genes touched per activation *per lane* — identical for every
-    /// network of this shape.
-    pub fn genes_per_activation(&self) -> u64 {
-        self.genes_per_activation
-    }
-
-    /// The structural signature this bank was built for.
-    pub fn shape(&self) -> &ShapeKey {
-        &self.shape
     }
 
     /// Loads `net`'s parameters (weights, biases, responses) into `lane`.
@@ -263,8 +182,8 @@ impl BatchedNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range or `obs.len()` differs from
-    /// [`num_inputs`](Self::num_inputs).
+    /// Panics if `lane` is out of range or `obs.len()` differs from the
+    /// template's input count.
     pub fn set_input(&mut self, lane: usize, obs: &[f64]) {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
         assert_eq!(
@@ -279,21 +198,19 @@ impl BatchedNetwork {
         }
     }
 
-    /// Runs one forward pass for every **live** lane (all lanes unless
-    /// shrunk via [`set_live_lanes`](Self::set_live_lanes)).
+    /// Runs one forward pass for every lane.
     ///
     /// Each lane's arithmetic matches
-    /// [`FeedForwardNetwork::activate_into`] bit for bit: `Sum` nodes
-    /// accumulate weighted inputs in edge order from `0.0` (the
-    /// edge-outer/lane-inner kernel touches contiguous lane rows per
-    /// edge but keeps each lane's addition sequence identical); other
-    /// aggregations stage per-lane weighted inputs in edge order and
-    /// apply the shared [`Aggregation`].
+    /// [`FeedForwardNetwork::activate_into`] bit for bit but for the sign
+    /// of an empty sum (module docs): `Sum` nodes accumulate weighted
+    /// inputs in edge order from `0.0` (the edge-outer/lane-inner kernel
+    /// touches contiguous lane rows per edge but keeps each lane's
+    /// addition sequence identical); other aggregations stage per-lane
+    /// weighted inputs in edge order and apply the shared [`Aggregation`].
     pub fn activate(&mut self) {
         let BatchedNetwork {
             num_inputs,
             lanes,
-            live,
             nodes,
             slots,
             edge_off,
@@ -307,32 +224,31 @@ impl BatchedNetwork {
             outputs,
             ..
         } = self;
-        let (ni, lanes, live) = (*num_inputs, *lanes, *live);
+        let (ni, lanes) = (*num_inputs, *lanes);
         for (i, node) in nodes.iter().enumerate() {
             let (e0, e1) = (edge_off[i], edge_off[i + 1]);
             let out_base = (ni + i) * lanes;
             match node.aggregation {
                 Aggregation::Sum => {
-                    let acc = &mut acc[..live];
                     acc.fill(0.0);
                     for e in e0..e1 {
                         // Slice rows so the lane loop is bounds-check
                         // free and vectorizes.
-                        let vrow = &values[slots[e] * lanes..][..live];
-                        let wrow = &weights[e * lanes..][..live];
+                        let vrow = &values[slots[e] * lanes..][..lanes];
+                        let wrow = &weights[e * lanes..][..lanes];
                         for ((a, v), w) in acc.iter_mut().zip(vrow).zip(wrow) {
                             *a += v * w;
                         }
                     }
-                    let brow = &bias[i * lanes..][..live];
-                    let rrow = &response[i * lanes..][..live];
-                    let orow = &mut values[out_base..][..live];
+                    let brow = &bias[i * lanes..][..lanes];
+                    let rrow = &response[i * lanes..][..lanes];
+                    let orow = &mut values[out_base..][..lanes];
                     for (((o, &a), &b), &r) in orow.iter_mut().zip(acc.iter()).zip(brow).zip(rrow) {
                         *o = node.activation.apply(b + r * a);
                     }
                 }
                 agg => {
-                    for l in 0..live {
+                    for l in 0..lanes {
                         staged.clear();
                         staged.extend(
                             (e0..e1).map(|e| values[slots[e] * lanes + l] * weights[e * lanes + l]),
@@ -348,37 +264,13 @@ impl BatchedNetwork {
         for (j, &slot) in output_slots.iter().enumerate() {
             let src = slot * lanes;
             let dst = j * lanes;
-            outputs[dst..dst + live].copy_from_slice(&values[src..src + live]);
+            outputs[dst..dst + lanes].copy_from_slice(&values[src..src + lanes]);
         }
     }
 
     /// One output value of the last [`activate`](Self::activate) call.
     pub fn output(&self, lane: usize, output: usize) -> f64 {
         self.outputs[output * self.lanes + lane]
-    }
-
-    /// Copies one lane's outputs of the last activation into `out`.
-    pub fn copy_outputs(&self, lane: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.num_outputs).map(|j| self.outputs[j * self.lanes + lane]));
-    }
-
-    /// Argmax over one lane's outputs — the discrete-action policy step.
-    ///
-    /// Matches [`FeedForwardNetwork::act_argmax_with`] exactly: among
-    /// exact ties the *last* maximal output wins, and a NaN never beats a
-    /// number.
-    pub fn argmax(&self, lane: usize) -> usize {
-        let mut best = 0;
-        let mut best_v = self.outputs[lane];
-        for j in 1..self.num_outputs {
-            let v = self.outputs[j * self.lanes + lane];
-            if v >= best_v || best_v.is_nan() {
-                best = j;
-                best_v = v;
-            }
-        }
-        best
     }
 }
 
@@ -394,6 +286,10 @@ mod tests {
 
     fn cfg(i: usize, o: usize) -> NeatConfig {
         NeatConfig::builder(i, o).build().unwrap()
+    }
+
+    fn lane_outputs(bank: &BatchedNetwork, lane: usize, n: usize) -> Vec<f64> {
+        (0..n).map(|j| bank.output(lane, j)).collect()
     }
 
     #[test]
@@ -433,7 +329,6 @@ mod tests {
             bank.load_lane(lane, net);
         }
         let mut scratch = Scratch::new();
-        let mut out = Vec::new();
         for step in 0..25 {
             let x = step as f64 / 9.0;
             let inputs = [x, -x, 0.5 * x, 1.0 - x, x * x - 2.0];
@@ -443,12 +338,10 @@ mod tests {
             bank.activate();
             for (lane, net) in nets.iter().enumerate() {
                 let scalar = net.activate_into(&inputs, &mut scratch);
-                bank.copy_outputs(lane, &mut out);
-                assert_eq!(scalar, out.as_slice(), "lane {lane} step {step}");
                 assert_eq!(
-                    net.act_argmax_with(&inputs, &mut scratch),
-                    bank.argmax(lane),
-                    "argmax lane {lane} step {step}"
+                    scalar,
+                    lane_outputs(&bank, lane, 3),
+                    "lane {lane} step {step}"
                 );
             }
         }
@@ -485,7 +378,6 @@ mod tests {
             bank.load_lane(0, &nets[0]);
             bank.load_lane(1, &nets[1]);
             let mut scratch = Scratch::new();
-            let mut out = Vec::new();
             for step in 0..15 {
                 let x = step as f64 / 4.0 - 1.5;
                 let inputs = [x, -x, x * 0.25, 1.0];
@@ -494,10 +386,9 @@ mod tests {
                 bank.activate();
                 for (lane, net) in nets.iter().enumerate() {
                     let scalar = net.activate_into(&inputs, &mut scratch);
-                    bank.copy_outputs(lane, &mut out);
                     assert_eq!(
                         scalar,
-                        out.as_slice(),
+                        lane_outputs(&bank, lane, 2),
                         "seed {seed} lane {lane} step {step}"
                     );
                 }
@@ -523,15 +414,12 @@ mod tests {
         bank.activate();
         let mut scratch = Scratch::new();
         let live = net_a.activate_into(&[0.3, -0.7], &mut scratch).to_vec();
-        let mut out = Vec::new();
-        bank.copy_outputs(0, &mut out);
-        assert_eq!(live.as_slice(), out.as_slice());
+        assert_eq!(live, lane_outputs(&bank, 0, 2));
         // Advance only lane 1's input; lane 0 stays on its stale obs and
         // keeps producing the identical value.
         bank.set_input(1, &[-1.0, 2.0]);
         bank.activate();
-        bank.copy_outputs(0, &mut out);
-        assert_eq!(live.as_slice(), out.as_slice());
+        assert_eq!(live, lane_outputs(&bank, 0, 2));
     }
 
     #[test]
@@ -556,54 +444,6 @@ mod tests {
         assert_eq!(
             bank.output(0, 0),
             net_b.activate_into(&inputs, &mut scratch)[0]
-        );
-    }
-
-    #[test]
-    fn swapping_lanes_and_shrinking_live_keeps_results_bit_identical() {
-        // Drain-phase compaction: move the surviving lane to slot 0,
-        // shrink the live window, and keep getting the exact scalar
-        // results while parked lanes cost nothing and hold stale data.
-        let cfg = cfg(3, 2);
-        let nets: Vec<_> = (0..4)
-            .map(|s| {
-                let g = Genome::new_initial(&cfg, GenomeId(s), &mut StdRng::seed_from_u64(20 + s));
-                FeedForwardNetwork::compile(&g, &cfg)
-            })
-            .collect();
-        let mut bank = BatchedNetwork::from_template(&nets[0], 4);
-        for (lane, net) in nets.iter().enumerate() {
-            bank.load_lane(lane, net);
-        }
-        let inputs = [0.4, -0.9, 1.3];
-        for lane in 0..4 {
-            bank.set_input(lane, &inputs);
-        }
-        bank.activate();
-        let mut scratch = Scratch::new();
-        let mut out = Vec::new();
-        // Pretend lanes 0-2 finished: lane 3 survives, compacted to 0.
-        bank.swap_lanes(0, 3);
-        bank.set_live_lanes(1);
-        assert_eq!(bank.live_lanes(), 1);
-        let next = [-0.2, 0.8, 0.1];
-        bank.set_input(0, &next);
-        bank.activate();
-        bank.copy_outputs(0, &mut out);
-        assert_eq!(
-            nets[3].activate_into(&next, &mut scratch),
-            out.as_slice(),
-            "compacted lane must track its network exactly"
-        );
-        assert_eq!(nets[3].act_argmax_with(&next, &mut scratch), bank.argmax(0));
-        // Growing the window back re-exposes the parked lanes untouched.
-        bank.set_live_lanes(4);
-        bank.activate();
-        bank.copy_outputs(3, &mut out);
-        assert_eq!(
-            nets[0].activate_into(&inputs, &mut scratch),
-            out.as_slice(),
-            "parked lane kept its swapped-in parameters and inputs"
         );
     }
 

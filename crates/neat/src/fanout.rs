@@ -13,7 +13,7 @@
 pub const GENE_FLOOR: u64 = 32_768;
 
 /// This machine's core count, as far as the process may use it.
-pub(crate) fn cores() -> usize {
+pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 

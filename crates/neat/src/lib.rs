@@ -67,22 +67,11 @@
 //! config); the phase primitives it is built from stay public so a
 //! deployment can run each block somewhere else.
 //!
-//! ## Batched inference & fitness cache
+//! ## Fitness cache, and the SoA probe
 //!
-//! Two engine-level optimizations sit on top of the scratch tier, both
-//! contractually bit-identical to it (pinned by
-//! `tests/cache_equivalence.rs`); the `clan-core` evaluators own and
-//! drive both:
-//!
-//! - **Structure-of-arrays batching** ([`batch`]). NEAT populations are
-//!   full of same-shape networks (clones, elites, weight-mutated
-//!   siblings). [`BatchedNetwork`] groups compiled networks by
-//!   [`ShapeKey`] — the CSR layout signature from
-//!   [`FeedForwardNetwork::compile`] — packs the group's weights into
-//!   contiguous lanes, and activates all lanes in lockstep, turning the
-//!   per-genome node walk into dense array sweeps. Genomes whose shape
-//!   is unique in a round simply take the scalar [`Scratch`] tier.
-//! - **Content-addressed caching** ([`cache`]). Elites and unmutated
+//! - **Content-addressed caching** ([`cache`]), bit-identical to a fresh
+//!   evaluation (pinned by `tests/cache_equivalence.rs`) and driven by
+//!   the `clan-core` evaluators. Elites and unmutated
 //!   crossover survivors re-enter evaluation every generation under
 //!   fresh ids. [`Genome::content_hash`] gives them a canonical name —
 //!   stable under gene reordering, blind to id/fitness, sensitive to
@@ -92,6 +81,11 @@
 //!   *exactly* the episodes a fresh run would, so serving it from the
 //!   cache is bit-identical and skips both compilation and every
 //!   environment step.
+//! - **Structure-of-arrays batching** ([`batch`]): [`BatchedNetwork`]
+//!   activates same-shape networks ([`ShapeKey`]) in lockstep lanes. It
+//!   loses per lane to [`FeedForwardNetwork::activate_into`] on every
+//!   benchmark shape, so no evaluation path runs it; it is only the
+//!   subject of the benchmark's SoA probe.
 //!
 //! ## Quickstart
 //!

@@ -16,6 +16,14 @@
 //! episodes, and networks; after the buffers have grown to a network's
 //! size once, no heap allocation happens per step.
 //!
+//! A node's `Sum` is one dependent chain of adds, so a lone node waits on
+//! the add latency once per edge. Compilation therefore cuts the plan
+//! into runs of up to four consecutive `Sum` nodes that read no slot the
+//! run writes, and activation folds a run's nodes together, four chains
+//! in flight. Each node still folds its own edges in its own order from
+//! its own start, so every output is bit-identical to evaluating one
+//! node at a time.
+//!
 //! Compilation itself is also on the per-generation hot path (every
 //! genome recompiles every generation), so it runs entirely on indexed
 //! `Vec` passes over the genome's key-ordered gene runs: a node is named
@@ -27,15 +35,24 @@ use crate::config::NeatConfig;
 use crate::error::NeatError;
 use crate::gene::{GenomeId, NodeId};
 use crate::genome::Genome;
-use serde::{Deserialize, Serialize};
+
+/// Most `Sum` nodes [`activate_into`](FeedForwardNetwork::activate_into)
+/// folds together: four add chains in flight hide the add latency, and
+/// eight measured no better.
+const RUN: usize = 4;
 
 /// One node's compiled evaluation plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct EvalNode {
     pub(crate) bias: f64,
     pub(crate) response: f64,
     pub(crate) activation: Activation,
     pub(crate) aggregation: Aggregation,
+    /// Nodes from this one on that activation evaluates together, decided
+    /// at compile time: 1..=[`RUN`] on the first node of a run, 0 inside
+    /// one. A run longer than 1 is `Sum` nodes that read no slot the run
+    /// writes.
+    pub(crate) run: u8,
     /// `(value_slot, weight)` pairs for incoming enabled connections.
     pub(crate) incoming: Vec<(usize, f64)>,
 }
@@ -45,8 +62,9 @@ pub(crate) struct EvalNode {
 /// A `Scratch` grows to the largest network it has served and then stays
 /// at that size, so a per-worker (or per-episode-loop) instance makes
 /// every subsequent [`FeedForwardNetwork::activate_into`] call free of
-/// heap allocation. Buffers are wiped per call; no state leaks between
-/// activations, so one `Scratch` may serve many different networks.
+/// heap allocation. Each call writes every value slot before it reads
+/// one, so no state leaks between activations and one `Scratch` may
+/// serve many different networks.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
     /// Value slots: inputs first, then nodes in topological order.
@@ -87,7 +105,7 @@ impl Scratch {
 /// assert_eq!(out.len(), 1);
 /// # Ok::<(), clan_neat::NeatError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeedForwardNetwork {
     genome_id: GenomeId,
     num_inputs: usize,
@@ -307,16 +325,30 @@ impl FeedForwardNetwork {
                 incoming[e.dst].push((slot_of_src(e.src), e.weight));
             }
         }
-        let mut nodes = Vec::with_capacity(order.len());
-        for &n in &order {
+        let mut nodes: Vec<EvalNode> = Vec::with_capacity(order.len());
+        // Runs for the grouped kernel: a `Sum` node joins the open run
+        // while it has room and reads only slots written before the run.
+        let mut start = 0;
+        for (i, &n) in order.iter().enumerate() {
             let gene = genome.nodes().as_slice()[n as usize].1;
+            let incoming = std::mem::take(&mut incoming[n as usize]);
+            let joins = i > start
+                && i - start < RUN
+                && nodes[start].aggregation == Aggregation::Sum
+                && gene.aggregation == Aggregation::Sum
+                && incoming.iter().all(|&(slot, _)| slot < num_inputs + start);
+            if !joins {
+                start = i;
+            }
             nodes.push(EvalNode {
                 bias: gene.bias,
                 response: gene.response,
                 activation: gene.activation,
                 aggregation: gene.aggregation,
-                incoming: std::mem::take(&mut incoming[n as usize]),
+                run: 0,
+                incoming,
             });
+            nodes[start].run += 1;
         }
         let output_slots = queue[..cfg.num_outputs]
             .iter()
@@ -385,30 +417,58 @@ impl FeedForwardNetwork {
             weighted,
             outputs,
         } = scratch;
-        values.clear();
+        // No fill: every node slot is written before any node reads it.
         values.resize(self.num_inputs + self.nodes.len(), 0.0);
         values[..self.num_inputs].copy_from_slice(inputs);
-        for (i, node) in self.nodes.iter().enumerate() {
-            let agg = match node.aggregation {
-                // Sum (the common case) needs no staging buffer. THE
-                // canonical per-edge order: `Aggregation::apply` and the SoA
-                // kernel match this fold (`sum_runs_left_to_right_…` pins it).
-                Aggregation::Sum => node
-                    .incoming
-                    .iter()
-                    .map(|&(slot, w)| values[slot] * w)
-                    .sum(),
-                _ => {
+        let mut i = 0;
+        while i < self.nodes.len() {
+            let node = &self.nodes[i];
+            match (node.run, node.aggregation) {
+                (4, _) => self.sum_run::<4>(i, values),
+                (3, _) => self.sum_run::<3>(i, values),
+                (2, _) => self.sum_run::<2>(i, values),
+                (_, Aggregation::Sum) => self.sum_run::<1>(i, values),
+                (_, agg) => {
                     weighted.clear();
                     weighted.extend(node.incoming.iter().map(|&(slot, w)| values[slot] * w));
-                    node.aggregation.apply(weighted)
+                    let agg = agg.apply(weighted);
+                    values[self.num_inputs + i] =
+                        node.activation.apply(node.bias + node.response * agg);
                 }
-            };
-            values[self.num_inputs + i] = node.activation.apply(node.bias + node.response * agg);
+            }
+            i += usize::from(node.run);
         }
         outputs.clear();
         outputs.extend(self.output_slots.iter().map(|&s| values[s]));
         outputs
+    }
+
+    /// Evaluates the run of `W` `Sum` nodes starting at plan index `at`,
+    /// their add chains interleaved over the edges they all have. THE
+    /// canonical per-edge order: each node still folds its own edges left
+    /// to right from −0.0, where `Iterator::<f64>::sum` starts (so a node
+    /// with no edge keeps the sign of its bias) — `Aggregation::apply` and
+    /// the SoA kernel keep this edge order (the latter from +0.0, see
+    /// [`crate::batch`]), `sum_runs_left_to_right_…` pins it.
+    #[inline(always)]
+    fn sum_run<const W: usize>(&self, at: usize, values: &mut [f64]) {
+        let nodes = &self.nodes[at..at + W];
+        let common = nodes.iter().map(|n| n.incoming.len()).min().unwrap_or(0);
+        let heads: [&[(usize, f64)]; W] = std::array::from_fn(|j| &nodes[j].incoming[..common]);
+        let mut acc = [-0.0f64; W];
+        for k in 0..common {
+            for (a, head) in acc.iter_mut().zip(&heads) {
+                let (slot, w) = head[k];
+                *a += values[slot] * w;
+            }
+        }
+        for (j, node) in nodes.iter().enumerate() {
+            for &(slot, w) in &node.incoming[common..] {
+                acc[j] += values[slot] * w;
+            }
+            values[self.num_inputs + at + j] =
+                node.activation.apply(node.bias + node.response * acc[j]);
+        }
     }
 
     /// Index of the maximum output — the usual discrete-action policy —
@@ -733,6 +793,160 @@ mod tests {
         );
         let net = FeedForwardNetwork::try_compile(&g, &cfg(3, 1)).unwrap();
         assert_eq!(outputs(&net, &[1.0; 3])[0].to_bits(), 6.0f64.to_bits());
+    }
+
+    /// The fold the grouped kernel must match bit for bit: one node at a
+    /// time, each `Sum` the plain left fold of `Iterator::<f64>::sum`.
+    fn reference(net: &FeedForwardNetwork, inputs: &[f64]) -> Vec<f64> {
+        let mut values = inputs.to_vec();
+        for node in &net.nodes {
+            let weighted = node.incoming.iter().map(|&(slot, w)| values[slot] * w);
+            let agg = match node.aggregation {
+                Aggregation::Sum => weighted.sum(),
+                agg => agg.apply(&weighted.collect::<Vec<_>>()),
+            };
+            values.push(node.activation.apply(node.bias + node.response * agg));
+        }
+        net.output_slots.iter().map(|&s| values[s]).collect()
+    }
+
+    /// A network of `Identity` nodes `(id, bias, aggregation)` and enabled
+    /// connections `(input, output, weight)`, compiled for `outputs`.
+    fn identity_net(
+        inputs: usize,
+        outputs: usize,
+        nodes: &[(i64, f64, Aggregation)],
+        conns: &[(i64, i64, f64)],
+    ) -> FeedForwardNetwork {
+        use crate::gene::{ConnGene, ConnKey, NodeGene};
+        let nodes = nodes.iter().map(|&(id, bias, aggregation)| {
+            let gene = NodeGene {
+                bias,
+                activation: Activation::Identity,
+                aggregation,
+                ..NodeGene::default()
+            };
+            (NodeId(id), gene)
+        });
+        let conns = conns.iter().map(|&(i, o, weight)| {
+            let gene = ConnGene {
+                weight,
+                enabled: true,
+            };
+            (ConnKey::new(NodeId(i), NodeId(o)), gene)
+        });
+        let g = Genome::from_parts(GenomeId(1), nodes.collect(), conns.collect());
+        FeedForwardNetwork::try_compile(&g, &cfg(inputs, outputs)).unwrap()
+    }
+
+    /// Runs `net` on each input row through one reused scratch and asserts
+    /// the reference's exact bits every time.
+    fn assert_reference_bits(net: &FeedForwardNetwork, rows: &[&[f64]]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = Scratch::new();
+        for (r, inputs) in rows.iter().enumerate() {
+            let want = bits(&reference(net, inputs));
+            assert_eq!(
+                bits(net.activate_into(inputs, &mut scratch)),
+                want,
+                "row {r}"
+            );
+        }
+    }
+
+    fn runs(net: &FeedForwardNetwork) -> Vec<u8> {
+        net.nodes.iter().map(|n| n.run).collect()
+    }
+
+    #[test]
+    fn grouped_sums_keep_each_nodes_own_fold() {
+        // Six independent outputs, rows of 1..=5 edges whose terms cancel
+        // catastrophically (see `sum_runs_left_to_right_over_the_edges`),
+        // so a term that lands in the wrong accumulator or a tail folded
+        // out of order changes the bits.
+        let terms = [1e16, 3.0, -1e16 + 2.0, 0.5, -7.25];
+        let nodes: Vec<_> = (0..6)
+            .map(|o| (o, 0.125 * o as f64, Aggregation::Sum))
+            .collect();
+        let conns: Vec<_> = (0..6i64)
+            .flat_map(|o| {
+                let len = 1 + (o as usize * 3) % 5;
+                (0..len).map(move |k| (-(k as i64) - 1, o, terms[(k + o as usize) % 5]))
+            })
+            .collect();
+        let net = identity_net(5, 6, &nodes, &conns);
+        assert_eq!(runs(&net), [4, 0, 0, 0, 2, 0]);
+        assert_reference_bits(
+            &net,
+            &[
+                &[1.0; 5],
+                &[1.0, 1.0, 1.0, 0.3, -1.1],
+                &[-2.0, 0.5, 1e-3, 7.0, 1.0],
+            ],
+        );
+    }
+
+    #[test]
+    fn a_non_sum_node_splits_a_run() {
+        let nodes: Vec<_> = (0..5)
+            .map(|o| {
+                let agg = if o == 2 {
+                    Aggregation::Max
+                } else {
+                    Aggregation::Sum
+                };
+                (o, -0.5 + o as f64, agg)
+            })
+            .collect();
+        let conns: Vec<_> = (0..5i64)
+            .flat_map(|o| (1..=3).map(move |i| (-i, o, 0.75 * i as f64 - 0.3 * o as f64)))
+            .collect();
+        let net = identity_net(3, 5, &nodes, &conns);
+        assert_eq!(runs(&net), [2, 0, 1, 2, 0]);
+        assert_reference_bits(&net, &[&[0.2, -1.5, 3.0], &[1.0, 1.0, -1.0]]);
+    }
+
+    #[test]
+    fn a_node_reading_its_predecessor_starts_a_new_run() {
+        // Plan order 0, 5, 1: output 1 reads hidden node 5 over the edges
+        // all three share, so inside one run it would read 5's slot before
+        // 5 is written.
+        let sum = Aggregation::Sum;
+        let net = identity_net(
+            2,
+            2,
+            &[(0, 0.1, sum), (1, 0.2, sum), (5, -0.3, sum)],
+            &[
+                (-1, 0, 1.5),
+                (-2, 0, -0.5),
+                (-1, 5, 2.0),
+                (-2, 5, 0.25),
+                (-1, 1, -1.0),
+                (5, 1, 3.0),
+            ],
+        );
+        assert_eq!(runs(&net), [2, 0, 1]);
+        assert_reference_bits(&net, &[&[0.5, -0.25], &[2.0, 1.0], &[-1.0, 4.0]]);
+    }
+
+    #[test]
+    fn a_node_with_no_edge_keeps_the_sign_of_a_negative_zero_bias() {
+        // −0.0 + 1.0 × (the empty fold) is −0.0 only if the fold starts at
+        // −0.0; from 0.0 it would be +0.0. Alone and inside a run.
+        let sum = Aggregation::Sum;
+        let alone = identity_net(1, 1, &[(0, -0.0, sum)], &[]);
+        let grouped = identity_net(
+            1,
+            3,
+            &[(0, 1.0, sum), (1, -0.0, sum), (2, 0.0, sum)],
+            &[(-1, 0, 2.0), (-1, 2, -1.0)],
+        );
+        assert_eq!(runs(&grouped), [3, 0, 0]);
+        for (net, output) in [(&alone, 0), (&grouped, 1)] {
+            let out = outputs(net, &[1.0]);
+            assert_eq!(out[output].to_bits(), (-0.0f64).to_bits(), "{out:?}");
+            assert_reference_bits(net, &[&[1.0], &[-3.0]]);
+        }
     }
 
     #[test]

@@ -64,8 +64,7 @@ clan-cli — CLAN: collaborative neuroevolution on simulated edge clusters
 USAGE:
   clan-cli run   [--workload W] [--topology T] [--agents N] [--generations N]
                  [--population N] [--seed N] [--platform P] [--single-step]
-                 [--episodes N] [--eval-threads N]
-                 [--batch-lanes N | --no-batch] [--no-cache]
+                 [--episodes N] [--eval-threads N] [--no-cache]
                  [--trace FILE] [--trace-chrome FILE]
                  [--trace-ring N [--postmortem FILE]] [--status-addr ADDR]
                  [--async [--total-evals N] [--tournament-size K]
@@ -105,10 +104,8 @@ results are bit-identical to serial, only wall-clock time changes.
 host, extra threads cannot speed anything up — bench reports mark such
 rows flat_expected.)
 
---batch-lanes N sets the SoA batch width for lockstep evaluation of
-same-shape networks (default 32); --no-batch is --batch-lanes 1.
 --no-cache disables the content-addressed fitness cache that lets
-elites and unmutated survivors skip re-evaluation. Both change only
+elites and unmutated survivors skip re-evaluation. It changes only
 wall-clock time, never the evolved result.
 
 --churn k1@2,r1@4 kills agent 1 before round 2 and revives it before
@@ -185,6 +182,14 @@ fn validate_flags(command: &str, flags: &Flags) -> Result<(), UsageError> {
             return Err(UsageError(format!(
                 "{f} was removed: work is pulled by whichever agent is free; there is \
                  nothing to weight or retry"
+            )));
+        }
+    }
+    for f in ["--batch-lanes", "--no-batch"] {
+        if flags.has(f) {
+            return Err(UsageError(format!(
+                "{f} was removed: every network runs through the one activation kernel; \
+                 there is no batch width to set"
             )));
         }
     }
@@ -302,14 +307,6 @@ fn build_driver(flags: &Flags) -> Result<ClanDriverBuilder, String> {
         .platform(parse_platform(flags.get("--platform").unwrap_or("pi"))?);
     if flags.has("--single-step") {
         builder = builder.single_step();
-    }
-    if flags.has("--no-batch") && flags.get("--batch-lanes").is_some() {
-        return Err("--no-batch and --batch-lanes are mutually exclusive".into());
-    }
-    if flags.has("--no-batch") {
-        builder = builder.batch_lanes(1);
-    } else if flags.get("--batch-lanes").is_some() {
-        builder = builder.batch_lanes(flags.parse("--batch-lanes", 32usize)?);
     }
     if flags.has("--no-cache") {
         builder = builder.fitness_cache(false);
@@ -887,6 +884,18 @@ mod tests {
             );
         }
         assert!(validate_flags("coordinate", &flags(&["--min-agents", "2"])).is_ok());
+    }
+
+    #[test]
+    fn removed_batch_flags_are_usage_errors() {
+        for removed in [&["--batch-lanes", "8"][..], &["--no-batch"]] {
+            for command in ["run", "solve", "coordinate"] {
+                let err = validate_flags(command, &flags(removed)).unwrap_err();
+                assert!(err.0.contains(removed[0]), "{err:?}");
+                assert!(err.0.contains("one activation kernel"), "{err:?}");
+            }
+        }
+        assert!(validate_flags("run", &flags(&["--no-cache"])).is_ok());
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! The batched evaluation engine and the content-addressed fitness cache
-//! must not change the evolutionary computation: the `no-batch`, `no-cache`
-//! and `no-batch-no-cache` matrix rows (`tests/common/mod.rs`). Also pins
+//! The content-addressed fitness cache must not change the evolutionary
+//! computation: the `no-cache` matrix row (`tests/common/mod.rs`). Also pins
 //! the canonical genome hash the cache keys on: stable under gene
 //! reordering and relabeling, colliding only on structural equality.
 
@@ -16,13 +15,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
-fn cache_and_batching_are_bit_identical_across_topologies() {
+fn cache_on_and_off_are_bit_identical_across_topologies() {
     // Every topology over 1/2/4 simulated agents against the default
-    // batch-on, cache-on engine; each cell also asserts that a cache that
-    // is on is consulted and hit, and one that is off stays silent.
-    for row in ["no-batch", "no-cache", "no-batch-no-cache"] {
-        check(row);
-    }
+    // cache-on engine; each cell also asserts that the cache that is on is
+    // consulted and hit, and the one that is off stays silent.
+    check("no-cache");
 }
 
 #[test]

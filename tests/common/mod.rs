@@ -142,8 +142,8 @@ pub fn compare(cell: &str, reference: &Run, subject: &Run) -> Result<(), String>
 pub enum Condition {
     /// Locally on `n` host threads (`--eval-threads n`).
     Threads(usize),
-    /// Locally with the SoA batching tier and/or the fitness cache off.
-    Engine { batch: bool, cache: bool },
+    /// Locally with the fitness cache on or off.
+    Engine { cache: bool },
     /// Locally with no tracer installed.
     Untraced,
     /// Loopback TCP agents.
@@ -232,10 +232,13 @@ impl Condition {
     pub fn evaluator(self, w: Workload, mode: InferenceMode, agents: usize) -> Evaluator {
         let (threads, engine) = match self {
             Condition::Threads(n) => (n, EngineOptions::default()),
-            Condition::Engine { batch, cache } => {
-                let batch_lanes = if batch { 32 } else { 1 };
-                (1, EngineOptions { batch_lanes, cache })
-            }
+            Condition::Engine { cache } => (
+                1,
+                EngineOptions {
+                    cache,
+                    ..EngineOptions::default()
+                },
+            ),
             _ => (1, EngineOptions::default()),
         };
         let local = Evaluator::with_options(w, mode, 1, threads, engine);
@@ -305,8 +308,8 @@ const fn threads(name: &'static str, n: usize) -> Row {
     }
 }
 
-const fn engine(name: &'static str, batch: bool, cache: bool) -> Row {
-    local(name, Condition::Engine { batch, cache }, &[1, 2, 4])
+const fn engine(name: &'static str, cache: bool) -> Row {
+    local(name, Condition::Engine { cache }, &[1, 2, 4])
 }
 
 /// Loss costs wall-clock (every drop waits out a retransmit timer), so
@@ -322,9 +325,7 @@ pub const MATRIX: &[Row] = &[
     threads("threads-2", 2),
     threads("threads-4", 4),
     threads("threads-8", 8),
-    engine("no-batch", false, true),
-    engine("no-cache", true, false),
-    engine("no-batch-no-cache", false, false),
+    engine("no-cache", false),
     local("untraced", Condition::Untraced, &[SIM_AGENTS]),
     row("tcp", Condition::Tcp, &[1, 2, 4]),
     Row {
@@ -349,7 +350,7 @@ impl Row {
     /// cleared. An untraced subject has no Logical stream to compare.
     fn normalized(&self, cell: &str, cache_on: bool, mut run: Run) -> Run {
         match self.condition {
-            Condition::Engine { cache, .. } => {
+            Condition::Engine { cache } => {
                 let hits: u64 = run.reports.iter().map(|r| r.cache_hits).sum();
                 let lookups: u64 = run.reports.iter().map(|r| r.cache_lookups).sum();
                 let expected = if cache_on {
@@ -380,7 +381,7 @@ pub fn check(name: &str) {
         .iter()
         .find(|r| r.name == name)
         .unwrap_or_else(|| panic!("no matrix row named {name:?}"));
-    let subject_caches = !matches!(row.condition, Condition::Engine { cache: false, .. });
+    let subject_caches = !matches!(row.condition, Condition::Engine { cache: false });
     for &workload in row.workloads {
         for &sim in row.sim_agents {
             for topology in topologies(sim) {

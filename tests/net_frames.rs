@@ -576,8 +576,8 @@ fn nan_outputs_get_a_fitness_reply_not_a_dead_link() {
         ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, cfg.clone()),
     )
     .unwrap();
-    // One alone takes the scalar path; two of one shape (different
-    // weights, so neither is a cache hit) share an SoA bank.
+    // One alone, then two of one shape in one request (different
+    // weights, so neither is a cache hit).
     for genomes in [
         vec![nan_genome(1, 1.0)],
         vec![nan_genome(2, 2.0), nan_genome(3, 3.0)],

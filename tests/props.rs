@@ -418,6 +418,79 @@ proptest! {
     }
 }
 
+/// What `activate_into` must return, bit for bit, computed from the genome
+/// alone: each node evaluated once, on demand, over its enabled in-edges
+/// in connection-key order, a `Sum` the plain left fold of
+/// `Iterator::<f64>::sum`.
+fn reference_outputs(g: &Genome, cfg: &NeatConfig, inputs: &[f64]) -> Vec<f64> {
+    use clan::neat::Aggregation;
+    use std::collections::BTreeMap;
+    fn value(g: &Genome, id: NodeId, inputs: &[f64], memo: &mut BTreeMap<NodeId, f64>) -> f64 {
+        if id.is_input() {
+            return inputs[(-id.0 - 1) as usize];
+        }
+        if let Some(&v) = memo.get(&id) {
+            return v;
+        }
+        let node = g.nodes()[&id];
+        let weighted: Vec<f64> = g
+            .conns()
+            .iter()
+            .filter(|(k, c)| k.output == id && c.enabled)
+            .map(|(k, c)| value(g, k.input, inputs, memo) * c.weight)
+            .collect();
+        let agg = match node.aggregation {
+            Aggregation::Sum => weighted.iter().copied().sum(),
+            agg => agg.apply(&weighted),
+        };
+        let v = node.activation.apply(node.bias + node.response * agg);
+        memo.insert(id, v);
+        v
+    }
+    let mut memo = BTreeMap::new();
+    (0..cfg.num_outputs)
+        .map(|o| value(g, NodeId::output(o), inputs, &mut memo))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // ---------------- activation kernel ----------------
+
+    #[test]
+    fn grouped_activation_matches_the_one_node_at_a_time_fold(
+        atari in any::<bool>(),
+        seed in any::<u64>(),
+        mutations in 0usize..80,
+    ) {
+        use rand::Rng;
+        let (inputs, outputs) = if atari { (128, 18) } else { (8, 4) };
+        // Raised rates: hidden nodes, deleted edges and non-`Sum` nodes
+        // inside would-be runs.
+        let cfg = NeatConfig::builder(inputs, outputs)
+            .node_add_prob(0.5)
+            .conn_delete_prob(0.5)
+            .activation_mutate_rate(0.3)
+            .aggregation_mutate_rate(0.3)
+            .build()
+            .expect("valid config");
+        let mut g = Genome::new_initial(&cfg, GenomeId(0), &mut StdRng::seed_from_u64(seed));
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
+        for _ in 0..mutations {
+            g.mutate(&cfg, &mut rng);
+        }
+        let net = clan::neat::FeedForwardNetwork::compile(&g, &cfg);
+        let mut scratch = Scratch::new();
+        for _ in 0..3 {
+            let x: Vec<f64> = (0..inputs).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let want: Vec<u64> = reference_outputs(&g, &cfg, &x).iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = net.activate_into(&x, &mut scratch).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+}
+
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;
     *state ^= *state >> 7;
