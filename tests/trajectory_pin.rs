@@ -8,11 +8,17 @@
 //! serial runs, and the content hash of one initial genome before and
 //! after ten mutation passes.
 //!
+//! `analytic_side_of_every_topology_matches_the_recorded_fold` pins the
+//! other half of a run: what each orchestrator *books* — every
+//! `GenerationReport` (timeline bits, gene costs, species, best fitness)
+//! and every analytic `CommLedger` row of a seeded Serial, DCS, DDS, DDA
+//! and DDA-with-resync run — folded into one constant.
+//!
 //! A failure here means evolution no longer does what it did for this
 //! seed. Unless that is the stated goal of the change, fix the change;
 //! never re-record to make a refactor pass.
 
-use clan::core::{ClanDriver, ClanTopology};
+use clan::core::{ClanDriver, ClanTopology, RunReport};
 use clan::envs::Workload;
 use clan::neat::{Genome, GenomeId, NeatConfig};
 use rand::rngs::StdRng;
@@ -53,6 +59,77 @@ fn alien_shaped_run_matches_the_recorded_trajectory() {
     );
 }
 
+/// FNV-1a over 64-bit words.
+fn fold(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+fn analytic_words(report: &RunReport) -> Vec<u64> {
+    let mut words = Vec::new();
+    for g in &report.generations {
+        let t = g.timeline;
+        let c = g.costs;
+        words.extend([
+            g.generation,
+            g.best_fitness.to_bits(),
+            g.num_species as u64,
+            u64::from(g.extinction),
+            t.inference_s.to_bits(),
+            t.evolution_s.to_bits(),
+            t.communication_s.to_bits(),
+            c.inference_genes,
+            c.speciation_genes,
+            c.reproduction_genes,
+            c.activations,
+            c.distance_evals,
+            c.episodes,
+        ]);
+    }
+    for (kind, e) in report.ledger.rows() {
+        words.extend([
+            kind as u64,
+            e.messages,
+            e.floats,
+            e.wire_bytes,
+            e.retrans_wire_bytes,
+        ]);
+    }
+    words
+}
+
+#[test]
+fn analytic_side_of_every_topology_matches_the_recorded_fold() {
+    // CartPole, population 20, three simulated agents, four generations.
+    let runs = [
+        (ClanTopology::serial(), None),
+        (ClanTopology::dcs(), None),
+        (ClanTopology::dds(), None),
+        (ClanTopology::dda(3), None),
+        (ClanTopology::dda(3), Some(2)),
+    ];
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    for (topology, resync) in runs {
+        let mut builder = ClanDriver::builder(Workload::CartPole)
+            .topology(topology)
+            .agents(3)
+            .population_size(20)
+            .seed(31);
+        if let Some(every) = resync {
+            builder = builder.resync_every(every);
+        }
+        let report = builder
+            .build()
+            .expect("driver builds")
+            .run(4)
+            .expect("run completes");
+        assert_eq!(report.generations.len(), 4, "{topology}");
+        hash = analytic_words(&report).into_iter().fold(hash, fold);
+    }
+    assert_eq!(hash, ANALYTIC_FOLD, "got {hash:#018X}");
+}
+
 #[test]
 fn initial_genome_and_ten_mutation_passes_hash_as_recorded() {
     // Alien-ram shape; structural rates raised so that ten passes hold
@@ -85,6 +162,7 @@ fn initial_genome_and_ten_mutation_passes_hash_as_recorded() {
     g.check_invariants(&cfg).expect("still a valid genome");
 }
 
+const ANALYTIC_FOLD: u64 = 0x25C9_0F02_4AE8_0213;
 const CARTPOLE_LOGICAL_HASH: u64 = 0xA85A_6BA9_4F54_2F46;
 const INITIAL_CONTENT_HASH: u64 = 0x03DF_C76E_51B0_F5F3;
 const MUTATED_SHAPE: (usize, usize) = (24, 2314);
