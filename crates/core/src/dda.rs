@@ -339,7 +339,7 @@ mod tests {
                 .population_size(20)
                 .build()
                 .unwrap();
-            crate::dds::DdsOrchestrator::new(
+            crate::DdsOrchestrator::new(
                 Population::new(cfg, 3),
                 Evaluator::new(w, InferenceMode::MultiStep),
                 Cluster::homogeneous(Platform::raspberry_pi(), 4, WifiModel::default()),

@@ -439,7 +439,8 @@ impl ClanDriverBuilder {
         self
     }
 
-    /// DDA-only: enables periodic global speciation every `g` generations.
+    /// DDA-only: enables periodic global speciation every `g` generations
+    /// ([`build`](Self::build) rejects it on any other topology).
     pub fn resync_every(mut self, g: u64) -> Self {
         self.config.resync_every = Some(g);
         self
@@ -747,8 +748,9 @@ impl ClanDriverBuilder {
     ///
     /// # Errors
     ///
-    /// [`ClanError::InvalidSetup`] on inconsistent topology/agents, and
-    /// [`ClanError::Neat`] on invalid NEAT configuration.
+    /// [`ClanError::InvalidSetup`] on inconsistent topology/agents or a
+    /// topology [`orchestrator_for`] rejects, and [`ClanError::Neat`] on
+    /// invalid NEAT configuration.
     pub fn build(self) -> Result<ClanDriver, ClanError> {
         if let SpeciationMode::Asynchronous { clans } = self.config.topology.speciation {
             if clans != self.config.n_agents {
@@ -1012,6 +1014,26 @@ mod tests {
             .resync_every(0)
             .build();
         assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
+    }
+
+    #[test]
+    fn resync_interval_off_dda_is_a_typed_error() {
+        for topology in [
+            ClanTopology::serial(),
+            ClanTopology::dcs(),
+            ClanTopology::dds(),
+        ] {
+            let err = ClanDriver::builder(Workload::CartPole)
+                .topology(topology)
+                .agents(2)
+                .population_size(16)
+                .resync_every(2)
+                .build();
+            assert!(
+                matches!(err, Err(ClanError::InvalidSetup { .. })),
+                "{topology}"
+            );
+        }
     }
 
     #[test]
@@ -1361,6 +1383,33 @@ mod tests {
                 .run(1)
                 .unwrap();
             assert_eq!(report.generations.len(), 1, "{topo}");
+        }
+    }
+
+    #[test]
+    fn only_the_four_paper_topologies_build() {
+        use crate::topology::Placement::{Central as C, Distributed as D};
+        let (sync, clans) = (
+            SpeciationMode::Synchronous,
+            SpeciationMode::Asynchronous { clans: 2 },
+        );
+        for (inference, reproduction, speciation) in
+            [(C, D, sync), (C, C, clans), (C, D, clans), (D, C, clans)]
+        {
+            let topology = ClanTopology {
+                inference,
+                reproduction,
+                speciation,
+            };
+            let err = ClanDriver::builder(Workload::CartPole)
+                .topology(topology)
+                .agents(2)
+                .population_size(16)
+                .build();
+            assert!(
+                matches!(err, Err(ClanError::InvalidSetup { .. })),
+                "{topology} must not build"
+            );
         }
     }
 }

@@ -11,8 +11,14 @@
 //! | `CLAN_DDS` | **distributed** | **distributed** | synchronous |
 //! | `CLAN_DDA` | **distributed** | **distributed** | **asynchronous** (per-clan) |
 //!
-//! Every orchestrator runs the *real* NEAT algorithm (from `clan-neat`) on
-//! real environments (from `clan-envs`) while simultaneously accounting:
+//! Two orchestrators cover the four rows. [`generational`] is one
+//! synchronous `I → S → GP → R` step whose inference and reproduction are
+//! placed by the `I R` letters ([`SerialOrchestrator`], [`DcsOrchestrator`]
+//! and [`DdsOrchestrator`] are its three placements); [`dda`] runs
+//! per-clan generations. [`orchestrator_for`] maps a [`ClanTopology`] to
+//! one and rejects every combination the paper does not define. Both run
+//! the *real* NEAT algorithm (from `clan-neat`) on real environments (from
+//! `clan-envs`) while simultaneously accounting:
 //!
 //! - gene-level compute costs per block (paper Fig 3),
 //! - per-message-kind communication (Fig 4),
@@ -300,17 +306,15 @@
 
 pub mod asynchronous;
 pub mod continuous;
-pub mod dcs;
 pub mod dda;
-pub mod dds;
 pub mod driver;
 pub mod error;
 pub mod evaluator;
+pub mod generational;
 pub mod membership;
 pub mod orchestra;
 pub mod report;
 pub mod runtime;
-pub mod serial;
 pub mod status;
 pub mod telemetry;
 pub mod topology;
@@ -318,17 +322,15 @@ pub mod transport;
 
 pub use asynchronous::{AsyncOrchestrator, AsyncStats, LatencySchedule};
 pub use continuous::{ContinuousLearner, LearningEvent, MonitorConfig, TaskOutcome};
-pub use dcs::DcsOrchestrator;
 pub use dda::DdaOrchestrator;
-pub use dds::DdsOrchestrator;
 pub use driver::{AsyncClanDriver, AsyncRunOutcome, ClanDriver, ClanDriverBuilder, DriverConfig};
 pub use error::{ClanError, FrameError};
 pub use evaluator::{EngineOptions, Evaluator, InferenceMode};
+pub use generational::{DcsOrchestrator, DdsOrchestrator, SerialOrchestrator};
 pub use membership::{AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
 pub use orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 pub use report::RunReport;
 pub use runtime::{EdgeCluster, GatherStats, StreamCompletion, STREAM_WINDOW};
-pub use serial::SerialOrchestrator;
 pub use status::{StatusHandle, StatusServer, StatusSnapshot};
 pub use telemetry::{
     Determinism, EventKind, MetricsRegistry, RunTrace, TelemetryReport, TraceEvent, Tracer,

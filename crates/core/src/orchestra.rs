@@ -1,20 +1,19 @@
-//! The orchestrator interface and machinery shared by all CLAN
-//! configurations: partitioned evaluation with per-agent gene accounting
-//! and communication-phase bookkeeping. The state transitions themselves
-//! (recording an evaluation, the central `S → GP → R` step, best-ever
-//! tracking) belong to [`Population`]; this crate decides only *where*
-//! each block runs and what that costs.
+//! The orchestrator interface and machinery shared by both orchestrators
+//! — [`Generational`](crate::generational::Generational) (Serial, DCS,
+//! DDS) and [`DdaOrchestrator`]: partitioned evaluation with per-agent
+//! gene accounting and communication-phase bookkeeping. The state
+//! transitions themselves (recording an evaluation, the `S → GP → R`
+//! step, best-ever tracking) belong to [`Population`]; this crate decides
+//! only *where* each block runs and what that costs.
 
-use crate::dcs::DcsOrchestrator;
 use crate::dda::DdaOrchestrator;
-use crate::dds::DdsOrchestrator;
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
+use crate::generational::{DcsOrchestrator, DdsOrchestrator, SerialOrchestrator};
 use crate::membership::RecoveryStats;
 use crate::runtime::GatherStats;
-use crate::serial::SerialOrchestrator;
 use crate::telemetry::{EventKind, Tracer};
-use crate::topology::{ClanTopology, SpeciationMode};
+use crate::topology::{ClanTopology, Placement, SpeciationMode};
 use clan_distsim::{Cluster, GenerationTimeline, TimelineRecorder};
 use clan_neat::counters::GenerationCosts;
 use clan_neat::population::GenerationSummary;
@@ -123,9 +122,9 @@ pub trait Orchestrator {
 ///
 /// # Errors
 ///
-/// [`ClanError::InvalidSetup`] on a placement combination no
-/// orchestrator implements, DDA clans below two genomes, or a zero
-/// resync interval.
+/// [`ClanError::InvalidSetup`] on any topology but the paper's four
+/// (Serial, DCS, DDS, DDA), `resync_every` off DDA, DDA clans below two
+/// genomes, or a zero resync interval.
 pub fn orchestrator_for(
     topology: ClanTopology,
     cfg: NeatConfig,
@@ -134,25 +133,40 @@ pub fn orchestrator_for(
     cluster: Cluster,
     resync_every: Option<u64>,
 ) -> Result<Box<dyn Orchestrator>, ClanError> {
-    if let SpeciationMode::Asynchronous { .. } = topology.speciation {
-        let dda = DdaOrchestrator::new(cfg, evaluator, cluster, seed)?;
-        return Ok(match resync_every {
-            Some(r) => Box::new(dda.with_resync_every(r)?),
-            None => Box::new(dda),
-        });
-    }
-    let pop = Population::new(cfg, seed);
-    if topology == ClanTopology::serial() {
-        Ok(Box::new(SerialOrchestrator::new(pop, evaluator, cluster)))
-    } else if topology == ClanTopology::dcs() {
-        Ok(Box::new(DcsOrchestrator::new(pop, evaluator, cluster)))
-    } else if topology == ClanTopology::dds() {
-        Ok(Box::new(DdsOrchestrator::new(pop, evaluator, cluster)))
-    } else {
-        Err(ClanError::InvalidSetup {
-            reason: format!("unsupported topology {topology}"),
-        })
-    }
+    use Placement::{Central as C, Distributed as D};
+    use SpeciationMode::{Asynchronous, Synchronous};
+    let pop = Population::new;
+    let t = topology;
+    let orchestrator: Box<dyn Orchestrator> =
+        match (t.inference, t.reproduction, t.speciation, resync_every) {
+            (C, C, Synchronous, None) => {
+                Box::new(SerialOrchestrator::new(pop(cfg, seed), evaluator, cluster))
+            }
+            (D, C, Synchronous, None) => {
+                Box::new(DcsOrchestrator::new(pop(cfg, seed), evaluator, cluster))
+            }
+            (D, D, Synchronous, None) => {
+                Box::new(DdsOrchestrator::new(pop(cfg, seed), evaluator, cluster))
+            }
+            (D, D, Asynchronous { .. }, resync) => {
+                let dda = DdaOrchestrator::new(cfg, evaluator, cluster, seed)?;
+                match resync {
+                    Some(r) => Box::new(dda.with_resync_every(r)?),
+                    None => Box::new(dda),
+                }
+            }
+            (_, _, Synchronous, Some(_)) => {
+                return Err(ClanError::InvalidSetup {
+                    reason: format!("resync_every applies to CLAN_DDA only, not {topology}"),
+                })
+            }
+            _ => {
+                return Err(ClanError::InvalidSetup {
+                    reason: format!("{topology} is not one of the paper's configurations"),
+                })
+            }
+        };
+    Ok(orchestrator)
 }
 
 /// The simulated testbed an orchestrator charges its work to: the

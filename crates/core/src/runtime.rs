@@ -499,8 +499,9 @@ fn mismatch(kind: &str, got: &[GenomeId], want: &[GenomeId]) -> Option<String> {
 /// counterparts of `Population::evaluate` and
 /// `Population::reproduce_centrally`, or attach the cluster to an
 /// [`Evaluator`](crate::Evaluator) with
-/// [`Evaluator::with_remote`](crate::Evaluator::with_remote) to fan all
-/// four CLAN orchestrators' inference out across it. Call
+/// [`Evaluator::with_remote`](crate::Evaluator::with_remote) to fan the
+/// inference of every CLAN topology out across it (and, under DDS, its
+/// reproduction). Call
 /// [`shutdown`](EdgeCluster::shutdown) for an orderly stop; dropping the
 /// cluster also stops it.
 pub struct EdgeCluster {

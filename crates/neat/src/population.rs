@@ -454,9 +454,18 @@ impl Population {
     /// returned summary's `costs` carry the speciation / reproduction
     /// gene split the CLAN orchestrators time the step with.
     ///
-    /// Total extinction re-seeds the population
-    /// ([`reset_population`](Self::reset_population)) when
-    /// `reset_on_extinction` is set.
+    /// # Errors
+    ///
+    /// As [`advance_with`](Self::advance_with).
+    pub fn try_advance_generation(&mut self) -> Result<GenerationSummary, NeatError> {
+        self.advance_with(|pop, plan| Ok(pop.reproduce_centrally(plan)))
+    }
+
+    /// The one `S → GP → R` step, with phase `R` left to `reproduce`: it
+    /// gets the plan and returns the children, in plan order, which become
+    /// the next generation. Total extinction re-seeds the population
+    /// ([`reset_population`](Self::reset_population)) instead, when
+    /// `reset_on_extinction` is set, without calling `reproduce`.
     ///
     /// # Errors
     ///
@@ -464,9 +473,13 @@ impl Population {
     ///   (nothing has been changed).
     /// - [`NeatError::Extinction`] if every species stagnated and
     ///   `reset_on_extinction` is disabled.
-    pub fn try_advance_generation(&mut self) -> Result<GenerationSummary, NeatError> {
+    /// - Whatever `reproduce` returns.
+    pub fn advance_with<E: From<NeatError>>(
+        &mut self,
+        reproduce: impl FnOnce(&mut Population, &GenerationPlan) -> Result<Vec<Genome>, E>,
+    ) -> Result<GenerationSummary, E> {
         if let Some((id, _)) = self.genomes.iter().find(|(_, g)| g.fitness().is_none()) {
-            return Err(NeatError::MissingFitness { genome: id.0 });
+            return Err(NeatError::MissingFitness { genome: id.0 }.into());
         }
         let generation = self.generation;
         let best_fitness = self
@@ -476,7 +489,7 @@ impl Population {
         let speciation = self.speciate();
         let (num_species, extinction) = match self.plan_generation() {
             Ok(plan) => {
-                let children = self.reproduce_centrally(&plan);
+                let children = reproduce(self, &plan)?;
                 self.install_next_generation(children);
                 (speciation.species_count, false)
             }
@@ -484,7 +497,7 @@ impl Population {
                 self.reset_population();
                 (0, true)
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         };
         Ok(GenerationSummary {
             generation,
@@ -505,33 +518,6 @@ impl Population {
     pub fn advance_generation(&mut self) -> GenerationSummary {
         self.try_advance_generation()
             .unwrap_or_else(|e| panic!("cannot advance the generation: {e}"))
-    }
-
-    /// Convenience driver: evaluate + advance for `generations` rounds,
-    /// stopping early when `fitness_threshold` is reached.
-    ///
-    /// Returns the per-generation summaries.
-    pub fn run<F, E>(
-        &mut self,
-        mut evaluator: F,
-        generations: u64,
-        fitness_threshold: Option<f64>,
-    ) -> Vec<GenerationSummary>
-    where
-        F: FnMut(&FeedForwardNetwork, &Genome) -> E,
-        E: Into<Evaluation>,
-    {
-        let mut summaries = Vec::new();
-        for _ in 0..generations {
-            self.evaluate(&mut evaluator);
-            let summary = self.advance_generation();
-            let reached = fitness_threshold.is_some_and(|t| summary.best_fitness >= t);
-            summaries.push(summary);
-            if reached {
-                break;
-            }
-        }
-        summaries
     }
 }
 
@@ -644,23 +630,6 @@ mod tests {
             "evolution should not regress on a static task: {first_best:?} -> {last_best}"
         );
         assert!(last_best > 0.9, "sigmoid output should approach 1.0");
-    }
-
-    #[test]
-    fn run_stops_at_threshold() {
-        let cfg = NeatConfig::builder(1, 1)
-            .population_size(40)
-            .build()
-            .unwrap();
-        let mut pop = Population::new(cfg, 8);
-        let mut scratch = Scratch::new();
-        let summaries = pop.run(
-            |net, _| net.activate_into(&[1.0], &mut scratch)[0],
-            50,
-            Some(0.9),
-        );
-        assert!(summaries.len() < 50, "should converge early");
-        assert!(summaries.last().unwrap().best_fitness >= 0.9);
     }
 
     #[test]

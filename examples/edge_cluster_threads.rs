@@ -45,9 +45,10 @@ fn main() {
         w.name()
     );
 
-    // Distributed run over real threads: the DDS orchestrator ships
-    // both `Evaluate` and `BuildChildren` frames through the cluster
-    // attached to its evaluator.
+    // Distributed run over real threads: `DdsOrchestrator` is the
+    // generational orchestrator with inference and reproduction placed
+    // on the agents, so it ships both `Evaluate` and `BuildChildren`
+    // frames through the cluster attached to its evaluator.
     let cluster = EdgeCluster::spawn(agents, w, InferenceMode::MultiStep, cfg.clone())
         .expect("cluster spawns");
     let mut distributed = DdsOrchestrator::new(

@@ -453,6 +453,50 @@ fn reference_outputs(g: &Genome, cfg: &NeatConfig, inputs: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// A genome whose plan puts one to three *dependent* outputs right after
+/// the hidden node they read, each with fewer in-edges than any node
+/// before it: every other output and the hidden node read 3.. inputs, a
+/// dependent reads the hidden node plus at most one input. All `Sum`, so
+/// only the dependency may cut the would-be run, and a dependent folded
+/// inside it would read the hidden node's slot before it is written.
+fn dependent_tail_genome(cfg: &NeatConfig, rng: &mut StdRng) -> Genome {
+    use clan::neat::{Activation, Aggregation, ConnGene, NodeGene};
+    use rand::Rng;
+    let (inputs, outputs) = (cfg.num_inputs as i64, cfg.num_outputs as i64);
+    let hidden = outputs;
+    let first_dependent = outputs - rng.gen_range(1..outputs.min(3) + 1);
+    let mut nodes = Vec::new();
+    let mut conns = Vec::new();
+    for id in 0..=hidden {
+        let gene = NodeGene {
+            bias: rng.gen_range(-1.0..1.0),
+            activation: Activation::Identity,
+            aggregation: Aggregation::Sum,
+            ..NodeGene::default()
+        };
+        nodes.push((NodeId(id), gene));
+        let sources: Vec<i64> = if (first_dependent..outputs).contains(&id) {
+            let mut s: Vec<i64> = (0..rng.gen_range(0..2)).map(|i| -1 - i).collect();
+            s.push(hidden);
+            s
+        } else {
+            (0..rng.gen_range(3..inputs + 1)).map(|i| -1 - i).collect()
+        };
+        for src in sources {
+            let gene = ConnGene {
+                weight: rng.gen_range(-2.0..2.0),
+                enabled: true,
+            };
+            conns.push((ConnKey::new(NodeId(src), NodeId(id)), gene));
+        }
+    }
+    Genome::from_parts(
+        GenomeId(0),
+        nodes.into_iter().collect(),
+        conns.into_iter().collect(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -461,6 +505,7 @@ proptest! {
     #[test]
     fn grouped_activation_matches_the_one_node_at_a_time_fold(
         atari in any::<bool>(),
+        dependent_tail in any::<bool>(),
         seed in any::<u64>(),
         mutations in 0usize..80,
     ) {
@@ -475,11 +520,16 @@ proptest! {
             .aggregation_mutate_rate(0.3)
             .build()
             .expect("valid config");
-        let mut g = Genome::new_initial(&cfg, GenomeId(0), &mut StdRng::seed_from_u64(seed));
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
-        for _ in 0..mutations {
-            g.mutate(&cfg, &mut rng);
-        }
+        let g = if dependent_tail {
+            dependent_tail_genome(&cfg, &mut rng)
+        } else {
+            let mut g = Genome::new_initial(&cfg, GenomeId(0), &mut StdRng::seed_from_u64(seed));
+            for _ in 0..mutations {
+                g.mutate(&cfg, &mut rng);
+            }
+            g
+        };
         let net = clan::neat::FeedForwardNetwork::compile(&g, &cfg);
         let mut scratch = Scratch::new();
         for _ in 0..3 {
