@@ -193,7 +193,9 @@ impl ContinuousLearner {
                     activations: outcome.steps,
                 }
             });
-            let summary = pop.try_advance_generation()?;
+            let summary = pop.try_advance_generation(|p, plan| {
+                Ok::<_, ClanError>(p.reproduce_centrally(plan))
+            })?;
             generations += 1;
             trace.push(summary.best_fitness);
             if summary.best_fitness >= threshold {

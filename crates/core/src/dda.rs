@@ -175,7 +175,9 @@ impl Orchestrator for DdaOrchestrator {
             let size = clan.len();
             let genes = evaluate_partitioned(clan, &mut self.evaluator, &[size])?;
             inference_genes.push(genes[0]);
-            let evo = clan.try_advance_generation()?;
+            let evo = clan.try_advance_generation(|p, plan| {
+                Ok::<_, ClanError>(p.reproduce_centrally(plan))
+            })?;
             evolution_genes.push(evo.costs.evolution_genes());
             evolved.best_fitness = evolved.best_fitness.max(evo.best_fitness);
             evolved.num_species += evo.num_species;

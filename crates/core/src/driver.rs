@@ -752,15 +752,20 @@ impl ClanDriverBuilder {
     /// topology [`orchestrator_for`] rejects, and [`ClanError::Neat`] on
     /// invalid NEAT configuration.
     pub fn build(self) -> Result<ClanDriver, ClanError> {
-        if let SpeciationMode::Asynchronous { clans } = self.config.topology.speciation {
-            if clans != self.config.n_agents {
-                return Err(ClanError::InvalidSetup {
-                    reason: format!(
-                        "DDA runs one clan per agent: {clans} clans vs {} agents",
-                        self.config.n_agents
-                    ),
-                });
-            }
+        let c = &self.config;
+        let invalid = match (c.topology.speciation, c.resync_every) {
+            (SpeciationMode::Asynchronous { clans }, _) if clans != c.n_agents => Some(format!(
+                "DDA runs one clan per agent: {clans} clans vs {} agents",
+                c.n_agents
+            )),
+            (SpeciationMode::Synchronous, Some(_)) => Some(format!(
+                "resync_every applies to CLAN_DDA only, not {}",
+                c.topology
+            )),
+            _ => None,
+        };
+        if let Some(reason) = invalid {
+            return Err(ClanError::InvalidSetup { reason });
         }
         let (cfg, mut evaluator) = self.prepare()?;
         let mut config = self.config.clone();
@@ -1023,14 +1028,18 @@ mod tests {
             ClanTopology::dcs(),
             ClanTopology::dds(),
         ] {
+            // Rejected up front, before `prepare` (which spawns or
+            // connects the agents) reaches the zero episode count.
             let err = ClanDriver::builder(Workload::CartPole)
                 .topology(topology)
                 .agents(2)
                 .population_size(16)
+                .episodes_per_eval(0)
                 .resync_every(2)
                 .build();
             assert!(
-                matches!(err, Err(ClanError::InvalidSetup { .. })),
+                matches!(&err, Err(ClanError::InvalidSetup { reason })
+                    if reason.contains("resync_every")),
                 "{topology}"
             );
         }

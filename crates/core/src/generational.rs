@@ -53,6 +53,9 @@ pub type DdsOrchestrator = Generational<true, true>;
 impl<const DI: bool, const DR: bool> Generational<DI, DR> {
     /// Creates a run of `pop` over `cluster`.
     pub fn new(pop: Population, evaluator: Evaluator, cluster: Cluster) -> Self {
+        // Central inference with distributed reproduction is no paper
+        // configuration: of the four placements only the aliases compile.
+        const { assert!(DI || !DR) };
         Generational {
             pop,
             evaluator,
@@ -98,23 +101,20 @@ impl<const DI: bool, const DR: bool> Orchestrator for Generational<DI, DR> {
                 .add_inference(center.inference_time_s(genes[0]));
         }
 
-        // S, GP on the center; R where it is placed (distributed R books
-        // its own parallel time and traffic).
-        let evo = if DR {
-            let evo = self.pop.advance_with(|pop, plan| {
-                reproduce_distributed(&mut self.sim, &mut self.evaluator, pop, plan)
-            })?;
-            self.sim
-                .recorder
-                .add_evolution(center.evolution_time_s(evo.costs.speciation_genes));
-            evo
-        } else {
-            let evo = self.pop.try_advance_generation()?;
-            self.sim
-                .recorder
-                .add_evolution(center.evolution_time_s(evo.costs.evolution_genes()));
-            evo
+        // S, GP on the center; R where it is placed. Distributed R books
+        // its own parallel time and traffic, leaving the center speciation.
+        let (sim, evaluator) = (&mut self.sim, &mut self.evaluator);
+        let evo = self.pop.try_advance_generation(|pop, plan| match DR {
+            true => reproduce_distributed(sim, evaluator, pop, plan),
+            false => Ok(pop.reproduce_centrally(plan)),
+        })?;
+        let center_genes = match DR {
+            true => evo.costs.speciation_genes,
+            false => evo.costs.evolution_genes(),
         };
+        self.sim
+            .recorder
+            .add_evolution(center.evolution_time_s(center_genes));
         Ok(finish_generation(
             &mut self.evaluator,
             &mut self.sim.recorder,

@@ -135,37 +135,40 @@ pub fn orchestrator_for(
 ) -> Result<Box<dyn Orchestrator>, ClanError> {
     use Placement::{Central as C, Distributed as D};
     use SpeciationMode::{Asynchronous, Synchronous};
-    let pop = Population::new;
-    let t = topology;
-    let orchestrator: Box<dyn Orchestrator> =
-        match (t.inference, t.reproduction, t.speciation, resync_every) {
-            (C, C, Synchronous, None) => {
-                Box::new(SerialOrchestrator::new(pop(cfg, seed), evaluator, cluster))
+    let orchestrator: Box<dyn Orchestrator> = match (
+        topology.inference,
+        topology.reproduction,
+        topology.speciation,
+        resync_every,
+    ) {
+        (C, C, Synchronous, None) => Box::new(SerialOrchestrator::new(
+            Population::new(cfg, seed),
+            evaluator,
+            cluster,
+        )),
+        (D, C, Synchronous, None) => Box::new(DcsOrchestrator::new(
+            Population::new(cfg, seed),
+            evaluator,
+            cluster,
+        )),
+        (D, D, Synchronous, None) => Box::new(DdsOrchestrator::new(
+            Population::new(cfg, seed),
+            evaluator,
+            cluster,
+        )),
+        (D, D, Asynchronous { .. }, resync) => {
+            let dda = DdaOrchestrator::new(cfg, evaluator, cluster, seed)?;
+            match resync {
+                Some(r) => Box::new(dda.with_resync_every(r)?),
+                None => Box::new(dda),
             }
-            (D, C, Synchronous, None) => {
-                Box::new(DcsOrchestrator::new(pop(cfg, seed), evaluator, cluster))
-            }
-            (D, D, Synchronous, None) => {
-                Box::new(DdsOrchestrator::new(pop(cfg, seed), evaluator, cluster))
-            }
-            (D, D, Asynchronous { .. }, resync) => {
-                let dda = DdaOrchestrator::new(cfg, evaluator, cluster, seed)?;
-                match resync {
-                    Some(r) => Box::new(dda.with_resync_every(r)?),
-                    None => Box::new(dda),
-                }
-            }
-            (_, _, Synchronous, Some(_)) => {
-                return Err(ClanError::InvalidSetup {
-                    reason: format!("resync_every applies to CLAN_DDA only, not {topology}"),
-                })
-            }
-            _ => {
-                return Err(ClanError::InvalidSetup {
-                    reason: format!("{topology} is not one of the paper's configurations"),
-                })
-            }
-        };
+        }
+        _ => {
+            let reason =
+                format!("{topology} (resync_every {resync_every:?}) is no paper configuration");
+            return Err(ClanError::InvalidSetup { reason });
+        }
+    };
     Ok(orchestrator)
 }
 

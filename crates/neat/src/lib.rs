@@ -62,10 +62,10 @@
 //! [`CostCounters`], and `best_ever` are identical for any engine that
 //! records in the same order — the property the CLAN configurations rely
 //! on, asserted end-to-end by the determinism matrix. After evaluation,
-//! [`Population::try_advance_generation`] is the one central
-//! `S → GP → R` step (extinction is a typed error or a re-seed, per the
-//! config); the phase primitives it is built from stay public so a
-//! deployment can run each block somewhere else.
+//! [`Population::try_advance_generation`] is the one `S → GP → R` step
+//! (extinction is a typed error or a re-seed, per the config), phase `R`
+//! passed in; the phase primitives stay public so a deployment can run
+//! each block somewhere else.
 //!
 //! ## Fitness cache, and the SoA probe
 //!

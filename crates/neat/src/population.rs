@@ -302,10 +302,8 @@ impl Population {
     ///   (which [`advance_generation`](Self::advance_generation) does
     ///   automatically when `reset_on_extinction` is set).
     pub fn plan_generation(&mut self) -> Result<GenerationPlan, NeatError> {
-        for (id, g) in &self.genomes {
-            if g.fitness().is_none() {
-                return Err(NeatError::MissingFitness { genome: id.0 });
-            }
+        if let Some((id, _)) = self.genomes.iter().find(|(_, g)| g.fitness().is_none()) {
+            return Err(NeatError::MissingFitness { genome: id.0 });
         }
         cull_stagnant_species(&mut self.species, &self.genomes, &self.cfg, self.generation);
         if self.species.is_empty() {
@@ -448,24 +446,13 @@ impl Population {
         self.generation += 1;
     }
 
-    /// Runs one full central evolution step (phases `S`, `GP`, `R`) after
-    /// the population has been evaluated, exactly as a serial (non-CLAN)
-    /// deployment would, and closes the generation's cost counters. The
-    /// returned summary's `costs` carry the speciation / reproduction
-    /// gene split the CLAN orchestrators time the step with.
-    ///
-    /// # Errors
-    ///
-    /// As [`advance_with`](Self::advance_with).
-    pub fn try_advance_generation(&mut self) -> Result<GenerationSummary, NeatError> {
-        self.advance_with(|pop, plan| Ok(pop.reproduce_centrally(plan)))
-    }
-
-    /// The one `S → GP → R` step, with phase `R` left to `reproduce`: it
-    /// gets the plan and returns the children, in plan order, which become
-    /// the next generation. Total extinction re-seeds the population
-    /// ([`reset_population`](Self::reset_population)) instead, when
-    /// `reset_on_extinction` is set, without calling `reproduce`.
+    /// One evolution step after evaluation: `S`, `GP`, then phase `R` as
+    /// `reproduce` (the plan in, the children out in plan order —
+    /// [`reproduce_centrally`](Self::reproduce_centrally) for a serial run).
+    /// Closes the generation's cost counters; the summary's `costs` carry
+    /// the speciation / reproduction split the orchestrators time it with.
+    /// Total extinction re-seeds ([`reset_population`](Self::reset_population))
+    /// instead when `reset_on_extinction` is set, without calling `reproduce`.
     ///
     /// # Errors
     ///
@@ -474,7 +461,7 @@ impl Population {
     /// - [`NeatError::Extinction`] if every species stagnated and
     ///   `reset_on_extinction` is disabled.
     /// - Whatever `reproduce` returns.
-    pub fn advance_with<E: From<NeatError>>(
+    pub fn try_advance_generation<E: From<NeatError>>(
         &mut self,
         reproduce: impl FnOnce(&mut Population, &GenerationPlan) -> Result<Vec<Genome>, E>,
     ) -> Result<GenerationSummary, E> {
@@ -508,16 +495,43 @@ impl Population {
         })
     }
 
-    /// [`try_advance_generation`](Self::try_advance_generation) for
-    /// callers with nowhere to report a failure.
+    /// [`try_advance_generation`](Self::try_advance_generation) with
+    /// central reproduction, for callers with nowhere to report a failure.
     ///
     /// # Panics
     ///
     /// Panics if any genome lacks fitness, or on extinction when
     /// `reset_on_extinction` is disabled.
     pub fn advance_generation(&mut self) -> GenerationSummary {
-        self.try_advance_generation()
-            .unwrap_or_else(|e| panic!("cannot advance the generation: {e}"))
+        self.try_advance_generation(|pop, plan| Ok(pop.reproduce_centrally(plan)))
+            .unwrap_or_else(|e: NeatError| panic!("cannot advance the generation: {e}"))
+    }
+
+    /// Convenience driver: evaluate + advance for `generations` rounds,
+    /// stopping early when `fitness_threshold` is reached.
+    ///
+    /// Returns the per-generation summaries.
+    pub fn run<F, E>(
+        &mut self,
+        mut evaluator: F,
+        generations: u64,
+        fitness_threshold: Option<f64>,
+    ) -> Vec<GenerationSummary>
+    where
+        F: FnMut(&FeedForwardNetwork, &Genome) -> E,
+        E: Into<Evaluation>,
+    {
+        let mut summaries = Vec::new();
+        for _ in 0..generations {
+            self.evaluate(&mut evaluator);
+            let summary = self.advance_generation();
+            let reached = fitness_threshold.is_some_and(|t| summary.best_fitness >= t);
+            summaries.push(summary);
+            if reached {
+                break;
+            }
+        }
+        summaries
     }
 }
 
@@ -630,6 +644,23 @@ mod tests {
             "evolution should not regress on a static task: {first_best:?} -> {last_best}"
         );
         assert!(last_best > 0.9, "sigmoid output should approach 1.0");
+    }
+
+    #[test]
+    fn run_stops_at_threshold() {
+        let cfg = NeatConfig::builder(1, 1)
+            .population_size(40)
+            .build()
+            .unwrap();
+        let mut pop = Population::new(cfg, 8);
+        let mut scratch = Scratch::new();
+        let summaries = pop.run(
+            |net, _| net.activate_into(&[1.0], &mut scratch)[0],
+            50,
+            Some(0.9),
+        );
+        assert!(summaries.len() < 50, "should converge early");
+        assert!(summaries.last().unwrap().best_fitness >= 0.9);
     }
 
     #[test]
