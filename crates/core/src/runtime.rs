@@ -1963,6 +1963,45 @@ mod tests {
         assert!(stats.failures >= 1);
     }
 
+    /// An agent daemon on an ephemeral loopback port — TCP, or UDP with
+    /// `udp` — serving two sessions in a row, saying when each ends.
+    fn serve_twice(udp: Option<UdpConfig>) -> (std::net::SocketAddr, Receiver<()>, JoinHandle<()>) {
+        let (ended, session_ended) = channel();
+        let serve = |mut session: Box<dyn FnMut() -> Result<(), ClanError> + Send>| {
+            std::thread::spawn(move || {
+                for _ in 0..2 {
+                    let outcome = session();
+                    let _ = ended.send(());
+                    if outcome.is_err() {
+                        break;
+                    }
+                }
+            })
+        };
+        match udp {
+            None => {
+                let server = AgentServer::bind("127.0.0.1:0").unwrap();
+                let addr = server.local_addr();
+                (
+                    addr,
+                    session_ended,
+                    serve(Box::new(move || server.serve_once())),
+                )
+            }
+            Some(udp) => {
+                let mut server = UdpAgentServer::bind("127.0.0.1:0")
+                    .unwrap()
+                    .with_config(udp);
+                let addr = server.local_addr();
+                (
+                    addr,
+                    session_ended,
+                    serve(Box::new(move || server.serve_once())),
+                )
+            }
+        }
+    }
+
     #[test]
     fn poisoned_remote_link_resyncs_with_a_fresh_session() {
         // A churn-class failure poisons a link's session (a late reply
@@ -1970,50 +2009,55 @@ mod tests {
         // request). For a *remote* link the next scatter re-establishes
         // a fresh session to the original address, so a transiently
         // slow-but-alive agent recovers instead of striking out — and
-        // without any protocol desync.
+        // without any protocol desync. Over TCP and over UDP.
         let cfg = cfg(8);
-        let server = AgentServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || {
-            // Two sequential sessions: the original and the resynced.
-            for _ in 0..2 {
-                if server.serve_once().is_err() {
-                    break;
-                }
+        let daemon_udp = UdpConfig::default().with_idle_timeout_s(0.5);
+        let coordinator_udp = UdpConfig::default().with_idle_timeout_s(10.0);
+        for udp in [None, Some(coordinator_udp)] {
+            let (addr, session_ended, handle) =
+                serve_twice(udp.as_ref().map(|_| daemon_udp.clone()));
+            let spec = uncached_spec(cfg.clone());
+            let addrs = [addr.to_string()];
+            let mut cluster = match udp {
+                None => EdgeCluster::connect(&addrs, spec),
+                Some(udp) => EdgeCluster::connect_udp_cfg(&addrs, spec, udp),
             }
-        });
-        let spec = uncached_spec(cfg.clone());
-        let mut cluster = EdgeCluster::connect(&[addr.to_string()], spec).unwrap();
-        let mut pop = Population::new(cfg, 43);
-        cluster.evaluate(&mut pop).unwrap();
-        let clean: Vec<f64> = pop
-            .genomes()
-            .values()
-            .map(|g| g.fitness().unwrap())
-            .collect();
-        // Simulate the aftermath of a transient churn-class failure:
-        // session poisoned, link suspected, origin intact.
-        let peer = cluster.links[0].transport.peer();
-        cluster.links[0].transport = Box::new(crate::transport::DeadTransport::new(peer));
-        cluster.links[0].poisoned = true;
-        cluster.links[0].health = LinkHealth::Suspected;
-        // The next round reconnects and probes over the new session.
-        cluster.evaluate(&mut pop).unwrap();
-        let resynced: Vec<f64> = pop
-            .genomes()
-            .values()
-            .map(|g| g.fitness().unwrap())
-            .collect();
-        assert_eq!(clean, resynced);
-        assert_eq!(
-            cluster.recovery_stats().failures,
-            0,
-            "resync heals the link without a strike"
-        );
-        assert_eq!(cluster.membership()[0].health, LinkHealth::Alive);
-        assert!(!cluster.links[0].poisoned);
-        cluster.shutdown();
-        handle.join().unwrap();
+            .unwrap();
+            let mut pop = Population::new(cfg.clone(), 43);
+            cluster.evaluate(&mut pop).unwrap();
+            let clean: Vec<f64> = pop
+                .genomes()
+                .values()
+                .map(|g| g.fitness().unwrap())
+                .collect();
+            // Simulate the aftermath of a transient churn-class failure:
+            // session poisoned, link suspected, origin intact.
+            let peer = cluster.links[0].transport.peer();
+            cluster.links[0].transport = Box::new(crate::transport::DeadTransport::new(peer));
+            cluster.links[0].poisoned = true;
+            cluster.links[0].health = LinkHealth::Suspected;
+            // The agent has left the abandoned session: at once over TCP,
+            // which sees the disconnect; at the end of its short liveness
+            // window over UDP, which cannot.
+            session_ended.recv().unwrap();
+            // The next round reconnects and probes over the new session.
+            cluster.evaluate(&mut pop).unwrap();
+            let resynced: Vec<f64> = pop
+                .genomes()
+                .values()
+                .map(|g| g.fitness().unwrap())
+                .collect();
+            assert_eq!(clean, resynced);
+            assert_eq!(
+                cluster.recovery_stats().failures,
+                0,
+                "resync heals the link without a strike"
+            );
+            assert_eq!(cluster.membership()[0].health, LinkHealth::Alive);
+            assert!(!cluster.links[0].poisoned);
+            cluster.shutdown();
+            handle.join().unwrap();
+        }
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! (`tests/common/mod.rs`). Churn costs only time, measured in
 //! `RecoveryStats`. Also pinned here: a kill landing in DDS's reproduction
 //! scatter, reassignment conserving genomes under *arbitrary* schedules
-//! (proptest), mid-run join over TCP and UDP, and the typed errors a
+//! (proptest), mid-run join over TCP and UDP, a killed slot revived from a
+//! spare `clan-cli agent` daemon over TCP and UDP, and the typed errors a
 //! cluster degrades into when churn drains it below the policy floor.
 
 mod common;
 
 use clan::core::membership::RecoveryPolicy;
 use clan::core::runtime::EdgeCluster;
-use clan::core::transport::{ChurnAction, ChurnSchedule, ClusterSpec};
+use clan::core::transport::{ChurnAction, ChurnSchedule, ClusterSpec, UdpConfig};
 use clan::core::{ClanError, ClanTopology, EngineOptions, InferenceMode};
 use clan::envs::Workload;
 use clan::neat::Population;
@@ -19,6 +20,8 @@ use common::{
     spec, Condition, GENERATIONS, SIM_AGENTS,
 };
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader};
+use std::process::{Child, ChildStdout, Command, Stdio};
 
 const CARTPOLE: Workload = Workload::CartPole;
 const MULTI: InferenceMode = InferenceMode::MultiStep;
@@ -110,6 +113,83 @@ fn mid_run_join_over_tcp_and_udp_is_bit_identical() {
             "the joined agent carried traffic"
         );
         cluster.shutdown();
+    }
+}
+
+/// `clan-cli agent --once` daemons on ephemeral loopback ports, killed
+/// when dropped (a UDP daemon whose coordinator vanished would otherwise
+/// wait out its liveness window).
+struct Daemons(Vec<(Child, BufReader<ChildStdout>)>);
+
+impl Daemons {
+    /// Starts `n` daemons — TCP, or UDP with `--udp` — and returns them
+    /// with the addresses their banners name.
+    fn start(n: usize, udp: bool) -> (Daemons, Vec<String>) {
+        let mut daemons = Daemons(Vec::new());
+        let mut addrs = Vec::new();
+        for _ in 0..n {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_clan-cli"))
+                .args(["agent", "--listen", "127.0.0.1:0", "--once"])
+                .args(udp.then_some("--udp"))
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("agent daemon starts");
+            let mut stdout = BufReader::new(child.stdout.take().expect("piped"));
+            let mut banner = String::new();
+            let read = stdout.read_line(&mut banner);
+            // Kept open, so the daemon's last line has somewhere to go.
+            daemons.0.push((child, stdout));
+            read.expect("daemon banner");
+            let addr = banner
+                .split_whitespace()
+                .find(|word| word.starts_with("127.0.0.1:"))
+                .unwrap_or_else(|| panic!("no address in banner {banner:?}"));
+            addrs.push(addr.to_string());
+        }
+        (daemons, addrs)
+    }
+}
+
+impl Drop for Daemons {
+    fn drop(&mut self) {
+        for (child, _) in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+#[test]
+fn remote_daemons_revive_a_killed_slot_from_a_spare_over_tcp_and_udp() {
+    // Two `clan-cli agent` daemons found the cluster and a third stands
+    // by: slot 1 dies before round 1, and its revival before round 3
+    // connects the spare — the remote arm of the respawn path, on either
+    // transport.
+    let dcs = ClanTopology::dcs();
+    let local = local_evaluator(CARTPOLE, MULTI);
+    let reference = run(&mut *orchestrator(dcs, SIM_AGENTS, local), GENERATIONS);
+    for udp in [None, Some(UdpConfig::default())] {
+        let (_daemons, mut addrs) = Daemons::start(3, udp.is_some());
+        let spare = addrs.pop().expect("three daemons");
+        let spec = spec(CARTPOLE, MULTI);
+        let mut cluster = match &udp {
+            None => EdgeCluster::connect(&addrs, spec),
+            Some(udp) => EdgeCluster::connect_udp_cfg(&addrs, spec, udp.clone()),
+        }
+        .expect("the daemons answer");
+        cluster.set_spares(vec![spare]).expect("a remote cluster");
+        cluster
+            .set_churn(ChurnSchedule::new().kill(1, 1).revive(1, 3))
+            .expect("the spare covers the revival");
+        let remote = local_evaluator(CARTPOLE, MULTI).with_remote(cluster);
+        let mut o = orchestrator(dcs, SIM_AGENTS, remote);
+        let subject = run(&mut *o, GENERATIONS);
+        let stats = o.recovery_stats().expect("remote run records recovery");
+        assert_eq!((stats.kills, stats.joins), (1, 1), "{stats:?}");
+        let transport = if udp.is_some() { "UDP" } else { "TCP" };
+        let cell = format!("kill + spare revival x CLAN_DCS x 2 {transport} daemon(s)");
+        assert_eq!(compare(&cell, &reference, &subject), Ok(()));
     }
 }
 
