@@ -69,6 +69,7 @@ fn bench_eval_thread_scaling(c: &mut Criterion) {
 
 fn bench_threaded_runtime(c: &mut Criterion) {
     use clan_core::runtime::EdgeCluster;
+    use clan_core::transport::ClusterSpec;
     use clan_core::{DcsOrchestrator, Evaluator, InferenceMode, Orchestrator};
     use clan_distsim::Cluster;
     use clan_hw::Platform;
@@ -80,8 +81,8 @@ fn bench_threaded_runtime(c: &mut Criterion) {
         .population_size(48)
         .build()
         .unwrap();
-    let cluster =
-        EdgeCluster::spawn(4, w, InferenceMode::MultiStep, cfg.clone()).expect("cluster spawns");
+    let spec = ClusterSpec::new(w, InferenceMode::MultiStep, cfg.clone());
+    let cluster = EdgeCluster::spawn_spec(4, spec).expect("cluster spawns");
     let mut orchestrator = DcsOrchestrator::new(
         Population::new(cfg, 11),
         Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster),

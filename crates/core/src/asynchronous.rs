@@ -747,13 +747,12 @@ mod tests {
     fn live_spans_fit_the_capacity_unclamped() {
         let w = Workload::CartPole;
         let population = pop(12, 3);
-        let cluster = crate::runtime::EdgeCluster::spawn(
-            2,
+        let spec = crate::transport::ClusterSpec::new(
             w,
             InferenceMode::MultiStep,
             population.config().clone(),
-        )
-        .unwrap();
+        );
+        let cluster = crate::runtime::EdgeCluster::spawn_spec(2, spec).unwrap();
         let evaluator = Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster);
         let mut orch = AsyncOrchestrator::new(population, evaluator, 80, 3).unwrap();
         orch.run_streamed().unwrap();

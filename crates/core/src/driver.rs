@@ -25,7 +25,7 @@ use crate::evaluator::{EngineOptions, Evaluator, InferenceMode};
 use crate::membership::RecoveryPolicy;
 use crate::orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 use crate::report::RunReport;
-use crate::runtime::{EdgeCluster, GatherStats, STREAM_WINDOW};
+use crate::runtime::{AgentSource, EdgeCluster, GatherStats, STREAM_WINDOW};
 use crate::status::{StatusHandle, StatusServer, StatusSnapshot};
 use crate::telemetry::{EventKind, RunTrace, TelemetryReport, Tracer};
 use crate::topology::{ClanTopology, SpeciationMode};
@@ -64,7 +64,7 @@ pub struct DriverConfig {
     /// DDA-only: pool-and-redistribute period (global speciation).
     pub resync_every: Option<u64>,
     /// Datagram-transport tuning (and optional seeded fault injection)
-    /// when the backend speaks UDP; `None` on TCP/local backends.
+    /// when the agents speak UDP; `None` on TCP and local backends.
     pub udp: Option<UdpConfig>,
     /// Churn-recovery policy applied to remote backends (the live-agent
     /// floor).
@@ -321,28 +321,14 @@ pub struct ClanDriverBuilder {
     /// Everything that ends up in the driver's resolved configuration.
     config: DriverConfig,
     neat_config: Option<NeatConfig>,
-    remote: RemoteBackend,
+    /// How many agents evaluate, and where they come from (their
+    /// transport is `config.udp`'s); `None` evaluates on the
+    /// coordinator's own threads.
+    source: Option<(usize, AgentSource)>,
     total_evals: Option<u64>,
-    tournament_size: usize,
+    tournament_size: Option<usize>,
     latency_ms: Option<Vec<f64>>,
-    latency_jitter_pct: u32,
-}
-
-/// Where genome evaluation physically runs.
-#[derive(Debug, Clone, Default)]
-enum RemoteBackend {
-    /// On the coordinator's own evaluation threads.
-    #[default]
-    Local,
-    /// Over loopback TCP agents spawned in this process.
-    Loopback(usize),
-    /// Over already-running `clan-cli agent` processes.
-    Agents(Vec<String>),
-    /// Over loopback UDP agents spawned in this process (loss-tolerant
-    /// datagram transport).
-    LoopbackUdp(usize),
-    /// Over already-running `clan-cli agent --udp` processes.
-    AgentsUdp(Vec<String>),
+    latency_jitter_pct: Option<u32>,
 }
 
 impl ClanDriverBuilder {
@@ -372,11 +358,11 @@ impl ClanDriverBuilder {
                 status_addr: None,
             },
             neat_config: None,
-            remote: RemoteBackend::Local,
+            source: None,
             total_evals: None,
-            tournament_size: 3,
+            tournament_size: None,
             latency_ms: None,
-            latency_jitter_pct: 10,
+            latency_jitter_pct: None,
         }
     }
 
@@ -440,7 +426,8 @@ impl ClanDriverBuilder {
     }
 
     /// DDA-only: enables periodic global speciation every `g` generations
-    /// ([`build`](Self::build) rejects it on any other topology).
+    /// ([`build`](Self::build) rejects it on any other topology, and
+    /// [`build_async`](Self::build_async) always).
     pub fn resync_every(mut self, g: u64) -> Self {
         self.config.resync_every = Some(g);
         self
@@ -454,44 +441,44 @@ impl ClanDriverBuilder {
         self
     }
 
-    /// Runs inference over `n` loopback TCP agents spawned in this
-    /// process — the full networked stack on `127.0.0.1` ephemeral
-    /// ports. Results stay bit-identical to a local run.
+    /// Runs inference over `n` loopback agents spawned in this process —
+    /// the full networked stack on `127.0.0.1` ephemeral ports, TCP
+    /// unless [`udp_config`](Self::udp_config) is set. Results stay
+    /// bit-identical to a local run.
     pub fn loopback_agents(mut self, n: usize) -> Self {
-        self.remote = RemoteBackend::Loopback(n);
+        self.source = Some((n, AgentSource::Loopback(None)));
         self
     }
 
-    /// Runs inference over already-listening `clan-cli agent` processes
-    /// at `addrs` (`host:port`). The session configuration (workload,
-    /// NEAT config, episodes) is pushed to each agent over the wire.
+    /// Runs inference over already-listening `clan-cli agent [--udp]`
+    /// daemons at `addrs` (`host:port`), TCP unless
+    /// [`udp_config`](Self::udp_config) is set. The session
+    /// configuration (workload, NEAT config, episodes) is pushed to each
+    /// agent over the wire.
     pub fn remote_agents(mut self, addrs: Vec<String>) -> Self {
-        self.remote = RemoteBackend::Agents(addrs);
+        let n = addrs.len();
+        let remote = AgentSource::Remote {
+            udp: None,
+            spares: addrs,
+        };
+        self.source = Some((n, remote));
         self
     }
 
-    /// Runs inference over `n` loopback **UDP** agents spawned in this
-    /// process — the loss-tolerant datagram stack end to end. Combine
-    /// with [`udp_config`](ClanDriverBuilder::udp_config) to inject
-    /// seeded faults; results stay bit-identical to a local run under
-    /// any loss the ARQ layer can recover.
+    /// [`loopback_agents`](Self::loopback_agents) over the loss-tolerant
+    /// datagram transport: the stock [`UdpConfig`] unless
+    /// [`udp_config`](Self::udp_config) sets one (with seeded faults, say;
+    /// results stay bit-identical to a local run under any loss the ARQ
+    /// layer can recover).
     pub fn loopback_udp_agents(mut self, n: usize) -> Self {
-        self.remote = RemoteBackend::LoopbackUdp(n);
-        self
+        self.config.udp.get_or_insert_with(UdpConfig::default);
+        self.loopback_agents(n)
     }
 
-    /// Runs inference over already-listening `clan-cli agent --udp`
-    /// processes at `addrs` (`host:port`) over the loss-tolerant
-    /// datagram transport.
-    pub fn remote_udp_agents(mut self, addrs: Vec<String>) -> Self {
-        self.remote = RemoteBackend::AgentsUdp(addrs);
-        self
-    }
-
-    /// Overrides the datagram-transport tuning (MTU, retransmission timeout,
-    /// liveness window, seeded fault injection) of a UDP backend.
-    /// Rejected at [`build`](ClanDriverBuilder::build) on non-UDP
-    /// backends.
+    /// Makes the agents speak reliable UDP with this tuning (MTU,
+    /// retransmission timeout, liveness window, seeded fault injection)
+    /// instead of TCP. Rejected at [`build`](Self::build) on the local
+    /// backend, which has no agents.
     pub fn udp_config(mut self, udp: UdpConfig) -> Self {
         self.config.udp = Some(udp);
         self
@@ -565,7 +552,8 @@ impl ClanDriverBuilder {
         self
     }
 
-    /// Async steady-state only: fixes the total evaluation budget (the
+    /// Async steady-state only — like the three options below, rejected
+    /// by [`build`](Self::build): fixes the total evaluation budget (the
     /// run dispatches exactly this many evaluations, bootstrap wave
     /// included). Defaults to 10x the population size.
     pub fn total_evals(mut self, n: u64) -> Self {
@@ -576,7 +564,7 @@ impl ClanDriverBuilder {
     /// Async steady-state only: tournament size for parent selection
     /// (default 3). Larger tournaments raise selection pressure.
     pub fn tournament_size(mut self, k: usize) -> Self {
-        self.tournament_size = k;
+        self.tournament_size = Some(k);
         self
     }
 
@@ -594,7 +582,7 @@ impl ClanDriverBuilder {
     /// Async steady-state only: multiplicative jitter on the virtual
     /// service times, in percent (default 10, max 90).
     pub fn latency_jitter_pct(mut self, pct: u32) -> Self {
-        self.latency_jitter_pct = pct;
+        self.latency_jitter_pct = Some(pct);
         self
     }
 
@@ -638,50 +626,33 @@ impl ClanDriverBuilder {
                 reason: "episodes_per_eval must be at least 1".into(),
             });
         }
-        let is_udp = matches!(
-            self.remote,
-            RemoteBackend::LoopbackUdp(_) | RemoteBackend::AgentsUdp(_)
-        );
-        if c.udp.is_some() && !is_udp {
-            return Err(ClanError::InvalidSetup {
-                reason: "udp_config applies to UDP backends only \
-                         (loopback_udp_agents or remote_udp_agents)"
-                    .into(),
-            });
-        }
         let spec = ClusterSpec::new(c.workload, c.mode, cfg.clone())
             .with_episodes(c.episodes_per_eval)
             .with_engine(c.engine);
-        let udp = || c.udp.clone().unwrap_or_default();
-        let edge = match &self.remote {
-            RemoteBackend::Local => {
-                if c.churn.is_some() || !c.spare_agents.is_empty() {
-                    return Err(ClanError::InvalidSetup {
-                        reason: "churn schedules and spare agents apply to remote \
-                                 backends only (loopback_agents or remote_agents)"
-                            .into(),
-                    });
-                }
-                None
-            }
-            RemoteBackend::Loopback(n) => Some(EdgeCluster::spawn_local_spec(*n, spec)?),
-            RemoteBackend::LoopbackUdp(n) => {
-                Some(EdgeCluster::spawn_local_udp_cfg(*n, spec, udp())?)
-            }
-            RemoteBackend::Agents(addrs) => Some(EdgeCluster::connect(addrs, spec)?),
-            RemoteBackend::AgentsUdp(addrs) => {
-                Some(EdgeCluster::connect_udp_cfg(addrs, spec, udp())?)
-            }
+        // Agents evaluate: the coordinator-side evaluator never activates
+        // networks itself, so extra engines are only built when
+        // evaluation actually stays local.
+        let threads = if self.source.is_some() {
+            1
+        } else {
+            c.eval_threads
         };
-        // Remote backends evaluate on the agents: the coordinator-side
-        // evaluator never activates networks itself, so extra engines
-        // are only built when evaluation actually stays local.
-        let threads = if edge.is_some() { 1 } else { c.eval_threads };
         let evaluator =
             Evaluator::with_options(c.workload, c.mode, c.episodes_per_eval, threads, c.engine);
-        let Some(mut edge) = edge else {
+        let Some((n, mut source)) = self.source.clone() else {
+            if c.udp.is_some() || c.churn.is_some() || !c.spare_agents.is_empty() {
+                return Err(ClanError::InvalidSetup {
+                    reason: "udp_config, churn schedules and spare agents apply to agent \
+                             backends only (loopback_agents or remote_agents)"
+                        .into(),
+                });
+            }
             return Ok((cfg, evaluator));
         };
+        if let AgentSource::Loopback(udp) | AgentSource::Remote { udp, .. } = &mut source {
+            udp.clone_from(&c.udp);
+        }
+        let mut edge = EdgeCluster::from_source(n, spec, source)?;
         edge.set_recovery_policy(c.recovery);
         if !c.spare_agents.is_empty() {
             edge.set_spares(c.spare_agents.clone())?;
@@ -753,6 +724,16 @@ impl ClanDriverBuilder {
     /// invalid NEAT configuration.
     pub fn build(self) -> Result<ClanDriver, ClanError> {
         let c = &self.config;
+        let async_only = [
+            ("total_evals", self.total_evals.is_some()),
+            ("tournament_size", self.tournament_size.is_some()),
+            ("latency_ms", self.latency_ms.is_some()),
+            ("latency_jitter_pct", self.latency_jitter_pct.is_some()),
+        ]
+        .into_iter()
+        .find_map(|(option, set)| {
+            set.then(|| format!("{option} applies to async steady-state runs (build_async) only"))
+        });
         let invalid = match (c.topology.speciation, c.resync_every) {
             (SpeciationMode::Asynchronous { clans }, _) if clans != c.n_agents => Some(format!(
                 "DDA runs one clan per agent: {clans} clans vs {} agents",
@@ -762,7 +743,7 @@ impl ClanDriverBuilder {
                 "resync_every applies to CLAN_DDA only, not {}",
                 c.topology
             )),
-            _ => None,
+            _ => async_only,
         };
         if let Some(reason) = invalid {
             return Err(ClanError::InvalidSetup { reason });
@@ -804,10 +785,19 @@ impl ClanDriverBuilder {
     /// # Errors
     ///
     /// [`ClanError::InvalidSetup`] as [`build`](Self::build), plus: a
-    /// latency schedule on a remote backend, a latency list whose length
-    /// disagrees with the agent count, `agents × STREAM_WINDOW` not
-    /// strictly below the population size, or an eval budget below it.
+    /// [`resync_every`](Self::resync_every) (there are no generations to
+    /// resync), a latency schedule on a remote backend, a latency list
+    /// whose length disagrees with the agent count, `agents ×
+    /// STREAM_WINDOW` not strictly below the population size, or an eval
+    /// budget below it.
     pub fn build_async(self) -> Result<AsyncClanDriver, ClanError> {
+        if self.config.resync_every.is_some() {
+            return Err(ClanError::InvalidSetup {
+                reason: "resync_every applies to generational CLAN_DDA runs (build), \
+                         not async steady-state ones"
+                    .into(),
+            });
+        }
         let (cfg, mut evaluator) = self.prepare()?;
         let c = &self.config;
         let is_remote = evaluator.remote_agents() > 0;
@@ -859,7 +849,7 @@ impl ClanDriverBuilder {
             Some(LatencySchedule::new(
                 c.seed,
                 base_us,
-                self.latency_jitter_pct,
+                self.latency_jitter_pct.unwrap_or(10),
             )?)
         };
         let total = self.total_evals.unwrap_or(10 * cfg.population_size as u64);
@@ -875,7 +865,8 @@ impl ClanDriverBuilder {
             &mut evaluator,
         )?;
         let pop = Population::new(cfg, c.seed);
-        let orchestrator = AsyncOrchestrator::new(pop, evaluator, total, self.tournament_size)?;
+        let tournament = self.tournament_size.unwrap_or(3);
+        let orchestrator = AsyncOrchestrator::new(pop, evaluator, total, tournament)?;
         Ok(AsyncClanDriver {
             orchestrator,
             schedule,
@@ -1285,13 +1276,48 @@ mod tests {
     }
 
     #[test]
-    fn udp_config_on_tcp_backend_rejected() {
-        let err = ClanDriver::builder(Workload::CartPole)
-            .population_size(8)
-            .loopback_agents(2)
-            .udp_config(crate::transport::UdpConfig::default())
-            .build();
+    fn udp_config_picks_the_agents_transport_and_needs_agents() {
+        let udp = crate::transport::UdpConfig::default().with_mtu(512);
+        let builder = ClanDriver::builder(Workload::CartPole).population_size(8);
+        let err = builder.clone().udp_config(udp.clone()).build();
         assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
+        // Set before or after the agents, it is the one UDP tuning.
+        for builder in [
+            builder.clone().loopback_agents(2).udp_config(udp.clone()),
+            builder
+                .clone()
+                .udp_config(udp.clone())
+                .loopback_udp_agents(2),
+        ] {
+            let driver = builder.build().unwrap();
+            assert_eq!(driver.config().udp.as_ref(), Some(&udp));
+            assert_eq!(driver.run(1).unwrap().generations.len(), 1);
+        }
+    }
+
+    #[test]
+    fn options_of_the_other_mode_are_rejected_before_any_agent_is_dialed() {
+        // Nothing listens at the address: a check that ran after
+        // `prepare` would fail to connect instead.
+        let builder = ClanDriver::builder(Workload::CartPole)
+            .population_size(24)
+            .remote_agents(vec!["127.0.0.1:9".into()]);
+        let rejected = |result: Result<(), ClanError>, option: &str| {
+            assert!(
+                matches!(&result, Err(ClanError::InvalidSetup { reason }) if reason.contains(option)),
+                "{option}: {result:?}"
+            );
+        };
+        let build = |b: ClanDriverBuilder| b.build().map(drop);
+        rejected(build(builder.clone().total_evals(40)), "total_evals");
+        rejected(build(builder.clone().tournament_size(5)), "tournament_size");
+        rejected(build(builder.clone().latency_ms(vec![2.0])), "latency_ms");
+        rejected(
+            build(builder.clone().latency_jitter_pct(20)),
+            "latency_jitter_pct",
+        );
+        let dda = builder.topology(ClanTopology::dda(1)).resync_every(2);
+        rejected(dda.build_async().map(drop), "resync_every");
     }
 
     #[test]

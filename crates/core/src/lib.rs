@@ -51,11 +51,11 @@
 //!
 //! - **Wire format** — one binary frame per protocol message
 //!   (`"CLAN"` magic, version, tag, payload; see [`transport::codec`]),
-//!   moved by a [`transport::Transport`]: in-process byte channels
-//!   ([`runtime::EdgeCluster::spawn`]), loopback TCP sockets on
-//!   ephemeral ports ([`runtime::EdgeCluster::spawn_local_spec`]), or remote
-//!   agent processes started with `clan-cli agent --listen ADDR`
-//!   ([`runtime::EdgeCluster::connect`]). A coordinator configures
+//!   moved by a [`transport::Transport`]. One [`runtime::AgentSource`]
+//!   says where agents come from and whether they speak TCP or UDP:
+//!   threads over in-process byte channels, threads serving loopback
+//!   sockets, or [`transport::agent::AgentServer`] daemons started with
+//!   `clan-cli agent --listen ADDR [--udp]`. A coordinator configures
 //!   agents over the wire (`Configure` carries workload + NEAT config),
 //!   then drives `Evaluate`/`Fitness` rounds and — under
 //!   [`DdsOrchestrator`], whose reproduction is distributed —

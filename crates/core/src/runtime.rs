@@ -10,14 +10,23 @@
 //! bit-identical to a serial run (one row of the determinism matrix in
 //! `tests/common/mod.rs` per transport and fault condition).
 //!
-//! Three deployments of the same protocol:
+//! One [`AgentSource`] says where a cluster's agents come from — founding
+//! members, revivals and admissions alike — and over which transport
+//! (`None` means TCP, `Some` a reliable-UDP tuning):
 //!
-//! - [`EdgeCluster::spawn`] — agent threads over in-process channels;
-//! - [`EdgeCluster::spawn_local_spec`] — agent threads serving **real TCP
-//!   sockets** on `127.0.0.1` ephemeral ports (the whole networked stack
-//!   in one process, which is what CI smokes);
-//! - [`EdgeCluster::connect`] — remote agent processes started with
-//!   `clan-cli agent --listen ADDR` on actual edge devices.
+//! - [`Threads`](AgentSource::Threads) — agent threads over in-process
+//!   channels ([`EdgeCluster::spawn_spec`]);
+//! - [`Loopback`](AgentSource::Loopback) — agent threads serving **real
+//!   sockets** on `127.0.0.1` ephemeral ports, TCP
+//!   ([`EdgeCluster::spawn_local_spec`]) or UDP
+//!   ([`EdgeCluster::spawn_local_udp_cfg`]): the whole networked stack in
+//!   one process, which is what CI smokes;
+//! - [`Remote`](AgentSource::Remote) — agent daemons started with
+//!   `clan-cli agent --listen ADDR [--udp]` on actual edge devices
+//!   ([`EdgeCluster::connect`], [`EdgeCluster::connect_udp_cfg`]), plus any
+//!   standby addresses for replacements;
+//! - [`External`](AgentSource::External) — caller-supplied transports
+//!   ([`EdgeCluster::connect_transports`]), which cannot be replaced.
 //!
 //! Every message's *measured* bytes-on-the-wire are recorded in a
 //! [`CommLedger`] next to the analytic model's float accounting, so the
@@ -69,17 +78,16 @@
 #![deny(clippy::unreachable, clippy::todo)]
 
 use crate::error::ClanError;
-use crate::evaluator::{CacheFilter, InferenceMode};
+use crate::evaluator::CacheFilter;
 use crate::membership::{is_churn_error, AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
 use crate::telemetry::{EventKind, Tracer};
-use crate::transport::agent::{message_name, serve_session, AgentServer, UdpAgentServer};
+use crate::transport::agent::{message_name, serve_session, AgentServer};
 use crate::transport::churn::{ChurnAction, ChurnSchedule, DeadTransport};
 use crate::transport::codec::{encode_build_children, encode_evaluate, request_floats};
 use crate::transport::{
-    channel_pair, recv_message, send_message, wire_bytes, ClusterSpec, TcpTransport, Transport,
-    UdpConfig, WireEvaluation, WireMessage,
+    channel_pair, recv_message, send_message, wire_bytes, ClusterSpec, FaultyTransport,
+    TcpTransport, Transport, UdpConfig, UdpLink, UdpTransport, WireEvaluation, WireMessage,
 };
-use clan_envs::Workload;
 use clan_neat::reproduction::ChildSpec;
 use clan_neat::{FitnessCache, Genome, GenomeId, NeatConfig, Population};
 use clan_netsim::{CommLedger, MessageKind};
@@ -90,19 +98,6 @@ use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How a remote link's session can be re-established after a failure
-/// (the original agent address). In-process links have no origin: their
-/// agent thread dies with its session, so they come back only through
-/// an explicit revival.
-#[derive(Clone)]
-enum LinkOrigin {
-    /// Reconnect over TCP to the original address.
-    Tcp(String),
-    /// Reconnect over the datagram transport to the original address,
-    /// with the coordinator-side tuning (faults re-derived per link).
-    Udp(String, UdpConfig),
-}
 
 /// One agent as the coordinator sees it.
 struct AgentLink {
@@ -120,15 +115,17 @@ struct AgentLink {
     /// is a [`DeadTransport`]; the link is re-established from `origin`
     /// before its next probe, or strikes out.
     poisoned: bool,
-    /// Where a fresh session can be established, for remote links.
-    origin: Option<LinkOrigin>,
+    /// The remote agent's address, where a fresh session can be
+    /// established. In-process agents have none: their thread dies with
+    /// its session, so they come back only through an explicit revival.
+    origin: Option<String>,
 }
 
 impl AgentLink {
     fn new(
         transport: Box<dyn Transport>,
         handle: Option<JoinHandle<()>>,
-        origin: Option<LinkOrigin>,
+        origin: Option<String>,
     ) -> AgentLink {
         AgentLink {
             transport,
@@ -161,32 +158,105 @@ impl AgentLink {
     }
 }
 
-/// Where this cluster's agents come from: the founding members at
-/// construction and any replacement for a mid-run revival or admission
-/// are minted from the same source. Remote clusters consume one address
-/// per agent, so they are left with no source until
-/// [`set_spares`](EdgeCluster::set_spares) supplies standby addresses.
-enum Respawn {
-    /// No way to mint new agents (caller-supplied transports).
+/// Where a cluster's agents come from, and over which transport: the
+/// founding members at construction and every replacement for a mid-run
+/// revival or admission are minted from the same source. `udp: None`
+/// speaks TCP; `Some` speaks reliable UDP with that tuning, its seeded
+/// [`faults`](UdpConfig::faults) injected on the coordinator's side of
+/// every link with a per-link RNG
+/// ([`FaultConfig::for_link`](crate::transport::FaultConfig::for_link)),
+/// which makes both directions lossy.
+#[derive(Debug, Clone)]
+pub enum AgentSource {
+    /// In-process agent threads over byte channels.
+    Threads,
+    /// In-process agent threads serving loopback sockets.
+    Loopback(Option<UdpConfig>),
+    /// Running `clan-cli agent [--udp]` daemons, connected in order: the
+    /// founding members first, then one per replacement.
+    Remote {
+        /// The transport's datagram tuning, `None` for TCP.
+        udp: Option<UdpConfig>,
+        /// Addresses not connected yet.
+        spares: Vec<String>,
+    },
+    /// Caller-supplied transports: nothing to mint replacements from.
     External,
-    /// In-process worker thread over a byte channel.
-    Channel,
-    /// In-process agent thread serving loopback TCP.
-    LoopbackTcp,
-    /// In-process agent thread serving loopback UDP, with the
-    /// coordinator-side and agent-side datagram configs.
-    LoopbackUdp {
-        coordinator: UdpConfig,
-        agent: UdpConfig,
-    },
-    /// Standby `clan-cli agent` addresses to connect over TCP.
-    RemoteTcp { spares: VecDeque<String> },
-    /// Standby `clan-cli agent --udp` addresses, with the
-    /// coordinator-side datagram config.
-    RemoteUdp {
-        coordinator: UdpConfig,
-        spares: VecDeque<String>,
-    },
+}
+
+impl AgentSource {
+    /// The datagram tuning links from this source speak, `None` for TCP.
+    fn udp(&self) -> Option<&UdpConfig> {
+        match self {
+            AgentSource::Loopback(udp) | AgentSource::Remote { udp, .. } => udp.as_ref(),
+            AgentSource::Threads | AgentSource::External => None,
+        }
+    }
+
+    /// How many more agents this source can mint.
+    fn capacity(&self) -> usize {
+        match self {
+            AgentSource::Threads | AgentSource::Loopback(_) => usize::MAX,
+            AgentSource::Remote { spares, .. } => spares.len(),
+            AgentSource::External => 0,
+        }
+    }
+
+    /// Mints the agent for link slot `slot`, as an unconfigured link (the
+    /// caller pushes `Configure`).
+    fn mint(&mut self, slot: usize) -> Result<AgentLink, ClanError> {
+        match self {
+            AgentSource::Threads => {
+                let (coord, mut agent_side) = channel_pair();
+                let handle = spawn_agent_thread(slot, move || serve_session(&mut agent_side))?;
+                Ok(AgentLink::new(Box::new(coord), Some(handle), None))
+            }
+            AgentSource::Loopback(udp) => {
+                let mut server = AgentServer::bind("127.0.0.1:0", udp.clone())?;
+                // Dial before spawning the serving thread: a TCP connection
+                // waits in the listener's backlog, and a failure leaves no
+                // thread parked forever in accept().
+                let transport = dial(&server.local_addr().to_string(), udp.as_ref(), slot)?;
+                let handle = spawn_agent_thread(slot, move || server.serve_once())?;
+                Ok(AgentLink::new(transport, Some(handle), None))
+            }
+            AgentSource::Remote { udp, spares } => {
+                if spares.is_empty() {
+                    return Err(ClanError::InvalidSetup {
+                        reason: "no spare agent addresses left (see set_spares / --spare-at)"
+                            .into(),
+                    });
+                }
+                let addr = spares.remove(0);
+                let transport = dial(&addr, udp.as_ref(), slot)?;
+                Ok(AgentLink::new(transport, None, Some(addr)))
+            }
+            AgentSource::External => Err(ClanError::InvalidSetup {
+                reason: "this cluster cannot mint replacement agents \
+                         (caller-supplied transports)"
+                    .into(),
+            }),
+        }
+    }
+}
+
+/// Opens the coordinator's end of link slot `slot` to the agent at
+/// `addr`: TCP, or reliable UDP with `udp`'s tuning and its faults (if
+/// any) drawn from the slot's own RNG stream — so every link of a
+/// cluster sees independent, reproducible loss, and a resynced link the
+/// same loss as before.
+fn dial(addr: &str, udp: Option<&UdpConfig>, slot: usize) -> Result<Box<dyn Transport>, ClanError> {
+    let Some(udp) = udp else {
+        return Ok(Box::new(TcpTransport::connect(addr)?));
+    };
+    let link = UdpLink::connect(addr)?;
+    Ok(match &udp.faults {
+        Some(f) => Box::new(UdpTransport::with_config(
+            FaultyTransport::new(link, f.for_link(slot)),
+            udp,
+        )),
+        None => Box::new(UdpTransport::with_config(link, udp)),
+    })
 }
 
 /// Measured timing of a cluster's rounds, gathers and streams alike.
@@ -521,8 +591,9 @@ pub struct EdgeCluster {
     /// Rounds performed (each `evaluate_collect` / `build_children` /
     /// `evaluate_stream` call advances this by one).
     round: u64,
-    /// How replacement agents are produced for revivals/admissions.
-    respawn: Respawn,
+    /// Where replacement agents for revivals/admissions come from, and
+    /// the transport resynced links speak.
+    source: AgentSource,
     /// Coordinator-side content-addressed fitness cache (per
     /// `spec.cache`): hits are served locally and never cross the wire,
     /// so every remote surface — DCS, DDS, TCP, UDP, churned — gets the
@@ -545,39 +616,39 @@ impl std::fmt::Debug for EdgeCluster {
 }
 
 impl EdgeCluster {
-    /// Spawns `n_agents` worker threads connected over in-process
-    /// channels (frames still cross as encoded bytes).
+    /// Mints `n_agents` founding agents from `source` and pushes the
+    /// session configuration to each — what every constructor but
+    /// [`connect_transports`](Self::connect_transports) does. A
+    /// [`Remote`](AgentSource::Remote) source connects its
+    /// first `n_agents` addresses and keeps the rest as spares.
     ///
     /// # Errors
     ///
-    /// [`ClanError::InvalidSetup`] if `n_agents` is zero, and
-    /// [`ClanError::Transport`] if an agent rejects configuration.
-    ///
+    /// [`ClanError::InvalidSetup`] if `n_agents` is zero or the source
+    /// cannot mint that many, [`ClanError::Transport`] if binding,
+    /// connecting or configuring an agent fails, and
     /// [`ClanError::WorkerFailure`] if the OS cannot spawn an agent
-    /// thread.
-    pub fn spawn(
+    /// thread. (UDP has no connection handshake — an unreachable remote
+    /// agent surfaces on the first exchange instead.)
+    pub fn from_source(
         n_agents: usize,
-        workload: Workload,
-        mode: InferenceMode,
-        cfg: NeatConfig,
+        spec: ClusterSpec,
+        mut source: AgentSource,
     ) -> Result<EdgeCluster, ClanError> {
-        Self::spawn_spec(n_agents, ClusterSpec::new(workload, mode, cfg))
+        let links = (0..n_agents)
+            .map(|slot| source.mint(slot))
+            .collect::<Result<Vec<_>, ClanError>>()?;
+        Self::configured(links, spec, source)
     }
 
-    /// [`spawn`](EdgeCluster::spawn) with a full [`ClusterSpec`]
-    /// (episodes per evaluation etc.).
+    /// Spawns `n_agents` agent threads over in-process channels (frames
+    /// still cross as encoded bytes); see [`from_source`](Self::from_source).
     ///
     /// # Errors
     ///
-    /// [`ClanError::InvalidSetup`] if `n_agents` is zero, and
-    /// [`ClanError::Transport`] if an agent rejects configuration —
-    /// the same contract as [`spawn_local_spec`](EdgeCluster::spawn_local_spec),
-    /// so callers handle channel and TCP deployments identically.
-    ///
-    /// [`ClanError::WorkerFailure`] if the OS cannot spawn an agent
-    /// thread.
+    /// As [`from_source`](Self::from_source).
     pub fn spawn_spec(n_agents: usize, spec: ClusterSpec) -> Result<EdgeCluster, ClanError> {
-        Self::founded(n_agents, spec, Respawn::Channel)
+        Self::from_source(n_agents, spec, AgentSource::Threads)
     }
 
     /// Spawns `n_agents` agent threads each serving a **real TCP
@@ -586,88 +657,55 @@ impl EdgeCluster {
     ///
     /// # Errors
     ///
-    /// [`ClanError::Transport`] if binding or connecting fails, and
-    /// [`ClanError::InvalidSetup`] if `n_agents` is zero.
-    ///
-    /// [`ClanError::WorkerFailure`] if the OS cannot spawn an agent
-    /// thread.
+    /// As [`from_source`](Self::from_source).
     pub fn spawn_local_spec(n_agents: usize, spec: ClusterSpec) -> Result<EdgeCluster, ClanError> {
-        Self::founded(n_agents, spec, Respawn::LoopbackTcp)
+        Self::from_source(n_agents, spec, AgentSource::Loopback(None))
     }
 
     /// Spawns `n_agents` agent threads each serving a **real UDP
     /// socket** on `127.0.0.1` — the loss-tolerant datagram stack
-    /// ([`UdpTransport`](crate::transport::UdpTransport)), loopback, in
-    /// one process — with explicit datagram tuning
-    /// (`UdpConfig::default()` for the stock one) and, optionally,
-    /// seeded fault injection: the
-    /// config's [`faults`](UdpConfig::faults) are applied on the
-    /// coordinator side of every link with a per-link RNG
-    /// ([`FaultConfig::for_link`](crate::transport::FaultConfig::for_link)),
-    /// making both directions of each link lossy. The ARQ layer recovers
-    /// every injected fault, so results stay bit-identical to a clean
-    /// run — the `udp-lossy` matrix rows pin that at 20 % loss.
+    /// ([`UdpTransport`]), loopback, in one process — with explicit
+    /// datagram tuning (`UdpConfig::default()` for the stock one) and,
+    /// optionally, seeded faults (see [`AgentSource`]). The ARQ layer
+    /// recovers every injected fault, so results stay bit-identical to a
+    /// clean run — the `udp-lossy` matrix rows pin that at 20 % loss.
     ///
     /// # Errors
     ///
-    /// [`ClanError::Transport`] if binding or connecting fails,
-    /// [`ClanError::InvalidSetup`] if `n_agents` is zero, and
-    /// [`ClanError::WorkerFailure`] if the OS cannot spawn an agent
-    /// thread.
+    /// As [`from_source`](Self::from_source).
     pub fn spawn_local_udp_cfg(
         n_agents: usize,
         spec: ClusterSpec,
         udp: UdpConfig,
     ) -> Result<EdgeCluster, ClanError> {
-        // Agents run the same tuning but never inject faults themselves:
-        // the coordinator-side wrapper already perturbs both directions.
-        let agent_udp = UdpConfig {
-            faults: None,
-            ..udp.clone()
-        };
-        let respawn = Respawn::LoopbackUdp {
-            coordinator: udp,
-            agent: agent_udp,
-        };
-        Self::founded(n_agents, spec, respawn)
+        Self::from_source(n_agents, spec, AgentSource::Loopback(Some(udp)))
     }
 
-    /// Connects to already-running **UDP** agent processes (started with
+    /// Connects to already-running **UDP** agent daemons (started with
     /// `clan-cli agent --udp --listen ADDR`) with explicit datagram
-    /// tuning and optional coordinator-side fault injection, and pushes
-    /// the session configuration to each.
+    /// tuning and optional coordinator-side fault injection.
     ///
     /// # Errors
     ///
-    /// [`ClanError::Transport`] if a socket cannot be created, and
-    /// [`ClanError::InvalidSetup`] on an empty address list. (UDP has no
-    /// connection handshake — an unreachable agent surfaces as a
-    /// [`ClanError::Timeout`] on the first exchange instead.)
+    /// As [`from_source`](Self::from_source).
     pub fn connect_udp_cfg(
         addrs: &[String],
         spec: ClusterSpec,
         udp: UdpConfig,
     ) -> Result<EdgeCluster, ClanError> {
-        let respawn = Respawn::RemoteUdp {
-            coordinator: udp,
-            spares: addrs.iter().cloned().collect(),
-        };
-        Self::founded(addrs.len(), spec, respawn)
+        let (udp, spares) = (Some(udp), addrs.to_vec());
+        Self::from_source(addrs.len(), spec, AgentSource::Remote { udp, spares })
     }
 
-    /// Connects to already-running agent processes (started with
-    /// `clan-cli agent --listen ADDR`) and pushes the session
-    /// configuration to each.
+    /// Connects to already-running agent daemons (started with
+    /// `clan-cli agent --listen ADDR`) over TCP.
     ///
     /// # Errors
     ///
-    /// [`ClanError::Transport`] if any agent is unreachable, and
-    /// [`ClanError::InvalidSetup`] on an empty address list.
+    /// As [`from_source`](Self::from_source).
     pub fn connect(addrs: &[String], spec: ClusterSpec) -> Result<EdgeCluster, ClanError> {
-        let respawn = Respawn::RemoteTcp {
-            spares: addrs.iter().cloned().collect(),
-        };
-        Self::founded(addrs.len(), spec, respawn)
+        let spares = addrs.to_vec();
+        Self::from_source(addrs.len(), spec, AgentSource::Remote { udp: None, spares })
     }
 
     /// Builds a cluster over caller-supplied transports whose agent
@@ -688,57 +726,50 @@ impl EdgeCluster {
             .into_iter()
             .map(|t| AgentLink::new(t, None, None))
             .collect();
-        Self::configured(links, spec, Respawn::External)
-    }
-
-    /// Mints `n_agents` founding agents from `respawn` and configures
-    /// them.
-    fn founded(
-        n_agents: usize,
-        spec: ClusterSpec,
-        mut respawn: Respawn,
-    ) -> Result<EdgeCluster, ClanError> {
-        let links = (0..n_agents)
-            .map(|slot| Self::mint_agent(&mut respawn, slot))
-            .collect::<Result<Vec<_>, ClanError>>()?;
-        Self::configured(links, spec, respawn)
+        Self::configured(links, spec, AgentSource::External)
     }
 
     /// The one construction funnel: rejects an agent-less cluster (so
     /// every scatter can rely on at least one link slot — slots are only
-    /// ever added afterwards) and pushes `Configure` to every link
-    /// (control traffic: counted in bytes, invisible to the analytic
-    /// model).
+    /// ever added afterwards) and configures every link.
     fn configured(
-        mut links: Vec<AgentLink>,
+        links: Vec<AgentLink>,
         spec: ClusterSpec,
-        respawn: Respawn,
+        source: AgentSource,
     ) -> Result<EdgeCluster, ClanError> {
         if links.is_empty() {
             return Err(ClanError::InvalidSetup {
                 reason: "cluster needs at least one agent".into(),
             });
         }
-        let msg = WireMessage::Configure(Box::new(spec.clone()));
-        let mut control_bytes = 0;
-        for link in &mut links {
-            control_bytes += send_message(link.transport.as_mut(), &msg)?;
-        }
         let cache = spec.cache.then(FitnessCache::new);
-        Ok(EdgeCluster {
-            links,
+        let mut cluster = EdgeCluster {
+            links: Vec::with_capacity(links.len()),
             spec,
             ledger: CommLedger::new(),
-            control_bytes,
+            control_bytes: 0,
             gather: GatherStats::default(),
             policy: RecoveryPolicy::default(),
             recovery: RecoveryStats::default(),
             churn: None,
             round: 0,
-            respawn,
+            source,
             cache,
             tracer: Tracer::default(),
-        })
+        };
+        for mut link in links {
+            cluster.configure(link.transport.as_mut())?;
+            cluster.links.push(link);
+        }
+        Ok(cluster)
+    }
+
+    /// Pushes the session's `Configure` over `transport`: control
+    /// traffic, counted in bytes and invisible to the analytic model.
+    fn configure(&mut self, transport: &mut dyn Transport) -> Result<(), ClanError> {
+        let msg = WireMessage::Configure(Box::new(self.spec.clone()));
+        self.control_bytes += send_message(transport, &msg)?;
+        Ok(())
     }
 
     /// Number of agent link slots (including dead ones, whose slots are
@@ -796,9 +827,10 @@ impl EdgeCluster {
     /// # Errors
     ///
     /// [`ClanError::InvalidSetup`] if the schedule names an agent slot
-    /// this cluster does not have, or schedules revivals on a cluster
-    /// that cannot mint replacement agents (caller-supplied transports
-    /// without [`set_spares`](EdgeCluster::set_spares)).
+    /// this cluster does not have, or schedules more revivals than the
+    /// cluster can mint replacement agents for (caller-supplied
+    /// transports mint none; a remote cluster one per address given to
+    /// [`set_spares`](EdgeCluster::set_spares)).
     pub fn set_churn(&mut self, schedule: ChurnSchedule) -> Result<(), ClanError> {
         if let Some(max) = schedule.max_agent() {
             if max >= self.links.len() {
@@ -810,12 +842,14 @@ impl EdgeCluster {
                 });
             }
         }
-        if schedule.has_revivals() && !self.can_respawn() {
+        let (revivals, capacity) = (schedule.revivals(), self.source.capacity());
+        if revivals > capacity {
             return Err(ClanError::InvalidSetup {
-                reason: "churn schedule revives agents but this cluster cannot mint \
-                         replacements (connect via loopback, or supply standby \
-                         addresses with set_spares)"
-                    .into(),
+                reason: format!(
+                    "churn schedule revives {revivals} agent(s) but this cluster can mint \
+                     {capacity} replacement(s) (connect via loopback, or supply standby \
+                     addresses with set_spares)"
+                ),
             });
         }
         self.churn = Some(schedule);
@@ -832,8 +866,8 @@ impl EdgeCluster {
     /// [`ClanError::InvalidSetup`] on clusters whose agents are spawned
     /// in-process (they mint their own replacements) or caller-supplied.
     pub fn set_spares(&mut self, addrs: Vec<String>) -> Result<(), ClanError> {
-        match &mut self.respawn {
-            Respawn::RemoteTcp { spares } | Respawn::RemoteUdp { spares, .. } => {
+        match &mut self.source {
+            AgentSource::Remote { spares, .. } => {
                 spares.extend(addrs);
                 Ok(())
             }
@@ -842,73 +876,6 @@ impl EdgeCluster {
                          (connect / connect_udp_cfg)"
                     .into(),
             }),
-        }
-    }
-
-    fn can_respawn(&self) -> bool {
-        match &self.respawn {
-            Respawn::External => false,
-            Respawn::Channel | Respawn::LoopbackTcp | Respawn::LoopbackUdp { .. } => true,
-            Respawn::RemoteTcp { spares } => !spares.is_empty(),
-            Respawn::RemoteUdp { spares, .. } => !spares.is_empty(),
-        }
-    }
-
-    /// Mints the agent for link slot `slot` from `respawn`, as an
-    /// unconfigured link (the caller pushes `Configure`).
-    fn mint_agent(respawn: &mut Respawn, slot: usize) -> Result<AgentLink, ClanError> {
-        let next_spare = |spares: &mut VecDeque<String>| {
-            spares.pop_front().ok_or_else(|| ClanError::InvalidSetup {
-                reason: "no spare agent addresses left (see set_spares / --spare-at)".into(),
-            })
-        };
-        match respawn {
-            Respawn::External => Err(ClanError::InvalidSetup {
-                reason: "this cluster cannot mint replacement agents \
-                         (caller-supplied transports)"
-                    .into(),
-            }),
-            Respawn::Channel => {
-                let (coord, mut agent_side) = channel_pair();
-                let handle = spawn_agent_thread(slot, move || serve_session(&mut agent_side))?;
-                Ok(AgentLink::new(Box::new(coord), Some(handle), None))
-            }
-            Respawn::LoopbackTcp => {
-                let server = AgentServer::bind("127.0.0.1:0")?;
-                // Connect before spawning the serving thread: the pending
-                // connection waits in the listener's backlog, and a connect
-                // failure leaves no thread parked forever in accept().
-                let transport = TcpTransport::connect(server.local_addr())?;
-                let handle = spawn_agent_thread(slot, move || server.serve_once())?;
-                Ok(AgentLink::new(Box::new(transport), Some(handle), None))
-            }
-            Respawn::LoopbackUdp { coordinator, agent } => {
-                let mut server = UdpAgentServer::bind("127.0.0.1:0")?.with_config(agent.clone());
-                let transport = coordinator.transport_to(server.local_addr(), slot)?;
-                let handle = spawn_agent_thread(slot, move || server.serve_once())?;
-                Ok(AgentLink::new(transport, Some(handle), None))
-            }
-            Respawn::RemoteTcp { spares } => {
-                let addr = next_spare(spares)?;
-                let transport = TcpTransport::connect(addr.as_str())?;
-                Ok(AgentLink::new(
-                    Box::new(transport),
-                    None,
-                    Some(LinkOrigin::Tcp(addr)),
-                ))
-            }
-            Respawn::RemoteUdp {
-                coordinator,
-                spares,
-            } => {
-                let addr = next_spare(spares)?;
-                let transport = coordinator.transport_to(addr.as_str(), slot)?;
-                Ok(AgentLink::new(
-                    transport,
-                    None,
-                    Some(LinkOrigin::Udp(addr, coordinator.clone())),
-                ))
-            }
         }
     }
 
@@ -951,7 +918,7 @@ impl EdgeCluster {
     /// # Errors
     ///
     /// [`ClanError::InvalidSetup`] on an out-of-range slot or a cluster
-    /// with no respawn source, plus any transport failure while
+    /// with no replacement source, plus any transport failure while
     /// connecting or configuring the replacement.
     pub fn revive_agent(&mut self, slot: usize) -> Result<(), ClanError> {
         if slot >= self.links.len() {
@@ -959,9 +926,8 @@ impl EdgeCluster {
                 reason: format!("revive: no agent slot {slot}"),
             });
         }
-        let mut fresh = Self::mint_agent(&mut self.respawn, slot)?;
-        let msg = WireMessage::Configure(Box::new(self.spec.clone()));
-        self.control_bytes += send_message(fresh.transport.as_mut(), &msg)?;
+        let mut fresh = self.source.mint(slot)?;
+        self.configure(fresh.transport.as_mut())?;
         // Dropping the old link drops its transport: a still-running old
         // agent observes the disconnect and ends its session quietly (its
         // thread is detached, never joined).
@@ -972,7 +938,7 @@ impl EdgeCluster {
         Ok(())
     }
 
-    /// Admits a new agent minted from this cluster's own respawn source
+    /// Admits a new agent minted from this cluster's own [`AgentSource`]
     /// (an in-process thread for spawned clusters, the next spare
     /// address for remote ones) — mid-run scale-out. Returns the new
     /// slot index.
@@ -983,9 +949,8 @@ impl EdgeCluster {
     /// plus any connect/configure failure.
     pub fn admit_local(&mut self) -> Result<usize, ClanError> {
         let slot = self.links.len();
-        let mut link = Self::mint_agent(&mut self.respawn, slot)?;
-        let msg = WireMessage::Configure(Box::new(self.spec.clone()));
-        self.control_bytes += send_message(link.transport.as_mut(), &msg)?;
+        let mut link = self.source.mint(slot)?;
+        self.configure(link.transport.as_mut())?;
         self.links.push(link);
         self.recovery.joins += 1;
         self.tracer.timing(EventKind::AgentJoined, |ev| {
@@ -1086,21 +1051,13 @@ impl EdgeCluster {
             if !link.poisoned || !link.health.is_live() {
                 continue;
             }
-            let Some(origin) = link.origin.clone() else {
+            let Some(origin) = &link.origin else {
                 continue;
             };
-            let fresh: Result<Box<dyn Transport>, ClanError> = match &origin {
-                LinkOrigin::Tcp(addr) => {
-                    TcpTransport::connect(addr.as_str()).map(|t| Box::new(t) as Box<dyn Transport>)
-                }
-                LinkOrigin::Udp(addr, cfg) => cfg.transport_to(addr.as_str(), i),
-            };
-            let Ok(mut transport) = fresh else {
+            let Ok(mut transport) = dial(origin, self.source.udp(), i) else {
                 continue; // stays poisoned; the probe records the strike
             };
-            let msg = WireMessage::Configure(Box::new(self.spec.clone()));
-            if let Ok(bytes) = send_message(transport.as_mut(), &msg) {
-                self.control_bytes += bytes;
+            if self.configure(transport.as_mut()).is_ok() {
                 let link = &mut self.links[i];
                 link.transport = transport;
                 link.poisoned = false;
@@ -1556,10 +1513,11 @@ impl Drop for EdgeCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::Evaluator;
+    use crate::evaluator::{Evaluator, InferenceMode};
     use crate::orchestra::Orchestrator;
     use crate::{DcsOrchestrator, DdsOrchestrator, SerialOrchestrator};
     use clan_distsim::Cluster;
+    use clan_envs::Workload;
 
     fn cfg(pop: usize) -> NeatConfig {
         let w = Workload::CartPole;
@@ -1584,15 +1542,14 @@ mod tests {
         EdgeCluster::spawn_spec(n, uncached_spec(cfg)).unwrap()
     }
 
-    fn tcp_spec(cfg: &NeatConfig) -> ClusterSpec {
+    fn cartpole_spec(cfg: &NeatConfig) -> ClusterSpec {
         ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
     }
 
     fn spawn_both(n: usize, cfg: &NeatConfig) -> Vec<EdgeCluster> {
         vec![
-            EdgeCluster::spawn(n, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .expect("channel cluster spawns"),
-            EdgeCluster::spawn_local_spec(n, tcp_spec(cfg)).expect("loopback cluster binds"),
+            EdgeCluster::spawn_spec(n, cartpole_spec(cfg)).expect("channel cluster spawns"),
+            EdgeCluster::spawn_local_spec(n, cartpole_spec(cfg)).expect("loopback cluster binds"),
         ]
     }
 
@@ -1661,9 +1618,7 @@ mod tests {
     #[test]
     fn real_dcs_generations_match_serial_evolution() {
         let cfg = cfg(12);
-        let cluster =
-            EdgeCluster::spawn(3, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap();
+        let cluster = EdgeCluster::spawn_spec(3, cartpole_spec(&cfg)).unwrap();
         let mut real = dcs_over(cluster, &cfg, 5);
         let mut reference = serial(&cfg, 5);
         for _ in 0..3 {
@@ -1680,7 +1635,7 @@ mod tests {
     #[test]
     fn real_dds_generations_match_serial_evolution_over_tcp() {
         let cfg = cfg(12);
-        let cluster = EdgeCluster::spawn_local_spec(3, tcp_spec(&cfg)).unwrap();
+        let cluster = EdgeCluster::spawn_local_spec(3, cartpole_spec(&cfg)).unwrap();
         let mut real = dds_over(cluster, &cfg, 6);
         let mut reference = serial(&cfg, 6);
         for _ in 0..3 {
@@ -1780,9 +1735,7 @@ mod tests {
     #[test]
     fn gather_stats_accumulate_makespan_and_busy_time() {
         let cfg = cfg(8);
-        let mut cluster =
-            EdgeCluster::spawn(2, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap();
+        let mut cluster = EdgeCluster::spawn_spec(2, cartpole_spec(&cfg)).unwrap();
         assert_eq!(cluster.gather_stats().gathers, 0);
         let mut pop = Population::new(cfg, 4);
         cluster.evaluate(&mut pop).unwrap();
@@ -1912,9 +1865,7 @@ mod tests {
     fn churn_schedule_kill_and_revive_keeps_run_identical() {
         let cfg = cfg(12);
         let run = |churn: Option<ChurnSchedule>| {
-            let mut cluster =
-                EdgeCluster::spawn(3, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                    .unwrap();
+            let mut cluster = EdgeCluster::spawn_spec(3, cartpole_spec(&cfg)).unwrap();
             if let Some(plan) = churn {
                 cluster.set_churn(plan).unwrap();
             }
@@ -1942,9 +1893,7 @@ mod tests {
         // failure inside the reproduction scatter specifically.
         let cfg = cfg(12);
         let run = |churn: Option<ChurnSchedule>| {
-            let mut cluster =
-                EdgeCluster::spawn(3, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                    .unwrap();
+            let mut cluster = EdgeCluster::spawn_spec(3, cartpole_spec(&cfg)).unwrap();
             if let Some(plan) = churn {
                 cluster.set_churn(plan).unwrap();
             }
@@ -1967,39 +1916,18 @@ mod tests {
     /// `udp` — serving two sessions in a row, saying when each ends.
     fn serve_twice(udp: Option<UdpConfig>) -> (std::net::SocketAddr, Receiver<()>, JoinHandle<()>) {
         let (ended, session_ended) = channel();
-        let serve = |mut session: Box<dyn FnMut() -> Result<(), ClanError> + Send>| {
-            std::thread::spawn(move || {
-                for _ in 0..2 {
-                    let outcome = session();
-                    let _ = ended.send(());
-                    if outcome.is_err() {
-                        break;
-                    }
+        let mut server = AgentServer::bind("127.0.0.1:0", udp).unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let outcome = server.serve_once();
+                let _ = ended.send(());
+                if outcome.is_err() {
+                    break;
                 }
-            })
-        };
-        match udp {
-            None => {
-                let server = AgentServer::bind("127.0.0.1:0").unwrap();
-                let addr = server.local_addr();
-                (
-                    addr,
-                    session_ended,
-                    serve(Box::new(move || server.serve_once())),
-                )
             }
-            Some(udp) => {
-                let mut server = UdpAgentServer::bind("127.0.0.1:0")
-                    .unwrap()
-                    .with_config(udp);
-                let addr = server.local_addr();
-                (
-                    addr,
-                    session_ended,
-                    serve(Box::new(move || server.serve_once())),
-                )
-            }
-        }
+        });
+        (addr, session_ended, handle)
     }
 
     #[test]
@@ -2061,6 +1989,32 @@ mod tests {
     }
 
     #[test]
+    fn churn_schedule_needs_a_replacement_per_revival() {
+        // A daemon that never serves: its TCP backlog takes the
+        // connection and the Configure.
+        let daemon = AgentServer::bind("127.0.0.1:0", None).unwrap();
+        let addrs = [daemon.local_addr().to_string()];
+        let mut cluster = EdgeCluster::connect(&addrs, cartpole_spec(&cfg(6))).unwrap();
+        let spare = || vec!["127.0.0.1:9".to_string()];
+        cluster.set_spares(spare()).unwrap();
+        let twice = ChurnSchedule::new()
+            .kill(0, 1)
+            .revive(0, 2)
+            .kill(0, 3)
+            .revive(0, 4);
+        // Two revivals, one spare: refused up front, not in the middle
+        // of the run when the second revival finds no address.
+        let err = cluster.set_churn(twice.clone()).unwrap_err();
+        assert!(
+            matches!(&err, ClanError::InvalidSetup { reason } if reason.contains("revives 2")),
+            "{err}"
+        );
+        cluster.set_spares(spare()).unwrap();
+        cluster.set_churn(twice).unwrap();
+        cluster.shutdown();
+    }
+
+    #[test]
     fn revived_agent_serves_work_again() {
         let cfg = cfg(8);
         let mut cluster = spawn_uncached(2, cfg.clone());
@@ -2118,9 +2072,7 @@ mod tests {
     fn degraded_cluster_is_a_typed_error() {
         let cfg = cfg(6);
         // All agents dead: the last link error surfaces.
-        let mut cluster =
-            EdgeCluster::spawn(2, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap();
+        let mut cluster = EdgeCluster::spawn_spec(2, cartpole_spec(&cfg)).unwrap();
         cluster.kill_agent(0).unwrap();
         cluster.kill_agent(1).unwrap();
         let mut pop = Population::new(cfg.clone(), 5);
@@ -2131,9 +2083,7 @@ mod tests {
         cluster.shutdown();
         // Policy floor: one failure on a 2-agent cluster with
         // min_agents 2 refuses to continue on the lone survivor.
-        let mut strict =
-            EdgeCluster::spawn(2, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap();
+        let mut strict = EdgeCluster::spawn_spec(2, cartpole_spec(&cfg)).unwrap();
         strict.set_recovery_policy(RecoveryPolicy::default().with_min_agents(2));
         strict.kill_agent(1).unwrap();
         let err = strict.evaluate(&mut pop).unwrap_err();
@@ -2150,9 +2100,7 @@ mod tests {
     #[test]
     fn churn_schedule_validation() {
         let cfg = cfg(6);
-        let mut cluster =
-            EdgeCluster::spawn(2, Workload::CartPole, InferenceMode::MultiStep, cfg.clone())
-                .unwrap();
+        let mut cluster = EdgeCluster::spawn_spec(2, cartpole_spec(&cfg)).unwrap();
         assert!(matches!(
             cluster.set_churn(ChurnSchedule::new().kill(5, 1)),
             Err(ClanError::InvalidSetup { .. })

@@ -1,21 +1,26 @@
 //! The agent side of the cluster protocol: a session loop that serves
-//! one coordinator, plus a TCP server for standalone agent processes
-//! (`clan-cli agent --listen ADDR`).
+//! one coordinator, plus [`AgentServer`], the TCP or UDP daemon that
+//! runs it for standalone agent processes (`clan-cli agent --listen ADDR
+//! [--udp]`) and loopback agent threads alike.
 //!
 //! The same [`serve_session`] drives every agent, whether it lives in a
-//! thread of the coordinator's process (channel or loopback-TCP
-//! transport) or on another machine: the protocol — `Configure` once,
+//! thread of the coordinator's process (channel, loopback TCP or UDP)
+//! or on another machine: the protocol — `Configure` once,
 //! then `Evaluate`/`BuildChildren` request-response rounds until
 //! `Shutdown` — is transport-invariant, and so is the work itself, which
 //! is why a distributed run is bit-identical to a serial one.
 
-use super::{recv_message, send_message, Transport, WireMessage};
+use super::{
+    recv_message, send_message, DelayTransport, TcpTransport, Transport, UdpConfig, UdpLink,
+    UdpTransport, WireMessage,
+};
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use clan_neat::reproduction::{make_child, ChildKind};
 use clan_neat::{Genome, GenomeId};
 use std::collections::BTreeMap;
-use std::net::{TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs, UdpSocket};
+use std::time::Duration;
 
 /// Serves one coordinator session over `transport` until `Shutdown` or
 /// disconnect.
@@ -132,29 +137,68 @@ pub(crate) fn message_name(msg: &WireMessage) -> &'static str {
     }
 }
 
-/// A standalone TCP agent: binds an address and serves coordinators,
-/// one session at a time — the `clan-cli agent` entry point.
+/// A standalone agent daemon: binds an address and serves coordinators,
+/// one session at a time, over TCP or the loss-tolerant [`UdpTransport`]
+/// — the `clan-cli agent [--udp]` entry point, and the server behind
+/// every loopback agent thread.
+///
+/// A UDP socket has no accept(): the server learns each coordinator's
+/// address from the first datagram it sends (the `Configure` frame's
+/// first fragment), connects the socket to that peer for the session,
+/// and rebinds the same port for the next one. Only a well-formed `DATA`
+/// fragment of frame 0 opens a session; anything else that reaches the
+/// unconnected port — a stale retransmit from a finished session, noise
+/// — is consumed and discarded.
 #[derive(Debug)]
 pub struct AgentServer {
-    listener: TcpListener,
-    delay: std::time::Duration,
+    listener: Listener,
+    /// The resolved local address, stable across UDP rebinds.
+    addr: SocketAddr,
+    delay: Duration,
+}
+
+#[derive(Debug)]
+enum Listener {
+    Tcp(TcpListener),
+    /// The socket for the next session (`None` until rebound after one)
+    /// and the datagram tuning.
+    Udp(Option<UdpSocket>, UdpConfig),
 }
 
 impl AgentServer {
-    /// Binds the server. Use port 0 for an ephemeral port (loopback
-    /// clusters do).
+    /// Binds the server: TCP, or UDP with `udp`'s tuning (MTU,
+    /// retransmission timeout, liveness window). Its `faults` are not
+    /// injected here: a cluster injects them on the coordinator's side of
+    /// each link, where they perturb both directions. Use port 0 for an
+    /// ephemeral port (loopback clusters do).
     ///
     /// # Errors
     ///
     /// [`ClanError::Transport`] if the address cannot be bound.
-    pub fn bind<A: ToSocketAddrs + std::fmt::Display>(addr: A) -> Result<AgentServer, ClanError> {
-        let listener = TcpListener::bind(&addr).map_err(|e| ClanError::Transport {
+    pub fn bind<A: ToSocketAddrs + std::fmt::Display>(
+        addr: A,
+        udp: Option<UdpConfig>,
+    ) -> Result<AgentServer, ClanError> {
+        let err = |what: &str, e: std::io::Error| ClanError::Transport {
             peer: addr.to_string(),
-            reason: format!("bind failed: {e}"),
-        })?;
+            reason: format!("{what}: {e}"),
+        };
+        let (listener, local) = match udp {
+            None => {
+                let listener = TcpListener::bind(&addr).map_err(|e| err("bind failed", e))?;
+                let local = listener.local_addr();
+                (Listener::Tcp(listener), local)
+            }
+            Some(udp) => {
+                let socket = UdpSocket::bind(&addr).map_err(|e| err("udp bind failed", e))?;
+                let local = socket.local_addr();
+                (Listener::Udp(Some(socket), udp), local)
+            }
+        };
         Ok(AgentServer {
             listener,
-            delay: std::time::Duration::ZERO,
+            addr: local.map_err(|e| err("local addr", e))?,
+            delay: Duration::ZERO,
         })
     }
 
@@ -162,147 +206,44 @@ impl AgentServer {
     /// --delay-ms`): every received frame stalls this long before being
     /// processed, emulating a slower device for heterogeneity testing.
     /// Results are unchanged — only timing.
-    pub fn with_delay(mut self, delay: std::time::Duration) -> AgentServer {
+    pub fn with_delay(mut self, delay: Duration) -> AgentServer {
         self.delay = delay;
         self
     }
 
     /// The bound address (resolves ephemeral ports).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the socket vanished out from under the process — not
-    /// observable through safe use.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panic on a vanished socket; host-side resource, not wire-derived"
-    )]
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.listener
-            .local_addr()
-            .expect("bound listener has an address")
-    }
-
-    /// Accepts one coordinator and serves it to completion.
-    ///
-    /// # Errors
-    ///
-    /// Accept failures and in-session protocol/frame errors. Serving
-    /// errors are returned, not panicked, so a malformed peer cannot
-    /// take the agent down.
-    pub fn serve_once(&self) -> Result<(), ClanError> {
-        let (stream, peer) = self.listener.accept().map_err(|e| ClanError::Transport {
-            peer: self.local_addr().to_string(),
-            reason: format!("accept failed: {e}"),
-        })?;
-        let mut transport = super::TcpTransport::from_stream(stream, peer.to_string());
-        if self.delay.is_zero() {
-            serve_session(&mut transport)
-        } else {
-            serve_session(&mut super::DelayTransport::new(transport, self.delay))
-        }
-    }
-
-    /// Serves coordinators forever, logging (not propagating) per-session
-    /// failures: one bad coordinator must not kill an edge device's
-    /// agent daemon.
-    pub fn serve_forever(&self) -> ! {
-        loop {
-            if let Err(e) = self.serve_once() {
-                eprintln!("agent session error: {e}");
-            }
-        }
-    }
-}
-
-/// A standalone **UDP** agent: binds a datagram socket and serves
-/// coordinators over the loss-tolerant
-/// [`UdpTransport`](super::UdpTransport) — the `clan-cli agent --udp`
-/// entry point.
-///
-/// There is no accept(): the server learns each coordinator's address
-/// from the first datagram it sends (the `Configure` frame's first
-/// fragment), connects the socket to that peer for the session, and
-/// rebinds the same port for the next one. Only a well-formed `DATA`
-/// fragment of frame 0 opens a session; anything else that reaches the
-/// unconnected port — a stale retransmit from a finished session,
-/// noise — is consumed and discarded.
-#[derive(Debug)]
-pub struct UdpAgentServer {
-    /// Bound socket for the next session (`None` between sessions until
-    /// rebound).
-    socket: Option<std::net::UdpSocket>,
-    /// The resolved local address, stable across rebinds.
-    addr: std::net::SocketAddr,
-    delay: std::time::Duration,
-    udp: super::UdpConfig,
-}
-
-impl UdpAgentServer {
-    /// Binds the server. Use port 0 for an ephemeral port.
-    ///
-    /// # Errors
-    ///
-    /// [`ClanError::Transport`] if the address cannot be bound.
-    pub fn bind<A: ToSocketAddrs + std::fmt::Display>(
-        addr: A,
-    ) -> Result<UdpAgentServer, ClanError> {
-        let socket = std::net::UdpSocket::bind(&addr).map_err(|e| ClanError::Transport {
-            peer: addr.to_string(),
-            reason: format!("udp bind failed: {e}"),
-        })?;
-        let local = socket.local_addr().map_err(|e| ClanError::Transport {
-            peer: addr.to_string(),
-            reason: format!("udp local addr: {e}"),
-        })?;
-        Ok(UdpAgentServer {
-            socket: Some(socket),
-            addr: local,
-            delay: std::time::Duration::ZERO,
-            udp: super::UdpConfig::default(),
-        })
-    }
-
-    /// Adds an artificial per-request delay (see
-    /// [`AgentServer::with_delay`]).
-    pub fn with_delay(mut self, delay: std::time::Duration) -> UdpAgentServer {
-        self.delay = delay;
-        self
-    }
-
-    /// Overrides the datagram-transport tuning (MTU, retransmission timeout,
-    /// liveness window). Fault injection in the config applies to this
-    /// agent's side of the link.
-    pub fn with_config(mut self, udp: super::UdpConfig) -> UdpAgentServer {
-        self.udp = udp;
-        self
-    }
-
-    /// The bound address (resolves ephemeral ports).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Waits for a coordinator and serves it to completion.
-    ///
-    /// # Errors
-    ///
-    /// Socket failures and in-session protocol/frame errors. A
+    /// Waits for one coordinator and serves it to completion. A UDP
     /// coordinator that vanishes mid-session ends the session cleanly
     /// (the transport's liveness timeout), exactly like a TCP
     /// disconnect.
+    ///
+    /// # Errors
+    ///
+    /// Socket failures and in-session protocol/frame errors. Serving
+    /// errors are returned, not panicked, so a malformed peer cannot
+    /// take the agent down.
     pub fn serve_once(&mut self) -> Result<(), ClanError> {
-        let socket = match self.socket.take() {
+        let addr = self.addr;
+        let err = |what: &str, e: std::io::Error| ClanError::Transport {
+            peer: addr.to_string(),
+            reason: format!("{what}: {e}"),
+        };
+        let delay = self.delay;
+        let (socket, udp) = match &mut self.listener {
+            Listener::Tcp(listener) => {
+                let (stream, peer) = listener.accept().map_err(|e| err("accept failed", e))?;
+                return serve_delayed(TcpTransport::from_stream(stream, peer.to_string()), delay);
+            }
+            Listener::Udp(socket, udp) => (socket.take(), &*udp),
+        };
+        let socket = match socket {
             Some(s) => s,
             // Rebind the same port for a fresh, unconnected socket.
-            None => std::net::UdpSocket::bind(self.addr).map_err(|e| ClanError::Transport {
-                peer: self.addr.to_string(),
-                reason: format!("udp rebind failed: {e}"),
-            })?,
-        };
-        let err = |what: &str, e: std::io::Error| ClanError::Transport {
-            peer: self.addr.to_string(),
-            reason: format!("{what}: {e}"),
+            None => UdpSocket::bind(addr).map_err(|e| err("udp rebind failed", e))?,
         };
         // Learn the coordinator's address without consuming its first
         // datagram, then filter the socket to that peer. Adopting
@@ -324,38 +265,31 @@ impl UdpAgentServer {
                 .map_err(|e| err("udp discard", e))?;
         };
         socket.connect(peer).map_err(|e| err("udp connect", e))?;
-        let link = super::UdpLink::from_socket(socket, peer.to_string());
-        let result = match &self.udp.faults {
-            Some(f) => {
-                let faulty = super::FaultyTransport::new(link, f.clone());
-                self.serve_link(super::UdpTransport::with_config(faulty, &self.udp))
-            }
-            None => self.serve_link(super::UdpTransport::with_config(link, &self.udp)),
-        };
-        // The connected socket is dropped with the transport; the next
-        // serve_once rebinds self.addr fresh.
-        result
+        // The connected socket goes with the transport; the next session
+        // rebinds the port fresh.
+        let link = UdpLink::from_socket(socket, peer.to_string());
+        serve_delayed(UdpTransport::with_config(link, udp), delay)
     }
 
-    fn serve_link<L: super::DatagramLink>(
-        &self,
-        mut transport: super::UdpTransport<L>,
-    ) -> Result<(), ClanError> {
-        if self.delay.is_zero() {
-            serve_session(&mut transport)
-        } else {
-            serve_session(&mut super::DelayTransport::new(transport, self.delay))
-        }
-    }
-
-    /// Serves coordinators forever, logging (not propagating)
-    /// per-session failures.
+    /// Serves coordinators forever, logging (not propagating) per-session
+    /// failures: one bad coordinator must not kill an edge device's
+    /// agent daemon.
     pub fn serve_forever(&mut self) -> ! {
         loop {
             if let Err(e) = self.serve_once() {
                 eprintln!("agent session error: {e}");
             }
         }
+    }
+}
+
+/// Serves one session over `transport`, stalling `delay` after every
+/// received frame when it is not zero.
+fn serve_delayed(mut transport: impl Transport, delay: Duration) -> Result<(), ClanError> {
+    if delay.is_zero() {
+        serve_session(&mut transport)
+    } else {
+        serve_session(&mut DelayTransport::new(transport, delay))
     }
 }
 

@@ -130,10 +130,13 @@ impl ChurnSchedule {
         self.events.iter().map(|e| e.agent).max()
     }
 
-    /// Whether any revival is scheduled (revivals need a cluster that
-    /// can respawn or reconnect agents).
-    pub fn has_revivals(&self) -> bool {
-        self.events.iter().any(|e| e.action == ChurnAction::Revive)
+    /// How many revivals are scheduled (each needs a replacement agent
+    /// the cluster can mint).
+    pub fn revivals(&self) -> usize {
+        self.events
+            .iter()
+            .filter(|e| e.action == ChurnAction::Revive)
+            .count()
     }
 
     /// Events firing before round `round`, in insertion order.
@@ -246,7 +249,7 @@ mod tests {
     fn schedule_builder_and_lookup() {
         let plan = ChurnSchedule::new().kill(1, 2).revive(1, 4).kill(0, 2);
         assert_eq!(plan.events().len(), 3);
-        assert!(plan.has_revivals());
+        assert_eq!(plan.revivals(), 1);
         assert_eq!(plan.max_agent(), Some(1));
         let at2: Vec<ChurnEvent> = plan.events_at(2).collect();
         assert_eq!(at2.len(), 2);

@@ -9,7 +9,7 @@
 //! - a [`DatagramLink`] moves *unreliable* datagrams — a real
 //!   [`UdpLink`] over `std::net::UdpSocket`, an in-process
 //!   [`datagram_channel_pair`] for tests, or a
-//!   [`FaultyTransport`] wrapper injecting
+//!   [`FaultyTransport`](super::FaultyTransport) wrapper injecting
 //!   seeded drop / duplicate / reorder / delay faults below the
 //!   reliability layer;
 //! - [`UdpTransport`] turns any such link into a reliable, ordered
@@ -98,7 +98,7 @@
 
 use super::{check_frame_len, Transport};
 use crate::error::ClanError;
-use crate::transport::faults::{FaultConfig, FaultyTransport};
+use crate::transport::faults::FaultConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{ToSocketAddrs, UdpSocket};
@@ -144,7 +144,7 @@ const TYPE_ANSWER: u8 = 5;
 /// reordered in transit; each receive yields one whole datagram.
 ///
 /// This is the layer fault injection targets
-/// ([`FaultyTransport`] wraps any link) and the
+/// ([`FaultyTransport`](super::FaultyTransport) wraps any link) and the
 /// layer [`UdpTransport`] builds reliability on top of.
 pub trait DatagramLink: Send {
     /// Sends one datagram (best-effort; the medium may drop it).
@@ -321,7 +321,7 @@ impl DatagramLink for UdpLink {
 
 /// One endpoint of an in-process datagram pipe — same unreliable
 /// *semantics* as UDP is allowed to have (no loss unless a
-/// [`FaultyTransport`] injects it), useful for
+/// [`FaultyTransport`](super::FaultyTransport) injects it), useful for
 /// deterministic fragmentation/ARQ tests without sockets.
 #[derive(Debug)]
 pub struct ChannelDatagramLink {
@@ -584,29 +584,6 @@ impl UdpConfig {
         self.faults = Some(faults);
         self
     }
-
-    /// Builds a reliable transport over a fresh UDP socket connected to
-    /// `addr`, applying this config's faults (if any) with a per-link
-    /// RNG stream derived for `link_index` — so every link of a cluster
-    /// sees independent, reproducible loss.
-    ///
-    /// # Errors
-    ///
-    /// [`ClanError::Transport`] if the socket cannot be created.
-    pub fn transport_to<A: ToSocketAddrs + std::fmt::Display>(
-        &self,
-        addr: A,
-        link_index: usize,
-    ) -> Result<Box<dyn Transport>, ClanError> {
-        let link = UdpLink::connect(addr)?;
-        Ok(match &self.faults {
-            Some(f) => Box::new(UdpTransport::with_config(
-                FaultyTransport::new(link, f.for_link(link_index)),
-                self,
-            )),
-            None => Box::new(UdpTransport::with_config(link, self)),
-        })
-    }
 }
 
 /// Reliability overhead observed on one link: datagrams this endpoint
@@ -825,9 +802,8 @@ impl<L: DatagramLink> UdpTransport<L> {
     }
 
     /// Wraps `link` with explicit tuning (the config's `faults` field is
-    /// *not* applied here — wrap the link in a
-    /// [`FaultyTransport`] yourself, or use
-    /// [`UdpConfig::transport_to`]).
+    /// *not* applied here — wrap the link in a [`FaultyTransport`](super::FaultyTransport)
+    /// yourself, as a cluster does on its side of every link).
     pub fn with_config(link: L, cfg: &UdpConfig) -> UdpTransport<L> {
         assert!(cfg.mtu > 0, "mtu must be at least one byte");
         UdpTransport {
@@ -857,7 +833,7 @@ impl<L: DatagramLink> UdpTransport<L> {
     }
 
     /// The wrapped link (e.g. to read a
-    /// [`FaultyTransport`]'s injection counters).
+    /// [`FaultyTransport`](super::FaultyTransport)'s injection counters).
     pub fn link(&self) -> &L {
         &self.link
     }

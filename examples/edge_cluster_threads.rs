@@ -13,6 +13,7 @@
 //! ```
 
 use clan::core::runtime::EdgeCluster;
+use clan::core::transport::ClusterSpec;
 use clan::core::{DdsOrchestrator, Evaluator, InferenceMode, Orchestrator};
 use clan::distsim::Cluster;
 use clan::envs::Workload;
@@ -49,8 +50,8 @@ fn main() {
     // generational orchestrator with inference and reproduction placed
     // on the agents, so it ships both `Evaluate` and `BuildChildren`
     // frames through the cluster attached to its evaluator.
-    let cluster = EdgeCluster::spawn(agents, w, InferenceMode::MultiStep, cfg.clone())
-        .expect("cluster spawns");
+    let spec = ClusterSpec::new(w, InferenceMode::MultiStep, cfg.clone());
+    let cluster = EdgeCluster::spawn_spec(agents, spec).expect("cluster spawns");
     let mut distributed = DdsOrchestrator::new(
         Population::new(cfg.clone(), 99),
         Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster),

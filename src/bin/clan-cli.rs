@@ -14,7 +14,7 @@
 //! sensible default so `clan-cli run` alone works.
 
 use clan::core::telemetry::{to_chrome_json, to_jsonl, Tracer};
-use clan::core::transport::agent::{AgentServer, UdpAgentServer};
+use clan::core::transport::agent::AgentServer;
 use clan::core::transport::{ChurnSchedule, FaultConfig, UdpConfig};
 use clan::core::{ClanDriver, ClanDriverBuilder, ClanError, ClanTopology, RunReport, RunTrace};
 use clan::envs::Workload;
@@ -71,22 +71,24 @@ USAGE:
                   [--latency MS,MS,...] [--jitter-pct P]]
   clan-cli solve [same flags; runs until the workload's solved score or
                  --max-generations N]
-  clan-cli agent --listen ADDR [--delay-ms N] [--udp]
-                 (serve as an edge agent; workload and NEAT config arrive
-                 from the coordinator over the wire; --once serves one
-                 session then exits; --delay-ms stalls each request to
-                 emulate a slower device; --udp serves the loss-tolerant
-                 datagram transport instead of TCP)
+  clan-cli agent --listen ADDR [--once] [--delay-ms N] [--udp]
+                 (serve as an edge agent daemon, over TCP or, with --udp,
+                 the loss-tolerant datagram transport; workload and NEAT
+                 config arrive from the coordinator over the wire, one
+                 session at a time; --once serves one session then exits;
+                 --delay-ms stalls each request to emulate a slower
+                 device)
   clan-cli coordinate [run flags] (--agents-at ADDR,ADDR,... | --loopback N)
                  [--async [--total-evals N] [--tournament-size K]]
                  [--udp [--loss P] [--fault-seed S]] [--min-agents N]
                  [--churn EVENTS] [--spare-at ADDR,ADDR,...]
                  [--trace FILE] [--trace-chrome FILE]
                  [--trace-ring N [--postmortem FILE]] [--status-addr ADDR]
-                 (drive a run over real TCP agents; bit-identical to the
-                 same run executed locally, however fast each agent is;
-                 work is pulled by whichever agent is free. --udp speaks
-                 reliable datagrams instead; --loss injects seeded drop
+                 (drive a run over real agents — daemons at --agents-at,
+                 or N spawned in this process; bit-identical to the same
+                 run executed locally, however fast each agent is; work
+                 is pulled by whichever agent is free. TCP unless --udp,
+                 which speaks reliable datagrams; --loss injects seeded drop
                  faults on every link — the ARQ layer recovers them, so
                  the evolved result is still bit-identical, only the
                  retransmission overhead in the report grows)
@@ -579,36 +581,19 @@ fn cmd_agent(args: &[String]) -> Result<(), String> {
     let flags = Flags(args.to_vec());
     let listen = flags.get("--listen").unwrap_or("127.0.0.1:7777");
     let delay_ms: u64 = flags.parse("--delay-ms", 0)?;
-    let delay = std::time::Duration::from_millis(delay_ms);
-    let once = flags.has("--once");
-    // Shared startup banner + serve flow over either server type.
-    let banner = |addr: std::net::SocketAddr, transport: &str| {
-        println!("clan agent listening on {addr}{transport}");
-        if delay_ms > 0 {
-            println!("  artificial per-request delay: {delay_ms} ms (heterogeneity testing)");
-        }
-    };
-    if flags.has("--udp") {
-        let mut server = UdpAgentServer::bind(listen)
-            .map_err(|e| e.to_string())?
-            .with_delay(delay);
-        banner(server.local_addr(), " (udp)");
-        if once {
-            server.serve_once().map_err(|e| e.to_string())?;
-        } else {
-            server.serve_forever()
-        }
-    } else {
-        let server = AgentServer::bind(listen)
-            .map_err(|e| e.to_string())?
-            .with_delay(delay);
-        banner(server.local_addr(), "");
-        if once {
-            server.serve_once().map_err(|e| e.to_string())?;
-        } else {
-            server.serve_forever()
-        }
+    let udp = flags.has("--udp").then(UdpConfig::default);
+    let transport = if udp.is_some() { " (udp)" } else { "" };
+    let mut server = AgentServer::bind(listen, udp)
+        .map_err(|e| e.to_string())?
+        .with_delay(std::time::Duration::from_millis(delay_ms));
+    println!("clan agent listening on {}{transport}", server.local_addr());
+    if delay_ms > 0 {
+        println!("  artificial per-request delay: {delay_ms} ms (heterogeneity testing)");
     }
+    if !flags.has("--once") {
+        server.serve_forever()
+    }
+    server.serve_once().map_err(|e| e.to_string())?;
     println!("session complete");
     Ok(())
 }
@@ -652,20 +637,12 @@ fn cmd_coordinate(args: &[String]) -> Result<(), String> {
                 addrs.len(),
                 addrs.join(", ")
             );
-            if udp.is_some() {
-                builder.remote_udp_agents(addrs)
-            } else {
-                builder.remote_agents(addrs)
-            }
+            builder.remote_agents(addrs)
         }
         (None, 0) => return Err("coordinate needs --agents-at ADDR,... or --loopback N".into()),
         (None, n) => {
             println!("coordinating {n} loopback {transport_name} agent(s)");
-            if udp.is_some() {
-                builder.loopback_udp_agents(n)
-            } else {
-                builder.loopback_agents(n)
-            }
+            builder.loopback_agents(n)
         }
     };
     if let Some(udp) = udp {

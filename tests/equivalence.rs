@@ -19,8 +19,8 @@ use clan::core::{
 use clan::envs::Workload;
 use clan::neat::Population;
 use common::{
-    local_evaluator, neat_cfg, orchestrator, run, sim_cluster as cluster, topologies, GENERATIONS,
-    POP, SEED,
+    local_evaluator, neat_cfg, orchestrator, run, sim_cluster as cluster, spec, topologies,
+    GENERATIONS, POP, SEED,
 };
 
 const MULTI: InferenceMode = InferenceMode::MultiStep;
@@ -90,7 +90,7 @@ fn serial_dcs_dds_produce_identical_populations() {
 #[test]
 fn threaded_runtime_matches_analytic_orchestrators() {
     let w = Workload::MountainCar;
-    let edge = EdgeCluster::spawn(3, w, MULTI, neat_cfg(w)).expect("cluster spawns");
+    let edge = EdgeCluster::spawn_spec(3, spec(w, MULTI)).expect("cluster spawns");
     let remote = local_evaluator(w, MULTI).with_remote(edge);
     let mut threaded = DdsOrchestrator::new(population(w), remote, cluster(3));
     let mut reference =

@@ -434,7 +434,7 @@ fn deeply_nested_configure_payload_is_a_typed_error_not_a_dead_agent() {
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&payload);
 
-    let server = AgentServer::bind("127.0.0.1:0").unwrap();
+    let mut server = AgentServer::bind("127.0.0.1:0", None).unwrap();
     let mut link = TcpTransport::connect(server.local_addr()).unwrap();
     let agent = std::thread::spawn(move || server.serve_once());
     link.send_frame(&frame).unwrap();
@@ -483,7 +483,7 @@ fn well_formed_frames_with_unusable_genomes_end_the_session_not_the_agent() {
         ),
     ];
 
-    let server = AgentServer::bind("127.0.0.1:0").unwrap();
+    let mut server = AgentServer::bind("127.0.0.1:0", None).unwrap();
     let addr = server.local_addr();
     // What `serve_forever` does, with the outcomes kept: one session
     // per hostile coordinator, then a well-behaved one.

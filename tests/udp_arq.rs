@@ -16,7 +16,7 @@
 //! loses the CPU for ~20 ms *inside* that step could.
 
 use clan::core::runtime::EdgeCluster;
-use clan::core::transport::agent::{serve_session, UdpAgentServer};
+use clan::core::transport::agent::{serve_session, AgentServer};
 use clan::core::transport::udp::{ACK_BYTES, DATAGRAM_MAGIC, DATA_HEADER_BYTES};
 use clan::core::transport::{
     datagram_channel_pair, ChannelDatagramLink, ClusterSpec, DatagramLink, LinkStats, Transport,
@@ -570,7 +570,7 @@ fn shutdown_survives_the_loss_of_its_own_ack_in_milliseconds() {
 
 #[test]
 fn a_stray_datagram_does_not_capture_the_agent_daemon() {
-    let mut server = UdpAgentServer::bind("127.0.0.1:0").unwrap();
+    let mut server = AgentServer::bind("127.0.0.1:0", Some(UdpConfig::default())).unwrap();
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.serve_once());
     // What reaches an idle daemon's port besides a coordinator: a stale
