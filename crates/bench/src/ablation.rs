@@ -14,8 +14,8 @@
 //!    Figure-9 crossover points move with communication technology.
 
 use crate::output::{fmt, OutputSink};
-use crate::{BENCH_SEED, POPULATION};
-use clan_core::{ClanDriver, ClanTopology};
+use crate::{point, run_point, BENCH_SEED, POPULATION};
+use clan_core::ClanTopology;
 use clan_envs::Workload;
 use clan_neat::{NeatConfig, Population, Scratch};
 use clan_netsim::WifiModel;
@@ -41,22 +41,16 @@ fn resync_ablation(sink: &OutputSink) -> io::Result<()> {
         let mut total_gens = 0u64;
         let mut total_floats = 0u64;
         for run in 0..RUNS {
-            let mut b = ClanDriver::builder(Workload::LunarLander)
-                .topology(ClanTopology::dda(8))
-                .agents(8)
-                .population_size(POPULATION)
+            // The full MAX_GENS run, not until solved: floats/generation
+            // divides by MAX_GENS.
+            let mut b = point(Workload::LunarLander, ClanTopology::dda(8), 8)
                 .episodes_per_eval(3)
                 .seed(BENCH_SEED + 1000 * run);
             if let Some(r) = resync {
                 b = b.resync_every(r);
             }
-            let report = b.build().expect("config").run(MAX_GENS).expect("run");
-            total_gens += report
-                .generations
-                .iter()
-                .find(|g| g.best_fitness >= 200.0)
-                .map(|g| g.generation + 1)
-                .unwrap_or(MAX_GENS);
+            let report = run_point(b, MAX_GENS);
+            total_gens += report.solved_at_generation.map_or(MAX_GENS, |g| g + 1);
             total_floats += report.ledger.total_floats();
         }
         rows.push(vec![
@@ -151,23 +145,10 @@ fn channel_cost_ablation(sink: &OutputSink) -> io::Result<()> {
             ..WifiModel::default()
         };
         let total = |agents: usize| -> f64 {
-            let topo = if agents == 1 {
-                ClanTopology::serial()
-            } else {
-                ClanTopology::dcs()
-            };
-            ClanDriver::builder(Workload::AirRaid)
-                .topology(topo)
-                .agents(agents)
-                .population_size(POPULATION)
-                .seed(BENCH_SEED)
+            let b = point(Workload::AirRaid, ClanTopology::dcs(), agents)
                 .single_step()
-                .net(net)
-                .build()
-                .expect("config")
-                .run(3)
-                .expect("run")
-                .mean_generation_s()
+                .net(net);
+            run_point(b, 3).mean_generation_s()
         };
         let serial = total(1);
         let crossover = [6usize, 12, 24, 40, 60, 100]

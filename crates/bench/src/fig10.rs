@@ -9,8 +9,8 @@
 //! wins.
 
 use crate::output::{fmt, OutputSink};
-use crate::{BENCH_SEED, POPULATION};
-use clan_core::{ClanDriver, ClanTopology, InferenceMode};
+use crate::{point, run_point};
+use clan_core::{ClanTopology, InferenceMode};
 use clan_envs::Workload;
 use clan_hw::PlatformKind;
 use clan_netsim::WifiModel;
@@ -18,38 +18,21 @@ use std::io;
 
 const GENERATIONS: u64 = 3;
 
-fn total_time(agents: usize, mode: InferenceMode, net: WifiModel, platform: PlatformKind) -> f64 {
-    let topology = if agents == 1 {
-        ClanTopology::serial()
-    } else {
-        ClanTopology::dda(agents)
-    };
-    total_time_with(topology, agents, mode, net, platform)
-}
-
-fn total_time_with(
+/// Mean Airraid generation time at `units` nodes of `topology`.
+fn total_time(
     topology: ClanTopology,
-    agents: usize,
+    units: usize,
     mode: InferenceMode,
     net: WifiModel,
     platform: PlatformKind,
 ) -> f64 {
-    let mut b = ClanDriver::builder(Workload::AirRaid)
-        .topology(topology)
-        .agents(agents)
-        .population_size(POPULATION)
-        .seed(BENCH_SEED)
+    let mut b = point(Workload::AirRaid, topology, units)
         .net(net)
         .platform(platform);
     if mode == InferenceMode::SingleStep {
         b = b.single_step();
     }
-    b.build()
-        .expect("valid driver config")
-        .run(GENERATIONS)
-        .expect("run")
-        .mean_timeline
-        .total_s()
+    run_point(b, GENERATIONS).mean_timeline.total_s()
 }
 
 /// Runs all three panels.
@@ -60,96 +43,52 @@ fn total_time_with(
 pub fn run(sink: &OutputSink) -> io::Result<()> {
     let base = WifiModel::default();
     let better = base.scaled(2.0, 2.0);
+    let headers = ["units", "T-CLAN_DCS", "T-CLAN_DDA"];
 
-    // (a) Better network, single-step.
-    let scales_a = [1usize, 8, 12, 18, 40, 70];
-    let mut rows = Vec::new();
-    for &n in &scales_a {
-        let dcs_topo = if n == 1 {
-            ClanTopology::serial()
-        } else {
-            ClanTopology::dcs()
-        };
-        rows.push(vec![
-            n.to_string(),
-            fmt(total_time_with(
-                dcs_topo,
-                n,
-                InferenceMode::SingleStep,
-                better,
-                PlatformKind::RaspberryPi,
-            )),
-            fmt(total_time(
-                n,
-                InferenceMode::SingleStep,
-                better,
-                PlatformKind::RaspberryPi,
-            )),
-        ]);
+    // (a, b) Better network, single- then multi-step.
+    for (scales, mode, name, title) in [
+        (
+            &[1usize, 8, 12, 18, 40, 70][..],
+            InferenceMode::SingleStep,
+            "fig10a_better_net_single_step",
+            "Figure 10a: halved communication cost, single-step total time (s)",
+        ),
+        (
+            &[1, 8, 18, 40, 70],
+            InferenceMode::MultiStep,
+            "fig10b_better_net_multi_step",
+            "Figure 10b: halved communication cost, multi-step total time (s)",
+        ),
+    ] {
+        let pi = PlatformKind::RaspberryPi;
+        let rows: Vec<Vec<String>> = scales
+            .iter()
+            .map(|&n| {
+                vec![
+                    n.to_string(),
+                    fmt(total_time(ClanTopology::dcs(), n, mode, better, pi)),
+                    fmt(total_time(ClanTopology::dda(n), n, mode, better, pi)),
+                ]
+            })
+            .collect();
+        sink.table(name, title, &headers, &rows)?;
     }
-    sink.table(
-        "fig10a_better_net_single_step",
-        "Figure 10a: halved communication cost, single-step total time (s)",
-        &["units", "T-CLAN_DCS", "T-CLAN_DDA"],
-        &rows,
-    )?;
-
-    // (b) Better network, multi-step.
-    let scales_b = [1usize, 8, 18, 40, 70];
-    let mut rows_b = Vec::new();
-    for &n in &scales_b {
-        let dcs_topo = if n == 1 {
-            ClanTopology::serial()
-        } else {
-            ClanTopology::dcs()
-        };
-        rows_b.push(vec![
-            n.to_string(),
-            fmt(total_time_with(
-                dcs_topo,
-                n,
-                InferenceMode::MultiStep,
-                better,
-                PlatformKind::RaspberryPi,
-            )),
-            fmt(total_time(
-                n,
-                InferenceMode::MultiStep,
-                better,
-                PlatformKind::RaspberryPi,
-            )),
-        ]);
-    }
-    sink.table(
-        "fig10b_better_net_multi_step",
-        "Figure 10b: halved communication cost, multi-step total time (s)",
-        &["units", "T-CLAN_DCS", "T-CLAN_DDA"],
-        &rows_b,
-    )?;
 
     // (c) Systolic accelerator nodes, multi-step, stock network.
-    let scales_c = [1usize, 4, 7, 15, 30, 45, 70];
     let mut rows_c = Vec::new();
     let mut dda_best = (1usize, f64::INFINITY);
-    for &n in &scales_c {
-        let dcs_topo = if n == 1 {
-            ClanTopology::serial()
-        } else {
-            ClanTopology::dcs()
+    for n in [1usize, 4, 7, 15, 30, 45, 70] {
+        let at = |topology| {
+            total_time(
+                topology,
+                n,
+                InferenceMode::MultiStep,
+                base,
+                PlatformKind::Systolic32x32,
+            )
         };
-        let dcs = total_time_with(
-            dcs_topo,
-            n,
-            InferenceMode::MultiStep,
-            base,
-            PlatformKind::Systolic32x32,
-        );
-        let dda = total_time(
-            n,
-            InferenceMode::MultiStep,
-            base,
-            PlatformKind::Systolic32x32,
-        );
+        let dcs = at(ClanTopology::dcs());
+        let dda = at(ClanTopology::dda(n));
         if dda < dda_best.1 {
             dda_best = (n, dda);
         }
@@ -158,7 +97,7 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
     sink.table(
         "fig10c_custom_hw",
         "Figure 10c: 32x32 systolic nodes, multi-step total time (s)",
-        &["units", "T-CLAN_DCS", "T-CLAN_DDA"],
+        &headers,
         &rows_c,
     )?;
     sink.note(&format!(
@@ -177,12 +116,14 @@ mod tests {
         let base = WifiModel::default();
         let better = base.scaled(2.0, 2.0);
         let t_base = total_time(
+            ClanTopology::dda(40),
             40,
             InferenceMode::MultiStep,
             base,
             PlatformKind::RaspberryPi,
         );
         let t_better = total_time(
+            ClanTopology::dda(40),
             40,
             InferenceMode::MultiStep,
             better,
@@ -197,18 +138,21 @@ mod tests {
         // but scaling dies quickly (paper: ~7 nodes max for DDA).
         let base = WifiModel::default();
         let t1 = total_time(
+            ClanTopology::dda(1),
             1,
             InferenceMode::MultiStep,
             base,
             PlatformKind::Systolic32x32,
         );
         let t4 = total_time(
+            ClanTopology::dda(4),
             4,
             InferenceMode::MultiStep,
             base,
             PlatformKind::Systolic32x32,
         );
         let t70 = total_time(
+            ClanTopology::dda(70),
             70,
             InferenceMode::MultiStep,
             base,

@@ -7,8 +7,8 @@
 //! GPU bars stay out of reach of the single-core Pi experiments.
 
 use crate::output::{fmt, OutputSink};
-use crate::{BENCH_SEED, POPULATION};
-use clan_core::{ClanDriver, ClanTopology};
+use crate::{point, run_point};
+use clan_core::{ClanDriverBuilder, ClanTopology};
 use clan_envs::Workload;
 use clan_hw::{Platform, PlatformKind};
 use std::io;
@@ -16,44 +16,26 @@ use std::io;
 const GENERATIONS: u64 = 3;
 const PI_SCALES: [usize; 6] = [1, 2, 4, 6, 10, 15];
 
-/// `(mean s/generation, mean J/generation)` for a single node of `platform`.
-fn serial_run(workload: Workload, platform: PlatformKind) -> (f64, f64) {
-    let r = ClanDriver::builder(workload)
-        .platform(platform)
-        .population_size(POPULATION)
-        .seed(BENCH_SEED)
-        .build()
-        .expect("valid driver config")
-        .run(GENERATIONS)
-        .expect("run");
+/// `(mean s/generation, mean J/generation)` of one point.
+fn time_energy(point: ClanDriverBuilder) -> (f64, f64) {
+    let r = run_point(point, GENERATIONS);
     (r.mean_generation_s(), r.mean_generation_energy_j())
 }
 
-fn serial_time(workload: Workload, platform: PlatformKind) -> f64 {
-    serial_run(workload, platform).0
+/// `(mean s/generation, mean J/generation)` for a single node of `platform`.
+fn serial_run(workload: Workload, platform: PlatformKind) -> (f64, f64) {
+    time_energy(point(workload, ClanTopology::serial(), 1).platform(platform))
 }
 
 /// `(mean s/generation, mean J/generation)` for a CLAN_DDA swarm of `n` Pis.
 fn swarm_run(workload: Workload, n: usize) -> (f64, f64) {
-    let topology = if n == 1 {
-        ClanTopology::serial()
-    } else {
-        ClanTopology::dda(n)
-    };
-    let r = ClanDriver::builder(workload)
-        .topology(topology)
-        .agents(n)
-        .population_size(POPULATION)
-        .seed(BENCH_SEED)
-        .build()
-        .expect("valid driver config")
-        .run(GENERATIONS)
-        .expect("run");
-    (r.mean_generation_s(), r.mean_generation_energy_j())
+    time_energy(point(workload, ClanTopology::dda(n), n))
 }
 
-fn swarm_time(workload: Workload, n: usize) -> f64 {
-    swarm_run(workload, n).0
+/// How many times better `pis` Pis taking `swarm_s` are than one
+/// `platform` taking `platform_s`, by price-performance product.
+fn ppp_benefit(platform: PlatformKind, platform_s: f64, pis: usize, swarm_s: f64) -> f64 {
+    Platform::new(platform).ppp(1, platform_s) / Platform::raspberry_pi().ppp(pis, swarm_s)
 }
 
 /// Runs the platform comparison on the paper's four panels.
@@ -74,30 +56,19 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
         Workload::LunarLander,
         Workload::AirRaid,
     ];
-    let pi_price = Platform::raspberry_pi().price_usd;
+    let pi = Platform::raspberry_pi();
     let mut rows = Vec::new();
     for workload in panels {
-        for p in platforms {
-            let (t, e) = serial_run(workload, p);
-            let price = Platform::new(p).price_usd;
+        let singles =
+            platforms.map(|p| (p.to_string(), Platform::new(p), 1, serial_run(workload, p)));
+        let swarms = PI_SCALES.map(|n| (format!("{n} pi"), pi, n, swarm_run(workload, n)));
+        for (label, p, units, (t, e)) in singles.into_iter().chain(swarms) {
             rows.push(vec![
                 workload.name().to_string(),
-                p.to_string(),
-                format!("${price:.0}"),
+                label,
+                format!("${:.0}", p.price_usd * units as f64),
                 fmt(t),
-                fmt(price * t),
-                fmt(e),
-            ]);
-        }
-        for n in PI_SCALES {
-            let (t, e) = swarm_run(workload, n);
-            let price = pi_price * n as f64;
-            rows.push(vec![
-                workload.name().to_string(),
-                format!("{n} pi"),
-                format!("${price:.0}"),
-                fmt(t),
-                fmt(price * t),
+                fmt(p.ppp(units, t)),
                 fmt(e),
             ]);
         }
@@ -117,12 +88,12 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
     )?;
 
     // Headline PPP claims on the large workload.
-    let jetson = serial_time(Workload::AirRaid, PlatformKind::JetsonCpu);
-    let hpc = serial_time(Workload::AirRaid, PlatformKind::HpcCpu);
-    let six_pi = swarm_time(Workload::AirRaid, 6);
-    let fifteen_pi = swarm_time(Workload::AirRaid, 15);
-    let ppp_vs_jetson = (600.0 * jetson) / (240.0 * six_pi);
-    let ppp_vs_hpc = (1500.0 * hpc) / (600.0 * fifteen_pi);
+    let jetson = serial_run(Workload::AirRaid, PlatformKind::JetsonCpu).0;
+    let hpc = serial_run(Workload::AirRaid, PlatformKind::HpcCpu).0;
+    let six_pi = swarm_run(Workload::AirRaid, 6).0;
+    let fifteen_pi = swarm_run(Workload::AirRaid, 15).0;
+    let ppp_vs_jetson = ppp_benefit(PlatformKind::JetsonCpu, jetson, 6, six_pi);
+    let ppp_vs_hpc = ppp_benefit(PlatformKind::HpcCpu, hpc, 15, fifteen_pi);
     sink.note(&format!(
         "Airraid: 6 Pis {six_pi:.1}s vs Jetson CPU {jetson:.1}s -> PPP benefit {ppp_vs_jetson:.1}x (paper: 2.5x)"
     ));
@@ -138,17 +109,17 @@ mod tests {
 
     #[test]
     fn swarm_achieves_ppp_benefit_on_large_workload() {
-        let jetson = serial_time(Workload::AirRaid, PlatformKind::JetsonCpu);
-        let six_pi = swarm_time(Workload::AirRaid, 6);
-        let ppp = (600.0 * jetson) / (240.0 * six_pi);
+        let jetson = serial_run(Workload::AirRaid, PlatformKind::JetsonCpu).0;
+        let six_pi = swarm_run(Workload::AirRaid, 6).0;
+        let ppp = ppp_benefit(PlatformKind::JetsonCpu, jetson, 6, six_pi);
         assert!(ppp > 1.5, "6-Pi swarm should win on PPP: {ppp:.2}x");
     }
 
     #[test]
     fn cartpole_swarm_not_competitive() {
         // "Performance is not comparable for extremely small workloads."
-        let one = swarm_time(Workload::CartPole, 1);
-        let ten = swarm_time(Workload::CartPole, 10);
+        let one = swarm_run(Workload::CartPole, 1).0;
+        let ten = swarm_run(Workload::CartPole, 10).0;
         let speedup = one / ten;
         assert!(
             speedup < 8.0,

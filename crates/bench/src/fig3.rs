@@ -6,8 +6,8 @@
 //! which drives the entire distribution strategy (inference first).
 
 use crate::output::OutputSink;
-use crate::{BENCH_SEED, POPULATION};
-use clan_core::ClanDriver;
+use crate::{point, run_point};
+use clan_core::ClanTopology;
 use clan_envs::Workload;
 use std::io;
 
@@ -18,18 +18,11 @@ const GENERATIONS: u64 = 8;
 ///
 /// # Errors
 ///
-/// Propagates output failures; panics on internal orchestration errors
-/// (they indicate a bug, not an environmental condition).
+/// Propagates output failures.
 pub fn run(sink: &OutputSink) -> io::Result<()> {
     let mut rows = Vec::new();
     for workload in Workload::FIGURES {
-        let report = ClanDriver::builder(workload)
-            .population_size(POPULATION)
-            .seed(BENCH_SEED)
-            .build()
-            .expect("valid driver config")
-            .run(GENERATIONS)
-            .expect("serial run");
+        let report = run_point(point(workload, ClanTopology::serial(), 1), GENERATIONS);
         for g in &report.generations {
             rows.push(vec![
                 workload.name().to_string(),

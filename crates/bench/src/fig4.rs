@@ -7,8 +7,8 @@
 //! genomes once at initialization and then sends only fitness scalars.
 
 use crate::output::OutputSink;
-use crate::{BENCH_SEED, POPULATION};
-use clan_core::{ClanDriver, ClanTopology, RunReport};
+use crate::{point, run_point};
+use clan_core::{ClanTopology, RunReport};
 use clan_envs::Workload;
 use clan_netsim::MessageKind;
 use std::io;
@@ -17,15 +17,7 @@ const AGENTS: usize = 2;
 const GENERATIONS: u64 = 4;
 
 fn run_config(workload: Workload, topology: ClanTopology) -> RunReport {
-    ClanDriver::builder(workload)
-        .topology(topology)
-        .agents(AGENTS)
-        .population_size(POPULATION)
-        .seed(BENCH_SEED)
-        .build()
-        .expect("valid driver config")
-        .run(GENERATIONS)
-        .expect("run")
+    run_point(point(workload, topology, AGENTS), GENERATIONS)
 }
 
 /// Runs the communication breakdown for the paper's four panels.
@@ -41,13 +33,18 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
         Workload::AirRaid,
     ];
     let mut rows = Vec::new();
-    let mut totals: Vec<(String, String, u64)> = Vec::new();
+    // Per panel: DCS, DDS and DDA floats per generation.
+    let mut totals = Vec::new();
     for workload in panels {
-        for topology in [
+        let mut per_config = [0u64; 3];
+        for (i, topology) in [
             ClanTopology::dcs(),
             ClanTopology::dds(),
             ClanTopology::dda(AGENTS),
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let report = run_config(workload, topology);
             let per_gen = |floats: u64| floats / GENERATIONS;
             for (kind, entry) in report.ledger.rows() {
@@ -58,12 +55,9 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
                     per_gen(entry.floats).to_string(),
                 ]);
             }
-            totals.push((
-                workload.name().to_string(),
-                topology.name(),
-                per_gen(report.ledger.total_floats()),
-            ));
+            per_config[i] = per_gen(report.ledger.total_floats());
         }
+        totals.push((workload, per_config));
     }
     sink.table(
         "fig4_comm_breakdown",
@@ -73,18 +67,8 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
     )?;
 
     // Shape checks matching the paper's reading of the figure.
-    let total = |w: &str, c: &str| -> u64 {
-        totals
-            .iter()
-            .find(|(tw, tc, _)| tw == w && tc == c)
-            .map(|&(_, _, t)| t)
-            .expect("config present")
-    };
     let mut ok = true;
-    for w in panels {
-        let dcs = total(w.name(), "CLAN_DCS");
-        let dds = total(w.name(), "CLAN_DDS");
-        let dda = total(w.name(), "CLAN_DDA");
+    for (w, [dcs, dds, dda]) in totals {
         ok &= dds > dcs && dda < dcs / 2;
         sink.note(&format!(
             "{}: DCS {dcs} / DDS {dds} / DDA {dda} floats per generation (DDS/DDA = {:.0}x)",

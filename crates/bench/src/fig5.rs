@@ -7,27 +7,15 @@
 //! whole 15-Pi testbed.
 
 use crate::output::{fmt, OutputSink};
-use crate::{BENCH_SEED, POPULATION};
-use clan_core::{ClanDriver, ClanTopology, RunReport};
+use crate::{point, run_point};
+use clan_core::{ClanTopology, RunReport};
 use clan_envs::Workload;
 use std::io;
 
 const GENERATIONS: u64 = 3;
 
 fn run_dcs(workload: Workload, agents: usize) -> RunReport {
-    ClanDriver::builder(workload)
-        .topology(if agents == 1 {
-            ClanTopology::serial()
-        } else {
-            ClanTopology::dcs()
-        })
-        .agents(agents)
-        .population_size(POPULATION)
-        .seed(BENCH_SEED)
-        .build()
-        .expect("valid driver config")
-        .run(GENERATIONS)
-        .expect("run")
+    run_point(point(workload, ClanTopology::dcs(), agents), GENERATIONS)
 }
 
 /// Runs the DCS scaling sweep.

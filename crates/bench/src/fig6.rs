@@ -6,8 +6,8 @@
 //! evolution."
 
 use crate::output::{fmt, OutputSink};
-use crate::{BENCH_SEED, POPULATION};
-use clan_core::{ClanDriver, ClanTopology, RunReport};
+use crate::{point, run_point};
+use clan_core::{ClanTopology, RunReport};
 use clan_envs::Workload;
 use std::io;
 
@@ -15,19 +15,7 @@ const GENERATIONS: u64 = 3;
 const SCALES: [usize; 5] = [1, 2, 4, 6, 8];
 
 fn run_dds(workload: Workload, agents: usize) -> RunReport {
-    ClanDriver::builder(workload)
-        .topology(if agents == 1 {
-            ClanTopology::serial()
-        } else {
-            ClanTopology::dds()
-        })
-        .agents(agents)
-        .population_size(POPULATION)
-        .seed(BENCH_SEED)
-        .build()
-        .expect("valid driver config")
-        .run(GENERATIONS)
-        .expect("run")
+    run_point(point(workload, ClanTopology::dds(), agents), GENERATIONS)
 }
 
 /// Runs the DDS scaling sweep (inference omitted, as in the paper).

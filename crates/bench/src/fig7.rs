@@ -8,8 +8,8 @@
 //! exploration, so convergence slows as clans multiply.
 
 use crate::output::{fmt, OutputSink};
-use crate::{BENCH_SEED, POPULATION};
-use clan_core::{ClanDriver, ClanTopology, RunReport};
+use crate::{point, run_point, BENCH_SEED};
+use clan_core::{ClanTopology, RunReport};
 use clan_envs::Workload;
 use std::io;
 
@@ -23,50 +23,29 @@ const ACCURACY_RUNS: u64 = 10;
 /// 40; we allow 60 so the cap compresses the slow (many-clan) points
 /// less.
 const MAX_GENERATIONS: u64 = 60;
-/// Convergence criterion: gym's LunarLander-v2 solved score. Fitness is
-/// the mean of [`ACCURACY_EPISODES`] episodes, so reaching 200 requires a
-/// genuinely reliable landing policy, not one lucky rollout.
-const CONVERGENCE_FITNESS: f64 = 200.0;
-/// Episodes averaged per genome evaluation in the accuracy study.
+/// Episodes averaged per genome evaluation in the accuracy study. A run
+/// converges at LunarLander's solved score (200, gym's), so it takes a
+/// reliable landing policy, not one lucky rollout.
 const ACCURACY_EPISODES: u32 = 3;
 
 fn run_dda(workload: Workload, agents: usize) -> RunReport {
-    ClanDriver::builder(workload)
-        .topology(if agents == 1 {
-            ClanTopology::serial()
-        } else {
-            ClanTopology::dda(agents)
-        })
-        .agents(agents)
-        .population_size(POPULATION)
-        .seed(BENCH_SEED)
-        .build()
-        .expect("valid driver config")
-        .run(GENERATIONS)
-        .expect("run")
+    run_point(
+        point(workload, ClanTopology::dda(agents), agents),
+        GENERATIONS,
+    )
 }
 
 /// Generations for one convergence run (capped).
 fn generations_to_converge(clans: usize, seed: u64) -> u64 {
-    let driver = ClanDriver::builder(Workload::LunarLander)
-        .topology(if clans == 1 {
-            ClanTopology::serial()
-        } else {
-            ClanTopology::dda(clans)
-        })
-        .agents(clans)
-        .population_size(POPULATION)
+    point(Workload::LunarLander, ClanTopology::dda(clans), clans)
         .episodes_per_eval(ACCURACY_EPISODES)
         .seed(seed)
         .build()
-        .expect("valid driver config");
-    let report = driver.run(MAX_GENERATIONS).expect("run");
-    report
-        .generations
-        .iter()
-        .find(|g| g.best_fitness >= CONVERGENCE_FITNESS)
-        .map(|g| g.generation + 1)
-        .unwrap_or(MAX_GENERATIONS)
+        .expect("valid driver config")
+        .run_until_solved(MAX_GENERATIONS)
+        .expect("run")
+        .solved_at_generation
+        .map_or(MAX_GENERATIONS, |g| g + 1)
 }
 
 /// Runs both panels.

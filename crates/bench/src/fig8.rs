@@ -8,8 +8,8 @@
 //! (~93%) in every configuration.
 
 use crate::output::{fmt, OutputSink};
-use crate::{BENCH_SEED, POPULATION};
-use clan_core::{ClanDriver, ClanTopology};
+use crate::{point, run_point};
+use clan_core::ClanTopology;
 use clan_distsim::ShareBreakdown;
 use clan_envs::Workload;
 use std::io;
@@ -18,17 +18,8 @@ const AGENTS: usize = 2;
 const GENERATIONS: u64 = 6;
 
 fn shares(workload: Workload, topology: ClanTopology) -> ShareBreakdown {
-    let report = ClanDriver::builder(workload)
-        .topology(topology)
-        .agents(AGENTS)
-        .population_size(POPULATION)
-        .seed(BENCH_SEED)
-        .single_step()
-        .build()
-        .expect("valid driver config")
-        .run(GENERATIONS)
-        .expect("run");
-    report.mean_timeline.shares()
+    let b = point(workload, topology, AGENTS).single_step();
+    run_point(b, GENERATIONS).mean_timeline.shares()
 }
 
 /// Runs the share analysis on both panels' workloads.

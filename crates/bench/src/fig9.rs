@@ -11,8 +11,8 @@
 //!   ahead of DCS throughout.
 
 use crate::output::{fmt, OutputSink};
-use crate::{BENCH_SEED, POPULATION};
-use clan_core::{ClanDriver, ClanTopology, InferenceMode, RunReport};
+use crate::{point, run_point, POPULATION};
+use clan_core::{ClanTopology, InferenceMode};
 use clan_distsim::GenerationTimeline;
 use clan_envs::Workload;
 use std::io;
@@ -21,39 +21,23 @@ const GENERATIONS: u64 = 3;
 const SINGLE_STEP_SCALES: [usize; 10] = [1, 6, 12, 24, 30, 40, 50, 60, 80, 100];
 const MULTI_STEP_SCALES: [usize; 7] = [15, 24, 35, 45, 60, 80, 100];
 
-fn run_at(topology: ClanTopology, agents: usize, mode: InferenceMode) -> RunReport {
-    // Beyond 75 DDA clans a population of 150 leaves clans below the
-    // 2-genome minimum; grow the population just enough, mirroring the
-    // paper's reduced-population emulation of higher scale (§IV-D).
-    let population = POPULATION.max(2 * agents);
-    let mut b = ClanDriver::builder(Workload::AirRaid)
-        .topology(topology)
-        .agents(agents)
-        .population_size(population)
-        .seed(BENCH_SEED);
-    if mode == InferenceMode::SingleStep {
-        b = b.single_step();
-    }
-    b.build()
-        .expect("valid driver config")
-        .run(GENERATIONS)
-        .expect("run")
-}
-
-fn topo_for(kind: &str, agents: usize) -> ClanTopology {
-    if agents == 1 {
-        ClanTopology::serial()
-    } else if kind == "DCS" {
+/// `(timeline, total)` means at one scale point of `kind` (`"DCS"` or
+/// `"DDA"`).
+fn at(kind: &str, agents: usize, mode: InferenceMode) -> (GenerationTimeline, f64) {
+    let topology = if kind == "DCS" {
         ClanTopology::dcs()
     } else {
         ClanTopology::dda(agents)
+    };
+    // Beyond 75 DDA clans a population of 150 leaves clans below the
+    // 2-genome minimum; grow the population just enough, mirroring the
+    // paper's reduced-population emulation of higher scale (§IV-D).
+    let mut b =
+        point(Workload::AirRaid, topology, agents).population_size(POPULATION.max(2 * agents));
+    if mode == InferenceMode::SingleStep {
+        b = b.single_step();
     }
-}
-
-/// `(timeline, total)` means at one scale point.
-fn point(kind: &str, agents: usize, mode: InferenceMode) -> (GenerationTimeline, f64) {
-    let r = run_at(topo_for(kind, agents), agents, mode);
-    let t = r.mean_timeline;
+    let t = run_point(b, GENERATIONS).mean_timeline;
     (t, t.total_s())
 }
 
@@ -64,15 +48,15 @@ fn point(kind: &str, agents: usize, mode: InferenceMode) -> (GenerationTimeline,
 /// Propagates output failures.
 pub fn run(sink: &OutputSink) -> io::Result<()> {
     // (a) single-step, total time + components.
-    let serial_total = point("DCS", 1, InferenceMode::SingleStep).1;
+    let serial_total = at("DCS", 1, InferenceMode::SingleStep).1;
     let mut rows = Vec::new();
     let mut dcs_cross = None;
     let mut dda_cross = None;
     let mut ratio_sum = 0.0;
     let mut ratio_n = 0;
     for &n in &SINGLE_STEP_SCALES {
-        let (t_dcs, dcs_total) = point("DCS", n, InferenceMode::SingleStep);
-        let (t_dda, dda_total) = point("DDA", n, InferenceMode::SingleStep);
+        let (t_dcs, dcs_total) = at("DCS", n, InferenceMode::SingleStep);
+        let (t_dda, dda_total) = at("DDA", n, InferenceMode::SingleStep);
         if n > 1 {
             if dcs_total > serial_total && dcs_cross.is_none() {
                 dcs_cross = Some(n);
@@ -113,8 +97,8 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
     // (b) multi-step, evolution/inference components.
     let mut rows_b = Vec::new();
     for &n in &MULTI_STEP_SCALES {
-        let (t_dcs, dcs_total) = point("DCS", n, InferenceMode::MultiStep);
-        let (t_dda, dda_total) = point("DDA", n, InferenceMode::MultiStep);
+        let (t_dcs, dcs_total) = at("DCS", n, InferenceMode::MultiStep);
+        let (t_dda, dda_total) = at("DDA", n, InferenceMode::MultiStep);
         rows_b.push(vec![
             n.to_string(),
             fmt(t_dcs.evolution_s),
@@ -148,21 +132,21 @@ mod tests {
     #[test]
     fn dda_beats_dcs_in_total_time() {
         for n in [12usize, 40] {
-            let dcs = point("DCS", n, InferenceMode::SingleStep).1;
-            let dda = point("DDA", n, InferenceMode::SingleStep).1;
+            let dcs = at("DCS", n, InferenceMode::SingleStep).1;
+            let dda = at("DDA", n, InferenceMode::SingleStep).1;
             assert!(dda < dcs, "{n} units: DDA {dda:.2}s vs DCS {dcs:.2}s");
         }
     }
 
     #[test]
     fn dcs_eventually_loses_to_serial_dda_lasts_longer() {
-        let serial = point("DCS", 1, InferenceMode::SingleStep).1;
-        let dcs_100 = point("DCS", 100, InferenceMode::SingleStep).1;
+        let serial = at("DCS", 1, InferenceMode::SingleStep).1;
+        let dcs_100 = at("DCS", 100, InferenceMode::SingleStep).1;
         assert!(
             dcs_100 > serial,
             "at 100 units single-step DCS must be worse than serial"
         );
-        let dda_12 = point("DDA", 12, InferenceMode::SingleStep).1;
+        let dda_12 = at("DDA", 12, InferenceMode::SingleStep).1;
         assert!(dda_12 < serial, "DDA should still beat serial at 12 units");
     }
 }

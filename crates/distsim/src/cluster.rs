@@ -135,32 +135,11 @@ impl Cluster {
         &self.net
     }
 
-    /// Replaces the network model (Figure 10's what-if links).
-    pub fn with_net(mut self, net: WifiModel) -> Cluster {
-        self.net = net;
-        self
-    }
-
     /// Splits `items` work units across agents as evenly as possible;
     /// returns per-agent counts (earlier agents get the remainder).
     /// An agent-less cluster yields an empty split, never a panic.
     pub fn partition(&self, items: usize) -> Vec<usize> {
         partition_even(items, self.agents.len())
-    }
-
-    /// Splits `items` across agents proportionally to `weights` (see
-    /// [`partition_weighted`] for the rounding and no-starve rules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len()` differs from the agent count.
-    pub fn partition_weighted(&self, items: usize, weights: &[f64]) -> Vec<usize> {
-        assert_eq!(
-            weights.len(),
-            self.agents.len(),
-            "one weight per agent required"
-        );
-        partition_weighted(items, weights)
     }
 
     /// Per-agent capability weights from the static platform throughput
@@ -200,18 +179,6 @@ impl Cluster {
             .map(|(p, &g)| p.evolution_time_s(g))
             .fold(0.0, f64::max)
     }
-
-    /// Serialized communication: each message of `genes_per_message`
-    /// genes occupies the shared medium in turn.
-    pub fn serialized_comm_time_s<I>(&self, genes_per_message: I) -> f64
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        genes_per_message
-            .into_iter()
-            .map(|g| self.net.gene_transfer_time_s(g))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -248,14 +215,6 @@ mod tests {
         let t = c.parallel_inference_time_s(&[10_000, 30_000, 20_000]);
         let slowest = Platform::raspberry_pi().inference_time_s(30_000);
         assert_eq!(t, slowest);
-    }
-
-    #[test]
-    fn serialized_comm_is_sum() {
-        let c = pi_cluster(2);
-        let t = c.serialized_comm_time_s([100, 100, 100]);
-        let one = WifiModel::default().gene_transfer_time_s(100);
-        assert!((t - 3.0 * one).abs() < 1e-12);
     }
 
     #[test]

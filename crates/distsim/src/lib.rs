@@ -4,7 +4,8 @@
 //! (inference, evolution) and communication phases over the shared WiFi
 //! medium. This crate provides the cluster description ([`Cluster`]) and
 //! the per-generation timeline bookkeeping ([`GenerationTimeline`],
-//! [`TimelineRecorder`]) that the CLAN orchestrators fill in:
+//! [`TimelineRecorder`]) that the CLAN orchestrators fill in. They
+//! charge a generation by two rules:
 //!
 //! - parallel compute phases cost the *maximum* over agents (barrier
 //!   synchronization, as in the paper's lockstep generations);

@@ -65,12 +65,12 @@ pub struct ShareBreakdown {
     pub communication: f64,
 }
 
-/// Accumulates timelines across generations, mirroring
-/// `clan_neat::CostCounters` for time instead of genes.
+/// Accumulates the in-progress generation's timeline; the run report
+/// keeps the closed ones, so a long run holds one timeline here, not
+/// one per generation.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimelineRecorder {
     current: GenerationTimeline,
-    history: Vec<GenerationTimeline>,
 }
 
 impl TimelineRecorder {
@@ -104,41 +104,7 @@ impl TimelineRecorder {
 
     /// Closes the current generation and returns its timeline.
     pub fn finish_generation(&mut self) -> GenerationTimeline {
-        let snap = self.current;
-        self.history.push(snap);
-        self.current = GenerationTimeline::default();
-        snap
-    }
-
-    /// Closed generations, oldest first.
-    pub fn history(&self) -> &[GenerationTimeline] {
-        &self.history
-    }
-
-    /// Sum over all closed generations plus the in-progress one.
-    pub fn cumulative(&self) -> GenerationTimeline {
-        self.history
-            .iter()
-            .copied()
-            .fold(self.current, |acc, t| acc + t)
-    }
-
-    /// Mean timeline over closed generations (zero if none).
-    pub fn mean(&self) -> GenerationTimeline {
-        if self.history.is_empty() {
-            return GenerationTimeline::default();
-        }
-        let sum = self
-            .history
-            .iter()
-            .copied()
-            .fold(GenerationTimeline::default(), |acc, t| acc + t);
-        let n = self.history.len() as f64;
-        GenerationTimeline {
-            inference_s: sum.inference_s / n,
-            evolution_s: sum.evolution_s / n,
-            communication_s: sum.communication_s / n,
-        }
+        std::mem::take(&mut self.current)
     }
 }
 
@@ -177,10 +143,7 @@ mod tests {
         assert_eq!(g.total_s(), 1.75);
         assert_eq!(r.current(), GenerationTimeline::default());
         r.add_inference(3.0);
-        r.finish_generation();
-        assert_eq!(r.history().len(), 2);
-        assert!((r.cumulative().inference_s - 4.0).abs() < 1e-12);
-        assert!((r.mean().inference_s - 2.0).abs() < 1e-12);
+        assert_eq!(r.finish_generation().inference_s, 3.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! benches can report energy-per-generation alongside
 //! price-performance-product.
 
-use crate::platform::{Platform, PlatformKind};
+use crate::platform::PlatformKind;
 use serde::{Deserialize, Serialize};
 
 /// Average active power draw of a platform, in watts.
@@ -41,12 +41,6 @@ impl EnergyModel {
     /// seconds of waiting (e.g. blocked on communication).
     pub fn energy_j(&self, busy_s: f64, idle_s: f64) -> f64 {
         self.active_watts * busy_s + self.idle_watts * idle_s
-    }
-
-    /// Energy for one generation on `platform` given its compute seconds,
-    /// assuming communication time is spent idling.
-    pub fn generation_energy_j(platform: &Platform, compute_s: f64, comm_s: f64) -> f64 {
-        EnergyModel::for_kind(platform.kind).energy_j(compute_s, comm_s)
     }
 }
 

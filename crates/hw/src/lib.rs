@@ -3,7 +3,8 @@
 //! The CLAN paper runs on five platforms (Table IV): Raspberry Pi 3
 //! (ARM Cortex-A53), Jetson TX2 (CPU and GPU), and an HPC box (6th-gen i7
 //! CPU and GTX 1080 GPU), plus a hypothetical 32x32 systolic-array
-//! accelerator evaluated with SCALE-sim for Figure 10(c).
+//! accelerator for Figure 10(c) ([`PlatformKind::Systolic32x32`], a
+//! throughput multiplier on the Pi host like every other platform).
 //!
 //! Because the paper measures cost in *genes processed* (32-bit data), a
 //! platform model reduces to a calibrated genes-per-second throughput for
@@ -18,8 +19,6 @@
 
 pub mod energy;
 pub mod platform;
-pub mod systolic;
 
 pub use energy::EnergyModel;
 pub use platform::{Platform, PlatformKind};
-pub use systolic::SystolicArray;

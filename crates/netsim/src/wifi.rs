@@ -23,14 +23,13 @@ pub struct WifiModel {
     /// cost of invoking the communication channels also kills this design"
     /// (§IV-D). Charged once per (phase, agent) pair.
     pub channel_setup_s: f64,
-    /// Datagram payload size the link fragments messages at. When set,
+    /// Datagram payload size the link fragments messages at:
     /// [`message_time_s`](WifiModel::message_time_s) charges
     /// `base_latency_s` once per *datagram* for messages larger than
     /// one MTU — what the PR-4 validation measured a real datagram
     /// stack paying (a fragmented 16 kB frame cost 13.4× the
-    /// per-message model). `None` restores the paper's per-message
-    /// accounting.
-    pub mtu_bytes: Option<u64>,
+    /// per-message model).
+    pub mtu_bytes: u64,
 }
 
 impl Default for WifiModel {
@@ -45,7 +44,7 @@ impl Default for WifiModel {
             bandwidth_bps: 62.24e6,
             base_latency_s: 8.83e-3,
             channel_setup_s: 0.15,
-            mtu_bytes: Some(1200),
+            mtu_bytes: 1200,
         }
     }
 }
@@ -106,19 +105,6 @@ impl WifiModel {
         }
     }
 
-    /// Sets (or clears) the fragmentation MTU
-    /// (see [`mtu_bytes`](WifiModel::mtu_bytes)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on `Some(0)` — a zero MTU fragments nothing into
-    /// infinitely many datagrams.
-    pub fn with_mtu_bytes(mut self, mtu: Option<u64>) -> WifiModel {
-        assert!(mtu != Some(0), "mtu must be at least one byte");
-        self.mtu_bytes = mtu;
-        self
-    }
-
     /// Transfer time for a message of `bytes` bytes **charged per
     /// message**: one `base_latency_s` regardless of size (the paper's
     /// original accounting).
@@ -143,20 +129,19 @@ impl WifiModel {
     }
 
     /// Transfer time the timeline model charges for one message of
-    /// `bytes` bytes: fragmented per
-    /// [`mtu_bytes`](WifiModel::mtu_bytes) when one is configured,
-    /// per-message otherwise.
+    /// `bytes` bytes: fragmented per [`mtu_bytes`](WifiModel::mtu_bytes)
+    /// past one MTU, per-message up to it.
     pub fn message_time_s(&self, bytes: u64) -> f64 {
-        match self.mtu_bytes {
-            Some(mtu) if bytes > mtu => self.transfer_time_fragmented_s(bytes, mtu),
-            _ => self.transfer_time_s(bytes),
+        if bytes > self.mtu_bytes {
+            self.transfer_time_fragmented_s(bytes, self.mtu_bytes)
+        } else {
+            self.transfer_time_s(bytes)
         }
     }
 
     /// Transfer time for a message carrying `genes` genes (4 B each),
     /// honoring the fragmentation MTU — this is what the analytic
-    /// timelines (`Comm::phase`, `Cluster::serialized_comm_time_s`)
-    /// charge per message.
+    /// timelines (`Comm::phase`) charge per message.
     pub fn gene_transfer_time_s(&self, genes: u64) -> f64 {
         self.message_time_s(genes * GENE_BYTES)
     }
@@ -231,7 +216,7 @@ mod tests {
     #[test]
     fn timeline_message_time_fragments_past_the_mtu() {
         let w = WifiModel::default();
-        let mtu = w.mtu_bytes.unwrap();
+        let mtu = w.mtu_bytes;
         // At or under the MTU: unchanged vs the paper's accounting.
         assert_eq!(w.message_time_s(mtu), w.transfer_time_s(mtu));
         assert_eq!(w.gene_transfer_time_s(mtu / 4), w.transfer_time_s(mtu));
@@ -241,24 +226,12 @@ mod tests {
             w.message_time_s(10 * mtu),
             w.transfer_time_fragmented_s(10 * mtu, mtu)
         );
-        // Opting out restores the per-message model everywhere.
-        let legacy = w.with_mtu_bytes(None);
-        assert_eq!(
-            legacy.message_time_s(10 * mtu),
-            legacy.transfer_time_s(10 * mtu)
-        );
     }
 
     #[test]
     #[should_panic(expected = "mtu must be at least one byte")]
     fn zero_mtu_rejected() {
         let _ = WifiModel::default().transfer_time_fragmented_s(100, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "mtu must be at least one byte")]
-    fn zero_mtu_config_rejected() {
-        let _ = WifiModel::default().with_mtu_bytes(Some(0));
     }
 
     #[test]
