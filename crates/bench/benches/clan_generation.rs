@@ -68,7 +68,7 @@ fn bench_eval_thread_scaling(c: &mut Criterion) {
 }
 
 fn bench_threaded_runtime(c: &mut Criterion) {
-    use clan_core::runtime::EdgeCluster;
+    use clan_core::runtime::{AgentSource, EdgeCluster};
     use clan_core::transport::ClusterSpec;
     use clan_core::{DcsOrchestrator, Evaluator, InferenceMode, Orchestrator};
     use clan_distsim::Cluster;
@@ -82,7 +82,7 @@ fn bench_threaded_runtime(c: &mut Criterion) {
         .build()
         .unwrap();
     let spec = ClusterSpec::new(w, InferenceMode::MultiStep, cfg.clone());
-    let cluster = EdgeCluster::spawn_spec(4, spec).expect("cluster spawns");
+    let cluster = EdgeCluster::from_source(4, spec, AgentSource::Threads).expect("cluster spawns");
     let mut orchestrator = DcsOrchestrator::new(
         Population::new(cfg, 11),
         Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster),

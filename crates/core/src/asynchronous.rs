@@ -752,7 +752,9 @@ mod tests {
             InferenceMode::MultiStep,
             population.config().clone(),
         );
-        let cluster = crate::runtime::EdgeCluster::spawn_spec(2, spec).unwrap();
+        let cluster =
+            crate::runtime::EdgeCluster::from_source(2, spec, crate::runtime::AgentSource::Threads)
+                .unwrap();
         let evaluator = Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster);
         let mut orch = AsyncOrchestrator::new(population, evaluator, 80, 3).unwrap();
         orch.run_streamed().unwrap();

@@ -120,8 +120,8 @@
 //!   cumulative + selective acks or an RTT-derived per-fragment timer
 //!   show to be lost, and reassembles in order with deduplication, over any
 //!   [`DatagramLink`](transport::DatagramLink) — real UDP sockets
-//!   ([`EdgeCluster::spawn_local_udp_cfg`](runtime::EdgeCluster::spawn_local_udp_cfg),
-//!   [`EdgeCluster::connect_udp_cfg`](runtime::EdgeCluster::connect_udp_cfg),
+//!   ([`EdgeCluster::from_source`](runtime::EdgeCluster::from_source)
+//!   with a UDP [`AgentSource`](runtime::AgentSource),
 //!   `clan-cli agent --udp` / `coordinate --udp`) or in-process
 //!   channels.
 //! - **Deterministic fault injection** —

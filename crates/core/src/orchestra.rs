@@ -10,8 +10,6 @@ use crate::dda::DdaOrchestrator;
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use crate::generational::{DcsOrchestrator, DdsOrchestrator, SerialOrchestrator};
-use crate::membership::RecoveryStats;
-use crate::runtime::GatherStats;
 use crate::telemetry::{EventKind, Tracer};
 use crate::topology::{ClanTopology, Placement, SpeciationMode};
 use clan_distsim::{Cluster, GenerationTimeline, TimelineRecorder};
@@ -85,28 +83,6 @@ pub trait Orchestrator {
     /// Mutable evaluator access (tracer installation, cluster surgery
     /// between generations).
     fn evaluator_mut(&mut self) -> &mut Evaluator;
-
-    /// Measured wire traffic of the attached real transport, when the
-    /// orchestrator's evaluator runs inference over an
-    /// [`EdgeCluster`](crate::runtime::EdgeCluster) (threads, loopback
-    /// TCP, or remote devices). `None` for purely simulated runs.
-    fn transport_ledger(&self) -> Option<&CommLedger> {
-        self.evaluator().remote_ledger()
-    }
-
-    /// Measured scatter/gather timing of the attached real transport
-    /// (makespan vs. summed per-link busy time — the load-imbalance
-    /// signal). `None` for purely simulated runs.
-    fn gather_stats(&self) -> Option<GatherStats> {
-        self.evaluator().remote_gather_stats()
-    }
-
-    /// Churn-recovery accounting of the attached real transport (link
-    /// failures, reassigned chunks, recovery makespan). `None` for
-    /// purely simulated runs.
-    fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.evaluator().remote_recovery_stats()
-    }
 
     /// Installs a telemetry tracer: generation and evaluation events are
     /// recorded into it from the same deterministic replay loops that

@@ -258,17 +258,16 @@ impl RunReport {
             );
             let _ = writeln!(s, "  async event log hash: {:#018X}", a.event_log_hash);
         }
-        if !self.telemetry.is_empty() {
+        let t = &self.telemetry;
+        if t.logical_events + t.timing_events > 0 {
             let _ = writeln!(
                 s,
                 "  telemetry: {} logical + {} timing event(s), logical hash {:#018X}",
-                self.telemetry.logical_events,
-                self.telemetry.timing_events,
-                self.telemetry.logical_hash
+                t.logical_events, t.timing_events, t.logical_hash
             );
-            for line in self.telemetry.agent_table().lines() {
-                let _ = writeln!(s, "    {line}");
-            }
+        }
+        for line in t.agent_table().lines() {
+            let _ = writeln!(s, "    {line}");
         }
         if let Some(r) = &self.recovery {
             if r.any_recovery() {

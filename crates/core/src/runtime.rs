@@ -12,19 +12,19 @@
 //!
 //! One [`AgentSource`] says where a cluster's agents come from — founding
 //! members, revivals and admissions alike — and over which transport
-//! (`None` means TCP, `Some` a reliable-UDP tuning):
+//! (`None` means TCP, `Some` a reliable-UDP tuning), and
+//! [`EdgeCluster::from_source`] builds a cluster from it:
 //!
 //! - [`Threads`](AgentSource::Threads) — agent threads over in-process
-//!   channels ([`EdgeCluster::spawn_spec`]);
+//!   channels;
 //! - [`Loopback`](AgentSource::Loopback) — agent threads serving **real
 //!   sockets** on `127.0.0.1` ephemeral ports, TCP
 //!   ([`EdgeCluster::spawn_local_spec`]) or UDP
 //!   ([`EdgeCluster::spawn_local_udp_cfg`]): the whole networked stack in
 //!   one process, which is what CI smokes;
 //! - [`Remote`](AgentSource::Remote) — agent daemons started with
-//!   `clan-cli agent --listen ADDR [--udp]` on actual edge devices
-//!   ([`EdgeCluster::connect`], [`EdgeCluster::connect_udp_cfg`]), plus any
-//!   standby addresses for replacements;
+//!   `clan-cli agent --listen ADDR [--udp]` on actual edge devices, plus
+//!   any standby addresses for replacements;
 //! - [`External`](AgentSource::External) — caller-supplied transports
 //!   ([`EdgeCluster::connect_transports`]), which cannot be replaced.
 //!
@@ -641,16 +641,6 @@ impl EdgeCluster {
         Self::configured(links, spec, source)
     }
 
-    /// Spawns `n_agents` agent threads over in-process channels (frames
-    /// still cross as encoded bytes); see [`from_source`](Self::from_source).
-    ///
-    /// # Errors
-    ///
-    /// As [`from_source`](Self::from_source).
-    pub fn spawn_spec(n_agents: usize, spec: ClusterSpec) -> Result<EdgeCluster, ClanError> {
-        Self::from_source(n_agents, spec, AgentSource::Threads)
-    }
-
     /// Spawns `n_agents` agent threads each serving a **real TCP
     /// socket** bound to `127.0.0.1` on an ephemeral port, and connects
     /// to them — the entire networked stack, loopback, in one process.
@@ -679,33 +669,6 @@ impl EdgeCluster {
         udp: UdpConfig,
     ) -> Result<EdgeCluster, ClanError> {
         Self::from_source(n_agents, spec, AgentSource::Loopback(Some(udp)))
-    }
-
-    /// Connects to already-running **UDP** agent daemons (started with
-    /// `clan-cli agent --udp --listen ADDR`) with explicit datagram
-    /// tuning and optional coordinator-side fault injection.
-    ///
-    /// # Errors
-    ///
-    /// As [`from_source`](Self::from_source).
-    pub fn connect_udp_cfg(
-        addrs: &[String],
-        spec: ClusterSpec,
-        udp: UdpConfig,
-    ) -> Result<EdgeCluster, ClanError> {
-        let (udp, spares) = (Some(udp), addrs.to_vec());
-        Self::from_source(addrs.len(), spec, AgentSource::Remote { udp, spares })
-    }
-
-    /// Connects to already-running agent daemons (started with
-    /// `clan-cli agent --listen ADDR`) over TCP.
-    ///
-    /// # Errors
-    ///
-    /// As [`from_source`](Self::from_source).
-    pub fn connect(addrs: &[String], spec: ClusterSpec) -> Result<EdgeCluster, ClanError> {
-        let spares = addrs.to_vec();
-        Self::from_source(addrs.len(), spec, AgentSource::Remote { udp: None, spares })
     }
 
     /// Builds a cluster over caller-supplied transports whose agent
@@ -873,7 +836,7 @@ impl EdgeCluster {
             }
             _ => Err(ClanError::InvalidSetup {
                 reason: "spare agent addresses apply to remote clusters only \
-                         (connect / connect_udp_cfg)"
+                         (AgentSource::Remote)"
                     .into(),
             }),
         }
@@ -1539,7 +1502,7 @@ mod tests {
     }
 
     fn spawn_uncached(n: usize, cfg: NeatConfig) -> EdgeCluster {
-        EdgeCluster::spawn_spec(n, uncached_spec(cfg)).unwrap()
+        EdgeCluster::from_source(n, uncached_spec(cfg), AgentSource::Threads).unwrap()
     }
 
     fn cartpole_spec(cfg: &NeatConfig) -> ClusterSpec {
@@ -1548,7 +1511,8 @@ mod tests {
 
     fn spawn_both(n: usize, cfg: &NeatConfig) -> Vec<EdgeCluster> {
         vec![
-            EdgeCluster::spawn_spec(n, cartpole_spec(cfg)).expect("channel cluster spawns"),
+            EdgeCluster::from_source(n, cartpole_spec(cfg), AgentSource::Threads)
+                .expect("channel cluster spawns"),
             EdgeCluster::spawn_local_spec(n, cartpole_spec(cfg)).expect("loopback cluster binds"),
         ]
     }
@@ -1618,7 +1582,8 @@ mod tests {
     #[test]
     fn real_dcs_generations_match_serial_evolution() {
         let cfg = cfg(12);
-        let cluster = EdgeCluster::spawn_spec(3, cartpole_spec(&cfg)).unwrap();
+        let cluster =
+            EdgeCluster::from_source(3, cartpole_spec(&cfg), AgentSource::Threads).unwrap();
         let mut real = dcs_over(cluster, &cfg, 5);
         let mut reference = serial(&cfg, 5);
         for _ in 0..3 {
@@ -1646,7 +1611,7 @@ mod tests {
             real.population().genomes(),
             reference.population().genomes()
         );
-        let wire = real.transport_ledger().unwrap();
+        let wire = real.evaluator().remote_ledger().unwrap();
         assert!(
             wire.entry(MessageKind::SendParentGenomes).messages > 0,
             "DDS must ship parents over the wire"
@@ -1697,26 +1662,25 @@ mod tests {
     fn zero_agent_spawn_is_a_typed_error_not_a_panic() {
         let cfg = cfg(4);
         let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, cfg);
-        assert!(matches!(
-            EdgeCluster::spawn_spec(0, spec.clone()),
-            Err(ClanError::InvalidSetup { .. })
-        ));
-        assert!(matches!(
-            EdgeCluster::spawn_local_spec(0, spec.clone()),
-            Err(ClanError::InvalidSetup { .. })
-        ));
-        assert!(matches!(
-            EdgeCluster::spawn_local_udp_cfg(0, spec.clone(), UdpConfig::default()),
-            Err(ClanError::InvalidSetup { .. })
-        ));
-        assert!(matches!(
-            EdgeCluster::connect(&[], spec.clone()),
-            Err(ClanError::InvalidSetup { .. })
-        ));
-        assert!(matches!(
-            EdgeCluster::connect_udp_cfg(&[], spec.clone(), UdpConfig::default()),
-            Err(ClanError::InvalidSetup { .. })
-        ));
+        let udp = Some(UdpConfig::default());
+        for source in [
+            AgentSource::Threads,
+            AgentSource::Loopback(None),
+            AgentSource::Loopback(udp.clone()),
+            AgentSource::Remote {
+                udp: None,
+                spares: vec![],
+            },
+            AgentSource::Remote {
+                udp,
+                spares: vec![],
+            },
+        ] {
+            assert!(matches!(
+                EdgeCluster::from_source(0, spec.clone(), source),
+                Err(ClanError::InvalidSetup { .. })
+            ));
+        }
         assert!(matches!(
             EdgeCluster::connect_transports(vec![], spec),
             Err(ClanError::InvalidSetup { .. })
@@ -1735,7 +1699,8 @@ mod tests {
     #[test]
     fn gather_stats_accumulate_makespan_and_busy_time() {
         let cfg = cfg(8);
-        let mut cluster = EdgeCluster::spawn_spec(2, cartpole_spec(&cfg)).unwrap();
+        let mut cluster =
+            EdgeCluster::from_source(2, cartpole_spec(&cfg), AgentSource::Threads).unwrap();
         assert_eq!(cluster.gather_stats().gathers, 0);
         let mut pop = Population::new(cfg, 4);
         cluster.evaluate(&mut pop).unwrap();
@@ -1865,7 +1830,8 @@ mod tests {
     fn churn_schedule_kill_and_revive_keeps_run_identical() {
         let cfg = cfg(12);
         let run = |churn: Option<ChurnSchedule>| {
-            let mut cluster = EdgeCluster::spawn_spec(3, cartpole_spec(&cfg)).unwrap();
+            let mut cluster =
+                EdgeCluster::from_source(3, cartpole_spec(&cfg), AgentSource::Threads).unwrap();
             if let Some(plan) = churn {
                 cluster.set_churn(plan).unwrap();
             }
@@ -1873,7 +1839,7 @@ mod tests {
             for _ in 0..4 {
                 o.step_generation().unwrap();
             }
-            let stats = o.recovery_stats().unwrap();
+            let stats = o.evaluator().remote_recovery_stats().unwrap();
             (o.population().genomes().clone(), stats)
         };
         let (clean, clean_stats) = run(None);
@@ -1893,7 +1859,8 @@ mod tests {
         // failure inside the reproduction scatter specifically.
         let cfg = cfg(12);
         let run = |churn: Option<ChurnSchedule>| {
-            let mut cluster = EdgeCluster::spawn_spec(3, cartpole_spec(&cfg)).unwrap();
+            let mut cluster =
+                EdgeCluster::from_source(3, cartpole_spec(&cfg), AgentSource::Threads).unwrap();
             if let Some(plan) = churn {
                 cluster.set_churn(plan).unwrap();
             }
@@ -1901,7 +1868,7 @@ mod tests {
             for _ in 0..3 {
                 o.step_generation().unwrap();
             }
-            let stats = o.recovery_stats().unwrap();
+            let stats = o.evaluator().remote_recovery_stats().unwrap();
             (o.population().genomes().clone(), stats)
         };
         let (clean, _) = run(None);
@@ -1945,12 +1912,9 @@ mod tests {
             let (addr, session_ended, handle) =
                 serve_twice(udp.as_ref().map(|_| daemon_udp.clone()));
             let spec = uncached_spec(cfg.clone());
-            let addrs = [addr.to_string()];
-            let mut cluster = match udp {
-                None => EdgeCluster::connect(&addrs, spec),
-                Some(udp) => EdgeCluster::connect_udp_cfg(&addrs, spec, udp),
-            }
-            .unwrap();
+            let spares = vec![addr.to_string()];
+            let mut cluster =
+                EdgeCluster::from_source(1, spec, AgentSource::Remote { udp, spares }).unwrap();
             let mut pop = Population::new(cfg.clone(), 43);
             cluster.evaluate(&mut pop).unwrap();
             let clean: Vec<f64> = pop
@@ -1993,8 +1957,11 @@ mod tests {
         // A daemon that never serves: its TCP backlog takes the
         // connection and the Configure.
         let daemon = AgentServer::bind("127.0.0.1:0", None).unwrap();
-        let addrs = [daemon.local_addr().to_string()];
-        let mut cluster = EdgeCluster::connect(&addrs, cartpole_spec(&cfg(6))).unwrap();
+        let remote = AgentSource::Remote {
+            udp: None,
+            spares: vec![daemon.local_addr().to_string()],
+        };
+        let mut cluster = EdgeCluster::from_source(1, cartpole_spec(&cfg(6)), remote).unwrap();
         let spare = || vec!["127.0.0.1:9".to_string()];
         cluster.set_spares(spare()).unwrap();
         let twice = ChurnSchedule::new()
@@ -2072,7 +2039,8 @@ mod tests {
     fn degraded_cluster_is_a_typed_error() {
         let cfg = cfg(6);
         // All agents dead: the last link error surfaces.
-        let mut cluster = EdgeCluster::spawn_spec(2, cartpole_spec(&cfg)).unwrap();
+        let mut cluster =
+            EdgeCluster::from_source(2, cartpole_spec(&cfg), AgentSource::Threads).unwrap();
         cluster.kill_agent(0).unwrap();
         cluster.kill_agent(1).unwrap();
         let mut pop = Population::new(cfg.clone(), 5);
@@ -2083,7 +2051,8 @@ mod tests {
         cluster.shutdown();
         // Policy floor: one failure on a 2-agent cluster with
         // min_agents 2 refuses to continue on the lone survivor.
-        let mut strict = EdgeCluster::spawn_spec(2, cartpole_spec(&cfg)).unwrap();
+        let mut strict =
+            EdgeCluster::from_source(2, cartpole_spec(&cfg), AgentSource::Threads).unwrap();
         strict.set_recovery_policy(RecoveryPolicy::default().with_min_agents(2));
         strict.kill_agent(1).unwrap();
         let err = strict.evaluate(&mut pop).unwrap_err();
@@ -2100,7 +2069,8 @@ mod tests {
     #[test]
     fn churn_schedule_validation() {
         let cfg = cfg(6);
-        let mut cluster = EdgeCluster::spawn_spec(2, cartpole_spec(&cfg)).unwrap();
+        let mut cluster =
+            EdgeCluster::from_source(2, cartpole_spec(&cfg), AgentSource::Threads).unwrap();
         assert!(matches!(
             cluster.set_churn(ChurnSchedule::new().kill(5, 1)),
             Err(ClanError::InvalidSetup { .. })

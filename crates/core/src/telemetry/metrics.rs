@@ -251,11 +251,6 @@ impl TelemetryReport {
         out
     }
 
-    /// Whether there is anything worth printing.
-    pub fn is_empty(&self) -> bool {
-        self.logical_events == 0 && self.timing_events == 0 && self.per_agent.is_empty()
-    }
-
     /// The unified per-agent table, rendered with the report's aligned
     /// text-table style. Empty string when there are no agent rows.
     pub fn agent_table(&self) -> String {
@@ -347,7 +342,8 @@ mod tests {
     #[test]
     fn empty_sources_make_empty_report() {
         let t = TelemetryReport::from_sources(None, None, None, None);
-        assert!(t.is_empty());
+        assert_eq!((t.logical_events, t.timing_events), (0, 0));
+        assert!(t.per_agent.is_empty());
         assert_eq!(t.agent_table(), "");
     }
 

@@ -12,7 +12,7 @@
 //! cargo run --release --example edge_cluster_threads
 //! ```
 
-use clan::core::runtime::EdgeCluster;
+use clan::core::runtime::{AgentSource, EdgeCluster};
 use clan::core::transport::ClusterSpec;
 use clan::core::{DdsOrchestrator, Evaluator, InferenceMode, Orchestrator};
 use clan::distsim::Cluster;
@@ -51,7 +51,8 @@ fn main() {
     // on the agents, so it ships both `Evaluate` and `BuildChildren`
     // frames through the cluster attached to its evaluator.
     let spec = ClusterSpec::new(w, InferenceMode::MultiStep, cfg.clone());
-    let cluster = EdgeCluster::spawn_spec(agents, spec).expect("cluster spawns");
+    let cluster =
+        EdgeCluster::from_source(agents, spec, AgentSource::Threads).expect("cluster spawns");
     let mut distributed = DdsOrchestrator::new(
         Population::new(cfg.clone(), 99),
         Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster),

@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! clan-cli run --workload lunarlander --topology dda --agents 8 --generations 10
-//! clan-cli solve --workload cartpole --topology dcs --agents 4 --max-generations 40
 //! clan-cli agent --listen 0.0.0.0:7777
 //! clan-cli coordinate --agents-at 10.0.0.2:7777,10.0.0.3:7777 --generations 10
 //! clan-cli coordinate --loopback 2 --generations 3
-//! clan-cli export-champion --workload cartpole --out champion.dot
-//! clan-cli list
 //! ```
 //!
-//! Argument parsing is hand-rolled (no CLI dependency); every flag has a
-//! sensible default so `clan-cli run` alone works.
+//! Each command has one flag table ([`COMMANDS`]). One pass checks the
+//! arguments against it before any work starts: a misused flag is a usage
+//! error that names it and exits 2, and a run that fails exits 1. `help`
+//! prints each command's synopsis from the same table.
 
 use clan::core::telemetry::{to_chrome_json, to_jsonl, Tracer};
 use clan::core::transport::agent::AgentServer;
@@ -24,246 +23,295 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    if let Err(UsageError(msg)) = validate_flags(command, &Flags(args[1..].to_vec())) {
-        eprintln!("usage error: {msg}");
-        eprintln!("(see `clan-cli help`)");
-        return ExitCode::from(2);
-    }
-    let result = match command.as_str() {
-        "run" => cmd_run(&args[1..], false),
-        "solve" => cmd_run(&args[1..], true),
-        "agent" => cmd_agent(&args[1..]),
-        "coordinate" => cmd_coordinate(&args[1..]),
-        "export-champion" => cmd_export(&args[1..]),
-        "list" => {
-            cmd_list();
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
-    match result {
+    match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
+            eprintln!("usage error: {msg}\n(see `clan-cli help`)");
+            ExitCode::from(2)
+        }
+        Err(Failure::Run(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "\
-clan-cli — CLAN: collaborative neuroevolution on simulated edge clusters
-
-USAGE:
-  clan-cli run   [--workload W] [--topology T] [--agents N] [--generations N]
-                 [--population N] [--seed N] [--platform P] [--single-step]
-                 [--episodes N] [--eval-threads N] [--no-cache]
-                 [--trace FILE] [--trace-chrome FILE]
-                 [--trace-ring N [--postmortem FILE]] [--status-addr ADDR]
-                 [--async [--total-evals N] [--tournament-size K]
-                  [--latency MS,MS,...] [--jitter-pct P]]
-  clan-cli solve [same flags; runs until the workload's solved score or
-                 --max-generations N]
-  clan-cli agent --listen ADDR [--once] [--delay-ms N] [--udp]
-                 (serve as an edge agent daemon, over TCP or, with --udp,
-                 the loss-tolerant datagram transport; workload and NEAT
-                 config arrive from the coordinator over the wire, one
-                 session at a time; --once serves one session then exits;
-                 --delay-ms stalls each request to emulate a slower
-                 device)
-  clan-cli coordinate [run flags] (--agents-at ADDR,ADDR,... | --loopback N)
-                 [--async [--total-evals N] [--tournament-size K]]
-                 [--udp [--loss P] [--fault-seed S]] [--min-agents N]
-                 [--churn EVENTS] [--spare-at ADDR,ADDR,...]
-                 [--trace FILE] [--trace-chrome FILE]
-                 [--trace-ring N [--postmortem FILE]] [--status-addr ADDR]
-                 (drive a run over real agents — daemons at --agents-at,
-                 or N spawned in this process; bit-identical to the same
-                 run executed locally, however fast each agent is; work
-                 is pulled by whichever agent is free. TCP unless --udp,
-                 which speaks reliable datagrams; --loss injects seeded drop
-                 faults on every link — the ARQ layer recovers them, so
-                 the evolved result is still bit-identical, only the
-                 retransmission overhead in the report grows)
-  clan-cli export-champion [--workload W] [--generations N] [--seed N]
-                 [--out FILE.dot]
-  clan-cli list  (available workloads, topologies, platforms)
-
-DEFAULTS: workload=cartpole topology=serial agents=1 generations=5
-          population=150 seed=0 platform=pi eval-threads=1
-
---eval-threads N (run/solve) evaluates each generation's cache misses
-on N host threads, the calling one included, a contiguous chunk each;
-results are bit-identical to serial, only wall-clock time changes.
-`coordinate` rejects it: there the agents evaluate. (On a single-CPU
-host, extra threads cannot speed anything up — bench reports mark such
-rows flat_expected.)
-
---no-cache disables the content-addressed fitness cache that lets
-elites and unmutated survivors skip re-evaluation. It changes only
-wall-clock time, never the evolved result.
-
---churn k1@2,r1@4 kills agent 1 before round 2 and revives it before
-round 4 (deterministic churn injection): the work it held goes back to
-the queue for the survivors and the evolved result is still
-bit-identical, only the recovery overhead in the report grows.
---spare-at names standby agents a revival may connect; --min-agents N
-fails a round that would continue on fewer live agents (default 1).
-
---trace FILE records a structured run trace as JSONL: a deterministic
-logical event stream (byte-identical per seed across serial, TCP, lossy
-UDP, and churned runs, and per seed + latency schedule in virtual-time
-async mode) plus wall-clock annotations in a separate channel.
---trace-chrome FILE writes the same trace as Chrome trace-event JSON
-with one track per agent (open in Perfetto or chrome://tracing). Tracing
-never changes the evolved result. Analyze recorded traces offline with `clan-trace`
-(critical path, stragglers, divergence diff).
-
---trace-ring N arms the flight recorder: tracing runs in a bounded ring
-that keeps only the last N events, and if the run fails (error or
-panic) the ring is dumped to --postmortem FILE (default
-clan-postmortem.jsonl) for offline analysis. Combine with --trace FILE
-to also write the retained tail on success.
-
---status-addr ADDR serves a live introspection endpoint over HTTP while
-the run executes: /metrics (Prometheus text), /health (per-agent
-alive/suspected/dead), /progress (generation or eval counts, best
-fitness). It publishes snapshots at generation boundaries only — the
-logical event stream stays byte-identical with the endpoint enabled.
-
---async switches to barrier-free steady-state evolution: every finished
-evaluation immediately triggers a tournament reproduction (size
---tournament-size, default 3) that replaces the worst genome, until
---total-evals evaluations (default 10x population) are spent. Local runs
-simulate agents under deterministic virtual time (--latency 5,20 sets
-per-agent service ms, --jitter-pct the seeded jitter): two runs with the
-same --seed and latency schedule produce --trace files that
-`clan-trace diff` reports identical. Over real agents (coordinate
---async) the arrival order is wall-clock, so results are statistical
-rather than bit-identical.";
-
-/// Where the flight recorder dumps the ring when no `--postmortem FILE`
-/// overrides it.
-const POSTMORTEM_DEFAULT: &str = "clan-postmortem.jsonl";
-
-/// A command-line misuse caught before any work starts. Rendered with a
-/// pointer at the usage text and exit code 2, distinct from runtime
-/// failures (exit 1), so scripts can tell "you called it wrong" from
-/// "the run failed".
+/// Why a command did not succeed. A usage error is caught before any
+/// work starts and exits 2; a failed run exits 1, so scripts can tell
+/// "you called it wrong" from "the run failed".
 #[derive(Debug, PartialEq, Eq)]
-struct UsageError(String);
+enum Failure {
+    Usage(String),
+    Run(String),
+}
 
-/// Cross-flag validation that runs before command dispatch. Per-flag
-/// value parsing stays with each command; this pass catches
-/// combinations that are individually valid but jointly meaningless.
-fn validate_flags(command: &str, flags: &Flags) -> Result<(), UsageError> {
-    if command == "agent" {
-        for f in ["--status-addr", "--trace-ring", "--postmortem"] {
-            if flags.get(f).is_some() {
-                return Err(UsageError(format!(
-                    "{f} is a coordinator-side flag; `agent` has no driver to \
-                     introspect (use it on run/solve/coordinate)"
-                )));
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Run(msg)
+    }
+}
+
+fn usage(msg: impl Into<String>) -> Failure {
+    Failure::Usage(msg.into())
+}
+
+/// One row of a flag table: the flag, its value's placeholder (empty for
+/// a switch) and the flag it requires (empty for none).
+type Flag = (&'static str, &'static str, &'static str);
+
+/// The shape of an evolving run and what it records.
+const EVOLVE: &[Flag] = &[
+    ("--workload", "W", ""),
+    ("--topology", "T", ""),
+    ("--population", "N", ""),
+    ("--seed", "N", ""),
+    ("--platform", "P", ""),
+    ("--episodes", "N", ""),
+    ("--single-step", "", ""),
+    ("--no-cache", "", ""),
+    ("--trace", "FILE", ""),
+    ("--trace-chrome", "FILE", ""),
+    ("--trace-ring", "N", ""),
+    ("--postmortem", "FILE", "--trace-ring"),
+    ("--status-addr", "ADDR", ""),
+];
+const GENERATIONS: &[Flag] = &[("--generations", "N", "")];
+const SOLVE: &[Flag] = &[("--max-generations", "N", "")];
+/// Simulated agents, evaluated on this host's threads.
+const LOCAL: &[Flag] = &[("--agents", "N", ""), ("--eval-threads", "N", "")];
+const ASYNC: &[Flag] = &[
+    ("--async", "", ""),
+    ("--total-evals", "N", "--async"),
+    ("--tournament-size", "K", "--async"),
+];
+/// The simulated agents' service times in virtual time.
+const LATENCY: &[Flag] = &[
+    ("--latency", "MS,MS,...", "--async"),
+    ("--jitter-pct", "P", "--async"),
+];
+/// Where `coordinate`'s agents are and how it reaches them.
+const AGENTS: &[Flag] = &[
+    ("--agents-at", "ADDR,ADDR,...", ""),
+    ("--loopback", "N", ""),
+    ("--udp", "", ""),
+    ("--loss", "P", "--udp"),
+    ("--fault-seed", "S", "--udp"),
+    ("--min-agents", "N", ""),
+    ("--churn", "EVENTS", ""),
+    ("--spare-at", "ADDR,ADDR,...", ""),
+];
+const AGENT: &[Flag] = &[
+    ("--listen", "ADDR", ""),
+    ("--once", "", ""),
+    ("--delay-ms", "N", ""),
+    ("--udp", "", ""),
+];
+const EXPORT: &[Flag] = &[
+    ("--workload", "W", ""),
+    ("--generations", "N", ""),
+    ("--population", "N", ""),
+    ("--seed", "N", ""),
+    ("--out", "FILE.dot", ""),
+];
+
+/// A flag table, as row groups some commands share.
+type Table = &'static [&'static [Flag]];
+
+/// What a command runs once its arguments have passed its flag table.
+type Run = fn(&Args) -> Result<(), Failure>;
+
+/// A command: its name, its flag table and what it runs.
+type Command = (&'static str, Table, Run);
+
+const COMMANDS: &[Command] = &[
+    ("run", &[GENERATIONS, LOCAL, EVOLVE, ASYNC, LATENCY], evolve),
+    ("solve", &[SOLVE, LOCAL, EVOLVE], evolve),
+    ("agent", &[AGENT], cmd_agent),
+    (
+        "coordinate",
+        &[AGENTS, GENERATIONS, EVOLVE, ASYNC],
+        cmd_coordinate,
+    ),
+    ("export-champion", &[EXPORT], cmd_export),
+    ("list", &[], cmd_list),
+    ("help", &[], cmd_help),
+];
+
+fn rows(table: Table) -> impl Iterator<Item = &'static Flag> {
+    table.iter().copied().flatten()
+}
+
+const NOTES: &str = "\
+`run` evolves for --generations N, `solve` to the workload's solved score.
+`agent` serves one coordinator at a time (--once: then exits; --delay-ms
+stalls each request like a slower device). `coordinate` drives the run
+over the agents at --agents-at or --loopback N spawned here, as many as
+it has, bit-identical to a local run however fast each agent is. TCP
+unless --udp; --loss drops a seeded share of datagrams, which the ARQ
+layer recovers. --churn k1@2,r1@4 kills agent 1 before round 2 and
+revives it before round 4, from --spare-at if remote; --min-agents N
+fails a round left with fewer live agents. `export-champion` writes the
+champion to --out and --out.json; `list` names workloads and platforms.
+
+DEFAULTS: workload=cartpole topology=serial (coordinate: dcs) agents=1
+          generations=5 population=150 seed=0 platform=pi eval-threads=1
+
+--eval-threads N evaluates each generation on N host threads and
+--no-cache turns off the fitness cache; neither changes the result.
+
+--trace FILE records a JSONL trace whose logical stream is identical per
+seed across serial, TCP, lossy UDP and churned runs; --trace-chrome FILE
+writes it as Chrome trace-event JSON, one track per agent. Analyze either
+with `clan-trace`. --trace-ring N keeps only the last N events and dumps
+them to --postmortem FILE (default clan-postmortem.jsonl) if the run
+fails. --status-addr ADDR serves /metrics, /health and /progress over
+HTTP, updated at generation boundaries.
+
+--async evolves without barriers: each finished evaluation breeds a
+--tournament-size K winner (default 3) over the worst genome, until
+--total-evals N (default 10x population). Local runs keep deterministic
+virtual time (--latency per-agent ms, --jitter-pct seeded jitter), so two
+runs with one --seed give identical --trace files; over real agents the
+arrival order is wall-clock, and results are statistical.";
+
+fn help() -> String {
+    let synopses: String = COMMANDS.iter().map(synopsis).collect();
+    format!("clan-cli — CLAN neuroevolution on edge clusters\n\nUSAGE:\n{synopses}\n{NOTES}")
+}
+
+/// A command's synopsis from its flag table, wrapped to 78 columns. A
+/// flag that requires another is shown inside that flag's brackets.
+fn synopsis(&(name, table, _): &Command) -> String {
+    let shown = |&(flag, value, _): &Flag| format!("{flag} {value}").trim_end().to_string();
+    let mut words = vec![format!("clan-cli {name}")];
+    for row in rows(table).filter(|(_, _, requires)| requires.is_empty()) {
+        words.push(format!("[{}", shown(row)));
+        let dependents = rows(table).filter(|(_, _, requires)| *requires == row.0);
+        words.extend(dependents.map(|d| format!("[{}]", shown(d))));
+        words.last_mut().expect("pushed above").push(']');
+    }
+    let (mut out, mut line) = (String::new(), String::from(" "));
+    for word in words {
+        if line.len() + word.len() >= 78 {
+            out += &(line + "\n");
+            line = " ".repeat(5);
+        }
+        line += &format!(" {word}");
+    }
+    out + &line + "\n"
+}
+
+/// Runs the command `args` name, once the rest of `args` has passed its
+/// flag table.
+fn dispatch(args: &[String]) -> Result<(), Failure> {
+    let (run, args) = parse_command(args)?;
+    run(&args)
+}
+
+/// A command's arguments that passed its flag table: the command, and
+/// each flag given at most once, with its value if it takes one.
+struct Args(&'static str, Vec<(&'static str, Option<String>)>);
+
+fn parse_command(args: &[String]) -> Result<(Run, Args), Failure> {
+    let (name, rest) = args.split_first().ok_or_else(|| usage("missing command"))?;
+    let name = if name == "--help" || name == "-h" {
+        "help"
+    } else {
+        name
+    };
+    let &(name, table, run) = COMMANDS
+        .iter()
+        .find(|(command, _, _)| *command == name)
+        .ok_or_else(|| usage(format!("unknown command `{name}`")))?;
+    let mut parsed = Args(name, Vec::new());
+    let mut rest = rest.iter().peekable();
+    while let Some(word) = rest.next() {
+        let &(flag, placeholder, _) = rows(table)
+            .find(|(flag, _, _)| flag == word)
+            .ok_or_else(|| usage(format!("`{name}` takes no `{word}`")))?;
+        if parsed.has(flag) {
+            return Err(usage(format!("{flag} is given twice")));
+        }
+        let value = match rest.next_if(|v| !placeholder.is_empty() && !v.starts_with("--")) {
+            None if !placeholder.is_empty() => {
+                return Err(usage(format!("{flag} needs a value: {flag} {placeholder}")))
             }
+            value => value.cloned(),
+        };
+        parsed.1.push((flag, value));
+    }
+    for &(flag, _, requires) in rows(table) {
+        if parsed.has(flag) && !requires.is_empty() && !parsed.has(requires) {
+            return Err(usage(format!("{flag} requires {requires}")));
         }
     }
-    if command == "coordinate" && flags.has("--eval-threads") {
-        return Err(UsageError(
-            "evaluation runs on the agents; --eval-threads applies to run/solve".into(),
-        ));
-    }
-    for f in ["--agent-weights", "--calibrate", "--max-retries"] {
-        if flags.has(f) {
-            return Err(UsageError(format!(
-                "{f} was removed: work is pulled by whichever agent is free; there is \
-                 nothing to weight or retry"
-            )));
-        }
-    }
-    for f in ["--batch-lanes", "--no-batch"] {
-        if flags.has(f) {
-            return Err(UsageError(format!(
-                "{f} was removed: every network runs through the one activation kernel; \
-                 there is no batch width to set"
-            )));
-        }
-    }
-    if flags.has("--event-log") {
-        return Err(UsageError(
-            "--event-log was removed: record the run with --trace FILE and compare two \
-             runs with `clan-trace diff`"
-                .into(),
-        ));
-    }
-    if flags.get("--postmortem").is_some() && flags.get("--trace-ring").is_none() {
-        return Err(UsageError(
-            "--postmortem names the flight-recorder dump file and requires --trace-ring N".into(),
-        ));
-    }
-    if flags.get("--trace-ring").is_some() {
-        let postmortem = flags.get("--postmortem").unwrap_or(POSTMORTEM_DEFAULT);
-        if flags.get("--trace") == Some(postmortem) {
-            return Err(UsageError(format!(
-                "--trace and the flight-recorder postmortem dump both target `{postmortem}`; \
-                 point --postmortem (or --trace) at a different file"
-            )));
-        }
-    }
-    Ok(())
+    Ok((run, parsed))
 }
 
-struct Flags(Vec<String>);
-
-impl Flags {
-    fn get(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.1.iter().any(|(name, _)| *name == flag)
     }
 
-    fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
+    fn text(&self, flag: &str) -> Option<&str> {
+        let found = self.1.iter().find(|(name, _)| *name == flag);
+        found.and_then(|(_, value)| value.as_deref())
     }
 
-    fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value `{v}` for {name}")),
-        }
+    /// `flag`'s value through `parse`, `None` when the flag is absent; a
+    /// value `parse` rejects is a usage error naming the flag.
+    fn get_with<T>(
+        &self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, Failure> {
+        let parse = |v| parse(v).map_err(|e| usage(format!("{flag} `{v}`: {e}")));
+        self.text(flag).map(parse).transpose()
+    }
+
+    /// `flag`'s value as a `T`, `None` when the flag is absent.
+    fn get<T: std::str::FromStr<Err: std::fmt::Display>>(
+        &self,
+        flag: &str,
+    ) -> Result<Option<T>, Failure> {
+        self.get_with(flag, |v| v.parse().map_err(|e: T::Err| e.to_string()))
     }
 }
 
+/// Resolves `--workload`: an exact name in any case, or a fragment of
+/// exactly one name. `car` is in both Cartpole-v0 and MountainCar-v0, so
+/// it is refused rather than guessed.
 fn parse_workload(s: &str) -> Result<Workload, String> {
     let lower = s.to_lowercase();
-    Workload::ALL
+    let name = |w: &Workload| w.name().to_lowercase();
+    if let Some(w) = Workload::ALL.into_iter().find(|w| name(w) == lower) {
+        return Ok(w);
+    }
+    let matches: Vec<Workload> = Workload::ALL
         .into_iter()
-        .find(|w| w.name().to_lowercase().contains(&lower))
-        .ok_or_else(|| format!("unknown workload `{s}` (try `clan-cli list`)"))
+        .filter(|w| name(w).contains(&lower))
+        .collect();
+    let names = |ws: &[Workload]| ws.iter().map(|w| w.name()).collect::<Vec<_>>().join(", ");
+    match matches[..] {
+        [w] => Ok(w),
+        [] => Err(format!("matches none of {}", names(&Workload::ALL))),
+        _ => Err(format!("matches {}; name one", names(&matches))),
+    }
 }
 
-/// Parses `--agents-at`'s comma-separated address list: trims each
-/// segment, skips empties left by stray commas, and rejects duplicates
-/// (a single agent serves one session at a time, so a duplicated
-/// address would hang the coordinator) and effectively-empty lists with
-/// a clear message instead of a confusing downstream connect error.
+/// The trimmed, non-empty items of a comma-separated list.
+fn items(list: &str) -> impl Iterator<Item = &str> {
+    list.split(',').map(str::trim).filter(|s| !s.is_empty())
+}
+
+/// Parses `--agents-at`'s comma-separated address list, skipping empties
+/// left by stray commas. Duplicates (a single agent serves one session
+/// at a time, so a duplicated address would hang the coordinator) and
+/// effectively-empty lists get a clear message instead of a confusing
+/// downstream connect error.
 fn parse_agent_list(list: &str) -> Result<Vec<String>, String> {
     let mut addrs: Vec<String> = Vec::new();
-    for seg in list.split(',') {
-        let addr = seg.trim();
-        if addr.is_empty() {
-            continue;
-        }
+    for addr in items(list) {
         if addrs.iter().any(|a| a == addr) {
             return Err(format!(
                 "duplicate agent address `{addr}` in --agents-at (each agent serves one session)"
@@ -275,6 +323,16 @@ fn parse_agent_list(list: &str) -> Result<Vec<String>, String> {
         return Err("--agents-at needs at least one HOST:PORT address".into());
     }
     Ok(addrs)
+}
+
+/// Parses `--latency`'s comma-separated per-agent service times (ms).
+fn parse_latency_list(list: &str) -> Result<Vec<f64>, String> {
+    let ms = items(list).map(|s| s.parse().map_err(|_| format!("invalid latency `{s}`")));
+    let ms = ms.collect::<Result<Vec<f64>, String>>()?;
+    if ms.is_empty() {
+        return Err("needs at least one per-agent time in ms".into());
+    }
+    Ok(ms)
 }
 
 fn parse_platform(s: &str) -> Result<PlatformKind, String> {
@@ -289,54 +347,64 @@ fn parse_platform(s: &str) -> Result<PlatformKind, String> {
     }
 }
 
-fn build_driver(flags: &Flags) -> Result<ClanDriverBuilder, String> {
-    let workload = parse_workload(flags.get("--workload").unwrap_or("cartpole"))?;
-    let agents: usize = flags.parse("--agents", 1)?;
-    let topology = match flags.get("--topology").unwrap_or("serial") {
+/// The driver `args` describe over `agents` agents. On real agents
+/// (`coordinate`) the topology defaults to DCS, and serial, which runs
+/// nothing on them, is refused.
+fn build_driver(args: &Args, agents: usize, on_agents: bool) -> Result<ClanDriverBuilder, Failure> {
+    let topology = match args
+        .text("--topology")
+        .unwrap_or(if on_agents { "dcs" } else { "serial" })
+    {
+        "serial" if on_agents => return Err(usage("--topology serial runs nothing on agents")),
         "serial" => ClanTopology::serial(),
         "dcs" => ClanTopology::dcs(),
         "dds" => ClanTopology::dds(),
         "dda" => ClanTopology::dda(agents.max(1)),
-        other => return Err(format!("unknown topology `{other}`")),
+        other => return Err(usage(format!("unknown --topology `{other}`"))),
     };
-    let mut builder = ClanDriver::builder(workload)
+    let workload = args.get_with("--workload", parse_workload)?;
+    let platform = args.get_with("--platform", parse_platform)?;
+    let mut builder = ClanDriver::builder(workload.unwrap_or(Workload::CartPole))
         .topology(topology)
         .agents(agents)
-        .population_size(flags.parse("--population", 150)?)
-        .seed(flags.parse("--seed", 0)?)
-        .episodes_per_eval(flags.parse("--episodes", 1)?)
-        .eval_threads(flags.parse("--eval-threads", 1usize)?)
-        .platform(parse_platform(flags.get("--platform").unwrap_or("pi"))?);
-    if flags.has("--single-step") {
+        .population_size(args.get("--population")?.unwrap_or(150))
+        .seed(args.get("--seed")?.unwrap_or(0))
+        .episodes_per_eval(args.get("--episodes")?.unwrap_or(1))
+        .eval_threads(args.get("--eval-threads")?.unwrap_or(1))
+        .platform(platform.unwrap_or(PlatformKind::RaspberryPi))
+        .fitness_cache(!args.has("--no-cache"))
+        .tracing(args.has("--trace") || args.has("--trace-chrome"));
+    if args.has("--single-step") {
         builder = builder.single_step();
     }
-    if flags.has("--no-cache") {
-        builder = builder.fitness_cache(false);
-    }
-    if flags.get("--trace").is_some() || flags.get("--trace-chrome").is_some() {
-        builder = builder.tracing(true);
-    }
-    if let Some(n) = flags.get("--trace-ring") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| format!("invalid value `{n}` for --trace-ring"))?;
+    if let Some(n) = args.get("--trace-ring")? {
         builder = builder.trace_ring(n);
     }
-    if let Some(addr) = flags.get("--status-addr") {
+    if let Some(addr) = args.text("--status-addr") {
         builder = builder.status_addr(addr);
     }
     Ok(builder)
 }
 
+/// Where the flight recorder dumps the ring when no `--postmortem FILE`
+/// overrides it.
+const POSTMORTEM_DEFAULT: &str = "clan-postmortem.jsonl";
+
 /// The flight recorder armed for this invocation, as the postmortem
 /// dump path: `Some` exactly when `--trace-ring N` bounded the tracer.
-fn postmortem_path(flags: &Flags) -> Option<String> {
-    flags.get("--trace-ring").map(|_| {
-        flags
-            .get("--postmortem")
-            .unwrap_or(POSTMORTEM_DEFAULT)
-            .to_string()
-    })
+/// A `--trace` naming the same file is a usage error.
+fn postmortem_path(args: &Args) -> Result<Option<String>, Failure> {
+    if !args.has("--trace-ring") {
+        return Ok(None);
+    }
+    let postmortem = args.text("--postmortem").unwrap_or(POSTMORTEM_DEFAULT);
+    if args.text("--trace") == Some(postmortem) {
+        return Err(usage(format!(
+            "--trace and the flight-recorder postmortem dump both target `{postmortem}`; \
+             point --postmortem (or --trace) at a different file"
+        )));
+    }
+    Ok(Some(postmortem.to_string()))
 }
 
 /// Drains the flight-recorder ring into a postmortem JSONL file. Called
@@ -377,110 +445,52 @@ fn arm_panic_recorder(tracer: Tracer, path: String) {
 /// Writes the recorded trace to the files `--trace` (JSONL event
 /// stream) and `--trace-chrome` (Chrome trace-event JSON, viewable in
 /// Perfetto or `chrome://tracing`) name, when tracing was enabled.
-fn write_trace_outputs(
-    trace: Option<&RunTrace>,
-    flags: &Flags,
-    n_agents: usize,
-) -> Result<(), String> {
+fn write_traces(trace: Option<&RunTrace>, args: &Args, n_agents: usize) -> Result<(), String> {
     let Some(trace) = trace else { return Ok(()) };
-    if let Some(path) = flags.get("--trace") {
+    if let Some(path) = args.text("--trace") {
         let jsonl = to_jsonl(trace).map_err(|e| e.to_string())?;
         std::fs::write(path, jsonl).map_err(|e| e.to_string())?;
         let (logical, timing) = trace.counts();
         println!("  trace: {logical} logical + {timing} timing event(s) written to {path}");
     }
-    if let Some(path) = flags.get("--trace-chrome") {
+    if let Some(path) = args.text("--trace-chrome") {
         std::fs::write(path, to_chrome_json(trace, n_agents)).map_err(|e| e.to_string())?;
         println!("  chrome trace: {n_agents} agent track(s) written to {path}");
     }
     Ok(())
 }
 
-/// Parses `--latency`'s comma-separated per-agent service times (ms).
-fn parse_latency_list(list: &str) -> Result<Vec<f64>, String> {
-    list.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse::<f64>()
-                .map_err(|_| format!("invalid latency `{s}` in --latency"))
-        })
-        .collect::<Result<Vec<f64>, String>>()
-        .and_then(|l| {
-            if l.is_empty() {
-                Err("--latency needs at least one per-agent time in ms".into())
-            } else {
-                Ok(l)
-            }
-        })
+/// `run` and `solve`: evolve over `--agents N` simulated agents.
+fn evolve(args: &Args) -> Result<(), Failure> {
+    let agents = args.get("--agents")?.unwrap_or(1);
+    launch(build_driver(args, agents, false)?, args)
 }
 
-/// `--async` gate: the steady-state flags are meaningless (and therefore
-/// rejected) on generational runs.
-fn check_async_flags(flags: &Flags) -> Result<bool, String> {
-    let is_async = flags.has("--async");
-    if !is_async {
-        for f in [
-            "--total-evals",
-            "--tournament-size",
-            "--latency",
-            "--jitter-pct",
-        ] {
-            if flags.get(f).is_some() {
-                return Err(format!("{f} requires --async"));
-            }
-        }
-    }
-    Ok(is_async)
-}
-
-/// Applies the `--async` tuning flags to an already backend-configured
-/// builder.
-fn async_options(
-    mut builder: ClanDriverBuilder,
-    flags: &Flags,
-) -> Result<ClanDriverBuilder, String> {
-    if let Some(n) = flags.get("--total-evals") {
-        let n: u64 = n
-            .parse()
-            .map_err(|_| format!("invalid value `{n}` for --total-evals"))?;
-        builder = builder.total_evals(n);
-    }
-    if let Some(k) = flags.get("--tournament-size") {
-        let k: usize = k
-            .parse()
-            .map_err(|_| format!("invalid value `{k}` for --tournament-size"))?;
-        builder = builder.tournament_size(k);
-    }
-    if let Some(list) = flags.get("--latency") {
-        builder = builder.latency_ms(parse_latency_list(list)?);
-    }
-    if let Some(p) = flags.get("--jitter-pct") {
-        let p: u32 = p
-            .parse()
-            .map_err(|_| format!("invalid value `{p}` for --jitter-pct"))?;
-        builder = builder.latency_jitter_pct(p);
-    }
-    Ok(builder)
-}
+/// A run's outcome: its report and, when traced, its trace.
+type Outcome = Result<(RunReport, Option<RunTrace>), ClanError>;
 
 /// The one build → run → postmortem → print path behind `run`, `solve`
 /// and `coordinate`, generational or `--async`: builds the driver the
-/// flags ask for and hands its run to [`execute`].
-fn launch(
-    builder: ClanDriverBuilder,
-    flags: &Flags,
-    until_solved: bool,
-) -> Result<RunReport, String> {
-    if check_async_flags(flags)? {
-        if until_solved {
-            return Err(
-                "--async runs to a fixed --total-evals budget; use `run`, not `solve`".into(),
-            );
+/// arguments ask for, announces the status endpoint, arms the flight
+/// recorder, dumps the postmortem ring if the run fails, and prints the
+/// report and trace outputs when it succeeds.
+fn launch(mut builder: ClanDriverBuilder, args: &Args) -> Result<(), Failure> {
+    let postmortem = postmortem_path(args)?;
+    let (recorder, status, run): (Tracer, _, Box<dyn FnOnce() -> Outcome>) = if args.has("--async")
+    {
+        if let Some(n) = args.get("--total-evals")? {
+            builder = builder.total_evals(n);
         }
-        let driver = async_options(builder, flags)?
-            .build_async()
-            .map_err(|e| e.to_string())?;
+        if let Some(k) = args.get("--tournament-size")? {
+            builder = builder.tournament_size(k);
+        }
+        if let Some(latencies) = args.get_with("--latency", parse_latency_list)? {
+            builder = builder.latency_ms(latencies);
+        }
+        if let Some(p) = args.get("--jitter-pct")? {
+            builder = builder.latency_jitter_pct(p);
+        }
+        let driver = builder.build_async().map_err(|e| e.to_string())?;
         match driver.schedule() {
             Some(s) => println!(
                 "async steady-state run: deterministic virtual time, schedule {}",
@@ -489,36 +499,25 @@ fn launch(
             None => println!("async steady-state run: streaming over the live cluster"),
         }
         let (recorder, status) = (driver.tracer_handle(), driver.status_local_addr());
-        return execute(flags, recorder, status, || {
-            driver.run().map(|outcome| (outcome.report, outcome.trace))
-        });
-    }
-    let driver = builder.build().map_err(|e| e.to_string())?;
-    let (recorder, status) = (driver.tracer_handle(), driver.status_local_addr());
-    if until_solved {
-        let max = flags.parse("--max-generations", 50u64)?;
-        execute(flags, recorder, status, || {
-            driver.run_until_solved_with_trace(max)
-        })
+        let run = move || driver.run().map(|outcome| (outcome.report, outcome.trace));
+        (recorder, status, Box::new(run))
     } else {
-        let gens = flags.parse("--generations", 5u64)?;
-        execute(flags, recorder, status, || driver.run_with_trace(gens))
-    }
-}
-
-/// Runs a built driver: announces the status endpoint, arms the flight
-/// recorder, dumps the postmortem ring if the run fails, and prints the
-/// report and trace outputs when it succeeds.
-fn execute(
-    flags: &Flags,
-    recorder: Tracer,
-    status: Option<std::net::SocketAddr>,
-    run: impl FnOnce() -> Result<(RunReport, Option<RunTrace>), ClanError>,
-) -> Result<RunReport, String> {
+        let until_solved = args.0 == "solve";
+        let generations = match until_solved {
+            true => args.get("--max-generations")?.unwrap_or(50),
+            false => args.get("--generations")?.unwrap_or(5),
+        };
+        let driver = builder.build().map_err(|e| e.to_string())?;
+        let (recorder, status) = (driver.tracer_handle(), driver.status_local_addr());
+        let run = move || match until_solved {
+            true => driver.run_until_solved_with_trace(generations),
+            false => driver.run_with_trace(generations),
+        };
+        (recorder, status, Box::new(run))
+    };
     if let Some(addr) = status {
         println!("  status endpoint: http://{addr} (/metrics /health /progress)");
     }
-    let postmortem = postmortem_path(flags);
     if let Some(path) = &postmortem {
         arm_panic_recorder(recorder.clone(), path.clone());
     }
@@ -529,8 +528,7 @@ fn execute(
         e.to_string()
     })?;
     print_report(&report);
-    write_trace_outputs(trace.as_ref(), flags, report.n_agents)?;
-    Ok(report)
+    Ok(write_traces(trace.as_ref(), args, report.n_agents)?)
 }
 
 fn print_report(report: &RunReport) {
@@ -543,45 +541,28 @@ fn print_report(report: &RunReport) {
     // Only show the cache column when the cache actually fielded lookups
     // (it is absent entirely under --no-cache).
     let caching = report.cache_lookups > 0;
-    if caching {
-        println!("\n  gen   best     species  sim-total(s)  cache-hits");
-    } else {
-        println!("\n  gen   best     species  sim-total(s)");
-    }
+    let column = if caching { "  cache-hits" } else { "" };
+    println!("\n  gen   best     species  sim-total(s){column}");
     for g in &report.generations {
-        if caching {
-            println!(
-                "  {:>3}   {:>8.1}  {:>6}  {:>10.2}  {:>6}/{} ({:>4.1}%)",
-                g.generation,
-                g.best_fitness,
-                g.num_species,
-                g.timeline.total_s(),
+        let hits = match caching {
+            true => format!(
+                "  {:>6}/{} ({:>4.1}%)",
                 g.cache_hits,
                 g.cache_lookups,
                 100.0 * g.cache_hits as f64 / g.cache_lookups.max(1) as f64
-            );
-        } else {
-            println!(
-                "  {:>3}   {:>8.1}  {:>6}  {:>10.2}",
-                g.generation,
-                g.best_fitness,
-                g.num_species,
-                g.timeline.total_s()
-            );
-        }
+            ),
+            false => String::new(),
+        };
+        let (gen, best, species) = (g.generation, g.best_fitness, g.num_species);
+        let total = g.timeline.total_s();
+        println!("  {gen:>3}   {best:>8.1}  {species:>6}  {total:>10.2}{hits}");
     }
 }
 
-fn cmd_run(args: &[String], until_solved: bool) -> Result<(), String> {
-    let flags = Flags(args.to_vec());
-    launch(build_driver(&flags)?, &flags, until_solved).map(|_| ())
-}
-
-fn cmd_agent(args: &[String]) -> Result<(), String> {
-    let flags = Flags(args.to_vec());
-    let listen = flags.get("--listen").unwrap_or("127.0.0.1:7777");
-    let delay_ms: u64 = flags.parse("--delay-ms", 0)?;
-    let udp = flags.has("--udp").then(UdpConfig::default);
+fn cmd_agent(args: &Args) -> Result<(), Failure> {
+    let listen = args.text("--listen").unwrap_or("127.0.0.1:7777");
+    let delay_ms: u64 = args.get("--delay-ms")?.unwrap_or(0);
+    let udp = args.has("--udp").then(UdpConfig::default);
     let transport = if udp.is_some() { " (udp)" } else { "" };
     let mut server = AgentServer::bind(listen, udp)
         .map_err(|e| e.to_string())?
@@ -590,7 +571,7 @@ fn cmd_agent(args: &[String]) -> Result<(), String> {
     if delay_ms > 0 {
         println!("  artificial per-request delay: {delay_ms} ms (heterogeneity testing)");
     }
-    if !flags.has("--once") {
+    if !args.has("--once") {
         server.serve_forever()
     }
     server.serve_once().map_err(|e| e.to_string())?;
@@ -598,149 +579,85 @@ fn cmd_agent(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `coordinate`'s UDP flags into a transport config: `--loss P`
-/// (drop probability in [0, 1)) and `--fault-seed S` seed the injected
-/// faults; both require `--udp`.
-fn parse_udp_flags(flags: &Flags) -> Result<Option<UdpConfig>, String> {
-    let loss: f64 = flags.parse("--loss", 0.0)?;
-    let seed: u64 = flags.parse("--fault-seed", 0)?;
-    if !flags.has("--udp") {
-        if flags.get("--loss").is_some() || flags.get("--fault-seed").is_some() {
-            return Err("--loss/--fault-seed require --udp".into());
-        }
+/// `coordinate`'s transport: TCP unless `--udp`, whose links drop a
+/// seeded `--loss P` share of datagrams when asked to.
+fn udp_config(args: &Args) -> Result<Option<UdpConfig>, Failure> {
+    if !args.has("--udp") {
         return Ok(None);
     }
-    if !loss.is_finite() || !(0.0..1.0).contains(&loss) {
-        return Err(format!("--loss must be in [0, 1), got {loss}"));
-    }
+    let loss = args.get_with("--loss", |p| match p.parse::<f64>() {
+        Ok(p) if (0.0..1.0).contains(&p) => Ok(p),
+        _ => Err("must be a drop probability in [0, 1)".into()),
+    })?;
     let mut cfg = UdpConfig::default();
-    if loss > 0.0 {
+    if let Some(loss) = loss.filter(|p| *p > 0.0) {
+        let seed = args.get("--fault-seed")?.unwrap_or(0);
         cfg = cfg.with_faults(FaultConfig::loss(loss).with_seed(seed));
     }
     Ok(Some(cfg))
 }
 
-fn cmd_coordinate(args: &[String]) -> Result<(), String> {
-    let flags = Flags(args.to_vec());
-    let mut builder = build_driver(&flags)?;
-    let loopback: usize = flags.parse("--loopback", 0)?;
-    let udp = parse_udp_flags(&flags)?;
-    let transport_name = if udp.is_some() { "UDP" } else { "TCP" };
-    builder = match (flags.get("--agents-at"), loopback) {
-        (Some(_), n) if n > 0 => {
-            return Err("--agents-at and --loopback are mutually exclusive".into())
-        }
-        (Some(list), _) => {
-            let addrs = parse_agent_list(list)?;
-            println!(
-                "coordinating {} remote {transport_name} agent(s): {}",
-                addrs.len(),
-                addrs.join(", ")
-            );
+/// `coordinate`: the run `run` would make, over the agents it has — the
+/// `--agents-at` daemons or `--loopback N` spawned here — as many agents
+/// as the simulated cluster and the DDA clans count.
+fn cmd_coordinate(args: &Args) -> Result<(), Failure> {
+    let remote = args.get_with("--agents-at", parse_agent_list)?;
+    let agents = match (&remote, args.get("--loopback")?) {
+        (Some(addrs), None) => addrs.len(),
+        (None, Some(n)) if n > 0 => n,
+        (Some(_), Some(_)) => return Err(usage("--agents-at and --loopback exclude each other")),
+        _ => return Err(usage("coordinate needs --agents-at or --loopback N > 0")),
+    };
+    let udp = udp_config(args)?;
+    let churn = args.get::<ChurnSchedule>("--churn")?;
+    let spares = args.get_with("--spare-at", parse_agent_list)?;
+    let min_agents = args.get("--min-agents")?;
+    let mut builder = build_driver(args, agents, true)?;
+
+    let transport = if udp.is_some() { "UDP" } else { "TCP" };
+    builder = match remote {
+        Some(addrs) => {
+            let list = addrs.join(", ");
+            println!("coordinating {agents} remote {transport} agent(s): {list}");
             builder.remote_agents(addrs)
         }
-        (None, 0) => return Err("coordinate needs --agents-at ADDR,... or --loopback N".into()),
-        (None, n) => {
-            println!("coordinating {n} loopback {transport_name} agent(s)");
-            builder.loopback_agents(n)
+        None => {
+            println!("coordinating {agents} loopback {transport} agent(s)");
+            builder.loopback_agents(agents)
         }
     };
     if let Some(udp) = udp {
         if let Some(f) = &udp.faults {
-            println!(
-                "  injected faults: {:.1}% datagram loss, seed {}",
-                100.0 * f.drop_p,
-                f.seed
-            );
+            let (loss, seed) = (100.0 * f.drop_p, f.seed);
+            println!("  injected faults: {loss:.1}% datagram loss, seed {seed}");
         }
         builder = builder.udp_config(udp);
     }
-    if let Some(spec) = flags.get("--churn") {
-        let schedule: ChurnSchedule = spec.parse()?;
-        println!(
-            "  churn injection: {} event(s) ({spec})",
-            schedule.events().len()
-        );
+    if let (Some(schedule), Some(spec)) = (churn, args.text("--churn")) {
+        let events = schedule.events().len();
+        println!("  churn injection: {events} event(s) ({spec})");
         builder = builder.churn(schedule);
     }
-    if let Some(list) = flags.get("--spare-at") {
-        let spares = parse_agent_list(list)?;
+    if let Some(spares) = spares {
         println!("  spare agent(s) on standby: {}", spares.join(", "));
         builder = builder.spare_agents(spares);
     }
-    if let Some(n) = flags.get("--min-agents") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| format!("invalid value `{n}` for --min-agents"))?;
+    if let Some(n) = min_agents {
         builder = builder.min_agents(n);
     }
-    let report = launch(builder, &flags, false)?;
-    if let Some(t) = &report.transport {
-        println!(
-            "\n  measured wire traffic: {} bytes in {} messages",
-            t.total_wire_bytes(),
-            t.total_messages()
-        );
-        if let Some(overhead) = t.framing_overhead() {
-            println!(
-                "  framing overhead vs 4-byte/gene model: {overhead:.2}x ({} modeled bytes)",
-                t.modeled_bytes()
-            );
-        }
-        if t.total_retrans_bytes() > 0 {
-            println!(
-                "  loss recovery: {} retransmitted/duplicate bytes ({:.1}% of wire traffic)",
-                t.total_retrans_bytes(),
-                100.0 * t.retrans_overhead().unwrap_or(0.0)
-            );
-        }
-    }
-    // One aligned per-agent table unifying wire, retransmission,
-    // failure, and completion numbers (replaces the old ad-hoc rows).
-    let table = report.telemetry.agent_table();
-    if !table.is_empty() {
-        println!("  per-agent:");
-        for line in table.lines() {
-            println!("    {line}");
-        }
-    }
-    if let Some(g) = &report.gather {
-        if g.gathers > 0 {
-            let overlap = g
-                .overlap()
-                .map_or_else(|| "n/a".into(), |x| format!("{x:.2}x"));
-            println!(
-                "  gather timing: {} rounds, makespan {:.3} s vs per-agent busy {:.3} s (overlap {overlap})",
-                g.gathers, g.makespan_s, g.busy_s
-            );
-        }
-    }
-    if let Some(r) = &report.recovery {
-        if r.any_recovery() {
-            println!(
-                "  churn survived: {} link failure(s), {} run(s) re-queued, \
-                 {} kill(s) + {} join(s)",
-                r.failures, r.reassigned_chunks, r.kills, r.joins
-            );
-            for (i, n) in r.agent_failures.iter().enumerate() {
-                if *n > 0 {
-                    println!("    agent {i}: {n} failure(s)");
-                }
-            }
-        }
-    }
-    Ok(())
+    launch(builder, args)
 }
 
-fn cmd_export(args: &[String]) -> Result<(), String> {
-    let flags = Flags(args.to_vec());
-    let workload = parse_workload(flags.get("--workload").unwrap_or("cartpole"))?;
-    let generations: u64 = flags.parse("--generations", 10)?;
-    let seed: u64 = flags.parse("--seed", 0)?;
-    let out = flags.get("--out").unwrap_or("champion.dot");
+fn cmd_export(args: &Args) -> Result<(), Failure> {
+    let workload = args.get_with("--workload", parse_workload)?;
+    let workload = workload.unwrap_or(Workload::CartPole);
+    let generations: u64 = args.get("--generations")?.unwrap_or(10);
+    let seed: u64 = args.get("--seed")?.unwrap_or(0);
+    let population = args.get("--population")?.unwrap_or(96);
+    let out = args.text("--out").unwrap_or("champion.dot");
 
     let cfg = NeatConfig::builder(workload.obs_dim(), workload.n_actions())
-        .population_size(flags.parse("--population", 96)?)
+        .population_size(population)
         .build()
         .map_err(|e| e.to_string())?;
     let mut pop = Population::new(cfg.clone(), seed);
@@ -760,7 +677,7 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     }
     let champion = pop
         .best_ever()
-        .ok_or("no champion evolved (zero generations?)")?;
+        .ok_or_else(|| "no champion evolved (zero generations?)".to_string())?;
     std::fs::write(out, genome_to_dot(champion, &cfg)).map_err(|e| e.to_string())?;
     let json_path = format!("{out}.json");
     clan::neat::checkpoint::save_genome(champion, &json_path).map_err(|e| e.to_string())?;
@@ -771,7 +688,7 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_list() {
+fn cmd_list(_: &Args) -> Result<(), Failure> {
     println!("workloads:");
     for w in Workload::ALL {
         println!(
@@ -785,11 +702,18 @@ fn cmd_list() {
     }
     println!("\ntopologies: serial, dcs, dds, dda");
     println!("platforms: pi, jetson, jetson-gpu, hpc, hpc-gpu, systolic");
+    Ok(())
+}
+
+fn cmd_help(_: &Args) -> Result<(), Failure> {
+    println!("{}", help());
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn agent_list_trims_whitespace_and_skips_stray_commas() {
@@ -818,119 +742,251 @@ mod tests {
         assert!(err.contains("a:1"), "{err}");
     }
 
-    fn flags(args: &[&str]) -> Flags {
-        Flags(args.iter().map(|s| s.to_string()).collect())
+    fn words(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The arguments of a command line its flag table accepts.
+    fn accepted(args: &[&str]) -> Args {
+        match parse_command(&words(args)) {
+            Ok((_, parsed)) => parsed,
+            Err(e) => panic!("{args:?} -> {e:?}"),
+        }
+    }
+
+    /// The message of the usage error (exit 2) a command line ends in.
+    /// Every misuse fails before a driver is built, so nothing runs.
+    fn misuse(args: &[&str]) -> String {
+        match dispatch(&words(args)) {
+            Err(Failure::Usage(msg)) => msg,
+            other => panic!("{args:?} -> {other:?}, not a usage error"),
+        }
     }
 
     #[test]
-    fn status_addr_on_agent_is_a_usage_error() {
-        let err = validate_flags("agent", &flags(&["--status-addr", "127.0.0.1:0"])).unwrap_err();
-        assert!(err.0.contains("--status-addr"), "{err:?}");
-        assert!(validate_flags("coordinate", &flags(&["--status-addr", "127.0.0.1:0"])).is_ok());
-        assert!(validate_flags("run", &flags(&["--status-addr", "127.0.0.1:0"])).is_ok());
-    }
-
-    #[test]
-    fn eval_threads_on_coordinate_is_a_usage_error() {
-        let threads = flags(&["--loopback", "2", "--eval-threads", "4"]);
-        let err = validate_flags("coordinate", &threads).unwrap_err();
-        assert!(err.0.contains("runs on the agents"), "{err:?}");
-        assert!(validate_flags("run", &threads).is_ok());
-        assert!(validate_flags("solve", &threads).is_ok());
-        assert!(validate_flags("coordinate", &flags(&["--loopback", "2"])).is_ok());
+    fn every_misuse_is_a_usage_error_naming_its_flag() {
+        // Each command line, and what its message must name.
+        let cases: &[(&[&str], &[&str])] = &[
+            (&["run", "--generation", "2"], &["--generation"]),
+            (&["run", "--seed", "1", "--seed", "2"], &["--seed", "twice"]),
+            (&["run", "--trace", "--single-step"], &["--trace"]),
+            (&["run", "--generations"], &["--generations"]),
+            (&["run", "stray"], &["stray"]),
+            (&["bogus"], &["bogus"]),
+            (
+                &["run", "--total-evals", "60"],
+                &["--total-evals", "--async"],
+            ),
+            (
+                &["coordinate", "--loopback", "2", "--loss", "0.1"],
+                &["--loss", "--udp"],
+            ),
+            (
+                &["coordinate", "--loopback", "2", "--fault-seed", "7"],
+                &["--fault-seed"],
+            ),
+            // The removed flags have tests of their own below.
+            // The agent count of `coordinate` is the agents it has.
+            (
+                &["coordinate", "--loopback", "2", "--agents", "2"],
+                &["--agents"],
+            ),
+            (&["coordinate"], &["--loopback"]),
+            (&["coordinate", "--loopback", "0"], &["--loopback"]),
+            (
+                &["coordinate", "--loopback", "2", "--agents-at", "a:1"],
+                &["--agents-at"],
+            ),
+            (
+                &["coordinate", "--loopback", "2", "--topology", "serial"],
+                &["--topology"],
+            ),
+            (&["solve", "--async"], &["--async"]),
+            (&["run", "--population", "many"], &["--population", "many"]),
+            (
+                &["run", "--workload", "car"],
+                &["Cartpole-v0", "MountainCar-v0"],
+            ),
+            (&["run", "--topology", "ring"], &["--topology"]),
+            (
+                &["coordinate", "--loopback", "2", "--udp", "--loss", "1.5"],
+                &["--loss"],
+            ),
+            (&["coordinate", "--agents-at", "a:1,a:1"], &["duplicate"]),
+            (&["export-champion", "--out"], &["--out"]),
+        ];
+        for (args, named) in cases {
+            let msg = misuse(args);
+            for name in *named {
+                assert!(msg.contains(name), "{args:?} -> {msg}");
+            }
+        }
+        for args in [
+            &["run", "--no-cache", "--trace", "t.jsonl", "--single-step"][..],
+            &["run", "--async", "--total-evals", "60", "--latency", "2,8"],
+            &["coordinate", "--agents-at", "a:1", "--udp", "--loss", "0.1"],
+            &["export-champion", "--population", "24", "--out", "c.dot"],
+        ] {
+            accepted(args);
+        }
     }
 
     #[test]
     fn removed_event_log_flag_points_at_trace() {
-        let err = validate_flags("run", &flags(&["--async", "--event-log", "e.log"])).unwrap_err();
-        assert!(err.0.contains("--trace"), "{err:?}");
+        let msg = misuse(&["run", "--async", "--event-log", "e.log"]);
+        assert!(msg.contains("--event-log"), "{msg}");
+        // The usage error points at help, whose `run` line offers --trace.
+        assert!(synopsis(&COMMANDS[0]).contains("[--trace FILE]"));
+        accepted(&["run", "--async", "--trace", "e.log"]);
     }
 
     #[test]
     fn removed_weight_calibrate_and_retry_flags_are_usage_errors() {
         for removed in [
-            &["--agent-weights", "1,4"][..],
-            &["--calibrate"],
-            &["--max-retries", "3"],
+            &["coordinate", "--agent-weights", "1,4"][..],
+            &["coordinate", "--calibrate"],
+            &["coordinate", "--max-retries", "3"],
         ] {
-            let err = validate_flags("coordinate", &flags(removed)).unwrap_err();
-            assert!(err.0.contains(removed[0]), "{err:?}");
-            assert!(
-                err.0.contains("pulled by whichever agent is free"),
-                "{err:?}"
-            );
+            let msg = misuse(removed);
+            assert!(msg.contains(removed[1]), "{msg}");
         }
-        assert!(validate_flags("coordinate", &flags(&["--min-agents", "2"])).is_ok());
+        accepted(&["coordinate", "--loopback", "2", "--min-agents", "2"]);
     }
 
     #[test]
     fn removed_batch_flags_are_usage_errors() {
         for removed in [&["--batch-lanes", "8"][..], &["--no-batch"]] {
             for command in ["run", "solve", "coordinate"] {
-                let err = validate_flags(command, &flags(removed)).unwrap_err();
-                assert!(err.0.contains(removed[0]), "{err:?}");
-                assert!(err.0.contains("one activation kernel"), "{err:?}");
+                let args: Vec<&str> = [command].iter().chain(removed).copied().collect();
+                let msg = misuse(&args);
+                assert!(msg.contains(removed[0]), "{msg}");
             }
         }
-        assert!(validate_flags("run", &flags(&["--no-cache"])).is_ok());
+        accepted(&["run", "--no-cache"]);
+    }
+
+    #[test]
+    fn status_addr_on_agent_is_a_usage_error() {
+        let msg = misuse(&["agent", "--status-addr", "127.0.0.1:0"]);
+        assert!(msg.contains("--status-addr"), "{msg}");
+        accepted(&["coordinate", "--status-addr", "127.0.0.1:0"]);
+        accepted(&["run", "--status-addr", "127.0.0.1:0"]);
+    }
+
+    #[test]
+    fn eval_threads_on_coordinate_is_a_usage_error() {
+        let msg = misuse(&["coordinate", "--loopback", "2", "--eval-threads", "4"]);
+        assert!(msg.contains("--eval-threads"), "{msg}");
+        accepted(&["run", "--eval-threads", "4"]);
+        accepted(&["solve", "--eval-threads", "4"]);
+        accepted(&["coordinate", "--loopback", "2"]);
     }
 
     #[test]
     fn postmortem_requires_the_ring() {
-        let err = validate_flags("run", &flags(&["--postmortem", "pm.jsonl"])).unwrap_err();
-        assert!(err.0.contains("--trace-ring"), "{err:?}");
-        assert!(validate_flags(
-            "run",
-            &flags(&["--trace-ring", "64", "--postmortem", "pm.jsonl"])
-        )
-        .is_ok());
+        let msg = misuse(&["run", "--postmortem", "pm.jsonl"]);
+        assert!(msg.contains("--trace-ring"), "{msg}");
+        accepted(&["run", "--trace-ring", "64", "--postmortem", "pm.jsonl"]);
+    }
+
+    #[test]
+    fn help_lists_exactly_the_flags_each_table_accepts() {
+        let flags_in = |text: &str| -> BTreeSet<String> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--") && w.len() > 2)
+                .map(String::from)
+                .collect()
+        };
+        let mut every = BTreeSet::new();
+        for command @ &(name, table, _) in COMMANDS {
+            let names: BTreeSet<String> = rows(table).map(|f| f.0.to_string()).collect();
+            assert_eq!(flags_in(&synopsis(command)), names, "{name}");
+            for (_, _, required) in rows(table).filter(|f| !f.2.is_empty()) {
+                assert!(names.contains(*required), "{name}: {required}");
+            }
+            every.extend(names);
+        }
+        let notes = flags_in(NOTES);
+        assert!(notes.is_subset(&every), "{:?}", notes.difference(&every));
+        assert!(
+            help().lines().all(|l| l.chars().count() <= 80),
+            "{}",
+            help()
+        );
+    }
+
+    #[test]
+    fn workload_is_an_exact_name_or_a_unique_fragment() {
+        for (arg, workload) in [
+            ("cartpole", Workload::CartPole),
+            ("airraid", Workload::AirRaid),
+            ("alien", Workload::Alien),
+            ("lunarlander", Workload::LunarLander),
+            ("mountain", Workload::MountainCar),
+            ("ALIEN-RAM-V0", Workload::Alien),
+        ] {
+            assert_eq!(parse_workload(arg), Ok(workload), "{arg}");
+        }
+        for (arg, named) in [
+            ("car", &["Cartpole-v0", "MountainCar-v0"][..]),
+            ("v0", &["Cartpole-v0", "Alien-ram-v0"]),
+            ("a", &["Airraid-ram-v0", "LunarLander-v2"]),
+            ("pong", &["Cartpole-v0", "Alien-ram-v0"]),
+        ] {
+            let err = parse_workload(arg).unwrap_err();
+            for name in named {
+                assert!(err.contains(name), "{arg} -> {err}");
+            }
+        }
     }
 
     #[test]
     fn trace_and_postmortem_must_differ() {
-        let err = validate_flags(
+        let collides = |args: &[&str]| match postmortem_path(&accepted(args)) {
+            Err(Failure::Usage(msg)) => msg,
+            other => panic!("{args:?} -> {other:?}"),
+        };
+        let msg = collides(&[
             "run",
-            &flags(&["--trace-ring", "64", "--trace", "clan-postmortem.jsonl"]),
-        )
-        .unwrap_err();
-        assert!(err.0.contains("both target"), "default collision: {err:?}");
-        let err = validate_flags(
+            "--trace-ring",
+            "64",
+            "--trace",
+            "clan-postmortem.jsonl",
+        ]);
+        assert!(msg.contains("both target"), "default collision: {msg}");
+        let msg = collides(&[
             "run",
-            &flags(&[
-                "--trace-ring",
-                "64",
-                "--trace",
-                "t.jsonl",
-                "--postmortem",
-                "t.jsonl",
-            ]),
-        )
-        .unwrap_err();
-        assert!(err.0.contains("t.jsonl"), "{err:?}");
-        assert!(validate_flags(
+            "--trace-ring",
+            "64",
+            "--trace",
+            "t.jsonl",
+            "--postmortem",
+            "t.jsonl",
+        ]);
+        assert!(msg.contains("t.jsonl"), "{msg}");
+        let distinct = [
             "run",
-            &flags(&[
-                "--trace-ring",
-                "64",
-                "--trace",
-                "t.jsonl",
-                "--postmortem",
-                "pm.jsonl"
-            ]),
-        )
-        .is_ok());
+            "--trace-ring",
+            "64",
+            "--trace",
+            "t.jsonl",
+            "--postmortem",
+            "pm.jsonl",
+        ];
+        assert!(postmortem_path(&accepted(&distinct)).is_ok());
     }
 
     #[test]
     fn postmortem_path_is_some_exactly_when_the_ring_is_armed() {
-        assert_eq!(postmortem_path(&flags(&["--trace", "t.jsonl"])), None);
+        let path = |args: &[&str]| postmortem_path(&accepted(args));
+        assert_eq!(path(&["run", "--trace", "t.jsonl"]), Ok(None));
         assert_eq!(
-            postmortem_path(&flags(&["--trace-ring", "64"])),
-            Some(POSTMORTEM_DEFAULT.to_string())
+            path(&["run", "--trace-ring", "64"]),
+            Ok(Some(POSTMORTEM_DEFAULT.to_string()))
         );
         assert_eq!(
-            postmortem_path(&flags(&["--trace-ring", "64", "--postmortem", "pm.jsonl"])),
-            Some("pm.jsonl".to_string())
+            path(&["run", "--trace-ring", "64", "--postmortem", "pm.jsonl"]),
+            Ok(Some("pm.jsonl".to_string()))
         );
     }
 }

@@ -7,6 +7,7 @@
 //! keeps its books when a link dies with a full window outstanding or
 //! runs two frames deep over a lossy datagram link.
 
+use clan::core::runtime::AgentSource;
 use clan::core::transport::agent::serve_session;
 use clan::core::transport::{channel_pair, ChannelTransport, FaultConfig, UdpConfig};
 use clan::core::{
@@ -209,8 +210,10 @@ fn traced_run(
     seed: u64,
     live: bool,
 ) -> (AsyncOrchestrator, Vec<TraceEvent>) {
-    let cluster =
-        live.then(|| EdgeCluster::spawn_spec(agents, cartpole_spec(population)).expect("cluster"));
+    let cluster = live.then(|| {
+        EdgeCluster::from_source(agents, cartpole_spec(population), AgentSource::Threads)
+            .expect("cluster")
+    });
     let (mut orch, tracer) = traced_orchestrator(population, total_evals, seed, cluster);
     if live {
         orch.run_streamed().expect("streamed run");

@@ -10,7 +10,7 @@
 mod common;
 
 use clan::core::membership::RecoveryPolicy;
-use clan::core::runtime::EdgeCluster;
+use clan::core::runtime::{AgentSource, EdgeCluster};
 use clan::core::transport::{ChurnAction, ChurnSchedule, ClusterSpec, UdpConfig};
 use clan::core::{ClanError, ClanTopology, EngineOptions, InferenceMode};
 use clan::envs::Workload;
@@ -51,14 +51,18 @@ fn dds_agent_killed_during_the_reproduction_scatter_is_bit_identical() {
     let dds = ClanTopology::dds();
     let local = local_evaluator(CARTPOLE, MULTI);
     let reference = run(&mut *orchestrator(dds, SIM_AGENTS, local), GENERATIONS);
-    let mut cluster = EdgeCluster::spawn_spec(3, spec(CARTPOLE, MULTI)).unwrap();
+    let mut cluster =
+        EdgeCluster::from_source(3, spec(CARTPOLE, MULTI), AgentSource::Threads).unwrap();
     cluster
         .set_churn(ChurnSchedule::new().kill(0, 1).revive(0, 3))
         .unwrap();
     let remote = local_evaluator(CARTPOLE, MULTI).with_remote(cluster);
     let mut o = orchestrator(dds, SIM_AGENTS, remote);
     let first = o.step_generation().expect("generation 0 survives the kill");
-    let stats = o.recovery_stats().expect("remote run records recovery");
+    let stats = o
+        .evaluator()
+        .remote_recovery_stats()
+        .expect("remote run records recovery");
     assert_eq!(stats.rounds, 2, "one Evaluate + one BuildChildren round");
     assert_eq!(stats.kills, 1);
     assert!(
@@ -75,7 +79,10 @@ fn dds_agent_killed_during_the_reproduction_scatter_is_bit_identical() {
 fn recovery_is_visible_in_the_stats() {
     let mut o = Condition::Churn.orchestrator(ClanTopology::dcs(), 4);
     run(&mut *o, GENERATIONS);
-    let stats = o.recovery_stats().expect("remote run records recovery");
+    let stats = o
+        .evaluator()
+        .remote_recovery_stats()
+        .expect("remote run records recovery");
     assert_eq!(stats.kills, 1);
     assert!(stats.joins >= 1, "the replacement join is counted");
     assert!(stats.failures >= 1, "the kill was observed as a failure");
@@ -173,11 +180,12 @@ fn remote_daemons_revive_a_killed_slot_from_a_spare_over_tcp_and_udp() {
         let (_daemons, mut addrs) = Daemons::start(3, udp.is_some());
         let spare = addrs.pop().expect("three daemons");
         let spec = spec(CARTPOLE, MULTI);
-        let mut cluster = match &udp {
-            None => EdgeCluster::connect(&addrs, spec),
-            Some(udp) => EdgeCluster::connect_udp_cfg(&addrs, spec, udp.clone()),
-        }
-        .expect("the daemons answer");
+        let remote = AgentSource::Remote {
+            udp: udp.clone(),
+            spares: addrs.clone(),
+        };
+        let mut cluster =
+            EdgeCluster::from_source(addrs.len(), spec, remote).expect("the daemons answer");
         cluster.set_spares(vec![spare]).expect("a remote cluster");
         cluster
             .set_churn(ChurnSchedule::new().kill(1, 1).revive(1, 3))
@@ -185,7 +193,10 @@ fn remote_daemons_revive_a_killed_slot_from_a_spare_over_tcp_and_udp() {
         let remote = local_evaluator(CARTPOLE, MULTI).with_remote(cluster);
         let mut o = orchestrator(dcs, SIM_AGENTS, remote);
         let subject = run(&mut *o, GENERATIONS);
-        let stats = o.recovery_stats().expect("remote run records recovery");
+        let stats = o
+            .evaluator()
+            .remote_recovery_stats()
+            .expect("remote run records recovery");
         assert_eq!((stats.kills, stats.joins), (1, 1), "{stats:?}");
         let transport = if udp.is_some() { "UDP" } else { "TCP" };
         let cell = format!("kill + spare revival x CLAN_DCS x 2 {transport} daemon(s)");
@@ -214,14 +225,14 @@ fn churn_drained_below_the_floor_is_a_typed_error() {
         err
     };
     // Kill everyone, never revive.
-    let mut cluster = EdgeCluster::spawn_spec(2, uncached_spec()).unwrap();
+    let mut cluster = EdgeCluster::from_source(2, uncached_spec(), AgentSource::Threads).unwrap();
     cluster
         .set_churn(ChurnSchedule::new().kill(0, 1).kill(1, 1))
         .unwrap();
     second_round_error(cluster);
     // And the policy floor: with min_agents 2, losing one of two agents
     // refuses to limp along on the survivor.
-    let mut cluster = EdgeCluster::spawn_spec(2, uncached_spec()).unwrap();
+    let mut cluster = EdgeCluster::from_source(2, uncached_spec(), AgentSource::Threads).unwrap();
     cluster.set_recovery_policy(RecoveryPolicy::default().with_min_agents(2));
     cluster.set_churn(ChurnSchedule::new().kill(0, 1)).unwrap();
     second_round_error(cluster);
@@ -276,7 +287,7 @@ proptest! {
         };
         // Cache off: this property re-evaluates one fixed population per
         // round, and reassignment only happens when items actually fly.
-        let mut cluster = EdgeCluster::spawn_spec(3, uncached_spec()).unwrap();
+        let mut cluster = EdgeCluster::from_source(3, uncached_spec(), AgentSource::Threads).unwrap();
         cluster.set_churn(plan).unwrap();
         let mut pop = Population::new(cfg, seed);
         for _ in 0..4 {

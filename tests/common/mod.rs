@@ -16,7 +16,7 @@
 //! that always held it, beside that condition's own assertions.
 #![allow(dead_code)] // every test binary uses its own subset
 
-use clan::core::runtime::EdgeCluster;
+use clan::core::runtime::{AgentSource, EdgeCluster};
 use clan::core::transport::agent::serve_session;
 use clan::core::transport::{
     channel_pair, ChurnSchedule, ClusterSpec, DelayTransport, FaultConfig, Transport, UdpConfig,
@@ -219,7 +219,7 @@ impl Condition {
             Condition::Heterogeneous => {
                 EdgeCluster::connect_transports(delayed_transports(agents, Some(0)), spec)
             }
-            Condition::Churn => EdgeCluster::spawn_spec(agents, spec),
+            Condition::Churn => EdgeCluster::from_source(agents, spec, AgentSource::Threads),
         };
         let mut cluster = cluster.expect("in-process cluster comes up");
         if self == Condition::Churn {

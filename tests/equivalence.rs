@@ -11,7 +11,7 @@
 
 mod common;
 
-use clan::core::runtime::EdgeCluster;
+use clan::core::runtime::{AgentSource, EdgeCluster};
 use clan::core::{
     ClanDriver, ClanTopology, DcsOrchestrator, DdsOrchestrator, GenerationReport, InferenceMode,
     Orchestrator, SerialOrchestrator,
@@ -90,7 +90,8 @@ fn serial_dcs_dds_produce_identical_populations() {
 #[test]
 fn threaded_runtime_matches_analytic_orchestrators() {
     let w = Workload::MountainCar;
-    let edge = EdgeCluster::spawn_spec(3, spec(w, MULTI)).expect("cluster spawns");
+    let edge =
+        EdgeCluster::from_source(3, spec(w, MULTI), AgentSource::Threads).expect("cluster spawns");
     let remote = local_evaluator(w, MULTI).with_remote(edge);
     let mut threaded = DdsOrchestrator::new(population(w), remote, cluster(3));
     let mut reference =

@@ -31,7 +31,10 @@ fn pull_shifts_work_away_from_the_delayed_agent() {
     // delayed agent 0 completes fewer items than every fast agent.
     let mut o = Condition::Heterogeneous.orchestrator(ClanTopology::dcs(), 4);
     run(&mut *o, GENERATIONS);
-    let gather = o.gather_stats().expect("remote run measures gathers");
+    let gather = o
+        .evaluator()
+        .remote_gather_stats()
+        .expect("remote run measures gathers");
     let items = &gather.per_agent_items;
     assert_eq!(items.len(), 4);
     assert!(
@@ -55,7 +58,8 @@ fn a_clean_dcs_generations_wire_bytes_do_not_depend_on_which_agent_is_slow() {
         let remote = local_evaluator(workload, MULTI).with_remote(cluster);
         let mut o = orchestrator(ClanTopology::dcs(), SIM_AGENTS, remote);
         run(&mut *o, 1);
-        o.transport_ledger()
+        o.evaluator()
+            .remote_ledger()
             .expect("remote run records traffic")
             .total_wire_bytes()
     };

@@ -26,7 +26,10 @@ fn different_fault_seeds_still_converge_to_identical_results() {
 fn injected_loss_is_visible_as_retransmitted_bytes() {
     let mut o = Condition::UdpLossy { fault_seed: 97 }.orchestrator(ClanTopology::dcs(), 2);
     run(&mut *o, GENERATIONS);
-    let wire = o.transport_ledger().expect("UDP run records wire traffic");
+    let wire = o
+        .evaluator()
+        .remote_ledger()
+        .expect("UDP run records wire traffic");
     assert!(wire.total_wire_bytes() > 0);
     assert!(
         wire.total_retrans_bytes() > 0,

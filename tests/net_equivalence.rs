@@ -22,7 +22,10 @@ use std::time::Duration;
 fn wire_of(topology: ClanTopology) -> (CommLedger, CommLedger, Vec<GenerationReport>) {
     let mut o = Condition::Tcp.orchestrator(topology, 2);
     let reports = run(&mut *o, GENERATIONS).reports;
-    let wire = o.transport_ledger().expect("TCP run records wire traffic");
+    let wire = o
+        .evaluator()
+        .remote_ledger()
+        .expect("TCP run records wire traffic");
     (wire.clone(), o.ledger().clone(), reports)
 }
 
@@ -133,7 +136,10 @@ fn alien_sized_dds_generation_cannot_wedge_over_tcp_or_udp() {
             )
             .expect("DDS builds");
             dds.step_generation().expect("the generation completes");
-            let wire = dds.transport_ledger().expect("remote run records traffic");
+            let wire = dds
+                .evaluator()
+                .remote_ledger()
+                .expect("remote run records traffic");
             let _ = done.send(wire.clone());
         }
     });

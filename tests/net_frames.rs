@@ -6,7 +6,7 @@
 //! disconnect mid-generation and replies that do not answer their run,
 //! plus a property-based round-trip of the frame codec.
 
-use clan::core::runtime::EdgeCluster;
+use clan::core::runtime::{AgentSource, EdgeCluster};
 use clan::core::transport::agent::{serve_session, AgentServer};
 use clan::core::transport::{
     channel_pair, datagram_channel_pair, decode, encode, recv_message, send_message, ClusterSpec,
@@ -369,7 +369,11 @@ fn udp_agent_gone_silent_mid_generation_is_typed_timeout_not_hang() {
     let udp = UdpConfig::default()
         .with_retransmit_interval_s(0.02)
         .with_idle_timeout_s(0.3);
-    let mut cluster = EdgeCluster::connect_udp_cfg(&[addr.to_string()], spec, udp).unwrap();
+    let remote = AgentSource::Remote {
+        udp: Some(udp),
+        spares: vec![addr.to_string()],
+    };
+    let mut cluster = EdgeCluster::from_source(1, spec, remote).unwrap();
     let mut pop = Population::new(cfg, 1);
     let start = std::time::Instant::now();
     match cluster.evaluate(&mut pop) {
@@ -412,7 +416,11 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 
     let cfg = neat_cfg(6);
     let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::SingleStep, cfg.clone());
-    let mut cluster = EdgeCluster::connect(&[addr.to_string()], spec).unwrap();
+    let remote = AgentSource::Remote {
+        udp: None,
+        spares: vec![addr.to_string()],
+    };
+    let mut cluster = EdgeCluster::from_source(1, spec, remote).unwrap();
     let mut pop = Population::new(cfg, 1);
     match cluster.evaluate(&mut pop) {
         Err(ClanError::Frame(FrameError::Oversized { announced, max })) => {
@@ -615,7 +623,11 @@ fn agent_disconnect_mid_generation_is_typed_error_not_hang() {
 
     let cfg = neat_cfg(6);
     let spec = ClusterSpec::new(Workload::CartPole, InferenceMode::SingleStep, cfg.clone());
-    let mut cluster = EdgeCluster::connect(&[addr.to_string()], spec).unwrap();
+    let remote = AgentSource::Remote {
+        udp: None,
+        spares: vec![addr.to_string()],
+    };
+    let mut cluster = EdgeCluster::from_source(1, spec, remote).unwrap();
     let mut pop = Population::new(cfg, 1);
     assert!(matches!(
         cluster.evaluate(&mut pop),

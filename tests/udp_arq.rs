@@ -15,7 +15,7 @@
 //! — twenty times the sender's 1 ms step, so only a test thread that
 //! loses the CPU for ~20 ms *inside* that step could.
 
-use clan::core::runtime::EdgeCluster;
+use clan::core::runtime::{AgentSource, EdgeCluster};
 use clan::core::transport::agent::{serve_session, AgentServer};
 use clan::core::transport::udp::{ACK_BYTES, DATAGRAM_MAGIC, DATA_HEADER_BYTES};
 use clan::core::transport::{
@@ -584,7 +584,11 @@ fn a_stray_datagram_does_not_capture_the_agent_daemon() {
     // A short liveness window, so a captured daemon fails this test in
     // seconds instead of holding it for the default 30.
     let udp = UdpConfig::default().with_idle_timeout_s(2.0);
-    let mut cluster = EdgeCluster::connect_udp_cfg(&[addr.to_string()], spec, udp).unwrap();
+    let remote = AgentSource::Remote {
+        udp: Some(udp),
+        spares: vec![addr.to_string()],
+    };
+    let mut cluster = EdgeCluster::from_source(1, spec, remote).unwrap();
     let start = Instant::now();
     cluster
         .evaluate(&mut Population::new(cfg, 1))
