@@ -21,7 +21,8 @@
 //! scheduler the handler is plugged into — a seeded virtual clock, or
 //! [`EdgeCluster::evaluate_stream`](crate::runtime::EdgeCluster::evaluate_stream)
 //! over real links; both take `(initial genomes, on_complete)` and hand
-//! back the stream's [`GatherStats`].
+//! back the stream's [`GatherStats`] — and fill one [`AgentStats`] row per
+//! agent, the simulated ones' kept here, the live ones' by the cluster.
 //!
 //! **The in-flight window.** Neither scheduler lets an agent wait on
 //! the coordinator: every agent keeps [`STREAM_WINDOW`] genomes in
@@ -80,6 +81,7 @@
 
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
+use crate::membership::AgentStats;
 use crate::runtime::{GatherStats, StreamCompletion, STREAM_WINDOW};
 use crate::telemetry::{EventKind, TraceEvent, Tracer};
 use clan_neat::rng::{derive_seed, splitmix64, OpTag};
@@ -339,7 +341,8 @@ impl SteadyStateLoop<'_> {
 /// each, served first-in first-out) until nothing is in flight. Agents
 /// exist only as `schedule` service times; evaluation is local, and
 /// completions are ordered by `(finish time, agent, dispatch)`. The
-/// returned stats are in virtual seconds, one round.
+/// returned stats, and each simulated agent's row, are in virtual
+/// seconds, one round.
 fn virtual_stream(
     schedule: &LatencySchedule,
     evaluator: &mut Evaluator,
@@ -347,7 +350,7 @@ fn virtual_stream(
     master_seed: u64,
     initial: Vec<Genome>,
     on_complete: &mut dyn FnMut(&StreamCompletion, VirtualSpan) -> Option<Genome>,
-) -> GatherStats {
+) -> (GatherStats, Vec<AgentStats>) {
     let agents = schedule.n_agents();
     let tracer = evaluator.tracer().clone();
     let mut pending: VecDeque<Genome> = initial.into();
@@ -403,13 +406,21 @@ fn virtual_stream(
         };
         pending.extend(on_complete(&completion, Some((now_us, service_us))));
     }
-    GatherStats {
+    let stats = GatherStats {
         gathers: 1,
         makespan_s: now_us as f64 / 1e6,
         busy_s: busy_us.iter().sum::<u64>() as f64 / 1e6,
-        per_agent_busy_s: busy_us.iter().map(|&us| us as f64 / 1e6).collect(),
-        per_agent_items: completed,
-    }
+    };
+    let rows = busy_us
+        .iter()
+        .zip(completed)
+        .map(|(&us, items)| AgentStats {
+            items,
+            busy_s: us as f64 / 1e6,
+            ..AgentStats::default()
+        })
+        .collect();
+    (stats, rows)
 }
 
 /// The barrier-free coordinator: owns the population and evaluator and
@@ -423,7 +434,9 @@ pub struct AsyncOrchestrator {
     total_evals: u64,
     tournament_size: usize,
     stats: Option<AsyncStats>,
-    stream: Option<GatherStats>,
+    /// The simulated agents' rows after a virtual-time run (empty
+    /// otherwise: a live cluster keeps its own).
+    simulated: Vec<AgentStats>,
 }
 
 impl AsyncOrchestrator {
@@ -461,7 +474,7 @@ impl AsyncOrchestrator {
             total_evals,
             tournament_size,
             stats: None,
-            stream: None,
+            simulated: Vec::new(),
         })
     }
 
@@ -481,10 +494,15 @@ impl AsyncOrchestrator {
         self.stats.as_ref()
     }
 
-    /// The last run's per-agent scheduling stats (virtual seconds after
-    /// a virtual-time run).
-    pub fn stream_stats(&self) -> Option<&GatherStats> {
-        self.stream.as_ref()
+    /// One row per agent of the last run: the simulated agents' after a
+    /// virtual-time run (virtual seconds), the attached cluster's
+    /// otherwise.
+    pub fn agent_stats(&self) -> Vec<AgentStats> {
+        if self.simulated.is_empty() {
+            self.evaluator.remote_agent_stats().to_vec()
+        } else {
+            self.simulated.clone()
+        }
     }
 
     /// Consumes the coordinator, yielding the evolved population and
@@ -566,7 +584,7 @@ impl AsyncOrchestrator {
         let initial = state.first_wave(agents);
         let (stream, redispatches) = match schedule {
             Some(schedule) => {
-                let stream = virtual_stream(
+                let (stream, rows) = virtual_stream(
                     schedule,
                     &mut self.evaluator,
                     &cfg,
@@ -574,6 +592,7 @@ impl AsyncOrchestrator {
                     initial,
                     &mut |c, vtime| state.on_complete(c, vtime),
                 );
+                self.simulated = rows;
                 (stream, 0)
             }
             None => {
@@ -581,6 +600,7 @@ impl AsyncOrchestrator {
                     .evaluator
                     .remote_cluster_mut()
                     .expect("remote_agents > 0");
+                self.simulated.clear();
                 let requeued = cluster.recovery_stats().reassigned_items;
                 let stream = cluster
                     .evaluate_stream(master_seed, initial, &mut |c| state.on_complete(c, None))?;
@@ -610,7 +630,6 @@ impl AsyncOrchestrator {
                 .and_then(Genome::fitness)
                 .unwrap_or(f64::NEG_INFINITY),
         });
-        self.stream = Some(stream);
         Ok(())
     }
 }
@@ -734,13 +753,11 @@ mod tests {
             free_at[agent] = finish;
         }
         // ... so busy time fits the capacity with nothing clamped.
-        let stream = orch.stream_stats().unwrap();
-        assert_eq!(stream.per_agent_items.iter().sum::<u64>(), 14);
-        assert!(stream.busy_s <= 2.0 * stream.makespan_s);
-        assert!(stream
-            .per_agent_busy_s
-            .iter()
-            .all(|&busy| busy <= stream.makespan_s));
+        let stats = orch.stats().unwrap();
+        let rows = orch.agent_stats();
+        assert_eq!(rows.iter().map(|a| a.items).sum::<u64>(), 14);
+        assert!(stats.busy_s <= 2.0 * stats.makespan_s);
+        assert!(rows.iter().all(|a| a.busy_s <= stats.makespan_s));
     }
 
     #[test]
@@ -758,15 +775,13 @@ mod tests {
         let evaluator = Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster);
         let mut orch = AsyncOrchestrator::new(population, evaluator, 80, 3).unwrap();
         orch.run_streamed().unwrap();
-        let stream = orch.stream_stats().unwrap();
-        assert_eq!(stream.per_agent_items.iter().sum::<u64>(), 80);
+        let stats = orch.stats().unwrap();
+        let rows = orch.agent_stats();
+        assert_eq!(rows.iter().map(|a| a.items).sum::<u64>(), 80);
         // Request-to-reply spans would sum to about twice the makespan
         // with two requests outstanding per link.
-        assert!(stream.busy_s <= 2.0 * stream.makespan_s);
-        assert!(stream
-            .per_agent_busy_s
-            .iter()
-            .all(|&busy| busy <= stream.makespan_s));
+        assert!(stats.busy_s <= 2.0 * stats.makespan_s);
+        assert!(rows.iter().all(|a| a.busy_s <= stats.makespan_s));
     }
 
     #[test]

@@ -22,10 +22,10 @@
 use crate::asynchronous::{AsyncOrchestrator, LatencySchedule};
 use crate::error::ClanError;
 use crate::evaluator::{EngineOptions, Evaluator, InferenceMode};
-use crate::membership::RecoveryPolicy;
+use crate::membership::{AgentStats, RecoveryPolicy};
 use crate::orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 use crate::report::RunReport;
-use crate::runtime::{AgentSource, EdgeCluster, GatherStats, STREAM_WINDOW};
+use crate::runtime::{AgentSource, EdgeCluster, STREAM_WINDOW};
 use crate::status::{StatusHandle, StatusServer, StatusSnapshot};
 use crate::telemetry::{EventKind, RunTrace, TelemetryReport, Tracer};
 use crate::topology::{ClanTopology, SpeciationMode};
@@ -130,7 +130,7 @@ impl RunShell {
         let Some(status) = &self.status else { return };
         let mut snapshot = StatusSnapshot {
             phase: phase.into(),
-            agents: evaluator.remote_membership().unwrap_or_default(),
+            agents: evaluator.remote_agent_stats().to_vec(),
             metrics: self.tracer.metrics_snapshot().unwrap_or_default(),
             ..StatusSnapshot::default()
         };
@@ -143,15 +143,14 @@ impl RunShell {
     }
 
     /// Ends the run: drains the trace and assembles the report from the
-    /// generations, the analytic ledger, and whatever the evaluator's
-    /// real transport measured (`stream` adds an async run's per-agent
-    /// completions to the telemetry table).
+    /// generations, the analytic ledger, the per-agent rows, and whatever
+    /// the evaluator's real transport measured.
     fn into_report(
         self,
         evaluator: &Evaluator,
         generations: Vec<GenerationReport>,
         ledger: CommLedger,
-        stream: Option<&GatherStats>,
+        agents: Vec<AgentStats>,
     ) -> (RunReport, Option<RunTrace>) {
         let trace = self.tracer.finish();
         let mut report = RunReport::from_parts(
@@ -165,12 +164,8 @@ impl RunShell {
         report.transport = evaluator.remote_ledger().cloned();
         report.gather = evaluator.remote_gather_stats();
         report.recovery = evaluator.remote_recovery_stats();
-        report.telemetry = TelemetryReport::from_sources(
-            trace.as_ref(),
-            report.transport.as_ref(),
-            report.recovery.as_ref(),
-            stream,
-        );
+        report.agents = agents;
+        report.telemetry = TelemetryReport::from_trace(trace.as_ref());
         (report, trace)
     }
 }
@@ -306,11 +301,12 @@ impl ClanDriver {
         self.shell.tracer.logical(EventKind::RunEnd, |ev| {
             ev.generation = Some(generations);
         });
+        let evaluator = self.orchestrator.evaluator();
         Ok(self.shell.into_report(
-            self.orchestrator.evaluator(),
+            evaluator,
             reports,
             self.orchestrator.ledger().clone(),
-            None,
+            evaluator.remote_agent_stats().to_vec(),
         ))
     }
 }
@@ -967,7 +963,7 @@ impl AsyncClanDriver {
             self.orchestrator.evaluator(),
             Vec::new(),
             CommLedger::default(),
-            self.orchestrator.stream_stats(),
+            self.orchestrator.agent_stats(),
         );
         Ok(AsyncRunOutcome {
             report: report.with_async(stats),

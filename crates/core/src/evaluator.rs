@@ -334,10 +334,10 @@ impl Evaluator {
         self.remote.as_ref().map(EdgeCluster::recovery_stats)
     }
 
-    /// The attached cluster's per-link membership snapshot, when a
-    /// cluster is attached.
-    pub fn remote_membership(&self) -> Option<Vec<crate::membership::AgentHealth>> {
-        self.remote.as_ref().map(EdgeCluster::membership)
+    /// The attached cluster's per-agent rows (health, traffic, work,
+    /// failures); empty without a cluster.
+    pub fn remote_agent_stats(&self) -> &[crate::membership::AgentStats] {
+        self.remote.as_ref().map_or(&[], EdgeCluster::agents)
     }
 
     /// Agents in the attached cluster (0 = local evaluation).

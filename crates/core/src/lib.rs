@@ -100,10 +100,11 @@
 //! fell (`tests/hetero_equivalence.rs`: one agent behind a
 //! [`DelayTransport`](transport::DelayTransport) completes fewer runs,
 //! and a round's wire bytes do not depend on which agent is slow).
-//! Balance is observable: per-agent wire bytes land in
-//! [`CommLedger::agent_entries`](clan_netsim::CommLedger::agent_entries)
-//! and measured makespan vs. per-link busy time in [`GatherStats`]
-//! (surfaced on [`RunReport`] and in the CLI summary).
+//! Balance is observable: each agent's wire bytes, work items and busy
+//! time land in its [`AgentStats`] row
+//! ([`EdgeCluster::agents`](runtime::EdgeCluster::agents)), and measured
+//! makespan vs. summed busy time in [`GatherStats`] (both surfaced on
+//! [`RunReport`] and in the CLI summary).
 //!
 //! # Lossy transport
 //!
@@ -127,16 +128,17 @@
 //! - **Deterministic fault injection** —
 //!   [`FaultyTransport`](transport::FaultyTransport) perturbs the
 //!   datagram stream *below* the ARQ layer with a seeded per-link RNG
-//!   (drop / duplicate / reorder / delay / emulated bandwidth, see
+//!   (drop / duplicate / reorder, see
 //!   [`FaultConfig`](transport::FaultConfig)), so lossy runs are
 //!   reproducible: `clan-cli coordinate --udp --loss 0.2 --fault-seed 7`.
 //! - **Determinism under loss** — the ARQ layer reconstructs the exact
 //!   frame bytes, so a UDP run with 20 % injected loss is
 //!   *bit-identical* to a serial run on all four topologies
 //!   (`tests/lossy_equivalence.rs`); loss costs only time and the
-//!   retransmitted/duplicate bytes recorded in the ledger's
-//!   `retrans_wire_bytes` column (surfaced on [`RunReport`] and the CLI
-//!   summary).
+//!   retransmitted/duplicate bytes booked against each link's
+//!   [`AgentStats`] row and the ledger's
+//!   [`total_retrans_bytes`](clan_netsim::CommLedger::total_retrans_bytes)
+//!   (surfaced on [`RunReport`] and the CLI summary).
 //! - **Liveness** — a peer that goes silent mid-generation surfaces a
 //!   typed [`ClanError::Timeout`] after the transport's idle deadline,
 //!   never a hang; the TCP path mirrors this via
@@ -327,7 +329,7 @@ pub use driver::{AsyncClanDriver, AsyncRunOutcome, ClanDriver, ClanDriverBuilder
 pub use error::{ClanError, FrameError};
 pub use evaluator::{EngineOptions, Evaluator, InferenceMode};
 pub use generational::{DcsOrchestrator, DdsOrchestrator, SerialOrchestrator};
-pub use membership::{AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
+pub use membership::{AgentStats, LinkHealth, RecoveryPolicy, RecoveryStats};
 pub use orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 pub use report::RunReport;
 pub use runtime::{EdgeCluster, GatherStats, StreamCompletion, STREAM_WINDOW};

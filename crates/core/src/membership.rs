@@ -7,13 +7,15 @@
 //! [`ClanError::Timeout`] or
 //! [`ClanError::Transport`] instead of a
 //! hang); this module makes it *survivable*. The
-//! [`EdgeCluster`](crate::runtime::EdgeCluster) tracks one
-//! [`LinkHealth`] per agent link and, when a failed agent takes runs
-//! down with it, puts them back at the head of the queue for the
-//! survivors (see the runtime docs). The floor lives in
-//! [`RecoveryPolicy`]; everything a recovery cost is measured in
-//! [`RecoveryStats`] and surfaced on
-//! [`RunReport`](crate::report::RunReport).
+//! [`EdgeCluster`](crate::runtime::EdgeCluster) keeps one [`AgentStats`]
+//! row per agent link — its [`LinkHealth`], last error and failure count
+//! beside the traffic, work and busy time it carried — and, when a
+//! failed agent takes runs down with it, puts them back at the head of
+//! the queue for the survivors (see the runtime docs). The floor lives
+//! in [`RecoveryPolicy`]; what recovery cost the cluster as a whole is
+//! measured in [`RecoveryStats`]. Both are surfaced on
+//! [`RunReport`](crate::report::RunReport), the CLI's per-agent table
+//! and the `/health` endpoint.
 //!
 //! # Health model
 //!
@@ -53,9 +55,10 @@ use crate::error::ClanError;
 use serde::{Deserialize, Serialize};
 
 /// Liveness of one agent link, as judged from its exchange outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LinkHealth {
     /// Responding normally; pulls work every round.
+    #[default]
     Alive,
     /// Failed its last exchange; gets no more work this round but is
     /// probed with real work next round.
@@ -95,16 +98,57 @@ impl LinkHealth {
     }
 }
 
-/// Snapshot of one agent link's membership state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AgentHealth {
+/// One agent link slot's row: its health, and everything it did and
+/// cost over the cluster's life. Each fact has one writer in the
+/// runtime: an answered run books traffic, work and busy time; a settled
+/// round books loss-recovery bytes; a churn-class failure books health,
+/// error and count. A revival resets `health` and `last_error` and keeps
+/// the counters. The default is a fresh, alive slot that has done
+/// nothing yet.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct AgentStats {
     /// Current liveness.
     pub health: LinkHealth,
-    /// Churn-class failures observed on this link over the cluster's
-    /// life (revival does not reset the history).
-    pub failures: u64,
     /// Human-readable description of the most recent failure, if any.
     pub last_error: Option<String>,
+    /// Churn-class failures observed on this slot.
+    pub failures: u64,
+    /// Messages exchanged (requests and replies).
+    pub messages: u64,
+    /// Measured wire bytes to and from the agent.
+    pub wire_bytes: u64,
+    /// Loss-recovery bytes (retransmitted + duplicate datagrams).
+    pub retrans_bytes: u64,
+    /// Work items (genomes evaluated, children built) answered.
+    pub items: u64,
+    /// Seconds the link had a run outstanding.
+    pub busy_s: f64,
+}
+
+impl AgentStats {
+    /// Books one answered run: its request and reply (`bytes` both
+    /// ways), the `items` it carried and the `span_s` it kept the link
+    /// busy.
+    pub(crate) fn book_run(&mut self, bytes: u64, items: u64, span_s: f64) {
+        self.messages += 2;
+        self.wire_bytes += bytes;
+        self.items += items;
+        self.busy_s += span_s;
+    }
+
+    /// Books a churn-class failure `e`.
+    pub(crate) fn note_failure(&mut self, e: &ClanError) {
+        self.health = self.health.on_failure();
+        self.last_error = Some(e.to_string());
+        self.failures += 1;
+    }
+
+    /// The link is healthy again — it completed a round trip, or a
+    /// replacement took its slot. The counters are kept.
+    pub(crate) fn heal(&mut self) {
+        self.health = self.health.on_success();
+        self.last_error = None;
+    }
 }
 
 /// Policy governing when a round stops fighting agent failures.
@@ -149,20 +193,9 @@ pub struct RecoveryStats {
     /// Agents that joined mid-run (churn revivals plus explicit
     /// admissions).
     pub joins: u64,
-    /// Per-link failure counts (index = link slot).
-    pub agent_failures: Vec<u64>,
 }
 
 impl RecoveryStats {
-    /// Records one churn-class failure on link `agent`.
-    pub(crate) fn note_failure(&mut self, agent: usize) {
-        self.failures += 1;
-        if self.agent_failures.len() <= agent {
-            self.agent_failures.resize(agent + 1, 0);
-        }
-        self.agent_failures[agent] += 1;
-    }
-
     /// Whether any recovery machinery actually engaged.
     pub fn any_recovery(&self) -> bool {
         self.failures > 0 || self.kills > 0 || self.joins > 0
@@ -219,15 +252,37 @@ mod tests {
     }
 
     #[test]
-    fn stats_attribute_failures_per_agent() {
-        let mut s = RecoveryStats::default();
-        assert!(!s.any_recovery());
-        s.note_failure(2);
-        s.note_failure(2);
-        s.note_failure(0);
-        assert_eq!(s.failures, 3);
-        assert_eq!(s.agent_failures, vec![1, 0, 2]);
-        assert!(s.any_recovery());
+    fn rows_attribute_failures_and_traffic_per_agent() {
+        let gone = ClanError::Transport {
+            peer: "x".into(),
+            reason: "gone".into(),
+        };
+        let mut rows = vec![AgentStats::default(); 3];
+        rows[2].note_failure(&gone);
+        rows[2].note_failure(&gone);
+        rows[0].note_failure(&gone);
+        let failures: Vec<u64> = rows.iter().map(|r| r.failures).collect();
+        assert_eq!(failures, vec![1, 0, 2]);
+        assert_eq!(rows[2].health, LinkHealth::Dead);
+        assert_eq!(rows[0].health, LinkHealth::Suspected);
+        assert!(rows[0]
+            .last_error
+            .as_deref()
+            .is_some_and(|e| e.contains("gone")));
+        // A round trip heals the link and keeps its history.
+        rows[0].heal();
+        assert_eq!(
+            (rows[0].health, &rows[0].last_error),
+            (LinkHealth::Alive, &None)
+        );
+        assert_eq!(rows[0].failures, 1);
+        // Two runs on slot 0, none on slot 1: the idle agent is visible.
+        rows[0].book_run(940, 3, 0.5);
+        rows[0].book_run(60, 1, 0.25);
+        assert_eq!((rows[0].messages, rows[0].wire_bytes), (4, 1000));
+        assert_eq!((rows[0].items, rows[0].busy_s), (4, 0.75));
+        assert_eq!((rows[1].messages, rows[1].items), (0, 0));
+        assert!(!RecoveryStats::default().any_recovery());
     }
 
     #[test]

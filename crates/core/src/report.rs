@@ -35,6 +35,11 @@ pub struct RunReport {
     /// and the measured recovery makespan. `None` for purely simulated
     /// runs.
     pub recovery: Option<crate::membership::RecoveryStats>,
+    /// One row per agent — health, traffic, work and failures — read
+    /// from the real cluster, or from the simulated agents of a
+    /// virtual-time async run. Empty for runs without agents.
+    #[serde(default)]
+    pub agents: Vec<crate::membership::AgentStats>,
     /// Sum of all generation timelines.
     pub total_timeline: GenerationTimeline,
     /// Mean generation timeline.
@@ -61,10 +66,9 @@ pub struct RunReport {
     /// the completion-order fingerprint. `None` for generational runs.
     #[serde(default)]
     pub asynchronous: Option<crate::asynchronous::AsyncStats>,
-    /// Unified telemetry when the run was traced (`--trace`): event
-    /// counts per class, the logical-stream fingerprint, the metrics
-    /// registry, and one aligned per-agent row set. Empty (default)
-    /// when tracing was off.
+    /// Telemetry when the run was traced (`--trace`): event counts per
+    /// class, the logical-stream fingerprint and the metrics registry.
+    /// Empty (default) when tracing was off.
     #[serde(default)]
     pub telemetry: crate::telemetry::TelemetryReport,
 }
@@ -106,6 +110,7 @@ impl RunReport {
             transport: None,
             gather: None,
             recovery: None,
+            agents: Vec::new(),
             total_timeline,
             mean_timeline,
             best_fitness,
@@ -171,25 +176,30 @@ impl RunReport {
             self.n_agents,
             self.generations.len()
         );
-        let _ = writeln!(
-            s,
-            "  best fitness {:.2} (solved at {:?})",
-            self.best_fitness, self.solved_at_generation
-        );
-        let _ = writeln!(
-            s,
-            "  mean generation: {:.3} s (inference {:.3}, evolution {:.3}, comm {:.3})",
-            self.mean_timeline.total_s(),
-            self.mean_timeline.inference_s,
-            self.mean_timeline.evolution_s,
-            self.mean_timeline.communication_s
-        );
-        let _ = writeln!(
-            s,
-            "  comm: {} floats in {} messages",
-            self.ledger.total_floats(),
-            self.ledger.total_messages()
-        );
+        let solved = match (self.solved_at_generation, &self.asynchronous) {
+            (None, _) => "not solved".to_string(),
+            (Some(_), Some(_)) => "solved".to_string(),
+            (Some(g), None) => format!("solved at generation {g}"),
+        };
+        let _ = writeln!(s, "  best fitness {:.2} ({solved})", self.best_fitness);
+        // The analytic timeline and ledger describe generations; a
+        // barrier-free run has none.
+        if !self.generations.is_empty() {
+            let _ = writeln!(
+                s,
+                "  mean generation: {:.3} s (inference {:.3}, evolution {:.3}, comm {:.3})",
+                self.mean_timeline.total_s(),
+                self.mean_timeline.inference_s,
+                self.mean_timeline.evolution_s,
+                self.mean_timeline.communication_s
+            );
+            let _ = writeln!(
+                s,
+                "  comm: {} floats in {} messages",
+                self.ledger.total_floats(),
+                self.ledger.total_messages()
+            );
+        }
         if let Some(t) = &self.transport {
             // framing_overhead is None on modeled-only ledgers (zero
             // denominator); print n/a instead of a NaN ratio.
@@ -266,7 +276,7 @@ impl RunReport {
                 t.logical_events, t.timing_events, t.logical_hash
             );
         }
-        for line in t.agent_table().lines() {
+        for line in agent_table(&self.agents).lines() {
             let _ = writeln!(s, "    {line}");
         }
         if let Some(r) = &self.recovery {
@@ -281,6 +291,38 @@ impl RunReport {
         }
         s
     }
+}
+
+/// The per-agent table, one line per row; empty without agents.
+fn agent_table(agents: &[crate::membership::AgentStats]) -> String {
+    if agents.is_empty() {
+        return String::new();
+    }
+    let headers = [
+        "agent",
+        "msgs",
+        "wire KiB",
+        "retrans KiB",
+        "fails",
+        "evals",
+        "busy s",
+    ];
+    let rows: Vec<Vec<String>> = agents
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            vec![
+                i.to_string(),
+                a.messages.to_string(),
+                format!("{:.1}", a.wire_bytes as f64 / 1024.0),
+                format!("{:.1}", a.retrans_bytes as f64 / 1024.0),
+                a.failures.to_string(),
+                a.items.to_string(),
+                format!("{:.3}", a.busy_s),
+            ]
+        })
+        .collect();
+    text_table(&headers, &rows)
 }
 
 /// Renders an ASCII table: header row plus data rows, columns padded.
@@ -380,6 +422,83 @@ mod tests {
         );
         assert_eq!(r.solved_at_generation, None);
         assert!(r.summary().contains("Serial"));
+    }
+
+    #[test]
+    fn agent_table_prints_every_column_for_any_run_with_agents() {
+        let mut r = RunReport::from_parts(
+            Workload::CartPole,
+            "CLAN_DCS".into(),
+            2,
+            vec![gen_report(0, 10.0)],
+            CommLedger::new(),
+        );
+        assert!(!r.summary().contains("evals"), "no agents, no table");
+        let row = |items, busy_s| crate::membership::AgentStats {
+            items,
+            busy_s,
+            ..Default::default()
+        };
+        r.agents = vec![row(3, 0.5), row(2, 0.25)];
+        let summary = r.summary();
+        let table: Vec<&str> = summary
+            .lines()
+            .skip_while(|l| !l.trim_start().starts_with("agent"))
+            .collect();
+        assert!(
+            table[0].contains("fails") && table[0].contains("evals"),
+            "{summary}"
+        );
+        assert!(table[0].ends_with("busy s"), "{summary}");
+        assert!(table[2].ends_with("3   0.500"), "{summary}");
+        assert!(table[3].ends_with("2   0.250"), "{summary}");
+    }
+
+    #[test]
+    fn best_fitness_line_names_the_generation_or_says_unsolved() {
+        let report = |best| {
+            RunReport::from_parts(
+                Workload::CartPole,
+                "Serial".into(),
+                1,
+                vec![gen_report(0, 10.0), gen_report(1, best)],
+                CommLedger::new(),
+            )
+        };
+        assert!(report(200.0).summary().contains("(solved at generation 1)"));
+        assert!(report(20.0).summary().contains("(not solved)"));
+        // A barrier-free run: solved, but at no generation, and with no
+        // generation to average or analytic traffic to book.
+        let stats = crate::asynchronous::AsyncStats {
+            total_evals: 120,
+            tournament_size: 3,
+            agents: 2,
+            virtual_time: true,
+            makespan_s: 0.3,
+            busy_s: 0.6,
+            wasted_idle_s: 0.0,
+            evals_per_s: 400.0,
+            insertions: 72,
+            best_improvements: 3,
+            redispatches: 0,
+            event_log_hash: 1,
+            best_fitness: 200.0,
+        };
+        let summary = RunReport::from_parts(
+            Workload::CartPole,
+            "ASYNC_VIRTUAL".into(),
+            2,
+            Vec::new(),
+            CommLedger::new(),
+        )
+        .with_async(stats)
+        .summary();
+        assert!(
+            summary.contains("best fitness 200.00 (solved)\n"),
+            "{summary}"
+        );
+        assert!(!summary.contains("mean generation"), "{summary}");
+        assert!(!summary.contains("floats in"), "{summary}");
     }
 
     #[test]

@@ -51,14 +51,16 @@
 //! contract — bit-identical to serial on serial/dcs/dds/dda — holds, and a
 //! clean round's wire bytes are the same whichever agent is slow.
 //!
-//! Measured timing (makespan vs. per-link busy time) accumulates in
-//! [`GatherStats`]; per-agent wire bytes land in the ledger's
-//! [`agent_entries`](CommLedger::agent_entries).
+//! Measured timing (makespan vs. summed busy time) accumulates in
+//! [`GatherStats`]; each agent's messages, wire bytes, work items and busy
+//! time land in its [`AgentStats`] row ([`EdgeCluster::agents`]), and the
+//! rows sum to the ledger's and the gather's totals.
 //!
 //! # Elastic membership and recovery
 //!
 //! Commodity agents crash mid-run; the cluster survives them. Every
-//! link carries a [`LinkHealth`] (alive / suspected / dead, see
+//! link's row carries a [`LinkHealth`](crate::membership::LinkHealth)
+//! (alive / suspected / dead, see
 //! [`crate::membership`]). There is one recovery rule: when a link
 //! surfaces a churn-class error (`Transport`/`Timeout`), its in-flight and
 //! unread runs go back to the head of the queue for the links still
@@ -79,7 +81,7 @@
 
 use crate::error::ClanError;
 use crate::evaluator::CacheFilter;
-use crate::membership::{is_churn_error, AgentHealth, LinkHealth, RecoveryPolicy, RecoveryStats};
+use crate::membership::{is_churn_error, AgentStats, RecoveryPolicy, RecoveryStats};
 use crate::telemetry::{EventKind, Tracer};
 use crate::transport::agent::{message_name, serve_session, AgentServer};
 use crate::transport::churn::{ChurnAction, ChurnSchedule, DeadTransport};
@@ -99,16 +101,12 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One agent as the coordinator sees it.
+/// One agent's session as the coordinator sees it (what it did and how
+/// healthy it is live in the slot's [`AgentStats`] row).
 struct AgentLink {
     transport: Box<dyn Transport>,
     /// Join handle for in-process agents; `None` for remote ones.
     handle: Option<JoinHandle<()>>,
-    /// Liveness as judged from exchange outcomes (see
-    /// [`crate::membership`]).
-    health: LinkHealth,
-    /// Human-readable description of the last churn-class failure.
-    last_error: Option<String>,
     /// Set when the session on `transport` is no longer trustworthy (a
     /// churn-class failure desynchronizes request/response pairing —
     /// e.g. a late reply from a timed-out round). A poisoned transport
@@ -130,10 +128,27 @@ impl AgentLink {
         AgentLink {
             transport,
             handle,
-            health: LinkHealth::Alive,
-            last_error: None,
             poisoned: false,
             origin,
+        }
+    }
+
+    /// **Poisons** the session: the transport becomes a [`DeadTransport`]
+    /// because its request/response pairing can no longer be trusted (a
+    /// timed-out agent's late reply would otherwise answer the *next*
+    /// round's request and surface as a protocol violation), and an
+    /// in-process agent thread, which observes the dropped session and
+    /// exits on its own, is detached — never joined, so no round or
+    /// shutdown waits on it. The link is re-established from its origin
+    /// before the next probe
+    /// ([`resync_poisoned_links`](EdgeCluster::resync_poisoned_links)) or
+    /// strikes out fast.
+    fn poison(&mut self) {
+        if !self.poisoned {
+            let peer = self.transport.peer();
+            self.transport = Box::new(DeadTransport::new(peer));
+            self.poisoned = true;
+            drop(self.handle.take());
         }
     }
 
@@ -141,15 +156,23 @@ impl AgentLink {
     /// `completed` a round trip (and was not poisoned since) is healthy
     /// again, and the loss-recovery overhead its transport accumulated
     /// (retransmitted + duplicate datagrams, zero on reliable
-    /// transports) is booked against its slot and traced.
-    fn settle(&mut self, slot: usize, completed: bool, ledger: &mut CommLedger, tracer: &Tracer) {
+    /// transports) is booked against its slot's `row` and the ledger's
+    /// total, and traced.
+    fn settle(
+        &mut self,
+        slot: usize,
+        completed: bool,
+        row: &mut AgentStats,
+        ledger: &mut CommLedger,
+        tracer: &Tracer,
+    ) {
         if completed && !self.poisoned {
-            self.health = self.health.on_success();
-            self.last_error = None;
+            row.heal();
         }
         let overhead = self.transport.take_link_stats().overhead_bytes();
         if overhead > 0 {
-            ledger.record_agent_retrans(slot, overhead);
+            row.retrans_bytes += overhead;
+            ledger.record_retrans(overhead);
             tracer.timing(EventKind::Retransmission, |ev| {
                 ev.agent = Some(slot as u64);
                 ev.bytes = Some(overhead);
@@ -259,13 +282,15 @@ fn dial(addr: &str, udp: Option<&UdpConfig>, slot: usize) -> Result<Box<dyn Tran
     })
 }
 
-/// Measured timing of a cluster's rounds, gathers and streams alike.
+/// Measured timing of a cluster's rounds, gathers and streams alike —
+/// failed rounds included, up to where they failed.
 ///
 /// `makespan_s` sums each round's wall-clock to its last reply (what a
 /// generation actually waits); `busy_s` sums every link's busy time — the
 /// time it had at least one run outstanding, i.e. the work the cluster
-/// performed. Their ratio approaches the agent count while every link
-/// stays busy and collapses toward 1.0 when one agent serializes a round.
+/// performed, and the sum of the rows' [`AgentStats::busy_s`]. Their
+/// ratio approaches the agent count while every link stays busy and
+/// collapses toward 1.0 when one agent serializes a round.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GatherStats {
     /// Rounds performed.
@@ -274,24 +299,9 @@ pub struct GatherStats {
     pub makespan_s: f64,
     /// Summed per-link busy time across all rounds, seconds.
     pub busy_s: f64,
-    /// Busy seconds per link (index = link slot).
-    #[serde(default)]
-    pub per_agent_busy_s: Vec<f64>,
-    /// Work items (genomes or child specs) each link answered.
-    #[serde(default)]
-    pub per_agent_items: Vec<u64>,
 }
 
 impl GatherStats {
-    /// Mean wall-clock cost of one round.
-    pub fn mean_makespan_s(&self) -> f64 {
-        if self.gathers == 0 {
-            0.0
-        } else {
-            self.makespan_s / self.gathers as f64
-        }
-    }
-
     /// Parallel-overlap ratio `busy_s / makespan_s`: ≈ agent count when
     /// balanced, → 1.0 when one agent sets the pace. `None` until a
     /// round has been timed.
@@ -299,24 +309,11 @@ impl GatherStats {
         (self.makespan_s > 0.0).then(|| self.busy_s / self.makespan_s)
     }
 
-    /// Adds one round to this running total (link slots only ever grow).
+    /// Adds one round to this running total.
     fn absorb(&mut self, round: &GatherStats) {
         self.gathers += round.gathers;
         self.makespan_s += round.makespan_s;
         self.busy_s += round.busy_s;
-        let n = round.per_agent_items.len().max(self.per_agent_items.len());
-        self.per_agent_busy_s.resize(n, 0.0);
-        self.per_agent_items.resize(n, 0);
-        for (total, s) in self
-            .per_agent_busy_s
-            .iter_mut()
-            .zip(&round.per_agent_busy_s)
-        {
-            *total += s;
-        }
-        for (total, n) in self.per_agent_items.iter_mut().zip(&round.per_agent_items) {
-            *total += n;
-        }
     }
 }
 
@@ -576,6 +573,8 @@ fn mismatch(kind: &str, got: &[GenomeId], want: &[GenomeId]) -> Option<String> {
 /// cluster also stops it.
 pub struct EdgeCluster {
     links: Vec<AgentLink>,
+    /// One row per link slot, kept across revivals.
+    agents: Vec<AgentStats>,
     /// The session spec every (founding or joining) agent is configured
     /// with — kept so mid-run admissions speak the same session.
     spec: ClusterSpec,
@@ -708,6 +707,7 @@ impl EdgeCluster {
         let cache = spec.cache.then(FitnessCache::new);
         let mut cluster = EdgeCluster {
             links: Vec::with_capacity(links.len()),
+            agents: vec![AgentStats::default(); links.len()],
             spec,
             ledger: CommLedger::new(),
             control_bytes: 0,
@@ -742,9 +742,16 @@ impl EdgeCluster {
         self.links.len()
     }
 
-    /// Number of links not currently marked [`LinkHealth::Dead`].
+    /// Number of links not currently marked
+    /// [`LinkHealth::Dead`](crate::membership::LinkHealth::Dead).
     pub fn live_agents(&self) -> usize {
-        self.links.iter().filter(|l| l.health.is_live()).count()
+        self.agents.iter().filter(|a| a.health.is_live()).count()
+    }
+
+    /// One row per link slot: health, traffic, work and failures over the
+    /// cluster's life.
+    pub fn agents(&self) -> &[AgentStats] {
+        &self.agents
     }
 
     /// Measured round timing accumulated so far.
@@ -768,19 +775,6 @@ impl EdgeCluster {
     /// Everything surviving churn has cost so far.
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery.clone()
-    }
-
-    /// Per-link membership snapshot (index = link slot).
-    pub fn membership(&self) -> Vec<AgentHealth> {
-        self.links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| AgentHealth {
-                health: l.health,
-                failures: self.recovery.agent_failures.get(i).copied().unwrap_or(0),
-                last_error: l.last_error.clone(),
-            })
-            .collect()
     }
 
     /// Installs a deterministic kill/revive plan, applied at round
@@ -859,15 +853,10 @@ impl EdgeCluster {
             .ok_or_else(|| ClanError::InvalidSetup {
                 reason: format!("kill: no agent slot {slot}"),
             })?;
-        let peer = link.transport.peer();
-        link.transport = Box::new(DeadTransport::new(peer));
-        link.poisoned = true;
+        link.poison();
         // An injected kill must stick: clearing the origin prevents the
         // automatic session re-establishment a transient failure gets.
         link.origin = None;
-        // Detach: a UDP loopback agent only notices the death at its
-        // idle deadline, and shutdown must not wait for that.
-        drop(link.handle.take());
         self.tracer.timing(EventKind::AgentKilled, |ev| {
             ev.agent = Some(slot as u64);
         });
@@ -875,7 +864,7 @@ impl EdgeCluster {
     }
 
     /// Revives link `slot` with a freshly minted replacement agent:
-    /// same slot (per-agent accounting stays aligned), fresh health,
+    /// same slot (its row keeps its counters), fresh health,
     /// `Configure`d with the session spec.
     ///
     /// # Errors
@@ -895,6 +884,7 @@ impl EdgeCluster {
         // agent observes the disconnect and ends its session quietly (its
         // thread is detached, never joined).
         self.links[slot] = fresh;
+        self.agents[slot].heal();
         self.tracer.timing(EventKind::AgentRevived, |ev| {
             ev.agent = Some(slot as u64);
         });
@@ -915,6 +905,7 @@ impl EdgeCluster {
         let mut link = self.source.mint(slot)?;
         self.configure(link.transport.as_mut())?;
         self.links.push(link);
+        self.agents.push(AgentStats::default());
         self.recovery.joins += 1;
         self.tracer.timing(EventKind::AgentJoined, |ev| {
             ev.agent = Some(slot as u64);
@@ -972,35 +963,6 @@ impl EdgeCluster {
         &self.spec.cfg
     }
 
-    /// Marks link `i` failed with churn-class error `e`: health
-    /// transition, recovery accounting, and **session poisoning** — the
-    /// transport is replaced with a [`DeadTransport`] because its
-    /// request/response pairing can no longer be trusted (a timed-out
-    /// agent's late reply would otherwise answer the *next* round's
-    /// request and surface as a protocol violation). The link is
-    /// re-established from its origin before the next probe
-    /// ([`resync_poisoned_links`](EdgeCluster::resync_poisoned_links))
-    /// or strikes out fast.
-    fn note_link_failure(
-        links: &mut [AgentLink],
-        recovery: &mut RecoveryStats,
-        i: usize,
-        e: &ClanError,
-    ) {
-        let link = &mut links[i];
-        link.health = link.health.on_failure();
-        link.last_error = Some(e.to_string());
-        if !link.poisoned {
-            let peer = link.transport.peer();
-            link.transport = Box::new(DeadTransport::new(peer));
-            link.poisoned = true;
-            // The agent thread (if in-process) observes the dropped
-            // session and exits on its own; never block a round on it.
-            drop(link.handle.take());
-        }
-        recovery.note_failure(i);
-    }
-
     /// Re-establishes a fresh session on every poisoned-but-live link
     /// that has an origin to reconnect to: new transport, `Configure`
     /// pushed. Links without an origin (in-process agents, injected
@@ -1011,7 +973,7 @@ impl EdgeCluster {
     fn resync_poisoned_links(&mut self) {
         for i in 0..self.links.len() {
             let link = &self.links[i];
-            if !link.poisoned || !link.health.is_live() {
+            if !link.poisoned || !self.agents[i].health.is_live() {
                 continue;
             }
             let Some(origin) = &link.origin else {
@@ -1038,9 +1000,10 @@ impl EdgeCluster {
     /// fails only once fewer than the policy's floor of links remain
     /// (with the root-cause link error when none is left), or at once on
     /// a protocol/frame violation. However it ends, healthy links first
-    /// read the replies they are still owed. Books the ledger, the
-    /// membership table and [`GatherStats`], and returns this round's
-    /// timing.
+    /// read the replies they are still owed. Books every answered run in
+    /// the ledger and its link's row, and the round's timing in
+    /// [`GatherStats`] — whether or not the round succeeds, so the rows
+    /// and the totals always agree — and returns that timing.
     fn dispatch<'w, T: Clone + Send + Sync, R: Send>(
         &mut self,
         exchange: &Exchange<'_, T, R>,
@@ -1050,6 +1013,7 @@ impl EdgeCluster {
         let floor = self.policy.min_agents.max(1);
         let EdgeCluster {
             links,
+            agents,
             ledger,
             gather,
             recovery,
@@ -1059,10 +1023,10 @@ impl EdgeCluster {
         let n = links.len();
         let mut round = GatherStats {
             gathers: 1,
-            per_agent_busy_s: vec![0.0; n],
-            per_agent_items: vec![0; n],
             ..GatherStats::default()
         };
+        // Links that completed a round trip this round.
+        let mut answered = vec![false; n];
         let mut failures: Vec<(usize, ClanError)> = Vec::new();
         #[expect(
             clippy::disallowed_methods,
@@ -1074,7 +1038,7 @@ impl EdgeCluster {
             let (etx, erx) = channel();
             let mut work: Vec<Option<Sender<Option<Run<'w, T>>>>> = (0..n).map(|_| None).collect();
             for (i, link) in links.iter_mut().enumerate() {
-                if link.health.is_live() {
+                if agents[i].health.is_live() {
                     let (wtx, wrx) = channel();
                     work[i] = Some(wtx);
                     let etx = etx.clone();
@@ -1117,14 +1081,14 @@ impl EdgeCluster {
                         sent,
                         recv,
                     } => {
-                        ledger.record_agent_wire(agent, exchange.request, sent.0, sent.1);
-                        ledger.record_agent_wire(agent, exchange.reply, recv.0, recv.1);
+                        ledger.record_wire(exchange.request, sent.0, sent.1);
+                        ledger.record_wire(exchange.reply, recv.0, recv.1);
+                        agents[agent].book_run(sent.1 + recv.1, results.len() as u64, span_s);
+                        answered[agent] = true;
                         held[agent] -= 1;
                         waiting[agent] = true;
                         round.makespan_s = clock.elapsed().as_secs_f64();
                         round.busy_s += span_s;
-                        round.per_agent_busy_s[agent] += span_s;
-                        round.per_agent_items[agent] += results.len() as u64;
                         queue.extend(on_done(agent, index, results, span_s));
                     }
                     LinkEvent::Down { error, .. } if !is_churn_error(&error) => {
@@ -1176,14 +1140,15 @@ impl EdgeCluster {
             drop(work);
         });
         for (i, error) in &failures {
-            Self::note_link_failure(links, recovery, *i, error);
+            agents[*i].note_failure(error);
+            recovery.failures += 1;
+            links[*i].poison();
         }
-        for (i, link) in links.iter_mut().enumerate() {
-            link.settle(i, round.per_agent_items[i] > 0, ledger, tracer);
+        for (i, (link, row)) in links.iter_mut().zip(agents.iter_mut()).enumerate() {
+            link.settle(i, answered[i], row, ledger, tracer);
         }
-        outcome?;
         gather.absorb(&round);
-        Ok(round)
+        outcome.map(|()| round)
     }
 
     /// One gather round over the borrowed `items`: opens the round, cuts
@@ -1477,6 +1442,7 @@ impl Drop for EdgeCluster {
 mod tests {
     use super::*;
     use crate::evaluator::{Evaluator, InferenceMode};
+    use crate::membership::LinkHealth;
     use crate::orchestra::Orchestrator;
     use crate::{DcsOrchestrator, DdsOrchestrator, SerialOrchestrator};
     use clan_distsim::Cluster;
@@ -1706,16 +1672,14 @@ mod tests {
         cluster.evaluate(&mut pop).unwrap();
         let stats = cluster.gather_stats();
         assert_eq!(stats.gathers, 1);
-        assert!(stats.makespan_s > 0.0 && stats.mean_makespan_s() > 0.0);
-        assert_eq!(stats.per_agent_items.iter().sum::<u64>(), 8);
+        assert!(stats.makespan_s > 0.0);
+        let rows = cluster.agents();
+        assert_eq!(rows.iter().map(|a| a.items).sum::<u64>(), 8);
         // Spans on one link never overlap and end by the last reply, so
         // no link is busy longer than the round, and busy time sums over
         // the links.
-        assert!(stats
-            .per_agent_busy_s
-            .iter()
-            .all(|&b| b <= stats.makespan_s));
-        assert!((stats.busy_s - stats.per_agent_busy_s.iter().sum::<f64>()).abs() < 1e-9);
+        assert!(rows.iter().all(|a| a.busy_s <= stats.makespan_s));
+        assert!((stats.busy_s - rows.iter().map(|a| a.busy_s).sum::<f64>()).abs() < 1e-9);
         assert!(stats.overlap().unwrap() > 0.0 && stats.overlap().unwrap() <= 2.0);
         cluster.shutdown();
     }
@@ -1751,13 +1715,13 @@ mod tests {
             stats.reassigned_items, stats.reassigned_chunks,
             "runs of one"
         );
-        assert_eq!(stats.agent_failures[1], 1);
-        let health = cluster.membership();
-        assert_eq!(health[1].health, LinkHealth::Suspected, "one strike");
-        assert_eq!(health[0].health, LinkHealth::Alive);
+        let rows = cluster.agents();
+        assert_eq!(rows[1].failures, 1);
+        assert_eq!(rows[1].health, LinkHealth::Suspected, "one strike");
+        assert_eq!(rows[0].health, LinkHealth::Alive);
         // A second round: the dead agent is probed, fails again, dies.
         cluster.evaluate(&mut pop).unwrap();
-        assert_eq!(cluster.membership()[1].health, LinkHealth::Dead);
+        assert_eq!(cluster.agents()[1].health, LinkHealth::Dead);
         assert_eq!(cluster.live_agents(), 2);
         // A third round scatters to survivors only — no more failures.
         let failures = cluster.recovery_stats().failures;
@@ -1802,7 +1766,7 @@ mod tests {
         // time from the population's own genomes, never from a copy.
         let stats = cluster.recovery_stats();
         assert_eq!((stats.reassigned_chunks, stats.reassigned_items), (2, 2));
-        assert_eq!(stats.agent_failures[1], 1);
+        assert_eq!(cluster.agents()[1].failures, 1);
         let mut encoded = encoded.into_inner().unwrap();
         encoded.sort_unstable();
         let expected: Vec<(GenomeId, usize)> = pop
@@ -1927,7 +1891,7 @@ mod tests {
             let peer = cluster.links[0].transport.peer();
             cluster.links[0].transport = Box::new(crate::transport::DeadTransport::new(peer));
             cluster.links[0].poisoned = true;
-            cluster.links[0].health = LinkHealth::Suspected;
+            cluster.agents[0].health = LinkHealth::Suspected;
             // The agent has left the abandoned session: at once over TCP,
             // which sees the disconnect; at the end of its short liveness
             // window over UDP, which cannot.
@@ -1945,7 +1909,7 @@ mod tests {
                 0,
                 "resync heals the link without a strike"
             );
-            assert_eq!(cluster.membership()[0].health, LinkHealth::Alive);
+            assert_eq!(cluster.agents()[0].health, LinkHealth::Alive);
             assert!(!cluster.links[0].poisoned);
             cluster.shutdown();
             handle.join().unwrap();
@@ -1989,9 +1953,14 @@ mod tests {
         let mut pop = Population::new(cfg, 3);
         cluster.evaluate(&mut pop).unwrap();
         cluster.evaluate(&mut pop).unwrap();
-        assert_eq!(cluster.membership()[0].health, LinkHealth::Dead);
+        assert_eq!(cluster.agents()[0].health, LinkHealth::Dead);
         cluster.revive_agent(0).unwrap();
-        assert_eq!(cluster.membership()[0].health, LinkHealth::Alive);
+        assert_eq!(cluster.agents()[0].health, LinkHealth::Alive);
+        assert_eq!(
+            cluster.agents()[0].failures,
+            2,
+            "a revival keeps the counters"
+        );
         assert_eq!(cluster.live_agents(), 2);
         let failures = cluster.recovery_stats().failures;
         cluster.evaluate(&mut pop).unwrap();
@@ -2027,7 +1996,7 @@ mod tests {
         growing.evaluate(&mut b).unwrap();
         assert_eq!(serial_fitness(&a), serial_fitness(&b));
         assert!(
-            growing.ledger().agent_entries()[2].messages > 0,
+            growing.agents()[2].messages > 0,
             "joined agent must carry traffic"
         );
         assert_eq!(growing.recovery_stats().joins, 1);
@@ -2064,6 +2033,85 @@ mod tests {
             "{err}"
         );
         strict.shutdown();
+    }
+
+    /// A channel transport whose session breaks, churn-class, once it
+    /// has read `replies` frames.
+    struct DiesAfter {
+        inner: crate::transport::ChannelTransport,
+        replies: usize,
+    }
+
+    impl Transport for DiesAfter {
+        fn send_frame(&mut self, frame: &[u8]) -> Result<(), ClanError> {
+            self.inner.send_frame(frame)
+        }
+
+        fn recv_frame(&mut self) -> Result<Vec<u8>, ClanError> {
+            if self.replies == 0 {
+                return Err(ClanError::Transport {
+                    peer: self.peer(),
+                    reason: "unplugged".into(),
+                });
+            }
+            self.replies -= 1;
+            self.inner.recv_frame()
+        }
+
+        fn peer(&self) -> String {
+            self.inner.peer()
+        }
+    }
+
+    #[test]
+    fn a_round_that_fails_below_the_floor_still_books_its_rows() {
+        let cfg = cfg(16);
+        let mut threads = Vec::new();
+        let mut serve = || {
+            let (coord, mut agent_side) = channel_pair();
+            threads.push(std::thread::spawn(move || {
+                let _ = serve_session(&mut agent_side);
+            }));
+            coord
+        };
+        let healthy: Box<dyn Transport> = Box::new(serve());
+        let dying = Box::new(DiesAfter {
+            inner: serve(),
+            replies: 2,
+        });
+        let mut cluster =
+            EdgeCluster::connect_transports(vec![healthy, dying], uncached_spec(cfg.clone()))
+                .unwrap();
+        cluster.set_recovery_policy(RecoveryPolicy::default().with_min_agents(2));
+        let mut pop = Population::new(cfg, 8);
+        let err = cluster.evaluate(&mut pop).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ClanError::Degraded {
+                    live: 1,
+                    required: 2
+                }
+            ),
+            "{err}"
+        );
+        let (rows, gather, ledger) = (cluster.agents(), cluster.gather_stats(), cluster.ledger());
+        // The dying link answered two runs of one genome before it broke.
+        assert_eq!(
+            (rows[1].items, rows[1].messages, rows[1].failures),
+            (2, 4, 1)
+        );
+        assert_eq!(rows[1].health, LinkHealth::Suspected);
+        assert_eq!(gather.gathers, 1);
+        let sum = |f: fn(&AgentStats) -> u64| rows.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|a| a.messages), ledger.total_messages());
+        assert_eq!(sum(|a| a.wire_bytes), ledger.total_wire_bytes());
+        let busy: f64 = rows.iter().map(|a| a.busy_s).sum();
+        assert!(busy > 0.0 && (busy - gather.busy_s).abs() <= 1e-9 * gather.busy_s);
+        cluster.shutdown();
+        for t in threads {
+            t.join().unwrap();
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! - `/metrics` — the tracer's [`MetricsRegistry`] in Prometheus text
 //!   exposition format ([`MetricsRegistry::prometheus_text`]).
 //! - `/health` — per-agent link membership (`alive`/`suspected`/`dead`,
-//!   failure counts, last error) from the membership layer, as JSON.
+//!   failure counts, last error) from the cluster's
+//!   [`AgentStats`] rows, as JSON.
 //! - `/progress` — run phase, generation or evaluation count, and best
 //!   fitness so far, as JSON.
 //!
@@ -23,7 +24,7 @@
 //! with a loopback connection.
 
 use crate::error::ClanError;
-use crate::membership::AgentHealth;
+use crate::membership::AgentStats;
 use crate::telemetry::MetricsRegistry;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -48,8 +49,8 @@ pub struct StatusSnapshot {
     pub best_fitness: Option<f64>,
     /// Whether the solve threshold has been reached.
     pub solved: bool,
-    /// Per-agent link membership (empty for purely local runs).
-    pub agents: Vec<AgentHealth>,
+    /// One row per agent (empty for purely local runs).
+    pub agents: Vec<AgentStats>,
     /// Metrics registry copy taken at the last publish point.
     pub metrics: MetricsRegistry,
 }
@@ -71,14 +72,6 @@ impl StatusHandle {
     pub fn publish(&self, snapshot: StatusSnapshot) {
         if let Ok(mut slot) = self.inner.lock() {
             *slot = snapshot;
-        }
-    }
-
-    /// Edits the published snapshot in place (for incremental fields
-    /// like phase transitions that should not clobber the rest).
-    pub fn update(&self, f: impl FnOnce(&mut StatusSnapshot)) {
-        if let Ok(mut slot) = self.inner.lock() {
-            f(&mut slot);
         }
     }
 
@@ -306,15 +299,12 @@ mod tests {
             best_fitness: Some(123.5),
             solved: false,
             agents: vec![
-                AgentHealth {
-                    health: LinkHealth::Alive,
-                    failures: 0,
-                    last_error: None,
-                },
-                AgentHealth {
+                AgentStats::default(),
+                AgentStats {
                     health: LinkHealth::Suspected,
                     failures: 2,
                     last_error: Some("timed out after 1s \"probe\"".into()),
+                    ..AgentStats::default()
                 },
             ],
             metrics,
@@ -360,9 +350,10 @@ mod tests {
         let server = StatusServer::bind("127.0.0.1:0", handle.clone()).unwrap();
         let addr = server.local_addr();
         assert!(get(addr, "/progress").contains("\"generation\":null"));
-        handle.update(|s| {
-            s.phase = "running".into();
-            s.generation = Some(3);
+        handle.publish(StatusSnapshot {
+            phase: "running".into(),
+            generation: Some(3),
+            ..StatusSnapshot::default()
         });
         assert!(get(addr, "/progress").contains("\"generation\":3"));
     }

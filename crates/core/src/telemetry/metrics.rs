@@ -1,14 +1,9 @@
-//! The typed metrics registry and the unified per-agent report section.
+//! The typed metrics registry and the trace's report section.
 //!
 //! Counters, gauges, and fixed-bound histograms accumulate alongside
 //! the event stream; [`TelemetryReport`] is the serialized summary that
-//! lands on `RunReport.telemetry`, absorbing the per-agent wire /
-//! retransmission / recovery / streaming numbers that used to be spread
-//! over ad-hoc listings into one aligned table.
+//! lands on `RunReport.telemetry`.
 
-use crate::membership::RecoveryStats;
-use crate::runtime::GatherStats;
-use clan_netsim::CommLedger;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -166,28 +161,8 @@ impl MetricsRegistry {
     }
 }
 
-/// One agent's row in the unified per-agent table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct AgentRow {
-    /// Link slot index.
-    pub agent: u64,
-    /// Messages exchanged with this agent (measured transport).
-    pub messages: u64,
-    /// Measured wire bytes to/from this agent.
-    pub wire_bytes: u64,
-    /// Loss-recovery overhead bytes attributed to this agent.
-    pub retrans_bytes: u64,
-    /// Churn-class failures recorded against this agent.
-    pub failures: u64,
-    /// Streaming completions served by this agent (async runs).
-    pub completions: u64,
-    /// Streaming busy seconds (request in flight; async runs).
-    pub busy_s: f64,
-}
-
-/// The `RunReport.telemetry` section: event-stream accounting plus the
-/// unified per-agent table. Default (all zero / empty) for runs
-/// recorded before this section existed or with tracing disabled.
+/// The `RunReport.telemetry` section: event-stream accounting. Default
+/// (all zero / empty) with tracing disabled.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryReport {
     /// Events in the deterministic stream.
@@ -199,89 +174,21 @@ pub struct TelemetryReport {
     pub logical_hash: u64,
     /// Counters/gauges/histograms accumulated while recording.
     pub metrics: MetricsRegistry,
-    /// Per-agent wire/retrans/recovery/streaming numbers, unified.
-    pub per_agent: Vec<AgentRow>,
 }
 
 impl TelemetryReport {
-    /// Assembles the section from whatever sources the run produced:
-    /// the recorded trace (if tracing was on), the measured transport
-    /// ledger, recovery accounting, and streaming stats (async runs).
-    pub fn from_sources(
-        trace: Option<&RunTrace>,
-        ledger: Option<&CommLedger>,
-        recovery: Option<&RecoveryStats>,
-        stream: Option<&GatherStats>,
-    ) -> TelemetryReport {
-        let mut out = TelemetryReport::default();
-        if let Some(trace) = trace {
-            let (logical, timing) = trace.counts();
-            out.logical_events = logical;
-            out.timing_events = timing;
-            out.logical_hash = trace.logical_hash();
-            out.metrics = trace.metrics.clone();
+    /// Summarizes the recorded trace, if tracing was on.
+    pub fn from_trace(trace: Option<&RunTrace>) -> TelemetryReport {
+        let Some(trace) = trace else {
+            return TelemetryReport::default();
+        };
+        let (logical_events, timing_events) = trace.counts();
+        TelemetryReport {
+            logical_events,
+            timing_events,
+            logical_hash: trace.logical_hash(),
+            metrics: trace.metrics.clone(),
         }
-        let n = [
-            ledger.map_or(0, |l| l.agent_entries().len()),
-            recovery.map_or(0, |r| r.agent_failures.len()),
-            stream.map_or(0, |s| s.per_agent_items.len()),
-        ]
-        .into_iter()
-        .max()
-        .unwrap_or(0);
-        for i in 0..n {
-            let mut row = AgentRow {
-                agent: i as u64,
-                ..AgentRow::default()
-            };
-            if let Some(entry) = ledger.and_then(|l| l.agent_entries().get(i)) {
-                row.messages = entry.messages;
-                row.wire_bytes = entry.wire_bytes;
-                row.retrans_bytes = entry.retrans_wire_bytes;
-            }
-            if let Some(r) = recovery {
-                row.failures = r.agent_failures.get(i).copied().unwrap_or(0);
-            }
-            if let Some(s) = stream {
-                row.completions = s.per_agent_items.get(i).copied().unwrap_or(0);
-                row.busy_s = s.per_agent_busy_s.get(i).copied().unwrap_or(0.0);
-            }
-            out.per_agent.push(row);
-        }
-        out
-    }
-
-    /// The unified per-agent table, rendered with the report's aligned
-    /// text-table style. Empty string when there are no agent rows.
-    pub fn agent_table(&self) -> String {
-        if self.per_agent.is_empty() {
-            return String::new();
-        }
-        let has_stream = self.per_agent.iter().any(|r| r.completions > 0);
-        let mut headers = vec!["agent", "msgs", "wire KiB", "retrans KiB", "fails"];
-        if has_stream {
-            headers.push("evals");
-            headers.push("busy s");
-        }
-        let rows: Vec<Vec<String>> = self
-            .per_agent
-            .iter()
-            .map(|r| {
-                let mut row = vec![
-                    r.agent.to_string(),
-                    r.messages.to_string(),
-                    format!("{:.1}", r.wire_bytes as f64 / 1024.0),
-                    format!("{:.1}", r.retrans_bytes as f64 / 1024.0),
-                    r.failures.to_string(),
-                ];
-                if has_stream {
-                    row.push(r.completions.to_string());
-                    row.push(format!("{:.3}", r.busy_s));
-                }
-                row
-            })
-            .collect();
-        crate::report::text_table(&headers, &rows)
     }
 }
 
@@ -340,25 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_sources_make_empty_report() {
-        let t = TelemetryReport::from_sources(None, None, None, None);
+    fn no_trace_makes_an_empty_report() {
+        let t = TelemetryReport::from_trace(None);
         assert_eq!((t.logical_events, t.timing_events), (0, 0));
-        assert!(t.per_agent.is_empty());
-        assert_eq!(t.agent_table(), "");
-    }
-
-    #[test]
-    fn stream_columns_appear_only_for_streaming_runs() {
-        let stream = GatherStats {
-            per_agent_items: vec![3, 2],
-            per_agent_busy_s: vec![0.5, 0.25],
-            ..GatherStats::default()
-        };
-        let t = TelemetryReport::from_sources(None, None, None, Some(&stream));
-        assert_eq!(t.per_agent.len(), 2);
-        let table = t.agent_table();
-        assert!(table.contains("evals"), "{table}");
-        let no_stream = TelemetryReport::from_sources(None, None, None, None);
-        assert!(!no_stream.agent_table().contains("evals"));
+        assert_eq!(t, TelemetryReport::default());
     }
 }

@@ -40,4 +40,4 @@ pub use export::{
     chrome_tracks_match, from_jsonl, parse_chrome_json, to_chrome_json, to_jsonl, ChromeArgs,
     ChromeDoc, ChromeEvent,
 };
-pub use metrics::{AgentRow, Histogram, MetricsRegistry, TelemetryReport, DURATION_BOUNDS_S};
+pub use metrics::{Histogram, MetricsRegistry, TelemetryReport, DURATION_BOUNDS_S};

@@ -12,13 +12,11 @@
 //! - **duplicate** — an outbound datagram is sent twice with
 //!   probability `dup_p`;
 //! - **reorder** — an outbound datagram is held back and transmitted
-//!   after the next one with probability `reorder_p`;
-//! - **delay / bandwidth** — every outbound datagram charges
-//!   `delay_s + bytes * 8 / bandwidth_bps` of wall-clock before leaving,
-//!   emulating a link like the paper's measured
-//!   62.24 Mbps / 8.83 ms WiFi so measured transfer times can be
-//!   compared against
-//!   [`WifiModel::transfer_time_s`](clan_netsim::WifiModel::transfer_time_s).
+//!   after the next one with probability `reorder_p`.
+//!
+//! Faults cost no time: a slow link is a
+//! [`DelayTransport`](super::DelayTransport) (`clan-cli agent
+//! --delay-ms`), the one way to slow one.
 //!
 //! Faults sit *below* the ARQ layer
 //! ([`UdpTransport`](super::UdpTransport)), which is what makes them
@@ -57,23 +55,17 @@ pub struct FaultConfig {
     /// Probability an outbound datagram is held and sent after its
     /// successor.
     pub reorder_p: f64,
-    /// Fixed latency charged per outbound datagram, seconds.
-    pub delay_s: f64,
-    /// Emulated link bandwidth, bits per second (`0` = unlimited).
-    pub bandwidth_bps: f64,
     /// RNG seed the fault decisions derive from.
     pub seed: u64,
 }
 
 impl Default for FaultConfig {
-    /// No faults, no emulated medium, seed 0.
+    /// No faults, seed 0.
     fn default() -> FaultConfig {
         FaultConfig {
             drop_p: 0.0,
             dup_p: 0.0,
             reorder_p: 0.0,
-            delay_s: 0.0,
-            bandwidth_bps: 0.0,
             seed: 0,
         }
     }
@@ -129,23 +121,6 @@ impl FaultConfig {
         self
     }
 
-    /// Sets the fixed per-datagram latency of the emulated medium.
-    pub fn with_delay_s(mut self, s: f64) -> FaultConfig {
-        assert!(s.is_finite() && s >= 0.0, "delay_s cannot be negative");
-        self.delay_s = s;
-        self
-    }
-
-    /// Sets the emulated bandwidth (bits per second; `0` = unlimited).
-    pub fn with_bandwidth_bps(mut self, bps: f64) -> FaultConfig {
-        assert!(
-            bps.is_finite() && bps >= 0.0,
-            "bandwidth_bps cannot be negative"
-        );
-        self.bandwidth_bps = bps;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> FaultConfig {
         self.seed = seed;
@@ -158,17 +133,6 @@ impl FaultConfig {
         let mut cfg = self.clone();
         cfg.seed = mix_seed(self.seed, index as u64 + 1);
         cfg
-    }
-
-    /// Seconds the emulated medium occupies for one `bytes`-byte
-    /// datagram (`delay_s` + serialization at `bandwidth_bps`).
-    pub fn medium_time_s(&self, bytes: usize) -> f64 {
-        let serialization = if self.bandwidth_bps > 0.0 {
-            bytes as f64 * 8.0 / self.bandwidth_bps
-        } else {
-            0.0
-        };
-        self.delay_s + serialization
     }
 }
 
@@ -193,7 +157,7 @@ impl InjectedFaults {
 }
 
 /// A [`DatagramLink`] wrapper that perturbs the datagram stream with
-/// seeded drop / duplicate / reorder / delay faults (see the module
+/// seeded drop / duplicate / reorder faults (see the module
 /// docs for the exact semantics and why this sits below the ARQ layer).
 #[derive(Debug)]
 pub struct FaultyTransport<L: DatagramLink> {
@@ -231,14 +195,8 @@ impl<L: DatagramLink> FaultyTransport<L> {
         &self.inner
     }
 
-    /// One physical transmission attempt: medium emulation, then drop /
-    /// duplicate decisions.
+    /// One physical transmission attempt: drop / duplicate decisions.
     fn transmit(&mut self, datagram: &[u8]) -> Result<(), ClanError> {
-        let medium = self.cfg.medium_time_s(datagram.len());
-        if medium > 0.0 {
-            // The medium is occupied whether or not the frame survives.
-            std::thread::sleep(Duration::from_secs_f64(medium));
-        }
         if self.cfg.drop_p > 0.0 && self.tx_rng.gen_bool(self.cfg.drop_p) {
             self.injected.dropped_tx += 1;
             return Ok(());
@@ -386,22 +344,6 @@ mod tests {
         assert!(b.recv(Duration::from_millis(100)).unwrap().is_some());
         assert!(b.recv(Duration::from_millis(100)).unwrap().is_some());
         assert_eq!(faulty.injected().duplicated, 1);
-    }
-
-    #[test]
-    fn emulated_medium_charges_bandwidth_and_latency() {
-        let cfg = FaultConfig::default()
-            .with_delay_s(8.83e-3)
-            .with_bandwidth_bps(62.24e6);
-        // 64 B at the paper's constants: latency dominates (~8.84 ms).
-        let t = cfg.medium_time_s(64);
-        assert!((t - (8.83e-3 + 64.0 * 8.0 / 62.24e6)).abs() < 1e-12);
-        let (a, mut b) = datagram_channel_pair();
-        let mut faulty = FaultyTransport::new(a, cfg);
-        let start = Instant::now();
-        faulty.send(&[0u8; 64]).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(8));
-        assert!(b.recv(Duration::from_millis(100)).unwrap().is_some());
     }
 
     #[test]

@@ -77,9 +77,11 @@
 //! under 20 % injected loss is bit-identical to a serial run
 //! (`tests/lossy_equivalence.rs`). What loss *does* cost is measured:
 //! every retransmitted or duplicate-received datagram lands in
-//! [`LinkStats`], which the runtime folds into the
-//! [`CommLedger`](clan_netsim::CommLedger)'s `retrans_wire_bytes`
-//! column. On a clean link both stay zero.
+//! [`LinkStats`], which the runtime books against the link's
+//! [`AgentStats`](crate::membership::AgentStats) row and the
+//! [`CommLedger`](clan_netsim::CommLedger)'s
+//! [`total_retrans_bytes`](clan_netsim::CommLedger::total_retrans_bytes).
+//! On a clean link both stay zero.
 //!
 //! # Liveness
 //!
@@ -615,14 +617,6 @@ impl LinkStats {
     /// endpoint (retransmitted + duplicate-received).
     pub(crate) fn overhead_bytes(&self) -> u64 {
         self.retrans_bytes + self.dup_bytes
-    }
-
-    /// Folds another sample into this one.
-    pub fn merge(&mut self, other: &LinkStats) {
-        self.retrans_datagrams += other.retrans_datagrams;
-        self.retrans_bytes += other.retrans_bytes;
-        self.dup_datagrams += other.dup_datagrams;
-        self.dup_bytes += other.dup_bytes;
     }
 }
 

@@ -58,11 +58,10 @@ pub struct LedgerEntry {
     /// Measured bytes on a real transport (framing included). Zero for
     /// purely modeled runs, where only `floats` is accounted.
     pub wire_bytes: u64,
-    /// Bytes the transport spent *recovering loss* on top of
-    /// `wire_bytes`: retransmitted datagrams plus duplicates received
-    /// and discarded. Zero on reliable transports and modeled runs —
-    /// this column is what a lossy medium costs that neither the
-    /// analytic model nor the first-transmission accounting sees.
+    /// Bytes spent *recovering loss* on top of `wire_bytes`. Loss is
+    /// booked per link, not per kind, so a kind's entry keeps this at
+    /// zero; the run's total is
+    /// [`CommLedger::total_retrans_bytes`].
     pub retrans_wire_bytes: u64,
 }
 
@@ -76,11 +75,10 @@ pub struct LedgerEntry {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CommLedger {
     entries: BTreeMap<MessageKind, LedgerEntry>,
-    /// Traffic attributed to individual agents (index = agent/link id),
-    /// populated by the real runtime's per-link recording. Empty for
-    /// modeled-only ledgers. This is what makes partition imbalance
-    /// visible: a starved agent shows a zero row.
-    per_agent: Vec<LedgerEntry>,
+    /// Loss-recovery bytes over all links (see
+    /// [`record_retrans`](CommLedger::record_retrans)).
+    #[serde(default)]
+    retrans_bytes: u64,
 }
 
 impl CommLedger {
@@ -106,36 +104,12 @@ impl CommLedger {
         e.wire_bytes += wire_bytes;
     }
 
-    /// [`record_wire`](CommLedger::record_wire) that additionally
-    /// attributes the message to agent `agent` (a coordinator-side link
-    /// index), so per-agent load imbalance can be measured.
-    pub fn record_agent_wire(&mut self, agent: usize, kind: MessageKind, floats: u64, bytes: u64) {
-        self.record_wire(kind, floats, bytes);
-        let e = self.agent_entry_mut(agent);
-        e.messages += 1;
-        e.floats += floats;
-        e.wire_bytes += bytes;
-    }
-
     /// Records `bytes` of loss-recovery overhead (retransmitted and
-    /// duplicate datagrams) observed on agent `agent`'s link. Message
-    /// and float counts are untouched: a retransmission moves no new
-    /// payload, only repeats bytes already accounted in `wire_bytes`.
-    pub fn record_agent_retrans(&mut self, agent: usize, bytes: u64) {
-        self.agent_entry_mut(agent).retrans_wire_bytes += bytes;
-    }
-
-    fn agent_entry_mut(&mut self, agent: usize) -> &mut LedgerEntry {
-        if self.per_agent.len() <= agent {
-            self.per_agent.resize(agent + 1, LedgerEntry::default());
-        }
-        &mut self.per_agent[agent]
-    }
-
-    /// Per-agent traffic rows (index = link id). Empty unless the
-    /// recorder attributed messages to agents.
-    pub fn agent_entries(&self) -> &[LedgerEntry] {
-        &self.per_agent
+    /// duplicate datagrams). Message and float counts are untouched: a
+    /// retransmission moves no new payload, only repeats bytes already
+    /// accounted in `wire_bytes`.
+    pub fn record_retrans(&mut self, bytes: u64) {
+        self.retrans_bytes += bytes;
     }
 
     /// Accumulated entry for `kind`.
@@ -160,10 +134,10 @@ impl CommLedger {
     }
 
     /// Total loss-recovery bytes (retransmissions + received duplicates)
-    /// across all agents. Zero on reliable transports; under a lossy
+    /// across all links. Zero on reliable transports; under a lossy
     /// datagram transport this is the measured price of the medium.
     pub fn total_retrans_bytes(&self) -> u64 {
-        self.per_agent.iter().map(|e| e.retrans_wire_bytes).sum()
+        self.retrans_bytes
     }
 
     /// Loss-recovery bytes as a fraction of first-transmission wire
@@ -198,27 +172,6 @@ impl CommLedger {
             .iter()
             .map(|&k| (k, self.entry(k)))
             .collect()
-    }
-
-    /// Folds another ledger into this one.
-    pub fn merge(&mut self, other: &CommLedger) {
-        for (&kind, e) in &other.entries {
-            let mine = self.entries.entry(kind).or_default();
-            mine.messages += e.messages;
-            mine.floats += e.floats;
-            mine.wire_bytes += e.wire_bytes;
-            mine.retrans_wire_bytes += e.retrans_wire_bytes;
-        }
-        if self.per_agent.len() < other.per_agent.len() {
-            self.per_agent
-                .resize(other.per_agent.len(), LedgerEntry::default());
-        }
-        for (mine, e) in self.per_agent.iter_mut().zip(&other.per_agent) {
-            mine.messages += e.messages;
-            mine.floats += e.floats;
-            mine.wire_bytes += e.wire_bytes;
-            mine.retrans_wire_bytes += e.retrans_wire_bytes;
-        }
     }
 }
 
@@ -271,43 +224,17 @@ mod tests {
     }
 
     #[test]
-    fn per_agent_rows_attribute_traffic() {
-        let mut l = CommLedger::new();
-        assert!(l.agent_entries().is_empty());
-        l.record_agent_wire(0, MessageKind::SendGenomes, 100, 900);
-        l.record_agent_wire(2, MessageKind::SendGenomes, 50, 500);
-        l.record_agent_wire(0, MessageKind::SendFitness, 4, 40);
-        let rows = l.agent_entries();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].messages, 2);
-        assert_eq!(rows[0].wire_bytes, 940);
-        assert_eq!(rows[1], LedgerEntry::default(), "idle agent is visible");
-        assert_eq!(rows[2].floats, 50);
-        // Kind-level totals include the attributed messages exactly once.
-        assert_eq!(l.entry(MessageKind::SendGenomes).messages, 2);
-        assert_eq!(l.total_wire_bytes(), 1440);
-    }
-
-    #[test]
-    fn retrans_bytes_attributed_per_agent_without_message_counts() {
+    fn retrans_bytes_total_without_message_counts() {
         let mut l = CommLedger::new();
         assert_eq!(l.total_retrans_bytes(), 0);
         assert_eq!(l.retrans_overhead(), None);
-        l.record_agent_wire(0, MessageKind::SendGenomes, 100, 1000);
-        l.record_agent_retrans(0, 250);
-        l.record_agent_retrans(2, 50);
-        let rows = l.agent_entries();
-        assert_eq!(rows[0].retrans_wire_bytes, 250);
-        assert_eq!(rows[0].messages, 1, "retrans moves no new messages");
-        assert_eq!(rows[1].retrans_wire_bytes, 0);
-        assert_eq!(rows[2].retrans_wire_bytes, 50);
+        l.record_wire(MessageKind::SendGenomes, 100, 1000);
+        l.record_retrans(250);
+        l.record_retrans(50);
+        assert_eq!(l.total_messages(), 1, "retrans moves no new messages");
+        assert_eq!(l.entry(MessageKind::SendGenomes).retrans_wire_bytes, 0);
         assert_eq!(l.total_retrans_bytes(), 300);
         assert!((l.retrans_overhead().unwrap() - 0.3).abs() < 1e-12);
-        // Merge carries the column.
-        let mut other = CommLedger::new();
-        other.record_agent_retrans(0, 10);
-        l.merge(&other);
-        assert_eq!(l.total_retrans_bytes(), 310);
     }
 
     #[test]
@@ -328,45 +255,21 @@ mod tests {
         assert_eq!(modeled.retrans_overhead(), None);
 
         // Retransmissions without measured first-transmission bytes
-        // (pathological, but reachable if only record_agent_retrans ran):
-        // the retrans ratio's denominator is zero, so it must stay None.
+        // (pathological, but reachable if only record_retrans ran): the
+        // retrans ratio's denominator is zero, so it must stay None.
         let mut retrans_only = CommLedger::new();
-        retrans_only.record_agent_retrans(0, 512);
+        retrans_only.record_retrans(512);
         assert_eq!(retrans_only.total_retrans_bytes(), 512);
         assert_eq!(retrans_only.retrans_overhead(), None);
 
         // Measured wire traffic turns both ratios on, and they are finite.
         let mut wire = CommLedger::new();
-        wire.record_agent_wire(0, MessageKind::SendGenomes, 100, 800);
-        wire.record_agent_retrans(0, 200);
+        wire.record_wire(MessageKind::SendGenomes, 100, 800);
+        wire.record_retrans(200);
         assert!((wire.framing_overhead().unwrap() - 2.0).abs() < 1e-12);
         assert!((wire.retrans_overhead().unwrap() - 0.25).abs() < 1e-12);
         assert!(wire.framing_overhead().unwrap().is_finite());
         assert!(wire.retrans_overhead().unwrap().is_finite());
-    }
-
-    #[test]
-    fn merge_extends_per_agent_rows() {
-        let mut a = CommLedger::new();
-        let mut b = CommLedger::new();
-        a.record_agent_wire(0, MessageKind::SendFitness, 2, 20);
-        b.record_agent_wire(1, MessageKind::SendFitness, 4, 40);
-        a.merge(&b);
-        assert_eq!(a.agent_entries().len(), 2);
-        assert_eq!(a.agent_entries()[0].floats, 2);
-        assert_eq!(a.agent_entries()[1].wire_bytes, 40);
-    }
-
-    #[test]
-    fn merge_adds_fieldwise() {
-        let mut a = CommLedger::new();
-        let mut b = CommLedger::new();
-        a.record(MessageKind::SendFitness, 10);
-        b.record(MessageKind::SendFitness, 5);
-        b.record(MessageKind::SendSpawnCount, 3);
-        a.merge(&b);
-        assert_eq!(a.entry(MessageKind::SendFitness).floats, 15);
-        assert_eq!(a.entry(MessageKind::SendSpawnCount).messages, 1);
     }
 
     #[test]

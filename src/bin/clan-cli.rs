@@ -533,11 +533,11 @@ fn launch(mut builder: ClanDriverBuilder, args: &Args) -> Result<(), Failure> {
 
 fn print_report(report: &RunReport) {
     print!("{}", report.summary());
-    println!("  energy: {:.0} J total", report.total_energy_j);
-    // Async steady-state runs have no generations to tabulate.
+    // Async steady-state runs have no generations to charge or tabulate.
     if report.generations.is_empty() {
         return;
     }
+    println!("  energy: {:.0} J total", report.total_energy_j);
     // Only show the cache column when the cache actually fielded lookups
     // (it is absent entirely under --no-cache).
     let caching = report.cache_lookups > 0;

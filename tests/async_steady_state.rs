@@ -293,8 +293,8 @@ fn live_run_bootstraps_before_it_reproduces() {
     let stats = orch.stats().expect("ran");
     assert_eq!((stats.insertions, stats.total_evals), (inserted, evals));
     assert!(!stats.virtual_time && stats.best_fitness > f64::NEG_INFINITY);
-    let stream = orch.stream_stats().expect("streamed");
-    assert_eq!(stream.per_agent_items.iter().sum::<u64>(), evals);
+    let rows = orch.agent_stats();
+    assert_eq!(rows.iter().map(|a| a.items).sum::<u64>(), evals);
     assert_eq!(orch.population().len(), population);
 }
 
@@ -371,9 +371,9 @@ fn live_run_redispatches_every_outstanding_genome_of_a_dead_link() {
         "{} redispatches for one dead link",
         stats.redispatches
     );
-    let stream = orch.stream_stats().expect("streamed");
-    assert_eq!(stream.per_agent_items.iter().sum::<u64>(), evals);
-    assert_eq!(stream.per_agent_items[DYING_SLOT], replies as u64);
+    let rows = orch.agent_stats();
+    assert_eq!(rows.iter().map(|a| a.items).sum::<u64>(), evals);
+    assert_eq!(rows[DYING_SLOT].items, replies as u64);
 
     // Every genome completes once, and never on the dead slot after its
     // failure was seen.
@@ -396,14 +396,13 @@ fn live_run_redispatches_every_outstanding_genome_of_a_dead_link() {
     assert!(dead, "the failure is traced");
     assert_eq!(completed.len() as u64, evals);
 
-    let membership = orch.evaluator().remote_membership().expect("cluster");
-    let lost = &membership[DYING_SLOT];
+    let lost = &rows[DYING_SLOT];
     assert_eq!((lost.health, lost.failures), (LinkHealth::Suspected, 1));
     assert!(lost
         .last_error
         .as_ref()
         .is_some_and(|e| e.contains("injected link death")));
-    assert!(membership
+    assert!(rows
         .iter()
         .enumerate()
         .all(|(slot, m)| slot == DYING_SLOT || m.failures == 0));
@@ -437,9 +436,9 @@ fn live_run_over_lossy_udp_keeps_two_frames_in_flight() {
     let stats = orch.stats().expect("ran");
     assert_eq!((stats.total_evals, stats.redispatches), (evals, 0));
     assert_eq!(stats.insertions, evals - population as u64);
-    let stream = orch.stream_stats().expect("streamed");
-    assert_eq!(stream.per_agent_items.iter().sum::<u64>(), evals);
-    assert!(stream.per_agent_items.iter().all(|&n| n > 0));
+    let rows = orch.agent_stats();
+    assert_eq!(rows.iter().map(|a| a.items).sum::<u64>(), evals);
+    assert!(rows.iter().all(|a| a.items > 0));
     let events = tracer.finish().expect("live tracer records").events;
     let completed: std::collections::BTreeSet<u64> = events
         .iter()

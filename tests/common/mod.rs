@@ -8,7 +8,8 @@
 //! every workload × topology × agent count it lists against the same
 //! topology evaluated locally on one thread: same generation reports
 //! (fitness, species, cost counters, modeled timelines), same best-ever
-//! genome, same Logical-channel trace hash. A failure names its cell.
+//! genome, same Logical-channel trace hash. A live subject's per-agent
+//! rows must also sum to its cluster's totals. A failure names its cell.
 //!
 //! Adding a determinism condition is one [`Condition`] arm, one row and a
 //! one-line `#[test]` in `tests/determinism_matrix.rs`; rows that predate
@@ -22,8 +23,8 @@ use clan::core::transport::{
     channel_pair, ChurnSchedule, ClusterSpec, DelayTransport, FaultConfig, Transport, UdpConfig,
 };
 use clan::core::{
-    orchestrator_for, ClanTopology, EngineOptions, Evaluator, GenerationReport, InferenceMode,
-    Orchestrator, Tracer,
+    orchestrator_for, AgentStats, ClanTopology, EngineOptions, Evaluator, GenerationReport,
+    InferenceMode, Orchestrator, Tracer,
 };
 use clan::distsim::Cluster;
 use clan::envs::Workload;
@@ -135,6 +136,43 @@ pub fn compare(cell: &str, reference: &Run, subject: &Run) -> Result<(), String>
         return Ok(());
     };
     Err(format!("determinism matrix: {cell}: {what}"))
+}
+
+/// A live subject's per-agent rows sum to its cluster's totals: wire
+/// bytes, messages and retransmitted bytes to the ledger's, busy time to
+/// the gather's (within 1e-9 relative). Local evaluators have no rows.
+fn check_rows_sum_to_the_totals(cell: &str, evaluator: &Evaluator) {
+    let (Some(ledger), Some(gather)) = (evaluator.remote_ledger(), evaluator.remote_gather_stats())
+    else {
+        return;
+    };
+    let rows = evaluator.remote_agent_stats();
+    let sum = |f: fn(&AgentStats) -> u64| rows.iter().map(f).sum::<u64>();
+    let totals = [
+        (
+            "wire_bytes",
+            sum(|a| a.wire_bytes),
+            ledger.total_wire_bytes(),
+        ),
+        ("messages", sum(|a| a.messages), ledger.total_messages()),
+        (
+            "retrans_bytes",
+            sum(|a| a.retrans_bytes),
+            ledger.total_retrans_bytes(),
+        ),
+    ];
+    for (what, rows, total) in totals {
+        assert_eq!(
+            rows, total,
+            "determinism matrix: {cell}: rows' {what} vs the total"
+        );
+    }
+    let busy: f64 = rows.iter().map(|a| a.busy_s).sum();
+    assert!(
+        (busy - gather.busy_s).abs() <= 1e-9 * gather.busy_s,
+        "determinism matrix: {cell}: rows' busy_s {busy} vs the gather's {}",
+        gather.busy_s
+    );
 }
 
 /// Where and how a row's inference runs.
@@ -403,6 +441,7 @@ pub fn check(name: &str) {
                         o.install_tracer(Tracer::disabled());
                     }
                     let subject = run(&mut *o, row.generations);
+                    check_rows_sum_to_the_totals(&cell(live), o.evaluator());
                     let subject = row.normalized(&cell(live), subject_caches, subject);
                     if let Err(mismatch) = compare(&cell(live), &reference, &subject) {
                         panic!("{mismatch}");

@@ -35,7 +35,12 @@ fn pull_shifts_work_away_from_the_delayed_agent() {
         .evaluator()
         .remote_gather_stats()
         .expect("remote run measures gathers");
-    let items = &gather.per_agent_items;
+    let items: Vec<u64> = o
+        .evaluator()
+        .remote_agent_stats()
+        .iter()
+        .map(|a| a.items)
+        .collect();
     assert_eq!(items.len(), 4);
     assert!(
         items[1..].iter().all(|&fast| items[0] < fast),
@@ -83,7 +88,7 @@ fn five_genomes_on_four_agents_busy_every_agent() {
         cluster
             .evaluate(&mut Population::new(cfg.clone(), SEED))
             .unwrap();
-        let rows = cluster.ledger().agent_entries().to_vec();
+        let rows = cluster.agents().to_vec();
         cluster.shutdown();
         assert_eq!(rows.len(), 4);
         for (i, row) in rows.iter().enumerate() {
