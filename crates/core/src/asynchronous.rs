@@ -236,7 +236,7 @@ pub struct AsyncStats {
     pub best_fitness: f64,
 }
 
-/// A completion's reading of the virtual clock, `(now_us, service_us)`;
+/// A completion's reading of the virtual clock, `(vclock_us, service_us)`;
 /// `None` on a live cluster, whose timing is wall-clock and recorded by
 /// the cluster itself.
 type VirtualSpan = Option<(u64, u64)>;
@@ -307,9 +307,9 @@ impl SteadyStateLoop<'_> {
         match vtime {
             // Logical: every field the event-log hash folds, plus the
             // deterministic service-time span.
-            Some((now_us, service_us)) => self.tracer.logical(EventKind::Completion, |ev| {
+            Some((vclock_us, service_us)) => self.tracer.logical(EventKind::Completion, |ev| {
                 ev.aseq = Some(self.completions);
-                ev.vtime_us = Some(now_us);
+                ev.vtime_us = Some(vclock_us);
                 ev.fitness_bits = Some(fitness_bits);
                 ev.dur_us = Some(service_us);
                 trace_insert(ev);
@@ -323,7 +323,7 @@ impl SteadyStateLoop<'_> {
         self.event_log_hash = fold_completion(
             self.event_log_hash,
             self.completions,
-            vtime.map_or(0, |(now_us, _)| now_us),
+            vtime.map_or(0, |(vclock_us, _)| vclock_us),
             c.agent,
             c.genome,
             fitness_bits,
@@ -364,7 +364,7 @@ fn virtual_stream(
     let mut busy_us = vec![0u64; agents];
     let mut completed = vec![0u64; agents];
     let mut dispatched = 0u64;
-    let mut now_us = 0u64;
+    let mut vclock_us = 0u64;
     loop {
         // Each pending genome goes to the agent with the shortest queue
         // (lowest slot on a tie: the opening wave goes out round-robin).
@@ -380,11 +380,11 @@ fn virtual_stream(
             // Logical: dispatch order and virtual times are pure in
             // (seed, schedule), the async determinism contract.
             tracer.logical(EventKind::Dispatch, |ev| {
-                ev.vtime_us = Some(now_us);
+                ev.vtime_us = Some(vclock_us);
                 ev.agent = Some(agent as u64);
                 ev.genome = Some(genome.id().0);
             });
-            free_at_us[agent] = free_at_us[agent].max(now_us) + service_us;
+            free_at_us[agent] = free_at_us[agent].max(vclock_us) + service_us;
             in_flight.push(Reverse((free_at_us[agent], agent, dispatched)));
             queued[agent].push_back((genome, service_us));
             dispatched += 1;
@@ -392,7 +392,7 @@ fn virtual_stream(
         let Some(Reverse((done_us, agent, _))) = in_flight.pop() else {
             break;
         };
-        now_us = done_us;
+        vclock_us = done_us;
         let (genome, service_us) = queued[agent].pop_front().expect("agent was busy");
         let (id, evaluation, genes_per_activation) =
             evaluator.evaluate_genomes(&[genome], cfg, master_seed, 0)[0];
@@ -404,11 +404,11 @@ fn virtual_stream(
             evaluation,
             genes_per_activation,
         };
-        pending.extend(on_complete(&completion, Some((now_us, service_us))));
+        pending.extend(on_complete(&completion, Some((vclock_us, service_us))));
     }
     let stats = GatherStats {
         gathers: 1,
-        makespan_s: now_us as f64 / 1e6,
+        makespan_s: vclock_us as f64 / 1e6,
         busy_s: busy_us.iter().sum::<u64>() as f64 / 1e6,
     };
     let rows = busy_us

@@ -131,7 +131,7 @@ impl RunShell {
         let mut snapshot = StatusSnapshot {
             phase: phase.into(),
             agents: evaluator.remote_agent_stats().to_vec(),
-            metrics: self.tracer.metrics_snapshot().unwrap_or_default(),
+            gather: evaluator.remote_gather_stats(),
             ..StatusSnapshot::default()
         };
         progress(&mut snapshot);
@@ -260,11 +260,13 @@ impl ClanDriver {
 
     /// Publishes the generational progress snapshot (see
     /// [`RunShell::publish`]).
-    fn publish_progress(&self, phase: &str, generations: u64, solved: bool) {
+    fn publish_progress(&self, phase: &str, reports: &[GenerationReport], solved: bool) {
         let best_fitness = self.orchestrator.best_ever().and_then(|g| g.fitness());
         self.shell
             .publish(self.orchestrator.evaluator(), phase, |snapshot| {
-                snapshot.generation = Some(generations);
+                snapshot.generation = Some(reports.len() as u64);
+                snapshot.cache_hits = Some(reports.iter().map(|r| r.cache_hits).sum());
+                snapshot.cache_lookups = Some(reports.iter().map(|r| r.cache_lookups).sum());
                 snapshot.best_fitness = best_fitness;
                 snapshot.solved = solved;
             });
@@ -288,16 +290,16 @@ impl ClanDriver {
                 Ok(r) => {
                     solved = r.best_fitness >= threshold;
                     reports.push(r);
-                    self.publish_progress("running", reports.len() as u64, solved);
+                    self.publish_progress("running", &reports, solved);
                 }
                 Err(e) => {
-                    self.publish_progress("failed", reports.len() as u64, false);
+                    self.publish_progress("failed", &reports, false);
                     return Err(e);
                 }
             }
         }
         let generations = reports.len() as u64;
-        self.publish_progress("finished", generations, solved);
+        self.publish_progress("finished", &reports, solved);
         self.shell.tracer.logical(EventKind::RunEnd, |ev| {
             ev.generation = Some(generations);
         });
@@ -529,7 +531,7 @@ impl ClanDriverBuilder {
     /// `capacity` trace events in a bounded in-memory ring instead of
     /// the full unbounded trace. `seq`/`lseq` keep counting across
     /// drops, so the retained tail reads exactly like the end of an
-    /// unbounded trace; metrics still cover the whole run. Pair with
+    /// unbounded trace; the report's totals cover the whole run. Pair with
     /// [`ClanDriver::tracer_handle`] to dump the tail when a run fails.
     pub fn trace_ring(mut self, capacity: usize) -> Self {
         self.config.trace_ring = Some(capacity);
@@ -537,8 +539,8 @@ impl ClanDriverBuilder {
     }
 
     /// Serves the live introspection endpoint on `addr` (e.g.
-    /// `127.0.0.1:9090`; port 0 picks a free port): `/metrics`
-    /// (Prometheus text exposition), `/health` (per-agent membership),
+    /// `127.0.0.1:9090`; port 0 picks a free port): `/metrics` (the
+    /// per-agent rows and totals), `/health` (per-agent membership),
     /// `/progress` (generation / eval count, best fitness). The run
     /// publishes snapshots at generation boundaries only, so polling
     /// never perturbs the run — the deterministic stream stays

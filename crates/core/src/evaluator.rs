@@ -483,11 +483,6 @@ impl Evaluator {
             hits += h;
             lookups += l;
         }
-        if let Some(cache) = &self.cache {
-            self.tracer
-                .set_gauge("cache.hit_rate", cache.hit_rate_total());
-            self.tracer.set_gauge("cache.entries", cache.len() as f64);
-        }
         (hits, lookups)
     }
 

@@ -242,10 +242,9 @@
 //! [`RunTrace`] exports as JSONL
 //! ([`telemetry::to_jsonl`]) and Chrome trace-event JSON
 //! ([`telemetry::to_chrome_json`], per-agent tracks viewable in
-//! Perfetto), while the accompanying
-//! [`MetricsRegistry`] and unified
-//! per-agent table land in `RunReport.telemetry`
-//! ([`telemetry::TelemetryReport`]).
+//! Perfetto), and its event counts and logical hash land in
+//! `RunReport.telemetry` ([`telemetry::TelemetryReport`]). The tracer
+//! keeps no counters of its own: totals come from the run's accounting.
 //!
 //! # Trace analysis & live introspection
 //!
@@ -271,9 +270,12 @@
 //! - **Live status endpoint** ([`status`], enabled with
 //!   [`ClanDriverBuilder::status_addr`] / `clan-cli --status-addr
 //!   ADDR`): a `std::net` HTTP thread serving `/metrics` (Prometheus
-//!   text exposition from the [`MetricsRegistry`]), `/health`
+//!   text exposition of the progress, the fitness-cache totals, one
+//!   series per [`AgentStats`] field for each agent, and the
+//!   [`GatherStats`] totals), `/health`
 //!   (per-agent alive/suspected/dead from [`membership`]), and
-//!   `/progress` (generation, eval count, best fitness). It reads
+//!   `/progress` (generation, eval count, best fitness). All three
+//!   render the same snapshot, traced or not. It reads
 //!   atomic [`StatusSnapshot`]s published between rounds — never the
 //!   hot path — so the equivalence suites stay bit-identical with the
 //!   endpoint enabled (pinned by `tests/trace_intelligence.rs`;
@@ -334,8 +336,6 @@ pub use orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 pub use report::RunReport;
 pub use runtime::{EdgeCluster, GatherStats, StreamCompletion, STREAM_WINDOW};
 pub use status::{StatusHandle, StatusServer, StatusSnapshot};
-pub use telemetry::{
-    Determinism, EventKind, MetricsRegistry, RunTrace, TelemetryReport, TraceEvent, Tracer,
-};
+pub use telemetry::{Determinism, EventKind, RunTrace, TelemetryReport, TraceEvent, Tracer};
 pub use topology::{ClanTopology, Placement, SpeciationMode};
 pub use transport::{ClusterSpec, Transport};

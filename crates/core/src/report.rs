@@ -67,8 +67,8 @@ pub struct RunReport {
     #[serde(default)]
     pub asynchronous: Option<crate::asynchronous::AsyncStats>,
     /// Telemetry when the run was traced (`--trace`): event counts per
-    /// class, the logical-stream fingerprint and the metrics registry.
-    /// Empty (default) when tracing was off.
+    /// class and the logical-stream fingerprint. Empty (default) when
+    /// tracing was off.
     #[serde(default)]
     pub telemetry: crate::telemetry::TelemetryReport,
 }

@@ -11,8 +11,10 @@
 //!
 //! Routes:
 //!
-//! - `/metrics` — the tracer's [`MetricsRegistry`] in Prometheus text
-//!   exposition format ([`MetricsRegistry::prometheus_text`]).
+//! - `/metrics` — the same snapshot in Prometheus text exposition
+//!   format (0.0.4): progress, the fitness-cache totals, one series per
+//!   [`AgentStats`] field labelled `{agent="<slot>"}`, and the cluster's
+//!   [`GatherStats`].
 //! - `/health` — per-agent link membership (`alive`/`suspected`/`dead`,
 //!   failure counts, last error) from the cluster's
 //!   [`AgentStats`] rows, as JSON.
@@ -25,7 +27,7 @@
 
 use crate::error::ClanError;
 use crate::membership::AgentStats;
-use crate::telemetry::MetricsRegistry;
+use crate::runtime::GatherStats;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,14 +47,20 @@ pub struct StatusSnapshot {
     pub generation: Option<u64>,
     /// Evaluations completed (async steady-state modes).
     pub evals: Option<u64>,
+    /// Fitness-cache hits summed over the generations so far
+    /// (synchronous modes).
+    pub cache_hits: Option<u64>,
+    /// Fitness-cache lookups summed over the generations so far
+    /// (synchronous modes).
+    pub cache_lookups: Option<u64>,
     /// Best fitness observed so far.
     pub best_fitness: Option<f64>,
     /// Whether the solve threshold has been reached.
     pub solved: bool,
     /// One row per agent (empty for purely local runs).
     pub agents: Vec<AgentStats>,
-    /// Metrics registry copy taken at the last publish point.
-    pub metrics: MetricsRegistry,
+    /// The cluster's measured round timing (`None` without a cluster).
+    pub gather: Option<GatherStats>,
 }
 
 /// Shared slot the run publishes snapshots into and the server reads
@@ -144,6 +152,71 @@ fn progress_json(snap: &StatusSnapshot) -> String {
     )
 }
 
+/// How one `/metrics` series reads its value off a row.
+type RowValue = fn(&AgentStats) -> f64;
+
+/// One `/metrics` series per [`AgentStats`] field, sampled per slot.
+const ROW_SERIES: [(&str, RowValue); 7] = [
+    ("agent_live", |a| f64::from(u8::from(a.health.is_live()))),
+    ("agent_failures_total", |a| a.failures as f64),
+    ("agent_messages_total", |a| a.messages as f64),
+    ("agent_wire_bytes_total", |a| a.wire_bytes as f64),
+    ("agent_retrans_bytes_total", |a| a.retrans_bytes as f64),
+    ("agent_items_total", |a| a.items as f64),
+    ("agent_busy_seconds_total", |a| a.busy_s),
+];
+
+/// Appends one metric family — its `# TYPE` line (a counter when the
+/// name ends in `_total`, else a gauge) and one line per `(labels,
+/// value)` sample — or nothing when it has no samples.
+fn family(out: &mut String, name: &str, samples: impl IntoIterator<Item = (String, f64)>) {
+    let kind = if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    };
+    for (i, (labels, value)) in samples.into_iter().enumerate() {
+        if i == 0 {
+            out.push_str(&format!("# TYPE clan_{name} {kind}\n"));
+        }
+        out.push_str(&format!("clan_{name}{labels} {value}\n"));
+    }
+}
+
+/// The `/metrics` payload for a snapshot: Prometheus text exposition
+/// (0.0.4) of the progress, the cache and gather totals and the rows in
+/// slot order.
+fn metrics_text(snap: &StatusSnapshot) -> String {
+    let gather = snap.gather.as_ref();
+    let scalars = [
+        ("generation", snap.generation.map(|g| g as f64)),
+        ("evals_total", snap.evals.map(|e| e as f64)),
+        ("best_fitness", snap.best_fitness.filter(|f| f.is_finite())),
+        ("solved", Some(f64::from(u8::from(snap.solved)))),
+        ("cache_hits_total", snap.cache_hits.map(|h| h as f64)),
+        ("cache_lookups_total", snap.cache_lookups.map(|l| l as f64)),
+        ("gather_rounds_total", gather.map(|g| g.gathers as f64)),
+        (
+            "gather_makespan_seconds_total",
+            gather.map(|g| g.makespan_s),
+        ),
+        ("gather_busy_seconds_total", gather.map(|g| g.busy_s)),
+    ];
+    let mut out = String::new();
+    for (name, value) in scalars {
+        family(&mut out, name, value.map(|v| (String::new(), v)));
+    }
+    for (name, value) in ROW_SERIES {
+        let rows = snap.agents.iter().enumerate();
+        family(
+            &mut out,
+            name,
+            rows.map(|(i, a)| (format!("{{agent=\"{i}\"}}"), value(a))),
+        );
+    }
+    out
+}
+
 /// Answers one connection: parses the request line, routes, responds,
 /// closes. Any I/O failure just drops the connection — a flaky poller
 /// must never affect the run.
@@ -191,7 +264,7 @@ fn answer(stream: &mut TcpStream, handle: &StatusHandle) {
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            snap.metrics.prometheus_text(),
+            metrics_text(&snap),
         ),
         "/health" => ("200 OK", "application/json", health_json(&snap)),
         "/progress" => ("200 OK", "application/json", progress_json(&snap)),
@@ -290,24 +363,35 @@ mod tests {
 
     fn sample_handle() -> StatusHandle {
         let handle = StatusHandle::new();
-        let mut metrics = MetricsRegistry::default();
-        metrics.inc("events.eval", 40);
         handle.publish(StatusSnapshot {
             phase: "running".into(),
             generation: Some(7),
             evals: None,
+            cache_hits: Some(48),
+            cache_lookups: Some(576),
             best_fitness: Some(123.5),
             solved: false,
             agents: vec![
-                AgentStats::default(),
+                AgentStats {
+                    messages: 4,
+                    wire_bytes: 1200,
+                    items: 10,
+                    busy_s: 0.25,
+                    ..AgentStats::default()
+                },
                 AgentStats {
                     health: LinkHealth::Suspected,
                     failures: 2,
                     last_error: Some("timed out after 1s \"probe\"".into()),
+                    retrans_bytes: 64,
                     ..AgentStats::default()
                 },
             ],
-            metrics,
+            gather: Some(GatherStats {
+                gathers: 3,
+                makespan_s: 1.5,
+                busy_s: 0.25,
+            }),
         });
         handle
     }
@@ -320,7 +404,30 @@ mod tests {
         let metrics = get(addr, "/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
         assert!(metrics.contains("text/plain; version=0.0.4"));
-        assert!(metrics.contains("clan_events_eval_total 40\n"));
+        for series in [
+            "# TYPE clan_generation gauge\nclan_generation 7\n",
+            "clan_best_fitness 123.5\n",
+            "clan_solved 0\n",
+            "# TYPE clan_cache_hits_total counter\nclan_cache_hits_total 48\n",
+            "clan_cache_lookups_total 576\n",
+            "# TYPE clan_agent_live gauge\n",
+            "clan_agent_live{agent=\"0\"} 1\nclan_agent_live{agent=\"1\"} 1\n",
+            "clan_agent_failures_total{agent=\"1\"} 2\n",
+            "clan_agent_messages_total{agent=\"0\"} 4\n",
+            "clan_agent_wire_bytes_total{agent=\"0\"} 1200\n",
+            "clan_agent_retrans_bytes_total{agent=\"1\"} 64\n",
+            "clan_agent_items_total{agent=\"0\"} 10\n",
+            "clan_agent_busy_seconds_total{agent=\"0\"} 0.25\n",
+            "# TYPE clan_gather_rounds_total counter\nclan_gather_rounds_total 3\n",
+            "clan_gather_makespan_seconds_total 1.5\n",
+            "clan_gather_busy_seconds_total 0.25\n",
+        ] {
+            assert!(metrics.contains(series), "missing {series:?} in {metrics}");
+        }
+        assert!(
+            !metrics.contains("clan_evals_total"),
+            "sync runs count generations"
+        );
 
         let health = get(addr, "/health");
         assert!(health.contains("application/json"));

@@ -13,7 +13,6 @@
 //! logical stream.
 
 use super::clock::WallClock;
-use super::metrics::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -263,14 +262,11 @@ fn splitmix64(x: u64) -> u64 {
 /// Seed of the logical-stream fold hash (mirrors the async log's).
 const LOGICAL_HASH_SEED: u64 = 0x00A5_15C0_0000_0002;
 
-/// A finished run's collected events plus the metrics the tracer
-/// accumulated alongside them.
+/// A finished run's collected events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTrace {
     /// Every recorded event, in record order.
     pub events: Vec<TraceEvent>,
-    /// Counters/gauges/histograms maintained while recording.
-    pub metrics: MetricsRegistry,
 }
 
 impl RunTrace {
@@ -307,6 +303,34 @@ impl RunTrace {
     }
 }
 
+/// The `RunReport.telemetry` section: event-stream accounting. Default
+/// (all zero) with tracing disabled.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct TelemetryReport {
+    /// Events in the deterministic stream.
+    pub logical_events: u64,
+    /// Events in the wall-clock annotation channel.
+    pub timing_events: u64,
+    /// Order-sensitive fold hash of the logical stream text (0 when no
+    /// trace was recorded).
+    pub logical_hash: u64,
+}
+
+impl TelemetryReport {
+    /// Summarizes the recorded trace, if tracing was on.
+    pub fn from_trace(trace: Option<&RunTrace>) -> TelemetryReport {
+        let Some(trace) = trace else {
+            return TelemetryReport::default();
+        };
+        let (logical_events, timing_events) = trace.counts();
+        TelemetryReport {
+            logical_events,
+            timing_events,
+            logical_hash: trace.logical_hash(),
+        }
+    }
+}
+
 /// Interior state behind a live tracer.
 #[derive(Debug)]
 struct Sink {
@@ -320,7 +344,6 @@ struct Sink {
     seq: u64,
     lseq: u64,
     clock: WallClock,
-    metrics: MetricsRegistry,
 }
 
 /// A cheap-to-clone recording handle. The default tracer is disabled
@@ -344,14 +367,13 @@ impl Tracer {
                 seq: 0,
                 lseq: 0,
                 clock: WallClock::start(),
-                metrics: MetricsRegistry::default(),
             }))),
         }
     }
 
     /// A live tracer in flight-recorder mode: only the last `capacity`
     /// events are kept in memory (oldest dropped, `capacity` clamped to
-    /// at least 1). `seq`/`lseq` assignment, metrics, and the wall epoch
+    /// at least 1). `seq`/`lseq` assignment and the wall epoch
     /// behave exactly as in [`Tracer::new`], so the retained tail reads
     /// like the end of an unbounded trace — the logical stream text of
     /// the tail is a suffix of the full run's.
@@ -364,7 +386,6 @@ impl Tracer {
                 seq: 0,
                 lseq: 0,
                 clock: WallClock::start(),
-                metrics: MetricsRegistry::default(),
             }))),
         }
     }
@@ -380,9 +401,8 @@ impl Tracer {
     }
 
     /// Records one event: assigns `seq` (and `lseq` for Logical
-    /// events), stamps Timing events with the wall clock, and updates
-    /// the per-kind metrics. No-op when disabled; `fill` never runs in
-    /// that case.
+    /// events) and stamps Timing events with the wall clock. No-op when
+    /// disabled; `fill` never runs in that case.
     pub fn emit(&self, class: Determinism, kind: EventKind, fill: impl FnOnce(&mut TraceEvent)) {
         let Some(inner) = &self.inner else { return };
         let Ok(mut sink) = inner.lock() else { return };
@@ -396,39 +416,13 @@ impl Tracer {
         } else if ev.wall_us.is_none() {
             ev.wall_us = Some(sink.clock.elapsed_us());
         }
-        sink.metrics.inc(&format!("events.{}", kind.label()), 1);
-        if let Some(d) = ev.dur_us {
-            if kind == EventKind::GatherRound || kind == EventKind::AgentExchange {
-                sink.metrics
-                    .observe_duration(&format!("dur_s.{}", kind.label()), d as f64 / 1e6);
-            }
-        }
-        if let Some(b) = ev.bytes {
-            sink.metrics.inc("retrans.bytes", b);
-        }
-        if let Some(h) = ev.cache_hits {
-            sink.metrics.inc("cache.hits", h);
-        }
-        if let Some(l) = ev.cache_lookups {
-            sink.metrics.inc("cache.lookups", l);
-        }
         sink.events.push_back(ev);
         if let Some(cap) = sink.ring_capacity {
             while sink.events.len() > cap {
                 sink.events.pop_front();
                 sink.dropped += 1;
-                sink.metrics.inc("ring.dropped", 1);
             }
         }
-    }
-
-    /// Sets a gauge in the attached metrics registry without recording
-    /// an event (gauges are annotations, never part of the logical
-    /// stream). No-op when disabled.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        let Some(inner) = &self.inner else { return };
-        let Ok(mut sink) = inner.lock() else { return };
-        sink.metrics.set_gauge(name, value);
     }
 
     /// Shorthand for a Logical emit.
@@ -439,27 +433,6 @@ impl Tracer {
     /// Shorthand for a Timing emit.
     pub fn timing(&self, kind: EventKind, fill: impl FnOnce(&mut TraceEvent)) {
         self.emit(Determinism::Timing, kind, fill);
-    }
-
-    /// Wall timestamp on this tracer's epoch (for span starts computed
-    /// by callers that know a duration). Zero when disabled.
-    pub fn now_us(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => match inner.lock() {
-                Ok(sink) => sink.clock.elapsed_us(),
-                Err(_) => 0,
-            },
-            None => 0,
-        }
-    }
-
-    /// A copy of the accumulated metrics without draining the event
-    /// buffer (what the live `/metrics` endpoint publishes between
-    /// generations). `None` when disabled.
-    pub fn metrics_snapshot(&self) -> Option<MetricsRegistry> {
-        let inner = self.inner.as_ref()?;
-        let sink = inner.lock().ok()?;
-        Some(sink.metrics.clone())
     }
 
     /// Events the flight-recorder ring has discarded so far (always 0
@@ -481,7 +454,6 @@ impl Tracer {
         let mut sink = inner.lock().ok()?;
         Some(RunTrace {
             events: std::mem::take(&mut sink.events).into(),
-            metrics: std::mem::take(&mut sink.metrics),
         })
     }
 }
@@ -545,8 +517,13 @@ mod tests {
         assert_eq!(trace.events[0].lseq, Some(7));
         assert_eq!(trace.events[2].seq, 9);
         assert_eq!(trace.events[2].genome, Some(9));
-        assert_eq!(trace.metrics.counter("ring.dropped"), 7);
-        assert_eq!(trace.metrics.counter("events.eval"), 10);
+        assert_eq!(t.ring_dropped(), 7, "draining keeps the drop count");
+        let evals = trace
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::EvalResult)
+            .count();
+        assert_eq!(evals, 3, "the ring keeps only the tail's evals");
     }
 
     #[test]
@@ -585,5 +562,12 @@ mod tests {
         let again = t.finish().unwrap();
         assert_eq!(again.events.len(), 1);
         assert_eq!(again.events[0].kind, EventKind::RunEnd);
+    }
+
+    #[test]
+    fn no_trace_makes_an_empty_report() {
+        let t = TelemetryReport::from_trace(None);
+        assert_eq!((t.logical_events, t.timing_events), (0, 0));
+        assert_eq!(t, TelemetryReport::default());
     }
 }

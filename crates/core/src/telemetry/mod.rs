@@ -1,6 +1,8 @@
-//! Unified deterministic run tracing: a structured event stream, a
-//! typed metrics registry, and exporters, shared by every execution
-//! mode.
+//! Unified deterministic run tracing: a structured event stream and its
+//! exporters, shared by every execution mode. The tracer records events
+//! and nothing else; the run's counts and totals live in its own
+//! accounting (the per-agent rows, `GatherStats`, the ledger), which is
+//! what the report and the live `/metrics` endpoint read.
 //!
 //! # The two-clock design
 //!
@@ -33,11 +35,9 @@
 pub mod clock;
 mod event;
 mod export;
-mod metrics;
 
-pub use event::{Determinism, EventKind, RunTrace, TraceEvent, Tracer};
+pub use event::{Determinism, EventKind, RunTrace, TelemetryReport, TraceEvent, Tracer};
 pub use export::{
     chrome_tracks_match, from_jsonl, parse_chrome_json, to_chrome_json, to_jsonl, ChromeArgs,
     ChromeDoc, ChromeEvent,
 };
-pub use metrics::{Histogram, MetricsRegistry, TelemetryReport, DURATION_BOUNDS_S};

@@ -271,13 +271,17 @@ impl UdpLink {
 
 impl DatagramLink for UdpLink {
     fn send(&mut self, datagram: &[u8]) -> Result<(), ClanError> {
-        self.socket
-            .send(datagram)
-            .map(|_| ())
-            .map_err(|e| ClanError::Transport {
+        match self.socket.send(datagram) {
+            Ok(_) => Ok(()),
+            // An earlier datagram found the peer's port closed (a daemon
+            // between sessions); this one is as good as lost in transit,
+            // and the ARQ layer re-sends it once the peer is back.
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => Ok(()),
+            Err(e) => Err(ClanError::Transport {
                 peer: self.peer.clone(),
                 reason: format!("udp send: {e}"),
-            })
+            }),
+        }
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, ClanError> {
@@ -1299,6 +1303,22 @@ mod tests {
         let (echo, _) = recv_message(&mut client).unwrap();
         assert_eq!(echo, WireMessage::Shutdown);
         join.join().unwrap();
+    }
+
+    #[test]
+    fn a_closed_peer_port_is_loss_not_a_link_failure() {
+        // A daemon between sessions has no socket bound: the kernel
+        // refuses the datagrams sent meanwhile, which the link reports
+        // as silence on both directions, so the ARQ layer re-sends.
+        let gone = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addr = gone.local_addr().unwrap();
+        drop(gone);
+        let mut link = UdpLink::connect(addr).unwrap();
+        for _ in 0..3 {
+            link.send(b"hello?").unwrap();
+        }
+        assert_eq!(link.recv(Duration::from_millis(10)).unwrap(), None);
+        link.send(b"hello?").unwrap();
     }
 
     #[test]

@@ -164,8 +164,8 @@ seed across serial, TCP, lossy UDP and churned runs; --trace-chrome FILE
 writes it as Chrome trace-event JSON, one track per agent. Analyze either
 with `clan-trace`. --trace-ring N keeps only the last N events and dumps
 them to --postmortem FILE (default clan-postmortem.jsonl) if the run
-fails. --status-addr ADDR serves /metrics, /health and /progress over
-HTTP, updated at generation boundaries.
+fails. --status-addr ADDR serves /health, /progress and /metrics (each
+agent's row and the run's totals, traced or not) over HTTP, per generation.
 
 --async evolves without barriers: each finished evaluation breeds a
 --tournament-size K winner (default 3) over the worst genome, until

@@ -194,7 +194,7 @@ fn accuracy_cost_of_clans_visible_at_16() {
             .seed(seed)
             .build()
             .expect("config")
-            .run(40)
+            .run_until_solved(40)
             .expect("run");
         r.generations
             .iter()

@@ -402,7 +402,7 @@ proptest! {
         n_agents in 0usize..8,
     ) {
         use clan::core::telemetry::{from_jsonl, parse_chrome_json, to_chrome_json, to_jsonl};
-        let trace = clan::core::RunTrace { events, ..clan::core::RunTrace::default() };
+        let trace = clan::core::RunTrace { events };
         // JSONL round-trips every event bit-exactly (floats are stored
         // as IEEE-754 bits, so there is no decimal detour to lose).
         let jsonl = to_jsonl(&trace).expect("any event serializes");

@@ -14,7 +14,9 @@ mod common;
 
 use clan::core::telemetry::{from_jsonl, parse_chrome_json, to_chrome_json, to_jsonl};
 use clan::core::transport::ChurnSchedule;
-use clan::core::{ClanDriver, ClanDriverBuilder, ClanTopology, Determinism, EventKind, RunTrace};
+use clan::core::{
+    ClanDriver, ClanDriverBuilder, ClanTopology, Determinism, EventKind, RunReport, RunTrace,
+};
 use clan::envs::Workload;
 use common::{check, lossy_udp, topologies, POP, SEED, SIM_AGENTS};
 
@@ -40,19 +42,19 @@ fn lossy_udp_builder(topology: ClanTopology) -> ClanDriverBuilder {
         .udp_config(lossy_udp(5))
 }
 
-fn traced_run(builder: ClanDriverBuilder) -> RunTrace {
-    let (_, trace) = builder
+fn traced_run(builder: ClanDriverBuilder) -> (RunReport, RunTrace) {
+    let (report, trace) = builder
         .build()
         .expect("driver builds")
         .run_with_trace(GENERATIONS)
         .expect("run completes");
-    trace.expect("tracing was enabled")
+    (report, trace.expect("tracing was enabled"))
 }
 
 #[test]
 fn logical_stream_is_byte_identical_across_transports_on_all_topologies() {
     for topology in topologies(SIM_AGENTS) {
-        let local = traced_run(base_builder(topology));
+        let local = traced_run(base_builder(topology)).1;
         let baseline = local.logical_text();
         // Preamble, per-generation markers, replayed evals, postamble.
         assert!(baseline.starts_with("l=0 k=run_start seed=13"));
@@ -70,7 +72,7 @@ fn logical_stream_is_byte_identical_across_transports_on_all_topologies() {
                 base_builder(topology).loopback_agents(3).churn(churn),
             ),
         ] {
-            let trace = traced_run(builder);
+            let trace = traced_run(builder).1;
             assert_eq!(
                 baseline,
                 trace.logical_text(),
@@ -94,8 +96,8 @@ fn logical_stream_is_byte_identical_across_transports_on_all_topologies() {
 
 #[test]
 fn timing_events_differ_while_logical_hash_does_not() {
-    let local = traced_run(base_builder(ClanTopology::dcs()));
-    let udp = traced_run(lossy_udp_builder(ClanTopology::dcs()));
+    let (local_report, local) = traced_run(base_builder(ClanTopology::dcs()));
+    let (udp_report, udp) = traced_run(lossy_udp_builder(ClanTopology::dcs()));
     let (local_logical, local_timing) = local.counts();
     let (udp_logical, udp_timing) = udp.counts();
     assert_eq!(local_logical, udp_logical);
@@ -110,17 +112,13 @@ fn timing_events_differ_while_logical_hash_does_not() {
         "20% loss must surface Retransmission annotations"
     );
     assert_eq!(local.logical_hash(), udp.logical_hash());
-    // The metrics registry counted the retransmitted bytes.
-    assert!(udp.metrics.counter("retrans.bytes") > 0);
-    // It also absorbed the fitness-cache numbers (counters fed from the
-    // generation-end events, gauges from the cache itself) — and since
-    // cache hits are content-addressed, they are transport-invariant.
-    assert!(local.metrics.counter("cache.lookups") > 0);
-    assert_eq!(
-        local.metrics.counter("cache.hits"),
-        udp.metrics.counter("cache.hits")
-    );
-    assert!(local.metrics.gauges.contains_key("cache.hit_rate"));
+    // The measured ledger counted the retransmitted bytes.
+    let udp_wire = udp_report.transport.expect("UDP agents measure the wire");
+    assert!(udp_wire.total_retrans_bytes() > 0);
+    // The report sums the fitness-cache windows — and since cache hits
+    // are content-addressed, they are transport-invariant.
+    assert!(local_report.cache_lookups > 0);
+    assert_eq!(local_report.cache_hits, udp_report.cache_hits);
 }
 
 #[test]
@@ -196,7 +194,7 @@ fn folding_trace_completions_reproduces_the_event_log_hash() {
 
 #[test]
 fn exporters_round_trip_a_real_trace() {
-    let trace = traced_run(lossy_udp_builder(ClanTopology::dcs()));
+    let trace = traced_run(lossy_udp_builder(ClanTopology::dcs())).1;
     // JSONL: parse back every event bit-exactly.
     let jsonl = to_jsonl(&trace).expect("serializes");
     let events = from_jsonl(&jsonl).expect("parses back");

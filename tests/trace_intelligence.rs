@@ -233,6 +233,45 @@ fn status_endpoint_serves_snapshots_and_preserves_bit_identity() {
     );
 }
 
+/// `/metrics` renders the cluster's own rows, so an untraced run serves
+/// one series per agent from the very first snapshot.
+#[test]
+fn untraced_metrics_serve_every_agents_row_from_the_start() {
+    let driver = sim_builder()
+        .tracing(false)
+        .topology(ClanTopology::dcs())
+        .agents(2)
+        .loopback_agents(2)
+        .status_addr("127.0.0.1:0")
+        .build()
+        .expect("build untraced loopback with status");
+    let addr = driver.status_local_addr().expect("endpoint bound");
+    assert!(http_get(addr, "/progress").contains("\"phase\":\"starting\""));
+
+    let response = http_get(addr, "/metrics");
+    let (head, body) = response.split_once("\r\n\r\n").expect("HTTP response");
+    assert!(head.contains("version=0.0.4"), "{head}");
+    for agent in 0..2 {
+        let series = format!("clan_agent_live{{agent=\"{agent}\"}} 1\n");
+        assert!(body.contains(&series), "missing {series:?} in {body}");
+    }
+    for line in body.lines().filter(|l| !l.starts_with('#')) {
+        let (series, value) = line.rsplit_once(' ').expect("name and value");
+        let name = series.split('{').next().unwrap_or_default();
+        let labels = &series[name.len()..];
+        assert!(name.starts_with("clan_"), "bad name: {line}");
+        assert!(
+            name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
+            "{line}"
+        );
+        assert!(
+            labels.is_empty() || labels.ends_with('}'),
+            "bad labels: {line}"
+        );
+        assert!(value.parse::<f64>().is_ok(), "bad value: {line}");
+    }
+}
+
 #[test]
 fn flight_recorder_ring_preserves_identity_and_keeps_a_suffix() {
     let full = run_trace(SEED).logical_text();
