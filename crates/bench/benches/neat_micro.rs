@@ -65,6 +65,19 @@ fn bench_genome_ops(c: &mut Criterion) {
     group.bench_function("codec_decode_atari", |b| {
         b.iter(|| black_box(decode(black_box(&frame)).expect("a frame this build encoded")))
     });
+    // Seeding: what every run, DDA clan, learning phase and extinction
+    // pays before its first evaluation — one genome, then 150.
+    group.bench_function("new_initial_atari", |b| {
+        let mut rng = StdRng::seed_from_u64(5);
+        b.iter(|| black_box(Genome::new_initial(&cfg, GenomeId(0), &mut rng)))
+    });
+    let pop_cfg = NeatConfig::builder(128, 18)
+        .population_size(150)
+        .build()
+        .unwrap();
+    group.bench_function("population_new_atari", |b| {
+        b.iter(|| black_box(Population::new(pop_cfg.clone(), 5)))
+    });
     group.bench_function("mutate_atari", |b| {
         let mut rng = StdRng::seed_from_u64(4);
         b.iter_batched(

@@ -6,7 +6,7 @@
 //! torches an adjacent alien (+50, it respawns at its corner after a
 //! delay). Losing all three lives ends the episode.
 
-use crate::atari_ram::{fill_opaque, rng::splitmix64, RamGame, RamMachine, RAM_BYTES};
+use crate::atari_ram::{fill_opaque, pack_cells, rng::splitmix64, RamGame, RamMachine, RAM_BYTES};
 
 const COLS: i32 = 16;
 const ROWS: i32 = 12;
@@ -305,16 +305,7 @@ impl RamGame for AlienGame {
             idx += 3;
         }
         // Dot bitmap: 192 cells -> 24 bytes.
-        for y in 0..ROWS as usize {
-            for x in 0..COLS as usize {
-                let bit = y * COLS as usize + x;
-                if self.dots[y][x] {
-                    ram[idx + bit / 8] |= 1 << (bit % 8);
-                } else {
-                    ram[idx + bit / 8] &= !(1 << (bit % 8));
-                }
-            }
-        }
+        pack_cells(&mut ram[idx..], self.dots.as_flattened());
         idx += (COLS * ROWS) as usize / 8;
         fill_opaque(ram, idx, self.state_hash());
     }

@@ -10,7 +10,7 @@
 //! The paper notes Amidar "performs equivalently to Airraid" and omits it
 //! from most figures; it is included here for suite completeness.
 
-use crate::atari_ram::{fill_opaque, rng::splitmix64, RamGame, RamMachine, RAM_BYTES};
+use crate::atari_ram::{fill_opaque, pack_cells, rng::splitmix64, RamGame, RamMachine, RAM_BYTES};
 
 const COLS: i32 = 14;
 const ROWS: i32 = 10;
@@ -225,16 +225,7 @@ impl RamGame for Amidar {
             idx += 3;
         }
         // Painted bitmap: 140 cells -> 18 bytes.
-        for row in 0..ROWS as usize {
-            for col in 0..COLS as usize {
-                let bit = row * COLS as usize + col;
-                if self.painted[row][col] {
-                    ram[idx + bit / 8] |= 1 << (bit % 8);
-                } else {
-                    ram[idx + bit / 8] &= !(1 << (bit % 8));
-                }
-            }
-        }
+        pack_cells(&mut ram[idx..], self.painted.as_flattened());
         idx += (COLS * ROWS) as usize / 8 + 1;
         fill_opaque(ram, idx, self.state_hash());
     }

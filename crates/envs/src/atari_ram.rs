@@ -23,6 +23,17 @@ use crate::{Environment, Step};
 /// Width of the Atari RAM observation.
 pub const RAM_BYTES: usize = 128;
 
+/// Every byte's observation, `b as f64 / 255.0`, divided at compile time.
+const SCALED: [f64; 256] = {
+    let mut table = [0.0; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = b as f64 / 255.0;
+        b += 1;
+    }
+    table
+};
+
 /// Game logic behind a RAM observation.
 ///
 /// Implementations must be deterministic functions of `(seed, actions)`.
@@ -73,7 +84,7 @@ impl<G: RamGame> RamMachine<G> {
     }
 
     fn obs(&self) -> Vec<f64> {
-        self.ram.iter().map(|&b| b as f64 / 255.0).collect()
+        self.ram.iter().map(|&b| SCALED[usize::from(b)]).collect()
     }
 }
 
@@ -124,13 +135,31 @@ impl<G: RamGame> Environment for RamMachine<G> {
 /// Fills `ram[from..]` with pseudo-random bytes derived from `state_hash`,
 /// emulating the opaque scratch bytes of real 2600 RAM. The filler varies
 /// with game state but is fully deterministic.
+///
+/// Byte `i` is byte `i % 8` (little-endian) of a word: `state_hash` itself
+/// before the first 8-aligned index, then a fresh mix at each one.
 pub(crate) fn fill_opaque(ram: &mut [u8; RAM_BYTES], from: usize, state_hash: u64) {
+    let aligned = from.next_multiple_of(8).min(RAM_BYTES);
     let mut h = state_hash;
-    for (i, byte) in ram.iter_mut().enumerate().skip(from) {
-        if i % 8 == 0 {
-            h = splitmix64(h ^ i as u64);
-        }
-        *byte = (h >> ((i % 8) * 8)) as u8;
+    if from < aligned {
+        ram[from..aligned].copy_from_slice(&h.to_le_bytes()[from % 8..]);
+    }
+    for (i, word) in (aligned..)
+        .step_by(8)
+        .zip(ram[aligned..].chunks_exact_mut(8))
+    {
+        h = splitmix64(h ^ i as u64);
+        word.copy_from_slice(&h.to_le_bytes());
+    }
+}
+
+/// Packs `cells` into `bytes` a byte at a time: cell `k` is bit `k % 8` of
+/// byte `k / 8`, and a last, partial byte keeps its bits past the cells.
+pub(crate) fn pack_cells(bytes: &mut [u8], cells: &[bool]) {
+    for (byte, eight) in bytes.iter_mut().zip(cells.chunks(8)) {
+        let bits = eight.iter().rev().fold(0, |acc, &c| acc << 1 | u8::from(c));
+        let kept = u8::MAX.checked_shl(eight.len() as u32).unwrap_or(0);
+        *byte = *byte & kept | bits;
     }
 }
 
@@ -206,6 +235,91 @@ mod tests {
         fill_opaque(&mut b, 8, 2);
         assert_ne!(a[8..], b[8..]);
         assert_eq!(a[..8], [0; 8]);
+    }
+
+    #[test]
+    fn table_word_fill_and_packing_match_the_byte_at_a_time_forms() {
+        for b in 0..=u8::MAX {
+            assert_eq!(
+                SCALED[usize::from(b)].to_bits(),
+                (b as f64 / 255.0).to_bits()
+            );
+        }
+        for from in 0..=RAM_BYTES {
+            for hash in (0..50).map(splitmix64) {
+                let mut reference = [0xA5; RAM_BYTES];
+                let mut h = hash;
+                for (i, byte) in reference.iter_mut().enumerate().skip(from) {
+                    if i % 8 == 0 {
+                        h = splitmix64(h ^ i as u64);
+                    }
+                    *byte = (h >> ((i % 8) * 8)) as u8;
+                }
+                let mut ram = [0xA5; RAM_BYTES];
+                fill_opaque(&mut ram, from, hash);
+                assert_eq!(ram, reference, "from {from}");
+            }
+        }
+        for cells in [0, 1, 7, 8, 9, 140, 192] {
+            let cells: Vec<bool> = (0..cells)
+                .map(|k| splitmix64(k).is_multiple_of(3))
+                .collect();
+            let mut reference = [0xA5; 32];
+            for (bit, &on) in cells.iter().enumerate() {
+                if on {
+                    reference[bit / 8] |= 1 << (bit % 8);
+                } else {
+                    reference[bit / 8] &= !(1 << (bit % 8));
+                }
+            }
+            let mut bytes = [0xA5; 32];
+            pack_cells(&mut bytes, &cells);
+            assert_eq!(bytes, reference, "{} cells", cells.len());
+        }
+    }
+
+    /// Every bit of every observation and reward over `steps` seeded
+    /// random-action steps (a new seeded episode after each terminal
+    /// one), folded into one digest.
+    fn trajectory_digest(mut env: impl Environment, steps: u64) -> u64 {
+        let mut digest = 0;
+        let mut fold = |bits: u64| digest = splitmix64(digest ^ bits);
+        let mut episode = 0;
+        let mut obs = env.reset(episode);
+        for step in 0..steps {
+            obs.iter().for_each(|v| fold(v.to_bits()));
+            let action = splitmix64(step) as usize % env.n_actions();
+            let step = env.step(action);
+            fold(step.reward.to_bits());
+            obs = if step.done {
+                episode += 1;
+                env.reset(episode)
+            } else {
+                step.obs
+            };
+        }
+        obs.iter().for_each(|v| fold(v.to_bits()));
+        digest
+    }
+
+    #[test]
+    fn observations_match_the_recorded_digests() {
+        // Recorded at 50c17fa: a change to any observation bit or reward
+        // moves its game's digest.
+        use crate::{airraid::AirRaid, alien::AlienGame, amidar::Amidar};
+        let digests = [
+            trajectory_digest(AlienGame::environment(), 2_000),
+            trajectory_digest(AirRaid::environment(), 2_000),
+            trajectory_digest(Amidar::environment(), 2_000),
+        ];
+        assert_eq!(
+            digests.map(|d| format!("{d:#018X}")),
+            [
+                "0x57B327DD59A8FACB",
+                "0x6D418CAB80638AD5",
+                "0xE0F19F54A5A5947C"
+            ]
+        );
     }
 
     #[test]

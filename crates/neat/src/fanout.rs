@@ -1,15 +1,15 @@
 //! Order-preserving fan-out of pure per-item work over the caller's cores.
 //!
-//! The coordinator's serial sections — breeding a generation, hashing a
-//! population before the scatter — map a pure function over independent
-//! items while every agent waits. [`fan_out`] runs such a map on scoped
-//! threads, a contiguous slice each (the caller takes the first), results
+//! The coordinator's serial sections — seeding a population, breeding a
+//! generation, hashing one before the scatter — map a pure function over
+//! independent items while every agent waits. [`fan_out`] runs it on
+//! scoped threads, a contiguous slice each (the caller takes the first),
 //! concatenated in input order: the serial map's output at any worker
 //! count, which is derived (cores, [`GENE_FLOOR`]), never configured.
 
-/// Genes of work (≈ 1–3 ms of crossover or hashing) a worker must have to
-/// repay its thread spawn — a price, not a preference, hence a constant.
-/// Below two floors (a LunarLander generation: 6–9 k genes) none is spawned.
+/// Genes of work (≈ 1–3 ms of seeding, breeding or hashing) a worker must
+/// have to repay its thread spawn — a price, hence a constant, not a knob.
+/// Below two floors (a LunarLander population: 5–9 k genes) none is spawned.
 pub const GENE_FLOOR: u64 = 32_768;
 
 /// This machine's core count, as far as the process may use it.

@@ -52,28 +52,36 @@ impl Genome {
         let nodes = (0..cfg.num_outputs)
             .map(|o| (NodeId::output(o), Self::new_node(cfg, rng)))
             .collect();
-        // Weights are drawn input by input and input ids *descend*: gather in
-        // draw order, sort once in the collect (insert-per-pair is quadratic).
-        let mut drawn = Vec::new();
-        if !matches!(cfg.initial_connection, Ic::Unconnected) {
-            drawn.reserve_exact(cfg.num_inputs * cfg.num_outputs);
-            for i in 0..cfg.num_inputs {
-                for o in 0..cfg.num_outputs {
-                    let wired = match cfg.initial_connection {
-                        Ic::Partial(p) => rng.gen::<f64>() < p,
-                        _ => true,
+        // Weights are drawn input by input, outputs ascending, but input ids
+        // *descend*: the draw order is the key order with its per-input blocks
+        // reversed, so reversing the run, then each block, sorts it.
+        let inputs = match cfg.initial_connection {
+            Ic::Unconnected => 0,
+            _ => cfg.num_inputs,
+        };
+        let mut drawn = Vec::with_capacity(inputs * cfg.num_outputs);
+        for i in 0..inputs {
+            for o in 0..cfg.num_outputs {
+                let wired = match cfg.initial_connection {
+                    Ic::Partial(p) => rng.gen::<f64>() < p,
+                    _ => true,
+                };
+                if wired {
+                    let gene = ConnGene {
+                        weight: cfg.weight.init(rng),
+                        enabled: true,
                     };
-                    if wired {
-                        let gene = ConnGene {
-                            weight: cfg.weight.init(rng),
-                            enabled: true,
-                        };
-                        drawn.push((ConnKey::new(NodeId::input(i), NodeId::output(o)), gene));
-                    }
+                    drawn.push((ConnKey::new(NodeId::input(i), NodeId::output(o)), gene));
                 }
             }
         }
-        Genome::from_parts(id, nodes, drawn.into_iter().collect())
+        drawn.reverse();
+        for block in drawn.chunk_by_mut(|a, b| a.0.input == b.0.input) {
+            block.reverse();
+        }
+        drawn.shrink_to_fit(); // `Partial` wires fewer pairs than it reserved
+        let conns = GeneTable::from_sorted(drawn).expect("each input's block reversed back");
+        Genome::from_parts(id, nodes, conns)
     }
 
     fn new_node<R: Rng + ?Sized>(cfg: &NeatConfig, rng: &mut R) -> NodeGene {
@@ -569,6 +577,56 @@ mod tests {
         let g = Genome::new_initial(&cfg, GenomeId(0), &mut rng(7));
         assert!(g.conns().len() < 100);
         assert!(!g.conns().is_empty());
+    }
+
+    #[test]
+    fn initial_connection_run_equals_the_sorted_collect() {
+        use InitialConnection as Ic;
+        for (inputs, outputs) in [(7, 4), (128, 18)] {
+            for wiring in [Ic::Full, Ic::Partial(0.3), Ic::Unconnected] {
+                let cfg = NeatConfig::builder(inputs, outputs)
+                    .initial_connection(wiring)
+                    .build()
+                    .unwrap();
+                for seed in 0..8 {
+                    let mut drew = rng(seed);
+                    let g = Genome::new_initial(&cfg, GenomeId(0), &mut drew);
+                    // The build the block reversal replaced: the same draws
+                    // gathered in draw order, sorted by the collect.
+                    let mut r = rng(seed);
+                    for _ in 0..outputs {
+                        Genome::new_node(&cfg, &mut r);
+                    }
+                    let mut drawn = Vec::new();
+                    for i in 0..inputs {
+                        for o in 0..outputs {
+                            let wired = match wiring {
+                                Ic::Full => true,
+                                Ic::Partial(p) => r.gen::<f64>() < p,
+                                Ic::Unconnected => break,
+                            };
+                            if wired {
+                                let gene = ConnGene {
+                                    weight: cfg.weight.init(&mut r),
+                                    enabled: true,
+                                };
+                                drawn.push((
+                                    ConnKey::new(NodeId::input(i), NodeId::output(o)),
+                                    gene,
+                                ));
+                            }
+                        }
+                    }
+                    let sorted: GeneTable<ConnKey, ConnGene> = drawn.into_iter().collect();
+                    assert_eq!(
+                        g.conns(),
+                        &sorted,
+                        "{inputs}x{outputs} {wiring:?} seed {seed}"
+                    );
+                    assert_eq!(drew.gen::<u64>(), r.gen::<u64>(), "same draws");
+                }
+            }
+        }
     }
 
     #[test]

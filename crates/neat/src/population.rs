@@ -3,7 +3,7 @@
 //! phases (speciate / plan / reproduce / install) so the CLAN
 //! orchestrators can distribute each compute block independently.
 
-use crate::config::NeatConfig;
+use crate::config::{InitialConnection, NeatConfig};
 use crate::counters::{CostCounters, GenerationCosts};
 use crate::error::NeatError;
 use crate::fanout;
@@ -83,26 +83,23 @@ impl Population {
     /// Creates a population of `cfg.population_size` initial genomes.
     ///
     /// Genome `i` is built from the RNG stream
-    /// `(seed, generation 0, i, InitGenome)`, so two populations with the
-    /// same config and seed are identical.
+    /// `(seed, generation 0, i, InitGenome)`, on every core its genes
+    /// justify, so two populations with the same config and seed are
+    /// identical at any core count.
     pub fn new(cfg: NeatConfig, seed: u64) -> Population {
-        let mut genomes = BTreeMap::new();
-        for i in 0..cfg.population_size {
-            let id = GenomeId(i as u64);
-            let mut rng = op_rng(seed, 0, id.0, OpTag::InitGenome);
-            genomes.insert(id, Genome::new_initial(&cfg, id, &mut rng));
-        }
-        Population {
-            next_genome_id: cfg.population_size as u64,
+        let mut pop = Population {
             cfg,
-            genomes,
+            genomes: BTreeMap::new(),
             species: SpeciesSet::new(),
             generation: 0,
+            next_genome_id: 0,
             master_seed: seed,
             counters: CostCounters::new(),
             best_ever: None,
             extinctions: 0,
-        }
+        };
+        pop.seed();
+        pop
     }
 
     /// The configuration in force.
@@ -362,13 +359,7 @@ impl Population {
     ///
     /// Panics if `children` is empty or contains duplicate ids.
     pub fn install_next_generation(&mut self, children: Vec<Genome>) {
-        assert!(!children.is_empty(), "next generation cannot be empty");
-        let mut map = BTreeMap::new();
-        for child in children {
-            let prev = map.insert(child.id(), child);
-            assert!(prev.is_none(), "duplicate child id");
-        }
-        self.genomes = map;
+        self.replace_genomes(children);
         self.generation += 1;
     }
 
@@ -426,24 +417,37 @@ impl Population {
         self.genomes = map;
     }
 
-    /// Re-seeds a fresh random population after total extinction.
+    /// Re-seeds a fresh random population after total extinction, under
+    /// fresh ids, as [`new`](Self::new) seeds one.
     pub fn reset_population(&mut self) {
         self.extinctions += 1;
-        let mut genomes = BTreeMap::new();
-        for _ in 0..self.cfg.population_size {
-            let id = GenomeId(self.next_genome_id);
-            self.next_genome_id += 1;
-            let mut rng = op_rng(
-                self.master_seed,
-                self.generation + 1,
-                id.0,
-                OpTag::InitGenome,
-            );
-            genomes.insert(id, Genome::new_initial(&self.cfg, id, &mut rng));
-        }
-        self.genomes = genomes;
-        self.species = SpeciesSet::new();
         self.generation += 1;
+        self.seed();
+        self.species = SpeciesSet::new();
+    }
+
+    /// Replaces the genomes with `population_size` initial ones under fresh
+    /// ids, genome `id` from `(master seed, generation, id, InitGenome)`.
+    /// Each is pure in its id, so seeding fans out like breeding ([`fanout`],
+    /// sized by the genes drawn): the same genomes at any core count.
+    fn seed(&mut self) {
+        let wired = !matches!(self.cfg.initial_connection, InitialConnection::Unconnected);
+        let per_genome = self.cfg.num_outputs * (1 + usize::from(wired) * self.cfg.num_inputs);
+        let genes = (self.cfg.population_size * per_genome) as u64;
+        self.seed_over(fanout::workers(genes, fanout::cores));
+    }
+
+    /// [`seed`](Self::seed) on `workers` threads.
+    fn seed_over(&mut self, workers: usize) {
+        let first = self.next_genome_id;
+        self.next_genome_id += self.cfg.population_size as u64;
+        let ids: Vec<GenomeId> = (first..self.next_genome_id).map(GenomeId).collect();
+        let (cfg, seed, generation) = (&self.cfg, self.master_seed, self.generation);
+        let genomes = fanout::fan_out_over(workers, &ids, |&id| {
+            let mut rng = op_rng(seed, generation, id.0, OpTag::InitGenome);
+            Genome::new_initial(cfg, id, &mut rng)
+        });
+        self.genomes = ids.into_iter().zip(genomes).collect();
     }
 
     /// One evolution step after evaluation: `S`, `GP`, then phase `R` as
@@ -816,6 +820,53 @@ mod tests {
                 serial.counters().current(),
                 "{workers} worker(s)"
             );
+        }
+    }
+
+    #[test]
+    fn seeding_is_identical_at_any_worker_count() {
+        use crate::config::InitialConnection as Ic;
+        // The reference: one genome at a time, as seeding always ran.
+        let serial = |cfg: &NeatConfig, generation: u64, first_id: u64| {
+            let mut genomes = BTreeMap::new();
+            for id in (first_id..).take(cfg.population_size).map(GenomeId) {
+                let mut rng = op_rng(15, generation, id.0, OpTag::InitGenome);
+                genomes.insert(id, Genome::new_initial(cfg, id, &mut rng));
+            }
+            genomes
+        };
+        for wiring in [Ic::Full, Ic::Partial(0.5), Ic::Unconnected] {
+            // 31 genomes: no worker count below divides them evenly;
+            // constant fitness and no stagnation allowance force extinction.
+            let cfg = NeatConfig::builder(5, 3)
+                .population_size(31)
+                .initial_connection(wiring)
+                .max_stagnation(0)
+                .species_elitism(0)
+                .reset_on_extinction(true)
+                .build()
+                .unwrap();
+            let fresh = Population::new(cfg.clone(), 15);
+            assert_eq!(fresh.genomes(), &serial(&cfg, 0, 0), "{wiring:?}");
+            let mut pop = fresh.clone();
+            let (generation, first_id) = loop {
+                let before = (pop.generation() + 1, pop.next_genome_id);
+                pop.evaluate(|_, _| 1.0);
+                if pop.advance_generation().extinction {
+                    break before;
+                }
+            };
+            let reseeded = serial(&cfg, generation, first_id);
+            assert_eq!(pop.genomes(), &reseeded, "{wiring:?} re-seeded");
+            for workers in [1, 2, 3, 8] {
+                for (seeded, expected) in [(&fresh, serial(&cfg, 0, 0)), (&pop, reseeded.clone())] {
+                    let mut again = seeded.clone();
+                    again.next_genome_id -= cfg.population_size as u64;
+                    again.seed_over(workers);
+                    assert_eq!(again.genomes, expected, "{wiring:?} at {workers} worker(s)");
+                    assert_eq!(again.next_genome_id, seeded.next_genome_id);
+                }
+            }
         }
     }
 

@@ -79,18 +79,6 @@ impl Species {
         self.adjusted_fitness
     }
 
-    pub(crate) fn set_representative(&mut self, rep: Genome) {
-        self.representative = rep;
-    }
-
-    pub(crate) fn clear_members(&mut self) {
-        self.members.clear();
-    }
-
-    pub(crate) fn push_member(&mut self, id: GenomeId) {
-        self.members.push(id);
-    }
-
     pub(crate) fn record_fitness(&mut self, mean: f64, max: f64, generation: u64) {
         self.fitness = Some(mean);
         if self.best_fitness.is_none_or(|b| max > b) {
@@ -219,13 +207,13 @@ impl SpeciesSet {
             }
         }
         for s in self.species.values_mut() {
-            s.clear_members();
+            s.members.clear();
         }
         for (sid, gid) in adopted {
             let genome = genomes[&gid].clone();
             let s = self.species.get_mut(&sid).expect("species exists");
-            s.set_representative(genome);
-            s.push_member(gid);
+            s.representative = genome;
+            s.members.push(gid);
         }
 
         // Phase 2: assign the rest to the nearest compatible species.
@@ -240,16 +228,14 @@ impl SpeciesSet {
             }
             match best {
                 Some((_, sid)) => {
-                    self.species
-                        .get_mut(&sid)
-                        .expect("species exists")
-                        .push_member(gid);
+                    let s = self.species.get_mut(&sid).expect("species exists");
+                    s.members.push(gid);
                 }
                 None => {
                     let sid = SpeciesId(self.next_id);
                     self.next_id += 1;
                     let mut sp = Species::new(sid, genome.clone(), generation);
-                    sp.push_member(gid);
+                    sp.members.push(gid);
                     self.species.insert(sid, sp);
                 }
             }
