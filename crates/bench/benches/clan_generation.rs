@@ -11,7 +11,7 @@ fn bench_generation(c: &mut Criterion) {
         ("serial", ClanTopology::serial(), 1usize),
         ("dcs", ClanTopology::dcs(), 4),
         ("dds", ClanTopology::dds(), 4),
-        ("dda", ClanTopology::dda(4), 4),
+        ("dda", ClanTopology::dda(), 4),
     ] {
         group.bench_function(BenchmarkId::new("cartpole", name), |b| {
             b.iter(|| {
@@ -32,7 +32,7 @@ fn bench_generation(c: &mut Criterion) {
 }
 
 fn bench_eval_thread_scaling(c: &mut Criterion) {
-    use clan_core::{Evaluator, InferenceMode, Orchestrator, SerialOrchestrator};
+    use clan_core::{EngineOptions, Evaluator, InferenceMode, Orchestrator, SerialOrchestrator};
     use clan_distsim::Cluster;
     use clan_hw::Platform;
     use clan_neat::{NeatConfig, Population};
@@ -54,7 +54,13 @@ fn bench_eval_thread_scaling(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         let mut orchestrator = SerialOrchestrator::new(
             Population::new(cfg.clone(), 7),
-            Evaluator::with_threads(w, InferenceMode::MultiStep, 1, threads),
+            Evaluator::with_options(
+                w,
+                InferenceMode::MultiStep,
+                1,
+                threads,
+                EngineOptions::default(),
+            ),
             Cluster::homogeneous(Platform::raspberry_pi(), 1, WifiModel::default()),
         );
         group.bench_function(BenchmarkId::new("cartpole", threads), |b| {

@@ -43,7 +43,7 @@ fn resync_ablation(sink: &OutputSink) -> io::Result<()> {
         for run in 0..RUNS {
             // The full MAX_GENS run, not until solved: floats/generation
             // divides by MAX_GENS.
-            let mut b = point(Workload::LunarLander, ClanTopology::dda(8), 8)
+            let mut b = point(Workload::LunarLander, ClanTopology::dda(), 8)
                 .episodes_per_eval(3)
                 .seed(BENCH_SEED + 1000 * run);
             if let Some(r) = resync {

@@ -67,7 +67,7 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
                 vec![
                     n.to_string(),
                     fmt(total_time(ClanTopology::dcs(), n, mode, better, pi)),
-                    fmt(total_time(ClanTopology::dda(n), n, mode, better, pi)),
+                    fmt(total_time(ClanTopology::dda(), n, mode, better, pi)),
                 ]
             })
             .collect();
@@ -88,7 +88,7 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
             )
         };
         let dcs = at(ClanTopology::dcs());
-        let dda = at(ClanTopology::dda(n));
+        let dda = at(ClanTopology::dda());
         if dda < dda_best.1 {
             dda_best = (n, dda);
         }
@@ -116,14 +116,14 @@ mod tests {
         let base = WifiModel::default();
         let better = base.scaled(2.0, 2.0);
         let t_base = total_time(
-            ClanTopology::dda(40),
+            ClanTopology::dda(),
             40,
             InferenceMode::MultiStep,
             base,
             PlatformKind::RaspberryPi,
         );
         let t_better = total_time(
-            ClanTopology::dda(40),
+            ClanTopology::dda(),
             40,
             InferenceMode::MultiStep,
             better,
@@ -138,21 +138,21 @@ mod tests {
         // but scaling dies quickly (paper: ~7 nodes max for DDA).
         let base = WifiModel::default();
         let t1 = total_time(
-            ClanTopology::dda(1),
+            ClanTopology::dda(),
             1,
             InferenceMode::MultiStep,
             base,
             PlatformKind::Systolic32x32,
         );
         let t4 = total_time(
-            ClanTopology::dda(4),
+            ClanTopology::dda(),
             4,
             InferenceMode::MultiStep,
             base,
             PlatformKind::Systolic32x32,
         );
         let t70 = total_time(
-            ClanTopology::dda(70),
+            ClanTopology::dda(),
             70,
             InferenceMode::MultiStep,
             base,

@@ -29,7 +29,7 @@ fn serial_run(workload: Workload, platform: PlatformKind) -> (f64, f64) {
 
 /// `(mean s/generation, mean J/generation)` for a CLAN_DDA swarm of `n` Pis.
 fn swarm_run(workload: Workload, n: usize) -> (f64, f64) {
-    time_energy(point(workload, ClanTopology::dda(n), n))
+    time_energy(point(workload, ClanTopology::dda(), n))
 }
 
 /// How many times better `pis` Pis taking `swarm_s` are than one

@@ -40,7 +40,7 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
         for (i, topology) in [
             ClanTopology::dcs(),
             ClanTopology::dds(),
-            ClanTopology::dda(AGENTS),
+            ClanTopology::dda(),
         ]
         .into_iter()
         .enumerate()
@@ -83,7 +83,7 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
     });
 
     // DDA's traffic after initialization is fitness-only.
-    let report = run_config(Workload::CartPole, ClanTopology::dda(AGENTS));
+    let report = run_config(Workload::CartPole, ClanTopology::dda());
     let genome_floats = report.ledger.entry(MessageKind::SendGenomes).floats;
     sink.note(&format!(
         "DDA pays genome transfer only at initialization: {genome_floats} floats total across {GENERATIONS} generations"
@@ -99,7 +99,7 @@ mod tests {
     fn dds_exceeds_dcs_exceeds_dda() {
         let dcs = run_config(Workload::CartPole, ClanTopology::dcs());
         let dds = run_config(Workload::CartPole, ClanTopology::dds());
-        let dda = run_config(Workload::CartPole, ClanTopology::dda(AGENTS));
+        let dda = run_config(Workload::CartPole, ClanTopology::dda());
         assert!(dds.ledger.total_floats() > dcs.ledger.total_floats());
         assert!(dcs.ledger.total_floats() > dda.ledger.total_floats());
     }

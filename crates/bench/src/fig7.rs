@@ -29,15 +29,12 @@ const MAX_GENERATIONS: u64 = 60;
 const ACCURACY_EPISODES: u32 = 3;
 
 fn run_dda(workload: Workload, agents: usize) -> RunReport {
-    run_point(
-        point(workload, ClanTopology::dda(agents), agents),
-        GENERATIONS,
-    )
+    run_point(point(workload, ClanTopology::dda(), agents), GENERATIONS)
 }
 
 /// Generations for one convergence run (capped).
 fn generations_to_converge(clans: usize, seed: u64) -> u64 {
-    point(Workload::LunarLander, ClanTopology::dda(clans), clans)
+    point(Workload::LunarLander, ClanTopology::dda(), clans)
         .episodes_per_eval(ACCURACY_EPISODES)
         .seed(seed)
         .build()

@@ -34,7 +34,7 @@ pub fn run(sink: &OutputSink) -> io::Result<()> {
         for topology in [
             ClanTopology::dcs(),
             ClanTopology::dds(),
-            ClanTopology::dda(AGENTS),
+            ClanTopology::dda(),
         ] {
             let s = shares(workload, topology);
             comm_share.insert((workload.name(), topology.name()), s.communication);
@@ -85,7 +85,7 @@ mod tests {
     fn dda_comm_share_smallest_on_large_workload() {
         let dcs = shares(Workload::AirRaid, ClanTopology::dcs()).communication;
         let dds = shares(Workload::AirRaid, ClanTopology::dds()).communication;
-        let dda = shares(Workload::AirRaid, ClanTopology::dda(AGENTS)).communication;
+        let dda = shares(Workload::AirRaid, ClanTopology::dda()).communication;
         assert!(dda < dcs, "DDA {dda:.2} should beat DCS {dcs:.2}");
         assert!(dda < dds, "DDA {dda:.2} should beat DDS {dds:.2}");
         assert!(dds / dda > 2.0, "DDS/DDA share ratio should be large");

@@ -27,7 +27,7 @@ fn at(kind: &str, agents: usize, mode: InferenceMode) -> (GenerationTimeline, f6
     let topology = if kind == "DCS" {
         ClanTopology::dcs()
     } else {
-        ClanTopology::dda(agents)
+        ClanTopology::dda()
     };
     // Beyond 75 DDA clans a population of 150 leaves clans below the
     // 2-genome minimum; grow the population just enough, mirroring the

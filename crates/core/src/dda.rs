@@ -193,11 +193,9 @@ impl Orchestrator for DdaOrchestrator {
 
         // COMM — one best-fitness scalar per clan for convergence
         // monitoring (clan id + fitness).
-        self.sim.comm(
-            MessageKind::SendFitness,
-            n_agents,
-            (0..n_agents).map(|_| 2u64),
-        );
+        let clans = self.clans.len();
+        self.sim
+            .comm(MessageKind::SendFitness, clans, (0..clans).map(|_| 2u64));
 
         self.generation += 1;
 
@@ -264,6 +262,13 @@ mod tests {
             seed,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn one_clan_per_device() {
+        for agents in 1..=3 {
+            assert_eq!(make(12, agents, 1).clans().len(), agents);
+        }
     }
 
     #[test]

@@ -28,12 +28,12 @@ use crate::report::RunReport;
 use crate::runtime::{AgentSource, EdgeCluster, STREAM_WINDOW};
 use crate::status::{StatusHandle, StatusServer, StatusSnapshot};
 use crate::telemetry::{EventKind, RunTrace, TelemetryReport, Tracer};
-use crate::topology::{ClanTopology, SpeciationMode};
+use crate::topology::ClanTopology;
 use crate::transport::{ChurnSchedule, ClusterSpec, UdpConfig};
 use clan_distsim::Cluster;
 use clan_envs::Workload;
 use clan_hw::{Platform, PlatformKind};
-use clan_neat::{NeatConfig, Population};
+use clan_neat::{fanout, NeatConfig, Population};
 use clan_netsim::{CommLedger, WifiModel};
 use serde::{Deserialize, Serialize};
 
@@ -54,9 +54,6 @@ pub struct DriverConfig {
     pub mode: InferenceMode,
     /// Episodes averaged per genome evaluation.
     pub episodes_per_eval: u32,
-    /// Host threads evaluating genomes in parallel (1 = serial).
-    /// Bit-identical results at any value; only wall-clock time changes.
-    pub eval_threads: usize,
     /// Platform of every cluster node.
     pub platform: PlatformKind,
     /// Wireless medium model.
@@ -342,7 +339,6 @@ impl ClanDriverBuilder {
                 seed: 0,
                 mode: InferenceMode::MultiStep,
                 episodes_per_eval: 1,
-                eval_threads: 1,
                 platform: PlatformKind::RaspberryPi,
                 net: WifiModel::default(),
                 resync_every: None,
@@ -397,17 +393,6 @@ impl ClanDriverBuilder {
     /// Averages each genome's fitness over `n` episodes (default 1).
     pub fn episodes_per_eval(mut self, n: u32) -> Self {
         self.config.episodes_per_eval = n;
-        self
-    }
-
-    /// Evaluates genomes across `n` host threads (default 1 = serial).
-    ///
-    /// Evolutionary results are bit-identical at any thread count — the
-    /// order-independent RNG scheme ties every episode seed to the
-    /// genome, not to execution order — so this only changes wall-clock
-    /// time. `0` is treated as 1.
-    pub fn eval_threads(mut self, n: usize) -> Self {
-        self.config.eval_threads = n.max(1);
         self
     }
 
@@ -588,8 +573,8 @@ impl ClanDriverBuilder {
     /// [`build_async`](Self::build_async): resolves the NEAT
     /// configuration and constructs the evaluator, attaching and
     /// configuring any remote backend (loopback or connected agents,
-    /// TCP or UDP).
-    fn prepare(&self) -> Result<(NeatConfig, Evaluator), ClanError> {
+    /// TCP or UDP); `partitioned` runs evaluate whole generations.
+    fn prepare(&self, partitioned: bool) -> Result<(NeatConfig, Evaluator), ClanError> {
         let c = &self.config;
         if c.n_agents == 0 {
             return Err(ClanError::InvalidSetup {
@@ -628,12 +613,16 @@ impl ClanDriverBuilder {
             .with_episodes(c.episodes_per_eval)
             .with_engine(c.engine);
         // Agents evaluate: the coordinator-side evaluator never activates
-        // networks itself, so extra engines are only built when
-        // evaluation actually stays local.
-        let threads = if self.source.is_some() {
-            1
-        } else {
-            c.eval_threads
+        // networks itself, nor splits an async run's one-genome batches.
+        // A local generational run evaluates on the workers that a fully
+        // wired population's genes repay, by the rule of every
+        // coordinator fan-out: each core for an Atari population, the
+        // calling thread alone for CartPole or LunarLander. Bit-identical
+        // at any count.
+        let genes = cfg.population_size * cfg.num_inputs * cfg.num_outputs;
+        let threads = match self.source {
+            None if partitioned => fanout::workers(genes as u64),
+            _ => 1,
         };
         let evaluator =
             Evaluator::with_options(c.workload, c.mode, c.episodes_per_eval, threads, c.engine);
@@ -717,9 +706,9 @@ impl ClanDriverBuilder {
     ///
     /// # Errors
     ///
-    /// [`ClanError::InvalidSetup`] on inconsistent topology/agents or a
-    /// topology [`orchestrator_for`] rejects, and [`ClanError::Neat`] on
-    /// invalid NEAT configuration.
+    /// [`ClanError::InvalidSetup`] on an async-only option, a
+    /// `resync_every` off DDA or a setup [`orchestrator_for`] rejects,
+    /// and [`ClanError::Neat`] on invalid NEAT configuration.
     pub fn build(self) -> Result<ClanDriver, ClanError> {
         let c = &self.config;
         let async_only = [
@@ -732,12 +721,8 @@ impl ClanDriverBuilder {
         .find_map(|(option, set)| {
             set.then(|| format!("{option} applies to async steady-state runs (build_async) only"))
         });
-        let invalid = match (c.topology.speciation, c.resync_every) {
-            (SpeciationMode::Asynchronous { clans }, _) if clans != c.n_agents => Some(format!(
-                "DDA runs one clan per agent: {clans} clans vs {} agents",
-                c.n_agents
-            )),
-            (SpeciationMode::Synchronous, Some(_)) => Some(format!(
+        let invalid = match c.resync_every {
+            Some(_) if c.topology != ClanTopology::dda() => Some(format!(
                 "resync_every applies to CLAN_DDA only, not {}",
                 c.topology
             )),
@@ -746,7 +731,7 @@ impl ClanDriverBuilder {
         if let Some(reason) = invalid {
             return Err(ClanError::InvalidSetup { reason });
         }
-        let (cfg, mut evaluator) = self.prepare()?;
+        let (cfg, mut evaluator) = self.prepare(true)?;
         let mut config = self.config.clone();
         config.population_size = cfg.population_size;
         let shell = self.shell(
@@ -796,7 +781,7 @@ impl ClanDriverBuilder {
                     .into(),
             });
         }
-        let (cfg, mut evaluator) = self.prepare()?;
+        let (cfg, mut evaluator) = self.prepare(false)?;
         let c = &self.config;
         let is_remote = evaluator.remote_agents() > 0;
         if is_remote && self.latency_ms.is_some() {
@@ -990,19 +975,9 @@ mod tests {
     }
 
     #[test]
-    fn dda_clans_must_match_agents() {
-        let err = ClanDriver::builder(Workload::CartPole)
-            .topology(ClanTopology::dda(4))
-            .agents(3)
-            .population_size(16)
-            .build();
-        assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
-    }
-
-    #[test]
     fn zero_resync_interval_is_a_typed_error() {
         let err = ClanDriver::builder(Workload::CartPole)
-            .topology(ClanTopology::dda(2))
+            .topology(ClanTopology::dda())
             .agents(2)
             .population_size(16)
             .resync_every(0)
@@ -1314,7 +1289,7 @@ mod tests {
             build(builder.clone().latency_jitter_pct(20)),
             "latency_jitter_pct",
         );
-        let dda = builder.topology(ClanTopology::dda(1)).resync_every(2);
+        let dda = builder.topology(ClanTopology::dda()).resync_every(2);
         rejected(dda.build_async().map(drop), "resync_every");
     }
 
@@ -1399,16 +1374,11 @@ mod tests {
             ClanTopology::serial(),
             ClanTopology::dcs(),
             ClanTopology::dds(),
-            ClanTopology::dda(2),
+            ClanTopology::dda(),
         ] {
-            let agents = topo.clan_count().max(2);
             let report = ClanDriver::builder(Workload::MountainCar)
                 .topology(topo)
-                .agents(if topo == ClanTopology::serial() {
-                    1
-                } else {
-                    agents
-                })
+                .agents(if topo == ClanTopology::serial() { 1 } else { 2 })
                 .population_size(12)
                 .seed(4)
                 .build()
@@ -1420,29 +1390,40 @@ mod tests {
     }
 
     #[test]
-    fn only_the_four_paper_topologies_build() {
-        use crate::topology::Placement::{Central as C, Distributed as D};
-        let (sync, clans) = (
-            SpeciationMode::Synchronous,
-            SpeciationMode::Asynchronous { clans: 2 },
-        );
-        for (inference, reproduction, speciation) in
-            [(C, D, sync), (C, C, clans), (C, D, clans), (D, C, clans)]
-        {
-            let topology = ClanTopology {
-                inference,
-                reproduction,
-                speciation,
-            };
-            let err = ClanDriver::builder(Workload::CartPole)
-                .topology(topology)
-                .agents(2)
-                .population_size(16)
-                .build();
-            assert!(
-                matches!(err, Err(ClanError::InvalidSetup { .. })),
-                "{topology} must not build"
-            );
+    fn dda_evolves_one_clan_per_agent() {
+        // Every clan reports its best fitness to the center once a
+        // generation (booked per clan), so the report count is the clan
+        // count.
+        const GENERATIONS: u64 = 2;
+        for agents in 1..=3 {
+            let report = ClanDriver::builder(Workload::CartPole)
+                .topology(ClanTopology::dda())
+                .agents(agents)
+                .population_size(12)
+                .seed(3)
+                .build()
+                .unwrap()
+                .run(GENERATIONS)
+                .unwrap();
+            let fitness = report.ledger.entry(clan_netsim::MessageKind::SendFitness);
+            assert_eq!(fitness.messages, agents as u64 * GENERATIONS, "{agents}");
         }
+    }
+
+    #[test]
+    fn local_evaluation_threads_follow_the_population_genes() {
+        let threads = |w: Workload, partitioned| {
+            let builder = ClanDriver::builder(w).population_size(150);
+            format!("{:?}", builder.prepare(partitioned).unwrap().1)
+        };
+        // 150 × 4 × 2 and 150 × 8 × 4 genes stay under two floors.
+        for w in [Workload::CartPole, Workload::LunarLander] {
+            assert!(threads(w, true).contains("threads: 1,"), "{w}");
+        }
+        // 150 × 128 × 18 genes repay ten workers, capped by the cores;
+        // an async run evaluates one genome at a time.
+        let alien = format!("threads: {},", fanout::workers(10 * fanout::GENE_FLOOR));
+        assert!(threads(Workload::Alien, true).contains(&alien));
+        assert!(threads(Workload::Alien, false).contains("threads: 1,"));
     }
 }

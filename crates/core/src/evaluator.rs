@@ -11,7 +11,7 @@ use crate::runtime::EdgeCluster;
 use crate::transport::WireEvaluation;
 use clan_envs::{run_episode, Environment, Workload};
 use clan_neat::cache::CachedEvaluation;
-use clan_neat::fanout::{cores, fan_out};
+use clan_neat::fanout::fan_out;
 use clan_neat::population::Evaluation;
 use clan_neat::rng::{derive_seed, OpTag};
 use clan_neat::{
@@ -172,10 +172,12 @@ struct Engine {
 /// Evaluates genomes on one workload: the content-addressed fitness
 /// cache in front of one engine per evaluation thread.
 ///
-/// Constructed with [`with_threads`](Evaluator::with_threads), the
-/// orchestrators' partitioned evaluation runs each generation's cache
-/// misses on that many scoped threads (the caller's included), still
-/// bit-identical to the one-thread path.
+/// Constructed with several threads by
+/// [`with_options`](Evaluator::with_options) (a driver with no agents
+/// asks for the cores its population's genes repay), the orchestrators'
+/// partitioned evaluation runs each generation's cache misses on that
+/// many scoped threads (the caller's included), still bit-identical to
+/// the one-thread path.
 ///
 /// Attached to an [`EdgeCluster`] with
 /// [`with_remote`](Evaluator::with_remote), the evaluator instead ships
@@ -186,7 +188,7 @@ struct Engine {
 pub struct Evaluator {
     /// The calling thread's engine.
     engine: Engine,
-    /// One more engine per extra `--eval-threads` thread.
+    /// One more engine per extra evaluation thread.
     extra: Vec<Engine>,
     cache: Option<FitnessCache>,
     remote: Option<EdgeCluster>,
@@ -201,7 +203,7 @@ impl std::fmt::Debug for Evaluator {
         f.debug_struct("Evaluator")
             .field("workload", &self.engine.workload)
             .field("mode", &self.engine.mode)
-            .field("eval_threads", &self.eval_threads())
+            .field("threads", &(1 + self.extra.len()))
             .finish_non_exhaustive()
     }
 }
@@ -223,22 +225,6 @@ impl Evaluator {
     /// Panics if `episodes` is zero.
     pub fn with_episodes(workload: Workload, mode: InferenceMode, episodes: u32) -> Evaluator {
         Evaluator::with_options(workload, mode, episodes, 1, EngineOptions::default())
-    }
-
-    /// Creates an evaluator that evaluates on `threads` threads, the
-    /// caller's included (`<= 1`: the caller's alone). Results are
-    /// bit-identical to the serial evaluator at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `episodes` is zero.
-    pub fn with_threads(
-        workload: Workload,
-        mode: InferenceMode,
-        episodes: u32,
-        threads: usize,
-    ) -> Evaluator {
-        Evaluator::with_options(workload, mode, episodes, threads, EngineOptions::default())
     }
 
     /// The general constructor: episodes, evaluation threads, and
@@ -300,12 +286,6 @@ impl Evaluator {
     /// The installed telemetry handle (disabled by default).
     pub fn tracer(&self) -> &crate::telemetry::Tracer {
         &self.tracer
-    }
-
-    /// Threads a local evaluation may run on (1 = the caller's alone);
-    /// a generation spawns no more than it has misses and cores.
-    pub fn eval_threads(&self) -> usize {
-        1 + self.extra.len()
     }
 
     /// Mutable access to the attached agent cluster: how the
@@ -436,16 +416,11 @@ impl Evaluator {
     /// the misses — borrowed, never cloned — run as contiguous id-ordered
     /// chunks, one per engine on scoped threads (the caller takes the
     /// first), and concatenate back in genome-id order. A spare engine
-    /// stays idle rather than spawn a thread with no miss or no core of
-    /// its own.
+    /// stays idle rather than spawn a thread with no miss of its own.
     pub(crate) fn evaluate_population_local(&mut self, pop: &Population) -> Vec<WireEvaluation> {
         let master_seed = pop.master_seed();
         let (filter, misses) = CacheFilter::split_population(self.cache.as_mut(), pop);
-        let spawn = self
-            .extra
-            .len()
-            .min(misses.len().saturating_sub(1))
-            .min(cores().saturating_sub(1));
+        let spawn = self.extra.len().min(misses.len().saturating_sub(1));
         let mut chunks = misses.chunks(misses.len().div_ceil(1 + spawn).max(1));
         let own = chunks.next().unwrap_or_default();
         let fresh = std::thread::scope(|s| {
@@ -714,7 +689,7 @@ mod tests {
         let on = |threads| {
             let mut ev =
                 Evaluator::with_options(workload, InferenceMode::MultiStep, 3, threads, uncached);
-            assert_eq!(ev.eval_threads(), threads.max(1));
+            assert_eq!(1 + ev.extra.len(), threads.max(1));
             (
                 ev.evaluate_population_local(&pop),
                 ev.evaluate_population_local(&pop),

@@ -15,8 +15,8 @@
 //! synchronous `I → S → GP → R` step whose inference and reproduction are
 //! placed by the `I R` letters ([`SerialOrchestrator`], [`DcsOrchestrator`]
 //! and [`DdsOrchestrator`] are its three placements); [`dda`] runs
-//! per-clan generations. [`orchestrator_for`] maps a [`ClanTopology`] to
-//! one and rejects every combination the paper does not define. Both run
+//! per-clan generations, one clan per device. [`orchestrator_for`] maps a
+//! [`ClanTopology`] — which names only those four — to one. Both run
 //! the *real* NEAT algorithm (from `clan-neat`) on real environments (from
 //! `clan-envs`) while simultaneously accounting:
 //!
@@ -35,14 +35,14 @@
 //! implements the paper's Figure-1 closed loop: deploy an expert, watch
 //! its fitness, re-learn when the environment shifts.
 //!
-//! Inference — the dominant compute block — can additionally run on
-//! several host threads ([`ClanDriverBuilder::eval_threads`] or
-//! `clan-cli --eval-threads N`: a contiguous chunk of the generation's
-//! cache misses each); the order-independent RNG discipline makes that
-//! bit-identical to the serial path. The
-//! centre's own serial sections — central reproduction, content-hashing a
-//! population for the cache — use its cores unasked, sized by the work
-//! ([`clan_neat::fanout`]), with the same bit-identity.
+//! Inference — the dominant compute block — runs on the host's cores
+//! when a driver has no agents (a contiguous chunk of the generation's
+//! cache misses each), as many as the population's genes repay; the
+//! order-independent RNG discipline makes that bit-identical to the
+//! serial path. The centre's own serial sections — central reproduction,
+//! content-hashing a population for the cache — use its cores unasked,
+//! sized by the same rule ([`clan_neat::fanout`]), with the same
+//! bit-identity.
 //!
 //! # Distributed runtime
 //!
@@ -337,5 +337,5 @@ pub use report::RunReport;
 pub use runtime::{EdgeCluster, GatherStats, StreamCompletion, STREAM_WINDOW};
 pub use status::{StatusHandle, StatusServer, StatusSnapshot};
 pub use telemetry::{Determinism, EventKind, RunTrace, TelemetryReport, TraceEvent, Tracer};
-pub use topology::{ClanTopology, Placement, SpeciationMode};
+pub use topology::ClanTopology;
 pub use transport::{ClusterSpec, Transport};

@@ -11,7 +11,7 @@ use crate::error::ClanError;
 use crate::evaluator::Evaluator;
 use crate::generational::{DcsOrchestrator, DdsOrchestrator, SerialOrchestrator};
 use crate::telemetry::{EventKind, Tracer};
-use crate::topology::{ClanTopology, Placement, SpeciationMode};
+use crate::topology::{ClanTopology, Paper};
 use clan_distsim::{Cluster, GenerationTimeline, TimelineRecorder};
 use clan_neat::counters::GenerationCosts;
 use clan_neat::population::GenerationSummary;
@@ -94,13 +94,13 @@ pub trait Orchestrator {
 
 /// Builds the orchestrator implementing `topology`: a fresh population
 /// from `(cfg, seed)` evolved over the simulated `cluster`, inference
-/// running through `evaluator`. `resync_every` applies to DDA only.
+/// running through `evaluator`. DDA evolves one clan per device of
+/// `cluster`; `resync_every` applies to DDA only.
 ///
 /// # Errors
 ///
-/// [`ClanError::InvalidSetup`] on any topology but the paper's four
-/// (Serial, DCS, DDS, DDA), `resync_every` off DDA, DDA clans below two
-/// genomes, or a zero resync interval.
+/// [`ClanError::InvalidSetup`] on `resync_every` off DDA, DDA clans
+/// below two genomes, or a zero resync interval.
 pub fn orchestrator_for(
     topology: ClanTopology,
     cfg: NeatConfig,
@@ -109,41 +109,33 @@ pub fn orchestrator_for(
     cluster: Cluster,
     resync_every: Option<u64>,
 ) -> Result<Box<dyn Orchestrator>, ClanError> {
-    use Placement::{Central as C, Distributed as D};
-    use SpeciationMode::{Asynchronous, Synchronous};
-    let orchestrator: Box<dyn Orchestrator> = match (
-        topology.inference,
-        topology.reproduction,
-        topology.speciation,
-        resync_every,
-    ) {
-        (C, C, Synchronous, None) => Box::new(SerialOrchestrator::new(
-            Population::new(cfg, seed),
-            evaluator,
-            cluster,
-        )),
-        (D, C, Synchronous, None) => Box::new(DcsOrchestrator::new(
-            Population::new(cfg, seed),
-            evaluator,
-            cluster,
-        )),
-        (D, D, Synchronous, None) => Box::new(DdsOrchestrator::new(
-            Population::new(cfg, seed),
-            evaluator,
-            cluster,
-        )),
-        (D, D, Asynchronous { .. }, resync) => {
+    let orchestrator: Box<dyn Orchestrator> = match (topology.0, resync_every) {
+        (Paper::Dda, resync) => {
             let dda = DdaOrchestrator::new(cfg, evaluator, cluster, seed)?;
             match resync {
                 Some(r) => Box::new(dda.with_resync_every(r)?),
                 None => Box::new(dda),
             }
         }
-        _ => {
-            let reason =
-                format!("{topology} (resync_every {resync_every:?}) is no paper configuration");
+        (_, Some(_)) => {
+            let reason = format!("resync_every applies to CLAN_DDA only, not {topology}");
             return Err(ClanError::InvalidSetup { reason });
         }
+        (Paper::Serial, None) => Box::new(SerialOrchestrator::new(
+            Population::new(cfg, seed),
+            evaluator,
+            cluster,
+        )),
+        (Paper::Dcs, None) => Box::new(DcsOrchestrator::new(
+            Population::new(cfg, seed),
+            evaluator,
+            cluster,
+        )),
+        (Paper::Dds, None) => Box::new(DdsOrchestrator::new(
+            Population::new(cfg, seed),
+            evaluator,
+            cluster,
+        )),
     };
     Ok(orchestrator)
 }
@@ -196,9 +188,8 @@ impl Testbed {
 /// Figure-3 style accounting stays correct no matter which configuration
 /// ran the inference.
 ///
-/// When the evaluator runs several threads
-/// ([`Evaluator::with_threads`](crate::Evaluator::with_threads)) — or a
-/// real agent cluster attached with
+/// When the evaluator runs several threads — a local driver run uses
+/// the cores its population's genes repay — or a real agent cluster attached with
 /// [`Evaluator::with_remote`](crate::Evaluator::with_remote) — the
 /// per-genome evaluations are computed across those workers first and
 /// then recorded in genome-id order, so fitness, `CostCounters`, and the

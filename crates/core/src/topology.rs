@@ -4,115 +4,65 @@
 //! > `CLAN_<IRS>` for Inference, Reproduction and Speciation respectively
 //! > where I, R can be Distributed (D) or Central (C) and S can be
 //! > Synchronous (S) or Asynchronous (A)."
+//!
+//! The paper runs four of those configurations, and only they can be
+//! named: [`ClanTopology::serial`], [`dcs`](ClanTopology::dcs),
+//! [`dds`](ClanTopology::dds) and [`dda`](ClanTopology::dda).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Where a compute block runs.
+/// The paper's four configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Placement {
-    /// On the central node only.
-    Central,
-    /// Partitioned across agents.
-    Distributed,
+pub(crate) enum Paper {
+    /// Everything on the central node.
+    Serial,
+    /// Distributed inference; central reproduction and speciation.
+    Dcs,
+    /// Distributed inference and reproduction; central speciation.
+    Dds,
+    /// Distributed inference and reproduction; asynchronous speciation,
+    /// one clan per device of the cluster.
+    Dda,
 }
 
-/// How speciation is performed.
+/// A full CLAN configuration: one of the paper's four.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SpeciationMode {
-    /// One global speciation over the whole population (requires every
-    /// genome at the center).
-    Synchronous,
-    /// Independent speciation on per-agent clans (the paper's
-    /// Asynchronous Speciation / Asynchronous NeuroEvolution).
-    Asynchronous {
-        /// Number of independent clans (one per agent in the paper).
-        clans: usize,
-    },
-}
-
-/// A full CLAN configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ClanTopology {
-    /// Placement of the inference block.
-    pub inference: Placement,
-    /// Placement of the reproduction block.
-    pub reproduction: Placement,
-    /// Speciation mode.
-    pub speciation: SpeciationMode,
-}
+pub struct ClanTopology(pub(crate) Paper);
 
 impl ClanTopology {
     /// The serial baseline: everything on one node.
     pub fn serial() -> ClanTopology {
-        ClanTopology {
-            inference: Placement::Central,
-            reproduction: Placement::Central,
-            speciation: SpeciationMode::Synchronous,
-        }
+        ClanTopology(Paper::Serial)
     }
 
     /// `CLAN_DCS`: distributed inference, central reproduction,
     /// synchronous speciation.
     pub fn dcs() -> ClanTopology {
-        ClanTopology {
-            inference: Placement::Distributed,
-            reproduction: Placement::Central,
-            speciation: SpeciationMode::Synchronous,
-        }
+        ClanTopology(Paper::Dcs)
     }
 
     /// `CLAN_DDS`: distributed inference and reproduction, synchronous
     /// speciation.
     pub fn dds() -> ClanTopology {
-        ClanTopology {
-            inference: Placement::Distributed,
-            reproduction: Placement::Distributed,
-            speciation: SpeciationMode::Synchronous,
-        }
+        ClanTopology(Paper::Dds)
     }
 
     /// `CLAN_DDA`: distributed inference and reproduction, asynchronous
-    /// speciation over `clans` independent clans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clans` is zero.
-    pub fn dda(clans: usize) -> ClanTopology {
-        assert!(clans > 0, "DDA needs at least one clan");
-        ClanTopology {
-            inference: Placement::Distributed,
-            reproduction: Placement::Distributed,
-            speciation: SpeciationMode::Asynchronous { clans },
-        }
+    /// speciation — one independent clan per device of the cluster.
+    pub fn dda() -> ClanTopology {
+        ClanTopology(Paper::Dda)
     }
 
     /// The paper's name for this configuration.
     pub fn name(&self) -> String {
-        if *self == ClanTopology::serial() {
-            return "Serial".to_string();
+        match self.0 {
+            Paper::Serial => "Serial",
+            Paper::Dcs => "CLAN_DCS",
+            Paper::Dds => "CLAN_DDS",
+            Paper::Dda => "CLAN_DDA",
         }
-        let i = match self.inference {
-            Placement::Central => 'C',
-            Placement::Distributed => 'D',
-        };
-        let r = match self.reproduction {
-            Placement::Central => 'C',
-            Placement::Distributed => 'D',
-        };
-        let s = match self.speciation {
-            SpeciationMode::Synchronous => 'S',
-            SpeciationMode::Asynchronous { .. } => 'A',
-        };
-        format!("CLAN_{i}{r}{s}")
-    }
-
-    /// Number of clans (1 unless asynchronous).
-    pub fn clan_count(&self) -> usize {
-        match self.speciation {
-            SpeciationMode::Synchronous => 1,
-            SpeciationMode::Asynchronous { clans } => clans,
-        }
+        .to_string()
     }
 }
 
@@ -131,19 +81,6 @@ mod tests {
         assert_eq!(ClanTopology::serial().name(), "Serial");
         assert_eq!(ClanTopology::dcs().name(), "CLAN_DCS");
         assert_eq!(ClanTopology::dds().name(), "CLAN_DDS");
-        assert_eq!(ClanTopology::dda(8).name(), "CLAN_DDA");
-    }
-
-    #[test]
-    fn clan_counts() {
-        assert_eq!(ClanTopology::serial().clan_count(), 1);
-        assert_eq!(ClanTopology::dds().clan_count(), 1);
-        assert_eq!(ClanTopology::dda(16).clan_count(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one clan")]
-    fn zero_clans_rejected() {
-        ClanTopology::dda(0);
+        assert_eq!(ClanTopology::dda().name(), "CLAN_DDA");
     }
 }

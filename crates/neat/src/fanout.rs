@@ -12,14 +12,14 @@
 /// Below two floors (a LunarLander population: 5–9 k genes) none is spawned.
 pub const GENE_FLOOR: u64 = 32_768;
 
-/// This machine's core count, as far as the process may use it.
-pub fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
+/// Workers — the calling thread included — that `genes` of work repays;
+/// the core count is only asked once the work clears the floor.
+pub fn workers(genes: u64) -> usize {
+    let cores = || std::thread::available_parallelism().map_or(1, usize::from);
+    workers_of(genes, cores)
 }
 
-/// Workers — the calling thread included — for `genes` of work;
-/// `cores` is only asked once the work clears the floor.
-pub(crate) fn workers(genes: u64, cores: impl FnOnce() -> usize) -> usize {
+fn workers_of(genes: u64, cores: impl FnOnce() -> usize) -> usize {
     match usize::try_from(genes / GENE_FLOOR).unwrap_or(usize::MAX) {
         0 | 1 => 1,
         by_work => by_work.min(cores()).max(1),
@@ -29,7 +29,7 @@ pub(crate) fn workers(genes: u64, cores: impl FnOnce() -> usize) -> usize {
 /// Maps `f` over `items` (about `genes` genes of work), in input order,
 /// on the cores that justifies; a panic in `f` resumes on the caller.
 pub fn fan_out<T: Sync, R: Send>(items: &[T], genes: u64, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    fan_out_over(workers(genes, cores), items, f)
+    fan_out_over(workers(genes), items, f)
 }
 
 /// [`fan_out`] at an explicit worker count (`<= 1` spawns nothing).
@@ -79,13 +79,13 @@ mod tests {
         // One worker is the calling thread: zero threads spawned, and
         // below the floor the OS is not even asked for its core count.
         let no_cores = || -> usize { panic!("core count queried below the floor") };
-        assert_eq!(workers(0, no_cores), 1);
-        assert_eq!(workers(2 * GENE_FLOOR - 1, no_cores), 1);
-        assert_eq!(workers(2 * GENE_FLOOR, || 8), 2);
-        assert_eq!(workers(10 * GENE_FLOOR, || 1), 1);
-        assert_eq!(workers(10 * GENE_FLOOR, || 0), 1);
-        assert_eq!(workers(10 * GENE_FLOOR, || 4), 4);
-        assert_eq!(workers(u64::MAX, || 64), 64);
+        assert_eq!(workers_of(0, no_cores), 1);
+        assert_eq!(workers_of(2 * GENE_FLOOR - 1, no_cores), 1);
+        assert_eq!(workers_of(2 * GENE_FLOOR, || 8), 2);
+        assert_eq!(workers_of(10 * GENE_FLOOR, || 1), 1);
+        assert_eq!(workers_of(10 * GENE_FLOOR, || 0), 1);
+        assert_eq!(workers_of(10 * GENE_FLOOR, || 4), 4);
+        assert_eq!(workers_of(u64::MAX, || 64), 64);
         // The calling thread is the only one that ever runs `f` there.
         let caller = std::thread::current().id();
         let ran_on = fan_out(&[1, 2, 3], 2 * GENE_FLOOR - 1, |_| {

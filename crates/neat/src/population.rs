@@ -340,7 +340,7 @@ impl Population {
     /// charges the cost in plan order: bit-identical at any core count.
     pub fn reproduce_centrally(&mut self, plan: &GenerationPlan) -> Vec<Genome> {
         let genes = self.genomes.values().map(Genome::num_genes).sum();
-        self.reproduce_over(fanout::workers(genes, fanout::cores), plan)
+        self.reproduce_over(fanout::workers(genes), plan)
     }
 
     /// [`reproduce_centrally`](Self::reproduce_centrally) on `workers` threads.
@@ -434,7 +434,7 @@ impl Population {
         let wired = !matches!(self.cfg.initial_connection, InitialConnection::Unconnected);
         let per_genome = self.cfg.num_outputs * (1 + usize::from(wired) * self.cfg.num_inputs);
         let genes = (self.cfg.population_size * per_genome) as u64;
-        self.seed_over(fanout::workers(genes, fanout::cores));
+        self.seed_over(fanout::workers(genes));
     }
 
     /// [`seed`](Self::seed) on `workers` threads.

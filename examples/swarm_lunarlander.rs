@@ -42,7 +42,7 @@ fn main() {
         serial,
         run(ClanTopology::dcs()),
         run(ClanTopology::dds()),
-        run(ClanTopology::dda(AGENTS)),
+        run(ClanTopology::dda()),
     ];
 
     println!(

@@ -15,10 +15,15 @@
 use clan::core::telemetry::{to_chrome_json, to_jsonl, Tracer};
 use clan::core::transport::agent::AgentServer;
 use clan::core::transport::{ChurnSchedule, FaultConfig, UdpConfig};
-use clan::core::{ClanDriver, ClanDriverBuilder, ClanError, ClanTopology, RunReport, RunTrace};
+use clan::core::{
+    ClanDriver, ClanDriverBuilder, ClanError, ClanTopology, Evaluator, InferenceMode, Orchestrator,
+    RunReport, RunTrace, SerialOrchestrator,
+};
+use clan::distsim::Cluster;
 use clan::envs::Workload;
-use clan::hw::PlatformKind;
-use clan::neat::{genome_to_dot, FeedForwardNetwork, NeatConfig, Population, Scratch};
+use clan::hw::{Platform, PlatformKind};
+use clan::neat::{genome_to_dot, Genome, NeatConfig, Population};
+use clan::netsim::WifiModel;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -78,7 +83,7 @@ const EVOLVE: &[Flag] = &[
 const GENERATIONS: &[Flag] = &[("--generations", "N", "")];
 const SOLVE: &[Flag] = &[("--max-generations", "N", "")];
 /// Simulated agents, evaluated on this host's threads.
-const LOCAL: &[Flag] = &[("--agents", "N", ""), ("--eval-threads", "N", "")];
+const LOCAL: &[Flag] = &[("--agents", "N", "")];
 const ASYNC: &[Flag] = &[
     ("--async", "", ""),
     ("--total-evals", "N", "--async"),
@@ -154,17 +159,18 @@ fails a round left with fewer live agents. `export-champion` writes the
 champion to --out and --out.json; `list` names workloads and platforms.
 
 DEFAULTS: workload=cartpole topology=serial (coordinate: dcs) agents=1
-          generations=5 population=150 seed=0 platform=pi eval-threads=1
+          generations=5 population=150 seed=0 platform=pi
 
---eval-threads N evaluates each generation on N host threads and
---no-cache turns off the fitness cache; neither changes the result.
+A run without agents evaluates on the cores its population's genes
+repay (an Atari population: every core); --no-cache turns off the fitness
+cache. Neither changes the result. DDA evolves one clan per agent.
 
 --trace FILE records a JSONL trace whose logical stream is identical per
-seed across serial, TCP, lossy UDP and churned runs; --trace-chrome FILE
-writes it as Chrome trace-event JSON, one track per agent. Analyze either
-with `clan-trace`. --trace-ring N keeps only the last N events and dumps
-them to --postmortem FILE (default clan-postmortem.jsonl) if the run
-fails. --status-addr ADDR serves /health, /progress and /metrics (each
+seed across serial, TCP, lossy UDP and churned runs; analyze it with
+`clan-trace`. --trace-chrome FILE writes it as Chrome trace-event JSON, one
+track per agent, for Perfetto. --trace-ring N keeps only the last N events
+and dumps them to --postmortem FILE (default clan-postmortem.jsonl) if the
+run fails. --status-addr ADDR serves /health, /progress and /metrics (each
 agent's row and the run's totals, traced or not) over HTTP, per generation.
 
 --async evolves without barriers: each finished evaluation breeds a
@@ -359,7 +365,7 @@ fn build_driver(args: &Args, agents: usize, on_agents: bool) -> Result<ClanDrive
         "serial" => ClanTopology::serial(),
         "dcs" => ClanTopology::dcs(),
         "dds" => ClanTopology::dds(),
-        "dda" => ClanTopology::dda(agents.max(1)),
+        "dda" => ClanTopology::dda(),
         other => return Err(usage(format!("unknown --topology `{other}`"))),
     };
     let workload = args.get_with("--workload", parse_workload)?;
@@ -370,7 +376,6 @@ fn build_driver(args: &Args, agents: usize, on_agents: bool) -> Result<ClanDrive
         .population_size(args.get("--population")?.unwrap_or(150))
         .seed(args.get("--seed")?.unwrap_or(0))
         .episodes_per_eval(args.get("--episodes")?.unwrap_or(1))
-        .eval_threads(args.get("--eval-threads")?.unwrap_or(1))
         .platform(platform.unwrap_or(PlatformKind::RaspberryPi))
         .fitness_cache(!args.has("--no-cache"))
         .tracing(args.has("--trace") || args.has("--trace-chrome"));
@@ -651,41 +656,35 @@ fn cmd_coordinate(args: &Args) -> Result<(), Failure> {
 fn cmd_export(args: &Args) -> Result<(), Failure> {
     let workload = args.get_with("--workload", parse_workload)?;
     let workload = workload.unwrap_or(Workload::CartPole);
-    let generations: u64 = args.get("--generations")?.unwrap_or(10);
-    let seed: u64 = args.get("--seed")?.unwrap_or(0);
-    let population = args.get("--population")?.unwrap_or(96);
-    let out = args.text("--out").unwrap_or("champion.dot");
-
     let cfg = NeatConfig::builder(workload.obs_dim(), workload.n_actions())
-        .population_size(population)
+        .population_size(args.get("--population")?.unwrap_or(96))
         .build()
         .map_err(|e| e.to_string())?;
-    let mut pop = Population::new(cfg.clone(), seed);
-    let mut env = workload.make();
-    let mut scratch = Scratch::new();
-    for _ in 0..generations {
-        pop.evaluate(|net: &FeedForwardNetwork, genome| {
-            let outcome = clan::envs::run_episode(env.as_mut(), genome.id().0, 200, |obs| {
-                net.act_argmax_with(obs, &mut scratch)
-            });
-            clan::neat::population::Evaluation {
-                fitness: outcome.total_reward,
-                activations: outcome.steps,
-            }
-        });
-        pop.advance_generation();
-    }
-    let champion = pop
-        .best_ever()
-        .ok_or_else(|| "no champion evolved (zero generations?)".to_string())?;
-    std::fs::write(out, genome_to_dot(champion, &cfg)).map_err(|e| e.to_string())?;
+    let (seed, generations) = (args.get("--seed")?, args.get("--generations")?);
+    let champion = champion(workload, &cfg, seed.unwrap_or(0), generations.unwrap_or(10))?;
+    let out = args.text("--out").unwrap_or("champion.dot");
+    std::fs::write(out, genome_to_dot(&champion, &cfg)).map_err(|e| e.to_string())?;
     let json_path = format!("{out}.json");
-    clan::neat::checkpoint::save_genome(champion, &json_path).map_err(|e| e.to_string())?;
+    clan::neat::checkpoint::save_genome(&champion, &json_path).map_err(|e| e.to_string())?;
     println!(
         "champion (fitness {:.1}) written to {out} (render with `dot -Tpng`) and {json_path}",
         champion.fitness().unwrap_or(f64::NAN)
     );
     Ok(())
+}
+
+/// The best genome of the serial run `clan-cli run` makes with the same
+/// seed and `generations`.
+fn champion(w: Workload, cfg: &NeatConfig, seed: u64, generations: u64) -> Result<Genome, String> {
+    let cluster = Cluster::homogeneous(Platform::raspberry_pi(), 1, WifiModel::default());
+    let pop = Population::new(cfg.clone(), seed);
+    let mut run =
+        SerialOrchestrator::new(pop, Evaluator::new(w, InferenceMode::MultiStep), cluster);
+    for _ in 0..generations {
+        run.step_generation().map_err(|e| e.to_string())?;
+    }
+    let champion = run.best_ever().cloned();
+    champion.ok_or_else(|| "no champion evolved (zero generations?)".into())
 }
 
 fn cmd_list(_: &Args) -> Result<(), Failure> {
@@ -866,6 +865,16 @@ mod tests {
     }
 
     #[test]
+    fn removed_eval_threads_flag_is_a_usage_error() {
+        // A run without agents derives its evaluation threads.
+        for command in ["run", "solve", "coordinate"] {
+            let msg = misuse(&[command, "--eval-threads", "4"]);
+            assert!(msg.contains("--eval-threads"), "{msg}");
+        }
+        accepted(&["coordinate", "--loopback", "2"]);
+    }
+
+    #[test]
     fn status_addr_on_agent_is_a_usage_error() {
         let msg = misuse(&["agent", "--status-addr", "127.0.0.1:0"]);
         assert!(msg.contains("--status-addr"), "{msg}");
@@ -874,12 +883,26 @@ mod tests {
     }
 
     #[test]
-    fn eval_threads_on_coordinate_is_a_usage_error() {
-        let msg = misuse(&["coordinate", "--loopback", "2", "--eval-threads", "4"]);
-        assert!(msg.contains("--eval-threads"), "{msg}");
-        accepted(&["run", "--eval-threads", "4"]);
-        accepted(&["solve", "--eval-threads", "4"]);
-        accepted(&["coordinate", "--loopback", "2"]);
+    fn exported_champion_is_the_one_run_evolves() {
+        for (workload, population, seed, generations) in [
+            (Workload::CartPole, 24, 5, 3),
+            (Workload::MountainCar, 16, 2, 2),
+        ] {
+            let cfg = NeatConfig::builder(workload.obs_dim(), workload.n_actions())
+                .population_size(population)
+                .build()
+                .unwrap();
+            let exported = champion(workload, &cfg, seed, generations).unwrap();
+            let run = ClanDriver::builder(workload)
+                .population_size(population)
+                .seed(seed)
+                .build()
+                .unwrap()
+                .run(generations)
+                .unwrap();
+            let fitness = exported.fitness().unwrap();
+            assert_eq!(fitness.to_bits(), run.best_fitness.to_bits(), "{workload}");
+        }
     }
 
     #[test]

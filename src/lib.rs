@@ -26,7 +26,7 @@
 //! use clan::envs::Workload;
 //!
 //! let driver = ClanDriver::builder(Workload::CartPole)
-//!     .topology(ClanTopology::dda(4))
+//!     .topology(ClanTopology::dda())
 //!     .agents(4)
 //!     .population_size(32)
 //!     .seed(7)

@@ -46,13 +46,13 @@ pub fn neat_cfg(w: Workload) -> NeatConfig {
         .expect("valid config")
 }
 
-/// The four paper configurations over a simulated `agents`-device cluster.
-pub fn topologies(agents: usize) -> [ClanTopology; 4] {
+/// The four paper configurations.
+pub fn topologies() -> [ClanTopology; 4] {
     [
         ClanTopology::serial(),
         ClanTopology::dcs(),
         ClanTopology::dds(),
-        ClanTopology::dda(agents),
+        ClanTopology::dda(),
     ]
 }
 
@@ -178,7 +178,7 @@ fn check_rows_sum_to_the_totals(cell: &str, evaluator: &Evaluator) {
 /// Where and how a row's inference runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Condition {
-    /// Locally on `n` host threads (`--eval-threads n`).
+    /// Locally on `n` host threads.
     Threads(usize),
     /// Locally with the fitness cache on or off.
     Engine { cache: bool },
@@ -422,7 +422,7 @@ pub fn check(name: &str) {
     let subject_caches = !matches!(row.condition, Condition::Engine { cache: false });
     for &workload in row.workloads {
         for &sim in row.sim_agents {
-            for topology in topologies(sim) {
+            for topology in topologies() {
                 if topology == ClanTopology::serial() && sim != row.sim_agents[0] {
                     continue; // one device at any `sim`: the same cell again
                 }

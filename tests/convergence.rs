@@ -99,7 +99,7 @@ fn async_steady_state_matches_the_sync_baseline() {
 #[test]
 fn dda_also_learns_not_just_scales() {
     let report = ClanDriver::builder(Workload::CartPole)
-        .topology(ClanTopology::dda(4))
+        .topology(ClanTopology::dda())
         .agents(4)
         .population_size(96)
         .seed(12)
@@ -184,7 +184,7 @@ fn accuracy_cost_of_clans_visible_at_16() {
         let topo = if clans == 1 {
             ClanTopology::serial()
         } else {
-            ClanTopology::dda(clans)
+            ClanTopology::dda()
         };
         let r = ClanDriver::builder(Workload::LunarLander)
             .topology(topo)

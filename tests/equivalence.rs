@@ -13,14 +13,14 @@ mod common;
 
 use clan::core::runtime::{AgentSource, EdgeCluster};
 use clan::core::{
-    ClanDriver, ClanTopology, DcsOrchestrator, DdsOrchestrator, GenerationReport, InferenceMode,
-    Orchestrator, SerialOrchestrator,
+    orchestrator_for, ClanDriver, ClanTopology, DcsOrchestrator, DdsOrchestrator, GenerationReport,
+    InferenceMode, Orchestrator, SerialOrchestrator,
 };
 use clan::envs::Workload;
-use clan::neat::Population;
+use clan::neat::{NeatConfig, Population};
 use common::{
     local_evaluator, neat_cfg, orchestrator, run, sim_cluster as cluster, spec, topologies,
-    GENERATIONS, POP, SEED,
+    GENERATIONS, SEED,
 };
 
 const MULTI: InferenceMode = InferenceMode::MultiStep;
@@ -48,23 +48,34 @@ fn best_fitness(reports: &[GenerationReport]) -> Vec<f64> {
 
 #[test]
 fn parallel_evaluation_matches_across_all_topologies() {
-    // The matrix's `threads-N` rows pin the engine; this pins the
-    // driver's plumbing of `eval_threads` into it, on every topology
-    // (including DDA, whose clans evaluate independently).
-    for topo in topologies(3) {
-        let run = |threads| {
-            ClanDriver::builder(Workload::CartPole)
-                .topology(topo)
-                .agents(if topo == ClanTopology::serial() { 1 } else { 3 })
-                .population_size(POP)
-                .seed(SEED)
-                .eval_threads(threads)
-                .build()
-                .expect("config")
-                .run(GENERATIONS as u64)
-                .expect("run")
-        };
-        assert_eq!(run(1).generations, run(4).generations, "{topo}");
+    // The matrix's `threads-N` rows pin the engine at explicit thread
+    // counts; this pins the driver's local run, which derives its threads
+    // from the population's genes, against the one-thread reference on
+    // every topology (including DDA, whose clans evaluate independently).
+    // 32 Alien genomes (74 k genes) clear two fan-out floors, so a
+    // multi-core host evaluates them on two threads.
+    const ATARI_POP: usize = 32;
+    let w = Workload::Alien;
+    for topo in topologies() {
+        let agents = if topo == ClanTopology::serial() { 1 } else { 3 };
+        let driver = ClanDriver::builder(w)
+            .topology(topo)
+            .agents(agents)
+            .population_size(ATARI_POP)
+            .seed(SEED)
+            .build()
+            .expect("config")
+            .run(GENERATIONS as u64)
+            .expect("run");
+        let cfg = NeatConfig::builder(w.obs_dim(), w.n_actions())
+            .population_size(ATARI_POP)
+            .build()
+            .expect("valid config");
+        let evaluator = local_evaluator(w, MULTI);
+        let mut reference = orchestrator_for(topo, cfg, SEED, evaluator, cluster(agents), None)
+            .expect("clans large enough");
+        let reference = run(&mut *reference, GENERATIONS).reports;
+        assert_eq!(driver.generations, reference, "{topo}");
     }
 }
 
@@ -135,7 +146,7 @@ fn dda_differs_from_serial_by_design() {
     // allowed (expected) to diverge.
     assert_ne!(
         best_fitness(&run(ClanTopology::serial(), 1)),
-        best_fitness(&run(ClanTopology::dda(4), 4)),
+        best_fitness(&run(ClanTopology::dda(), 4)),
         "clan-local evolution should diverge from global"
     );
 }

@@ -37,7 +37,7 @@ fn topo(kind: &str, agents: usize) -> ClanTopology {
     } else if kind == "DDS" {
         ClanTopology::dds()
     } else {
-        ClanTopology::dda(agents)
+        ClanTopology::dda()
     }
 }
 
@@ -103,7 +103,7 @@ fn six_pi_swarm_beats_jetson_on_price_performance() {
         .run(GENS)
         .expect("run")
         .mean_generation_s();
-    let six_pi = run(ClanTopology::dda(6), 6, false, 150).mean_generation_s();
+    let six_pi = run(ClanTopology::dda(), 6, false, 150).mean_generation_s();
     let ppp = (600.0 * jetson) / (240.0 * six_pi);
     assert!(
         ppp > 1.5,
@@ -123,7 +123,7 @@ fn pi_swarm_uses_less_energy_than_hpc_for_same_work() {
         .expect("config")
         .run(GENS)
         .expect("run");
-    let swarm = run(ClanTopology::dda(15), 15, false, 150);
+    let swarm = run(ClanTopology::dda(), 15, false, 150);
     // 15 Pis roughly match the HPC CPU's runtime (Fig 11)...
     assert!(swarm.mean_generation_s() < 1.5 * hpc.mean_generation_s());
     // ...while drawing far less energy.

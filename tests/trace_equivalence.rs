@@ -53,7 +53,7 @@ fn traced_run(builder: ClanDriverBuilder) -> (RunReport, RunTrace) {
 
 #[test]
 fn logical_stream_is_byte_identical_across_transports_on_all_topologies() {
-    for topology in topologies(SIM_AGENTS) {
+    for topology in topologies() {
         let local = traced_run(base_builder(topology)).1;
         let baseline = local.logical_text();
         // Preamble, per-generation markers, replayed evals, postamble.

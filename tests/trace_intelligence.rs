@@ -18,7 +18,7 @@ const SIM_AGENTS: usize = 4;
 
 fn sim_builder() -> ClanDriverBuilder {
     ClanDriver::builder(Workload::CartPole)
-        .topology(ClanTopology::dda(SIM_AGENTS))
+        .topology(ClanTopology::dda())
         .agents(SIM_AGENTS)
         .population_size(POP)
         .seed(SEED)
@@ -133,7 +133,7 @@ fn truncated_trace_reports_the_short_side() {
 fn analyzer_round_totals_match_the_reports_gather_stats() {
     let driver = sim_builder()
         .agents(2)
-        .topology(ClanTopology::dda(2))
+        .topology(ClanTopology::dda())
         .loopback_agents(2)
         .build()
         .expect("build loopback");
@@ -158,7 +158,7 @@ fn analyzer_steady_state_totals_match_async_stats_and_name_the_straggler() {
     // Four virtual agents, one provisioned 4x slower: the acceptance
     // case for straggler attribution.
     let driver = ClanDriver::builder(Workload::CartPole)
-        .topology(ClanTopology::dda(SIM_AGENTS))
+        .topology(ClanTopology::dda())
         .agents(SIM_AGENTS)
         .population_size(POP)
         .seed(3)

@@ -106,8 +106,8 @@ fn analytic_side_of_every_topology_matches_the_recorded_fold() {
         (ClanTopology::serial(), None),
         (ClanTopology::dcs(), None),
         (ClanTopology::dds(), None),
-        (ClanTopology::dda(3), None),
-        (ClanTopology::dda(3), Some(2)),
+        (ClanTopology::dda(), None),
+        (ClanTopology::dda(), Some(2)),
     ];
     let mut hash = 0xCBF2_9CE4_8422_2325;
     for (topology, resync) in runs {
