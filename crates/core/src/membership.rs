@@ -119,6 +119,8 @@ pub struct AgentStats {
     pub wire_bytes: u64,
     /// Loss-recovery bytes (retransmitted + duplicate datagrams).
     pub retrans_bytes: u64,
+    /// Probes sent on an expired retransmission timer: stalls.
+    pub timer_probes: u64,
     /// Work items (genomes evaluated, children built) answered.
     pub items: u64,
     /// Seconds the link had a run outstanding.

@@ -95,12 +95,14 @@ pub trait Orchestrator {
 /// Builds the orchestrator implementing `topology`: a fresh population
 /// from `(cfg, seed)` evolved over the simulated `cluster`, inference
 /// running through `evaluator`. DDA evolves one clan per device of
-/// `cluster`; `resync_every` applies to DDA only.
+/// `cluster`, and alone reads `resync_every` (which
+/// [`ClanDriverBuilder::build`](crate::ClanDriverBuilder::build) rejects
+/// elsewhere).
 ///
 /// # Errors
 ///
-/// [`ClanError::InvalidSetup`] on `resync_every` off DDA, DDA clans
-/// below two genomes, or a zero resync interval.
+/// [`ClanError::InvalidSetup`] on DDA clans below two genomes, or a
+/// zero resync interval.
 pub fn orchestrator_for(
     topology: ClanTopology,
     cfg: NeatConfig,
@@ -109,29 +111,25 @@ pub fn orchestrator_for(
     cluster: Cluster,
     resync_every: Option<u64>,
 ) -> Result<Box<dyn Orchestrator>, ClanError> {
-    let orchestrator: Box<dyn Orchestrator> = match (topology.0, resync_every) {
-        (Paper::Dda, resync) => {
+    let orchestrator: Box<dyn Orchestrator> = match topology.0 {
+        Paper::Dda => {
             let dda = DdaOrchestrator::new(cfg, evaluator, cluster, seed)?;
-            match resync {
+            match resync_every {
                 Some(r) => Box::new(dda.with_resync_every(r)?),
                 None => Box::new(dda),
             }
         }
-        (_, Some(_)) => {
-            let reason = format!("resync_every applies to CLAN_DDA only, not {topology}");
-            return Err(ClanError::InvalidSetup { reason });
-        }
-        (Paper::Serial, None) => Box::new(SerialOrchestrator::new(
+        Paper::Serial => Box::new(SerialOrchestrator::new(
             Population::new(cfg, seed),
             evaluator,
             cluster,
         )),
-        (Paper::Dcs, None) => Box::new(DcsOrchestrator::new(
+        Paper::Dcs => Box::new(DcsOrchestrator::new(
             Population::new(cfg, seed),
             evaluator,
             cluster,
         )),
-        (Paper::Dds, None) => Box::new(DdsOrchestrator::new(
+        Paper::Dds => Box::new(DdsOrchestrator::new(
             Population::new(cfg, seed),
             evaluator,
             cluster,

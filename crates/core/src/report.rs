@@ -216,9 +216,10 @@ impl RunReport {
             if t.total_retrans_bytes() > 0 {
                 let _ = writeln!(
                     s,
-                    "  loss recovery: {} retransmitted/duplicate bytes ({:.1}% of wire traffic)",
+                    "  loss recovery: {} retransmitted/duplicate bytes ({:.1}% of wire traffic), {} timer probes",
                     t.total_retrans_bytes(),
-                    100.0 * t.retrans_overhead().unwrap_or(0.0)
+                    100.0 * t.retrans_overhead().unwrap_or(0.0),
+                    self.agents.iter().map(|a| a.timer_probes).sum::<u64>()
                 );
             }
         }

@@ -152,12 +152,11 @@ impl AgentLink {
         }
     }
 
-    /// Settles this link after a round: one that
-    /// `completed` a round trip (and was not poisoned since) is healthy
-    /// again, and the loss-recovery overhead its transport accumulated
-    /// (retransmitted + duplicate datagrams, zero on reliable
-    /// transports) is booked against its slot's `row` and the ledger's
-    /// total, and traced.
+    /// Settles this link after a round: one that `completed` a round
+    /// trip (and was not poisoned since) is healthy again, and what its
+    /// transport spent on loss (timer probes; retransmitted + duplicate
+    /// bytes, also traced and in the ledger's total; zero on reliable
+    /// transports) is booked against its slot's `row`.
     fn settle(
         &mut self,
         slot: usize,
@@ -169,7 +168,9 @@ impl AgentLink {
         if completed && !self.poisoned {
             row.heal();
         }
-        let overhead = self.transport.take_link_stats().overhead_bytes();
+        let stats = self.transport.take_link_stats();
+        row.timer_probes += stats.timer_probes;
+        let overhead = stats.overhead_bytes();
         if overhead > 0 {
             row.retrans_bytes += overhead;
             ledger.record_retrans(overhead);

@@ -156,12 +156,13 @@ fn progress_json(snap: &StatusSnapshot) -> String {
 type RowValue = fn(&AgentStats) -> f64;
 
 /// One `/metrics` series per [`AgentStats`] field, sampled per slot.
-const ROW_SERIES: [(&str, RowValue); 7] = [
+const ROW_SERIES: [(&str, RowValue); 8] = [
     ("agent_live", |a| f64::from(u8::from(a.health.is_live()))),
     ("agent_failures_total", |a| a.failures as f64),
     ("agent_messages_total", |a| a.messages as f64),
     ("agent_wire_bytes_total", |a| a.wire_bytes as f64),
     ("agent_retrans_bytes_total", |a| a.retrans_bytes as f64),
+    ("agent_timer_probes_total", |a| a.timer_probes as f64),
     ("agent_items_total", |a| a.items as f64),
     ("agent_busy_seconds_total", |a| a.busy_s),
 ];
@@ -384,6 +385,7 @@ mod tests {
                     failures: 2,
                     last_error: Some("timed out after 1s \"probe\"".into()),
                     retrans_bytes: 64,
+                    timer_probes: 3,
                     ..AgentStats::default()
                 },
             ],
@@ -416,6 +418,7 @@ mod tests {
             "clan_agent_messages_total{agent=\"0\"} 4\n",
             "clan_agent_wire_bytes_total{agent=\"0\"} 1200\n",
             "clan_agent_retrans_bytes_total{agent=\"1\"} 64\n",
+            "clan_agent_timer_probes_total{agent=\"1\"} 3\n",
             "clan_agent_items_total{agent=\"0\"} 10\n",
             "clan_agent_busy_seconds_total{agent=\"0\"} 0.25\n",
             "# TYPE clan_gather_rounds_total counter\nclan_gather_rounds_total 3\n",

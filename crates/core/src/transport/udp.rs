@@ -3,106 +3,91 @@
 //!
 //! The paper's edge swarm talks over shared-medium WiFi (§IV-A measures
 //! 62.24 Mbps / 8.83 ms for 64 B transfers), where frames are lost,
-//! duplicated, and reordered. The TCP transport sidesteps that by
-//! assuming a reliable stream; this module meets it head on:
+//! duplicated, and reordered; this module meets that head on:
 //!
 //! - a [`DatagramLink`] moves *unreliable* datagrams — a real
-//!   [`UdpLink`] over `std::net::UdpSocket`, an in-process
-//!   [`datagram_channel_pair`] for tests, or a
-//!   [`FaultyTransport`](super::FaultyTransport) wrapper injecting
-//!   seeded drop / duplicate / reorder / delay faults below the
-//!   reliability layer;
+//!   [`UdpLink`], an in-process [`datagram_channel_pair`], or a
+//!   [`FaultyTransport`](super::FaultyTransport) injecting seeded faults
+//!   below the reliability layer;
 //! - [`UdpTransport`] turns any such link into a reliable, ordered
 //!   [`Transport`]: frames are split into MTU-sized `DATA` datagrams
-//!   carrying `(frame seq, fragment index, fragment count)` and sent
-//!   through an **ack-clocked sliding window**; receivers deduplicate
-//!   and reassemble, and frames are delivered strictly in sequence
-//!   order.
+//!   carrying `(frame seq, fragment index, fragment count)`, sent through
+//!   an **ack-clocked sliding window**, deduplicated, reassembled and
+//!   delivered in sequence order.
 //!
 //! # The sender
 //!
 //! **Window.** At most [`DatagramLink::window`] datagrams are
-//! sent-and-unacknowledged per link. The window is a property of the
-//! medium, not a setting: a [`UdpLink`] keeps 64 in flight (64 × 1200 B
-//! sits safely under the default 208 KiB `SO_RCVBUF`, which a
-//! fire-and-forget 1.4 MB frame overflowed — the loss used to be
-//! self-inflicted), an in-process channel has no buffer to overflow and
-//! is unbounded. `send_frame` transmits what fits and returns without
-//! waiting on any ack; the rest leaves as acks arrive, inside the same
-//! pump that serves `recv_frame`, [`drain`](Transport::drain) and
-//! [`linger`](Transport::linger). The request/response shape of the
-//! cluster protocol guarantees every send is followed by a receive, so
-//! nothing is ever stranded.
+//! sent-and-unacknowledged per link, a property of the medium: a
+//! [`UdpLink`] keeps 64 in flight (under the default 208 KiB `SO_RCVBUF`,
+//! which a fire-and-forget 1.4 MB frame overflowed), an in-process
+//! channel is unbounded. `send_frame` transmits what fits and returns;
+//! the rest leaves as acks arrive, in the pump that serves `recv_frame`,
+//! [`drain`](Transport::drain) and [`linger`](Transport::linger) — the
+//! cluster protocol follows every send with a receive.
 //!
 //! **Timers.** Every fragment carries its own last-sent time and send
 //! count. The retransmission timeout is derived from the measured
-//! round trip (smoothed RTT + 4 × variance, sampled only from
-//! never-retransmitted fragments — Karn's rule), floored at 2 ms,
-//! doubled per retransmission of that fragment, and capped by
-//! [`UdpConfig::retransmit_interval_s`], which is also the timeout
-//! before the first sample. A timer fires **only after the link's
-//! backlog has been read**: an endpoint returning from a compute phase
-//! finds its timers expired *and* the acks already queued, and must not
-//! declare those fragments lost.
+//! round trip (smoothed RTT + 4 × variance, Karn's rule), floored at
+//! 2 ms, doubled per retransmission of that fragment, and capped by
+//! [`UdpConfig::retransmit_interval_s`], the timeout before the first
+//! sample. A timer fires **only after the link's backlog has been
+//! read**: an endpoint returning from a compute phase finds its timers
+//! expired *and* the acks already queued. A [`UdpLink`] re-arms its read
+//! timeout only when the armed one would wake after the earliest timer
+//! or well before it, not per datagram (`rearm`). A socket timeout can
+//! wake a kernel tick or two late (8 ms for any wait under 4 ms on a
+//! 250 Hz kernel), so recovery waits for one only when probes are lost.
 //!
-//! **Probes.** Nor does an expired timer declare anything lost: the peer
-//! may simply not have read yet — an agent evaluating one run while the
-//! next arrives, a coordinator's link worker waiting for work, any thread
-//! kept off an oversubscribed host's CPU for longer than the timeout. The
-//! endpoint sends a `PROBE` naming its latest transmission instead, again
-//! at each timeout, doubled per unanswered probe. The peer `ANSWER`s
-//! when it reads the probe, after acknowledging everything that arrived
-//! before it, so a fragment sent before the probe and still
-//! unacknowledged when the answer arrives was lost, and is re-sent
-//! alone. A peer slow to read costs probes, never a retransmission. Only
-//! a peer never heard from is sent the expired fragments again instead:
-//! it may not have opened the session a probe would ask about (an agent
-//! daemon adopts a coordinator on a fragment of its first frame alone).
+//! **Probes.** An expired timer declares nothing lost either: the peer
+//! may simply not have read yet (an agent evaluating one run while the
+//! next arrives, a thread kept off an oversubscribed CPU). The endpoint
+//! sends a `PROBE` naming its latest transmission, again at each
+//! timeout, doubled per unanswered probe. The peer acknowledges what
+//! reached it, then `ANSWER`s, so a fragment sent before the probe and
+//! still unacknowledged when the answer arrives was lost, and is re-sent
+//! alone. A slow reader costs probes, never a retransmission. A probe
+//! also follows every transmission that leaves nothing unsent, so a lost
+//! tail — a frame's last fragments, a late re-send, a one-fragment reply
+//! — is found one round trip later, not one timeout. A peer never heard
+//! from is not probed: it may not have opened the session a probe asks
+//! about, so its expired fragments are re-sent instead.
 //!
 //! **Acks.** One `ACK` datagram carries `(frame seq, index, cum,
-//! bitmap)`: the fragment that triggered it, the cumulative index
-//! (every fragment below `cum` has arrived) and a 64-bit map of the
-//! fragments just before the trigger (bit `k` ⇒ `index - 1 - k`
-//! arrived). Every arrival is thus reported by the next 64 acks as
-//! well as its own, so a lost ack costs nothing, and a gap is visible
-//! at once: a fragment is declared lost — and re-sent immediately,
-//! without waiting for its timer — as soon as a transmission made three
-//! or more places after its own has been acknowledged (transmissions
-//! are numbered per link, so a lost *re*transmission is caught the same
-//! way).
+//! bitmap)`: the latest arrival, the cumulative index (every fragment
+//! below `cum` has arrived) and a 64-bit map of the fragments just
+//! before it (bit `k` ⇒ `index - 1 - k` arrived), so one ack reports a
+//! burst and a lost ack costs nothing. The receiver holds its ack back
+//! until [`ACK_STRIDE`] arrivals, the frame's last fragment or its
+//! completion, a duplicate, a probe, a step to another frame or back,
+//! or a quiet link. A fragment is declared lost — and re-sent at once —
+//! when a transmission three or more places after its own (numbered
+//! per link, so a lost *re*transmission is caught too) is acknowledged.
 //!
-//! Because the ARQ layer reconstructs the exact frame bytes the codec
-//! produced, everything above it — byte accounting, protocol sessions,
-//! the determinism contract — is untouched by loss: a UDP cluster run
-//! under 20 % injected loss is bit-identical to a serial run
-//! (`tests/lossy_equivalence.rs`). What loss *does* cost is measured:
-//! every retransmitted or duplicate-received datagram lands in
-//! [`LinkStats`], which the runtime books against the link's
+//! The ARQ layer reconstructs the exact frame bytes the codec produced,
+//! so byte accounting, sessions and the determinism contract are
+//! untouched by loss (`tests/lossy_equivalence.rs`: 20 % loss,
+//! bit-identical to serial). What loss costs lands in [`LinkStats`],
+//! which the runtime books against the link's
 //! [`AgentStats`](crate::membership::AgentStats) row and the
-//! [`CommLedger`](clan_netsim::CommLedger)'s
-//! [`total_retrans_bytes`](clan_netsim::CommLedger::total_retrans_bytes).
-//! On a clean link both stay zero.
+//! [`CommLedger`](clan_netsim::CommLedger); on a clean link it is zero.
 //!
 //! # Liveness
 //!
-//! A peer that goes silent never hangs the runtime. If no datagram at
-//! all arrives for [`UdpConfig::idle_timeout_s`], `recv_frame` surfaces
-//! a typed [`ClanError::Timeout`]. The last frame of a session is the
-//! two-generals case — its ack can be lost after the receiver has left
-//! — so the side that leaves first [`linger`](Transport::linger)s: it
-//! keeps re-acknowledging duplicates until the sender's
-//! [`drain`](Transport::drain) reports, with a `DONE` datagram, that
-//! everything it sent is acknowledged — or, should that be lost too,
-//! until the link has been quiet for two RTO ceilings (longer than any
-//! pause between the sender's retransmissions), eight at most. The
-//! drain then completes in milliseconds instead of retransmitting to
-//! nobody until its deadline.
+//! A peer silent for [`UdpConfig::idle_timeout_s`] is a typed
+//! [`ClanError::Timeout`], never a hang. The last frame of a session is
+//! the two-generals case — its ack can be lost after the receiver has
+//! left — so the side that leaves first [`linger`](Transport::linger)s,
+//! re-acknowledging duplicates until the sender's
+//! [`drain`](Transport::drain) reports all acknowledged with a `DONE`,
+//! or the link has been quiet for two RTO ceilings (eight at most).
 
 use super::{check_frame_len, Transport};
 use crate::error::ClanError;
 use crate::transport::faults::FaultConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::io::ErrorKind::{ConnectionRefused, TimedOut, WouldBlock};
 use std::net::{ToSocketAddrs, UdpSocket};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
@@ -126,6 +111,16 @@ const UDP_WINDOW: usize = 64;
 /// A fragment is declared lost once a transmission this many places
 /// after its own has been acknowledged (tolerates adjacent reordering).
 const LOSS_THRESHOLD: u64 = 3;
+/// The receiver acks at least every this many arrivals: an eighth of
+/// the [`UdpLink`] window, so a full window always reaches it.
+pub const ACK_STRIDE: u32 = 8;
+/// A held ack leaves once the link has been quiet this long, half the
+/// [`MIN_RTO`]. (Polling instead acked each time the receiver caught up
+/// with a burst: 0.4 acks per `DATA` on loopback, two mode switches each.)
+const ACK_HOLD: Duration = Duration::from_millis(1);
+/// How far an armed read timeout may sit below the wanted wait before
+/// [`rearm`] replaces it: well under the kernel tick that rounds it.
+const REARM_SLACK: Duration = Duration::from_micros(300);
 /// Floor of the retransmission timeout: below it most probes find a peer
 /// not yet scheduled. Never above the configured ceiling.
 const MIN_RTO: Duration = Duration::from_millis(2);
@@ -171,8 +166,7 @@ pub trait DatagramLink: Send {
 
     /// How many datagrams the medium holds sent-and-unacknowledged
     /// before its buffers overflow — the ARQ layer's send window.
-    /// Unbounded by default: an in-process channel has no buffer to
-    /// overflow.
+    /// Unbounded by default, as an in-process channel is.
     fn window(&self) -> usize {
         usize::MAX
     }
@@ -222,10 +216,7 @@ impl UdpLink {
             .to_socket_addrs()
             .map_err(|e| err("udp resolve", e))?
             .next()
-            .ok_or_else(|| ClanError::Transport {
-                peer: peer.clone(),
-                reason: "udp resolve: no addresses".into(),
-            })?;
+            .ok_or_else(|| err("udp resolve", std::io::Error::other("no addresses")))?;
         let wildcard: std::net::IpAddr = if resolved.is_ipv6() {
             std::net::Ipv6Addr::UNSPECIFIED.into()
         } else {
@@ -252,20 +243,35 @@ impl UdpLink {
     }
 
     /// Puts the socket in the mode `timeout` asks for — non-blocking for
-    /// zero, blocking with that read timeout otherwise — touching only
-    /// what differs from the mode it is already in: the ARQ pump asks
-    /// for the same wait datagram after datagram.
+    /// zero, blocking with about that read timeout otherwise — touching
+    /// only what differs from the mode it is already in: with a timer
+    /// pending the ARQ pump asks for a slightly shorter wait each time.
     fn set_wait(&mut self, timeout: Duration) -> std::io::Result<()> {
         let poll = timeout.is_zero();
         if poll != self.polling {
             self.socket.set_nonblocking(poll)?;
             self.polling = poll;
         }
-        if !poll && self.read_timeout != Some(timeout) {
-            self.socket.set_read_timeout(Some(timeout))?;
-            self.read_timeout = Some(timeout);
+        if let Some(armed) = rearm(self.read_timeout, timeout).filter(|_| !poll) {
+            self.socket.set_read_timeout(Some(armed))?;
+            self.read_timeout = Some(armed);
         }
         Ok(())
+    }
+}
+
+/// The read timeout to arm for a `wanted` wait, or `None` to keep the
+/// `armed` one: it may wake early by up to [`REARM_SLACK`], never late,
+/// and a new one is centred in that band, so a pending timer re-arms
+/// once per slack of waiting, not once per datagram.
+fn rearm(armed: Option<Duration>, wanted: Duration) -> Option<Duration> {
+    match armed {
+        Some(a) if a <= wanted && wanted <= a + REARM_SLACK => None,
+        _ => Some(
+            wanted
+                .saturating_sub(REARM_SLACK / 2)
+                .max(Duration::from_micros(1)),
+        ),
     }
 }
 
@@ -276,7 +282,7 @@ impl DatagramLink for UdpLink {
             // An earlier datagram found the peer's port closed (a daemon
             // between sessions); this one is as good as lost in transit,
             // and the ARQ layer re-sends it once the peer is back.
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => Ok(()),
+            Err(e) if e.kind() == ConnectionRefused => Ok(()),
             Err(e) => Err(ClanError::Transport {
                 peer: self.peer.clone(),
                 reason: format!("udp send: {e}"),
@@ -295,16 +301,10 @@ impl DatagramLink for UdpLink {
                 reason = "n <= buf.len() by the recv(2) contract; a datagram never exceeds the link's 64 KiB buffer"
             )]
             Ok(n) => Ok(Some(self.buf[..n].to_vec())),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
             // A previous send to a vanished peer can surface here as
-            // ECONNREFUSED; treat it as silence (the idle deadline is
-            // the liveness authority, and the peer may still come up).
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => Ok(None),
+            // ECONNREFUSED: silence too (the idle deadline is the
+            // liveness authority, and the peer may still come up).
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | ConnectionRefused) => Ok(None),
             Err(e) => Err(ClanError::Transport {
                 peer: self.peer.clone(),
                 reason: format!("udp recv: {e}"),
@@ -338,20 +338,13 @@ pub struct ChannelDatagramLink {
 
 /// Creates a connected pair of in-process datagram links.
 pub fn datagram_channel_pair() -> (ChannelDatagramLink, ChannelDatagramLink) {
-    let (tx_ab, rx_ab) = channel();
-    let (tx_ba, rx_ba) = channel();
-    (
-        ChannelDatagramLink {
-            tx: tx_ab,
-            rx: rx_ba,
-            label: "dgram-channel:a".into(),
-        },
-        ChannelDatagramLink {
-            tx: tx_ba,
-            rx: rx_ab,
-            label: "dgram-channel:b".into(),
-        },
-    )
+    let ((tx_ab, rx_ab), (tx_ba, rx_ba)) = (channel(), channel());
+    let end = |tx, rx, end| ChannelDatagramLink {
+        tx,
+        rx,
+        label: format!("dgram-channel:{end}"),
+    };
+    (end(tx_ab, rx_ba, 'a'), end(tx_ba, rx_ab, 'b'))
 }
 
 impl DatagramLink for ChannelDatagramLink {
@@ -405,7 +398,7 @@ enum Datagram<'a> {
     /// [`drain`](Transport::drain) completed, so a peer that
     /// [`linger`](Transport::linger)s on its account may leave.
     Done,
-    /// A retransmission timer expired: "answer once you have acknowledged
+    /// A timer expired or a tail left: "answer once you have acknowledged
     /// what reached you before this, my latest transmission `tx`" — or,
     /// with `answer` set, that answer.
     Probe { tx: u64, answer: bool },
@@ -438,38 +431,25 @@ fn encode_ack(seq: u64, index: u32, cum: u32, bitmap: u64) -> Vec<u8> {
     )
 }
 
-/// Splits `n` leading bytes off a slice, or `None` — the panic-free
-/// cursor primitive the datagram decoder is built from.
-fn take_bytes(buf: &[u8], n: usize) -> Option<(&[u8], &[u8])> {
-    if buf.len() < n {
-        return None;
-    }
-    Some(buf.split_at(n))
-}
-
-/// Reads a little-endian `u64` off the front of a slice.
+/// Reads a little-endian `u64` off the front of a slice, or `None`.
 fn take_u64(buf: &[u8]) -> Option<(u64, &[u8])> {
-    let (head, rest) = take_bytes(buf, 8)?;
-    let mut a = [0u8; 8];
-    a.copy_from_slice(head);
-    Some((u64::from_le_bytes(a), rest))
+    buf.split_first_chunk()
+        .map(|(a, rest)| (u64::from_le_bytes(*a), rest))
 }
 
-/// Reads a little-endian `u32` off the front of a slice.
+/// Reads a little-endian `u32` off the front of a slice, or `None`.
 fn take_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
-    let (head, rest) = take_bytes(buf, 4)?;
-    let mut a = [0u8; 4];
-    a.copy_from_slice(head);
-    Some((u32::from_le_bytes(a), rest))
+    buf.split_first_chunk()
+        .map(|(a, rest)| (u32::from_le_bytes(*a), rest))
 }
 
 /// Decodes one datagram. `None` on malformation — a lossy medium can
 /// corrupt anything, so garbage is dropped silently like a bad checksum,
-/// never panicked on. Every read is bounds-checked through the `take_*`
-/// cursors: no index into the wire bytes can panic.
+/// never panicked on. Every read is bounds-checked (`split_first_chunk`
+/// and the `take_*` cursors): no index into the wire bytes can panic.
 fn decode_datagram(buf: &[u8]) -> Option<Datagram<'_>> {
-    let (magic, rest) = take_bytes(buf, 4)?;
-    if magic != DATAGRAM_MAGIC {
+    let (magic, rest) = buf.split_first_chunk::<4>()?;
+    if *magic != DATAGRAM_MAGIC {
         return None;
     }
     let (&ty, rest) = rest.split_first()?;
@@ -491,15 +471,13 @@ fn decode_datagram(buf: &[u8]) -> Option<Datagram<'_>> {
             let (cum, rest) = take_u32(rest)?;
             let (bitmap, rest) = take_u64(rest)?;
             // ACKs are fixed-size: trailing bytes mean corruption.
-            if !rest.is_empty() {
-                return None;
-            }
-            Some(Datagram::Ack {
+            let ack = Datagram::Ack {
                 seq,
                 index,
                 cum,
                 bitmap,
-            })
+            };
+            rest.is_empty().then_some(ack)
         }
         TYPE_DONE => rest.is_empty().then_some(Datagram::Done),
         TYPE_PROBE | TYPE_ANSWER => {
@@ -534,9 +512,8 @@ pub struct UdpConfig {
     /// Payload bytes per `DATA` datagram (the fragmentation unit).
     pub mtu: usize,
     /// The retransmission timeout, in seconds, before the link has
-    /// measured a round trip — and its ceiling ever after: the timeout
-    /// in force is RTT-derived (see the module docs), doubles per
-    /// retransmission of a fragment, and never exceeds this.
+    /// measured a round trip, and its ceiling ever after (the timeout in
+    /// force is RTT-derived and doubles per retransmission).
     pub retransmit_interval_s: f64,
     /// Liveness deadline: a receive that hears *nothing* from the peer
     /// for this long surfaces [`ClanError::Timeout`]. Must exceed the
@@ -592,18 +569,13 @@ impl UdpConfig {
     }
 }
 
-/// Reliability overhead observed on one link: datagrams this endpoint
-/// retransmitted and duplicates it received. On a clean medium both are
-/// zero; under loss they measure what the paper's analytic WiFi model
-/// does not charge.
-///
-/// Byte counters are **frame-payload bytes** (the 21 B per-datagram
-/// header excluded) so they share units with the ledger's frame-level
-/// `wire_bytes` accounting — `retrans_bytes / wire_bytes` is then
-/// "fraction of useful frame traffic that had to be re-sent", not a
-/// mix of raw-medium and frame units. (Neither column charges the
-/// per-datagram/ack header overhead of the medium itself, just as the
-/// stream transports' `wire_bytes` charges only the 4 B length prefix.)
+/// Reliability overhead observed on one link: what this endpoint
+/// retransmitted, the duplicates it received and its stalls. On a clean
+/// medium all are zero; under loss they measure what the paper's
+/// analytic WiFi model does not charge. Byte counters are
+/// **frame-payload bytes** (datagram headers excluded, as the stream
+/// transports' `wire_bytes` charge only the length prefix), so
+/// `retrans_bytes / wire_bytes` is the share of frame traffic re-sent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkStats {
     /// `DATA` datagrams retransmitted by this endpoint.
@@ -614,6 +586,9 @@ pub struct LinkStats {
     pub dup_datagrams: u64,
     /// Frame-payload bytes of those duplicates.
     pub dup_bytes: u64,
+    /// `PROBE`s this endpoint sent on an expired timer: each one a stall
+    /// of at least a timeout (the probe after a tail is not counted).
+    pub timer_probes: u64,
 }
 
 impl LinkStats {
@@ -682,11 +657,7 @@ impl Incoming {
     }
 
     fn assemble(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.bytes as usize);
-        for (_, frag) in self.frags {
-            out.extend_from_slice(&frag);
-        }
-        out
+        self.frags.into_values().collect::<Vec<_>>().concat()
     }
 
     /// The `(cum, bitmap)` an `ACK` triggered by fragment `index`
@@ -694,14 +665,12 @@ impl Incoming {
     /// the fragments at or above `cum` (those below it go without
     /// saying).
     fn ack_state(&self, index: u32) -> (u32, u64) {
-        let lo = self.cum.max(index.saturating_sub(64));
-        let mut bitmap = 0u64;
-        if lo < index {
-            for (&i, _) in self.frags.range(lo..index) {
-                bitmap |= 1u64 << (index - 1 - i);
-            }
-        }
-        (self.cum, bitmap)
+        let lo = self.cum.max(index.saturating_sub(64)).min(index);
+        let bits = self
+            .frags
+            .range(lo..index)
+            .map(|(&i, _)| 1u64 << (index - 1 - i));
+        (self.cum, bits.fold(0, |map, bit| map | bit))
     }
 }
 
@@ -717,16 +686,12 @@ struct RttEstimator {
 
 impl RttEstimator {
     fn sample(&mut self, rtt: Duration) {
-        match self.srtt {
-            None => {
-                self.srtt = Some(rtt);
-                self.rttvar = rtt / 2;
-            }
-            Some(srtt) => {
-                self.rttvar = (self.rttvar * 3 + srtt.abs_diff(rtt)) / 4;
-                self.srtt = Some((srtt * 7 + rtt) / 8);
-            }
-        }
+        let srtt = self.srtt.unwrap_or(rtt);
+        self.rttvar = match self.srtt {
+            None => rtt / 2,
+            Some(_) => (self.rttvar * 3 + srtt.abs_diff(rtt)) / 4,
+        };
+        self.srtt = Some((srtt * 7 + rtt) / 8);
     }
 
     /// The timeout of a fragment's first transmission.
@@ -748,20 +713,12 @@ impl RttEstimator {
 
 /// A reliable, ordered [`Transport`] over any [`DatagramLink`]:
 /// fragmentation, an ack-clocked sliding window, cumulative + selective
-/// acknowledgment, per-fragment RTT-derived probes and retransmission,
-/// receive-side deduplication and in-order reassembly (the module docs
-/// describe the protocol).
-///
-/// Sends are asynchronous: `send_frame` transmits as many fragments as
-/// the link's [`window`](DatagramLink::window) admits and returns
-/// without reading a single ack; the remaining fragments, the probes, and
-/// the retransmission of anything the peer has not acknowledged, leave while
-/// this endpoint waits in `recv_frame` (and in
-/// [`drain`](Transport::drain), which `EdgeCluster::shutdown` uses to
-/// push the final `Shutdown` through a lossy link, and
-/// [`linger`](Transport::linger), with which the agent answers it). The
-/// request/response shape of the cluster protocol guarantees every send
-/// is followed by a receive, so nothing is ever stranded.
+/// acknowledgment, probes and retransmission, receive-side deduplication
+/// and in-order reassembly (the module docs describe the protocol).
+/// `send_frame` transmits what the link's
+/// [`window`](DatagramLink::window) admits and returns; the rest leaves
+/// while this endpoint waits in `recv_frame`,
+/// [`drain`](Transport::drain) or [`linger`](Transport::linger).
 pub struct UdpTransport<L: DatagramLink = UdpLink> {
     link: L,
     mtu: usize,
@@ -783,7 +740,13 @@ pub struct UdpTransport<L: DatagramLink = UdpLink> {
     probes: u32,
     /// Until when the last of them holds the timers off.
     probe_until: Option<Instant>,
+    /// `tx_count` when the last probe left: a tail sent since has none.
+    probed_tx: u64,
     partial: BTreeMap<u64, Incoming>,
+    /// The latest accepted arrival `(seq, index, count)`, which the next
+    /// ack reports, and how many arrivals since the last ack sent.
+    ack_at: Option<(u64, u32, u32)>,
+    held: u32,
     ready: VecDeque<Vec<u8>>,
     /// The peer has said `DONE` and sent nothing since: nothing of its
     /// is left to acknowledge.
@@ -799,9 +762,9 @@ impl<L: DatagramLink> UdpTransport<L> {
         UdpTransport::with_config(link, &UdpConfig::default())
     }
 
-    /// Wraps `link` with explicit tuning (the config's `faults` field is
-    /// *not* applied here — wrap the link in a [`FaultyTransport`](super::FaultyTransport)
-    /// yourself, as a cluster does on its side of every link).
+    /// Wraps `link` with explicit tuning (`faults` is *not* applied: wrap
+    /// the link in a [`FaultyTransport`](super::FaultyTransport), as a
+    /// cluster does on its side of every link).
     pub fn with_config(link: L, cfg: &UdpConfig) -> UdpTransport<L> {
         assert!(cfg.mtu > 0, "mtu must be at least one byte");
         UdpTransport {
@@ -822,18 +785,15 @@ impl<L: DatagramLink> UdpTransport<L> {
             heard: false,
             probes: 0,
             probe_until: None,
+            probed_tx: 0,
             partial: BTreeMap::new(),
+            ack_at: None,
+            held: 0,
             ready: VecDeque::new(),
             peer_done: false,
             stats: LinkStats::default(),
             scratch: Vec::new(),
         }
-    }
-
-    /// The wrapped link (e.g. to read a
-    /// [`FaultyTransport`](super::FaultyTransport)'s injection counters).
-    pub fn link(&self) -> &L {
-        &self.link
     }
 
     /// Reliability overhead observed so far (without resetting; the
@@ -872,9 +832,6 @@ impl<L: DatagramLink> UdpTransport<L> {
             out.next_unsent = out.next_unsent.max(i + 1);
         } else {
             stats.retrans_datagrams += 1;
-            // Frame-payload bytes only (header excluded), so the
-            // ledger's retransmission column shares units with its
-            // frame-level `wire_bytes` accounting.
             stats.retrans_bytes += chunk.len() as u64;
         }
         *tx_count += 1;
@@ -897,7 +854,36 @@ impl<L: DatagramLink> UdpTransport<L> {
             let Some((seq, i)) = next else { break };
             self.transmit(seq, i)?;
         }
+        let all_sent = self
+            .outstanding
+            .values()
+            .all(|o| o.next_unsent == o.slots.len());
+        if all_sent && self.heard && self.tx_count > self.probed_tx {
+            self.probe()?;
+        }
         Ok(())
+    }
+
+    /// Asks the peer to acknowledge what reached it, then answer.
+    fn probe(&mut self) -> Result<(), ClanError> {
+        self.probed_tx = self.tx_count;
+        self.link
+            .send(&encode_control(TYPE_PROBE, &[&self.tx_count.to_le_bytes()]))
+    }
+
+    /// Sends the ack the latest arrival owes if any arrival is held back,
+    /// or if `force`d: a probe asks again, as the last may have been lost.
+    fn flush_ack(&mut self, force: bool) -> Result<(), ClanError> {
+        let Some((seq, index, count)) = self.ack_at.filter(|_| force || self.held > 0) else {
+            return Ok(());
+        };
+        self.held = 0;
+        // A delivered frame arrived whole.
+        let (cum, bitmap) = self
+            .partial
+            .get(&seq)
+            .map_or((count, 0), |inc| inc.ack_state(index));
+        self.link.send(&encode_ack(seq, index, cum, bitmap))
     }
 
     /// Re-sends, each alone, the in-flight fragments `is_due` selects.
@@ -953,6 +939,7 @@ impl<L: DatagramLink> UdpTransport<L> {
             Some(Datagram::Probe { tx, answer: false }) => {
                 // A probing peer has something unacknowledged after all.
                 self.peer_done = false;
+                self.flush_ack(true)?;
                 self.link
                     .send(&encode_control(TYPE_ANSWER, &[&tx.to_le_bytes()]))
             }
@@ -1041,19 +1028,15 @@ impl<L: DatagramLink> UdpTransport<L> {
         count: u32,
         payload: &[u8],
     ) -> Result<(), ClanError> {
-        // Acks are sent only for *accepted* fragments (and for genuine
-        // duplicates of accepted ones). Acking before validation would
-        // tell the sender a fragment we are about to discard was
-        // delivered — it would never be retransmitted and the frame
-        // could never complete.
+        // Only *accepted* fragments (and duplicates of them) are acked:
+        // acking one about to be discarded would stop its re-sends.
         if seq >= self.next_rx + SEQ_WINDOW || count == 0 || index >= count {
             return Ok(()); // garbage or far-future: ignore, no ack
         }
         // A peer that is (re)sending has unacknowledged data after all.
         self.peer_done = false;
         if seq < self.next_rx {
-            // Frame already delivered; the peer missed our acks. One
-            // ack covers the whole frame.
+            // Delivered already: one ack covers the whole frame.
             self.link.send(&encode_ack(seq, index, count, 0))?;
             self.stats.dup_datagrams += 1;
             self.stats.dup_bytes += payload.len() as u64;
@@ -1073,16 +1056,15 @@ impl<L: DatagramLink> UdpTransport<L> {
         });
         if inc.count != count {
             // Conflicts with the count this frame was first seen with:
-            // corrupt or hostile. Unacked, so if *this* datagram was
-            // the truth its retransmissions keep arriving; worst case
-            // the frame stalls into a typed Timeout instead of silently
-            // "succeeding".
+            // corrupt or hostile, so unacked; at worst the frame stalls
+            // into a typed Timeout instead of silently "succeeding".
             return Ok(());
         }
         if inc.frags.contains_key(&index) {
             // Genuine duplicate of an accepted fragment: the sender
             // missed our ack — re-ack so it stops.
             let (cum, bitmap) = inc.ack_state(index);
+            self.flush_ack(false)?;
             self.link.send(&encode_ack(seq, index, cum, bitmap))?;
             self.stats.dup_datagrams += 1;
             self.stats.dup_bytes += payload.len() as u64;
@@ -1094,11 +1076,20 @@ impl<L: DatagramLink> UdpTransport<L> {
         while inc.frags.contains_key(&inc.cum) {
             inc.cum += 1;
         }
-        let (cum, bitmap) = inc.ack_state(index);
-        self.link.send(&encode_ack(seq, index, cum, bitmap))?;
-        // Promote every in-order complete frame. The remove-after-check
-        // is written as a single `remove` + re-insert-on-incomplete so
-        // there is no panic path between the check and the take.
+        let done = inc.is_complete() || index + 1 == count;
+        // One ack reports one frame, from its latest arrival down; a
+        // re-send filling a gap (a step back) is reported at once.
+        let (last_seq, last) = self.ack_at.map_or((seq, 0), |(s, i, _)| (s, i));
+        if last_seq != seq || index < last {
+            self.flush_ack(false)?;
+        }
+        self.ack_at = Some((seq, index, count));
+        self.held += 1;
+        if done || self.held >= ACK_STRIDE || (last_seq == seq && index < last) {
+            self.flush_ack(false)?;
+        }
+        // Promote every in-order complete frame (remove, and re-insert
+        // if incomplete: no panic path between the check and the take).
         while let Some(done) = self.partial.remove(&self.next_rx) {
             if !done.is_complete() {
                 self.partial.insert(self.next_rx, done);
@@ -1123,7 +1114,7 @@ impl<L: DatagramLink> UdpTransport<L> {
         let mut last_heard = now;
         loop {
             if until(self) {
-                return Ok(());
+                return self.flush_ack(false);
             }
             self.fill_window()?;
             let idle = now.duration_since(last_heard);
@@ -1134,28 +1125,34 @@ impl<L: DatagramLink> UdpTransport<L> {
                 });
             }
             // A timer already due makes this a zero wait — a poll: the
-            // link's backlog is read to the end before any fragment is
-            // declared lost, because the acks may be sitting in it.
-            // With no timer pending the wait is `quiet` itself, datagram
-            // after datagram, which is what lets the link keep its mode.
+            // backlog is read to the end before any fragment is declared
+            // lost, because the acks may be sitting in it. Mid-frame the
+            // wait is one ACK_HOLD, so a held ack leaves once the link
+            // goes quiet, and the link keeps one timeout all frame long.
+            let hold = if self.partial.is_empty() {
+                quiet
+            } else {
+                ACK_HOLD
+            };
             let wait = self.next_timer().map_or(quiet - idle, |due| {
                 due.saturating_duration_since(now).min(quiet - idle)
             });
-            let heard = self.link.recv(wait)?;
+            let heard = self.link.recv(wait.min(hold))?;
             now = Instant::now();
             match heard {
                 Some(d) => {
                     last_heard = now;
                     self.process(&d, now)?;
                 }
+                None if self.held > 0 => self.flush_ack(false)?,
                 // A peer never heard from may not have opened the session
                 // a probe would ask it about: send the fragments again.
                 None if !self.heard => self.retransmit_where(|t, slot| {
                     slot.sent_at + t.rtt.timeout_after(slot.sends) <= now
                 })?,
                 None if self.next_timer().is_some_and(|due| due <= now) => {
-                    self.link
-                        .send(&encode_control(TYPE_PROBE, &[&self.tx_count.to_le_bytes()]))?;
+                    self.probe()?;
+                    self.stats.timer_probes += 1;
                     self.probes += 1;
                     self.probe_until = Some(now + self.rtt.timeout_after(self.probes));
                 }
@@ -1475,6 +1472,31 @@ mod tests {
         // A ceiling under the floor wins: it is the configured maximum.
         rtt.ceiling = Duration::from_millis(1);
         assert_eq!(rtt.rto(), rtt.ceiling);
+    }
+
+    #[test]
+    fn a_read_timeout_is_rearmed_only_when_it_would_wake_late_or_well_early() {
+        let us = Duration::from_micros;
+        let armed = rearm(None, us(5_000)).expect("nothing armed yet");
+        assert!(armed <= us(5_000) && us(5_000) <= armed + REARM_SLACK);
+        // Within the band: kept.
+        assert_eq!(rearm(Some(armed), armed), None);
+        assert_eq!(rearm(Some(armed), armed + REARM_SLACK), None);
+        // It would wake after the timer is due, or well before: replaced.
+        assert!(rearm(Some(armed), armed - us(1)).is_some());
+        assert!(rearm(Some(armed), armed + REARM_SLACK + us(1)).is_some());
+        // A wait under half the slack still arms a timeout (zero polls).
+        assert!(rearm(None, us(10)).is_some_and(|t| t > Duration::ZERO && t <= us(10)));
+        // A pending timer, asked for 10 µs closer datagram after
+        // datagram, re-arms once per half slack, not per datagram.
+        let (mut armed, mut rearms) = (None, 0);
+        for left in (0..200u64).rev().map(|k| us(3_000 + 10 * k)) {
+            if let Some(t) = rearm(armed, left) {
+                (armed, rearms) = (Some(t), rearms + 1);
+            }
+            assert!(armed.is_some_and(|t| t <= left && left <= t + REARM_SLACK));
+        }
+        assert!(rearms <= 2_000 / 150 + 1, "{rearms} re-arms for 200 waits");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The reliable-UDP sender's contract: an ack-clocked window that never
 //! overflows the medium, per-fragment timers that probe the peer and
 //! re-send alone a fragment its answer shows lost — never one a slow
-//! reader still has queued — acks that survive their own loss, and an
-//! endpoint that neither blocks in `send_frame`, hangs on a silent peer,
-//! stalls a shutdown on a lost final ack, nor is captured by a stray
-//! datagram.
+//! reader still has queued — acks that survive their own loss, one ack
+//! per stride of arrivals, a lost tail found by the probe that follows
+//! it rather than by a timer, and an endpoint that neither blocks in
+//! `send_frame`, hangs on a silent peer, stalls a shutdown on a lost
+//! final ack, nor is captured by a stray datagram.
 //!
 //! The two-endpoint tests run **both ends on one thread**, stepping
 //! them in turn (`exchange`): every datagram one end produced is queued
@@ -17,7 +18,7 @@
 
 use clan::core::runtime::{AgentSource, EdgeCluster};
 use clan::core::transport::agent::{serve_session, AgentServer};
-use clan::core::transport::udp::{ACK_BYTES, DATAGRAM_MAGIC, DATA_HEADER_BYTES};
+use clan::core::transport::udp::{ACK_BYTES, ACK_STRIDE, DATAGRAM_MAGIC, DATA_HEADER_BYTES};
 use clan::core::transport::{
     datagram_channel_pair, ChannelDatagramLink, ClusterSpec, DatagramLink, LinkStats, Transport,
     UdpConfig, UdpLink, UdpTransport,
@@ -200,14 +201,15 @@ struct Wire {
 }
 
 /// A bounded-window link over an in-process channel that records every
-/// `DATA` it carries and every `ACK` it hands back, and can lose one
-/// chosen datagram of each kind.
+/// `DATA` it carries and every `ACK` it hands back, and can lose chosen
+/// datagrams of each kind.
 struct Counting {
     inner: ChannelDatagramLink,
     window: usize,
     wire: Arc<Mutex<Wire>>,
-    /// Lose the first transmission of this fragment.
+    /// Lose the first `lose_times` transmissions of this fragment.
     lose_data: Option<(u64, u32)>,
+    lose_times: u32,
     /// Lose the n-th ack (1-based) on its way to the sender.
     lose_ack: Option<usize>,
 }
@@ -219,14 +221,14 @@ impl DatagramLink for Counting {
             let mut wire = self.wire.lock().unwrap();
             let sends = wire.sends.entry(key).or_insert(0);
             *sends += 1;
-            let first = *sends == 1;
+            let lost = *sends <= self.lose_times && self.lose_data == Some(key);
             let in_flight = wire
                 .sends
                 .keys()
                 .filter(|k| !wire.acked.contains(k))
                 .count();
             wire.peak_in_flight = wire.peak_in_flight.max(in_flight);
-            if first && self.lose_data == Some(key) {
+            if lost {
                 return Ok(());
             }
         }
@@ -276,19 +278,35 @@ fn counted_exchange(
     lose_data: Option<(u64, u32)>,
     lose_ack: Option<usize>,
 ) -> (Wire, LinkStats, LinkStats) {
+    counted(WINDOW, FRAGMENTS, lose_data, 1, lose_ack)
+}
+
+/// One frame of `fragments` 32-byte fragments across a [`Counting`]
+/// link of `window`, losing the first `lose_times` transmissions of
+/// `lose_data` and the `lose_ack`-th ack.
+fn counted(
+    window: usize,
+    fragments: u32,
+    lose_data: Option<(u64, u32)>,
+    lose_times: u32,
+    lose_ack: Option<usize>,
+) -> (Wire, LinkStats, LinkStats) {
     let (near, far) = datagram_channel_pair();
     let wire = Arc::new(Mutex::new(Wire::default()));
     let cfg = step_cfg(32);
     let link = Counting {
         inner: near,
-        window: WINDOW,
+        window,
         wire: Arc::clone(&wire),
         lose_data,
+        lose_times,
         lose_ack,
     };
     let mut a = UdpTransport::with_config(link, &cfg);
     let mut b = UdpTransport::with_config(far, &cfg);
-    let frame = payload(32 * FRAGMENTS as usize);
+    // A session under way: `a` has heard `b`, as a replying agent has.
+    assert_eq!(exchange(&mut b, &mut a, b"configure"), b"configure");
+    let frame = payload(32 * fragments as usize);
     assert_eq!(exchange(&mut a, &mut b, &frame), frame);
     let (sent, received) = (a.stats(), b.stats());
     drop(a);
@@ -360,7 +378,59 @@ fn a_lost_ack_is_covered_by_the_next_one() {
 }
 
 // ----------------------------------------------------------------------
-// (c) `send_frame` never waits; silence is a typed Timeout.
+// (c) Per burst, not per datagram: an ack reports a stride of arrivals,
+//     and a lost tail costs a round trip, not a timeout.
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_clean_multi_window_frame_is_acknowledged_once_per_stride() {
+    // The tests' window, and a real socket's: 64 in flight, 200 sent.
+    for (window, fragments) in [(WINDOW, FRAGMENTS), (64, 200)] {
+        let (wire, sent, received) = counted(window, fragments, None, 0, None);
+        assert!(wire.sends.values().all(|&n| n == 1));
+        let most = fragments.div_ceil(ACK_STRIDE) as usize + 1;
+        assert!(
+            wire.acks_seen <= most,
+            "{} acks for {fragments} fragments in windows of {window}",
+            wire.acks_seen
+        );
+        assert_eq!((sent.retrans_datagrams, received.dup_datagrams), (0, 0));
+        assert_eq!(sent.timer_probes, 0);
+    }
+}
+
+/// Loses the first `times` transmissions of fragment `lost` of a frame
+/// of `fragments`, and checks it crossed once per loss more, alone, with
+/// no timer expiring: the probe after each tail transmission found it.
+fn assert_tail_found_without_a_timer(fragments: u32, lost: u32, times: u32) {
+    let (wire, sent, received) = counted(WINDOW, fragments, Some((0, lost)), times, None);
+    for (&(_, i), &n) in &wire.sends {
+        let expected = if i == lost { times + 1 } else { 1 };
+        assert_eq!(n, expected, "fragment {i} crossed {n} times");
+    }
+    assert_eq!(sent.retrans_datagrams, u64::from(times));
+    assert_eq!(sent.timer_probes, 0, "no timer expired");
+    assert_eq!(received.dup_datagrams, 0);
+}
+
+#[test]
+fn a_lost_last_fragment_is_found_by_the_probe_that_follows_it() {
+    assert_tail_found_without_a_timer(FRAGMENTS, FRAGMENTS - 1, 1);
+}
+
+#[test]
+fn a_lost_late_retransmission_is_found_by_the_probe_that_follows_it() {
+    // The last fragment, and then its re-send: nothing follows either.
+    assert_tail_found_without_a_timer(FRAGMENTS, FRAGMENTS - 1, 2);
+}
+
+#[test]
+fn a_lost_one_fragment_reply_is_found_by_the_probe_that_follows_it() {
+    assert_tail_found_without_a_timer(1, 0, 1);
+}
+
+// ----------------------------------------------------------------------
+// (d) `send_frame` never waits; silence is a typed Timeout.
 // ----------------------------------------------------------------------
 
 #[test]
@@ -391,7 +461,7 @@ fn send_frame_never_blocks_and_a_silent_peer_is_a_typed_timeout() {
 }
 
 // ----------------------------------------------------------------------
-// (d) Hostile datagrams: Ok or a typed Err, in bounded time and memory.
+// (e) Hostile datagrams: Ok or a typed Err, in bounded time and memory.
 // ----------------------------------------------------------------------
 
 fn xorshift(state: &mut u64) -> u64 {
