@@ -32,6 +32,15 @@ fn bench_network_activation(c: &mut Criterion) {
             b.iter(|| black_box(net.activate_into(black_box(&obs), &mut scratch)[0]))
         });
     }
+    // The shape the benchmark's Atari workloads run: a freshly seeded
+    // 128x18 genome, every input connected to every output.
+    let cfg = cfg(128, 18);
+    let net = FeedForwardNetwork::compile(&evolved_genome(&cfg, 7, 0), &cfg);
+    let obs: Vec<f64> = (0..128).map(|i| f64::from(i % 7) / 7.0).collect();
+    group.bench_function(BenchmarkId::new("activate_into", "atari_fresh"), |b| {
+        let mut scratch = Scratch::new();
+        b.iter(|| black_box(net.activate_into(black_box(&obs), &mut scratch)[0]))
+    });
     group.finish();
 }
 

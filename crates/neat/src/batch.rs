@@ -46,10 +46,9 @@ pub struct ShapeKey(Vec<u64>);
 impl ShapeKey {
     /// Computes the signature of a compiled network.
     pub fn of(net: &FeedForwardNetwork) -> ShapeKey {
-        let nodes = net.eval_nodes();
+        let nodes = &net.nodes;
         let mut tokens = Vec::with_capacity(
-            4 + nodes.iter().map(|n| 3 + n.incoming.len()).sum::<usize>()
-                + net.output_slot_list().len(),
+            4 + nodes.iter().map(|n| 3 + n.incoming.len()).sum::<usize>() + net.output_slots.len(),
         );
         tokens.push(net.num_inputs() as u64);
         tokens.push(net.num_outputs() as u64);
@@ -60,7 +59,7 @@ impl ShapeKey {
             tokens.push(node.incoming.len() as u64);
             tokens.extend(node.incoming.iter().map(|&(slot, _)| slot as u64));
         }
-        tokens.extend(net.output_slot_list().iter().map(|&s| s as u64));
+        tokens.extend(net.output_slots.iter().map(|&s| s as u64));
         ShapeKey(tokens)
     }
 }
@@ -116,7 +115,7 @@ impl BatchedNetwork {
     /// [`load_lane`](Self::load_lane) before reading a lane's outputs.
     pub fn from_template(template: &FeedForwardNetwork, lanes: usize) -> BatchedNetwork {
         let lanes = lanes.max(1);
-        let tnodes = template.eval_nodes();
+        let tnodes = &template.nodes;
         let mut nodes = Vec::with_capacity(tnodes.len());
         let mut slots = Vec::new();
         let mut edge_off = Vec::with_capacity(tnodes.len() + 1);
@@ -142,7 +141,7 @@ impl BatchedNetwork {
             edge_off,
             bias: vec![0.0; tnodes.len() * lanes],
             response: vec![0.0; tnodes.len() * lanes],
-            output_slots: template.output_slot_list().to_vec(),
+            output_slots: template.output_slots.to_vec(),
             values: vec![0.0; num_slots * lanes],
             staged: Vec::with_capacity(max_deg),
             acc: vec![0.0; lanes],
@@ -164,7 +163,7 @@ impl BatchedNetwork {
             "network shape does not match the batch template"
         );
         let lanes = self.lanes;
-        for (i, node) in net.eval_nodes().iter().enumerate() {
+        for (i, node) in net.nodes.iter().enumerate() {
             self.bias[i * lanes + lane] = node.bias;
             self.response[i * lanes + lane] = node.response;
             let e0 = self.edge_off[i];

@@ -21,30 +21,12 @@
 //!    [`counters::CostCounters`] type records exactly how many genes each
 //!    compute block (Inference, Speciation, Reproduction) touches.
 //!
-//! ## The inference hot path: scratch buffers
+//! ## The inference hot path
 //!
-//! Inference dominates a generation's compute (paper Fig. 3), and one
-//! episode activates a network hundreds of times. The activation API
-//! has one entry point and it is allocation-free: callers own a
-//! [`Scratch`] whose buffers are reused across steps,
-//! episodes, and networks —
-//!
-//! ```
-//! use clan_neat::{FeedForwardNetwork, Genome, GenomeId, NeatConfig, Scratch};
-//! use rand::{rngs::StdRng, SeedableRng};
-//!
-//! let cfg = NeatConfig::builder(2, 1).build()?;
-//! let genome = Genome::new_initial(&cfg, GenomeId(0), &mut StdRng::seed_from_u64(7));
-//! let net = FeedForwardNetwork::compile(&genome, &cfg);
-//! let mut scratch = Scratch::new();
-//! for step in 0..200 {
-//!     let x = step as f64 / 200.0;
-//!     // Zero heap allocations per call once the buffers have grown.
-//!     let action = net.act_argmax_with(&[x, -x], &mut scratch);
-//!     assert!(action < 1);
-//! }
-//! # Ok::<(), clan_neat::NeatError>(())
-//! ```
+//! Inference dominates a generation's compute (paper Fig. 3). The
+//! [`network`] module owns it: one allocation-free entry point,
+//! [`FeedForwardNetwork::activate_into`], over a caller-owned
+//! [`Scratch`], bit-identical to folding one node at a time.
 //!
 //! ## Evaluation: one state transition, any engine
 //!

@@ -24,11 +24,26 @@
 //! its own start, so every output is bit-identical to evaluating one
 //! node at a time.
 //!
-//! Compilation itself is also on the per-generation hot path (every
-//! genome recompiles every generation), so it runs entirely on indexed
-//! `Vec` passes over the genome's key-ordered gene runs: a node is named
-//! by its position in the node run, found by binary search, and nothing
-//! is copied out of the genome but the plan itself.
+//! With at least `DENSE_INPUTS` inputs (Atari RAM, not the classic
+//! control tasks) a run may hold eight nodes, and one whose input edges
+//! fill at least half of its block reads them from it: a padded weight
+//! block with one row per observation, in connection-key order (the last
+//! observation first), one lane per node and `0.0` for a missing edge.
+//! Activation loads each observation once and folds it into every lane,
+//! eight chains and no slot lookups, then each node adds its sparse tail
+//! of hidden-node sources in key order. A padded lane adds `v × 0.0`: for
+//! a finite `v` that is `±0.0`, which leaves any sum but a zero as it is,
+//! so a lane equals its node's own fold over its input edges unless both
+//! are zeros (maybe of different signs); an infinite or NaN `v` can only
+//! make the lane NaN. A lane that comes out `±0.0` or NaN is therefore
+//! folded again from the node's own edges. That keeps every bit for a
+//! node with no input edge, terms that cancel and non-finite inputs or
+//! weights alike.
+//!
+//! Compilation is on the per-generation hot path too (every genome
+//! recompiles every generation): it runs on indexed `Vec` passes over the
+//! genome's key-ordered gene runs, and fills each block in the pass that
+//! cuts the runs.
 
 use crate::activation::{Activation, Aggregation};
 use crate::config::NeatConfig;
@@ -41,6 +56,13 @@ use crate::genome::Genome;
 /// eight measured no better.
 const RUN: usize = 4;
 
+/// Fewest network inputs at which a group of `Sum` nodes may read them
+/// from a [`Block`]: below this the sparse runs measured as fast.
+const DENSE_INPUTS: usize = 16;
+
+/// Nodes per [`Block`], each one lane of every row.
+const LANES: usize = 8;
+
 /// One node's compiled evaluation plan.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct EvalNode {
@@ -49,12 +71,23 @@ pub(crate) struct EvalNode {
     pub(crate) activation: Activation,
     pub(crate) aggregation: Aggregation,
     /// Nodes from this one on that activation evaluates together, decided
-    /// at compile time: 1..=[`RUN`] on the first node of a run, 0 inside
-    /// one. A run longer than 1 is `Sum` nodes that read no slot the run
-    /// writes.
+    /// at compile time: 1..=[`RUN`] on the first node of a run (up to
+    /// [`LANES`] if it carries a `block`), 0 inside one. A run longer
+    /// than 1 is `Sum` nodes that read no slot the run writes.
     pub(crate) run: u8,
     /// `(value_slot, weight)` pairs for incoming enabled connections.
     pub(crate) incoming: Vec<(usize, f64)>,
+    /// The run's input edges as one dense block, on its first node.
+    pub(crate) block: Option<Box<Block>>,
+}
+
+/// A run's input edges as a padded weight block (module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Block {
+    rows: Vec<[f64; LANES]>,
+    /// Each lane's input-edge count, where its node's sparse tail of
+    /// hidden-node sources starts in `incoming`.
+    heads: [usize; LANES],
 }
 
 /// Caller-owned, reusable buffers for allocation-free activation.
@@ -111,10 +144,10 @@ pub struct FeedForwardNetwork {
     num_inputs: usize,
     num_outputs: usize,
     /// Evaluation plan in topological order; slot `num_inputs + i` holds
-    /// the value of `nodes[i]`.
-    nodes: Vec<EvalNode>,
+    /// the value of `nodes[i]`. Read by the batched SoA tier too.
+    pub(crate) nodes: Vec<EvalNode>,
     /// Value slot of each network output.
-    output_slots: Vec<usize>,
+    pub(crate) output_slots: Vec<usize>,
     /// Genes touched per activation (enabled connections + evaluated
     /// nodes) — the paper's inference cost unit.
     genes_per_activation: u64,
@@ -147,10 +180,6 @@ impl FeedForwardNetwork {
     /// output lookup, the endpoint resolution and Kahn's count — so a
     /// valid genome pays nothing for them.
     ///
-    /// The whole pass is index-based: node ids are resolved once into
-    /// positions within the genome's node run, and the
-    /// reachability/topological/grouping passes run over flat `Vec`s.
-    ///
     /// # Errors
     ///
     /// [`NeatError::InvalidGenome`] if an output has no node gene, an
@@ -162,14 +191,19 @@ impl FeedForwardNetwork {
             reason,
         };
         let num_inputs = cfg.num_inputs;
-        let n_nodes = genome.nodes().len();
-        let idx_of = |id: NodeId| genome.nodes().search(&id).ok();
+        let genes = genome.nodes().as_slice();
+        let n_nodes = genes.len();
+        // Output `o` sits at index `o` of a genome with every output.
+        let idx_of = |id: NodeId| match genes.get(id.0 as usize) {
+            Some(&(at, _)) if at == id => Some(id.0 as usize),
+            _ => genome.nodes().search(&id).ok(),
+        };
 
-        // Single pass over the sorted connection genes: resolve endpoints
-        // to indices. `src` is `usize::MAX - slot` for network inputs.
-        // Dangling endpoints (possible only for genomes bypassing the
-        // invariant checks) are skipped, as before.
-        const INPUT_BASE: usize = usize::MAX;
+        // The enabled connections with resolved endpoints, in key order:
+        // by source, network inputs first. `src` counts observations, then
+        // nodes: `obs`, or `num_inputs` plus the node's index. Dangling
+        // endpoints (possible only for genomes bypassing the invariant
+        // checks) are skipped.
         struct Edge {
             src: usize,
             dst: usize,
@@ -192,10 +226,10 @@ impl FeedForwardNetwork {
                         "connection {key} reads input {obs} of {num_inputs}"
                     )));
                 }
-                INPUT_BASE - obs as usize
+                obs as usize
             } else {
                 match idx_of(key.input) {
-                    Some(i) => i,
+                    Some(i) => num_inputs + i,
                     None => continue,
                 }
             };
@@ -205,139 +239,104 @@ impl FeedForwardNetwork {
                 weight: gene.weight,
             });
         }
-        let is_input_src = |src: usize| src > n_nodes;
 
-        // Required nodes: reachable *backwards* from outputs over enabled
-        // connections, plus the outputs themselves. Reverse adjacency in
-        // CSR form (counts → offsets → fill), node-to-node edges only.
-        let mut rev_deg = vec![0u32; n_nodes];
+        // Each node's in-edges, in key order, as indices into `edges`
+        // (CSR: counts, offsets, fill).
+        let mut in_off = vec![0usize; n_nodes + 1];
         for e in &edges {
-            if !is_input_src(e.src) {
-                rev_deg[e.dst] += 1;
-            }
+            in_off[e.dst + 1] += 1;
         }
-        let mut rev_off = vec![0usize; n_nodes + 1];
         for i in 0..n_nodes {
-            rev_off[i + 1] = rev_off[i] + rev_deg[i] as usize;
+            in_off[i + 1] += in_off[i];
         }
-        let mut rev_adj = vec![0u32; rev_off[n_nodes]];
-        let mut rev_fill = rev_off.clone();
-        for e in &edges {
-            if !is_input_src(e.src) {
-                rev_adj[rev_fill[e.dst]] = e.src as u32;
-                rev_fill[e.dst] += 1;
-            }
+        let mut in_adj = vec![0u32; edges.len()];
+        let mut fill = in_off.clone();
+        for (k, e) in edges.iter().enumerate() {
+            in_adj[fill[e.dst]] = k as u32;
+            fill[e.dst] += 1;
         }
+        let in_edges = |n: usize| {
+            in_adj[in_off[n]..in_off[n + 1]]
+                .iter()
+                .map(|&k| &edges[k as usize])
+        };
+
+        // Required nodes: the outputs and every node they read. The queue
+        // opens with the outputs, in output order, and only ever grows:
+        // its head doubles as the output index list below.
         let mut required = vec![false; n_nodes];
-        // The queue opens with the outputs, in output order, and only
-        // ever grows: its head doubles as the output index list below.
-        let mut queue: Vec<u32> = (0..cfg.num_outputs)
+        let mut queue: Vec<usize> = (0..cfg.num_outputs)
             .map(|o| {
                 idx_of(NodeId::output(o))
-                    .map(|i| i as u32)
                     .ok_or_else(|| invalid(format!("output {o} has no node gene")))
             })
             .collect::<Result<_, _>>()?;
         let mut head = 0;
-        while head < queue.len() {
-            let n = queue[head] as usize;
+        while let Some(&n) = queue.get(head) {
             head += 1;
-            if required[n] {
-                continue;
+            if !std::mem::replace(&mut required[n], true) {
+                queue.extend(in_edges(n).filter_map(|e| e.src.checked_sub(num_inputs)));
             }
-            required[n] = true;
-            queue.extend_from_slice(&rev_adj[rev_off[n]..rev_off[n + 1]]);
         }
-        // (A required node may have been queued twice before its flag was
-        // set; the `continue` above deduplicates, exactly like the old
-        // BTreeSet insert.)
 
-        // Topological order of the required subgraph (Kahn), forward
-        // adjacency in CSR form over required-to-required edges.
+        // Topological order of the required nodes (Kahn): indegree-zero
+        // nodes in id order, then FIFO. A required node reads only
+        // required nodes, and the node-to-node edges come last in `edges`
+        // in source order, so each node's out-edges are one run of them.
+        let from = |n: usize| edges.partition_point(|e| e.src < num_inputs + n);
         let mut indeg = vec![0u32; n_nodes];
-        let mut fwd_deg = vec![0u32; n_nodes];
-        let mut conn_count = 0u64;
-        for e in &edges {
-            if !required[e.dst] {
-                continue;
-            }
-            if is_input_src(e.src) {
-                conn_count += 1;
-            } else if required[e.src] {
-                conn_count += 1;
-                indeg[e.dst] += 1;
-                fwd_deg[e.src] += 1;
-            }
+        for e in &edges[from(0)..] {
+            indeg[e.dst] += u32::from(required[e.dst]);
         }
-        let mut fwd_off = vec![0usize; n_nodes + 1];
-        for i in 0..n_nodes {
-            fwd_off[i + 1] = fwd_off[i] + fwd_deg[i] as usize;
-        }
-        let mut fwd_adj = vec![0u32; fwd_off[n_nodes]];
-        let mut fwd_fill = fwd_off.clone();
-        for e in &edges {
-            if !is_input_src(e.src) && required[e.src] && required[e.dst] {
-                fwd_adj[fwd_fill[e.src]] = e.dst as u32;
-                fwd_fill[e.src] += 1;
-            }
-        }
-        let n_required = required.iter().filter(|&&r| r).count();
-        let mut order: Vec<u32> = Vec::with_capacity(n_required);
-        // Seed with indegree-zero required nodes in sorted-id order, then
-        // process FIFO — identical order to the previous map-based Kahn.
-        let mut ready: Vec<u32> = (0..n_nodes as u32)
-            .filter(|&i| required[i as usize] && indeg[i as usize] == 0)
+        let mut order: Vec<usize> = (0..n_nodes)
+            .filter(|&i| required[i] && indeg[i] == 0)
             .collect();
-        let mut ready_head = 0;
-        while ready_head < ready.len() {
-            let n = ready[ready_head];
-            ready_head += 1;
-            order.push(n);
-            for &m in &fwd_adj[fwd_off[n as usize]..fwd_off[n as usize + 1]] {
-                indeg[m as usize] -= 1;
-                if indeg[m as usize] == 0 {
-                    ready.push(m);
+        let mut head = 0;
+        while let Some(&n) = order.get(head) {
+            head += 1;
+            for e in &edges[from(n)..from(n + 1)] {
+                if required[e.dst] {
+                    indeg[e.dst] -= 1;
+                    if indeg[e.dst] == 0 {
+                        order.push(e.dst);
+                    }
                 }
             }
         }
-        if order.len() != n_required {
+        if order.len() != required.iter().filter(|&&r| r).count() {
             return Err(invalid("enabled connections form a cycle".into()));
         }
 
-        // Slot assignment: inputs first, then nodes in topological order.
-        let mut slot_of_node = vec![usize::MAX; n_nodes];
+        // Slot assignment, by `src`: inputs first, then nodes in
+        // topological order.
+        let mut slot_of: Vec<usize> = (0..num_inputs + n_nodes).collect();
         for (i, &n) in order.iter().enumerate() {
-            slot_of_node[n as usize] = num_inputs + i;
-        }
-        let slot_of_src = |src: usize| -> usize {
-            if is_input_src(src) {
-                INPUT_BASE - src // the input's observation index
-            } else {
-                slot_of_node[src]
-            }
-        };
-        // Group enabled connections by destination in one pass; the edge
-        // list preserves the sorted connection-gene order, so each node's
-        // incoming list is ordered by source id exactly as before.
-        let mut incoming: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_nodes];
-        for e in &edges {
-            if required[e.dst] && (is_input_src(e.src) || required[e.src]) {
-                incoming[e.dst].push((slot_of_src(e.src), e.weight));
-            }
+            slot_of[num_inputs + n] = num_inputs + i;
         }
         let mut nodes: Vec<EvalNode> = Vec::with_capacity(order.len());
+        let mut conn_count = 0;
         // Runs for the grouped kernel: a `Sum` node joins the open run
         // while it has room and reads only slots written before the run.
+        // With enough inputs a run holds up to `LANES` nodes, and one
+        // that closes without a block is cut back into runs of `RUN`.
+        let most = if num_inputs < DENSE_INPUTS {
+            RUN
+        } else {
+            LANES
+        };
         let mut start = 0;
         for (i, &n) in order.iter().enumerate() {
-            let gene = genome.nodes().as_slice()[n as usize].1;
-            let incoming = std::mem::take(&mut incoming[n as usize]);
+            let gene = genes[n].1;
+            let incoming: Vec<(usize, f64)> =
+                in_edges(n).map(|e| (slot_of[e.src], e.weight)).collect();
+            conn_count += incoming.len() as u64;
             let joins = i > start
-                && i - start < RUN
+                && i - start < most
                 && nodes[start].aggregation == Aggregation::Sum
                 && gene.aggregation == Aggregation::Sum
                 && incoming.iter().all(|&(slot, _)| slot < num_inputs + start);
             if !joins {
+                close_run(&mut nodes[start..], num_inputs);
                 start = i;
             }
             nodes.push(EvalNode {
@@ -347,12 +346,14 @@ impl FeedForwardNetwork {
                 aggregation: gene.aggregation,
                 run: 0,
                 incoming,
+                block: None,
             });
             nodes[start].run += 1;
         }
+        close_run(&mut nodes[start..], num_inputs);
         let output_slots = queue[..cfg.num_outputs]
             .iter()
-            .map(|&i| slot_of_node[i as usize])
+            .map(|&i| slot_of[num_inputs + i])
             .collect();
         Ok(FeedForwardNetwork {
             genome_id: genome.id(),
@@ -385,16 +386,6 @@ impl FeedForwardNetwork {
         self.genes_per_activation
     }
 
-    /// Compiled evaluation plan, for the batched SoA tier ([`crate::batch`]).
-    pub(crate) fn eval_nodes(&self) -> &[EvalNode] {
-        &self.nodes
-    }
-
-    /// Value slots of the network outputs, for the batched SoA tier.
-    pub(crate) fn output_slot_list(&self) -> &[usize] {
-        &self.output_slots
-    }
-
     /// Runs one forward pass into caller-owned buffers and returns the
     /// output slice (also available as [`Scratch::outputs`]).
     ///
@@ -423,12 +414,13 @@ impl FeedForwardNetwork {
         let mut i = 0;
         while i < self.nodes.len() {
             let node = &self.nodes[i];
-            match (node.run, node.aggregation) {
-                (4, _) => self.sum_run::<4>(i, values),
-                (3, _) => self.sum_run::<3>(i, values),
-                (2, _) => self.sum_run::<2>(i, values),
-                (_, Aggregation::Sum) => self.sum_run::<1>(i, values),
-                (_, agg) => {
+            match (&node.block, node.run, node.aggregation) {
+                (Some(block), ..) => self.dense_run(i, block, values),
+                (_, 4, _) => self.sum_run::<4>(i, values),
+                (_, 3, _) => self.sum_run::<3>(i, values),
+                (_, 2, _) => self.sum_run::<2>(i, values),
+                (_, _, Aggregation::Sum) => self.sum_run::<1>(i, values),
+                (_, _, agg) => {
                     weighted.clear();
                     weighted.extend(node.incoming.iter().map(|&(slot, w)| values[slot] * w));
                     let agg = agg.apply(weighted);
@@ -471,6 +463,28 @@ impl FeedForwardNetwork {
         }
     }
 
+    /// Evaluates the run starting at plan index `at` from its [`Block`],
+    /// folding a lane that is `±0.0` or NaN again (module docs).
+    fn dense_run(&self, at: usize, block: &Block, values: &mut [f64]) {
+        let n = self.num_inputs;
+        let nodes = &self.nodes[at..at + usize::from(self.nodes[at].run)];
+        let mut acc = [-0.0f64; LANES];
+        for (row, &v) in block.rows.iter().zip(values[..n].iter().rev()) {
+            for (a, &w) in acc.iter_mut().zip(row) {
+                *a += v * w;
+            }
+        }
+        for (j, node) in nodes.iter().enumerate() {
+            let (head, tail) = node.incoming.split_at(block.heads[j]);
+            let mut sum = acc[j];
+            if sum == 0.0 || sum.is_nan() {
+                sum = head.iter().fold(-0.0, |a, &(slot, w)| a + values[slot] * w);
+            }
+            let sum = tail.iter().fold(sum, |a, &(slot, w)| a + values[slot] * w);
+            values[n + at + j] = node.activation.apply(node.bias + node.response * sum);
+        }
+    }
+
     /// Index of the maximum output — the usual discrete-action policy —
     /// over caller-owned buffers.
     ///
@@ -492,6 +506,31 @@ impl FeedForwardNetwork {
             }
         }
         best
+    }
+}
+
+/// Closes the run `nodes` (its first node holds its length): one whose
+/// input edges fill half a [`Block`] or more gets one, any other is cut
+/// into runs of at most [`RUN`].
+fn close_run(nodes: &mut [EvalNode], num_inputs: usize) {
+    let mut heads = [0; LANES];
+    for (head, node) in heads.iter_mut().zip(&*nodes) {
+        *head = node
+            .incoming
+            .partition_point(|&(slot, _)| slot < num_inputs);
+    }
+    if num_inputs >= DENSE_INPUTS && 2 * heads.iter().sum::<usize>() >= LANES * num_inputs {
+        let mut rows = vec![[0.0; LANES]; num_inputs];
+        for (j, (node, &head)) in nodes.iter().zip(&heads).enumerate() {
+            for &(slot, w) in &node.incoming[..head] {
+                rows[num_inputs - 1 - slot][j] = w;
+            }
+        }
+        nodes[0].block = Some(Box::new(Block { rows, heads }));
+    } else {
+        for run in nodes.chunks_mut(RUN) {
+            run[0].run = run.len() as u8;
+        }
     }
 }
 
@@ -947,6 +986,164 @@ mod tests {
             assert_eq!(out[output].to_bits(), (-0.0f64).to_bits(), "{out:?}");
             assert_reference_bits(net, &[&[1.0], &[-3.0]]);
         }
+    }
+
+    /// Inputs of the block tests: just enough for a dense block.
+    const N: usize = DENSE_INPUTS;
+
+    /// Weights whose sums cancel catastrophically, so a term folded out of
+    /// order or into another lane changes the bits.
+    const TERMS: [f64; 7] = [1e16, 3.0, -1e16 + 2.0, 0.5, -7.25, 1e-3, -2.5e8];
+
+    /// `Identity` outputs `0..width` over `N` inputs: output `j` reads input
+    /// `k` with weight `TERMS[(j + k) % 7]` unless `lacks(j, k)`, and has
+    /// bias −0.0 if `j % 3 == 0`. `hidden` adds `Sum` nodes, `conns` any
+    /// other edge.
+    fn block_net(
+        width: usize,
+        lacks: impl Fn(usize, usize) -> bool,
+        hidden: &[i64],
+        conns: &[(i64, i64, f64)],
+    ) -> FeedForwardNetwork {
+        let sum = Aggregation::Sum;
+        let bias = |j: usize| {
+            if j.is_multiple_of(3) {
+                -0.0
+            } else {
+                0.125 * j as f64
+            }
+        };
+        let nodes: Vec<_> = (0..width)
+            .map(|j| (j as i64, bias(j), sum))
+            .chain(hidden.iter().map(|&h| (h, -0.5, sum)))
+            .collect();
+        let lacks = &lacks;
+        let edges: Vec<_> = (0..width)
+            .flat_map(|j| {
+                (0..N)
+                    .filter(move |&k| !lacks(j, k))
+                    .map(move |k| (-(k as i64) - 1, j as i64, TERMS[(j + k) % 7]))
+            })
+            .chain(conns.iter().copied())
+            .collect();
+        identity_net(N, width, &nodes, &edges)
+    }
+
+    /// Observation rows for the block tests: plain, mixed-sign and all
+    /// −0.0 rows, then `extra`.
+    fn assert_block_bits(net: &FeedForwardNetwork, extra: &[Vec<f64>]) {
+        let mut rows = vec![
+            vec![1.0; N],
+            (0..N).map(|k| k as f64 - 7.5).collect(),
+            (0..N)
+                .map(|k| if k % 3 == 0 { -1.0 } else { 0.0 })
+                .collect(),
+            vec![-0.0; N],
+        ];
+        rows.extend_from_slice(extra);
+        let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        assert_reference_bits(net, &rows);
+    }
+
+    #[test]
+    fn blocks_of_every_width_keep_each_nodes_own_fold() {
+        // Hidden nodes 100 and 101 read inputs only, so they come first
+        // in the plan and every output, which reads one or both of them
+        // after about four inputs in five, is one run behind them. A
+        // block must be half full, so widths below five stay sparse runs.
+        for width in 2..=LANES {
+            let mut conns = vec![(-1, 100, 2.0), (-2, 100, -0.75), (-3, 101, 1e16)];
+            for j in 0..width as i64 {
+                conns.push((100, j, TERMS[j as usize % 7]));
+                if j % 2 == 1 {
+                    conns.push((101, j, -1e16));
+                }
+            }
+            let net = block_net(width, |j, k| (j + k) % 5 == 0, &[100, 101], &conns);
+            assert_eq!(usize::from(net.nodes[2].run), width, "width {width}");
+            assert_eq!(net.nodes[2].block.is_some(), width >= 5, "width {width}");
+            assert_block_bits(&net, &[(0..N).map(|k| 1e300 / (k as f64 - 4.0)).collect()]);
+        }
+    }
+
+    #[test]
+    fn a_block_lane_with_no_input_edge_keeps_a_negative_zero_bias() {
+        // Over a positive observation the padding alone folds +0.0 into
+        // output 3's lane; its own (empty) fold is −0.0.
+        let net = block_net(6, |j, _| j == 3, &[], &[]);
+        assert!(net.nodes[0].block.is_some());
+        assert_eq!(outputs(&net, &[1.0; N])[3].to_bits(), (-0.0f64).to_bits());
+        assert_block_bits(&net, &[]);
+    }
+
+    #[test]
+    fn input_terms_that_cancel_to_zero_keep_their_sign() {
+        // Output 3 (bias −0.0) reads 1e16 − 1e16 = +0.0 from inputs 0 and
+        // 1 only: its sum is +0.0 whatever the padding folded in.
+        let net = block_net(5, |j, _| j == 3, &[], &[(-1, 3, 1e16), (-2, 3, -1e16)]);
+        assert!(net.nodes[0].block.is_some());
+        let ones = outputs(&net, &[1.0; N]);
+        assert_eq!(ones[3].to_bits(), 0.0f64.to_bits());
+        let mut row = vec![-3.0; N];
+        row[5] = 0.0;
+        assert_block_bits(&net, &[row]);
+    }
+
+    #[test]
+    fn non_finite_observations_a_lane_lacks_leave_it_finite() {
+        // Output `j` lacks input `j`; +inf, −inf and NaN arrive on inputs
+        // 0, 1 and 2, which padding turns into NaN in those lanes only.
+        let net = block_net(6, |j, k| j == k, &[], &[]);
+        assert!(net.nodes[0].block.is_some());
+        let mut row = vec![0.5; N];
+        row[..3].copy_from_slice(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        let out = outputs(&net, &row);
+        assert!(
+            out[0].is_nan() && out[1].is_nan() && out[3].is_nan(),
+            "{out:?}"
+        );
+        let lone = |k: usize, v: f64| (0..N).map(|i| if i == k { v } else { 1.0 }).collect();
+        assert_block_bits(
+            &net,
+            &[
+                row,
+                lone(0, f64::INFINITY),
+                lone(2, f64::NAN),
+                lone(5, -f64::INFINITY),
+            ],
+        );
+        assert!(outputs(&net, &lone(0, f64::INFINITY))[0].is_finite());
+    }
+
+    #[test]
+    fn zero_weight_edges_beside_padding_keep_their_sign() {
+        // Output 0 (bias −0.0) reads inputs 0..8 through −0.0 weights, so
+        // over positive observations its own fold stays −0.0 while the
+        // padding of inputs 8.. folds +0.0 first; output 3 reads them
+        // through +0.0 weights.
+        let zeros: Vec<_> = (0..8)
+            .flat_map(|k| [(-k - 1, 0, -0.0), (-k - 1, 3, 0.0)])
+            .collect();
+        let net = block_net(5, |j, _| j == 0 || j == 3, &[], &zeros);
+        assert!(net.nodes[0].block.is_some());
+        assert_eq!(outputs(&net, &[1.0; N])[0].to_bits(), (-0.0f64).to_bits());
+        assert_block_bits(&net, &[vec![-2.0; N]]);
+    }
+
+    #[test]
+    fn hostile_nan_and_infinite_weights_fold_as_the_reference_does() {
+        let hostile = [
+            (-5, 1, f64::NAN),
+            (-8, 2, f64::INFINITY),
+            (-1, 4, f64::NEG_INFINITY),
+        ];
+        // Each replaces a generated edge; output 2 also lacks input 6.
+        let holes = [(1, 4), (2, 7), (4, 0), (2, 6)];
+        let net = block_net(5, |j, k| holes.contains(&(j, k)), &[], &hostile);
+        assert!(net.nodes[0].block.is_some());
+        let mut zero_at_7 = vec![1.0; N];
+        zero_at_7[7] = 0.0;
+        assert_block_bits(&net, &[zero_at_7]);
     }
 
     #[test]

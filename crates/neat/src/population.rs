@@ -262,8 +262,11 @@ impl Population {
     /// Fitness distribution of the current population, or `None` if any
     /// genome is unevaluated.
     pub fn fitness_stats(&self) -> Option<FitnessStats> {
-        let fits: Option<Vec<f64>> = self.genomes.values().map(Genome::fitness).collect();
-        let fits = fits?;
+        let fits: Vec<f64> = self
+            .genomes
+            .values()
+            .map(Genome::fitness)
+            .collect::<Option<_>>()?;
         if fits.is_empty() {
             return None;
         }

@@ -97,19 +97,6 @@ impl GenerationPlan {
     pub fn parent_ids(&self) -> BTreeSet<GenomeId> {
         self.children.iter().flat_map(|c| c.parent_ids()).collect()
     }
-
-    /// `(species, spawn)` pairs — the paper's "sending spawn count" payload.
-    pub fn spawn_counts(&self) -> Vec<(SpeciesId, usize)> {
-        self.species_plans
-            .iter()
-            .map(|sp| (sp.species, sp.spawn))
-            .collect()
-    }
-
-    /// Total children (equals the configured population size).
-    pub fn num_children(&self) -> usize {
-        self.children.len()
-    }
 }
 
 /// Computes fitness sharing, spawn counts, parent pools, and per-child
@@ -146,22 +133,17 @@ pub fn compute_plan(
     let max_f = all_fits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let range = (max_f - min_f).max(1.0);
 
-    let sids: Vec<SpeciesId> = species.species().keys().copied().collect();
-    let mut adjusted: Vec<(SpeciesId, f64)> = Vec::with_capacity(sids.len());
-    for &sid in &sids {
-        let s = &species.species()[&sid];
-        let mean =
-            s.members().iter().map(|&m| fitness_of(m)).sum::<f64>() / s.members().len() as f64;
-        let af = (mean - min_f) / range;
-        adjusted.push((sid, af));
-    }
-    for &(sid, af) in &adjusted {
-        species
-            .species_mut()
-            .get_mut(&sid)
-            .expect("species exists")
-            .set_adjusted_fitness(af);
-    }
+    let adjusted: Vec<(SpeciesId, f64)> = species
+        .species_mut()
+        .iter_mut()
+        .map(|(&sid, s)| {
+            let mean =
+                s.members().iter().map(|&m| fitness_of(m)).sum::<f64>() / s.members().len() as f64;
+            let af = (mean - min_f) / range;
+            s.set_adjusted_fitness(af);
+            (sid, af)
+        })
+        .collect();
 
     // --- Spawn counts: proportional shares normalized to exactly the ----
     // configured population size (largest-remainder), with a
@@ -170,9 +152,9 @@ pub fn compute_plan(
     let spawn = allocate_spawn(&adjusted, pop, cfg.min_species_size);
 
     // --- Parent pools and child specs. ----------------------------------
-    let mut species_plans = Vec::with_capacity(sids.len());
+    let mut species_plans = Vec::with_capacity(adjusted.len());
     let mut children = Vec::with_capacity(pop);
-    for (&sid, &n_spawn) in sids.iter().zip(spawn.iter()) {
+    for (&(sid, _), &n_spawn) in adjusted.iter().zip(spawn.iter()) {
         let s = &species.species()[&sid];
         let mut ranked: Vec<GenomeId> = s.members().to_vec();
         ranked.sort_by(|&a, &b| {
@@ -382,9 +364,9 @@ mod tests {
         let (cfg, genomes, mut set) = setup(30);
         let mut next_id = 1000;
         let plan = compute_plan(&mut set, &genomes, &cfg, 0, 7, &mut next_id);
-        assert_eq!(plan.num_children(), 30);
+        assert_eq!(plan.children.len(), 30);
         assert_eq!(next_id, 1030);
-        let total: usize = plan.spawn_counts().iter().map(|&(_, s)| s).sum();
+        let total: usize = plan.species_plans.iter().map(|sp| sp.spawn).sum();
         assert_eq!(total, 30);
     }
 

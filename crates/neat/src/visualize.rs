@@ -33,15 +33,10 @@ pub fn genome_to_dot(genome: &Genome, cfg: &NeatConfig) -> String {
 
     // Outputs and hidden nodes.
     for (id, gene) in genome.nodes().iter() {
-        let shape = if id.is_output(cfg.num_outputs) {
-            "doublecircle"
+        let (shape, label) = if id.is_output(cfg.num_outputs) {
+            ("doublecircle", format!("out{}\\nb={:.2}", id.0, gene.bias))
         } else {
-            "circle"
-        };
-        let label = if id.is_output(cfg.num_outputs) {
-            format!("out{}\\nb={:.2}", id.0, gene.bias)
-        } else {
-            format!("h\\nb={:.2}", gene.bias)
+            ("circle", format!("h\\nb={:.2}", gene.bias))
         };
         let _ = writeln!(out, "  \"{}\" [shape={}, label=\"{}\"];", id, shape, label);
     }

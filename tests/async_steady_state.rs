@@ -19,6 +19,7 @@ use clan::neat::rng::{derive_seed, OpTag};
 use clan::neat::steady_state::steady_state_insert;
 use clan::neat::{GenomeId, NeatConfig, Population};
 use proptest::prelude::*;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// A population with every member evaluated to a fitness drawn from a
 /// seeded stream (so champions land on arbitrary ids, not just id 0).
@@ -301,11 +302,15 @@ fn live_run_bootstraps_before_it_reproduces() {
 /// The slot [`cluster_with_a_dying_link`] puts behind a [`DyingLink`].
 const DYING_SLOT: usize = 1;
 
+/// Set once the [`DyingLink`] has returned its error.
+type Death = Arc<(Mutex<bool>, Condvar)>;
+
 /// A coordinator-side link that dies the way an unplugged device does:
 /// after `replies_left` replies every `recv_frame` is a transport error.
 struct DyingLink {
     inner: ChannelTransport,
     replies_left: usize,
+    death: Death,
 }
 
 impl Transport for DyingLink {
@@ -315,6 +320,9 @@ impl Transport for DyingLink {
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, ClanError> {
         if self.replies_left == 0 {
+            let (dead, seen) = &*self.death;
+            *dead.lock().expect("death flag") = true;
+            seen.notify_all();
             return Err(ClanError::Transport {
                 peer: self.peer(),
                 reason: "injected link death".into(),
@@ -329,22 +337,64 @@ impl Transport for DyingLink {
     }
 }
 
+/// A surviving link that holds its replies back, after `free` of them,
+/// until the [`DyingLink`] has died. Every link keeps a full window in
+/// flight, so the dying link keeps being sent work while the survivors
+/// wait; it cannot go unused while the survivors finish the budget.
+struct GatedLink {
+    inner: ChannelTransport,
+    free: usize,
+    death: Death,
+}
+
+impl Transport for GatedLink {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), ClanError> {
+        self.inner.send_frame(frame)
+    }
+
+    fn recv_frame(&mut self) -> Result<Vec<u8>, ClanError> {
+        if self.free == 0 {
+            let (dead, seen) = &*self.death;
+            let guard = dead.lock().expect("death flag");
+            drop(seen.wait_while(guard, |dead| !*dead).expect("death flag"));
+        } else {
+            self.free -= 1;
+        }
+        self.inner.recv_frame()
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+}
+
 /// Three channel agents, slot `DYING_SLOT` behind a [`DyingLink`] that
-/// delivers `replies` evaluations first.
+/// delivers `replies` evaluations first, the other two behind a
+/// [`GatedLink`] that delivers as many before that link's death. The
+/// budget needs more than `3 x replies` evaluations, and a genome the
+/// dead link held is only re-sent once its death is seen, so the run
+/// always observes the death before it can end.
 fn cluster_with_a_dying_link(population: usize, replies: usize) -> EdgeCluster {
+    let death = Death::default();
     let transports = (0..3)
         .map(|slot| {
             let (coordinator, mut agent) = channel_pair();
             std::thread::spawn(move || {
                 let _ = serve_session(&mut agent);
             });
+            let death = death.clone();
             if slot == DYING_SLOT {
                 Box::new(DyingLink {
                     inner: coordinator,
                     replies_left: replies,
+                    death,
                 }) as Box<dyn Transport>
             } else {
-                Box::new(coordinator)
+                Box::new(GatedLink {
+                    inner: coordinator,
+                    free: replies,
+                    death,
+                })
             }
         })
         .collect();

@@ -506,6 +506,8 @@ proptest! {
     fn grouped_activation_matches_the_one_node_at_a_time_fold(
         atari in any::<bool>(),
         dependent_tail in any::<bool>(),
+        near_full in any::<bool>(),
+        extreme in any::<bool>(),
         seed in any::<u64>(),
         mutations in 0usize..80,
     ) {
@@ -521,6 +523,10 @@ proptest! {
             .build()
             .expect("valid config");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
+        // Near full: a fresh genome, every input wired to every output,
+        // after a few mutations (the shape the Atari workloads run, and
+        // the one that reads its inputs from dense blocks).
+        let mutations = if near_full { mutations % 6 } else { mutations };
         let g = if dependent_tail {
             dependent_tail_genome(&cfg, &mut rng)
         } else {
@@ -532,8 +538,19 @@ proptest! {
         };
         let net = clan::neat::FeedForwardNetwork::compile(&g, &cfg);
         let mut scratch = Scratch::new();
+        // Extreme rows mix in signed zeros, tiny, huge and infinite
+        // magnitudes: products that vanish or overflow, sums that reach
+        // ±inf or NaN.
+        const EXTREMES: [f64; 9] = [
+            0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, f64::MAX, f64::INFINITY, f64::NEG_INFINITY,
+        ];
         for _ in 0..3 {
-            let x: Vec<f64> = (0..inputs).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let x: Vec<f64> = (0..inputs)
+                .map(|_| match rng.gen_range(0..EXTREMES.len() + 3) {
+                    i if extreme && i < EXTREMES.len() => EXTREMES[i],
+                    _ => rng.gen_range(-2.0..2.0),
+                })
+                .collect();
             let want: Vec<u64> = reference_outputs(&g, &cfg, &x).iter().map(|v| v.to_bits()).collect();
             let got: Vec<u64> = net.activate_into(&x, &mut scratch).iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(got, want);
