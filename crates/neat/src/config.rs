@@ -110,27 +110,13 @@ pub struct NeatConfig {
     /// Initial wiring of genomes.
     pub initial_connection: InitialConnection,
 
-    /// Genome compatibility distance above which two genomes are in
-    /// different species (the *initial* threshold when
-    /// [`dynamic_compatibility`](Self::dynamic_compatibility) is on).
+    /// Speciation threshold: a genome joins a species only if its
+    /// compatibility distance to the species' representative is below it.
     pub compatibility_threshold: f64,
     /// Coefficient on the disjoint-gene fraction of the distance.
     pub compatibility_disjoint_coefficient: f64,
     /// Coefficient on the matching-gene attribute distance.
     pub compatibility_weight_coefficient: f64,
-    /// Auto-adjust the live compatibility threshold (±10% per
-    /// generation) to keep the species count inside the target band.
-    ///
-    /// The normalized distance metric makes absolute distances depend on
-    /// genome size (4-gene XOR genomes vs 800-gene Atari genomes), so a
-    /// fixed threshold cannot suit every workload; dynamic thresholding
-    /// (as in SharpNEAT) makes speciation self-calibrating.
-    pub dynamic_compatibility: bool,
-    /// Lower edge of the target species band (scaled down for small
-    /// populations).
-    pub target_species_min: usize,
-    /// Upper edge of the target species band.
-    pub target_species_max: usize,
 
     /// Probability of adding a connection per mutation pass.
     pub conn_add_prob: f64,
@@ -211,15 +197,6 @@ impl NeatConfig {
                 reason: "must be positive".into(),
             });
         }
-        if self.target_species_min == 0 || self.target_species_min > self.target_species_max {
-            return Err(NeatError::InvalidConfig {
-                field: "target_species_min",
-                reason: format!(
-                    "species band [{}, {}] must be non-empty and start at 1",
-                    self.target_species_min, self.target_species_max
-                ),
-            });
-        }
         if let InitialConnection::Partial(p) = self.initial_connection {
             if !(0.0..=1.0).contains(&p) {
                 return Err(NeatError::InvalidConfig {
@@ -270,9 +247,6 @@ impl Default for NeatConfig {
             compatibility_threshold: 3.0,
             compatibility_disjoint_coefficient: 1.0,
             compatibility_weight_coefficient: 0.5,
-            dynamic_compatibility: true,
-            target_species_min: 4,
-            target_species_max: 18,
             conn_add_prob: 0.5,
             conn_delete_prob: 0.5,
             node_add_prob: 0.2,
@@ -352,18 +326,12 @@ impl NeatConfigBuilder {
         population_size: usize,
         /// Sets the initial wiring scheme.
         initial_connection: InitialConnection,
-        /// Sets the (initial) speciation distance threshold.
+        /// Sets the speciation distance threshold.
         compatibility_threshold: f64,
         /// Sets the disjoint-gene coefficient of the distance metric.
         compatibility_disjoint_coefficient: f64,
         /// Sets the matching-attribute coefficient of the distance metric.
         compatibility_weight_coefficient: f64,
-        /// Enables/disables dynamic threshold adjustment.
-        dynamic_compatibility: bool,
-        /// Sets the lower edge of the target species band.
-        target_species_min: usize,
-        /// Sets the upper edge of the target species band.
-        target_species_max: usize,
         /// Sets the add-connection mutation probability.
         conn_add_prob: f64,
         /// Sets the delete-connection mutation probability.

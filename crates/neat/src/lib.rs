@@ -121,7 +121,7 @@ pub use error::NeatError;
 pub use gene::{ConnGene, ConnKey, GenomeId, NodeGene, NodeId, SpeciesId};
 pub use genome::Genome;
 pub use network::{FeedForwardNetwork, Scratch};
-pub use population::{FitnessStats, Population};
+pub use population::Population;
 pub use reproduction::{ChildSpec, GenerationPlan};
 pub use species::{Species, SpeciesSet};
 pub use steady_state::{steady_state_insert, InsertReport};

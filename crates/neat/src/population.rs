@@ -37,19 +37,6 @@ impl From<f64> for Evaluation {
     }
 }
 
-/// Distribution statistics of a population's fitness values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FitnessStats {
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub stddev: f64,
-    /// Maximum (the generation's best).
-    pub best: f64,
-    /// Minimum.
-    pub worst: f64,
-}
-
 /// Summary of one completed generation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GenerationSummary {
@@ -257,28 +244,6 @@ impl Population {
     /// Best genome seen in any generation so far.
     pub fn best_ever(&self) -> Option<&Genome> {
         self.best_ever.as_ref()
-    }
-
-    /// Fitness distribution of the current population, or `None` if any
-    /// genome is unevaluated.
-    pub fn fitness_stats(&self) -> Option<FitnessStats> {
-        let fits: Vec<f64> = self
-            .genomes
-            .values()
-            .map(Genome::fitness)
-            .collect::<Option<_>>()?;
-        if fits.is_empty() {
-            return None;
-        }
-        let n = fits.len() as f64;
-        let mean = fits.iter().sum::<f64>() / n;
-        let var = fits.iter().map(|f| (f - mean) * (f - mean)).sum::<f64>() / n;
-        Some(FitnessStats {
-            mean,
-            stddev: var.sqrt(),
-            best: fits.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            worst: fits.iter().copied().fold(f64::INFINITY, f64::min),
-        })
     }
 
     /// Phase `S`: assigns every genome to a species.
@@ -683,21 +648,6 @@ mod tests {
             assert!(g.speciation_genes > 0);
             assert!(g.reproduction_genes > 0);
         }
-    }
-
-    #[test]
-    fn fitness_stats_computed_over_population() {
-        let mut pop = Population::new(cfg(4), 20);
-        assert!(pop.fitness_stats().is_none(), "unevaluated population");
-        let ids: Vec<GenomeId> = pop.genomes().keys().copied().collect();
-        for (i, id) in ids.iter().enumerate() {
-            pop.set_fitness(*id, i as f64).unwrap();
-        }
-        let stats = pop.fitness_stats().unwrap();
-        assert_eq!(stats.mean, 1.5);
-        assert_eq!(stats.best, 3.0);
-        assert_eq!(stats.worst, 0.0);
-        assert!((stats.stddev - 1.118).abs() < 1e-3);
     }
 
     #[test]

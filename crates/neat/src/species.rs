@@ -102,12 +102,6 @@ impl Species {
 pub struct SpeciesSet {
     species: BTreeMap<SpeciesId, Species>,
     next_id: u32,
-    /// Live compatibility threshold (dynamic thresholding state);
-    /// initialized from the config on first use.
-    threshold: Option<f64>,
-    /// Consecutive generations with fewer species than the target band
-    /// (hysteresis state for the dynamic threshold controller).
-    below_band_streak: u32,
 }
 
 /// Result summary of one speciation pass.
@@ -157,13 +151,8 @@ impl SpeciesSet {
     /// 1. Each existing species adopts as its new representative the
     ///    unassigned genome closest to its previous representative.
     /// 2. Every remaining genome joins the species with the nearest
-    ///    representative if that distance is below the live
-    ///    compatibility threshold, otherwise it founds a new species.
-    ///
-    /// When `cfg.dynamic_compatibility` is set, the live threshold is
-    /// then nudged ±10% to steer the species count into the target band
-    /// (scaled down for small populations/clans), taking effect next
-    /// generation.
+    ///    representative if that distance is below
+    ///    `cfg.compatibility_threshold`, otherwise it founds a new species.
     ///
     /// Every distance evaluation is charged to `counters` (genes of both
     /// genomes), which is how the paper's Figure 3 speciation cost series
@@ -217,12 +206,11 @@ impl SpeciesSet {
         }
 
         // Phase 2: assign the rest to the nearest compatible species.
-        let threshold = *self.threshold.get_or_insert(cfg.compatibility_threshold);
         for (gid, genome) in unassigned {
             let mut best: Option<(f64, SpeciesId)> = None;
             for (sid, s) in &self.species {
                 let d = dist(s.representative(), genome, counters);
-                if d < threshold && best.is_none_or(|(bd, _)| d < bd) {
+                if d < cfg.compatibility_threshold && best.is_none_or(|(bd, _)| d < bd) {
                     best = Some((d, *sid));
                 }
             }
@@ -245,45 +233,11 @@ impl SpeciesSet {
         // linger forever with a stale representative).
         self.species.retain(|_, s| !s.members().is_empty());
 
-        // Dynamic threshold control: steer the species count toward the
-        // target band, scaled for small populations (a 9-genome clan
-        // cannot sustain 6 species). Over-fragmentation is corrected
-        // immediately (it destroys selection pressure at once), but the
-        // threshold only shrinks after a sustained streak below the band
-        // — young populations are legitimately homogeneous, and reacting
-        // to them over-fragments small-genome tasks (see the `ablation`
-        // bench).
-        if cfg.dynamic_compatibility {
-            let pop = genomes.len();
-            let lo = cfg.target_species_min.min((pop / 10).max(1));
-            let hi = cfg.target_species_max.min((pop / 4).max(2)).max(lo);
-            let count = self.species.len();
-            if count < lo {
-                self.below_band_streak += 1;
-            } else {
-                self.below_band_streak = 0;
-            }
-            let t = self.threshold.as_mut().expect("initialized above");
-            if count > hi {
-                *t = (*t * 1.05).min(8.0);
-            } else if self.below_band_streak >= 4 {
-                *t = (*t * 0.95).max(0.4);
-            }
-        }
-
         SpeciationOutcome {
             species_count: self.species.len(),
             distance_evals,
             genes_processed,
         }
-    }
-
-    /// Species id containing `genome`, if any.
-    pub fn species_of(&self, genome: GenomeId) -> Option<SpeciesId> {
-        self.species
-            .iter()
-            .find(|(_, s)| s.members().contains(&genome))
-            .map(|(&sid, _)| sid)
     }
 }
 
@@ -390,16 +344,17 @@ mod tests {
     }
 
     #[test]
-    fn species_of_finds_member() {
+    fn members_hold_every_genome_and_no_stranger() {
         let cfg = cfg();
         let genomes = make_genomes(&cfg, 6, 6);
         let mut set = SpeciesSet::new();
         let mut counters = CostCounters::new();
         set.speciate(&genomes, &cfg, 0, &mut counters);
+        let member = |gid| set.species().values().any(|s| s.members().contains(&gid));
         for &gid in genomes.keys() {
-            assert!(set.species_of(gid).is_some());
+            assert!(member(gid));
         }
-        assert!(set.species_of(GenomeId(999)).is_none());
+        assert!(!member(GenomeId(999)));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! at commit a4134e5 — the last build whose gene tables were `BTreeMap`s
 //! — and pin the trajectory itself: the Logical-trace hash of two seeded
 //! serial runs, and the content hash of one initial genome before and
-//! after ten mutation passes.
+//! after ten mutation passes. A third serial run, one that holds two
+//! species, was recorded once speciation compared every distance against
+//! the fixed `compatibility_threshold`.
 //!
 //! `analytic_side_of_every_topology_matches_the_recorded_fold` pins the
 //! other half of a run: what each orchestrator *books* — every
@@ -46,6 +48,16 @@ fn small_serial_run_matches_the_recorded_trajectory() {
         serial_logical_hash(Workload::CartPole, 40, 8, 13),
         CARTPOLE_LOGICAL_HASH
     );
+}
+
+#[test]
+fn speciating_run_matches_the_recorded_trajectory() {
+    // `clan-cli run --workload cartpole --population 150 --generations 10
+    // --seed 29`: the default configuration holds two species from
+    // generation 2 on, so a change to how genomes are assigned to species
+    // moves this hash.
+    let hash = serial_logical_hash(Workload::CartPole, 150, 10, 29);
+    assert_eq!(hash, SPECIATING_LOGICAL_HASH, "got {hash:#018X}");
 }
 
 #[test]
@@ -164,6 +176,7 @@ fn initial_genome_and_ten_mutation_passes_hash_as_recorded() {
 
 const ANALYTIC_FOLD: u64 = 0x25C9_0F02_4AE8_0213;
 const CARTPOLE_LOGICAL_HASH: u64 = 0xA85A_6BA9_4F54_2F46;
+const SPECIATING_LOGICAL_HASH: u64 = 0xEFA0_3E63_A298_5F08;
 const INITIAL_CONTENT_HASH: u64 = 0x03DF_C76E_51B0_F5F3;
 const MUTATED_SHAPE: (usize, usize) = (24, 2314);
 const MUTATED_CONTENT_HASH: u64 = 0x35F4_6051_B1DB_8E86;
