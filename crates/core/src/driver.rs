@@ -677,7 +677,7 @@ impl ClanDriverBuilder {
             // Cluster shape is a Timing annotation: the logical stream
             // must not vary with agent counts or transport flavor.
             tracer.timing(EventKind::ClusterInfo, |ev| {
-                ev.items = Some(c.n_agents as u64);
+                ev.items = Some(n_agents as u64);
                 ev.label = Some(topology_name.clone());
             });
             evaluator.set_tracer(tracer.clone());

@@ -236,15 +236,14 @@
 //!   enforcement* below).
 //!
 //! A [`Tracer`] handle (no-op unless enabled — `benchmark/` reports
-//! its cost as `telemetry.overhead_pct`) is installed
-//! by the driver via `ClanDriverBuilder::tracing` (`clan-cli run/
-//! coordinate --trace FILE [--trace-chrome FILE]`); the recorded
-//! [`RunTrace`] exports as JSONL
-//! ([`telemetry::to_jsonl`]) and Chrome trace-event JSON
-//! ([`telemetry::to_chrome_json`], per-agent tracks viewable in
-//! Perfetto), and its event counts and logical hash land in
-//! `RunReport.telemetry` ([`telemetry::TelemetryReport`]). The tracer
-//! keeps no counters of its own: totals come from the run's accounting.
+//! its cost as `telemetry.overhead_pct`) is installed by the driver via
+//! `ClanDriverBuilder::tracing` (`clan-cli run/coordinate --trace
+//! FILE`); the recorded [`RunTrace`] exports as JSONL
+//! ([`telemetry::to_jsonl`]), which `clan-trace chrome` renders as
+//! per-agent tracks for Perfetto, and its event counts and logical hash
+//! land in `RunReport.telemetry` ([`telemetry::TelemetryReport`]). The
+//! tracer keeps no counters of its own: totals come from the run's
+//! accounting.
 //!
 //! # Trace analysis & live introspection
 //!
@@ -265,7 +264,8 @@
 //!   genome 1234`) — by the equivalence contract above, two same-seed
 //!   runs diff clean across transports, so the first divergence *is*
 //!   the bug's location. `summarize` renders the per-agent
-//!   utilization table alone. Exit codes: 0 clean/identical,
+//!   utilization table alone, and `chrome IN OUT` the whole trace as
+//!   Chrome trace-event JSON. Exit codes: 0 clean/identical,
 //!   1 divergence found, 2 usage/I-O.
 //! - **Live status endpoint** ([`status`], enabled with
 //!   [`ClanDriverBuilder::status_addr`] / `clan-cli --status-addr

@@ -74,7 +74,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable snake_case label used in the logical stream text, JSONL
-    /// consumers, and Chrome track names.
+    /// consumers, and Chrome event names.
     pub fn label(self) -> &'static str {
         match self {
             EventKind::RunStart => "run_start",

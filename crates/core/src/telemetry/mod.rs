@@ -29,15 +29,13 @@
 //! enabled, so instrumented hot paths cost one branch when tracing is
 //! off. The driver installs one tracer per run; the evaluator, the
 //! edge runtime, and the orchestrators all record into it, and the
-//! result is exported as JSONL ([`to_jsonl`]) or Chrome trace-event
-//! JSON ([`to_chrome_json`], per-agent tracks viewable in Perfetto).
+//! result is exported as JSONL ([`to_jsonl`]), the trace's one file
+//! format; `clan-trace chrome` renders a JSONL file as per-agent tracks
+//! for Perfetto.
 
 pub mod clock;
 mod event;
 mod export;
 
 pub use event::{Determinism, EventKind, RunTrace, TelemetryReport, TraceEvent, Tracer};
-pub use export::{
-    chrome_tracks_match, from_jsonl, parse_chrome_json, to_chrome_json, to_jsonl, ChromeArgs,
-    ChromeDoc, ChromeEvent,
-};
+pub use export::{from_jsonl, to_jsonl};

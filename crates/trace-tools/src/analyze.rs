@@ -87,8 +87,7 @@ pub struct Analysis {
     pub mode: AnalysisMode,
     /// Events in the trace (logical, timing).
     pub counts: (u64, u64),
-    /// Agents in the cluster (from the `ClusterInfo` annotation, else
-    /// the highest agent slot seen + 1).
+    /// Agents in the cluster ([`crate::agent_count`]).
     pub n_agents: u64,
     /// Per-agent accounting, by slot.
     pub agents: Vec<AgentStat>,
@@ -136,7 +135,6 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
     let mut rounds: Vec<RoundStat> = Vec::new();
     let mut recovery = RecoveryCounts::default();
     let mut retrans_bytes = 0u64;
-    let mut cluster_agents: Option<u64> = None;
 
     // Spans of the round currently being gathered: (agent, dur_us).
     let mut open_round: Vec<(u64, u64)> = Vec::new();
@@ -145,7 +143,6 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
 
     for ev in events {
         match ev.kind {
-            EventKind::ClusterInfo => cluster_agents = ev.items.or(cluster_agents),
             EventKind::AgentExchange => {
                 if let (Some(agent), Some(dur)) = (ev.agent, ev.dur_us) {
                     open_round.push((agent, dur));
@@ -225,8 +222,8 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
         AnalysisMode::Empty => 0,
     };
     let busy_us: u64 = agents.iter().map(|a| a.busy_us).sum();
-    let n_agents = cluster_agents.unwrap_or(agents.len() as u64);
-    let wasted_idle_us = (n_agents * makespan_us).saturating_sub(busy_us);
+    let n_agents = crate::agent_count(events);
+    let wasted_idle_us = n_agents.saturating_mul(makespan_us).saturating_sub(busy_us);
 
     for a in &mut agents {
         a.mean_us = if a.spans == 0 {
@@ -490,6 +487,16 @@ mod tests {
         assert_eq!(a.wasted_idle_us, 2 * 20_000 - 30_500);
         assert_eq!(a.straggler, Some(1));
         assert!((a.agents[1].slowdown - 20_000.0 / 5250.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_corrupt_agent_count_saturates_wasted_idle() {
+        let events = [
+            cluster_info(u64::MAX),
+            span(EventKind::AgentExchange, Some(0), 1000),
+            span(EventKind::GatherRound, None, 1000),
+        ];
+        assert_eq!(analyze(&events).wasted_idle_us, u64::MAX - 1000);
     }
 
     #[test]

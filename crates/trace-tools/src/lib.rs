@@ -15,22 +15,25 @@
 //!   and pinpoints the **first** divergent event with human framing
 //!   ("gen 7, eval of genome 1234, fitness 0x…"), ignoring Timing noise.
 //! - `summarize` (CLI) — the per-agent utilization table alone.
+//! - [`chrome`](chrome::records) — the trace as Chrome trace-event
+//!   JSON, one track per agent plus the coordinator's, for Perfetto.
 //!
 //! Events are `clan_core::telemetry::TraceEvent` itself, read back by
 //! the same `serde_json` that wrote them, so reader and writer share one
 //! schema; `u64` fitness bits stay exact (never through an `f64`).
 //!
-//! The `clan-trace` binary fronts all three verbs; exit codes are 0
+//! The `clan-trace` binary fronts all four verbs; exit codes are 0
 //! clean/identical, 1 findings/divergence, 2 usage.
 
 pub mod analyze;
+pub mod chrome;
 pub mod diff;
 pub mod event;
 
 pub use analyze::{Analysis, AnalysisMode};
 pub use diff::{diff as diff_events, DiffOutcome};
 
-use clan_core::telemetry::{from_jsonl, TraceEvent};
+use clan_core::telemetry::{from_jsonl, EventKind, TraceEvent};
 
 /// Parses a trace file from disk.
 ///
@@ -59,4 +62,32 @@ pub fn analyze_file(path: &str) -> Result<Analysis, String> {
 /// Propagates [`load_trace`] failures.
 pub fn diff_files(left: &str, right: &str) -> Result<DiffOutcome, String> {
     Ok(diff::diff(&load_trace(left)?, &load_trace(right)?))
+}
+
+/// Renders a trace file as a Chrome trace-event file, whole before any
+/// of it is written, and returns its agent count.
+///
+/// # Errors
+///
+/// Propagates [`load_trace`] and [`chrome::records`] failures; IO
+/// failure writing `output`.
+pub fn chrome_file(input: &str, output: &str) -> Result<u64, String> {
+    let events = load_trace(input)?;
+    let records = chrome::records(&events).map_err(|e| format!("{input}: {e}"))?;
+    std::fs::write(output, chrome::render(&records)).map_err(|e| format!("{output}: {e}"))?;
+    Ok(agent_count(&events))
+}
+
+/// Agents in the traced cluster: the last `ClusterInfo` event's count,
+/// else (a `--trace-ring` postmortem that dropped that event) one more
+/// than the highest agent id any event names.
+pub fn agent_count(events: &[TraceEvent]) -> u64 {
+    let recorded = events
+        .iter()
+        .rev()
+        .find_map(|e| e.items.filter(|_| e.kind == EventKind::ClusterInfo));
+    recorded.unwrap_or_else(|| {
+        let highest = events.iter().filter_map(|e| e.agent).max();
+        highest.map_or(0, |a| a.saturating_add(1))
+    })
 }

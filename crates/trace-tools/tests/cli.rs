@@ -9,7 +9,14 @@ fn deeply_nested_line_exits_2_naming_the_line() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("nested.jsonl");
     std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
     let file = path.to_str().unwrap();
-    for args in [vec!["analyze", "--trace", file], vec!["diff", file, file]] {
+    let out_path = path.with_extension("chrome.json");
+    let out_file = out_path.to_str().unwrap();
+    let _ = std::fs::remove_file(&out_path);
+    for args in [
+        vec!["analyze", "--trace", file],
+        vec!["diff", file, file],
+        vec!["chrome", file, out_file],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_clan-trace"))
             .args(&args)
             .output()
@@ -19,4 +26,6 @@ fn deeply_nested_line_exits_2_naming_the_line() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("{file}: line 1: ")), "{stderr}");
     }
+    // `chrome` renders in full before it writes: a bad trace leaves no file.
+    assert!(!out_path.exists(), "{out_file} was written");
 }

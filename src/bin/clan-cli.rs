@@ -12,7 +12,7 @@
 //! error that names it and exits 2, and a run that fails exits 1. `help`
 //! prints each command's synopsis from the same table.
 
-use clan::core::telemetry::{to_chrome_json, to_jsonl, Tracer};
+use clan::core::telemetry::{to_jsonl, Tracer};
 use clan::core::transport::agent::AgentServer;
 use clan::core::transport::{ChurnSchedule, FaultConfig, UdpConfig};
 use clan::core::{
@@ -75,7 +75,6 @@ const EVOLVE: &[Flag] = &[
     ("--single-step", "", ""),
     ("--no-cache", "", ""),
     ("--trace", "FILE", ""),
-    ("--trace-chrome", "FILE", ""),
     ("--trace-ring", "N", ""),
     ("--postmortem", "FILE", "--trace-ring"),
     ("--status-addr", "ADDR", ""),
@@ -167,11 +166,11 @@ cache. Neither changes the result. DDA evolves one clan per agent.
 
 --trace FILE records a JSONL trace whose logical stream is identical per
 seed across serial, TCP, lossy UDP and churned runs; analyze it with
-`clan-trace`. --trace-chrome FILE writes it as Chrome trace-event JSON, one
-track per agent, for Perfetto. --trace-ring N keeps only the last N events
-and dumps them to --postmortem FILE (default clan-postmortem.jsonl) if the
-run fails. --status-addr ADDR serves /health, /progress and /metrics (each
-agent's row and the run's totals, traced or not) over HTTP, per generation.
+`clan-trace`, and `clan-trace chrome` renders it for Perfetto, one track
+per agent. --trace-ring N keeps only the last N events and dumps them to
+--postmortem FILE (default clan-postmortem.jsonl) if the run fails.
+--status-addr ADDR serves /health, /progress and /metrics (each agent's
+row and the run's totals, traced or not) over HTTP, per generation.
 
 --async evolves without barriers: each finished evaluation breeds a
 --tournament-size K winner (default 3) over the worst genome, until
@@ -378,7 +377,7 @@ fn build_driver(args: &Args, agents: usize, on_agents: bool) -> Result<ClanDrive
         .episodes_per_eval(args.get("--episodes")?.unwrap_or(1))
         .platform(platform.unwrap_or(PlatformKind::RaspberryPi))
         .fitness_cache(!args.has("--no-cache"))
-        .tracing(args.has("--trace") || args.has("--trace-chrome"));
+        .tracing(args.has("--trace"));
     if args.has("--single-step") {
         builder = builder.single_step();
     }
@@ -447,21 +446,16 @@ fn arm_panic_recorder(tracer: Tracer, path: String) {
     }));
 }
 
-/// Writes the recorded trace to the files `--trace` (JSONL event
-/// stream) and `--trace-chrome` (Chrome trace-event JSON, viewable in
-/// Perfetto or `chrome://tracing`) name, when tracing was enabled.
-fn write_traces(trace: Option<&RunTrace>, args: &Args, n_agents: usize) -> Result<(), String> {
-    let Some(trace) = trace else { return Ok(()) };
-    if let Some(path) = args.text("--trace") {
-        let jsonl = to_jsonl(trace).map_err(|e| e.to_string())?;
-        std::fs::write(path, jsonl).map_err(|e| e.to_string())?;
-        let (logical, timing) = trace.counts();
-        println!("  trace: {logical} logical + {timing} timing event(s) written to {path}");
-    }
-    if let Some(path) = args.text("--trace-chrome") {
-        std::fs::write(path, to_chrome_json(trace, n_agents)).map_err(|e| e.to_string())?;
-        println!("  chrome trace: {n_agents} agent track(s) written to {path}");
-    }
+/// Writes the recorded trace as JSONL to the file `--trace` names, when
+/// tracing was enabled.
+fn write_trace(trace: Option<&RunTrace>, args: &Args) -> Result<(), String> {
+    let (Some(trace), Some(path)) = (trace, args.text("--trace")) else {
+        return Ok(());
+    };
+    let jsonl = to_jsonl(trace).map_err(|e| e.to_string())?;
+    std::fs::write(path, jsonl).map_err(|e| e.to_string())?;
+    let (logical, timing) = trace.counts();
+    println!("  trace: {logical} logical + {timing} timing event(s) written to {path}");
     Ok(())
 }
 
@@ -533,7 +527,7 @@ fn launch(mut builder: ClanDriverBuilder, args: &Args) -> Result<(), Failure> {
         e.to_string()
     })?;
     print_report(&report);
-    Ok(write_traces(trace.as_ref(), args, report.n_agents)?)
+    Ok(write_trace(trace.as_ref(), args)?)
 }
 
 fn print_report(report: &RunReport) {
@@ -872,6 +866,16 @@ mod tests {
             assert!(msg.contains("--eval-threads"), "{msg}");
         }
         accepted(&["coordinate", "--loopback", "2"]);
+    }
+
+    #[test]
+    fn removed_trace_chrome_flag_is_a_usage_error() {
+        // `clan-trace chrome` renders any --trace file instead.
+        for command in ["run", "solve", "coordinate"] {
+            let msg = misuse(&[command, "--trace-chrome", "x.json"]);
+            assert!(msg.contains("--trace-chrome"), "{msg}");
+        }
+        accepted(&["run", "--trace", "x.jsonl"]);
     }
 
     #[test]

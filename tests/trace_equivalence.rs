@@ -12,7 +12,7 @@
 
 mod common;
 
-use clan::core::telemetry::{from_jsonl, parse_chrome_json, to_chrome_json, to_jsonl};
+use clan::core::telemetry::{from_jsonl, to_jsonl};
 use clan::core::transport::ChurnSchedule;
 use clan::core::{
     ClanDriver, ClanDriverBuilder, ClanTopology, Determinism, EventKind, RunReport, RunTrace,
@@ -199,9 +199,13 @@ fn exporters_round_trip_a_real_trace() {
     let jsonl = to_jsonl(&trace).expect("serializes");
     let events = from_jsonl(&jsonl).expect("parses back");
     assert_eq!(events, trace.events);
-    // Chrome: valid trace-event JSON with one track per agent plus the
-    // coordinator.
-    let chrome = to_chrome_json(&trace, SIM_AGENTS);
-    let doc = parse_chrome_json(&chrome).expect("valid Chrome trace JSON");
-    assert!(clan::core::telemetry::chrome_tracks_match(&doc, SIM_AGENTS));
+    // Chrome: one track per agent plus the coordinator, the agent count
+    // read back from the trace itself.
+    let records = clan_trace_tools::chrome::records(&events).expect("renders");
+    let tracks: Vec<&str> = records.iter().filter_map(|r| r.track.as_deref()).collect();
+    let mut expected: Vec<String> = (0..SIM_AGENTS).map(|a| format!("agent{a}")).collect();
+    expected.push("coordinator".into());
+    assert_eq!(tracks, expected);
+    let chrome = clan_trace_tools::chrome::render(&records);
+    assert_eq!(chrome.matches("\"ph\":").count(), records.len());
 }

@@ -196,6 +196,28 @@ fn analyzer_steady_state_totals_match_async_stats_and_name_the_straggler() {
     );
 }
 
+#[test]
+fn a_live_async_trace_records_the_agents_it_ran_on() {
+    // Two loopback links and no `.agents(n)`, so the modelled count
+    // stays at its default of 1: the trace must name the two links.
+    let driver = ClanDriver::builder(Workload::CartPole)
+        .population_size(POP)
+        .seed(SEED)
+        .tracing(true)
+        .total_evals(40)
+        .loopback_agents(2)
+        .build_async()
+        .expect("build async");
+    let outcome = driver.run().expect("async run");
+    assert_eq!(outcome.report.n_agents, 2);
+    let events = events_of(outcome.trace.as_ref().expect("tracing on"));
+    let cluster = events.iter().find(|e| e.kind == EventKind::ClusterInfo);
+    assert_eq!(cluster.and_then(|e| e.items), Some(2));
+    let records = clan_trace_tools::chrome::records(&events).expect("renders");
+    let tracks: Vec<&str> = records.iter().filter_map(|r| r.track.as_deref()).collect();
+    assert_eq!(tracks, ["agent0", "agent1", "coordinator"]);
+}
+
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect status endpoint");
     let request = format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
