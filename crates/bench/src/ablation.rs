@@ -4,7 +4,7 @@
 //! 1. **Periodic global speciation** — the paper's future-work idea
 //!    (§IV-C): "One can think of many ways to mitigate this problem such
 //!    as allowing periodic global speciation". We implement it
-//!    (`DdaOrchestrator::with_resync_every`) and set the generations and
+//!    (`ClanTopology::dda_resync`) and set the generations and
 //!    genome traffic it costs to solve against DCS's.
 //! 2. **Dynamic compatibility thresholding** — no longer here. Over
 //!    seeds 1..=40, a controller that steered the threshold toward a
@@ -23,6 +23,7 @@ use clan_core::ClanTopology;
 use clan_envs::Workload;
 use clan_netsim::WifiModel;
 use std::io;
+use std::num::NonZeroU64;
 
 /// Runs both ablations.
 ///
@@ -40,27 +41,26 @@ fn resync_ablation(sink: &OutputSink) -> io::Result<()> {
     const SEEDS: std::ops::RangeInclusive<u64> = 1..=40;
     const MAX_GENS: u64 = 40;
     let runs = SEEDS.count() as f64;
+    let every =
+        |generations| ClanTopology::dda_resync(NonZeroU64::new(generations).expect("nonzero"));
     let settings = [
-        ("DCS", ClanTopology::dcs(), None),
-        ("DDA, never", ClanTopology::dda(), None),
-        ("DDA, every 10", ClanTopology::dda(), Some(10u64)),
-        ("DDA, every 5", ClanTopology::dda(), Some(5)),
-        ("DDA, every 2", ClanTopology::dda(), Some(2)),
+        ("DCS", ClanTopology::dcs()),
+        ("DDA, never", ClanTopology::dda()),
+        ("DDA, every 10", every(10)),
+        ("DDA, every 5", every(5)),
+        ("DDA, every 2", every(2)),
     ];
     let mut rows = Vec::new();
     let mut to_solve = Vec::new();
-    for (label, topology, resync) in settings {
+    for (label, topology) in settings {
         let mut total_gens = 0u64;
         let mut total_floats = 0u64;
         for seed in SEEDS {
             // The full MAX_GENS run, not until solved: floats/generation
             // divides by MAX_GENS.
-            let mut b = point(Workload::LunarLander, topology, 8)
+            let b = point(Workload::LunarLander, topology, 8)
                 .episodes_per_eval(3)
                 .seed(seed);
-            if let Some(r) = resync {
-                b = b.resync_every(r);
-            }
             let report = run_point(b, MAX_GENS);
             total_gens += report.solved_at_generation.map_or(MAX_GENS, |g| g + 1);
             total_floats += report.ledger.total_floats();

@@ -12,9 +12,9 @@
 //! The price is algorithmic: speciation over `1/k` of the population
 //! explores less, so convergence takes more generations as clans grow
 //! (Figure 7b). The paper sketches *periodic global speciation* as future
-//! work; [`DdaOrchestrator::with_resync_every`] implements it — every `R`
-//! generations all genomes are pooled and redistributed round-robin,
-//! at the cost of one genome-broadcast round.
+//! work; [`ClanTopology::dda_resync`](crate::ClanTopology::dda_resync)
+//! implements it — every `R` generations all genomes are pooled and
+//! redistributed round-robin, at the cost of one genome-broadcast round.
 
 use crate::error::ClanError;
 use crate::evaluator::Evaluator;
@@ -27,6 +27,7 @@ use clan_neat::population::GenerationSummary;
 use clan_neat::rng::derive_seed;
 use clan_neat::{Genome, NeatConfig, Population};
 use clan_netsim::{CommLedger, MessageKind};
+use std::num::NonZeroU64;
 
 /// Id space reserved for genomes reassigned during global resync, far
 /// above any id a clan allocates naturally.
@@ -39,7 +40,7 @@ pub struct DdaOrchestrator {
     evaluator: Evaluator,
     sim: Testbed,
     generation: u64,
-    resync_every: Option<u64>,
+    resync_every: Option<NonZeroU64>,
     next_resync_id: u64,
 }
 
@@ -50,7 +51,9 @@ impl DdaOrchestrator {
     /// proportionally more genomes than a Pi's and asynchronous
     /// generations stay balanced. On a homogeneous cluster (the paper's
     /// testbed) the throughput weights are equal and the split degrades
-    /// bit-for-bit to the historical even partition.
+    /// bit-for-bit to the historical even partition. With `resync_every`,
+    /// every that many generations all clans' genomes are pooled and
+    /// dealt back round-robin (periodic global speciation).
     ///
     /// # Errors
     ///
@@ -61,6 +64,7 @@ impl DdaOrchestrator {
         evaluator: Evaluator,
         cluster: Cluster,
         seed: u64,
+        resync_every: Option<NonZeroU64>,
     ) -> Result<DdaOrchestrator, ClanError> {
         let total = cfg.population_size;
         let sizes = cluster.partition_by_throughput(total);
@@ -87,26 +91,9 @@ impl DdaOrchestrator {
             evaluator,
             sim: Testbed::new(cluster),
             generation: 0,
-            resync_every: None,
+            resync_every,
             next_resync_id: RESYNC_ID_BASE,
         })
-    }
-
-    /// Enables the paper's future-work extension: every `generations`
-    /// generations, pool all clans' genomes and redistribute them
-    /// round-robin (periodic global speciation).
-    ///
-    /// # Errors
-    ///
-    /// [`ClanError::InvalidSetup`] if `generations` is zero.
-    pub fn with_resync_every(mut self, generations: u64) -> Result<DdaOrchestrator, ClanError> {
-        if generations == 0 {
-            return Err(ClanError::InvalidSetup {
-                reason: "DDA resync interval must be at least 1 generation".into(),
-            });
-        }
-        self.resync_every = Some(generations);
-        Ok(self)
     }
 
     /// The independent clan populations.
@@ -201,7 +188,7 @@ impl Orchestrator for DdaOrchestrator {
 
         // Optional periodic global speciation (future-work extension).
         if let Some(r) = self.resync_every {
-            if self.generation.is_multiple_of(r) {
+            if self.generation.is_multiple_of(r.get()) {
                 self.global_resync();
             }
         }
@@ -250,6 +237,15 @@ mod tests {
     use clan_netsim::WifiModel;
 
     fn make(pop: usize, agents: usize, seed: u64) -> DdaOrchestrator {
+        make_resync(pop, agents, seed, None)
+    }
+
+    fn make_resync(
+        pop: usize,
+        agents: usize,
+        seed: u64,
+        resync_every: Option<NonZeroU64>,
+    ) -> DdaOrchestrator {
         let w = Workload::CartPole;
         let cfg = NeatConfig::builder(w.obs_dim(), w.n_actions())
             .population_size(pop)
@@ -260,6 +256,7 @@ mod tests {
             Evaluator::new(w, InferenceMode::MultiStep),
             Cluster::homogeneous(Platform::raspberry_pi(), agents, WifiModel::default()),
             seed,
+            resync_every,
         )
         .unwrap()
     }
@@ -292,8 +289,8 @@ mod tests {
         let fast = clan_hw::Platform::new(PlatformKind::JetsonCpu);
         let slow = clan_hw::Platform::raspberry_pi();
         let cluster = Cluster::new(slow, vec![fast, slow], WifiModel::default());
-        let o = DdaOrchestrator::new(cfg, Evaluator::new(w, InferenceMode::MultiStep), cluster, 1)
-            .unwrap();
+        let evaluator = Evaluator::new(w, InferenceMode::MultiStep);
+        let o = DdaOrchestrator::new(cfg, evaluator, cluster, 1, None).unwrap();
         let sizes: Vec<usize> = o.clans().iter().map(Population::len).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 36);
         assert_eq!(sizes, vec![28, 8], "3.5:1 throughput ratio sizes the clans");
@@ -314,6 +311,7 @@ mod tests {
             Evaluator::new(w, InferenceMode::MultiStep),
             Cluster::homogeneous(Platform::raspberry_pi(), 4, WifiModel::default()),
             1,
+            None,
         );
         assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
     }
@@ -384,7 +382,7 @@ mod tests {
 
     #[test]
     fn resync_shuffles_genomes_across_clans() {
-        let mut o = make(24, 3, 4).with_resync_every(2).unwrap();
+        let mut o = make_resync(24, 3, 4, NonZeroU64::new(2));
         let genome_msgs_before = o.ledger().entry(MessageKind::SendGenomes).messages;
         o.step_generation().unwrap();
         o.step_generation().unwrap(); // resync fires after this one

@@ -18,6 +18,10 @@
 //! assert!(report.ledger.total_messages() > 0);
 //! # Ok::<(), clan_core::ClanError>(())
 //! ```
+//!
+//! A run has one device count, set by [`agents`](ClanDriverBuilder::agents)
+//! or by the agent backend that supplies the live links: a live DDA run
+//! evolves one clan per link.
 
 use crate::asynchronous::{AsyncOrchestrator, LatencySchedule};
 use crate::error::ClanError;
@@ -35,61 +39,33 @@ use clan_envs::Workload;
 use clan_hw::{Platform, PlatformKind};
 use clan_neat::{fanout, NeatConfig, Population};
 use clan_netsim::{CommLedger, WifiModel};
-use serde::{Deserialize, Serialize};
 
-/// Resolved driver configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DriverConfig {
-    /// Workload to evolve on.
-    pub workload: Workload,
-    /// CLAN configuration.
-    pub topology: ClanTopology,
-    /// Number of agents in the simulated cluster.
-    pub n_agents: usize,
-    /// Total population size.
-    pub population_size: usize,
-    /// Master seed (drives everything).
-    pub seed: u64,
-    /// Multi-step or single-step inference.
-    pub mode: InferenceMode,
-    /// Episodes averaged per genome evaluation.
-    pub episodes_per_eval: u32,
-    /// Platform of every cluster node.
-    pub platform: PlatformKind,
-    /// Wireless medium model.
-    pub net: WifiModel,
-    /// DDA-only: pool-and-redistribute period (global speciation).
-    pub resync_every: Option<u64>,
+/// What a [`ClanDriverBuilder`] has been told, resolved by
+/// [`build`](ClanDriverBuilder::build) or
+/// [`build_async`](ClanDriverBuilder::build_async).
+#[derive(Debug, Clone)]
+struct DriverConfig {
+    workload: Workload,
+    topology: ClanTopology,
+    /// Devices in the cluster: the modelled cluster's, DDA's clans and,
+    /// on an agent backend, the live links.
+    n_agents: usize,
+    population_size: usize,
+    seed: u64,
+    mode: InferenceMode,
+    episodes_per_eval: u32,
+    platform: PlatformKind,
+    net: WifiModel,
     /// Datagram-transport tuning (and optional seeded fault injection)
     /// when the agents speak UDP; `None` on TCP and local backends.
-    pub udp: Option<UdpConfig>,
-    /// Churn-recovery policy applied to remote backends (the live-agent
-    /// floor).
-    pub recovery: RecoveryPolicy,
-    /// Deterministic kill/revive plan applied to a remote backend;
-    /// `None` runs churn-free.
-    pub churn: Option<ChurnSchedule>,
-    /// Standby agent addresses a remote backend may connect when a
-    /// revival needs a replacement.
-    pub spare_agents: Vec<String>,
-    /// Evaluation-engine tuning: the content-addressed fitness cache.
-    /// Results are bit-identical under any setting; only wall-clock time
-    /// changes.
-    #[serde(default)]
-    pub engine: EngineOptions,
-    /// Whether the run records a structured telemetry trace (the
-    /// logical stream stays byte-identical per seed whether or not this
-    /// is on; only wall-clock time changes).
-    #[serde(default)]
-    pub tracing: bool,
-    /// Flight-recorder mode: keep only the last N trace events in a
-    /// bounded ring (implies tracing). `None` records unbounded.
-    #[serde(default)]
-    pub trace_ring: Option<usize>,
-    /// Address the live introspection endpoint binds
-    /// (`/metrics`/`/health`/`/progress`); `None` serves nothing.
-    #[serde(default)]
-    pub status_addr: Option<String>,
+    udp: Option<UdpConfig>,
+    recovery: RecoveryPolicy,
+    churn: Option<ChurnSchedule>,
+    spare_agents: Vec<String>,
+    engine: EngineOptions,
+    tracing: bool,
+    trace_ring: Option<usize>,
+    status_addr: Option<String>,
 }
 
 /// The live introspection endpoint attached to a running driver: the
@@ -169,7 +145,6 @@ impl RunShell {
 
 /// A configured, ready-to-run CLAN deployment.
 pub struct ClanDriver {
-    config: DriverConfig,
     orchestrator: Box<dyn Orchestrator>,
     shell: RunShell,
 }
@@ -177,7 +152,9 @@ pub struct ClanDriver {
 impl std::fmt::Debug for ClanDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClanDriver")
-            .field("config", &self.config)
+            .field("workload", &self.shell.workload)
+            .field("topology", &self.shell.topology_name)
+            .field("n_agents", &self.shell.n_agents)
             .finish_non_exhaustive()
     }
 }
@@ -186,11 +163,6 @@ impl ClanDriver {
     /// Starts building a driver for `workload`.
     pub fn builder(workload: Workload) -> ClanDriverBuilder {
         ClanDriverBuilder::new(workload)
-    }
-
-    /// The resolved configuration.
-    pub fn config(&self) -> &DriverConfig {
-        &self.config
     }
 
     /// A clone of the run's tracer handle (clones share one sink).
@@ -279,7 +251,7 @@ impl ClanDriver {
         max_generations: u64,
         stop_when_solved: bool,
     ) -> Result<(RunReport, Option<RunTrace>), ClanError> {
-        let threshold = self.config.workload.solved_at();
+        let threshold = self.shell.workload.solved_at();
         let mut reports: Vec<GenerationReport> = Vec::new();
         let mut solved = false;
         while (reports.len() as u64) < max_generations && !(stop_when_solved && solved) {
@@ -313,13 +285,12 @@ impl ClanDriver {
 /// Builder for [`ClanDriver`]; see [`ClanDriver::builder`].
 #[derive(Debug, Clone)]
 pub struct ClanDriverBuilder {
-    /// Everything that ends up in the driver's resolved configuration.
     config: DriverConfig,
     neat_config: Option<NeatConfig>,
-    /// How many agents evaluate, and where they come from (their
-    /// transport is `config.udp`'s); `None` evaluates on the
-    /// coordinator's own threads.
-    source: Option<(usize, AgentSource)>,
+    /// Where the `config.n_agents` agents come from (their transport is
+    /// `config.udp`'s); `None` evaluates on the coordinator's own
+    /// threads.
+    source: Option<AgentSource>,
     total_evals: Option<u64>,
     tournament_size: Option<usize>,
     latency_ms: Option<Vec<f64>>,
@@ -341,7 +312,6 @@ impl ClanDriverBuilder {
                 episodes_per_eval: 1,
                 platform: PlatformKind::RaspberryPi,
                 net: WifiModel::default(),
-                resync_every: None,
                 udp: None,
                 recovery: RecoveryPolicy::default(),
                 churn: None,
@@ -366,7 +336,11 @@ impl ClanDriverBuilder {
         self
     }
 
-    /// Sets the number of agents.
+    /// Sets the number of devices: the modelled cluster's, DDA's clans
+    /// and, on an agent backend, the live links. The agent backends
+    /// ([`loopback_agents`](Self::loopback_agents),
+    /// [`remote_agents`](Self::remote_agents)) set the same count: the
+    /// last call wins.
     pub fn agents(mut self, n: usize) -> Self {
         self.config.n_agents = n;
         self
@@ -408,14 +382,6 @@ impl ClanDriverBuilder {
         self
     }
 
-    /// DDA-only: enables periodic global speciation every `g` generations
-    /// ([`build`](Self::build) rejects it on any other topology, and
-    /// [`build_async`](Self::build_async) always).
-    pub fn resync_every(mut self, g: u64) -> Self {
-        self.config.resync_every = Some(g);
-        self
-    }
-
     /// Overrides the full NEAT configuration (I/O dims must match the
     /// workload; population size is taken from this config).
     pub fn neat_config(mut self, cfg: NeatConfig) -> Self {
@@ -426,26 +392,27 @@ impl ClanDriverBuilder {
 
     /// Runs inference over `n` loopback agents spawned in this process —
     /// the full networked stack on `127.0.0.1` ephemeral ports, TCP
-    /// unless [`udp_config`](Self::udp_config) is set. Results stay
-    /// bit-identical to a local run.
+    /// unless [`udp_config`](Self::udp_config) is set — and makes `n` the
+    /// device count ([`agents`](Self::agents)). Results stay
+    /// bit-identical to a local run over `n` devices.
     pub fn loopback_agents(mut self, n: usize) -> Self {
-        self.source = Some((n, AgentSource::Loopback(None)));
-        self
+        self.source = Some(AgentSource::Loopback(None));
+        self.agents(n)
     }
 
     /// Runs inference over already-listening `clan-cli agent [--udp]`
     /// daemons at `addrs` (`host:port`), TCP unless
     /// [`udp_config`](Self::udp_config) is set. The session
     /// configuration (workload, NEAT config, episodes) is pushed to each
-    /// agent over the wire.
+    /// agent over the wire. The device count ([`agents`](Self::agents))
+    /// is the number of addresses.
     pub fn remote_agents(mut self, addrs: Vec<String>) -> Self {
         let n = addrs.len();
-        let remote = AgentSource::Remote {
+        self.source = Some(AgentSource::Remote {
             udp: None,
             spares: addrs,
-        };
-        self.source = Some((n, remote));
-        self
+        });
+        self.agents(n)
     }
 
     /// [`loopback_agents`](Self::loopback_agents) over the loss-tolerant
@@ -626,7 +593,7 @@ impl ClanDriverBuilder {
         };
         let evaluator =
             Evaluator::with_options(c.workload, c.mode, c.episodes_per_eval, threads, c.engine);
-        let Some((n, mut source)) = self.source.clone() else {
+        let Some(mut source) = self.source.clone() else {
             if c.udp.is_some() || c.churn.is_some() || !c.spare_agents.is_empty() {
                 return Err(ClanError::InvalidSetup {
                     reason: "udp_config, churn schedules and spare agents apply to agent \
@@ -639,7 +606,7 @@ impl ClanDriverBuilder {
         if let AgentSource::Loopback(udp) | AgentSource::Remote { udp, .. } = &mut source {
             udp.clone_from(&c.udp);
         }
-        let mut edge = EdgeCluster::from_source(n, spec, source)?;
+        let mut edge = EdgeCluster::from_source(c.n_agents, spec, source)?;
         edge.set_recovery_policy(c.recovery);
         if !c.spare_agents.is_empty() {
             edge.set_spares(c.spare_agents.clone())?;
@@ -659,7 +626,6 @@ impl ClanDriverBuilder {
         &self,
         population: usize,
         topology_name: String,
-        n_agents: usize,
         evaluator: &mut Evaluator,
     ) -> Result<RunShell, ClanError> {
         let c = &self.config;
@@ -677,7 +643,7 @@ impl ClanDriverBuilder {
             // Cluster shape is a Timing annotation: the logical stream
             // must not vary with agent counts or transport flavor.
             tracer.timing(EventKind::ClusterInfo, |ev| {
-                ev.items = Some(n_agents as u64);
+                ev.items = Some(c.n_agents as u64);
                 ev.label = Some(topology_name.clone());
             });
             evaluator.set_tracer(tracer.clone());
@@ -693,7 +659,7 @@ impl ClanDriverBuilder {
         let shell = RunShell {
             workload: c.workload,
             topology_name,
-            n_agents,
+            n_agents: c.n_agents,
             platform: c.platform,
             tracer,
             status,
@@ -706,11 +672,10 @@ impl ClanDriverBuilder {
     ///
     /// # Errors
     ///
-    /// [`ClanError::InvalidSetup`] on an async-only option, a
-    /// `resync_every` off DDA or a setup [`orchestrator_for`] rejects,
-    /// and [`ClanError::Neat`] on invalid NEAT configuration.
+    /// [`ClanError::InvalidSetup`] on an async-only option or a setup
+    /// [`orchestrator_for`] rejects, and [`ClanError::Neat`] on invalid
+    /// NEAT configuration.
     pub fn build(self) -> Result<ClanDriver, ClanError> {
-        let c = &self.config;
         let async_only = [
             ("total_evals", self.total_evals.is_some()),
             ("tournament_size", self.tournament_size.is_some()),
@@ -721,37 +686,15 @@ impl ClanDriverBuilder {
         .find_map(|(option, set)| {
             set.then(|| format!("{option} applies to async steady-state runs (build_async) only"))
         });
-        let invalid = match c.resync_every {
-            Some(_) if c.topology != ClanTopology::dda() => Some(format!(
-                "resync_every applies to CLAN_DDA only, not {}",
-                c.topology
-            )),
-            _ => async_only,
-        };
-        if let Some(reason) = invalid {
+        if let Some(reason) = async_only {
             return Err(ClanError::InvalidSetup { reason });
         }
         let (cfg, mut evaluator) = self.prepare(true)?;
-        let mut config = self.config.clone();
-        config.population_size = cfg.population_size;
-        let shell = self.shell(
-            cfg.population_size,
-            config.topology.name(),
-            config.n_agents,
-            &mut evaluator,
-        )?;
-        let cluster =
-            Cluster::homogeneous(Platform::new(config.platform), config.n_agents, config.net);
-        let orchestrator = orchestrator_for(
-            config.topology,
-            cfg,
-            config.seed,
-            evaluator,
-            cluster,
-            config.resync_every,
-        )?;
+        let c = &self.config;
+        let shell = self.shell(cfg.population_size, c.topology.name(), &mut evaluator)?;
+        let cluster = Cluster::homogeneous(Platform::new(c.platform), c.n_agents, c.net);
+        let orchestrator = orchestrator_for(c.topology, cfg, c.seed, evaluator, cluster)?;
         Ok(ClanDriver {
-            config,
             orchestrator,
             shell,
         })
@@ -763,27 +706,17 @@ impl ClanDriverBuilder {
     /// local backend the run is simulated under deterministic virtual
     /// time (see [`LatencySchedule`]); on remote backends it streams
     /// one-genome frames over the real transport with
-    /// dispatch-on-completion.
+    /// dispatch-on-completion. The topology is not read: the mode has no
+    /// generations to place.
     ///
     /// # Errors
     ///
     /// [`ClanError::InvalidSetup`] as [`build`](Self::build), plus: a
-    /// [`resync_every`](Self::resync_every) (there are no generations to
-    /// resync), a latency schedule on a remote backend, a latency list
-    /// whose length disagrees with the agent count, `agents ×
-    /// STREAM_WINDOW` not strictly below the population size, or an eval
-    /// budget below it.
+    /// latency schedule on a remote backend, a latency list whose length
+    /// disagrees with the agent count, `agents × STREAM_WINDOW` not
+    /// strictly below the population size, or an eval budget below it.
     pub fn build_async(self) -> Result<AsyncClanDriver, ClanError> {
-        if self.config.resync_every.is_some() {
-            return Err(ClanError::InvalidSetup {
-                reason: "resync_every applies to generational CLAN_DDA runs (build), \
-                         not async steady-state ones"
-                    .into(),
-            });
-        }
-        let (cfg, mut evaluator) = self.prepare(false)?;
-        let c = &self.config;
-        let is_remote = evaluator.remote_agents() > 0;
+        let is_remote = self.source.is_some();
         if is_remote && self.latency_ms.is_some() {
             return Err(ClanError::InvalidSetup {
                 reason: "virtual latency schedules apply to the local backend only; \
@@ -791,11 +724,9 @@ impl ClanDriverBuilder {
                     .into(),
             });
         }
-        let agents = if is_remote {
-            evaluator.remote_agents()
-        } else {
-            c.n_agents
-        };
+        let (cfg, mut evaluator) = self.prepare(false)?;
+        let c = &self.config;
+        let agents = c.n_agents;
         if agents * STREAM_WINDOW >= cfg.population_size {
             return Err(ClanError::InvalidSetup {
                 reason: format!(
@@ -809,13 +740,9 @@ impl ClanDriverBuilder {
         } else {
             let base_us: Vec<u64> = match &self.latency_ms {
                 Some(ms) => {
-                    if ms.len() != c.n_agents {
+                    if ms.len() != agents {
                         return Err(ClanError::InvalidSetup {
-                            reason: format!(
-                                "{} latency entries for {} agents",
-                                ms.len(),
-                                c.n_agents
-                            ),
+                            reason: format!("{} latency entries for {agents} agents", ms.len()),
                         });
                     }
                     if !ms.iter().all(|m| *m > 0.0) {
@@ -827,7 +754,7 @@ impl ClanDriverBuilder {
                         .map(|m| (m * 1000.0).round().max(1.0) as u64)
                         .collect()
                 }
-                None => vec![5_000; c.n_agents],
+                None => vec![5_000; agents],
             };
             Some(LatencySchedule::new(
                 c.seed,
@@ -841,12 +768,7 @@ impl ClanDriverBuilder {
         } else {
             "ASYNC_STREAM"
         };
-        let shell = self.shell(
-            cfg.population_size,
-            name.to_string(),
-            agents,
-            &mut evaluator,
-        )?;
+        let shell = self.shell(cfg.population_size, name.to_string(), &mut evaluator)?;
         let pop = Population::new(cfg, c.seed);
         let tournament = self.tournament_size.unwrap_or(3);
         let orchestrator = AsyncOrchestrator::new(pop, evaluator, total, tournament)?;
@@ -965,48 +887,24 @@ mod tests {
 
     #[test]
     fn builder_defaults_are_paper_defaults() {
-        let d = ClanDriver::builder(Workload::CartPole)
-            .population_size(16)
-            .build()
-            .unwrap();
-        assert_eq!(d.config().n_agents, 1);
-        assert_eq!(d.config().topology, ClanTopology::serial());
-        assert_eq!(d.config().platform, PlatformKind::RaspberryPi);
+        let builder = ClanDriver::builder(Workload::CartPole).population_size(16);
+        let c = &builder.config;
+        assert_eq!(c.n_agents, 1);
+        assert_eq!(c.topology, ClanTopology::serial());
+        assert_eq!(c.platform, PlatformKind::RaspberryPi);
+        assert_eq!(c.engine, EngineOptions::default());
+        assert_eq!(builder.build().unwrap().run(1).unwrap().n_agents, 1);
     }
 
     #[test]
-    fn zero_resync_interval_is_a_typed_error() {
-        let err = ClanDriver::builder(Workload::CartPole)
-            .topology(ClanTopology::dda())
-            .agents(2)
-            .population_size(16)
-            .resync_every(0)
-            .build();
-        assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
-    }
-
-    #[test]
-    fn resync_interval_off_dda_is_a_typed_error() {
-        for topology in [
-            ClanTopology::serial(),
-            ClanTopology::dcs(),
-            ClanTopology::dds(),
-        ] {
-            // Rejected up front, before `prepare` (which spawns or
-            // connects the agents) reaches the zero episode count.
-            let err = ClanDriver::builder(Workload::CartPole)
-                .topology(topology)
-                .agents(2)
-                .population_size(16)
-                .episodes_per_eval(0)
-                .resync_every(2)
-                .build();
-            assert!(
-                matches!(&err, Err(ClanError::InvalidSetup { reason })
-                    if reason.contains("resync_every")),
-                "{topology}"
-            );
-        }
+    fn an_agent_backend_sets_the_one_device_count() {
+        let builder = ClanDriver::builder(Workload::CartPole).agents(4);
+        assert_eq!(builder.clone().loopback_agents(2).config.n_agents, 2);
+        assert_eq!(builder.clone().loopback_udp_agents(3).config.n_agents, 3);
+        let addrs = vec!["127.0.0.1:9".to_string(); 2];
+        assert_eq!(builder.clone().remote_agents(addrs).config.n_agents, 2);
+        // The last call wins, whichever it is.
+        assert_eq!(builder.loopback_agents(2).agents(3).config.n_agents, 3);
     }
 
     #[test]
@@ -1109,11 +1007,6 @@ mod tests {
             tuned.cache_lookups, 0,
             "disabled cache never fields a lookup"
         );
-        let d = ClanDriver::builder(Workload::CartPole)
-            .population_size(8)
-            .build()
-            .unwrap();
-        assert_eq!(d.config().engine, EngineOptions::default());
     }
 
     #[test]
@@ -1262,8 +1155,8 @@ mod tests {
                 .udp_config(udp.clone())
                 .loopback_udp_agents(2),
         ] {
+            assert_eq!(builder.config.udp.as_ref(), Some(&udp));
             let driver = builder.build().unwrap();
-            assert_eq!(driver.config().udp.as_ref(), Some(&udp));
             assert_eq!(driver.run(1).unwrap().generations.len(), 1);
         }
     }
@@ -1289,8 +1182,8 @@ mod tests {
             build(builder.clone().latency_jitter_pct(20)),
             "latency_jitter_pct",
         );
-        let dda = builder.topology(ClanTopology::dda()).resync_every(2);
-        rejected(dda.build_async().map(drop), "resync_every");
+        let latency = builder.latency_ms(vec![2.0]).build_async().map(drop);
+        rejected(latency, "virtual latency");
     }
 
     #[test]

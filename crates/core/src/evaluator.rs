@@ -368,13 +368,6 @@ impl Evaluator {
         )
     }
 
-    /// This evaluator's episode seed for one genome under its configured
-    /// episode plan.
-    pub fn seed_for(&self, master_seed: u64, genome: &Genome) -> u64 {
-        let Engine { episodes, mode, .. } = self.engine;
-        Evaluator::episode_seed(master_seed, genome.content_hash(), episodes, mode)
-    }
-
     /// Evaluates a batch of genomes exactly as the serial path would:
     /// consult the fitness cache, compile the misses, derive each episode
     /// seed from `(master_seed, content_hash, episode plan)`, run the

@@ -327,7 +327,7 @@ pub mod transport;
 pub use asynchronous::{AsyncOrchestrator, AsyncStats, LatencySchedule};
 pub use continuous::{ContinuousLearner, LearningEvent, MonitorConfig, TaskOutcome};
 pub use dda::DdaOrchestrator;
-pub use driver::{AsyncClanDriver, AsyncRunOutcome, ClanDriver, ClanDriverBuilder, DriverConfig};
+pub use driver::{AsyncClanDriver, AsyncRunOutcome, ClanDriver, ClanDriverBuilder};
 pub use error::{ClanError, FrameError};
 pub use evaluator::{EngineOptions, Evaluator, InferenceMode};
 pub use generational::{DcsOrchestrator, DdsOrchestrator, SerialOrchestrator};

@@ -170,14 +170,6 @@ impl Default for RecoveryPolicy {
     }
 }
 
-impl RecoveryPolicy {
-    /// Sets the live-agent floor.
-    pub fn with_min_agents(mut self, n: usize) -> RecoveryPolicy {
-        self.min_agents = n;
-        self
-    }
-}
-
 /// Everything surviving churn cost, accumulated over a cluster's life
 /// and surfaced on [`RunReport`](crate::report::RunReport) and the CLI.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -288,9 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_defaults_and_builders() {
-        let p = RecoveryPolicy::default();
-        assert_eq!(p.min_agents, 1);
-        assert_eq!(p.with_min_agents(2).min_agents, 2);
+    fn policy_defaults_to_one_live_agent() {
+        assert_eq!(RecoveryPolicy::default().min_agents, 1);
     }
 }

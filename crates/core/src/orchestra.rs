@@ -95,29 +95,21 @@ pub trait Orchestrator {
 /// Builds the orchestrator implementing `topology`: a fresh population
 /// from `(cfg, seed)` evolved over the simulated `cluster`, inference
 /// running through `evaluator`. DDA evolves one clan per device of
-/// `cluster`, and alone reads `resync_every` (which
-/// [`ClanDriverBuilder::build`](crate::ClanDriverBuilder::build) rejects
-/// elsewhere).
+/// `cluster`, pooled every resync period its topology carries.
 ///
 /// # Errors
 ///
-/// [`ClanError::InvalidSetup`] on DDA clans below two genomes, or a
-/// zero resync interval.
+/// [`ClanError::InvalidSetup`] on DDA clans below two genomes.
 pub fn orchestrator_for(
     topology: ClanTopology,
     cfg: NeatConfig,
     seed: u64,
     evaluator: Evaluator,
     cluster: Cluster,
-    resync_every: Option<u64>,
 ) -> Result<Box<dyn Orchestrator>, ClanError> {
     let orchestrator: Box<dyn Orchestrator> = match topology.0 {
-        Paper::Dda => {
-            let dda = DdaOrchestrator::new(cfg, evaluator, cluster, seed)?;
-            match resync_every {
-                Some(r) => Box::new(dda.with_resync_every(r)?),
-                None => Box::new(dda),
-            }
+        Paper::Dda { resync } => {
+            Box::new(DdaOrchestrator::new(cfg, evaluator, cluster, seed, resync)?)
         }
         Paper::Serial => Box::new(SerialOrchestrator::new(
             Population::new(cfg, seed),

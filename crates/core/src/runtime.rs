@@ -2006,7 +2006,7 @@ mod tests {
         // min_agents 2 refuses to continue on the lone survivor.
         let mut strict =
             EdgeCluster::from_source(2, cartpole_spec(&cfg), AgentSource::Threads).unwrap();
-        strict.set_recovery_policy(RecoveryPolicy::default().with_min_agents(2));
+        strict.set_recovery_policy(RecoveryPolicy { min_agents: 2 });
         strict.kill_agent(1).unwrap();
         let err = strict.evaluate(&mut pop).unwrap_err();
         assert!(
@@ -2066,7 +2066,7 @@ mod tests {
         let mut cluster =
             EdgeCluster::connect_transports(vec![healthy, dying], uncached_spec(cfg.clone()))
                 .unwrap();
-        cluster.set_recovery_policy(RecoveryPolicy::default().with_min_agents(2));
+        cluster.set_recovery_policy(RecoveryPolicy { min_agents: 2 });
         let mut pop = Population::new(cfg, 8);
         let err = cluster.evaluate(&mut pop).unwrap_err();
         assert!(

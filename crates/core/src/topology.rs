@@ -7,13 +7,15 @@
 //!
 //! The paper runs four of those configurations, and only they can be
 //! named: [`ClanTopology::serial`], [`dcs`](ClanTopology::dcs),
-//! [`dds`](ClanTopology::dds) and [`dda`](ClanTopology::dda).
+//! [`dds`](ClanTopology::dds) and [`dda`](ClanTopology::dda). DDA with
+//! the paper's future-work periodic global speciation,
+//! [`dda_resync`](ClanTopology::dda_resync), is still `CLAN_DDA`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::num::NonZeroU64;
 
 /// The paper's four configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Paper {
     /// Everything on the central node.
     Serial,
@@ -22,12 +24,13 @@ pub(crate) enum Paper {
     /// Distributed inference and reproduction; central speciation.
     Dds,
     /// Distributed inference and reproduction; asynchronous speciation,
-    /// one clan per device of the cluster.
-    Dda,
+    /// one clan per device of the cluster, optionally pooled and
+    /// redistributed every `resync` generations.
+    Dda { resync: Option<NonZeroU64> },
 }
 
 /// A full CLAN configuration: one of the paper's four.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClanTopology(pub(crate) Paper);
 
 impl ClanTopology {
@@ -51,7 +54,16 @@ impl ClanTopology {
     /// `CLAN_DDA`: distributed inference and reproduction, asynchronous
     /// speciation — one independent clan per device of the cluster.
     pub fn dda() -> ClanTopology {
-        ClanTopology(Paper::Dda)
+        ClanTopology(Paper::Dda { resync: None })
+    }
+
+    /// `CLAN_DDA` with the paper's future-work periodic global
+    /// speciation: every `generations` generations all clans' genomes
+    /// are pooled and dealt back round-robin.
+    pub fn dda_resync(generations: NonZeroU64) -> ClanTopology {
+        ClanTopology(Paper::Dda {
+            resync: Some(generations),
+        })
     }
 
     /// The paper's name for this configuration.
@@ -60,7 +72,7 @@ impl ClanTopology {
             Paper::Serial => "Serial",
             Paper::Dcs => "CLAN_DCS",
             Paper::Dds => "CLAN_DDS",
-            Paper::Dda => "CLAN_DDA",
+            Paper::Dda { .. } => "CLAN_DDA",
         }
         .to_string()
     }
@@ -82,5 +94,7 @@ mod tests {
         assert_eq!(ClanTopology::dcs().name(), "CLAN_DCS");
         assert_eq!(ClanTopology::dds().name(), "CLAN_DDS");
         assert_eq!(ClanTopology::dda().name(), "CLAN_DDA");
+        let every_two = NonZeroU64::new(2).unwrap();
+        assert_eq!(ClanTopology::dda_resync(every_two).name(), "CLAN_DDA");
     }
 }

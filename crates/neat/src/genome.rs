@@ -181,12 +181,6 @@ impl Genome {
         (self.nodes.len() + self.conns.len()) as u64
     }
 
-    /// Number of enabled connections (the genes inference touches each
-    /// activation).
-    pub fn num_enabled_conns(&self) -> u64 {
-        self.conns.values().filter(|c| c.enabled).count() as u64
-    }
-
     /// Canonical content hash: a stable 64-bit digest of every gene's
     /// identity and attributes, independent of the genome's [`id`] and
     /// [`fitness`] and of the order genes were inserted (the key-ordered
@@ -973,10 +967,11 @@ mod tests {
     #[test]
     fn enabled_conn_count() {
         let cfg = cfg(2, 2);
+        let enabled = |g: &Genome| g.conns().values().filter(|c| c.enabled).count();
         let mut g = Genome::new_initial(&cfg, GenomeId(0), &mut rng(24));
-        assert_eq!(g.num_enabled_conns(), 4);
+        assert_eq!(enabled(&g), 4);
         g.mutate_add_node(&cfg, &mut rng(25));
-        assert_eq!(g.num_enabled_conns(), 5, "split disables one, adds two");
+        assert_eq!(enabled(&g), 5, "split disables one, adds two");
     }
 
     #[test]

@@ -478,33 +478,6 @@ impl Population {
         self.try_advance_generation(|pop, plan| Ok(pop.reproduce_centrally(plan)))
             .unwrap_or_else(|e: NeatError| panic!("cannot advance the generation: {e}"))
     }
-
-    /// Convenience driver: evaluate + advance for `generations` rounds,
-    /// stopping early when `fitness_threshold` is reached.
-    ///
-    /// Returns the per-generation summaries.
-    pub fn run<F, E>(
-        &mut self,
-        mut evaluator: F,
-        generations: u64,
-        fitness_threshold: Option<f64>,
-    ) -> Vec<GenerationSummary>
-    where
-        F: FnMut(&FeedForwardNetwork, &Genome) -> E,
-        E: Into<Evaluation>,
-    {
-        let mut summaries = Vec::new();
-        for _ in 0..generations {
-            self.evaluate(&mut evaluator);
-            let summary = self.advance_generation();
-            let reached = fitness_threshold.is_some_and(|t| summary.best_fitness >= t);
-            summaries.push(summary);
-            if reached {
-                break;
-            }
-        }
-        summaries
-    }
 }
 
 #[cfg(test)]
@@ -616,23 +589,6 @@ mod tests {
             "evolution should not regress on a static task: {first_best:?} -> {last_best}"
         );
         assert!(last_best > 0.9, "sigmoid output should approach 1.0");
-    }
-
-    #[test]
-    fn run_stops_at_threshold() {
-        let cfg = NeatConfig::builder(1, 1)
-            .population_size(40)
-            .build()
-            .unwrap();
-        let mut pop = Population::new(cfg, 8);
-        let mut scratch = Scratch::new();
-        let summaries = pop.run(
-            |net, _| net.activate_into(&[1.0], &mut scratch)[0],
-            50,
-            Some(0.9),
-        );
-        assert!(summaries.len() < 50, "should converge early");
-        assert!(summaries.last().unwrap().best_fitness >= 0.9);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   service spans, wasted idle = `agents × makespan − busy` — so the
 //!   report cross-checks against the run's own summary.
 
+use crate::{agent_count, TooManyAgents};
 use clan_core::telemetry::{Determinism, EventKind, TraceEvent};
 
 /// How the trace's time accounting was reconstructed.
@@ -87,7 +88,7 @@ pub struct Analysis {
     pub mode: AnalysisMode,
     /// Events in the trace (logical, timing).
     pub counts: (u64, u64),
-    /// Agents in the cluster ([`crate::agent_count`]).
+    /// Agents in the cluster ([`agent_count`]).
     pub n_agents: u64,
     /// Per-agent accounting, by slot.
     pub agents: Vec<AgentStat>,
@@ -125,7 +126,13 @@ fn agent_slot(stats: &mut Vec<AgentStat>, agent: u64) -> &mut AgentStat {
 
 /// Analyzes a parsed trace. Events must be in record order (as written
 /// by the JSONL exporter).
-pub fn analyze(events: &[TraceEvent]) -> Analysis {
+///
+/// # Errors
+///
+/// [`TooManyAgents`], from [`agent_count`], before any per-agent row is
+/// allocated.
+pub fn analyze(events: &[TraceEvent]) -> Result<Analysis, TooManyAgents> {
+    let n_agents = agent_count(events)?;
     let logical = events
         .iter()
         .filter(|e| e.class == Determinism::Logical)
@@ -222,7 +229,6 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
         AnalysisMode::Empty => 0,
     };
     let busy_us: u64 = agents.iter().map(|a| a.busy_us).sum();
-    let n_agents = crate::agent_count(events);
     let wasted_idle_us = n_agents.saturating_mul(makespan_us).saturating_sub(busy_us);
 
     for a in &mut agents {
@@ -266,7 +272,7 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
         AnalysisMode::Empty => None,
     };
 
-    Analysis {
+    Ok(Analysis {
         mode,
         counts,
         n_agents,
@@ -278,7 +284,7 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
         retrans_bytes,
         recovery,
         straggler,
-    }
+    })
 }
 
 fn seconds(us: u64) -> f64 {
@@ -426,7 +432,7 @@ mod tests {
             span(EventKind::GatherRound, None, 4100),
             retrans,
         ];
-        let a = analyze(&events);
+        let a = analyze(&events).unwrap();
         assert_eq!(a.mode, AnalysisMode::Rounds);
         assert_eq!(a.n_agents, 3);
         assert_eq!(a.rounds.len(), 2);
@@ -458,7 +464,7 @@ mod tests {
             span(EventKind::AgentExchange, Some(1), 1500),
             span(EventKind::GatherRound, None, 4600),
         ];
-        let a = analyze(&events);
+        let a = analyze(&events).unwrap();
         assert_eq!(a.rounds[0].critical_agent, Some(1));
         assert_eq!(a.rounds[0].critical_span_us, 4500);
         assert_eq!(a.rounds[0].busy_us, 7500);
@@ -480,7 +486,7 @@ mod tests {
             completion(1, 20_000, 20_000),
             completion(0, 10_500, 5500),
         ];
-        let a = analyze(&events);
+        let a = analyze(&events).unwrap();
         assert_eq!(a.mode, AnalysisMode::SteadyState);
         assert_eq!(a.makespan_us, 20_000);
         assert_eq!(a.busy_us, 30_500);
@@ -490,18 +496,39 @@ mod tests {
     }
 
     #[test]
-    fn a_corrupt_agent_count_saturates_wasted_idle() {
+    fn an_absurd_makespan_saturates_wasted_idle() {
         let events = [
-            cluster_info(u64::MAX),
+            cluster_info(crate::MAX_AGENTS),
             span(EventKind::AgentExchange, Some(0), 1000),
-            span(EventKind::GatherRound, None, 1000),
+            span(EventKind::GatherRound, None, u64::MAX / 2),
         ];
-        assert_eq!(analyze(&events).wasted_idle_us, u64::MAX - 1000);
+        assert_eq!(analyze(&events).unwrap().wasted_idle_us, u64::MAX - 1000);
+    }
+
+    #[test]
+    fn an_agent_count_or_id_above_the_bound_is_refused() {
+        let over = crate::MAX_AGENTS + 1;
+        let gather = span(EventKind::GatherRound, None, 1000);
+        for events in [
+            vec![cluster_info(over), gather.clone()],
+            vec![
+                span(EventKind::AgentExchange, Some(over - 1), 1000),
+                gather.clone(),
+            ],
+            vec![
+                cluster_info(2),
+                span(EventKind::Retransmission, Some(u64::MAX), 0),
+            ],
+        ] {
+            assert!(analyze(&events).is_err(), "{events:?}");
+        }
+        let last = span(EventKind::AgentExchange, Some(over - 2), 1000);
+        assert_eq!(analyze(&[last, gather]).unwrap().n_agents, over - 1);
     }
 
     #[test]
     fn empty_trace_analyzes_to_empty_mode() {
-        let a = analyze(&[]);
+        let a = analyze(&[]).unwrap();
         assert_eq!(a.mode, AnalysisMode::Empty);
         assert_eq!(a.straggler, None);
         assert!(a.render().contains("nothing to analyze"));

@@ -2,12 +2,8 @@
 //! track per agent plus a coordinator track, loadable in Perfetto or
 //! `chrome://tracing`.
 
-use crate::agent_count;
+use crate::{agent_count, TooManyAgents};
 use clan_core::telemetry::TraceEvent;
-
-/// More agent tracks than any traced cluster has: a larger count is a
-/// corrupt trace, and rendering it would never finish.
-pub const MAX_AGENTS: u64 = 1 << 16;
 
 /// One record of a Chrome trace-event document: a track's name, a span
 /// or an instant. Rendered, it also carries `pid` 0 (one process per
@@ -43,14 +39,9 @@ pub struct ChromeEvent {
 ///
 /// # Errors
 ///
-/// An agent count above [`MAX_AGENTS`].
-pub fn records(events: &[TraceEvent]) -> Result<Vec<ChromeEvent>, String> {
-    let coordinator = agent_count(events);
-    if coordinator > MAX_AGENTS {
-        return Err(format!(
-            "{coordinator} agents: more than the {MAX_AGENTS} a trace can name"
-        ));
-    }
+/// [`TooManyAgents`], from [`agent_count`].
+pub fn records(events: &[TraceEvent]) -> Result<Vec<ChromeEvent>, TooManyAgents> {
+    let coordinator = agent_count(events)?;
     let tracks = (0..=coordinator).map(|tid| ChromeEvent {
         ph: "M",
         tid,
@@ -193,6 +184,6 @@ mod tests {
     fn an_impossible_agent_count_is_an_error_not_a_hang() {
         let mut ev = TraceEvent::base(Determinism::Timing, EventKind::ClusterInfo);
         ev.items = Some(u64::MAX);
-        assert!(records(&[ev]).unwrap_err().contains("agents"));
+        assert_eq!(records(&[ev]), Err(TooManyAgents(u64::MAX)));
     }
 }

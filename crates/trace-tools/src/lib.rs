@@ -50,9 +50,9 @@ pub fn load_trace(path: &str) -> Result<Vec<TraceEvent>, String> {
 ///
 /// # Errors
 ///
-/// Propagates [`load_trace`] failures.
+/// Propagates [`load_trace`] failures, and [`TooManyAgents`].
 pub fn analyze_file(path: &str) -> Result<Analysis, String> {
-    Ok(analyze::analyze(&load_trace(path)?))
+    analyze::analyze(&load_trace(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Diffs the logical streams of two trace files.
@@ -69,25 +69,54 @@ pub fn diff_files(left: &str, right: &str) -> Result<DiffOutcome, String> {
 ///
 /// # Errors
 ///
-/// Propagates [`load_trace`] and [`chrome::records`] failures; IO
-/// failure writing `output`.
+/// Propagates [`load_trace`] failures and [`TooManyAgents`]; IO failure
+/// writing `output`.
 pub fn chrome_file(input: &str, output: &str) -> Result<u64, String> {
     let events = load_trace(input)?;
-    let records = chrome::records(&events).map_err(|e| format!("{input}: {e}"))?;
+    let corrupt = |e: TooManyAgents| format!("{input}: {e}");
+    let agents = agent_count(&events).map_err(corrupt)?;
+    let records = chrome::records(&events).map_err(corrupt)?;
     std::fs::write(output, chrome::render(&records)).map_err(|e| format!("{output}: {e}"))?;
-    Ok(agent_count(&events))
+    Ok(agents)
+}
+
+/// More agents than any traced cluster has: a trace that counts or names
+/// more is corrupt, and a per-agent table or track list sized from it
+/// would never finish.
+pub const MAX_AGENTS: u64 = 1 << 16;
+
+/// A trace that counts, or names by id, more than [`MAX_AGENTS`] agents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyAgents(pub u64);
+
+impl std::fmt::Display for TooManyAgents {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} agents: more than the {MAX_AGENTS} a trace can name",
+            self.0
+        )
+    }
 }
 
 /// Agents in the traced cluster: the last `ClusterInfo` event's count,
 /// else (a `--trace-ring` postmortem that dropped that event) one more
 /// than the highest agent id any event names.
-pub fn agent_count(events: &[TraceEvent]) -> u64 {
+///
+/// # Errors
+///
+/// [`TooManyAgents`] when that count, or one more than the highest agent
+/// id any event names, is above [`MAX_AGENTS`].
+pub fn agent_count(events: &[TraceEvent]) -> Result<u64, TooManyAgents> {
     let recorded = events
         .iter()
         .rev()
         .find_map(|e| e.items.filter(|_| e.kind == EventKind::ClusterInfo));
-    recorded.unwrap_or_else(|| {
-        let highest = events.iter().filter_map(|e| e.agent).max();
-        highest.map_or(0, |a| a.saturating_add(1))
-    })
+    let highest = events.iter().filter_map(|e| e.agent).max();
+    let named = highest.map_or(0, |a| a.saturating_add(1));
+    let count = recorded.unwrap_or(named);
+    match count.max(named) {
+        n if n > MAX_AGENTS => Err(TooManyAgents(n)),
+        _ => Ok(count),
+    }
 }

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Exit codes: 0 analyzed / identical, 1 divergence or truncation found,
-//! 2 usage or I/O error.
+//! 2 usage or I/O error, or a corrupt trace (a malformed line, more
+//! agents than `MAX_AGENTS`).
 
 use clan_trace_tools::{analyze_file, chrome_file, diff_files};
 use std::process::ExitCode;
@@ -23,7 +24,8 @@ fn main() -> ExitCode {
         Some(other) => Ok(usage(&format!("unknown command `{other}`"))),
         None => Ok(usage("missing command")),
     };
-    // A trace that cannot be read (or a Chrome file written) exits 2.
+    // A trace that cannot be read or is corrupt (or a Chrome file
+    // written) exits 2.
     outcome.unwrap_or_else(|e| {
         eprintln!("clan-trace: {e}");
         ExitCode::from(2)

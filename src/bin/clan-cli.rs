@@ -352,10 +352,10 @@ fn parse_platform(s: &str) -> Result<PlatformKind, String> {
     }
 }
 
-/// The driver `args` describe over `agents` agents. On real agents
-/// (`coordinate`) the topology defaults to DCS, and serial, which runs
-/// nothing on them, is refused.
-fn build_driver(args: &Args, agents: usize, on_agents: bool) -> Result<ClanDriverBuilder, Failure> {
+/// The driver `args` describe, before its devices are counted. On real
+/// agents (`coordinate`) the topology defaults to DCS, and serial, which
+/// runs nothing on them, is refused.
+fn build_driver(args: &Args, on_agents: bool) -> Result<ClanDriverBuilder, Failure> {
     let topology = match args
         .text("--topology")
         .unwrap_or(if on_agents { "dcs" } else { "serial" })
@@ -371,7 +371,6 @@ fn build_driver(args: &Args, agents: usize, on_agents: bool) -> Result<ClanDrive
     let platform = args.get_with("--platform", parse_platform)?;
     let mut builder = ClanDriver::builder(workload.unwrap_or(Workload::CartPole))
         .topology(topology)
-        .agents(agents)
         .population_size(args.get("--population")?.unwrap_or(150))
         .seed(args.get("--seed")?.unwrap_or(0))
         .episodes_per_eval(args.get("--episodes")?.unwrap_or(1))
@@ -462,7 +461,7 @@ fn write_trace(trace: Option<&RunTrace>, args: &Args) -> Result<(), String> {
 /// `run` and `solve`: evolve over `--agents N` simulated agents.
 fn evolve(args: &Args) -> Result<(), Failure> {
     let agents = args.get("--agents")?.unwrap_or(1);
-    launch(build_driver(args, agents, false)?, args)
+    launch(build_driver(args, false)?.agents(agents), args)
 }
 
 /// A run's outcome: its report and, when traced, its trace.
@@ -597,12 +596,12 @@ fn udp_config(args: &Args) -> Result<Option<UdpConfig>, Failure> {
 }
 
 /// `coordinate`: the run `run` would make, over the agents it has — the
-/// `--agents-at` daemons or `--loopback N` spawned here — as many agents
-/// as the simulated cluster and the DDA clans count.
+/// `--agents-at` daemons or `--loopback N` spawned here. Their number is
+/// the run's one device count: the modelled cluster's and DDA's clans.
 fn cmd_coordinate(args: &Args) -> Result<(), Failure> {
     let remote = args.get_with("--agents-at", parse_agent_list)?;
-    let agents = match (&remote, args.get("--loopback")?) {
-        (Some(addrs), None) => addrs.len(),
+    let loopback = match (&remote, args.get("--loopback")?) {
+        (Some(_), None) => 0,
         (None, Some(n)) if n > 0 => n,
         (Some(_), Some(_)) => return Err(usage("--agents-at and --loopback exclude each other")),
         _ => return Err(usage("coordinate needs --agents-at or --loopback N > 0")),
@@ -611,18 +610,18 @@ fn cmd_coordinate(args: &Args) -> Result<(), Failure> {
     let churn = args.get::<ChurnSchedule>("--churn")?;
     let spares = args.get_with("--spare-at", parse_agent_list)?;
     let min_agents = args.get("--min-agents")?;
-    let mut builder = build_driver(args, agents, true)?;
+    let mut builder = build_driver(args, true)?;
 
     let transport = if udp.is_some() { "UDP" } else { "TCP" };
     builder = match remote {
         Some(addrs) => {
-            let list = addrs.join(", ");
-            println!("coordinating {agents} remote {transport} agent(s): {list}");
+            let (n, list) = (addrs.len(), addrs.join(", "));
+            println!("coordinating {n} remote {transport} agent(s): {list}");
             builder.remote_agents(addrs)
         }
         None => {
-            println!("coordinating {agents} loopback {transport} agent(s)");
-            builder.loopback_agents(agents)
+            println!("coordinating {loopback} loopback {transport} agent(s)");
+            builder.loopback_agents(loopback)
         }
     };
     if let Some(udp) = udp {

@@ -22,7 +22,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use clan::core::{ClanDriver, ClanTopology, DriverConfig};
+//! use clan::core::{ClanDriver, ClanTopology};
 //! use clan::envs::Workload;
 //!
 //! let driver = ClanDriver::builder(Workload::CartPole)

@@ -461,7 +461,7 @@ fn live_run_redispatches_every_outstanding_genome_of_a_dead_link() {
     // read the replies they are still owed and the run ends typed
     // instead of hanging.
     let mut cluster = cluster_with_a_dying_link(population, replies);
-    cluster.set_recovery_policy(RecoveryPolicy::default().with_min_agents(3));
+    cluster.set_recovery_policy(RecoveryPolicy { min_agents: 3 });
     let (mut orch, _tracer) = traced_orchestrator(population, evals, 17, Some(cluster));
     match orch.run_streamed() {
         Err(ClanError::Degraded { live, required }) => assert_eq!((live, required), (2, 3)),

@@ -12,7 +12,7 @@ mod common;
 use clan::core::membership::RecoveryPolicy;
 use clan::core::runtime::{AgentSource, EdgeCluster};
 use clan::core::transport::{ChurnAction, ChurnSchedule, ClusterSpec, UdpConfig};
-use clan::core::{ClanError, ClanTopology, EngineOptions, InferenceMode};
+use clan::core::{ClanError, ClanTopology, EngineOptions, Evaluator, InferenceMode};
 use clan::envs::Workload;
 use clan::neat::Population;
 use common::{
@@ -234,7 +234,7 @@ fn churn_drained_below_the_floor_is_a_typed_error() {
     // And the policy floor: with min_agents 2, losing one of two agents
     // refuses to limp along on the survivor.
     let mut cluster = EdgeCluster::from_source(2, uncached_spec(), AgentSource::Threads).unwrap();
-    cluster.set_recovery_policy(RecoveryPolicy::default().with_min_agents(2));
+    cluster.set_recovery_policy(RecoveryPolicy { min_agents: 2 });
     cluster.set_churn(ChurnSchedule::new().kill(0, 1)).unwrap();
     second_round_error(cluster);
 }
@@ -280,7 +280,8 @@ proptest! {
             for id in ids {
                 let genome = pop.genome(id).unwrap();
                 let net = clan::neat::FeedForwardNetwork::compile(genome, &cfg);
-                let episode_seed = ev.seed_for(pop.master_seed(), genome);
+                let episode_seed =
+                    Evaluator::episode_seed(pop.master_seed(), genome.content_hash(), 1, MULTI);
                 let fit = ev.evaluate(&net, episode_seed).fitness;
                 pop.set_fitness(id, fit).unwrap();
             }

@@ -84,7 +84,7 @@ pub fn orchestrator_seeded(
     };
     evaluator.set_tracer(Tracer::new());
     let cfg = neat_cfg(evaluator.workload());
-    orchestrator_for(topology, cfg, seed, evaluator, sim_cluster(agents), None)
+    orchestrator_for(topology, cfg, seed, evaluator, sim_cluster(agents))
         .expect("clans large enough")
 }
 

@@ -72,7 +72,7 @@ fn parallel_evaluation_matches_across_all_topologies() {
             .build()
             .expect("valid config");
         let evaluator = local_evaluator(w, MULTI);
-        let mut reference = orchestrator_for(topo, cfg, SEED, evaluator, cluster(agents), None)
+        let mut reference = orchestrator_for(topo, cfg, SEED, evaluator, cluster(agents))
             .expect("clans large enough");
         let reference = run(&mut *reference, GENERATIONS).reports;
         assert_eq!(driver.generations, reference, "{topo}");

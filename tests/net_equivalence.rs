@@ -126,15 +126,9 @@ fn alien_sized_dds_generation_cannot_wedge_over_tcp_or_udp() {
         ];
         for cluster in clusters {
             let remote = Evaluator::new(w, InferenceMode::MultiStep).with_remote(cluster.unwrap());
-            let mut dds = orchestrator_for(
-                ClanTopology::dds(),
-                cfg.clone(),
-                3,
-                remote,
-                sim_cluster(2),
-                None,
-            )
-            .expect("DDS builds");
+            let mut dds =
+                orchestrator_for(ClanTopology::dds(), cfg.clone(), 3, remote, sim_cluster(2))
+                    .expect("DDS builds");
             dds.step_generation().expect("the generation completes");
             let wire = dds
                 .evaluator()

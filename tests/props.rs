@@ -402,7 +402,7 @@ proptest! {
         n_agents in 0u64..8,
     ) {
         use clan::core::telemetry::{from_jsonl, to_jsonl};
-        use clan_trace_tools::{agent_count, chrome};
+        use clan_trace_tools::{agent_count, chrome, MAX_AGENTS};
         let trace = clan::core::RunTrace { events };
         // JSONL round-trips every event bit-exactly (floats are stored
         // as IEEE-754 bits, so there is no decimal detour to lose).
@@ -417,10 +417,9 @@ proptest! {
             ev.agent = ev.agent.map(|a| a % n_agents.max(1));
         }
         for events in [&trace.events, &folded] {
-            let agents = agent_count(events);
-            match chrome::records(events) {
-                Ok(records) => {
-                    prop_assert!(agents <= chrome::MAX_AGENTS);
+            match (agent_count(events), chrome::records(events)) {
+                (Ok(agents), Ok(records)) => {
+                    prop_assert!(agents <= MAX_AGENTS);
                     let tracks: Vec<&str> = records
                         .iter()
                         .filter_map(|r| r.track.as_deref())
@@ -430,7 +429,12 @@ proptest! {
                     let json = chrome::render(&records);
                     prop_assert_eq!(json.matches("\"ph\":").count(), records.len());
                 }
-                Err(_) => prop_assert!(agents > chrome::MAX_AGENTS),
+                // Both refuse, and the same count, above the bound.
+                (count, records) => {
+                    let refused = count.err();
+                    prop_assert_eq!(refused, records.err());
+                    prop_assert!(refused.is_some_and(|n| n.0 > MAX_AGENTS));
+                }
             }
         }
         // The logical text and hash are total functions of the events.

@@ -18,6 +18,7 @@ use clan::core::{
     ClanDriver, ClanDriverBuilder, ClanTopology, Determinism, EventKind, RunReport, RunTrace,
 };
 use clan::envs::Workload;
+use clan::netsim::MessageKind;
 use common::{check, lossy_udp, topologies, POP, SEED, SIM_AGENTS};
 
 const GENERATIONS: u64 = common::GENERATIONS as u64;
@@ -54,8 +55,7 @@ fn traced_run(builder: ClanDriverBuilder) -> (RunReport, RunTrace) {
 #[test]
 fn logical_stream_is_byte_identical_across_transports_on_all_topologies() {
     for topology in topologies() {
-        let local = traced_run(base_builder(topology)).1;
-        let baseline = local.logical_text();
+        let baseline = traced_run(base_builder(topology)).1.logical_text();
         // Preamble, per-generation markers, replayed evals, postamble.
         assert!(baseline.starts_with("l=0 k=run_start seed=13"));
         assert!(baseline.contains("k=gen_start"));
@@ -63,22 +63,30 @@ fn logical_stream_is_byte_identical_across_transports_on_all_topologies() {
         assert!(baseline.contains("k=gen_end"));
         assert!(baseline.ends_with("k=run_end gen=4\n"));
 
+        // Each live surface against a local run over as many devices as
+        // it has links: a DDA run evolves one clan per device.
         let churn = ChurnSchedule::new().kill(1, 1).revive(1, 3);
-        for (surface, builder) in [
-            ("loopback TCP", base_builder(topology).loopback_agents(2)),
-            ("20%-lossy UDP", lossy_udp_builder(topology)),
+        for (surface, agents, builder) in [
+            ("loopback TCP", 2, base_builder(topology).loopback_agents(2)),
+            ("20%-lossy UDP", 2, lossy_udp_builder(topology)),
             (
                 "churned TCP",
+                3,
                 base_builder(topology).loopback_agents(3).churn(churn),
             ),
         ] {
+            let twin = traced_run(base_builder(topology).agents(agents)).1;
+            if topology != ClanTopology::dda() {
+                // The other three evolve one population at any count.
+                assert_eq!(baseline, twin.logical_text(), "{topology}");
+            }
             let trace = traced_run(builder).1;
             assert_eq!(
-                baseline,
+                twin.logical_text(),
                 trace.logical_text(),
                 "{topology} over {surface}: logical stream diverged"
             );
-            assert_eq!(local.logical_hash(), trace.logical_hash());
+            assert_eq!(twin.logical_hash(), trace.logical_hash());
             // The churn was real: the Timing channel saw it, the logical
             // channel did not.
             let killed = trace
@@ -203,9 +211,29 @@ fn exporters_round_trip_a_real_trace() {
     // read back from the trace itself.
     let records = clan_trace_tools::chrome::records(&events).expect("renders");
     let tracks: Vec<&str> = records.iter().filter_map(|r| r.track.as_deref()).collect();
-    let mut expected: Vec<String> = (0..SIM_AGENTS).map(|a| format!("agent{a}")).collect();
-    expected.push("coordinator".into());
-    assert_eq!(tracks, expected);
+    assert_eq!(tracks, ["agent0", "agent1", "coordinator"]);
     let chrome = clan_trace_tools::chrome::render(&records);
     assert_eq!(chrome.matches("\"ph\":").count(), records.len());
+}
+
+/// A live run has one device count, its link count: DDA over two
+/// loopback links evolves two clans whatever `.agents` said before, and
+/// its logical stream is a local two-device run's.
+#[test]
+fn a_live_dda_run_evolves_one_clan_per_link() {
+    let live = base_builder(ClanTopology::dda())
+        .agents(4)
+        .loopback_agents(2);
+    let (report, trace) = traced_run(live);
+    assert_eq!(report.n_agents, 2);
+    let cluster = trace
+        .events
+        .iter()
+        .find(|e| e.kind == EventKind::ClusterInfo);
+    assert_eq!(cluster.and_then(|e| e.items), Some(2));
+    // Every clan reports its best fitness to the center once a generation.
+    let fitness = report.ledger.entry(MessageKind::SendFitness);
+    assert_eq!(fitness.messages, 2 * GENERATIONS, "one clan per link");
+    let local = traced_run(base_builder(ClanTopology::dda()).agents(2)).1;
+    assert_eq!(local.logical_text(), trace.logical_text());
 }

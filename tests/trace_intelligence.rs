@@ -138,7 +138,7 @@ fn analyzer_round_totals_match_the_reports_gather_stats() {
         .build()
         .expect("build loopback");
     let (report, trace) = driver.run_with_trace(GENS).expect("run");
-    let analysis = analyze(&events_of(&trace.expect("tracing on")));
+    let analysis = analyze(&events_of(&trace.expect("tracing on"))).expect("agents in bounds");
     let gather = report.gather.expect("remote runs gather");
 
     assert_eq!(analysis.mode, AnalysisMode::Rounds);
@@ -169,7 +169,8 @@ fn analyzer_steady_state_totals_match_async_stats_and_name_the_straggler() {
         .expect("build async");
     let outcome = driver.run().expect("async run");
     let stats = outcome.report.asynchronous.clone().expect("async stats");
-    let analysis = analyze(&events_of(outcome.trace.as_ref().expect("tracing on")));
+    let analysis =
+        analyze(&events_of(outcome.trace.as_ref().expect("tracing on"))).expect("agents in bounds");
 
     assert_eq!(analysis.mode, AnalysisMode::SteadyState);
     assert_eq!(analysis.n_agents as usize, stats.agents);
@@ -198,8 +199,8 @@ fn analyzer_steady_state_totals_match_async_stats_and_name_the_straggler() {
 
 #[test]
 fn a_live_async_trace_records_the_agents_it_ran_on() {
-    // Two loopback links and no `.agents(n)`, so the modelled count
-    // stays at its default of 1: the trace must name the two links.
+    // Two loopback links are two devices: the report and the trace
+    // name both.
     let driver = ClanDriver::builder(Workload::CartPole)
         .population_size(POP)
         .seed(SEED)

@@ -25,6 +25,7 @@ use clan::envs::Workload;
 use clan::neat::{Genome, GenomeId, NeatConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::num::NonZeroU64;
 
 fn serial_logical_hash(workload: Workload, population: usize, generations: u64, seed: u64) -> u64 {
     let (_, trace) = ClanDriver::builder(workload)
@@ -115,23 +116,19 @@ fn analytic_words(report: &RunReport) -> Vec<u64> {
 fn analytic_side_of_every_topology_matches_the_recorded_fold() {
     // CartPole, population 20, three simulated agents, four generations.
     let runs = [
-        (ClanTopology::serial(), None),
-        (ClanTopology::dcs(), None),
-        (ClanTopology::dds(), None),
-        (ClanTopology::dda(), None),
-        (ClanTopology::dda(), Some(2)),
+        ClanTopology::serial(),
+        ClanTopology::dcs(),
+        ClanTopology::dds(),
+        ClanTopology::dda(),
+        ClanTopology::dda_resync(NonZeroU64::new(2).expect("nonzero")),
     ];
     let mut hash = 0xCBF2_9CE4_8422_2325;
-    for (topology, resync) in runs {
-        let mut builder = ClanDriver::builder(Workload::CartPole)
+    for topology in runs {
+        let report = ClanDriver::builder(Workload::CartPole)
             .topology(topology)
             .agents(3)
             .population_size(20)
-            .seed(31);
-        if let Some(every) = resync {
-            builder = builder.resync_every(every);
-        }
-        let report = builder
+            .seed(31)
             .build()
             .expect("driver builds")
             .run(4)
