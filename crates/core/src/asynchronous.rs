@@ -489,6 +489,12 @@ impl AsyncOrchestrator {
         &self.evaluator
     }
 
+    /// Mutable evaluator access: how the driver attaches its agents once
+    /// the set-up is accepted.
+    pub(crate) fn evaluator_mut(&mut self) -> &mut Evaluator {
+        &mut self.evaluator
+    }
+
     /// The last run's measured stats, once a run has finished.
     pub fn stats(&self) -> Option<&AsyncStats> {
         self.stats.as_ref()

@@ -21,7 +21,10 @@
 //!
 //! A run has one device count, set by [`agents`](ClanDriverBuilder::agents)
 //! or by the agent backend that supplies the live links: a live DDA run
-//! evolves one clan per link.
+//! evolves one clan per link. Every set-up check runs before an agent is
+//! dialled, and a run's one result is its [`RunReport`]: the trace (when
+//! [`tracing`](ClanDriverBuilder::tracing) is on) and the champion ride in
+//! it.
 
 use crate::asynchronous::{AsyncOrchestrator, LatencySchedule};
 use crate::error::ClanError;
@@ -31,13 +34,13 @@ use crate::orchestra::{orchestrator_for, GenerationReport, Orchestrator};
 use crate::report::RunReport;
 use crate::runtime::{AgentSource, EdgeCluster, STREAM_WINDOW};
 use crate::status::{StatusHandle, StatusServer, StatusSnapshot};
-use crate::telemetry::{EventKind, RunTrace, TelemetryReport, Tracer};
+use crate::telemetry::{EventKind, TelemetryReport, Tracer};
 use crate::topology::ClanTopology;
 use crate::transport::{ChurnSchedule, ClusterSpec, UdpConfig};
 use clan_distsim::Cluster;
 use clan_envs::Workload;
 use clan_hw::{Platform, PlatformKind};
-use clan_neat::{fanout, NeatConfig, Population};
+use clan_neat::{fanout, Genome, NeatConfig, Population};
 use clan_netsim::{CommLedger, WifiModel};
 
 /// What a [`ClanDriverBuilder`] has been told, resolved by
@@ -62,7 +65,6 @@ struct DriverConfig {
     recovery: RecoveryPolicy,
     churn: Option<ChurnSchedule>,
     spare_agents: Vec<String>,
-    engine: EngineOptions,
     tracing: bool,
     trace_ring: Option<usize>,
     status_addr: Option<String>,
@@ -116,15 +118,16 @@ impl RunShell {
     }
 
     /// Ends the run: drains the trace and assembles the report from the
-    /// generations, the analytic ledger, the per-agent rows, and whatever
-    /// the evaluator's real transport measured.
+    /// generations, the analytic ledger, the per-agent rows, the
+    /// champion, and whatever the evaluator's real transport measured.
     fn into_report(
         self,
         evaluator: &Evaluator,
         generations: Vec<GenerationReport>,
         ledger: CommLedger,
         agents: Vec<AgentStats>,
-    ) -> (RunReport, Option<RunTrace>) {
+        champion: Option<&Genome>,
+    ) -> RunReport {
         let trace = self.tracer.finish();
         let mut report = RunReport::from_parts(
             self.workload,
@@ -139,7 +142,9 @@ impl RunShell {
         report.recovery = evaluator.remote_recovery_stats();
         report.agents = agents;
         report.telemetry = TelemetryReport::from_trace(trace.as_ref());
-        (report, trace)
+        report.trace = trace;
+        report.champion = champion.cloned();
+        report
     }
 }
 
@@ -186,20 +191,6 @@ impl ClanDriver {
     ///
     /// Propagates orchestrator failures ([`ClanError`]).
     pub fn run(self, generations: u64) -> Result<RunReport, ClanError> {
-        Ok(self.drive(generations, false)?.0)
-    }
-
-    /// Like [`run`](Self::run), but also returns the recorded
-    /// [`RunTrace`] when the builder enabled
-    /// [`tracing`](ClanDriverBuilder::tracing) (`None` otherwise).
-    ///
-    /// # Errors
-    ///
-    /// Propagates orchestrator failures ([`ClanError`]).
-    pub fn run_with_trace(
-        self,
-        generations: u64,
-    ) -> Result<(RunReport, Option<RunTrace>), ClanError> {
         self.drive(generations, false)
     }
 
@@ -210,20 +201,6 @@ impl ClanDriver {
     ///
     /// Propagates orchestrator failures ([`ClanError`]).
     pub fn run_until_solved(self, max_generations: u64) -> Result<RunReport, ClanError> {
-        Ok(self.drive(max_generations, true)?.0)
-    }
-
-    /// Like [`run_until_solved`](Self::run_until_solved), but also
-    /// returns the recorded [`RunTrace`] when the builder enabled
-    /// [`tracing`](ClanDriverBuilder::tracing) (`None` otherwise).
-    ///
-    /// # Errors
-    ///
-    /// Propagates orchestrator failures ([`ClanError`]).
-    pub fn run_until_solved_with_trace(
-        self,
-        max_generations: u64,
-    ) -> Result<(RunReport, Option<RunTrace>), ClanError> {
         self.drive(max_generations, true)
     }
 
@@ -250,7 +227,7 @@ impl ClanDriver {
         mut self,
         max_generations: u64,
         stop_when_solved: bool,
-    ) -> Result<(RunReport, Option<RunTrace>), ClanError> {
+    ) -> Result<RunReport, ClanError> {
         let threshold = self.shell.workload.solved_at();
         let mut reports: Vec<GenerationReport> = Vec::new();
         let mut solved = false;
@@ -278,6 +255,7 @@ impl ClanDriver {
             reports,
             self.orchestrator.ledger().clone(),
             evaluator.remote_agent_stats().to_vec(),
+            self.orchestrator.best_ever(),
         ))
     }
 }
@@ -286,7 +264,6 @@ impl ClanDriver {
 #[derive(Debug, Clone)]
 pub struct ClanDriverBuilder {
     config: DriverConfig,
-    neat_config: Option<NeatConfig>,
     /// Where the `config.n_agents` agents come from (their transport is
     /// `config.udp`'s); `None` evaluates on the coordinator's own
     /// threads.
@@ -316,12 +293,10 @@ impl ClanDriverBuilder {
                 recovery: RecoveryPolicy::default(),
                 churn: None,
                 spare_agents: Vec::new(),
-                engine: EngineOptions::default(),
                 tracing: false,
                 trace_ring: None,
                 status_addr: None,
             },
-            neat_config: None,
             source: None,
             total_evals: None,
             tournament_size: None,
@@ -379,14 +354,6 @@ impl ClanDriverBuilder {
     /// Sets the network model (default: the paper's measured WiFi).
     pub fn net(mut self, net: WifiModel) -> Self {
         self.config.net = net;
-        self
-    }
-
-    /// Overrides the full NEAT configuration (I/O dims must match the
-    /// workload; population size is taken from this config).
-    pub fn neat_config(mut self, cfg: NeatConfig) -> Self {
-        self.config.population_size = cfg.population_size;
-        self.neat_config = Some(cfg);
         self
     }
 
@@ -459,21 +426,11 @@ impl ClanDriverBuilder {
         self
     }
 
-    /// Enables or disables the content-addressed fitness cache (default
-    /// on): evaluations are memoized by `(master_seed, genome content
-    /// hash)`, so elites and unmutated survivors skip re-evaluation.
-    /// Hits return the bit-identical cached fitness.
-    pub fn fitness_cache(mut self, enabled: bool) -> Self {
-        self.config.engine.cache = enabled;
-        self
-    }
-
     /// Enables structured run tracing (default off): the driver records
     /// a deterministic logical event stream plus wall-clock annotations
-    /// and attaches a telemetry section to the report. Retrieve the
-    /// trace with [`ClanDriver::run_with_trace`] (or
-    /// [`AsyncRunOutcome::trace`]). Evolutionary results are
-    /// bit-identical with tracing on or off.
+    /// and attaches a telemetry section to the report; the trace itself
+    /// is [`RunReport::trace`]. Evolutionary results are bit-identical
+    /// with tracing on or off.
     pub fn tracing(mut self, enabled: bool) -> Self {
         self.config.tracing = enabled;
         self
@@ -537,10 +494,11 @@ impl ClanDriverBuilder {
     }
 
     /// Shared by [`build`](Self::build) and
-    /// [`build_async`](Self::build_async): resolves the NEAT
-    /// configuration and constructs the evaluator, attaching and
-    /// configuring any remote backend (loopback or connected agents,
-    /// TCP or UDP); `partitioned` runs evaluate whole generations.
+    /// [`build_async`](Self::build_async): checks what every run needs,
+    /// resolves the NEAT configuration and constructs the coordinator's
+    /// own evaluator; `partitioned` runs evaluate whole generations.
+    /// Opens no socket: [`attach`](Self::attach) dials the agents once
+    /// the orchestrator has accepted the set-up.
     fn prepare(&self, partitioned: bool) -> Result<(NeatConfig, Evaluator), ClanError> {
         let c = &self.config;
         if c.n_agents == 0 {
@@ -548,37 +506,23 @@ impl ClanDriverBuilder {
                 reason: "at least one agent is required".into(),
             });
         }
-        let cfg = match &self.neat_config {
-            Some(cfg) => {
-                if cfg.num_inputs != c.workload.obs_dim()
-                    || cfg.num_outputs != c.workload.n_actions()
-                {
-                    return Err(ClanError::InvalidSetup {
-                        reason: format!(
-                            "NEAT dims {}x{} do not match workload {} ({}x{})",
-                            cfg.num_inputs,
-                            cfg.num_outputs,
-                            c.workload,
-                            c.workload.obs_dim(),
-                            c.workload.n_actions()
-                        ),
-                    });
-                }
-                cfg.validate().map_err(ClanError::from)?;
-                cfg.clone()
-            }
-            None => NeatConfig::builder(c.workload.obs_dim(), c.workload.n_actions())
-                .population_size(c.population_size)
-                .build()?,
-        };
+        let cfg = NeatConfig::builder(c.workload.obs_dim(), c.workload.n_actions())
+            .population_size(c.population_size)
+            .build()?;
         if c.episodes_per_eval == 0 {
             return Err(ClanError::InvalidSetup {
                 reason: "episodes_per_eval must be at least 1".into(),
             });
         }
-        let spec = ClusterSpec::new(c.workload, c.mode, cfg.clone())
-            .with_episodes(c.episodes_per_eval)
-            .with_engine(c.engine);
+        if self.source.is_none()
+            && (c.udp.is_some() || c.churn.is_some() || !c.spare_agents.is_empty())
+        {
+            return Err(ClanError::InvalidSetup {
+                reason: "udp_config, churn schedules and spare agents apply to agent \
+                         backends only (loopback_agents or remote_agents)"
+                    .into(),
+            });
+        }
         // Agents evaluate: the coordinator-side evaluator never activates
         // networks itself, nor splits an async run's one-genome batches.
         // A local generational run evaluates on the workers that a fully
@@ -591,44 +535,48 @@ impl ClanDriverBuilder {
             None if partitioned => fanout::workers(genes as u64),
             _ => 1,
         };
-        let evaluator =
-            Evaluator::with_options(c.workload, c.mode, c.episodes_per_eval, threads, c.engine);
-        let Some(mut source) = self.source.clone() else {
-            if c.udp.is_some() || c.churn.is_some() || !c.spare_agents.is_empty() {
-                return Err(ClanError::InvalidSetup {
-                    reason: "udp_config, churn schedules and spare agents apply to agent \
-                             backends only (loopback_agents or remote_agents)"
-                        .into(),
-                });
-            }
-            return Ok((cfg, evaluator));
-        };
-        if let AgentSource::Loopback(udp) | AgentSource::Remote { udp, .. } = &mut source {
-            udp.clone_from(&c.udp);
-        }
-        let mut edge = EdgeCluster::from_source(c.n_agents, spec, source)?;
-        edge.set_recovery_policy(c.recovery);
-        if !c.spare_agents.is_empty() {
-            edge.set_spares(c.spare_agents.clone())?;
-        }
-        if let Some(churn) = c.churn.clone() {
-            edge.set_churn(churn)?;
-        }
-        Ok((cfg, evaluator.with_remote(edge)))
+        let evaluator = Evaluator::with_options(
+            c.workload,
+            c.mode,
+            c.episodes_per_eval,
+            threads,
+            EngineOptions::default(),
+        );
+        Ok((cfg, evaluator))
     }
 
-    /// The run shell both drivers share: a live tracer preloaded with
-    /// the run preamble when tracing is enabled (unbounded normally, a
-    /// bounded ring in flight-recorder mode; the no-op handle
-    /// otherwise), installed into `evaluator`, plus the status endpoint
-    /// when one was requested, already serving a `starting` snapshot.
-    fn shell(
+    /// The last step of both builds, once the orchestrator over
+    /// `evaluator` has accepted the set-up: dials or spawns the agent
+    /// backend, if any (loopback or connected agents, TCP or UDP), and
+    /// attaches it to `evaluator`. Then opens the run shell: a live
+    /// tracer preloaded with the run preamble when tracing is enabled
+    /// (unbounded normally, a bounded ring in flight-recorder mode; the
+    /// no-op handle otherwise), installed into `evaluator`, plus the
+    /// status endpoint when one was requested, already serving a
+    /// `starting` snapshot that lists the agents.
+    fn attach(
         &self,
-        population: usize,
+        cfg: NeatConfig,
         topology_name: String,
         evaluator: &mut Evaluator,
     ) -> Result<RunShell, ClanError> {
         let c = &self.config;
+        let population = cfg.population_size;
+        if let Some(mut source) = self.source.clone() {
+            if let AgentSource::Loopback(udp) | AgentSource::Remote { udp, .. } = &mut source {
+                udp.clone_from(&c.udp);
+            }
+            let spec = ClusterSpec::new(c.workload, c.mode, cfg).with_episodes(c.episodes_per_eval);
+            let mut edge = EdgeCluster::from_source(c.n_agents, spec, source)?;
+            edge.set_recovery_policy(c.recovery);
+            if !c.spare_agents.is_empty() {
+                edge.set_spares(c.spare_agents.clone())?;
+            }
+            if let Some(churn) = c.churn.clone() {
+                edge.set_churn(churn)?;
+            }
+            evaluator.attach(edge);
+        }
         let tracer = match c.trace_ring {
             Some(capacity) => Tracer::with_ring(capacity),
             None if c.tracing => Tracer::new(),
@@ -674,7 +622,7 @@ impl ClanDriverBuilder {
     ///
     /// [`ClanError::InvalidSetup`] on an async-only option or a setup
     /// [`orchestrator_for`] rejects, and [`ClanError::Neat`] on invalid
-    /// NEAT configuration.
+    /// NEAT configuration — all before any agent is dialled.
     pub fn build(self) -> Result<ClanDriver, ClanError> {
         let async_only = [
             ("total_evals", self.total_evals.is_some()),
@@ -689,11 +637,12 @@ impl ClanDriverBuilder {
         if let Some(reason) = async_only {
             return Err(ClanError::InvalidSetup { reason });
         }
-        let (cfg, mut evaluator) = self.prepare(true)?;
+        let (cfg, evaluator) = self.prepare(true)?;
         let c = &self.config;
-        let shell = self.shell(cfg.population_size, c.topology.name(), &mut evaluator)?;
         let cluster = Cluster::homogeneous(Platform::new(c.platform), c.n_agents, c.net);
-        let orchestrator = orchestrator_for(c.topology, cfg, c.seed, evaluator, cluster)?;
+        let mut orchestrator =
+            orchestrator_for(c.topology, cfg.clone(), c.seed, evaluator, cluster)?;
+        let shell = self.attach(cfg, c.topology.name(), orchestrator.evaluator_mut())?;
         Ok(ClanDriver {
             orchestrator,
             shell,
@@ -714,7 +663,8 @@ impl ClanDriverBuilder {
     /// [`ClanError::InvalidSetup`] as [`build`](Self::build), plus: a
     /// latency schedule on a remote backend, a latency list whose length
     /// disagrees with the agent count, `agents × STREAM_WINDOW` not
-    /// strictly below the population size, or an eval budget below it.
+    /// strictly below the population size, a zero tournament, or an eval
+    /// budget below the population — all before any agent is dialled.
     pub fn build_async(self) -> Result<AsyncClanDriver, ClanError> {
         let is_remote = self.source.is_some();
         if is_remote && self.latency_ms.is_some() {
@@ -724,7 +674,7 @@ impl ClanDriverBuilder {
                     .into(),
             });
         }
-        let (cfg, mut evaluator) = self.prepare(false)?;
+        let (cfg, evaluator) = self.prepare(false)?;
         let c = &self.config;
         let agents = c.n_agents;
         if agents * STREAM_WINDOW >= cfg.population_size {
@@ -768,10 +718,10 @@ impl ClanDriverBuilder {
         } else {
             "ASYNC_STREAM"
         };
-        let shell = self.shell(cfg.population_size, name.to_string(), &mut evaluator)?;
-        let pop = Population::new(cfg, c.seed);
+        let pop = Population::new(cfg.clone(), c.seed);
         let tournament = self.tournament_size.unwrap_or(3);
-        let orchestrator = AsyncOrchestrator::new(pop, evaluator, total, tournament)?;
+        let mut orchestrator = AsyncOrchestrator::new(pop, evaluator, total, tournament)?;
+        let shell = self.attach(cfg, name.to_string(), orchestrator.evaluator_mut())?;
         Ok(AsyncClanDriver {
             orchestrator,
             schedule,
@@ -798,19 +748,16 @@ impl std::fmt::Debug for AsyncClanDriver {
     }
 }
 
-/// What an async run yields: the usual [`RunReport`] (with
-/// [`asynchronous`](RunReport::asynchronous) stats attached) plus the
-/// structured trace that carries the virtual-time determinism contract.
+/// What an async run yields: the usual [`RunReport`], with
+/// [`asynchronous`](RunReport::asynchronous) stats attached. For
+/// virtual-time runs the report's [`trace`](RunReport::trace) has a
+/// logical text byte-identical per `(seed, schedule)`, and folding its
+/// `Completion` events reproduces the
+/// [`event_log_hash`](crate::AsyncStats::event_log_hash).
 #[derive(Debug, Clone)]
 pub struct AsyncRunOutcome {
     /// The run report; `generations` is empty (the mode has none).
     pub report: RunReport,
-    /// The structured trace, when the builder enabled
-    /// [`tracing`](ClanDriverBuilder::tracing). For virtual-time runs
-    /// its logical text is byte-identical per `(seed, schedule)`, and
-    /// folding its `Completion` events reproduces the report's
-    /// [`event_log_hash`](crate::AsyncStats::event_log_hash).
-    pub trace: Option<RunTrace>,
 }
 
 impl AsyncClanDriver {
@@ -868,15 +815,15 @@ impl AsyncClanDriver {
                 snapshot.evals = Some(stats.total_evals);
                 snapshot.best_fitness = Some(stats.best_fitness);
             });
-        let (report, trace) = self.shell.into_report(
+        let report = self.shell.into_report(
             self.orchestrator.evaluator(),
             Vec::new(),
             CommLedger::default(),
             self.orchestrator.agent_stats(),
+            self.orchestrator.population().best_ever(),
         );
         Ok(AsyncRunOutcome {
             report: report.with_async(stats),
-            trace,
         })
     }
 }
@@ -892,7 +839,6 @@ mod tests {
         assert_eq!(c.n_agents, 1);
         assert_eq!(c.topology, ClanTopology::serial());
         assert_eq!(c.platform, PlatformKind::RaspberryPi);
-        assert_eq!(c.engine, EngineOptions::default());
         assert_eq!(builder.build().unwrap().run(1).unwrap().n_agents, 1);
     }
 
@@ -937,18 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_neat_dims_rejected() {
-        let cfg = NeatConfig::builder(2, 2)
-            .population_size(10)
-            .build()
-            .unwrap();
-        let err = ClanDriver::builder(Workload::CartPole)
-            .neat_config(cfg)
-            .build();
-        assert!(matches!(err, Err(ClanError::InvalidSetup { .. })));
-    }
-
-    #[test]
     fn run_produces_report() {
         let report = ClanDriver::builder(Workload::CartPole)
             .topology(ClanTopology::dcs())
@@ -962,6 +896,9 @@ mod tests {
         assert_eq!(report.generations.len(), 2);
         assert_eq!(report.topology_name, "CLAN_DCS");
         assert!(report.total_timeline.total_s() > 0.0);
+        let champion = report.champion.expect("a run evolves a champion");
+        assert_eq!(champion.fitness(), Some(report.best_fitness));
+        assert!(report.trace.is_none(), "an untraced run records nothing");
     }
 
     #[test]
@@ -980,33 +917,6 @@ mod tests {
         } else {
             assert_eq!(report.generations.len(), 30);
         }
-    }
-
-    #[test]
-    fn engine_toggles_change_wall_clock_only() {
-        let run = |builder: ClanDriverBuilder| {
-            builder
-                .topology(ClanTopology::dcs())
-                .agents(3)
-                .population_size(12)
-                .seed(8)
-                .build()
-                .unwrap()
-                .run(3)
-                .unwrap()
-        };
-        let default = run(ClanDriver::builder(Workload::CartPole));
-        let tuned = run(ClanDriver::builder(Workload::CartPole).fitness_cache(false));
-        assert_eq!(default.best_fitness, tuned.best_fitness);
-        assert_eq!(
-            default.generations.last().unwrap().costs,
-            tuned.generations.last().unwrap().costs
-        );
-        assert!(default.cache_lookups > 0, "default driver caches");
-        assert_eq!(
-            tuned.cache_lookups, 0,
-            "disabled cache never fields a lookup"
-        );
     }
 
     #[test]
@@ -1187,6 +1097,38 @@ mod tests {
     }
 
     #[test]
+    fn set_up_is_checked_before_any_agent_is_dialled() {
+        // The agents' address is a listener that never accepts: a set-up
+        // check that ran after the dial would leave a connection queued
+        // on it.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let on = |agents: usize, population: usize| {
+            ClanDriver::builder(Workload::CartPole)
+                .population_size(population)
+                .remote_agents(vec![addr.clone(); agents])
+        };
+        let rejected = |case: &str, result: Result<(), ClanError>| {
+            assert!(
+                matches!(result, Err(ClanError::InvalidSetup { .. })),
+                "{case}: {result:?}"
+            );
+            let accepted = listener.accept().map(drop);
+            assert!(
+                matches!(&accepted, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+                "{case} dialled an agent before rejecting its set-up"
+            );
+        };
+        rejected("window", on(2, 4).build_async().map(drop));
+        let tournament = on(1, 24).tournament_size(0).build_async();
+        rejected("tournament", tournament.map(drop));
+        rejected("budget", on(1, 24).total_evals(23).build_async().map(drop));
+        let clan = on(2, 3).topology(ClanTopology::dda()).build();
+        rejected("clan", clan.map(drop));
+    }
+
+    #[test]
     fn zero_loopback_agents_rejected() {
         let err = ClanDriver::builder(Workload::CartPole)
             .population_size(8)
@@ -1217,6 +1159,8 @@ mod tests {
         assert!(stats.virtual_time);
         assert_eq!(a.report.topology_name, "ASYNC_VIRTUAL");
         assert!(a.report.summary().contains("wasted idle"));
+        let champion = a.report.champion.as_ref().expect("async runs evolve one");
+        assert_eq!(champion.fitness(), Some(a.report.best_fitness));
     }
 
     #[test]

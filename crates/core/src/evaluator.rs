@@ -264,13 +264,17 @@ impl Evaluator {
     ///
     /// A remote cluster takes precedence over local evaluation threads.
     pub fn with_remote(mut self, cluster: EdgeCluster) -> Evaluator {
-        self.remote = Some(cluster);
-        if self.tracer.is_enabled() {
-            if let Some(c) = self.remote.as_mut() {
-                c.set_tracer(self.tracer.clone());
-            }
-        }
+        self.attach(cluster);
         self
+    }
+
+    /// [`with_remote`](Self::with_remote) in place, sharing the installed
+    /// tracer with `cluster`.
+    pub(crate) fn attach(&mut self, mut cluster: EdgeCluster) {
+        if self.tracer.is_enabled() {
+            cluster.set_tracer(self.tracer.clone());
+        }
+        self.remote = Some(cluster);
     }
 
     /// Installs a telemetry handle, sharing it with the attached

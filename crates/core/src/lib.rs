@@ -238,8 +238,8 @@
 //! A [`Tracer`] handle (no-op unless enabled — `benchmark/` reports
 //! its cost as `telemetry.overhead_pct`) is installed by the driver via
 //! `ClanDriverBuilder::tracing` (`clan-cli run/coordinate --trace
-//! FILE`); the recorded [`RunTrace`] exports as JSONL
-//! ([`telemetry::to_jsonl`]), which `clan-trace chrome` renders as
+//! FILE`); the recorded [`RunTrace`] (`RunReport::trace`) exports as
+//! JSONL ([`telemetry::to_jsonl`]), which `clan-trace chrome` renders as
 //! per-agent tracks for Perfetto, and its event counts and logical hash
 //! land in `RunReport.telemetry` ([`telemetry::TelemetryReport`]). The
 //! tracer keeps no counters of its own: totals come from the run's

@@ -40,8 +40,7 @@
 //! kills) fail the probe instantly. A second consecutive failure makes
 //! the link **dead**: it receives no further work until a replacement
 //! agent is revived into its slot (see
-//! [`ChurnSchedule`](crate::transport::ChurnSchedule) and
-//! [`EdgeCluster::revive_agent`](crate::runtime::EdgeCluster::revive_agent)).
+//! [`ChurnSchedule`](crate::transport::ChurnSchedule)).
 //! A success at any point restores **alive**.
 //!
 //! Protocol and frame errors are deliberately *not* churn-class: a peer

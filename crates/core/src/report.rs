@@ -71,6 +71,16 @@ pub struct RunReport {
     /// tracing was off.
     #[serde(default)]
     pub telemetry: crate::telemetry::TelemetryReport,
+    /// The structured trace when the run was traced
+    /// ([`tracing`](crate::ClanDriverBuilder::tracing)); `None` otherwise.
+    /// Not serialized: `clan-cli --trace` writes it as JSONL.
+    #[serde(skip)]
+    pub trace: Option<crate::telemetry::RunTrace>,
+    /// The best genome the run evolved (the orchestrator's best-ever):
+    /// the expert a learning phase hands to deployment. `None` before any
+    /// evaluation.
+    #[serde(default)]
+    pub champion: Option<clan_neat::Genome>,
 }
 
 impl RunReport {
@@ -120,6 +130,8 @@ impl RunReport {
             cache_lookups,
             asynchronous: None,
             telemetry: crate::telemetry::TelemetryReport::default(),
+            trace: None,
+            champion: None,
         }
     }
 

@@ -844,7 +844,7 @@ impl EdgeCluster {
     /// # Errors
     ///
     /// [`ClanError::InvalidSetup`] on an out-of-range slot.
-    pub fn kill_agent(&mut self, slot: usize) -> Result<(), ClanError> {
+    fn kill_agent(&mut self, slot: usize) -> Result<(), ClanError> {
         let link = self
             .links
             .get_mut(slot)
@@ -870,7 +870,7 @@ impl EdgeCluster {
     /// [`ClanError::InvalidSetup`] on an out-of-range slot or a cluster
     /// with no replacement source, plus any transport failure while
     /// connecting or configuring the replacement.
-    pub fn revive_agent(&mut self, slot: usize) -> Result<(), ClanError> {
+    fn revive_agent(&mut self, slot: usize) -> Result<(), ClanError> {
         if slot >= self.links.len() {
             return Err(ClanError::InvalidSetup {
                 reason: format!("revive: no agent slot {slot}"),

@@ -116,10 +116,6 @@ impl RamGame for AirRaid {
         6
     }
 
-    fn solved_at(&self) -> f64 {
-        400.0
-    }
-
     fn reset(&mut self, seed: u64) {
         *self = AirRaid::new();
         self.rng_state = splitmix64(seed ^ 0xA1A1);

@@ -180,10 +180,6 @@ impl RamGame for AlienGame {
         18
     }
 
-    fn solved_at(&self) -> f64 {
-        500.0
-    }
-
     fn reset(&mut self, seed: u64) {
         *self = AlienGame::new();
         self.rng_state = splitmix64(seed ^ 0xA11E7);

@@ -130,10 +130,6 @@ impl RamGame for Amidar {
         10
     }
 
-    fn solved_at(&self) -> f64 {
-        100.0
-    }
-
     fn reset(&mut self, seed: u64) {
         *self = Amidar::new();
         self.rng_state = splitmix64(seed ^ 0xA111DA);

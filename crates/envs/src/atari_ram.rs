@@ -42,8 +42,6 @@ pub trait RamGame: Send {
     fn name(&self) -> &'static str;
     /// Size of the discrete action set.
     fn n_actions(&self) -> usize;
-    /// Score considered "solved" for convergence experiments.
-    fn solved_at(&self) -> f64;
     /// Starts a new game.
     fn reset(&mut self, seed: u64);
     /// Advances one frame; returns `(reward, done)`.
@@ -126,10 +124,6 @@ impl<G: RamGame> Environment for RamMachine<G> {
     fn name(&self) -> &'static str {
         self.game.name()
     }
-
-    fn solved_at(&self) -> f64 {
-        self.game.solved_at()
-    }
 }
 
 /// Fills `ram[from..]` with pseudo-random bytes derived from `state_hash`,
@@ -187,9 +181,6 @@ mod tests {
         }
         fn n_actions(&self) -> usize {
             2
-        }
-        fn solved_at(&self) -> f64 {
-            10.0
         }
         fn reset(&mut self, _seed: u64) {
             self.frames = 0;

@@ -135,10 +135,6 @@ impl Environment for CartPole {
     fn name(&self) -> &'static str {
         "Cartpole-v0"
     }
-
-    fn solved_at(&self) -> f64 {
-        195.0
-    }
 }
 
 #[cfg(test)]

@@ -88,10 +88,6 @@ pub trait Environment: Send {
 
     /// Human-readable gym-style name (e.g. `"Cartpole-v0"`).
     fn name(&self) -> &'static str;
-
-    /// Score at or above which the task counts as solved
-    /// (gym's convergence criterion, §III-C of the paper).
-    fn solved_at(&self) -> f64;
 }
 
 #[cfg(test)]

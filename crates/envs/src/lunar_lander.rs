@@ -230,41 +230,37 @@ impl Environment for LunarLander {
     fn name(&self) -> &'static str {
         "LunarLander-v2"
     }
-
-    fn solved_at(&self) -> f64 {
-        200.0
-    }
-}
-
-/// Gym-style proportional landing controller, used by tests and examples
-/// as a reference "expert" policy.
-pub fn heuristic_policy(obs: &[f64]) -> usize {
-    let (x, y, vx, vy, theta, omega) = (obs[0], obs[1], obs[2], obs[3], obs[4], obs[5]);
-    let legs = obs[6] + obs[7];
-
-    let angle_targ = (0.5 * x + 1.0 * vx).clamp(-0.35, 0.35);
-    let mut angle_todo = (angle_targ - theta) * 3.0 - omega * 1.5;
-    // Target descent speed grows with altitude: touch down at ~0.08/s.
-    let vy_target = -(0.08 + 0.5 * y.max(0.0));
-    let mut hover_todo = (vy_target - vy) * 2.0;
-    if legs > 0.0 {
-        angle_todo = 0.0;
-        hover_todo = -vy * 2.0;
-    }
-    if hover_todo > angle_todo.abs() && hover_todo > 0.05 {
-        2
-    } else if angle_todo < -0.07 {
-        3
-    } else if angle_todo > 0.07 {
-        1
-    } else {
-        0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Gym-style proportional landing controller: the tests' reference
+    /// "expert" policy.
+    fn heuristic_policy(obs: &[f64]) -> usize {
+        let (x, y, vx, vy, theta, omega) = (obs[0], obs[1], obs[2], obs[3], obs[4], obs[5]);
+        let legs = obs[6] + obs[7];
+
+        let angle_targ = (0.5 * x + 1.0 * vx).clamp(-0.35, 0.35);
+        let mut angle_todo = (angle_targ - theta) * 3.0 - omega * 1.5;
+        // Target descent speed grows with altitude: touch down at ~0.08/s.
+        let vy_target = -(0.08 + 0.5 * y.max(0.0));
+        let mut hover_todo = (vy_target - vy) * 2.0;
+        if legs > 0.0 {
+            angle_todo = 0.0;
+            hover_todo = -vy * 2.0;
+        }
+        if hover_todo > angle_todo.abs() && hover_todo > 0.05 {
+            2
+        } else if angle_todo < -0.07 {
+            3
+        } else if angle_todo > 0.07 {
+            1
+        } else {
+            0
+        }
+    }
 
     fn run_policy(seed: u64, policy: impl Fn(&[f64]) -> usize) -> (f64, bool, Vec<f64>) {
         let mut env = LunarLander::new();

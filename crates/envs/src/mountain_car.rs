@@ -78,10 +78,6 @@ impl Environment for MountainCar {
     fn name(&self) -> &'static str {
         "MountainCar-v0"
     }
-
-    fn solved_at(&self) -> f64 {
-        -110.0
-    }
 }
 
 #[cfg(test)]

@@ -160,7 +160,6 @@ mod tests {
             assert_eq!(env.obs_dim(), w.obs_dim(), "{w}");
             assert_eq!(env.n_actions(), w.n_actions(), "{w}");
             assert_eq!(env.name(), w.name(), "{w}");
-            assert_eq!(env.solved_at(), w.solved_at(), "{w}");
             let obs = env.reset(1);
             assert_eq!(obs.len(), w.obs_dim(), "{w}");
         }

@@ -58,8 +58,6 @@ pub struct FitnessCache {
     capacity: usize,
     hits_window: u64,
     lookups_window: u64,
-    hits_total: u64,
-    lookups_total: u64,
 }
 
 impl FitnessCache {
@@ -85,11 +83,9 @@ impl FitnessCache {
     /// (and the hit, if any) in the current window.
     pub fn lookup(&mut self, master_seed: u64, content_hash: u64) -> Option<CachedEvaluation> {
         self.lookups_window += 1;
-        self.lookups_total += 1;
         let found = self.entries.get(&(master_seed, content_hash)).copied();
         if found.is_some() {
             self.hits_window += 1;
-            self.hits_total += 1;
         }
         found
     }
@@ -125,16 +121,6 @@ impl FitnessCache {
         self.lookups_window = 0;
         w
     }
-
-    /// Lifetime hit rate (`hits_total / lookups_total`), 0 before any
-    /// lookup. Telemetry publishes this as the `cache.hit_rate` gauge.
-    pub fn hit_rate_total(&self) -> f64 {
-        if self.lookups_total == 0 {
-            0.0
-        } else {
-            self.hits_total as f64 / self.lookups_total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,8 +146,6 @@ mod tests {
         assert_eq!(c.window(), (1, 2));
         assert_eq!(c.take_window(), (1, 2));
         assert_eq!(c.window(), (0, 0));
-        assert!((c.hit_rate_total() - 0.5).abs() < 1e-12);
-        assert_eq!(FitnessCache::new().hit_rate_total(), 0.0);
     }
 
     #[test]

@@ -15,15 +15,10 @@
 use clan::core::telemetry::{to_jsonl, Tracer};
 use clan::core::transport::agent::AgentServer;
 use clan::core::transport::{ChurnSchedule, FaultConfig, UdpConfig};
-use clan::core::{
-    ClanDriver, ClanDriverBuilder, ClanError, ClanTopology, Evaluator, InferenceMode, Orchestrator,
-    RunReport, RunTrace, SerialOrchestrator,
-};
-use clan::distsim::Cluster;
+use clan::core::{ClanDriver, ClanDriverBuilder, ClanError, ClanTopology, RunReport, RunTrace};
 use clan::envs::Workload;
-use clan::hw::{Platform, PlatformKind};
-use clan::neat::{genome_to_dot, Genome, NeatConfig, Population};
-use clan::netsim::WifiModel;
+use clan::hw::PlatformKind;
+use clan::neat::{genome_to_dot, NeatConfig};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -73,7 +68,6 @@ const EVOLVE: &[Flag] = &[
     ("--platform", "P", ""),
     ("--episodes", "N", ""),
     ("--single-step", "", ""),
-    ("--no-cache", "", ""),
     ("--trace", "FILE", ""),
     ("--trace-ring", "N", ""),
     ("--postmortem", "FILE", "--trace-ring"),
@@ -155,14 +149,16 @@ unless --udp; --loss drops a seeded share of datagrams, which the ARQ
 layer recovers. --churn k1@2,r1@4 kills agent 1 before round 2 and
 revives it before round 4, from --spare-at if remote; --min-agents N
 fails a round left with fewer live agents. `export-champion` writes the
-champion to --out and --out.json; `list` names workloads and platforms.
+champion of the serial run `run` makes with the same --seed, --population
+and --generations to --out and --out.json; `list` names workloads and
+platforms.
 
 DEFAULTS: workload=cartpole topology=serial (coordinate: dcs) agents=1
           generations=5 population=150 seed=0 platform=pi
 
 A run without agents evaluates on the cores its population's genes
-repay (an Atari population: every core); --no-cache turns off the fitness
-cache. Neither changes the result. DDA evolves one clan per agent.
+repay (an Atari population: every core); that never changes the result.
+DDA evolves one clan per agent.
 
 --trace FILE records a JSONL trace whose logical stream is identical per
 seed across serial, TCP, lossy UDP and churned runs; analyze it with
@@ -375,7 +371,6 @@ fn build_driver(args: &Args, on_agents: bool) -> Result<ClanDriverBuilder, Failu
         .seed(args.get("--seed")?.unwrap_or(0))
         .episodes_per_eval(args.get("--episodes")?.unwrap_or(1))
         .platform(platform.unwrap_or(PlatformKind::RaspberryPi))
-        .fitness_cache(!args.has("--no-cache"))
         .tracing(args.has("--trace"));
     if args.has("--single-step") {
         builder = builder.single_step();
@@ -464,8 +459,8 @@ fn evolve(args: &Args) -> Result<(), Failure> {
     launch(build_driver(args, false)?.agents(agents), args)
 }
 
-/// A run's outcome: its report and, when traced, its trace.
-type Outcome = Result<(RunReport, Option<RunTrace>), ClanError>;
+/// A run's outcome: its report, carrying its trace when traced.
+type Outcome = Result<RunReport, ClanError>;
 
 /// The one build → run → postmortem → print path behind `run`, `solve`
 /// and `coordinate`, generational or `--async`: builds the driver the
@@ -497,7 +492,7 @@ fn launch(mut builder: ClanDriverBuilder, args: &Args) -> Result<(), Failure> {
             None => println!("async steady-state run: streaming over the live cluster"),
         }
         let (recorder, status) = (driver.tracer_handle(), driver.status_local_addr());
-        let run = move || driver.run().map(|outcome| (outcome.report, outcome.trace));
+        let run = move || driver.run().map(|outcome| outcome.report);
         (recorder, status, Box::new(run))
     } else {
         let until_solved = args.0 == "solve";
@@ -508,8 +503,8 @@ fn launch(mut builder: ClanDriverBuilder, args: &Args) -> Result<(), Failure> {
         let driver = builder.build().map_err(|e| e.to_string())?;
         let (recorder, status) = (driver.tracer_handle(), driver.status_local_addr());
         let run = move || match until_solved {
-            true => driver.run_until_solved_with_trace(generations),
-            false => driver.run_with_trace(generations),
+            true => driver.run_until_solved(generations),
+            false => driver.run(generations),
         };
         (recorder, status, Box::new(run))
     };
@@ -519,14 +514,14 @@ fn launch(mut builder: ClanDriverBuilder, args: &Args) -> Result<(), Failure> {
     if let Some(path) = &postmortem {
         arm_panic_recorder(recorder.clone(), path.clone());
     }
-    let (report, trace) = run().map_err(|e| {
+    let report = run().map_err(|e| {
         if let Some(path) = &postmortem {
             dump_postmortem(&recorder, path);
         }
         e.to_string()
     })?;
     print_report(&report);
-    Ok(write_trace(trace.as_ref(), args)?)
+    Ok(write_trace(report.trace.as_ref(), args)?)
 }
 
 fn print_report(report: &RunReport) {
@@ -536,8 +531,7 @@ fn print_report(report: &RunReport) {
         return;
     }
     println!("  energy: {:.0} J total", report.total_energy_j);
-    // Only show the cache column when the cache actually fielded lookups
-    // (it is absent entirely under --no-cache).
+    // Only show the cache column when the cache actually fielded lookups.
     let caching = report.cache_lookups > 0;
     let column = if caching { "  cache-hits" } else { "" };
     println!("\n  gen   best     species  sim-total(s){column}");
@@ -646,17 +640,24 @@ fn cmd_coordinate(args: &Args) -> Result<(), Failure> {
     launch(builder, args)
 }
 
+/// `export-champion`: the champion of the serial run `run` makes with the
+/// same seed, population and generations.
 fn cmd_export(args: &Args) -> Result<(), Failure> {
     let workload = args.get_with("--workload", parse_workload)?;
     let workload = workload.unwrap_or(Workload::CartPole);
-    let cfg = NeatConfig::builder(workload.obs_dim(), workload.n_actions())
-        .population_size(args.get("--population")?.unwrap_or(96))
-        .build()
-        .map_err(|e| e.to_string())?;
     let (seed, generations) = (args.get("--seed")?, args.get("--generations")?);
-    let champion = champion(workload, &cfg, seed.unwrap_or(0), generations.unwrap_or(10))?;
+    let report = ClanDriver::builder(workload)
+        .population_size(args.get("--population")?.unwrap_or(96))
+        .seed(seed.unwrap_or(0))
+        .build()
+        .and_then(|driver| driver.run(generations.unwrap_or(10)))
+        .map_err(|e| e.to_string())?;
+    let missing = || "no champion evolved (zero generations?)".to_string();
+    let champion = report.champion.ok_or_else(missing)?;
+    let dims = NeatConfig::builder(workload.obs_dim(), workload.n_actions()).build();
+    let dot = genome_to_dot(&champion, &dims.map_err(|e| e.to_string())?);
     let out = args.text("--out").unwrap_or("champion.dot");
-    std::fs::write(out, genome_to_dot(&champion, &cfg)).map_err(|e| e.to_string())?;
+    std::fs::write(out, dot).map_err(|e| e.to_string())?;
     let json_path = format!("{out}.json");
     clan::neat::checkpoint::save_genome(&champion, &json_path).map_err(|e| e.to_string())?;
     println!(
@@ -664,20 +665,6 @@ fn cmd_export(args: &Args) -> Result<(), Failure> {
         champion.fitness().unwrap_or(f64::NAN)
     );
     Ok(())
-}
-
-/// The best genome of the serial run `clan-cli run` makes with the same
-/// seed and `generations`.
-fn champion(w: Workload, cfg: &NeatConfig, seed: u64, generations: u64) -> Result<Genome, String> {
-    let cluster = Cluster::homogeneous(Platform::raspberry_pi(), 1, WifiModel::default());
-    let pop = Population::new(cfg.clone(), seed);
-    let mut run =
-        SerialOrchestrator::new(pop, Evaluator::new(w, InferenceMode::MultiStep), cluster);
-    for _ in 0..generations {
-        run.step_generation().map_err(|e| e.to_string())?;
-    }
-    let champion = run.best_ever().cloned();
-    champion.ok_or_else(|| "no champion evolved (zero generations?)".into())
 }
 
 fn cmd_list(_: &Args) -> Result<(), Failure> {
@@ -794,6 +781,7 @@ mod tests {
                 &["--topology"],
             ),
             (&["solve", "--async"], &["--async"]),
+            (&["run", "--no-cache"], &["--no-cache"]),
             (&["run", "--population", "many"], &["--population", "many"]),
             (
                 &["run", "--workload", "car"],
@@ -814,7 +802,7 @@ mod tests {
             }
         }
         for args in [
-            &["run", "--no-cache", "--trace", "t.jsonl", "--single-step"][..],
+            &["run", "--trace", "t.jsonl", "--single-step"][..],
             &["run", "--async", "--total-evals", "60", "--latency", "2,8"],
             &["coordinate", "--agents-at", "a:1", "--udp", "--loss", "0.1"],
             &["export-champion", "--population", "24", "--out", "c.dot"],
@@ -854,7 +842,7 @@ mod tests {
                 assert!(msg.contains(removed[0]), "{msg}");
             }
         }
-        accepted(&["run", "--no-cache"]);
+        accepted(&["run", "--single-step"]);
     }
 
     #[test]
@@ -887,15 +875,30 @@ mod tests {
 
     #[test]
     fn exported_champion_is_the_one_run_evolves() {
+        let dir = std::env::temp_dir().join(format!("clan-cli-export-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         for (workload, population, seed, generations) in [
             (Workload::CartPole, 24, 5, 3),
             (Workload::MountainCar, 16, 2, 2),
         ] {
-            let cfg = NeatConfig::builder(workload.obs_dim(), workload.n_actions())
-                .population_size(population)
-                .build()
-                .unwrap();
-            let exported = champion(workload, &cfg, seed, generations).unwrap();
+            let out = dir.join(format!("{workload}.dot"));
+            let (population_arg, seed_arg) = (population.to_string(), seed.to_string());
+            dispatch(&words(&[
+                "export-champion",
+                "--workload",
+                workload.name(),
+                "--population",
+                &population_arg,
+                "--seed",
+                &seed_arg,
+                "--generations",
+                &generations.to_string(),
+                "--out",
+                out.to_str().unwrap(),
+            ]))
+            .unwrap();
+            let json = format!("{}.json", out.display());
+            let exported = clan::neat::checkpoint::load_genome(json).unwrap();
             let run = ClanDriver::builder(workload)
                 .population_size(population)
                 .seed(seed)
@@ -906,6 +909,7 @@ mod tests {
             let fitness = exported.fitness().unwrap();
             assert_eq!(fitness.to_bits(), run.best_fitness.to_bits(), "{workload}");
         }
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

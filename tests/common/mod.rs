@@ -220,16 +220,15 @@ pub fn churn_plan(n_agents: usize) -> ChurnSchedule {
     ChurnSchedule::new().kill(victim, 1).revive(victim, back)
 }
 
-/// Channel agents where agent `slow` (if any) stalls on every request
-/// (fixed latency plus a per-KiB cost, so bigger runs stall longer).
+/// Channel agents where agent `slow` (if any) stalls 8 ms on every
+/// request.
 pub fn delayed_transports(n_agents: usize, slow: Option<usize>) -> Vec<Box<dyn Transport>> {
     (0..n_agents)
         .map(|i| {
             let (coord, mut agent_side) = channel_pair();
             std::thread::spawn(move || {
                 if Some(i) == slow {
-                    let mut slow = DelayTransport::new(agent_side, Duration::from_millis(4))
-                        .with_per_kib(Duration::from_millis(4));
+                    let mut slow = DelayTransport::new(agent_side, Duration::from_millis(8));
                     let _ = serve_session(&mut slow);
                 } else {
                     let _ = serve_session(&mut agent_side);

@@ -44,12 +44,13 @@ fn lossy_udp_builder(topology: ClanTopology) -> ClanDriverBuilder {
 }
 
 fn traced_run(builder: ClanDriverBuilder) -> (RunReport, RunTrace) {
-    let (report, trace) = builder
+    let mut report = builder
         .build()
         .expect("driver builds")
-        .run_with_trace(GENERATIONS)
+        .run(GENERATIONS)
         .expect("run completes");
-    (report, trace.expect("tracing was enabled"))
+    let trace = report.trace.take().expect("tracing was enabled");
+    (report, trace)
 }
 
 #[test]
@@ -159,7 +160,7 @@ fn folding_trace_completions_reproduces_the_event_log_hash() {
             .unwrap()
     };
     let a = run();
-    let trace = a.trace.as_ref().expect("tracing was enabled");
+    let trace = a.report.trace.as_ref().expect("tracing was enabled");
     let stats = a.report.asynchronous.as_ref().expect("async run");
     // An independent fold over the trace's Completion events, in
     // stream order: sequence, virtual time, agent, genome, fitness
@@ -195,7 +196,7 @@ fn folding_trace_completions_reproduces_the_event_log_hash() {
     let b = run();
     assert_eq!(
         trace.logical_text(),
-        b.trace.as_ref().unwrap().logical_text()
+        b.report.trace.as_ref().unwrap().logical_text()
     );
     assert_eq!(a.report.asynchronous, b.report.asynchronous);
 }

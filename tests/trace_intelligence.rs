@@ -27,8 +27,8 @@ fn sim_builder() -> ClanDriverBuilder {
 
 fn run_trace(seed: u64) -> RunTrace {
     let driver = sim_builder().seed(seed).build().expect("build");
-    let (_, trace) = driver.run_with_trace(GENS).expect("run");
-    trace.expect("tracing was enabled")
+    let report = driver.run(GENS).expect("run");
+    report.trace.expect("tracing was enabled")
 }
 
 /// Round-trips a recorded trace through the exporter's JSONL and its
@@ -137,8 +137,9 @@ fn analyzer_round_totals_match_the_reports_gather_stats() {
         .loopback_agents(2)
         .build()
         .expect("build loopback");
-    let (report, trace) = driver.run_with_trace(GENS).expect("run");
-    let analysis = analyze(&events_of(&trace.expect("tracing on"))).expect("agents in bounds");
+    let report = driver.run(GENS).expect("run");
+    let trace = report.trace.as_ref().expect("tracing on");
+    let analysis = analyze(&events_of(trace)).expect("agents in bounds");
     let gather = report.gather.expect("remote runs gather");
 
     assert_eq!(analysis.mode, AnalysisMode::Rounds);
@@ -169,8 +170,8 @@ fn analyzer_steady_state_totals_match_async_stats_and_name_the_straggler() {
         .expect("build async");
     let outcome = driver.run().expect("async run");
     let stats = outcome.report.asynchronous.clone().expect("async stats");
-    let analysis =
-        analyze(&events_of(outcome.trace.as_ref().expect("tracing on"))).expect("agents in bounds");
+    let trace = outcome.report.trace.as_ref().expect("tracing on");
+    let analysis = analyze(&events_of(trace)).expect("agents in bounds");
 
     assert_eq!(analysis.mode, AnalysisMode::SteadyState);
     assert_eq!(analysis.n_agents as usize, stats.agents);
@@ -211,7 +212,7 @@ fn a_live_async_trace_records_the_agents_it_ran_on() {
         .expect("build async");
     let outcome = driver.run().expect("async run");
     assert_eq!(outcome.report.n_agents, 2);
-    let events = events_of(outcome.trace.as_ref().expect("tracing on"));
+    let events = events_of(outcome.report.trace.as_ref().expect("tracing on"));
     let cluster = events.iter().find(|e| e.kind == EventKind::ClusterInfo);
     assert_eq!(cluster.and_then(|e| e.items), Some(2));
     let records = clan_trace_tools::chrome::records(&events).expect("renders");
@@ -248,9 +249,9 @@ fn status_endpoint_serves_snapshots_and_preserves_bit_identity() {
     let missing = http_get(addr, "/nope");
     assert!(missing.contains("404"), "{missing}");
 
-    let (_, trace) = driver.run_with_trace(GENS).expect("run with endpoint");
+    let report = driver.run(GENS).expect("run with endpoint");
     assert_eq!(
-        trace.expect("tracing on").logical_text(),
+        report.trace.expect("tracing on").logical_text(),
         baseline,
         "serving status snapshots must not perturb the logical stream"
     );
@@ -304,8 +305,11 @@ fn flight_recorder_ring_preserves_identity_and_keeps_a_suffix() {
         .trace_ring(1 << 20)
         .build()
         .expect("build big ring");
-    let (_, trace) = driver.run_with_trace(GENS).expect("run");
-    assert_eq!(trace.expect("ring implies tracing").logical_text(), full);
+    let report = driver.run(GENS).expect("run");
+    assert_eq!(
+        report.trace.expect("ring implies tracing").logical_text(),
+        full
+    );
 
     // A small ring retains exactly the last N events, whose logical
     // lines are a byte-for-byte suffix of the unbounded stream.
@@ -313,8 +317,8 @@ fn flight_recorder_ring_preserves_identity_and_keeps_a_suffix() {
         .trace_ring(40)
         .build()
         .expect("build small ring");
-    let (_, trace) = driver.run_with_trace(GENS).expect("run");
-    let ring = trace.expect("ring implies tracing");
+    let report = driver.run(GENS).expect("run");
+    let ring = report.trace.expect("ring implies tracing");
     assert_eq!(ring.events.len(), 40);
     let tail = ring.logical_text();
     assert!(!tail.is_empty(), "a 40-event tail spans logical events");

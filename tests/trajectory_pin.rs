@@ -28,7 +28,7 @@ use rand::SeedableRng;
 use std::num::NonZeroU64;
 
 fn serial_logical_hash(workload: Workload, population: usize, generations: u64, seed: u64) -> u64 {
-    let (_, trace) = ClanDriver::builder(workload)
+    let report = ClanDriver::builder(workload)
         .topology(ClanTopology::serial())
         .agents(1)
         .population_size(population)
@@ -36,9 +36,9 @@ fn serial_logical_hash(workload: Workload, population: usize, generations: u64, 
         .tracing(true)
         .build()
         .expect("driver builds")
-        .run_with_trace(generations)
+        .run(generations)
         .expect("run completes");
-    trace.expect("tracing was enabled").logical_hash()
+    report.trace.expect("tracing was enabled").logical_hash()
 }
 
 #[test]
