@@ -1,4 +1,4 @@
-//! Binary frame codec for the CLAN cluster protocol (wire version 2).
+//! Binary frame codec for the CLAN cluster protocol (wire version 3).
 //!
 //! One frame is one protocol message:
 //!
@@ -32,7 +32,6 @@
 //! | node count | varint | |
 //! | node id | first: `zz` absolute; then: varint `id − prev`, ≥ 1 | per node |
 //! | bias, response | `f64`, `f64` | |
-//! | activation, aggregation | `u8`, `u8` | index into `Activation::ALL` / `Aggregation::ALL` |
 //! | connection count | varint | |
 //! | input | first: `zz` absolute; then: varint `input − prev`, ≥ 0 | per connection |
 //! | output | first of an input's run: `zz` absolute; within the run: varint `output − prev`, ≥ 1 | a run is the connections sharing one input (`input − prev = 0`) |
@@ -48,7 +47,7 @@
 //! unrepresentable. Because the keys are proven sorted, each decoded
 //! `Vec` becomes its gene table as it stands; nothing is rebuilt.
 //! Every declared count is bounded by the bytes that remain (at the
-//! per-element minimum: 19 per node, 10 per connection, 4 per genome)
+//! per-element minimum: 17 per node, 10 per connection, 4 per genome)
 //! before anything is reserved for it.
 //!
 //! **Floats stay verbatim.** Bit-identity across the wire is what the
@@ -61,9 +60,11 @@
 //! **What it costs.** The paper's analytic model charges 4 bytes per
 //! gene (one 32-bit datum, Table II). Version 1 cost 25 bytes per
 //! connection, 6.2× the model; this format costs 10⅛ for an
-//! input-to-output connection, 2.5× the model on the benchmark's
-//! Alien-ram genomes (23.7 kB instead of 58.1 kB) — of which 2.0× is
-//! the `f64` the model counts as 4 bytes. The gap is measured by
+//! input-to-output connection and 17 for a node (version 2 wrote two
+//! more bytes of transfer-function tags), 2.5× the model on the
+//! benchmark's Alien-ram genomes (23.6 kB instead of 58.1 kB) — of
+//! which 2.0× is the `f64` the model counts as 4 bytes. The gap is
+//! measured by
 //! [`CommLedger::framing_overhead`](clan_netsim::CommLedger::framing_overhead)
 //! and is exactly what `clan-netsim`'s modeled traffic understates.
 //!
@@ -78,17 +79,15 @@ use crate::evaluator::{EngineOptions, InferenceMode};
 use clan_envs::Workload;
 use clan_neat::population::Evaluation;
 use clan_neat::reproduction::{ChildKind, ChildSpec};
-use clan_neat::{
-    Activation, Aggregation, ConnGene, ConnKey, Genome, GenomeId, NeatConfig, NodeGene, NodeId,
-    SpeciesId,
-};
+use clan_neat::{ConnGene, ConnKey, Genome, GenomeId, NeatConfig, NodeGene, NodeId, SpeciesId};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
 /// Frame magic: every CLAN frame starts with these bytes.
 pub const MAGIC: [u8; 4] = *b"CLAN";
-/// Protocol version this build speaks.
-pub const VERSION: u8 = 2;
+/// Protocol version this build speaks: 3 since node genes stopped
+/// carrying transfer functions (version 2 wrote two bytes for them).
+pub const VERSION: u8 = 3;
 /// Hard ceiling on one frame's size. A length prefix above this is
 /// rejected before any allocation happens, so a hostile or corrupt peer
 /// cannot OOM the process.
@@ -274,7 +273,7 @@ fn key_delta(prev: i64, next: i64) -> u64 {
 /// Minimum encoded size of one genome, node and connection — what a
 /// declared count is checked against before anything is reserved.
 const MIN_GENOME_BYTES: usize = 4;
-const MIN_NODE_BYTES: usize = 19;
+const MIN_NODE_BYTES: usize = 17;
 const MIN_CONN_BYTES: usize = 10;
 
 /// A close guess at `put_genome`'s output for `g` (an upper bound while
@@ -302,8 +301,6 @@ fn put_genome(out: &mut Vec<u8>, g: &Genome) {
         prev = Some(id.0);
         put_f64(out, node.bias);
         put_f64(out, node.response);
-        out.push(index_in(&Activation::ALL, node.activation));
-        out.push(index_in(&Aggregation::ALL, node.aggregation));
     }
     put_varint(out, g.conns().len() as u64);
     // Gathered in the same walk, written after it.
@@ -349,15 +346,6 @@ fn put_spec(out: &mut Vec<u8>, spec: &ChildSpec) {
             put_u64(out, parent2.0);
         }
     }
-}
-
-/// `x`'s wire byte: its position in the enum's `ALL` table.
-#[expect(
-    clippy::expect_used,
-    reason = "encode side: the enum value is host-built, ALL is exhaustive by its own test; not wire-derived"
-)]
-fn index_in<T: PartialEq>(all: &[T], x: T) -> u8 {
-    all.iter().position(|a| *a == x).expect("value is in ALL") as u8
 }
 
 /// Opens a frame (magic + version + tag) with room for `genomes`.
@@ -589,19 +577,9 @@ fn get_genome(r: &mut Reader<'_>) -> Result<Genome, FrameError> {
             },
         };
         prev = Some(nid);
-        let bias = r.f64()?;
-        let response = r.f64()?;
-        let act = r.u8()? as usize;
-        let agg = r.u8()? as usize;
         let gene = NodeGene {
-            bias,
-            response,
-            activation: *Activation::ALL
-                .get(act)
-                .ok_or(FrameError::BadValue("activation index"))?,
-            aggregation: *Aggregation::ALL
-                .get(agg)
-                .ok_or(FrameError::BadValue("aggregation index"))?,
+            bias: r.f64()?,
+            response: r.f64()?,
         };
         nodes.push((NodeId(nid), gene));
     }
@@ -911,9 +889,12 @@ mod tests {
         frame[0] = b'X';
         assert_eq!(decode(&frame), Err(FrameError::BadMagic));
 
-        let mut frame = encode(&WireMessage::Shutdown);
-        frame[4] = 200;
-        assert_eq!(decode(&frame), Err(FrameError::BadVersion(200)));
+        // Version 2 frames carried two transfer-function bytes per node.
+        for version in [2, 200] {
+            let mut frame = encode(&WireMessage::Shutdown);
+            frame[4] = version;
+            assert_eq!(decode(&frame), Err(FrameError::BadVersion(version)));
+        }
 
         let mut frame = encode(&WireMessage::Shutdown);
         frame[5] = 99;
@@ -924,21 +905,16 @@ mod tests {
     /// hash-range hidden node, an input run of two, a disabled gene.
     fn golden_genome() -> Genome {
         let hidden = NodeId(NodeId::DERIVED_FLOOR + 5);
-        let node = |bias, activation| NodeGene {
+        let node = |bias| NodeGene {
             bias,
             response: 1.0,
-            activation,
-            aggregation: Aggregation::Sum,
         };
         let conn = |i, o, weight, enabled| (ConnKey::new(i, o), ConnGene { weight, enabled });
         let mut g = Genome::from_parts(
             GenomeId(300),
-            [
-                (NodeId(0), node(0.5, Activation::Sigmoid)),
-                (hidden, node(-2.0, Activation::Tanh)),
-            ]
-            .into_iter()
-            .collect(),
+            [(NodeId(0), node(0.5)), (hidden, node(-2.0))]
+                .into_iter()
+                .collect(),
             [
                 conn(NodeId(-2), NodeId(0), -1.0, true),
                 conn(NodeId(-1), NodeId(0), 0.25, false),
@@ -957,21 +933,21 @@ mod tests {
     }
 
     #[test]
-    fn golden_frame_pins_the_v2_layout() {
+    fn golden_frame_pins_the_v3_layout() {
         let frame = encode(&WireMessage::Children(vec![golden_genome()]));
         let expected = concat!(
-            "434c414e0205",                                   // "CLAN", version 2, CHILDREN
-            "01000000",                                       // one genome
-            "ac0201000000000000f83f",                         // id 300; flags: fitness; 1.5
-            "02",                                             // two nodes
-            "00000000000000e03f000000000000f03f0000",         // n0: 0.5, 1.0, Sigmoid, Sum
-            "858080801000000000000000c0000000000000f03f0100", // +(2^32 + 5): -2.0, 1.0, Tanh, Sum
-            "04",                                             // four connections
-            "0300000000000000f0bf",                           // zz(-2), zz(0): -1.0
-            "0100000000000000d03f",                           // input +1, new run, zz(0): 0.25
-            "008580808010000000000000f03f",                   // same input, output +(2^32 + 5): 1.0
-            "8680808010000000000000000040",                   // input +(2^32 + 6), zz(0): 2.0
-            "0d"                                              // enabled 0b1101, padding clear
+            "434c414e0305",                               // "CLAN", version 3, CHILDREN
+            "01000000",                                   // one genome
+            "ac0201000000000000f83f",                     // id 300; flags: fitness; 1.5
+            "02",                                         // two nodes
+            "00000000000000e03f000000000000f03f",         // n0: 0.5, 1.0
+            "858080801000000000000000c0000000000000f03f", // +(2^32 + 5): -2.0, 1.0
+            "04",                                         // four connections
+            "0300000000000000f0bf",                       // zz(-2), zz(0): -1.0
+            "0100000000000000d03f",                       // input +1, new run, zz(0): 0.25
+            "008580808010000000000000f03f",               // same input, output +(2^32 + 5): 1.0
+            "8680808010000000000000000040",               // input +(2^32 + 6), zz(0): 2.0
+            "0d"                                          // enabled 0b1101, padding clear
         );
         assert_eq!(hex(&frame), expected);
         assert_eq!(
@@ -1019,7 +995,7 @@ mod tests {
     /// Decodes a frame whose genome has the given node keys (first one
     /// zig-zag, then deltas) and no connections.
     fn decode_nodes(keys: &[&[u8]]) -> Result<WireMessage, FrameError> {
-        let nodes: Vec<u8> = keys.iter().flat_map(|k| gene(k, 18)).collect();
+        let nodes: Vec<u8> = keys.iter().flat_map(|k| gene(k, 16)).collect();
         decode(&evaluate_frame(&genome_body(
             (keys.len() as u64, &nodes),
             (0, &[]),
@@ -1180,7 +1156,7 @@ mod tests {
         // Gene tables: a count is refused unless count x the smallest
         // possible element fits in what is left of the frame — checked
         // one element over and at the varint's ceiling.
-        let node = gene(&[0], 18);
+        let node = gene(&[0], 16);
         assert_eq!(node.len(), MIN_NODE_BYTES);
         let conn = gene(&[0, 0], 8);
         assert_eq!(conn.len(), MIN_CONN_BYTES);

@@ -22,5 +22,5 @@
 pub mod cluster;
 pub mod timeline;
 
-pub use cluster::{partition_even, partition_weighted, Cluster};
+pub use cluster::{partition_even, Cluster};
 pub use timeline::{GenerationTimeline, ShareBreakdown, TimelineRecorder};

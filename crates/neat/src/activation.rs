@@ -1,140 +1,16 @@
-//! Node activation and aggregation functions.
+//! Every node's transfer function.
 //!
-//! NEAT genomes attach an [`Activation`] and an [`Aggregation`] to every
-//! node gene; mutation may swap them. The set here mirrors the functions
-//! shipped by `neat-python`, which the CLAN paper used.
+//! A node's value is `sigmoid(bias + response × Σ weighted inputs)`: the
+//! steepened logistic sigmoid of a sum, the one node type every CLAN run
+//! evolves (neat-python's defaults, with its function mutations off, as
+//! the paper ran them).
 
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Scalar activation function applied to a node's aggregated input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum Activation {
-    /// Steepened logistic sigmoid, `1 / (1 + e^(-4.9 x))`, the NEAT default.
-    #[default]
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Rectified linear unit.
-    Relu,
-    /// Identity (pass-through).
-    Identity,
-    /// Sine.
-    Sin,
-    /// Gaussian bump `e^(-5 x^2)` (clamped input).
-    Gauss,
-    /// Identity clamped to `[-1, 1]`.
-    Clamped,
-    /// Absolute value.
-    Abs,
-}
-
-impl Activation {
-    /// All supported activations, in a stable order used by mutation.
-    pub const ALL: [Activation; 8] = [
-        Activation::Sigmoid,
-        Activation::Tanh,
-        Activation::Relu,
-        Activation::Identity,
-        Activation::Sin,
-        Activation::Gauss,
-        Activation::Clamped,
-        Activation::Abs,
-    ];
-
-    /// Applies the function to `x`.
-    ///
-    /// Inputs are pre-scaled exactly as `neat-python` does (e.g. the
-    /// sigmoid multiplies by 4.9 and clamps to avoid overflow).
-    #[inline]
-    pub fn apply(self, x: f64) -> f64 {
-        match self {
-            Activation::Sigmoid => {
-                let z = (4.9 * x).clamp(-60.0, 60.0);
-                1.0 / (1.0 + (-z).exp())
-            }
-            Activation::Tanh => (2.5 * x).clamp(-60.0, 60.0).tanh(),
-            Activation::Relu => x.max(0.0),
-            Activation::Identity => x,
-            Activation::Sin => (5.0 * x).clamp(-60.0, 60.0).sin(),
-            Activation::Gauss => {
-                let z = x.clamp(-3.4, 3.4);
-                (-5.0 * z * z).exp()
-            }
-            Activation::Clamped => x.clamp(-1.0, 1.0),
-            Activation::Abs => x.abs(),
-        }
-    }
-}
-
-impl fmt::Display for Activation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Activation::Sigmoid => "sigmoid",
-            Activation::Tanh => "tanh",
-            Activation::Relu => "relu",
-            Activation::Identity => "identity",
-            Activation::Sin => "sin",
-            Activation::Gauss => "gauss",
-            Activation::Clamped => "clamped",
-            Activation::Abs => "abs",
-        };
-        f.write_str(name)
-    }
-}
-
-/// Function combining a node's weighted inputs into a single value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum Aggregation {
-    /// Sum of weighted inputs (the NEAT default).
-    #[default]
-    Sum,
-    /// Product of weighted inputs.
-    Product,
-    /// Maximum weighted input.
-    Max,
-    /// Minimum weighted input.
-    Min,
-    /// Arithmetic mean of weighted inputs.
-    Mean,
-}
-
-impl Aggregation {
-    /// All supported aggregations, in a stable order used by mutation.
-    pub const ALL: [Aggregation; 5] = [
-        Aggregation::Sum,
-        Aggregation::Product,
-        Aggregation::Max,
-        Aggregation::Min,
-        Aggregation::Mean,
-    ];
-
-    /// Combines `inputs` into one value. Empty input yields `0.0`.
-    pub fn apply(self, inputs: &[f64]) -> f64 {
-        if inputs.is_empty() {
-            return 0.0;
-        }
-        match self {
-            Aggregation::Sum => inputs.iter().sum(),
-            Aggregation::Product => inputs.iter().product(),
-            Aggregation::Max => inputs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            Aggregation::Min => inputs.iter().copied().fold(f64::INFINITY, f64::min),
-            Aggregation::Mean => inputs.iter().sum::<f64>() / inputs.len() as f64,
-        }
-    }
-}
-
-impl fmt::Display for Aggregation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Aggregation::Sum => "sum",
-            Aggregation::Product => "product",
-            Aggregation::Max => "max",
-            Aggregation::Min => "min",
-            Aggregation::Mean => "mean",
-        };
-        f.write_str(name)
-    }
+/// Steepened logistic sigmoid, `1 / (1 + e^(-4.9 x))`, its argument
+/// clamped so the exponential never overflows.
+#[inline]
+pub(crate) fn sigmoid(x: f64) -> f64 {
+    let z = (4.9 * x).clamp(-60.0, 60.0);
+    1.0 / (1.0 + (-z).exp())
 }
 
 #[cfg(test)]
@@ -143,72 +19,17 @@ mod tests {
 
     #[test]
     fn sigmoid_range_and_midpoint() {
-        assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
-        assert!(Activation::Sigmoid.apply(100.0) <= 1.0);
-        assert!(Activation::Sigmoid.apply(-100.0) >= 0.0);
-        assert!(Activation::Sigmoid.apply(2.0) > 0.99);
+        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
+        assert!(sigmoid(100.0) <= 1.0);
+        assert!(sigmoid(-100.0) >= 0.0);
+        assert!(sigmoid(2.0) > 0.99);
     }
 
     #[test]
-    fn tanh_saturates() {
-        assert!(Activation::Tanh.apply(100.0) <= 1.0);
-        assert!(Activation::Tanh.apply(-100.0) >= -1.0);
-        assert!((Activation::Tanh.apply(0.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn relu_clamps_negative() {
-        assert_eq!(Activation::Relu.apply(-3.0), 0.0);
-        assert_eq!(Activation::Relu.apply(3.0), 3.0);
-    }
-
-    #[test]
-    fn clamped_bounds() {
-        assert_eq!(Activation::Clamped.apply(7.0), 1.0);
-        assert_eq!(Activation::Clamped.apply(-7.0), -1.0);
-        assert_eq!(Activation::Clamped.apply(0.25), 0.25);
-    }
-
-    #[test]
-    fn gauss_peak_at_zero() {
-        assert!((Activation::Gauss.apply(0.0) - 1.0).abs() < 1e-12);
-        assert!(Activation::Gauss.apply(1.0) < Activation::Gauss.apply(0.1));
-    }
-
-    #[test]
-    fn all_activations_finite_over_wide_domain() {
-        for a in Activation::ALL {
-            for i in -100..=100 {
-                let x = i as f64 * 10.0;
-                assert!(a.apply(x).is_finite(), "{a} not finite at {x}");
-            }
-        }
-    }
-
-    #[test]
-    fn aggregation_basics() {
-        let xs = [1.0, 2.0, 3.0];
-        assert_eq!(Aggregation::Sum.apply(&xs), 6.0);
-        assert_eq!(Aggregation::Product.apply(&xs), 6.0);
-        assert_eq!(Aggregation::Max.apply(&xs), 3.0);
-        assert_eq!(Aggregation::Min.apply(&xs), 1.0);
-        assert_eq!(Aggregation::Mean.apply(&xs), 2.0);
-    }
-
-    #[test]
-    fn aggregation_empty_is_zero() {
-        for agg in Aggregation::ALL {
-            assert_eq!(agg.apply(&[]), 0.0, "{agg}");
-        }
-    }
-
-    #[test]
-    fn display_round_trip_is_lowercase() {
-        for a in Activation::ALL {
-            assert_eq!(a.to_string(), a.to_string().to_lowercase());
-        }
-        for a in Aggregation::ALL {
-            assert_eq!(a.to_string(), a.to_string().to_lowercase());
+    fn sigmoid_is_finite_over_a_wide_domain() {
+        for i in -100..=100 {
+            let x = i as f64 * 10.0;
+            assert!(sigmoid(x).is_finite(), "not finite at {x}");
         }
     }
 }

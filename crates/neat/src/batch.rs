@@ -16,28 +16,24 @@
 //! # Lanes against the scalar kernel
 //!
 //! Each lane repeats [`FeedForwardNetwork::activate_into`]'s arithmetic
-//! on the same genome:
-//!
-//! - `Sum` aggregation accumulates weighted inputs in compiled edge order,
-//!   but from `0.0` where the scalar kernel starts from `−0.0`
-//!   (`Iterator::<f64>::sum`). So the two differ on a `Sum` node with no
-//!   enabled in-edge and a bias of `−0.0`: the lane yields `+0.0`, the
-//!   scalar kernel `−0.0`. An argmax treats the two as equal.
-//! - Non-`Sum` aggregations stage the weighted inputs per lane in edge
-//!   order and call the same [`Aggregation::apply`].
+//! on the same genome: a node sums its weighted inputs in compiled edge
+//! order, but from `0.0` where the scalar kernel starts from `−0.0`
+//! (`Iterator::<f64>::sum`). The two can differ only in the sign of a
+//! zero, which the sigmoid maps to `0.5` either way, so every lane's
+//! outputs equal the scalar kernel's bit for bit.
 //!
 //! Shapes are grouped by exact structural equality (no hashing
 //! shortcut), so a lane can never be loaded into a mismatched plan.
 
-use crate::activation::Aggregation;
+use crate::activation::sigmoid;
 use crate::network::FeedForwardNetwork;
 
 /// Exact structural signature of a compiled network.
 ///
 /// Two networks with equal keys have identical evaluation plans — same
-/// input/output arity, same node order, same activation/aggregation per
-/// node, and same incoming value-slot sequence per node — and therefore
-/// differ only in weights, biases, and responses. Equality is exact
+/// input/output arity, same node order, and same incoming value-slot
+/// sequence per node — and therefore differ only in weights, biases, and
+/// responses. Equality is exact
 /// (token-sequence comparison), never a hash, so grouping by `ShapeKey`
 /// can never alias two distinct topologies.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,27 +44,18 @@ impl ShapeKey {
     pub fn of(net: &FeedForwardNetwork) -> ShapeKey {
         let nodes = &net.nodes;
         let mut tokens = Vec::with_capacity(
-            4 + nodes.iter().map(|n| 3 + n.incoming.len()).sum::<usize>() + net.output_slots.len(),
+            4 + nodes.iter().map(|n| 1 + n.incoming.len()).sum::<usize>() + net.output_slots.len(),
         );
         tokens.push(net.num_inputs() as u64);
         tokens.push(net.num_outputs() as u64);
         tokens.push(nodes.len() as u64);
         for node in nodes {
-            tokens.push(node.activation as u64);
-            tokens.push(node.aggregation as u64);
             tokens.push(node.incoming.len() as u64);
             tokens.extend(node.incoming.iter().map(|&(slot, _)| slot as u64));
         }
         tokens.extend(net.output_slots.iter().map(|&s| s as u64));
         ShapeKey(tokens)
     }
-}
-
-/// Per-node metadata shared by every lane of a [`BatchedNetwork`].
-#[derive(Debug, Clone)]
-struct BatchNode {
-    activation: crate::activation::Activation,
-    aggregation: Aggregation,
 }
 
 /// A bank of same-shape networks evaluated in lockstep.
@@ -84,7 +71,6 @@ pub struct BatchedNetwork {
     shape: ShapeKey,
     num_inputs: usize,
     lanes: usize,
-    nodes: Vec<BatchNode>,
     /// CSR slot indices of incoming edges, concatenated over nodes.
     slots: Vec<usize>,
     /// CSR offsets into `slots`/`weights` rows: `edge_off[i]..edge_off[i+1]`.
@@ -100,9 +86,7 @@ pub struct BatchedNetwork {
     /// topological order. Input rows are written by
     /// [`set_input`](Self::set_input) and persist across activations.
     values: Vec<f64>,
-    /// Per-lane staging for non-`Sum` aggregations.
-    staged: Vec<f64>,
-    /// Per-lane accumulator row for `Sum` nodes (edge-outer kernel).
+    /// Per-lane accumulator row (edge-outer kernel).
     acc: Vec<f64>,
     /// Last activation's outputs, `[output][lane]`.
     outputs: Vec<f64>,
@@ -116,26 +100,18 @@ impl BatchedNetwork {
     pub fn from_template(template: &FeedForwardNetwork, lanes: usize) -> BatchedNetwork {
         let lanes = lanes.max(1);
         let tnodes = &template.nodes;
-        let mut nodes = Vec::with_capacity(tnodes.len());
         let mut slots = Vec::new();
         let mut edge_off = Vec::with_capacity(tnodes.len() + 1);
         edge_off.push(0);
-        let mut max_deg = 0;
         for node in tnodes {
-            nodes.push(BatchNode {
-                activation: node.activation,
-                aggregation: node.aggregation,
-            });
             slots.extend(node.incoming.iter().map(|&(slot, _)| slot));
             edge_off.push(slots.len());
-            max_deg = max_deg.max(node.incoming.len());
         }
         let num_slots = template.num_inputs() + tnodes.len();
         BatchedNetwork {
             shape: ShapeKey::of(template),
             num_inputs: template.num_inputs(),
             lanes,
-            nodes,
             weights: vec![0.0; slots.len() * lanes],
             slots,
             edge_off,
@@ -143,7 +119,6 @@ impl BatchedNetwork {
             response: vec![0.0; tnodes.len() * lanes],
             output_slots: template.output_slots.to_vec(),
             values: vec![0.0; num_slots * lanes],
-            staged: Vec::with_capacity(max_deg),
             acc: vec![0.0; lanes],
             outputs: vec![0.0; template.num_outputs() * lanes],
         }
@@ -200,17 +175,14 @@ impl BatchedNetwork {
     /// Runs one forward pass for every lane.
     ///
     /// Each lane's arithmetic matches
-    /// [`FeedForwardNetwork::activate_into`] bit for bit but for the sign
-    /// of an empty sum (module docs): `Sum` nodes accumulate weighted
-    /// inputs in edge order from `0.0` (the edge-outer/lane-inner kernel
-    /// touches contiguous lane rows per edge but keeps each lane's
-    /// addition sequence identical); other aggregations stage per-lane
-    /// weighted inputs in edge order and apply the shared [`Aggregation`].
+    /// [`FeedForwardNetwork::activate_into`] bit for bit (module docs):
+    /// nodes accumulate weighted inputs in edge order from `0.0` (the
+    /// edge-outer/lane-inner kernel touches contiguous lane rows per edge
+    /// but keeps each lane's addition sequence identical).
     pub fn activate(&mut self) {
         let BatchedNetwork {
             num_inputs,
             lanes,
-            nodes,
             slots,
             edge_off,
             weights,
@@ -218,46 +190,27 @@ impl BatchedNetwork {
             response,
             output_slots,
             values,
-            staged,
             acc,
             outputs,
             ..
         } = self;
         let (ni, lanes) = (*num_inputs, *lanes);
-        for (i, node) in nodes.iter().enumerate() {
-            let (e0, e1) = (edge_off[i], edge_off[i + 1]);
-            let out_base = (ni + i) * lanes;
-            match node.aggregation {
-                Aggregation::Sum => {
-                    acc.fill(0.0);
-                    for e in e0..e1 {
-                        // Slice rows so the lane loop is bounds-check
-                        // free and vectorizes.
-                        let vrow = &values[slots[e] * lanes..][..lanes];
-                        let wrow = &weights[e * lanes..][..lanes];
-                        for ((a, v), w) in acc.iter_mut().zip(vrow).zip(wrow) {
-                            *a += v * w;
-                        }
-                    }
-                    let brow = &bias[i * lanes..][..lanes];
-                    let rrow = &response[i * lanes..][..lanes];
-                    let orow = &mut values[out_base..][..lanes];
-                    for (((o, &a), &b), &r) in orow.iter_mut().zip(acc.iter()).zip(brow).zip(rrow) {
-                        *o = node.activation.apply(b + r * a);
-                    }
+        for (i, edges) in edge_off.windows(2).enumerate() {
+            acc.fill(0.0);
+            for e in edges[0]..edges[1] {
+                // Slice rows so the lane loop is bounds-check free and
+                // vectorizes.
+                let vrow = &values[slots[e] * lanes..][..lanes];
+                let wrow = &weights[e * lanes..][..lanes];
+                for ((a, v), w) in acc.iter_mut().zip(vrow).zip(wrow) {
+                    *a += v * w;
                 }
-                agg => {
-                    for l in 0..lanes {
-                        staged.clear();
-                        staged.extend(
-                            (e0..e1).map(|e| values[slots[e] * lanes + l] * weights[e * lanes + l]),
-                        );
-                        let a = agg.apply(staged);
-                        values[out_base + l] = node
-                            .activation
-                            .apply(bias[i * lanes + l] + response[i * lanes + l] * a);
-                    }
-                }
+            }
+            let brow = &bias[i * lanes..][..lanes];
+            let rrow = &response[i * lanes..][..lanes];
+            let orow = &mut values[(ni + i) * lanes..][..lanes];
+            for (((o, &a), &b), &r) in orow.iter_mut().zip(acc.iter()).zip(brow).zip(rrow) {
+                *o = sigmoid(b + r * a);
             }
         }
         for (j, &slot) in output_slots.iter().enumerate() {
@@ -348,15 +301,10 @@ mod tests {
 
     #[test]
     fn heavily_mutated_topologies_batch_correctly() {
-        // Load the same mutated genome (which exercises hidden nodes and,
-        // with raised mutate rates, non-Sum aggregations and varied
-        // activations) into several lanes alongside differently-weighted
-        // clones; all lanes must match their scalar network exactly.
-        let cfg = NeatConfig::builder(4, 2)
-            .activation_mutate_rate(0.4)
-            .aggregation_mutate_rate(0.4)
-            .build()
-            .unwrap();
+        // Load the same mutated genome (which exercises hidden nodes) into
+        // several lanes alongside differently-weighted clones; all lanes
+        // must match their scalar network exactly.
+        let cfg = cfg(4, 2);
         for seed in 0..6 {
             let mut g = Genome::new_initial(&cfg, GenomeId(0), &mut StdRng::seed_from_u64(seed));
             let mut r = StdRng::seed_from_u64(100 + seed);

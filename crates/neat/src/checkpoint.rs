@@ -247,7 +247,8 @@ mod tests {
 
     /// `genome_to_json` of `Genome::new_initial(cfg(2, 1), GenomeId(7),
     /// seed 3)` with fitness 1.5, as written by the last build whose gene
-    /// tables were `BTreeMap`s (commit a4134e5).
+    /// tables were `BTreeMap`s (commit a4134e5), less the node genes'
+    /// retired `"activation": "Sigmoid"` and `"aggregation": "Sum"` keys.
     const GOLDEN_GENOME: &str = r#"{
   "version": 1,
   "genome": {
@@ -257,9 +258,7 @@ mod tests {
         0,
         {
           "bias": -0.6441364961562857,
-          "response": 1.0,
-          "activation": "Sigmoid",
-          "aggregation": "Sum"
+          "response": 1.0
         }
       ]
     ],
@@ -297,6 +296,13 @@ mod tests {
         let loaded = genome_from_json(GOLDEN_GENOME).unwrap();
         assert_eq!(loaded, expected);
         assert_eq!(genome_to_json(&loaded).unwrap(), GOLDEN_GENOME);
+        // A checkpoint written with the transfer-function keys still loads:
+        // unknown keys are skipped.
+        let with_functions = GOLDEN_GENOME.replace(
+            "\"response\": 1.0",
+            "\"response\": 1.0, \"activation\": \"Sigmoid\", \"aggregation\": \"Sum\"",
+        );
+        assert_eq!(genome_from_json(&with_functions).unwrap(), expected);
     }
 
     #[test]

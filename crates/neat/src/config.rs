@@ -4,7 +4,10 @@
 //! which is what the CLAN paper ran on its Raspberry Pis. As the paper
 //! notes (§II-D), a single NEAT hyperparameter set works across tasks, so
 //! the per-workload presets in `clan-envs` only change the input/output
-//! counts and population size.
+//! counts and population size. What those settings fix is not configured
+//! at all: every node is a sigmoid of a sum (neat-python's function
+//! mutations were off), and every initial genome wires each input to each
+//! output (`full_direct`).
 
 use crate::error::NeatError;
 use rand::Rng;
@@ -84,18 +87,6 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// How the initial population's genomes are wired.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum InitialConnection {
-    /// Every input connected to every output (`neat-python` `full_direct`).
-    #[default]
-    Full,
-    /// No connections; structure must be discovered by mutation.
-    Unconnected,
-    /// Each potential input→output connection included with this probability.
-    Partial(f64),
-}
-
 /// Complete NEAT hyperparameter set.
 ///
 /// Construct via [`NeatConfig::builder`]; the builder validates ranges.
@@ -107,8 +98,6 @@ pub struct NeatConfig {
     pub num_outputs: usize,
     /// Number of genomes per generation.
     pub population_size: usize,
-    /// Initial wiring of genomes.
-    pub initial_connection: InitialConnection,
 
     /// Speciation threshold: a genome joins a species only if its
     /// compatibility distance to the species' representative is below it.
@@ -128,10 +117,6 @@ pub struct NeatConfig {
     pub node_delete_prob: f64,
     /// Probability of flipping a connection's enabled flag.
     pub enabled_mutate_rate: f64,
-    /// Probability of re-drawing a node's activation function.
-    pub activation_mutate_rate: f64,
-    /// Probability of re-drawing a node's aggregation function.
-    pub aggregation_mutate_rate: f64,
     /// Connection weight attribute parameters.
     pub weight: AttrSpec,
     /// Node bias attribute parameters.
@@ -197,22 +182,12 @@ impl NeatConfig {
                 reason: "must be positive".into(),
             });
         }
-        if let InitialConnection::Partial(p) = self.initial_connection {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(NeatError::InvalidConfig {
-                    field: "initial_connection",
-                    reason: format!("partial probability {p} outside [0, 1]"),
-                });
-            }
-        }
         for (field, p) in [
             ("conn_add_prob", self.conn_add_prob),
             ("conn_delete_prob", self.conn_delete_prob),
             ("node_add_prob", self.node_add_prob),
             ("node_delete_prob", self.node_delete_prob),
             ("enabled_mutate_rate", self.enabled_mutate_rate),
-            ("activation_mutate_rate", self.activation_mutate_rate),
-            ("aggregation_mutate_rate", self.aggregation_mutate_rate),
             ("survival_threshold", self.survival_threshold),
         ] {
             if !(0.0..=1.0).contains(&p) {
@@ -243,7 +218,6 @@ impl Default for NeatConfig {
             num_inputs: 1,
             num_outputs: 1,
             population_size: 150,
-            initial_connection: InitialConnection::Full,
             compatibility_threshold: 3.0,
             compatibility_disjoint_coefficient: 1.0,
             compatibility_weight_coefficient: 0.5,
@@ -252,8 +226,6 @@ impl Default for NeatConfig {
             node_add_prob: 0.2,
             node_delete_prob: 0.2,
             enabled_mutate_rate: 0.01,
-            activation_mutate_rate: 0.0,
-            aggregation_mutate_rate: 0.0,
             weight: AttrSpec {
                 init_mean: 0.0,
                 init_stdev: 1.0,
@@ -324,8 +296,6 @@ impl NeatConfigBuilder {
     builder_setters! {
         /// Sets the number of genomes per generation.
         population_size: usize,
-        /// Sets the initial wiring scheme.
-        initial_connection: InitialConnection,
         /// Sets the speciation distance threshold.
         compatibility_threshold: f64,
         /// Sets the disjoint-gene coefficient of the distance metric.
@@ -342,10 +312,6 @@ impl NeatConfigBuilder {
         node_delete_prob: f64,
         /// Sets the enabled-flag flip probability.
         enabled_mutate_rate: f64,
-        /// Sets the activation-function mutation probability.
-        activation_mutate_rate: f64,
-        /// Sets the aggregation-function mutation probability.
-        aggregation_mutate_rate: f64,
         /// Sets weight attribute parameters.
         weight: AttrSpec,
         /// Sets bias attribute parameters.
@@ -416,14 +382,6 @@ mod tests {
     fn builder_rejects_zero_inputs() {
         assert!(NeatConfig::builder(0, 1).build().is_err());
         assert!(NeatConfig::builder(1, 0).build().is_err());
-    }
-
-    #[test]
-    fn builder_rejects_partial_out_of_range() {
-        let err = NeatConfig::builder(1, 1)
-            .initial_connection(InitialConnection::Partial(1.2))
-            .build();
-        assert!(err.is_err());
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! (connection gene). A *genome* is the collection of genes describing one
 //! network topology.
 
-use crate::activation::{Activation, Aggregation};
 use crate::rng::splitmix64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -138,17 +137,15 @@ impl fmt::Display for ConnKey {
     }
 }
 
-/// A neuron gene: bias, response multiplier, and transfer functions.
+/// A neuron gene: bias and response multiplier. Every node is the
+/// sigmoid of its bias plus its response times the sum of its weighted
+/// inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NodeGene {
     /// Additive bias applied before activation.
     pub bias: f64,
-    /// Multiplier applied to the aggregated input (`neat-python` response).
+    /// Multiplier applied to the summed input (`neat-python` response).
     pub response: f64,
-    /// Activation function.
-    pub activation: Activation,
-    /// Aggregation function.
-    pub aggregation: Aggregation,
 }
 
 impl Default for NodeGene {
@@ -156,25 +153,15 @@ impl Default for NodeGene {
         NodeGene {
             bias: 0.0,
             response: 1.0,
-            activation: Activation::default(),
-            aggregation: Aggregation::default(),
         }
     }
 }
 
 impl NodeGene {
     /// Attribute distance to another node gene, as used by genome
-    /// compatibility distance: `|Δbias| + |Δresponse|` plus one per
-    /// differing transfer function.
+    /// compatibility distance: `|Δbias| + |Δresponse|`.
     pub fn distance(&self, other: &NodeGene) -> f64 {
-        let mut d = (self.bias - other.bias).abs() + (self.response - other.response).abs();
-        if self.activation != other.activation {
-            d += 1.0;
-        }
-        if self.aggregation != other.aggregation {
-            d += 1.0;
-        }
-        d
+        (self.bias - other.bias).abs() + (self.response - other.response).abs()
     }
 }
 
@@ -250,16 +237,14 @@ mod tests {
     }
 
     #[test]
-    fn node_gene_distance_counts_function_changes() {
+    fn node_gene_distance_counts_attribute_changes() {
         let a = NodeGene::default();
         let mut b = a;
         assert_eq!(a.distance(&b), 0.0);
         b.bias = 1.5;
         assert!((a.distance(&b) - 1.5).abs() < 1e-12);
-        b.activation = Activation::Tanh;
-        assert!((a.distance(&b) - 2.5).abs() < 1e-12);
-        b.aggregation = Aggregation::Max;
-        assert!((a.distance(&b) - 3.5).abs() < 1e-12);
+        b.response = 0.5;
+        assert!((a.distance(&b) - 2.0).abs() < 1e-12);
     }
 
     #[test]

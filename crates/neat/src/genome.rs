@@ -45,41 +45,29 @@ fn successors(conns: &[(ConnKey, ConnGene)], node: NodeId) -> impl Iterator<Item
 }
 
 impl Genome {
-    /// Creates an initial genome: one node gene per output, wired to the
-    /// inputs according to `cfg.initial_connection`.
+    /// Creates an initial genome: one node gene per output, every input
+    /// wired to every output.
     pub fn new_initial<R: Rng + ?Sized>(cfg: &NeatConfig, id: GenomeId, rng: &mut R) -> Genome {
-        use crate::config::InitialConnection as Ic;
         let nodes = (0..cfg.num_outputs)
             .map(|o| (NodeId::output(o), Self::new_node(cfg, rng)))
             .collect();
         // Weights are drawn input by input, outputs ascending, but input ids
         // *descend*: the draw order is the key order with its per-input blocks
         // reversed, so reversing the run, then each block, sorts it.
-        let inputs = match cfg.initial_connection {
-            Ic::Unconnected => 0,
-            _ => cfg.num_inputs,
-        };
-        let mut drawn = Vec::with_capacity(inputs * cfg.num_outputs);
-        for i in 0..inputs {
+        let mut drawn = Vec::with_capacity(cfg.num_inputs * cfg.num_outputs);
+        for i in 0..cfg.num_inputs {
             for o in 0..cfg.num_outputs {
-                let wired = match cfg.initial_connection {
-                    Ic::Partial(p) => rng.gen::<f64>() < p,
-                    _ => true,
+                let gene = ConnGene {
+                    weight: cfg.weight.init(rng),
+                    enabled: true,
                 };
-                if wired {
-                    let gene = ConnGene {
-                        weight: cfg.weight.init(rng),
-                        enabled: true,
-                    };
-                    drawn.push((ConnKey::new(NodeId::input(i), NodeId::output(o)), gene));
-                }
+                drawn.push((ConnKey::new(NodeId::input(i), NodeId::output(o)), gene));
             }
         }
         drawn.reverse();
         for block in drawn.chunk_by_mut(|a, b| a.0.input == b.0.input) {
             block.reverse();
         }
-        drawn.shrink_to_fit(); // `Partial` wires fewer pairs than it reserved
         let conns = GeneTable::from_sorted(drawn).expect("each input's block reversed back");
         Genome::from_parts(id, nodes, conns)
     }
@@ -88,8 +76,6 @@ impl Genome {
         NodeGene {
             bias: cfg.bias.init(rng),
             response: cfg.response.init(rng),
-            activation: Default::default(),
-            aggregation: Default::default(),
         }
     }
 
@@ -209,8 +195,11 @@ impl Genome {
             mix(id.0 as u64);
             mix(node.bias.to_bits());
             mix(node.response.to_bits());
-            mix(node.activation as u64);
-            mix(node.aggregation as u64);
+            // The retired transfer-function tags, as the constant `Sigmoid`
+            // and `Sum` discriminants: dropping them would move every hash,
+            // and with it every episode seed.
+            mix(0);
+            mix(0);
         }
         mix(self.conns.len() as u64);
         for (key, conn) in self.conns.as_slice() {
@@ -287,7 +276,9 @@ impl Genome {
     /// are found by one two-pointer merge and each child table is written
     /// once, at exact capacity — no per-gene lookup or insert. The RNG is
     /// drawn once per attribute of each matching gene, in the fitter
-    /// parent's key order (nodes, then connections).
+    /// parent's key order (nodes, then connections), plus two discarded
+    /// draws per matching node gene where its transfer functions were once
+    /// picked, so every later draw stays where it was.
     pub fn crossover<R: Rng + ?Sized>(
         fitter: &Genome,
         other: &Genome,
@@ -302,14 +293,16 @@ impl Genome {
             }
         }
         // Genes only the less fit parent has are not inherited.
-        let nodes = fitter
-            .nodes
-            .merge_matching(&other.nodes, |g1, g2| NodeGene {
+        let nodes = fitter.nodes.merge_matching(&other.nodes, |g1, g2| {
+            let gene = NodeGene {
                 bias: pick(rng, g1.bias, g2.bias),
                 response: pick(rng, g1.response, g2.response),
-                activation: pick(rng, g1.activation, g2.activation),
-                aggregation: pick(rng, g1.aggregation, g2.aggregation),
-            });
+            };
+            // The two draws that picked the retired transfer functions:
+            // without them every later draw, and every trajectory, moves.
+            let _retired: [bool; 2] = [rng.gen(), rng.gen()];
+            gene
+        });
         let conns = fitter
             .conns
             .merge_matching(&other.conns, |g1, g2| ConnGene {
@@ -434,8 +427,8 @@ impl Genome {
         }
     }
 
-    /// Mutates every gene's float attributes and (rarely) transfer
-    /// functions and enabled flags, per the configured rates.
+    /// Mutates every gene's float attributes and (rarely) enabled flags,
+    /// per the configured rates.
     pub fn mutate_attributes<R: Rng + ?Sized>(&mut self, cfg: &NeatConfig, rng: &mut R) {
         for gene in self.conns.values_mut() {
             gene.weight = cfg.weight.mutate(gene.weight, rng);
@@ -446,14 +439,6 @@ impl Genome {
         for gene in self.nodes.values_mut() {
             gene.bias = cfg.bias.mutate(gene.bias, rng);
             gene.response = cfg.response.mutate(gene.response, rng);
-            if cfg.activation_mutate_rate > 0.0 && rng.gen::<f64>() < cfg.activation_mutate_rate {
-                gene.activation =
-                    crate::Activation::ALL[rng.gen_range(0..crate::Activation::ALL.len())];
-            }
-            if cfg.aggregation_mutate_rate > 0.0 && rng.gen::<f64>() < cfg.aggregation_mutate_rate {
-                gene.aggregation =
-                    crate::Aggregation::ALL[rng.gen_range(0..crate::Aggregation::ALL.len())];
-            }
         }
     }
 
@@ -529,7 +514,6 @@ impl Genome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::InitialConnection;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -552,73 +536,31 @@ mod tests {
     }
 
     #[test]
-    fn initial_genome_unconnected() {
-        let cfg = NeatConfig::builder(3, 2)
-            .initial_connection(InitialConnection::Unconnected)
-            .build()
-            .unwrap();
-        let g = Genome::new_initial(&cfg, GenomeId(0), &mut rng(1));
-        assert_eq!(g.conns().len(), 0);
-        assert_eq!(g.nodes().len(), 2);
-    }
-
-    #[test]
-    fn initial_genome_partial_between_bounds() {
-        let cfg = NeatConfig::builder(10, 10)
-            .initial_connection(InitialConnection::Partial(0.5))
-            .build()
-            .unwrap();
-        let g = Genome::new_initial(&cfg, GenomeId(0), &mut rng(7));
-        assert!(g.conns().len() < 100);
-        assert!(!g.conns().is_empty());
-    }
-
-    #[test]
     fn initial_connection_run_equals_the_sorted_collect() {
-        use InitialConnection as Ic;
         for (inputs, outputs) in [(7, 4), (128, 18)] {
-            for wiring in [Ic::Full, Ic::Partial(0.3), Ic::Unconnected] {
-                let cfg = NeatConfig::builder(inputs, outputs)
-                    .initial_connection(wiring)
-                    .build()
-                    .unwrap();
-                for seed in 0..8 {
-                    let mut drew = rng(seed);
-                    let g = Genome::new_initial(&cfg, GenomeId(0), &mut drew);
-                    // The build the block reversal replaced: the same draws
-                    // gathered in draw order, sorted by the collect.
-                    let mut r = rng(seed);
-                    for _ in 0..outputs {
-                        Genome::new_node(&cfg, &mut r);
-                    }
-                    let mut drawn = Vec::new();
-                    for i in 0..inputs {
-                        for o in 0..outputs {
-                            let wired = match wiring {
-                                Ic::Full => true,
-                                Ic::Partial(p) => r.gen::<f64>() < p,
-                                Ic::Unconnected => break,
-                            };
-                            if wired {
-                                let gene = ConnGene {
-                                    weight: cfg.weight.init(&mut r),
-                                    enabled: true,
-                                };
-                                drawn.push((
-                                    ConnKey::new(NodeId::input(i), NodeId::output(o)),
-                                    gene,
-                                ));
-                            }
-                        }
-                    }
-                    let sorted: GeneTable<ConnKey, ConnGene> = drawn.into_iter().collect();
-                    assert_eq!(
-                        g.conns(),
-                        &sorted,
-                        "{inputs}x{outputs} {wiring:?} seed {seed}"
-                    );
-                    assert_eq!(drew.gen::<u64>(), r.gen::<u64>(), "same draws");
+            let cfg = cfg(inputs, outputs);
+            for seed in 0..8 {
+                let mut drew = rng(seed);
+                let g = Genome::new_initial(&cfg, GenomeId(0), &mut drew);
+                // The build the block reversal replaced: the same draws
+                // gathered in draw order, sorted by the collect.
+                let mut r = rng(seed);
+                for _ in 0..outputs {
+                    Genome::new_node(&cfg, &mut r);
                 }
+                let mut drawn = Vec::new();
+                for i in 0..inputs {
+                    for o in 0..outputs {
+                        let gene = ConnGene {
+                            weight: cfg.weight.init(&mut r),
+                            enabled: true,
+                        };
+                        drawn.push((ConnKey::new(NodeId::input(i), NodeId::output(o)), gene));
+                    }
+                }
+                let sorted: GeneTable<ConnKey, ConnGene> = drawn.into_iter().collect();
+                assert_eq!(g.conns(), &sorted, "{inputs}x{outputs} seed {seed}");
+                assert_eq!(drew.gen::<u64>(), r.gen::<u64>(), "same draws");
             }
         }
     }
@@ -840,12 +782,16 @@ mod tests {
         let mut nodes = GeneTable::default();
         for (k, g1) in fitter.nodes.iter() {
             let gene = match other.nodes.get(k) {
-                Some(g2) => NodeGene {
-                    bias: flip(rng, g1.bias, g2.bias),
-                    response: flip(rng, g1.response, g2.response),
-                    activation: flip(rng, g1.activation, g2.activation),
-                    aggregation: flip(rng, g1.aggregation, g2.aggregation),
-                },
+                Some(g2) => {
+                    let gene = NodeGene {
+                        bias: flip(rng, g1.bias, g2.bias),
+                        response: flip(rng, g1.response, g2.response),
+                    };
+                    // The two discarded transfer-function draws.
+                    flip(rng, (), ());
+                    flip(rng, (), ());
+                    gene
+                }
                 None => *g1,
             };
             nodes.insert(*k, gene);
@@ -877,13 +823,7 @@ mod tests {
             n1 in 0u32..12,
             n2 in 0u32..12,
         ) {
-            // Transfer functions mutate too, so all four node attributes
-            // can differ between matching genes.
-            let cfg = NeatConfig::builder(3, 2)
-                .activation_mutate_rate(0.3)
-                .aggregation_mutate_rate(0.3)
-                .build()
-                .unwrap();
+            let cfg = cfg(3, 2);
             let mut r = rng(seed);
             let mutated = |g: &mut Genome, n: u32, r: &mut StdRng| {
                 for _ in 0..n {

@@ -92,7 +92,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::allow_attributes_without_reason)]
 
-pub mod activation;
+mod activation;
 pub mod batch;
 pub mod cache;
 pub mod checkpoint;
@@ -112,7 +112,6 @@ pub mod steady_state;
 pub mod table;
 pub mod visualize;
 
-pub use activation::{Activation, Aggregation};
 pub use batch::{BatchedNetwork, ShapeKey};
 pub use cache::{CachedEvaluation, FitnessCache};
 pub use config::{NeatConfig, NeatConfigBuilder};

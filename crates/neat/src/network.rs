@@ -16,13 +16,13 @@
 //! episodes, and networks; after the buffers have grown to a network's
 //! size once, no heap allocation happens per step.
 //!
-//! A node's `Sum` is one dependent chain of adds, so a lone node waits on
-//! the add latency once per edge. Compilation therefore cuts the plan
-//! into runs of up to four consecutive `Sum` nodes that read no slot the
-//! run writes, and activation folds a run's nodes together, four chains
-//! in flight. Each node still folds its own edges in its own order from
-//! its own start, so every output is bit-identical to evaluating one
-//! node at a time.
+//! Every node is `sigmoid(bias + response × sum)`, and its sum is one
+//! dependent chain of adds, so a lone node waits on the add latency once
+//! per edge. Compilation therefore cuts the plan into runs of up to four
+//! consecutive nodes that read no slot the run writes, and activation
+//! folds a run's nodes together, four chains in flight. Each node still
+//! folds its own edges in its own order from its own start, so every
+//! output is bit-identical to evaluating one node at a time.
 //!
 //! With at least `DENSE_INPUTS` inputs (Atari RAM, not the classic
 //! control tasks) a run may hold eight nodes, and one whose input edges
@@ -45,18 +45,18 @@
 //! genome's key-ordered gene runs, and fills each block in the pass that
 //! cuts the runs.
 
-use crate::activation::{Activation, Aggregation};
+use crate::activation::sigmoid;
 use crate::config::NeatConfig;
 use crate::error::NeatError;
 use crate::gene::{GenomeId, NodeId};
 use crate::genome::Genome;
 
-/// Most `Sum` nodes [`activate_into`](FeedForwardNetwork::activate_into)
+/// Most nodes [`activate_into`](FeedForwardNetwork::activate_into)
 /// folds together: four add chains in flight hide the add latency, and
 /// eight measured no better.
 const RUN: usize = 4;
 
-/// Fewest network inputs at which a group of `Sum` nodes may read them
+/// Fewest network inputs at which a group of nodes may read them
 /// from a [`Block`]: below this the sparse runs measured as fast.
 const DENSE_INPUTS: usize = 16;
 
@@ -68,12 +68,10 @@ const LANES: usize = 8;
 pub(crate) struct EvalNode {
     pub(crate) bias: f64,
     pub(crate) response: f64,
-    pub(crate) activation: Activation,
-    pub(crate) aggregation: Aggregation,
     /// Nodes from this one on that activation evaluates together, decided
     /// at compile time: 1..=[`RUN`] on the first node of a run (up to
     /// [`LANES`] if it carries a `block`), 0 inside one. A run longer
-    /// than 1 is `Sum` nodes that read no slot the run writes.
+    /// than 1 is nodes that read no slot the run writes.
     pub(crate) run: u8,
     /// `(value_slot, weight)` pairs for incoming enabled connections.
     pub(crate) incoming: Vec<(usize, f64)>,
@@ -102,8 +100,6 @@ pub(crate) struct Block {
 pub struct Scratch {
     /// Value slots: inputs first, then nodes in topological order.
     values: Vec<f64>,
-    /// Per-node weighted-input staging (non-`Sum` aggregations only).
-    weighted: Vec<f64>,
     /// Output values of the last activation.
     outputs: Vec<f64>,
 }
@@ -157,7 +153,7 @@ impl FeedForwardNetwork {
     /// Compiles `genome` into an evaluation plan.
     ///
     /// Nodes not on any path to an output are pruned; an output with no
-    /// incoming connections still produces `activation(bias)`.
+    /// incoming connections still produces `sigmoid(bias)`.
     ///
     /// For genomes this process evolved itself. One that arrived from
     /// outside (a wire frame, a file) goes through
@@ -315,7 +311,7 @@ impl FeedForwardNetwork {
         }
         let mut nodes: Vec<EvalNode> = Vec::with_capacity(order.len());
         let mut conn_count = 0;
-        // Runs for the grouped kernel: a `Sum` node joins the open run
+        // Runs for the grouped kernel: a node joins the open run
         // while it has room and reads only slots written before the run.
         // With enough inputs a run holds up to `LANES` nodes, and one
         // that closes without a block is cut back into runs of `RUN`.
@@ -332,8 +328,6 @@ impl FeedForwardNetwork {
             conn_count += incoming.len() as u64;
             let joins = i > start
                 && i - start < most
-                && nodes[start].aggregation == Aggregation::Sum
-                && gene.aggregation == Aggregation::Sum
                 && incoming.iter().all(|&(slot, _)| slot < num_inputs + start);
             if !joins {
                 close_run(&mut nodes[start..], num_inputs);
@@ -342,8 +336,6 @@ impl FeedForwardNetwork {
             nodes.push(EvalNode {
                 bias: gene.bias,
                 response: gene.response,
-                activation: gene.activation,
-                aggregation: gene.aggregation,
                 run: 0,
                 incoming,
                 block: None,
@@ -396,6 +388,18 @@ impl FeedForwardNetwork {
     ///
     /// Panics if `inputs.len()` differs from [`num_inputs`](Self::num_inputs).
     pub fn activate_into<'s>(&self, inputs: &[f64], scratch: &'s mut Scratch) -> &'s [f64] {
+        self.activate_with(inputs, scratch, sigmoid)
+    }
+
+    /// [`activate_into`](Self::activate_into) with `transfer` applied to
+    /// each node's `bias + response × sum`. Production instantiates only
+    /// [`sigmoid`]; the tests read exact sums through the identity.
+    fn activate_with<'s>(
+        &self,
+        inputs: &[f64],
+        scratch: &'s mut Scratch,
+        transfer: impl Fn(f64) -> f64 + Copy,
+    ) -> &'s [f64] {
         assert_eq!(
             inputs.len(),
             self.num_inputs,
@@ -403,30 +407,19 @@ impl FeedForwardNetwork {
             self.num_inputs,
             inputs.len()
         );
-        let Scratch {
-            values,
-            weighted,
-            outputs,
-        } = scratch;
+        let Scratch { values, outputs } = scratch;
         // No fill: every node slot is written before any node reads it.
         values.resize(self.num_inputs + self.nodes.len(), 0.0);
         values[..self.num_inputs].copy_from_slice(inputs);
         let mut i = 0;
         while i < self.nodes.len() {
             let node = &self.nodes[i];
-            match (&node.block, node.run, node.aggregation) {
-                (Some(block), ..) => self.dense_run(i, block, values),
-                (_, 4, _) => self.sum_run::<4>(i, values),
-                (_, 3, _) => self.sum_run::<3>(i, values),
-                (_, 2, _) => self.sum_run::<2>(i, values),
-                (_, _, Aggregation::Sum) => self.sum_run::<1>(i, values),
-                (_, _, agg) => {
-                    weighted.clear();
-                    weighted.extend(node.incoming.iter().map(|&(slot, w)| values[slot] * w));
-                    let agg = agg.apply(weighted);
-                    values[self.num_inputs + i] =
-                        node.activation.apply(node.bias + node.response * agg);
-                }
+            match (&node.block, node.run) {
+                (Some(block), _) => self.dense_run(i, block, values, transfer),
+                (_, 4) => self.sum_run::<4>(i, values, transfer),
+                (_, 3) => self.sum_run::<3>(i, values, transfer),
+                (_, 2) => self.sum_run::<2>(i, values, transfer),
+                _ => self.sum_run::<1>(i, values, transfer),
             }
             i += usize::from(node.run);
         }
@@ -435,15 +428,20 @@ impl FeedForwardNetwork {
         outputs
     }
 
-    /// Evaluates the run of `W` `Sum` nodes starting at plan index `at`,
-    /// their add chains interleaved over the edges they all have. THE
-    /// canonical per-edge order: each node still folds its own edges left
-    /// to right from −0.0, where `Iterator::<f64>::sum` starts (so a node
-    /// with no edge keeps the sign of its bias) — `Aggregation::apply` and
-    /// the SoA kernel keep this edge order (the latter from +0.0, see
-    /// [`crate::batch`]), `sum_runs_left_to_right_…` pins it.
+    /// Evaluates the run of `W` nodes starting at plan index `at`, their
+    /// add chains interleaved over the edges they all have. THE canonical
+    /// per-edge order: each node still folds its own edges left to right
+    /// from −0.0, where `Iterator::<f64>::sum` starts (so a node with no
+    /// edge keeps the sign of its bias) — the SoA kernel keeps this edge
+    /// order (from +0.0, see [`crate::batch`]), `sum_runs_left_to_right_…`
+    /// pins it.
     #[inline(always)]
-    fn sum_run<const W: usize>(&self, at: usize, values: &mut [f64]) {
+    fn sum_run<const W: usize>(
+        &self,
+        at: usize,
+        values: &mut [f64],
+        transfer: impl Fn(f64) -> f64,
+    ) {
         let nodes = &self.nodes[at..at + W];
         let common = nodes.iter().map(|n| n.incoming.len()).min().unwrap_or(0);
         let heads: [&[(usize, f64)]; W] = std::array::from_fn(|j| &nodes[j].incoming[..common]);
@@ -458,14 +456,19 @@ impl FeedForwardNetwork {
             for &(slot, w) in &node.incoming[common..] {
                 acc[j] += values[slot] * w;
             }
-            values[self.num_inputs + at + j] =
-                node.activation.apply(node.bias + node.response * acc[j]);
+            values[self.num_inputs + at + j] = transfer(node.bias + node.response * acc[j]);
         }
     }
 
     /// Evaluates the run starting at plan index `at` from its [`Block`],
     /// folding a lane that is `±0.0` or NaN again (module docs).
-    fn dense_run(&self, at: usize, block: &Block, values: &mut [f64]) {
+    fn dense_run(
+        &self,
+        at: usize,
+        block: &Block,
+        values: &mut [f64],
+        transfer: impl Fn(f64) -> f64,
+    ) {
         let n = self.num_inputs;
         let nodes = &self.nodes[at..at + usize::from(self.nodes[at].run)];
         let mut acc = [-0.0f64; LANES];
@@ -481,7 +484,7 @@ impl FeedForwardNetwork {
                 sum = head.iter().fold(-0.0, |a, &(slot, w)| a + values[slot] * w);
             }
             let sum = tail.iter().fold(sum, |a, &(slot, w)| a + values[slot] * w);
-            values[n + at + j] = node.activation.apply(node.bias + node.response * sum);
+            values[n + at + j] = transfer(node.bias + node.response * sum);
         }
     }
 
@@ -489,10 +492,10 @@ impl FeedForwardNetwork {
     /// over caller-owned buffers.
     ///
     /// Among exact ties the *last* maximal output wins (exact ties are
-    /// realistic — e.g. `Relu` outputs are exactly `0.0` for all negative
-    /// pre-activations). A NaN output (an `inf - inf` behind `Identity`)
-    /// never wins against a number; only if every output is NaN does the
-    /// last index come back.
+    /// realistic — the sigmoid saturates to exactly `1.0` from a sum of
+    /// about 7.5 up, and to the same tiny value at its clamp below). A NaN
+    /// output (an `inf - inf` sum) never wins against a number; only if
+    /// every output is NaN does the last index come back.
     ///
     /// # Panics
     ///
@@ -552,6 +555,18 @@ mod tests {
         net.activate_into(inputs, &mut Scratch::new()).to_vec()
     }
 
+    /// The transfer the kernel tests instantiate: each output is its
+    /// node's exact `bias + response × sum`.
+    fn identity(x: f64) -> f64 {
+        x
+    }
+
+    /// [`outputs`] through the identity transfer.
+    fn sums(net: &FeedForwardNetwork, inputs: &[f64]) -> Vec<f64> {
+        net.activate_with(inputs, &mut Scratch::new(), identity)
+            .to_vec()
+    }
+
     fn argmax(net: &FeedForwardNetwork, inputs: &[f64]) -> usize {
         net.act_argmax_with(inputs, &mut Scratch::new())
     }
@@ -576,16 +591,23 @@ mod tests {
 
     #[test]
     fn unconnected_output_is_activation_of_bias() {
-        let cfg = crate::NeatConfig::builder(1, 1)
-            .initial_connection(crate::config::InitialConnection::Unconnected)
-            .build()
-            .unwrap();
-        let g = genome(&cfg, 2);
-        let bias = g.nodes()[&NodeId::output(0)].bias;
-        let net = FeedForwardNetwork::compile(&g, &cfg);
+        use crate::gene::NodeGene;
+        let bias = -0.75;
+        let g = Genome::from_parts(
+            GenomeId(0),
+            [(
+                NodeId::output(0),
+                NodeGene {
+                    bias,
+                    response: 1.0,
+                },
+            )]
+            .into(),
+            Default::default(),
+        );
+        let net = FeedForwardNetwork::compile(&g, &cfg(1, 1));
         let out = outputs(&net, &[123.0]);
-        let expected = Activation::Sigmoid.apply(bias);
-        assert!((out[0] - expected).abs() < 1e-12);
+        assert!((out[0] - sigmoid(bias)).abs() < 1e-12);
     }
 
     #[test]
@@ -727,12 +749,9 @@ mod tests {
             "genome": {
                 "id": 0,
                 "nodes": [
-                    [0, {"bias": 0.25, "response": 1.0,
-                         "activation": "Sigmoid", "aggregation": "Sum"}],
-                    [1, {"bias": 0.25, "response": 1.0,
-                         "activation": "Sigmoid", "aggregation": "Sum"}],
-                    [2, {"bias": 0.75, "response": 1.0,
-                         "activation": "Sigmoid", "aggregation": "Sum"}]
+                    [0, {"bias": 0.25, "response": 1.0}],
+                    [1, {"bias": 0.25, "response": 1.0}],
+                    [2, {"bias": 0.75, "response": 1.0}]
                 ],
                 "conns": [],
                 "fitness": null
@@ -752,10 +771,8 @@ mod tests {
             "genome": {
                 "id": 0,
                 "nodes": [
-                    [0, {"bias": 0.5, "response": 1.0,
-                         "activation": "Sigmoid", "aggregation": "Sum"}],
-                    [1, {"bias": 0.5, "response": 1.0,
-                         "activation": "Sigmoid", "aggregation": "Sum"}]
+                    [0, {"bias": 0.5, "response": 1.0}],
+                    [1, {"bias": 0.5, "response": 1.0}]
                 ],
                 "conns": [],
                 "fitness": null
@@ -770,12 +787,9 @@ mod tests {
     #[test]
     fn nan_outputs_never_win_the_argmax() {
         use crate::gene::{ConnGene, ConnKey, NodeGene};
-        // `inf - inf` behind `Identity`: compilable, and NaN on the wire.
+        // An `inf - inf` sum: compilable, NaN through the sigmoid, and NaN
+        // on the wire.
         let nan_outputs = |outputs: &[i64]| {
-            let identity = NodeGene {
-                activation: Activation::Identity,
-                ..NodeGene::default()
-            };
             let conns = outputs.iter().flat_map(|&o| {
                 [(-1, f64::INFINITY), (-2, f64::NEG_INFINITY)].map(|(i, weight)| {
                     let gene = ConnGene {
@@ -787,7 +801,7 @@ mod tests {
             });
             Genome::from_parts(
                 GenomeId(1),
-                (0..3).map(|o| (NodeId(o), identity)).collect(),
+                (0..3).map(|o| (NodeId(o), NodeGene::default())).collect(),
                 conns.collect(),
             )
         };
@@ -798,8 +812,8 @@ mod tests {
             assert!(nan.iter().all(|&o| out[o as usize].is_nan()), "{out:?}");
             argmax(&net, &[1.0, 1.0])
         };
-        // The numbers tie at 0.0, so the last of *them* wins, wherever
-        // the NaN sits.
+        // The numbers tie at sigmoid(0.0), so the last of *them* wins,
+        // wherever the NaN sits.
         assert_eq!(pick(&[0]), 2);
         assert_eq!(pick(&[1]), 2);
         assert_eq!(pick(&[2]), 1);
@@ -814,10 +828,6 @@ mod tests {
         // meet first rounds differently (to 6, 5 or 4), so only the
         // documented order — edges by source id, input 2 (id -3) first,
         // folded left to right — gives 6.
-        let identity = NodeGene {
-            activation: Activation::Identity,
-            ..NodeGene::default()
-        };
         let conns = [(-3, 1e16), (-2, 3.0), (-1, -1e16 + 2.0)].map(|(i, weight)| {
             let gene = ConnGene {
                 weight,
@@ -827,42 +837,41 @@ mod tests {
         });
         let g = Genome::from_parts(
             GenomeId(1),
-            [(NodeId(0), identity)].into_iter().collect(),
+            [(NodeId(0), NodeGene::default())].into_iter().collect(),
             conns.into_iter().collect(),
         );
         let net = FeedForwardNetwork::try_compile(&g, &cfg(3, 1)).unwrap();
-        assert_eq!(outputs(&net, &[1.0; 3])[0].to_bits(), 6.0f64.to_bits());
+        assert_eq!(sums(&net, &[1.0; 3])[0].to_bits(), 6.0f64.to_bits());
     }
 
-    /// The fold the grouped kernel must match bit for bit: one node at a
-    /// time, each `Sum` the plain left fold of `Iterator::<f64>::sum`.
+    /// The fold the grouped kernel must match bit for bit, through the
+    /// identity transfer: one node at a time, each sum the plain left fold
+    /// of `Iterator::<f64>::sum`.
     fn reference(net: &FeedForwardNetwork, inputs: &[f64]) -> Vec<f64> {
         let mut values = inputs.to_vec();
         for node in &net.nodes {
-            let weighted = node.incoming.iter().map(|&(slot, w)| values[slot] * w);
-            let agg = match node.aggregation {
-                Aggregation::Sum => weighted.sum(),
-                agg => agg.apply(&weighted.collect::<Vec<_>>()),
-            };
-            values.push(node.activation.apply(node.bias + node.response * agg));
+            let sum: f64 = node
+                .incoming
+                .iter()
+                .map(|&(slot, w)| values[slot] * w)
+                .sum();
+            values.push(node.bias + node.response * sum);
         }
         net.output_slots.iter().map(|&s| values[s]).collect()
     }
 
-    /// A network of `Identity` nodes `(id, bias, aggregation)` and enabled
-    /// connections `(input, output, weight)`, compiled for `outputs`.
+    /// A network of nodes `(id, bias)` and enabled connections `(input,
+    /// output, weight)`, compiled for `outputs`.
     fn identity_net(
         inputs: usize,
         outputs: usize,
-        nodes: &[(i64, f64, Aggregation)],
+        nodes: &[(i64, f64)],
         conns: &[(i64, i64, f64)],
     ) -> FeedForwardNetwork {
         use crate::gene::{ConnGene, ConnKey, NodeGene};
-        let nodes = nodes.iter().map(|&(id, bias, aggregation)| {
+        let nodes = nodes.iter().map(|&(id, bias)| {
             let gene = NodeGene {
                 bias,
-                activation: Activation::Identity,
-                aggregation,
                 ..NodeGene::default()
             };
             (NodeId(id), gene)
@@ -878,15 +887,16 @@ mod tests {
         FeedForwardNetwork::try_compile(&g, &cfg(inputs, outputs)).unwrap()
     }
 
-    /// Runs `net` on each input row through one reused scratch and asserts
-    /// the reference's exact bits every time.
+    /// Runs `net` on each input row through one reused scratch and the
+    /// identity transfer, and asserts the reference's exact bits every
+    /// time.
     fn assert_reference_bits(net: &FeedForwardNetwork, rows: &[&[f64]]) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut scratch = Scratch::new();
         for (r, inputs) in rows.iter().enumerate() {
             let want = bits(&reference(net, inputs));
             assert_eq!(
-                bits(net.activate_into(inputs, &mut scratch)),
+                bits(net.activate_with(inputs, &mut scratch, identity)),
                 want,
                 "row {r}"
             );
@@ -904,9 +914,7 @@ mod tests {
         // so a term that lands in the wrong accumulator or a tail folded
         // out of order changes the bits.
         let terms = [1e16, 3.0, -1e16 + 2.0, 0.5, -7.25];
-        let nodes: Vec<_> = (0..6)
-            .map(|o| (o, 0.125 * o as f64, Aggregation::Sum))
-            .collect();
+        let nodes: Vec<_> = (0..6).map(|o| (o, 0.125 * o as f64)).collect();
         let conns: Vec<_> = (0..6i64)
             .flat_map(|o| {
                 let len = 1 + (o as usize * 3) % 5;
@@ -926,35 +934,14 @@ mod tests {
     }
 
     #[test]
-    fn a_non_sum_node_splits_a_run() {
-        let nodes: Vec<_> = (0..5)
-            .map(|o| {
-                let agg = if o == 2 {
-                    Aggregation::Max
-                } else {
-                    Aggregation::Sum
-                };
-                (o, -0.5 + o as f64, agg)
-            })
-            .collect();
-        let conns: Vec<_> = (0..5i64)
-            .flat_map(|o| (1..=3).map(move |i| (-i, o, 0.75 * i as f64 - 0.3 * o as f64)))
-            .collect();
-        let net = identity_net(3, 5, &nodes, &conns);
-        assert_eq!(runs(&net), [2, 0, 1, 2, 0]);
-        assert_reference_bits(&net, &[&[0.2, -1.5, 3.0], &[1.0, 1.0, -1.0]]);
-    }
-
-    #[test]
     fn a_node_reading_its_predecessor_starts_a_new_run() {
         // Plan order 0, 5, 1: output 1 reads hidden node 5 over the edges
         // all three share, so inside one run it would read 5's slot before
         // 5 is written.
-        let sum = Aggregation::Sum;
         let net = identity_net(
             2,
             2,
-            &[(0, 0.1, sum), (1, 0.2, sum), (5, -0.3, sum)],
+            &[(0, 0.1), (1, 0.2), (5, -0.3)],
             &[
                 (-1, 0, 1.5),
                 (-2, 0, -0.5),
@@ -972,17 +959,16 @@ mod tests {
     fn a_node_with_no_edge_keeps_the_sign_of_a_negative_zero_bias() {
         // −0.0 + 1.0 × (the empty fold) is −0.0 only if the fold starts at
         // −0.0; from 0.0 it would be +0.0. Alone and inside a run.
-        let sum = Aggregation::Sum;
-        let alone = identity_net(1, 1, &[(0, -0.0, sum)], &[]);
+        let alone = identity_net(1, 1, &[(0, -0.0)], &[]);
         let grouped = identity_net(
             1,
             3,
-            &[(0, 1.0, sum), (1, -0.0, sum), (2, 0.0, sum)],
+            &[(0, 1.0), (1, -0.0), (2, 0.0)],
             &[(-1, 0, 2.0), (-1, 2, -1.0)],
         );
         assert_eq!(runs(&grouped), [3, 0, 0]);
         for (net, output) in [(&alone, 0), (&grouped, 1)] {
-            let out = outputs(net, &[1.0]);
+            let out = sums(net, &[1.0]);
             assert_eq!(out[output].to_bits(), (-0.0f64).to_bits(), "{out:?}");
             assert_reference_bits(net, &[&[1.0], &[-3.0]]);
         }
@@ -995,17 +981,15 @@ mod tests {
     /// order or into another lane changes the bits.
     const TERMS: [f64; 7] = [1e16, 3.0, -1e16 + 2.0, 0.5, -7.25, 1e-3, -2.5e8];
 
-    /// `Identity` outputs `0..width` over `N` inputs: output `j` reads input
-    /// `k` with weight `TERMS[(j + k) % 7]` unless `lacks(j, k)`, and has
-    /// bias −0.0 if `j % 3 == 0`. `hidden` adds `Sum` nodes, `conns` any
-    /// other edge.
+    /// Outputs `0..width` over `N` inputs: output `j` reads input `k` with
+    /// weight `TERMS[(j + k) % 7]` unless `lacks(j, k)`, and has bias −0.0
+    /// if `j % 3 == 0`. `hidden` adds nodes, `conns` any other edge.
     fn block_net(
         width: usize,
         lacks: impl Fn(usize, usize) -> bool,
         hidden: &[i64],
         conns: &[(i64, i64, f64)],
     ) -> FeedForwardNetwork {
-        let sum = Aggregation::Sum;
         let bias = |j: usize| {
             if j.is_multiple_of(3) {
                 -0.0
@@ -1014,8 +998,8 @@ mod tests {
             }
         };
         let nodes: Vec<_> = (0..width)
-            .map(|j| (j as i64, bias(j), sum))
-            .chain(hidden.iter().map(|&h| (h, -0.5, sum)))
+            .map(|j| (j as i64, bias(j)))
+            .chain(hidden.iter().map(|&h| (h, -0.5)))
             .collect();
         let lacks = &lacks;
         let edges: Vec<_> = (0..width)
@@ -1072,7 +1056,7 @@ mod tests {
         // output 3's lane; its own (empty) fold is −0.0.
         let net = block_net(6, |j, _| j == 3, &[], &[]);
         assert!(net.nodes[0].block.is_some());
-        assert_eq!(outputs(&net, &[1.0; N])[3].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(sums(&net, &[1.0; N])[3].to_bits(), (-0.0f64).to_bits());
         assert_block_bits(&net, &[]);
     }
 
@@ -1082,7 +1066,7 @@ mod tests {
         // 1 only: its sum is +0.0 whatever the padding folded in.
         let net = block_net(5, |j, _| j == 3, &[], &[(-1, 3, 1e16), (-2, 3, -1e16)]);
         assert!(net.nodes[0].block.is_some());
-        let ones = outputs(&net, &[1.0; N]);
+        let ones = sums(&net, &[1.0; N]);
         assert_eq!(ones[3].to_bits(), 0.0f64.to_bits());
         let mut row = vec![-3.0; N];
         row[5] = 0.0;
@@ -1097,7 +1081,7 @@ mod tests {
         assert!(net.nodes[0].block.is_some());
         let mut row = vec![0.5; N];
         row[..3].copy_from_slice(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
-        let out = outputs(&net, &row);
+        let out = sums(&net, &row);
         assert!(
             out[0].is_nan() && out[1].is_nan() && out[3].is_nan(),
             "{out:?}"
@@ -1112,7 +1096,7 @@ mod tests {
                 lone(5, -f64::INFINITY),
             ],
         );
-        assert!(outputs(&net, &lone(0, f64::INFINITY))[0].is_finite());
+        assert!(sums(&net, &lone(0, f64::INFINITY))[0].is_finite());
     }
 
     #[test]
@@ -1126,7 +1110,7 @@ mod tests {
             .collect();
         let net = block_net(5, |j, _| j == 0 || j == 3, &[], &zeros);
         assert!(net.nodes[0].block.is_some());
-        assert_eq!(outputs(&net, &[1.0; N])[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(sums(&net, &[1.0; N])[0].to_bits(), (-0.0f64).to_bits());
         assert_block_bits(&net, &[vec![-2.0; N]]);
     }
 
@@ -1175,22 +1159,143 @@ mod tests {
         let mut scratch = Scratch::new();
         let inputs = [0.5; 8];
         net.activate_into(&inputs, &mut scratch);
-        let caps = (
-            scratch.values.capacity(),
-            scratch.weighted.capacity(),
-            scratch.outputs.capacity(),
-        );
+        let caps = (scratch.values.capacity(), scratch.outputs.capacity());
         for _ in 0..100 {
             net.activate_into(&inputs, &mut scratch);
         }
         assert_eq!(
             caps,
-            (
-                scratch.values.capacity(),
-                scratch.weighted.capacity(),
-                scratch.outputs.capacity(),
-            ),
+            (scratch.values.capacity(), scratch.outputs.capacity()),
             "steady-state activation must not reallocate"
         );
+    }
+
+    /// What `activate_with(identity)` must return, bit for bit, computed
+    /// from the genome alone: each node evaluated once, on demand, over
+    /// its enabled in-edges in connection-key order, its sum the plain left
+    /// fold of `Iterator::<f64>::sum`.
+    fn genome_reference(g: &Genome, cfg: &NeatConfig, inputs: &[f64]) -> Vec<f64> {
+        use std::collections::BTreeMap;
+        fn value(g: &Genome, id: NodeId, inputs: &[f64], memo: &mut BTreeMap<NodeId, f64>) -> f64 {
+            if id.is_input() {
+                return inputs[(-id.0 - 1) as usize];
+            }
+            if let Some(&v) = memo.get(&id) {
+                return v;
+            }
+            let node = g.nodes()[&id];
+            let sum: f64 = g
+                .conns()
+                .iter()
+                .filter(|(k, c)| k.output == id && c.enabled)
+                .map(|(k, c)| value(g, k.input, inputs, memo) * c.weight)
+                .sum();
+            let v = node.bias + node.response * sum;
+            memo.insert(id, v);
+            v
+        }
+        let mut memo = BTreeMap::new();
+        (0..cfg.num_outputs)
+            .map(|o| value(g, NodeId::output(o), inputs, &mut memo))
+            .collect()
+    }
+
+    /// A genome whose plan puts one to three *dependent* outputs right
+    /// after the hidden node they read, each with fewer in-edges than any
+    /// node before it: every other output and the hidden node read 3..
+    /// inputs, a dependent reads the hidden node plus at most one input.
+    /// Only the dependency may cut the would-be run, and a dependent folded
+    /// inside it would read the hidden node's slot before it is written.
+    fn dependent_tail_genome(cfg: &NeatConfig, rng: &mut StdRng) -> Genome {
+        use crate::gene::{ConnGene, ConnKey, NodeGene};
+        use rand::Rng;
+        let (inputs, outputs) = (cfg.num_inputs as i64, cfg.num_outputs as i64);
+        let hidden = outputs;
+        let first_dependent = outputs - rng.gen_range(1..outputs.min(3) + 1);
+        let mut nodes = Vec::new();
+        let mut conns = Vec::new();
+        for id in 0..=hidden {
+            let gene = NodeGene {
+                bias: rng.gen_range(-1.0..1.0),
+                ..NodeGene::default()
+            };
+            nodes.push((NodeId(id), gene));
+            let sources: Vec<i64> = if (first_dependent..outputs).contains(&id) {
+                let mut s: Vec<i64> = (0..rng.gen_range(0..2)).map(|i| -1 - i).collect();
+                s.push(hidden);
+                s
+            } else {
+                (0..rng.gen_range(3..inputs + 1)).map(|i| -1 - i).collect()
+            };
+            for src in sources {
+                let gene = ConnGene {
+                    weight: rng.gen_range(-2.0..2.0),
+                    enabled: true,
+                };
+                conns.push((ConnKey::new(NodeId(src), NodeId(id)), gene));
+            }
+        }
+        Genome::from_parts(
+            GenomeId(0),
+            nodes.into_iter().collect(),
+            conns.into_iter().collect(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The grouped, dense-block kernel against the genome alone.
+        fn grouped_activation_matches_the_one_node_at_a_time_fold(
+            atari in proptest::any::<bool>(),
+            dependent_tail in proptest::any::<bool>(),
+            near_full in proptest::any::<bool>(),
+            extreme in proptest::any::<bool>(),
+            seed in proptest::any::<u64>(),
+            mutations in 0usize..80,
+        ) {
+            use rand::Rng;
+            let (inputs, outputs) = if atari { (128, 18) } else { (8, 4) };
+            // Raised rates: hidden nodes and deleted edges inside would-be
+            // runs.
+            let cfg = NeatConfig::builder(inputs, outputs)
+                .node_add_prob(0.5)
+                .conn_delete_prob(0.5)
+                .build()
+                .expect("valid config");
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
+            // Near full: a fresh genome, every input wired to every output,
+            // after a few mutations (the shape the Atari workloads run, and
+            // the one that reads its inputs from dense blocks).
+            let mutations = if near_full { mutations % 6 } else { mutations };
+            let g = if dependent_tail {
+                dependent_tail_genome(&cfg, &mut rng)
+            } else {
+                let mut g = Genome::new_initial(&cfg, GenomeId(0), &mut StdRng::seed_from_u64(seed));
+                for _ in 0..mutations {
+                    g.mutate(&cfg, &mut rng);
+                }
+                g
+            };
+            let net = FeedForwardNetwork::compile(&g, &cfg);
+            let mut scratch = Scratch::new();
+            // Extreme rows mix in signed zeros, tiny, huge and infinite
+            // magnitudes: products that vanish or overflow, sums that reach
+            // ±inf or NaN.
+            const EXTREMES: [f64; 9] = [
+                0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, f64::MAX, f64::INFINITY, f64::NEG_INFINITY,
+            ];
+            for _ in 0..3 {
+                let x: Vec<f64> = (0..inputs)
+                    .map(|_| match rng.gen_range(0..EXTREMES.len() + 3) {
+                        i if extreme && i < EXTREMES.len() => EXTREMES[i],
+                        _ => rng.gen_range(-2.0..2.0),
+                    })
+                    .collect();
+                let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let got = bits(net.activate_with(&x, &mut scratch, identity));
+                proptest::prop_assert_eq!(got, bits(&genome_reference(&g, &cfg, &x)));
+            }
+        }
     }
 }

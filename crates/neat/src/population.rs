@@ -3,7 +3,7 @@
 //! phases (speciate / plan / reproduce / install) so the CLAN
 //! orchestrators can distribute each compute block independently.
 
-use crate::config::{InitialConnection, NeatConfig};
+use crate::config::NeatConfig;
 use crate::counters::{CostCounters, GenerationCosts};
 use crate::error::NeatError;
 use crate::fanout;
@@ -399,8 +399,7 @@ impl Population {
     /// Each is pure in its id, so seeding fans out like breeding ([`fanout`],
     /// sized by the genes drawn): the same genomes at any core count.
     fn seed(&mut self) {
-        let wired = !matches!(self.cfg.initial_connection, InitialConnection::Unconnected);
-        let per_genome = self.cfg.num_outputs * (1 + usize::from(wired) * self.cfg.num_inputs);
+        let per_genome = self.cfg.num_outputs * (1 + self.cfg.num_inputs);
         let genes = (self.cfg.population_size * per_genome) as u64;
         self.seed_over(fanout::workers(genes));
     }
@@ -734,7 +733,6 @@ mod tests {
 
     #[test]
     fn seeding_is_identical_at_any_worker_count() {
-        use crate::config::InitialConnection as Ic;
         // The reference: one genome at a time, as seeding always ran.
         let serial = |cfg: &NeatConfig, generation: u64, first_id: u64| {
             let mut genomes = BTreeMap::new();
@@ -744,37 +742,34 @@ mod tests {
             }
             genomes
         };
-        for wiring in [Ic::Full, Ic::Partial(0.5), Ic::Unconnected] {
-            // 31 genomes: no worker count below divides them evenly;
-            // constant fitness and no stagnation allowance force extinction.
-            let cfg = NeatConfig::builder(5, 3)
-                .population_size(31)
-                .initial_connection(wiring)
-                .max_stagnation(0)
-                .species_elitism(0)
-                .reset_on_extinction(true)
-                .build()
-                .unwrap();
-            let fresh = Population::new(cfg.clone(), 15);
-            assert_eq!(fresh.genomes(), &serial(&cfg, 0, 0), "{wiring:?}");
-            let mut pop = fresh.clone();
-            let (generation, first_id) = loop {
-                let before = (pop.generation() + 1, pop.next_genome_id);
-                pop.evaluate(|_, _| 1.0);
-                if pop.advance_generation().extinction {
-                    break before;
-                }
-            };
-            let reseeded = serial(&cfg, generation, first_id);
-            assert_eq!(pop.genomes(), &reseeded, "{wiring:?} re-seeded");
-            for workers in [1, 2, 3, 8] {
-                for (seeded, expected) in [(&fresh, serial(&cfg, 0, 0)), (&pop, reseeded.clone())] {
-                    let mut again = seeded.clone();
-                    again.next_genome_id -= cfg.population_size as u64;
-                    again.seed_over(workers);
-                    assert_eq!(again.genomes, expected, "{wiring:?} at {workers} worker(s)");
-                    assert_eq!(again.next_genome_id, seeded.next_genome_id);
-                }
+        // 31 genomes: no worker count below divides them evenly;
+        // constant fitness and no stagnation allowance force extinction.
+        let cfg = NeatConfig::builder(5, 3)
+            .population_size(31)
+            .max_stagnation(0)
+            .species_elitism(0)
+            .reset_on_extinction(true)
+            .build()
+            .unwrap();
+        let fresh = Population::new(cfg.clone(), 15);
+        assert_eq!(fresh.genomes(), &serial(&cfg, 0, 0));
+        let mut pop = fresh.clone();
+        let (generation, first_id) = loop {
+            let before = (pop.generation() + 1, pop.next_genome_id);
+            pop.evaluate(|_, _| 1.0);
+            if pop.advance_generation().extinction {
+                break before;
+            }
+        };
+        let reseeded = serial(&cfg, generation, first_id);
+        assert_eq!(pop.genomes(), &reseeded, "re-seeded");
+        for workers in [1, 2, 3, 8] {
+            for (seeded, expected) in [(&fresh, serial(&cfg, 0, 0)), (&pop, reseeded.clone())] {
+                let mut again = seeded.clone();
+                again.next_genome_id -= cfg.population_size as u64;
+                again.seed_over(workers);
+                assert_eq!(again.genomes, expected, "at {workers} worker(s)");
+                assert_eq!(again.next_genome_id, seeded.next_genome_id);
             }
         }
     }

@@ -156,9 +156,9 @@ platforms.
 DEFAULTS: workload=cartpole topology=serial (coordinate: dcs) agents=1
           generations=5 population=150 seed=0 platform=pi
 
-A run without agents evaluates on the cores its population's genes
-repay (an Atari population: every core); that never changes the result.
-DDA evolves one clan per agent.
+A run without agents evaluates on every core its genes repay, with the
+same result. DDA evolves one clan per agent: analytic comm books genomes
+at generation 0 and resyncs only, yet a live run ships every clan per round.
 
 --trace FILE records a JSONL trace whose logical stream is identical per
 seed across serial, TCP, lossy UDP and churned runs; analyze it with

@@ -18,8 +18,8 @@ use clan::envs::Workload;
 use clan::neat::population::Evaluation;
 use clan::neat::reproduction::{ChildKind, ChildSpec};
 use clan::neat::{
-    Activation, ConnGene, ConnKey, Genome, GenomeId, NeatConfig, NodeGene, NodeId, Population,
-    SpeciesId,
+    ConnGene, ConnKey, FeedForwardNetwork, Genome, GenomeId, NeatConfig, NodeGene, NodeId,
+    Population, Scratch, SpeciesId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -92,9 +92,7 @@ fn exact(g: &Genome) -> Vec<u64> {
     let mut fields = vec![g.id().0, g.fitness().map_or(u64::MAX, f64::to_bits)];
     fields.push(g.nodes().len() as u64);
     for (id, n) in g.nodes().iter() {
-        let (bias, response) = (n.bias.to_bits(), n.response.to_bits());
-        let functions = [n.activation as u64, n.aggregation as u64];
-        fields.extend([id.0 as u64, bias, response, functions[0], functions[1]]);
+        fields.extend([id.0 as u64, n.bias.to_bits(), n.response.to_bits()]);
     }
     for (k, c) in g.conns().iter() {
         let weight = c.weight.to_bits();
@@ -438,7 +436,8 @@ fn deeply_nested_configure_payload_is_a_typed_error_not_a_dead_agent() {
     // recurses once per level, so unbounded it overflows the stack and
     // takes the whole agent process down from one frame.
     let payload = vec![b'['; 1_000_000];
-    let mut frame = b"CLAN\x02\x01".to_vec();
+    let mut frame = b"CLAN".to_vec();
+    frame.extend_from_slice(&[clan::core::transport::codec::VERSION, 1]); // Configure
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&payload);
 
@@ -551,15 +550,12 @@ fn well_formed_frames_with_unusable_genomes_end_the_session_not_the_agent() {
 
 #[test]
 fn nan_outputs_get_a_fitness_reply_not_a_dead_link() {
-    // `inf·x − inf·x` behind `Identity`: the genome compiles (unlike the
-    // ones above), and output 0 is NaN on every step. The argmax used to
-    // `expect("finite outputs")`, so one such genome — reachable by
+    // Hidden nodes 5 and 6 read input 0 alike, so output 0 sums
+    // `inf·s − inf·s` for a sigmoid `s > 0`: the genome compiles (unlike
+    // the ones above), and output 0 is NaN on every step. The argmax used
+    // to `expect("finite outputs")`, so one such genome — reachable by
     // weight mutation alone — killed the agent thread and the link.
     let nan_genome = |id: u64, gain: f64| {
-        let identity = NodeGene {
-            activation: Activation::Identity,
-            ..NodeGene::default()
-        };
         let conn = |i, o, weight| {
             let gene = ConnGene {
                 weight,
@@ -569,16 +565,25 @@ fn nan_outputs_get_a_fitness_reply_not_a_dead_link() {
         };
         Genome::from_parts(
             GenomeId(id),
-            [0, 1, 5].map(|n| (NodeId(n), identity)).into(),
+            [0, 1, 5, 6]
+                .map(|n| (NodeId(n), NodeGene::default()))
+                .into(),
             [
-                conn(-1, 0, f64::INFINITY),
                 conn(-1, 5, gain),
-                conn(5, 0, f64::NEG_INFINITY),
+                conn(-1, 6, gain),
+                conn(5, 0, f64::INFINITY),
+                conn(6, 0, f64::NEG_INFINITY),
             ]
             .into(),
         )
     };
     let cfg = neat_cfg(4);
+    let net = FeedForwardNetwork::compile(&nan_genome(1, 1.0), &cfg);
+    let mut scratch = Scratch::new();
+    for x in [-0.05, 0.0, 0.05] {
+        let out = net.activate_into(&[x; 4], &mut scratch);
+        assert!(out[0].is_nan() && !out[1].is_nan(), "{out:?}");
+    }
     let mut cluster = EdgeCluster::spawn_local_spec(
         1,
         ClusterSpec::new(Workload::CartPole, InferenceMode::MultiStep, cfg.clone()),

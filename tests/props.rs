@@ -1,7 +1,6 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants of the CLAN stack.
 
-use clan::distsim::{partition_even, partition_weighted};
 use clan::envs::Workload;
 use clan::hw::Platform;
 use clan::neat::genome::Genome;
@@ -338,62 +337,6 @@ proptest! {
             "evolution ops are modeled faster per gene than inference");
     }
 
-    // ---------------- weighted-partition invariants ----------------
-
-    #[test]
-    fn partition_weighted_conserves_items_and_never_starves(
-        items in 0usize..600,
-        weights in proptest::collection::vec(0.0f64..16.0, 1..12),
-    ) {
-        let counts = partition_weighted(items, &weights);
-        prop_assert_eq!(counts.len(), weights.len());
-        prop_assert_eq!(counts.iter().sum::<usize>(), items, "counts must sum to items");
-        // Whenever there is enough work to go around, every
-        // positive-weight agent gets at least one item.
-        let positive = weights.iter().filter(|w| **w > 0.0).count();
-        if positive > 0 && items >= positive {
-            for (i, (&c, &w)) in counts.iter().zip(&weights).enumerate() {
-                if w > 0.0 {
-                    prop_assert!(c >= 1, "agent {} (weight {}) starved: {:?}", i, w, counts);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partition_weighted_degrades_to_even_under_equal_weights(
-        items in 0usize..600,
-        n in 1usize..12,
-        w in 0.01f64..100.0,
-    ) {
-        prop_assert_eq!(
-            partition_weighted(items, &vec![w; n]),
-            partition_even(items, n)
-        );
-    }
-
-    #[test]
-    fn partition_weighted_is_deterministic_and_zero_safe(
-        items in 0usize..600,
-        weights in proptest::collection::vec(0.0f64..16.0, 1..12),
-    ) {
-        // Same inputs, same split: every caller of the partitioner (the
-        // analytic clan sizing among them) must agree.
-        prop_assert_eq!(
-            partition_weighted(items, &weights),
-            partition_weighted(items, &weights)
-        );
-        // A zero-weight agent only ever receives work via the even-split
-        // fallback (all weights zero), never from a valid weighting.
-        if weights.iter().any(|w| *w > 0.0) {
-            for (&c, &w) in partition_weighted(items, &weights).iter().zip(&weights) {
-                if w == 0.0 {
-                    prop_assert_eq!(c, 0);
-                }
-            }
-        }
-    }
-
     // ---------------- telemetry exporters ----------------
 
     #[test]
@@ -440,146 +383,6 @@ proptest! {
         // The logical text and hash are total functions of the events.
         let _ = trace.logical_text();
         let _ = trace.logical_hash();
-    }
-}
-
-/// What `activate_into` must return, bit for bit, computed from the genome
-/// alone: each node evaluated once, on demand, over its enabled in-edges
-/// in connection-key order, a `Sum` the plain left fold of
-/// `Iterator::<f64>::sum`.
-fn reference_outputs(g: &Genome, cfg: &NeatConfig, inputs: &[f64]) -> Vec<f64> {
-    use clan::neat::Aggregation;
-    use std::collections::BTreeMap;
-    fn value(g: &Genome, id: NodeId, inputs: &[f64], memo: &mut BTreeMap<NodeId, f64>) -> f64 {
-        if id.is_input() {
-            return inputs[(-id.0 - 1) as usize];
-        }
-        if let Some(&v) = memo.get(&id) {
-            return v;
-        }
-        let node = g.nodes()[&id];
-        let weighted: Vec<f64> = g
-            .conns()
-            .iter()
-            .filter(|(k, c)| k.output == id && c.enabled)
-            .map(|(k, c)| value(g, k.input, inputs, memo) * c.weight)
-            .collect();
-        let agg = match node.aggregation {
-            Aggregation::Sum => weighted.iter().copied().sum(),
-            agg => agg.apply(&weighted),
-        };
-        let v = node.activation.apply(node.bias + node.response * agg);
-        memo.insert(id, v);
-        v
-    }
-    let mut memo = BTreeMap::new();
-    (0..cfg.num_outputs)
-        .map(|o| value(g, NodeId::output(o), inputs, &mut memo))
-        .collect()
-}
-
-/// A genome whose plan puts one to three *dependent* outputs right after
-/// the hidden node they read, each with fewer in-edges than any node
-/// before it: every other output and the hidden node read 3.. inputs, a
-/// dependent reads the hidden node plus at most one input. All `Sum`, so
-/// only the dependency may cut the would-be run, and a dependent folded
-/// inside it would read the hidden node's slot before it is written.
-fn dependent_tail_genome(cfg: &NeatConfig, rng: &mut StdRng) -> Genome {
-    use clan::neat::{Activation, Aggregation, ConnGene, NodeGene};
-    use rand::Rng;
-    let (inputs, outputs) = (cfg.num_inputs as i64, cfg.num_outputs as i64);
-    let hidden = outputs;
-    let first_dependent = outputs - rng.gen_range(1..outputs.min(3) + 1);
-    let mut nodes = Vec::new();
-    let mut conns = Vec::new();
-    for id in 0..=hidden {
-        let gene = NodeGene {
-            bias: rng.gen_range(-1.0..1.0),
-            activation: Activation::Identity,
-            aggregation: Aggregation::Sum,
-            ..NodeGene::default()
-        };
-        nodes.push((NodeId(id), gene));
-        let sources: Vec<i64> = if (first_dependent..outputs).contains(&id) {
-            let mut s: Vec<i64> = (0..rng.gen_range(0..2)).map(|i| -1 - i).collect();
-            s.push(hidden);
-            s
-        } else {
-            (0..rng.gen_range(3..inputs + 1)).map(|i| -1 - i).collect()
-        };
-        for src in sources {
-            let gene = ConnGene {
-                weight: rng.gen_range(-2.0..2.0),
-                enabled: true,
-            };
-            conns.push((ConnKey::new(NodeId(src), NodeId(id)), gene));
-        }
-    }
-    Genome::from_parts(
-        GenomeId(0),
-        nodes.into_iter().collect(),
-        conns.into_iter().collect(),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // ---------------- activation kernel ----------------
-
-    #[test]
-    fn grouped_activation_matches_the_one_node_at_a_time_fold(
-        atari in any::<bool>(),
-        dependent_tail in any::<bool>(),
-        near_full in any::<bool>(),
-        extreme in any::<bool>(),
-        seed in any::<u64>(),
-        mutations in 0usize..80,
-    ) {
-        use rand::Rng;
-        let (inputs, outputs) = if atari { (128, 18) } else { (8, 4) };
-        // Raised rates: hidden nodes, deleted edges and non-`Sum` nodes
-        // inside would-be runs.
-        let cfg = NeatConfig::builder(inputs, outputs)
-            .node_add_prob(0.5)
-            .conn_delete_prob(0.5)
-            .activation_mutate_rate(0.3)
-            .aggregation_mutate_rate(0.3)
-            .build()
-            .expect("valid config");
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
-        // Near full: a fresh genome, every input wired to every output,
-        // after a few mutations (the shape the Atari workloads run, and
-        // the one that reads its inputs from dense blocks).
-        let mutations = if near_full { mutations % 6 } else { mutations };
-        let g = if dependent_tail {
-            dependent_tail_genome(&cfg, &mut rng)
-        } else {
-            let mut g = Genome::new_initial(&cfg, GenomeId(0), &mut StdRng::seed_from_u64(seed));
-            for _ in 0..mutations {
-                g.mutate(&cfg, &mut rng);
-            }
-            g
-        };
-        let net = clan::neat::FeedForwardNetwork::compile(&g, &cfg);
-        let mut scratch = Scratch::new();
-        // Extreme rows mix in signed zeros, tiny, huge and infinite
-        // magnitudes: products that vanish or overflow, sums that reach
-        // ±inf or NaN.
-        const EXTREMES: [f64; 9] = [
-            0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, f64::MAX, f64::INFINITY, f64::NEG_INFINITY,
-        ];
-        for _ in 0..3 {
-            let x: Vec<f64> = (0..inputs)
-                .map(|_| match rng.gen_range(0..EXTREMES.len() + 3) {
-                    i if extreme && i < EXTREMES.len() => EXTREMES[i],
-                    _ => rng.gen_range(-2.0..2.0),
-                })
-                .collect();
-            let want: Vec<u64> = reference_outputs(&g, &cfg, &x).iter().map(|v| v.to_bits()).collect();
-            let got: Vec<u64> = net.activate_into(&x, &mut scratch).iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(got, want);
-        }
     }
 }
 
